@@ -75,9 +75,13 @@ echo "==> recovery gate: WAL crash matrix (DESIGN.md §13)"
 # lost-flush crashes at every WAL record boundary recovering to
 # byte-identical answers at 1/2/4/8 threads, both mid-checkpoint crash
 # windows, byte-identical WAL segments across thread counts, and
-# post-delta planner statistics freshness.
+# post-delta planner statistics freshness. The ingest suite rides along:
+# rejected deltas and log faults leave no mark, incrementally maintained
+# statistics and gauges equal a recount, and — counted by the closed
+# registry, not a clock — a single delta runs no PageRank, re-collects at
+# most its own table's statistics and copies no substrate.
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,wal.append@64,wal.flush@64" \
-    cargo test -q -p unisem-tests --test recovery
+    cargo test -q -p unisem-tests --test recovery --test ingest
 CARGO_NET_OFFLINE=true cargo test -q -p faultkit
 
 echo "==> bench smoke (profile binary)"
@@ -88,6 +92,10 @@ profile_out=$(CARGO_NET_OFFLINE=true cargo run -q --release -p unisem-bench --bi
 lines=$(printf '%s\n' "$profile_out" | grep -c '"suite":"profile"')
 if [ "$lines" -lt 18 ]; then
     echo "ERROR: profile --smoke emitted $lines stage lines (expected >= 18)"
+    exit 1
+fi
+if printf '%s\n' "$profile_out" | grep '\.ingest\.' | grep -q '"iters":0,'; then
+    echo "ERROR: profile --smoke recorded no samples for an ingest stage"
     exit 1
 fi
 
@@ -116,6 +124,15 @@ if printf '%s\n' "$scale_rows" | grep -vq '"p99_ns":[1-9]'; then
     printf '%s\n' "$scale_rows"
     exit 1
 fi
+
+echo "==> unibench --check (benchmark output checks, BENCHMARK.json)"
+# The standalone benchmark package builds offline against this tree and
+# runs all four workloads, plain and traced, on a small corpus: reads see
+# their writes, a rebuild + log replay reproduces the live engine, every
+# round writes the same log bytes, batch equals serial. An engine change
+# that breaks one of those fails here, not later in the bench pipeline.
+# It writes only under its own ignored directories.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check >/dev/null
 
 echo "==> udlint --deny all (static determinism-contract audit)"
 # One linter replaces the former awk gates (closed metric namespace,

@@ -1,7 +1,8 @@
 //! Per-stage pipeline profile: builds the two evaluation workloads,
-//! answers their full QA sets through [`UnifiedEngine::answer_batch`], and
-//! emits every tracekit stage timing as a detkit `Stats` JSON line
-//! (suite `profile`, name `<workload>.<stage>`).
+//! answers their full QA sets through [`UnifiedEngine::answer_batch`],
+//! streams a short run of durable deltas into each, and emits every
+//! tracekit stage timing as a detkit `Stats` JSON line (suite `profile`,
+//! name `<workload>.<stage>`).
 //!
 //! The default run regenerates `BENCH_baseline.json` in the current
 //! directory; `--smoke` shrinks the workloads and prints to stdout only
@@ -16,7 +17,8 @@ use std::collections::BTreeMap;
 
 use detkit::bench::Stats;
 use unisem_bench::harness::{build_ecommerce_engine, build_healthcare_engine};
-use unisem_core::{EngineConfig, TimingReport, UnifiedEngine};
+use unisem_core::{Delta, EngineConfig, EntityKind, TimingReport, UnifiedEngine};
+use unisem_hetgraph::EdgeKind;
 use unisem_workloads::{EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload};
 
 /// Engine builds per workload: build-stage lines get real order statistics
@@ -70,20 +72,72 @@ fn answer_qa(engine: &UnifiedEngine, questions: Vec<String>) {
     assert_eq!(answers.len(), questions.len());
 }
 
+/// Streams `rounds` × 4 single deltas into the engine through a
+/// write-ahead log in the temp directory (one fsync each), so the
+/// `ingest.log` / `ingest.apply` stages get samples. Each round re-adds
+/// one document and one row the corpus already holds, then a new entity
+/// and an edge from it to the previous round's — a stream any corpus
+/// accepts.
+fn ingest_stream(workload: &str, engine: &mut UnifiedEngine, rounds: usize) {
+    let wal =
+        std::env::temp_dir().join(format!("unisem-profile-{}-{workload}.wal", std::process::id()));
+    let remove_wal = || {
+        for segment in storekit::Wal::segment_paths(&wal) {
+            std::fs::remove_file(segment).ok();
+        }
+    };
+    remove_wal();
+    engine.enable_wal(&wal).expect("attach a fresh log");
+    let table = engine
+        .db()
+        .table_names()
+        .into_iter()
+        .find(|name| *name != "extracted")
+        .expect("a workload has tables")
+        .to_string();
+    let partner = |round: usize| format!("Profile Partner {round}");
+    for round in 0..rounds {
+        let doc = &engine.docs().documents()[round % engine.docs().num_documents()];
+        let row = engine.db().table(&table).expect("listed table");
+        let mut deltas = vec![
+            Delta::DocAdd {
+                title: format!("{} (again)", doc.title),
+                text: doc.text.clone(),
+                source: doc.source.clone(),
+            },
+            Delta::TableRow { table: table.clone(), values: row.row(round % row.num_rows()) },
+            Delta::GraphEntity { name: partner(round), kind: EntityKind::Organization },
+        ];
+        if round > 0 {
+            deltas.push(Delta::GraphEdge {
+                a: partner(round),
+                b: partner(round - 1),
+                kind: EdgeKind::RelatesTo("partners".to_string()),
+            });
+        }
+        for delta in deltas {
+            engine.ingest_delta(delta).expect("the stream applies");
+        }
+    }
+    remove_wal();
+}
+
 /// Builds the engine [`BUILD_ITERS`] times (collecting each build's stage
-/// timings), answers the QA set on the final build, and merges every run's
-/// samples into one stats set.
+/// timings), answers the QA set and ingests `ingest_rounds` of deltas on
+/// the final build, and merges every run's samples into one stats set.
 fn profile_runs(
     workload: &str,
     build: impl Fn() -> UnifiedEngine,
     questions: Vec<String>,
+    ingest_rounds: usize,
 ) -> Vec<Stats> {
     let mut reports: Vec<TimingReport> = Vec::with_capacity(BUILD_ITERS);
     for _ in 0..BUILD_ITERS - 1 {
         reports.push(build().timing_report());
     }
-    let engine = build();
+    let mut engine = build();
     answer_qa(&engine, questions);
+    ingest_stream(workload, &mut engine, ingest_rounds);
     reports.push(engine.timing_report());
     stage_stats(workload, &reports)
 }
@@ -98,7 +152,12 @@ fn profile_ecommerce(smoke: bool) -> Vec<Stats> {
         name_offset: 0,
     });
     let questions = w.qa.iter().map(|q| q.question.clone()).collect();
-    profile_runs("ecommerce", || build_ecommerce_engine(&w, EngineConfig::default()), questions)
+    profile_runs(
+        "ecommerce",
+        || build_ecommerce_engine(&w, EngineConfig::default()),
+        questions,
+        if smoke { 2 } else { 25 },
+    )
 }
 
 fn profile_healthcare(smoke: bool) -> Vec<Stats> {
@@ -110,7 +169,12 @@ fn profile_healthcare(smoke: bool) -> Vec<Stats> {
         seed: 0x4EA17,
     });
     let questions = w.qa.iter().map(|q| q.question.clone()).collect();
-    profile_runs("healthcare", || build_healthcare_engine(&w, EngineConfig::default()), questions)
+    profile_runs(
+        "healthcare",
+        || build_healthcare_engine(&w, EngineConfig::default()),
+        questions,
+        if smoke { 2 } else { 25 },
+    )
 }
 
 fn main() {

@@ -1,11 +1,19 @@
-//! Typed incremental-ingest deltas and their WAL payload codec
-//! (DESIGN.md §13).
+//! Typed incremental-ingest deltas, their WAL payload codec, and the
+//! prepare/commit pair that applies them (DESIGN.md §13).
 //!
 //! A [`Delta`] is one logical mutation of the engine's substrates: a new
 //! document, a relational row upsert, a semi-structured fragment, or a
 //! graph entity/edge. [`UnifiedEngine::ingest_delta`] appends the encoded
 //! delta to the write-ahead log before acknowledging it, and recovery
 //! replays decoded deltas as idempotent redo operations.
+//!
+//! Applying a delta has two halves. [`prepare`] reads the substrates and
+//! does everything that can fail — parse and flatten JSON, build and
+//! type-check the row, resolve edge endpoints — yielding a [`Prepared`]
+//! delta; [`commit`] writes it and cannot fail. Live ingest logs between
+//! the two, so a rejected delta is never logged and memory is never ahead
+//! of the log; WAL replay runs them back to back. Both use this one pair,
+//! so a recovered engine's state is the never-crashed engine's state.
 //!
 //! The codec rides on [`storekit`]'s little-endian `Encoder`/`Decoder`
 //! and reuses the snapshot layer's value and edge-kind tag schemes, so a
@@ -17,9 +25,10 @@
 //! [`UnifiedEngine::ingest_delta`]: crate::UnifiedEngine::ingest_delta
 
 use storekit::{Decoder, Encoder};
-use unisem_hetgraph::EdgeKind;
-use unisem_relstore::Value;
-use unisem_slm::EntityKind;
+use unisem_docstore::DocStore;
+use unisem_hetgraph::{EdgeKind, GraphBuilder, HetGraph, NodeId};
+use unisem_relstore::{CheckedRow, DataType, Database, Table, Value};
+use unisem_slm::{EntityKind, Slm};
 
 use crate::snapshot::{decode_value, encode_value, invalid};
 use crate::EngineError;
@@ -166,6 +175,166 @@ impl Delta {
             )));
         }
         Ok(delta)
+    }
+}
+
+/// A delta validated against the substrates it is about to change: what
+/// is left to do cannot fail.
+#[derive(Debug)]
+pub(crate) enum Prepared<'a> {
+    /// Chunk, index and graph-link a document.
+    Doc { title: &'a str, text: &'a str, source: &'a str },
+    /// Append a type-checked row to an existing table.
+    Row {
+        table: String,
+        row: CheckedRow,
+        /// Whether the row becomes a graph record (rows of the `extracted`
+        /// table repeat chunk facts and stay out, as at build time).
+        in_graph: bool,
+    },
+    /// First fragment of a new collection: its flattened schema becomes
+    /// the table.
+    NewTable { table: String, rows: Table },
+    /// Add (or re-assert) an entity node.
+    Entity { name: &'a str, kind: EntityKind },
+    /// Add an edge between two resolved, distinct entity nodes.
+    Edge { a: NodeId, b: NodeId, kind: &'a EdgeKind },
+    /// Graph deltas under the entity-node ablation, matching build time.
+    Nothing,
+}
+
+/// The fallible, read-only half of applying `delta`.
+pub(crate) fn prepare<'a>(
+    delta: &'a Delta,
+    db: &Database,
+    graph: &HetGraph,
+    index_entities: bool,
+) -> Result<Prepared<'a>, EngineError> {
+    Ok(match delta {
+        Delta::DocAdd { title, text, source } => Prepared::Doc { title, text, source },
+        Delta::TableRow { table, values } => {
+            let Ok(t) = db.table(table) else {
+                return Err(EngineError::Delta(format!(
+                    "table_row targets unknown table '{table}'"
+                )));
+            };
+            Prepared::Row {
+                table: table.clone(),
+                row: t.check_row(values.clone())?,
+                in_graph: table != "extracted",
+            }
+        }
+        Delta::SemiFragment { collection, json } => {
+            let doc = unisem_semistore::parse_json(json)?;
+            // Flattened collections land as `<coll>` unless a native
+            // table shadowed the name at build time (`json_<coll>`).
+            let shadowed = format!("json_{collection}");
+            let target = if db.has_table(&shadowed) { shadowed } else { collection.clone() };
+            let frag = unisem_semistore::flatten_collection(&[doc])?;
+            let Ok(t) = db.table(&target) else {
+                return Ok(Prepared::NewTable { table: target, rows: frag });
+            };
+            for col in frag.schema().columns() {
+                if t.schema().index_of(&col.name).is_none() {
+                    return Err(EngineError::Delta(format!(
+                        "fragment path '{}' is not a column of '{target}'",
+                        col.name
+                    )));
+                }
+            }
+            let row: Vec<Value> = t
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| {
+                    let v = frag
+                        .schema()
+                        .index_of(&c.name)
+                        .map(|i| frag.cell(0, i).clone())
+                        .unwrap_or(Value::Null);
+                    // Mirror the flattener: a Str column absorbs any
+                    // typed leaf by stringifying it.
+                    if !c.dtype.admits(&v) && c.dtype == DataType::Str {
+                        Value::str(v.to_string())
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            Prepared::Row { row: t.check_row(row)?, table: target, in_graph: true }
+        }
+        Delta::GraphEntity { .. } | Delta::GraphEdge { .. } if !index_entities => Prepared::Nothing,
+        Delta::GraphEntity { name, kind } => Prepared::Entity { name, kind: *kind },
+        Delta::GraphEdge { a, b, kind } => {
+            let endpoint = |name: &str| {
+                graph.entity_by_name(name).ok_or_else(|| {
+                    EngineError::Delta(format!(
+                        "graph_edge endpoint '{name}' is not a known entity"
+                    ))
+                })
+            };
+            let (na, nb) = (endpoint(a)?, endpoint(b)?);
+            if na == nb {
+                return Err(EngineError::Delta(format!(
+                    "graph_edge endpoints '{a}' and '{b}' resolve to the same node"
+                )));
+            }
+            Prepared::Edge { a: na, b: nb, kind }
+        }
+    })
+}
+
+/// The infallible half: writes `prepared` into the substrates [`prepare`]
+/// checked it against, indexing new chunks and rows into the graph exactly
+/// as a build would. Returns the catalog key of the table it touched, if
+/// any, so the caller re-collects only that table's statistics.
+pub(crate) fn commit(
+    prepared: Prepared<'_>,
+    docs: &mut DocStore,
+    db: &mut Database,
+    graph: &mut HetGraph,
+    slm: &Slm,
+    index_entities: bool,
+) -> Option<String> {
+    let extend_graph = |graph: &mut HetGraph, index: &dyn Fn(&mut GraphBuilder)| {
+        let mut gb = GraphBuilder::resume(slm.clone(), std::mem::take(graph));
+        gb.set_index_entities(index_entities);
+        index(&mut gb);
+        *graph = gb.finish().0;
+    };
+    match prepared {
+        Prepared::Doc { title, text, source } => {
+            let from_chunk = docs.num_chunks();
+            docs.add_document(title, text, source);
+            extend_graph(graph, &|gb| gb.add_docstore_from(docs, from_chunk));
+            None
+        }
+        Prepared::Row { table, row, in_graph } => {
+            let Ok(t) = db.table_mut(&table) else {
+                debug_assert!(false, "prepared a row for missing table '{table}'");
+                return None;
+            };
+            let from_row = t.num_rows();
+            t.push_checked(row);
+            if in_graph {
+                extend_graph(graph, &|gb| gb.add_table_rows(&table, t, from_row));
+            }
+            Some(table.to_lowercase())
+        }
+        Prepared::NewTable { table, rows } => {
+            extend_graph(graph, &|gb| gb.add_table_rows(&table, &rows, 0));
+            db.create_or_replace_table(&table, rows);
+            Some(table.to_lowercase())
+        }
+        Prepared::Entity { name, kind } => {
+            graph.add_entity(name, kind);
+            None
+        }
+        Prepared::Edge { a, b, kind } => {
+            graph.add_edge(a, b, kind.clone());
+            None
+        }
+        Prepared::Nothing => None,
     }
 }
 

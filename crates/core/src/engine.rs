@@ -1,5 +1,6 @@
 //! The unified query engine: ingestion, indexing, routing, answering.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -15,9 +16,10 @@ use unisem_entropy::EntropyEstimator;
 use unisem_extract::TableGenerator;
 use unisem_hetgraph::{GraphBuilder, HetGraph};
 use unisem_relstore::plan::AggFunc;
-use unisem_relstore::{Database, ExecLimits, RelError, Table, Value};
+use unisem_relstore::{Database, ExecLimits, RelError, Table};
 use unisem_retrieval::{
     ChunkRetriever, DenseRetriever, RetrievalResult, TopologyConfig, TopologyRetriever,
+    TraversalStats,
 };
 use unisem_semistore::{FlattenError, JsonError, JsonValue, SemiStore, XmlError};
 use unisem_semops::synthesize::resolve_subject_column;
@@ -26,10 +28,14 @@ use unisem_slm::{CostMeter, Lexicon, ModelClass, Slm, SlmConfig, SupportedAnswer
 use unisem_text::ChunkConfig;
 
 use crate::answer::{Answer, Degradation, Provenance, Route};
+use crate::delta::{self, Delta};
 use crate::evidence::{extract_evidence_grounded, to_supported_answers};
 use crate::ingest::{IngestReport, QuarantineReason, Quarantined};
 use crate::planner::physical::{self, ExecActuals};
-use crate::planner::{CandidatePlan, CostModel, JoinEdge, JoinOrder, LogicalNode, StatsCatalog};
+use crate::planner::{
+    CandidatePlan, CostModel, GraphDegreeStats, JoinEdge, JoinOrder, LogicalNode, StatsCatalog,
+    TableStats, TextStats,
+};
 
 /// Engine construction / ingestion errors.
 #[derive(Debug)]
@@ -317,10 +323,7 @@ impl EngineBuilder {
         let stats = Arc::new(loaded.stats);
         let report = loaded.ingest;
 
-        let mut topo_config = config.topology;
-        topo_config.max_frontier =
-            topo_config.max_frontier.min(config.governors.max_traversal_frontier);
-        let topo = TopologyRetriever::new(slm.clone(), graph.clone(), docs.clone(), topo_config);
+        let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
         let dense_start = tracekit::wall::Stopwatch::start();
         let dense = DenseRetriever::build_with_pool(slm.clone(), &docs, config.parallel.pool());
         metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
@@ -331,34 +334,11 @@ impl EngineBuilder {
             e
         };
 
-        // The same build gauges `build` sets, recomputed from the loaded
+        // The same build gauges `build` sets, read from the loaded
         // substrates — pure functions of the data, so a snapshot-opened
         // engine reports the same gauge values as the engine that saved it.
-        let mut entities = 0usize;
-        let mut chunks = 0usize;
-        let mut records = 0usize;
-        for node in graph.nodes() {
-            match &node.kind {
-                unisem_hetgraph::NodeKind::Entity { .. } => entities += 1,
-                unisem_hetgraph::NodeKind::Chunk { .. } => chunks += 1,
-                unisem_hetgraph::NodeKind::Record { .. } => records += 1,
-                unisem_hetgraph::NodeKind::Table { .. } => {}
-            }
-        }
-        metrics.set(Metric::IngestTables, report.tables as u64);
-        metrics.set(Metric::IngestCollections, report.collections_flattened as u64);
-        metrics.set(Metric::IngestDocuments, report.documents as u64);
-        metrics.set(Metric::IngestExtractedRows, report.extracted_rows as u64);
-        metrics.add(Metric::IngestQuarantined, report.num_quarantined() as u64);
-        metrics.set(Metric::GraphNodes, graph.num_nodes() as u64);
-        metrics.set(Metric::GraphEdges, graph.num_edges() as u64);
-        metrics.set(Metric::GraphEntities, entities as u64);
-        metrics.set(Metric::GraphChunks, chunks as u64);
-        metrics.set(Metric::GraphRecords, records as u64);
-        metrics.set(Metric::PlannerStatsTables, stats.tables.len() as u64);
-        metrics.set(Metric::PlannerStatsColumns, stats.num_columns() as u64);
-        metrics.set(Metric::PlannerStatsPostings, stats.text.postings as u64);
-        metrics.set(Metric::PlannerStatsMaxDegree, stats.graph.max_degree as u64);
+        record_ingest_report(&metrics, &report);
+        set_substrate_gauges(&metrics, &db, &docs, &graph, &stats);
         metrics.record_stage(Stage::BuildTotal, build_start.elapsed_ns());
 
         let engine = UnifiedEngine {
@@ -582,17 +562,12 @@ impl EngineBuilder {
                 }
             }
         }
-        let (graph, graph_stats) = gb.finish();
+        let (graph, _) = gb.finish();
         metrics.record_stage(Stage::BuildGraph, graph_start.elapsed_ns());
 
         let docs = Arc::new(docs);
         let graph = Arc::new(graph);
-        // The traversal frontier governor clamps whatever the topology
-        // config asks for.
-        let mut topo_config = config.topology;
-        topo_config.max_frontier =
-            topo_config.max_frontier.min(config.governors.max_traversal_frontier);
-        let topo = TopologyRetriever::new(slm.clone(), graph.clone(), docs.clone(), topo_config);
+        let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
         let dense_start = tracekit::wall::Stopwatch::start();
         let dense = DenseRetriever::build_with_pool(slm.clone(), &docs, config.parallel.pool());
         metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
@@ -616,20 +591,8 @@ impl EngineBuilder {
         // Build gauges: pure functions of the ingested data, never of
         // timing, so a metrics snapshot stays byte-identical at any thread
         // count (DESIGN.md §9).
-        metrics.set(Metric::IngestTables, report.tables as u64);
-        metrics.set(Metric::IngestCollections, report.collections_flattened as u64);
-        metrics.set(Metric::IngestDocuments, report.documents as u64);
-        metrics.set(Metric::IngestExtractedRows, report.extracted_rows as u64);
-        metrics.add(Metric::IngestQuarantined, report.num_quarantined() as u64);
-        metrics.set(Metric::GraphNodes, graph_stats.nodes as u64);
-        metrics.set(Metric::GraphEdges, graph_stats.edges as u64);
-        metrics.set(Metric::GraphEntities, graph_stats.entities as u64);
-        metrics.set(Metric::GraphChunks, graph_stats.chunks as u64);
-        metrics.set(Metric::GraphRecords, graph_stats.records as u64);
-        metrics.set(Metric::PlannerStatsTables, stats.tables.len() as u64);
-        metrics.set(Metric::PlannerStatsColumns, stats.num_columns() as u64);
-        metrics.set(Metric::PlannerStatsPostings, stats.text.postings as u64);
-        metrics.set(Metric::PlannerStatsMaxDegree, stats.graph.max_degree as u64);
+        record_ingest_report(&metrics, &report);
+        set_substrate_gauges(&metrics, &db, &docs, &graph, &stats);
         metrics.record_stage(Stage::BuildTotal, build_start.elapsed_ns());
 
         let engine = UnifiedEngine {
@@ -652,6 +615,73 @@ impl EngineBuilder {
         };
         (engine, report)
     }
+}
+
+/// The topology retriever over freshly built or loaded substrates, with
+/// its static PageRank prior computed up front so the index-build cost
+/// stays in set-up, not in the first query. The traversal frontier
+/// governor clamps whatever the topology config asks for.
+fn build_topology(
+    slm: &Slm,
+    graph: &Arc<HetGraph>,
+    docs: &Arc<DocStore>,
+    config: &EngineConfig,
+    metrics: &MetricsRegistry,
+) -> TopologyRetriever {
+    let mut topo_config = config.topology;
+    topo_config.max_frontier =
+        topo_config.max_frontier.min(config.governors.max_traversal_frontier);
+    let topo = TopologyRetriever::new(slm.clone(), graph.clone(), docs.clone(), topo_config);
+    count_prior(&topo, metrics);
+    topo
+}
+
+/// Makes sure `topo` holds the prior of its graph version, counting the
+/// PageRank run if this call caused one.
+fn count_prior(topo: &TopologyRetriever, metrics: &MetricsRegistry) {
+    if topo.ensure_prior() {
+        metrics.incr(Metric::TraversePriorComputations);
+    }
+}
+
+/// Gauges and counters taken from the build's ingest report (fixed for
+/// the life of the engine).
+fn record_ingest_report(metrics: &MetricsRegistry, report: &IngestReport) {
+    metrics.set(Metric::IngestCollections, report.collections_flattened as u64);
+    metrics.set(Metric::IngestExtractedRows, report.extracted_rows as u64);
+    metrics.add(Metric::IngestQuarantined, report.num_quarantined() as u64);
+}
+
+/// Gauges that are pure functions of the live substrates and their
+/// statistics catalog; every one reads a maintained total, so ingest
+/// re-sets them after each delta.
+fn set_substrate_gauges(
+    metrics: &MetricsRegistry,
+    db: &Database,
+    docs: &DocStore,
+    graph: &HetGraph,
+    stats: &StatsCatalog,
+) {
+    metrics.set(Metric::IngestTables, db.len() as u64);
+    metrics.set(Metric::IngestDocuments, docs.num_documents() as u64);
+    metrics.set(Metric::GraphNodes, graph.num_nodes() as u64);
+    metrics.set(Metric::GraphEdges, graph.num_edges() as u64);
+    metrics.set(Metric::GraphEntities, graph.num_entities() as u64);
+    metrics.set(Metric::GraphChunks, graph.num_chunks() as u64);
+    metrics.set(Metric::GraphRecords, graph.num_records() as u64);
+    metrics.set(Metric::PlannerStatsTables, stats.tables.len() as u64);
+    metrics.set(Metric::PlannerStatsColumns, stats.num_columns() as u64);
+    metrics.set(Metric::PlannerStatsPostings, stats.text.postings as u64);
+    metrics.set(Metric::PlannerStatsMaxDegree, stats.graph.max_degree as u64);
+}
+
+/// A batch of deltas applied to copies of the substrates, not yet visible.
+struct Staged {
+    docs: DocStore,
+    db: Database,
+    graph: HetGraph,
+    /// Catalog keys of the tables the batch touched.
+    touched: BTreeSet<String>,
 }
 
 /// The unified semantic query engine.
@@ -764,7 +794,7 @@ impl UnifiedEngine {
     /// Retrieves chunks for a query using the configured retriever.
     pub fn retrieve(&self, query: &str, k: usize) -> Vec<RetrievalResult> {
         if self.config.enable_topology {
-            self.topo.retrieve(query, k)
+            self.traverse(query, k).0
         } else {
             self.dense.retrieve(query, k)
         }
@@ -1003,8 +1033,7 @@ impl UnifiedEngine {
                 ));
                 self.dense_retrieve_metered(question, meter)
             } else {
-                let (hits, stats) =
-                    self.topo.retrieve_with_stats(question, self.config.retrieval_top_k);
+                let (hits, stats) = self.traverse(question, self.config.retrieval_top_k);
                 // One SLM call for anchor entity tagging; traversal work
                 // and posting scans are pure functions of query + corpus.
                 meter.slm_calls += 1;
@@ -1365,8 +1394,7 @@ impl UnifiedEngine {
                 actuals.retrieval = Some(format!("dense fallback ({f})"));
                 self.dense_retrieve_metered(question, meter)
             } else {
-                let (hits, stats) =
-                    self.topo.retrieve_with_stats(question, self.config.retrieval_top_k);
+                let (hits, stats) = self.traverse(question, self.config.retrieval_top_k);
                 // One SLM call for anchor entity tagging; traversal work
                 // and posting scans are pure functions of query + corpus.
                 meter.slm_calls += 1;
@@ -1676,33 +1704,27 @@ impl UnifiedEngine {
         // Records at or below `applied_seq` are already folded into the
         // snapshot this engine came from (a crash between snapshot fold
         // and log truncation leaves them behind); skip them by sequence.
-        let mut tail: Vec<(u64, crate::delta::Delta)> = Vec::with_capacity(records.len());
+        let mut seqs: Vec<u64> = Vec::with_capacity(records.len());
+        let mut tail: Vec<Delta> = Vec::with_capacity(records.len());
         for r in &records {
             if r.seq > self.applied_seq {
-                tail.push((r.seq, crate::delta::Delta::decode(&r.payload)?));
+                seqs.push(r.seq);
+                tail.push(Delta::decode(&r.payload)?);
             }
         }
-        let replayed = tail.len();
-        if !tail.is_empty() {
-            let mut docs = (*self.docs).clone();
-            let mut db = self.db.clone();
-            let mut graph = (*self.graph).clone();
-            for (seq, delta) in &tail {
-                // A logged record passed staged application before it was
-                // acknowledged, so redo cannot fail on intact state; if it
-                // does, the log disagrees with the snapshot.
-                self.apply_delta(&mut docs, &mut db, &mut graph, delta).map_err(|e| {
-                    EngineError::Delta(format!("wal record {seq} failed to re-apply: {e}"))
-                })?;
-            }
-            self.applied_seq = tail.last().map(|(s, _)| *s).unwrap_or(self.applied_seq);
-            self.docs = Arc::new(docs);
-            self.db = db;
-            self.graph = Arc::new(graph);
-            self.refresh_derived();
+        if let Some(&last) = seqs.last() {
+            // A logged record was prepared on this very state before it was
+            // acknowledged, so redo cannot fail on intact state; if it
+            // does, the log disagrees with the snapshot.
+            let staged = self.stage(&tail).map_err(|(i, e)| {
+                EngineError::Delta(format!("wal record {} failed to re-apply: {e}", seqs[i]))
+            })?;
+            self.install(staged, last);
+            // Recovery is set-up: the next query finds the prior in place.
+            count_prior(&self.topo, &self.metrics);
         }
         self.wal = Some(Arc::new(std::sync::Mutex::new(wal)));
-        Ok(replayed)
+        Ok(tail.len())
     }
 
     /// Highest WAL sequence number applied to the in-memory substrates.
@@ -1715,60 +1737,128 @@ impl UnifiedEngine {
         self.wal.is_some()
     }
 
-    /// Ingests one incremental delta: staged in memory, appended to the
-    /// write-ahead log, made durable (fsync), and only then applied and
+    /// Ingests one incremental delta in O(delta) plus one fsync: validated
+    /// read-only against the live substrates, appended to the write-ahead
+    /// log, made durable, and only then applied — in place — and
     /// acknowledged. Returns the delta's WAL sequence number (or the
     /// engine's local sequence when no log is attached).
-    pub fn ingest_delta(&mut self, delta: crate::delta::Delta) -> Result<u64, EngineError> {
-        self.ingest_deltas(std::slice::from_ref(&delta))
+    ///
+    /// Failure atomicity: a delta that fails validation is not logged, and
+    /// one whose append or flush fails (torn record, lost buffer) is not
+    /// applied — the in-memory engine never gets ahead of the durable log,
+    /// so an acknowledged delta is always recoverable.
+    pub fn ingest_delta(&mut self, delta: Delta) -> Result<u64, EngineError> {
+        self.ingest_one(&delta)
     }
 
-    /// Batch form of [`Self::ingest_delta`]: all-or-nothing. The deltas
-    /// are staged on cloned substrates first (a bad delta costs nothing),
-    /// then logged under a single flush, then swapped in. Returns the
-    /// last delta's sequence number.
-    ///
-    /// Failure atomicity: if staging fails nothing is logged; if the log
-    /// append or flush fails (torn record, lost buffer) the staged state
-    /// is dropped — the in-memory engine never gets ahead of the durable
-    /// log, so an acknowledged delta is always recoverable.
-    pub fn ingest_deltas(&mut self, deltas: &[crate::delta::Delta]) -> Result<u64, EngineError> {
-        if deltas.is_empty() {
-            return Ok(self.applied_seq);
+    fn ingest_one(&mut self, delta: &Delta) -> Result<u64, EngineError> {
+        let index_entities = self.config.enable_entity_nodes;
+        let clock = tracekit::wall::Stopwatch::start();
+        let prepared = delta::prepare(delta, &self.db, &self.graph, index_entities)?;
+        let prepare_ns = clock.elapsed_ns();
+        let seq = self.log(std::slice::from_ref(delta))?;
+
+        let clock = tracekit::wall::Stopwatch::start();
+        // The retriever holds the only other handles on an unshared
+        // engine; with those released `make_mut` mutates in place. An
+        // engine cloned from another copies each substrate here, once.
+        self.topo.rebind(Arc::default(), Arc::default());
+        let touched = delta::commit(
+            prepared,
+            Arc::make_mut(&mut self.docs),
+            &mut self.db,
+            Arc::make_mut(&mut self.graph),
+            &self.slm,
+            index_entities,
+        );
+        self.applied_seq = seq;
+        self.refresh_derived(&touched);
+        self.metrics.record_stage(Stage::IngestApply, prepare_ns + clock.elapsed_ns());
+        Ok(seq)
+    }
+
+    /// Batch form of [`Self::ingest_delta`]: all-or-nothing. A later delta
+    /// may depend on an earlier one (an entity, then an edge to it), so
+    /// the batch is validated and applied delta by delta on one staged
+    /// copy of the substrates, then logged under a single flush, then
+    /// swapped in; if any delta is rejected or the log fails, the copy is
+    /// dropped and nothing changed. Returns the last delta's sequence
+    /// number.
+    pub fn ingest_deltas(&mut self, deltas: &[Delta]) -> Result<u64, EngineError> {
+        match deltas {
+            [] => return Ok(self.applied_seq),
+            [one] => return self.ingest_one(one),
+            _ => {}
         }
-        // Stage on clones: substrate mutation happens only after both
-        // validation and durability succeed.
-        let mut docs = (*self.docs).clone();
-        let mut db = self.db.clone();
-        let mut graph = (*self.graph).clone();
-        for delta in deltas {
-            self.apply_delta(&mut docs, &mut db, &mut graph, delta)?;
-        }
-        // Log + fsync before acknowledging (the pager's fsync-then-ack
-        // discipline). On any failure the staged clones are dropped.
-        let last_seq = if let Some(wal) = &self.wal {
-            let mut wal = wal.lock().map_err(|_| {
-                EngineError::Store(storekit::StoreError::Io("wal lock poisoned".into()))
-            })?;
-            let mut last = 0;
-            let mut wal_bytes = 0u64;
-            for delta in deltas {
-                let encoded = delta.encode();
-                wal_bytes += encoded.len() as u64;
-                last = wal.append(&encoded)?;
-            }
-            wal.flush()?;
-            self.metrics.observe(Hist::MeterWalBytes, wal_bytes);
-            last
-        } else {
-            self.applied_seq + deltas.len() as u64
+        let clock = tracekit::wall::Stopwatch::start();
+        let staged = self.stage(deltas).map_err(|(_, e)| e)?;
+        let stage_ns = clock.elapsed_ns();
+        let seq = self.log(deltas)?;
+        let clock = tracekit::wall::Stopwatch::start();
+        self.install(staged, seq);
+        self.metrics.record_stage(Stage::IngestApply, stage_ns + clock.elapsed_ns());
+        Ok(seq)
+    }
+
+    /// Appends `deltas` to the write-ahead log and makes them durable under
+    /// one fsync (the pager's fsync-then-ack discipline), returning the
+    /// last record's sequence number; without a log, the local sequence
+    /// the batch ends at.
+    fn log(&self, deltas: &[Delta]) -> Result<u64, EngineError> {
+        let Some(wal) = &self.wal else {
+            return Ok(self.applied_seq + deltas.len() as u64);
         };
-        self.applied_seq = last_seq;
-        self.docs = Arc::new(docs);
-        self.db = db;
-        self.graph = Arc::new(graph);
-        self.refresh_derived();
-        Ok(last_seq)
+        let clock = tracekit::wall::Stopwatch::start();
+        let mut wal = wal.lock().map_err(|_| {
+            EngineError::Store(storekit::StoreError::Io("wal lock poisoned".into()))
+        })?;
+        let mut last = 0;
+        let mut wal_bytes = 0u64;
+        for delta in deltas {
+            let encoded = delta.encode();
+            wal_bytes += encoded.len() as u64;
+            last = wal.append(&encoded)?;
+        }
+        wal.flush()?;
+        self.metrics.observe(Hist::MeterWalBytes, wal_bytes);
+        self.metrics.record_stage(Stage::IngestLog, clock.elapsed_ns());
+        Ok(last)
+    }
+
+    /// Applies `deltas` in order to one copy of the substrates, each
+    /// prepared against the state its predecessors left. On rejection
+    /// returns the offending delta's index; the engine is untouched either
+    /// way.
+    fn stage(&self, deltas: &[Delta]) -> Result<Staged, (usize, EngineError)> {
+        let index_entities = self.config.enable_entity_nodes;
+        let mut staged = Staged {
+            docs: (*self.docs).clone(),
+            db: self.db.clone(),
+            graph: (*self.graph).clone(),
+            touched: BTreeSet::new(),
+        };
+        for (i, delta) in deltas.iter().enumerate() {
+            let prepared = delta::prepare(delta, &staged.db, &staged.graph, index_entities)
+                .map_err(|e| (i, e))?;
+            staged.touched.extend(delta::commit(
+                prepared,
+                &mut staged.docs,
+                &mut staged.db,
+                &mut staged.graph,
+                &self.slm,
+                index_entities,
+            ));
+        }
+        Ok(staged)
+    }
+
+    /// Makes a staged batch the live state, as of sequence number `seq`.
+    fn install(&mut self, staged: Staged, seq: u64) {
+        self.applied_seq = seq;
+        self.docs = Arc::new(staged.docs);
+        self.db = staged.db;
+        self.graph = Arc::new(staged.graph);
+        self.refresh_derived(&staged.touched);
     }
 
     /// Checkpoint (DESIGN.md §13): folds the log into a fresh snapshot at
@@ -1789,164 +1879,28 @@ impl UnifiedEngine {
         Ok(())
     }
 
-    /// Applies one delta to staged substrate clones — the single redo
-    /// implementation shared by live ingest and WAL replay, so a
-    /// recovered engine's state is the never-crashed engine's state.
-    fn apply_delta(
-        &self,
-        docs: &mut DocStore,
-        db: &mut Database,
-        graph: &mut HetGraph,
-        delta: &crate::delta::Delta,
-    ) -> Result<(), EngineError> {
-        use crate::delta::Delta;
-        match delta {
-            Delta::DocAdd { title, text, source } => {
-                let from_chunk = docs.num_chunks();
-                docs.add_document(title.clone(), text.clone(), source.clone());
-                let mut gb = GraphBuilder::resume(self.slm.clone(), std::mem::take(graph));
-                gb.set_index_entities(self.config.enable_entity_nodes);
-                gb.add_docstore_from(docs, from_chunk);
-                *graph = gb.finish().0;
-            }
-            Delta::TableRow { table, values } => {
-                if !db.has_table(table) {
-                    return Err(EngineError::Delta(format!(
-                        "table_row targets unknown table '{table}'"
-                    )));
-                }
-                let mut t = db.table(table)?.clone();
-                let from_row = t.num_rows();
-                t.push_row(values.clone())?;
-                db.create_or_replace_table(table, t.clone());
-                if table != "extracted" {
-                    let mut gb = GraphBuilder::resume(self.slm.clone(), std::mem::take(graph));
-                    gb.set_index_entities(self.config.enable_entity_nodes);
-                    gb.add_table_rows(table, &t, from_row);
-                    *graph = gb.finish().0;
-                }
-            }
-            Delta::SemiFragment { collection, json } => {
-                let doc = unisem_semistore::parse_json(json)?;
-                // Flattened collections land as `<coll>` unless a native
-                // table shadowed the name at build time (`json_<coll>`).
-                let shadowed = format!("json_{collection}");
-                let target = if db.has_table(&shadowed) { shadowed } else { collection.clone() };
-                let frag = unisem_semistore::flatten_collection(&[doc])?;
-                if !db.has_table(&target) {
-                    // First fragment of a new collection: its flattened
-                    // schema becomes the table.
-                    db.create_table(&target, frag.clone())?;
-                    let mut gb = GraphBuilder::resume(self.slm.clone(), std::mem::take(graph));
-                    gb.set_index_entities(self.config.enable_entity_nodes);
-                    gb.add_table_rows(&target, &frag, 0);
-                    *graph = gb.finish().0;
-                    return Ok(());
-                }
-                let mut t = db.table(&target)?.clone();
-                for col in frag.schema().columns() {
-                    if t.schema().index_of(&col.name).is_none() {
-                        return Err(EngineError::Delta(format!(
-                            "fragment path '{}' is not a column of '{target}'",
-                            col.name
-                        )));
-                    }
-                }
-                let row: Vec<Value> = t
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        let v = frag
-                            .schema()
-                            .index_of(&c.name)
-                            .map(|i| frag.cell(0, i).clone())
-                            .unwrap_or(Value::Null);
-                        // Mirror the flattener: a Str column absorbs any
-                        // typed leaf by stringifying it.
-                        if !c.dtype.admits(&v) && c.dtype == unisem_relstore::DataType::Str {
-                            Value::str(v.to_string())
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                let from_row = t.num_rows();
-                t.push_row(row)?;
-                db.create_or_replace_table(&target, t.clone());
-                let mut gb = GraphBuilder::resume(self.slm.clone(), std::mem::take(graph));
-                gb.set_index_entities(self.config.enable_entity_nodes);
-                gb.add_table_rows(&target, &t, from_row);
-                *graph = gb.finish().0;
-            }
-            Delta::GraphEntity { name, kind } => {
-                // Under the entity-node ablation this is a no-op, matching
-                // build-time behaviour.
-                if self.config.enable_entity_nodes {
-                    graph.add_entity(name, *kind);
-                }
-            }
-            Delta::GraphEdge { a, b, kind } => {
-                if !self.config.enable_entity_nodes {
-                    return Ok(());
-                }
-                let na = graph.entity_by_name(a).ok_or_else(|| {
-                    EngineError::Delta(format!("graph_edge endpoint '{a}' is not a known entity"))
-                })?;
-                let nb = graph.entity_by_name(b).ok_or_else(|| {
-                    EngineError::Delta(format!("graph_edge endpoint '{b}' is not a known entity"))
-                })?;
-                if na == nb {
-                    return Err(EngineError::Delta(format!(
-                        "graph_edge endpoints '{a}' and '{b}' resolve to the same node"
-                    )));
-                }
-                graph.add_edge(na, nb, kind.clone());
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the cheap derived structures after the substrates change:
-    /// the topology retriever re-wraps the new `Arc`s, the dense index
-    /// embeds only the new chunks, the planner's statistics catalog is
-    /// recollected (so explain traces never show stale row counts), and
-    /// every build gauge is re-set from the live substrates.
-    fn refresh_derived(&mut self) {
-        let mut topo_config = self.config.topology;
-        topo_config.max_frontier =
-            topo_config.max_frontier.min(self.config.governors.max_traversal_frontier);
-        self.topo = TopologyRetriever::new(
-            self.slm.clone(),
-            self.graph.clone(),
-            self.docs.clone(),
-            topo_config,
-        );
+    /// Brings the derived structures up to the substrates after ingest
+    /// changed them, in O(delta): the dense index embeds only the new
+    /// chunks; of the planner's statistics only the `touched` tables are
+    /// re-collected, the text and graph figures being totals the
+    /// substrates maintain (so explain traces never show stale row
+    /// counts, and the catalog equals a from-scratch collect); the gauges
+    /// re-read the same totals; and the topology retriever is pointed at
+    /// the new versions, which drops its PageRank prior until a traversal
+    /// asks for it.
+    fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
         self.dense.extend_from(&self.docs);
-        self.stats = Arc::new(StatsCatalog::collect(&self.db, &self.docs, &self.graph));
-
-        let mut entities = 0usize;
-        let mut chunks = 0usize;
-        let mut records = 0usize;
-        for node in self.graph.nodes() {
-            match &node.kind {
-                unisem_hetgraph::NodeKind::Entity { .. } => entities += 1,
-                unisem_hetgraph::NodeKind::Chunk { .. } => chunks += 1,
-                unisem_hetgraph::NodeKind::Record { .. } => records += 1,
-                unisem_hetgraph::NodeKind::Table { .. } => {}
+        let stats = Arc::make_mut(&mut self.stats);
+        for key in touched {
+            if let Ok(table) = self.db.table(key) {
+                stats.tables.insert(key.clone(), TableStats::collect(table));
+                self.metrics.incr(Metric::PlannerStatsTableRefreshes);
             }
         }
-        self.metrics.set(Metric::IngestTables, self.db.len() as u64);
-        self.metrics.set(Metric::IngestDocuments, self.docs.num_documents() as u64);
-        self.metrics.set(Metric::GraphNodes, self.graph.num_nodes() as u64);
-        self.metrics.set(Metric::GraphEdges, self.graph.num_edges() as u64);
-        self.metrics.set(Metric::GraphEntities, entities as u64);
-        self.metrics.set(Metric::GraphChunks, chunks as u64);
-        self.metrics.set(Metric::GraphRecords, records as u64);
-        self.metrics.set(Metric::PlannerStatsTables, self.stats.tables.len() as u64);
-        self.metrics.set(Metric::PlannerStatsColumns, self.stats.num_columns() as u64);
-        self.metrics.set(Metric::PlannerStatsPostings, self.stats.text.postings as u64);
-        self.metrics.set(Metric::PlannerStatsMaxDegree, self.stats.graph.max_degree as u64);
+        stats.text = TextStats::collect(&self.docs);
+        stats.graph = GraphDegreeStats::collect(&self.graph);
+        set_substrate_gauges(&self.metrics, &self.db, &self.docs, &self.graph, &self.stats);
+        self.topo.rebind(self.graph.clone(), self.docs.clone());
     }
 
     /// Chooses a cost-optimal join order over the named tables, inferring
@@ -1974,6 +1928,14 @@ impl UnifiedEngine {
             self.metrics.incr(Metric::PlannerJoinGreedy);
         }
         Some(order)
+    }
+
+    /// Topology retrieval. The first traversal after the graph changed
+    /// computes (and counts) the PageRank prior of the new version; every
+    /// later one finds it in place.
+    fn traverse(&self, query: &str, k: usize) -> (Vec<RetrievalResult>, TraversalStats) {
+        count_prior(&self.topo, &self.metrics);
+        self.topo.retrieve_with_stats(query, k)
     }
 
     /// Records one entropy estimate in the closed metric registry and on

@@ -1,8 +1,13 @@
 //! Build-time statistics catalog (DESIGN.md §11).
 //!
-//! The cost model's only data input. Collected once, at build time, from
-//! every substrate: relational row counts and per-column cardinalities,
+//! The cost model's only data input. Collected at build time from every
+//! substrate: relational row counts and per-column cardinalities,
 //! inverted-index posting-list lengths, and the graph degree histogram.
+//! Incremental ingest keeps it current piecewise — [`TableStats::collect`]
+//! for the one table a delta touched, [`TextStats::collect`] and
+//! [`GraphDegreeStats::collect`] from totals the substrates maintain as
+//! they append — and the result equals a from-scratch
+//! [`StatsCatalog::collect`].
 //!
 //! Determinism contract: every number here is a pure function of the
 //! ingested data — never of timing, thread count, or iteration order.
@@ -16,7 +21,7 @@ use std::collections::BTreeMap;
 
 use unisem_docstore::DocStore;
 use unisem_hetgraph::HetGraph;
-use unisem_relstore::Database;
+use unisem_relstore::{Database, Table};
 
 /// Cardinality statistics for one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +44,22 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Row count and per-column cardinalities of one table (linear in the
+    /// table, up to the per-column sort).
+    pub fn collect(table: &Table) -> TableStats {
+        let columns = table
+            .schema()
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let (distinct, nulls) = table.column_stats(i);
+                ColumnStats { name: c.name.clone(), distinct, nulls }
+            })
+            .collect();
+        TableStats { rows: table.num_rows(), columns }
+    }
+
     /// Statistics for a named column, if present.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.iter().find(|c| c.name == name)
@@ -66,6 +87,20 @@ pub struct TextStats {
     pub max_posting: usize,
 }
 
+impl TextStats {
+    /// Reads the totals the document store and its index maintain.
+    pub fn collect(docs: &DocStore) -> TextStats {
+        let (terms, postings, max_posting) = docs.posting_stats();
+        TextStats {
+            documents: docs.num_documents(),
+            chunks: docs.num_chunks(),
+            terms,
+            postings,
+            max_posting,
+        }
+    }
+}
+
 /// Degree statistics for the heterogeneous graph.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GraphDegreeStats {
@@ -83,6 +118,20 @@ pub struct GraphDegreeStats {
     pub histogram: Vec<(usize, usize)>,
 }
 
+impl GraphDegreeStats {
+    /// Reads the degree totals the graph maintains.
+    pub fn collect(graph: &HetGraph) -> GraphDegreeStats {
+        let nodes = graph.num_nodes();
+        GraphDegreeStats {
+            nodes,
+            edges: graph.num_edges(),
+            max_degree: graph.max_degree(),
+            avg_degree_x1000: (graph.num_edges() * 2 * 1000).checked_div(nodes).unwrap_or(0),
+            histogram: graph.degree_histogram(),
+        }
+    }
+}
+
 /// The per-substrate statistics catalog the planner costs plans against.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsCatalog {
@@ -97,42 +146,15 @@ pub struct StatsCatalog {
 impl StatsCatalog {
     /// Collects statistics from every substrate. Single-threaded by
     /// design: statistics are part of the build's deterministic output,
-    /// and the collection pass is linear in the data.
+    /// and the collection pass is linear in the relational data.
     pub fn collect(db: &Database, docs: &DocStore, graph: &HetGraph) -> StatsCatalog {
-        let mut tables = BTreeMap::new();
-        let mut names: Vec<String> = db.table_names().into_iter().map(String::from).collect();
-        names.sort_unstable();
-        for name in names {
-            if let Ok(t) = db.table(&name) {
-                let columns = t
-                    .schema()
-                    .columns()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let (distinct, nulls) = t.column_stats(i);
-                        ColumnStats { name: c.name.clone(), distinct, nulls }
-                    })
-                    .collect();
-                tables.insert(name, TableStats { rows: t.num_rows(), columns });
-            }
-        }
-        let (terms, postings, max_posting) = docs.posting_stats();
-        let text = TextStats {
-            documents: docs.num_documents(),
-            chunks: docs.num_chunks(),
-            terms,
-            postings,
-            max_posting,
-        };
-        let nodes = graph.num_nodes();
-        let graph = GraphDegreeStats {
-            nodes,
-            edges: graph.num_edges(),
-            max_degree: graph.max_degree(),
-            avg_degree_x1000: if nodes == 0 { 0 } else { graph.num_edges() * 2 * 1000 / nodes },
-            histogram: graph.degree_histogram(),
-        };
+        let tables = db
+            .table_names()
+            .into_iter()
+            .filter_map(|name| Some((name.to_string(), TableStats::collect(db.table(name).ok()?))))
+            .collect();
+        let text = TextStats::collect(docs);
+        let graph = GraphDegreeStats::collect(graph);
         StatsCatalog { tables, text, graph }
     }
 

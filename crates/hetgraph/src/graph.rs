@@ -137,6 +137,14 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
+/// Inclusive upper bounds of the degree-histogram buckets; degrees above
+/// the last bound share one overflow bucket.
+const DEGREE_BOUNDS: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+
+fn degree_bucket(degree: usize) -> usize {
+    DEGREE_BOUNDS.iter().position(|&b| degree <= b).unwrap_or(DEGREE_BOUNDS.len())
+}
+
 /// The heterogeneous graph.
 #[derive(Debug, Clone, Default)]
 pub struct HetGraph {
@@ -144,6 +152,11 @@ pub struct HetGraph {
     edges: Vec<Edge>,
     /// adjacency[node] = (neighbor, edge) pairs.
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    /// Nodes per degree bucket and the largest degree, kept current by
+    /// every node and edge insertion (degrees only grow), so the planner's
+    /// degree statistics cost O(1) after an incremental delta.
+    degree_counts: [usize; DEGREE_BOUNDS.len() + 1],
+    max_degree: usize,
     /// (canonical name, kind) → entity node.
     entity_index: HashMap<(String, EntityKind), NodeId>,
     /// canonical name → smallest entity node id with that name (fast path
@@ -213,7 +226,22 @@ impl HetGraph {
 
     /// Maximum node degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
+        self.max_degree
+    }
+
+    /// Number of entity nodes.
+    pub fn num_entities(&self) -> usize {
+        self.entity_index.len()
+    }
+
+    /// Number of chunk nodes.
+    pub fn num_chunks(&self) -> usize {
+        self.chunk_index.len()
+    }
+
+    /// Number of record nodes.
+    pub fn num_records(&self) -> usize {
+        self.record_index.len()
     }
 
     /// Power-of-two degree histogram: `(inclusive upper bound, node count)`
@@ -221,21 +249,33 @@ impl HetGraph {
     /// bound `usize::MAX`. A pure function of the adjacency, so the planner
     /// statistics built from it are deterministic at any thread count.
     pub fn degree_histogram(&self) -> Vec<(usize, usize)> {
-        const BOUNDS: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-        let mut counts = [0usize; BOUNDS.len() + 1];
-        for adj in &self.adjacency {
-            let d = adj.len();
-            let bucket = BOUNDS.iter().position(|&b| d <= b).unwrap_or(BOUNDS.len());
-            counts[bucket] += 1;
-        }
-        BOUNDS.iter().copied().chain(std::iter::once(usize::MAX)).zip(counts).collect()
+        DEGREE_BOUNDS
+            .iter()
+            .copied()
+            .chain(std::iter::once(usize::MAX))
+            .zip(self.degree_counts)
+            .collect()
     }
 
     fn push_node(&mut self, kind: NodeKind, label: String) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { id, kind, label });
         self.adjacency.push(Vec::new());
+        self.degree_counts[degree_bucket(0)] += 1;
         id
+    }
+
+    /// Records `edge` in both endpoints' adjacency lists and moves each
+    /// endpoint to its new degree bucket.
+    fn link(&mut self, a: NodeId, b: NodeId, edge: EdgeId) {
+        for (from, to) in [(a, b), (b, a)] {
+            let adj = &mut self.adjacency[from.0 as usize];
+            adj.push((to, edge));
+            let degree = adj.len();
+            self.degree_counts[degree_bucket(degree - 1)] -= 1;
+            self.degree_counts[degree_bucket(degree)] += 1;
+            self.max_degree = self.max_degree.max(degree);
+        }
     }
 
     /// Adds (or returns the existing) chunk node.
@@ -304,8 +344,7 @@ impl HetGraph {
         }
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { id, a, b, kind });
-        self.adjacency[a.0 as usize].push((b, id));
-        self.adjacency[b.0 as usize].push((a, id));
+        self.link(a, b, id);
         self.edge_dedup.insert(dedup_key, id);
         id
     }
@@ -318,6 +357,7 @@ impl HetGraph {
     /// the reassembled graph is structurally identical byte for byte.
     pub fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Result<Self, String> {
         let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
+        g.degree_counts[degree_bucket(0)] = nodes.len();
         for (i, node) in nodes.iter().enumerate() {
             if node.id.0 as usize != i {
                 return Err(format!("node {} stored at position {i}", node.id.0));
@@ -347,8 +387,7 @@ impl HetGraph {
             if a >= g.nodes.len() || b >= g.nodes.len() {
                 return Err(format!("edge {i} references missing node"));
             }
-            g.adjacency[a].push((edge.b, edge.id));
-            g.adjacency[b].push((edge.a, edge.id));
+            g.link(edge.a, edge.b, edge.id);
             let (lo, hi) = if edge.a <= edge.b { (edge.a, edge.b) } else { (edge.b, edge.a) };
             g.edge_dedup.insert((lo, hi, edge.kind.label()), edge.id);
         }
@@ -510,6 +549,37 @@ mod tests {
         g.add_chunk(0, 0, "x");
         assert_eq!(g.entities().count(), 1);
         assert!(g.to_string().contains("2 nodes"));
+    }
+
+    #[test]
+    fn degree_statistics_maintained_on_insert_equal_a_recount() {
+        let mut g = HetGraph::new();
+        let hub = g.add_entity("hub", EntityKind::Product);
+        for i in 0..40 {
+            let c = g.add_chunk(i, 0, "chunk");
+            g.add_edge(c, hub, EdgeKind::Mentions);
+            if i % 3 == 0 {
+                let r = g.add_record("t", i);
+                g.add_edge(r, c, EdgeKind::Temporal);
+            }
+        }
+        g.add_table("isolated");
+        let recount = |g: &HetGraph| {
+            let mut counts = vec![0usize; DEGREE_BOUNDS.len() + 1];
+            for id in 0..g.num_nodes() {
+                counts[degree_bucket(g.degree(NodeId(id as u32)))] += 1;
+            }
+            counts
+        };
+        let maintained: Vec<usize> = g.degree_histogram().iter().map(|&(_, n)| n).collect();
+        assert_eq!(maintained, recount(&g));
+        assert_eq!(g.max_degree(), 40);
+        assert_eq!((g.num_entities(), g.num_chunks(), g.num_records()), (1, 40, 14));
+
+        let rebuilt = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec()).unwrap();
+        assert_eq!(rebuilt.degree_histogram(), g.degree_histogram());
+        assert_eq!(rebuilt.max_degree(), g.max_degree());
+        assert_eq!(rebuilt.num_records(), g.num_records());
     }
 
     #[test]

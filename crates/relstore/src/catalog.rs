@@ -51,6 +51,14 @@ impl Database {
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
 
+    /// Looks up a table for in-place mutation (incremental ingest appends
+    /// rows without replacing the table).
+    pub fn table_mut(&mut self, name: &str) -> RelResult<&mut Table> {
+        self.tables
+            .get_mut(&name.to_lowercase())
+            .ok_or_else(|| RelError::UnknownTable(name.to_string()))
+    }
+
     /// True when `name` is registered.
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(&name.to_lowercase())

@@ -39,5 +39,5 @@ pub use exec::{ExecLimits, ExecStats};
 pub use expr::Expr;
 pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, SortKey};
 pub use schema::{Column, DataType, Schema};
-pub use table::Table;
+pub use table::{CheckedRow, Table};
 pub use value::{Date, Value};

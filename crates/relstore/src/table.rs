@@ -10,6 +10,11 @@ use crate::error::{RelError, RelResult};
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
 
+/// A row that passed [`Table::check_row`]: right arity, admitted types,
+/// ints already widened for float columns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckedRow(Vec<Value>);
+
 /// A columnar table: a schema plus one value vector per column.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
@@ -56,10 +61,10 @@ impl Table {
         self.num_rows() == 0
     }
 
-    /// Appends a row, validating arity and column types.
-    ///
-    /// Ints are silently widened in float columns.
-    pub fn push_row(&mut self, row: Vec<Value>) -> RelResult<()> {
+    /// Validates `row` against the schema (arity and column types) and
+    /// widens ints in float columns — everything that can fail about
+    /// appending it, without touching the table.
+    pub fn check_row(&self, row: Vec<Value>) -> RelResult<CheckedRow> {
         if row.len() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
                 expected: self.schema.arity(),
@@ -75,15 +80,33 @@ impl Table {
                 });
             }
         }
-        for (i, v) in row.into_iter().enumerate() {
-            let dtype = self.schema.column(i).dtype;
-            let v = match (dtype, v) {
+        let widened = row
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match (self.schema.column(i).dtype, v) {
                 (DataType::Float, Value::Int(x)) => Value::Float(x as f64),
                 (_, v) => v,
-            };
-            self.columns[i].push(v);
+            })
+            .collect();
+        Ok(CheckedRow(widened))
+    }
+
+    /// Appends a row [`Self::check_row`] accepted for this table's schema;
+    /// cannot fail.
+    pub fn push_checked(&mut self, row: CheckedRow) {
+        assert_eq!(row.0.len(), self.columns.len(), "row was checked against another schema");
+        for (column, v) in self.columns.iter_mut().zip(row.0) {
+            column.push(v);
         }
         self.rows += 1;
+    }
+
+    /// Appends a row, validating arity and column types.
+    ///
+    /// Ints are silently widened in float columns.
+    pub fn push_row(&mut self, row: Vec<Value>) -> RelResult<()> {
+        let row = self.check_row(row)?;
+        self.push_checked(row);
         Ok(())
     }
 

@@ -11,14 +11,15 @@
 //!    far-away chunks are *never touched*, unlike a dense scan that must
 //!    visit every vector).
 //! 3. **Topological scoring** — proximity decay along the traversal,
-//!    modulated by a **static PageRank prior** precomputed at index-build
-//!    time ("centrality measures help identify influential nodes");
-//!    query-time work stays proportional to the frontier.
+//!    modulated by a **static PageRank prior** ("centrality measures help
+//!    identify influential nodes") computed once per graph version, on the
+//!    first traversal that needs it; every other traversal's work stays
+//!    proportional to the frontier.
 //! 4. **Hybrid scoring** — the topological score fuses with a BM25 lexical
 //!    score so purely-verbal queries still work.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use unisem_docstore::DocStore;
 use unisem_hetgraph::algo::pagerank;
@@ -37,7 +38,8 @@ pub struct TopologyConfig {
     /// Candidate set radius in hops from the anchors (edge costs make this
     /// a weighted radius: `max_hops × 2.0` traversal cost).
     pub max_hops: usize,
-    /// Damping for the *static* PageRank prior (computed once at build).
+    /// Damping for the *static* PageRank prior (computed once per graph
+    /// version).
     pub damping: f64,
     /// Iterations for the static PageRank prior.
     pub iterations: usize,
@@ -107,27 +109,56 @@ pub struct TopologyRetriever {
     graph: Arc<HetGraph>,
     docs: Arc<DocStore>,
     config: TopologyConfig,
-    /// Static centrality prior, max-normalized; computed once at build.
-    static_prior: Vec<f64>,
+    /// Static centrality prior, max-normalized: a pure function of
+    /// `graph`, filled by [`Self::ensure_prior`] and emptied whenever
+    /// [`Self::rebind`] changes the graph.
+    static_prior: OnceLock<Vec<f64>>,
 }
 
 impl TopologyRetriever {
     /// Creates a retriever over a pre-built graph and document store.
     ///
-    /// Computes the static PageRank prior here (index-build cost), so
-    /// query-time work is proportional to the traversal frontier only.
+    /// The static PageRank prior is not computed here: the first traversal
+    /// pays for it, or [`Self::ensure_prior`] up front for a caller that
+    /// wants the index-build cost out of its first query.
     pub fn new(
         slm: Slm,
         graph: Arc<HetGraph>,
         docs: Arc<DocStore>,
         config: TopologyConfig,
     ) -> Self {
-        let mut static_prior = pagerank(&graph, config.damping, config.iterations);
-        let max = static_prior.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
-        for p in static_prior.iter_mut() {
-            *p /= max;
-        }
-        Self { slm, graph, docs, config, static_prior }
+        Self { slm, graph, docs, config, static_prior: OnceLock::new() }
+    }
+
+    /// Points the retriever at new versions of its substrates and drops
+    /// the static prior, which the next traversal recomputes. Rebinding to
+    /// empty substrates releases the retriever's handles, so the owner of
+    /// the only other handle can mutate in place (`Arc::make_mut`).
+    pub fn rebind(&mut self, graph: Arc<HetGraph>, docs: Arc<DocStore>) {
+        self.graph = graph;
+        self.docs = docs;
+        self.static_prior = OnceLock::new();
+    }
+
+    /// Computes the static prior for the current graph version unless it
+    /// is already there; `true` when this call ran PageRank.
+    pub fn ensure_prior(&self) -> bool {
+        self.prior().1
+    }
+
+    /// The static prior, and whether this call had to compute it.
+    fn prior(&self) -> (&[f64], bool) {
+        let mut ran = false;
+        let prior = self.static_prior.get_or_init(|| {
+            ran = true;
+            let mut prior = pagerank(&self.graph, self.config.damping, self.config.iterations);
+            let max = prior.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
+            for p in prior.iter_mut() {
+                *p /= max;
+            }
+            prior
+        });
+        (prior, ran)
     }
 
     /// The config in effect.
@@ -356,10 +387,11 @@ impl TopologyRetriever {
         stats.nodes_touched = proximity.len();
 
         // Candidate chunks: traversal proximity × static centrality prior.
+        let (static_prior, _) = self.prior();
         let mut topo: BTreeMap<usize, f64> = BTreeMap::new();
         for (&node, &prox) in &proximity {
             if let unisem_hetgraph::NodeKind::Chunk { chunk_id, .. } = &self.graph.node(node).kind {
-                let prior = self.static_prior[node.0 as usize];
+                let prior = static_prior[node.0 as usize];
                 topo.insert(*chunk_id, prox * (0.5 + 0.5 * prior));
             }
         }
@@ -554,6 +586,28 @@ mod tests {
         assert!(sc.nodes_touched <= su.nodes_touched);
         // The truncated frontier is deterministic, too.
         assert_eq!(capped.retrieve(q, 3), capped.retrieve(q, 3));
+    }
+
+    #[test]
+    fn prior_is_computed_once_per_graph_version_on_first_use() {
+        let (slm, g, d) = setup();
+        let mut r = TopologyRetriever::new(slm, g.clone(), d.clone(), TopologyConfig::default());
+        let q = "How did Drug A affect Patient X?";
+        let lazy = r.retrieve(q, 3);
+        assert!(!r.ensure_prior(), "the first traversal computed the prior");
+        let eager = retriever();
+        assert!(eager.ensure_prior(), "nothing computes it before first use");
+        assert!(!eager.ensure_prior());
+        assert_eq!(lazy, eager.retrieve(q, 3), "when the prior is computed changes no score");
+
+        // A new graph version drops the prior; releasing the handles lets
+        // the owner mutate in place.
+        r.rebind(Arc::default(), Arc::default());
+        let (mut g, mut d) = (g, d);
+        assert!(Arc::get_mut(&mut g).is_some() && Arc::get_mut(&mut d).is_some());
+        r.rebind(g, d);
+        assert!(r.ensure_prior());
+        assert_eq!(r.retrieve(q, 3), lazy);
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //! image is a pure function of the node's logical content, which is what
 //! makes same-seed snapshot files byte-identical (DESIGN.md §12).
 //!
-//! Balancing: a node that overflows its page splits at the middle cell
-//! (leaf separators are copied up, internal separators move up). A
+//! Balancing: a node that overflows its page splits where its two halves
+//! come closest in bytes (leaf separators are copied up, internal
+//! separators move up). A
 //! non-root node that falls below quarter occupancy after a delete merges
 //! with a sibling when the combined cells fit in one page, otherwise
 //! borrows one cell; empty internal roots collapse into their only
-//! child. Size bounds ([`MAX_KEY`], [`MAX_VALUE`]) guarantee at least
-//! two leaf cells per page, so a count split always fits.
+//! child. Size bounds ([`MAX_KEY`], [`MAX_VALUE`]) keep a cell under
+//! 1.6 KiB, so the halves of a byte-balanced split differ by less than
+//! that and both fit their page, however cell sizes are mixed (a split by
+//! cell count does not: two 1 KiB posting chunks beside short cells can
+//! leave one half over a page).
 
 use crate::buffer::BufferPool;
 use crate::page::{Page, PageKind, PAYLOAD_SIZE};
@@ -81,6 +85,20 @@ impl Node {
     fn size(&self) -> usize {
         let (_, _, cells) = self.encode();
         Page::records_size(&cells)
+    }
+
+    /// The cell index that splits this node into the two byte-wise most
+    /// even halves (`1..len`, both halves non-empty).
+    fn split_point(&self) -> usize {
+        let (_, _, cells) = self.encode();
+        let total = Page::records_size(&cells);
+        let mut left = 0;
+        (1..cells.len())
+            .min_by_key(|&mid| {
+                left += Page::records_size(&cells[mid - 1..mid]);
+                left.abs_diff(total - left)
+            })
+            .unwrap_or(1)
     }
 }
 
@@ -234,10 +252,10 @@ impl BTree {
                     store(pool, id, &node)?;
                     return Ok((old, None));
                 }
+                let mid = node.split_point();
                 let Node::Leaf { mut entries } = node else {
                     return Err(corrupt(id, "leaf changed kind"));
                 };
-                let mid = entries.len() / 2;
                 let right_entries = entries.split_off(mid);
                 let sep = right_entries
                     .first()
@@ -262,10 +280,10 @@ impl BTree {
                     store(pool, id, &node)?;
                     return Ok((old, None));
                 }
+                let mid = node.split_point();
                 let Node::Internal { leftmost, mut entries } = node else {
                     return Err(corrupt(id, "internal changed kind"));
                 };
-                let mid = entries.len() / 2;
                 let mut right_entries = entries.split_off(mid);
                 let (up_key, up_child) = if right_entries.is_empty() {
                     return Err(corrupt(id, "internal split produced empty right node"));
@@ -559,6 +577,27 @@ mod tests {
                 "{key}"
             );
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn split_balances_bytes_not_cell_count() {
+        // Twenty short cells then four page-quarter cells: halving by count
+        // would leave all four wide cells (4 × ~1 KiB) in the right half.
+        let (mut p, path) = pool("byte-split");
+        let mut t = BTree::create(&mut p).unwrap();
+        for i in 0..20u32 {
+            t.insert(&mut p, format!("a{i:02}").as_bytes(), b"short").unwrap();
+        }
+        for i in 0..4u32 {
+            t.insert(&mut p, format!("b{i}").as_bytes(), &[i as u8; MAX_VALUE]).unwrap();
+        }
+        // Growing a value in place overflows a full leaf the same way.
+        t.insert(&mut p, b"a00", &[7u8; MAX_VALUE]).unwrap();
+        assert_eq!(t.len(&mut p).unwrap(), 24);
+        assert_eq!(t.get(&mut p, b"b3").unwrap(), Some(vec![3u8; MAX_VALUE]));
+        assert_eq!(t.get(&mut p, b"a00").unwrap(), Some(vec![7u8; MAX_VALUE]));
+        assert_eq!(t.get(&mut p, b"a19").unwrap(), Some(b"short".to_vec()));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -51,6 +51,13 @@ fn val_bytes(v: usize) -> Vec<u8> {
     vec![(v % 251) as u8; width]
 }
 
+/// The snapshot layer's shape: 1 KiB posting chunks beside short entries,
+/// so cells in one node differ in size by two orders of magnitude.
+fn mixed_val_bytes(v: usize) -> Vec<u8> {
+    let width = if v.is_multiple_of(3) { storekit::MAX_VALUE } else { 4 + v % 9 };
+    vec![(v % 251) as u8; width]
+}
+
 fn fresh_pool(tag: &str) -> (BufferPool, std::path::PathBuf) {
     let mut path = std::env::temp_dir();
     path.push(format!(
@@ -64,7 +71,7 @@ fn fresh_pool(tag: &str) -> (BufferPool, std::path::PathBuf) {
 
 /// Runs a script against tree + oracle, checking every op's result and
 /// the full ordered iteration at the end.
-fn run_model_diff(script: &[Op], tag: &str) -> Result<(), String> {
+fn run_model_diff(script: &[Op], tag: &str, val_bytes: fn(usize) -> Vec<u8>) -> Result<(), String> {
     let (mut pool, path) = fresh_pool(tag);
     let mut tree = BTree::create(&mut pool).map_err(|e| e.to_string())?;
     let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -113,13 +120,19 @@ fn run_model_diff(script: &[Op], tag: &str) -> Result<(), String> {
 // Mixed scripts over a small key universe: heavy overwrite and
 // delete-reinsert churn, every op's result diffed against the oracle.
 prop_check!(btree_matches_oracle_small_universe, scripts(12, 80), |script| {
-    run_model_diff(script, "small")
+    run_model_diff(script, "small", val_bytes)
 });
 
 // A wider key universe drives deeper trees (multi-level internal splits)
 // before deletes walk them back down (borrow / merge / root collapse).
 prop_check!(btree_matches_oracle_wide_universe, scripts(120, 120), |script| {
-    run_model_diff(script, "wide")
+    run_model_diff(script, "wide", val_bytes)
+});
+
+// Page-quarter values mixed with values of a few bytes: a split must
+// balance bytes, not cell counts, or one half overflows its page.
+prop_check!(btree_matches_oracle_mixed_value_sizes, scripts(160, 200), |script| {
+    run_model_diff(script, "mixed", mixed_val_bytes)
 });
 
 // Insert-then-delete-everything: the tree must drain to empty through

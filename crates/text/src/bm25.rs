@@ -34,6 +34,11 @@ pub struct Bm25Index {
     /// Document lengths in tokens.
     doc_len: Vec<usize>,
     total_tokens: usize,
+    /// Posting entries across all terms and the longest posting list,
+    /// kept current as documents are added (lists only grow), so
+    /// [`Self::posting_stats`] never walks the table.
+    total_postings: usize,
+    max_posting: usize,
 }
 
 impl Default for Bm25Index {
@@ -45,7 +50,7 @@ impl Default for Bm25Index {
 impl Bm25Index {
     /// Creates an empty index with the given parameters.
     pub fn new(params: Bm25Params) -> Self {
-        Self { params, postings: BTreeMap::new(), doc_len: Vec::new(), total_tokens: 0 }
+        Self::from_parts(params, BTreeMap::new(), Vec::new())
     }
 
     /// Adds a document, returning its id (insertion order).
@@ -65,7 +70,10 @@ impl Bm25Index {
             *tf.entry(t).or_insert(0) += 1;
         }
         for (t, c) in tf {
-            self.postings.entry(t.clone()).or_default().push((doc_id, c));
+            let posts = self.postings.entry(t.clone()).or_default();
+            posts.push((doc_id, c));
+            self.total_postings += 1;
+            self.max_posting = self.max_posting.max(posts.len());
         }
         doc_id
     }
@@ -83,13 +91,7 @@ impl Bm25Index {
     /// Inverted-index statistics for the planner's cost model:
     /// `(distinct terms, total postings, longest posting list)`.
     pub fn posting_stats(&self) -> (usize, usize, usize) {
-        let mut total = 0usize;
-        let mut max = 0usize;
-        for posts in self.postings.values() {
-            total += posts.len();
-            max = max.max(posts.len());
-        }
-        (self.postings.len(), total, max)
+        (self.postings.len(), self.total_postings, self.max_posting)
     }
 
     /// Posting entries a search for `query` scans: the summed posting-list
@@ -158,14 +160,16 @@ impl Bm25Index {
 
     /// Reassembles an index from snapshot parts. The caller is trusted to
     /// pass parts that came from [`Self::postings`] / [`Self::doc_lens`];
-    /// `total_tokens` is recomputed from the lengths.
+    /// `total_tokens` and the posting totals are recomputed from them.
     pub fn from_parts(
         params: Bm25Params,
         postings: BTreeMap<String, Vec<(usize, u32)>>,
         doc_len: Vec<usize>,
     ) -> Self {
         let total_tokens = doc_len.iter().sum();
-        Self { params, postings, doc_len, total_tokens }
+        let total_postings = postings.values().map(Vec::len).sum();
+        let max_posting = postings.values().map(Vec::len).max().unwrap_or(0);
+        Self { params, postings, doc_len, total_tokens, total_postings, max_posting }
     }
 
     /// Like [`Self::search`] but with pre-normalized query terms.
@@ -283,6 +287,18 @@ mod tests {
         // mirroring what search_terms actually does.
         assert_eq!(ix.postings_scanned("fox fox"), 4);
         assert!(ix.postings_scanned("alpha product sales quarter") > 0);
+    }
+
+    #[test]
+    fn posting_stats_maintained_on_add_equal_a_recount() {
+        let ix = sample();
+        let (terms, total, max) = ix.posting_stats();
+        assert_eq!(terms, ix.postings().len());
+        assert_eq!(total, ix.postings().values().map(Vec::len).sum::<usize>());
+        assert_eq!(max, ix.postings().values().map(Vec::len).max().unwrap());
+        let rebuilt =
+            Bm25Index::from_parts(ix.params(), ix.postings().clone(), ix.doc_lens().to_vec());
+        assert_eq!(rebuilt.posting_stats(), (terms, total, max));
     }
 
     #[test]

@@ -136,6 +136,9 @@ registry_enum! {
         TraverseFrontierCapped => "traverse.frontier_capped",
         /// Traversals that fell back to pure lexical retrieval.
         TraverseLexicalFallback => "traverse.lexical_fallback",
+        /// Static PageRank priors computed: one per graph version, at
+        /// build/open or on the first traversal after an ingest.
+        TraversePriorComputations => "traverse.prior_computations",
         /// Queries that fell back to dense retrieval (traversal fault).
         DenseFallbackQueries => "dense.fallback_queries",
         /// Logical plans executed on the structured route.
@@ -173,6 +176,10 @@ registry_enum! {
         PlannerStatsPostings => "planner.stats_postings",
         /// Maximum graph node degree recorded in the statistics catalog.
         PlannerStatsMaxDegree => "planner.stats_max_degree",
+        /// Per-table statistics re-collected by incremental ingest (one
+        /// per table-touching delta; the rest of the catalog is maintained,
+        /// not re-derived).
+        PlannerStatsTableRefreshes => "planner.stats_table_refreshes",
         /// Logical plans synthesized and optimized by the cost-based
         /// planner.
         PlannerPlansBuilt => "planner.plans_built",
@@ -279,6 +286,11 @@ registry_enum! {
         AnswerRetrieval => "answer.retrieval",
         /// Entropy estimation.
         AnswerEntropy => "answer.entropy",
+        /// Durable half of an ingest: WAL append + fsync.
+        IngestLog => "ingest.log",
+        /// In-memory half of an ingest: validate, apply to the substrates,
+        /// refresh the derived structures.
+        IngestApply => "ingest.apply",
     }
 }
 

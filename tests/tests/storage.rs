@@ -20,14 +20,15 @@ use std::path::PathBuf;
 
 use storekit::{Pager, StoreError};
 use unisem_core::{
-    Answer, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
+    Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
     UnifiedEngine,
 };
 use unisem_relstore::{DataType, Schema, Table, Value};
 use unisem_slm::{EntityKind, Lexicon};
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{
-    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
+    names, EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
+    ScaleConfig, ScaleWorkload,
 };
 
 struct Workload {
@@ -191,6 +192,83 @@ fn snapshot_round_trip_answers_byte_identical() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// At 256 products the BM25 posting lists of common terms span several
+/// 1 KiB chunks that share B-tree leaves with entries of a few bytes, the
+/// mix a split by cell count overflows on (`TooLarge`). Snapshot, reopen
+/// with a log, ingest, checkpoint — the only thing that ever truncates the
+/// log — and recover from the checkpoint.
+#[test]
+fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
+    let scale =
+        ScaleWorkload::generate(ScaleConfig { products: 256, quarters: 4, queries: 6, seed: 7 });
+    let e = scale.data;
+    let w = Workload {
+        name: "scale",
+        lexicon: e.lexicon,
+        db: e.db,
+        semi: e.semi,
+        documents: e.documents,
+        qa: Vec::new(),
+    };
+    let engine = build(&w, 1);
+    let snap = tmp_path("scale-base");
+    let ckpt = tmp_path("scale-ckpt");
+    let wal = tmp_path("scale-wal");
+    let remove_wal = || {
+        for segment in storekit::Wal::segment_paths(&wal) {
+            std::fs::remove_file(segment).ok();
+        }
+    };
+    remove_wal();
+    engine.save_snapshot(&snap).expect("a 256-product corpus fits its pages");
+
+    let (mut live, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&snap, &wal, config(1)).expect("reopen");
+    assert_eq!(replayed, 0);
+    assert_eq!(live.stats().render(), engine.stats().render());
+    let product = names::product(3);
+    let deltas = [
+        Delta::DocAdd {
+            title: format!("{product} outlook"),
+            text: format!("Customers purchased 40 units of {product}. Analysts expect growth."),
+            source: "report".into(),
+        },
+        Delta::TableRow {
+            table: "sales".into(),
+            values: vec![
+                Value::str(product.clone()),
+                Value::str(names::quarter(4)),
+                Value::float(400.0),
+                Value::Int(40),
+                Value::float(2.5),
+            ],
+        },
+        Delta::GraphEntity { name: "Supplier Three Works".into(), kind: EntityKind::Organization },
+        Delta::GraphEdge {
+            a: "Supplier Three Works".into(),
+            b: product,
+            kind: unisem_hetgraph::EdgeKind::RelatesTo("supplies".into()),
+        },
+    ];
+    for d in &deltas {
+        live.ingest_delta(d.clone()).expect("ingest");
+    }
+    live.checkpoint(&ckpt).expect("checkpoint folds the log into a fresh snapshot");
+
+    let (recovered, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, config(1)).expect("recover");
+    assert_eq!(replayed, 0, "the checkpoint truncated the log");
+    assert_eq!(recovered.applied_seq(), deltas.len() as u64);
+    assert_eq!(recovered.stats().render(), live.stats().render());
+    for q in &scale.queries {
+        assert_eq!(recovered.answer(q), live.answer(q), "{q}");
+    }
+    drop((live, recovered));
+    remove_wal();
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]
