@@ -212,13 +212,6 @@ pub struct EngineConfig {
     /// sink — `trace` controls the in-`Answer` copy, the sink controls
     /// emitted JSON-lines; either alone enables recording.
     pub trace: bool,
-    /// Resolve answers through the pre-planner degradation ladder instead
-    /// of the cost-based planner (DESIGN.md §11). The ladder is kept
-    /// verbatim as the differential-testing oracle: for every query the
-    /// planner's answer must be byte-identical to the ladder's
-    /// (`tests/tests/planner_diff.rs`). Off by default — the planner is
-    /// the production path.
-    pub legacy_ladder: bool,
 }
 
 impl Default for EngineConfig {
@@ -240,7 +233,6 @@ impl Default for EngineConfig {
             faults: FaultPlan::unset(),
             governors: GovernorConfig::default(),
             trace: false,
-            legacy_ladder: false,
         }
     }
 }
@@ -839,7 +831,7 @@ impl UnifiedEngine {
         };
 
         let mut meter = ResourceMeter::default();
-        let mut answer = self.answer_impl(question, &mut scope, &mut meter);
+        let mut answer = self.answer_planned(question, &mut scope, &mut meter);
 
         self.metrics.incr(Metric::QueryAnswered);
         if answer.is_abstention() {
@@ -875,304 +867,13 @@ impl UnifiedEngine {
         (answer, block)
     }
 
-    /// Dispatches resolution to the cost-based planner (the default) or
-    /// the legacy degradation ladder ([`EngineConfig::legacy_ladder`]).
-    /// The two paths are differentially tested to produce byte-identical
-    /// answers; only the recorded explain plan differs.
-    fn answer_impl(
-        &self,
-        question: &str,
-        scope: &mut TraceScope,
-        meter: &mut ResourceMeter,
-    ) -> Answer {
-        if self.config.legacy_ladder {
-            self.answer_ladder(question, scope, meter)
-        } else {
-            self.answer_planned(question, scope, meter)
-        }
-    }
-
-    /// The pre-planner resolution ladder, kept verbatim as the
-    /// differential-testing oracle; `scope` collects the explain trace
-    /// (free when disabled).
-    fn answer_ladder(
-        &self,
-        question: &str,
-        scope: &mut TraceScope,
-        meter: &mut ResourceMeter,
-    ) -> Answer {
-        let faults = self.config.faults;
-        let governors = self.config.governors;
-        let mut degradations: Vec<Degradation> = Vec::new();
-
-        // Entropy gate first: without a working generator, or enough
-        // samples to make the estimate meaningful, no confidence can be
-        // certified — and an uncertifiable answer is worse than an
-        // abstention (§III.D).
-        if let Err(f) = faults.check(Site::SlmGenerate, question) {
-            self.metrics.incr(Metric::FaultsFired);
-            scope.event("fault.fired", || f.to_string());
-            scope.rung("entropy_gate", RungOutcome::Failed, || {
-                "answer sampling unavailable; abstaining".to_string()
-            });
-            degradations.push(Degradation::new(
-                component::SLM_GENERATE,
-                format!("answer sampling unavailable: {f}"),
-            ));
-            return abstained(degradations);
-        }
-        if self.config.entropy_samples < governors.entropy_sample_floor {
-            scope.rung("entropy_gate", RungOutcome::Failed, || {
-                format!(
-                    "{} samples below floor {}",
-                    self.config.entropy_samples, governors.entropy_sample_floor
-                )
-            });
-            degradations.push(Degradation::new(
-                component::ENTROPY_SAMPLES,
-                format!(
-                    "{} entropy samples below floor {}; confidence uncertifiable",
-                    self.config.entropy_samples, governors.entropy_sample_floor
-                ),
-            ));
-            return abstained(degradations);
-        }
-
-        let intent = self.parser.analyze(question);
-        meter.slm_calls += 1;
-        scope.event("intent.parsed", || {
-            format!(
-                "entities={} plain_lookup={} comparative={}",
-                intent.entities.len(),
-                intent.is_plain_lookup(),
-                intent.comparative
-            )
-        });
-
-        // Structured route for analytical intents (§III.C task 2).
-        let mut attempted_structured = false;
-        if self.config.enable_synthesis && !intent.is_plain_lookup() {
-            attempted_structured = true;
-            let structured_start = tracekit::wall::Stopwatch::start();
-            let (hit, failures) = self.try_structured_traced(&intent, scope);
-            self.metrics.record_stage(Stage::AnswerStructured, structured_start.elapsed_ns());
-            if let Some((table, result)) = hit {
-                let text = render_structured(&intent, &self.db, &table, &result);
-                if !text.is_empty() {
-                    // Deterministic plan output = maximally grounded
-                    // evidence; entropy sampling confirms stability.
-                    let entropy_start = tracekit::wall::Stopwatch::start();
-                    let evidence = vec![SupportedAnswer::new(text.clone(), 6.0)];
-                    let report = self.estimator.estimate(question, &evidence);
-                    self.metrics.record_stage(Stage::AnswerEntropy, entropy_start.elapsed_ns());
-                    self.record_entropy(&report, meter);
-                    let confidence = report.confidence();
-                    scope.rung("structured", RungOutcome::Succeeded, || {
-                        format!("table '{table}' ({} result rows)", result.num_rows())
-                    });
-                    scope.set_entropy(entropy_verdict(&report, confidence, false));
-                    return Answer {
-                        text,
-                        confidence,
-                        entropy: report,
-                        route: Route::Structured { table: table.clone() },
-                        provenance: vec![Provenance::TableRows { table, rows: result.num_rows() }],
-                        result_table: Some(result),
-                        degradations,
-                        trace: None,
-                    };
-                }
-            }
-            // The structured rung yielded nothing — record why before
-            // stepping down, surfacing the last failure when there was one.
-            match failures.last() {
-                Some((table, err)) => {
-                    scope.rung("structured", RungOutcome::Failed, || {
-                        format!("last failure on '{table}': {err}")
-                    });
-                    degradations.push(Degradation::new(
-                        component::REL_EXEC,
-                        format!("structured route failed on '{table}': {err}"),
-                    ));
-                }
-                None => {
-                    scope.rung("structured", RungOutcome::Failed, || {
-                        "no table produced a signal-bearing result".to_string()
-                    });
-                    degradations.push(Degradation::new(
-                        component::ENGINE_STRUCTURED,
-                        "no table produced a signal-bearing result",
-                    ));
-                }
-            }
-        } else {
-            scope.rung("structured", RungOutcome::Skipped, || {
-                if self.config.enable_synthesis {
-                    "plain lookup intent".to_string()
-                } else {
-                    "operator synthesis disabled".to_string()
-                }
-            });
-        }
-
-        // Retrieval rung (§III.B): a traversal fault or frontier cap falls
-        // back to dense scoring rather than failing the query.
-        let retrieval_start = tracekit::wall::Stopwatch::start();
-        let hits = if self.config.enable_topology {
-            if let Err(f) = faults.check(Site::GraphTraverse, question) {
-                self.metrics.incr(Metric::FaultsFired);
-                self.metrics.incr(Metric::DenseFallbackQueries);
-                scope.event("fault.fired", || f.to_string());
-                scope.set_traversal(TraversalTrace {
-                    dense_fallback: true,
-                    ..TraversalTrace::default()
-                });
-                degradations.push(Degradation::new(
-                    component::GRAPH_TRAVERSE,
-                    format!("topology traversal unavailable: {f}; using dense retrieval"),
-                ));
-                self.dense_retrieve_metered(question, meter)
-            } else {
-                let (hits, stats) = self.traverse(question, self.config.retrieval_top_k);
-                // One SLM call for anchor entity tagging; traversal work
-                // and posting scans are pure functions of query + corpus.
-                meter.slm_calls += 1;
-                meter.nodes_popped += stats.nodes_popped as u64;
-                meter.postings_scanned += stats.postings_scanned as u64;
-                self.metrics.incr(Metric::TraverseQueries);
-                self.metrics.add(Metric::TraverseAnchors, stats.anchors as u64);
-                self.metrics.add(Metric::TraverseNodesTouched, stats.nodes_touched as u64);
-                self.metrics.add(Metric::TraverseNodesPopped, stats.nodes_popped as u64);
-                self.metrics.add(Metric::TraverseChunksScored, stats.chunks_scored as u64);
-                self.metrics.observe(Hist::TraverseFrontier, stats.nodes_touched as u64);
-                if stats.lexical_fallback {
-                    self.metrics.incr(Metric::TraverseLexicalFallback);
-                }
-                scope.set_traversal(TraversalTrace {
-                    anchors: stats.anchors,
-                    nodes_touched: stats.nodes_touched,
-                    nodes_popped: stats.nodes_popped,
-                    chunks_scored: stats.chunks_scored,
-                    frontier_capped: stats.frontier_capped,
-                    lexical_fallback: stats.lexical_fallback,
-                    dense_fallback: false,
-                });
-                if stats.frontier_capped {
-                    self.metrics.incr(Metric::TraverseFrontierCapped);
-                    degradations.push(Degradation::new(
-                        component::GRAPH_TRAVERSE,
-                        format!(
-                            "traversal frontier capped at {} nodes; candidates truncated",
-                            self.topo.config().max_frontier
-                        ),
-                    ));
-                }
-                hits
-            }
-        } else {
-            scope.set_traversal(TraversalTrace {
-                dense_fallback: true,
-                ..TraversalTrace::default()
-            });
-            self.dense_retrieve_metered(question, meter)
-        };
-        self.metrics.record_stage(Stage::AnswerRetrieval, retrieval_start.elapsed_ns());
-        let chunk_triples: Vec<(usize, String, f64)> = hits
-            .iter()
-            .filter_map(|h| {
-                self.docs.chunk(h.chunk_id).ok().map(|c| (c.id, c.text.clone(), h.score))
-            })
-            .collect();
-        // Grounding: when the question names entities, only sentences
-        // mentioning them are admissible evidence — ungrounded context is
-        // exactly the hallucination source §I warns about. Filtering before
-        // IDF weighting also sharpens discriminative terms.
-        let evidence = extract_evidence_grounded(question, &chunk_triples, 6, &intent.entities);
-        let supported = to_supported_answers(&evidence);
-        let entropy_start = tracekit::wall::Stopwatch::start();
-        let report = self.estimator.estimate(question, &supported);
-        self.metrics.record_stage(Stage::AnswerEntropy, entropy_start.elapsed_ns());
-        self.record_entropy(&report, meter);
-        let confidence = report.confidence();
-
-        let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
-        let provenance: Vec<Provenance> = evidence
-            .iter()
-            .filter_map(|e| {
-                self.docs
-                    .chunk(e.chunk_id)
-                    .ok()
-                    .map(|c| Provenance::Chunk { chunk_id: c.id, doc_id: c.doc_id })
-            })
-            .collect();
-
-        if supported.is_empty() || confidence < self.config.abstain_confidence {
-            // Last rung: the semantic-entropy gate declines to answer.
-            scope.rung("retrieval", RungOutcome::Failed, || {
-                if supported.is_empty() {
-                    "no grounded supporting evidence".to_string()
-                } else {
-                    format!(
-                        "confidence {confidence:.2} below abstain threshold {:.2}",
-                        self.config.abstain_confidence
-                    )
-                }
-            });
-            scope.set_entropy(entropy_verdict(&report, confidence, true));
-            degradations.push(if supported.is_empty() {
-                Degradation::new(component::RETRIEVAL_EVIDENCE, "no grounded supporting evidence")
-            } else {
-                Degradation::new(
-                    component::ENTROPY_CONFIDENCE,
-                    format!(
-                        "confidence {confidence:.2} below abstain threshold {:.2}",
-                        self.config.abstain_confidence
-                    ),
-                )
-            });
-            return Answer {
-                text: "This cannot be determined from the available data.".to_string(),
-                confidence,
-                entropy: report,
-                route: Route::Abstained,
-                provenance,
-                result_table: None,
-                degradations,
-                trace: None,
-            };
-        }
-
-        scope.rung("retrieval", RungOutcome::Succeeded, || {
-            format!("{} evidence sentences from {} chunks", evidence.len(), chunks.len())
-        });
-        scope.set_entropy(entropy_verdict(&report, confidence, false));
-        let text = report.top_answer.clone().unwrap_or_else(|| evidence[0].text.clone());
-        let route = if attempted_structured {
-            Route::Hybrid { table: None, chunks }
-        } else {
-            Route::Unstructured { chunks }
-        };
-        Answer {
-            text,
-            confidence,
-            entropy: report,
-            route,
-            provenance,
-            result_table: None,
-            degradations,
-            trace: None,
-        }
-    }
-
     /// Cost-based resolution (DESIGN.md §11): synthesize a logical plan
     /// spanning every substrate, cost it against the build-time statistics
     /// catalog, execute it, and record the physical plan — with per-node
     /// estimated vs actual costs — in the explain trace.
     ///
-    /// Execution drives the same substrate primitives, in the same
-    /// semantic order, with the same bookkeeping as [`Self::answer_ladder`]
-    /// — that equivalence is the planner's correctness contract, enforced
-    /// byte-for-byte by `tests/tests/planner_diff.rs`. Join reordering is
+    /// The answers are pinned byte-for-byte by the golden files of
+    /// `tests/tests/planner_golden.rs`. Join reordering is
     /// deliberately *not* applied here: physically re-joining in a
     /// different order changes row enumeration order and therefore
     /// float-accumulation order in aggregates. The reordering optimizer is
@@ -1985,62 +1686,6 @@ impl UnifiedEngine {
                 answer
             })
             .collect()
-    }
-
-    /// Tries the structured route over candidate tables; returns the first
-    /// table whose synthesized plan yields a signal-bearing result, plus
-    /// every per-table failure encountered on the way (synthesis errors,
-    /// injected faults, execution errors, tripped governors) so the caller
-    /// can surface *why* the route stepped down instead of dropping the
-    /// errors on the floor.
-    fn try_structured_traced(
-        &self,
-        intent: &QueryIntent,
-        scope: &mut TraceScope,
-    ) -> (Option<(String, Table)>, Vec<(String, String)>) {
-        let faults = self.config.faults;
-        let limits = ExecLimits { max_join_rows: self.config.governors.max_join_rows };
-        let mut failures: Vec<(String, String)> = Vec::new();
-        let mut names: Vec<String> = self.db.table_names().into_iter().map(String::from).collect();
-        // Native tables first; the extracted table is the fallback source.
-        names.sort_by_key(|n| (n == "extracted", n.clone()));
-        for name in names {
-            if let Err(f) = faults.check(Site::RelExec, &name) {
-                self.metrics.incr(Metric::FaultsFired);
-                scope.event("fault.fired", || f.to_string());
-                failures.push((name, f.to_string()));
-                continue;
-            }
-            let plan = match self.synthesizer.synthesize(intent, &self.db, &name) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.metrics.incr(Metric::RelSynthesisErrors);
-                    failures.push((name, format!("synthesis: {e}")));
-                    continue;
-                }
-            };
-            let (outcome, stats) = self.db.run_plan_with_limits_stats(&plan, &limits);
-            self.metrics.incr(Metric::RelPlansExecuted);
-            self.metrics.add(Metric::RelRowsScanned, stats.rows_scanned as u64);
-            self.metrics.add(Metric::RelRowsJoined, stats.rows_joined as u64);
-            match outcome {
-                Ok(result) if has_signal(&result) => {
-                    self.metrics.observe(Hist::RelResultRows, result.num_rows() as u64);
-                    scope.set_plan(|| plan.to_string());
-                    return (Some((name, result)), failures);
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    if matches!(e, RelError::ResourceExhausted { .. }) {
-                        self.metrics.incr(Metric::RelBudgetHits);
-                    } else {
-                        self.metrics.incr(Metric::RelExecErrors);
-                    }
-                    failures.push((name, format!("execution: {e}")));
-                }
-            }
-        }
-        (None, failures)
     }
 }
 

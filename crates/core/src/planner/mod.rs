@@ -12,10 +12,10 @@
 //! pairs every operator with estimated and actual costs for the explain
 //! trace.
 //!
-//! `UnifiedEngine::answer` synthesizes, optimizes, and executes these
-//! plans; the pre-planner degradation ladder survives verbatim behind
-//! `EngineConfig::legacy_ladder` as the differential-testing oracle
-//! (`tests/tests/planner_diff.rs` proves byte-identical answers).
+//! `UnifiedEngine::answer` synthesizes and executes these plans: it is
+//! the only answer path. The answers of the degradation ladder it
+//! replaced are frozen in `tests/golden/*_answers*.txt`
+//! (`tests/tests/planner_golden.rs`).
 
 pub mod cost;
 pub mod join_optimizer;

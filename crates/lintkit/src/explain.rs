@@ -142,22 +142,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          construction.\n\
          Fix: delete the variant, or wire its recording site back up.",
     ),
-    (
-        "meter-mirror",
-        "What: the two answer paths in crates/core/src/engine.rs\n\
-         (`answer_ladder`, `answer_planned`) write different sets of\n\
-         ResourceMeter fields anywhere in their core-crate call closures.\n\
-         Why: the planner is differential-tested against the ladder on answer\n\
-         bytes — but the per-query meter is observable too (scalebench,\n\
-         observability suite), and a stage metered on one path only skews every\n\
-         A/B comparison while the answers still match byte-for-byte.\n\
-         How: the field list is parsed from the ResourceMeter struct itself, so\n\
-         new fields automatically join the contract; closures are restricted to\n\
-         the core crate because tracekit's own merge/fields helpers touch every\n\
-         field by construction.\n\
-         Fix: meter the resource on both paths (usually by sharing the helper\n\
-         that does the work), or on neither.",
-    ),
 ];
 
 #[cfg(test)]

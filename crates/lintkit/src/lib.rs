@@ -89,11 +89,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "registry_enum! variant (Metric/Hist/Stage) never recorded outside test code — a \
          forever-zero series in every dashboard",
     ),
-    (
-        "meter-mirror",
-        "ladder and planner answer paths in crates/core/src/engine.rs write different \
-         ResourceMeter field sets (semantic; differential-testing blind spot)",
-    ),
 ];
 
 #[cfg(test)]

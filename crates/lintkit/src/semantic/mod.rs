@@ -5,8 +5,7 @@
 //! table, and the call graph — so they can enforce contracts that no
 //! single file can witness: a wall-clock read reached through three
 //! crates of helpers, a WAL write path with no fault site anywhere
-//! above it, a metric registered but never incremented, a planner
-//! answer path that fills a meter field the ladder path forgot.
+//! above it, a metric registered but never incremented.
 //!
 //! Like the token passes they are heuristic (name-based call
 //! resolution, no types) and accept line-level suppression; unlike
@@ -15,7 +14,6 @@
 
 pub mod dead_registry;
 pub mod io_sites;
-pub mod meter_mirror;
 pub mod wallclock_reach;
 
 use crate::diag::Diagnostic;
@@ -31,14 +29,13 @@ pub trait SemanticPass {
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);
 }
 
-/// The closed semantic-pass registry (all four run on every invocation;
+/// The closed semantic-pass registry (all three run on every invocation;
 /// none is pedantic-gated — each enforces a hard contract).
 pub fn registry() -> Vec<Box<dyn SemanticPass>> {
     vec![
         Box::new(wallclock_reach::TransitiveWallclock),
         Box::new(io_sites::UncoveredIoSite),
         Box::new(dead_registry::DeadRegistryEntry),
-        Box::new(meter_mirror::MeterMirror),
     ]
 }
 
@@ -74,7 +71,7 @@ mod tests {
     #[test]
     fn semantic_registry_is_closed_and_named() {
         let passes = registry();
-        assert_eq!(passes.len(), 4);
+        assert_eq!(passes.len(), 3);
         for pass in passes {
             assert!(
                 crate::LINTS.iter().any(|(name, _)| *name == pass.lint()),

@@ -217,81 +217,6 @@ fn references_inside_metrics_rs_do_not_count_as_liveness() {
     );
 }
 
-// ------------------------------------------------------------ meter mirror
-
-const METER_FIXTURE: &str =
-    "pub struct ResourceMeter {\n    pub pages_read: u64,\n    pub slm_calls: u64,\n}\n";
-
-#[test]
-fn meter_mirror_reports_asymmetric_fields() {
-    let engine = "\
-impl UnifiedEngine {\n\
-    fn answer_ladder(&self, meter: &mut ResourceMeter) {\n\
-        meter.pages_read += 1;\n\
-        meter.slm_calls += 1;\n\
-    }\n\
-    fn answer_planned(&self, meter: &mut ResourceMeter) {\n\
-        self.helper(meter);\n\
-    }\n\
-    fn helper(&self, meter: &mut ResourceMeter) {\n\
-        meter.pages_read += 1;\n\
-    }\n\
-}\n";
-    let r = tree(&[
-        ("crates/tracekit/src/meter.rs", METER_FIXTURE),
-        ("crates/core/src/engine.rs", engine),
-    ]);
-    let hits: Vec<_> = r.diagnostics.iter().filter(|d| d.lint == "meter-mirror").collect();
-    assert_eq!(hits.len(), 1, "{:?}", lints_of(&r));
-    assert!(hits[0].message.contains("slm_calls"), "{}", hits[0].message);
-    assert!(hits[0].message.contains("answer_planned"), "{}", hits[0].message);
-    assert!(
-        !hits[0].message.contains("pages_read"),
-        "writes through helpers count via the call closure: {}",
-        hits[0].message
-    );
-}
-
-#[test]
-fn meter_mirror_is_silent_when_paths_match() {
-    let engine = "\
-impl UnifiedEngine {\n\
-    fn answer_ladder(&self, meter: &mut ResourceMeter) { self.helper(meter); }\n\
-    fn answer_planned(&self, meter: &mut ResourceMeter) {\n\
-        meter.pages_read += 1;\n        meter.slm_calls = 3;\n\
-    }\n\
-    fn helper(&self, meter: &mut ResourceMeter) {\n\
-        meter.pages_read += 1;\n        meter.slm_calls += 1;\n\
-    }\n\
-}\n";
-    let r = tree(&[
-        ("crates/tracekit/src/meter.rs", METER_FIXTURE),
-        ("crates/core/src/engine.rs", engine),
-    ]);
-    assert!(!r.diagnostics.iter().any(|d| d.lint == "meter-mirror"), "{:?}", lints_of(&r));
-}
-
-#[test]
-fn meter_mirror_ignores_comparisons() {
-    let engine = "\
-impl UnifiedEngine {\n\
-    fn answer_ladder(&self, meter: &mut ResourceMeter) { meter.pages_read += 1; }\n\
-    fn answer_planned(&self, meter: &mut ResourceMeter) {\n\
-        meter.pages_read += 1;\n\
-        if meter.slm_calls == 0 {}\n\
-    }\n\
-}\n";
-    let r = tree(&[
-        ("crates/tracekit/src/meter.rs", METER_FIXTURE),
-        ("crates/core/src/engine.rs", engine),
-    ]);
-    assert!(
-        !r.diagnostics.iter().any(|d| d.lint == "meter-mirror"),
-        "`== 0` is a read, not a write: {:?}",
-        lints_of(&r)
-    );
-}
-
 // ------------------------------------------------------------- determinism
 
 #[test]
