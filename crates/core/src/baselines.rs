@@ -162,7 +162,7 @@ impl QaPipeline for TextToSqlPipeline {
                     continue;
                 };
                 let text =
-                    crate::engine::render_structured_public(&intent, &self.db, &name, &result);
+                    crate::executor::render_structured_public(&intent, &self.db, &name, &result);
                 if !text.is_empty() {
                     let evidence = vec![unisem_slm::SupportedAnswer::new(text.clone(), 6.0)];
                     let report = self.estimator.estimate(question, &evidence);

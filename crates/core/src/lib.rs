@@ -34,6 +34,7 @@ pub mod baselines;
 pub mod delta;
 pub mod engine;
 pub mod evidence;
+mod executor;
 pub mod ingest;
 pub mod planner;
 pub mod snapshot;
