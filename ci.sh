@@ -34,16 +34,17 @@ echo "==> integration suites under a pinned ambient fault plan"
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,relstore.exec@64,hetgraph.traverse@96" \
     cargo test -q -p unisem-tests --test robustness --test determinism
 
-echo "==> planner-diff gate: differential + golden explain plans (DESIGN.md §11)"
-# The cost-based planner must produce byte-identical answers to the legacy
-# degradation ladder (its differential-testing oracle) for every workload
-# query, at 1 and 4 threads, with and without the pinned fault plan — and
-# the optimized explain plans must match the committed golden snapshots
-# byte-for-byte (bless intentional changes with UNISEM_BLESS=1). Both
-# suites pin their fault plans programmatically, so arming the ambient
-# plan here only widens the build-time surface they run under.
+echo "==> planner gate: golden answers + golden plans (DESIGN.md §11)"
+# Every workload query's full Answer must match the committed golden
+# answers — the frozen output of the degradation ladder the executor
+# replaced — at 1 and 4 threads, through answer and answer_batch, with and
+# without the pinned fault plan; and the rendered physical plans must match
+# the committed golden plans byte-for-byte, fault-free and faulted (bless
+# intentional changes with UNISEM_BLESS=1). The suite pins its fault plans
+# programmatically, so arming the ambient plan here only widens the
+# build-time surface it runs under.
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,relstore.exec@64,hetgraph.traverse@96" \
-    cargo test -q -p unisem-tests --test planner_diff --test planner_golden
+    cargo test -q -p unisem-tests --test planner_golden
 
 echo "==> observability gates (DESIGN.md §9)"
 # Tracing must be zero-cost when disabled: the observability suite runs
@@ -141,9 +142,9 @@ echo "==> udlint --deny all (static determinism-contract audit)"
 # wall-clock reads outside tracekit::wall, raw thread spawns, env reads
 # outside the UNISEM_* surface); the semantic passes parse every crate,
 # build the workspace symbol/call graph, and enforce the cross-file
-# contracts (transitive-wallclock, uncovered-io-site, dead-registry-entry,
-# meter-mirror). `udlint --list` names every lint, `udlint --explain
-# <lint>` documents each one; suppressions need
+# contracts (transitive-wallclock, uncovered-io-site, dead-registry-entry).
+# `udlint --list` names every lint, `udlint --explain <lint>` documents
+# each one; suppressions need
 # `// udlint: allow(<lint>) -- <reason>` and are budgeted below.
 CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --deny all
 

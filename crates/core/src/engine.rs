@@ -287,10 +287,6 @@ impl EngineBuilder {
         let metrics = Arc::new(MetricsRegistry::new());
         let build_start = tracekit::wall::Stopwatch::start();
         let loaded = crate::snapshot::read_snapshot(path, config.faults, Some(metrics.clone()))?;
-        // The snapshot read is the one page-fault-heavy phase: every page
-        // the pager missed on was read from disk, so the miss count is the
-        // open's pages-read cost (a pure function of the snapshot layout).
-        metrics.observe(Hist::MeterPagesRead, metrics.get(Metric::StorePageMisses));
         config.seed = loaded.seed;
         config.model_class = loaded.class;
         config.chunk = loaded.chunk;
@@ -312,7 +308,6 @@ impl EngineBuilder {
         metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
         let estimator = {
             let mut e = EntropyEstimator::new(slm.clone());
-            e.n_samples = config.entropy_samples;
             e.temperature = config.entropy_temperature;
             e
         };
@@ -556,7 +551,6 @@ impl EngineBuilder {
         metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
         let estimator = {
             let mut e = EntropyEstimator::new(slm.clone());
-            e.n_samples = config.entropy_samples;
             e.temperature = config.entropy_temperature;
             e
         };
@@ -670,17 +664,19 @@ struct Staged {
 /// The unified semantic query engine.
 #[derive(Debug, Clone)]
 pub struct UnifiedEngine {
-    pub(crate) slm: Slm,
+    slm: Slm,
     pub(crate) docs: Arc<DocStore>,
-    pub(crate) graph: Arc<HetGraph>,
+    graph: Arc<HetGraph>,
     pub(crate) db: Database,
     pub(crate) topo: TopologyRetriever,
     pub(crate) dense: DenseRetriever,
     pub(crate) parser: IntentParser,
     pub(crate) synthesizer: OperatorSynthesizer,
+    /// Temperature and clustering only: the sample count of each estimate
+    /// is the `SemEntail` node's.
     pub(crate) estimator: EntropyEstimator,
     pub(crate) config: EngineConfig,
-    pub(crate) ingest: Arc<IngestReport>,
+    ingest: Arc<IngestReport>,
     /// Build-time per-substrate statistics catalog (DESIGN.md §11).
     pub(crate) stats: Arc<StatsCatalog>,
     /// Closed-registry metrics for this engine instance (shared by clones).
@@ -691,10 +687,10 @@ pub struct UnifiedEngine {
     /// Write-ahead log for incremental ingest (attached by
     /// [`Self::enable_wal`]; clones share the log, so only one clone
     /// should ingest).
-    pub(crate) wal: Option<Arc<std::sync::Mutex<storekit::Wal>>>,
+    wal: Option<Arc<std::sync::Mutex<storekit::Wal>>>,
     /// Highest WAL sequence number applied to the in-memory substrates
     /// (0 before any delta).
-    pub(crate) applied_seq: u64,
+    applied_seq: u64,
 }
 
 impl UnifiedEngine {

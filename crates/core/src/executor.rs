@@ -6,6 +6,7 @@ use tracekit::{
     component, EntropyVerdict, Hist, Metric, ResourceMeter, RungOutcome, Stage, TraceScope,
     TraversalTrace,
 };
+use unisem_entropy::EntropyReport;
 use unisem_relstore::plan::AggFunc;
 use unisem_relstore::{Database, ExecLimits, RelError, Table};
 use unisem_retrieval::{ChunkRetriever, RetrievalResult};
@@ -15,7 +16,7 @@ use unisem_slm::SupportedAnswer;
 
 use crate::answer::{Answer, Degradation, Provenance, Route};
 use crate::engine::UnifiedEngine;
-use crate::evidence::{extract_evidence_grounded, to_supported_answers};
+use crate::evidence::{extract_evidence_grounded, to_supported_answers, EvidenceSentence};
 use crate::planner::physical::{self, ExecActuals};
 use crate::planner::{CandidatePlan, CostModel, LogicalNode};
 
@@ -54,7 +55,7 @@ impl UnifiedEngine {
         };
 
         let mut meter = ResourceMeter::default();
-        let mut answer = self.answer_planned(question, &mut scope, &mut meter);
+        let mut answer = self.execute_query(question, &mut scope, &mut meter);
 
         self.metrics.incr(Metric::QueryAnswered);
         if answer.is_abstention() {
@@ -69,13 +70,11 @@ impl UnifiedEngine {
         // a pure function of the workload, never of which branches ran).
         self.metrics.observe(Hist::QueryDegradationDepth, answer.degradations.len() as u64);
         self.metrics.observe(Hist::QueryProvenance, answer.provenance.len() as u64);
-        self.metrics.observe(Hist::MeterPagesRead, meter.pages_read);
         self.metrics.observe(Hist::MeterPostingsScanned, meter.postings_scanned);
         self.metrics.observe(Hist::MeterNodesPopped, meter.nodes_popped);
         self.metrics.observe(Hist::MeterDenseCompared, meter.dense_compared);
         self.metrics.observe(Hist::MeterSlmCalls, meter.slm_calls);
         self.metrics.observe(Hist::MeterSlmSamples, meter.slm_samples);
-        self.metrics.observe(Hist::MeterWalBytes, meter.wal_bytes);
         self.metrics.record_stage(Stage::AnswerTotal, start.elapsed_ns());
 
         scope.set_meter(meter);
@@ -90,305 +89,276 @@ impl UnifiedEngine {
         (answer, block)
     }
 
-    /// Cost-based resolution (DESIGN.md §11): synthesize a logical plan
-    /// spanning every substrate, cost it against the build-time statistics
-    /// catalog, execute it, and record the physical plan — with per-node
-    /// estimated vs actual costs — in the explain trace.
+    /// Resolves one question (DESIGN.md §11): admit it, tag it, assemble
+    /// its logical plan over every substrate, and run that plan — the
+    /// plan's alternatives in plan order, each operator with the
+    /// parameters its node carries. The physical plan, with per-node
+    /// estimated vs actual costs, goes to the explain trace.
     ///
-    /// The answers are pinned byte-for-byte by the golden files of
-    /// `tests/tests/planner_golden.rs`. Join reordering is
+    /// Every downgrade on the way is an [`Answer::degradations`] entry
+    /// (the degradation contract, DESIGN.md §8). Join reordering is
     /// deliberately *not* applied here: physically re-joining in a
     /// different order changes row enumeration order and therefore
     /// float-accumulation order in aggregates. The reordering optimizer is
     /// exposed through [`Self::optimized_multi_join`] instead.
-    fn answer_planned(
+    fn execute_query(
         &self,
         question: &str,
         scope: &mut TraceScope,
         meter: &mut ResourceMeter,
     ) -> Answer {
-        let faults = self.config.faults;
-        let governors = self.config.governors;
-        let mut degradations: Vec<Degradation> = Vec::new();
-        let mut actuals = ExecActuals::default();
+        let mut run = Run {
+            question,
+            scope,
+            meter,
+            degradations: Vec::new(),
+            actuals: ExecActuals::default(),
+            structured: false,
+        };
+        // The admission gate runs before any plan is built: without a
+        // working generator or enough entropy samples nothing downstream
+        // can be certified, so the only plan is the gate itself.
+        let gate = self.entropy_gate(LogicalNode::Abstain);
+        let (plan, mut answer) = if self.exec_entropy_gate(&gate, &mut run) {
+            let intent = self.exec_sem_tag(&mut run);
+            let clock = tracekit::wall::Stopwatch::start();
+            let plan = self.assemble_logical(&intent, run.scope);
+            self.metrics.incr(Metric::PlannerPlansBuilt);
+            let answer = self.exec_alternatives(&plan, &intent, clock, &mut run);
+            (plan, answer)
+        } else {
+            (gate, abstained())
+        };
+        run.actual(|a| a.outcome = Some(answer.route.label().to_string()));
+        let model = CostModel::new(&self.stats);
+        run.scope.set_plan(|| physical::lower(&plan, &model, &run.actuals).render());
+        answer.degradations = run.degradations;
+        answer
+    }
 
-        // Admission gates run before any plan is built: without a working
-        // generator or enough entropy samples nothing downstream can be
-        // certified, so the only plan is the gate itself.
-        if let Err(f) = faults.check(Site::SlmGenerate, question) {
+    /// `EntropyGate`: a generator fault or a sample count below the
+    /// governor floor means no confidence can be certified — and an
+    /// uncertifiable answer is worse than an abstention (§III.D). Returns
+    /// whether the query is admitted.
+    fn exec_entropy_gate(&self, gate: &LogicalNode, run: &mut Run) -> bool {
+        let LogicalNode::EntropyGate { samples, floor, .. } = gate else { return true };
+        if let Err(f) = self.config.faults.check(Site::SlmGenerate, run.question) {
             self.metrics.incr(Metric::FaultsFired);
-            scope.event("fault.fired", || f.to_string());
-            scope.rung("entropy_gate", RungOutcome::Failed, || {
+            run.scope.event("fault.fired", || f.to_string());
+            run.scope.rung("entropy_gate", RungOutcome::Failed, || {
                 "answer sampling unavailable; abstaining".to_string()
             });
-            degradations.push(Degradation::new(
+            run.actual(|a| a.gate = Some(format!("failed: {f}")));
+            run.degradations.push(Degradation::new(
                 component::SLM_GENERATE,
                 format!("answer sampling unavailable: {f}"),
             ));
-            actuals.gate = Some(format!("failed: {f}"));
-            actuals.outcome = Some("abstained".to_string());
-            self.set_physical_plan(scope, &self.gate_only_plan(), &actuals);
-            return abstained(degradations);
+            return false;
         }
-        if self.config.entropy_samples < governors.entropy_sample_floor {
-            scope.rung("entropy_gate", RungOutcome::Failed, || {
-                format!(
-                    "{} samples below floor {}",
-                    self.config.entropy_samples, governors.entropy_sample_floor
-                )
+        if samples < floor {
+            run.scope.rung("entropy_gate", RungOutcome::Failed, || {
+                format!("{samples} samples below floor {floor}")
             });
-            degradations.push(Degradation::new(
+            run.actual(|a| a.gate = Some(format!("failed: {samples} samples below floor {floor}")));
+            run.degradations.push(Degradation::new(
                 component::ENTROPY_SAMPLES,
-                format!(
-                    "{} entropy samples below floor {}; confidence uncertifiable",
-                    self.config.entropy_samples, governors.entropy_sample_floor
-                ),
+                format!("{samples} entropy samples below floor {floor}; confidence uncertifiable"),
             ));
-            actuals.gate = Some(format!(
-                "failed: {} samples below floor {}",
-                self.config.entropy_samples, governors.entropy_sample_floor
-            ));
-            actuals.outcome = Some("abstained".to_string());
-            self.set_physical_plan(scope, &self.gate_only_plan(), &actuals);
-            return abstained(degradations);
+            return false;
         }
-        actuals.gate = Some("passed".to_string());
+        run.actual(|a| a.gate = Some("passed".to_string()));
+        true
+    }
 
-        let intent = self.parser.analyze(question);
-        meter.slm_calls += 1;
-        scope.event("intent.parsed", || {
+    /// `SemTag`: intent analysis, one SLM call.
+    fn exec_sem_tag(&self, run: &mut Run) -> QueryIntent {
+        let intent = self.parser.analyze(run.question);
+        run.meter.slm_calls += 1;
+        let detail = || {
             format!(
                 "entities={} plain_lookup={} comparative={}",
                 intent.entities.len(),
                 intent.is_plain_lookup(),
                 intent.comparative
             )
-        });
-        actuals.tag = Some(format!(
-            "entities={} plain_lookup={} comparative={}",
-            intent.entities.len(),
-            intent.is_plain_lookup(),
-            intent.comparative
-        ));
-
-        // Plan synthesis: candidate relational plans are synthesized up
-        // front (synthesis is pure), faulted tables marked without
-        // synthesis — exactly the tables the ladder never synthesizes.
-        let structured = self.config.enable_synthesis && !intent.is_plain_lookup();
-        let structured_start = tracekit::wall::Stopwatch::start();
-        let candidates = if structured { self.plan_candidates(&intent) } else { Vec::new() };
-        let logical = self.assemble_logical(&intent, &candidates, structured);
-        self.metrics.incr(Metric::PlannerPlansBuilt);
-
-        // Structured branch: first signal-bearing candidate wins; every
-        // failure on the way is bookkept like the ladder's.
-        if structured {
-            let limits = ExecLimits { max_join_rows: governors.max_join_rows };
-            let mut failures: Vec<(String, String)> = Vec::new();
-            let mut hit: Option<(String, Table)> = None;
-            for (name, state) in &candidates {
-                match state {
-                    CandidatePlan::Faulted => {
-                        if let Err(f) = faults.check(Site::RelExec, name) {
-                            self.metrics.incr(Metric::FaultsFired);
-                            scope.event("fault.fired", || f.to_string());
-                            failures.push((name.clone(), f.to_string()));
-                            actuals.structured.insert(name.clone(), format!("fault: {f}"));
-                        }
-                    }
-                    CandidatePlan::Unplannable(e) => {
-                        self.metrics.incr(Metric::RelSynthesisErrors);
-                        failures.push((name.clone(), format!("synthesis: {e}")));
-                        actuals.structured.insert(name.clone(), format!("synthesis failed: {e}"));
-                    }
-                    CandidatePlan::Planned(plan) => {
-                        let (outcome, stats) = self.db.run_plan_with_limits_stats(plan, &limits);
-                        self.metrics.incr(Metric::RelPlansExecuted);
-                        self.metrics.add(Metric::RelRowsScanned, stats.rows_scanned as u64);
-                        self.metrics.add(Metric::RelRowsJoined, stats.rows_joined as u64);
-                        match outcome {
-                            Ok(result) if has_signal(&result) => {
-                                self.metrics.observe(Hist::RelResultRows, result.num_rows() as u64);
-                                actuals.structured.insert(
-                                    name.clone(),
-                                    format!("rows={} (signal)", result.num_rows()),
-                                );
-                                hit = Some((name.clone(), result));
-                                break;
-                            }
-                            Ok(result) => {
-                                actuals.structured.insert(
-                                    name.clone(),
-                                    format!("rows={} (no signal)", result.num_rows()),
-                                );
-                            }
-                            Err(e) => {
-                                if matches!(e, RelError::ResourceExhausted { .. }) {
-                                    self.metrics.incr(Metric::RelBudgetHits);
-                                } else {
-                                    self.metrics.incr(Metric::RelExecErrors);
-                                }
-                                failures.push((name.clone(), format!("execution: {e}")));
-                                actuals
-                                    .structured
-                                    .insert(name.clone(), format!("execution error: {e}"));
-                            }
-                        }
-                    }
-                }
-            }
-            self.metrics.record_stage(Stage::AnswerStructured, structured_start.elapsed_ns());
-            if let Some((table, result)) = hit {
-                let text = render_structured(&intent, &self.db, &table, &result);
-                if !text.is_empty() {
-                    let entropy_start = tracekit::wall::Stopwatch::start();
-                    let evidence = vec![SupportedAnswer::new(text.clone(), 6.0)];
-                    let report = self.estimator.estimate(question, &evidence);
-                    self.metrics.record_stage(Stage::AnswerEntropy, entropy_start.elapsed_ns());
-                    self.record_entropy(&report, meter);
-                    let confidence = report.confidence();
-                    scope.rung("structured", RungOutcome::Succeeded, || {
-                        format!("table '{table}' ({} result rows)", result.num_rows())
-                    });
-                    scope.set_entropy(entropy_verdict(&report, confidence, false));
-                    actuals.entail = Some(format!(
-                        "samples={} clusters={} confidence={confidence:.2}",
-                        report.n_samples, report.n_clusters
-                    ));
-                    actuals.outcome = Some("structured".to_string());
-                    self.set_physical_plan(scope, &logical, &actuals);
-                    return Answer {
-                        text,
-                        confidence,
-                        entropy: report,
-                        route: Route::Structured { table: table.clone() },
-                        provenance: vec![Provenance::TableRows { table, rows: result.num_rows() }],
-                        result_table: Some(result),
-                        degradations,
-                        trace: None,
-                    };
-                }
-            }
-            match failures.last() {
-                Some((table, err)) => {
-                    scope.rung("structured", RungOutcome::Failed, || {
-                        format!("last failure on '{table}': {err}")
-                    });
-                    degradations.push(Degradation::new(
-                        component::REL_EXEC,
-                        format!("structured route failed on '{table}': {err}"),
-                    ));
-                }
-                None => {
-                    scope.rung("structured", RungOutcome::Failed, || {
-                        "no table produced a signal-bearing result".to_string()
-                    });
-                    degradations.push(Degradation::new(
-                        component::ENGINE_STRUCTURED,
-                        "no table produced a signal-bearing result",
-                    ));
-                }
-            }
-        } else {
-            scope.rung("structured", RungOutcome::Skipped, || {
-                if self.config.enable_synthesis {
-                    "plain lookup intent".to_string()
-                } else {
-                    "operator synthesis disabled".to_string()
-                }
-            });
-        }
-
-        // Retrieval branch: identical traversal / dense-fallback semantics
-        // to the ladder.
-        let retrieval_start = tracekit::wall::Stopwatch::start();
-        let hits = if self.config.enable_topology {
-            if let Err(f) = faults.check(Site::GraphTraverse, question) {
-                self.metrics.incr(Metric::FaultsFired);
-                self.metrics.incr(Metric::DenseFallbackQueries);
-                scope.event("fault.fired", || f.to_string());
-                scope.set_traversal(TraversalTrace {
-                    dense_fallback: true,
-                    ..TraversalTrace::default()
-                });
-                degradations.push(Degradation::new(
-                    component::GRAPH_TRAVERSE,
-                    format!("topology traversal unavailable: {f}; using dense retrieval"),
-                ));
-                actuals.retrieval = Some(format!("dense fallback ({f})"));
-                self.dense_retrieve_metered(question, meter)
-            } else {
-                let (hits, stats) = self.traverse(question, self.config.retrieval_top_k);
-                // One SLM call for anchor entity tagging; traversal work
-                // and posting scans are pure functions of query + corpus.
-                meter.slm_calls += 1;
-                meter.nodes_popped += stats.nodes_popped as u64;
-                meter.postings_scanned += stats.postings_scanned as u64;
-                self.metrics.incr(Metric::TraverseQueries);
-                self.metrics.add(Metric::TraverseAnchors, stats.anchors as u64);
-                self.metrics.add(Metric::TraverseNodesTouched, stats.nodes_touched as u64);
-                self.metrics.add(Metric::TraverseNodesPopped, stats.nodes_popped as u64);
-                self.metrics.add(Metric::TraverseChunksScored, stats.chunks_scored as u64);
-                self.metrics.observe(Hist::TraverseFrontier, stats.nodes_touched as u64);
-                if stats.lexical_fallback {
-                    self.metrics.incr(Metric::TraverseLexicalFallback);
-                }
-                scope.set_traversal(TraversalTrace {
-                    anchors: stats.anchors,
-                    nodes_touched: stats.nodes_touched,
-                    nodes_popped: stats.nodes_popped,
-                    chunks_scored: stats.chunks_scored,
-                    frontier_capped: stats.frontier_capped,
-                    lexical_fallback: stats.lexical_fallback,
-                    dense_fallback: false,
-                });
-                if stats.frontier_capped {
-                    self.metrics.incr(Metric::TraverseFrontierCapped);
-                    degradations.push(Degradation::new(
-                        component::GRAPH_TRAVERSE,
-                        format!(
-                            "traversal frontier capped at {} nodes; candidates truncated",
-                            self.topo.config().max_frontier
-                        ),
-                    ));
-                }
-                actuals.retrieval = Some(format!(
-                    "anchors={} nodes_touched={} chunks_scored={} hits={}",
-                    stats.anchors,
-                    stats.nodes_touched,
-                    stats.chunks_scored,
-                    hits.len()
-                ));
-                hits
-            }
-        } else {
-            scope.set_traversal(TraversalTrace {
-                dense_fallback: true,
-                ..TraversalTrace::default()
-            });
-            let hits = self.dense_retrieve_metered(question, meter);
-            actuals.retrieval = Some(format!("dense scan hits={}", hits.len()));
-            hits
         };
-        self.metrics.record_stage(Stage::AnswerRetrieval, retrieval_start.elapsed_ns());
-        let chunk_triples: Vec<(usize, String, f64)> = hits
-            .iter()
-            .filter_map(|h| {
-                self.docs.chunk(h.chunk_id).ok().map(|c| (c.id, c.text.clone(), h.score))
-            })
-            .collect();
-        let evidence = extract_evidence_grounded(question, &chunk_triples, 6, &intent.entities);
-        let supported = to_supported_answers(&evidence);
-        actuals.extract = Some(format!("evidence={} sentences", evidence.len()));
-        let entropy_start = tracekit::wall::Stopwatch::start();
-        let report = self.estimator.estimate(question, &supported);
-        self.metrics.record_stage(Stage::AnswerEntropy, entropy_start.elapsed_ns());
-        self.record_entropy(&report, meter);
-        let confidence = report.confidence();
-        actuals.entail = Some(format!(
-            "samples={} clusters={} confidence={confidence:.2}",
-            report.n_samples, report.n_clusters
-        ));
+        run.scope.event("intent.parsed", detail);
+        run.actual(|a| a.tag = Some(detail()));
+        intent
+    }
+
+    /// `Alternatives`: the plan's branches in plan order; the first to
+    /// produce an answer wins, and falling off the end — `Abstain` — is
+    /// an abstention.
+    fn exec_alternatives(
+        &self,
+        plan: &LogicalNode,
+        intent: &QueryIntent,
+        clock: tracekit::wall::Stopwatch,
+        run: &mut Run,
+    ) -> Answer {
+        for branch in plan.alternatives() {
+            let answer = match branch {
+                LogicalNode::SemEntail { samples, child } => {
+                    self.exec_structured(child.alternatives(), *samples, intent, clock, run)
+                }
+                LogicalNode::ConfidenceGate { threshold, child } => {
+                    self.exec_retrieval(*threshold, child, intent, run)
+                }
+                _ => None,
+            };
+            if let Some(answer) = answer {
+                return answer;
+            }
+        }
+        abstained()
+    }
+
+    /// The structured branch (§III.C task 2): `SemEntail` over the
+    /// `Alternatives` of relational candidates. The first signal-bearing
+    /// candidate is rendered and its stability confirmed by entropy
+    /// sampling; otherwise the last failure on the way is the reason the
+    /// branch steps down. `clock` has been running since plan synthesis.
+    fn exec_structured(
+        &self,
+        candidates: &[LogicalNode],
+        samples: usize,
+        intent: &QueryIntent,
+        clock: tracekit::wall::Stopwatch,
+        run: &mut Run,
+    ) -> Option<Answer> {
+        run.structured = true;
+        let mut failures: Vec<(&str, String)> = Vec::new();
+        let hit = candidates.iter().find_map(|c| self.exec_relational(c, &mut failures, run));
+        self.metrics.record_stage(Stage::AnswerStructured, clock.elapsed_ns());
+        if let Some((table, result)) = hit {
+            let text = render_structured(intent, &self.db, table, &result);
+            if !text.is_empty() {
+                // Deterministic plan output = maximally grounded evidence.
+                let evidence = [SupportedAnswer::new(text.clone(), STRUCTURED_SUPPORT)];
+                let (report, confidence) = self.exec_sem_entail(samples, &evidence, run);
+                run.scope.rung("structured", RungOutcome::Succeeded, || {
+                    format!("table '{table}' ({} result rows)", result.num_rows())
+                });
+                run.scope.set_entropy(entropy_verdict(&report, confidence, false));
+                return Some(Answer {
+                    text,
+                    confidence,
+                    entropy: report,
+                    route: Route::Structured { table: table.to_string() },
+                    provenance: vec![Provenance::TableRows {
+                        table: table.to_string(),
+                        rows: result.num_rows(),
+                    }],
+                    result_table: Some(result),
+                    degradations: Vec::new(),
+                    trace: None,
+                });
+            }
+        }
+        match failures.last() {
+            Some((table, err)) => {
+                run.scope.rung("structured", RungOutcome::Failed, || {
+                    format!("last failure on '{table}': {err}")
+                });
+                run.degradations.push(Degradation::new(
+                    component::REL_EXEC,
+                    format!("structured route failed on '{table}': {err}"),
+                ));
+            }
+            None => {
+                let none = "no table produced a signal-bearing result";
+                run.scope.rung("structured", RungOutcome::Failed, || none.to_string());
+                run.degradations.push(Degradation::new(component::ENGINE_STRUCTURED, none));
+            }
+        }
+        None
+    }
+
+    /// `Relational`: one candidate table. An injected fault, a synthesis
+    /// error, an execution error or a tripped join-row governor is a
+    /// failure recorded for the caller; a result without signal is
+    /// passed over silently. Returns the table and its signal-bearing
+    /// result.
+    fn exec_relational<'p>(
+        &self,
+        node: &'p LogicalNode,
+        failures: &mut Vec<(&'p str, String)>,
+        run: &mut Run,
+    ) -> Option<(&'p str, Table)> {
+        let LogicalNode::Relational { table, plan } = node else { return None };
+        match plan {
+            CandidatePlan::Faulted => {
+                if let Err(f) = self.config.faults.check(Site::RelExec, table) {
+                    self.metrics.incr(Metric::FaultsFired);
+                    run.scope.event("fault.fired", || f.to_string());
+                    run.candidate_actual(table, || format!("fault: {f}"));
+                    failures.push((table, f.to_string()));
+                }
+            }
+            CandidatePlan::Unplannable(e) => {
+                self.metrics.incr(Metric::RelSynthesisErrors);
+                run.candidate_actual(table, || format!("synthesis failed: {e}"));
+                failures.push((table, format!("synthesis: {e}")));
+            }
+            CandidatePlan::Planned(rel) => {
+                let limits = ExecLimits { max_join_rows: self.config.governors.max_join_rows };
+                let (outcome, stats) = self.db.run_plan_with_limits_stats(rel, &limits);
+                self.metrics.incr(Metric::RelPlansExecuted);
+                self.metrics.add(Metric::RelRowsScanned, stats.rows_scanned as u64);
+                self.metrics.add(Metric::RelRowsJoined, stats.rows_joined as u64);
+                match outcome {
+                    Ok(result) => {
+                        let signal = has_signal(&result);
+                        run.candidate_actual(table, || {
+                            let verdict = if signal { "signal" } else { "no signal" };
+                            format!("rows={} ({verdict})", result.num_rows())
+                        });
+                        if signal {
+                            self.metrics.observe(Hist::RelResultRows, result.num_rows() as u64);
+                            return Some((table, result));
+                        }
+                    }
+                    Err(e) => {
+                        self.metrics.incr(if matches!(e, RelError::ResourceExhausted { .. }) {
+                            Metric::RelBudgetHits
+                        } else {
+                            Metric::RelExecErrors
+                        });
+                        run.candidate_actual(table, || format!("execution error: {e}"));
+                        failures.push((table, format!("execution: {e}")));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The retrieval branch (§III.B): `ConfidenceGate` over `SemEntail`
+    /// over `SemExtract` over a retrieval operator. Always answers — the
+    /// gate turns weak evidence into an abstention.
+    fn exec_retrieval(
+        &self,
+        threshold: f64,
+        entail: &LogicalNode,
+        intent: &QueryIntent,
+        run: &mut Run,
+    ) -> Option<Answer> {
+        let LogicalNode::SemEntail { samples, child } = entail else { return None };
+        let LogicalNode::SemExtract { max_sentences, child: retrieval } = &**child else {
+            return None;
+        };
+        let clock = tracekit::wall::Stopwatch::start();
+        let hits = match &**retrieval {
+            LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
+                self.exec_graph_traverse(*top_k, *max_frontier, fallback, run)
+            }
+            scan => self.exec_dense_scan(scan, run),
+        };
+        self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
+        let evidence = self.exec_sem_extract(*max_sentences, &hits, intent, run);
+        let (report, confidence) =
+            self.exec_sem_entail(*samples, &to_supported_answers(&evidence), run);
 
         let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
         let provenance: Vec<Provenance> = evidence
@@ -400,98 +370,220 @@ impl UnifiedEngine {
                     .map(|c| Provenance::Chunk { chunk_id: c.id, doc_id: c.doc_id })
             })
             .collect();
-
-        if supported.is_empty() || confidence < self.config.abstain_confidence {
-            scope.rung("retrieval", RungOutcome::Failed, || {
-                if supported.is_empty() {
-                    "no grounded supporting evidence".to_string()
+        let passed = self.exec_confidence_gate(threshold, evidence.len(), confidence, run);
+        run.scope.set_entropy(entropy_verdict(&report, confidence, !passed));
+        let (text, route) = match evidence.first() {
+            Some(first) if passed => (
+                report.top_answer.clone().unwrap_or_else(|| first.text.clone()),
+                if run.structured {
+                    Route::Hybrid { table: None, chunks }
                 } else {
-                    format!(
-                        "confidence {confidence:.2} below abstain threshold {:.2}",
-                        self.config.abstain_confidence
-                    )
-                }
-            });
-            scope.set_entropy(entropy_verdict(&report, confidence, true));
-            degradations.push(if supported.is_empty() {
-                Degradation::new(component::RETRIEVAL_EVIDENCE, "no grounded supporting evidence")
-            } else {
-                Degradation::new(
-                    component::ENTROPY_CONFIDENCE,
-                    format!(
-                        "confidence {confidence:.2} below abstain threshold {:.2}",
-                        self.config.abstain_confidence
-                    ),
-                )
-            });
-            actuals.confidence = Some(if supported.is_empty() {
-                "abstained: no grounded supporting evidence".to_string()
-            } else {
-                format!(
-                    "abstained: confidence {confidence:.2} below threshold {:.2}",
-                    self.config.abstain_confidence
-                )
-            });
-            actuals.outcome = Some("abstained".to_string());
-            self.set_physical_plan(scope, &logical, &actuals);
-            return Answer {
-                text: "This cannot be determined from the available data.".to_string(),
-                confidence,
-                entropy: report,
-                route: Route::Abstained,
-                provenance,
-                result_table: None,
-                degradations,
-                trace: None,
-            };
-        }
-
-        scope.rung("retrieval", RungOutcome::Succeeded, || {
-            format!("{} evidence sentences from {} chunks", evidence.len(), chunks.len())
-        });
-        scope.set_entropy(entropy_verdict(&report, confidence, false));
-        let text = report.top_answer.clone().unwrap_or_else(|| evidence[0].text.clone());
-        let route = if structured {
-            Route::Hybrid { table: None, chunks }
-        } else {
-            Route::Unstructured { chunks }
+                    Route::Unstructured { chunks }
+                },
+            ),
+            _ => (ABSTENTION.to_string(), Route::Abstained),
         };
-        actuals.confidence = Some(format!("passed: confidence {confidence:.2}"));
-        actuals.outcome = Some(route.label().to_string());
-        self.set_physical_plan(scope, &logical, &actuals);
-        Answer {
+        Some(Answer {
             text,
             confidence,
             entropy: report,
             route,
             provenance,
             result_table: None,
-            degradations,
+            degradations: Vec::new(),
             trace: None,
-        }
+        })
     }
 
-    /// Synthesizes the per-table relational candidates in ladder order
-    /// (native tables first, `extracted` last). Tables the deterministic
-    /// fault plan hits are marked [`CandidatePlan::Faulted`] without
-    /// synthesis — the ladder never synthesizes them either, and the
-    /// bookkeeping for both is deferred to execution.
-    fn plan_candidates(&self, intent: &QueryIntent) -> Vec<(String, CandidatePlan)> {
+    /// `GraphTraverse`: topology retrieval. An injected traversal fault
+    /// runs the `fallback` operator instead of failing the query (the
+    /// retrieval actual then names the fault, not the scan); a frontier
+    /// capped by the governor is a recorded degradation.
+    fn exec_graph_traverse(
+        &self,
+        top_k: usize,
+        max_frontier: usize,
+        fallback: &LogicalNode,
+        run: &mut Run,
+    ) -> Vec<RetrievalResult> {
+        if let Err(f) = self.config.faults.check(Site::GraphTraverse, run.question) {
+            self.metrics.incr(Metric::FaultsFired);
+            self.metrics.incr(Metric::DenseFallbackQueries);
+            run.scope.event("fault.fired", || f.to_string());
+            run.degradations.push(Degradation::new(
+                component::GRAPH_TRAVERSE,
+                format!("topology traversal unavailable: {f}; using dense retrieval"),
+            ));
+            let hits = self.exec_dense_scan(fallback, run);
+            run.actual(|a| a.retrieval = Some(format!("dense fallback ({f})")));
+            return hits;
+        }
+        let (hits, stats) = self.traverse(run.question, top_k);
+        // One SLM call for anchor entity tagging; traversal work and
+        // posting scans are pure functions of query + corpus.
+        run.meter.slm_calls += 1;
+        run.meter.nodes_popped += stats.nodes_popped as u64;
+        run.meter.postings_scanned += stats.postings_scanned as u64;
+        self.metrics.incr(Metric::TraverseQueries);
+        self.metrics.add(Metric::TraverseAnchors, stats.anchors as u64);
+        self.metrics.add(Metric::TraverseNodesTouched, stats.nodes_touched as u64);
+        self.metrics.add(Metric::TraverseNodesPopped, stats.nodes_popped as u64);
+        self.metrics.add(Metric::TraverseChunksScored, stats.chunks_scored as u64);
+        self.metrics.observe(Hist::TraverseFrontier, stats.nodes_touched as u64);
+        if stats.lexical_fallback {
+            self.metrics.incr(Metric::TraverseLexicalFallback);
+        }
+        run.scope.set_traversal(TraversalTrace {
+            anchors: stats.anchors,
+            nodes_touched: stats.nodes_touched,
+            nodes_popped: stats.nodes_popped,
+            chunks_scored: stats.chunks_scored,
+            frontier_capped: stats.frontier_capped,
+            lexical_fallback: stats.lexical_fallback,
+            dense_fallback: false,
+        });
+        if stats.frontier_capped {
+            self.metrics.incr(Metric::TraverseFrontierCapped);
+            run.degradations.push(Degradation::new(
+                component::GRAPH_TRAVERSE,
+                format!("traversal frontier capped at {max_frontier} nodes; candidates truncated"),
+            ));
+        }
+        run.actual(|a| {
+            a.retrieval = Some(format!(
+                "anchors={} nodes_touched={} chunks_scored={} hits={}",
+                stats.anchors,
+                stats.nodes_touched,
+                stats.chunks_scored,
+                hits.len()
+            ))
+        });
+        hits
+    }
+
+    /// `DenseScan`: one SLM call (the query embedding) plus one similarity
+    /// comparison per stored vector.
+    fn exec_dense_scan(&self, scan: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
+        let LogicalNode::DenseScan { top_k, .. } = scan else { return Vec::new() };
+        run.scope
+            .set_traversal(TraversalTrace { dense_fallback: true, ..TraversalTrace::default() });
+        run.meter.slm_calls += 1;
+        run.meter.dense_compared += self.dense.len() as u64;
+        let hits = self.dense.retrieve(run.question, *top_k);
+        run.actual(|a| a.retrieval = Some(format!("dense scan hits={}", hits.len())));
+        hits
+    }
+
+    /// `SemExtract`: grounded evidence sentences from the retrieved
+    /// chunks. When the question names entities, only sentences
+    /// mentioning them are admissible — ungrounded context is exactly the
+    /// hallucination source §I warns about, and filtering before IDF
+    /// weighting also sharpens discriminative terms.
+    fn exec_sem_extract(
+        &self,
+        max_sentences: usize,
+        hits: &[RetrievalResult],
+        intent: &QueryIntent,
+        run: &mut Run,
+    ) -> Vec<EvidenceSentence> {
+        let chunks: Vec<(usize, String, f64)> = hits
+            .iter()
+            .filter_map(|h| {
+                self.docs.chunk(h.chunk_id).ok().map(|c| (c.id, c.text.clone(), h.score))
+            })
+            .collect();
+        let evidence =
+            extract_evidence_grounded(run.question, &chunks, max_sentences, &intent.entities);
+        run.actual(|a| a.extract = Some(format!("evidence={} sentences", evidence.len())));
+        evidence
+    }
+
+    /// `SemEntail`: semantic entropy over `samples` sampled answers — one
+    /// SLM call — and the confidence it certifies.
+    fn exec_sem_entail(
+        &self,
+        samples: usize,
+        evidence: &[SupportedAnswer],
+        run: &mut Run,
+    ) -> (EntropyReport, f64) {
+        let clock = tracekit::wall::Stopwatch::start();
+        let mut estimator = self.estimator.clone();
+        estimator.n_samples = samples;
+        let report = estimator.estimate(run.question, evidence);
+        self.metrics.record_stage(Stage::AnswerEntropy, clock.elapsed_ns());
+        self.metrics.incr(Metric::EntropyEstimates);
+        self.metrics.add(Metric::EntropySamples, report.n_samples as u64);
+        self.metrics.add(Metric::EntropyClusters, report.n_clusters as u64);
+        run.meter.slm_calls += 1;
+        run.meter.slm_samples += report.n_samples as u64;
+        let confidence = report.confidence();
+        run.actual(|a| {
+            a.entail = Some(format!(
+                "samples={} clusters={} confidence={confidence:.2}",
+                report.n_samples, report.n_clusters
+            ))
+        });
+        (report, confidence)
+    }
+
+    /// `ConfidenceGate`: the last rung. `evidence` grounded sentences at
+    /// `confidence` pass, or the gate declines to answer and says why.
+    fn exec_confidence_gate(
+        &self,
+        threshold: f64,
+        evidence: usize,
+        confidence: f64,
+        run: &mut Run,
+    ) -> bool {
+        let grounded = evidence > 0;
+        if !grounded || confidence < threshold {
+            let (component, reason) = if grounded {
+                (
+                    component::ENTROPY_CONFIDENCE,
+                    format!("confidence {confidence:.2} below abstain threshold {threshold:.2}"),
+                )
+            } else {
+                (component::RETRIEVAL_EVIDENCE, "no grounded supporting evidence".to_string())
+            };
+            run.scope.rung("retrieval", RungOutcome::Failed, || reason.clone());
+            run.actual(|a| {
+                a.confidence = Some(if grounded {
+                    format!("abstained: confidence {confidence:.2} below threshold {threshold:.2}")
+                } else {
+                    format!("abstained: {reason}")
+                })
+            });
+            run.degradations.push(Degradation::new(component, reason));
+            return false;
+        }
+        run.scope.rung("retrieval", RungOutcome::Succeeded, || {
+            format!("{evidence} evidence sentences from {evidence} chunks")
+        });
+        run.actual(|a| a.confidence = Some(format!("passed: confidence {confidence:.2}")));
+        true
+    }
+
+    /// The relational candidates in plan order (native tables first,
+    /// `extracted` last), each synthesized up front — synthesis is pure.
+    /// Tables the deterministic fault plan hits are marked
+    /// [`CandidatePlan::Faulted`] without synthesis; the bookkeeping for
+    /// every candidate is deferred to its execution.
+    fn plan_candidates(&self, intent: &QueryIntent) -> Vec<LogicalNode> {
         let faults = self.config.faults;
         let mut names: Vec<String> = self.db.table_names().into_iter().map(String::from).collect();
         names.sort_by_key(|n| (n == "extracted", n.clone()));
         names
             .into_iter()
-            .map(|name| {
-                let state = if faults.check(Site::RelExec, &name).is_err() {
+            .map(|table| {
+                let plan = if faults.check(Site::RelExec, &table).is_err() {
                     CandidatePlan::Faulted
                 } else {
-                    match self.synthesizer.synthesize(intent, &self.db, &name) {
+                    match self.synthesizer.synthesize(intent, &self.db, &table) {
                         Ok(p) => CandidatePlan::Planned(p),
                         Err(e) => CandidatePlan::Unplannable(e.to_string()),
                     }
                 };
-                (name, state)
+                LogicalNode::Relational { table, plan }
             })
             .collect()
     }
@@ -500,37 +592,38 @@ impl UnifiedEngine {
     /// admitting a semantic-tagging node over ordered alternatives —
     /// entailment-verified relational candidates, a confidence-gated
     /// retrieval pipeline (topology traversal with dense fallback, or
-    /// dense-only), and terminal abstention.
-    fn assemble_logical(
-        &self,
-        intent: &QueryIntent,
-        candidates: &[(String, CandidatePlan)],
-        structured: bool,
-    ) -> LogicalNode {
+    /// dense-only), and terminal abstention. This is the only place the
+    /// ablation switches and per-operator parameters are read; a
+    /// structured branch left out of the plan is a `Skipped` rung.
+    fn assemble_logical(&self, intent: &QueryIntent, scope: &mut TraceScope) -> LogicalNode {
         let samples = self.config.entropy_samples;
         let top_k = self.config.retrieval_top_k;
         let mut branches: Vec<LogicalNode> = Vec::new();
-        if structured {
-            let alts = candidates
-                .iter()
-                .map(|(table, plan)| LogicalNode::Relational {
-                    table: table.clone(),
-                    plan: plan.clone(),
-                })
-                .collect();
+        if self.config.enable_synthesis && !intent.is_plain_lookup() {
             branches.push(LogicalNode::SemEntail {
                 samples,
-                child: Box::new(LogicalNode::Alternatives { children: alts }),
+                child: Box::new(LogicalNode::Alternatives {
+                    children: self.plan_candidates(intent),
+                }),
+            });
+        } else {
+            scope.rung("structured", RungOutcome::Skipped, || {
+                if self.config.enable_synthesis {
+                    "plain lookup intent".to_string()
+                } else {
+                    "operator synthesis disabled".to_string()
+                }
             });
         }
+        let dense = LogicalNode::DenseScan { top_k, dims: self.dense.dims() };
         let retrieval = if self.config.enable_topology {
             LogicalNode::GraphTraverse {
                 top_k,
                 max_frontier: self.topo.config().max_frontier,
-                fallback: Box::new(LogicalNode::DenseScan { top_k, dims: self.dense.dims() }),
+                fallback: Box::new(dense),
             }
         } else {
-            LogicalNode::DenseScan { top_k, dims: self.dense.dims() }
+            dense
         };
         branches.push(LogicalNode::ConfidenceGate {
             threshold: self.config.abstain_confidence,
@@ -543,61 +636,22 @@ impl UnifiedEngine {
             }),
         });
         branches.push(LogicalNode::Abstain);
-        LogicalNode::EntropyGate {
-            samples,
-            floor: self.config.governors.entropy_sample_floor,
-            child: Box::new(LogicalNode::SemTag {
-                entities: intent.entities.len(),
-                plain_lookup: intent.is_plain_lookup(),
-                comparative: intent.comparative,
-                child: Box::new(LogicalNode::Alternatives { children: branches }),
-            }),
-        }
+        self.entropy_gate(LogicalNode::SemTag {
+            entities: intent.entities.len(),
+            plain_lookup: intent.is_plain_lookup(),
+            comparative: intent.comparative,
+            child: Box::new(LogicalNode::Alternatives { children: branches }),
+        })
     }
 
-    /// The degenerate plan recorded when an admission gate abstains before
-    /// any plan could be built.
-    fn gate_only_plan(&self) -> LogicalNode {
+    /// The admission gate over `child`; over `Abstain` it is the
+    /// degenerate plan recorded when the gate itself abstains.
+    fn entropy_gate(&self, child: LogicalNode) -> LogicalNode {
         LogicalNode::EntropyGate {
             samples: self.config.entropy_samples,
             floor: self.config.governors.entropy_sample_floor,
-            child: Box::new(LogicalNode::Abstain),
+            child: Box::new(child),
         }
-    }
-
-    /// Lowers the logical plan to its costed physical form and records it
-    /// in the trace scope. The closure only runs when tracing is enabled,
-    /// so the planner keeps the zero-cost-when-disabled contract.
-    fn set_physical_plan(
-        &self,
-        scope: &mut TraceScope,
-        logical: &LogicalNode,
-        actuals: &ExecActuals,
-    ) {
-        let model = CostModel::new(&self.stats);
-        scope.set_plan(|| physical::lower(logical, &model, actuals).render());
-    }
-
-    /// Records one entropy estimate in the closed metric registry and on
-    /// the per-query resource meter (one SLM call, `n_samples` samples).
-    fn record_entropy(&self, report: &unisem_entropy::EntropyReport, meter: &mut ResourceMeter) {
-        self.metrics.incr(Metric::EntropyEstimates);
-        self.metrics.add(Metric::EntropySamples, report.n_samples as u64);
-        self.metrics.add(Metric::EntropyClusters, report.n_clusters as u64);
-        meter.slm_calls += 1;
-        meter.slm_samples += report.n_samples as u64;
-    }
-
-    /// Dense retrieval with resource-meter accounting: one SLM call (the
-    /// query embedding) plus one similarity comparison per stored vector.
-    fn dense_retrieve_metered(
-        &self,
-        question: &str,
-        meter: &mut ResourceMeter,
-    ) -> Vec<RetrievalResult> {
-        meter.slm_calls += 1;
-        meter.dense_compared += self.dense.len() as u64;
-        self.dense.retrieve(question, self.config.retrieval_top_k)
     }
 
     /// Answers a batch of independent questions across the configured
@@ -628,13 +682,48 @@ impl UnifiedEngine {
     }
 }
 
+/// What one query accumulates while its plan runs.
+struct Run<'a> {
+    question: &'a str,
+    scope: &'a mut TraceScope,
+    meter: &'a mut ResourceMeter,
+    degradations: Vec<Degradation>,
+    /// Per-operator outcomes for the explain plan; empty unless tracing.
+    actuals: ExecActuals,
+    /// Whether the structured branch ran (hybrid vs unstructured route).
+    structured: bool,
+}
+
+impl Run<'_> {
+    /// Records an operator's actual. `record` — and whatever it formats —
+    /// runs only when the query is traced.
+    fn actual(&mut self, record: impl FnOnce(&mut ExecActuals)) {
+        if self.scope.is_enabled() {
+            record(&mut self.actuals);
+        }
+    }
+
+    /// [`Self::actual`] for the relational candidate over `table`.
+    fn candidate_actual(&mut self, table: &str, text: impl FnOnce() -> String) {
+        self.actual(|a| {
+            a.structured.insert(table.to_string(), text());
+        });
+    }
+}
+
+/// The text of every abstention.
+const ABSTENTION: &str = "This cannot be determined from the available data.";
+
+/// Support weight of a signal-bearing plan result in entropy sampling.
+const STRUCTURED_SUPPORT: f64 = 6.0;
+
 /// An abstention emitted before entropy estimation could run (generator
 /// fault or sample floor): zeroed report, zero confidence.
-fn abstained(degradations: Vec<Degradation>) -> Answer {
+fn abstained() -> Answer {
     Answer {
-        text: "This cannot be determined from the available data.".to_string(),
+        text: ABSTENTION.to_string(),
         confidence: 0.0,
-        entropy: unisem_entropy::EntropyReport {
+        entropy: EntropyReport {
             n_samples: 0,
             n_clusters: 0,
             semantic_entropy: 0.0,
@@ -646,17 +735,13 @@ fn abstained(degradations: Vec<Degradation>) -> Answer {
         route: Route::Abstained,
         provenance: Vec::new(),
         result_table: None,
-        degradations,
+        degradations: Vec::new(),
         trace: None,
     }
 }
 
 /// Packs an entropy report + final confidence into the trace verdict.
-fn entropy_verdict(
-    report: &unisem_entropy::EntropyReport,
-    confidence: f64,
-    abstained: bool,
-) -> EntropyVerdict {
+fn entropy_verdict(report: &EntropyReport, confidence: f64, abstained: bool) -> EntropyVerdict {
     EntropyVerdict {
         n_samples: report.n_samples,
         n_clusters: report.n_clusters,

@@ -175,6 +175,19 @@ impl LogicalNode {
         }
     }
 
+    /// The ordered branches of the first [`LogicalNode::Alternatives`] at
+    /// or below this node, looking through the admission gate and the
+    /// tagging node; empty for any other operator.
+    pub fn alternatives(&self) -> &[LogicalNode] {
+        match self {
+            LogicalNode::Alternatives { children } => children,
+            LogicalNode::EntropyGate { child, .. } | LogicalNode::SemTag { child, .. } => {
+                child.alternatives()
+            }
+            _ => &[],
+        }
+    }
+
     /// Multiset of operator labels in the subtree — the invariant the
     /// optimizer property tests check (optimization may reorder, never
     /// add or drop operators).

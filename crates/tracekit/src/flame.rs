@@ -178,7 +178,7 @@ mod tests {
         assert!(folded.contains("answer;retrieval;score 4"));
         assert!(folded.contains("answer;structured;failed 1"));
         assert!(folded.contains("answer;meter;postings_scanned 31"));
-        assert!(!folded.contains("pages_read"), "zero meter fields leave no frame");
+        assert!(!folded.contains("dense_compared"), "zero meter fields leave no frame");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-query resource meters (DESIGN.md §14).
 //!
 //! A [`ResourceMeter`] counts the physical work one `answer` call performs
-//! — pages read, postings scanned, graph nodes popped, dense vectors
-//! compared, SLM invocations/samples, WAL bytes appended. Every field is a
+//! — postings scanned, graph nodes popped, dense vectors compared, SLM
+//! invocations/samples. Every field is written on the query path and is a
 //! pure function of the data and the query (never of timing or thread
 //! count), so meters are byte-identical at any parallelism and under the
 //! pinned fault plans: they are the *measured* side of the planner's
@@ -11,13 +11,11 @@
 
 use crate::json_escape;
 
-/// Deterministic physical-resource counts for one query (or one ingest
-/// batch). Carried on `QueryTrace::meter` and aggregated into the
-/// `meter.*` histogram registry.
+/// Deterministic physical-resource counts for one query. Carried on
+/// `QueryTrace::meter` and aggregated into the `meter.*` histogram
+/// registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceMeter {
-    /// Buffer-pool pages read (storekit; 0 for purely in-memory serving).
-    pub pages_read: u64,
     /// Inverted-index posting entries scanned.
     pub postings_scanned: u64,
     /// Graph traversal heap expansions.
@@ -28,22 +26,18 @@ pub struct ResourceMeter {
     pub slm_calls: u64,
     /// SLM answer samples drawn for entropy estimation.
     pub slm_samples: u64,
-    /// Bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
 }
 
 impl ResourceMeter {
     /// `(name, value)` for every field, in declaration order — the single
     /// source for rendering, so no consumer can skip a field silently.
-    pub fn fields(&self) -> [(&'static str, u64); 7] {
+    pub fn fields(&self) -> [(&'static str, u64); 5] {
         [
-            ("pages_read", self.pages_read),
             ("postings_scanned", self.postings_scanned),
             ("nodes_popped", self.nodes_popped),
             ("dense_compared", self.dense_compared),
             ("slm_calls", self.slm_calls),
             ("slm_samples", self.slm_samples),
-            ("wal_bytes", self.wal_bytes),
         ]
     }
 
@@ -68,18 +62,16 @@ mod tests {
     #[test]
     fn json_is_stable_and_complete() {
         let meter = ResourceMeter {
-            pages_read: 1,
             postings_scanned: 2,
             nodes_popped: 3,
             dense_compared: 4,
             slm_calls: 5,
             slm_samples: 6,
-            wal_bytes: 7,
         };
         assert_eq!(
             meter.to_json(),
-            "{\"pages_read\":1,\"postings_scanned\":2,\"nodes_popped\":3,\
-             \"dense_compared\":4,\"slm_calls\":5,\"slm_samples\":6,\"wal_bytes\":7}"
+            "{\"postings_scanned\":2,\"nodes_popped\":3,\"dense_compared\":4,\
+             \"slm_calls\":5,\"slm_samples\":6}"
         );
         assert_eq!(ResourceMeter::default().fields().iter().map(|(_, v)| v).sum::<u64>(), 0);
     }

@@ -246,8 +246,6 @@ registry_enum! {
         QueryDegradationDepth => "query.degradation_depth",
         /// Provenance items attached per answer.
         QueryProvenance => "query.provenance_items",
-        /// Buffer-pool pages read per query (resource meter).
-        MeterPagesRead => "meter.pages_read",
         /// Inverted-index postings scanned per query (resource meter).
         MeterPostingsScanned => "meter.postings_scanned",
         /// Graph heap expansions per query (resource meter).
@@ -258,7 +256,7 @@ registry_enum! {
         MeterSlmCalls => "meter.slm_calls",
         /// SLM answer samples drawn per query (resource meter).
         MeterSlmSamples => "meter.slm_samples",
-        /// WAL bytes appended per ingest batch (resource meter).
+        /// WAL bytes appended per ingest batch.
         MeterWalBytes => "meter.wal_bytes",
     }
 }
