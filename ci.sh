@@ -16,6 +16,19 @@ cargo fmt --check
 echo "==> offline release build"
 CARGO_NET_OFFLINE=true cargo build --release
 
+echo "==> micro-benches compile (crates/bench/benches/*)"
+# Neither the build above nor `cargo test` compiles the bench targets, so a
+# deleted parkit or hetgraph function would rot them silently.
+CARGO_NET_OFFLINE=true cargo build --release --offline --benches -p unisem-bench
+
+echo "==> no fork-join below string-sized work"
+# Entropy sampling lost its fan-out to measurement (DESIGN.md §6): the
+# crates whose unit of work is a string must not regain a parkit edge.
+if grep -l parkit crates/{slm,entropy,semops,text,extract}/Cargo.toml; then
+    echo "ERROR: the manifests above name parkit (see DESIGN.md §6 before adding a fan-out)"
+    exit 1
+fi
+
 echo "==> offline test suite (UNISEM_THREADS=1)"
 CARGO_NET_OFFLINE=true UNISEM_THREADS=1 cargo test -q
 

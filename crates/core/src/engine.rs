@@ -24,9 +24,7 @@ use unisem_text::ChunkConfig;
 
 use crate::delta::{self, Delta};
 use crate::ingest::{IngestReport, QuarantineReason, Quarantined};
-use crate::planner::{
-    CostModel, GraphDegreeStats, JoinEdge, JoinOrder, StatsCatalog, TableStats, TextStats,
-};
+use crate::planner::{GraphDegreeStats, StatsCatalog, TableStats, TextStats};
 
 /// Engine construction / ingestion errors.
 #[derive(Debug)]
@@ -104,12 +102,17 @@ impl From<storekit::StoreError> for EngineError {
 
 /// Parallel execution settings (DESIGN.md §6: determinism under
 /// parallelism). Thread count never affects results — only wall-clock.
+///
+/// This governs the two places the engine hands its pool to:
+/// `answer_batch`'s outer map over the questions, and the dense retriever
+/// (index build, incremental extend, and the per-query scan). The relstore
+/// filter/sort sweeps, graph entity tagging and the PageRank prior run on
+/// `parkit::global()` — `UNISEM_THREADS`, else the machine's available
+/// parallelism — whatever is set here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads for batch answering, index building, and the
-    /// parallel scans underneath. `0` (the default) resolves at use time
-    /// from `UNISEM_THREADS`, falling back to the machine's available
-    /// parallelism.
+    /// Worker threads for batch answering and the dense retriever. `0`
+    /// (the default) resolves at use time to `parkit::global()`.
     pub threads: usize,
 }
 
@@ -1031,33 +1034,6 @@ impl UnifiedEngine {
         stats.graph = GraphDegreeStats::collect(&self.graph);
         set_substrate_gauges(&self.metrics, &self.db, &self.docs, &self.graph, &self.stats);
         self.topo.rebind(self.graph.clone(), self.docs.clone());
-    }
-
-    /// Chooses a cost-optimal join order over the named tables, inferring
-    /// equi-join edges from shared / subject-resolvable columns (the same
-    /// inference operator synthesis uses). Returns `None` when no tables
-    /// are given or none of them exist. Counts one
-    /// [`Metric::PlannerJoinDp`] or [`Metric::PlannerJoinGreedy`]
-    /// depending on which optimizer strategy ran.
-    pub fn optimized_multi_join(&self, tables: &[&str]) -> Option<JoinOrder> {
-        let rels: Vec<String> =
-            tables.iter().filter(|t| self.db.has_table(t)).map(|t| (*t).to_string()).collect();
-        let mut edges: Vec<JoinEdge> = Vec::new();
-        for (i, left) in rels.iter().enumerate() {
-            for right in rels.iter().skip(i + 1) {
-                if let Ok(Some(on)) = self.synthesizer.join_keys(&self.db, left, right) {
-                    edges.push(JoinEdge::new(left.clone(), right.clone(), on));
-                }
-            }
-        }
-        let model = CostModel::new(&self.stats);
-        let order = crate::planner::optimize_join_order(&rels, &edges, &model)?;
-        if order.used_dp {
-            self.metrics.incr(Metric::PlannerJoinDp);
-        } else {
-            self.metrics.incr(Metric::PlannerJoinGreedy);
-        }
-        Some(order)
     }
 
     /// Topology retrieval. The first traversal after the graph changed

@@ -96,11 +96,7 @@ impl UnifiedEngine {
     /// estimated vs actual costs, goes to the explain trace.
     ///
     /// Every downgrade on the way is an [`Answer::degradations`] entry
-    /// (the degradation contract, DESIGN.md §8). Join reordering is
-    /// deliberately *not* applied here: physically re-joining in a
-    /// different order changes row enumeration order and therefore
-    /// float-accumulation order in aggregates. The reordering optimizer is
-    /// exposed through [`Self::optimized_multi_join`] instead.
+    /// (the degradation contract, DESIGN.md §8).
     fn execute_query(
         &self,
         question: &str,

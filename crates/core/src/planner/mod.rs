@@ -5,12 +5,9 @@
 //! semi-structured, document, graph — with the SLM semantic operators as
 //! first-class nodes; a deterministic, integer-only **cost model**
 //! ([`cost::CostModel`]) fed by build-time per-substrate statistics
-//! ([`stats::StatsCatalog`]); a **join-order optimizer**
-//! ([`join_optimizer`]) with exact DP below
-//! [`join_optimizer::DP_THRESHOLD`] relations and a greedy fallback
-//! above; and a **physical** lowering ([`physical::PhysicalPlan`]) that
-//! pairs every operator with estimated and actual costs for the explain
-//! trace.
+//! ([`stats::StatsCatalog`]); and a **physical** lowering
+//! ([`physical::PhysicalPlan`]) that pairs every operator with estimated
+//! and actual costs for the explain trace.
 //!
 //! `UnifiedEngine::answer` synthesizes and executes these plans: it is
 //! the only answer path. The answers of the degradation ladder it
@@ -18,13 +15,11 @@
 //! (`tests/tests/planner_golden.rs`).
 
 pub mod cost;
-pub mod join_optimizer;
 pub mod logical;
 pub mod physical;
 pub mod stats;
 
 pub use cost::{Cost, CostModel, RelEstimate};
-pub use join_optimizer::{optimize as optimize_join_order, JoinEdge, JoinOrder, JoinTree};
 pub use logical::{CandidatePlan, LogicalNode};
 pub use physical::{ExecActuals, PhysNode, PhysicalPlan};
 pub use stats::{ColumnStats, GraphDegreeStats, StatsCatalog, TableStats, TextStats};

@@ -7,7 +7,6 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 
-use detkit::Rng;
 use parkit::Pool;
 
 use crate::graph::{HetGraph, NodeId};
@@ -274,87 +273,6 @@ pub fn closeness(graph: &HetGraph, node: NodeId) -> f64 {
     ((r - 1.0) / total as f64) * ((r - 1.0) / (n as f64 - 1.0))
 }
 
-/// Approximate betweenness centrality via sampled single-source BFS
-/// (Brandes' algorithm restricted to `samples` pivots).
-pub fn approx_betweenness(graph: &HetGraph, samples: usize, seed: u64) -> Vec<f64> {
-    approx_betweenness_pool(graph, samples, seed, parkit::global())
-}
-
-/// [`approx_betweenness`] on an explicit [`Pool`]. Pivots are drawn
-/// sequentially from the seed *before* dispatch, each pivot's Brandes pass
-/// runs independently, and per-pivot contributions are accumulated in
-/// pivot order — so the result is bit-identical for any pool width.
-pub fn approx_betweenness_pool(
-    graph: &HetGraph,
-    samples: usize,
-    seed: u64,
-    pool: Pool,
-) -> Vec<f64> {
-    let n = graph.num_nodes();
-    let mut centrality = vec![0.0f64; n];
-    if n < 3 || samples == 0 {
-        return centrality;
-    }
-    let mut rng = Rng::new(seed);
-    let pivots: Vec<usize> = (0..samples.min(n)).map(|_| rng.gen_range(0..n)).collect();
-    let contributions = pool.par_map(&pivots, |&s| brandes_from(graph, NodeId(s as u32)));
-    // Index-ordered merge: sum per-pivot vectors in pivot order so float
-    // association is independent of which worker ran which pivot.
-    for contrib in &contributions {
-        for (c, d) in centrality.iter_mut().zip(contrib) {
-            *c += d;
-        }
-    }
-    // Scale to full-graph estimate.
-    let scale = n as f64 / pivots.len() as f64 / 2.0; // /2: undirected
-    for c in centrality.iter_mut() {
-        *c *= scale;
-    }
-    centrality
-}
-
-/// One Brandes single-source accumulation: dependency scores of every node
-/// with respect to shortest paths from `s`.
-fn brandes_from(graph: &HetGraph, s: NodeId) -> Vec<f64> {
-    let mut contrib = vec![0.0f64; graph.num_nodes()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut sigma: HashMap<NodeId, f64> = HashMap::new();
-    let mut dist: HashMap<NodeId, i64> = HashMap::new();
-    sigma.insert(s, 1.0);
-    dist.insert(s, 0);
-    let mut queue = VecDeque::new();
-    queue.push_back(s);
-    while let Some(v) = queue.pop_front() {
-        stack.push(v);
-        let dv = dist[&v];
-        for &(w, _) in graph.neighbors(v) {
-            if !dist.contains_key(&w) {
-                dist.insert(w, dv + 1);
-                queue.push_back(w);
-            }
-            if dist[&w] == dv + 1 {
-                *sigma.entry(w).or_insert(0.0) += sigma[&v];
-                preds.entry(w).or_default().push(v);
-            }
-        }
-    }
-    let mut delta: HashMap<NodeId, f64> = HashMap::new();
-    while let Some(w) = stack.pop() {
-        let dw = *delta.get(&w).unwrap_or(&0.0);
-        if let Some(ps) = preds.get(&w) {
-            for &v in ps {
-                let d = (sigma[&v] / sigma[&w]) * (1.0 + dw);
-                *delta.entry(v).or_insert(0.0) += d;
-            }
-        }
-        if w != s {
-            contrib[w.0 as usize] = dw;
-        }
-    }
-    contrib
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,22 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn betweenness_center_of_path_highest() {
-        let (g, ids) = path_graph();
-        let b = approx_betweenness(&g, 50, 7);
-        // Middle nodes lie on more shortest paths than endpoints.
-        assert!(b[ids[1].0 as usize] > b[ids[0].0 as usize]);
-        assert!(b[ids[2].0 as usize] > b[ids[3].0 as usize]);
-        assert_eq!(b[ids[4].0 as usize], 0.0);
-    }
-
-    #[test]
-    fn betweenness_deterministic_with_seed() {
-        let (g, _) = path_graph();
-        assert_eq!(approx_betweenness(&g, 10, 42), approx_betweenness(&g, 10, 42));
-    }
-
-    #[test]
     fn pagerank_bit_identical_across_pool_widths() {
         let (g, _) = path_graph();
         let reference = personalized_pagerank_pool(&g, &[], 0.85, 50, Pool::sequential());
@@ -511,17 +413,6 @@ mod tests {
             let got = personalized_pagerank_pool(&g, &[], 0.85, 50, Pool::new(threads));
             let same = reference.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "threads={threads}: {got:?} != {reference:?}");
-        }
-    }
-
-    #[test]
-    fn betweenness_bit_identical_across_pool_widths() {
-        let (g, _) = path_graph();
-        let reference = approx_betweenness_pool(&g, 20, 42, Pool::sequential());
-        for threads in [2, 4, 8] {
-            let got = approx_betweenness_pool(&g, 20, 42, Pool::new(threads));
-            let same = reference.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads={threads}");
         }
     }
 

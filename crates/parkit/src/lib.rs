@@ -30,13 +30,28 @@
 //! degenerates to a plain sequential loop.
 //!
 //! Worker panics are caught, the remaining chunks are abandoned, and the
-//! first panic payload is re-raised on the caller (or returned as an error
-//! from the `try_` variants) — a panicking task can never hang the pool.
+//! first panic payload is re-raised on the caller once every worker has
+//! been joined — a panicking task can never hang the pool, and behaves
+//! exactly as it would in a sequential loop.
 //!
-//! Thread count resolution (for [`global`] and [`Pool::from_env`]):
-//! `UNISEM_THREADS` environment variable if set and ≥ 1, else
-//! [`std::thread::available_parallelism`], else 1.
+//! ## Which setting governs which site
+//!
+//! A [`Pool`] is only a width, and two widths exist in a process:
+//!
+//! - [`global`] — `UNISEM_THREADS` if set and ≥ 1, else
+//!   [`std::thread::available_parallelism`], else 1; resolved once per
+//!   process. It governs every site that takes no pool: the relstore
+//!   filter and sort sweeps, graph entity tagging and the PageRank prior.
+//! - An explicit [`Pool::new`] handed in by the caller. The engine's
+//!   `ParallelConfig` resolves to one (to [`global`] when its thread count
+//!   is 0), and it governs only what the engine passes it to:
+//!   `answer_batch`'s outer map, and the dense retriever, which keeps the
+//!   pool it was built with for build, extend and scan. It does **not**
+//!   reach the sites of the first kind.
+//!
+//! Results are bit-identical at any width either way; only where the
+//! threads come from differs.
 
 mod pool;
 
-pub use pool::{auto_chunk_count, auto_chunk_size, global, PanicError, Pool, DEFAULT_CHUNK};
+pub use pool::{auto_chunk_count, global, Pool};

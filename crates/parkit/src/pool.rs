@@ -1,43 +1,13 @@
 //! The scoped fork-join pool.
 
 use std::any::Any;
-use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Upper bound on the automatic chunk size (items per claimed chunk).
-pub const DEFAULT_CHUNK: usize = 1024;
-
-/// A worker task panicked; carries the rendered panic message.
-///
-/// Returned by the `try_*` methods. The plain methods re-raise the original
-/// payload on the calling thread instead, so a panicking task behaves
-/// exactly as it would in a sequential loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicError {
-    /// Stringified panic payload of the first worker that panicked.
-    pub message: String,
-}
-
-impl fmt::Display for PanicError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for PanicError {}
-
-fn payload_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+const DEFAULT_CHUNK: usize = 1024;
 
 /// Automatic chunk size: a function of the input length ONLY (never the
 /// thread count), so chunk boundaries — and therefore reduction association
@@ -46,40 +16,31 @@ fn auto_chunk(n: usize) -> usize {
     (n / 64).clamp(1, DEFAULT_CHUNK)
 }
 
-/// The automatic chunk size the pool would use for an input of length `n`.
+/// Number of chunks an auto-chunked map over `n` items dispatches.
 /// Width-invariant by construction (depends on `n` only), so observers —
-/// e.g. a `parkit.batch_chunks` metric — record the same value at every
-/// thread count.
-pub fn auto_chunk_size(n: usize) -> usize {
-    auto_chunk(n)
-}
-
-/// Number of chunks an auto-chunked map over `n` items dispatches. Also
-/// width-invariant; `0` for an empty input.
+/// e.g. the `parkit.batch_chunks` metric — record the same value at every
+/// thread count; `0` for an empty input.
 pub fn auto_chunk_count(n: usize) -> usize {
     if n == 0 {
         0
     } else {
-        ceil_div(n, auto_chunk(n))
+        n.div_ceil(auto_chunk(n))
     }
 }
 
-fn ceil_div(n: usize, d: usize) -> usize {
-    n.div_ceil(d)
-}
-
-fn env_threads() -> Option<usize> {
-    std::env::var("UNISEM_THREADS").ok().and_then(|v| v.trim().parse().ok()).filter(|&t| t >= 1)
-}
-
 fn resolve_default_threads() -> usize {
-    env_threads()
+    std::env::var("UNISEM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&t| t >= 1)
         .or_else(|| std::thread::available_parallelism().ok().map(usize::from))
         .unwrap_or(1)
 }
 
 /// The process-wide default pool: `UNISEM_THREADS` if set, else
-/// `available_parallelism`. Resolved once per process.
+/// `available_parallelism`. Resolved once per process. Every fan-out that
+/// is not handed a pool runs on this one — an engine's `ParallelConfig`
+/// does not change it (see the crate header for the list of sites).
 pub fn global() -> Pool {
     static THREADS: OnceLock<usize> = OnceLock::new();
     Pool::new(*THREADS.get_or_init(resolve_default_threads))
@@ -96,12 +57,6 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        global()
-    }
-}
-
 impl Pool {
     /// A pool of `threads` logical workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
@@ -113,30 +68,26 @@ impl Pool {
         Self::new(1)
     }
 
-    /// A pool sized by `UNISEM_THREADS` / `available_parallelism`
-    /// (re-reads the environment on every call, unlike [`global`]).
-    pub fn from_env() -> Self {
-        Self::new(resolve_default_threads())
-    }
-
     /// The logical worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// Core executor: runs `job(0..n_chunks)` across the pool, returning
-    /// results in chunk-index order, or the first panic payload.
+    /// results in chunk-index order. The first panic in `job` stops the
+    /// remaining chunks and is re-raised on the caller once every worker
+    /// has been joined.
     ///
     /// Chunks are claimed dynamically from an atomic cursor, so load
     /// balances across workers; results are merged by index, so the output
     /// does not depend on which worker ran which chunk.
-    fn run<R, F>(&self, n_chunks: usize, job: F) -> Result<Vec<R>, Box<dyn Any + Send>>
+    fn run<R, F>(&self, n_chunks: usize, job: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
         if n_chunks == 0 {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
@@ -198,7 +149,7 @@ impl Pool {
         if let Some(payload) =
             first_panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
         {
-            return Err(payload);
+            panic::resume_unwind(payload);
         }
 
         // Index-ordered merge: output position = chunk index.
@@ -209,7 +160,21 @@ impl Pool {
                 slots[i] = Some(r);
             }
         }
-        Ok(slots.into_iter().map(|s| s.expect("all chunks completed")).collect())
+        slots.into_iter().map(|s| s.expect("all chunks completed")).collect()
+    }
+
+    /// [`Pool::run`] over the fixed-size sub-ranges of `0..n` (the last may
+    /// be short), one result per sub-range in range order.
+    fn run_spans<R, F>(&self, n: usize, chunk_size: usize, job: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(Range<usize>) -> R + Sync,
+    {
+        let chunk_size = chunk_size.max(1);
+        self.run(n.div_ceil(chunk_size), |c| {
+            let lo = c * chunk_size;
+            job(lo..(lo + chunk_size).min(n))
+        })
     }
 
     /// Maps `f` over `0..n`, returning results in index order. Panics in
@@ -219,7 +184,7 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.try_par_map_range_chunked(n, auto_chunk(n), &f).unwrap_or_else(resume)
+        self.par_map_range_chunked(n, auto_chunk(n), f)
     }
 
     /// [`Pool::par_map_range`] with an explicit chunk size (items per
@@ -230,28 +195,8 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.try_par_map_range_chunked(n, chunk_size, &f).unwrap_or_else(resume)
-    }
-
-    /// Fallible core of the range maps.
-    fn try_par_map_range_chunked<R, F>(
-        &self,
-        n: usize,
-        chunk_size: usize,
-        f: &F,
-    ) -> Result<Vec<R>, Box<dyn Any + Send>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = ceil_div(n, chunk_size);
-        let chunked = self.run(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(n);
-            (lo..hi).map(f).collect::<Vec<R>>()
-        })?;
-        Ok(chunked.into_iter().flatten().collect())
+        let chunked = self.run_spans(n, chunk_size, |span| span.map(&f).collect::<Vec<R>>());
+        chunked.into_iter().flatten().collect()
     }
 
     /// Maps `f` over a slice, returning results in input order. Panics in
@@ -265,18 +210,6 @@ impl Pool {
         self.par_map_range(items.len(), |i| f(&items[i]))
     }
 
-    /// [`Pool::par_map`] that surfaces a worker panic as a [`PanicError`]
-    /// instead of re-raising it.
-    pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PanicError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.try_par_map_range_chunked(items.len(), auto_chunk(items.len()), &|i| f(&items[i]))
-            .map_err(|p| PanicError { message: payload_message(&*p) })
-    }
-
     /// Applies `f` to fixed-size chunks of `items` (last chunk may be
     /// short), returning one result per chunk in chunk order. `f` receives
     /// the chunk's starting index and the chunk slice.
@@ -286,60 +219,16 @@ impl Pool {
         R: Send,
         F: Fn(usize, &[T]) -> R + Sync,
     {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = ceil_div(items.len(), chunk_size);
-        self.run(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            f(lo, &items[lo..hi])
-        })
-        .unwrap_or_else(resume)
+        self.run_spans(items.len(), chunk_size, |span| f(span.start, &items[span]))
     }
 
-    /// Range form of [`Pool::par_chunks`]: applies `f` to fixed-size index
-    /// sub-ranges of `0..n`, returning one result per sub-range in range
-    /// order.
-    pub fn par_chunks_range<R, F>(&self, n: usize, chunk_size: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = ceil_div(n, chunk_size);
-        self.run(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(n);
-            f(lo..hi)
-        })
-        .unwrap_or_else(resume)
-    }
-
-    /// Deterministic parallel reduction: folds each fixed-size chunk with
-    /// `fold`, then combines the chunk accumulators **left to right in
-    /// chunk order**. Because chunk boundaries depend only on
-    /// `(items.len(), chunk_size)`, the association order — and thus every
+    /// Deterministic parallel reduction: folds each fixed-size index
+    /// sub-range of `0..n` with `fold`, then combines the accumulators
+    /// **left to right in range order**. Because the boundaries depend only
+    /// on `(n, chunk_size)`, the association order — and thus every
     /// floating-point rounding step — is identical for any thread count.
     ///
     /// Returns `None` for an empty input.
-    pub fn par_reduce<T, A, FF, CF>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        fold: FF,
-        combine: CF,
-    ) -> Option<A>
-    where
-        T: Sync,
-        A: Send,
-        FF: Fn(&[T]) -> A + Sync,
-        CF: Fn(A, A) -> A,
-    {
-        let partials = self.par_chunks(items, chunk_size, |_, chunk| fold(chunk));
-        partials.into_iter().reduce(combine)
-    }
-
-    /// Range form of [`Pool::par_reduce`]: folds index sub-ranges of
-    /// `0..n`, combining partials in range order.
     pub fn par_reduce_range<A, FF, CF>(
         &self,
         n: usize,
@@ -352,21 +241,8 @@ impl Pool {
         FF: Fn(Range<usize>) -> A + Sync,
         CF: Fn(A, A) -> A,
     {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = ceil_div(n, chunk_size);
-        let partials = self
-            .run(n_chunks, |c| {
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(n);
-                fold(lo..hi)
-            })
-            .unwrap_or_else(resume);
-        partials.into_iter().reduce(combine)
+        self.run_spans(n, chunk_size, fold).into_iter().reduce(combine)
     }
-}
-
-fn resume<R>(payload: Box<dyn Any + Send>) -> R {
-    panic::resume_unwind(payload)
 }
 
 #[cfg(test)]
@@ -402,21 +278,22 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(pool.par_map(&empty, |x| x + 1).is_empty());
         assert_eq!(pool.par_map(&[7u32], |x| x + 1), vec![8]);
-        assert_eq!(pool.par_reduce(&empty, 8, |c| c.iter().sum::<u32>(), |a, b| a + b), None);
-        assert_eq!(pool.par_reduce(&[7u32], 8, |c| c.iter().sum::<u32>(), |a, b| a + b), Some(7));
+        assert_eq!(pool.par_reduce_range(0, 8, |r| r.len(), |a, b| a + b), None);
+        assert_eq!(pool.par_reduce_range(1, 8, |r| r.len(), |a, b| a + b), Some(1));
     }
 
     #[test]
     fn float_reduction_bit_identical_across_thread_counts() {
         // Pathological float mix where association order matters.
         let xs: Vec<f64> = (0..10_000).map(|i| (i as f64 * 0.7).sin() * 1e-3 + 1e9).collect();
-        let reference =
-            Pool::new(1).par_reduce(&xs, 128, |c| c.iter().sum::<f64>(), |a, b| a + b).unwrap();
+        let sum = |threads| {
+            Pool::new(threads)
+                .par_reduce_range(xs.len(), 128, |r| xs[r].iter().sum::<f64>(), |a, b| a + b)
+                .unwrap()
+        };
+        let reference = sum(1);
         for threads in [2, 3, 4, 8] {
-            let got = Pool::new(threads)
-                .par_reduce(&xs, 128, |c| c.iter().sum::<f64>(), |a, b| a + b)
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
+            assert_eq!(sum(threads).to_bits(), reference.to_bits(), "threads={threads}");
         }
     }
 
@@ -426,21 +303,6 @@ mod tests {
         let items: Vec<usize> = (0..10).collect();
         let spans = pool.par_chunks(&items, 4, |start, chunk| (start, chunk.to_vec()));
         assert_eq!(spans, vec![(0, vec![0, 1, 2, 3]), (4, vec![4, 5, 6, 7]), (8, vec![8, 9])]);
-    }
-
-    #[test]
-    fn try_par_map_reports_panic_as_error() {
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..100).collect();
-        let err = pool
-            .try_par_map(&items, |&x| {
-                if x == 37 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-            .unwrap_err();
-        assert!(err.message.contains("boom at 37"), "{err}");
     }
 
     #[test]
@@ -454,7 +316,7 @@ mod tests {
             })
         }));
         let payload = caught.expect_err("must propagate");
-        assert!(payload_message(&*payload).contains("kaboom"));
+        assert!(payload.downcast_ref::<&str>().is_some_and(|m| m.contains("kaboom")));
     }
 
     #[test]
@@ -482,19 +344,8 @@ mod tests {
         assert_eq!(auto_chunk(63), 1);
         assert_eq!(auto_chunk(6400), 100);
         assert_eq!(auto_chunk(1_000_000), DEFAULT_CHUNK);
-        assert_eq!(auto_chunk_size(6400), 100, "public helper mirrors the internal policy");
         assert_eq!(auto_chunk_count(0), 0);
         assert_eq!(auto_chunk_count(63), 63, "chunk size 1 → one chunk per item");
         assert_eq!(auto_chunk_count(6400), 64);
-    }
-
-    #[test]
-    fn par_reduce_range_matches_slice_form() {
-        let xs: Vec<i64> = (0..5000).map(|i| i * 3 - 7).collect();
-        let pool = Pool::new(4);
-        let a = pool.par_reduce(&xs, 97, |c| c.iter().sum::<i64>(), |x, y| x + y);
-        let b =
-            pool.par_reduce_range(xs.len(), 97, |r| r.map(|i| xs[i]).sum::<i64>(), |x, y| x + y);
-        assert_eq!(a, b);
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! The laws under test:
 //! - `par_map` ≡ sequential `map`, for any input, chunk size, and pool width;
-//! - `par_reduce` combines chunk folds left-to-right in chunk order, so its
-//!   result — including float rounding — equals the sequential chunked
-//!   fold at ANY pool width (the associativity-ordering law);
+//! - `par_reduce_range` combines chunk folds left-to-right in chunk order,
+//!   so its result — including float rounding — equals the sequential
+//!   chunked fold at ANY pool width (the associativity-ordering law);
 //! - empty and singleton inputs behave like their sequential counterparts;
-//! - a panicking worker surfaces as an error (or re-raised panic), never a
-//!   hang or a partial result.
+//! - a panicking worker surfaces as a re-raised panic, never a hang or a
+//!   partial result.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use detkit::prop::{self, vec_of, zip3};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
@@ -39,7 +41,12 @@ prop_check!(par_map_range_chunked_equals_map, inputs(), |(items, chunk, threads)
 prop_check!(par_reduce_ordering_law, inputs(), |(items, chunk, threads)| {
     let fold = |c: &[i64]| c.iter().map(|x| format!("{x},")).collect::<String>();
     let expected = items.chunks(*chunk).map(fold).reduce(|a, b| a + &b);
-    let got = Pool::new(*threads).par_reduce(items, *chunk, fold, |a, b| a + &b);
+    let got = Pool::new(*threads).par_reduce_range(
+        items.len(),
+        *chunk,
+        |r| fold(&items[r]),
+        |a, b| a + &b,
+    );
     prop_assert_eq!(got, expected);
     Ok(())
 });
@@ -50,10 +57,15 @@ prop_check!(
     par_reduce_float_bits_stable,
     zip3(&vec_of(&prop::f64s(-1e6, 1e6), 0, 150), &prop::usizes(1, 17), &prop::usizes(2, 9)),
     |(items, chunk, threads)| {
-        let sum = |c: &[f64]| c.iter().sum::<f64>();
-        let seq = Pool::sequential().par_reduce(items, *chunk, sum, |a, b| a + b);
-        let par = Pool::new(*threads).par_reduce(items, *chunk, sum, |a, b| a + b);
-        match (seq, par) {
+        let sum = |pool: Pool| {
+            pool.par_reduce_range(
+                items.len(),
+                *chunk,
+                |r| items[r].iter().sum::<f64>(),
+                |a, b| a + b,
+            )
+        };
+        match (sum(Pool::sequential()), sum(Pool::new(*threads))) {
             (None, None) => Ok(()),
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{} != {}", a, b);
@@ -68,29 +80,32 @@ prop_check!(empty_and_singleton_edges, prop::usizes(1, 9), |threads| {
     let pool = Pool::new(*threads);
     let empty: Vec<u64> = Vec::new();
     prop_assert!(pool.par_map(&empty, |x| x + 1).is_empty());
-    prop_assert_eq!(pool.par_reduce(&empty, 4, |c| c.len(), |a, b| a + b), None);
+    prop_assert_eq!(pool.par_reduce_range(0, 4, |r| r.len(), |a, b| a + b), None);
     prop_assert_eq!(pool.par_map(&[9u64], |x| x + 1), vec![10]);
-    prop_assert_eq!(pool.par_reduce(&[9u64], 4, |c| c.iter().sum::<u64>(), |a, b| a + b), Some(9));
+    prop_assert_eq!(pool.par_reduce_range(1, 4, |r| r.len(), |a, b| a + b), Some(1));
     Ok(())
 });
 
-// A worker panic must come back as an error naming the payload — never a
-// hang, and never a partial Ok.
+// A worker panic must come back as the original payload re-raised on the
+// caller — never a hang, and never a partial Ok.
 prop_check!(
     panic_in_worker_propagates_as_error,
     zip3(&prop::usizes(0, 99), &prop::usizes(1, 17), &prop::usizes(1, 9)),
     |(bad, _, threads)| {
         let items: Vec<usize> = (0..100).collect();
         let bad = *bad;
-        let result = Pool::new(*threads).try_par_map(&items, |&x| {
-            if x == bad {
-                panic!("injected failure at {x}");
-            }
-            x
-        });
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(*threads).par_map(&items, |&x| {
+                if x == bad {
+                    panic!("injected failure at {x}");
+                }
+                x
+            })
+        }));
         match result {
-            Err(e) => {
-                prop_assert!(e.message.contains("injected failure"), "unexpected: {}", e);
+            Err(payload) => {
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                prop_assert!(message.contains("injected failure"), "unexpected: {:?}", message);
                 Ok(())
             }
             Ok(_) => Err("panicking map returned Ok".to_string()),

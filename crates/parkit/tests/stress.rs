@@ -5,6 +5,7 @@
 //! thread and the test thread waits on a channel with a timeout, so a
 //! deadlocked pool fails the test instead of hanging the suite.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -92,18 +93,19 @@ fn triple_nesting_with_reduction() {
 fn panic_under_oversubscription_still_returns() {
     // A panic mid-stream with thousands of queued chunks must stop the
     // pool and report, not hang on unclaimed work.
-    let err = with_watchdog(60, || {
+    let payload = with_watchdog(60, || {
         let items: Vec<u64> = (0..50_000).collect();
-        Pool::new(4)
-            .try_par_map(&items, |&x| {
+        catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(4).par_map(&items, |&x| {
                 if x == 25_000 {
                     panic!("mid-stream failure");
                 }
                 x
             })
-            .unwrap_err()
+        }))
+        .expect_err("the worker panic must reach the caller")
     });
-    assert!(err.message.contains("mid-stream failure"), "{err}");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"mid-stream failure"));
 }
 
 #[test]

@@ -7,16 +7,18 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::catalog::Database;
-/// Fixed chunk size for parallel row sweeps (filter/join/sort). A constant
-/// — never derived from the thread count — so chunk boundaries and result
-/// order are identical at every `UNISEM_THREADS` setting.
-const ROW_CHUNK: usize = 512;
 use crate::error::{RelError, RelResult};
 use crate::expr::Expr;
 use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan, SortKey};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
 use crate::value::{GroupKey, Value};
+
+/// Fixed chunk size for the parallel row sweeps (filter, sort-key
+/// extraction). A constant — never derived from the thread count — so chunk
+/// boundaries and result order are identical at every `UNISEM_THREADS`
+/// setting; a table of at most one chunk is swept without a spawn.
+const ROW_CHUNK: usize = 512;
 
 /// Deterministic resource governors for plan execution.
 ///
@@ -232,43 +234,34 @@ fn exec_join(
     let r_keys: Vec<usize> =
         on.iter().map(|(_, rc)| r.schema().require(rc)).collect::<RelResult<_>>()?;
 
-    // Build hash table on the smaller side? For determinism and simplicity,
-    // always build on the right. Key extraction is the per-row hot loop and
-    // fans out across the pool; insertion replays sequentially in row
-    // order, so each bucket's row list is ordered exactly as before.
-    let pool = parkit::global();
-    let row_keys: Vec<Option<Vec<GroupKey>>> =
-        pool.par_map_range_chunked(r.num_rows(), ROW_CHUNK, |j| {
-            // NULL keys never join.
-            if r_keys.iter().any(|&k| r.cell(j, k).is_null()) {
-                return None;
-            }
-            Some(r_keys.iter().map(|&k| r.cell(j, k).group_key()).collect())
-        });
+    // NULL keys never join: a row with a NULL in any key column has no key.
+    let key_of = |t: &Table, cols: &[usize], row: usize| -> Option<Vec<GroupKey>> {
+        cols.iter()
+            .map(|&k| {
+                let cell = t.cell(row, k);
+                (!cell.is_null()).then(|| cell.group_key())
+            })
+            .collect()
+    };
+
+    // Always build on the right, inserting in row order, so each bucket
+    // lists its rows in table order.
     let mut index: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for (j, key) in row_keys.into_iter().enumerate() {
-        if let Some(key) = key {
+    for j in 0..r.num_rows() {
+        if let Some(key) = key_of(r, &r_keys, j) {
             index.entry(key).or_default().push(j);
         }
     }
+    let matches_of = |i: usize| key_of(l, &l_keys, i).and_then(|key| index.get(&key));
 
     // Join row budget: the exact output cardinality is a sum of bucket
     // sizes, computable before materializing a single output row. The
     // pre-pass costs one extra key extraction per left row, so it only runs
     // under a finite limit.
     if limits.max_join_rows != usize::MAX {
-        let per_row: Vec<usize> = pool.par_map_range_chunked(l.num_rows(), ROW_CHUNK, |i| {
-            if l_keys.iter().any(|&k| l.cell(i, k).is_null()) {
-                return usize::from(join_type == JoinType::Left);
-            }
-            let key: Vec<GroupKey> = l_keys.iter().map(|&k| l.cell(i, k).group_key()).collect();
-            match index.get(&key) {
-                Some(js) => js.len(),
-                None => usize::from(join_type == JoinType::Left),
-            }
-        });
         let mut total: usize = 0;
-        for n in per_row {
+        for i in 0..l.num_rows() {
+            let n = matches_of(i).map_or(usize::from(join_type == JoinType::Left), Vec::len);
             total = total.saturating_add(n);
             if total > limits.max_join_rows {
                 return Err(RelError::ResourceExhausted {
@@ -279,43 +272,25 @@ fn exec_join(
         }
     }
 
-    let out_schema = l.schema().join(r.schema());
     let r_arity = r.schema().arity();
-    // Parallel probe: each fixed-size span of left rows materializes its
-    // output rows independently; spans concatenate in order, so the result
-    // row order matches the sequential nested loop.
-    let produced: Vec<Vec<Vec<Value>>> = pool.par_chunks_range(l.num_rows(), ROW_CHUNK, |range| {
-        let mut rows = Vec::new();
-        for i in range {
-            let has_null_key = l_keys.iter().any(|&k| l.cell(i, k).is_null());
-            let matches: Option<&Vec<usize>> = if has_null_key {
-                None
-            } else {
-                let key: Vec<GroupKey> = l_keys.iter().map(|&k| l.cell(i, k).group_key()).collect();
-                index.get(&key)
-            };
-            match matches {
-                Some(js) => {
-                    for &j in js {
-                        let mut row = l.row(i);
-                        row.extend(r.row(j));
-                        rows.push(row);
-                    }
+    let mut out = Table::empty(l.schema().join(r.schema()));
+    for i in 0..l.num_rows() {
+        match matches_of(i) {
+            Some(js) => {
+                for &j in js {
+                    let mut row = l.row(i);
+                    row.extend(r.row(j));
+                    out.push_row(row)?;
                 }
-                None => {
-                    if join_type == JoinType::Left {
-                        let mut row = l.row(i);
-                        row.extend(std::iter::repeat(Value::Null).take(r_arity));
-                        rows.push(row);
-                    }
+            }
+            None => {
+                if join_type == JoinType::Left {
+                    let mut row = l.row(i);
+                    row.extend(std::iter::repeat(Value::Null).take(r_arity));
+                    out.push_row(row)?;
                 }
             }
         }
-        rows
-    });
-    let mut out = Table::empty(out_schema);
-    for row in produced.into_iter().flatten() {
-        out.push_row(row)?;
     }
     Ok(out)
 }

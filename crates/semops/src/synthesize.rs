@@ -389,12 +389,9 @@ impl OperatorSynthesizer {
         Ok(db.run_plan(&plan)?)
     }
 
-    /// Finds the equi-join key pair shared by two tables: an exact shared
-    /// column name, else subject-ish columns on both sides. This is the
-    /// join-edge inference primitive behind [`Self::join_plan`] and the
-    /// core planner's join-graph construction. Returns `None` when no key
-    /// exists.
-    pub fn join_keys(
+    /// The equi-join key pair shared by two tables: an exact shared column
+    /// name, else subject-ish columns on both sides.
+    fn join_keys(
         &self,
         db: &Database,
         left: &str,

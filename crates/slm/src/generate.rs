@@ -165,34 +165,35 @@ impl Generator {
         let seed = self.base_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ fnv1a(query.as_bytes())
             ^ config.seed.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        // Fork one decorrelated RNG substream per sample *before* dispatch
-        // (parkit determinism contract, DESIGN.md §6): each sample's draws
-        // are a pure function of its index, never of scheduling, so the
-        // fan-out below is bit-identical at any thread count.
+        // One decorrelated RNG substream per sample, forked in index order:
+        // sample `s` draws the same values whatever `n_samples` is, so a
+        // caller that asks for fewer samples gets a prefix of the same
+        // sequence. A plain loop: a sample is a few microseconds of string
+        // templating, less than a fork-join costs (DESIGN.md §6).
         let mut rng = Rng::new(seed);
-        let streams: Vec<Rng> = (0..config.n_samples).map(|_| rng.fork()).collect();
-
-        parkit::global().par_map_range(config.n_samples, |s| {
-            let idx = if config.temperature <= 0.0 {
-                argmax(&probs)
-            } else {
-                let mut stream = streams[s].clone();
-                sample_categorical(&mut stream, &probs)
-            };
-            let (core, _, source) = &candidates[idx];
-            let text = if config.paraphrase {
-                let ti = (seed.rotate_left(s as u32) as usize).wrapping_add(s) % TEMPLATES.len();
-                apply_template(TEMPLATES[ti], core)
-            } else {
-                core.clone()
-            };
-            Generation {
-                text,
-                core: core.clone(),
-                log_prob: probs[idx].max(1e-12).ln(),
-                source_index: *source,
-            }
-        })
+        (0..config.n_samples)
+            .map(|s| {
+                let idx = if config.temperature <= 0.0 {
+                    argmax(&probs)
+                } else {
+                    sample_categorical(&mut rng.fork(), &probs)
+                };
+                let (core, _, source) = &candidates[idx];
+                let text = if config.paraphrase {
+                    let ti =
+                        (seed.rotate_left(s as u32) as usize).wrapping_add(s) % TEMPLATES.len();
+                    apply_template(TEMPLATES[ti], core)
+                } else {
+                    core.clone()
+                };
+                Generation {
+                    text,
+                    core: core.clone(),
+                    log_prob: probs[idx].max(1e-12).ln(),
+                    source_index: *source,
+                }
+            })
+            .collect()
     }
 }
 
@@ -265,6 +266,19 @@ mod tests {
         let a = g.sample("q", &strong_evidence(), &cfg);
         let b = g.sample("q", &strong_evidence(), &cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fewer_samples_are_a_prefix_of_more() {
+        let g = Generator::new(42);
+        let sample = |n_samples| {
+            let cfg = GenConfig { n_samples, temperature: 2.0, ..GenConfig::default() };
+            g.sample("q", &strong_evidence(), &cfg)
+        };
+        let ten = sample(10);
+        for k in [1, 3] {
+            assert_eq!(sample(k), ten[..k], "sample s must not depend on n_samples (k={k})");
+        }
     }
 
     #[test]

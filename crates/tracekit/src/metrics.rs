@@ -183,11 +183,6 @@ registry_enum! {
         /// Logical plans synthesized and optimized by the cost-based
         /// planner.
         PlannerPlansBuilt => "planner.plans_built",
-        /// Join orders solved exactly (dynamic programming over subsets).
-        PlannerJoinDp => "planner.join_dp",
-        /// Join orders solved greedily (relation count above the DP
-        /// threshold).
-        PlannerJoinGreedy => "planner.join_greedy",
         /// Buffer-pool page requests served from memory.
         StorePageHits => "store.page_hits",
         /// Buffer-pool page requests that read from the page file.

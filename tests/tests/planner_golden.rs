@@ -175,7 +175,7 @@ fn bless_requested() -> bool {
 /// The answer oracle: for every workload query, with and without the
 /// pinned fault plan, at 1 and 4 threads, through `answer` and through
 /// `answer_batch`, the `Answer` is byte-identical to the one the deleted
-/// degradation ladder gave.
+/// degradation ladder gave — and none of that traffic executes a join.
 #[test]
 fn answers_match_golden_snapshots() {
     for w in workloads() {
@@ -200,6 +200,12 @@ fn answers_match_golden_snapshots() {
                 let batch = engine.answer_batch(&questions);
                 let batched = snapshot(&w, |i, _| render_answer(&batch[i]));
                 check_golden(&file, &batched, false, &format!("threads={threads} answer_batch"));
+                assert_eq!(
+                    engine.metrics_report().get("relstore.rows_joined"),
+                    Some(0),
+                    "{file} threads={threads}: a join has entered the answer path, so the \
+                     join-ordering question of ROADMAP item 2 reopens"
+                );
             }
         }
     }
