@@ -21,11 +21,12 @@ echo "==> micro-benches compile (crates/bench/benches/*)"
 # deleted parkit or hetgraph function would rot them silently.
 CARGO_NET_OFFLINE=true cargo build --release --offline --benches -p unisem-bench
 
-echo "==> no fork-join below string-sized work"
-# Entropy sampling lost its fan-out to measurement (DESIGN.md §6): the
-# crates whose unit of work is a string must not regain a parkit edge.
-if grep -l parkit crates/{slm,entropy,semops,text,extract}/Cargo.toml; then
-    echo "ERROR: the manifests above name parkit (see DESIGN.md §6 before adding a fan-out)"
+echo "==> no fork-join below string- or row-sized work"
+# Entropy sampling and the relational sweeps lost their fan-outs to
+# measurement (DESIGN.md §6): the crates whose unit of work is a string or
+# a table row must not regain a parkit edge.
+if grep -l parkit crates/{slm,entropy,semops,text,extract,relstore}/Cargo.toml; then
+    echo "ERROR: the manifests above name parkit: a string or a row is too little work to fork for (see DESIGN.md §6 before adding a fan-out)"
     exit 1
 fi
 
@@ -93,9 +94,12 @@ echo "==> recovery gate: WAL crash matrix (DESIGN.md §13)"
 # rejected deltas and log faults leave no mark, incrementally maintained
 # statistics and gauges equal a recount, and — counted by the closed
 # registry, not a clock — a single delta runs no PageRank, re-collects at
-# most its own table's statistics and copies no substrate.
+# most its own table's statistics and copies no substrate. So does the
+# spawns suite, the same kind of count for threads: a fault-free answer
+# forks nothing and an answer_batch forks once, whatever the ambient plan
+# and UNISEM_THREADS say.
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,wal.append@64,wal.flush@64" \
-    cargo test -q -p unisem-tests --test recovery --test ingest
+    cargo test -q -p unisem-tests --test recovery --test ingest --test spawns
 CARGO_NET_OFFLINE=true cargo test -q -p faultkit
 
 echo "==> bench smoke (profile binary)"

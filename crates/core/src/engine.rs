@@ -105,10 +105,11 @@ impl From<storekit::StoreError> for EngineError {
 ///
 /// This governs the two places the engine hands its pool to:
 /// `answer_batch`'s outer map over the questions, and the dense retriever
-/// (index build, incremental extend, and the per-query scan). The relstore
-/// filter/sort sweeps, graph entity tagging and the PageRank prior run on
-/// `parkit::global()` — `UNISEM_THREADS`, else the machine's available
-/// parallelism — whatever is set here.
+/// (index build, incremental extend, and the per-query scan). Graph entity
+/// tagging and the PageRank prior — computed at build, and again by the
+/// first traversal after an ingest drops it — run on `parkit::global()` —
+/// `UNISEM_THREADS`, else the machine's available parallelism — whatever
+/// is set here. Nothing else on the per-query path forks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads for batch answering and the dense retriever. `0`

@@ -40,8 +40,9 @@
 //!
 //! - [`global`] — `UNISEM_THREADS` if set and ≥ 1, else
 //!   [`std::thread::available_parallelism`], else 1; resolved once per
-//!   process. It governs every site that takes no pool: the relstore
-//!   filter and sort sweeps, graph entity tagging and the PageRank prior.
+//!   process. It governs every site that takes no pool: graph entity
+//!   tagging and the PageRank prior — build-time work, the prior also
+//!   recomputed once after an ingest drops it.
 //! - An explicit [`Pool::new`] handed in by the caller. The engine's
 //!   `ParallelConfig` resolves to one (to [`global`] when its thread count
 //!   is 0), and it governs only what the engine passes it to:
@@ -54,4 +55,4 @@
 
 mod pool;
 
-pub use pool::{auto_chunk_count, global, Pool};
+pub use pool::{auto_chunk_count, fork_joins, global, Pool};

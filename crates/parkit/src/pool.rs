@@ -3,8 +3,18 @@
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+/// Fork-joins that spawned at least one worker, process-wide.
+static FORK_JOINS: AtomicU64 = AtomicU64::new(0);
+
+/// How many pool calls in this process have spawned threads so far. A call
+/// that fits in one chunk, or runs on a pool of width 1, runs on the caller
+/// and does not count — so a test can assert that a code path never forks.
+pub fn fork_joins() -> u64 {
+    FORK_JOINS.load(Ordering::Relaxed)
+}
 
 /// Upper bound on the automatic chunk size (items per claimed chunk).
 const DEFAULT_CHUNK: usize = 1024;
@@ -124,6 +134,7 @@ impl Pool {
         if spawned == 0 {
             parts.push(worker());
         } else {
+            FORK_JOINS.fetch_add(1, Ordering::Relaxed);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(worker)).collect();
                 parts.push(worker());

@@ -1,24 +1,24 @@
 //! The physical executor.
 //!
-//! Straightforward materializing execution: each operator consumes its
-//! child's output [`Table`] and produces a new one. Joins are hash joins on
-//! the equi-key; aggregation is hash aggregation; sorting is stable.
+//! Row-at-a-time and materializing, but it copies only what it returns:
+//! borrow → bind → evaluate in place. A `Scan` lends the catalog's table
+//! (cloned only when it is the plan root, as the result); each operator
+//! binds its expressions to its input's schema once ([`Expr::bind`]),
+//! evaluates them against `(table, row index)` without building the row,
+//! and copies the rows it keeps with [`Table::take`]. Joins are hash joins
+//! on the equi-key; aggregation is hash aggregation; sorting is stable.
+//! Every operator is a plain loop over its input: no fan-out.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use crate::catalog::Database;
 use crate::error::{RelError, RelResult};
-use crate::expr::Expr;
+use crate::expr::{Bound, Expr};
 use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan, SortKey};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
 use crate::value::{GroupKey, Value};
-
-/// Fixed chunk size for the parallel row sweeps (filter, sort-key
-/// extraction). A constant — never derived from the thread count — so chunk
-/// boundaries and result order are identical at every `UNISEM_THREADS`
-/// setting; a table of at most one chunk is swept without a spawn.
-const ROW_CHUNK: usize = 512;
 
 /// Deterministic resource governors for plan execution.
 ///
@@ -85,101 +85,90 @@ pub fn execute_with_limits_stats(
     limits: &ExecLimits,
 ) -> (RelResult<Table>, ExecStats) {
     let mut stats = ExecStats::default();
-    let result = exec_node(plan, db, limits, &mut stats);
+    let result = exec_node(plan, db, limits, &mut stats).map(Cow::into_owned);
     (result, stats)
 }
 
-fn exec_node(
+fn exec_node<'d>(
     plan: &LogicalPlan,
-    db: &Database,
+    db: &'d Database,
     limits: &ExecLimits,
     stats: &mut ExecStats,
-) -> RelResult<Table> {
-    match plan {
+) -> RelResult<Cow<'d, Table>> {
+    let produced = match plan {
         LogicalPlan::Scan { table } => {
-            let t = db.table(table).cloned()?;
+            let t = db.table(table)?;
             stats.rows_scanned += t.num_rows();
-            Ok(t)
+            return Ok(Cow::Borrowed(t));
         }
         LogicalPlan::Filter { input, predicate } => {
             let t = exec_node(input, db, limits, stats)?;
-            exec_filter(&t, predicate)
+            exec_filter(&t, predicate)?
         }
         LogicalPlan::Project { input, exprs } => {
             let t = exec_node(input, db, limits, stats)?;
-            exec_project(&t, exprs)
+            exec_project(&t, exprs)?
         }
         LogicalPlan::Join { left, right, join_type, on } => {
             let l = exec_node(left, db, limits, stats)?;
             let r = exec_node(right, db, limits, stats)?;
             let joined = exec_join(&l, &r, *join_type, on, limits)?;
             stats.rows_joined += joined.num_rows();
-            Ok(joined)
+            joined
         }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
             let t = exec_node(input, db, limits, stats)?;
-            exec_aggregate(&t, group_by, aggs)
+            exec_aggregate(&t, group_by, aggs)?
         }
         LogicalPlan::Sort { input, keys } => {
             let t = exec_node(input, db, limits, stats)?;
-            exec_sort(&t, keys)
+            exec_sort(&t, keys)?
         }
         LogicalPlan::Limit { input, n } => {
             let t = exec_node(input, db, limits, stats)?;
             let indices: Vec<usize> = (0..t.num_rows().min(*n)).collect();
-            Ok(t.take(&indices))
+            t.take(&indices)
         }
         LogicalPlan::Distinct { input } => {
             let t = exec_node(input, db, limits, stats)?;
             exec_distinct(&t)
         }
-    }
+    };
+    Ok(Cow::Owned(produced))
+}
+
+/// Evaluates `expr` against row `row` of `t`, reading the cells in place.
+fn eval_at<'a>(expr: &'a Bound<'_>, t: &'a Table, row: usize) -> RelResult<Cow<'a, Value>> {
+    expr.eval(&|col| t.cell(row, col))
 }
 
 fn exec_filter(t: &Table, predicate: &Expr) -> RelResult<Table> {
-    let schema = t.schema().clone();
-    // Parallel scan: predicate evaluation fans out over fixed-size row
-    // spans; kept indices concatenate in span order and the first error in
-    // row order wins, exactly as in a sequential pass.
-    let spans = parkit::global().par_reduce_range(
-        t.num_rows(),
-        ROW_CHUNK,
-        |range| {
-            let mut keep = Vec::new();
-            for i in range {
-                let row = t.row(i);
-                // SQL WHERE: NULL predicate result drops the row.
-                if predicate.eval(&row, &schema)? == Value::Bool(true) {
-                    keep.push(i);
-                }
-            }
-            Ok(keep)
-        },
-        |a: RelResult<Vec<usize>>, b| {
-            let (mut a, b) = (a?, b?);
-            a.extend(b);
-            Ok(a)
-        },
-    );
-    let keep = spans.unwrap_or_else(|| Ok(Vec::new()))?;
+    let predicate = predicate.bind(t.schema());
+    let mut keep = Vec::new();
+    for i in 0..t.num_rows() {
+        // SQL WHERE: NULL predicate result drops the row.
+        if *eval_at(&predicate, t, i)? == Value::Bool(true) {
+            keep.push(i);
+        }
+    }
     Ok(t.take(&keep))
 }
 
 fn exec_project(t: &Table, exprs: &[(Expr, String)]) -> RelResult<Table> {
-    let in_schema = t.schema().clone();
+    let in_schema = t.schema();
+    let bound: Vec<Bound> = exprs.iter().map(|(e, _)| e.bind(in_schema)).collect();
     // Infer output column types from the first non-null result, defaulting
     // to Str for empty/all-null columns.
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(t.num_rows());
     for i in 0..t.num_rows() {
-        let in_row = t.row(i);
         let out_row: RelResult<Vec<Value>> =
-            exprs.iter().map(|(e, _)| e.eval(&in_row, &in_schema)).collect();
+            bound.iter().map(|e| eval_at(e, t, i).map(Cow::into_owned)).collect();
         rows.push(out_row?);
     }
     let out_schema = infer_schema(
         exprs.iter().map(|(_, n)| n.clone()).collect(),
         &rows,
-        Some((&in_schema, exprs)),
+        Some((in_schema, exprs)),
     )?;
     Table::from_rows(out_schema, rows)
 }
@@ -407,34 +396,32 @@ impl AggState {
 }
 
 fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> RelResult<Table> {
-    let in_schema = t.schema().clone();
-    // Group key -> (representative group values, agg states), insertion
-    // order preserved for determinism.
-    let mut order: Vec<Vec<GroupKey>> = Vec::new();
-    let mut groups: HashMap<Vec<GroupKey>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
+    let in_schema = t.schema();
+    let group_exprs: Vec<Bound> = group_by.iter().map(|(e, _)| e.bind(in_schema)).collect();
+    let agg_inputs: Vec<Bound> = aggs.iter().map(|a| a.input.bind(in_schema)).collect();
+    let new_states = || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.func)).collect() };
+    // Groups in first-seen order (representative group values, agg
+    // states), found again through the key → position index.
+    let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+    let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
 
     for i in 0..t.num_rows() {
-        let row = t.row(i);
-        let group_vals: RelResult<Vec<Value>> =
-            group_by.iter().map(|(e, _)| e.eval(&row, &in_schema)).collect();
+        let group_vals: RelResult<Vec<Cow<Value>>> =
+            group_exprs.iter().map(|e| eval_at(e, t, i)).collect();
         let group_vals = group_vals?;
-        let key: Vec<GroupKey> = group_vals.iter().map(Value::group_key).collect();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (group_vals, aggs.iter().map(|a| AggState::new(a.func)).collect())
+        let key: Vec<GroupKey> = group_vals.iter().map(|v| v.group_key()).collect();
+        let at = *index.entry(key).or_insert_with(|| {
+            groups.push((group_vals.into_iter().map(Cow::into_owned).collect(), new_states()));
+            groups.len() - 1
         });
-        for (a, st) in aggs.iter().zip(entry.1.iter_mut()) {
-            let v = a.input.eval(&row, &in_schema)?;
-            st.update(&v)?;
+        for (input, st) in agg_inputs.iter().zip(groups[at].1.iter_mut()) {
+            st.update(&*eval_at(input, t, i)?)?;
         }
     }
 
     // Global aggregate over an empty input still yields one row.
     if group_by.is_empty() && groups.is_empty() {
-        let states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
-        let key: Vec<GroupKey> = Vec::new();
-        order.push(key.clone());
-        groups.insert(key, (Vec::new(), states));
+        groups.push((Vec::new(), new_states()));
     }
 
     let names: Vec<String> = group_by
@@ -442,30 +429,24 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
         .map(|(_, n)| n.clone())
         .chain(aggs.iter().map(|a| a.output_name.clone()))
         .collect();
-    let mut rows = Vec::with_capacity(order.len());
-    for key in order {
-        let Some((vals, states)) = groups.remove(&key) else {
-            return Err(RelError::Plan("aggregate group lost during finalization".into()));
-        };
-        let mut row = vals;
-        row.extend(states.into_iter().map(AggState::finish));
-        rows.push(row);
-    }
+    let rows: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(mut row, states)| {
+            row.extend(states.into_iter().map(AggState::finish));
+            row
+        })
+        .collect();
     let schema = infer_schema(names, &rows, None)?;
     Table::from_rows(schema, rows)
 }
 
 fn exec_sort(t: &Table, keys: &[SortKey]) -> RelResult<Table> {
-    let schema = t.schema().clone();
-    // Precompute key values per row (decorate-sort-undecorate); the key
-    // evaluation fans out over fixed-size row spans merged in row order.
-    let evaluated: Vec<RelResult<Vec<Value>>> =
-        parkit::global().par_map_range_chunked(t.num_rows(), ROW_CHUNK, |i| {
-            let row = t.row(i);
-            keys.iter().map(|k| k.expr.eval(&row, &schema)).collect()
-        });
-    let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(t.num_rows());
-    for (i, kv) in evaluated.into_iter().enumerate() {
+    let bound: Vec<Bound> = keys.iter().map(|k| k.expr.bind(t.schema())).collect();
+    // Precompute key values per row (decorate-sort-undecorate); a key that
+    // is a plain column stays a borrow of the cell.
+    let mut decorated: Vec<(Vec<Cow<Value>>, usize)> = Vec::with_capacity(t.num_rows());
+    for i in 0..t.num_rows() {
+        let kv: RelResult<Vec<Cow<Value>>> = bound.iter().map(|e| eval_at(e, t, i)).collect();
         decorated.push((kv?, i));
     }
     decorated.sort_by(|(ka, ia), (kb, ib)| {
@@ -482,16 +463,17 @@ fn exec_sort(t: &Table, keys: &[SortKey]) -> RelResult<Table> {
     Ok(t.take(&indices))
 }
 
-fn exec_distinct(t: &Table) -> RelResult<Table> {
+fn exec_distinct(t: &Table) -> Table {
     let mut seen: HashSet<Vec<GroupKey>> = HashSet::new();
     let mut keep = Vec::new();
     for i in 0..t.num_rows() {
-        let key: Vec<GroupKey> = t.row(i).iter().map(Value::group_key).collect();
+        let key: Vec<GroupKey> =
+            (0..t.num_columns()).map(|col| t.cell(i, col).group_key()).collect();
         if seen.insert(key) {
             keep.push(i);
         }
     }
-    Ok(t.take(&keep))
+    t.take(&keep)
 }
 
 #[cfg(test)]
@@ -778,6 +760,77 @@ mod tests {
         acc.merge(stats);
         acc.merge(ExecStats { rows_scanned: 1, rows_joined: 2 });
         assert_eq!(acc, ExecStats { rows_scanned: 8, rows_joined: 2 });
+    }
+
+    fn count_of(input: Expr) -> AggExpr {
+        AggExpr { func: AggFunc::Count, input, output_name: "n".into() }
+    }
+
+    #[test]
+    fn unknown_column_over_empty_input_is_ok() {
+        let mut d = Database::new();
+        d.create_table("e", Table::empty(Schema::of(&[("x", DataType::Int)]))).unwrap();
+        let nope = || Expr::col("nope");
+        let plans = [
+            LogicalPlan::scan("e").filter(nope().gt(Expr::lit(1i64))),
+            LogicalPlan::scan("e").project(vec![(nope(), "p".to_string())]),
+            LogicalPlan::scan("e").sort(vec![SortKey { expr: nope(), ascending: true }]),
+            LogicalPlan::scan("e")
+                .aggregate(vec![(nope(), "g".to_string())], vec![count_of(nope())]),
+        ];
+        for plan in plans {
+            assert_eq!(execute(&plan, &d).map(|t| t.num_rows()), Ok(0), "{plan:?}");
+        }
+        // One row is enough for the same plans to fail.
+        let plan = LogicalPlan::scan("sales").filter(nope().gt(Expr::lit(1i64)));
+        assert_eq!(execute(&plan, &db()), Err(RelError::UnknownColumn("nope".into())));
+    }
+
+    #[test]
+    fn unknown_column_behind_short_circuit_is_ok() {
+        let d = db();
+        let nope = || Expr::col("nope").gt(Expr::lit(1i64));
+        let none = LogicalPlan::scan("sales").filter(Expr::lit(false).and(nope()));
+        assert_eq!(execute(&none, &d).unwrap().num_rows(), 0);
+        let all = LogicalPlan::scan("sales").filter(Expr::lit(true).or(nope()));
+        assert_eq!(execute(&all, &d).unwrap().num_rows(), 5);
+        // Decided per row: a left side that is false on every row guards the
+        // right; one that is true on any row does not.
+        let units = |op: fn(Expr, Expr) -> Expr, n: i64| op(Expr::col("units"), Expr::lit(n));
+        let guarded = LogicalPlan::scan("sales").filter(units(Expr::lt, 0).and(nope()));
+        assert_eq!(execute(&guarded, &d).unwrap().num_rows(), 0);
+        let reached = LogicalPlan::scan("sales").filter(units(Expr::lt, 4).and(nope()));
+        assert_eq!(execute(&reached, &d), Err(RelError::UnknownColumn("nope".into())));
+    }
+
+    #[test]
+    fn first_error_in_row_order_wins() {
+        // a = 0 divides by zero on the left of the OR; any other non-NULL a
+        // skips the left (`false AND …`) and negates an int on the right.
+        let a = || Expr::col("a");
+        let div = Expr::lit(1i64).binary_div_test(a()).gt(Expr::lit(0i64));
+        let pred = a().eq(Expr::lit(0i64)).and(div).or(Expr::Not(Box::new(a())));
+        let not_an_int = RelError::TypeMismatch { expected: "bool", found: "int".into() };
+        for (first, second, expected) in [(0, 5, RelError::DivisionByZero), (5, 0, not_an_int)] {
+            // Far enough apart that no single sweep of the old fixed-size
+            // row chunks saw both.
+            let mut rows = vec![vec![Value::Null]; 1500];
+            rows[700] = vec![Value::Int(first)];
+            rows[1300] = vec![Value::Int(second)];
+            let mut d = Database::new();
+            let t = Table::from_rows(Schema::of(&[("a", DataType::Int)]), rows).unwrap();
+            d.create_table("t", t).unwrap();
+            let scan = || LogicalPlan::scan("t");
+            let plans = [
+                scan().filter(pred.clone()),
+                scan().project(vec![(pred.clone(), "p".to_string())]),
+                scan().sort(vec![SortKey { expr: pred.clone(), ascending: true }]),
+                scan().aggregate(vec![], vec![count_of(pred.clone())]),
+            ];
+            for plan in plans {
+                assert_eq!(execute(&plan, &d), Err(expected.clone()), "{plan:?}");
+            }
+        }
     }
 
     #[test]

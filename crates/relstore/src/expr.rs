@@ -1,9 +1,16 @@
-//! Scalar expressions: AST and row-at-a-time evaluator.
+//! Scalar expressions: AST, binder and row-at-a-time evaluator.
+//!
+//! An [`Expr`] names its columns; [`Expr::bind`] resolves the names against
+//! one schema and prepares the `LIKE` patterns, once per operator, and the
+//! resulting [`Bound`] tree is what evaluates — against cells read in place
+//! (a table row, or a slice for [`Expr::eval`]), yielding borrowed values
+//! wherever the result is a cell or a literal.
 //!
 //! Comparison and logic follow SQL three-valued semantics: any comparison
 //! with NULL yields NULL, `AND`/`OR` propagate unknowns, and `WHERE` treats
 //! NULL as false (enforced by the executor, not here).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -50,7 +57,8 @@ impl BinOp {
 /// A scalar expression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// A column reference by name (resolved against the schema at eval).
+    /// A column reference by name (resolved against the schema at bind; an
+    /// unknown name is an error only once a row evaluates it).
     Column(String),
     /// A literal value.
     Literal(Value),
@@ -143,72 +151,30 @@ impl Expr {
         Expr::Binary { op, left: Box::new(self), right: Box::new(other) }
     }
 
-    /// Evaluates against one row.
+    /// Evaluates against one materialized row: binds to `schema`, then
+    /// reads the cells out of `row`.
     pub fn eval(&self, row: &[Value], schema: &Schema) -> RelResult<Value> {
+        let bound = self.bind(schema);
+        let value = bound.eval(&|col| &row[col])?;
+        Ok(value.into_owned())
+    }
+
+    /// Resolves column names to indices in `schema` and prepares `LIKE`
+    /// patterns, so evaluation does neither per row.
+    pub(crate) fn bind<'e>(&'e self, schema: &Schema) -> Bound<'e> {
+        let bind = |e: &'e Expr| Box::new(e.bind(schema));
         match self {
-            Expr::Column(name) => {
-                let idx = schema.require(name)?;
-                Ok(row[idx].clone())
-            }
-            Expr::Literal(v) => Ok(v.clone()),
+            Expr::Column(name) => Bound::Column(schema.require(name)),
+            Expr::Literal(v) => Bound::Literal(v),
             Expr::Binary { op, left, right } => {
-                let l = left.eval(row, schema)?;
-                // Short-circuit three-valued AND/OR.
-                match op {
-                    BinOp::And => {
-                        if l == Value::Bool(false) {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = right.eval(row, schema)?;
-                        return three_valued_and(&l, &r);
-                    }
-                    BinOp::Or => {
-                        if l == Value::Bool(true) {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = right.eval(row, schema)?;
-                        return three_valued_or(&l, &r);
-                    }
-                    _ => {}
-                }
-                let r = right.eval(row, schema)?;
-                eval_binary(*op, &l, &r)
+                Bound::Binary { op: *op, left: bind(left), right: bind(right) }
             }
-            Expr::Not(inner) => match inner.eval(row, schema)? {
-                Value::Null => Ok(Value::Null),
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                other => Err(RelError::TypeMismatch {
-                    expected: "bool",
-                    found: other.type_name().to_string(),
-                }),
-            },
-            Expr::IsNull { expr, negated } => {
-                let v = expr.eval(row, schema)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+            Expr::Not(inner) => Bound::Not(bind(inner)),
+            Expr::IsNull { expr, negated } => Bound::IsNull { expr: bind(expr), negated: *negated },
+            Expr::Like { expr, pattern } => {
+                Bound::Like { expr: bind(expr), pattern: like_pattern(pattern) }
             }
-            Expr::Like { expr, pattern } => match expr.eval(row, schema)? {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern))),
-                other => Err(RelError::TypeMismatch {
-                    expected: "str",
-                    found: other.type_name().to_string(),
-                }),
-            },
-            Expr::InList { expr, list } => {
-                let v = expr.eval(row, schema)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for cand in list {
-                    match v.sql_eq(cand) {
-                        Some(true) => return Ok(Value::Bool(true)),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                Ok(if saw_null { Value::Null } else { Value::Bool(false) })
-            }
+            Expr::InList { expr, list } => Bound::InList { expr: bind(expr), list },
         }
     }
 
@@ -241,13 +207,80 @@ impl Expr {
     }
 }
 
+/// An [`Expr`] bound to one schema by [`Expr::bind`]. Binding never fails:
+/// an unknown column keeps its error and raises it only if a row gets as
+/// far as evaluating it (not behind a short-circuit, not over no rows).
+#[derive(Debug)]
+pub(crate) enum Bound<'e> {
+    Column(RelResult<usize>),
+    Literal(&'e Value),
+    Binary { op: BinOp, left: Box<Bound<'e>>, right: Box<Bound<'e>> },
+    Not(Box<Bound<'e>>),
+    IsNull { expr: Box<Bound<'e>>, negated: bool },
+    Like { expr: Box<Bound<'e>>, pattern: Vec<char> },
+    InList { expr: Box<Bound<'e>>, list: &'e [Value] },
+}
+
+impl Bound<'_> {
+    /// Evaluates against one row, read through `cell` (column index →
+    /// cell). Cells and literals come back borrowed; only computed values
+    /// are owned.
+    pub(crate) fn eval<'a>(
+        &'a self,
+        cell: &impl Fn(usize) -> &'a Value,
+    ) -> RelResult<Cow<'a, Value>> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
+        match self {
+            Bound::Column(Ok(idx)) => Ok(Cow::Borrowed(cell(*idx))),
+            Bound::Column(Err(unknown)) => Err(unknown.clone()),
+            Bound::Literal(v) => Ok(Cow::Borrowed(v)),
+            Bound::Binary { op, left, right } => {
+                let l = left.eval(cell)?;
+                // Short-circuit three-valued AND/OR.
+                match op {
+                    BinOp::And if *l == Value::Bool(false) => return Ok(l),
+                    BinOp::Or if *l == Value::Bool(true) => return Ok(l),
+                    _ => {}
+                }
+                eval_binary(*op, &l, &*right.eval(cell)?).map(Cow::Owned)
+            }
+            Bound::Not(inner) => match &*inner.eval(cell)? {
+                Value::Null => owned(Value::Null),
+                Value::Bool(b) => owned(Value::Bool(!b)),
+                other => Err(type_err("bool", other)),
+            },
+            Bound::IsNull { expr, negated } => {
+                owned(Value::Bool(expr.eval(cell)?.is_null() != *negated))
+            }
+            Bound::Like { expr, pattern } => match &*expr.eval(cell)? {
+                Value::Null => owned(Value::Null),
+                Value::Str(s) => owned(Value::Bool(like_prepared(s, pattern))),
+                other => Err(type_err("str", other)),
+            },
+            Bound::InList { expr, list } => {
+                let v = expr.eval(cell)?;
+                if v.is_null() {
+                    return owned(Value::Null);
+                }
+                let mut saw_null = false;
+                for cand in *list {
+                    match v.sql_eq(cand) {
+                        Some(true) => return owned(Value::Bool(true)),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                owned(if saw_null { Value::Null } else { Value::Bool(false) })
+            }
+        }
+    }
+}
+
 fn bool_or_null(v: &Value) -> RelResult<Option<bool>> {
     match v {
         Value::Null => Ok(None),
         Value::Bool(b) => Ok(Some(*b)),
-        other => {
-            Err(RelError::TypeMismatch { expected: "bool", found: other.type_name().to_string() })
-        }
+        other => Err(type_err("bool", other)),
     }
 }
 
@@ -267,7 +300,8 @@ fn three_valued_or(l: &Value, r: &Value) -> RelResult<Value> {
     })
 }
 
-/// Evaluates a non-logical binary operator on two values.
+/// Evaluates a binary operator on two values (`AND`/`OR` without the
+/// evaluator's short-circuit: both sides are already values).
 pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
     if op.is_comparison() {
         return Ok(match l.compare(r) {
@@ -288,8 +322,10 @@ pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
             }),
         });
     }
-    if matches!(op, BinOp::And | BinOp::Or) {
-        return three_valued_logic(op, l, r);
+    match op {
+        BinOp::And => return three_valued_and(l, r),
+        BinOp::Or => return three_valued_or(l, r),
+        _ => {}
     }
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
@@ -309,11 +345,11 @@ pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
             _ => numeric_op(l, r, |a, b| a * b),
         },
         BinOp::Div => {
-            let b = r.as_f64().ok_or_else(|| type_err(r))?;
+            let b = r.as_f64().ok_or_else(|| type_err("numeric", r))?;
             if b == 0.0 {
                 return Err(RelError::DivisionByZero);
             }
-            let a = l.as_f64().ok_or_else(|| type_err(l))?;
+            let a = l.as_f64().ok_or_else(|| type_err("numeric", l))?;
             Ok(Value::float(a / b))
         }
         // Comparisons and logical ops were handled above; a typed error
@@ -322,42 +358,68 @@ pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
     }
 }
 
-/// Stand-alone three-valued AND/OR used when `eval_binary` is called outside
-/// the short-circuiting evaluator (e.g. constant folding).
-fn three_valued_logic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
-    match op {
-        BinOp::And => three_valued_and(l, r),
-        BinOp::Or => three_valued_or(l, r),
-        other => Err(RelError::Plan(format!("three_valued_logic: non-logical operator {other:?}"))),
-    }
-}
-
 fn numeric_op(l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> RelResult<Value> {
-    let a = l.as_f64().ok_or_else(|| type_err(l))?;
-    let b = r.as_f64().ok_or_else(|| type_err(r))?;
+    let a = l.as_f64().ok_or_else(|| type_err("numeric", l))?;
+    let b = r.as_f64().ok_or_else(|| type_err("numeric", r))?;
     Ok(Value::float(f(a, b)))
 }
 
-fn type_err(v: &Value) -> RelError {
-    RelError::TypeMismatch { expected: "numeric", found: v.type_name().to_string() }
+fn type_err(expected: &'static str, v: &Value) -> RelError {
+    RelError::TypeMismatch { expected, found: v.type_name().to_string() }
 }
 
 /// SQL LIKE matching: `%` = any run, `_` = any single char; case-insensitive.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+    like_prepared(s, &like_pattern(pattern))
+}
+
+/// A `LIKE` pattern ready to match: lower-cased, as chars.
+fn like_pattern(pattern: &str) -> Vec<char> {
+    pattern.to_lowercase().chars().collect()
+}
+
+/// Matches `s`, lower-cased, against a [`like_pattern`]. An ASCII subject is
+/// folded byte by byte as it is read; any other goes through
+/// `str::to_lowercase` first, whose result depends on context (final sigma)
+/// and can be longer than its input.
+fn like_prepared(s: &str, pattern: &[char]) -> bool {
+    if s.is_ascii() {
+        let bytes = s.as_bytes();
+        wildcard_match(bytes.len(), |i| char::from(bytes[i].to_ascii_lowercase()), pattern)
+    } else {
+        let lowered: Vec<char> = s.to_lowercase().chars().collect();
+        wildcard_match(lowered.len(), |i| lowered[i], pattern)
+    }
+}
+
+/// Two-pointer wildcard match of the `n` subject chars `at(0..n)` against
+/// `p`: O(n·|p|) at worst, no recursion. On a mismatch only the most recent
+/// `%` is retried, one subject char further on — an earlier `%` could not do
+/// better, since whatever it absorbs the later one can absorb instead.
+fn wildcard_match(n: usize, at: impl Fn(usize) -> char, p: &[char]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    // (pattern index after the last `%`, subject index it resumes from)
+    let mut retry: Option<(usize, usize)> = None;
+    while i < n {
+        match p.get(j) {
             Some('%') => {
-                // Try matching % against every suffix.
-                (0..=s.len()).any(|k| rec(&s[k..], &p[1..]))
+                j += 1;
+                retry = Some((j, i));
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(c) => s.first() == Some(c) && rec(&s[1..], &p[1..]),
+            Some(&c) if c == '_' || c == at(i) => {
+                i += 1;
+                j += 1;
+            }
+            _ => match retry {
+                Some((after, from)) => {
+                    retry = Some((after, from + 1));
+                    (i, j) = (from + 1, after);
+                }
+                None => return false,
+            },
         }
     }
-    let s: Vec<char> = s.to_lowercase().chars().collect();
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    rec(&s, &p)
+    p[j..].iter().all(|&c| c == '%')
 }
 
 impl fmt::Display for Expr {
@@ -511,6 +573,25 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "%b%"));
+    }
+
+    #[test]
+    fn like_work_is_bounded() {
+        // Eight `%` ahead of a char the subject lacks: backtracking per `%`
+        // doubles the work every few subject chars and never gets here.
+        assert!(!like_match(&"a".repeat(2000), "%a%a%a%a%a%a%a%a%b"));
+        assert!(like_match(&"a".repeat(2000), "%a%a%a%a%a%a%a%a%"));
+    }
+
+    #[test]
+    fn like_folds_case_like_to_lowercase() {
+        // Final sigma: "ΟΣ" lower-cases to "ος", not "οσ".
+        assert!(like_match("\u{39f}\u{3a3}", "_\u{3c2}"));
+        assert!(!like_match("\u{39f}\u{3a3}", "_\u{3c3}"));
+        // "İ" lower-cases to two chars.
+        assert!(like_match("\u{130}", "__"));
+        assert!(like_match("\u{130}x", "\u{130}X"));
+        assert!(like_match("WIDGET", "w%T"));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! - [`value`] / [`schema`] / [`table`]: the storage model — typed values,
 //!   named columns, columnar tables.
-//! - [`expr`]: scalar expression AST and evaluator.
+//! - [`expr`]: scalar expression AST, binder (names → column indices, once
+//!   per operator) and evaluator over cells read in place.
 //! - [`plan`]: logical plans (scan/filter/project/join/aggregate/sort/limit).
 //! - [`optimize`]: rule-based logical rewrites (predicate merge/pushdown,
 //!   constant folding).
 //! - [`exec`]: the physical executor (hash join, hash aggregate, stable
-//!   sort).
+//!   sort); borrows base tables and copies only the rows it returns.
 //! - [`sql`]: a SQL subset front-end (lexer → parser → lowering).
 //! - [`catalog`]: the [`catalog::Database`] catalog tying it together, with
 //!   `run_sql`.
