@@ -76,8 +76,9 @@ echo "==> storage gate: snapshot round-trip + golden page images (DESIGN.md §12
 # the ambient plan proves independence, not behavior. Covers: reopened
 # engines answering byte-identically at 1/2/4/8 threads, byte-stable
 # snapshot files across build thread counts, the golden page-image table
-# (bless with UNISEM_BLESS=1), the torn-page/failed-flush fault matrix,
-# and typed rejection of corrupt or truncated snapshots.
+# (one Meta directory page, then Blob section pages, each with its
+# checksum; bless with UNISEM_BLESS=1), the torn-page/failed-flush fault
+# matrix, and typed rejection of corrupt or truncated snapshots.
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,store.page_write@64,store.flush@64" \
     cargo test -q -p unisem-tests --test storage
 CARGO_NET_OFFLINE=true cargo test -q -p storekit

@@ -290,7 +290,7 @@ impl EngineBuilder {
         config.faults = config.faults.resolve();
         let metrics = Arc::new(MetricsRegistry::new());
         let build_start = tracekit::wall::Stopwatch::start();
-        let loaded = crate::snapshot::read_snapshot(path, config.faults, Some(metrics.clone()))?;
+        let loaded = crate::snapshot::read_snapshot(path, config.faults)?;
         config.seed = loaded.seed;
         config.model_class = loaded.class;
         config.chunk = loaded.chunk;
@@ -803,7 +803,6 @@ impl UnifiedEngine {
         crate::snapshot::write_snapshot(
             path,
             self.config.faults,
-            Some(self.metrics.clone()),
             &crate::snapshot::SnapshotSource {
                 seed: self.config.seed,
                 class: self.config.model_class,

@@ -19,7 +19,6 @@
 
 use unisem_relstore::plan::LogicalPlan;
 use unisem_relstore::Expr;
-use unisem_semistore::JsonPath;
 
 use super::stats::{StatsCatalog, TableStats};
 
@@ -293,14 +292,6 @@ impl<'a> CostModel<'a> {
         } else {
             0
         }
-    }
-
-    /// Semi-structured path query: every document of the (flattened)
-    /// collection is visited, charged per path step.
-    pub fn semi_path(&self, collection: &str, path: &JsonPath) -> Cost {
-        let docs = self.table_rows(collection);
-        let depth = (path.depth() as u64).max(1);
-        Cost { rows: docs, cpu: docs.saturating_mul(depth), io: docs, slm: 0 }
     }
 
     /// Topology traversal: anchors expand across the frontier (bounded by

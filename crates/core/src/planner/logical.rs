@@ -2,12 +2,12 @@
 //!
 //! One query compiles to one [`LogicalNode`] tree spanning every
 //! substrate: relational scans/filters/joins/aggregates (embedded
-//! relstore plans), semi-structured path probes, graph-topology
-//! traversal, dense document retrieval, and the SLM semantic operators —
-//! tagging ([`LogicalNode::SemTag`]), grounded extraction
-//! ([`LogicalNode::SemExtract`]), and entailment-based verification
-//! ([`LogicalNode::SemEntail`]) — as first-class operators, not
-//! pre/post-processing steps.
+//! relstore plans, flattened semi-structured collections among their
+//! tables), graph-topology traversal, dense document retrieval, and the
+//! SLM semantic operators — tagging ([`LogicalNode::SemTag`]), grounded
+//! extraction ([`LogicalNode::SemExtract`]), and entailment-based
+//! verification ([`LogicalNode::SemEntail`]) — as first-class operators,
+//! not pre/post-processing steps.
 //!
 //! The tree is synthesized by `UnifiedEngine` (which owns the substrate
 //! handles), costed by [`super::cost::CostModel`], and lowered to a
@@ -65,13 +65,6 @@ pub enum LogicalNode {
         table: String,
         /// Plan-time synthesis outcome.
         plan: CandidatePlan,
-    },
-    /// A semi-structured path probe over a flattened collection.
-    SemiPath {
-        /// Collection (flattened table) name.
-        collection: String,
-        /// JSONPath expression.
-        path: String,
     },
     /// Graph-topology traversal retrieval, with a dense fallback branch.
     GraphTraverse {
@@ -138,9 +131,6 @@ impl LogicalNode {
                     format!("Relational: table '{table}' (unplannable: {reason})")
                 }
             },
-            LogicalNode::SemiPath { collection, path } => {
-                format!("SemiPath: collection '{collection}' path {path}")
-            }
             LogicalNode::GraphTraverse { top_k, max_frontier, .. } => {
                 format!("GraphTraverse: top_k={top_k} max_frontier={max_frontier}")
             }
@@ -169,7 +159,6 @@ impl LogicalNode {
             LogicalNode::Alternatives { children } => children.iter().collect(),
             LogicalNode::GraphTraverse { fallback, .. } => vec![fallback],
             LogicalNode::Relational { .. }
-            | LogicalNode::SemiPath { .. }
             | LogicalNode::DenseScan { .. }
             | LogicalNode::Abstain => Vec::new(),
         }
@@ -186,18 +175,6 @@ impl LogicalNode {
             }
             _ => &[],
         }
-    }
-
-    /// Multiset of operator labels in the subtree — the invariant the
-    /// optimizer property tests check (optimization may reorder, never
-    /// add or drop operators).
-    pub fn operator_set(&self) -> Vec<String> {
-        let mut out = vec![self.label()];
-        for c in self.children() {
-            out.extend(c.operator_set());
-        }
-        out.sort();
-        out
     }
 
     /// Indented tree rendering (two spaces per depth); embedded relstore
@@ -287,15 +264,6 @@ mod tests {
         assert!(text.contains("SemExtract"), "{text}");
         assert!(text.contains("SemEntail"), "{text}");
         assert!(text.contains("Abstain"), "{text}");
-    }
-
-    #[test]
-    fn operator_set_is_sorted_and_total() {
-        let ops = sample().operator_set();
-        assert_eq!(ops.len(), 11);
-        let mut sorted = ops.clone();
-        sorted.sort();
-        assert_eq!(ops, sorted);
     }
 
     #[test]

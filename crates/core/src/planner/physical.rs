@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use unisem_relstore::plan::LogicalPlan as RelPlan;
-use unisem_semistore::JsonPath;
 
 use super::cost::{Cost, CostModel};
 use super::logical::{CandidatePlan, LogicalNode};
@@ -143,12 +142,6 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
                 children: Vec::new(),
             },
         },
-        LogicalNode::SemiPath { collection, path } => {
-            let estimated = JsonPath::parse(path)
-                .map(|p| model.semi_path(collection, &p))
-                .unwrap_or(Cost::ZERO);
-            PhysNode { op: node.label(), estimated, actual: None, children: Vec::new() }
-        }
         LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
             let fb = lower_node(fallback, model, actuals);
             let estimated = model.graph_traverse(*top_k, *max_frontier);

@@ -15,18 +15,17 @@
 //! from a snapshot answers every query byte-identically to the engine that
 //! saved it (`tests/tests/storage.rs` enforces both).
 //!
-//! Layout: fixed blob sections hold the length-prefixed encodings below;
-//! two B-trees make the large keyed collections pageable — `bm25.postings`
-//! (term → postings list) and `graph.entities` (canonical entity name →
-//! node id, the secondary index load-time verification walks).
+//! Layout: eleven named sections hold the length-prefixed encodings
+//! below, every one mandatory. The two keyed collections are sorted
+//! `(key, value)` lists: `bm25.postings` (term → postings list) and
+//! `graph.entities` (canonical entity name → node id, which load-time
+//! verification checks against the reassembled graph).
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use faultkit::FaultPlan;
 use storekit::{Decoder, Encoder, Snapshot, SnapshotWriter, StoreError};
-use tracekit::MetricsRegistry;
 use unisem_docstore::{DocStore, Document, StoredChunk};
 use unisem_hetgraph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};
 use unisem_relstore::{Column, DataType, Database, Date, Schema, Table, Value};
@@ -90,81 +89,38 @@ pub(crate) fn invalid(msg: impl Into<String>) -> EngineError {
 pub(crate) fn write_snapshot(
     path: &Path,
     faults: FaultPlan,
-    metrics: Option<Arc<MetricsRegistry>>,
     src: &SnapshotSource<'_>,
 ) -> Result<(), EngineError> {
-    let mut w = SnapshotWriter::create(path, faults, metrics)?;
+    let mut w = SnapshotWriter::create(path, faults)?;
     w.add_section("config", &encode_config(src))?;
     w.add_section("lexicon", &encode_lexicon(src.lexicon))?;
     w.add_section("docs", &encode_docs(src.docs))?;
     w.add_section("bm25meta", &encode_bm25_meta(src.docs.index()))?;
+    w.add_section("bm25.postings", &encode_postings(src.docs.index()))?;
     w.add_section("tables", &encode_tables(src.db)?)?;
     w.add_section("graph", &encode_graph(src.graph))?;
+    w.add_section("graph.entities", &encode_entity_index(src.graph))?;
     w.add_section("stats", &encode_stats(src.stats))?;
     w.add_section("ingest", &encode_ingest(src.ingest))?;
     w.add_section("walmeta", &encode_walmeta(src.applied_seq))?;
-    for (term, posts) in src.docs.index().postings() {
-        let mut e = Encoder::new();
-        e.u64(posts.len() as u64);
-        for &(doc, tf) in posts {
-            e.usize(doc);
-            e.u32(tf);
-        }
-        w.tree_insert("bm25.postings", term.as_bytes(), &e.into_bytes())?;
-    }
-    for node in src.graph.nodes() {
-        if let NodeKind::Entity { name, .. } = &node.kind {
-            // First node wins, matching `HetGraph::entity_by_name` (which
-            // resolves by smallest node id for duplicate surface names).
-            if src.graph.entity_by_name(name) == Some(node.id) {
-                let mut e = Encoder::new();
-                e.u32(node.id.0);
-                w.tree_insert("graph.entities", name.as_bytes(), &e.into_bytes())?;
-            }
-        }
-    }
     w.commit(path)?;
     Ok(())
 }
 
 /// Opens `path` and reassembles every persisted substrate.
-pub(crate) fn read_snapshot(
-    path: &Path,
-    faults: FaultPlan,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> Result<LoadedSnapshot, EngineError> {
-    let mut snap = Snapshot::open(path, faults, metrics)?;
+pub(crate) fn read_snapshot(path: &Path, faults: FaultPlan) -> Result<LoadedSnapshot, EngineError> {
+    let mut snap = Snapshot::open(path, faults)?;
     let (seed, class, embed_dim, chunk) = decode_config(&snap.section("config")?)?;
     let lexicon = decode_lexicon(&snap.section("lexicon")?)?;
     let (docs_vec, chunks_vec) = decode_docs(&snap.section("docs")?)?;
     let (params, doc_lens) = decode_bm25_meta(&snap.section("bm25meta")?)?;
+    let postings = decode_postings(&snap.section("bm25.postings")?)?;
     let db = decode_tables(&snap.section("tables")?)?;
     let graph = decode_graph(&snap.section("graph")?)?;
     let stats = decode_stats(&snap.section("stats")?)?;
     let ingest = decode_ingest(&snap.section("ingest")?)?;
-    // Absent in pre-WAL snapshots: treat as "no deltas folded".
-    let applied_seq = if snap.section_names().iter().any(|s| s == "walmeta") {
-        decode_walmeta(&snap.section("walmeta")?)?
-    } else {
-        0
-    };
+    let applied_seq = decode_walmeta(&snap.section("walmeta")?)?;
 
-    let mut postings: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
-    if snap.tree_names().iter().any(|t| t == "bm25.postings") {
-        for (key, value) in snap.tree_entries("bm25.postings")? {
-            let term =
-                String::from_utf8(key).map_err(|_| invalid("bm25 posting key is not UTF-8"))?;
-            let mut d = Decoder::new(&value);
-            let n = d.u64().map_err(EngineError::Store)? as usize;
-            let mut posts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let doc = d.usize().map_err(EngineError::Store)?;
-                let tf = d.u32().map_err(EngineError::Store)?;
-                posts.push((doc, tf));
-            }
-            postings.insert(term, posts);
-        }
-    }
     let index = Bm25Index::from_parts(params, postings, doc_lens);
     let docs = DocStore::from_parts(chunk, docs_vec, chunks_vec, index);
     if docs.num_chunks() != docs.index().len() {
@@ -174,23 +130,7 @@ pub(crate) fn read_snapshot(
             docs.index().len()
         )));
     }
-
-    // Verify the secondary entity index: every persisted (name → node)
-    // entry must resolve identically through the reassembled graph.
-    if snap.tree_names().iter().any(|t| t == "graph.entities") {
-        for (key, value) in snap.tree_entries("graph.entities")? {
-            let name =
-                String::from_utf8(key).map_err(|_| invalid("entity index key is not UTF-8"))?;
-            let mut d = Decoder::new(&value);
-            let id = d.u32().map_err(EngineError::Store)?;
-            if graph.entity_by_name(&name) != Some(NodeId(id)) {
-                return Err(invalid(format!(
-                    "entity index entry '{name}' -> node {id} does not resolve in the \
-                     reassembled graph"
-                )));
-            }
-        }
-    }
+    verify_entity_index(&snap.section("graph.entities")?, &graph)?;
 
     Ok(LoadedSnapshot {
         seed,
@@ -205,6 +145,81 @@ pub(crate) fn read_snapshot(
         ingest,
         applied_seq,
     })
+}
+
+fn encode_postings(index: &Bm25Index) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.u64(index.postings().len() as u64);
+    for (term, posts) in index.postings() {
+        e.str(term);
+        e.u64(posts.len() as u64);
+        for &(doc, tf) in posts {
+            e.usize(doc);
+            e.u32(tf);
+        }
+    }
+    e.into_bytes()
+}
+
+fn decode_postings(bytes: &[u8]) -> Result<BTreeMap<String, Vec<(usize, u32)>>, EngineError> {
+    let mut d = Decoder::new(bytes);
+    let nterms = d.u64().map_err(EngineError::Store)?;
+    let mut postings: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
+    for _ in 0..nterms {
+        let term = d.str().map_err(EngineError::Store)?;
+        if postings.last_key_value().is_some_and(|(prev, _)| *prev >= term) {
+            return Err(invalid(format!("bm25 posting term '{term}' is out of order")));
+        }
+        let n = d.u64().map_err(EngineError::Store)?;
+        let mut posts = Vec::new();
+        for _ in 0..n {
+            let doc = d.usize().map_err(EngineError::Store)?;
+            let tf = d.u32().map_err(EngineError::Store)?;
+            posts.push((doc, tf));
+        }
+        postings.insert(term, posts);
+    }
+    Ok(postings)
+}
+
+/// The secondary entity index: canonical name → node id, sorted by name.
+fn encode_entity_index(graph: &HetGraph) -> Vec<u8> {
+    let mut entries: Vec<(&str, NodeId)> = Vec::new();
+    for node in graph.nodes() {
+        if let NodeKind::Entity { name, .. } = &node.kind {
+            // First node wins, matching `HetGraph::entity_by_name` (which
+            // resolves by smallest node id for duplicate surface names).
+            if graph.entity_by_name(name) == Some(node.id) {
+                entries.push((name, node.id));
+            }
+        }
+    }
+    entries.sort_unstable();
+    let mut e = Encoder::new();
+    e.u64(entries.len() as u64);
+    for (name, id) in entries {
+        e.str(name);
+        e.u32(id.0);
+    }
+    e.into_bytes()
+}
+
+/// Every persisted (name → node) entry must resolve identically through
+/// the reassembled graph.
+fn verify_entity_index(bytes: &[u8], graph: &HetGraph) -> Result<(), EngineError> {
+    let mut d = Decoder::new(bytes);
+    let n = d.u64().map_err(EngineError::Store)?;
+    for _ in 0..n {
+        let name = d.str().map_err(EngineError::Store)?;
+        let id = d.u32().map_err(EngineError::Store)?;
+        if graph.entity_by_name(&name) != Some(NodeId(id)) {
+            return Err(invalid(format!(
+                "entity index entry '{name}' -> node {id} does not resolve in the \
+                 reassembled graph"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn encode_walmeta(applied_seq: u64) -> Vec<u8> {
@@ -683,4 +698,59 @@ fn decode_ingest(bytes: &[u8]) -> Result<IngestReport, EngineError> {
         documents: d.usize().map_err(EngineError::Store)?,
         extracted_rows: d.usize().map_err(EngineError::Store)?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EngineBuilder, EngineConfig};
+
+    const SECTIONS: [&str; 11] = [
+        "config",
+        "lexicon",
+        "docs",
+        "bm25meta",
+        "bm25.postings",
+        "tables",
+        "graph",
+        "graph.entities",
+        "stats",
+        "ingest",
+        "walmeta",
+    ];
+
+    /// Copies a real snapshot section by section, leaving one out each
+    /// time: the reader names the missing section instead of defaulting it.
+    #[test]
+    fn every_section_is_mandatory() {
+        let tmp = |tag: &str| {
+            let name = format!("unisem-core-snapshot-{}-{tag}.usk", std::process::id());
+            std::env::temp_dir().join(name)
+        };
+        let (full, partial) = (tmp("full"), tmp("partial"));
+        let lexicon = Lexicon::new().with_entries([("Aero Widget", EntityKind::Product)]);
+        let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
+        let mut b = EngineBuilder::with_config(lexicon, config);
+        b.add_document("news", "Acme Corp launched the Aero Widget.", "news");
+        b.build().0.save_snapshot(&full).expect("save");
+        assert!(read_snapshot(&full, FaultPlan::disabled()).is_ok());
+
+        let mut snap = Snapshot::open(&full, FaultPlan::disabled()).expect("open");
+        for omitted in SECTIONS {
+            let mut w = SnapshotWriter::create(&partial, FaultPlan::disabled()).expect("create");
+            for name in SECTIONS.into_iter().filter(|name| *name != omitted) {
+                w.add_section(name, &snap.section(name).expect("section")).expect("add");
+            }
+            w.commit(&partial).expect("commit");
+            match read_snapshot(&partial, FaultPlan::disabled()) {
+                Err(EngineError::Store(StoreError::InvalidSnapshot(reason))) => {
+                    assert_eq!(reason, format!("no section {omitted:?}"));
+                }
+                Err(other) => panic!("without {omitted}: expected InvalidSnapshot, got {other}"),
+                Ok(_) => panic!("a snapshot without {omitted} loaded"),
+            }
+        }
+        std::fs::remove_file(&full).ok();
+        std::fs::remove_file(&partial).ok();
+    }
 }

@@ -39,12 +39,6 @@ pub struct JsonPath {
 }
 
 impl JsonPath {
-    /// Number of steps after the root `$` — the path-query depth the
-    /// planner's cost model charges per scanned document.
-    pub fn depth(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Parses a path expression.
     ///
     /// ```

@@ -4,21 +4,21 @@
 //! BM25 inverted index, heterogeneous graph, stats catalog) into one
 //! byte-stable snapshot file, structured as:
 //!
-//! - [`page`] — fixed 4 KiB checksummed pages with slotted records;
+//! - [`page`] — fixed 4 KiB pages: checksummed header + one payload;
 //! - [`pager`] — page-granular file I/O hosting the two injected storage
 //!   fault sites (torn page, failed flush);
-//! - [`buffer`] — a bounded page cache with deterministic clock eviction
-//!   and a closed metric set (`store.page_hits` / `page_misses` /
-//!   `evictions` / `flushes`);
-//! - [`btree`] — persistent B-tree indexes with split/merge balancing
-//!   and ordered range scans, re-encoded canonically per operation;
-//! - [`snapshot`] — the page 0 directory format, blob sections, value
-//!   chunking, and the write-temp → flush → verify → rename commit
-//!   protocol;
-//! - [`codec`] — the little-endian byte codec snapshot payloads use.
+//! - [`snapshot`] — the page 0 directory format, named sections on
+//!   consecutive blob pages, and the write-temp → flush → verify → rename
+//!   commit protocol;
+//! - [`codec`] — the little-endian byte codec snapshot payloads use;
+//! - [`wal`] — the segmented write-ahead log of ingest deltas.
+//!
+//! Each page of a snapshot is written once (section pages in order, the
+//! directory last) and the file is read back whole, so there is no page
+//! cache and no index structure on disk.
 //!
 //! Determinism contract (DESIGN.md §12): page images and whole snapshot
-//! files are pure functions of the logical content and operation order,
+//! files are pure functions of the section bytes and their order,
 //! so two engine builds from the same seed produce byte-identical
 //! snapshot files, and a reopened snapshot answers every workload query
 //! byte-identically to the in-memory build that wrote it.
@@ -28,16 +28,12 @@
 //! typed [`StoreError`]s, and injected faults propagate as
 //! [`StoreError::Fault`] for the engine's degradation ladder.
 
-pub mod btree;
-pub mod buffer;
 pub mod codec;
 pub mod page;
 pub mod pager;
 pub mod snapshot;
 pub mod wal;
 
-pub use btree::{BTree, MAX_KEY, MAX_VALUE};
-pub use buffer::{BufferPool, DEFAULT_POOL_FRAMES};
 pub use codec::{Decoder, Encoder};
 pub use page::{Page, PageKind, PAGE_SIZE, PAYLOAD_SIZE};
 pub use pager::Pager;
@@ -53,8 +49,8 @@ pub enum StoreError {
     /// Operating-system I/O failure (open, read, write, rename).
     Io(String),
     /// A page failed structural validation: bad magic, wrong id echo,
-    /// unknown kind, checksum mismatch (e.g. a torn write), or a slotted
-    /// record that overruns its cell.
+    /// unknown kind, checksum mismatch (e.g. a torn write), or a payload
+    /// that is not the piece of its section the directory implies.
     Corrupt {
         /// The page that failed validation.
         page_id: u32,
@@ -66,7 +62,8 @@ pub enum StoreError {
     Fault(InjectedFault),
     /// A snapshot payload failed to decode (truncation, bad framing).
     Decode(String),
-    /// A key, value, or directory exceeded a structural limit.
+    /// The snapshot directory (or any single payload) does not fit one
+    /// page. Section contents have no size limit.
     TooLarge {
         /// What overflowed.
         what: String,
@@ -124,8 +121,8 @@ mod tests {
     fn errors_display_useful_context() {
         let e = StoreError::Corrupt { page_id: 9, reason: "checksum mismatch".into() };
         assert!(e.to_string().contains("page 9"));
-        let e = StoreError::TooLarge { what: "b-tree key".into(), size: 600, max: 512 };
-        assert!(e.to_string().contains("600"));
-        assert!(e.to_string().contains("512"));
+        let e = StoreError::TooLarge { what: "snapshot directory".into(), size: 5000, max: 4064 };
+        assert!(e.to_string().contains("5000"));
+        assert!(e.to_string().contains("4064"));
     }
 }

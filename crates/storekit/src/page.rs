@@ -1,4 +1,4 @@
-//! The fixed-size page: 4 KiB, checksummed header, slotted records.
+//! The fixed-size page: 4 KiB, a checksummed header, one payload.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -6,29 +6,20 @@
 //! offset  size  field
 //!      0     4  magic "USK1"
 //!      4     4  page id
-//!      8     1  kind (meta / blob / leaf / internal / free)
-//!      9     1  flags (reserved, zero)
-//!     10     2  slot count
-//!     12     2  free_start (first free byte after the slot directory)
-//!     14     2  free_end   (first used byte of the cell area)
-//!     16     4  aux (kind-specific: blob used-bytes, leaf next-leaf,
-//!                    internal leftmost child)
+//!      8     1  kind (meta / blob)
+//!      9     7  reserved (zero)
+//!     16     4  payload length
 //!     20     4  reserved (zero)
 //!     24     8  checksum (FNV-1a over every other byte of the page)
-//!     32  4064  payload: slot directory grows forward, cells grow
-//!               backward from the end of the page
+//!     32  4064  payload, zero-padded to the end of the page
 //! ```
 //!
 //! The checksum covers bytes `[0, 24)` and `[32, 4096)`; a torn write —
 //! only a prefix of the page reaching disk — is therefore detected on the
 //! next read as a checksum mismatch and surfaces as a typed
-//! [`StoreError::Corrupt`], never as a panic.
-//!
-//! Slotted records: the slot directory holds one `u16` cell offset per
-//! record in logical order; cells are re-packed canonically (slot order,
-//! back to front) every time a page is rebuilt, so a page image is a pure
-//! function of its logical content — the page-level half of the snapshot
-//! byte-identity contract.
+//! [`StoreError::Corrupt`], never as a panic. The padding is zeroed on
+//! every write, so a page image is a pure function of its id, kind and
+//! payload — the page-level half of the snapshot byte-identity contract.
 
 use crate::StoreError;
 
@@ -40,16 +31,11 @@ pub const HEADER_SIZE: usize = 32;
 pub const PAYLOAD_SIZE: usize = PAGE_SIZE - HEADER_SIZE;
 /// The file magic, "USK1".
 pub const MAGIC: [u8; 4] = *b"USK1";
-/// Sentinel for "no page" in link fields.
-pub const NO_PAGE: u32 = u32::MAX;
 
 const OFF_MAGIC: usize = 0;
 const OFF_PAGE_ID: usize = 4;
 const OFF_KIND: usize = 8;
-const OFF_SLOT_COUNT: usize = 10;
-const OFF_FREE_START: usize = 12;
-const OFF_FREE_END: usize = 14;
-const OFF_AUX: usize = 16;
+const OFF_PAYLOAD_LEN: usize = 16;
 const OFF_CHECKSUM: usize = 24;
 
 /// What a page stores.
@@ -59,12 +45,6 @@ pub enum PageKind {
     Meta,
     /// A run of raw section bytes.
     Blob,
-    /// B-tree leaf: slotted `[klen][vlen][key][value]` cells.
-    BtreeLeaf,
-    /// B-tree internal node: slotted `[klen][child][key]` cells.
-    BtreeInternal,
-    /// Unallocated / recycled.
-    Free,
 }
 
 impl PageKind {
@@ -73,9 +53,6 @@ impl PageKind {
         match self {
             PageKind::Meta => 0,
             PageKind::Blob => 1,
-            PageKind::BtreeLeaf => 2,
-            PageKind::BtreeInternal => 3,
-            PageKind::Free => 4,
         }
     }
 
@@ -84,9 +61,6 @@ impl PageKind {
         match tag {
             0 => Some(PageKind::Meta),
             1 => Some(PageKind::Blob),
-            2 => Some(PageKind::BtreeLeaf),
-            3 => Some(PageKind::BtreeInternal),
-            4 => Some(PageKind::Free),
             _ => None,
         }
     }
@@ -103,7 +77,7 @@ impl std::fmt::Debug for Page {
         f.debug_struct("Page")
             .field("id", &self.id())
             .field("kind_tag", &self.bytes[OFF_KIND])
-            .field("slots", &self.slot_count())
+            .field("payload_len", &self.payload_len())
             .finish()
     }
 }
@@ -116,10 +90,6 @@ impl Page {
         p.bytes[OFF_MAGIC..OFF_MAGIC + 4].copy_from_slice(&MAGIC);
         p.bytes[OFF_PAGE_ID..OFF_PAGE_ID + 4].copy_from_slice(&id.to_le_bytes());
         p.bytes[OFF_KIND] = kind.tag();
-        p.set_slot_count(0);
-        p.set_free_start(HEADER_SIZE as u16);
-        p.set_free_end(PAGE_SIZE as u16);
-        p.set_aux(0);
         p.seal();
         p
     }
@@ -170,55 +140,15 @@ impl Page {
         u32::from_le_bytes(self.bytes[OFF_PAGE_ID..OFF_PAGE_ID + 4].try_into().unwrap_or([0; 4]))
     }
 
-    /// Page kind from the header (validated at read time).
+    /// Page kind from the header. Both constructors admit only known
+    /// tags, so the fallback is never taken.
     pub fn kind(&self) -> PageKind {
-        PageKind::from_tag(self.bytes[OFF_KIND]).unwrap_or(PageKind::Free)
+        PageKind::from_tag(self.bytes[OFF_KIND]).unwrap_or(PageKind::Blob)
     }
 
-    /// Rewrites the kind tag.
-    pub fn set_kind(&mut self, kind: PageKind) {
-        self.bytes[OFF_KIND] = kind.tag();
-    }
-
-    /// Number of slots in the directory.
-    pub fn slot_count(&self) -> u16 {
-        u16::from_le_bytes(
-            self.bytes[OFF_SLOT_COUNT..OFF_SLOT_COUNT + 2].try_into().unwrap_or([0; 2]),
-        )
-    }
-
-    fn set_slot_count(&mut self, n: u16) {
-        self.bytes[OFF_SLOT_COUNT..OFF_SLOT_COUNT + 2].copy_from_slice(&n.to_le_bytes());
-    }
-
-    /// First free byte after the slot directory.
-    pub fn free_start(&self) -> u16 {
-        u16::from_le_bytes(
-            self.bytes[OFF_FREE_START..OFF_FREE_START + 2].try_into().unwrap_or([0; 2]),
-        )
-    }
-
-    fn set_free_start(&mut self, v: u16) {
-        self.bytes[OFF_FREE_START..OFF_FREE_START + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// First used byte of the cell area (cells pack from here to the end).
-    pub fn free_end(&self) -> u16 {
-        u16::from_le_bytes(self.bytes[OFF_FREE_END..OFF_FREE_END + 2].try_into().unwrap_or([0; 2]))
-    }
-
-    fn set_free_end(&mut self, v: u16) {
-        self.bytes[OFF_FREE_END..OFF_FREE_END + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Kind-specific auxiliary word.
-    pub fn aux(&self) -> u32 {
-        u32::from_le_bytes(self.bytes[OFF_AUX..OFF_AUX + 4].try_into().unwrap_or([0; 4]))
-    }
-
-    /// Sets the auxiliary word.
-    pub fn set_aux(&mut self, v: u32) {
-        self.bytes[OFF_AUX..OFF_AUX + 4].copy_from_slice(&v.to_le_bytes());
+    fn payload_len(&self) -> usize {
+        let raw = self.bytes[OFF_PAYLOAD_LEN..OFF_PAYLOAD_LEN + 4].try_into().unwrap_or([0; 4]);
+        u32::from_le_bytes(raw) as usize
     }
 
     /// Stored checksum.
@@ -252,10 +182,8 @@ impl Page {
         self.checksum() == self.compute_checksum()
     }
 
-    // ------------------------------------------------------ raw payload
-
-    /// Writes raw payload bytes starting at payload offset 0 (blob/meta
-    /// pages); records the used length in `aux`.
+    /// Replaces the payload, zeroing the rest of the page and recording
+    /// the length in the header.
     pub fn set_payload(&mut self, data: &[u8]) -> Result<(), StoreError> {
         if data.len() > PAYLOAD_SIZE {
             return Err(StoreError::TooLarge {
@@ -268,85 +196,18 @@ impl Page {
         for b in &mut self.bytes[HEADER_SIZE + data.len()..] {
             *b = 0;
         }
-        self.set_aux(data.len() as u32);
+        self.bytes[OFF_PAYLOAD_LEN..OFF_PAYLOAD_LEN + 4]
+            .copy_from_slice(&(data.len() as u32).to_le_bytes());
         Ok(())
     }
 
-    /// Reads the `aux`-length payload of a blob/meta page.
+    /// The payload, by the length the header records.
     pub fn payload(&self) -> Result<&[u8], StoreError> {
-        let len = self.aux() as usize;
+        let len = self.payload_len();
         self.bytes.get(HEADER_SIZE..HEADER_SIZE + len).ok_or_else(|| StoreError::Corrupt {
             page_id: self.id(),
             reason: format!("payload length {len} exceeds page"),
         })
-    }
-
-    // --------------------------------------------------- slotted records
-
-    /// Total payload bytes a canonical rebuild of these records needs
-    /// (slot directory + cells).
-    pub fn records_size(records: &[Vec<u8>]) -> usize {
-        2 * records.len() + records.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Replaces the slotted content with `records`, re-packing cells
-    /// canonically: slots in logical order, cells back-to-front in slot
-    /// order, freed space zeroed. Errors if the records do not fit.
-    pub fn set_records(&mut self, records: &[Vec<u8>]) -> Result<(), StoreError> {
-        if Self::records_size(records) > PAYLOAD_SIZE || records.len() > u16::MAX as usize {
-            return Err(StoreError::TooLarge {
-                what: "slotted records".into(),
-                size: Self::records_size(records),
-                max: PAYLOAD_SIZE,
-            });
-        }
-        for b in &mut self.bytes[HEADER_SIZE..] {
-            *b = 0;
-        }
-        let mut cell_end = PAGE_SIZE;
-        for (i, rec) in records.iter().enumerate() {
-            let cell_start = cell_end - rec.len();
-            self.bytes[cell_start..cell_end].copy_from_slice(rec);
-            let slot_off = HEADER_SIZE + 2 * i;
-            self.bytes[slot_off..slot_off + 2].copy_from_slice(&(cell_start as u16).to_le_bytes());
-            cell_end = cell_start;
-        }
-        self.set_slot_count(records.len() as u16);
-        self.set_free_start((HEADER_SIZE + 2 * records.len()) as u16);
-        self.set_free_end(cell_end as u16);
-        Ok(())
-    }
-
-    /// Decodes record `slot` (cells are delimited by the previous slot's
-    /// cell start — canonical packing keeps them contiguous).
-    pub fn record(&self, slot: u16) -> Result<&[u8], StoreError> {
-        let n = self.slot_count();
-        if slot >= n {
-            return Err(StoreError::Corrupt {
-                page_id: self.id(),
-                reason: format!("slot {slot} out of range ({n} slots)"),
-            });
-        }
-        let start = self.slot_offset(slot)? as usize;
-        let end = if slot == 0 { PAGE_SIZE } else { self.slot_offset(slot - 1)? as usize };
-        self.bytes.get(start..end).ok_or_else(|| StoreError::Corrupt {
-            page_id: self.id(),
-            reason: format!("slot {slot} offsets out of bounds ({start}..{end})"),
-        })
-    }
-
-    /// All records, slot order.
-    pub fn records(&self) -> Result<Vec<Vec<u8>>, StoreError> {
-        (0..self.slot_count()).map(|s| self.record(s).map(<[u8]>::to_vec)).collect()
-    }
-
-    fn slot_offset(&self, slot: u16) -> Result<u16, StoreError> {
-        let off = HEADER_SIZE + 2 * slot as usize;
-        let raw = self.bytes.get(off..off + 2).ok_or_else(|| StoreError::Corrupt {
-            page_id: self.id(),
-            reason: format!("slot directory truncated at {slot}"),
-        })?;
-        Ok(u16::from_le_bytes(raw.try_into().unwrap_or([0; 2])))
     }
 }
 
@@ -356,34 +217,11 @@ mod tests {
 
     #[test]
     fn new_page_is_sealed_and_empty() {
-        let p = Page::new(7, PageKind::BtreeLeaf);
+        let p = Page::new(7, PageKind::Blob);
         assert!(p.verify());
         assert_eq!(p.id(), 7);
-        assert_eq!(p.kind(), PageKind::BtreeLeaf);
-        assert_eq!(p.slot_count(), 0);
-        assert_eq!(p.free_start() as usize, HEADER_SIZE);
-        assert_eq!(p.free_end() as usize, PAGE_SIZE);
-    }
-
-    #[test]
-    fn slotted_records_round_trip_canonically() {
-        let mut p = Page::new(1, PageKind::BtreeLeaf);
-        let recs = vec![b"alpha".to_vec(), b"b".to_vec(), b"charlie".to_vec()];
-        p.set_records(&recs).unwrap();
-        p.seal();
-        assert!(p.verify());
-        assert_eq!(p.records().unwrap(), recs);
-        assert_eq!(p.record(0).unwrap(), b"alpha");
-        assert_eq!(p.record(2).unwrap(), b"charlie");
-        assert!(p.record(3).is_err());
-
-        // Canonical packing: the same records produce the same bytes even
-        // after intermediate states differed.
-        let mut q = Page::new(1, PageKind::BtreeLeaf);
-        q.set_records(&[b"other".to_vec(), b"stuff".to_vec(), b"entirely".to_vec()]).unwrap();
-        q.set_records(&recs).unwrap();
-        q.seal();
-        assert_eq!(p.as_bytes()[..], q.as_bytes()[..], "page image is canonical");
+        assert_eq!(p.kind(), PageKind::Blob);
+        assert_eq!(p.payload().unwrap(), b"");
     }
 
     #[test]
@@ -419,12 +257,10 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(Page::from_bytes(5, &bad_magic).is_err());
         assert!(Page::from_bytes(5, &[0u8; 10]).is_err(), "short image");
-    }
-
-    #[test]
-    fn records_too_large_rejected() {
-        let mut p = Page::new(0, PageKind::BtreeLeaf);
-        let big = vec![vec![0u8; PAYLOAD_SIZE]];
-        assert!(p.set_records(&big).is_err());
+        // A version-1 b-tree leaf: correctly sealed, kind tag retired.
+        let mut leaf = p.clone();
+        leaf.bytes[OFF_KIND] = 2;
+        leaf.seal();
+        assert!(Page::from_bytes(5, leaf.as_bytes()).is_err(), "unknown kind");
     }
 }

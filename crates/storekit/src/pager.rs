@@ -152,8 +152,8 @@ mod tests {
         p.set_payload(b"hello").unwrap();
         p.seal();
         pager.write_page(&p).unwrap();
-        let mut q = Page::new(1, PageKind::BtreeLeaf);
-        q.set_records(&[b"k".to_vec()]).unwrap();
+        let mut q = Page::new(1, PageKind::Blob);
+        q.set_payload(b"world").unwrap();
         q.seal();
         pager.write_page(&q).unwrap();
         assert_eq!(pager.num_pages(), 2);
@@ -162,7 +162,7 @@ mod tests {
         let mut reopened = Pager::open(&path, FaultPlan::disabled()).unwrap();
         assert_eq!(reopened.num_pages(), 2);
         assert_eq!(reopened.read_page(0).unwrap().payload().unwrap(), b"hello");
-        assert_eq!(reopened.read_page(1).unwrap().records().unwrap(), vec![b"k".to_vec()]);
+        assert_eq!(reopened.read_page(1).unwrap().payload().unwrap(), b"world");
         assert!(reopened.read_page(2).is_err(), "read past end is typed");
         let _ = std::fs::remove_file(&path);
     }

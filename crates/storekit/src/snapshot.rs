@@ -1,153 +1,100 @@
-//! Snapshot files: a page 0 directory over blob sections and B-trees.
+//! Snapshot files: a page 0 directory over named byte sections.
 //!
-//! A snapshot is one page file whose page 0 (kind [`PageKind::Meta`])
-//! holds a directory:
+//! A snapshot is one page file. Page 0 (kind [`PageKind::Meta`]) holds
+//! the directory:
 //!
 //! ```text
 //! "USKSNAP1"  version u32
-//! sections:   [name, first_page u32, num_pages u32, byte_len u64] ...
-//! trees:      [name, root_page u32] ...
+//! sections:   count u32, then [name, byte_len u64] ...
 //! ```
 //!
-//! *Sections* are raw byte streams laid out across contiguous blob
-//! pages — the natural shape for encoded columns, documents, and the
-//! stats catalog. *Trees* are [`BTree`] indexes (term → postings,
-//! entity → node id). Values wider than [`MAX_VALUE`] are chunked across
-//! consecutive tree keys `[klen u32 BE][key][seq u32 BE]`, which keeps
-//! chunk groups contiguous and ordered under the tree's lexicographic
-//! key order.
+//! Each section is a raw byte stream cut into [`PAYLOAD_SIZE`] pieces on
+//! consecutive [`PageKind::Blob`] pages, sections following one another
+//! in directory order from page 1 (an empty section occupies no page).
+//! Page positions are therefore a function of the lengths alone: the
+//! directory cannot point outside the file, and a file with a page more
+//! or fewer than its directory accounts for does not open.
 //!
-//! Crash consistency: [`SnapshotWriter::commit`] writes everything to
-//! `<path>.tmp`, flushes, re-reads and checksum-verifies every page with
-//! a fresh pager, and only then renames over `path`. A torn page or
-//! failed flush (the two injected fault sites) surfaces as a typed error
-//! and leaves any previous snapshot at `path` untouched.
+//! Crash consistency: the writer builds `<path>.tmp`;
+//! [`SnapshotWriter::commit`] flushes it, re-reads and checksum-verifies
+//! every page with a fresh pager, and only then renames over `path`. A
+//! torn page or failed flush (the two injected fault sites) surfaces as a
+//! typed error and leaves any previous snapshot at `path` untouched.
 //!
-//! Determinism: identical build inputs produce identical page images
-//! (canonical slotted encoding) and identical allocation order, so two
-//! same-seed snapshots are byte-identical files — enforced by the golden
-//! page-image test and the CI storage gate.
+//! Determinism: every page image is a pure function of its id, kind and
+//! payload, so identical sections in identical order produce
+//! byte-identical files — enforced by the golden page-image test and the
+//! CI storage gate.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use faultkit::FaultPlan;
-use tracekit::MetricsRegistry;
 
-use crate::btree::{BTree, MAX_VALUE};
-use crate::buffer::{BufferPool, DEFAULT_POOL_FRAMES};
 use crate::codec::{Decoder, Encoder};
-use crate::page::{PageKind, PAYLOAD_SIZE};
+use crate::page::{Page, PageKind, PAYLOAD_SIZE};
 use crate::pager::Pager;
 use crate::StoreError;
 
 const SNAP_MAGIC: &str = "USKSNAP1";
-const SNAP_VERSION: u32 = 1;
+const SNAP_VERSION: u32 = 2;
 
-#[derive(Debug, Clone)]
-struct SectionEntry {
-    name: String,
-    first_page: u32,
-    num_pages: u32,
-    byte_len: u64,
+/// Pages a section of `byte_len` bytes occupies.
+fn pages_for(byte_len: usize) -> usize {
+    byte_len.div_ceil(PAYLOAD_SIZE)
 }
 
-/// Builds a snapshot file section by section, tree by tree.
+/// Builds a snapshot file section by section.
 pub struct SnapshotWriter {
-    pool: BufferPool,
+    pager: Pager,
     tmp_path: PathBuf,
-    sections: Vec<SectionEntry>,
-    trees: BTreeMap<String, BTree>,
+    /// `(name, byte_len)` in the order written.
+    sections: Vec<(String, usize)>,
+    next_page: u32,
 }
 
 impl SnapshotWriter {
     /// Starts a snapshot that will commit to `path` (building in
     /// `<path>.tmp`). Page 0 is reserved for the directory.
-    pub fn create(
-        path: &Path,
-        faults: FaultPlan,
-        metrics: Option<Arc<MetricsRegistry>>,
-    ) -> Result<SnapshotWriter, StoreError> {
+    pub fn create(path: &Path, faults: FaultPlan) -> Result<SnapshotWriter, StoreError> {
         let tmp_path = tmp_path_for(path);
         let pager = Pager::create(&tmp_path, faults)?;
-        let mut pool = BufferPool::new(pager, DEFAULT_POOL_FRAMES, metrics);
-        let meta = pool.allocate(PageKind::Meta)?;
-        if meta != 0 {
-            return Err(StoreError::Io(format!("meta page allocated as {meta}, expected 0")));
-        }
-        Ok(SnapshotWriter { pool, tmp_path, sections: Vec::new(), trees: BTreeMap::new() })
+        Ok(SnapshotWriter { pager, tmp_path, sections: Vec::new(), next_page: 1 })
     }
 
-    /// Writes `bytes` as section `name` across contiguous blob pages.
+    /// Writes `bytes` as section `name` on the next free pages.
     pub fn add_section(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.sections.iter().any(|s| s.name == name) {
+        if self.sections.iter().any(|(n, _)| n == name) {
             return Err(StoreError::InvalidSnapshot(format!("duplicate section {name:?}")));
         }
-        let mut first_page = 0u32;
-        let mut num_pages = 0u32;
-        let chunks: Vec<&[u8]> =
-            if bytes.is_empty() { vec![&[][..]] } else { bytes.chunks(PAYLOAD_SIZE).collect() };
-        for (i, chunk) in chunks.iter().enumerate() {
-            let id = self.pool.allocate(PageKind::Blob)?;
-            if i == 0 {
-                first_page = id;
-            } else if id != first_page + i as u32 {
-                return Err(StoreError::Io(format!(
-                    "section {name:?} pages not contiguous: expected {}, got {id}",
-                    first_page + i as u32
-                )));
-            }
-            self.pool.write(id, |p| p.set_payload(chunk))??;
-            num_pages += 1;
+        for chunk in bytes.chunks(PAYLOAD_SIZE) {
+            self.write_page(self.next_page, PageKind::Blob, chunk)?;
+            self.next_page = self
+                .next_page
+                .checked_add(1)
+                .ok_or_else(|| StoreError::Io("snapshot exceeds 2^32 pages".to_string()))?;
         }
-        self.sections.push(SectionEntry {
-            name: name.to_string(),
-            first_page,
-            num_pages,
-            byte_len: bytes.len() as u64,
-        });
+        self.sections.push((name.to_string(), bytes.len()));
         Ok(())
     }
 
-    /// Inserts `key → value` into tree `name` (created on first use),
-    /// chunking values wider than [`MAX_VALUE`] across consecutive keys.
-    pub fn tree_insert(&mut self, name: &str, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut tree = match self.trees.get(name) {
-            Some(t) => *t,
-            None => {
-                let t = BTree::create(&mut self.pool)?;
-                self.trees.insert(name.to_string(), t);
-                t
-            }
-        };
-        let chunks: Vec<&[u8]> =
-            if value.is_empty() { vec![&[][..]] } else { value.chunks(MAX_VALUE).collect() };
-        for (seq, chunk) in chunks.iter().enumerate() {
-            let stored_key = chunk_key(key, seq as u32);
-            tree.insert(&mut self.pool, &stored_key, chunk)?;
-        }
-        self.trees.insert(name.to_string(), tree);
-        Ok(())
+    fn write_page(&mut self, id: u32, kind: PageKind, payload: &[u8]) -> Result<(), StoreError> {
+        let mut page = Page::new(id, kind);
+        page.set_payload(payload)?;
+        page.seal();
+        self.pager.write_page(&page)
     }
 
-    /// Flushes everything, verifies every page on disk, and renames the
-    /// temporary file over `path`. On any error the target is untouched.
+    /// Writes the directory, flushes, verifies every page on disk, and
+    /// renames the temporary file over `path`. On any error the target is
+    /// untouched.
     pub fn commit(mut self, path: &Path) -> Result<(), StoreError> {
         let mut meta = Encoder::new();
         meta.str(SNAP_MAGIC);
         meta.u32(SNAP_VERSION);
         meta.u32(self.sections.len() as u32);
-        for s in &self.sections {
-            meta.str(&s.name);
-            meta.u32(s.first_page);
-            meta.u32(s.num_pages);
-            meta.u64(s.byte_len);
-        }
-        meta.u32(self.trees.len() as u32);
-        for (name, tree) in &self.trees {
+        for (name, byte_len) in &self.sections {
             meta.str(name);
-            meta.u32(tree.root());
+            meta.usize(*byte_len);
         }
         let meta_bytes = meta.into_bytes();
         if meta_bytes.len() > PAYLOAD_SIZE {
@@ -157,34 +104,27 @@ impl SnapshotWriter {
                 max: PAYLOAD_SIZE,
             });
         }
-        self.pool.write(0, |p| p.set_payload(&meta_bytes))??;
-        self.pool.flush_all()?;
-        let num_pages = self.pool.num_pages();
-        drop(self.pool);
+        self.write_page(0, PageKind::Meta, &meta_bytes)?;
+        self.pager.flush()?;
+        drop(self.pager);
 
         // Post-flush verification with a fresh pager: every page must
         // read back with a valid checksum before the snapshot becomes
         // visible at `path`.
         let mut pager = Pager::open(&self.tmp_path, FaultPlan::disabled())?;
-        if pager.num_pages() != num_pages {
+        if pager.num_pages() != self.next_page {
             return Err(StoreError::InvalidSnapshot(format!(
-                "file has {} pages, expected {num_pages}",
-                pager.num_pages()
+                "file has {} pages, expected {}",
+                pager.num_pages(),
+                self.next_page
             )));
         }
-        for id in 0..num_pages {
+        for id in 0..self.next_page {
             pager.read_page(id)?;
         }
         drop(pager);
         std::fs::rename(&self.tmp_path, path)
             .map_err(|e| StoreError::Io(format!("rename snapshot into place: {e}")))
-    }
-
-    /// Removes the temporary file after a failed build (best-effort).
-    pub fn abandon(self) {
-        let tmp = self.tmp_path.clone();
-        drop(self);
-        let _ = std::fs::remove_file(tmp);
     }
 }
 
@@ -194,55 +134,31 @@ fn tmp_path_for(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn chunk_key(key: &[u8], seq: u32) -> Vec<u8> {
-    let mut k = Vec::with_capacity(8 + key.len());
-    k.extend_from_slice(&(key.len() as u32).to_be_bytes());
-    k.extend_from_slice(key);
-    k.extend_from_slice(&seq.to_be_bytes());
-    k
-}
-
-fn split_chunk_key(stored: &[u8]) -> Result<(Vec<u8>, u32), StoreError> {
-    if stored.len() < 8 {
-        return Err(StoreError::InvalidSnapshot("tree key shorter than its framing".to_string()));
-    }
-    let klen = u32::from_be_bytes([stored[0], stored[1], stored[2], stored[3]]) as usize;
-    let key = stored
-        .get(4..4 + klen)
-        .ok_or_else(|| StoreError::InvalidSnapshot("tree key length overruns".to_string()))?;
-    let seq_raw = stored
-        .get(4 + klen..4 + klen + 4)
-        .ok_or_else(|| StoreError::InvalidSnapshot("tree key missing sequence".to_string()))?;
-    let seq = u32::from_be_bytes([seq_raw[0], seq_raw[1], seq_raw[2], seq_raw[3]]);
-    Ok((key.to_vec(), seq))
+struct SectionEntry {
+    name: String,
+    first_page: u32,
+    byte_len: usize,
 }
 
 /// A read-open snapshot file.
 pub struct Snapshot {
-    pool: BufferPool,
+    pager: Pager,
     sections: Vec<SectionEntry>,
-    trees: Vec<(String, u32)>,
 }
 
 impl Snapshot {
-    /// Opens and validates the directory of a snapshot file.
-    pub fn open(
-        path: &Path,
-        faults: FaultPlan,
-        metrics: Option<Arc<MetricsRegistry>>,
-    ) -> Result<Snapshot, StoreError> {
-        let pager = Pager::open(path, faults)?;
-        let mut pool = BufferPool::new(pager, DEFAULT_POOL_FRAMES, metrics);
-        let meta_bytes = pool.read(0, |p| {
-            if p.kind() != PageKind::Meta {
-                return Err(StoreError::InvalidSnapshot(format!(
-                    "page 0 is {:?}, not a directory",
-                    p.kind()
-                )));
-            }
-            p.payload().map(<[u8]>::to_vec)
-        })??;
-        let mut d = Decoder::new(&meta_bytes);
+    /// Opens a snapshot file and validates its directory against the
+    /// file's length.
+    pub fn open(path: &Path, faults: FaultPlan) -> Result<Snapshot, StoreError> {
+        let mut pager = Pager::open(path, faults)?;
+        let meta = pager.read_page(0)?;
+        if meta.kind() != PageKind::Meta {
+            return Err(StoreError::InvalidSnapshot(format!(
+                "page 0 is {:?}, not a directory",
+                meta.kind()
+            )));
+        }
+        let mut d = Decoder::new(meta.payload()?);
         if d.str()? != SNAP_MAGIC {
             return Err(StoreError::InvalidSnapshot("bad snapshot magic".to_string()));
         }
@@ -253,31 +169,33 @@ impl Snapshot {
             )));
         }
         let n_sections = d.u32()?;
-        let mut sections = Vec::with_capacity(n_sections as usize);
+        let mut sections = Vec::new();
+        let mut next_page = 1u32;
         for _ in 0..n_sections {
-            sections.push(SectionEntry {
-                name: d.str()?,
-                first_page: d.u32()?,
-                num_pages: d.u32()?,
-                byte_len: d.u64()?,
-            });
+            let name = d.str()?;
+            let byte_len = d.usize()?;
+            let end = u32::try_from(pages_for(byte_len))
+                .ok()
+                .and_then(|n| next_page.checked_add(n))
+                .filter(|&end| end <= pager.num_pages())
+                .ok_or_else(|| {
+                    StoreError::InvalidSnapshot(format!(
+                        "section {name:?} ({byte_len} bytes) runs past the end of the file"
+                    ))
+                })?;
+            sections.push(SectionEntry { name, first_page: next_page, byte_len });
+            next_page = end;
         }
-        let n_trees = d.u32()?;
-        let mut trees = Vec::with_capacity(n_trees as usize);
-        for _ in 0..n_trees {
-            trees.push((d.str()?, d.u32()?));
+        if !d.is_done() {
+            return Err(StoreError::InvalidSnapshot("trailing bytes in directory".to_string()));
         }
-        Ok(Snapshot { pool, sections, trees })
-    }
-
-    /// Section names in directory order.
-    pub fn section_names(&self) -> Vec<String> {
-        self.sections.iter().map(|s| s.name.clone()).collect()
-    }
-
-    /// Tree names in directory order.
-    pub fn tree_names(&self) -> Vec<String> {
-        self.trees.iter().map(|(n, _)| n.clone()).collect()
+        if next_page != pager.num_pages() {
+            return Err(StoreError::InvalidSnapshot(format!(
+                "file has {} pages, directory accounts for {next_page}",
+                pager.num_pages()
+            )));
+        }
+        Ok(Snapshot { pager, sections })
     }
 
     /// Reads section `name` back as one byte vector.
@@ -286,99 +204,28 @@ impl Snapshot {
             .sections
             .iter()
             .find(|s| s.name == name)
-            .cloned()
             .ok_or_else(|| StoreError::InvalidSnapshot(format!("no section {name:?}")))?;
-        let mut out = Vec::with_capacity(entry.byte_len as usize);
-        for i in 0..entry.num_pages {
-            let id = entry.first_page + i;
-            let chunk = self.pool.read(id, |p| {
-                if p.kind() != PageKind::Blob {
-                    return Err(StoreError::Corrupt {
-                        page_id: id,
-                        reason: format!("section {name:?} page is {:?}, not blob", p.kind()),
-                    });
-                }
-                p.payload().map(<[u8]>::to_vec)
-            })??;
-            out.extend_from_slice(&chunk);
-        }
-        if out.len() as u64 != entry.byte_len {
-            return Err(StoreError::InvalidSnapshot(format!(
-                "section {name:?}: directory says {} bytes, pages hold {}",
-                entry.byte_len,
-                out.len()
-            )));
+        // `open` checked the length against the file's, so this bounds
+        // the allocation by the file size.
+        let byte_len = entry.byte_len;
+        let mut out = Vec::with_capacity(byte_len);
+        for id in (entry.first_page..).take(pages_for(byte_len)) {
+            let page = self.pager.read_page(id)?;
+            let payload = page.payload()?;
+            let expected = PAYLOAD_SIZE.min(byte_len - out.len());
+            if page.kind() != PageKind::Blob || payload.len() != expected {
+                return Err(StoreError::Corrupt {
+                    page_id: id,
+                    reason: format!(
+                        "section {name:?} expects a blob of {expected} bytes, found {:?} of {}",
+                        page.kind(),
+                        payload.len()
+                    ),
+                });
+            }
+            out.extend_from_slice(payload);
         }
         Ok(out)
-    }
-
-    /// All `key → value` pairs of tree `name` in key order, chunked
-    /// values reassembled.
-    pub fn tree_entries(&mut self, name: &str) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        let root = self
-            .trees
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| *r)
-            .ok_or_else(|| StoreError::InvalidSnapshot(format!("no tree {name:?}")))?;
-        let tree = BTree::open(root);
-        let raw = tree.scan(&mut self.pool, None, None)?;
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (stored_key, chunk) in raw {
-            let (key, seq) = split_chunk_key(&stored_key)?;
-            match out.last_mut() {
-                Some((last_key, value)) if *last_key == key => {
-                    if seq as usize != value.len().div_ceil(MAX_VALUE) {
-                        return Err(StoreError::InvalidSnapshot(format!(
-                            "tree {name:?}: chunk sequence gap at key {key:?}"
-                        )));
-                    }
-                    value.extend_from_slice(&chunk);
-                }
-                _ => {
-                    if seq != 0 {
-                        return Err(StoreError::InvalidSnapshot(format!(
-                            "tree {name:?}: first chunk of key {key:?} has seq {seq}"
-                        )));
-                    }
-                    out.push((key, chunk));
-                }
-            }
-        }
-        // Stored keys are framed `[klen][key][seq]`, so the scan yields
-        // (length, key) order; re-sort to plain key order for consumers.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// Point lookup in tree `name` (chunk-reassembling).
-    pub fn tree_get(&mut self, name: &str, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let root = self
-            .trees
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| *r)
-            .ok_or_else(|| StoreError::InvalidSnapshot(format!("no tree {name:?}")))?;
-        let tree = BTree::open(root);
-        let mut value: Option<Vec<u8>> = None;
-        for seq in 0u32.. {
-            match tree.get(&mut self.pool, &chunk_key(key, seq))? {
-                Some(chunk) => {
-                    let full = chunk.len() == MAX_VALUE;
-                    value.get_or_insert_with(Vec::new).extend_from_slice(&chunk);
-                    if !full {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-        Ok(value)
-    }
-
-    /// Total pages in the snapshot file.
-    pub fn num_pages(&self) -> u32 {
-        self.pool.num_pages()
     }
 }
 
@@ -397,68 +244,59 @@ mod tests {
     #[test]
     fn unknown_directory_version_is_rejected() {
         let path = tmp("verbump");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
         w.add_section("docs", b"payload").unwrap();
         w.commit(&path).unwrap();
 
-        // Bump the directory's format version in place: read page 0, patch
-        // the u32 after the magic string, re-seal (the checksum must stay
-        // valid — this is a future format, not a torn page), write back.
-        let mut pager = Pager::open(&path, FaultPlan::disabled()).unwrap();
-        let mut page = pager.read_page(0).unwrap();
-        let payload = page.payload().unwrap().to_vec();
-        let mut d = Decoder::new(&payload);
-        assert_eq!(d.str().unwrap(), SNAP_MAGIC);
-        let version_off = payload.len() - d.remaining();
-        let mut patched = payload;
-        patched[version_off..version_off + 4].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
-        page.set_payload(&patched).unwrap();
-        page.seal();
-        pager.write_page(&page).unwrap();
-        pager.flush().unwrap();
+        // Rewrite the directory's format version in place — to the retired
+        // version 1 and to a future one: read page 0, patch the u32 after
+        // the magic string, re-seal (the checksum must stay valid — this
+        // is another format, not a torn page), write back.
+        for other in [1, SNAP_VERSION + 1] {
+            let mut pager = Pager::open(&path, FaultPlan::disabled()).unwrap();
+            let mut page = pager.read_page(0).unwrap();
+            let payload = page.payload().unwrap().to_vec();
+            let mut d = Decoder::new(&payload);
+            assert_eq!(d.str().unwrap(), SNAP_MAGIC);
+            let version_off = payload.len() - d.remaining();
+            let mut patched = payload;
+            patched[version_off..version_off + 4].copy_from_slice(&other.to_le_bytes());
+            page.set_payload(&patched).unwrap();
+            page.seal();
+            pager.write_page(&page).unwrap();
+            pager.flush().unwrap();
 
-        let err = match Snapshot::open(&path, FaultPlan::disabled(), None) {
-            Ok(_) => panic!("bumped-version snapshot must not open"),
-            Err(e) => e,
-        };
-        match err {
-            StoreError::InvalidSnapshot(reason) => {
-                assert!(
-                    reason.contains(&format!("version {}", SNAP_VERSION + 1)),
-                    "reason should name the offending version: {reason}"
-                );
+            match Snapshot::open(&path, FaultPlan::disabled()) {
+                Err(StoreError::InvalidSnapshot(reason)) => assert_eq!(
+                    reason,
+                    format!("unsupported snapshot version {other}"),
+                    "reason should name the offending version"
+                ),
+                Err(e) => panic!("expected InvalidSnapshot, got {e}"),
+                Ok(_) => panic!("version-{other} snapshot must not open"),
             }
-            other => panic!("expected InvalidSnapshot, got {other}"),
         }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn sections_and_trees_round_trip() {
+    fn sections_round_trip() {
         let path = tmp("roundtrip");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
         let big = (0..20_000u32).flat_map(|i| i.to_le_bytes()).collect::<Vec<u8>>();
         w.add_section("docs", &big).unwrap();
         w.add_section("empty", b"").unwrap();
-        w.tree_insert("postings", b"alpha", b"a-postings").unwrap();
-        let wide = vec![7u8; MAX_VALUE * 3 + 17];
-        w.tree_insert("postings", b"beta", &wide).unwrap();
-        w.tree_insert("postings", b"gamma", b"").unwrap();
+        w.add_section("tail", b"after the empty one").unwrap();
+        assert!(matches!(w.add_section("docs", b"again"), Err(StoreError::InvalidSnapshot(_))));
         w.commit(&path).unwrap();
 
-        let mut s = Snapshot::open(&path, FaultPlan::disabled(), None).unwrap();
-        assert_eq!(s.section_names(), vec!["docs", "empty"]);
-        assert_eq!(s.tree_names(), vec!["postings"]);
+        let mut s = Snapshot::open(&path, FaultPlan::disabled()).unwrap();
+        // Any order, any number of times.
+        assert_eq!(s.section("tail").unwrap(), b"after the empty one");
         assert_eq!(s.section("docs").unwrap(), big);
         assert_eq!(s.section("empty").unwrap(), b"");
-        assert!(s.section("missing").is_err());
-        let entries = s.tree_entries("postings").unwrap();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0], (b"alpha".to_vec(), b"a-postings".to_vec()));
-        assert_eq!(entries[1], (b"beta".to_vec(), wide.clone()));
-        assert_eq!(entries[2], (b"gamma".to_vec(), Vec::new()));
-        assert_eq!(s.tree_get("postings", b"beta").unwrap(), Some(wide));
-        assert_eq!(s.tree_get("postings", b"nope").unwrap(), None);
+        assert_eq!(s.section("docs").unwrap(), big);
+        assert!(matches!(s.section("missing"), Err(StoreError::InvalidSnapshot(_))));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -466,11 +304,8 @@ mod tests {
     fn same_inputs_produce_byte_identical_files() {
         let build = |name: &str| -> Vec<u8> {
             let path = tmp(name);
-            let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+            let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
             w.add_section("a", &vec![3u8; 10_000]).unwrap();
-            for i in 0..200u32 {
-                w.tree_insert("t", format!("k{i:04}").as_bytes(), &[i as u8; 40]).unwrap();
-            }
             w.add_section("b", b"tail").unwrap();
             w.commit(&path).unwrap();
             let bytes = std::fs::read(&path).unwrap();
@@ -481,17 +316,34 @@ mod tests {
     }
 
     #[test]
+    fn directory_wider_than_a_page_is_too_large() {
+        let path = tmp("wide-directory");
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
+        for i in 0..PAYLOAD_SIZE / 16 {
+            w.add_section(&format!("section-{i:04}"), b"").unwrap();
+        }
+        match w.commit(&path) {
+            Err(StoreError::TooLarge { what, max, .. }) => {
+                assert_eq!((what.as_str(), max), ("snapshot directory", PAYLOAD_SIZE));
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(!path.exists(), "nothing was renamed into place");
+        let _ = std::fs::remove_file(tmp_path_for(&path));
+    }
+
+    #[test]
     fn commit_under_torn_page_fails_and_preserves_target() {
         let path = tmp("torn-commit");
         // A previous good snapshot sits at the target.
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
         w.add_section("v", b"version-1").unwrap();
         w.commit(&path).unwrap();
         let before = std::fs::read(&path).unwrap();
 
         // Rebuild with the torn-page site firing on every write.
         let plan = FaultPlan::single(Site::StorePageWrite).with_seed(7);
-        let result = SnapshotWriter::create(&path, plan, None).and_then(|mut w| {
+        let result = SnapshotWriter::create(&path, plan).and_then(|mut w| {
             w.add_section("v", b"version-2")?;
             w.commit(&path)
         });
@@ -504,13 +356,13 @@ mod tests {
     #[test]
     fn commit_under_failed_flush_fails_and_preserves_target() {
         let path = tmp("flush-commit");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
         w.add_section("v", b"version-1").unwrap();
         w.commit(&path).unwrap();
         let before = std::fs::read(&path).unwrap();
 
         let plan = FaultPlan::single(Site::StoreFlush).with_seed(7);
-        let result = SnapshotWriter::create(&path, plan, None).and_then(|mut w| {
+        let result = SnapshotWriter::create(&path, plan).and_then(|mut w| {
             w.add_section("v", b"version-2")?;
             w.commit(&path)
         });
@@ -523,17 +375,30 @@ mod tests {
     #[test]
     fn truncated_file_is_rejected_on_open() {
         let path = tmp("truncated");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled(), None).unwrap();
+        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
         w.add_section("v", &vec![1u8; 9_000]).unwrap();
         w.commit(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // Chop mid-page: open() rejects the ragged length outright.
+        // Chop mid-page: the pager rejects the ragged length outright.
         std::fs::write(&path, &full[..full.len() - 100]).unwrap();
-        assert!(Snapshot::open(&path, FaultPlan::disabled(), None).is_err());
-        // Chop a whole page: the directory now points past the end.
+        assert!(matches!(
+            Snapshot::open(&path, FaultPlan::disabled()),
+            Err(StoreError::Corrupt { .. })
+        ));
+        // Chop a whole page: the directory accounts for more than is there.
         std::fs::write(&path, &full[..full.len() - PAGE_SIZE]).unwrap();
-        let mut s = Snapshot::open(&path, FaultPlan::disabled(), None).unwrap();
-        assert!(s.section("v").is_err());
+        assert!(matches!(
+            Snapshot::open(&path, FaultPlan::disabled()),
+            Err(StoreError::InvalidSnapshot(_))
+        ));
+        // So does a page too many.
+        let mut longer = full.clone();
+        longer.extend_from_slice(&full[PAGE_SIZE..2 * PAGE_SIZE]);
+        std::fs::write(&path, &longer).unwrap();
+        assert!(matches!(
+            Snapshot::open(&path, FaultPlan::disabled()),
+            Err(StoreError::InvalidSnapshot(_))
+        ));
         let _ = std::fs::remove_file(&path);
     }
 }

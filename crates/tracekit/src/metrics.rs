@@ -183,14 +183,6 @@ registry_enum! {
         /// Logical plans synthesized and optimized by the cost-based
         /// planner.
         PlannerPlansBuilt => "planner.plans_built",
-        /// Buffer-pool page requests served from memory.
-        StorePageHits => "store.page_hits",
-        /// Buffer-pool page requests that read from the page file.
-        StorePageMisses => "store.page_misses",
-        /// Buffer-pool frames evicted by the clock sweep.
-        StoreEvictions => "store.evictions",
-        /// Dirty pages flushed to the page file.
-        StoreFlushes => "store.flushes",
         /// Delta records appended to the write-ahead log.
         WalAppends => "wal.appends",
         /// Payload bytes appended to the write-ahead log.
@@ -593,9 +585,9 @@ mod tests {
         // under one of these subsystem prefixes. Adding a variant with a
         // novel prefix forces this list (and the DESIGN.md §14 table) to
         // grow in the same review.
-        const PREFIXES: [&str; 13] = [
+        const PREFIXES: [&str; 12] = [
             "ingest", "graph", "query", "traverse", "dense", "relstore", "entropy", "faultkit",
-            "parkit", "planner", "store", "wal", "meter",
+            "parkit", "planner", "wal", "meter",
         ];
         let check = |name: &str| {
             let prefix = name.split('.').next().unwrap_or("");

@@ -157,6 +157,12 @@ fn tmp_path(tag: &str) -> PathBuf {
     p
 }
 
+fn remove_wal(base: &std::path::Path) {
+    for segment in storekit::Wal::segment_paths(base) {
+        std::fs::remove_file(segment).ok();
+    }
+}
+
 fn answers(engine: &UnifiedEngine, qa: &[QaItem]) -> Vec<Answer> {
     qa.iter().map(|item| engine.answer(&item.question)).collect()
 }
@@ -194,11 +200,9 @@ fn snapshot_round_trip_answers_byte_identical() {
     }
 }
 
-/// At 256 products the BM25 posting lists of common terms span several
-/// 1 KiB chunks that share B-tree leaves with entries of a few bytes, the
-/// mix a split by cell count overflows on (`TooLarge`). Snapshot, reopen
-/// with a log, ingest, checkpoint — the only thing that ever truncates the
-/// log — and recover from the checkpoint.
+/// A 256-product corpus: sections of many pages, posting lists of
+/// kilobytes. Snapshot, reopen with a log, ingest, checkpoint — the only
+/// thing that ever truncates the log — and recover from the checkpoint.
 #[test]
 fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
     let scale =
@@ -216,12 +220,7 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
     let snap = tmp_path("scale-base");
     let ckpt = tmp_path("scale-ckpt");
     let wal = tmp_path("scale-wal");
-    let remove_wal = || {
-        for segment in storekit::Wal::segment_paths(&wal) {
-            std::fs::remove_file(segment).ok();
-        }
-    };
-    remove_wal();
+    remove_wal(&wal);
     engine.save_snapshot(&snap).expect("a 256-product corpus fits its pages");
 
     let (mut live, _, replayed) =
@@ -266,7 +265,80 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
         assert_eq!(recovered.answer(q), live.answer(q), "{q}");
     }
     drop((live, recovered));
-    remove_wal();
+    remove_wal(&wal);
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// Nothing a corpus contains is too wide to persist: a 600-byte token (a
+/// BM25 term), a lexicon entity whose name is longer than 512 bytes (a
+/// graph entity-index key) and a term whose posting list encodes to more
+/// than 1 KiB all save, reopen to byte-identical answers, and checkpoint
+/// after a delta. A format with a key or value width limit fails here.
+#[test]
+fn wide_tokens_names_and_posting_lists_snapshot_and_checkpoint() {
+    let long_token = "x7".repeat(300);
+    let long_name = (0..90).map(|i| format!("Omega{i:02}")).collect::<Vec<_>>().join(" ");
+    assert!(long_name.len() > 512);
+    let lexicon = Lexicon::new().with_entries([
+        (long_name.as_str(), EntityKind::Product),
+        ("Aero Widget", EntityKind::Product),
+    ]);
+    let mut b = EngineBuilder::with_config(lexicon, config(1));
+    b.add_document(
+        "serial",
+        format!("The Aero Widget carries serial {long_token} on its case."),
+        "manual",
+    );
+    b.add_document("catalog", format!("Acme Corp ships the {long_name} next year."), "news");
+    for i in 0..100 {
+        b.add_document(
+            format!("review {i}"),
+            format!("Customers praised the Aero Widget in review number {i}."),
+            "review",
+        );
+    }
+    let engine = b.build().0;
+    let postings = engine.docs().index().postings();
+    assert!(postings.keys().any(|term| term.len() >= 600), "the long token is a term");
+    let widest = postings.values().map(Vec::len).max().unwrap_or(0);
+    assert!(8 + 12 * widest > 1024, "widest posting list is only {widest} entries");
+    assert!(engine.graph().entity_by_name(&long_name).is_some(), "the long name is an entity");
+
+    let snap = tmp_path("wide-base");
+    let ckpt = tmp_path("wide-ckpt");
+    let wal = tmp_path("wide-wal");
+    remove_wal(&wal);
+    engine.save_snapshot(&snap).expect("no width limit on what a snapshot holds");
+
+    let questions = [
+        format!("Which product carries serial {long_token}?"),
+        format!("Who ships the {long_name}?"),
+        "What did customers say about the Aero Widget?".to_string(),
+    ];
+    let (mut live, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&snap, &wal, config(1)).expect("reopen");
+    assert_eq!(replayed, 0);
+    for q in &questions {
+        assert_eq!(live.answer(q), engine.answer(q), "{q}");
+    }
+
+    live.ingest_delta(Delta::DocAdd {
+        title: "recall".into(),
+        text: format!("Acme Corp recalled serial {} of the {long_name}.", "y9".repeat(300)),
+        source: "news".into(),
+    })
+    .expect("ingest");
+    live.checkpoint(&ckpt).expect("checkpoint after a delta");
+    let (recovered, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, config(1)).expect("recover");
+    assert_eq!(replayed, 0, "the checkpoint truncated the log");
+    assert_eq!(recovered.applied_seq(), 1);
+    for q in &questions {
+        assert_eq!(recovered.answer(q), live.answer(q), "{q}");
+    }
+    drop((live, recovered));
+    remove_wal(&wal);
     std::fs::remove_file(&snap).ok();
     std::fs::remove_file(&ckpt).ok();
 }
