@@ -16,11 +16,6 @@ cargo fmt --check
 echo "==> offline release build"
 CARGO_NET_OFFLINE=true cargo build --release
 
-echo "==> micro-benches compile (crates/bench/benches/*)"
-# Neither the build above nor `cargo test` compiles the bench targets, so a
-# deleted parkit or hetgraph function would rot them silently.
-CARGO_NET_OFFLINE=true cargo build --release --offline --benches -p unisem-bench
-
 echo "==> no fork-join below string- or row-sized work"
 # Entropy sampling and the relational sweeps lost their fan-outs to
 # measurement (DESIGN.md §6): the crates whose unit of work is a string or
@@ -103,55 +98,18 @@ CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,wal.append@64,wal.flush@64" \
     cargo test -q -p unisem-tests --test recovery --test ingest --test spawns
 CARGO_NET_OFFLINE=true cargo test -q -p faultkit
 
-echo "==> bench smoke (profile binary)"
-# The per-stage profiler must keep producing well-formed detkit JSON lines;
-# --smoke uses reduced workloads and writes nothing (the committed
-# BENCH_baseline.json stays untouched).
-profile_out=$(CARGO_NET_OFFLINE=true cargo run -q --release -p unisem-bench --bin profile -- --smoke 2>/dev/null)
-lines=$(printf '%s\n' "$profile_out" | grep -c '"suite":"profile"')
-if [ "$lines" -lt 18 ]; then
-    echo "ERROR: profile --smoke emitted $lines stage lines (expected >= 18)"
-    exit 1
-fi
-if printf '%s\n' "$profile_out" | grep '\.ingest\.' | grep -q '"iters":0,'; then
-    echo "ERROR: profile --smoke recorded no samples for an ingest stage"
-    exit 1
-fi
-
-echo "==> bench smoke (scalebench binary)"
-# The serving-scale macro-bench must keep producing well-formed JSON rows
-# with nonzero throughput and latency quantiles; --smoke uses one small
-# tier at 1 and 2 threads and writes nothing (the committed
-# BENCH_scale.json stays untouched).
-scale_out=$(CARGO_NET_OFFLINE=true cargo run -q --release -p unisem-bench --bin scalebench -- --smoke 2>/dev/null)
-rows=$(printf '%s\n' "$scale_out" | grep -c '"suite":"scale"')
-if [ "$rows" -lt 2 ]; then
-    echo "ERROR: scalebench --smoke emitted $rows rows (expected >= 2)"
-    exit 1
-fi
-# Quantile checks apply to the scale rows only: any stray diagnostic line
-# on stdout would trivially "lack" qps and fail the inverted grep, so
-# filter to the suite's own rows before asserting shape.
-scale_rows=$(printf '%s\n' "$scale_out" | grep '"suite":"scale"')
-if printf '%s\n' "$scale_rows" | grep -vq '"qps":[1-9]'; then
-    echo "ERROR: scalebench --smoke produced a row without nonzero qps"
-    printf '%s\n' "$scale_rows"
-    exit 1
-fi
-if printf '%s\n' "$scale_rows" | grep -vq '"p99_ns":[1-9]'; then
-    echo "ERROR: scalebench --smoke produced a row without a nonzero p99"
-    printf '%s\n' "$scale_rows"
-    exit 1
-fi
-
 echo "==> unibench --check (benchmark output checks, BENCHMARK.json)"
 # The standalone benchmark package builds offline against this tree and
 # runs all four workloads, plain and traced, on a small corpus: reads see
 # their writes, a rebuild + log replay reproduces the live engine, every
 # round writes the same log bytes, batch equals serial. An engine change
 # that breaks one of those fails here, not later in the bench pipeline.
-# It writes only under its own ignored directories.
+# It writes only under its own ignored directories. unibench is the only
+# benchmark; BENCH_baseline.json is its output through bench-baseline.sh
+# (minutes, so only parsed here) and tier-1's bench_baseline test checks
+# the committed rows against BENCHMARK.json.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check >/dev/null
+bash -n bench-baseline.sh
 
 echo "==> udlint --deny all (static determinism-contract audit)"
 # One linter replaces the former awk gates (closed metric namespace,

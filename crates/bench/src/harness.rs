@@ -2,7 +2,6 @@
 //! table rendering for experiment reports.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use unisem_core::{EngineBuilder, EngineConfig, QaPipeline, UnifiedEngine};
 use unisem_workloads::{answer_matches, EcommerceWorkload, HealthcareWorkload, QaCategory, QaItem};
@@ -47,8 +46,6 @@ pub fn build_healthcare_engine(w: &HealthcareWorkload, config: EngineConfig) -> 
 pub struct EvalResult {
     /// `(correct, total)` per category.
     pub by_category: BTreeMap<QaCategory, (usize, usize)>,
-    /// Total wall-clock seconds spent answering.
-    pub elapsed_secs: f64,
     /// Per-question records: `(question id, correct, confidence,
     /// semantic entropy, predictive entropy, lexical variance)`.
     pub records: Vec<QuestionRecord>,
@@ -86,18 +83,11 @@ impl EvalResult {
     pub fn accuracy(&self, cat: QaCategory) -> f64 {
         self.by_category.get(&cat).map_or(1.0, |(c, t)| *c as f64 / (*t).max(1) as f64)
     }
-
-    /// Mean seconds per question.
-    pub fn secs_per_question(&self) -> f64 {
-        let n: usize = self.by_category.values().map(|(_, t)| t).sum();
-        self.elapsed_secs / n.max(1) as f64
-    }
 }
 
 /// Runs a pipeline over a QA set and scores it.
 pub fn evaluate_pipeline(pipeline: &dyn QaPipeline, qa: &[QaItem]) -> EvalResult {
     let mut result = EvalResult::default();
-    let start = Instant::now();
     for item in qa {
         let ans = pipeline.answer(&item.question);
         let correct = answer_matches(&item.gold, &ans.text);
@@ -117,7 +107,6 @@ pub fn evaluate_pipeline(pipeline: &dyn QaPipeline, qa: &[QaItem]) -> EvalResult
             lexical_variance: ans.entropy.lexical_variance,
         });
     }
-    result.elapsed_secs = start.elapsed().as_secs_f64();
     result
 }
 

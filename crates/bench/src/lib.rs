@@ -1,7 +1,7 @@
 //! # unisem-bench
 //!
-//! Shared plumbing for the experiment harness (`src/bin/experiments.rs`)
-//! and the detkit micro-benchmarks in `benches/`.
+//! The experiment harness behind `src/bin/experiments.rs`. Timing lives
+//! in unibench (`benchmark/`, `BENCHMARK.json`), not here.
 //!
 //! Every experiment in EXPERIMENTS.md is regenerated by
 //! `cargo run -p unisem-bench --bin experiments -- <e1..e8|all>`.

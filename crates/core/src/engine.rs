@@ -865,11 +865,6 @@ impl UnifiedEngine {
         self.applied_seq
     }
 
-    /// True when a write-ahead log is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Ingests one incremental delta in O(delta) plus one fsync: validated
     /// read-only against the live substrates, appended to the write-ahead
     /// log, made durable, and only then applied — in place — and

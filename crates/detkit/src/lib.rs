@@ -3,23 +3,17 @@
 //! Deterministic toolkit backing the unisem workspace's hermetic,
 //! zero-dependency build policy (see DESIGN.md §"Hermetic builds").
 //!
-//! Three modules, each a drop-in replacement for a crates-io dependency
+//! Two modules, each a drop-in replacement for a crates-io dependency
 //! the build environment cannot resolve offline:
 //!
 //! - [`rng`] — a seedable SplitMix64/xoshiro256** PRNG (replaces `rand`).
 //! - [`prop`] — a property-testing harness with generators, deterministic
 //!   per-test seed derivation, linear shrinking, and stored-seed
 //!   regression replay (replaces `proptest`).
-//! - [`bench`] — a wall-clock micro-benchmark harness with warmup,
-//!   median/p95/mean statistics, and machine-readable JSON lines output
-//!   (replaces `criterion`).
 //!
 //! Everything here is reproducible: the same seed always yields the same
-//! random stream, the same test name always replays the same cases, and
-//! bench output is schema-stable so `BENCH_*.json` files can be tracked
-//! across commits.
+//! random stream and the same test name always replays the same cases.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 

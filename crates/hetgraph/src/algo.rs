@@ -4,8 +4,7 @@
 //! connectivity" that §III.B uses "to efficiently prioritize nodes and edges
 //! that are most relevant to a given query".
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use parkit::Pool;
 
@@ -16,98 +15,6 @@ use crate::graph::{HetGraph, NodeId};
 /// of floating-point partial sums — are identical at every
 /// `UNISEM_THREADS` setting (parkit determinism contract, DESIGN.md §6).
 const NODE_CHUNK: usize = 256;
-
-/// Breadth-first traversal up to `max_hops`, returning each reached node
-/// with its hop distance (the start node has distance 0).
-pub fn bfs_within(graph: &HetGraph, start: NodeId, max_hops: usize) -> Vec<(NodeId, usize)> {
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let mut out = Vec::new();
-    let mut queue = VecDeque::new();
-    seen.insert(start);
-    queue.push_back((start, 0usize));
-    while let Some((node, d)) = queue.pop_front() {
-        out.push((node, d));
-        if d == max_hops {
-            continue;
-        }
-        for &(next, _) in graph.neighbors(node) {
-            if seen.insert(next) {
-                queue.push_back((next, d + 1));
-            }
-        }
-    }
-    out
-}
-
-/// Multi-source BFS: hop distance to the nearest of `sources` for every
-/// reachable node.
-pub fn multi_source_hops(graph: &HetGraph, sources: &[NodeId]) -> BTreeMap<NodeId, usize> {
-    let mut dist = BTreeMap::new();
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if !dist.contains_key(&s) {
-            dist.insert(s, 0);
-            queue.push_back(s);
-        }
-    }
-    while let Some(node) = queue.pop_front() {
-        let d = dist[&node];
-        for &(next, _) in graph.neighbors(node) {
-            if !dist.contains_key(&next) {
-                dist.insert(next, d + 1);
-                queue.push_back(next);
-            }
-        }
-    }
-    dist
-}
-
-#[derive(PartialEq)]
-struct HeapItem {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by cost (reverse), ties by node id for determinism.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Weighted single-source shortest distances using edge traversal costs
-/// (see [`crate::graph::EdgeKind::traversal_cost`]), cut off at `max_cost`.
-pub fn dijkstra_within(graph: &HetGraph, start: NodeId, max_cost: f64) -> BTreeMap<NodeId, f64> {
-    let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(start, 0.0);
-    heap.push(HeapItem { cost: 0.0, node: start });
-    while let Some(HeapItem { cost, node }) = heap.pop() {
-        if cost > *dist.get(&node).unwrap_or(&f64::INFINITY) {
-            continue;
-        }
-        for &(next, edge) in graph.neighbors(node) {
-            let c = cost + graph.edge(edge).kind.traversal_cost();
-            if c <= max_cost && c < *dist.get(&next).unwrap_or(&f64::INFINITY) {
-                dist.insert(next, c);
-                heap.push(HeapItem { cost: c, node: next });
-            }
-        }
-    }
-    dist
-}
 
 /// Unweighted shortest path between two nodes (inclusive of endpoints), or
 /// `None` when disconnected.
@@ -164,15 +71,6 @@ pub fn connected_components(graph: &HetGraph) -> (Vec<usize>, usize) {
         next += 1;
     }
     (comp, next)
-}
-
-/// Degree centrality, normalized by `n - 1` (0 for a singleton graph).
-pub fn degree_centrality(graph: &HetGraph) -> Vec<f64> {
-    let n = graph.num_nodes();
-    if n <= 1 {
-        return vec![0.0; n];
-    }
-    (0..n).map(|i| graph.degree(NodeId(i as u32)) as f64 / (n - 1) as f64).collect()
 }
 
 /// PageRank with uniform teleport. Returns one score per node, summing
@@ -257,22 +155,6 @@ pub fn personalized_pagerank_pool(
     rank
 }
 
-/// Closeness centrality of one node: `(reachable - 1) / total_distance`,
-/// scaled by reachable fraction (Wasserman-Faust). 0 for isolated nodes.
-pub fn closeness(graph: &HetGraph, node: NodeId) -> f64 {
-    let reached = bfs_within(graph, node, usize::MAX);
-    let n = graph.num_nodes();
-    if reached.len() <= 1 || n <= 1 {
-        return 0.0;
-    }
-    let total: usize = reached.iter().map(|&(_, d)| d).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let r = reached.len() as f64;
-    ((r - 1.0) / total as f64) * ((r - 1.0) / (n as f64 - 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,53 +173,14 @@ mod tests {
     }
 
     /// Star graph: hub connected to 4 leaves.
-    fn star_graph() -> (HetGraph, NodeId, Vec<NodeId>) {
+    fn star_graph() -> (HetGraph, NodeId) {
         let mut g = HetGraph::new();
         let hub = g.add_entity("hub", EntityKind::Other);
-        let leaves: Vec<NodeId> = (0..4)
-            .map(|i| {
-                let l = g.add_entity(&format!("leaf{i}"), EntityKind::Other);
-                g.add_edge(hub, l, EdgeKind::Mentions);
-                l
-            })
-            .collect();
-        (g, hub, leaves)
-    }
-
-    #[test]
-    fn bfs_respects_hops() {
-        let (g, ids) = path_graph();
-        let r1 = bfs_within(&g, ids[0], 1);
-        assert_eq!(r1.len(), 2);
-        let r2 = bfs_within(&g, ids[0], 2);
-        assert_eq!(r2.len(), 3);
-        let all = bfs_within(&g, ids[0], 10);
-        assert_eq!(all.len(), 4, "isolated node unreachable");
-        assert_eq!(all.iter().find(|&&(n, _)| n == ids[3]).unwrap().1, 3);
-    }
-
-    #[test]
-    fn multi_source_takes_min() {
-        let (g, ids) = path_graph();
-        let d = multi_source_hops(&g, &[ids[0], ids[3]]);
-        assert_eq!(d[&ids[1]], 1);
-        assert_eq!(d[&ids[2]], 1);
-        assert!(!d.contains_key(&ids[4]));
-    }
-
-    #[test]
-    fn dijkstra_uses_costs() {
-        let mut g = HetGraph::new();
-        let a = g.add_entity("a", EntityKind::Other);
-        let b = g.add_entity("b", EntityKind::Other);
-        let c = g.add_entity("c", EntityKind::Other);
-        g.add_edge(a, b, EdgeKind::Mentions); // cost 1.0
-        g.add_edge(b, c, EdgeKind::NextChunk); // cost 2.0
-        let d = dijkstra_within(&g, a, 10.0);
-        assert_eq!(d[&c], 3.0);
-        let cut = dijkstra_within(&g, a, 1.5);
-        assert!(!cut.contains_key(&c));
-        assert!(cut.contains_key(&b));
+        for i in 0..4 {
+            let l = g.add_entity(&format!("leaf{i}"), EntityKind::Other);
+            g.add_edge(hub, l, EdgeKind::Mentions);
+        }
+        (g, hub)
     }
 
     #[test]
@@ -359,18 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn degree_centrality_star() {
-        let (g, hub, leaves) = star_graph();
-        let c = degree_centrality(&g);
-        assert!((c[hub.0 as usize] - 1.0).abs() < 1e-9);
-        for l in leaves {
-            assert!((c[l.0 as usize] - 0.25).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn pagerank_hub_highest() {
-        let (g, hub, _) = star_graph();
+        let (g, hub) = star_graph();
         let pr = pagerank(&g, 0.85, 50);
         let hub_score = pr[hub.0 as usize];
         assert!(pr.iter().enumerate().all(|(i, &s)| i == hub.0 as usize || s <= hub_score));
@@ -394,15 +227,6 @@ mod tests {
     fn pagerank_empty_graph() {
         let g = HetGraph::new();
         assert!(pagerank(&g, 0.85, 10).is_empty());
-    }
-
-    #[test]
-    fn closeness_center_beats_ends() {
-        let (g, ids) = path_graph();
-        let center = closeness(&g, ids[1]);
-        let end = closeness(&g, ids[0]);
-        assert!(center > end);
-        assert_eq!(closeness(&g, ids[4]), 0.0);
     }
 
     #[test]

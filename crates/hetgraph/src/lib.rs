@@ -13,8 +13,8 @@
 //!   *purchased* Product Y"), temporal links, and record-attribute links.
 //!
 //! [`algo`] supplies the topology machinery §III.B's retrieval builds on:
-//! BFS/k-hop traversal, degree/closeness/PageRank/personalized-PageRank
-//! centrality, connected components, and shortest paths.
+//! PageRank / personalized-PageRank centrality, plus the connected
+//! components and shortest paths the test suites use as oracles.
 //!
 //! [`build`] constructs the graph from the substrate stores using the SLM
 //! for tagging and relation cue inference.

@@ -3,9 +3,7 @@
 
 use detkit::prop::{usizes, vec_of, zip, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
-use unisem_hetgraph::algo::{
-    bfs_within, connected_components, pagerank, personalized_pagerank, shortest_path,
-};
+use unisem_hetgraph::algo::{connected_components, pagerank, personalized_pagerank, shortest_path};
 use unisem_hetgraph::{EdgeKind, HetGraph, NodeId};
 use unisem_slm::EntityKind;
 
@@ -61,16 +59,6 @@ prop_check!(ppr_confined_to_component, arb_graph(), |g| {
     Ok(())
 });
 
-// BFS distance agrees with shortest-path length.
-prop_check!(bfs_matches_shortest_path, arb_graph(), |g| {
-    let reached = bfs_within(g, NodeId(0), usize::MAX);
-    for &(node, d) in reached.iter().take(10) {
-        let p = shortest_path(g, NodeId(0), node).expect("reached implies path");
-        prop_assert_eq!(p.len() - 1, d);
-    }
-    Ok(())
-});
-
 // Components partition the nodes: same component ⇔ path exists
 // (checked on a sample of pairs).
 prop_check!(components_consistent_with_paths, arb_graph(), |g| {
@@ -83,14 +71,5 @@ prop_check!(components_consistent_with_paths, arb_graph(), |g| {
             prop_assert_eq!(connected, comp[a] == comp[b]);
         }
     }
-    Ok(())
-});
-
-// Hop-bounded BFS frontiers are monotone in the bound.
-prop_check!(bfs_monotone_in_hops, zip(&arb_graph(), &usizes(0, 4)), |t| {
-    let (g, h) = t;
-    let small = bfs_within(g, NodeId(0), *h).len();
-    let large = bfs_within(g, NodeId(0), h + 1).len();
-    prop_assert!(small <= large);
     Ok(())
 });

@@ -30,7 +30,7 @@ use crate::source::SourceFile;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FileScope {
     /// Not linted: tooling crates (detkit, bench, lintkit), integration
-    /// tests, benches, examples — code that never serves a query.
+    /// tests, examples — code that never serves a query.
     Ignored,
     /// Library code of an engine crate; `krate` is the directory name
     /// under `crates/`.
@@ -41,8 +41,8 @@ pub enum FileScope {
 }
 
 /// Crates whose `src/` is *tooling*, not engine code. The determinism
-/// contract binds what runs inside a query; harnesses that measure or
-/// lint the engine legitimately read clocks, env vars, and argv.
+/// contract binds what runs inside a query; the property-test, experiment
+/// and lint harnesses legitimately read clocks, env vars, and argv.
 const TOOLING_CRATES: &[&str] = &["detkit", "bench", "lintkit"];
 
 /// Crates whose non-test library code must stay panic-free on untrusted
@@ -64,7 +64,7 @@ pub fn file_scope(rel_path: &str) -> FileScope {
         return FileScope::Ignored;
     }
     if parts[2] != "src" {
-        // crates/<k>/tests, crates/<k>/benches, crates/<k>/examples.
+        // crates/<k>/tests, crates/<k>/examples.
         return FileScope::Ignored;
     }
     FileScope::Engine { krate: krate.to_string() }
@@ -119,7 +119,7 @@ mod tests {
             FileScope::Engine { krate: "core".into() }
         );
         assert_eq!(file_scope("crates/detkit/src/rng.rs"), FileScope::Ignored);
-        assert_eq!(file_scope("crates/bench/src/bin/profile.rs"), FileScope::Ignored);
+        assert_eq!(file_scope("crates/bench/src/experiments.rs"), FileScope::Ignored);
         assert_eq!(file_scope("crates/lintkit/src/lexer.rs"), FileScope::Ignored);
         assert_eq!(file_scope("crates/parkit/tests/stress.rs"), FileScope::Ignored);
         assert_eq!(file_scope("tests/tests/determinism.rs"), FileScope::Ignored);

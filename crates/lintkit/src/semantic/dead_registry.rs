@@ -11,9 +11,9 @@
 //! This pass parses the variants out of each `registry_enum!` macro
 //! body (the AST keeps macro-invocation token ranges exactly for this)
 //! and scans every other engine source — plus the bench/detkit tooling
-//! sources, since the profiler is a legitimate recording site — for a
-//! qualified `Enum::Variant` reference outside test code. A variant
-//! with no such reference is reported at its declaration line.
+//! sources, since the experiment harness is a legitimate recording
+//! site — for a qualified `Enum::Variant` reference outside test code.
+//! A variant with no such reference is reported at its declaration line.
 //!
 //! References inside `metrics.rs` itself do not count: the generated
 //! `ALL`/`name`/`kind` tables mention every variant by construction,

@@ -99,9 +99,9 @@ pub struct Workspace {
 }
 
 /// Tooling crates whose sources join the workspace for *usage scanning*
-/// (a metric recorded only by the profiler is still live) without ever
-/// receiving diagnostics. lintkit itself is excluded: its pass sources
-/// spell lint patterns in code.
+/// (a metric recorded only by the experiment harness is still live)
+/// without ever receiving diagnostics. lintkit itself is excluded: its
+/// pass sources spell lint patterns in code.
 const AUX_CRATES: &[&str] = &["detkit", "bench"];
 
 impl Workspace {

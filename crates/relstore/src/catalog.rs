@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::{RelError, RelResult};
-use crate::exec::{execute, execute_with_limits, execute_with_limits_stats, ExecLimits, ExecStats};
+use crate::exec::{execute, execute_with_limits_stats, ExecLimits, ExecStats};
 use crate::optimize::optimize;
 use crate::plan::LogicalPlan;
 use crate::sql;
@@ -91,19 +91,9 @@ impl Database {
     }
 
     /// Executes a logical plan (after optimization) under resource
-    /// governors; a tripped governor surfaces as
-    /// [`RelError::ResourceExhausted`].
-    pub fn run_plan_with_limits(
-        &self,
-        plan: &LogicalPlan,
-        limits: &ExecLimits,
-    ) -> RelResult<Table> {
-        let optimized = optimize(plan.clone());
-        execute_with_limits(&optimized, self, limits)
-    }
-
-    /// [`Self::run_plan_with_limits`] plus deterministic work counters
-    /// ([`ExecStats`]); the counters are valid even when execution fails.
+    /// governors — a tripped governor surfaces as
+    /// [`RelError::ResourceExhausted`] — and returns deterministic work
+    /// counters ([`ExecStats`]), valid even when execution fails.
     pub fn run_plan_with_limits_stats(
         &self,
         plan: &LogicalPlan,

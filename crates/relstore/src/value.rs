@@ -130,14 +130,6 @@ impl Value {
         }
     }
 
-    /// Date view.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// The [`crate::schema::DataType`] name of this value, for diagnostics.
     pub fn type_name(&self) -> &'static str {
         match self {

@@ -12,20 +12,17 @@
 //!   the query, scan cosine similarities (what EVAPORATE-style pipelines
 //!   do, §I gap 1).
 //! - [`lexical`]: BM25 over chunks.
-//! - [`hybrid`]: weighted dense + lexical fusion.
 //! - [`metrics`]: recall@k / hit@k / MRR used by experiments E3 and E6.
 //!
 //! All retrievers implement [`ChunkRetriever`], so experiment harnesses can
 //! sweep them uniformly.
 
 pub mod dense;
-pub mod hybrid;
 pub mod lexical;
 pub mod metrics;
 pub mod topology;
 
 pub use dense::DenseRetriever;
-pub use hybrid::HybridRetriever;
 pub use lexical::LexicalRetriever;
 pub use metrics::{hit_at_k, mrr, recall_at_k};
 pub use topology::{TopologyConfig, TopologyRetriever, TraversalStats};
@@ -41,7 +38,7 @@ pub struct RetrievalResult {
 
 /// Common retriever interface.
 pub trait ChunkRetriever {
-    /// Short name for reports ("topology", "dense", "bm25", "hybrid").
+    /// Short name for reports ("topology", "dense", "bm25").
     fn name(&self) -> &'static str;
 
     /// Retrieves the top `k` chunks for a query, best first.

@@ -257,10 +257,10 @@ impl TopologyRetriever {
         (primary, constraints)
     }
 
-    /// Hub-damped, cost-bounded Dijkstra: like
-    /// [`unisem_hetgraph::algo::dijkstra_within`], but a non-start node
-    /// whose degree exceeds `hub_cap` is *reached* (it can score) without
-    /// being *expanded* (it never fans the frontier out).
+    /// Hub-damped Dijkstra over edge traversal costs, cut off at
+    /// `max_cost`: a non-start node whose degree exceeds `hub_cap` is
+    /// *reached* (it can score) without being *expanded* (it never fans
+    /// the frontier out).
     /// Returns the reached nodes with their costs, whether the
     /// `max_frontier` governor truncated the expansion, and how many
     /// non-stale heap pops the search performed (its actual work).

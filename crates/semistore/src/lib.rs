@@ -7,22 +7,19 @@
 //!
 //! - [`json`]: a JSON value model, parser, and serializer (no external
 //!   dependency — see DESIGN.md §2),
-//! - [`path`]: a JSONPath-lite query language (`$.a.b[0]`, `$.items[*].x`),
 //! - [`xml`]: a minimal XML parser mapping into the same value model
 //!   ("XML configurations", §I),
 //! - [`flatten`]: schema discovery over document collections and conversion
 //!   to `unisem-relstore` tables (the bridge that lets semi-structured data
 //!   participate in TableQA),
-//! - [`store`]: named collections of documents with path queries.
+//! - [`store`]: named collections of documents.
 
 pub mod flatten;
 pub mod json;
-pub mod path;
 pub mod store;
 pub mod xml;
 
 pub use flatten::{discover_schema, flatten_collection, FlattenError};
 pub use json::{parse_json, JsonError, JsonValue};
-pub use path::{JsonPath, PathError};
 pub use store::{DocId, SemiStore};
 pub use xml::{parse_xml, XmlError};

@@ -6,7 +6,6 @@ use unisem_relstore::Table;
 
 use crate::flatten::{flatten_collection, FlattenError};
 use crate::json::JsonValue;
-use crate::path::JsonPath;
 
 /// Identifier of a document within a collection (insertion order).
 pub type DocId = usize;
@@ -56,16 +55,6 @@ impl SemiStore {
         self.len() == 0
     }
 
-    /// Evaluates a path against every document of a collection, returning
-    /// `(doc id, matched value)` pairs.
-    pub fn query<'a>(&'a self, collection: &str, path: &JsonPath) -> Vec<(DocId, &'a JsonValue)> {
-        self.docs(collection)
-            .iter()
-            .enumerate()
-            .flat_map(|(id, d)| path.eval(d).into_iter().map(move |v| (id, v)))
-            .collect()
-    }
-
     /// Flattens a collection to a relational table (see
     /// [`crate::flatten::flatten_collection`]).
     pub fn to_table(&self, collection: &str) -> Result<Table, FlattenError> {
@@ -100,23 +89,6 @@ mod tests {
         assert!(s.doc("logs", 1).is_some());
         assert!(s.doc("logs", 9).is_none());
         assert!(s.doc("missing", 0).is_none());
-    }
-
-    #[test]
-    fn query_paths() {
-        let s = store();
-        let p = JsonPath::parse("$.level").unwrap();
-        let hits = s.query("logs", &p);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].1.as_str(), Some("info"));
-        assert_eq!(hits[1].0, 1);
-    }
-
-    #[test]
-    fn query_missing_collection_empty() {
-        let s = store();
-        let p = JsonPath::parse("$.x").unwrap();
-        assert!(s.query("missing", &p).is_empty());
     }
 
     #[test]

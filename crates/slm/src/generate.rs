@@ -112,19 +112,6 @@ impl Generator {
         Self { base_seed }
     }
 
-    /// Greedy (argmax-support) answer; `None` when no evidence is given.
-    pub fn answer_greedy(&self, evidence: &[SupportedAnswer]) -> Option<SupportedAnswer> {
-        evidence
-            .iter()
-            .max_by(|a, b| {
-                a.support
-                    .partial_cmp(&b.support)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.text.cmp(&a.text))
-            })
-            .cloned()
-    }
-
     /// Draws `config.n_samples` answers for `query` from the evidence
     /// distribution.
     ///
@@ -249,14 +236,6 @@ mod tests {
             SupportedAnswer::new("sales rose 20%", 5.0),
             SupportedAnswer::new("sales fell 3%", 0.2),
         ]
-    }
-
-    #[test]
-    fn greedy_picks_max_support() {
-        let g = Generator::new(1);
-        let a = g.answer_greedy(&strong_evidence()).unwrap();
-        assert_eq!(a.text, "sales rose 20%");
-        assert!(g.answer_greedy(&[]).is_none());
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! - [`sentence`]: sentence boundary detection,
 //! - [`chunk`]: sentence-aligned sliding-window chunking for indexing,
 //! - [`normalize`]: case folding, a Porter-style stemmer, and a stopword list,
-//! - [`ngram`]: character and word n-gram extraction,
-//! - [`similarity`]: Levenshtein / Jaro-Winkler / Jaccard / cosine measures,
-//! - [`tfidf`]: corpus statistics and TF-IDF weighting,
+//! - [`ngram`]: character n-gram extraction,
+//! - [`similarity`]: Jaro-Winkler / Jaccard / cosine measures,
 //! - [`bm25`]: an Okapi BM25 scorer over tokenized documents.
 //!
 //! Everything here is pure and deterministic: no randomness, no clocks, no
@@ -23,13 +22,11 @@ pub mod ngram;
 pub mod normalize;
 pub mod sentence;
 pub mod similarity;
-pub mod tfidf;
 pub mod tokenize;
 
 pub use bm25::Bm25Index;
 pub use chunk::{chunk_sentences, Chunk, ChunkConfig};
-pub use normalize::{is_stopword, normalize_token, stem, StopwordFilter};
+pub use normalize::{is_stopword, normalize_token, stem};
 pub use sentence::split_sentences;
-pub use similarity::{cosine_terms, jaccard, jaro_winkler, levenshtein, normalized_levenshtein};
-pub use tfidf::{CorpusStats, TfIdfVectorizer};
+pub use similarity::{jaccard, jaro_winkler};
 pub use tokenize::{tokenize, tokenize_words, Token, TokenKind};

@@ -1,7 +1,6 @@
-//! Character and word n-gram extraction.
+//! Character n-gram extraction.
 //!
-//! Character n-grams feed the feature-hashed embeddings in `unisem-slm`;
-//! word n-grams support phrase matching in entity linking.
+//! Character n-grams feed the feature-hashed embeddings in `unisem-slm`.
 
 /// Yields character n-grams of `word` with boundary markers (`^word$`).
 ///
@@ -30,20 +29,6 @@ pub fn char_ngrams_range(word: &str, min: usize, max: usize) -> Vec<String> {
     (min..=max).flat_map(|n| char_ngrams(word, n)).collect()
 }
 
-/// Yields word n-grams (as joined strings) over a token slice.
-///
-/// ```
-/// use unisem_text::ngram::word_ngrams;
-/// let toks: Vec<String> = ["new", "york", "city"].iter().map(|s| s.to_string()).collect();
-/// assert_eq!(word_ngrams(&toks, 2), vec!["new york", "york city"]);
-/// ```
-pub fn word_ngrams(tokens: &[String], n: usize) -> Vec<String> {
-    if n == 0 || tokens.len() < n {
-        return Vec::new();
-    }
-    tokens.windows(n).map(|w| w.join(" ")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,7 +46,6 @@ mod tests {
     #[test]
     fn zero_n_is_empty() {
         assert!(char_ngrams("abc", 0).is_empty());
-        assert!(word_ngrams(&[], 0).is_empty());
     }
 
     #[test]
@@ -69,14 +53,6 @@ mod tests {
         let grams = char_ngrams_range("cat", 2, 3);
         assert!(grams.contains(&"^c".to_string()));
         assert!(grams.contains(&"cat".to_string()));
-    }
-
-    #[test]
-    fn word_bigrams() {
-        let toks: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(word_ngrams(&toks, 2), vec!["a b", "b c"]);
-        assert_eq!(word_ngrams(&toks, 3), vec!["a b c"]);
-        assert!(word_ngrams(&toks, 4).is_empty());
     }
 
     #[test]

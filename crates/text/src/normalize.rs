@@ -24,38 +24,6 @@ pub fn is_stopword(word: &str) -> bool {
     STOPWORDS.binary_search(&lower.as_str()).is_ok() || STOPWORDS.contains(&lower.as_str())
 }
 
-/// A reusable stopword filter.
-///
-/// Holds the default list plus optional extra (domain) stopwords.
-#[derive(Debug, Clone, Default)]
-pub struct StopwordFilter {
-    extra: Vec<String>,
-}
-
-impl StopwordFilter {
-    /// Creates a filter with only the default stopword list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds domain-specific stopwords (lower-cased internally).
-    pub fn with_extra<I: IntoIterator<Item = S>, S: Into<String>>(mut self, extra: I) -> Self {
-        self.extra.extend(extra.into_iter().map(|s| s.into().to_lowercase()));
-        self
-    }
-
-    /// Returns true when `word` should be filtered out.
-    pub fn is_stop(&self, word: &str) -> bool {
-        let lower = word.to_lowercase();
-        is_stopword(&lower) || self.extra.iter().any(|e| e == &lower)
-    }
-
-    /// Removes stopwords from a token stream, preserving order.
-    pub fn filter<'a>(&'a self, tokens: &'a [String]) -> impl Iterator<Item = &'a String> + 'a {
-        tokens.iter().filter(move |t| !self.is_stop(t))
-    }
-}
-
 /// Lowercases and stems a token: the canonical index-term form.
 pub fn normalize_token(token: &str) -> String {
     stem(&token.to_lowercase())
@@ -285,23 +253,6 @@ mod tests {
         assert!(is_stopword("The"));
         assert!(!is_stopword("sales"));
         assert!(!is_stopword("drug"));
-    }
-
-    #[test]
-    fn stopword_filter_extra() {
-        let f = StopwordFilter::new().with_extra(["product"]);
-        assert!(f.is_stop("the"));
-        assert!(f.is_stop("Product"));
-        assert!(!f.is_stop("sales"));
-    }
-
-    #[test]
-    fn filter_preserves_order() {
-        let f = StopwordFilter::new();
-        let toks: Vec<String> =
-            ["the", "total", "of", "sales"].iter().map(|s| s.to_string()).collect();
-        let kept: Vec<&String> = f.filter(&toks).collect();
-        assert_eq!(kept, vec!["total", "sales"]);
     }
 
     #[test]

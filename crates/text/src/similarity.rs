@@ -3,40 +3,6 @@
 //! Used for entity linking (matching query mentions to graph entity nodes),
 //! answer clustering in semantic entropy, and fuzzy schema alignment.
 
-use std::collections::BTreeMap;
-
-/// Levenshtein edit distance between two strings (unit costs).
-///
-/// Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut curr = vec![0usize; short.len() + 1];
-    for (i, lc) in long.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let cost = usize::from(lc != sc);
-            curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[short.len()]
-}
-
-/// Levenshtein similarity normalized to `[0, 1]` (1 = identical).
-pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
 /// Jaro similarity in `[0, 1]`.
 fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
@@ -98,26 +64,6 @@ pub fn jaccard<T: std::hash::Hash + Eq>(a: &[T], b: &[T]) -> f64 {
     inter / union
 }
 
-/// Cosine similarity between two term-frequency maps.
-///
-/// Takes `BTreeMap`s so the float dot-product accumulates in a
-/// deterministic key order (hash-map iteration order would make the sum
-/// vary across processes).
-pub fn cosine_terms(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let dot: f64 = small.iter().filter_map(|(k, v)| large.get(k).map(|w| v * w)).sum();
-    let na: f64 = a.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
 /// Cosine similarity between two dense vectors of equal length.
 ///
 /// Returns 0.0 when either vector is all-zero. Panics if lengths differ.
@@ -143,29 +89,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("same", "same"), 0);
-    }
-
-    #[test]
-    fn levenshtein_symmetric() {
-        assert_eq!(levenshtein("abcdef", "azced"), levenshtein("azced", "abcdef"));
-    }
-
-    #[test]
-    fn normalized_bounds() {
-        assert_eq!(normalized_levenshtein("", ""), 1.0);
-        assert_eq!(normalized_levenshtein("abc", "abc"), 1.0);
-        assert_eq!(normalized_levenshtein("abc", "xyz"), 0.0);
-        let v = normalized_levenshtein("drug-a", "druga");
-        assert!(v > 0.8);
-    }
-
-    #[test]
     fn jaro_winkler_basics() {
         assert!((jaro_winkler("martha", "marhta") - 0.9611).abs() < 0.001);
         assert_eq!(jaro_winkler("", ""), 1.0);
@@ -188,20 +111,6 @@ mod tests {
         let a = vec!["a", "a", "b"];
         let b = vec!["a", "b", "b"];
         assert_eq!(jaccard(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn cosine_terms_basics() {
-        let mut a = BTreeMap::new();
-        a.insert("x".to_string(), 1.0);
-        a.insert("y".to_string(), 1.0);
-        let mut b = BTreeMap::new();
-        b.insert("x".to_string(), 1.0);
-        b.insert("y".to_string(), 1.0);
-        assert!((cosine_terms(&a, &b) - 1.0).abs() < 1e-9);
-        let mut c = BTreeMap::new();
-        c.insert("z".to_string(), 2.0);
-        assert_eq!(cosine_terms(&a, &c), 0.0);
     }
 
     #[test]

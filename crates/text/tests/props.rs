@@ -1,11 +1,8 @@
 //! Property-based tests for the text substrate (detkit harness).
 
-use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
+use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
-use unisem_text::{
-    chunk_sentences, jaccard, levenshtein, normalized_levenshtein, split_sentences, stem, tokenize,
-    ChunkConfig,
-};
+use unisem_text::{chunk_sentences, jaccard, split_sentences, stem, tokenize, ChunkConfig};
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const UPPER: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
@@ -47,40 +44,6 @@ prop_check!(
         let joined: String = split_sentences(s).join(" ");
         let strip = |x: &str| x.chars().filter(|c| !c.is_whitespace()).collect::<String>();
         prop_assert_eq!(strip(&joined), strip(s));
-        Ok(())
-    }
-);
-
-// Levenshtein satisfies the triangle inequality on small strings.
-prop_check!(
-    levenshtein_triangle,
-    zip3(&string_of("abc", 0, 8), &string_of("abc", 0, 8), &string_of("abc", 0, 8)),
-    |t| {
-        let (a, b, c) = t;
-        let ab = levenshtein(a, b);
-        let bc = levenshtein(b, c);
-        let ac = levenshtein(a, c);
-        prop_assert!(ac <= ab + bc);
-        Ok(())
-    }
-);
-
-// Levenshtein is symmetric and zero iff equal.
-prop_check!(levenshtein_metric, zip(&string_of("abcd", 0, 10), &string_of("abcd", 0, 10)), |t| {
-    let (a, b) = t;
-    prop_assert_eq!(levenshtein(a, b), levenshtein(b, a));
-    prop_assert_eq!(levenshtein(a, b) == 0, a == b);
-    Ok(())
-});
-
-// Normalized Levenshtein stays in [0, 1].
-prop_check!(
-    normalized_levenshtein_bounds,
-    zip(&unicode_strings(0, 30), &unicode_strings(0, 30)),
-    |t| {
-        let (a, b) = t;
-        let v = normalized_levenshtein(a, b);
-        prop_assert!((0.0..=1.0).contains(&v));
         Ok(())
     }
 );

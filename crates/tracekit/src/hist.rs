@@ -1,19 +1,10 @@
-//! Deterministic log-linear histograms (DESIGN.md §14).
-//!
-//! One fixed bucket layout shared by the full-range [`Histogram`] used by
-//! the bench binaries and the capped histograms inside
-//! [`crate::metrics::MetricsRegistry`]: values `0..8` get an exact bucket
-//! each, and every octave above is split into four linear sub-buckets
-//! (HDR-style), so relative bucket error is bounded by 25% at any
-//! magnitude while the layout stays a pure function of the value — no
-//! configuration, no floating point, no allocation-order dependence.
-//!
-//! [`Histogram`] is a plain value type: threads record into private
-//! instances and the caller folds them with [`Histogram::merge`] in index
-//! order (parkit's `par_chunks` contract), which makes the merged counts —
-//! and therefore every quantile drawn from them — byte-identical at any
-//! thread count. Exact `count`/`sum`/`min`/`max` ride along so `max` (and
-//! the quantile clamp against it) is exact rather than a bucket bound.
+//! The deterministic log-linear bucket layout (DESIGN.md §14) of the
+//! capped histograms inside [`crate::metrics::MetricsRegistry`]: values
+//! `0..8` get an exact bucket each, and every octave above is split into
+//! four linear sub-buckets (HDR-style), so relative bucket error is bounded
+//! by 25% at any magnitude while the layout stays a pure function of the
+//! value — no configuration, no floating point, no allocation-order
+//! dependence.
 
 /// Sub-buckets per octave above the exact range (a power of two).
 const SUBS: usize = 4;
@@ -55,132 +46,6 @@ pub fn bucket_upper(index: usize) -> u64 {
         let k = 3 + (index - EXACT as usize) / SUBS;
         // width - 1 first: the top bucket's lower + width would overflow.
         bucket_lower(index) + ((1u64 << (k - 2)) - 1)
-    }
-}
-
-/// A mergeable log-linear histogram over `u64` observations.
-///
-/// Quantiles are extracted by rank-walking the cumulative bucket counts
-/// and reporting the bucket's inclusive upper bound, clamped to the exact
-/// observed `min`/`max` — so `quantile(1.0)` is the true maximum, not a
-/// bucket boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: [u64; NUM_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram { counts: [0; NUM_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.counts[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Folds another histogram into this one. Bucket-wise addition is
-    /// associative and commutative, but callers merge in index order
-    /// anyway so the exact `sum` saturation point is reproducible too.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Merges a sequence of per-thread partials, in iteration order.
-    pub fn merge_all<'a>(parts: impl IntoIterator<Item = &'a Histogram>) -> Histogram {
-        let mut out = Histogram::new();
-        for part in parts {
-            out.merge(part);
-        }
-        out
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Exact smallest observation, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact largest observation, if any.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Integer mean (0 when empty).
-    pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Raw bucket counts, index order (see [`bucket_lower`]/[`bucket_upper`]).
-    pub fn counts(&self) -> &[u64; NUM_BUCKETS] {
-        &self.counts
-    }
-
-    /// The value at quantile `q` in `[0, 1]`: the inclusive upper bound of
-    /// the bucket holding the rank-`ceil(q * count)` observation, clamped
-    /// to the exact observed extremes. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
     }
 }
 
@@ -240,73 +105,5 @@ mod tests {
             let width = bucket_upper(i) - bucket_lower(i) + 1;
             assert!(width * 4 <= bucket_lower(i), "bucket {i} too wide");
         }
-    }
-
-    #[test]
-    fn record_and_exact_stats() {
-        let mut h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.quantile(0.5), 0);
-        for v in [3u64, 9, 9, 1_000, 42] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 3 + 9 + 9 + 1_000 + 42);
-        assert_eq!(h.min(), Some(3));
-        assert_eq!(h.max(), Some(1_000));
-        assert_eq!(h.mean(), (3 + 9 + 9 + 1_000 + 42) / 5);
-    }
-
-    #[test]
-    fn quantiles_walk_ranks_and_clamp_to_exact_max() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        // p50 lands in the bucket holding rank 50; bucket [48..=55] → 55.
-        assert_eq!(h.p50(), bucket_upper(bucket_index(50)));
-        // p100 is the exact maximum even though its bucket ends at 103.
-        assert_eq!(h.quantile(1.0), 100);
-        assert_eq!(h.max(), Some(100));
-        assert!(h.p95() >= h.p50());
-        assert!(h.p99() >= h.p95());
-    }
-
-    #[test]
-    fn single_observation_quantiles_are_exact() {
-        let mut h = Histogram::new();
-        h.record(77);
-        // Clamping to min==max makes every quantile exact.
-        assert_eq!(h.p50(), 77);
-        assert_eq!(h.p99(), 77);
-        assert_eq!(h.quantile(0.0), 77);
-    }
-
-    #[test]
-    fn merge_is_order_independent_and_matches_sequential() {
-        let values: Vec<u64> = (0..1000u64).map(|i| i * i % 7919).collect();
-        let mut whole = Histogram::new();
-        for &v in &values {
-            whole.record(v);
-        }
-        let parts: Vec<Histogram> = values
-            .chunks(97)
-            .map(|chunk| {
-                let mut h = Histogram::new();
-                for &v in chunk {
-                    h.record(v);
-                }
-                h
-            })
-            .collect();
-        let merged = Histogram::merge_all(&parts);
-        assert_eq!(merged, whole);
-        let mut reversed = Histogram::new();
-        for part in parts.iter().rev() {
-            reversed.merge(part);
-        }
-        assert_eq!(reversed, whole);
     }
 }

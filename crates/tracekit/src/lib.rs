@@ -48,7 +48,6 @@ pub use explain::{
     TraceScope, TraversalTrace,
 };
 pub use flame::FlameGraph;
-pub use hist::Histogram;
 pub use meter::ResourceMeter;
 pub use metrics::{Hist, Metric, MetricsRegistry, MetricsReport, Stage, TimingReport};
 pub use trace::{TraceSink, TraceSpec};

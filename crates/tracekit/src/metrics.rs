@@ -433,8 +433,7 @@ impl MetricsReport {
     /// Quantile `q` of a histogram, reported as the bucket's inclusive
     /// upper bound (`u64::MAX` when the rank falls in the overflow
     /// bucket; 0 when empty). The registry tracks bucket counts only, so
-    /// unlike [`crate::hist::Histogram::quantile`] there is no exact
-    /// min/max clamp.
+    /// there is no clamp to an exact observed min/max.
     pub fn hist_quantile(&self, name: &str, q: f64) -> Option<u64> {
         let buckets = self.hist(name)?;
         let total: u64 = buckets.iter().map(|(_, c)| c).sum();

@@ -1,5 +1,5 @@
-//! Serving-scale macro-bench workload: a size-parameterized corpus plus a
-//! seeded query mix for throughput/latency measurement (`scalebench`).
+//! Size-parameterized workload: a corpus of any number of products plus a
+//! seeded query mix — unibench's and the storage/ingest suites' corpora.
 //!
 //! The corpus is the e-commerce generator ([`EcommerceWorkload`]) scaled
 //! along its product axis — the dimension that grows every substrate at
