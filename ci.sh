@@ -25,6 +25,17 @@ if grep -l parkit crates/{slm,entropy,semops,text,extract,relstore}/Cargo.toml; 
     exit 1
 fi
 
+echo "==> no tree map over dense ids on the retrieval query path"
+# Chunk and node ids are dense, so per-query tables keyed by them are Vecs
+# indexed by id, deterministic by ascending fold (DESIGN.md §5b); the tree-map
+# forms live on only as oracles in the crates' tests/props.rs.
+for f in crates/text/src/bm25.rs crates/retrieval/src/topology.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'BTreeMap<(usize|NodeId),'; then
+        echo "ERROR: $f keys a BTreeMap by a dense id outside #[cfg(test)] (see DESIGN.md §5b: index a Vec by the id instead)"
+        exit 1
+    fi
+done
+
 echo "==> offline test suite (UNISEM_THREADS=1)"
 CARGO_NET_OFFLINE=true UNISEM_THREADS=1 cargo test -q
 

@@ -187,11 +187,15 @@ impl DocStore {
 
     /// BM25 search over chunks.
     pub fn search(&self, query: &str, top_k: usize) -> Vec<ChunkHit> {
-        self.index
-            .search(query, top_k)
-            .into_iter()
-            .map(|(chunk_id, score)| ChunkHit { chunk_id, score })
-            .collect()
+        self.search_counted(query, top_k).0
+    }
+
+    /// [`Self::search`] plus the posting entries it scanned — the per-query
+    /// resource-meter accounting (pure function of query and corpus;
+    /// independent of `top_k`).
+    pub fn search_counted(&self, query: &str, top_k: usize) -> (Vec<ChunkHit>, usize) {
+        let (hits, scanned) = self.index.search(query, top_k);
+        (hits.into_iter().map(|(chunk_id, score)| ChunkHit { chunk_id, score }).collect(), scanned)
     }
 
     /// Inverted-index statistics `(distinct terms, total postings, longest
@@ -199,13 +203,6 @@ impl DocStore {
     /// planner's build-time statistics catalog.
     pub fn posting_stats(&self) -> (usize, usize, usize) {
         self.index.posting_stats()
-    }
-
-    /// Posting entries a [`Self::search`] for `query` scans — the
-    /// per-query resource-meter accounting (pure function of query and
-    /// corpus; independent of `top_k`).
-    pub fn postings_scanned(&self, query: &str) -> usize {
-        self.index.postings_scanned(query)
     }
 
     /// Approximate resident bytes of the inverted index (for E2).

@@ -18,12 +18,11 @@
 //! 4. **Hybrid scoring** — the topological score fuses with a BM25 lexical
 //!    score so purely-verbal queries still work.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use unisem_docstore::DocStore;
 use unisem_hetgraph::algo::pagerank;
-use unisem_hetgraph::{HetGraph, NodeId};
+use unisem_hetgraph::{HetGraph, NodeId, NodeKind};
 use unisem_slm::ner::EntityKind;
 use unisem_slm::Slm;
 use unisem_text::normalize::is_stopword;
@@ -212,43 +211,51 @@ impl TopologyRetriever {
                 }
             }
         }
-        // Fuzzy fallback for unmatched referential mentions.
-        for name in unmatched {
-            let best = self
-                .graph
-                .entities()
-                .map(|n| (n.id, jaro_winkler(&n.label, &name)))
-                .filter(|(_, s)| *s >= self.config.fuzzy_threshold)
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            if let Some((id, _)) = best {
-                primary.push(id);
+        // Fuzzy fallback for unmatched referential mentions: one walk over
+        // the entities scores every mention; of equally similar entities the
+        // last one walked wins.
+        if !unmatched.is_empty() {
+            let mut best: Vec<Option<(NodeId, f64)>> = vec![None; unmatched.len()];
+            for n in self.graph.entities() {
+                for (name, best) in unmatched.iter().zip(&mut best) {
+                    let s = jaro_winkler(&n.label, name);
+                    let beaten = best.is_some_and(|(_, top)| top > s);
+                    if s >= self.config.fuzzy_threshold && !beaten {
+                        *best = Some((n.id, s));
+                    }
+                }
             }
+            primary.extend(best.into_iter().flatten().map(|(id, _)| id));
         }
-        // Last resort: content-word containment against entity labels.
+        // Last resort: content-word containment against entity labels, the
+        // highest-degree entity per word (the last walked among equals).
         if primary.is_empty() {
             let words: Vec<String> = tokenize_words(query)
                 .into_iter()
                 .filter(|w| !is_stopword(w) && w.len() > 2)
                 .collect();
-            for w in &words {
-                if let Some(n) = self
-                    .graph
-                    .entities()
-                    .filter(|n| {
-                        // Only referential entities make useful anchors;
-                        // matching a metric/value hub ("sales") would pull
-                        // the entire corpus into the frontier.
-                        matches!(
-                            &n.kind,
-                            unisem_hetgraph::NodeKind::Entity { kind, .. }
-                                if !kind.is_value() && *kind != EntityKind::Metric
-                        ) && n.label.split_whitespace().any(|part| part == w)
-                    })
-                    .max_by_key(|n| self.graph.degree(n.id))
-                {
-                    primary.push(n.id);
+            let mut best: Vec<Option<(NodeId, usize)>> = vec![None; words.len()];
+            for n in self.graph.entities() {
+                // Only referential entities make useful anchors; matching a
+                // metric/value hub ("sales") would pull the entire corpus
+                // into the frontier.
+                let referential = matches!(
+                    &n.kind,
+                    NodeKind::Entity { kind, .. } if !kind.is_value() && *kind != EntityKind::Metric
+                );
+                if !referential {
+                    continue;
+                }
+                for (w, best) in words.iter().zip(&mut best) {
+                    if n.label.split_whitespace().any(|part| part == w) {
+                        let degree = self.graph.degree(n.id);
+                        if !best.is_some_and(|(_, top)| top > degree) {
+                            *best = Some((n.id, degree));
+                        }
+                    }
                 }
             }
+            primary.extend(best.into_iter().flatten().map(|(id, _)| id));
         }
         primary.sort();
         primary.dedup();
@@ -261,14 +268,18 @@ impl TopologyRetriever {
     /// `max_cost`: a non-start node whose degree exceeds `hub_cap` is
     /// *reached* (it can score) without being *expanded* (it never fans
     /// the frontier out).
-    /// Returns the reached nodes with their costs, whether the
-    /// `max_frontier` governor truncated the expansion, and how many
-    /// non-stale heap pops the search performed (its actual work).
+    ///
+    /// `dist` is indexed by node id and all `INFINITY` on entry; on return
+    /// it holds the cost of every reached node. Returns the reached nodes
+    /// in discovery order, whether the `max_frontier` governor truncated
+    /// the expansion, and how many non-stale heap pops the search
+    /// performed (its actual work).
     fn bounded_traversal(
         &self,
         start: NodeId,
         max_cost: f64,
-    ) -> (BTreeMap<NodeId, f64>, bool, usize) {
+        dist: &mut [f64],
+    ) -> (Vec<NodeId>, bool, usize) {
         use std::cmp::Ordering;
         use std::collections::BinaryHeap;
 
@@ -293,14 +304,14 @@ impl TopologyRetriever {
             }
         }
 
-        let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut reached = vec![start];
         let mut heap = BinaryHeap::new();
         let mut capped = false;
         let mut popped = 0usize;
-        dist.insert(start, 0.0);
+        dist[start.0 as usize] = 0.0;
         heap.push(Item { cost: 0.0, node: start });
         while let Some(Item { cost, node }) = heap.pop() {
-            if cost > *dist.get(&node).unwrap_or(&f64::INFINITY) {
+            if cost > dist[node.0 as usize] {
                 continue;
             }
             popped += 1;
@@ -310,24 +321,33 @@ impl TopologyRetriever {
             }
             for &(next, edge) in self.graph.neighbors(node) {
                 let c = cost + self.graph.edge(edge).kind.traversal_cost();
-                if c <= max_cost && c < *dist.get(&next).unwrap_or(&f64::INFINITY) {
+                let known = dist[next.0 as usize];
+                if c <= max_cost && c < known {
                     // Frontier governor: already-reached nodes may still
                     // relax to a cheaper cost, but no *new* node joins a
                     // full frontier. Pop order is (cost, node id), so the
                     // surviving set is identical on every run.
-                    if !dist.contains_key(&next) && dist.len() >= self.config.max_frontier {
-                        capped = true;
-                        continue;
+                    if known == f64::INFINITY {
+                        if reached.len() >= self.config.max_frontier {
+                            capped = true;
+                            continue;
+                        }
+                        reached.push(next);
                     }
-                    dist.insert(next, c);
+                    dist[next.0 as usize] = c;
                     heap.push(Item { cost: c, node: next });
                 }
             }
         }
-        (dist, capped, popped)
+        (reached, capped, popped)
     }
 
     /// Retrieval with traversal statistics.
+    ///
+    /// Node and chunk ids are dense, so every per-id table here is a `Vec`
+    /// indexed by id beside a list of the ids in use; the lists are walked
+    /// in ascending id order, which is what makes the result a pure
+    /// function of the inputs (DESIGN.md §5b).
     pub fn retrieve_with_stats(
         &self,
         query: &str,
@@ -337,17 +357,20 @@ impl TopologyRetriever {
         // Traverse from referential anchors; fall back to constraint
         // anchors when the query names only values ("what happened in Q3?").
         let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
+        // Lexical scores over the same corpus (normalized below); without
+        // anchors they are the whole answer. Either search scans the same
+        // posting lists.
+        let lexical_fallback = anchors.is_empty();
+        let lex_k = if lexical_fallback { k } else { (k * 4).max(20) };
+        let (lex_hits, postings_scanned) = self.docs.search_counted(query, lex_k);
         let mut stats = TraversalStats {
             anchors: primary.len() + constraints.len(),
-            postings_scanned: self.docs.postings_scanned(query),
+            lexical_fallback,
+            postings_scanned,
             ..TraversalStats::default()
         };
-
-        if anchors.is_empty() {
-            stats.lexical_fallback = true;
-            let hits = self
-                .docs
-                .search(query, k)
+        if lexical_fallback {
+            let hits = lex_hits
                 .into_iter()
                 .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: h.score })
                 .collect();
@@ -363,13 +386,24 @@ impl TopologyRetriever {
         // temporal anchor's multi-hop neighborhood is the entire
         // contemporaneous corpus.
         let max_cost = if primary.is_empty() { 1.0 } else { self.config.max_hops as f64 * 2.0 };
-        let mut proximity: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let n_nodes = self.graph.num_nodes();
+        let mut dist = vec![f64::INFINITY; n_nodes];
+        let mut proximity = vec![0.0f64; n_nodes];
+        let mut in_frontier = vec![false; n_nodes];
+        let mut frontier: Vec<NodeId> = Vec::new();
         for &a in anchors {
-            let (reached, capped, popped) = self.bounded_traversal(a, max_cost);
+            let (reached, capped, popped) = self.bounded_traversal(a, max_cost, &mut dist);
             stats.frontier_capped |= capped;
             stats.nodes_popped += popped;
-            for (node, cost) in reached {
-                *proximity.entry(node).or_insert(0.0) += self.config.decay.powf(cost);
+            for node in reached {
+                let i = node.0 as usize;
+                proximity[i] += self.config.decay.powf(dist[i]);
+                // The next anchor's traversal starts from a clean table.
+                dist[i] = f64::INFINITY;
+                if !in_frontier[i] {
+                    in_frontier[i] = true;
+                    frontier.push(node);
+                }
             }
         }
         // Constraint anchors boost their direct neighbors *within the
@@ -378,52 +412,57 @@ impl TopologyRetriever {
         if !primary.is_empty() {
             for &c in &constraints {
                 for &(nb, _) in self.graph.neighbors(c) {
-                    if let Some(p) = proximity.get_mut(&nb) {
-                        *p += self.config.decay;
+                    if in_frontier[nb.0 as usize] {
+                        proximity[nb.0 as usize] += self.config.decay;
                     }
                 }
             }
         }
-        stats.nodes_touched = proximity.len();
+        stats.nodes_touched = frontier.len();
+        frontier.sort_unstable();
 
         // Candidate chunks: traversal proximity × static centrality prior.
+        // A chunk node naming no chunk of the store cannot be a hit.
         let (static_prior, _) = self.prior();
-        let mut topo: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&node, &prox) in &proximity {
-            if let unisem_hetgraph::NodeKind::Chunk { chunk_id, .. } = &self.graph.node(node).kind {
-                let prior = static_prior[node.0 as usize];
-                topo.insert(*chunk_id, prox * (0.5 + 0.5 * prior));
+        let n_chunks = self.docs.num_chunks();
+        let mut topo = vec![0.0f64; n_chunks];
+        let mut is_candidate = vec![false; n_chunks];
+        let mut candidates: Vec<usize> = Vec::new();
+        for &node in &frontier {
+            if let NodeKind::Chunk { chunk_id, .. } = self.graph.node(node).kind {
+                if chunk_id < n_chunks {
+                    let i = node.0 as usize;
+                    topo[chunk_id] = proximity[i] * (0.5 + 0.5 * static_prior[i]);
+                    if !is_candidate[chunk_id] {
+                        is_candidate[chunk_id] = true;
+                        candidates.push(chunk_id);
+                    }
+                }
             }
         }
-        stats.chunks_scored = topo.len();
+        stats.chunks_scored = candidates.len();
 
-        // Lexical scores over the same corpus (normalized below).
-        let lex: BTreeMap<usize, f64> = self
-            .docs
-            .search(query, (k * 4).max(20))
-            .into_iter()
-            .map(|h| (h.chunk_id, h.score))
-            .collect();
-
-        let topo_max = topo.values().cloned().fold(0.0f64, f64::max).max(1e-12);
-        let lex_max = lex.values().cloned().fold(0.0f64, f64::max).max(1e-12);
+        let mut lex = vec![0.0f64; n_chunks];
+        for h in &lex_hits {
+            lex[h.chunk_id] = h.score;
+        }
+        let topo_max = candidates.iter().map(|&c| topo[c]).fold(0.0f64, f64::max).max(1e-12);
+        let lex_max = lex_hits.iter().map(|h| h.score).fold(0.0f64, f64::max).max(1e-12);
 
         // Fuse: candidates get both components; lexical-only hits keep the
         // beta component so verbal queries aren't starved.
-        let mut fused: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&c, &t) in &topo {
-            let l = lex.get(&c).copied().unwrap_or(0.0);
-            fused.insert(c, self.config.alpha * t / topo_max + self.config.beta * l / lex_max);
-        }
-        for (&c, &l) in &lex {
-            fused.entry(c).or_insert(self.config.beta * l / lex_max);
-        }
-
-        let mut results: Vec<RetrievalResult> = fused
-            .into_iter()
-            .map(|(chunk_id, score)| RetrievalResult { chunk_id, score })
-            .collect();
-        results.sort_by(|a, b| {
+        let (alpha, beta) = (self.config.alpha, self.config.beta);
+        let fused_candidates = candidates.iter().map(|&c| RetrievalResult {
+            chunk_id: c,
+            score: alpha * topo[c] / topo_max + beta * lex[c] / lex_max,
+        });
+        let lexical_only = lex_hits
+            .iter()
+            .filter(|h| !is_candidate[h.chunk_id])
+            .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: beta * h.score / lex_max });
+        let mut results: Vec<RetrievalResult> = fused_candidates.chain(lexical_only).collect();
+        // Chunk ids are distinct, so this is a total order.
+        results.sort_unstable_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)

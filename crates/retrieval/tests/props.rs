@@ -1,0 +1,379 @@
+//! Differential properties for the topology retriever (detkit harness):
+//! the dense-id `Vec` form against the tree-map form it replaced, over
+//! generated corpora, graphs and queries.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
+
+use detkit::prop::{usizes, vec_of, zip3, Gen};
+use detkit::{prop_assert, prop_assert_eq, prop_check};
+use unisem_docstore::DocStore;
+use unisem_hetgraph::algo::pagerank;
+use unisem_hetgraph::{GraphBuilder, HetGraph, NodeId, NodeKind};
+use unisem_retrieval::{RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats};
+use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
+use unisem_text::normalize::is_stopword;
+use unisem_text::similarity::jaro_winkler;
+use unisem_text::tokenize::tokenize_words;
+
+/// Phrases documents are made of: lexicon entities of referential, value
+/// and metric kinds, then plain words.
+const DOC_PHRASES: &[&str] = &[
+    "Drug A",
+    "Drug B",
+    "Drug C",
+    "Product Alpha",
+    "Product Beta",
+    "Patient X",
+    "Patient Y",
+    "headache",
+    "nausea",
+    "Q1 2024",
+    "Q2 2024",
+    "sales",
+    "improved",
+    "reported",
+    "trial",
+    "battery",
+    "reliable",
+    "symptoms",
+    "worse",
+    "week",
+];
+
+/// What only queries say: near misses for the fuzzy fallback (several
+/// entities are equally close to "Drug X") and unindexed capitalized names.
+const NEAR_MISSES: &[&str] = &["Drug X", "Druga", "Produkt Alpha", "Patient Z", "Product", "Zebra"];
+
+/// Words no tagger rule fires on: stopwords, and bare label words for the
+/// containment fallback ("patient" is in two labels of often equal degree).
+const UNTAGGED_WORDS: &[&str] =
+    &["patient", "drug", "product", "alpha", "what happened to", "the", "trial"];
+
+fn lexicon() -> Lexicon {
+    Lexicon::new().with_entries([
+        ("Drug A", EntityKind::Drug),
+        ("Drug B", EntityKind::Drug),
+        ("Drug C", EntityKind::Drug),
+        ("Product Alpha", EntityKind::Product),
+        ("Product Beta", EntityKind::Product),
+        ("Patient X", EntityKind::Person),
+        ("Patient Y", EntityKind::Person),
+        ("headache", EntityKind::Condition),
+        ("nausea", EntityKind::Condition),
+        ("sales", EntityKind::Metric),
+    ])
+}
+
+/// A corpus (documents → sentences → indices into `DOC_PHRASES`), a query
+/// and `k`.
+type Case = (Vec<Vec<Vec<usize>>>, String, usize);
+
+/// Cases whose queries are one to five phrases from `pools`.
+fn cases(pools: &'static [&'static [&'static str]]) -> Gen<Case> {
+    let sentence = vec_of(&usizes(0, DOC_PHRASES.len() - 1), 2, 6);
+    let document = vec_of(&sentence, 1, 4);
+    let pool = pools.concat();
+    let query = vec_of(&usizes(0, pool.len() - 1), 1, 5)
+        .map(move |ix| ix.iter().map(|&i| pool[i]).collect::<Vec<_>>().join(" "));
+    zip3(&vec_of(&document, 1, 10), &query, &usizes(0, 4))
+}
+
+/// Queries that name entities, miss them narrowly, or name none.
+fn mixed_cases() -> Gen<Case> {
+    cases(&[DOC_PHRASES, NEAR_MISSES, UNTAGGED_WORDS])
+}
+
+fn text_of(phrases: &[usize]) -> String {
+    phrases.iter().map(|&i| DOC_PHRASES[i]).collect::<Vec<_>>().join(" ")
+}
+
+fn substrates(corpus: &[Vec<Vec<usize>>]) -> (Slm, Arc<HetGraph>, Arc<DocStore>) {
+    let slm = Slm::new(SlmConfig { lexicon: lexicon(), ..SlmConfig::default() });
+    let mut docs = DocStore::default();
+    for (i, doc) in corpus.iter().enumerate() {
+        let text: String = doc.iter().map(|s| format!("The {}. ", text_of(s))).collect();
+        docs.add_document(format!("doc {i}"), text, "generated");
+    }
+    let docs = Arc::new(docs);
+    let mut builder = GraphBuilder::new(slm.clone());
+    builder.add_docstore(&docs);
+    (slm, Arc::new(builder.finish().0), docs)
+}
+
+/// The retriever as it was before the dense-id rewrite: per-mention and
+/// per-word walks over the entities, and a `BTreeMap` for every id-keyed
+/// table.
+struct Reference {
+    slm: Slm,
+    graph: Arc<HetGraph>,
+    docs: Arc<DocStore>,
+    config: TopologyConfig,
+}
+
+impl Reference {
+    fn anchor_sets(&self, query: &str) -> (Vec<NodeId>, Vec<NodeId>) {
+        let mentions = self.slm.tag_entities(query);
+        let mut primary: Vec<NodeId> = Vec::new();
+        let mut constraints: Vec<NodeId> = Vec::new();
+        let mut unmatched: Vec<String> = Vec::new();
+        for m in &mentions {
+            if matches!(m.kind, EntityKind::Quantity | EntityKind::Percent | EntityKind::Metric) {
+                continue;
+            }
+            match self.graph.entity_by_name(&m.canonical()) {
+                Some(id) if m.kind.is_value() => constraints.push(id),
+                Some(id) => primary.push(id),
+                None if !m.kind.is_value() => unmatched.push(m.canonical()),
+                None => {}
+            }
+        }
+        for name in unmatched {
+            let best = self
+                .graph
+                .entities()
+                .map(|n| (n.id, jaro_winkler(&n.label, &name)))
+                .filter(|(_, s)| *s >= self.config.fuzzy_threshold)
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
+            if let Some((id, _)) = best {
+                primary.push(id);
+            }
+        }
+        if primary.is_empty() {
+            let words: Vec<String> = tokenize_words(query)
+                .into_iter()
+                .filter(|w| !is_stopword(w) && w.len() > 2)
+                .collect();
+            for w in &words {
+                if let Some(n) = self
+                    .graph
+                    .entities()
+                    .filter(|n| {
+                        matches!(
+                            &n.kind,
+                            NodeKind::Entity { kind, .. }
+                                if !kind.is_value() && *kind != EntityKind::Metric
+                        ) && n.label.split_whitespace().any(|part| part == w)
+                    })
+                    .max_by_key(|n| self.graph.degree(n.id))
+                {
+                    primary.push(n.id);
+                }
+            }
+        }
+        primary.sort();
+        primary.dedup();
+        constraints.sort();
+        constraints.dedup();
+        (primary, constraints)
+    }
+
+    fn bounded_traversal(
+        &self,
+        start: NodeId,
+        max_cost: f64,
+    ) -> (BTreeMap<NodeId, f64>, bool, usize) {
+        #[derive(PartialEq)]
+        struct Item {
+            cost: f64,
+            node: NodeId,
+        }
+        impl Eq for Item {}
+        impl Ord for Item {
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .cost
+                    .partial_cmp(&self.cost)
+                    .unwrap_or(Ordering::Equal)
+                    .then(other.node.cmp(&self.node))
+            }
+        }
+        impl PartialOrd for Item {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut heap = BinaryHeap::new();
+        let mut capped = false;
+        let mut popped = 0usize;
+        dist.insert(start, 0.0);
+        heap.push(Item { cost: 0.0, node: start });
+        while let Some(Item { cost, node }) = heap.pop() {
+            if cost > *dist.get(&node).unwrap_or(&f64::INFINITY) {
+                continue;
+            }
+            popped += 1;
+            if node != start && self.graph.degree(node) > self.config.hub_cap {
+                continue;
+            }
+            for &(next, edge) in self.graph.neighbors(node) {
+                let c = cost + self.graph.edge(edge).kind.traversal_cost();
+                if c <= max_cost && c < *dist.get(&next).unwrap_or(&f64::INFINITY) {
+                    if !dist.contains_key(&next) && dist.len() >= self.config.max_frontier {
+                        capped = true;
+                        continue;
+                    }
+                    dist.insert(next, c);
+                    heap.push(Item { cost: c, node: next });
+                }
+            }
+        }
+        (dist, capped, popped)
+    }
+
+    fn retrieve_with_stats(&self, query: &str, k: usize) -> (Vec<RetrievalResult>, TraversalStats) {
+        let (primary, constraints) = self.anchor_sets(query);
+        let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
+        let mut stats = TraversalStats {
+            anchors: primary.len() + constraints.len(),
+            postings_scanned: self.docs.index().postings_scanned(query),
+            ..TraversalStats::default()
+        };
+        if anchors.is_empty() {
+            stats.lexical_fallback = true;
+            let hits = self
+                .docs
+                .search(query, k)
+                .into_iter()
+                .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: h.score })
+                .collect();
+            return (hits, stats);
+        }
+
+        let max_cost = if primary.is_empty() { 1.0 } else { self.config.max_hops as f64 * 2.0 };
+        let mut proximity: BTreeMap<NodeId, f64> = BTreeMap::new();
+        for &a in anchors {
+            let (reached, capped, popped) = self.bounded_traversal(a, max_cost);
+            stats.frontier_capped |= capped;
+            stats.nodes_popped += popped;
+            for (node, cost) in reached {
+                *proximity.entry(node).or_insert(0.0) += self.config.decay.powf(cost);
+            }
+        }
+        if !primary.is_empty() {
+            for &c in &constraints {
+                for &(nb, _) in self.graph.neighbors(c) {
+                    if let Some(p) = proximity.get_mut(&nb) {
+                        *p += self.config.decay;
+                    }
+                }
+            }
+        }
+        stats.nodes_touched = proximity.len();
+
+        let mut prior = pagerank(&self.graph, self.config.damping, self.config.iterations);
+        let max = prior.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
+        for p in prior.iter_mut() {
+            *p /= max;
+        }
+        let mut topo: BTreeMap<usize, f64> = BTreeMap::new();
+        for (&node, &prox) in &proximity {
+            if let NodeKind::Chunk { chunk_id, .. } = &self.graph.node(node).kind {
+                topo.insert(*chunk_id, prox * (0.5 + 0.5 * prior[node.0 as usize]));
+            }
+        }
+        stats.chunks_scored = topo.len();
+
+        let lex: BTreeMap<usize, f64> = self
+            .docs
+            .search(query, (k * 4).max(20))
+            .into_iter()
+            .map(|h| (h.chunk_id, h.score))
+            .collect();
+        let topo_max = topo.values().cloned().fold(0.0f64, f64::max).max(1e-12);
+        let lex_max = lex.values().cloned().fold(0.0f64, f64::max).max(1e-12);
+
+        let mut fused: BTreeMap<usize, f64> = BTreeMap::new();
+        for (&c, &t) in &topo {
+            let l = lex.get(&c).copied().unwrap_or(0.0);
+            fused.insert(c, self.config.alpha * t / topo_max + self.config.beta * l / lex_max);
+        }
+        for (&c, &l) in &lex {
+            fused.entry(c).or_insert(self.config.beta * l / lex_max);
+        }
+        let mut results: Vec<RetrievalResult> = fused
+            .into_iter()
+            .map(|(chunk_id, score)| RetrievalResult { chunk_id, score })
+            .collect();
+        results.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(Ordering::Equal)
+                .then(a.chunk_id.cmp(&b.chunk_id))
+        });
+        results.truncate(k);
+        (results, stats)
+    }
+}
+
+fn bits(hits: &[RetrievalResult]) -> Vec<(usize, u64)> {
+    hits.iter().map(|h| (h.chunk_id, h.score.to_bits())).collect()
+}
+
+/// Hits (bit for bit), every `TraversalStats` field and the anchor sets of
+/// both forms under `config`; returns the stats for the caller to inspect.
+fn check_against_reference(case: &Case, config: TopologyConfig) -> Result<TraversalStats, String> {
+    let (corpus, query, k) = case;
+    let (slm, graph, docs) = substrates(corpus);
+    let reference =
+        Reference { slm: slm.clone(), graph: graph.clone(), docs: docs.clone(), config };
+    let retriever = TopologyRetriever::new(slm, graph, docs.clone(), config);
+    prop_assert_eq!(retriever.anchor_sets(query), reference.anchor_sets(query), "{query:?}");
+    let (got, got_stats) = retriever.retrieve_with_stats(query, *k);
+    let (want, want_stats) = reference.retrieve_with_stats(query, *k);
+    prop_assert_eq!(bits(&got), bits(&want), "{query:?} k = {k}");
+    prop_assert_eq!(got_stats, want_stats, "{query:?} k = {k}");
+    prop_assert_eq!(got_stats.postings_scanned, docs.index().postings_scanned(query));
+    Ok(got_stats)
+}
+
+prop_check!(retrieve_with_stats_matches_tree_map_reference, mixed_cases(), |case| {
+    check_against_reference(case, TopologyConfig::default()).map(|_| ())
+});
+
+// A frontier of at most three nodes caps every traversal that leaves its
+// anchor's immediate neighbourhood; the truncated set must be the same one.
+prop_check!(capped_frontier_matches_tree_map_reference, mixed_cases(), |case| {
+    let config = TopologyConfig { max_frontier: 3, ..TopologyConfig::default() };
+    let stats = check_against_reference(case, config)?;
+    prop_assert!(stats.nodes_touched <= 3 * stats.anchors.max(1));
+    Ok(())
+});
+
+// One hop, no hub damping to speak of, and a threshold loose enough that
+// most unmatched mentions link fuzzily to the last of several equals.
+prop_check!(loose_linking_matches_tree_map_reference, mixed_cases(), |case| {
+    let config = TopologyConfig {
+        max_hops: 1,
+        hub_cap: 2,
+        fuzzy_threshold: 0.7,
+        ..TopologyConfig::default()
+    };
+    check_against_reference(case, config).map(|_| ())
+});
+
+// With no mention to link, each content word anchors at the highest-degree
+// entity whose label holds it: the last of several equals.
+prop_check!(containment_fallback_matches_tree_map_reference, cases(&[UNTAGGED_WORDS]), |case| {
+    check_against_reference(case, TopologyConfig::default()).map(|_| ())
+});
+
+// The generator reaches every branch the properties above are about.
+#[test]
+fn generated_cases_cover_the_branches() {
+    let (mut capped, mut fallback, mut traversed, mut multi_anchor) = (0, 0, 0, 0);
+    let mut rng = detkit::Rng::new(7);
+    for _ in 0..64 {
+        let case = mixed_cases().generate(&mut rng).value().clone();
+        let config = TopologyConfig { max_frontier: 3, ..TopologyConfig::default() };
+        let stats = check_against_reference(&case, config).expect("forms agree");
+        capped += usize::from(stats.frontier_capped);
+        fallback += usize::from(stats.lexical_fallback);
+        traversed += usize::from(stats.chunks_scored > 0);
+        multi_anchor += usize::from(stats.anchors > 1);
+    }
+    assert!(capped > 0 && fallback > 0 && traversed > 0 && multi_anchor > 0);
+}

@@ -1,8 +1,9 @@
 //! Okapi BM25 scoring over a tokenized corpus.
 //!
-//! This powers the lexical-retrieval baseline and the lexical component of
-//! the hybrid retriever. Documents are identified by dense `usize` ids
-//! assigned at insertion order.
+//! This powers the lexical-retrieval baseline and the lexical half of the
+//! topology retriever's score fusion. Documents are identified by dense
+//! `usize` ids assigned at insertion order, so a query accumulates scores in
+//! a `Vec` indexed by id rather than in a map.
 
 use std::collections::BTreeMap;
 
@@ -55,8 +56,7 @@ impl Bm25Index {
 
     /// Adds a document, returning its id (insertion order).
     pub fn add_document(&mut self, text: &str) -> usize {
-        let terms: Vec<String> = tokenize_words(text).iter().map(|t| normalize_token(t)).collect();
-        self.add_terms(&terms)
+        self.add_terms(&index_terms(text))
     }
 
     /// Adds a pre-normalized term list as a document, returning its id.
@@ -95,16 +95,12 @@ impl Bm25Index {
     }
 
     /// Posting entries a search for `query` scans: the summed posting-list
-    /// lengths of its normalized terms. This is exactly the work
-    /// [`Self::search`] does for the same query (`top_k` only truncates
-    /// the output), so it is a pure function of the query and the corpus —
-    /// the resource-meter contract.
+    /// lengths of its normalized terms. This is exactly the count
+    /// [`Self::search`] returns for the same query (`top_k` only
+    /// truncates the output), so it is a pure function of the query and the
+    /// corpus — the resource-meter contract.
     pub fn postings_scanned(&self, query: &str) -> usize {
-        tokenize_words(query)
-            .iter()
-            .map(|t| normalize_token(t))
-            .map(|term| self.postings.get(&term).map_or(0, Vec::len))
-            .sum()
+        index_terms(query).iter().map(|term| self.postings.get(term).map_or(0, Vec::len)).sum()
     }
 
     /// Approximate resident size of the index in bytes (for the E2 storage
@@ -126,20 +122,21 @@ impl Bm25Index {
         }
     }
 
-    fn idf(&self, term: &str) -> f64 {
+    /// Inverse document frequency of a term found in `df` documents.
+    fn idf(&self, df: usize) -> f64 {
         let n = self.doc_len.len() as f64;
-        let df = self.postings.get(term).map_or(0, Vec::len) as f64;
+        let df = df as f64;
         (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
     }
 
     /// Scores all matching documents for a raw-text query.
     ///
     /// Returns `(doc_id, score)` pairs sorted by descending score (ties by
-    /// ascending id for determinism). Documents with no query term overlap
-    /// are omitted.
-    pub fn search(&self, query: &str, top_k: usize) -> Vec<(usize, f64)> {
-        let terms: Vec<String> = tokenize_words(query).iter().map(|t| normalize_token(t)).collect();
-        self.search_terms(&terms, top_k)
+    /// ascending id for determinism), and the posting entries scanned to
+    /// find them, counted in the same pass over the once-normalized query.
+    /// Documents with no query term overlap are omitted.
+    pub fn search(&self, query: &str, top_k: usize) -> (Vec<(usize, f64)>, usize) {
+        self.search_terms(&index_terms(query), top_k)
     }
 
     /// The scoring parameters.
@@ -173,30 +170,52 @@ impl Bm25Index {
     }
 
     /// Like [`Self::search`] but with pre-normalized query terms.
-    pub fn search_terms(&self, terms: &[String], top_k: usize) -> Vec<(usize, f64)> {
-        let avg = self.avg_doc_len();
-        let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
+    ///
+    /// A document's score is the sum of its per-term contributions in term
+    /// order; the best `top_k` are selected under the output order and only
+    /// those are sorted.
+    pub fn search_terms(&self, terms: &[String], top_k: usize) -> (Vec<(usize, f64)>, usize) {
+        let avg = self.avg_doc_len().max(1e-9);
+        let Bm25Params { k1, b } = self.params;
+        let mut scores = vec![0.0f64; self.doc_len.len()];
+        let mut seen = vec![false; self.doc_len.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut scanned = 0usize;
         for term in terms {
             let Some(posts) = self.postings.get(term) else {
                 continue;
             };
-            let idf = self.idf(term);
+            scanned += posts.len();
+            let idf = self.idf(posts.len());
             for &(doc, tf) in posts {
                 let dl = self.doc_len[doc] as f64;
                 let tf = f64::from(tf);
-                let denom = tf
-                    + self.params.k1 * (1.0 - self.params.b + self.params.b * dl / avg.max(1e-9));
-                let s = idf * tf * (self.params.k1 + 1.0) / denom;
-                *scores.entry(doc).or_insert(0.0) += s;
+                let denom = tf + k1 * (1.0 - b + b * dl / avg);
+                scores[doc] += idf * tf * (k1 + 1.0) / denom;
+                if !seen[doc] {
+                    seen[doc] = true;
+                    touched.push(doc);
+                }
             }
         }
-        let mut out: Vec<(usize, f64)> = scores.into_iter().collect();
-        out.sort_by(|a, b| {
+        let mut out: Vec<(usize, f64)> = touched.into_iter().map(|d| (d, scores[d])).collect();
+        // Ids are distinct, so this is a total order and the unstable
+        // selection and sort below have one possible outcome.
+        let by_rank = |a: &(usize, f64), b: &(usize, f64)| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        out.truncate(top_k);
-        out
+        };
+        if top_k < out.len() {
+            out.select_nth_unstable_by(top_k, by_rank);
+            out.truncate(top_k);
+        }
+        out.sort_unstable_by(by_rank);
+        (out, scanned)
     }
+}
+
+/// The normalized index terms of a document or query text, in text order.
+fn index_terms(text: &str) -> Vec<String> {
+    tokenize_words(text).iter().map(|t| normalize_token(t)).collect()
 }
 
 #[cfg(test)]
@@ -215,7 +234,7 @@ mod tests {
     #[test]
     fn finds_relevant_doc_first() {
         let ix = sample();
-        let hits = ix.search("alpha sales", 10);
+        let hits = ix.search("alpha sales", 10).0;
         assert!(!hits.is_empty());
         assert!(hits[0].0 == 2 || hits[0].0 == 3);
     }
@@ -223,20 +242,20 @@ mod tests {
     #[test]
     fn irrelevant_query_returns_empty() {
         let ix = sample();
-        assert!(ix.search("zebra xylophone", 10).is_empty());
+        assert!(ix.search("zebra xylophone", 10).0.is_empty());
     }
 
     #[test]
     fn top_k_truncates() {
         let ix = sample();
-        let hits = ix.search("fox sales", 1);
+        let hits = ix.search("fox sales", 1).0;
         assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn scores_descend() {
         let ix = sample();
-        let hits = ix.search("alpha product sales quarter", 10);
+        let hits = ix.search("alpha product sales quarter", 10).0;
         for w in hits.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
@@ -247,7 +266,7 @@ mod tests {
         let mut ix = Bm25Index::default();
         ix.add_document("same text here");
         ix.add_document("same text here");
-        let hits = ix.search("same text", 10);
+        let hits = ix.search("same text", 10).0;
         assert_eq!(hits[0].0, 0);
         assert_eq!(hits[1].0, 1);
     }
@@ -256,7 +275,7 @@ mod tests {
     fn stemming_matches_variants() {
         let ix = sample();
         // "jumps" indexed; query "jumping" should still hit doc 0.
-        let hits = ix.search("jumping fox", 10);
+        let hits = ix.search("jumping fox", 10).0;
         assert!(hits.iter().any(|&(d, _)| d == 0));
     }
 
@@ -264,7 +283,7 @@ mod tests {
     fn empty_index() {
         let ix = Bm25Index::default();
         assert!(ix.is_empty());
-        assert!(ix.search("anything", 5).is_empty());
+        assert!(ix.search("anything", 5).0.is_empty());
     }
 
     #[test]
@@ -272,7 +291,7 @@ mod tests {
         let mut ix = Bm25Index::default();
         ix.add_document("fox");
         ix.add_document("fox and many many many many other completely unrelated words here");
-        let hits = ix.search("fox", 2);
+        let hits = ix.search("fox", 2).0;
         assert_eq!(hits[0].0, 0);
     }
 

@@ -8,20 +8,27 @@
 /// English stopwords used across indexing and query analysis.
 ///
 /// The list is intentionally small: over-aggressive stopword removal hurts
-/// entity-bearing queries ("IT department", "The Who").
+/// entity-bearing queries ("IT department", "The Who"). Kept strictly sorted:
+/// [`is_stopword`] binary-searches it.
 const STOPWORDS: &[&str] = &[
-    "a", "an", "and", "are", "as", "at", "be", "been", "but", "by", "for", "from", "had", "has",
-    "have", "he", "her", "his", "i", "in", "into", "is", "it", "its", "of", "on", "or", "our",
-    "she", "such", "that", "the", "their", "them", "then", "there", "these", "they", "this", "to",
-    "was", "we", "were", "which", "will", "with", "you", "your", "do", "does", "did", "what",
-    "when", "where", "who", "how", "why", "than", "so", "if", "not", "no", "any", "all", "each",
-    "per", "about", "over", "under", "between", "during", "after", "before",
+    "a", "about", "after", "all", "an", "and", "any", "are", "as", "at", "be", "been", "before",
+    "between", "but", "by", "did", "do", "does", "during", "each", "for", "from", "had", "has",
+    "have", "he", "her", "his", "how", "i", "if", "in", "into", "is", "it", "its", "no", "not",
+    "of", "on", "or", "our", "over", "per", "she", "so", "such", "than", "that", "the", "their",
+    "them", "then", "there", "these", "they", "this", "to", "under", "was", "we", "were", "what",
+    "when", "where", "which", "who", "why", "will", "with", "you", "your",
 ];
 
 /// Returns true when `word` (lower-cased) is an English stopword.
 pub fn is_stopword(word: &str) -> bool {
-    let lower = word.to_lowercase();
-    STOPWORDS.binary_search(&lower.as_str()).is_ok() || STOPWORDS.contains(&lower.as_str())
+    if word.is_ascii() {
+        let lower = || word.bytes().map(|b| b.to_ascii_lowercase());
+        STOPWORDS.binary_search_by(|s| s.bytes().cmp(lower())).is_ok()
+    } else {
+        // Every stopword is ASCII, but a non-ASCII letter can lower-case to
+        // an ASCII one (the Kelvin sign to `k`).
+        STOPWORDS.binary_search(&word.to_lowercase().as_str()).is_ok()
+    }
 }
 
 /// Lowercases and stems a token: the canonical index-term form.
@@ -203,6 +210,7 @@ fn ends_cvc(word: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use detkit::prop::{string_of, unicode_strings, usizes, zip3};
 
     #[test]
     fn stem_plurals() {
@@ -254,6 +262,48 @@ mod tests {
         assert!(!is_stopword("sales"));
         assert!(!is_stopword("drug"));
     }
+
+    #[test]
+    fn stopwords_are_strictly_sorted() {
+        for w in STOPWORDS.windows(2) {
+            assert!(w[0] < w[1], "{:?} must sort before {:?}", w[0], w[1]);
+        }
+        assert!(STOPWORDS.iter().all(|w| w.is_ascii() && *w == w.to_lowercase()));
+    }
+
+    /// `is_stopword` as it was: a linear scan for the lower-cased word.
+    fn is_stopword_linear(word: &str) -> bool {
+        STOPWORDS.contains(&word.to_lowercase().as_str())
+    }
+
+    // The binary search agrees with the linear scan on arbitrary text...
+    detkit::prop_check!(is_stopword_matches_linear_scan, unicode_strings(0, 8), |s| {
+        detkit::prop_assert_eq!(is_stopword(s), is_stopword_linear(s));
+        for w in s.split_whitespace() {
+            detkit::prop_assert_eq!(is_stopword(w), is_stopword_linear(w));
+        }
+        Ok(())
+    });
+
+    // ...and on every stopword in mixed case, alone (a stopword) and with a
+    // letter appended (rarely one: "a" + "s"), including the Kelvin sign,
+    // which is not ASCII but lower-cases to `k`.
+    detkit::prop_check!(
+        is_stopword_matches_linear_scan_near_stopwords,
+        zip3(&usizes(0, STOPWORDS.len() - 1), &usizes(0, 255), &string_of("st\u{212a}", 0, 1)),
+        |t| {
+            let (index, upper_mask, suffix) = t;
+            let mut word: String = STOPWORDS[*index]
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if upper_mask >> i & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            word.push_str(suffix);
+            detkit::prop_assert_eq!(is_stopword(&word), is_stopword_linear(&word), "{word:?}");
+            detkit::prop_assert!(!suffix.is_empty() || is_stopword(&word), "{word:?}");
+            Ok(())
+        }
+    );
 
     #[test]
     fn normalize_combines() {

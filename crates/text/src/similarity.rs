@@ -3,43 +3,59 @@
 //! Used for entity linking (matching query mentions to graph entity nodes),
 //! answer clustering in semantic entropy, and fuzzy schema alignment.
 
-/// Jaro similarity in `[0, 1]`.
+/// Longest input, in comparison units, whose match table fits on the stack.
+const INLINE_UNITS: usize = 64;
+
+/// Jaro similarity in `[0, 1]`, comparing bytes when both strings are ASCII
+/// (a byte is a character there) and `char`s otherwise.
 fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    if a.is_ascii() && b.is_ascii() {
+        jaro_units(a.as_bytes(), b.as_bytes())
+    } else {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        jaro_units(&a, &b)
+    }
+}
+
+/// Jaro similarity over comparison units. Each unit of `a`, in order, takes
+/// the first free equal unit of `b` inside the match window.
+fn jaro_units<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    // taker[j] = 1 + how many matches were made before b[j] was taken, or 0
+    // while b[j] is free. Entity labels and mentions are short, so the
+    // table is normally on the stack.
+    let mut inline = [0usize; INLINE_UNITS];
+    let mut heap = Vec::new();
+    let taker: &mut [usize] = if b.len() <= INLINE_UNITS {
+        &mut inline[..b.len()]
+    } else {
+        heap.resize(b.len(), 0);
+        &mut heap
+    };
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a = Vec::new();
-    for (i, ca) in a.iter().enumerate() {
+    let mut m = 0usize;
+    for (i, ua) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == *ca {
-                b_used[j] = true;
-                matches_a.push((i, j));
-                break;
-            }
+        if let Some(j) = (lo..hi).find(|&j| taker[j] == 0 && b[j] == *ua) {
+            m += 1;
+            taker[j] = m;
         }
     }
-    let m = matches_a.len();
     if m == 0 {
         return 0.0;
     }
-    // Transpositions: matched characters out of order.
-    let mut b_matches: Vec<usize> = matches_a.iter().map(|&(_, j)| j).collect();
-    let sorted = {
-        let mut s = b_matches.clone();
-        s.sort_unstable();
-        s
-    };
-    let t = b_matches.iter().zip(sorted.iter()).filter(|(x, y)| x != y).count() as f64 / 2.0;
-    b_matches.clear();
+    // Transpositions: half the matches whose place in `a`'s order differs
+    // from their place in `b`'s order.
+    let out_of_place =
+        taker.iter().filter(|&&t| t != 0).zip(1..).filter(|&(&t, rank)| t != rank).count();
+    let t = out_of_place as f64 / 2.0;
     let m = m as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
 }

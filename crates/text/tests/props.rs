@@ -1,8 +1,13 @@
 //! Property-based tests for the text substrate (detkit harness).
 
-use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip3, Gen};
+use std::collections::BTreeMap;
+
+use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
-use unisem_text::{chunk_sentences, jaccard, split_sentences, stem, tokenize, ChunkConfig};
+use unisem_text::bm25::Bm25Params;
+use unisem_text::{
+    chunk_sentences, jaccard, jaro_winkler, split_sentences, stem, tokenize, Bm25Index, ChunkConfig,
+};
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const UPPER: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
@@ -87,6 +92,165 @@ prop_check!(
         for w in chunks.windows(2) {
             prop_assert!(w[0].start < w[1].start || w[0].end < w[1].end);
         }
+        Ok(())
+    }
+);
+
+// ---------------------------------------------------------------------------
+// Differential properties: the dense-id forms against the forms they replaced.
+// ---------------------------------------------------------------------------
+
+/// Jaro-Winkler over `Vec<char>` with an explicit match list and a
+/// clone-and-sort transposition count: the form `jaro_winkler` replaced.
+fn jaro_winkler_reference(a: &str, b: &str) -> f64 {
+    fn jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut b_used = vec![false; b.len()];
+        let mut matches_a = Vec::new();
+        for (i, ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_used[j] && b[j] == *ca {
+                    b_used[j] = true;
+                    matches_a.push((i, j));
+                    break;
+                }
+            }
+        }
+        let m = matches_a.len();
+        if m == 0 {
+            return 0.0;
+        }
+        let b_matches: Vec<usize> = matches_a.iter().map(|&(_, j)| j).collect();
+        let mut sorted = b_matches.clone();
+        sorted.sort_unstable();
+        let t = b_matches.iter().zip(sorted.iter()).filter(|(x, y)| x != y).count() as f64 / 2.0;
+        let m = m as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    }
+    let j = jaro(a, b);
+    let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count() as f64;
+    j + prefix * 0.1 * (1.0 - j)
+}
+
+// A small alphabet makes repeated characters, and so transpositions, common.
+prop_check!(
+    jaro_winkler_matches_reference_on_ascii,
+    zip(&string_of("abcd ", 0, 24), &string_of("abcd ", 0, 24)),
+    |p| {
+        let (a, b) = p;
+        prop_assert_eq!(jaro_winkler(a, b).to_bits(), jaro_winkler_reference(a, b).to_bits());
+        Ok(())
+    }
+);
+
+prop_check!(
+    jaro_winkler_matches_reference_on_unicode,
+    zip(&unicode_strings(0, 24), &unicode_strings(0, 24)),
+    |p| {
+        let (a, b) = p;
+        prop_assert_eq!(jaro_winkler(a, b).to_bits(), jaro_winkler_reference(a, b).to_bits());
+        Ok(())
+    }
+);
+
+// Past the inline match table (64 units) the table moves to the heap.
+prop_check!(
+    jaro_winkler_matches_reference_on_long_strings,
+    zip(&string_of("abc", 60, 90), &string_of("abc", 60, 90)),
+    |p| {
+        let (a, b) = p;
+        prop_assert_eq!(jaro_winkler(a, b).to_bits(), jaro_winkler_reference(a, b).to_bits());
+        Ok(())
+    }
+);
+
+/// BM25 scoring as it was: a tree map of scores, every match collected and
+/// fully sorted, then truncated. Returns the hits and the postings scanned.
+fn search_terms_reference(
+    ix: &Bm25Index,
+    terms: &[String],
+    top_k: usize,
+) -> (Vec<(usize, f64)>, usize) {
+    let Bm25Params { k1, b } = ix.params();
+    let n = ix.len() as f64;
+    let avg = if ix.is_empty() { 0.0 } else { ix.doc_lens().iter().sum::<usize>() as f64 / n };
+    let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut scanned = 0;
+    for term in terms {
+        let Some(posts) = ix.postings().get(term) else {
+            continue;
+        };
+        scanned += posts.len();
+        let df = posts.len() as f64;
+        let idf = (1.0 + (n - df + 0.5) / (df + 0.5)).ln();
+        for &(doc, tf) in posts {
+            let dl = ix.doc_lens()[doc] as f64;
+            let tf = f64::from(tf);
+            let denom = tf + k1 * (1.0 - b + b * dl / avg.max(1e-9));
+            let s = idf * tf * (k1 + 1.0) / denom;
+            *scores.entry(doc).or_insert(0.0) += s;
+        }
+    }
+    let mut out: Vec<(usize, f64)> = scores.into_iter().collect();
+    out.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    });
+    out.truncate(top_k);
+    (out, scanned)
+}
+
+fn bits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+}
+
+/// Documents and queries over a five-word vocabulary: short documents repeat
+/// each other (tied scores), queries repeat terms and name unindexed ones.
+fn corpus_and_query() -> Gen<(Vec<Vec<String>>, Vec<String>)> {
+    let word = string_of("abcde", 1, 1);
+    zip(&vec_of(&vec_of(&word, 0, 6), 0, 40), &vec_of(&string_of("abcdez", 1, 1), 0, 6))
+}
+
+prop_check!(search_terms_matches_tree_map_reference, corpus_and_query(), |p| {
+    let (docs, query) = p;
+    let mut ix = Bm25Index::default();
+    for d in docs {
+        ix.add_terms(d);
+    }
+    let (all, _) = search_terms_reference(&ix, query, usize::MAX);
+    // No hits, the best one, a cut inside the matches (through a tie when
+    // there is one), exactly all of them, and more than there are.
+    for top_k in [0, 1, all.len() / 2, all.len(), all.len() + 3, usize::MAX] {
+        let (got, got_scanned) = ix.search_terms(query, top_k);
+        let (want, want_scanned) = search_terms_reference(&ix, query, top_k);
+        prop_assert_eq!(bits(&got), bits(&want), "top_k = {top_k}");
+        prop_assert_eq!(got_scanned, want_scanned);
+    }
+    Ok(())
+});
+
+// The raw-text entry point normalizes once and counts in the same pass.
+prop_check!(
+    search_counts_what_postings_scanned_counts,
+    zip(&vec_of(&sentences(), 0, 12), &sentences()),
+    |p| {
+        let (docs, query) = p;
+        let mut ix = Bm25Index::default();
+        for d in docs {
+            ix.add_document(d);
+        }
+        let (hits, scanned) = ix.search(query, 5);
+        prop_assert_eq!(scanned, ix.postings_scanned(query));
+        prop_assert!(hits.len() <= 5);
         Ok(())
     }
 );

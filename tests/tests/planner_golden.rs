@@ -204,7 +204,7 @@ fn answers_match_golden_snapshots() {
                     engine.metrics_report().get("relstore.rows_joined"),
                     Some(0),
                     "{file} threads={threads}: a join has entered the answer path, so the \
-                     join-ordering question of ROADMAP item 2 reopens"
+                     join-ordering question reopens (DESIGN.md §11)"
                 );
             }
         }
@@ -311,5 +311,39 @@ fn planner_trace_shows_estimated_and_actual_costs() {
             "workload={}: no query exercised an embedded relational plan",
             w.name
         );
+    }
+}
+
+/// The lexical scan counts its postings in the pass that scores them
+/// (DESIGN.md §5b), and the count stays the pure function of query and
+/// corpus the resource meter promises: for every query of both workloads
+/// the traversal reports exactly `Bm25Index::postings_scanned`, and so does
+/// the meter of every answer whose retrieval rung ran.
+#[test]
+fn postings_scanned_is_the_index_count_for_every_query() {
+    use std::sync::Arc;
+    use unisem_retrieval::TopologyRetriever;
+
+    for w in workloads() {
+        let e = build(&w, EngineConfig { trace: true, ..config(FaultPlan::disabled()) });
+        let retriever = TopologyRetriever::new(
+            e.slm().clone(),
+            Arc::new(e.graph().clone()),
+            Arc::new(e.docs().clone()),
+            e.config().topology,
+        );
+        let mut retrieved = 0;
+        for item in &w.qa {
+            let q = &item.question;
+            let expected = e.docs().index().postings_scanned(q);
+            let (_, stats) = retriever.retrieve_with_stats(q, e.config().retrieval_top_k);
+            assert_eq!(stats.postings_scanned, expected, "workload={} {q}", w.name);
+            let metered = e.answer(q).trace.and_then(|t| t.meter).expect("traced").postings_scanned;
+            if metered != 0 {
+                retrieved += 1;
+                assert_eq!(metered, expected as u64, "workload={} {q}", w.name);
+            }
+        }
+        assert!(retrieved > 0, "workload={}: no query reached the retrieval rung", w.name);
     }
 }

@@ -1,4 +1,4 @@
-//! Work-count gate for threads (DESIGN.md §6, ROADMAP item 1(c)): a
+//! Work-count gate for threads (DESIGN.md §6): a
 //! fault-free `answer` spawns nothing, and an `answer_batch` forks exactly
 //! once — its own outer map. Counted by `parkit::fork_joins()`, never by a
 //! clock.
