@@ -36,6 +36,18 @@ for f in crates/text/src/bm25.rs crates/retrieval/src/topology.rs; do
     fi
 done
 
+echo "==> no hash set in the entropy stage"
+# An answer's content words and tokens are sorted, deduplicated slices, set
+# algebra over them is one merge, and each is built once per distinct sample
+# (DESIGN.md §5b); the hash-set forms live on only as oracles in
+# crates/entropy/tests/props.rs.
+for f in crates/entropy/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Hash(Set|Map)'; then
+        echo "ERROR: $f uses a HashSet or HashMap outside #[cfg(test)] (see DESIGN.md §5b, \"Entropy over distinct samples\": merge the sorted slices instead)"
+        exit 1
+    fi
+done
+
 echo "==> offline test suite (UNISEM_THREADS=1)"
 CARGO_NET_OFFLINE=true UNISEM_THREADS=1 cargo test -q
 

@@ -27,6 +27,8 @@ pub use measure::{
     EntropyReport,
 };
 
+use cluster::{cluster_samples, SampleSet};
+use measure::lexical_variance_of;
 use unisem_slm::{GenConfig, Generation, Slm, SupportedAnswer};
 
 /// End-to-end estimator: samples answers from the SLM and produces an
@@ -66,8 +68,8 @@ impl EntropyEstimator {
 
     /// Measures uncertainty over already-sampled generations.
     pub fn measure_generations(&self, gens: &[Generation]) -> EntropyReport {
-        let texts: Vec<&str> = gens.iter().map(|g| g.text.as_str()).collect();
-        let clusters = cluster_answers(&texts, &self.cluster_config);
+        let samples = SampleSet::new(gens.iter().map(|g| g.text.as_str()));
+        let clusters = cluster_samples(&samples, &self.cluster_config);
         let log_probs: Vec<f64> = gens.iter().map(|g| g.log_prob).collect();
         EntropyReport {
             n_samples: gens.len(),
@@ -75,7 +77,7 @@ impl EntropyEstimator {
             semantic_entropy: semantic_entropy_rao(&clusters, &log_probs),
             discrete_semantic_entropy: discrete_semantic_entropy(&clusters, gens.len()),
             predictive_entropy: predictive_entropy(&log_probs),
-            lexical_variance: lexical_variance(&texts),
+            lexical_variance: lexical_variance_of(&samples),
             top_answer: clusters
                 .first()
                 .and_then(|c| c.member_indices.first())

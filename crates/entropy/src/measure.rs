@@ -1,8 +1,6 @@
 //! Entropy measures over clustered answers.
 
-use crate::cluster::SemanticCluster;
-use unisem_text::similarity::jaccard;
-use unisem_text::tokenize::tokenize_words;
+use crate::cluster::{jaccard, SampleSet, SemanticCluster};
 
 /// The full uncertainty report for one question.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,18 +100,32 @@ pub fn predictive_entropy(log_probs: &[f64]) -> f64 {
 /// token sets. High when answers share few words — even when they mean the
 /// same thing.
 pub fn lexical_variance(answers: &[&str]) -> f64 {
-    if answers.len() < 2 {
+    lexical_variance_of(&SampleSet::new(answers.iter().copied()))
+}
+
+pub(crate) fn lexical_variance_of(samples: &SampleSet) -> f64 {
+    let (ids, words) = (&samples.ids, &samples.words);
+    if ids.len() < 2 {
         return 0.0;
     }
-    let token_sets: Vec<Vec<String>> = answers.iter().map(|a| tokenize_words(a)).collect();
-    let mut total = 0.0;
-    let mut pairs = 0usize;
-    for i in 0..token_sets.len() {
-        for j in i + 1..token_sets.len() {
-            total += jaccard(&token_sets[i], &token_sets[j]);
-            pairs += 1;
+    // One Jaccard per pair of distinct texts — a text against itself is 1 —
+    // then the sum over sample pairs in the order it always ran in.
+    let m = words.len();
+    let mut table = vec![1.0; m * m];
+    for a in 0..m {
+        for b in a + 1..m {
+            let similarity = jaccard(&words[a], &words[b]);
+            table[a * m + b] = similarity;
+            table[b * m + a] = similarity;
         }
     }
+    let mut total = 0.0;
+    for (i, &a) in ids.iter().enumerate() {
+        for &b in &ids[i + 1..] {
+            total += table[a * m + b];
+        }
+    }
+    let pairs = ids.len() * (ids.len() - 1) / 2;
     1.0 - total / pairs as f64
 }
 

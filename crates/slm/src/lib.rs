@@ -39,6 +39,8 @@ pub use tokenizer::{count_tokens, subword_tokenize};
 
 use std::sync::Arc;
 
+use unisem_text::distinct_ids;
+
 /// Configuration for constructing an [`Slm`].
 #[derive(Debug, Clone)]
 pub struct SlmConfig {
@@ -151,7 +153,11 @@ impl Slm {
         let prompt_tokens =
             count_tokens(query) + evidence.iter().map(|e| count_tokens(&e.text)).sum::<usize>();
         let gens = self.generator.sample(query, evidence, config);
-        let decode_tokens: usize = gens.iter().map(|g| count_tokens(&g.text)).sum();
+        // Every sample is charged, but a text that was sampled twice is
+        // counted once: the count is a function of the text alone.
+        let (ids, distinct) = distinct_ids(gens.iter().map(|g| g.text.as_str()));
+        let counts: Vec<usize> = distinct.iter().map(|text| count_tokens(text)).collect();
+        let decode_tokens: usize = ids.iter().map(|&id| counts[id]).sum();
         self.meter.record_generate(prompt_tokens, decode_tokens);
         gens
     }
@@ -165,6 +171,7 @@ impl Slm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn default_constructs() {
@@ -205,5 +212,49 @@ mod tests {
         let snap = slm.meter().snapshot();
         assert!(snap.prompt_tokens > 0);
         assert!(snap.decode_tokens > 0);
+    }
+
+    #[test]
+    fn sample_answers_charges_every_sample_its_own_tokens() {
+        let one_answer = [SupportedAnswer::new("42 units were internationalized", 5.0)];
+        let four_answers: Vec<SupportedAnswer> =
+            ["sales rose 20%", "sales fell 3%", "no change was recorded", "1,234 units"]
+                .iter()
+                .map(|core| SupportedAnswer::new(*core, 1.0))
+                .collect();
+        // Strong evidence repeats its one core under six templates; greedy
+        // decoding without templates repeats one text ten times; no evidence
+        // at all samples hallucinations.
+        let mut seen_repeats = false;
+        let mut seen_all_distinct = false;
+        for evidence in [&one_answer[..], &four_answers[..], &[]] {
+            for temperature in [0.0, 1.0] {
+                for paraphrase in [false, true] {
+                    for n_samples in [3, 10] {
+                        let config = GenConfig {
+                            n_samples,
+                            temperature,
+                            paraphrase,
+                            ..GenConfig::default()
+                        };
+                        let slm = Slm::default();
+                        let gens = slm.sample_answers("How many units?", evidence, &config);
+                        assert_eq!(gens.len(), n_samples);
+                        let texts: HashSet<&str> = gens.iter().map(|g| g.text.as_str()).collect();
+                        seen_repeats |= texts.len() < gens.len();
+                        seen_all_distinct |= texts.len() == gens.len();
+
+                        let snap = slm.meter().snapshot();
+                        let decode: usize = gens.iter().map(|g| count_tokens(&g.text)).sum();
+                        let prompt = count_tokens("How many units?")
+                            + evidence.iter().map(|e| count_tokens(&e.text)).sum::<usize>();
+                        assert_eq!(snap.decode_tokens, decode, "{config:?}");
+                        assert_eq!(snap.prompt_tokens, prompt, "{config:?}");
+                        assert_eq!(snap.generate_calls, 1);
+                    }
+                }
+            }
+        }
+        assert!(seen_repeats && seen_all_distinct);
     }
 }

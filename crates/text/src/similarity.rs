@@ -1,7 +1,7 @@
-//! String and set similarity measures.
+//! String and vector similarity measures.
 //!
-//! Used for entity linking (matching query mentions to graph entity nodes),
-//! answer clustering in semantic entropy, and fuzzy schema alignment.
+//! Used for entity linking (matching query mentions to graph entity nodes)
+//! and fuzzy schema alignment.
 
 /// Longest input, in comparison units, whose match table fits on the stack.
 const INLINE_UNITS: usize = 64;
@@ -67,19 +67,6 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     j + prefix * 0.1 * (1.0 - j)
 }
 
-/// Jaccard similarity of two token sets in `[0, 1]`.
-pub fn jaccard<T: std::hash::Hash + Eq>(a: &[T], b: &[T]) -> f64 {
-    use std::collections::HashSet;
-    let sa: HashSet<&T> = a.iter().collect();
-    let sb: HashSet<&T> = b.iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
-}
-
 /// Cosine similarity between two dense vectors of equal length.
 ///
 /// Returns 0.0 when either vector is all-zero. Panics if lengths differ.
@@ -110,23 +97,6 @@ mod tests {
         assert_eq!(jaro_winkler("", ""), 1.0);
         assert_eq!(jaro_winkler("abc", ""), 0.0);
         assert!(jaro_winkler("prefix", "prefixed") > jaro_winkler("prefix", "xiferp"));
-    }
-
-    #[test]
-    fn jaccard_basics() {
-        let a = vec!["a", "b", "c"];
-        let b = vec!["b", "c", "d"];
-        assert!((jaccard(&a, &b) - 0.5).abs() < 1e-9);
-        let empty: Vec<&str> = vec![];
-        assert_eq!(jaccard(&empty, &empty), 1.0);
-        assert_eq!(jaccard(&a, &empty), 0.0);
-    }
-
-    #[test]
-    fn jaccard_duplicates_are_set_semantics() {
-        let a = vec!["a", "a", "b"];
-        let b = vec!["a", "b", "b"];
-        assert_eq!(jaccard(&a, &b), 1.0);
     }
 
     #[test]

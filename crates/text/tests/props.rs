@@ -6,7 +6,7 @@ use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_text::bm25::Bm25Params;
 use unisem_text::{
-    chunk_sentences, jaccard, jaro_winkler, split_sentences, stem, tokenize, Bm25Index, ChunkConfig,
+    chunk_sentences, jaro_winkler, split_sentences, stem, tokenize, Bm25Index, ChunkConfig,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -52,16 +52,6 @@ prop_check!(
         Ok(())
     }
 );
-
-// Jaccard stays in [0, 1] and is 1 for identical inputs.
-prop_check!(jaccard_bounds, vec_of(&string_of("abcde", 1, 3), 0, 20), |xs| {
-    let v = jaccard(xs, xs);
-    prop_assert!(xs.is_empty() || (v - 1.0).abs() < 1e-12);
-    let ys: Vec<String> = xs.iter().rev().cloned().collect();
-    let w = jaccard(xs, &ys);
-    prop_assert!((0.0..=1.0 + 1e-12).contains(&w));
-    Ok(())
-});
 
 // Stemming is idempotent-ish: stable after two applications for plain
 // lowercase words.
