@@ -137,41 +137,16 @@ bash -n bench-baseline.sh
 echo "==> udlint --deny all (static determinism-contract audit)"
 # One linter replaces the former awk gates (closed metric namespace,
 # unwrap audit, path-only manifests) and adds the lints awk could not
-# express. Token passes catch per-line hazards (hash-order iteration,
-# wall-clock reads outside tracekit::wall, raw thread spawns, env reads
-# outside the UNISEM_* surface); the semantic passes parse every crate,
-# build the workspace symbol/call graph, and enforce the cross-file
-# contracts (transitive-wallclock, uncovered-io-site, dead-registry-entry).
-# `udlint --list` names every lint, `udlint --explain <lint>` documents
-# each one; suppressions need
-# `// udlint: allow(<lint>) -- <reason>` and are budgeted below.
+# express. Every lint is a pass over the lexer's token stream: per-line
+# hazards (hash-order iteration, wall-clock reads outside tracekit::wall
+# — not suppressible, raw thread spawns, env reads outside the UNISEM_*
+# surface), the per-function uncovered-io-site rule on storekit, and
+# dead-registry-entry, the one pass that reads every file. `udlint --list`
+# names every lint, `udlint --explain <lint>` documents each one;
+# suppressions need `// udlint: allow(<lint>) -- <reason>`. That the JSON
+# report is byte-identical across runs and that the suppression count
+# stays within lint-budget.txt are tier-1 tests
+# (crates/lintkit/tests/selfcheck.rs), not gates here.
 CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --deny all
 
-echo "==> udlint determinism gate (byte-identical JSON across runs)"
-# The semantic passes walk a call graph; any hash-order or traversal-order
-# leak in the analysis itself would show up as report churn. Two full
-# runs must render byte-identical JSON — same guarantee CI relies on to
-# diff reports across machines.
-report_a=$(CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --deny all --format json)
-report_b=$(CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --deny all --format json)
-if [ "$report_a" != "$report_b" ]; then
-    echo "ERROR: udlint JSON report differs between two runs over the same tree"
-    diff <(printf '%s\n' "$report_a") <(printf '%s\n' "$report_b") || true
-    exit 1
-fi
-
-echo "==> suppression budget meta-gate"
-# The committed budget (lint-budget.txt) is the ceiling on active
-# `udlint: allow` suppressions. New suppressions fail CI until the budget
-# is raised in the same review — so the count can only grow deliberately,
-# and only shrinking it is frictionless. udlint prints the bare count as
-# the last line of stdout; tail -n1 keeps the gate immune to any cargo
-# noise that lands ahead of it.
-budget=$(tr -d '[:space:]' < lint-budget.txt)
-count=$(CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --suppressions | tail -n1)
-if [ "$count" -gt "$budget" ]; then
-    echo "ERROR: $count udlint suppressions exceed the committed budget of $budget"
-    echo "       (fix the findings, or raise lint-budget.txt under review)"
-    exit 1
-fi
-echo "==> OK: workspace is hermetic ($count/$budget suppressions in use)"
+echo "==> OK: workspace is hermetic"

@@ -180,11 +180,6 @@ impl DocStore {
         &self.docs
     }
 
-    /// Chunks of one document.
-    pub fn chunks_of(&self, doc: DocumentId) -> impl Iterator<Item = &StoredChunk> + '_ {
-        self.chunks.iter().filter(move |c| c.doc_id == doc)
-    }
-
     /// BM25 search over chunks.
     pub fn search(&self, query: &str, top_k: usize) -> Vec<ChunkHit> {
         self.search_counted(query, top_k).0
@@ -208,11 +203,6 @@ impl DocStore {
     /// Approximate resident bytes of the inverted index (for E2).
     pub fn index_bytes(&self) -> usize {
         self.index.approx_bytes()
-    }
-
-    /// Approximate resident bytes of raw text.
-    pub fn text_bytes(&self) -> usize {
-        self.docs.iter().map(|d| d.text.len()).sum()
     }
 }
 
@@ -260,13 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_of_filters() {
-        let s = store();
-        assert!(s.chunks_of(0).all(|c| c.doc_id == 0));
-        assert!(s.chunks_of(0).count() >= 1);
-    }
-
-    #[test]
     fn search_finds_relevant_chunk() {
         let s = store();
         let hits = s.search("sales increase", 5);
@@ -300,7 +283,6 @@ mod tests {
     fn byte_accounting() {
         let s = store();
         assert!(s.index_bytes() > 0);
-        assert!(s.text_bytes() > 0);
     }
 
     #[test]

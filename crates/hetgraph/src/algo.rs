@@ -47,32 +47,6 @@ pub fn shortest_path(graph: &HetGraph, from: NodeId, to: NodeId) -> Option<Vec<N
     None
 }
 
-/// Connected components; returns a component id per node (dense, 0-based)
-/// and the number of components.
-pub fn connected_components(graph: &HetGraph) -> (Vec<usize>, usize) {
-    let n = graph.num_nodes();
-    let mut comp = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        comp[start] = next;
-        queue.push_back(NodeId(start as u32));
-        while let Some(node) = queue.pop_front() {
-            for &(nb, _) in graph.neighbors(node) {
-                if comp[nb.0 as usize] == usize::MAX {
-                    comp[nb.0 as usize] = next;
-                    queue.push_back(nb);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next)
-}
-
 /// PageRank with uniform teleport. Returns one score per node, summing
 /// to ~1 over each connected graph.
 pub fn pagerank(graph: &HetGraph, damping: f64, iterations: usize) -> Vec<f64> {
@@ -190,15 +164,6 @@ mod tests {
         assert_eq!(p, vec![ids[0], ids[1], ids[2], ids[3]]);
         assert!(shortest_path(&g, ids[0], ids[4]).is_none());
         assert_eq!(shortest_path(&g, ids[2], ids[2]).unwrap(), vec![ids[2]]);
-    }
-
-    #[test]
-    fn components_counted() {
-        let (g, ids) = path_graph();
-        let (comp, n) = connected_components(&g);
-        assert_eq!(n, 2);
-        assert_eq!(comp[ids[0].0 as usize], comp[ids[3].0 as usize]);
-        assert_ne!(comp[ids[0].0 as usize], comp[ids[4].0 as usize]);
     }
 
     #[test]

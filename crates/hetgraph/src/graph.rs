@@ -402,12 +402,6 @@ impl HetGraph {
         self.entity_by_name_index.get(&canon).copied()
     }
 
-    /// Looks up an entity node by canonical name and kind.
-    pub fn entity_by_name_kind(&self, name: &str, kind: EntityKind) -> Option<NodeId> {
-        let canon = unisem_slm::ner::canonical_phrase(name);
-        self.entity_index.get(&(canon, kind)).copied()
-    }
-
     /// All entity nodes.
     pub fn entities(&self) -> impl Iterator<Item = &Node> + '_ {
         self.nodes.iter().filter(|n| n.kind.is_entity())
@@ -506,8 +500,6 @@ mod tests {
         let mut g = HetGraph::new();
         let a = g.add_entity("Product Alpha", EntityKind::Product);
         assert_eq!(g.entity_by_name("product alpha"), Some(a));
-        assert_eq!(g.entity_by_name_kind("Product Alpha", EntityKind::Product), Some(a));
-        assert_eq!(g.entity_by_name_kind("Product Alpha", EntityKind::Drug), None);
         assert_eq!(g.entity_by_name("missing"), None);
         let c = g.add_chunk(0, 0, "text");
         assert_eq!(g.chunk_node(0), Some(c));

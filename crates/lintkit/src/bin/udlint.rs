@@ -2,22 +2,16 @@
 //!
 //! ```text
 //! udlint [--root DIR] [--format text|json] [--deny all] [--pedantic]
-//!        [--suppressions] [--list] [--explain LINT] [--dump-graph]
+//!        [--list] [--explain LINT]
 //! ```
 //!
 //! - `--root DIR`        tree to lint (default: current directory)
 //! - `--format json`     machine-readable, byte-stable report
 //! - `--deny all`        exit non-zero if any unsuppressed diagnostic
 //! - `--pedantic`        also run the high-noise slice-index audit
-//! - `--suppressions`    print only the active-suppression count, as the
-//!                       last (and only) stdout line — ci.sh takes
-//!                       `tail -n1` and compares it to lint-budget.txt
 //! - `--list`            print the closed lint registry and exit
 //! - `--explain LINT`    print the long-form contract documentation for
 //!                       one lint and exit
-//! - `--dump-graph`      print the workspace symbol graph (module tree,
-//!                       function table, call graph) and exit; sorted
-//!                       and byte-stable like every other report
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -27,8 +21,6 @@ fn main() -> ExitCode {
     let mut format = String::from("text");
     let mut deny = false;
     let mut pedantic = false;
-    let mut count_only = false;
-    let mut dump_graph = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -47,8 +39,6 @@ fn main() -> ExitCode {
                 _ => return usage("only `--deny all` is supported"),
             },
             "--pedantic" => pedantic = true,
-            "--suppressions" => count_only = true,
-            "--dump-graph" => dump_graph = true,
             "--list" => {
                 for (name, desc) in lintkit::LINTS {
                     println!("{name}\n    {desc}");
@@ -75,19 +65,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if dump_graph {
-        return match lintkit::runner::build_workspace(&root) {
-            Ok(ws) => {
-                print!("{}", ws.render_graph());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("udlint: cannot walk {}: {e}", root.display());
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let report = match lintkit::runner::run(&root, pedantic) {
         Ok(r) => r,
         Err(e) => {
@@ -95,11 +72,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if count_only {
-        println!("{}", report.suppressed.len());
-        return ExitCode::SUCCESS;
-    }
 
     match format.as_str() {
         "json" => print!("{}", report.render_json()),
@@ -118,8 +90,8 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("udlint: {err}");
     }
     eprintln!(
-        "usage: udlint [--root DIR] [--format text|json] [--deny all] [--pedantic] \
-         [--suppressions] [--list] [--explain LINT] [--dump-graph]"
+        "usage: udlint [--root DIR] [--format text|json] [--deny all] [--pedantic] [--list] \
+         [--explain LINT]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -46,6 +46,9 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Why: wall time is nondeterministic input. All timing flows through\n\
          tracekit's wall module, which is compiled out of the deterministic\n\
          replay surface (DESIGN.md §9).\n\
+         Cannot be suppressed: `allow(wallclock-in-hot-path)` is itself a\n\
+         suppression-syntax error, so no function outside the wall module reads\n\
+         the clock and no caller, in any crate, can reach one that does.\n\
          Fix: take a Stopwatch/TimingReport from tracekit::wall, or meter\n\
          logical resources (ResourceMeter) instead of time.",
     ),
@@ -85,7 +88,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     (
         "suppression-syntax",
         "What: a malformed `udlint:` comment — bad grammar, unknown lint name,\n\
-         missing `-- <reason>`, or a suppression that matches no diagnostic.\n\
+         missing `-- <reason>`, a suppression that matches no diagnostic, or\n\
+         one naming a lint that cannot be suppressed (wallclock-in-hot-path).\n\
          Why: suppressions are the audited escape hatch; an unused one is a\n\
          stale justification waiting to mislead a reviewer, and an unknown name\n\
          silences nothing while looking like it does.\n\
@@ -93,40 +97,22 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          line; delete suppressions that no longer match.",
     ),
     (
-        "transitive-wallclock",
-        "What: a non-test function whose *call graph* reaches an\n\
-         `Instant::now()`/`SystemTime::now()` read outside tracekit::wall, even\n\
-         though its own body never touches a clock. The diagnostic message\n\
-         carries the call chain down to the offending read.\n\
-         Why: the token-level wallclock lint sees one file at a time, so a\n\
-         clock read wrapped in a helper crate leaks into every caller\n\
-         invisibly. Determinism is a whole-graph property: if any path from a\n\
-         serving function reaches the clock, replay diverges.\n\
-         How: udlint parses every engine file to an item AST, builds a\n\
-         function-level call graph (name-based resolution, over-approximate by\n\
-         design), seeds a reverse BFS at each direct reader, and reports every\n\
-         reached function. tracekit::wall neither seeds nor propagates: it is\n\
-         the blessed boundary, so *calling* it is fine.\n\
-         Fix: remove the clock read below you (preferred), or route the timing\n\
-         through tracekit::wall.",
-    ),
-    (
         "uncovered-io-site",
-        "What: a storekit function performing raw I/O (`write_all`, `sync_all`,\n\
-         `sync_data`, `set_len`) that is not in the forward call closure of any\n\
-         function that consults the fault registry (`…check(Site::…)`).\n\
+        "What: a non-test storekit function whose body calls raw I/O\n\
+         (`write_all`, `sync_all`, `sync_data`, `set_len`) without consulting\n\
+         the fault registry (`…check(Site::…)`) in that same body.\n\
          Why: durability claims rest on the crash matrix (DESIGN.md §12–13):\n\
          every write/flush can be made to fail or tear through the closed\n\
-         11-site faultkit registry. An I/O call the injector cannot reach is a\n\
+         11-site faultkit registry. An I/O call the injector cannot fail is a\n\
          crash window no test exercises — exactly the write path that eats\n\
          data in production.\n\
-         How: the call graph is walked forward from every `check(Site::…)`\n\
-         body; coverage anywhere above the I/O counts, because the injector\n\
-         fires before the syscall on that path.\n\
-         Fix: thread the fault hook through the new I/O path (add a check at\n\
-         an existing site, or extend the site registry deliberately); suppress\n\
-         only for I/O that provably precedes any logical state (with the proof\n\
-         as the reason).",
+         How: a token scan from each `fn name` to the brace matching its body;\n\
+         a nested fn is its own function, a closure belongs to the function it\n\
+         is written in. A check in a caller does not count: it fires before\n\
+         the call, never between the helper's own writes.\n\
+         Fix: put the check beside the I/O (at an existing site, or extend the\n\
+         site registry deliberately); suppress only where recovery provably\n\
+         handles a crash at that call, naming the test that shows it.",
     ),
     (
         "dead-registry-entry",
@@ -136,10 +122,10 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Why: the closed namespace keeps phantom series out, but it can rot in\n\
          the other direction — a variant outlives its last recording site and\n\
          dashboards show a forever-zero series that reads as a broken engine.\n\
-         How: variants are parsed out of the macro invocation bodies (the AST\n\
-         keeps macro token ranges); references inside metrics.rs itself do not\n\
-         count, since the generated ALL/name tables mention every variant by\n\
-         construction.\n\
+         How: variants are read out of each `registry_enum! { … }` body, found\n\
+         by token with its braces matched; references inside metrics.rs itself\n\
+         do not count, since the generated ALL/name tables mention every\n\
+         variant by construction.\n\
          Fix: delete the variant, or wire its recording site back up.",
     ),
 ];

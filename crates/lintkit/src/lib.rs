@@ -20,21 +20,19 @@
 //! udlint: 1 diagnostic(s), 1 suppressed
 //! ```
 
-pub mod ast;
 pub mod diag;
 pub mod explain;
 pub mod lexer;
 pub mod manifest;
 pub mod passes;
 pub mod runner;
-pub mod semantic;
 pub mod source;
-pub mod symbols;
 
 /// The closed lint registry: `(name, one-line description)`.
 ///
 /// Suppression comments (`// udlint: allow(<name>) -- <reason>`) must
-/// name an entry from this table; anything else is `suppression-syntax`.
+/// name an entry from this table other than [`UNSUPPRESSIBLE`]; anything
+/// else is `suppression-syntax`.
 pub const LINTS: &[(&str, &str)] = &[
     (
         "unwrap-in-core",
@@ -53,7 +51,7 @@ pub const LINTS: &[(&str, &str)] = &[
     (
         "wallclock-in-hot-path",
         "Instant::now()/SystemTime::now() outside tracekit's wall-gated module \
-         (crates/tracekit/src/wall.rs)",
+         (crates/tracekit/src/wall.rs); cannot be suppressed",
     ),
     (
         "raw-thread-spawn",
@@ -75,14 +73,9 @@ pub const LINTS: &[(&str, &str)] = &[
         "malformed, unknown-lint, or unused `udlint: allow` comment (reason is mandatory)",
     ),
     (
-        "transitive-wallclock",
-        "function whose call graph reaches an Instant/SystemTime read outside tracekit::wall \
-         (semantic; caller-side of wallclock-in-hot-path)",
-    ),
-    (
         "uncovered-io-site",
-        "raw storekit I/O (write_all/sync_all/sync_data/set_len) not dominated by a faultkit \
-         `check(Site::…)` on any call path — the crash matrix cannot reach it",
+        "raw storekit I/O (write_all/sync_all/sync_data/set_len) in a function with no faultkit \
+         `check(Site::…)` of its own — the crash matrix cannot reach it",
     ),
     (
         "dead-registry-entry",
@@ -90,6 +83,12 @@ pub const LINTS: &[(&str, &str)] = &[
          forever-zero series in every dashboard",
     ),
 ];
+
+/// Lints no comment can silence. A clock read anywhere but
+/// `tracekit/src/wall.rs` is always a diagnostic, so no function outside
+/// that file reads the clock and no caller can reach one that does: the
+/// cross-file half of the wall-clock contract holds by construction.
+pub const UNSUPPRESSIBLE: &[&str] = &["wallclock-in-hot-path"];
 
 #[cfg(test)]
 mod tests {
@@ -105,6 +104,9 @@ mod tests {
                 super::LINTS[..i].iter().all(|(other, _)| other != name),
                 "duplicate lint `{name}`"
             );
+        }
+        for name in super::UNSUPPRESSIBLE {
+            assert!(super::LINTS.iter().any(|(l, _)| l == name), "`{name}` is not a lint");
         }
     }
 }

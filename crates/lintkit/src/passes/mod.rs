@@ -1,11 +1,13 @@
-//! The AST-lite pass framework and the closed lint registry.
+//! The token pass framework and the closed lint registry.
 //!
 //! A pass walks one file's significant-token stream (comments stripped,
 //! `in_test` spans marked) and emits [`Diagnostic`]s. Passes are pure
-//! pattern matchers over tokens — no type information — so each lint
-//! documents its heuristic and accepts line-level suppression for the
-//! cases the heuristic cannot see through (reason mandatory, counted,
-//! budgeted by ci.sh).
+//! pattern matchers over tokens — no type information, no item tree — so
+//! each lint documents its heuristic and accepts line-level suppression
+//! for the cases the heuristic cannot see through (reason mandatory,
+//! counted, budgeted by `lint-budget.txt`). One pass is not per file:
+//! [`dead_registry`] sees every file at once, through the runner's one
+//! whole-tree hook.
 //!
 //! # Adding a lint (DESIGN.md §10)
 //!
@@ -16,7 +18,9 @@
 //! 4. Add adversarial snippets to `tests/adversarial.rs` proving the
 //!    false-positive cases (strings, comments, test spans) stay silent.
 
+pub mod dead_registry;
 pub mod envread;
+pub mod io_sites;
 pub mod namespace;
 pub mod spawn;
 pub mod unordered;
@@ -93,6 +97,7 @@ pub fn registry(pedantic: bool) -> Vec<Box<dyn Pass>> {
         Box::new(spawn::RawThreadSpawn),
         Box::new(namespace::StringMetricLabel),
         Box::new(envread::NondeterministicEnv),
+        Box::new(io_sites::UncoveredIoSite),
     ];
     if pedantic {
         passes.push(Box::new(unwrap::SliceIndex));
@@ -139,6 +144,7 @@ mod tests {
                 pass.lint()
             );
         }
+        assert!(crate::LINTS.iter().any(|(name, _)| *name == dead_registry::LINT));
         assert_eq!(registry(false).len() + 1, registry(true).len());
     }
 }

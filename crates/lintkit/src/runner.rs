@@ -5,16 +5,13 @@
 //! workspace-relative with `/` separators — so the JSON report for a
 //! given tree is byte-identical across runs and machines.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 use crate::diag::{Diagnostic, Suppressed};
 use crate::manifest::lint_manifest;
-use crate::passes::{file_scope, registry, FileScope};
-use crate::semantic;
+use crate::passes::{dead_registry, file_scope, registry, FileScope};
 use crate::source::{SourceFile, Suppression};
-use crate::symbols::Workspace;
 
 /// The outcome of linting a tree (or a single source, in tests).
 #[derive(Default)]
@@ -90,10 +87,16 @@ fn known_lint(lint: &str) -> bool {
     crate::LINTS.iter().any(|(name, _)| *name == lint)
 }
 
+/// Whether `lint` is one no comment may silence.
+fn unsuppressible(lint: &str) -> bool {
+    crate::UNSUPPRESSIBLE.contains(&lint)
+}
+
 /// Applies suppressions to raw findings: matching `(line, lint)` pairs
 /// move to `suppressed`; malformed, unknown-lint, and unused suppressions
 /// become `suppression-syntax` diagnostics (an unused suppression is a
-/// stale reason waiting to mislead someone).
+/// stale reason waiting to mislead someone), and so does one naming a
+/// lint of [`crate::UNSUPPRESSIBLE`], which silences nothing.
 fn resolve(
     rel_path: &str,
     raw: Vec<Diagnostic>,
@@ -105,7 +108,9 @@ fn resolve(
 ) {
     let mut used = vec![false; suppressions.len()];
     for d in raw {
-        let hit = suppressions.iter().position(|s| s.target_line == d.line && s.lint == d.lint);
+        let hit = suppressions
+            .iter()
+            .position(|s| s.target_line == d.line && s.lint == d.lint && !unsuppressible(&s.lint));
         match hit {
             Some(i) => {
                 used[i] = true;
@@ -132,6 +137,13 @@ fn resolve(
                 lint: "suppression-syntax".into(),
                 message: format!("suppression names unknown lint `{}`", s.lint),
             });
+        } else if unsuppressible(&s.lint) {
+            report.diagnostics.push(Diagnostic {
+                path: rel_path.to_string(),
+                line: s.comment_line,
+                lint: "suppression-syntax".into(),
+                message: format!("`{}` cannot be suppressed: fix the finding", s.lint),
+            });
         } else if !used[i] && active(&s.lint) && !line_in_test(s.comment_line) {
             report.diagnostics.push(Diagnostic {
                 path: rel_path.to_string(),
@@ -146,35 +158,6 @@ fn resolve(
     }
 }
 
-/// Lints one Rust source in engine scope. Used by the runner and directly
-/// by the adversarial test-suite.
-pub fn check_rust_source(rel_path: &str, src: &str, pedantic: bool, report: &mut RunReport) {
-    let FileScope::Engine { krate } = file_scope(rel_path) else { return };
-    let file = SourceFile::parse(rel_path, src);
-    let mut raw = Vec::new();
-    for pass in registry(pedantic) {
-        if pass.applies(&krate, rel_path) {
-            pass.run(&file, &mut raw);
-        }
-    }
-    let active_lints: Vec<&'static str> = registry(pedantic)
-        .iter()
-        .filter(|p| p.applies(&krate, rel_path))
-        .map(|p| p.lint())
-        .collect();
-    let bad: Vec<(u32, String)> =
-        file.bad_suppressions.iter().map(|b| (b.line, b.problem.clone())).collect();
-    resolve(
-        rel_path,
-        raw,
-        &file.suppressions,
-        &bad,
-        |line| file.toks.iter().any(|t| t.line == line && t.in_test),
-        |lint| active_lints.contains(&lint),
-        report,
-    );
-}
-
 /// Lints one manifest (every `Cargo.toml` is in scope — the hermetic
 /// policy binds tooling crates too).
 pub fn check_manifest_source(rel_path: &str, src: &str, report: &mut RunReport) {
@@ -183,63 +166,50 @@ pub fn check_manifest_source(rel_path: &str, src: &str, report: &mut RunReport) 
 }
 
 /// Lints a whole workspace given in memory as `(rel_path, source)`
-/// pairs: file-level token passes, then the workspace-level semantic
-/// passes over the symbol graph, with one shared suppression resolution
-/// per file (so a suppression can silence either kind, and unused ones
-/// are detected across both).
+/// pairs. Every file is lexed once; the one pass that needs all of them
+/// at once (`dead-registry-entry`) runs first, and its findings join the
+/// per-file passes' under one suppression resolution per file — so a
+/// suppression can silence either kind and an unused one is detected
+/// across both.
 pub fn check_tree(inputs: &[(String, String)], pedantic: bool) -> RunReport {
     let mut report = RunReport::default();
-    let mut rust: Vec<(String, String)> = Vec::new();
+    let mut engine: Vec<(String, SourceFile)> = Vec::new();
+    let mut usage: Vec<SourceFile> = Vec::new();
     for (rel_path, src) in inputs {
-        if rel_path.ends_with(".rs") {
-            rust.push((rel_path.clone(), src.clone()));
-        } else {
+        if !rel_path.ends_with(".rs") {
             check_manifest_source(rel_path, src, &mut report);
+        } else if let FileScope::Engine { krate } = file_scope(rel_path) {
+            engine.push((krate, SourceFile::parse(rel_path, src)));
+        } else if dead_registry::is_usage_source(rel_path) {
+            usage.push(SourceFile::parse(rel_path, src));
         }
     }
 
-    let ws = Workspace::build(&rust);
-    let mut sem_by_path: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
-    for pass in semantic::registry() {
-        let mut raw = Vec::new();
-        pass.run(&ws, &mut raw);
-        for d in raw {
-            sem_by_path.entry(d.path.clone()).or_default().push(d);
-        }
-    }
-    let sem_lints: Vec<&'static str> = semantic::registry().iter().map(|p| p.lint()).collect();
+    let all: Vec<&SourceFile> = engine.iter().map(|(_, f)| f).chain(&usage).collect();
+    let mut whole_tree = Vec::new();
+    dead_registry::run(&all, &mut whole_tree);
 
-    for wsf in &ws.files {
-        let rel_path = wsf.file.rel_path.clone();
-        let mut raw = Vec::new();
+    for (krate, file) in &engine {
+        let mut raw: Vec<Diagnostic> =
+            whole_tree.iter().filter(|d| d.path == file.rel_path).cloned().collect();
+        let mut active_lints = vec![dead_registry::LINT];
         for pass in registry(pedantic) {
-            if pass.applies(&wsf.krate, &rel_path) {
-                pass.run(&wsf.file, &mut raw);
+            if pass.applies(krate, &file.rel_path) {
+                pass.run(file, &mut raw);
+                active_lints.push(pass.lint());
             }
         }
-        raw.extend(sem_by_path.remove(&rel_path).unwrap_or_default());
-        let mut active_lints: Vec<&'static str> = registry(pedantic)
-            .iter()
-            .filter(|p| p.applies(&wsf.krate, &rel_path))
-            .map(|p| p.lint())
-            .collect();
-        active_lints.extend(&sem_lints);
         let bad: Vec<(u32, String)> =
-            wsf.file.bad_suppressions.iter().map(|b| (b.line, b.problem.clone())).collect();
+            file.bad_suppressions.iter().map(|b| (b.line, b.problem.clone())).collect();
         resolve(
-            &rel_path,
+            &file.rel_path,
             raw,
-            &wsf.file.suppressions,
+            &file.suppressions,
             &bad,
-            |line| wsf.file.toks.iter().any(|t| t.line == line && t.in_test),
+            |line| file.toks.iter().any(|t| t.line == line && t.in_test),
             |lint| active_lints.contains(&lint),
             &mut report,
         );
-    }
-    // Defensive: a semantic diagnostic pointing at a path outside the
-    // engine file set cannot be suppressed, but must not vanish either.
-    for (_, diags) in sem_by_path {
-        report.diagnostics.extend(diags);
     }
     report.finish()
 }
@@ -259,19 +229,9 @@ fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(inputs)
 }
 
-/// Walks `root` and lints every `.rs` and `Cargo.toml` file in scope —
-/// token passes, then the semantic passes over the symbol graph.
+/// Walks `root` and lints every `.rs` and `Cargo.toml` file in scope.
 pub fn run(root: &Path, pedantic: bool) -> std::io::Result<RunReport> {
     Ok(check_tree(&read_tree(root)?, pedantic))
-}
-
-/// Builds (only) the workspace symbol graph for `root` — backs
-/// `udlint --dump-graph`.
-pub fn build_workspace(root: &Path) -> std::io::Result<Workspace> {
-    let inputs = read_tree(root)?;
-    let rust: Vec<(String, String)> =
-        inputs.into_iter().filter(|(p, _)| p.ends_with(".rs")).collect();
-    Ok(Workspace::build(&rust))
 }
 
 /// Recursively collects lintable files, skipping `target/` and
@@ -302,12 +262,9 @@ fn collect_files(root: &Path, rel: &Path, out: &mut Vec<String>) -> std::io::Res
     Ok(())
 }
 
-/// Convenience for tests: lints a single Rust source and returns the
-/// finished report.
+/// Convenience for tests: lints a one-file tree.
 pub fn check_source(rel_path: &str, src: &str, pedantic: bool) -> RunReport {
-    let mut report = RunReport::default();
-    check_rust_source(rel_path, src, pedantic, &mut report);
-    report.finish()
+    check_tree(&[(rel_path.to_string(), src.to_string())], pedantic)
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //! itself a diagnostic (`suppression-syntax`). A suppression comment at
 //! the end of a code line covers that line; a comment alone on its line
 //! covers the next line that has code on it. Active suppressions are
-//! counted and reported — ci.sh compares the count against the committed
-//! `lint-budget.txt` so the total can only shrink without review.
+//! counted and reported — `tests/selfcheck.rs` compares the count against
+//! the committed `lint-budget.txt` so the total can only shrink without
+//! review.
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -136,6 +137,21 @@ impl SourceFile {
     /// `pat` exactly.
     pub fn sig_matches(&self, k: usize, pat: &[&str]) -> bool {
         pat.iter().enumerate().all(|(j, p)| self.sig_text(k + j) == *p)
+    }
+
+    /// Sig-index of the `}` matching the `{` at sig-index `open`, or of
+    /// the last token when it never closes.
+    pub fn matching_brace(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        for k in open..self.sig.len() {
+            match self.sig_text(k) {
+                "{" => depth += 1,
+                "}" if depth <= 1 => return k,
+                "}" => depth -= 1,
+                _ => {}
+            }
+        }
+        self.sig.len().saturating_sub(1)
     }
 }
 

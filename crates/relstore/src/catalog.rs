@@ -39,11 +39,6 @@ impl Database {
         self.tables.insert(name.to_lowercase(), table);
     }
 
-    /// Removes a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(&name.to_lowercase())
-    }
-
     /// Looks up a table.
     pub fn table(&self, name: &str) -> RelResult<&Table> {
         self.tables
@@ -152,15 +147,6 @@ mod tests {
         assert!(matches!(db.create_table("T", nums()), Err(RelError::Conflict(_))));
         db.create_or_replace_table("t", nums());
         assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn drop_table_works() {
-        let mut db = Database::new();
-        db.create_table("t", nums()).unwrap();
-        assert!(db.drop_table("t").is_some());
-        assert!(db.drop_table("t").is_none());
-        assert!(db.is_empty());
     }
 
     #[test]

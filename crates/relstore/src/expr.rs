@@ -200,11 +200,6 @@ impl Expr {
             Expr::InList { expr, .. } => expr.collect_columns(out),
         }
     }
-
-    /// True when the expression references no columns (a constant).
-    pub fn is_constant(&self) -> bool {
-        self.columns_referenced().is_empty()
-    }
 }
 
 /// An [`Expr`] bound to one schema by [`Expr::bind`]. Binding never fails:
@@ -620,8 +615,7 @@ mod tests {
         let e = Expr::col("A").and(Expr::col("b").gt(Expr::lit(1i64)));
         let cols = e.columns_referenced();
         assert!(cols.contains("a") && cols.contains("b"));
-        assert!(!e.is_constant());
-        assert!(Expr::lit(1i64).eq(Expr::lit(2i64)).is_constant());
+        assert!(Expr::lit(1i64).eq(Expr::lit(2i64)).columns_referenced().is_empty());
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Borrowed view of a column by name.
-    pub fn column_by_name(&self, name: &str) -> RelResult<&[Value]> {
-        Ok(self.column(self.schema.require(name)?))
-    }
-
     /// Materializes row `idx` as an owned vector.
     pub fn row(&self, idx: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c[idx].clone()).collect()
@@ -302,8 +297,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.row(1), vec![Value::Int(2), Value::str("gadget"), Value::Float(12.0)]);
         assert_eq!(t.cell(0, 1), &Value::str("widget"));
-        assert_eq!(t.column_by_name("price").unwrap().len(), 3);
-        assert!(t.column_by_name("missing").is_err());
     }
 
     #[test]

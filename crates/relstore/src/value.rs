@@ -32,18 +32,6 @@ impl Date {
         Self::new(year, month, day)
     }
 
-    /// Days since 0000-03-01 (a standard civil-date encoding); gives a total
-    /// order and arithmetic-friendly representation.
-    pub fn to_ordinal(self) -> i64 {
-        let y = i64::from(self.year) - i64::from(self.month <= 2);
-        let era = if y >= 0 { y } else { y - 399 } / 400;
-        let yoe = y - era * 400;
-        let mp = (i64::from(self.month) + 9) % 12;
-        let doy = (153 * mp + 2) / 5 + i64::from(self.day) - 1;
-        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-        era * 146_097 + doe
-    }
-
     /// The fiscal quarter (1–4) this date falls in.
     pub fn quarter(self) -> u8 {
         (self.month - 1) / 3 + 1
@@ -187,33 +175,6 @@ impl Value {
         }
     }
 
-    /// Parses a string into the most specific value type:
-    /// NULL/bool/int/float/date, falling back to `Str`.
-    pub fn infer_parse(s: &str) -> Value {
-        let t = s.trim();
-        if t.is_empty() || t.eq_ignore_ascii_case("null") {
-            return Value::Null;
-        }
-        if t.eq_ignore_ascii_case("true") {
-            return Value::Bool(true);
-        }
-        if t.eq_ignore_ascii_case("false") {
-            return Value::Bool(false);
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = t.parse::<f64>() {
-            if !f.is_nan() {
-                return Value::Float(f);
-            }
-        }
-        if let Some(d) = Date::parse(t) {
-            return Value::Date(d);
-        }
-        Value::Str(t.to_string())
-    }
-
     /// Equality with numeric coercion and NULL ≠ NULL (SQL semantics).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.compare(other).map(|o| o == Ordering::Equal)
@@ -322,15 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn date_ordinal_monotonic() {
-        let a = Date::parse("2024-02-28").unwrap();
-        let b = Date::parse("2024-02-29").unwrap();
-        let c = Date::parse("2024-03-01").unwrap();
-        assert_eq!(a.to_ordinal() + 1, b.to_ordinal());
-        assert_eq!(b.to_ordinal() + 1, c.to_ordinal());
-    }
-
-    #[test]
     fn date_quarters() {
         assert_eq!(Date::new(2024, 1, 15).unwrap().quarter(), 1);
         assert_eq!(Date::new(2024, 6, 30).unwrap().quarter(), 2);
@@ -371,17 +323,6 @@ mod tests {
         assert_eq!(vals[2], Value::Float(2.5));
         assert_eq!(vals[3], Value::Int(5));
         assert_eq!(vals.last().unwrap(), &Value::str("b"));
-    }
-
-    #[test]
-    fn infer_parse_types() {
-        assert_eq!(Value::infer_parse("42"), Value::Int(42));
-        assert_eq!(Value::infer_parse("-3.5"), Value::Float(-3.5));
-        assert_eq!(Value::infer_parse("true"), Value::Bool(true));
-        assert_eq!(Value::infer_parse("2024-01-02"), Value::Date(Date::new(2024, 1, 2).unwrap()));
-        assert_eq!(Value::infer_parse(""), Value::Null);
-        assert_eq!(Value::infer_parse("NULL"), Value::Null);
-        assert_eq!(Value::infer_parse("hello"), Value::str("hello"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod topology;
 
 pub use dense::DenseRetriever;
 pub use lexical::LexicalRetriever;
-pub use metrics::{hit_at_k, mrr, recall_at_k};
+pub use metrics::mrr;
 pub use topology::{TopologyConfig, TopologyRetriever, TraversalStats};
 
 /// One retrieved chunk with its score (higher = more relevant).

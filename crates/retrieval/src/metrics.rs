@@ -2,33 +2,8 @@
 
 use crate::RetrievalResult;
 
-/// Fraction of `gold` chunk ids present in the top `k` results.
-///
-/// Returns 1.0 when `gold` is empty (vacuously satisfied).
-pub fn recall_at_k(gold: &[usize], results: &[RetrievalResult], k: usize) -> f64 {
-    if gold.is_empty() {
-        return 1.0;
-    }
-    let top: std::collections::HashSet<usize> =
-        results.iter().take(k).map(|r| r.chunk_id).collect();
-    let hit = gold.iter().filter(|g| top.contains(g)).count();
-    hit as f64 / gold.len() as f64
-}
-
-/// 1 if any gold id appears in the top `k`, else 0.
-pub fn hit_at_k(gold: &[usize], results: &[RetrievalResult], k: usize) -> f64 {
-    if gold.is_empty() {
-        return 1.0;
-    }
-    let hit = results.iter().take(k).any(|r| gold.contains(&r.chunk_id));
-    if hit {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Reciprocal rank of the first gold id (0 when absent).
+/// Reciprocal rank of the first gold id (0 when absent; 1.0 when `gold`
+/// is empty — vacuously satisfied).
 pub fn mrr(gold: &[usize], results: &[RetrievalResult]) -> f64 {
     if gold.is_empty() {
         return 1.0;
@@ -48,26 +23,9 @@ mod tests {
     }
 
     #[test]
-    fn recall_counts_fraction() {
-        let r = results(&[5, 3, 9]);
-        assert_eq!(recall_at_k(&[5, 9], &r, 3), 1.0);
-        assert_eq!(recall_at_k(&[5, 9], &r, 1), 0.5);
-        assert_eq!(recall_at_k(&[7], &r, 3), 0.0);
-    }
-
-    #[test]
     fn empty_gold_is_vacuous() {
         let r = results(&[1]);
-        assert_eq!(recall_at_k(&[], &r, 1), 1.0);
-        assert_eq!(hit_at_k(&[], &r, 1), 1.0);
         assert_eq!(mrr(&[], &r), 1.0);
-    }
-
-    #[test]
-    fn hit_binary() {
-        let r = results(&[4, 2]);
-        assert_eq!(hit_at_k(&[2], &r, 2), 1.0);
-        assert_eq!(hit_at_k(&[2], &r, 1), 0.0);
     }
 
     #[test]
@@ -81,7 +39,6 @@ mod tests {
 
     #[test]
     fn empty_results() {
-        assert_eq!(recall_at_k(&[1], &[], 5), 0.0);
         assert_eq!(mrr(&[1], &[]), 0.0);
     }
 }

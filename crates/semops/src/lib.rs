@@ -14,17 +14,12 @@
 //! - [`synthesize`]: binding an intent to an actual table schema (fuzzy
 //!   column resolution with a synonym map) and emitting a
 //!   [`unisem_relstore::LogicalPlan`], including joins when the answer
-//!   spans two tables,
-//! - [`semantic`]: LOTUS-style semantic operators over tables —
-//!   `sem_filter`, `sem_join`, `sem_topk` — which rank/match by embedding
-//!   similarity instead of exact predicates.
+//!   spans two tables.
 
 pub mod intent;
 pub mod parse;
-pub mod semantic;
 pub mod synthesize;
 
 pub use intent::{CmpOp, FilterIntent, QueryIntent, SortIntent};
 pub use parse::IntentParser;
-pub use semantic::{sem_filter, sem_join, sem_topk};
 pub use synthesize::{OperatorSynthesizer, SynthesisError};

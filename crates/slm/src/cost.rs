@@ -103,11 +103,6 @@ impl UsageSnapshot {
     pub fn total_tokens(&self) -> usize {
         self.embed_tokens + self.tag_tokens + self.prompt_tokens + self.decode_tokens
     }
-
-    /// Total number of model invocations.
-    pub fn total_calls(&self) -> usize {
-        self.embed_calls + self.tag_calls + self.generate_calls
-    }
 }
 
 #[derive(Debug, Default)]
@@ -165,17 +160,6 @@ impl CostMeter {
         let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         std::mem::take(&mut g.usage)
     }
-
-    /// Simulated total latency implied by the accumulated usage.
-    pub fn simulated_latency_secs(&self) -> f64 {
-        let u = self.snapshot();
-        self.model.latency_secs(u.embed_tokens + u.tag_tokens + u.prompt_tokens, u.decode_tokens)
-    }
-
-    /// Simulated total energy implied by the accumulated usage.
-    pub fn simulated_energy_joules(&self) -> f64 {
-        self.model.energy_joules(self.snapshot().total_tokens())
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +197,6 @@ mod tests {
         assert_eq!(s.prompt_tokens, 30);
         assert_eq!(s.decode_tokens, 5);
         assert_eq!(s.total_tokens(), 65);
-        assert_eq!(s.total_calls(), 3);
     }
 
     #[test]
@@ -234,22 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn simulated_latency_positive() {
-        let m = CostMeter::new(CostModel::for_class(ModelClass::LlmClass));
-        m.record_generate(500, 50);
-        assert!(m.simulated_latency_secs() > 0.0);
-        assert!(m.simulated_energy_joules() > 0.0);
-    }
-
-    #[test]
     fn slm_cheaper_than_llm_for_same_usage() {
-        let slm = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
-        let llm = CostMeter::new(CostModel::for_class(ModelClass::LlmClass));
-        for m in [&slm, &llm] {
-            m.record_generate(400, 80);
-        }
-        assert!(slm.simulated_latency_secs() < llm.simulated_latency_secs());
-        assert!(slm.simulated_energy_joules() < llm.simulated_energy_joules());
+        let slm = CostModel::for_class(ModelClass::SlmClass);
+        let llm = CostModel::for_class(ModelClass::LlmClass);
+        assert!(slm.latency_secs(400, 80) < llm.latency_secs(400, 80));
+        assert!(slm.energy_joules(480) < llm.energy_joules(480));
     }
 
     #[test]
@@ -270,7 +242,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.embed_tokens, 5);
         assert_eq!(s.tag_tokens, 7);
-        assert!(m.simulated_latency_secs() > 0.0);
         let final_s = m.reset();
         assert_eq!(final_s.tag_tokens, 7);
         assert_eq!(m.snapshot(), UsageSnapshot::default());

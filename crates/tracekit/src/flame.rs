@@ -40,13 +40,6 @@ impl Frame {
             child.fold_into(&format!("{prefix};{name}"), out);
         }
     }
-
-    fn render_into(&self, name: &str, depth: usize, out: &mut String) {
-        let _ = writeln!(out, "{:indent$}{name} {}", "", self.total(), indent = depth * 2);
-        for (child_name, child) in &self.children {
-            child.render_into(child_name, depth + 1, out);
-        }
-    }
 }
 
 /// A deterministic, mergeable flamegraph over query traces.
@@ -131,16 +124,6 @@ impl FlameGraph {
         }
         out
     }
-
-    /// A human-readable indented tree with cumulative weights (the
-    /// `examples/observability.rs` rendering).
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        for (name, frame) in &self.roots {
-            frame.render_into(name, 0, &mut out);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +197,5 @@ mod tests {
         assert!(graph.is_empty(), "empty path is a no-op");
         graph.add(&["a"], 3);
         assert_eq!(graph.to_folded(), "a 3\n");
-    }
-
-    #[test]
-    fn tree_rendering_shows_cumulative_weights() {
-        let mut graph = FlameGraph::new();
-        graph.add(&["answer", "x"], 2);
-        graph.add(&["answer", "y"], 3);
-        let tree = graph.render_tree();
-        assert!(tree.contains("answer 5"), "{tree}");
-        assert!(tree.contains("  x 2"));
-        assert!(tree.contains("  y 3"));
     }
 }

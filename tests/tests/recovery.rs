@@ -366,6 +366,69 @@ fn checkpoint_crashes_recover_byte_identically() {
     std::fs::remove_file(&snap).ok();
 }
 
+/// A crash inside the write of a segment header leaves a last segment
+/// shorter than a header (DESIGN.md §13b): after a roll, behind
+/// acknowledged records; after a checkpoint's truncation, as the only
+/// file. Both reopen and answer like the engine that never crashed —
+/// before the fix both were `WalCorrupt: header truncated (0B)`.
+#[test]
+fn torn_segment_header_recovers_byte_identically() {
+    let deltas = delta_stream();
+    let snap = tmp_path("tornhdr-base.usk");
+    tiny_engine().save_snapshot(&snap).expect("save base snapshot");
+    let reference = reference_answers(&snap, &deltas, 1);
+    let segment = |base: &Path, index: u32| PathBuf::from(format!("{}.{index:06}", base.display()));
+    let quiet = || config(1, FaultPlan::disabled());
+
+    // An unfinished roll: every delta is durable in segment 0, segment 1
+    // exists and is empty.
+    {
+        let wal = tmp_path("tornhdr-roll.wal");
+        remove_wal(&wal);
+        let (mut engine, _, _) =
+            EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("open");
+        for d in &deltas {
+            engine.ingest_delta(d.clone()).expect("ingest");
+        }
+        drop(engine);
+        std::fs::write(segment(&wal, 1), b"").expect("empty trailing segment");
+        let (recovered, _, replayed) =
+            EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("recover");
+        assert_eq!(replayed, deltas.len(), "the acknowledged records of segment 0 replay");
+        assert!(!segment(&wal, 1).exists(), "the unfinished segment is dropped");
+        assert_eq!(answers(&recovered), reference, "unfinished-roll recovery diverged");
+        remove_wal(&wal);
+    }
+
+    // An unfinished re-create after a checkpoint: the folded snapshot is
+    // in place, the old segments are gone, segment 0 exists and is empty.
+    {
+        let wal = tmp_path("tornhdr-ckpt.wal");
+        remove_wal(&wal);
+        let ckpt = tmp_path("tornhdr-ckpt.usk");
+        let (head, last) = deltas.split_at(deltas.len() - 1);
+        let (mut engine, _, _) =
+            EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("open");
+        for d in head {
+            engine.ingest_delta(d.clone()).expect("ingest");
+        }
+        engine.checkpoint(&ckpt).expect("checkpoint");
+        drop(engine);
+        remove_wal(&wal);
+        std::fs::write(segment(&wal, 0), b"").expect("empty first segment");
+        let (mut recovered, _, replayed) =
+            EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, quiet()).expect("recover");
+        assert_eq!(replayed, 0, "there is no log yet; the snapshot holds every delta");
+        assert_eq!(recovered.applied_seq(), head.len() as u64);
+        let seq = recovered.ingest_delta(last[0].clone()).expect("ingest after recovery");
+        assert_eq!(seq, deltas.len() as u64, "the fresh log continues the snapshot's sequence");
+        assert_eq!(answers(&recovered), reference, "unfinished-create recovery diverged");
+        remove_wal(&wal);
+        std::fs::remove_file(&ckpt).ok();
+    }
+    std::fs::remove_file(&snap).ok();
+}
+
 #[test]
 fn same_seed_delta_streams_write_byte_identical_segments() {
     let deltas = delta_stream();
