@@ -48,6 +48,22 @@ for f in crates/entropy/src/*.rs; do
     fi
 done
 
+echo "==> the engine's dense index is built on first use only"
+# Fault-free traffic never reads the dense index, so build, open_snapshot and
+# ingest leave it empty and UnifiedEngine::dense embeds the chunks on the
+# first dense scan (DESIGN.md §13b). baselines.rs is the dense-RAG baseline,
+# whose index is its whole retriever.
+sites=$(find crates/core/src -name '*.rs' ! -name baselines.rs | sort | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^[[:space:]]*(pub(\(crate\))? )?fn [a-z_0-9]+/ { name = $0; sub(/.*fn /, "", name); sub(/[^a-z_0-9].*/, "", name) }
+        /DenseRetriever::build/ { print f " fn " name }'
+done)
+if [ "$sites" != "crates/core/src/engine.rs fn dense" ]; then
+    printf '%s\n' "$sites"
+    echo "ERROR: DenseRetriever::build outside UnifiedEngine::dense (see DESIGN.md §13b: the dense index is built on first use, never at build, reopen or ingest)"
+    exit 1
+fi
+
 echo "==> offline test suite (UNISEM_THREADS=1)"
 CARGO_NET_OFFLINE=true UNISEM_THREADS=1 cargo test -q
 

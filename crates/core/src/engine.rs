@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use faultkit::{FaultPlan, InjectedFault, Site};
 use parkit::Pool;
@@ -105,7 +105,7 @@ impl From<storekit::StoreError> for EngineError {
 ///
 /// This governs the two places the engine hands its pool to:
 /// `answer_batch`'s outer map over the questions, and the dense retriever
-/// (index build, incremental extend, and the per-query scan). Graph entity
+/// (the index build on first use, and the per-query scan). Graph entity
 /// tagging and the PageRank prior — computed at build, and again by the
 /// first traversal after an ingest drops it — run on `parkit::global()` —
 /// `UNISEM_THREADS`, else the machine's available parallelism — whatever
@@ -307,9 +307,6 @@ impl EngineBuilder {
         let report = loaded.ingest;
 
         let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
-        let dense_start = tracekit::wall::Stopwatch::start();
-        let dense = DenseRetriever::build_with_pool(slm.clone(), &docs, config.parallel.pool());
-        metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
         let estimator = {
             let mut e = EntropyEstimator::new(slm.clone());
             e.temperature = config.entropy_temperature;
@@ -332,7 +329,7 @@ impl EngineBuilder {
             graph,
             db,
             topo,
-            dense,
+            dense: OnceLock::new(),
             config,
             ingest: Arc::new(report.clone()),
             stats,
@@ -550,9 +547,6 @@ impl EngineBuilder {
         let docs = Arc::new(docs);
         let graph = Arc::new(graph);
         let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
-        let dense_start = tracekit::wall::Stopwatch::start();
-        let dense = DenseRetriever::build_with_pool(slm.clone(), &docs, config.parallel.pool());
-        metrics.record_stage(Stage::BuildDense, dense_start.elapsed_ns());
         let estimator = {
             let mut e = EntropyEstimator::new(slm.clone());
             e.temperature = config.entropy_temperature;
@@ -585,7 +579,7 @@ impl EngineBuilder {
             graph,
             db,
             topo,
-            dense,
+            dense: OnceLock::new(),
             config,
             ingest: Arc::new(report.clone()),
             stats,
@@ -673,7 +667,8 @@ pub struct UnifiedEngine {
     graph: Arc<HetGraph>,
     pub(crate) db: Database,
     pub(crate) topo: TopologyRetriever,
-    pub(crate) dense: DenseRetriever,
+    /// Filled by the first [`Self::dense`] call; ingest empties it.
+    dense: OnceLock<DenseRetriever>,
     pub(crate) parser: IntentParser,
     pub(crate) synthesizer: OperatorSynthesizer,
     /// Temperature and clustering only: the sample count of each estimate
@@ -764,13 +759,15 @@ impl UnifiedEngine {
         self.sink = sink;
     }
 
-    /// Total index footprint in bytes (graph + lexical postings + dense
-    /// vectors if the dense path is active).
+    /// Resident index footprint in bytes. With topology on: the graph and
+    /// the lexical postings, plus the dense vectors only while a dense scan
+    /// (a faulted traversal's fallback) has left them built. With topology
+    /// off: the dense vectors and the lexical postings.
     pub fn index_bytes(&self) -> usize {
         if self.config.enable_topology {
-            self.topo.index_bytes()
+            self.topo.index_bytes() + self.dense.get().map_or(0, |d| d.index_bytes())
         } else {
-            self.dense.index_bytes() + self.docs.index_bytes()
+            self.dense().index_bytes() + self.docs.index_bytes()
         }
     }
 
@@ -779,8 +776,26 @@ impl UnifiedEngine {
         if self.config.enable_topology {
             self.traverse(query, k).0
         } else {
-            self.dense.retrieve(query, k)
+            self.dense().retrieve(query, k)
         }
+    }
+
+    /// The dense index over the current chunks, embedded — and timed as
+    /// `build.dense` — by the first call after build, reopen or ingest
+    /// (DESIGN.md §13b). Only a dense scan asks for it: the fallback of a
+    /// faulted traversal, or every retrieval with topology off. Concurrent
+    /// first calls from `answer_batch` wait for one build.
+    pub(crate) fn dense(&self) -> &DenseRetriever {
+        self.dense.get_or_init(|| {
+            let clock = tracekit::wall::Stopwatch::start();
+            let dense = DenseRetriever::build_with_pool(
+                self.slm.clone(),
+                &self.docs,
+                self.config.parallel.pool(),
+            );
+            self.metrics.record_stage(Stage::BuildDense, clock.elapsed_ns());
+            dense
+        })
     }
 
     /// Parses a question into its intent (exposed for diagnostics).
@@ -1008,16 +1023,16 @@ impl UnifiedEngine {
     }
 
     /// Brings the derived structures up to the substrates after ingest
-    /// changed them, in O(delta): the dense index embeds only the new
-    /// chunks; of the planner's statistics only the `touched` tables are
-    /// re-collected, the text and graph figures being totals the
+    /// changed them, in O(delta): the dense index is dropped until a dense
+    /// scan asks for it; of the planner's statistics only the `touched`
+    /// tables are re-collected, the text and graph figures being totals the
     /// substrates maintain (so explain traces never show stale row
     /// counts, and the catalog equals a from-scratch collect); the gauges
     /// re-read the same totals; and the topology retriever is pointed at
     /// the new versions, which drops its PageRank prior until a traversal
     /// asks for it.
     fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
-        self.dense.extend_from(&self.docs);
+        self.dense = OnceLock::new();
         let stats = Arc::make_mut(&mut self.stats);
         for key in touched {
             if let Ok(table) = self.db.table(key) {
@@ -1057,7 +1072,11 @@ mod tests {
     }
 
     fn sample_engine() -> UnifiedEngine {
-        let mut b = EngineBuilder::new(sample_lexicon());
+        sample_engine_with(EngineConfig::default())
+    }
+
+    fn sample_engine_with(config: EngineConfig) -> UnifiedEngine {
+        let mut b = EngineBuilder::with_config(sample_lexicon(), config);
         let sales = Table::from_rows(
             Schema::of(&[
                 ("product", DataType::Str),
@@ -1163,6 +1182,29 @@ mod tests {
         // Dense retrieval still answers.
         let hits = e.retrieve("Aero Widget sales", 2);
         assert!(!hits.is_empty());
+    }
+
+    #[test]
+    fn index_bytes_counts_dense_vectors_once_resident() {
+        let lookup = "Which manufacturer makes the Aero Widget?";
+        let clean = sample_engine_with(EngineConfig {
+            faults: FaultPlan::disabled(),
+            ..EngineConfig::default()
+        });
+        let topology_only = clean.index_bytes();
+        clean.answer(lookup);
+        clean.answer("What was the total sales amount of Aero Widget across all quarters?");
+        assert_eq!(clean.index_bytes(), topology_only, "fault-free answers build nothing");
+
+        let faulted = sample_engine_with(EngineConfig {
+            faults: FaultPlan::single(Site::GraphTraverse),
+            ..EngineConfig::default()
+        });
+        assert_eq!(faulted.index_bytes(), topology_only);
+        faulted.answer(lookup);
+        let vectors = faulted.docs().num_chunks() * faulted.slm().embed_dim() * 4;
+        assert!(vectors > 0);
+        assert_eq!(faulted.index_bytes(), topology_only + vectors, "the fallback's vectors");
     }
 
     #[test]

@@ -464,8 +464,9 @@ impl UnifiedEngine {
         run.scope
             .set_traversal(TraversalTrace { dense_fallback: true, ..TraversalTrace::default() });
         run.meter.slm_calls += 1;
-        run.meter.dense_compared += self.dense.len() as u64;
-        let hits = self.dense.retrieve(run.question, *top_k);
+        let dense = self.dense();
+        run.meter.dense_compared += dense.len() as u64;
+        let hits = dense.retrieve(run.question, *top_k);
         run.actual(|a| a.retrieval = Some(format!("dense scan hits={}", hits.len())));
         hits
     }
@@ -611,7 +612,10 @@ impl UnifiedEngine {
                 }
             });
         }
-        let dense = LogicalNode::DenseScan { top_k, dims: self.dense.dims() };
+        // The embedder's width, not the index's: the index may not be built
+        // yet. An empty store still renders `dims=0`.
+        let dims = if self.docs.num_chunks() == 0 { 0 } else { self.slm().embed_dim() };
+        let dense = LogicalNode::DenseScan { top_k, dims };
         let retrieval = if self.config.enable_topology {
             LogicalNode::GraphTraverse {
                 top_k,

@@ -7,8 +7,9 @@
 //! graph, the planner's statistics catalog, and the ingest report — into
 //! one `storekit` page file. Reopening skips ingestion, flattening,
 //! extraction, and graph construction entirely; only the cheap derived
-//! structures (dense vectors, retrievers, parser) are rebuilt, from the
-//! same seed and lexicon the snapshot records.
+//! structures (retrievers, parser) are rebuilt, from the same seed and
+//! lexicon the snapshot records. Dense vectors are neither stored nor
+//! rebuilt: the engine embeds them on its first dense scan.
 //!
 //! Byte-identity contract: two engines built from the same inputs with the
 //! same seed write byte-identical snapshot files, and an engine reopened

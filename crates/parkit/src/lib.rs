@@ -47,7 +47,7 @@
 //!   `ParallelConfig` resolves to one (to [`global`] when its thread count
 //!   is 0), and it governs only what the engine passes it to:
 //!   `answer_batch`'s outer map, and the dense retriever, which keeps the
-//!   pool it was built with for build, extend and scan. It does **not**
+//!   pool it was built with for build and scan. It does **not**
 //!   reach the sites of the first kind.
 //!
 //! Results are bit-identical at any width either way; only where the

@@ -1,7 +1,7 @@
 //! Dense-vector retrieval baseline: the "conventional RAG" path of §I.
 //!
-//! Every chunk is embedded once at build time; every query does a full
-//! cosine scan over all chunk vectors. This is deliberately the
+//! Every chunk is embedded when the index is built; every query does a
+//! full cosine scan over all chunk vectors. This is deliberately the
 //! straightforward dense pipeline — its index size and query cost are the
 //! comparison points for experiments E2/E3.
 
@@ -45,22 +45,6 @@ impl DenseRetriever {
         Self { slm, vectors, pool }
     }
 
-    /// Embeds and appends the chunks of `docs` past the already-indexed
-    /// prefix — the incremental form used by delta ingest. Embeddings are
-    /// a pure per-chunk function, so extending equals rebuilding over the
-    /// final store.
-    pub fn extend_from(&mut self, docs: &Arc<DocStore>) {
-        let chunks = docs.chunks();
-        if self.vectors.len() >= chunks.len() {
-            return;
-        }
-        let slm = &self.slm;
-        let fresh: Vec<Vec<f32>> = self
-            .pool
-            .par_map(&chunks[self.vectors.len()..], |c| slm.embedder().embed_text(&c.text));
-        self.vectors.extend(fresh);
-    }
-
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
         self.vectors.len()
@@ -69,12 +53,6 @@ impl DenseRetriever {
     /// True when no vectors are indexed.
     pub fn is_empty(&self) -> bool {
         self.vectors.is_empty()
-    }
-
-    /// Embedding dimensionality (0 when empty) — with [`Self::len`], the
-    /// planner's per-query scan-cost input for the dense fallback.
-    pub fn dims(&self) -> usize {
-        self.vectors.first().map(Vec::len).unwrap_or(0)
     }
 }
 

@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md relies on.
 
 use unisem_core::{
-    EngineBuilder, EngineConfig, FaultPlan, FlameGraph, ParallelConfig, UnifiedEngine,
+    EngineBuilder, EngineConfig, FaultPlan, FaultSite, FlameGraph, ParallelConfig, UnifiedEngine,
 };
 use unisem_workloads::{EcommerceConfig, EcommerceWorkload};
 
@@ -141,6 +141,57 @@ fn thread_matrix_byte_identical_answers_routes_confidence() {
         }
         // Batch path: input-ordered and identical to the sequential loop.
         let batch = e.answer_batch(&questions);
+        assert_eq!(batch.len(), reference.len());
+        for ((q, got), expected) in questions.iter().zip(&batch).zip(&reference) {
+            assert_eq!(got, expected, "threads={threads} batch answer: {q}");
+        }
+    }
+}
+
+/// The thread matrix under a certain traversal fault, where every retrieval
+/// is a dense scan over an index built on first use (DESIGN.md §13b). Each
+/// engine's *first* dense scan happens inside `answer_batch`, so the batch's
+/// workers race for one build — the `OnceLock` runs it once, with its own
+/// nested fork — and the batch must still equal the serial answers of a
+/// 1-thread engine, at 1, 2, 4 and 8 threads.
+#[test]
+fn thread_matrix_first_dense_use_inside_answer_batch() {
+    let w = EcommerceWorkload::generate(EcommerceConfig {
+        products: 6,
+        quarters: 3,
+        reviews_per_product: 2,
+        qa_per_category: 2,
+        seed: 0xD5EED,
+        name_offset: 0,
+    });
+    let build = |threads: usize| {
+        let config = EngineConfig {
+            seed: 0xABCD_1234,
+            faults: FaultPlan::single(FaultSite::GraphTraverse),
+            parallel: ParallelConfig::with_threads(threads),
+            ..EngineConfig::default()
+        };
+        let mut b = EngineBuilder::with_config(w.lexicon.clone(), config);
+        for name in w.db.table_names() {
+            b.add_table(name, w.db.table(name).unwrap().clone()).unwrap();
+        }
+        for d in &w.documents {
+            b.add_document(d.title.clone(), d.text.clone(), d.source.clone());
+        }
+        b.build().0
+    };
+    let dense_builds = |e: &UnifiedEngine| e.timing_report().count("build.dense");
+    let questions: Vec<&str> = w.qa.iter().map(|item| item.question.as_str()).collect();
+
+    let reference_engine = build(1);
+    let reference: Vec<_> = questions.iter().map(|q| reference_engine.answer(q)).collect();
+    assert_eq!(dense_builds(&reference_engine), Some(1), "the faulted workload scans");
+
+    for threads in [1, 2, 4, 8] {
+        let e = build(threads);
+        assert_eq!(dense_builds(&e), Some(0), "threads={threads}: built before first use");
+        let batch = e.answer_batch(&questions);
+        assert_eq!(dense_builds(&e), Some(1), "threads={threads}: one build for the batch");
         assert_eq!(batch.len(), reference.len());
         for ((q, got), expected) in questions.iter().zip(&batch).zip(&reference) {
             assert_eq!(got, expected, "threads={threads} batch answer: {q}");

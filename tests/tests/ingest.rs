@@ -11,8 +11,9 @@
 //!    catalog, gauges) equals a recount, and the engine answers like one
 //!    rebuilt from the inputs plus the log, at 1 and 4 threads.
 //! 3. **Work counts** — a delta runs no PageRank, re-collects at most its
-//!    own table's statistics, and copies no substrate. Counted by the
-//!    engine's closed registry, never by a clock.
+//!    own table's statistics, copies no substrate and embeds no chunk.
+//!    Counted by the engine's closed registry and its stage counts, never
+//!    by a clock.
 
 use std::path::{Path, PathBuf};
 
@@ -21,11 +22,12 @@ use detkit::{prop_assert, prop_assert_eq, prop_check};
 use storekit::{StoreError, Wal};
 use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
-    StatsCatalog, UnifiedEngine,
+    Provenance, StatsCatalog, UnifiedEngine,
 };
 use unisem_hetgraph::{EdgeKind, NodeKind};
 use unisem_relstore::Value;
 use unisem_slm::EntityKind;
+use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{names, EcommerceWorkload, ScaleConfig, ScaleWorkload};
 
 const QUARTERS: usize = 4;
@@ -447,4 +449,66 @@ fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
     assert_eq!(addr(&engine), home);
     assert_eq!(engine.stats().render(), stats_before);
     assert_eq!(engine.applied_seq(), 100);
+}
+
+/// Times the engine has embedded its chunks into a dense index.
+fn dense_builds(engine: &UnifiedEngine) -> u64 {
+    engine.timing_report().count("build.dense").expect("registered stage")
+}
+
+/// The dense index is built on first use (DESIGN.md §13b). Fault-free
+/// traffic never asks for it. Under a certain traversal fault every
+/// retrieval is a dense scan: the first builds the index, later ones reuse
+/// it, and a document delta drops it, so the next faulted answer rebuilds it
+/// over the new chunks and answers exactly as an engine built from scratch
+/// over the final corpus.
+#[test]
+fn dense_index_is_built_on_first_use_and_dropped_by_ingest() {
+    let w = corpus(8);
+    let questions = probes(1);
+    let batch: Vec<&str> = questions.iter().map(String::as_str).collect();
+
+    let clean = build(&w, config(2, FaultPlan::disabled()));
+    for q in &questions {
+        clean.answer(q);
+    }
+    clean.answer_batch(&batch);
+    assert_eq!(dense_builds(&clean), 0, "fault-free answers never scan the dense index");
+
+    let faulted = config(2, FaultPlan::single(FaultSite::GraphTraverse));
+    let mut engine = build(&w, faulted);
+    assert_eq!(dense_builds(&engine), 0, "the build embeds nothing");
+    let q = &questions[1];
+    let before = engine.answer(q);
+    assert_eq!(dense_builds(&engine), 1, "the first faulted traversal builds the index");
+    assert_eq!(engine.answer(q), before);
+    assert_eq!(dense_builds(&engine), 1, "the second reuses it");
+
+    let chunks_before = engine.docs().num_chunks();
+    let added = DocSpec {
+        title: "outlook".into(),
+        text: format!("Customers say the {} is loud but sturdy.", names::product(1)),
+        source: "review".into(),
+    };
+    engine
+        .ingest_delta(Delta::DocAdd {
+            title: added.title.clone(),
+            text: added.text.clone(),
+            source: added.source.clone(),
+        })
+        .expect("good delta");
+    assert_eq!(dense_builds(&engine), 1, "ingest only drops the index");
+    let after = engine.answer(q);
+    assert_eq!(dense_builds(&engine), 2, "the next faulted answer rebuilds it");
+    assert!(
+        after
+            .provenance
+            .iter()
+            .any(|p| matches!(p, Provenance::Chunk { chunk_id, .. } if *chunk_id >= chunks_before)),
+        "the rebuilt index holds the new chunk: {after:#?}"
+    );
+
+    let mut grown = w.clone();
+    grown.documents.push(added);
+    assert_eq!(after, build(&grown, faulted).answer(q), "a from-scratch engine answers alike");
 }

@@ -29,7 +29,8 @@
 use unisem_core::{Answer, EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{
-    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
+    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem, ScaleConfig,
+    ScaleWorkload,
 };
 
 struct Workload {
@@ -312,6 +313,44 @@ fn planner_trace_shows_estimated_and_actual_costs() {
             w.name
         );
     }
+}
+
+/// The `DenseScan` node prints the embedder's width, not the index's: the
+/// index is built on first use (DESIGN.md §13b), so the plan of a 400-product
+/// engine says `dims=256` before any dense scan has run, and an engine with
+/// no documents still says `dims=0`.
+#[test]
+fn dense_scan_renders_the_embedder_width_before_the_index_exists() {
+    let traced = EngineConfig { trace: true, ..config(FaultPlan::disabled()) };
+    let plan_of = |e: &UnifiedEngine, q: &str| {
+        e.answer(q).trace.and_then(|t| t.plan).expect("traced answers carry their plan")
+    };
+
+    let mut b = EngineBuilder::with_config(unisem_slm::Lexicon::new(), traced);
+    b.add_json("orders", unisem_semistore::parse_json(r#"{"units": 10}"#).expect("valid json"));
+    let empty = b.build().0;
+    assert_eq!(empty.docs().num_chunks(), 0);
+    let plan = plan_of(&empty, "Which manufacturer makes the Aero Widget?");
+    assert!(plan.contains("DenseScan: top_k=5 dims=0"), "{plan}");
+
+    let scale = ScaleWorkload::generate(ScaleConfig {
+        products: 400,
+        quarters: 4,
+        queries: 1,
+        seed: 0x5CA1E,
+    });
+    let w = Workload {
+        name: "scale",
+        lexicon: scale.data.lexicon,
+        db: scale.data.db,
+        semi: scale.data.semi,
+        documents: scale.data.documents,
+        qa: Vec::new(),
+    };
+    let e = build(&w, traced);
+    let plan = plan_of(&e, &scale.queries[0]);
+    assert!(plan.contains("DenseScan: top_k=5 dims=256"), "{plan}");
+    assert_eq!(e.timing_report().count("build.dense"), Some(0), "no dense scan has run");
 }
 
 /// The lexical scan counts its postings in the pass that scores them

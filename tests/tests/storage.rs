@@ -89,7 +89,11 @@ fn config(threads: usize) -> EngineConfig {
 }
 
 fn build(w: &Workload, threads: usize) -> UnifiedEngine {
-    let mut b = EngineBuilder::with_config(w.lexicon.clone(), config(threads));
+    build_with(w, config(threads))
+}
+
+fn build_with(w: &Workload, config: EngineConfig) -> UnifiedEngine {
+    let mut b = EngineBuilder::with_config(w.lexicon.clone(), config);
     for name in w.db.table_names() {
         b.add_table(name, w.db.table(name).expect("listed").clone()).expect("fresh");
     }
@@ -196,6 +200,29 @@ fn snapshot_round_trip_answers_byte_identical() {
                 assert!(a.trace.is_some(), "{}: traces were opted in", w.name);
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A snapshot holds no dense vectors and reopening embeds none (DESIGN.md
+/// §12d): the reopened engine builds its dense index on its first dense
+/// scan. Under a certain traversal fault every retrieval is such a scan, and
+/// the reopened engine's answers stay byte-identical to the saving engine's.
+#[test]
+fn reopened_engine_builds_the_dense_index_on_first_use() {
+    let faulted = EngineConfig { faults: FaultPlan::single(FaultSite::GraphTraverse), ..config(2) };
+    let dense_builds = |e: &UnifiedEngine| e.timing_report().count("build.dense");
+    for w in workloads() {
+        let engine = build_with(&w, faulted);
+        let path = tmp_path(&format!("lazy-dense-{}", w.name));
+        engine.save_snapshot(&path).expect("save");
+        let baseline = answers(&engine, &w.qa);
+        assert_eq!(dense_builds(&engine), Some(1), "{}: a faulted retrieval ran", w.name);
+
+        let (reopened, _) = EngineBuilder::open_snapshot(&path, faulted).expect("open");
+        assert_eq!(dense_builds(&reopened), Some(0), "{}: open embeds nothing", w.name);
+        assert_eq!(answers(&reopened, &w.qa), baseline, "{}: faulted answers diverged", w.name);
+        assert_eq!(dense_builds(&reopened), Some(1), "{}", w.name);
         std::fs::remove_file(&path).ok();
     }
 }
