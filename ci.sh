@@ -16,6 +16,11 @@ cargo fmt --check
 echo "==> offline release build"
 CARGO_NET_OFFLINE=true cargo build --release
 
+echo "==> rustdoc builds without warnings"
+# An intra-doc link to a deleted or private item, or an ambiguous one, is
+# an error: the API docs cannot point at code that is gone.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> no fork-join below string- or row-sized work"
 # Entropy sampling and the relational sweeps lost their fan-outs to
 # measurement (DESIGN.md §6): the crates whose unit of work is a string or

@@ -166,8 +166,8 @@ pub fn e2() {
 
 /// E3 / Figure 2 — retrieval latency vs corpus size, per retriever.
 ///
-/// Claim (§III.B): topology-guided traversal "reduc[es] computational
-/// overhead and improv[es] response times" by scoring a sparse frontier
+/// Claim (§III.B): topology-guided traversal "reduc\[es\] computational
+/// overhead and improv\[es\] response times" by scoring a sparse frontier
 /// instead of every vector.
 pub fn e3() {
     println!("== E3 (Figure 2): retrieval latency vs corpus size ==\n");

@@ -7,10 +7,10 @@
 //! delta to the write-ahead log before acknowledging it, and recovery
 //! replays decoded deltas as idempotent redo operations.
 //!
-//! Applying a delta has two halves. [`prepare`] reads the substrates and
+//! Applying a delta has two halves. `prepare` reads the substrates and
 //! does everything that can fail — parse and flatten JSON, build and
-//! type-check the row, resolve edge endpoints — yielding a [`Prepared`]
-//! delta; [`commit`] writes it and cannot fail. Live ingest logs between
+//! type-check the row, resolve edge endpoints — yielding a `Prepared`
+//! delta; `commit` writes it and cannot fail. Live ingest logs between
 //! the two, so a rejected delta is never logged and memory is never ahead
 //! of the log; WAL replay runs them back to back. Both use this one pair,
 //! so a recovered engine's state is the never-crashed engine's state.

@@ -202,10 +202,11 @@ pub struct EngineConfig {
     /// entropy sample floor).
     pub governors: GovernorConfig,
     /// Attach a deterministic per-query explain trace to every
-    /// [`Answer::trace`] (DESIGN.md §9). Off by default: the hot path then
-    /// performs zero trace allocations. Independent of the `UNISEM_TRACE`
-    /// sink — `trace` controls the in-`Answer` copy, the sink controls
-    /// emitted JSON-lines; either alone enables recording.
+    /// [`Answer::trace`](crate::Answer::trace) (DESIGN.md §9). Off by
+    /// default: the hot path then performs zero trace allocations.
+    /// Independent of the `UNISEM_TRACE` sink — `trace` controls the
+    /// in-`Answer` copy, the sink controls emitted JSON-lines; either alone
+    /// enables recording.
     pub trace: bool,
 }
 
@@ -1060,7 +1061,7 @@ mod tests {
     use super::*;
     use crate::answer::Route;
     use crate::executor::has_signal;
-    use unisem_relstore::{DataType, Schema, Value};
+    use unisem_relstore::{DataType, Expr, LogicalPlan, Schema, Value};
     use unisem_slm::EntityKind;
 
     fn sample_lexicon() -> Lexicon {
@@ -1255,8 +1256,10 @@ mod tests {
         assert_eq!(e.ingest_report(), &report);
         let t = e.db().table("configs").unwrap();
         assert_eq!(t.num_rows(), 2);
-        let out = e.db().run_sql("SELECT host FROM configs WHERE port = 443").unwrap();
-        assert_eq!(out.cell(0, 0), &Value::str("beta"));
+        let plan = LogicalPlan::scan("configs").filter(Expr::col("port").eq(Expr::lit(443i64)));
+        let out = e.db().run_plan(&plan).unwrap();
+        let host = out.schema().require("host").unwrap();
+        assert_eq!(out.cell(0, host), &Value::str("beta"));
     }
 
     #[test]

@@ -654,8 +654,9 @@ impl UnifiedEngine {
         }
     }
 
-    /// Answers a batch of independent questions across the configured
-    /// pool ([`ParallelConfig`]), returning answers in input order.
+    /// Answers a batch of independent questions across the configured pool
+    /// ([`ParallelConfig`](crate::ParallelConfig)), returning answers in
+    /// input order.
     ///
     /// Each question is answered exactly as [`UnifiedEngine::answer`]
     /// would sequentially — all per-question randomness is derived from
@@ -778,7 +779,7 @@ fn render_structured(intent: &QueryIntent, db: &Database, table: &str, result: &
             .map(|(f, _)| match f {
                 AggFunc::Sum => "total",
                 AggFunc::Avg => "average",
-                AggFunc::Count | AggFunc::CountDistinct => "count",
+                AggFunc::Count => "count",
                 AggFunc::Min => "minimum",
                 AggFunc::Max => "maximum",
             })

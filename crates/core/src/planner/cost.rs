@@ -115,10 +115,9 @@ impl<'a> CostModel<'a> {
     ///
     /// - equality on a column: `1000 / distinct(column)`,
     /// - ordering comparison: 1/3,
-    /// - `LIKE` / `IN`: 1/4,
-    /// - `IS NULL`: `nulls / rows` (complement when negated),
-    /// - `AND`: product; `OR`: capped sum; `NOT`: complement,
-    /// - anything else: 1/2.
+    /// - `LIKE`: 1/4,
+    /// - `AND`: product; `OR`: capped sum,
+    /// - a bare column or literal: 1/2.
     pub fn selectivity_permille(&self, table: Option<&TableStats>, pred: &Expr) -> u64 {
         use unisem_relstore::expr::BinOp;
         match pred {
@@ -140,39 +139,10 @@ impl<'a> CostModel<'a> {
                         .unwrap_or(2) as u64;
                     (SEL_DENOM / distinct.max(1)).max(1)
                 }
-                BinOp::Ne => {
-                    let eq = self.selectivity_permille(
-                        table,
-                        &Expr::Binary { op: BinOp::Eq, left: left.clone(), right: right.clone() },
-                    );
-                    SEL_DENOM - eq.min(SEL_DENOM - 1)
-                }
                 BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => SEL_DENOM / 3,
-                _ => SEL_DENOM / 2,
             },
-            Expr::Not(inner) => SEL_DENOM - self.selectivity_permille(table, inner).min(SEL_DENOM),
-            Expr::IsNull { expr, negated } => {
-                let ratio = column_of(expr)
-                    .and_then(|c| {
-                        table.and_then(|t| {
-                            t.column(c).map(|cs| {
-                                if t.rows == 0 {
-                                    0
-                                } else {
-                                    cs.nulls as u64 * SEL_DENOM / t.rows as u64
-                                }
-                            })
-                        })
-                    })
-                    .unwrap_or(SEL_DENOM / 10);
-                if *negated {
-                    SEL_DENOM - ratio.min(SEL_DENOM)
-                } else {
-                    ratio.max(1)
-                }
-            }
-            Expr::Like { .. } | Expr::InList { .. } => SEL_DENOM / 4,
-            _ => SEL_DENOM / 2,
+            Expr::Like { .. } => SEL_DENOM / 4,
+            Expr::Column(_) | Expr::Literal(_) => SEL_DENOM / 2,
         }
     }
 
@@ -196,17 +166,6 @@ impl<'a> CostModel<'a> {
                     .min(inner.cost.rows)
                     .max(u64::from(inner.cost.rows > 0));
                 let cost = Cost { rows, cpu: inner.cost.rows, io: 0, slm: 0 }.plus(inner.cost);
-                RelEstimate { cost, base: inner.base }
-            }
-            LogicalPlan::Project { input, exprs } => {
-                let inner = self.rel_plan(input);
-                let cost = Cost {
-                    rows: inner.cost.rows,
-                    cpu: inner.cost.rows.saturating_mul(exprs.len() as u64),
-                    io: 0,
-                    slm: 0,
-                }
-                .plus(inner.cost);
                 RelEstimate { cost, base: inner.base }
             }
             LogicalPlan::Join { left, right, on, .. } => {
@@ -256,12 +215,6 @@ impl<'a> CostModel<'a> {
             LogicalPlan::Limit { input, n } => {
                 let inner = self.rel_plan(input);
                 let cost = Cost { rows: inner.cost.rows.min(*n as u64), cpu: 0, io: 0, slm: 0 }
-                    .plus(inner.cost);
-                RelEstimate { cost, base: inner.base }
-            }
-            LogicalPlan::Distinct { input } => {
-                let inner = self.rel_plan(input);
-                let cost = Cost { rows: inner.cost.rows, cpu: inner.cost.rows, io: 0, slm: 0 }
                     .plus(inner.cost);
                 RelEstimate { cost, base: inner.base }
             }

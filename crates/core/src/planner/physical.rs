@@ -210,11 +210,9 @@ fn rel_children(plan: &RelPlan) -> Vec<&RelPlan> {
     match plan {
         RelPlan::Scan { .. } => Vec::new(),
         RelPlan::Filter { input, .. }
-        | RelPlan::Project { input, .. }
         | RelPlan::Aggregate { input, .. }
         | RelPlan::Sort { input, .. }
-        | RelPlan::Limit { input, .. }
-        | RelPlan::Distinct { input } => vec![input],
+        | RelPlan::Limit { input, .. } => vec![input],
         RelPlan::Join { left, right, .. } => vec![left, right],
     }
 }

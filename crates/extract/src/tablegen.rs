@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn generated_table_queryable_via_sql() {
-        use unisem_relstore::Database;
+        use unisem_relstore::{AggExpr, AggFunc, Database, Expr, LogicalPlan, SortKey};
         let g = gen();
         let (t, _) = g
             .generate_table(&[
@@ -266,12 +266,15 @@ mod tests {
             .unwrap();
         let mut db = Database::new();
         db.create_table("extracted", t).unwrap();
-        let out = db
-            .run_sql(
-                "SELECT subject, AVG(change_pct) AS avg_change FROM extracted \
-                 GROUP BY subject ORDER BY subject",
-            )
-            .unwrap();
+        let avg = AggExpr {
+            func: AggFunc::Avg,
+            input: Expr::col("change_pct"),
+            output_name: "avg_change".into(),
+        };
+        let plan = LogicalPlan::scan("extracted")
+            .aggregate(vec![(Expr::col("subject"), "subject".into())], vec![avg])
+            .sort(vec![SortKey { expr: Expr::col("subject"), ascending: true }]);
+        let out = db.run_plan(&plan).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.cell(0, 0), &Value::str("product alpha"));
         assert_eq!(out.cell(0, 1), &Value::Float(15.0));

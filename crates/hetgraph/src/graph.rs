@@ -73,7 +73,7 @@ pub struct Node {
     pub id: NodeId,
     /// What the node represents.
     pub kind: NodeKind,
-    /// Display label (chunk preview, entity surface form, "table[row]").
+    /// Display label (chunk preview, entity surface form, `table[row]`).
     pub label: String,
 }
 
@@ -90,7 +90,7 @@ pub enum EdgeKind {
     /// A record belongs to its table.
     BelongsTo,
     /// A record has an attribute equal to an entity's value
-    /// ("sales[3] --has_attr--> product alpha").
+    /// (`sales[3] --has_attr--> product alpha`).
     HasAttribute(String),
     /// Two chunks are adjacent in the same document.
     NextChunk,

@@ -41,7 +41,7 @@ pub fn is_usage_source(rel_path: &str) -> bool {
     matches!(parts.as_slice(), ["crates", krate, "src", _, ..] if USAGE_CRATES.contains(krate))
 }
 
-/// Reports every registry variant of [`METRICS_FILE`] that none of
+/// Reports every registry variant of `METRICS_FILE` that none of
 /// `files` (engine and usage sources alike) references outside tests.
 pub fn run(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
     let Some(metrics) = files.iter().find(|f| f.rel_path == METRICS_FILE) else { return };

@@ -1,12 +1,10 @@
-//! The database catalog: named tables plus the `run_sql` entry point.
+//! The database catalog: named tables plus the plan entry points.
 
 use std::collections::BTreeMap;
 
 use crate::error::{RelError, RelResult};
-use crate::exec::{execute, execute_with_limits_stats, ExecLimits, ExecStats};
-use crate::optimize::optimize;
+use crate::exec::{execute, ExecLimits, ExecStats};
 use crate::plan::LogicalPlan;
-use crate::sql;
 use crate::table::Table;
 
 /// An in-memory database: a catalog of named tables.
@@ -79,41 +77,33 @@ impl Database {
         self.tables.values().map(Table::approx_bytes).sum()
     }
 
-    /// Executes a logical plan (after optimization).
-    pub fn run_plan(&self, plan: &LogicalPlan) -> RelResult<Table> {
-        let optimized = optimize(plan.clone());
-        execute(&optimized, self)
-    }
-
-    /// Executes a logical plan (after optimization) under resource
-    /// governors — a tripped governor surfaces as
-    /// [`RelError::ResourceExhausted`] — and returns deterministic work
-    /// counters ([`ExecStats`]), valid even when execution fails.
-    pub fn run_plan_with_limits_stats(
-        &self,
-        plan: &LogicalPlan,
-        limits: &ExecLimits,
-    ) -> (RelResult<Table>, ExecStats) {
-        let optimized = optimize(plan.clone());
-        execute_with_limits_stats(&optimized, self, limits)
-    }
-
-    /// Parses, plans, optimizes, and executes a SQL query.
+    /// Executes a logical plan as built, with no resource bounds.
     ///
     /// ```
-    /// use unisem_relstore::{Database, Schema, Table, DataType, Value};
+    /// use unisem_relstore::{Database, DataType, Expr, LogicalPlan, Schema, Table, Value};
     /// let mut db = Database::new();
     /// let t = Table::from_rows(
     ///     Schema::of(&[("x", DataType::Int)]),
     ///     vec![vec![Value::Int(1)], vec![Value::Int(5)]],
     /// ).unwrap();
     /// db.create_table("nums", t).unwrap();
-    /// let out = db.run_sql("SELECT x FROM nums WHERE x > 2").unwrap();
-    /// assert_eq!(out.num_rows(), 1);
+    /// let plan = LogicalPlan::scan("nums").filter(Expr::col("x").gt(Expr::lit(2i64)));
+    /// assert_eq!(db.run_plan(&plan).unwrap().num_rows(), 1);
     /// ```
-    pub fn run_sql(&self, query: &str) -> RelResult<Table> {
-        let plan = sql::plan_sql(query)?;
-        self.run_plan(&plan)
+    pub fn run_plan(&self, plan: &LogicalPlan) -> RelResult<Table> {
+        execute(plan, self, &ExecLimits::default()).0
+    }
+
+    /// Executes a logical plan as built under resource governors — a
+    /// tripped governor surfaces as [`RelError::ResourceExhausted`] — and
+    /// returns deterministic work counters ([`ExecStats`]), valid even when
+    /// execution fails.
+    pub fn run_plan_with_limits_stats(
+        &self,
+        plan: &LogicalPlan,
+        limits: &ExecLimits,
+    ) -> (RelResult<Table>, ExecStats) {
+        execute(plan, self, limits)
     }
 }
 

@@ -16,12 +16,8 @@ pub enum RelError {
     TypeMismatch { expected: &'static str, found: String },
     /// Row arity differs from schema arity.
     ArityMismatch { expected: usize, found: usize },
-    /// SQL lexing/parsing failed.
-    Parse(String),
     /// Plan construction or execution failed.
     Plan(String),
-    /// Division by zero during expression evaluation.
-    DivisionByZero,
     /// Two tables/columns conflicted (e.g. duplicate name on create).
     Conflict(String),
     /// A deterministic resource governor tripped: the plan would exceed
@@ -41,9 +37,7 @@ impl fmt::Display for RelError {
             RelError::ArityMismatch { expected, found } => {
                 write!(f, "arity mismatch: expected {expected} values, found {found}")
             }
-            RelError::Parse(msg) => write!(f, "SQL parse error: {msg}"),
             RelError::Plan(msg) => write!(f, "plan error: {msg}"),
-            RelError::DivisionByZero => write!(f, "division by zero"),
             RelError::Conflict(msg) => write!(f, "conflict: {msg}"),
             RelError::ResourceExhausted { what, limit } => {
                 write!(f, "resource exhausted: {what} would exceed limit {limit}")
@@ -61,7 +55,7 @@ mod tests {
     #[test]
     fn display_forms() {
         assert!(RelError::UnknownColumn("x".into()).to_string().contains("x"));
-        assert!(RelError::Parse("bad token".into()).to_string().contains("bad token"));
+        assert!(RelError::Plan("bad join".into()).to_string().contains("bad join"));
         let e = RelError::TypeMismatch { expected: "int", found: "str".into() };
         assert!(e.to_string().contains("int") && e.to_string().contains("str"));
     }
@@ -69,6 +63,6 @@ mod tests {
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&RelError::DivisionByZero);
+        takes_err(&RelError::UnknownTable("t".into()));
     }
 }

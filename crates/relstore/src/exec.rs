@@ -10,20 +10,20 @@
 //! Every operator is a plain loop over its input: no fan-out.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::catalog::Database;
 use crate::error::{RelError, RelResult};
 use crate::expr::{Bound, Expr};
-use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan, SortKey};
+use crate::plan::{AggExpr, AggFunc, LogicalPlan, SortKey};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
 use crate::value::{GroupKey, Value};
 
 /// Deterministic resource governors for plan execution.
 ///
-/// Defaults impose no bounds, so `execute` behaves exactly as before; the
-/// engine's degradation ladder passes finite limits so a pathological plan
+/// Defaults impose no bounds ([`Database::run_plan`]); the engine's
+/// degradation ladder passes finite limits so a pathological plan
 /// trips [`RelError::ResourceExhausted`] instead of doing unbounded work.
 /// The checks are pure functions of the plan and input tables — never of
 /// timing or thread count — so a governed run is replayable.
@@ -62,24 +62,10 @@ impl ExecStats {
     }
 }
 
-/// Executes a logical plan against a database catalog (no resource bounds).
-pub fn execute(plan: &LogicalPlan, db: &Database) -> RelResult<Table> {
-    execute_with_limits(plan, db, &ExecLimits::default())
-}
-
-/// Executes a logical plan under the given resource governors.
-pub fn execute_with_limits(
-    plan: &LogicalPlan,
-    db: &Database,
-    limits: &ExecLimits,
-) -> RelResult<Table> {
-    execute_with_limits_stats(plan, db, limits).0
-}
-
 /// Executes a logical plan under the given resource governors, also
 /// returning deterministic work counters. The counters are valid whether or
 /// not execution succeeded.
-pub fn execute_with_limits_stats(
+pub(crate) fn execute(
     plan: &LogicalPlan,
     db: &Database,
     limits: &ExecLimits,
@@ -105,14 +91,10 @@ fn exec_node<'d>(
             let t = exec_node(input, db, limits, stats)?;
             exec_filter(&t, predicate)?
         }
-        LogicalPlan::Project { input, exprs } => {
-            let t = exec_node(input, db, limits, stats)?;
-            exec_project(&t, exprs)?
-        }
-        LogicalPlan::Join { left, right, join_type, on } => {
+        LogicalPlan::Join { left, right, on } => {
             let l = exec_node(left, db, limits, stats)?;
             let r = exec_node(right, db, limits, stats)?;
-            let joined = exec_join(&l, &r, *join_type, on, limits)?;
+            let joined = exec_join(&l, &r, on, limits)?;
             stats.rows_joined += joined.num_rows();
             joined
         }
@@ -128,10 +110,6 @@ fn exec_node<'d>(
             let t = exec_node(input, db, limits, stats)?;
             let indices: Vec<usize> = (0..t.num_rows().min(*n)).collect();
             t.take(&indices)
-        }
-        LogicalPlan::Distinct { input } => {
-            let t = exec_node(input, db, limits, stats)?;
-            exec_distinct(&t)
         }
     };
     Ok(Cow::Owned(produced))
@@ -154,43 +132,11 @@ fn exec_filter(t: &Table, predicate: &Expr) -> RelResult<Table> {
     Ok(t.take(&keep))
 }
 
-fn exec_project(t: &Table, exprs: &[(Expr, String)]) -> RelResult<Table> {
-    let in_schema = t.schema();
-    let bound: Vec<Bound> = exprs.iter().map(|(e, _)| e.bind(in_schema)).collect();
-    // Infer output column types from the first non-null result, defaulting
-    // to Str for empty/all-null columns.
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(t.num_rows());
-    for i in 0..t.num_rows() {
-        let out_row: RelResult<Vec<Value>> =
-            bound.iter().map(|e| eval_at(e, t, i).map(Cow::into_owned)).collect();
-        rows.push(out_row?);
-    }
-    let out_schema = infer_schema(
-        exprs.iter().map(|(_, n)| n.clone()).collect(),
-        &rows,
-        Some((in_schema, exprs)),
-    )?;
-    Table::from_rows(out_schema, rows)
-}
-
-/// Infers a schema from output names and produced rows; when projecting
-/// plain columns, the input schema's declared type is reused.
-fn infer_schema(
-    names: Vec<String>,
-    rows: &[Vec<Value>],
-    passthrough: Option<(&Schema, &[(Expr, String)])>,
-) -> RelResult<Schema> {
-    let arity = names.len();
-    let mut dtypes: Vec<Option<DataType>> = vec![None; arity];
-    if let Some((in_schema, exprs)) = passthrough {
-        for (j, (e, _)) in exprs.iter().enumerate() {
-            if let Expr::Column(name) = e {
-                if let Some(idx) = in_schema.index_of(name) {
-                    dtypes[j] = Some(in_schema.column(idx).dtype);
-                }
-            }
-        }
-    }
+/// Infers a schema from output names and produced rows: each column takes
+/// the unified type of its non-NULL values, `Str` when it has none or the
+/// types do not unify.
+fn infer_schema(names: Vec<String>, rows: &[Vec<Value>]) -> RelResult<Schema> {
+    let mut dtypes: Vec<Option<DataType>> = vec![None; names.len()];
     for row in rows {
         for (j, v) in row.iter().enumerate() {
             dtypes[j] = match (dtypes[j], DataType::of(v)) {
@@ -211,7 +157,6 @@ fn infer_schema(
 fn exec_join(
     l: &Table,
     r: &Table,
-    join_type: JoinType,
     on: &[(String, String)],
     limits: &ExecLimits,
 ) -> RelResult<Table> {
@@ -250,8 +195,7 @@ fn exec_join(
     if limits.max_join_rows != usize::MAX {
         let mut total: usize = 0;
         for i in 0..l.num_rows() {
-            let n = matches_of(i).map_or(usize::from(join_type == JoinType::Left), Vec::len);
-            total = total.saturating_add(n);
+            total = total.saturating_add(matches_of(i).map_or(0, Vec::len));
             if total > limits.max_join_rows {
                 return Err(RelError::ResourceExhausted {
                     what: "join output rows",
@@ -261,24 +205,12 @@ fn exec_join(
         }
     }
 
-    let r_arity = r.schema().arity();
     let mut out = Table::empty(l.schema().join(r.schema()));
     for i in 0..l.num_rows() {
-        match matches_of(i) {
-            Some(js) => {
-                for &j in js {
-                    let mut row = l.row(i);
-                    row.extend(r.row(j));
-                    out.push_row(row)?;
-                }
-            }
-            None => {
-                if join_type == JoinType::Left {
-                    let mut row = l.row(i);
-                    row.extend(std::iter::repeat(Value::Null).take(r_arity));
-                    out.push_row(row)?;
-                }
-            }
+        for &j in matches_of(i).into_iter().flatten() {
+            let mut row = l.row(i);
+            row.extend(r.row(j));
+            out.push_row(row)?;
         }
     }
     Ok(out)
@@ -288,7 +220,6 @@ fn exec_join(
 #[derive(Debug, Clone)]
 enum AggState {
     Count(usize),
-    CountDistinct(HashSet<GroupKey>),
     Sum { total: f64, seen: bool, all_int: bool, int_total: i64 },
     Avg { total: f64, n: usize },
     Min(Option<Value>),
@@ -299,7 +230,6 @@ impl AggState {
     fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
-            AggFunc::CountDistinct => AggState::CountDistinct(HashSet::new()),
             AggFunc::Sum => AggState::Sum { total: 0.0, seen: false, all_int: true, int_total: 0 },
             AggFunc::Avg => AggState::Avg { total: 0.0, n: 0 },
             AggFunc::Min => AggState::Min(None),
@@ -313,11 +243,6 @@ impl AggState {
                 // COUNT(expr) skips NULLs; COUNT(*) passes a literal.
                 if !v.is_null() {
                     *n += 1;
-                }
-            }
-            AggState::CountDistinct(set) => {
-                if !v.is_null() {
-                    set.insert(v.group_key());
                 }
             }
             AggState::Sum { total, seen, all_int, int_total } => {
@@ -373,7 +298,6 @@ impl AggState {
     fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n as i64),
-            AggState::CountDistinct(set) => Value::Int(set.len() as i64),
             AggState::Sum { total, seen, all_int, int_total } => {
                 if !seen {
                     Value::Null
@@ -436,7 +360,7 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
             row
         })
         .collect();
-    let schema = infer_schema(names, &rows, None)?;
+    let schema = infer_schema(names, &rows)?;
     Table::from_rows(schema, rows)
 }
 
@@ -461,19 +385,6 @@ fn exec_sort(t: &Table, keys: &[SortKey]) -> RelResult<Table> {
     });
     let indices: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
     Ok(t.take(&indices))
-}
-
-fn exec_distinct(t: &Table) -> Table {
-    let mut seen: HashSet<Vec<GroupKey>> = HashSet::new();
-    let mut keep = Vec::new();
-    for i in 0..t.num_rows() {
-        let key: Vec<GroupKey> =
-            (0..t.num_columns()).map(|col| t.cell(i, col).group_key()).collect();
-        if seen.insert(key) {
-            keep.push(i);
-        }
-    }
-    t.take(&keep)
 }
 
 #[cfg(test)]
@@ -514,30 +425,18 @@ mod tests {
     #[test]
     fn scan_returns_table() {
         let d = db();
-        let t = execute(&LogicalPlan::scan("sales"), &d).unwrap();
+        let t = d.run_plan(&LogicalPlan::scan("sales")).unwrap();
         assert_eq!(t.num_rows(), 5);
-        assert!(execute(&LogicalPlan::scan("nope"), &d).is_err());
+        assert!(d.run_plan(&LogicalPlan::scan("nope")).is_err());
     }
 
     #[test]
     fn filter_drops_nonmatching_and_null() {
         let d = db();
         let plan = LogicalPlan::scan("sales").filter(Expr::col("amount").gt(Expr::lit(90.0)));
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         // gamma's NULL amount must not pass.
         assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn project_computes_and_renames() {
-        let d = db();
-        let plan = LogicalPlan::scan("sales").project(vec![
-            (Expr::col("product"), "p".to_string()),
-            (Expr::col("amount").binary_div_test(Expr::col("units")), "unit_price".to_string()),
-        ]);
-        let t = execute(&plan, &d).unwrap();
-        assert_eq!(t.schema().index_of("unit_price"), Some(1));
-        assert_eq!(t.cell(0, 1), &Value::Float(10.0));
     }
 
     #[test]
@@ -545,26 +444,10 @@ mod tests {
         let d = db();
         let plan = LogicalPlan::scan("sales")
             .join(LogicalPlan::scan("products"), vec![("product".to_string(), "name".to_string())]);
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         // gamma has no product row → dropped. 2+2 remain.
         assert_eq!(t.num_rows(), 4);
         assert!(t.schema().index_of("maker").is_some());
-    }
-
-    #[test]
-    fn left_join_pads_nulls() {
-        let d = db();
-        let plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::scan("sales")),
-            right: Box::new(LogicalPlan::scan("products")),
-            join_type: JoinType::Left,
-            on: vec![("product".to_string(), "name".to_string())],
-        };
-        let t = execute(&plan, &d).unwrap();
-        assert_eq!(t.num_rows(), 5);
-        let maker_idx = t.schema().index_of("maker").unwrap();
-        let gamma_row = (0..t.num_rows()).find(|&i| t.cell(i, 0) == &Value::str("gamma")).unwrap();
-        assert!(t.cell(gamma_row, maker_idx).is_null());
     }
 
     #[test]
@@ -584,7 +467,7 @@ mod tests {
         d.create_table("b", b).unwrap();
         let plan = LogicalPlan::scan("a")
             .join(LogicalPlan::scan("b"), vec![("k".to_string(), "k2".to_string())]);
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.num_rows(), 1);
     }
 
@@ -606,7 +489,7 @@ mod tests {
                 },
             ],
         );
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.num_rows(), 3);
         let alpha = (0..3).find(|&i| t.cell(i, 0) == &Value::str("alpha")).unwrap();
         assert_eq!(t.cell(alpha, 1), &Value::Float(250.0));
@@ -628,13 +511,13 @@ mod tests {
                 output_name: "n".to_string(),
             }],
         );
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.cell(0, 0), &Value::Int(0));
     }
 
     #[test]
-    fn avg_min_max_count_distinct() {
+    fn avg_min_max() {
         let d = db();
         let plan = LogicalPlan::scan("sales").aggregate(
             vec![],
@@ -642,18 +525,12 @@ mod tests {
                 AggExpr { func: AggFunc::Avg, input: Expr::col("units"), output_name: "a".into() },
                 AggExpr { func: AggFunc::Min, input: Expr::col("units"), output_name: "mn".into() },
                 AggExpr { func: AggFunc::Max, input: Expr::col("units"), output_name: "mx".into() },
-                AggExpr {
-                    func: AggFunc::CountDistinct,
-                    input: Expr::col("quarter"),
-                    output_name: "q".into(),
-                },
             ],
         );
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.cell(0, 0), &Value::Float(8.4));
         assert_eq!(t.cell(0, 1), &Value::Int(3));
         assert_eq!(t.cell(0, 2), &Value::Int(15));
-        assert_eq!(t.cell(0, 3), &Value::Int(2));
     }
 
     #[test]
@@ -667,7 +544,7 @@ mod tests {
                 output_name: "s".into(),
             }],
         );
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.cell(0, 0), &Value::Int(42));
     }
 
@@ -676,7 +553,7 @@ mod tests {
         let d = db();
         let plan = LogicalPlan::scan("sales")
             .sort(vec![SortKey { expr: Expr::col("quarter"), ascending: true }]);
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.cell(0, 1), &Value::str("Q1"));
         // Stability: alpha Q1 (row 0 originally) before beta Q1.
         assert_eq!(t.cell(0, 0), &Value::str("alpha"));
@@ -688,7 +565,7 @@ mod tests {
         let d = db();
         let plan = LogicalPlan::scan("sales")
             .sort(vec![SortKey { expr: Expr::col("amount"), ascending: false }]);
-        let t = execute(&plan, &d).unwrap();
+        let t = d.run_plan(&plan).unwrap();
         assert_eq!(t.cell(0, 2), &Value::Float(150.0));
         // NULL sorts first ascending → last descending.
         assert!(t.cell(4, 2).is_null());
@@ -697,20 +574,10 @@ mod tests {
     #[test]
     fn limit_caps() {
         let d = db();
-        let t = execute(&LogicalPlan::scan("sales").limit(2), &d).unwrap();
+        let t = d.run_plan(&LogicalPlan::scan("sales").limit(2)).unwrap();
         assert_eq!(t.num_rows(), 2);
-        let t = execute(&LogicalPlan::scan("sales").limit(100), &d).unwrap();
+        let t = d.run_plan(&LogicalPlan::scan("sales").limit(100)).unwrap();
         assert_eq!(t.num_rows(), 5);
-    }
-
-    #[test]
-    fn distinct_dedups() {
-        let d = db();
-        let plan = LogicalPlan::scan("sales")
-            .project(vec![(Expr::col("quarter"), "q".to_string())])
-            .distinct();
-        let t = execute(&plan, &d).unwrap();
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -719,25 +586,13 @@ mod tests {
         let plan = LogicalPlan::scan("sales")
             .join(LogicalPlan::scan("products"), vec![("product".to_string(), "name".to_string())]);
         // The inner join yields 4 rows: a budget of 3 must trip, 4 must not.
-        let tight = ExecLimits { max_join_rows: 3 };
+        let run =
+            |max_join_rows| d.run_plan_with_limits_stats(&plan, &ExecLimits { max_join_rows }).0;
         assert!(matches!(
-            execute_with_limits(&plan, &d, &tight),
+            run(3),
             Err(RelError::ResourceExhausted { what: "join output rows", limit: 3 })
         ));
-        let exact = ExecLimits { max_join_rows: 4 };
-        assert_eq!(execute_with_limits(&plan, &d, &exact).unwrap().num_rows(), 4);
-        // Left joins count the NULL-padded rows too (5 total here).
-        let left = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::scan("sales")),
-            right: Box::new(LogicalPlan::scan("products")),
-            join_type: JoinType::Left,
-            on: vec![("product".to_string(), "name".to_string())],
-        };
-        assert!(execute_with_limits(&left, &d, &exact).is_err());
-        assert_eq!(
-            execute_with_limits(&left, &d, &ExecLimits { max_join_rows: 5 }).unwrap().num_rows(),
-            5
-        );
+        assert_eq!(run(4).unwrap().num_rows(), 4);
     }
 
     #[test]
@@ -745,14 +600,13 @@ mod tests {
         let d = db();
         let plan = LogicalPlan::scan("sales")
             .join(LogicalPlan::scan("products"), vec![("product".to_string(), "name".to_string())]);
-        let (result, stats) = execute_with_limits_stats(&plan, &d, &ExecLimits::default());
+        let (result, stats) = d.run_plan_with_limits_stats(&plan, &ExecLimits::default());
         assert_eq!(result.unwrap().num_rows(), 4);
         assert_eq!(stats.rows_scanned, 7, "5 sales rows + 2 product rows");
         assert_eq!(stats.rows_joined, 4);
         // Counters survive a budget trip: both scans ran before the join
         // budget pre-pass rejected the output.
-        let (result, stats) =
-            execute_with_limits_stats(&plan, &d, &ExecLimits { max_join_rows: 3 });
+        let (result, stats) = d.run_plan_with_limits_stats(&plan, &ExecLimits { max_join_rows: 3 });
         assert!(result.is_err());
         assert_eq!(stats.rows_scanned, 7);
         assert_eq!(stats.rows_joined, 0);
@@ -773,17 +627,16 @@ mod tests {
         let nope = || Expr::col("nope");
         let plans = [
             LogicalPlan::scan("e").filter(nope().gt(Expr::lit(1i64))),
-            LogicalPlan::scan("e").project(vec![(nope(), "p".to_string())]),
             LogicalPlan::scan("e").sort(vec![SortKey { expr: nope(), ascending: true }]),
             LogicalPlan::scan("e")
                 .aggregate(vec![(nope(), "g".to_string())], vec![count_of(nope())]),
         ];
         for plan in plans {
-            assert_eq!(execute(&plan, &d).map(|t| t.num_rows()), Ok(0), "{plan:?}");
+            assert_eq!(d.run_plan(&plan).map(|t| t.num_rows()), Ok(0), "{plan:?}");
         }
         // One row is enough for the same plans to fail.
         let plan = LogicalPlan::scan("sales").filter(nope().gt(Expr::lit(1i64)));
-        assert_eq!(execute(&plan, &db()), Err(RelError::UnknownColumn("nope".into())));
+        assert_eq!(db().run_plan(&plan), Err(RelError::UnknownColumn("nope".into())));
     }
 
     #[test]
@@ -791,27 +644,29 @@ mod tests {
         let d = db();
         let nope = || Expr::col("nope").gt(Expr::lit(1i64));
         let none = LogicalPlan::scan("sales").filter(Expr::lit(false).and(nope()));
-        assert_eq!(execute(&none, &d).unwrap().num_rows(), 0);
+        assert_eq!(d.run_plan(&none).unwrap().num_rows(), 0);
         let all = LogicalPlan::scan("sales").filter(Expr::lit(true).or(nope()));
-        assert_eq!(execute(&all, &d).unwrap().num_rows(), 5);
+        assert_eq!(d.run_plan(&all).unwrap().num_rows(), 5);
         // Decided per row: a left side that is false on every row guards the
         // right; one that is true on any row does not.
         let units = |op: fn(Expr, Expr) -> Expr, n: i64| op(Expr::col("units"), Expr::lit(n));
         let guarded = LogicalPlan::scan("sales").filter(units(Expr::lt, 0).and(nope()));
-        assert_eq!(execute(&guarded, &d).unwrap().num_rows(), 0);
+        assert_eq!(d.run_plan(&guarded).unwrap().num_rows(), 0);
         let reached = LogicalPlan::scan("sales").filter(units(Expr::lt, 4).and(nope()));
-        assert_eq!(execute(&reached, &d), Err(RelError::UnknownColumn("nope".into())));
+        assert_eq!(d.run_plan(&reached), Err(RelError::UnknownColumn("nope".into())));
     }
 
     #[test]
     fn first_error_in_row_order_wins() {
-        // a = 0 divides by zero on the left of the OR; any other non-NULL a
-        // skips the left (`false AND …`) and negates an int on the right.
+        // a = 0 matches an int against a LIKE pattern on the left of the OR;
+        // any other non-NULL a skips the left (`false AND …`) and uses an int
+        // as a boolean on the right. NULL rows raise neither.
         let a = || Expr::col("a");
-        let div = Expr::lit(1i64).binary_div_test(a()).gt(Expr::lit(0i64));
-        let pred = a().eq(Expr::lit(0i64)).and(div).or(Expr::Not(Box::new(a())));
-        let not_an_int = RelError::TypeMismatch { expected: "bool", found: "int".into() };
-        for (first, second, expected) in [(0, 5, RelError::DivisionByZero), (5, 0, not_an_int)] {
+        let like = Expr::Like { expr: Box::new(a()), pattern: "x".into() };
+        let pred = a().eq(Expr::lit(0i64)).and(like).or(a().and(Expr::lit(true)));
+        let not_a_str = RelError::TypeMismatch { expected: "str", found: "int".into() };
+        let not_a_bool = RelError::TypeMismatch { expected: "bool", found: "int".into() };
+        for (first, second, expected) in [(0, 5, not_a_str), (5, 0, not_a_bool)] {
             // Far enough apart that no single sweep of the old fixed-size
             // row chunks saw both.
             let mut rows = vec![vec![Value::Null]; 1500];
@@ -823,12 +678,11 @@ mod tests {
             let scan = || LogicalPlan::scan("t");
             let plans = [
                 scan().filter(pred.clone()),
-                scan().project(vec![(pred.clone(), "p".to_string())]),
                 scan().sort(vec![SortKey { expr: pred.clone(), ascending: true }]),
                 scan().aggregate(vec![], vec![count_of(pred.clone())]),
             ];
             for plan in plans {
-                assert_eq!(execute(&plan, &d), Err(expected.clone()), "{plan:?}");
+                assert_eq!(d.run_plan(&plan), Err(expected.clone()), "{plan:?}");
             }
         }
     }
@@ -836,20 +690,7 @@ mod tests {
     #[test]
     fn join_requires_condition() {
         let d = db();
-        let plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::scan("sales")),
-            right: Box::new(LogicalPlan::scan("products")),
-            join_type: JoinType::Inner,
-            on: vec![],
-        };
-        assert!(execute(&plan, &d).is_err());
-    }
-}
-
-#[cfg(test)]
-impl Expr {
-    /// Test-only shorthand for division.
-    fn binary_div_test(self, other: Expr) -> Expr {
-        Expr::Binary { op: crate::expr::BinOp::Div, left: Box::new(self), right: Box::new(other) }
+        let plan = LogicalPlan::scan("sales").join(LogicalPlan::scan("products"), vec![]);
+        assert!(d.run_plan(&plan).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! Scalar expressions: AST, binder and row-at-a-time evaluator.
 //!
-//! An [`Expr`] names its columns; [`Expr::bind`] resolves the names against
+//! An [`Expr`] names its columns; `Expr::bind` resolves the names against
 //! one schema and prepares the `LIKE` patterns, once per operator, and the
-//! resulting [`Bound`] tree is what evaluates — against cells read in place
+//! resulting `Bound` tree is what evaluates — against cells read in place
 //! (a table row, or a slice for [`Expr::eval`]), yielding borrowed values
 //! wherever the result is a cell or a literal.
 //!
@@ -11,28 +11,18 @@
 //! NULL as false (enforced by the executor, not here).
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Binary operators.
+/// Binary operators: comparisons and three-valued logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
-    /// Addition (numeric) or string concatenation.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division (float result; division by zero is an error).
-    Div,
     /// Equality.
     Eq,
-    /// Inequality.
-    Ne,
     /// Less-than.
     Lt,
     /// Less-or-equal.
@@ -45,13 +35,6 @@ pub enum BinOp {
     And,
     /// Logical OR (three-valued).
     Or,
-}
-
-impl BinOp {
-    /// True for comparison operators producing booleans.
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
 }
 
 /// A scalar expression tree.
@@ -71,28 +54,12 @@ pub enum Expr {
         /// Right operand.
         right: Box<Expr>,
     },
-    /// Logical negation (three-valued).
-    Not(Box<Expr>),
-    /// `expr IS NULL` (or `IS NOT NULL` when `negated`).
-    IsNull {
-        /// The tested expression.
-        expr: Box<Expr>,
-        /// True for `IS NOT NULL`.
-        negated: bool,
-    },
     /// SQL LIKE with `%` and `_` wildcards (case-insensitive).
     Like {
         /// The tested expression (must evaluate to a string or NULL).
         expr: Box<Expr>,
         /// The pattern.
         pattern: String,
-    },
-    /// `expr IN (v1, v2, …)`.
-    InList {
-        /// The tested expression.
-        expr: Box<Expr>,
-        /// Candidate values.
-        list: Vec<Value>,
     },
 }
 
@@ -110,11 +77,6 @@ impl Expr {
     /// `self = other`.
     pub fn eq(self, other: Expr) -> Expr {
         self.binary(BinOp::Eq, other)
-    }
-
-    /// `self <> other`.
-    pub fn ne(self, other: Expr) -> Expr {
-        self.binary(BinOp::Ne, other)
     }
 
     /// `self > other`.
@@ -169,35 +131,9 @@ impl Expr {
             Expr::Binary { op, left, right } => {
                 Bound::Binary { op: *op, left: bind(left), right: bind(right) }
             }
-            Expr::Not(inner) => Bound::Not(bind(inner)),
-            Expr::IsNull { expr, negated } => Bound::IsNull { expr: bind(expr), negated: *negated },
             Expr::Like { expr, pattern } => {
                 Bound::Like { expr: bind(expr), pattern: like_pattern(pattern) }
             }
-            Expr::InList { expr, list } => Bound::InList { expr: bind(expr), list },
-        }
-    }
-
-    /// All column names referenced by this expression.
-    pub fn columns_referenced(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut BTreeSet<String>) {
-        match self {
-            Expr::Column(n) => {
-                out.insert(n.to_lowercase());
-            }
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::Not(e) => e.collect_columns(out),
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => expr.collect_columns(out),
-            Expr::InList { expr, .. } => expr.collect_columns(out),
         }
     }
 }
@@ -210,10 +146,7 @@ pub(crate) enum Bound<'e> {
     Column(RelResult<usize>),
     Literal(&'e Value),
     Binary { op: BinOp, left: Box<Bound<'e>>, right: Box<Bound<'e>> },
-    Not(Box<Bound<'e>>),
-    IsNull { expr: Box<Bound<'e>>, negated: bool },
     Like { expr: Box<Bound<'e>>, pattern: Vec<char> },
-    InList { expr: Box<Bound<'e>>, list: &'e [Value] },
 }
 
 impl Bound<'_> {
@@ -239,34 +172,11 @@ impl Bound<'_> {
                 }
                 eval_binary(*op, &l, &*right.eval(cell)?).map(Cow::Owned)
             }
-            Bound::Not(inner) => match &*inner.eval(cell)? {
-                Value::Null => owned(Value::Null),
-                Value::Bool(b) => owned(Value::Bool(!b)),
-                other => Err(type_err("bool", other)),
-            },
-            Bound::IsNull { expr, negated } => {
-                owned(Value::Bool(expr.eval(cell)?.is_null() != *negated))
-            }
             Bound::Like { expr, pattern } => match &*expr.eval(cell)? {
                 Value::Null => owned(Value::Null),
                 Value::Str(s) => owned(Value::Bool(like_prepared(s, pattern))),
                 other => Err(type_err("str", other)),
             },
-            Bound::InList { expr, list } => {
-                let v = expr.eval(cell)?;
-                if v.is_null() {
-                    return owned(Value::Null);
-                }
-                let mut saw_null = false;
-                for cand in *list {
-                    match v.sql_eq(cand) {
-                        Some(true) => return owned(Value::Bool(true)),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                owned(if saw_null { Value::Null } else { Value::Bool(false) })
-            }
         }
     }
 }
@@ -296,67 +206,19 @@ fn three_valued_or(l: &Value, r: &Value) -> RelResult<Value> {
 }
 
 /// Evaluates a binary operator on two values (`AND`/`OR` without the
-/// evaluator's short-circuit: both sides are already values).
-pub fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
-    if op.is_comparison() {
-        return Ok(match l.compare(r) {
-            None => Value::Null,
-            Some(ord) => Value::Bool(match op {
-                BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                BinOp::Le => ord != std::cmp::Ordering::Greater,
-                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                BinOp::Ge => ord != std::cmp::Ordering::Less,
-                other => {
-                    return Err(RelError::Plan(format!(
-                        "eval_binary: operator {other:?} classified as comparison but not \
-                         handled"
-                    )))
-                }
-            }),
-        });
-    }
-    match op {
+/// evaluator's short-circuit: both sides are already values). A comparison
+/// with NULL, or across incomparable types, is NULL.
+fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
+    let holds: fn(Ordering) -> bool = match op {
         BinOp::And => return three_valued_and(l, r),
         BinOp::Or => return three_valued_or(l, r),
-        _ => {}
-    }
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    match op {
-        BinOp::Add => match (l, r) {
-            (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-            _ => numeric_op(l, r, |a, b| a + b),
-        },
-        BinOp::Sub => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-            _ => numeric_op(l, r, |a, b| a - b),
-        },
-        BinOp::Mul => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-            _ => numeric_op(l, r, |a, b| a * b),
-        },
-        BinOp::Div => {
-            let b = r.as_f64().ok_or_else(|| type_err("numeric", r))?;
-            if b == 0.0 {
-                return Err(RelError::DivisionByZero);
-            }
-            let a = l.as_f64().ok_or_else(|| type_err("numeric", l))?;
-            Ok(Value::float(a / b))
-        }
-        // Comparisons and logical ops were handled above; a typed error
-        // keeps a future operator addition from panicking query execution.
-        other => Err(RelError::Plan(format!("eval_binary: unhandled operator {other:?}"))),
-    }
-}
-
-fn numeric_op(l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> RelResult<Value> {
-    let a = l.as_f64().ok_or_else(|| type_err("numeric", l))?;
-    let b = r.as_f64().ok_or_else(|| type_err("numeric", r))?;
-    Ok(Value::float(f(a, b)))
+        BinOp::Eq => Ordering::is_eq,
+        BinOp::Lt => Ordering::is_lt,
+        BinOp::Le => Ordering::is_le,
+        BinOp::Gt => Ordering::is_gt,
+        BinOp::Ge => Ordering::is_ge,
+    };
+    Ok(l.compare(r).map_or(Value::Null, |ord| Value::Bool(holds(ord))))
 }
 
 fn type_err(expected: &'static str, v: &Value) -> RelError {
@@ -427,12 +289,7 @@ impl fmt::Display for Expr {
             },
             Expr::Binary { op, left, right } => {
                 let sym = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
                     BinOp::Eq => "=",
-                    BinOp::Ne => "<>",
                     BinOp::Lt => "<",
                     BinOp::Le => "<=",
                     BinOp::Gt => ">",
@@ -442,15 +299,7 @@ impl fmt::Display for Expr {
                 };
                 write!(f, "({left} {sym} {right})")
             }
-            Expr::Not(e) => write!(f, "(NOT {e})"),
-            Expr::IsNull { expr, negated } => {
-                write!(f, "({expr} IS {}NULL)", if *negated { "NOT " } else { "" })
-            }
             Expr::Like { expr, pattern } => write!(f, "({expr} LIKE '{pattern}')"),
-            Expr::InList { expr, list } => {
-                let items: Vec<String> = list.iter().map(|v| v.to_string()).collect();
-                write!(f, "({expr} IN ({}))", items.join(", "))
-            }
         }
     }
 }
@@ -477,31 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic() {
-        let s = schema();
-        let e = Expr::col("a").binary(BinOp::Add, Expr::lit(5i64));
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Int(15));
-        let e = Expr::col("a").binary(BinOp::Mul, Expr::col("b"));
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Float(25.0));
-        let e = Expr::col("a").binary(BinOp::Div, Expr::lit(4i64));
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Float(2.5));
-    }
-
-    #[test]
-    fn division_by_zero() {
-        let s = schema();
-        let e = Expr::col("a").binary(BinOp::Div, Expr::lit(0i64));
-        assert_eq!(e.eval(&row(), &s), Err(RelError::DivisionByZero));
-    }
-
-    #[test]
-    fn string_concat() {
-        let s = schema();
-        let e = Expr::col("s").binary(BinOp::Add, Expr::lit("!"));
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::str("Widget!"));
-    }
-
-    #[test]
     fn comparisons() {
         let s = schema();
         assert_eq!(Expr::col("a").gt(Expr::lit(5i64)).eval(&row(), &s).unwrap(), Value::Bool(true));
@@ -521,7 +345,7 @@ mod tests {
         let s = schema();
         let e = Expr::lit(Value::Null).eq(Expr::lit(1i64));
         assert_eq!(e.eval(&row(), &s).unwrap(), Value::Null);
-        let e = Expr::lit(Value::Null).binary(BinOp::Add, Expr::lit(1i64));
+        let e = Expr::col("s").lt(Expr::lit(Value::Null));
         assert_eq!(e.eval(&row(), &s).unwrap(), Value::Null);
     }
 
@@ -535,27 +359,19 @@ mod tests {
         assert_eq!(t().and(null()).eval(&row(), &s).unwrap(), Value::Null);
         assert_eq!(t().or(null()).eval(&row(), &s).unwrap(), Value::Bool(true));
         assert_eq!(f().or(null()).eval(&row(), &s).unwrap(), Value::Null);
-        assert_eq!(Expr::Not(Box::new(null())).eval(&row(), &s).unwrap(), Value::Null);
     }
 
     #[test]
     fn short_circuit_skips_errors() {
         let s = schema();
-        // false AND (1/0) must not error.
-        let div0 = Expr::lit(1i64).binary(BinOp::Div, Expr::lit(0i64));
-        let e = Expr::lit(false).and(div0.clone().eq(Expr::lit(1i64)));
+        // false AND (unknown column) must not error.
+        let unknown = Expr::col("zz").eq(Expr::lit(1i64));
+        let e = Expr::lit(false).and(unknown.clone());
         assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(false));
-        let e = Expr::lit(true).or(div0.eq(Expr::lit(1i64)));
+        let e = Expr::lit(true).or(unknown.clone());
         assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(true));
-    }
-
-    #[test]
-    fn is_null() {
-        let s = schema();
-        let e = Expr::IsNull { expr: Box::new(Expr::lit(Value::Null)), negated: false };
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(true));
-        let e = Expr::IsNull { expr: Box::new(Expr::col("a")), negated: true };
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(true));
+        let e = Expr::lit(true).and(unknown);
+        assert_eq!(e.eval(&row(), &s), Err(RelError::UnknownColumn("zz".into())));
     }
 
     #[test]
@@ -594,28 +410,6 @@ mod tests {
         let s = schema();
         let e = Expr::Like { expr: Box::new(Expr::col("s")), pattern: "wid%".into() };
         assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(true));
-    }
-
-    #[test]
-    fn in_list_semantics() {
-        let s = schema();
-        let e = Expr::InList {
-            expr: Box::new(Expr::col("a")),
-            list: vec![Value::Int(1), Value::Int(10)],
-        };
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Bool(true));
-        let e =
-            Expr::InList { expr: Box::new(Expr::col("a")), list: vec![Value::Int(1), Value::Null] };
-        // 10 ∉ {1, NULL} is NULL, not false (SQL semantics).
-        assert_eq!(e.eval(&row(), &s).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn columns_referenced_and_constant() {
-        let e = Expr::col("A").and(Expr::col("b").gt(Expr::lit(1i64)));
-        let cols = e.columns_referenced();
-        assert!(cols.contains("a") && cols.contains("b"));
-        assert!(Expr::lit(1i64).eq(Expr::lit(2i64)).columns_referenced().is_empty());
     }
 
     #[test]

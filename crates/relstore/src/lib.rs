@@ -1,23 +1,23 @@
 //! # unisem-relstore
 //!
 //! A columnar mini relational engine: the structured-data substrate of the
-//! unisem system and the execution target of both the SQL front-end and the
-//! semantic operator synthesis pipeline (§III.C of the paper).
+//! unisem system and the execution target of semantic operator synthesis
+//! (§III.C of the paper). It runs the [`LogicalPlan`]s that
+//! `unisem-semops` builds, exactly as built: there is no SQL text
+//! interface and no rewrite pass.
 //!
 //! Layered like a classic query engine:
 //!
 //! - [`value`] / [`schema`] / [`table`]: the storage model — typed values,
 //!   named columns, columnar tables.
-//! - [`expr`]: scalar expression AST, binder (names → column indices, once
-//!   per operator) and evaluator over cells read in place.
-//! - [`plan`]: logical plans (scan/filter/project/join/aggregate/sort/limit).
-//! - [`optimize`]: rule-based logical rewrites (predicate merge/pushdown,
-//!   constant folding).
-//! - [`exec`]: the physical executor (hash join, hash aggregate, stable
+//! - [`expr`]: scalar expression AST (columns, literals, comparisons,
+//!   `AND`/`OR`, `LIKE`), binder (names → column indices, once per
+//!   operator) and evaluator over cells read in place.
+//! - [`plan`]: logical plans (scan/filter/join/aggregate/sort/limit).
+//! - `exec`: the physical executor (hash join, hash aggregate, stable
 //!   sort); borrows base tables and copies only the rows it returns.
-//! - [`sql`]: a SQL subset front-end (lexer → parser → lowering).
 //! - [`catalog`]: the [`catalog::Database`] catalog tying it together, with
-//!   `run_sql`.
+//!   `run_plan` and `run_plan_with_limits_stats`.
 //!
 //! The engine is intentionally single-node and in-memory: the paper's
 //! contribution is the integration layer above it, and experiments need
@@ -25,12 +25,10 @@
 
 pub mod catalog;
 pub mod error;
-pub mod exec;
+mod exec;
 pub mod expr;
-pub mod optimize;
 pub mod plan;
 pub mod schema;
-pub mod sql;
 pub mod table;
 pub mod value;
 
@@ -38,7 +36,7 @@ pub use catalog::Database;
 pub use error::{RelError, RelResult};
 pub use exec::{ExecLimits, ExecStats};
 pub use expr::Expr;
-pub use plan::{AggExpr, AggFunc, JoinType, LogicalPlan, SortKey};
+pub use plan::{AggExpr, AggFunc, LogicalPlan, SortKey};
 pub use schema::{Column, DataType, Schema};
 pub use table::{CheckedRow, Table};
 pub use value::{Date, Value};

@@ -1,10 +1,10 @@
 //! Logical query plans.
 //!
-//! A [`LogicalPlan`] is a tree of relational operators produced either by
-//! the SQL front-end ([`crate::sql`]) or directly by the semantic operator
-//! synthesis pipeline in `unisem-semops` — the paper's §III.C maps natural
-//! language onto exactly these operators ("aggregations (e.g., SUM …),
-//! filtering operations …, SQL joins").
+//! A [`LogicalPlan`] is a tree of relational operators built by the
+//! semantic operator synthesis pipeline in `unisem-semops` — the paper's
+//! §III.C maps natural language onto exactly these operators ("aggregations
+//! (e.g., SUM …), filtering operations …, SQL joins") — and executed as
+//! built by [`crate::Database::run_plan`].
 
 use std::fmt;
 
@@ -15,8 +15,6 @@ use crate::expr::Expr;
 pub enum AggFunc {
     /// Row count (`COUNT(*)` when the expression is a literal).
     Count,
-    /// Count of distinct non-null values.
-    CountDistinct,
     /// Sum of numeric values (NULLs skipped).
     Sum,
     /// Arithmetic mean (NULLs skipped).
@@ -32,23 +30,10 @@ impl AggFunc {
     pub fn name(self) -> &'static str {
         match self {
             AggFunc::Count => "COUNT",
-            AggFunc::CountDistinct => "COUNT(DISTINCT)",
             AggFunc::Sum => "SUM",
             AggFunc::Avg => "AVG",
             AggFunc::Min => "MIN",
             AggFunc::Max => "MAX",
-        }
-    }
-
-    /// Parses a SQL aggregate keyword.
-    pub fn parse(name: &str) -> Option<AggFunc> {
-        match name.to_uppercase().as_str() {
-            "COUNT" => Some(AggFunc::Count),
-            "SUM" => Some(AggFunc::Sum),
-            "AVG" => Some(AggFunc::Avg),
-            "MIN" => Some(AggFunc::Min),
-            "MAX" => Some(AggFunc::Max),
-            _ => None,
         }
     }
 }
@@ -62,15 +47,6 @@ pub struct AggExpr {
     pub input: Expr,
     /// Output column name.
     pub output_name: String,
-}
-
-/// Join types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Inner join.
-    Inner,
-    /// Left outer join (unmatched left rows padded with NULLs).
-    Left,
 }
 
 /// One ORDER BY key.
@@ -97,21 +73,12 @@ pub enum LogicalPlan {
         /// Filter predicate (NULL counts as false).
         predicate: Expr,
     },
-    /// Compute output columns from expressions.
-    Project {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// `(expression, output name)` pairs.
-        exprs: Vec<(Expr, String)>,
-    },
-    /// Equi-join two inputs.
+    /// Inner equi-join of two inputs.
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
         /// Right input.
         right: Box<LogicalPlan>,
-        /// Join type.
-        join_type: JoinType,
         /// Pairs of `(left column, right column)` equality conditions.
         on: Vec<(String, String)>,
     },
@@ -138,11 +105,6 @@ pub enum LogicalPlan {
         /// Row cap.
         n: usize,
     },
-    /// Remove duplicate rows.
-    Distinct {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-    },
 }
 
 impl LogicalPlan {
@@ -156,19 +118,9 @@ impl LogicalPlan {
         LogicalPlan::Filter { input: Box::new(self), predicate }
     }
 
-    /// Adds a projection above this plan.
-    pub fn project(self, exprs: Vec<(Expr, String)>) -> LogicalPlan {
-        LogicalPlan::Project { input: Box::new(self), exprs }
-    }
-
     /// Adds an inner equi-join with another plan.
     pub fn join(self, right: LogicalPlan, on: Vec<(String, String)>) -> LogicalPlan {
-        LogicalPlan::Join {
-            left: Box::new(self),
-            right: Box::new(right),
-            join_type: JoinType::Inner,
-            on,
-        }
+        LogicalPlan::Join { left: Box::new(self), right: Box::new(right), on }
     }
 
     /// Adds an aggregate above this plan.
@@ -184,11 +136,6 @@ impl LogicalPlan {
     /// Adds a limit above this plan.
     pub fn limit(self, n: usize) -> LogicalPlan {
         LogicalPlan::Limit { input: Box::new(self), n }
-    }
-
-    /// Adds duplicate elimination above this plan.
-    pub fn distinct(self) -> LogicalPlan {
-        LogicalPlan::Distinct { input: Box::new(self) }
     }
 
     /// Pretty, indented one-operator-per-line rendering (EXPLAIN-style).
@@ -208,14 +155,9 @@ impl LogicalPlan {
                 out.push_str(&format!("{pad}Filter: {predicate}\n"));
                 input.explain_into(depth + 1, out);
             }
-            LogicalPlan::Project { input, exprs } => {
-                let cols: Vec<String> = exprs.iter().map(|(e, n)| format!("{e} AS {n}")).collect();
-                out.push_str(&format!("{pad}Project: {}\n", cols.join(", ")));
-                input.explain_into(depth + 1, out);
-            }
-            LogicalPlan::Join { left, right, join_type, on } => {
+            LogicalPlan::Join { left, right, on } => {
                 let conds: Vec<String> = on.iter().map(|(l, r)| format!("{l} = {r}")).collect();
-                out.push_str(&format!("{pad}{join_type:?}Join: {}\n", conds.join(" AND ")));
+                out.push_str(&format!("{pad}InnerJoin: {}\n", conds.join(" AND ")));
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
@@ -244,10 +186,6 @@ impl LogicalPlan {
                 out.push_str(&format!("{pad}Limit: {n}\n"));
                 input.explain_into(depth + 1, out);
             }
-            LogicalPlan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(depth + 1, out);
-            }
         }
     }
 }
@@ -266,7 +204,7 @@ mod tests {
     fn builders_compose() {
         let plan = LogicalPlan::scan("sales")
             .filter(Expr::col("qty").gt(Expr::lit(5i64)))
-            .project(vec![(Expr::col("product"), "product".to_string())])
+            .sort(vec![SortKey { expr: Expr::col("product"), ascending: true }])
             .limit(10);
         let text = plan.explain();
         assert!(text.contains("Scan: sales"));
@@ -276,13 +214,6 @@ mod tests {
         let limit_pos = text.find("Limit").unwrap();
         let scan_pos = text.find("Scan").unwrap();
         assert!(limit_pos < scan_pos);
-    }
-
-    #[test]
-    fn agg_func_parse() {
-        assert_eq!(AggFunc::parse("sum"), Some(AggFunc::Sum));
-        assert_eq!(AggFunc::parse("AVG"), Some(AggFunc::Avg));
-        assert_eq!(AggFunc::parse("median"), None);
     }
 
     #[test]

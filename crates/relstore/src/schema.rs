@@ -1,6 +1,5 @@
 //! Schemas: named, typed columns.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::{RelError, RelResult};
@@ -82,7 +81,7 @@ impl fmt::Display for DataType {
 /// A named, typed column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
-    /// Column name (matched case-insensitively in SQL).
+    /// Column name (matched case-insensitively, see [`Schema::index_of`]).
     pub name: String,
     /// Data type.
     pub dtype: DataType,
@@ -95,23 +94,33 @@ impl Column {
     }
 }
 
-/// An ordered set of columns with O(1) name lookup.
+/// True when two column names are equal ignoring case: `to_lowercase`
+/// equality, with a byte-wise fast path when both names are ASCII.
+fn same_name(a: &str, b: &str) -> bool {
+    if a.is_ascii() && b.is_ascii() {
+        a.eq_ignore_ascii_case(b)
+    } else {
+        a.to_lowercase() == b.to_lowercase()
+    }
+}
+
+/// An ordered set of uniquely named columns. Tables are a handful of
+/// columns wide and operators resolve names once when they bind, so name
+/// lookup is a scan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     columns: Vec<Column>,
-    by_name: HashMap<String, usize>,
 }
 
 impl Schema {
     /// Builds a schema; duplicate names (case-insensitive) are an error.
     pub fn new(columns: Vec<Column>) -> RelResult<Self> {
-        let mut by_name = HashMap::with_capacity(columns.len());
         for (i, c) in columns.iter().enumerate() {
-            if by_name.insert(c.name.to_lowercase(), i).is_some() {
+            if columns[..i].iter().any(|earlier| same_name(&earlier.name, &c.name)) {
                 return Err(RelError::Conflict(format!("duplicate column name: {}", c.name)));
             }
         }
-        Ok(Self { columns, by_name })
+        Ok(Self { columns })
     }
 
     /// Builds a schema from `(name, type)` pairs; panics on duplicates.
@@ -137,7 +146,7 @@ impl Schema {
 
     /// Case-insensitive index lookup.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.by_name.get(&name.to_lowercase()).copied()
+        self.columns.iter().position(|c| same_name(&c.name, name))
     }
 
     /// Like [`Self::index_of`] but returns an error naming the column.
@@ -154,24 +163,15 @@ impl Schema {
     /// by prefixing `right.` on the right side until the name is unique
     /// (so a right column literally named `right.x` cannot collide).
     pub fn join(&self, right: &Schema) -> Schema {
-        let columns = {
-            let mut cols = self.columns.clone();
-            let mut taken: std::collections::HashSet<String> =
-                cols.iter().map(|c| c.name.to_lowercase()).collect();
-            for c in right.columns() {
-                let mut name = c.name.clone();
-                while taken.contains(&name.to_lowercase()) {
-                    name = format!("right.{name}");
-                }
-                taken.insert(name.to_lowercase());
-                cols.push(Column::new(name, c.dtype));
+        let mut joined = self.clone();
+        for c in right.columns() {
+            let mut name = c.name.clone();
+            while joined.index_of(&name).is_some() {
+                name = format!("right.{name}");
             }
-            cols
-        };
-        // Uniqueness is guaranteed by the loop above, so the index can be
-        // built without the fallible constructor.
-        let by_name = columns.iter().enumerate().map(|(i, c)| (c.name.to_lowercase(), i)).collect();
-        Schema { columns, by_name }
+            joined.columns.push(Column::new(name, c.dtype));
+        }
+        joined
     }
 }
 

@@ -175,11 +175,6 @@ impl Value {
         }
     }
 
-    /// Equality with numeric coercion and NULL ≠ NULL (SQL semantics).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.compare(other).map(|o| o == Ordering::Equal)
-    }
-
     /// A hashable group-by key form. Floats are keyed by bit pattern of
     /// their canonicalized value (−0.0 → 0.0).
     pub fn group_key(&self) -> GroupKey {
@@ -345,12 +340,5 @@ mod tests {
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Float(2.25).to_string(), "2.25");
         assert_eq!(Value::str("x").to_string(), "x");
-    }
-
-    #[test]
-    fn sql_eq_three_valued() {
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
-        assert_eq!(Value::Null.sql_eq(&Value::Null), None);
     }
 }

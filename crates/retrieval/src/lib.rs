@@ -12,19 +12,16 @@
 //!   the query, scan cosine similarities (what EVAPORATE-style pipelines
 //!   do, §I gap 1).
 //! - [`lexical`]: BM25 over chunks.
-//! - [`metrics`]: recall@k / hit@k / MRR used by experiments E3 and E6.
 //!
 //! All retrievers implement [`ChunkRetriever`], so experiment harnesses can
 //! sweep them uniformly.
 
 pub mod dense;
 pub mod lexical;
-pub mod metrics;
 pub mod topology;
 
 pub use dense::DenseRetriever;
 pub use lexical::LexicalRetriever;
-pub use metrics::mrr;
 pub use topology::{TopologyConfig, TopologyRetriever, TraversalStats};
 
 /// One retrieved chunk with its score (higher = more relevant).

@@ -217,15 +217,14 @@ mod tests {
 
     #[test]
     fn flattened_table_queryable() {
-        use unisem_relstore::Database;
+        use unisem_relstore::{Database, Expr, LogicalPlan};
         let t = flatten_collection(&docs()).unwrap();
         let mut db = Database::new();
         db.create_table("logs", t).unwrap();
-        // Dotted column names need no quoting in our SQL because idents
-        // allow dots; `user.name` normalizes to... the qualifier strip would
-        // break it, so query by the unqualified tail.
-        let out = db.run_sql("SELECT id FROM logs WHERE score > 8").unwrap();
+        let plan = LogicalPlan::scan("logs").filter(Expr::col("score").gt(Expr::lit(8i64)));
+        let out = db.run_plan(&plan).unwrap();
         assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.cell(0, 0), &Value::Int(1));
+        let id = out.schema().require("id").unwrap();
+        assert_eq!(out.cell(0, id), &Value::Int(1));
     }
 }

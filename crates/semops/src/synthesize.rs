@@ -11,7 +11,7 @@
 use std::fmt;
 
 use unisem_relstore::plan::{AggExpr, AggFunc, SortKey};
-use unisem_relstore::{Database, Expr, LogicalPlan, RelError, Schema, Table, Value};
+use unisem_relstore::{Database, Expr, LogicalPlan, RelError, Schema, Value};
 use unisem_text::similarity::jaro_winkler;
 
 use crate::intent::{CmpOp, FilterIntent, QueryIntent, SortIntent};
@@ -378,17 +378,6 @@ impl OperatorSynthesizer {
         Ok(plan)
     }
 
-    /// Synthesizes and executes, returning the result table.
-    pub fn answer(
-        &self,
-        intent: &QueryIntent,
-        db: &Database,
-        table: &str,
-    ) -> Result<Table, SynthesisError> {
-        let plan = self.synthesize(intent, db, table)?;
-        Ok(db.run_plan(&plan)?)
-    }
-
     /// The equi-join key pair shared by two tables: an exact shared column
     /// name, else subject-ish columns on both sides.
     fn join_keys(
@@ -443,6 +432,13 @@ mod tests {
             ("Product Beta", EntityKind::Product),
         ]);
         IntentParser::new(Slm::new(SlmConfig { lexicon, ..SlmConfig::default() }))
+    }
+
+    /// Synthesizes the plan for `question` against `table` and runs it.
+    fn run(question: &str, db: &Database, table: &str) -> Table {
+        let intent = parser().analyze(question);
+        let plan = OperatorSynthesizer::new().synthesize(&intent, db, table).unwrap();
+        db.run_plan(&plan).unwrap()
     }
 
     fn native_db() -> Database {
@@ -527,16 +523,15 @@ mod tests {
 
     #[test]
     fn total_sales_q2_native() {
-        let intent = parser().analyze("What is the total sales in Q2?");
-        let out = OperatorSynthesizer::new().answer(&intent, &native_db(), "sales").unwrap();
+        let out = run("What is the total sales in Q2?", &native_db(), "sales");
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.cell(0, 0), &Value::Float(210.0));
     }
 
     #[test]
     fn compare_products_native() {
-        let intent = parser().analyze("Compare the total sales of Product Alpha and Product Beta");
-        let out = OperatorSynthesizer::new().answer(&intent, &native_db(), "sales").unwrap();
+        let out =
+            run("Compare the total sales of Product Alpha and Product Beta", &native_db(), "sales");
         assert_eq!(out.num_rows(), 2);
         // Grouped by product.
         let alpha = (0..2).find(|&i| out.cell(i, 0) == &Value::str("Product Alpha")).unwrap();
@@ -545,17 +540,20 @@ mod tests {
 
     #[test]
     fn highest_rating_native() {
-        let intent = parser().analyze("Which product had the highest average rating per product?");
         // "average rating per product" + highest: avg-grouped, max ordering.
-        let out = OperatorSynthesizer::new().answer(&intent, &native_db(), "sales").unwrap();
+        let out =
+            run("Which product had the highest average rating per product?", &native_db(), "sales");
         assert!(out.num_rows() >= 1);
         assert_eq!(out.cell(0, 0), &Value::str("Product Alpha"));
     }
 
     #[test]
     fn threshold_filter_extracted() {
-        let intent = parser().analyze("Which products had a sales increase of more than 15%?");
-        let out = OperatorSynthesizer::new().answer(&intent, &extracted_db(), "extracted").unwrap();
+        let out = run(
+            "Which products had a sales increase of more than 15%?",
+            &extracted_db(),
+            "extracted",
+        );
         assert_eq!(out.num_rows(), 1);
         let subj = out.schema().index_of("subject").unwrap();
         assert_eq!(out.cell(0, subj), &Value::str("product alpha"));
@@ -563,8 +561,7 @@ mod tests {
 
     #[test]
     fn metric_as_data_filter_extracted() {
-        let intent = parser().analyze("What is the total sales amount in Q2?");
-        let out = OperatorSynthesizer::new().answer(&intent, &extracted_db(), "extracted").unwrap();
+        let out = run("What is the total sales amount in Q2?", &extracted_db(), "extracted");
         // Only metric='sales' rows: 150 + 60.
         assert_eq!(out.cell(0, 0), &Value::Float(210.0));
     }
@@ -581,8 +578,7 @@ mod tests {
         )
         .unwrap();
         db.create_table("t", t).unwrap();
-        let intent = parser().analyze("total amount in Q2");
-        let out = OperatorSynthesizer::new().answer(&intent, &db, "t").unwrap();
+        let out = run("total amount in Q2", &db, "t");
         assert_eq!(out.cell(0, 0), &Value::Float(10.0));
     }
 
@@ -646,8 +642,7 @@ mod tests {
 
     #[test]
     fn count_units_question() {
-        let intent = parser().analyze("How many products are listed?");
-        let out = OperatorSynthesizer::new().answer(&intent, &native_db(), "sales").unwrap();
+        let out = run("How many products are listed?", &native_db(), "sales");
         assert_eq!(out.cell(0, 0), &Value::Int(4));
     }
 }

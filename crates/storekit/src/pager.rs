@@ -6,7 +6,7 @@
 //!
 //! - [`Site::StorePageWrite`], key `page:<id>` — a *torn page*: the pager
 //!   genuinely writes only the first half of the image to disk, then
-//!   returns the typed [`InjectedFault`] wrapped in
+//!   returns the typed [`InjectedFault`](faultkit::InjectedFault) wrapped in
 //!   [`StoreError::Fault`]. The corruption is real; a later read of the
 //!   page fails checksum verification with [`StoreError::Corrupt`].
 //! - [`Site::StoreFlush`], key `file` — a *failed flush*: `flush`

@@ -5,7 +5,7 @@
 //! This crate provides the deterministic, dependency-free natural-language
 //! plumbing every other crate builds on:
 //!
-//! - [`tokenize`]: span-preserving word/number/punctuation tokenization,
+//! - [`tokenize`](mod@tokenize): span-preserving word/number/punctuation tokenization,
 //! - [`sentence`]: sentence boundary detection,
 //! - [`chunk`]: sentence-aligned sliding-window chunking for indexing,
 //! - [`distinct`]: repeated texts mapped onto their distinct values,

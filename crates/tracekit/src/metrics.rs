@@ -3,7 +3,7 @@
 //! Metric names are compile-time enum variants — there is no string-keyed
 //! API, so a dynamically-constructed metric name is unrepresentable (ci.sh
 //! additionally lints call sites to keep it that way). The
-//! [`registry_enum!`] macro generates each enum, its `ALL` table, and the
+//! `registry_enum!` macro generates each enum, its `ALL` table, and the
 //! name mappings from one variant list, so a variant missing from `ALL` or
 //! `from_name` is a build error rather than a test failure. Counters and
 //! gauges are plain atomics; histograms bucket on the shared log-linear
@@ -180,8 +180,7 @@ registry_enum! {
         /// per table-touching delta; the rest of the catalog is maintained,
         /// not re-derived).
         PlannerStatsTableRefreshes => "planner.stats_table_refreshes",
-        /// Logical plans synthesized and optimized by the cost-based
-        /// planner.
+        /// Logical plans assembled and lowered by the cost-based planner.
         PlannerPlansBuilt => "planner.plans_built",
         /// Delta records appended to the write-ahead log.
         WalAppends => "wal.appends",

@@ -418,6 +418,14 @@ impl EcommerceWorkload {
 mod tests {
     use super::*;
     use crate::qa::answer_matches;
+    use unisem_relstore::{AggExpr, AggFunc, Expr, LogicalPlan};
+
+    /// `SUM(column)` over the rows of `table` that `predicate` keeps.
+    fn sum_where(db: &Database, table: &str, column: &str, predicate: Expr) -> Table {
+        let sum = AggExpr { func: AggFunc::Sum, input: Expr::col(column), output_name: "t".into() };
+        let plan = LogicalPlan::scan(table).filter(predicate).aggregate(vec![], vec![sum]);
+        db.run_plan(&plan).unwrap()
+    }
 
     fn small() -> EcommerceWorkload {
         EcommerceWorkload::generate(EcommerceConfig {
@@ -446,9 +454,7 @@ mod tests {
         assert_eq!(sales.num_rows(), 6 * 3);
         // Cross-check one gold total against SQL.
         let p0 = names::product(0);
-        let out =
-            w.db.run_sql(&format!("SELECT SUM(amount) AS t FROM sales WHERE product = '{p0}'"))
-                .unwrap();
+        let out = sum_where(&w.db, "sales", "amount", Expr::col("product").eq(Expr::lit(p0)));
         let expected: f64 = w.gold_sales[0].iter().map(|(a, _)| a).sum();
         assert_eq!(out.cell(0, 0), &Value::Float(expected));
     }
@@ -524,11 +530,9 @@ mod tests {
             let GoldAnswer::Numeric { value, .. } = &item.gold else { panic!() };
             // The entity is a product; SQL total must match the gold value.
             let product = &item.entities[0];
-            let out =
-                w.db.run_sql(&format!(
-                    "SELECT SUM(amount) AS t FROM sales WHERE product LIKE '{product}'"
-                ))
-                .unwrap();
+            let like =
+                Expr::Like { expr: Box::new(Expr::col("product")), pattern: product.clone() };
+            let out = sum_where(&w.db, "sales", "amount", like);
             let total = out.cell(0, 0).as_f64().unwrap();
             assert!(answer_matches(&item.gold, &format!("{total}")), "{total} vs {value}");
         }

@@ -339,6 +339,7 @@ impl HealthcareWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unisem_relstore::{AggExpr, AggFunc, Expr, LogicalPlan};
 
     fn small() -> HealthcareWorkload {
         HealthcareWorkload::generate(HealthcareConfig {
@@ -360,12 +361,12 @@ mod tests {
     fn trials_match_gold_efficacy() {
         let w = small();
         for i in 0..5 {
-            let out =
-                w.db.run_sql(&format!(
-                    "SELECT AVG(efficacy) AS e FROM trials WHERE drug = '{}'",
-                    names::drug(i)
-                ))
-                .unwrap();
+            let input = Expr::col("efficacy");
+            let avg = AggExpr { func: AggFunc::Avg, input, output_name: "e".into() };
+            let plan = LogicalPlan::scan("trials")
+                .filter(Expr::col("drug").eq(Expr::lit(names::drug(i))))
+                .aggregate(vec![], vec![avg]);
+            let out = w.db.run_plan(&plan).unwrap();
             let avg = out.cell(0, 0).as_f64().unwrap();
             assert!((avg - w.gold_efficacy[i]).abs() < 0.01, "{avg} vs {}", w.gold_efficacy[i]);
         }

@@ -4,7 +4,7 @@
 use unisem_extract::TableGenerator;
 use unisem_hetgraph::algo::shortest_path;
 use unisem_hetgraph::GraphBuilder;
-use unisem_relstore::{Database, Value};
+use unisem_relstore::{AggExpr, AggFunc, Database, Expr, LogicalPlan, SortKey, Value};
 use unisem_semistore::{parse_json, SemiStore};
 use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
 
@@ -18,9 +18,9 @@ fn slm() -> Slm {
     })
 }
 
-/// JSON logs → flattened table → SQL aggregate.
+/// JSON logs → flattened table → aggregate plan.
 #[test]
-fn json_to_sql_roundtrip() {
+fn json_to_plan_roundtrip() {
     let mut store = SemiStore::new();
     for (p, u) in [("a", 3.0), ("a", 5.0), ("b", 2.0)] {
         store.insert(
@@ -31,19 +31,21 @@ fn json_to_sql_roundtrip() {
     let table = store.to_table("orders").unwrap();
     let mut db = Database::new();
     db.create_table("orders", table).unwrap();
-    let out = db
-        .run_sql(
-            "SELECT product, SUM(units) AS total FROM orders GROUP BY product ORDER BY product",
-        )
-        .unwrap();
+    let total =
+        AggExpr { func: AggFunc::Sum, input: Expr::col("units"), output_name: "total".into() };
+    let plan = LogicalPlan::scan("orders")
+        .aggregate(vec![(Expr::col("product"), "product".into())], vec![total])
+        .sort(vec![SortKey { expr: Expr::col("product"), ascending: true }]);
+    let out = db.run_plan(&plan).unwrap();
     assert_eq!(out.num_rows(), 2);
     assert_eq!(out.cell(0, 1), &Value::Int(8));
     assert_eq!(out.cell(1, 1), &Value::Int(2));
 }
 
-/// Free text → extracted table → SQL (§III.C hybrid pipeline, steps 1+2).
+/// Free text → extracted table → aggregate plan (§III.C hybrid pipeline,
+/// steps 1+2).
 #[test]
-fn text_to_extraction_to_sql() {
+fn text_to_extraction_to_plan() {
     let gen = TableGenerator::new(slm());
     let (table, stats) = gen
         .generate_table(&[
@@ -54,7 +56,12 @@ fn text_to_extraction_to_sql() {
     assert_eq!(stats.records, 2);
     let mut db = Database::new();
     db.create_table("extracted", table).unwrap();
-    let out = db.run_sql("SELECT AVG(change_pct) AS avg_change FROM extracted").unwrap();
+    let avg = AggExpr {
+        func: AggFunc::Avg,
+        input: Expr::col("change_pct"),
+        output_name: "avg_change".into(),
+    };
+    let out = db.run_plan(&LogicalPlan::scan("extracted").aggregate(vec![], vec![avg])).unwrap();
     assert_eq!(out.cell(0, 0), &Value::Float(5.0));
 }
 

@@ -159,9 +159,9 @@ fn check_golden(file: &str, actual: &str, bless: bool, ctx: &str) {
 }
 
 /// `{:#?}` of the answer without its trace. The result table is printed
-/// as columns and rows rather than through its own `Debug`: `Schema`
-/// carries a name → index `HashMap` whose print order changes from
-/// process to process.
+/// as columns and rows rather than through its own `Debug`: that is the
+/// form the golden files were blessed in, and printing it this way keeps
+/// them byte-identical.
 fn render_answer(a: &Answer) -> String {
     let table =
         a.result_table.as_ref().map(|t| (t.schema().columns(), t.rows().collect::<Vec<_>>()));
@@ -272,7 +272,7 @@ fn stats_catalog_byte_identical_across_build_threads() {
     }
 }
 
-/// `Answer::trace` in planner mode carries the optimized physical plan
+/// `Answer::trace` in planner mode carries the physical plan
 /// with per-node estimated vs actual costs (the ISSUE's acceptance
 /// criterion for explain output).
 #[test]
