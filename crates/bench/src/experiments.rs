@@ -8,7 +8,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use unisem_core::{DirectSlmPipeline, EngineConfig, NaiveRagPipeline, TextToSqlPipeline};
+use unisem_core::{
+    DirectSlmPipeline, EngineConfig, FaultPlan, FaultSite, NaiveRagPipeline, TextToSqlPipeline,
+};
 use unisem_docstore::DocStore;
 use unisem_entropy::{auroc, rejection_accuracy_curve};
 use unisem_extract::TableGenerator;
@@ -656,8 +658,15 @@ pub fn e7() {
     let variants: Vec<(&str, EngineConfig)> = vec![
         ("full", EngineConfig::default()),
         (
-            "- topology (dense retrieval)",
+            "- topology (BM25 only)",
             EngineConfig { enable_topology: false, ..EngineConfig::default() },
+        ),
+        (
+            "traversal faulted (lexical fallback)",
+            EngineConfig {
+                faults: FaultPlan::single(FaultSite::GraphTraverse),
+                ..EngineConfig::default()
+            },
         ),
         (
             "- operator synthesis",
@@ -718,10 +727,7 @@ pub fn e8() {
 
     // unisem on an SLM (the paper's system).
     {
-        let engine = build_ecommerce_engine(
-            &w,
-            EngineConfig { model_class: ModelClass::SlmClass, ..EngineConfig::default() },
-        );
+        let engine = build_ecommerce_engine(&w, EngineConfig::default());
         engine.meter().reset();
         let r = evaluate_pipeline(&engine, &w.qa);
         let u = engine.meter().snapshot();

@@ -37,8 +37,8 @@ use crate::EngineError;
 /// record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Delta {
-    /// Add a document to the text substrate: chunked, BM25-indexed,
-    /// embedded, and wired into the graph exactly as at build time.
+    /// Add a document to the text substrate: chunked, BM25-indexed and
+    /// wired into the graph exactly as at build time.
     DocAdd {
         /// Document title.
         title: String,

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use faultkit::{FaultPlan, InjectedFault, Site};
 use parkit::Pool;
@@ -14,12 +14,11 @@ use unisem_extract::TableGenerator;
 use unisem_hetgraph::{GraphBuilder, HetGraph};
 use unisem_relstore::{Database, RelError, Table};
 use unisem_retrieval::{
-    ChunkRetriever, DenseRetriever, RetrievalResult, TopologyConfig, TopologyRetriever,
-    TraversalStats,
+    ChunkRetriever, RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats,
 };
 use unisem_semistore::{FlattenError, JsonError, JsonValue, SemiStore, XmlError};
 use unisem_semops::{IntentParser, OperatorSynthesizer, QueryIntent};
-use unisem_slm::{CostMeter, Lexicon, ModelClass, Slm, SlmConfig};
+use unisem_slm::{CostMeter, Lexicon, Slm, SlmConfig};
 use unisem_text::ChunkConfig;
 
 use crate::delta::{self, Delta};
@@ -103,17 +102,16 @@ impl From<storekit::StoreError> for EngineError {
 /// Parallel execution settings (DESIGN.md §6: determinism under
 /// parallelism). Thread count never affects results — only wall-clock.
 ///
-/// This governs the two places the engine hands its pool to:
-/// `answer_batch`'s outer map over the questions, and the dense retriever
-/// (the index build on first use, and the per-query scan). Graph entity
-/// tagging and the PageRank prior — computed at build, and again by the
-/// first traversal after an ingest drops it — run on `parkit::global()` —
-/// `UNISEM_THREADS`, else the machine's available parallelism — whatever
-/// is set here. Nothing else on the per-query path forks.
+/// This governs the one place the engine hands its pool to:
+/// `answer_batch`'s outer map over the questions. Graph entity tagging and
+/// the PageRank prior — computed at build, and again by the first traversal
+/// after an ingest drops it — run on `parkit::global()` — `UNISEM_THREADS`,
+/// else the machine's available parallelism — whatever is set here.
+/// Nothing on the per-query path forks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads for batch answering and the dense retriever. `0`
-    /// (the default) resolves at use time to `parkit::global()`.
+    /// Worker threads for batch answering. `0` (the default) resolves at
+    /// use time to `parkit::global()`.
     pub threads: usize,
 }
 
@@ -168,8 +166,6 @@ impl Default for GovernorConfig {
 pub struct EngineConfig {
     /// Master seed for the SLM's stochastic paths.
     pub seed: u64,
-    /// Simulated model class (cost accounting).
-    pub model_class: ModelClass,
     /// Document chunking parameters.
     pub chunk: ChunkConfig,
     /// Topology retrieval parameters.
@@ -186,8 +182,8 @@ pub struct EngineConfig {
     pub enable_extraction: bool,
     /// Ablation: synthesize operators for analytical questions.
     pub enable_synthesis: bool,
-    /// Ablation: use topology-enhanced retrieval (false = dense baseline
-    /// retrieval inside the same engine).
+    /// Ablation: use topology-enhanced retrieval (false = BM25 only: every
+    /// retrieval is the lexical scan a faulted traversal falls back to).
     pub enable_topology: bool,
     /// Ablation: index entity nodes in the graph (false = chunks/records
     /// stay unlinked and retrieval loses its anchors).
@@ -214,7 +210,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             seed: 0x0515,
-            model_class: ModelClass::SlmClass,
             chunk: ChunkConfig::default(),
             topology: TopologyConfig::default(),
             retrieval_top_k: 5,
@@ -276,8 +271,8 @@ impl EngineBuilder {
     /// [`UnifiedEngine::save_snapshot`], skipping ingestion, flattening,
     /// extraction, and graph construction entirely.
     ///
-    /// The snapshot's seed, model class, embedding dimensionality, and
-    /// chunking configuration override the corresponding `config` fields:
+    /// The snapshot's seed and chunking configuration override the
+    /// corresponding `config` fields:
     /// the persisted indexes were built with them, and reusing anything
     /// else would silently desynchronize the reopened engine from its
     /// data. Everything else in `config` (governors, ablations, fault
@@ -293,13 +288,11 @@ impl EngineBuilder {
         let build_start = tracekit::wall::Stopwatch::start();
         let loaded = crate::snapshot::read_snapshot(path, config.faults)?;
         config.seed = loaded.seed;
-        config.model_class = loaded.class;
         config.chunk = loaded.chunk;
         let slm = Slm::new(SlmConfig {
             lexicon: loaded.lexicon,
-            class: config.model_class,
             seed: config.seed,
-            embed_dim: loaded.embed_dim,
+            ..SlmConfig::default()
         });
         let docs = Arc::new(loaded.docs);
         let graph = Arc::new(loaded.graph);
@@ -330,7 +323,6 @@ impl EngineBuilder {
             graph,
             db,
             topo,
-            dense: OnceLock::new(),
             config,
             ingest: Arc::new(report.clone()),
             stats,
@@ -459,12 +451,7 @@ impl EngineBuilder {
         let faults = config.faults;
         let metrics = Arc::new(MetricsRegistry::new());
         let build_start = tracekit::wall::Stopwatch::start();
-        let slm = Slm::new(SlmConfig {
-            lexicon,
-            class: config.model_class,
-            seed: config.seed,
-            ..SlmConfig::default()
-        });
+        let slm = Slm::new(SlmConfig { lexicon, seed: config.seed, ..SlmConfig::default() });
         let mut report =
             IngestReport { documents: docs.num_documents(), ..IngestReport::default() };
 
@@ -580,7 +567,6 @@ impl EngineBuilder {
             graph,
             db,
             topo,
-            dense: OnceLock::new(),
             config,
             ingest: Arc::new(report.clone()),
             stats,
@@ -668,8 +654,6 @@ pub struct UnifiedEngine {
     graph: Arc<HetGraph>,
     pub(crate) db: Database,
     pub(crate) topo: TopologyRetriever,
-    /// Filled by the first [`Self::dense`] call; ingest empties it.
-    dense: OnceLock<DenseRetriever>,
     pub(crate) parser: IntentParser,
     pub(crate) synthesizer: OperatorSynthesizer,
     /// Temperature and clustering only: the sample count of each estimate
@@ -760,15 +744,13 @@ impl UnifiedEngine {
         self.sink = sink;
     }
 
-    /// Resident index footprint in bytes. With topology on: the graph and
-    /// the lexical postings, plus the dense vectors only while a dense scan
-    /// (a faulted traversal's fallback) has left them built. With topology
-    /// off: the dense vectors and the lexical postings.
+    /// Resident index footprint in bytes: the graph and the lexical
+    /// postings with topology on, the lexical postings alone with it off.
     pub fn index_bytes(&self) -> usize {
         if self.config.enable_topology {
-            self.topo.index_bytes() + self.dense.get().map_or(0, |d| d.index_bytes())
+            self.topo.index_bytes()
         } else {
-            self.dense().index_bytes() + self.docs.index_bytes()
+            self.docs.index_bytes()
         }
     }
 
@@ -777,26 +759,8 @@ impl UnifiedEngine {
         if self.config.enable_topology {
             self.traverse(query, k).0
         } else {
-            self.dense().retrieve(query, k)
+            self.lexical_scan(query, k).0
         }
-    }
-
-    /// The dense index over the current chunks, embedded — and timed as
-    /// `build.dense` — by the first call after build, reopen or ingest
-    /// (DESIGN.md §13b). Only a dense scan asks for it: the fallback of a
-    /// faulted traversal, or every retrieval with topology off. Concurrent
-    /// first calls from `answer_batch` wait for one build.
-    pub(crate) fn dense(&self) -> &DenseRetriever {
-        self.dense.get_or_init(|| {
-            let clock = tracekit::wall::Stopwatch::start();
-            let dense = DenseRetriever::build_with_pool(
-                self.slm.clone(),
-                &self.docs,
-                self.config.parallel.pool(),
-            );
-            self.metrics.record_stage(Stage::BuildDense, clock.elapsed_ns());
-            dense
-        })
     }
 
     /// Parses a question into its intent (exposed for diagnostics).
@@ -821,8 +785,6 @@ impl UnifiedEngine {
             self.config.faults,
             &crate::snapshot::SnapshotSource {
                 seed: self.config.seed,
-                class: self.config.model_class,
-                embed_dim: self.slm.embed_dim(),
                 chunk: self.docs.chunk_config(),
                 lexicon: self.slm.ner().lexicon(),
                 docs: &self.docs,
@@ -1024,16 +986,14 @@ impl UnifiedEngine {
     }
 
     /// Brings the derived structures up to the substrates after ingest
-    /// changed them, in O(delta): the dense index is dropped until a dense
-    /// scan asks for it; of the planner's statistics only the `touched`
-    /// tables are re-collected, the text and graph figures being totals the
-    /// substrates maintain (so explain traces never show stale row
-    /// counts, and the catalog equals a from-scratch collect); the gauges
+    /// changed them, in O(delta): of the planner's statistics only the
+    /// `touched` tables are re-collected, the text and graph figures being
+    /// totals the substrates maintain (so explain traces never show stale
+    /// row counts, and the catalog equals a from-scratch collect); the gauges
     /// re-read the same totals; and the topology retriever is pointed at
     /// the new versions, which drops its PageRank prior until a traversal
     /// asks for it.
     fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
-        self.dense = OnceLock::new();
         let stats = Arc::make_mut(&mut self.stats);
         for key in touched {
             if let Ok(table) = self.db.table(key) {
@@ -1053,6 +1013,17 @@ impl UnifiedEngine {
     pub(crate) fn traverse(&self, query: &str, k: usize) -> (Vec<RetrievalResult>, TraversalStats) {
         count_prior(&self.topo, &self.metrics);
         self.topo.retrieve_with_stats(query, k)
+    }
+
+    /// BM25 over the chunks — what the traversal returns for a question
+    /// without anchors — and the postings it scanned.
+    pub(crate) fn lexical_scan(&self, query: &str, k: usize) -> (Vec<RetrievalResult>, usize) {
+        let (hits, scanned) = self.docs.search_counted(query, k);
+        let hits = hits
+            .into_iter()
+            .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: h.score })
+            .collect();
+        (hits, scanned)
     }
 }
 
@@ -1180,32 +1151,27 @@ mod tests {
         b.add_document("d", "Aero Widget sales increased 10% in Q1 2024.", "x");
         let e = b.build().0;
         assert!(!e.db().has_table("extracted"));
-        // Dense retrieval still answers.
+        // BM25 still answers.
         let hits = e.retrieve("Aero Widget sales", 2);
         assert!(!hits.is_empty());
     }
 
     #[test]
-    fn index_bytes_counts_dense_vectors_once_resident() {
-        let lookup = "Which manufacturer makes the Aero Widget?";
-        let clean = sample_engine_with(EngineConfig {
-            faults: FaultPlan::disabled(),
-            ..EngineConfig::default()
-        });
-        let topology_only = clean.index_bytes();
-        clean.answer(lookup);
-        clean.answer("What was the total sales amount of Aero Widget across all quarters?");
-        assert_eq!(clean.index_bytes(), topology_only, "fault-free answers build nothing");
+    fn index_bytes_is_unchanged_by_faulted_answers() {
+        let mut sizes = Vec::new();
+        for faults in [FaultPlan::disabled(), FaultPlan::single(Site::GraphTraverse)] {
+            let e = sample_engine_with(EngineConfig { faults, ..EngineConfig::default() });
+            let built = e.index_bytes();
+            e.answer("Which manufacturer makes the Aero Widget?");
+            e.answer("What was the total sales amount of Aero Widget across all quarters?");
+            assert_eq!(e.index_bytes(), built, "{faults:?}: answering builds nothing");
+            sizes.push(built);
+        }
+        assert_eq!(sizes[0], sizes[1]);
 
-        let faulted = sample_engine_with(EngineConfig {
-            faults: FaultPlan::single(Site::GraphTraverse),
-            ..EngineConfig::default()
-        });
-        assert_eq!(faulted.index_bytes(), topology_only);
-        faulted.answer(lookup);
-        let vectors = faulted.docs().num_chunks() * faulted.slm().embed_dim() * 4;
-        assert!(vectors > 0);
-        assert_eq!(faulted.index_bytes(), topology_only + vectors, "the fallback's vectors");
+        let bm25_only =
+            sample_engine_with(EngineConfig { enable_topology: false, ..EngineConfig::default() });
+        assert_eq!(bm25_only.index_bytes(), bm25_only.docs().index_bytes());
     }
 
     #[test]

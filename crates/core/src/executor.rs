@@ -9,7 +9,7 @@ use tracekit::{
 use unisem_entropy::EntropyReport;
 use unisem_relstore::plan::AggFunc;
 use unisem_relstore::{Database, ExecLimits, RelError, Table};
-use unisem_retrieval::{ChunkRetriever, RetrievalResult};
+use unisem_retrieval::RetrievalResult;
 use unisem_semops::synthesize::resolve_subject_column;
 use unisem_semops::QueryIntent;
 use unisem_slm::SupportedAnswer;
@@ -72,7 +72,6 @@ impl UnifiedEngine {
         self.metrics.observe(Hist::QueryProvenance, answer.provenance.len() as u64);
         self.metrics.observe(Hist::MeterPostingsScanned, meter.postings_scanned);
         self.metrics.observe(Hist::MeterNodesPopped, meter.nodes_popped);
-        self.metrics.observe(Hist::MeterDenseCompared, meter.dense_compared);
         self.metrics.observe(Hist::MeterSlmCalls, meter.slm_calls);
         self.metrics.observe(Hist::MeterSlmSamples, meter.slm_samples);
         self.metrics.record_stage(Stage::AnswerTotal, start.elapsed_ns());
@@ -349,7 +348,7 @@ impl UnifiedEngine {
             LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
                 self.exec_graph_traverse(*top_k, *max_frontier, fallback, run)
             }
-            scan => self.exec_dense_scan(scan, run),
+            scan => self.exec_lexical_scan(scan, run),
         };
         self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
         let evidence = self.exec_sem_extract(*max_sentences, &hits, intent, run);
@@ -393,8 +392,8 @@ impl UnifiedEngine {
 
     /// `GraphTraverse`: topology retrieval. An injected traversal fault
     /// runs the `fallback` operator instead of failing the query (the
-    /// retrieval actual then names the fault, not the scan); a frontier
-    /// capped by the governor is a recorded degradation.
+    /// traversal's actual then names the fault, the fallback's its scan); a
+    /// frontier capped by the governor is a recorded degradation.
     fn exec_graph_traverse(
         &self,
         top_k: usize,
@@ -404,15 +403,14 @@ impl UnifiedEngine {
     ) -> Vec<RetrievalResult> {
         if let Err(f) = self.config.faults.check(Site::GraphTraverse, run.question) {
             self.metrics.incr(Metric::FaultsFired);
-            self.metrics.incr(Metric::DenseFallbackQueries);
+            self.metrics.incr(Metric::TraverseFaultFallbacks);
             run.scope.event("fault.fired", || f.to_string());
             run.degradations.push(Degradation::new(
                 component::GRAPH_TRAVERSE,
-                format!("topology traversal unavailable: {f}; using dense retrieval"),
+                format!("topology traversal unavailable: {f}; using lexical retrieval"),
             ));
-            let hits = self.exec_dense_scan(fallback, run);
-            run.actual(|a| a.retrieval = Some(format!("dense fallback ({f})")));
-            return hits;
+            run.actual(|a| a.traverse = Some(format!("fault: {f}")));
+            return self.exec_lexical_scan(fallback, run);
         }
         let (hits, stats) = self.traverse(run.question, top_k);
         // One SLM call for anchor entity tagging; traversal work and
@@ -436,7 +434,6 @@ impl UnifiedEngine {
             chunks_scored: stats.chunks_scored,
             frontier_capped: stats.frontier_capped,
             lexical_fallback: stats.lexical_fallback,
-            dense_fallback: false,
         });
         if stats.frontier_capped {
             self.metrics.incr(Metric::TraverseFrontierCapped);
@@ -446,7 +443,7 @@ impl UnifiedEngine {
             ));
         }
         run.actual(|a| {
-            a.retrieval = Some(format!(
+            a.traverse = Some(format!(
                 "anchors={} nodes_touched={} chunks_scored={} hits={}",
                 stats.anchors,
                 stats.nodes_touched,
@@ -457,17 +454,17 @@ impl UnifiedEngine {
         hits
     }
 
-    /// `DenseScan`: one SLM call (the query embedding) plus one similarity
-    /// comparison per stored vector.
-    fn exec_dense_scan(&self, scan: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
-        let LogicalNode::DenseScan { top_k, .. } = scan else { return Vec::new() };
+    /// `LexicalScan`: BM25 alone — what a traversal without anchors
+    /// returns — metered by the postings it walks; no SLM call.
+    fn exec_lexical_scan(&self, scan: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
+        let LogicalNode::LexicalScan { top_k } = scan else { return Vec::new() };
+        let (hits, scanned) = self.lexical_scan(run.question, *top_k);
+        run.meter.postings_scanned += scanned as u64;
         run.scope
-            .set_traversal(TraversalTrace { dense_fallback: true, ..TraversalTrace::default() });
-        run.meter.slm_calls += 1;
-        let dense = self.dense();
-        run.meter.dense_compared += dense.len() as u64;
-        let hits = dense.retrieve(run.question, *top_k);
-        run.actual(|a| a.retrieval = Some(format!("dense scan hits={}", hits.len())));
+            .set_traversal(TraversalTrace { lexical_fallback: true, ..TraversalTrace::default() });
+        run.actual(|a| {
+            a.lexical_scan = Some(format!("postings_scanned={scanned} hits={}", hits.len()))
+        });
         hits
     }
 
@@ -588,9 +585,9 @@ impl UnifiedEngine {
     /// Assembles the unified logical plan for one query: an entropy gate
     /// admitting a semantic-tagging node over ordered alternatives —
     /// entailment-verified relational candidates, a confidence-gated
-    /// retrieval pipeline (topology traversal with dense fallback, or
-    /// dense-only), and terminal abstention. This is the only place the
-    /// ablation switches and per-operator parameters are read; a
+    /// retrieval pipeline (topology traversal with a lexical fallback, or
+    /// the lexical scan alone), and terminal abstention. This is the only
+    /// place the ablation switches and per-operator parameters are read; a
     /// structured branch left out of the plan is a `Skipped` rung.
     fn assemble_logical(&self, intent: &QueryIntent, scope: &mut TraceScope) -> LogicalNode {
         let samples = self.config.entropy_samples;
@@ -612,18 +609,15 @@ impl UnifiedEngine {
                 }
             });
         }
-        // The embedder's width, not the index's: the index may not be built
-        // yet. An empty store still renders `dims=0`.
-        let dims = if self.docs.num_chunks() == 0 { 0 } else { self.slm().embed_dim() };
-        let dense = LogicalNode::DenseScan { top_k, dims };
+        let scan = LogicalNode::LexicalScan { top_k };
         let retrieval = if self.config.enable_topology {
             LogicalNode::GraphTraverse {
                 top_k,
                 max_frontier: self.topo.config().max_frontier,
-                fallback: Box::new(dense),
+                fallback: Box::new(scan),
             }
         } else {
-            dense
+            scan
         };
         branches.push(LogicalNode::ConfidenceGate {
             threshold: self.config.abstain_confidence,

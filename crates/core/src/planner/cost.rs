@@ -256,14 +256,17 @@ impl<'a> CostModel<'a> {
         Cost { rows: (top_k as u64).min(scored.max(1)), cpu: expand, io: scored, slm: 1 }
     }
 
-    /// Dense fallback: a full cosine scan over every chunk embedding.
-    pub fn dense_scan(&self, top_k: usize, vectors: usize, dims: usize) -> Cost {
-        let n = vectors as u64;
+    /// BM25 scan: every posting of the query's terms is walked and scored,
+    /// charged as one walk of the longest posting list (a question's most
+    /// frequent term dominates its scan). No model call.
+    pub fn lexical_scan(&self, top_k: usize) -> Cost {
+        let text = &self.stats.text;
+        let postings = text.max_posting as u64;
         Cost {
-            rows: (top_k as u64).min(n.max(1)),
-            cpu: n.saturating_mul((dims as u64).max(1)),
-            io: n,
-            slm: 1,
+            rows: (top_k as u64).min(text.chunks.max(1) as u64),
+            cpu: postings,
+            io: postings,
+            slm: 0,
         }
     }
 

@@ -3,7 +3,7 @@
 //! One query compiles to one [`LogicalNode`] tree spanning every
 //! substrate: relational scans/filters/joins/aggregates (embedded
 //! relstore plans, flattened semi-structured collections among their
-//! tables), graph-topology traversal, dense document retrieval, and the
+//! tables), graph-topology traversal, lexical (BM25) chunk retrieval, and the
 //! SLM semantic operators — tagging ([`LogicalNode::SemTag`]), grounded
 //! extraction ([`LogicalNode::SemExtract`]), and entailment-based
 //! verification ([`LogicalNode::SemEntail`]) — as first-class operators,
@@ -66,7 +66,7 @@ pub enum LogicalNode {
         /// Plan-time synthesis outcome.
         plan: CandidatePlan,
     },
-    /// Graph-topology traversal retrieval, with a dense fallback branch.
+    /// Graph-topology traversal retrieval, with a lexical fallback branch.
     GraphTraverse {
         /// Chunks requested.
         top_k: usize,
@@ -75,12 +75,11 @@ pub enum LogicalNode {
         /// Fallback when traversal is unavailable.
         fallback: Box<LogicalNode>,
     },
-    /// Dense full-scan retrieval over chunk embeddings.
-    DenseScan {
+    /// BM25 retrieval over the chunks' inverted index: the traversal's
+    /// fallback, and the whole retrieval with topology off.
+    LexicalScan {
         /// Chunks requested.
         top_k: usize,
-        /// Embedding dimensionality.
-        dims: usize,
     },
     /// Grounded evidence extraction over retrieved chunks.
     SemExtract {
@@ -134,9 +133,7 @@ impl LogicalNode {
             LogicalNode::GraphTraverse { top_k, max_frontier, .. } => {
                 format!("GraphTraverse: top_k={top_k} max_frontier={max_frontier}")
             }
-            LogicalNode::DenseScan { top_k, dims } => {
-                format!("DenseScan: top_k={top_k} dims={dims}")
-            }
+            LogicalNode::LexicalScan { top_k } => format!("LexicalScan: top_k={top_k}"),
             LogicalNode::SemExtract { max_sentences, .. } => {
                 format!("SemExtract: max_sentences={max_sentences}")
             }
@@ -159,7 +156,7 @@ impl LogicalNode {
             LogicalNode::Alternatives { children } => children.iter().collect(),
             LogicalNode::GraphTraverse { fallback, .. } => vec![fallback],
             LogicalNode::Relational { .. }
-            | LogicalNode::DenseScan { .. }
+            | LogicalNode::LexicalScan { .. }
             | LogicalNode::Abstain => Vec::new(),
         }
     }
@@ -238,10 +235,7 @@ mod tests {
                                     child: Box::new(LogicalNode::GraphTraverse {
                                         top_k: 4,
                                         max_frontier: 64,
-                                        fallback: Box::new(LogicalNode::DenseScan {
-                                            top_k: 4,
-                                            dims: 32,
-                                        }),
+                                        fallback: Box::new(LogicalNode::LexicalScan { top_k: 4 }),
                                     }),
                                 }),
                             }),
@@ -260,7 +254,7 @@ mod tests {
         assert!(text.contains("Relational: table 'sales'"), "{text}");
         assert!(text.contains("Scan: sales"), "embedded relstore plan: {text}");
         assert!(text.contains("GraphTraverse: top_k=4"), "{text}");
-        assert!(text.contains("DenseScan: top_k=4 dims=32"), "{text}");
+        assert!(text.contains("LexicalScan: top_k=4"), "{text}");
         assert!(text.contains("SemExtract"), "{text}");
         assert!(text.contains("SemEntail"), "{text}");
         assert!(text.contains("Abstain"), "{text}");

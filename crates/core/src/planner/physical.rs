@@ -32,8 +32,10 @@ pub struct ExecActuals {
     pub tag: Option<String>,
     /// Per-candidate structured outcomes, keyed by table name.
     pub structured: BTreeMap<String, String>,
-    /// Retrieval outcome (traversal stats or dense-fallback note).
-    pub retrieval: Option<String>,
+    /// Traversal outcome: its statistics, or the fault that stopped it.
+    pub traverse: Option<String>,
+    /// Lexical-scan outcome, recorded only when the scan ran.
+    pub lexical_scan: Option<String>,
     /// Evidence-extraction outcome.
     pub extract: Option<String>,
     /// Entailment-verification outcome.
@@ -148,14 +150,14 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             PhysNode {
                 op: node.label(),
                 estimated,
-                actual: actuals.retrieval.clone(),
+                actual: actuals.traverse.clone(),
                 children: vec![fb],
             }
         }
-        LogicalNode::DenseScan { top_k, dims } => PhysNode {
+        LogicalNode::LexicalScan { top_k } => PhysNode {
             op: node.label(),
-            estimated: model.dense_scan(*top_k, model.stats().text.chunks, *dims),
-            actual: actuals.retrieval.clone(),
+            estimated: model.lexical_scan(*top_k),
+            actual: actuals.lexical_scan.clone(),
             children: Vec::new(),
         },
         LogicalNode::SemExtract { max_sentences, child } => {
@@ -233,6 +235,7 @@ mod tests {
             },
         );
         cat.text.chunks = 40;
+        cat.text.max_posting = 12;
         cat
     }
 
@@ -264,17 +267,29 @@ mod tests {
         let traverse = LogicalNode::GraphTraverse {
             top_k: 4,
             max_frontier: 64,
-            fallback: Box::new(LogicalNode::DenseScan { top_k: 4, dims: 16 }),
+            fallback: Box::new(LogicalNode::LexicalScan { top_k: 4 }),
         };
-        let phys = lower(&traverse, &model, &ExecActuals::default());
-        let dense = &phys.root.children[0];
-        assert!(dense.estimated.cpu > 0);
-        assert!(
-            phys.root.estimated.total() < dense.estimated.total(),
-            "fallback cost kept on the fallback branch: {} vs {}",
-            phys.root.estimated.total(),
-            dense.estimated.total()
+        let ran = ExecActuals { traverse: Some("hits=4".into()), ..ExecActuals::default() };
+        let phys = lower(&traverse, &model, &ran);
+        let scan = &phys.root.children[0];
+        assert!(scan.estimated.io > 0);
+        assert_eq!(scan.estimated, model.lexical_scan(4));
+        assert_eq!(
+            phys.root.estimated,
+            model.graph_traverse(4, 64),
+            "fallback kept off the parent"
         );
+        assert_eq!(phys.root.actual.as_deref(), Some("hits=4"));
+        assert_eq!(scan.actual, None, "the fallback never ran");
+
+        let faulted = ExecActuals {
+            traverse: Some("fault: f".into()),
+            lexical_scan: Some("hits=4".into()),
+            ..ExecActuals::default()
+        };
+        let phys = lower(&traverse, &model, &faulted);
+        assert_eq!(phys.root.actual.as_deref(), Some("fault: f"));
+        assert_eq!(phys.root.children[0].actual.as_deref(), Some("hits=4"));
     }
 
     #[test]
@@ -282,7 +297,7 @@ mod tests {
         let cat = catalog();
         let model = CostModel::new(&cat);
         let node = LogicalNode::Alternatives {
-            children: vec![LogicalNode::DenseScan { top_k: 4, dims: 16 }, LogicalNode::Abstain],
+            children: vec![LogicalNode::LexicalScan { top_k: 4 }, LogicalNode::Abstain],
         };
         let a = lower(&node, &model, &ExecActuals::default()).render();
         let b = lower(&node, &model, &ExecActuals::default()).render();

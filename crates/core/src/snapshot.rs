@@ -7,9 +7,8 @@
 //! graph, the planner's statistics catalog, and the ingest report — into
 //! one `storekit` page file. Reopening skips ingestion, flattening,
 //! extraction, and graph construction entirely; only the cheap derived
-//! structures (retrievers, parser) are rebuilt, from the same seed and
-//! lexicon the snapshot records. Dense vectors are neither stored nor
-//! rebuilt: the engine embeds them on its first dense scan.
+//! structures (retriever, parser) are rebuilt, from the same seed and
+//! lexicon the snapshot records.
 //!
 //! Byte-identity contract: two engines built from the same inputs with the
 //! same seed write byte-identical snapshot files, and an engine reopened
@@ -30,7 +29,7 @@ use storekit::{Decoder, Encoder, Snapshot, SnapshotWriter, StoreError};
 use unisem_docstore::{DocStore, Document, StoredChunk};
 use unisem_hetgraph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};
 use unisem_relstore::{Column, DataType, Database, Date, Schema, Table, Value};
-use unisem_slm::{EntityKind, Lexicon, ModelClass};
+use unisem_slm::{EntityKind, Lexicon};
 use unisem_text::bm25::{Bm25Index, Bm25Params};
 use unisem_text::ChunkConfig;
 
@@ -43,10 +42,6 @@ use crate::EngineError;
 pub(crate) struct SnapshotSource<'a> {
     /// Engine seed (drives every stochastic path on reopen).
     pub seed: u64,
-    /// Simulated model class.
-    pub class: ModelClass,
-    /// Embedding dimensionality of the SLM that built the indexes.
-    pub embed_dim: usize,
     /// Chunking configuration the documents were ingested with.
     pub chunk: ChunkConfig,
     /// Domain lexicon (canonical phrase → entity kind).
@@ -70,8 +65,6 @@ pub(crate) struct SnapshotSource<'a> {
 /// Everything the reader reassembles from a snapshot file.
 pub(crate) struct LoadedSnapshot {
     pub seed: u64,
-    pub class: ModelClass,
-    pub embed_dim: usize,
     pub chunk: ChunkConfig,
     pub lexicon: Lexicon,
     pub docs: DocStore,
@@ -111,7 +104,7 @@ pub(crate) fn write_snapshot(
 /// Opens `path` and reassembles every persisted substrate.
 pub(crate) fn read_snapshot(path: &Path, faults: FaultPlan) -> Result<LoadedSnapshot, EngineError> {
     let mut snap = Snapshot::open(path, faults)?;
-    let (seed, class, embed_dim, chunk) = decode_config(&snap.section("config")?)?;
+    let (seed, chunk) = decode_config(&snap.section("config")?)?;
     let lexicon = decode_lexicon(&snap.section("lexicon")?)?;
     let (docs_vec, chunks_vec) = decode_docs(&snap.section("docs")?)?;
     let (params, doc_lens) = decode_bm25_meta(&snap.section("bm25meta")?)?;
@@ -133,19 +126,7 @@ pub(crate) fn read_snapshot(path: &Path, faults: FaultPlan) -> Result<LoadedSnap
     }
     verify_entity_index(&snap.section("graph.entities")?, &graph)?;
 
-    Ok(LoadedSnapshot {
-        seed,
-        class,
-        embed_dim,
-        chunk,
-        lexicon,
-        docs,
-        db,
-        graph,
-        stats,
-        ingest,
-        applied_seq,
-    })
+    Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, stats, ingest, applied_seq })
 }
 
 fn encode_postings(index: &Bm25Index) -> Vec<u8> {
@@ -237,28 +218,17 @@ fn decode_walmeta(bytes: &[u8]) -> Result<u64, EngineError> {
 fn encode_config(src: &SnapshotSource<'_>) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u64(src.seed);
-    e.u8(match src.class {
-        ModelClass::SlmClass => 0,
-        ModelClass::LlmClass => 1,
-    });
-    e.usize(src.embed_dim);
     e.usize(src.chunk.max_tokens);
     e.usize(src.chunk.overlap_sentences);
     e.into_bytes()
 }
 
-fn decode_config(bytes: &[u8]) -> Result<(u64, ModelClass, usize, ChunkConfig), EngineError> {
+fn decode_config(bytes: &[u8]) -> Result<(u64, ChunkConfig), EngineError> {
     let mut d = Decoder::new(bytes);
     let seed = d.u64().map_err(EngineError::Store)?;
-    let class = match d.u8().map_err(EngineError::Store)? {
-        0 => ModelClass::SlmClass,
-        1 => ModelClass::LlmClass,
-        t => return Err(invalid(format!("unknown model class tag {t}"))),
-    };
-    let embed_dim = d.usize().map_err(EngineError::Store)?;
     let max_tokens = d.usize().map_err(EngineError::Store)?;
     let overlap_sentences = d.usize().map_err(EngineError::Store)?;
-    Ok((seed, class, embed_dim, ChunkConfig { max_tokens, overlap_sentences }))
+    Ok((seed, ChunkConfig { max_tokens, overlap_sentences }))
 }
 
 fn encode_lexicon(lexicon: &Lexicon) -> Vec<u8> {

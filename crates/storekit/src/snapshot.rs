@@ -36,7 +36,7 @@ use crate::pager::Pager;
 use crate::StoreError;
 
 const SNAP_MAGIC: &str = "USKSNAP1";
-const SNAP_VERSION: u32 = 2;
+const SNAP_VERSION: u32 = 3;
 
 /// Pages a section of `byte_len` bytes occupies.
 fn pages_for(byte_len: usize) -> usize {
@@ -249,10 +249,10 @@ mod tests {
         w.commit(&path).unwrap();
 
         // Rewrite the directory's format version in place — to the retired
-        // version 1 and to a future one: read page 0, patch the u32 after
-        // the magic string, re-seal (the checksum must stay valid — this
-        // is another format, not a torn page), write back.
-        for other in [1, SNAP_VERSION + 1] {
+        // versions 1 and 2 and to a future one: read page 0, patch the u32
+        // after the magic string, re-seal (the checksum must stay valid —
+        // this is another format, not a torn page), write back.
+        for other in [1, 2, SNAP_VERSION + 1] {
             let mut pager = Pager::open(&path, FaultPlan::disabled()).unwrap();
             let mut page = pager.read_page(0).unwrap();
             let payload = page.payload().unwrap().to_vec();

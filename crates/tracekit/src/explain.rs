@@ -70,8 +70,6 @@ pub struct TraversalTrace {
     pub frontier_capped: bool,
     /// Retrieval fell back to pure lexical scoring.
     pub lexical_fallback: bool,
-    /// The query fell back to dense retrieval entirely.
-    pub dense_fallback: bool,
 }
 
 /// The entropy verdict recorded into the explain trace.
@@ -152,9 +150,9 @@ impl QueryTrace {
         }
         match &self.traversal {
             Some(t) => out.push_str(&format!(
-                ",\"traversal\":{{\"anchors\":{},\"nodes_touched\":{},\"nodes_popped\":{},\"chunks_scored\":{},\"frontier_capped\":{},\"lexical_fallback\":{},\"dense_fallback\":{}}}",
+                ",\"traversal\":{{\"anchors\":{},\"nodes_touched\":{},\"nodes_popped\":{},\"chunks_scored\":{},\"frontier_capped\":{},\"lexical_fallback\":{}}}",
                 t.anchors, t.nodes_touched, t.nodes_popped, t.chunks_scored,
-                t.frontier_capped, t.lexical_fallback, t.dense_fallback
+                t.frontier_capped, t.lexical_fallback
             )),
             None => out.push_str(",\"traversal\":null"),
         }

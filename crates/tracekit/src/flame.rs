@@ -86,9 +86,6 @@ impl FlameGraph {
         if let Some(t) = &trace.traversal {
             self.add(&["answer", "retrieval", "traverse"], t.nodes_popped as u64);
             self.add(&["answer", "retrieval", "score"], t.chunks_scored as u64);
-            if t.dense_fallback {
-                self.add(&["answer", "retrieval", "dense_fallback"], 1);
-            }
             if t.lexical_fallback {
                 self.add(&["answer", "retrieval", "lexical_fallback"], 1);
             }
@@ -161,7 +158,7 @@ mod tests {
         assert!(folded.contains("answer;retrieval;score 4"));
         assert!(folded.contains("answer;structured;failed 1"));
         assert!(folded.contains("answer;meter;postings_scanned 31"));
-        assert!(!folded.contains("dense_compared"), "zero meter fields leave no frame");
+        assert!(!folded.contains("meter;nodes_popped"), "zero meter fields leave no frame");
     }
 
     #[test]

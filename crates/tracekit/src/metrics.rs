@@ -139,8 +139,8 @@ registry_enum! {
         /// Static PageRank priors computed: one per graph version, at
         /// build/open or on the first traversal after an ingest.
         TraversePriorComputations => "traverse.prior_computations",
-        /// Queries that fell back to dense retrieval (traversal fault).
-        DenseFallbackQueries => "dense.fallback_queries",
+        /// Traversals that faulted and ran the lexical scan instead.
+        TraverseFaultFallbacks => "traverse.fault_fallbacks",
         /// Logical plans executed on the structured route.
         RelPlansExecuted => "relstore.plans_executed",
         /// Base-table rows scanned by plan execution.
@@ -236,8 +236,6 @@ registry_enum! {
         MeterPostingsScanned => "meter.postings_scanned",
         /// Graph heap expansions per query (resource meter).
         MeterNodesPopped => "meter.nodes_popped",
-        /// Dense vectors compared per query (resource meter).
-        MeterDenseCompared => "meter.dense_compared",
         /// SLM invocations per query (resource meter).
         MeterSlmCalls => "meter.slm_calls",
         /// SLM answer samples drawn per query (resource meter).
@@ -258,15 +256,13 @@ registry_enum! {
         BuildExtract => "build.extract",
         /// Heterogeneous graph construction.
         BuildGraph => "build.graph",
-        /// Dense retriever embedding build.
-        BuildDense => "build.dense",
         /// Planner statistics-catalog collection.
         BuildStats => "build.stats",
         /// Whole `answer` call.
         AnswerTotal => "answer.total",
         /// Structured route (synthesis + plan execution).
         AnswerStructured => "answer.structured",
-        /// Retrieval rung (traversal or dense).
+        /// Retrieval rung (traversal or lexical scan).
         AnswerRetrieval => "answer.retrieval",
         /// Entropy estimation.
         AnswerEntropy => "answer.entropy",
@@ -581,11 +577,11 @@ mod tests {
     fn names_use_registered_prefixes() {
         // The closed namespace: every metric and histogram name must live
         // under one of these subsystem prefixes. Adding a variant with a
-        // novel prefix forces this list (and the DESIGN.md §14 table) to
+        // novel prefix forces this list (and the one in DESIGN.md §9) to
         // grow in the same review.
-        const PREFIXES: [&str; 12] = [
-            "ingest", "graph", "query", "traverse", "dense", "relstore", "entropy", "faultkit",
-            "parkit", "planner", "wal", "meter",
+        const PREFIXES: [&str; 11] = [
+            "ingest", "graph", "query", "traverse", "relstore", "entropy", "faultkit", "parkit",
+            "planner", "wal", "meter",
         ];
         let check = |name: &str| {
             let prefix = name.split('.').next().unwrap_or("");

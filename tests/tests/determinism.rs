@@ -149,13 +149,10 @@ fn thread_matrix_byte_identical_answers_routes_confidence() {
 }
 
 /// The thread matrix under a certain traversal fault, where every retrieval
-/// is a dense scan over an index built on first use (DESIGN.md §13b). Each
-/// engine's *first* dense scan happens inside `answer_batch`, so the batch's
-/// workers race for one build — the `OnceLock` runs it once, with its own
-/// nested fork — and the batch must still equal the serial answers of a
-/// 1-thread engine, at 1, 2, 4 and 8 threads.
+/// is the lexical scan that replaces the traversal: an `answer_batch` must
+/// equal the serial answers of a 1-thread engine, at 1, 2, 4 and 8 threads.
 #[test]
-fn thread_matrix_first_dense_use_inside_answer_batch() {
+fn thread_matrix_faulted_answer_batch() {
     let w = EcommerceWorkload::generate(EcommerceConfig {
         products: 6,
         quarters: 3,
@@ -180,18 +177,16 @@ fn thread_matrix_first_dense_use_inside_answer_batch() {
         }
         b.build().0
     };
-    let dense_builds = |e: &UnifiedEngine| e.timing_report().count("build.dense");
     let questions: Vec<&str> = w.qa.iter().map(|item| item.question.as_str()).collect();
 
     let reference_engine = build(1);
     let reference: Vec<_> = questions.iter().map(|q| reference_engine.answer(q)).collect();
-    assert_eq!(dense_builds(&reference_engine), Some(1), "the faulted workload scans");
+    let fallbacks = reference_engine.metrics_report().get("traverse.fault_fallbacks");
+    assert!(fallbacks > Some(0), "the faulted workload reaches retrieval");
 
     for threads in [1, 2, 4, 8] {
         let e = build(threads);
-        assert_eq!(dense_builds(&e), Some(0), "threads={threads}: built before first use");
         let batch = e.answer_batch(&questions);
-        assert_eq!(dense_builds(&e), Some(1), "threads={threads}: one build for the batch");
         assert_eq!(batch.len(), reference.len());
         for ((q, got), expected) in questions.iter().zip(&batch).zip(&reference) {
             assert_eq!(got, expected, "threads={threads} batch answer: {q}");

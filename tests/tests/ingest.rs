@@ -451,38 +451,17 @@ fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
     assert_eq!(engine.applied_seq(), 100);
 }
 
-/// Times the engine has embedded its chunks into a dense index.
-fn dense_builds(engine: &UnifiedEngine) -> u64 {
-    engine.timing_report().count("build.dense").expect("registered stage")
-}
-
-/// The dense index is built on first use (DESIGN.md §13b). Fault-free
-/// traffic never asks for it. Under a certain traversal fault every
-/// retrieval is a dense scan: the first builds the index, later ones reuse
-/// it, and a document delta drops it, so the next faulted answer rebuilds it
-/// over the new chunks and answers exactly as an engine built from scratch
-/// over the final corpus.
+/// Under a certain traversal fault every retrieval is the lexical scan over
+/// the maintained BM25 index, so a document delta is visible to the next
+/// faulted answer, which equals an engine built from scratch over the final
+/// corpus.
 #[test]
-fn dense_index_is_built_on_first_use_and_dropped_by_ingest() {
+fn faulted_answer_after_doc_delta_equals_a_fresh_build() {
     let w = corpus(8);
-    let questions = probes(1);
-    let batch: Vec<&str> = questions.iter().map(String::as_str).collect();
-
-    let clean = build(&w, config(2, FaultPlan::disabled()));
-    for q in &questions {
-        clean.answer(q);
-    }
-    clean.answer_batch(&batch);
-    assert_eq!(dense_builds(&clean), 0, "fault-free answers never scan the dense index");
-
     let faulted = config(2, FaultPlan::single(FaultSite::GraphTraverse));
     let mut engine = build(&w, faulted);
-    assert_eq!(dense_builds(&engine), 0, "the build embeds nothing");
-    let q = &questions[1];
-    let before = engine.answer(q);
-    assert_eq!(dense_builds(&engine), 1, "the first faulted traversal builds the index");
-    assert_eq!(engine.answer(q), before);
-    assert_eq!(dense_builds(&engine), 1, "the second reuses it");
+    let q = &probes(1)[1];
+    engine.answer(q);
 
     let chunks_before = engine.docs().num_chunks();
     let added = DocSpec {
@@ -497,15 +476,13 @@ fn dense_index_is_built_on_first_use_and_dropped_by_ingest() {
             source: added.source.clone(),
         })
         .expect("good delta");
-    assert_eq!(dense_builds(&engine), 1, "ingest only drops the index");
     let after = engine.answer(q);
-    assert_eq!(dense_builds(&engine), 2, "the next faulted answer rebuilds it");
     assert!(
         after
             .provenance
             .iter()
             .any(|p| matches!(p, Provenance::Chunk { chunk_id, .. } if *chunk_id >= chunks_before)),
-        "the rebuilt index holds the new chunk: {after:#?}"
+        "the scan finds the new chunk: {after:#?}"
     );
 
     let mut grown = w.clone();

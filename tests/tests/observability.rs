@@ -189,7 +189,6 @@ fn meter_totals_match_registry_counters_and_histograms() {
     for hist in [
         "meter.postings_scanned",
         "meter.nodes_popped",
-        "meter.dense_compared",
         "meter.slm_calls",
         "meter.slm_samples",
         "query.degradation_depth",

@@ -29,8 +29,7 @@
 use unisem_core::{Answer, EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{
-    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem, ScaleConfig,
-    ScaleWorkload,
+    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
 };
 
 struct Workload {
@@ -214,8 +213,9 @@ fn answers_match_golden_snapshots() {
 
 /// The physical plan recorded for every workload query — operator tree,
 /// estimates, and what each executed operator actually did — fault-free
-/// and under the pinned fault plan (the `(fault injected)` candidates,
-/// their `fault:` actuals and the `dense fallback (…)` retrieval actual).
+/// and under the pinned fault plan (the `(fault injected)` candidates and
+/// their `fault:` actuals, and a faulted traversal's `fault:` actual beside
+/// the actual of the lexical scan that ran in its place).
 #[test]
 fn explain_plans_match_golden_snapshots() {
     for w in workloads() {
@@ -315,74 +315,48 @@ fn planner_trace_shows_estimated_and_actual_costs() {
     }
 }
 
-/// The `DenseScan` node prints the embedder's width, not the index's: the
-/// index is built on first use (DESIGN.md §13b), so the plan of a 400-product
-/// engine says `dims=256` before any dense scan has run, and an engine with
-/// no documents still says `dims=0`.
-#[test]
-fn dense_scan_renders_the_embedder_width_before_the_index_exists() {
-    let traced = EngineConfig { trace: true, ..config(FaultPlan::disabled()) };
-    let plan_of = |e: &UnifiedEngine, q: &str| {
-        e.answer(q).trace.and_then(|t| t.plan).expect("traced answers carry their plan")
-    };
-
-    let mut b = EngineBuilder::with_config(unisem_slm::Lexicon::new(), traced);
-    b.add_json("orders", unisem_semistore::parse_json(r#"{"units": 10}"#).expect("valid json"));
-    let empty = b.build().0;
-    assert_eq!(empty.docs().num_chunks(), 0);
-    let plan = plan_of(&empty, "Which manufacturer makes the Aero Widget?");
-    assert!(plan.contains("DenseScan: top_k=5 dims=0"), "{plan}");
-
-    let scale = ScaleWorkload::generate(ScaleConfig {
-        products: 400,
-        quarters: 4,
-        queries: 1,
-        seed: 0x5CA1E,
-    });
-    let w = Workload {
-        name: "scale",
-        lexicon: scale.data.lexicon,
-        db: scale.data.db,
-        semi: scale.data.semi,
-        documents: scale.data.documents,
-        qa: Vec::new(),
-    };
-    let e = build(&w, traced);
-    let plan = plan_of(&e, &scale.queries[0]);
-    assert!(plan.contains("DenseScan: top_k=5 dims=256"), "{plan}");
-    assert_eq!(e.timing_report().count("build.dense"), Some(0), "no dense scan has run");
-}
-
 /// The lexical scan counts its postings in the pass that scores them
 /// (DESIGN.md §5b), and the count stays the pure function of query and
 /// corpus the resource meter promises: for every query of both workloads
 /// the traversal reports exactly `Bm25Index::postings_scanned`, and so does
-/// the meter of every answer whose retrieval rung ran.
+/// the meter of every answer whose retrieval rung ran — whether the
+/// traversal ran, faulted into its lexical fallback, or is switched off.
+/// There is one BM25 path.
 #[test]
 fn postings_scanned_is_the_index_count_for_every_query() {
     use std::sync::Arc;
+    use unisem_core::FaultSite;
     use unisem_retrieval::TopologyRetriever;
 
+    let traced = EngineConfig { trace: true, ..config(FaultPlan::disabled()) };
+    let engines = [
+        ("traversal", traced),
+        ("faulted", EngineConfig { faults: FaultPlan::single(FaultSite::GraphTraverse), ..traced }),
+        ("topology off", EngineConfig { enable_topology: false, ..traced }),
+    ];
     for w in workloads() {
-        let e = build(&w, EngineConfig { trace: true, ..config(FaultPlan::disabled()) });
-        let retriever = TopologyRetriever::new(
-            e.slm().clone(),
-            Arc::new(e.graph().clone()),
-            Arc::new(e.docs().clone()),
-            e.config().topology,
-        );
-        let mut retrieved = 0;
-        for item in &w.qa {
-            let q = &item.question;
-            let expected = e.docs().index().postings_scanned(q);
-            let (_, stats) = retriever.retrieve_with_stats(q, e.config().retrieval_top_k);
-            assert_eq!(stats.postings_scanned, expected, "workload={} {q}", w.name);
-            let metered = e.answer(q).trace.and_then(|t| t.meter).expect("traced").postings_scanned;
-            if metered != 0 {
-                retrieved += 1;
-                assert_eq!(metered, expected as u64, "workload={} {q}", w.name);
+        for (label, engine_config) in engines {
+            let e = build(&w, engine_config);
+            let retriever = TopologyRetriever::new(
+                e.slm().clone(),
+                Arc::new(e.graph().clone()),
+                Arc::new(e.docs().clone()),
+                e.config().topology,
+            );
+            let mut retrieved = 0;
+            for item in &w.qa {
+                let q = &item.question;
+                let expected = e.docs().index().postings_scanned(q);
+                let (_, stats) = retriever.retrieve_with_stats(q, e.config().retrieval_top_k);
+                assert_eq!(stats.postings_scanned, expected, "workload={} {q}", w.name);
+                let trace = e.answer(q).trace.expect("traced");
+                if trace.rungs.iter().any(|r| r.rung == "retrieval") {
+                    retrieved += 1;
+                    let metered = trace.meter.expect("metered").postings_scanned;
+                    assert_eq!(metered, expected as u64, "workload={} {label}: {q}", w.name);
+                }
             }
+            assert!(retrieved > 0, "workload={} {label}: no query reached retrieval", w.name);
         }
-        assert!(retrieved > 0, "workload={}: no query reached the retrieval rung", w.name);
     }
 }

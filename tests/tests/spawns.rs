@@ -1,29 +1,31 @@
 //! Work-count gate for threads (DESIGN.md §6): a build forks nothing on the
-//! engine's own pool, a fault-free `answer` spawns nothing, and an
-//! `answer_batch` forks exactly once — its own outer map. Counted by
-//! `parkit::fork_joins()`, never by a clock.
+//! engine's own pool, an `answer` spawns nothing — fault-free or with its
+//! traversal faulted — and an `answer_batch` forks exactly once — its own
+//! outer map. Counted by `parkit::fork_joins()`, never by a clock.
 //!
 //! The counter is process-wide, so this binary holds a single `#[test]`:
 //! nothing else may fork while it counts. The e-commerce tables are sized
 //! past 512 rows, the chunk above which the relational sweeps used to fork.
 
-use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
+use unisem_core::{
+    EngineBuilder, EngineConfig, FaultPlan, FaultSite, ParallelConfig, UnifiedEngine,
+};
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload};
 
-/// Builds the engine at `threads`, returning it with the fork-joins the
-/// build made.
+/// Builds the engine at `threads` under `faults` (pinned, whatever
+/// `UNISEM_FAULTS` says outside), returning it with the fork-joins the build
+/// made.
 fn build(
     lexicon: &unisem_slm::Lexicon,
     db: &unisem_relstore::Database,
     semi: &unisem_semistore::SemiStore,
     documents: &[DocSpec],
     threads: usize,
+    faults: FaultPlan,
 ) -> (UnifiedEngine, u64) {
-    // Faults pinned off (a traversal fault falls back to the dense scan,
-    // which forks by design), whatever `UNISEM_FAULTS` says outside.
     let config = EngineConfig {
-        faults: FaultPlan::disabled(),
+        faults,
         parallel: ParallelConfig::with_threads(threads),
         ..EngineConfig::default()
     };
@@ -68,11 +70,11 @@ fn answer_spawns_nothing_and_a_batch_forks_once() {
     ];
     for (name, lexicon, db, semi, documents, qa) in corpora {
         // Set-up forks on `parkit::global()` only (graph tagging, PageRank),
-        // which the engine's width does not reach; the one site it would
-        // reach, embedding every chunk, waits for a dense scan (DESIGN.md
-        // §13b). So a build 2 wide forks exactly as often as one 1 wide.
-        let (_, sequential_forks) = build(lexicon, db, semi, documents, 1);
-        let (engine, forks) = build(lexicon, db, semi, documents, 2);
+        // which the engine's width does not reach. So a build 2 wide forks
+        // exactly as often as one 1 wide.
+        let clean = FaultPlan::disabled();
+        let (_, sequential_forks) = build(lexicon, db, semi, documents, 1, clean);
+        let (engine, forks) = build(lexicon, db, semi, documents, 2, clean);
         assert_eq!(forks, sequential_forks, "{name}: the build forked on the engine's pool");
 
         assert!(qa.len() >= 8, "{name}: {} questions", qa.len());
@@ -94,10 +96,17 @@ fn answer_spawns_nothing_and_a_batch_forks_once() {
         let batch: Vec<&str> = qa[..8].iter().map(|item| item.question.as_str()).collect();
         engine.answer_batch(&batch);
         assert_eq!(parkit::fork_joins(), before + 1, "{name}: one fork-join per answer_batch");
-        assert_eq!(
-            engine.timing_report().count("build.dense"),
-            Some(0),
-            "{name}: fault-free traffic embedded the chunks"
-        );
+
+        // A faulted traversal falls back to the lexical scan, which forks
+        // nothing either, from the engine's first answer on.
+        let traverse_fault = FaultPlan::single(FaultSite::GraphTraverse);
+        let (faulted, _) = build(lexicon, db, semi, documents, 2, traverse_fault);
+        let before = parkit::fork_joins();
+        for item in qa {
+            faulted.answer(&item.question);
+        }
+        assert_eq!(parkit::fork_joins(), before, "{name}: a faulted answer forked");
+        let fallbacks = faulted.metrics_report().get("traverse.fault_fallbacks");
+        assert!(fallbacks > Some(0), "{name}: no answer reached the fallback");
     }
 }

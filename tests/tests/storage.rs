@@ -204,25 +204,22 @@ fn snapshot_round_trip_answers_byte_identical() {
     }
 }
 
-/// A snapshot holds no dense vectors and reopening embeds none (DESIGN.md
-/// §12d): the reopened engine builds its dense index on its first dense
-/// scan. Under a certain traversal fault every retrieval is such a scan, and
-/// the reopened engine's answers stay byte-identical to the saving engine's.
+/// Under a certain traversal fault every retrieval is the lexical scan over
+/// the BM25 postings the snapshot stores, and the reopened engine's faulted
+/// answers stay byte-identical to the saving engine's.
 #[test]
-fn reopened_engine_builds_the_dense_index_on_first_use() {
+fn reopened_engine_answers_faulted_traversals_byte_identically() {
     let faulted = EngineConfig { faults: FaultPlan::single(FaultSite::GraphTraverse), ..config(2) };
-    let dense_builds = |e: &UnifiedEngine| e.timing_report().count("build.dense");
     for w in workloads() {
         let engine = build_with(&w, faulted);
-        let path = tmp_path(&format!("lazy-dense-{}", w.name));
+        let path = tmp_path(&format!("faulted-{}", w.name));
         engine.save_snapshot(&path).expect("save");
         let baseline = answers(&engine, &w.qa);
-        assert_eq!(dense_builds(&engine), Some(1), "{}: a faulted retrieval ran", w.name);
+        let fallbacks = engine.metrics_report().get("traverse.fault_fallbacks");
+        assert!(fallbacks > Some(0), "{}: a faulted retrieval ran", w.name);
 
         let (reopened, _) = EngineBuilder::open_snapshot(&path, faulted).expect("open");
-        assert_eq!(dense_builds(&reopened), Some(0), "{}: open embeds nothing", w.name);
         assert_eq!(answers(&reopened, &w.qa), baseline, "{}: faulted answers diverged", w.name);
-        assert_eq!(dense_builds(&reopened), Some(1), "{}", w.name);
         std::fs::remove_file(&path).ok();
     }
 }
