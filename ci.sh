@@ -62,6 +62,16 @@ if grep -rn --exclude=baselines.rs DenseRetriever crates/core/src; then
     exit 1
 fi
 
+echo "==> one checksum and one frame format in storekit"
+# A snapshot and the write-ahead log are each one file of the same frames
+# (DESIGN.md §12d, §13a): one frame writer, one scanner, one FNV-1a. A second
+# copy of the offset basis is a second checksum, and so a second format.
+if [ "$(grep -ro '0xcbf2_9ce4_8422_2325' crates/storekit/src | wc -l)" -ne 1 ]; then
+    grep -rn '0xcbf2_9ce4_8422_2325' crates/storekit/src
+    echo "ERROR: the FNV-1a offset basis must occur exactly once in crates/storekit/src (see DESIGN.md §12d: frame.rs holds the one checksum)"
+    exit 1
+fi
+
 echo "==> offline test suite (UNISEM_THREADS=1)"
 CARGO_NET_OFFLINE=true UNISEM_THREADS=1 cargo test -q
 
@@ -101,17 +111,18 @@ echo "==> observability gates (DESIGN.md §9)"
 CARGO_NET_OFFLINE=true UNISEM_TRACE=off \
     cargo test -q -p unisem-tests --test observability
 
-echo "==> storage gate: snapshot round-trip + golden page images (DESIGN.md §12)"
+echo "==> storage gate: snapshot round-trip + golden frame table (DESIGN.md §12)"
 # The persistent-storage suite must hold with an ambient store-site fault
 # plan armed: every test pins its own plan programmatically (disabled for
 # the byte-identity checks, explicit matrices for crash consistency), so
 # the ambient plan proves independence, not behavior. Covers: reopened
 # engines answering byte-identically at 1/2/4/8 threads, byte-stable
-# snapshot files across build thread counts, the golden page-image table
-# (one Meta directory page, then Blob section pages, each with its
-# checksum; bless with UNISEM_BLESS=1), the torn-page/failed-flush fault
-# matrix, and typed rejection of corrupt or truncated snapshots.
-CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,store.page_write@64,store.flush@64" \
+# snapshot files across build thread counts, the golden frame table (one
+# line per section frame and one for the closing frame: seq, name, payload
+# length, checksum; bless with UNISEM_BLESS=1), the torn-write/failed-flush
+# fault matrix, a torn temp file that is never opened, and typed rejection
+# of corrupt or truncated snapshots and of counts larger than their bytes.
+CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,store.write@64,store.flush@64" \
     cargo test -q -p unisem-tests --test storage
 CARGO_NET_OFFLINE=true cargo test -q -p storekit
 
@@ -122,7 +133,7 @@ echo "==> recovery gate: WAL crash matrix (DESIGN.md §13)"
 # so the ambient plan proves independence. Covers: torn-append and
 # lost-flush crashes at every WAL record boundary recovering to
 # byte-identical answers at 1/2/4/8 threads, both mid-checkpoint crash
-# windows, byte-identical WAL segments across thread counts, and
+# windows, byte-identical WAL files across thread counts, and
 # post-delta planner statistics freshness. The ingest suite rides along:
 # rejected deltas and log faults leave no mark, incrementally maintained
 # statistics and gauges equal a recount, and — counted by the closed

@@ -20,7 +20,7 @@
 //! value that round-trips through a snapshot and one that round-trips
 //! through the WAL are byte-compatible. Encoding is a pure function of
 //! the delta, which is what makes same-seed delta streams produce
-//! byte-identical WAL segments.
+//! byte-identical WAL files.
 //!
 //! [`UnifiedEngine::ingest_delta`]: crate::UnifiedEngine::ingest_delta
 
@@ -142,8 +142,8 @@ impl Delta {
             },
             1 => {
                 let table = d.str().map_err(EngineError::Store)?;
-                let n = d.u64().map_err(EngineError::Store)? as usize;
-                let mut values = Vec::with_capacity(n.min(4096));
+                let n = d.count().map_err(EngineError::Store)?;
+                let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(decode_value(&mut d)?);
                 }

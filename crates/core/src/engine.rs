@@ -286,7 +286,7 @@ impl EngineBuilder {
         config.faults = config.faults.resolve();
         let metrics = Arc::new(MetricsRegistry::new());
         let build_start = tracekit::wall::Stopwatch::start();
-        let loaded = crate::snapshot::read_snapshot(path, config.faults)?;
+        let loaded = crate::snapshot::read_snapshot(path)?;
         config.seed = loaded.seed;
         config.chunk = loaded.chunk;
         let slm = Slm::new(SlmConfig {
@@ -774,7 +774,7 @@ impl UnifiedEngine {
     }
 
     /// Persists the built engine to a `storekit` snapshot at `path`
-    /// (atomically: written to `<path>.tmp`, verified page-by-page, then
+    /// (atomically: written to `<path>.tmp`, verified frame by frame, then
     /// renamed into place, so a fault mid-save never corrupts an existing
     /// snapshot). Two engines built from the same inputs with the same
     /// seed write byte-identical files; [`EngineBuilder::open_snapshot`]
@@ -798,7 +798,7 @@ impl UnifiedEngine {
     }
 
     /// Attaches a write-ahead log at `wal_base` (DESIGN.md §13). When
-    /// segments already exist the log is opened, any torn tail truncated,
+    /// a log already exists it is opened, any torn tail truncated,
     /// and every durable delta with a sequence number past
     /// [`Self::applied_seq`] replayed onto the in-memory substrates;
     /// otherwise a fresh log is created whose numbering continues the
@@ -907,7 +907,7 @@ impl UnifiedEngine {
     }
 
     /// Appends `deltas` to the write-ahead log and makes them durable under
-    /// one fsync (the pager's fsync-then-ack discipline), returning the
+    /// one fsync (the fsync-then-ack discipline), returning the
     /// last record's sequence number; without a log, the local sequence
     /// the batch ends at.
     fn log(&self, deltas: &[Delta]) -> Result<u64, EngineError> {

@@ -5,7 +5,7 @@
 //! from its inputs — documents and chunks, the BM25 inverted index, every
 //! relational table (native, flattened, extracted), the heterogeneous
 //! graph, the planner's statistics catalog, and the ingest report — into
-//! one `storekit` page file. Reopening skips ingestion, flattening,
+//! one `storekit` snapshot file. Reopening skips ingestion, flattening,
 //! extraction, and graph construction entirely; only the cheap derived
 //! structures (retriever, parser) are rebuilt, from the same seed and
 //! lexicon the snapshot records.
@@ -102,18 +102,18 @@ pub(crate) fn write_snapshot(
 }
 
 /// Opens `path` and reassembles every persisted substrate.
-pub(crate) fn read_snapshot(path: &Path, faults: FaultPlan) -> Result<LoadedSnapshot, EngineError> {
-    let mut snap = Snapshot::open(path, faults)?;
-    let (seed, chunk) = decode_config(&snap.section("config")?)?;
-    let lexicon = decode_lexicon(&snap.section("lexicon")?)?;
-    let (docs_vec, chunks_vec) = decode_docs(&snap.section("docs")?)?;
-    let (params, doc_lens) = decode_bm25_meta(&snap.section("bm25meta")?)?;
-    let postings = decode_postings(&snap.section("bm25.postings")?)?;
-    let db = decode_tables(&snap.section("tables")?)?;
-    let graph = decode_graph(&snap.section("graph")?)?;
-    let stats = decode_stats(&snap.section("stats")?)?;
-    let ingest = decode_ingest(&snap.section("ingest")?)?;
-    let applied_seq = decode_walmeta(&snap.section("walmeta")?)?;
+pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> {
+    let snap = Snapshot::open(path)?;
+    let (seed, chunk) = decode_config(snap.section("config")?)?;
+    let lexicon = decode_lexicon(snap.section("lexicon")?)?;
+    let (docs_vec, chunks_vec) = decode_docs(snap.section("docs")?)?;
+    let (params, doc_lens) = decode_bm25_meta(snap.section("bm25meta")?)?;
+    let postings = decode_postings(snap.section("bm25.postings")?)?;
+    let db = decode_tables(snap.section("tables")?)?;
+    let graph = decode_graph(snap.section("graph")?)?;
+    let stats = decode_stats(snap.section("stats")?)?;
+    let ingest = decode_ingest(snap.section("ingest")?)?;
+    let applied_seq = decode_walmeta(snap.section("walmeta")?)?;
 
     let index = Bm25Index::from_parts(params, postings, doc_lens);
     let docs = DocStore::from_parts(chunk, docs_vec, chunks_vec, index);
@@ -124,7 +124,7 @@ pub(crate) fn read_snapshot(path: &Path, faults: FaultPlan) -> Result<LoadedSnap
             docs.index().len()
         )));
     }
-    verify_entity_index(&snap.section("graph.entities")?, &graph)?;
+    verify_entity_index(snap.section("graph.entities")?, &graph)?;
 
     Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, stats, ingest, applied_seq })
 }
@@ -145,15 +145,15 @@ fn encode_postings(index: &Bm25Index) -> Vec<u8> {
 
 fn decode_postings(bytes: &[u8]) -> Result<BTreeMap<String, Vec<(usize, u32)>>, EngineError> {
     let mut d = Decoder::new(bytes);
-    let nterms = d.u64().map_err(EngineError::Store)?;
+    let nterms = d.count().map_err(EngineError::Store)?;
     let mut postings: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
     for _ in 0..nterms {
         let term = d.str().map_err(EngineError::Store)?;
         if postings.last_key_value().is_some_and(|(prev, _)| *prev >= term) {
             return Err(invalid(format!("bm25 posting term '{term}' is out of order")));
         }
-        let n = d.u64().map_err(EngineError::Store)?;
-        let mut posts = Vec::new();
+        let n = d.count().map_err(EngineError::Store)?;
+        let mut posts = Vec::with_capacity(n);
         for _ in 0..n {
             let doc = d.usize().map_err(EngineError::Store)?;
             let tf = d.u32().map_err(EngineError::Store)?;
@@ -190,7 +190,7 @@ fn encode_entity_index(graph: &HetGraph) -> Vec<u8> {
 /// the reassembled graph.
 fn verify_entity_index(bytes: &[u8], graph: &HetGraph) -> Result<(), EngineError> {
     let mut d = Decoder::new(bytes);
-    let n = d.u64().map_err(EngineError::Store)?;
+    let n = d.count().map_err(EngineError::Store)?;
     for _ in 0..n {
         let name = d.str().map_err(EngineError::Store)?;
         let id = d.u32().map_err(EngineError::Store)?;
@@ -244,7 +244,7 @@ fn encode_lexicon(lexicon: &Lexicon) -> Vec<u8> {
 
 fn decode_lexicon(bytes: &[u8]) -> Result<Lexicon, EngineError> {
     let mut d = Decoder::new(bytes);
-    let n = d.u64().map_err(EngineError::Store)? as usize;
+    let n = d.count().map_err(EngineError::Store)?;
     let mut lexicon = Lexicon::new();
     for _ in 0..n {
         let phrase = d.str().map_err(EngineError::Store)?;
@@ -277,7 +277,7 @@ fn encode_docs(docs: &DocStore) -> Vec<u8> {
 
 fn decode_docs(bytes: &[u8]) -> Result<(Vec<Document>, Vec<StoredChunk>), EngineError> {
     let mut d = Decoder::new(bytes);
-    let ndocs = d.u64().map_err(EngineError::Store)? as usize;
+    let ndocs = d.count().map_err(EngineError::Store)?;
     let mut docs = Vec::with_capacity(ndocs);
     for i in 0..ndocs {
         let id = d.usize().map_err(EngineError::Store)?;
@@ -289,7 +289,7 @@ fn decode_docs(bytes: &[u8]) -> Result<(Vec<Document>, Vec<StoredChunk>), Engine
         let source = d.str().map_err(EngineError::Store)?;
         docs.push(Document { id, title, text, source });
     }
-    let nchunks = d.u64().map_err(EngineError::Store)? as usize;
+    let nchunks = d.count().map_err(EngineError::Store)?;
     let mut chunks = Vec::with_capacity(nchunks);
     for i in 0..nchunks {
         let id = d.usize().map_err(EngineError::Store)?;
@@ -323,7 +323,7 @@ fn decode_bm25_meta(bytes: &[u8]) -> Result<(Bm25Params, Vec<usize>), EngineErro
     let mut d = Decoder::new(bytes);
     let k1 = d.f64().map_err(EngineError::Store)?;
     let b = d.f64().map_err(EngineError::Store)?;
-    let n = d.u64().map_err(EngineError::Store)? as usize;
+    let n = d.count().map_err(EngineError::Store)?;
     let mut doc_lens = Vec::with_capacity(n);
     for _ in 0..n {
         doc_lens.push(d.usize().map_err(EngineError::Store)?);
@@ -425,11 +425,11 @@ fn encode_tables(db: &Database) -> Result<Vec<u8>, EngineError> {
 
 fn decode_tables(bytes: &[u8]) -> Result<Database, EngineError> {
     let mut d = Decoder::new(bytes);
-    let ntables = d.u64().map_err(EngineError::Store)? as usize;
+    let ntables = d.count().map_err(EngineError::Store)?;
     let mut db = Database::new();
     for _ in 0..ntables {
         let name = d.str().map_err(EngineError::Store)?;
-        let ncols = d.u64().map_err(EngineError::Store)? as usize;
+        let ncols = d.count().map_err(EngineError::Store)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let col_name = d.str().map_err(EngineError::Store)?;
@@ -437,16 +437,15 @@ fn decode_tables(bytes: &[u8]) -> Result<Database, EngineError> {
             columns.push(Column::new(col_name, dtype));
         }
         let schema = Schema::new(columns)?;
-        let nrows = d.u64().map_err(EngineError::Store)? as usize;
-        let mut rows = Vec::with_capacity(nrows);
+        // A row takes at least one byte per column, so its count is bounded
+        // by the bytes left — except a zero-column table's, whose rows take
+        // none; nothing is allocated by that count.
+        let nrows = if ncols == 0 { d.usize() } else { d.count() }.map_err(EngineError::Store)?;
+        let mut table = Table::empty(schema);
         for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(decode_value(&mut d)?);
-            }
-            rows.push(row);
+            let row = (0..ncols).map(|_| decode_value(&mut d)).collect::<Result<_, _>>()?;
+            table.push_row(row)?;
         }
-        let table = Table::from_rows(schema, rows)?;
         db.create_table(&name, table)?;
     }
     Ok(db)
@@ -505,7 +504,7 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
 
 fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
     let mut d = Decoder::new(bytes);
-    let nnodes = d.u64().map_err(EngineError::Store)? as usize;
+    let nnodes = d.count().map_err(EngineError::Store)?;
     let mut nodes = Vec::with_capacity(nnodes);
     for _ in 0..nnodes {
         let id = NodeId(d.u32().map_err(EngineError::Store)?);
@@ -533,7 +532,7 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
         let label = d.str().map_err(EngineError::Store)?;
         nodes.push(Node { id, kind, label });
     }
-    let nedges = d.u64().map_err(EngineError::Store)? as usize;
+    let nedges = d.count().map_err(EngineError::Store)?;
     let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
         let id = EdgeId(d.u32().map_err(EngineError::Store)?);
@@ -585,12 +584,12 @@ fn encode_stats(stats: &StatsCatalog) -> Vec<u8> {
 
 fn decode_stats(bytes: &[u8]) -> Result<StatsCatalog, EngineError> {
     let mut d = Decoder::new(bytes);
-    let ntables = d.u64().map_err(EngineError::Store)? as usize;
+    let ntables = d.count().map_err(EngineError::Store)?;
     let mut tables = BTreeMap::new();
     for _ in 0..ntables {
         let name = d.str().map_err(EngineError::Store)?;
         let rows = d.usize().map_err(EngineError::Store)?;
-        let ncols = d.u64().map_err(EngineError::Store)? as usize;
+        let ncols = d.count().map_err(EngineError::Store)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let col_name = d.str().map_err(EngineError::Store)?;
@@ -611,7 +610,7 @@ fn decode_stats(bytes: &[u8]) -> Result<StatsCatalog, EngineError> {
     let edges = d.usize().map_err(EngineError::Store)?;
     let max_degree = d.usize().map_err(EngineError::Store)?;
     let avg_degree_x1000 = d.usize().map_err(EngineError::Store)?;
-    let nhist = d.u64().map_err(EngineError::Store)? as usize;
+    let nhist = d.count().map_err(EngineError::Store)?;
     let mut histogram = Vec::with_capacity(nhist);
     for _ in 0..nhist {
         let bound = d.usize().map_err(EngineError::Store)?;
@@ -646,7 +645,7 @@ fn encode_ingest(report: &IngestReport) -> Vec<u8> {
 
 fn decode_ingest(bytes: &[u8]) -> Result<IngestReport, EngineError> {
     let mut d = Decoder::new(bytes);
-    let nquar = d.u64().map_err(EngineError::Store)? as usize;
+    let nquar = d.count().map_err(EngineError::Store)?;
     let mut quarantined = Vec::with_capacity(nquar);
     for _ in 0..nquar {
         let source = d.str().map_err(EngineError::Store)?;
@@ -704,16 +703,16 @@ mod tests {
         let mut b = EngineBuilder::with_config(lexicon, config);
         b.add_document("news", "Acme Corp launched the Aero Widget.", "news");
         b.build().0.save_snapshot(&full).expect("save");
-        assert!(read_snapshot(&full, FaultPlan::disabled()).is_ok());
+        assert!(read_snapshot(&full).is_ok());
 
-        let mut snap = Snapshot::open(&full, FaultPlan::disabled()).expect("open");
+        let snap = Snapshot::open(&full).expect("open");
         for omitted in SECTIONS {
             let mut w = SnapshotWriter::create(&partial, FaultPlan::disabled()).expect("create");
             for name in SECTIONS.into_iter().filter(|name| *name != omitted) {
-                w.add_section(name, &snap.section(name).expect("section")).expect("add");
+                w.add_section(name, snap.section(name).expect("section")).expect("add");
             }
             w.commit(&partial).expect("commit");
-            match read_snapshot(&partial, FaultPlan::disabled()) {
+            match read_snapshot(&partial) {
                 Err(EngineError::Store(StoreError::InvalidSnapshot(reason))) => {
                     assert_eq!(reason, format!("no section {omitted:?}"));
                 }
@@ -723,5 +722,27 @@ mod tests {
         }
         std::fs::remove_file(&full).ok();
         std::fs::remove_file(&partial).ok();
+    }
+
+    /// A collection of `{}` documents flattens to a zero-column table that
+    /// still has rows, and those rows encode to no bytes: as the last
+    /// table of its section, its row count has nothing after it to be
+    /// bounded by, and it must still round-trip.
+    #[test]
+    fn zero_column_table_round_trips() {
+        let path = std::env::temp_dir()
+            .join(format!("unisem-core-snapshot-{}-zero-columns.usk", std::process::id()));
+        let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
+        let mut b = EngineBuilder::with_config(Lexicon::new(), config);
+        for _ in 0..3 {
+            b.add_json("zz", unisem_semistore::parse_json("{}").expect("json"));
+        }
+        let engine = b.build().0;
+        assert_eq!(engine.db().table_names().last(), Some(&"zz"));
+        engine.save_snapshot(&path).expect("save");
+        let loaded = read_snapshot(&path).expect("open");
+        let table = loaded.db.table("zz").expect("table");
+        assert_eq!((table.num_columns(), table.num_rows()), (0, 3));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -24,7 +24,7 @@
 //! | `extract.tablegen`  | relational table generation over documents    |
 //! | `hetgraph.traverse` | topology retrieval's bounded graph traversal  |
 //! | `slm.generate`      | answer sampling for semantic-entropy scoring  |
-//! | `store.page_write`  | persistent page write (torn-page simulation)  |
+//! | `store.write`       | snapshot frame write (torn-write simulation)  |
 //! | `store.flush`       | durable flush / fsync (failed-flush simulation) |
 //! | `wal.append`        | WAL record append (torn-record simulation)    |
 //! | `wal.flush`         | WAL durable flush (lost buffered records)     |
@@ -71,14 +71,14 @@ pub enum Site {
     GraphTraverse,
     /// Answer sampling for entropy estimation (`slm.generate`).
     SlmGenerate,
-    /// Persistent page write in the storage layer — fires as a torn page:
-    /// only a prefix of the page reaches the file (`store.page_write`).
-    StorePageWrite,
+    /// Snapshot frame write in the storage layer — fires as a torn write:
+    /// only the first half of the frame reaches the file (`store.write`).
+    StoreWrite,
     /// Durable flush (fsync) in the storage layer — fires as a failed
     /// flush: buffered writes never become durable (`store.flush`).
     StoreFlush,
     /// Write-ahead-log record append — fires as a torn record: only a
-    /// prefix of the framed record reaches the segment file
+    /// prefix of the framed record reaches the log file
     /// (`wal.append`).
     WalAppend,
     /// Write-ahead-log durable flush — fires as a lost buffer: records
@@ -100,7 +100,7 @@ impl Site {
         Site::ExtractTablegen,
         Site::GraphTraverse,
         Site::SlmGenerate,
-        Site::StorePageWrite,
+        Site::StoreWrite,
         Site::StoreFlush,
         Site::WalAppend,
         Site::WalFlush,
@@ -116,7 +116,7 @@ impl Site {
             Site::ExtractTablegen => 3,
             Site::GraphTraverse => 4,
             Site::SlmGenerate => 5,
-            Site::StorePageWrite => 6,
+            Site::StoreWrite => 6,
             Site::StoreFlush => 7,
             Site::WalAppend => 8,
             Site::WalFlush => 9,
@@ -137,7 +137,7 @@ impl Site {
             Site::ExtractTablegen => tracekit::component::EXTRACT_TABLEGEN,
             Site::GraphTraverse => tracekit::component::GRAPH_TRAVERSE,
             Site::SlmGenerate => tracekit::component::SLM_GENERATE,
-            Site::StorePageWrite => tracekit::component::STORE_PAGE_WRITE,
+            Site::StoreWrite => tracekit::component::STORE_WRITE,
             Site::StoreFlush => tracekit::component::STORE_FLUSH,
             Site::WalAppend => tracekit::component::WAL_APPEND,
             Site::WalFlush => tracekit::component::WAL_FLUSH,

@@ -2,9 +2,9 @@
 //! site of its own.
 //!
 //! The durability story (DESIGN.md §12–13) rests on the crash matrix:
-//! every page write, WAL append, and flush can be made to fail or tear
-//! through the closed 11-site faultkit registry, and the recovery suite
-//! proves the engine survives. That only holds if the injector sits next
+//! every snapshot frame write, WAL append, and flush can be made to fail
+//! or tear through the closed 11-site faultkit registry, and the recovery
+//! suite proves the engine survives. That only holds if the injector sits next
 //! to the syscall — an I/O call the injector cannot fail is a crash
 //! window the matrix never exercises.
 //!

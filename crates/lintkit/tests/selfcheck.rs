@@ -54,7 +54,7 @@ fn workspace_is_clean_under_default_lints() {
 /// The tree's `uncovered-io-site` suppressions must be *live*: the rule
 /// is demonstrably matching real code, and each blessed window — the
 /// recovery truncation in `Wal::open`, the header write in
-/// `open_segment` — still exists where its reason says it does.
+/// `Wal::create` — still exists where its reason says it does.
 #[test]
 fn uncovered_io_suppressions_are_live() {
     let root = workspace_root();
@@ -68,12 +68,9 @@ fn uncovered_io_suppressions_are_live() {
             s.diag.message.as_str()
         })
         .collect();
-    for (function, primitive) in [
-        ("open", "set_len"),
-        ("open", "sync_all"),
-        ("open_segment", "write_all"),
-        ("open_segment", "sync_all"),
-    ] {
+    for (function, primitive) in
+        [("open", "set_len"), ("open", "sync_all"), ("create", "write_all"), ("create", "sync_all")]
+    {
         assert!(
             live.iter().any(|m| m.contains(&format!("raw `{primitive}` in `{function}`"))),
             "no live suppression for {primitive} in {function}; if the I/O moved beside a \

@@ -156,6 +156,16 @@ impl<'a> Decoder<'a> {
         usize::try_from(self.u64()?).map_err(|_| decode_err("usize overflow"))
     }
 
+    /// Reads the element count of a collection whose every element
+    /// encodes to at least one byte, rejecting a count larger than the
+    /// bytes left — so a decoder can size its allocation by it.
+    pub fn count(&mut self) -> Result<usize, StoreError> {
+        let n = self.u64()?;
+        usize::try_from(n).ok().filter(|&n| n <= self.remaining()).ok_or_else(|| {
+            decode_err(&format!("count {n} exceeds the {} bytes left", self.remaining()))
+        })
+    }
+
     /// Reads an `f64` bit pattern.
     pub fn f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64()?))
@@ -228,6 +238,18 @@ mod tests {
         assert!(d.u64().is_err(), "reading past the end must not panic");
         let mut d2 = Decoder::new(&bytes);
         assert!(d2.bytes().is_err(), "length prefix larger than payload");
+        let mut e = Encoder::new();
+        e.u64(3);
+        e.bytes(b"");
+        let bytes = e.into_bytes();
+        assert_eq!(Decoder::new(&bytes).count().unwrap(), 3, "one byte per element is enough");
+        for huge in [5, 1 << 60, u64::MAX] {
+            let mut e = Encoder::new();
+            e.u64(huge);
+            e.u32(0);
+            let bytes = e.into_bytes();
+            assert!(Decoder::new(&bytes).count().is_err(), "count {huge}");
+        }
     }
 
     #[test]

@@ -1,69 +1,58 @@
-//! `storekit` — persistent paged storage for the unified engine.
+//! `storekit` — persistent storage for the unified engine: a byte-stable
+//! snapshot file and a write-ahead log, each one file of the same
+//! checksummed frames.
 //!
-//! The crate turns the engine's in-memory substrates (document store,
-//! BM25 inverted index, heterogeneous graph, stats catalog) into one
-//! byte-stable snapshot file, structured as:
+//! - [`frame`] — the record format both files share, `[u32 len][u64 seq]
+//!   [u64 FNV-1a][payload]`, with its one writer and one scanner;
+//! - [`snapshot`] — a header, one frame per named section and a closing
+//!   frame, committed write-temp → sync → verify → rename;
+//! - [`wal`] — the write-ahead log of ingest deltas;
+//! - [`codec`] — the little-endian byte codec snapshot payloads use.
 //!
-//! - [`page`] — fixed 4 KiB pages: checksummed header + one payload;
-//! - [`pager`] — page-granular file I/O hosting the two injected storage
-//!   fault sites (torn page, failed flush);
-//! - [`snapshot`] — the page 0 directory format, named sections on
-//!   consecutive blob pages, and the write-temp → flush → verify → rename
-//!   commit protocol;
-//! - [`codec`] — the little-endian byte codec snapshot payloads use;
-//! - [`wal`] — the segmented write-ahead log of ingest deltas.
+//! Both files are written front to back and read back whole, so there is
+//! no page, no cache and no index structure on disk.
 //!
-//! Each page of a snapshot is written once (section pages in order, the
-//! directory last) and the file is read back whole, so there is no page
-//! cache and no index structure on disk.
-//!
-//! Determinism contract (DESIGN.md §12): page images and whole snapshot
-//! files are pure functions of the section bytes and their order,
-//! so two engine builds from the same seed produce byte-identical
-//! snapshot files, and a reopened snapshot answers every workload query
-//! byte-identically to the in-memory build that wrote it.
+//! Determinism contract (DESIGN.md §12): a snapshot file is a pure
+//! function of its section names, bytes and order, so two engine builds
+//! from the same seed produce byte-identical snapshot files, and a
+//! reopened snapshot answers every workload query byte-identically to the
+//! in-memory build that wrote it.
 //!
 //! Like the other engine crates, storekit is panic-free on untrusted
-//! input: torn pages, truncated files, and bad directories surface as
-//! typed [`StoreError`]s, and injected faults propagate as
+//! input: torn frames, truncated files and bad headers surface as typed
+//! [`StoreError`]s, and injected faults propagate as
 //! [`StoreError::Fault`] for the engine's degradation ladder.
 
 pub mod codec;
-pub mod page;
-pub mod pager;
+pub mod frame;
 pub mod snapshot;
 pub mod wal;
 
 pub use codec::{Decoder, Encoder};
-pub use page::{Page, PageKind, PAGE_SIZE, PAYLOAD_SIZE};
-pub use pager::Pager;
+pub use frame::FRAME_HEADER_LEN;
 pub use snapshot::{Snapshot, SnapshotWriter};
 pub use wal::{Wal, WalRecord, WalRecovery};
 
+use std::path::{Path, PathBuf};
+
 use faultkit::InjectedFault;
 
-/// Typed storage errors: every failure mode of the paged layer, injected
-/// or organic, without panics.
+/// Typed storage errors: every failure mode of the storage layer,
+/// injected or organic, without panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Operating-system I/O failure (open, read, write, rename).
     Io(String),
-    /// A page failed structural validation: bad magic, wrong id echo,
-    /// unknown kind, checksum mismatch (e.g. a torn write), or a payload
-    /// that is not the piece of its section the directory implies.
-    Corrupt {
-        /// The page that failed validation.
-        page_id: u32,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// An injected fault fired at a storage site (torn page write or
-    /// failed flush); carries the site and key for the trace.
+    /// A snapshot frame failed validation: cut short (a torn write or a
+    /// truncated file) or failing its checksum.
+    Corrupt(String),
+    /// An injected fault fired at a storage site (torn write or failed
+    /// flush); carries the site and key for the trace.
     Fault(InjectedFault),
-    /// A snapshot payload failed to decode (truncation, bad framing).
+    /// A snapshot payload failed to decode (truncation, bad framing, a
+    /// count larger than the bytes left).
     Decode(String),
-    /// The snapshot directory (or any single payload) does not fit one
-    /// page. Section contents have no size limit.
+    /// A frame payload is wider than its `u32` length field.
     TooLarge {
         /// What overflowed.
         what: String,
@@ -72,35 +61,26 @@ pub enum StoreError {
         /// The limit it exceeded.
         max: usize,
     },
-    /// The snapshot directory itself is malformed or inconsistent.
+    /// A snapshot's header or frame sequence is malformed: bad magic,
+    /// another format version, no closing frame, a missing section.
     InvalidSnapshot(String),
-    /// A write-ahead-log segment is malformed somewhere other than its
-    /// truncatable tail (bad header, non-contiguous chain, mid-log frame
-    /// damage).
-    WalCorrupt {
-        /// The segment index that failed validation.
-        segment: u32,
-        /// What was wrong with it.
-        reason: String,
-    },
+    /// The write-ahead log is malformed somewhere other than its
+    /// truncatable tail: bad header or a break in the record sequence.
+    WalCorrupt(String),
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "storage i/o: {e}"),
-            StoreError::Corrupt { page_id, reason } => {
-                write!(f, "page {page_id} corrupt: {reason}")
-            }
+            StoreError::Corrupt(e) => write!(f, "snapshot corrupt: {e}"),
             StoreError::Fault(fault) => write!(f, "storage fault: {fault}"),
             StoreError::Decode(e) => write!(f, "snapshot decode: {e}"),
             StoreError::TooLarge { what, size, max } => {
                 write!(f, "{what} is {size} bytes, limit {max}")
             }
             StoreError::InvalidSnapshot(e) => write!(f, "invalid snapshot: {e}"),
-            StoreError::WalCorrupt { segment, reason } => {
-                write!(f, "wal segment {segment} corrupt: {reason}")
-            }
+            StoreError::WalCorrupt(e) => write!(f, "wal corrupt: {e}"),
         }
     }
 }
@@ -113,15 +93,26 @@ impl From<InjectedFault> for StoreError {
     }
 }
 
+fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
+    StoreError::Io(format!("{ctx} {}: {e}", path.display()))
+}
+
+/// `<path>.tmp`: where a file is built before it is renamed over `path`.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn errors_display_useful_context() {
-        let e = StoreError::Corrupt { page_id: 9, reason: "checksum mismatch".into() };
-        assert!(e.to_string().contains("page 9"));
-        let e = StoreError::TooLarge { what: "snapshot directory".into(), size: 5000, max: 4064 };
+        let e = StoreError::Corrupt("frame 3 at byte 96 is torn".into());
+        assert!(e.to_string().contains("frame 3"));
+        let e = StoreError::TooLarge { what: "frame payload".into(), size: 5000, max: 4064 };
         assert!(e.to_string().contains("5000"));
         assert!(e.to_string().contains("4064"));
     }

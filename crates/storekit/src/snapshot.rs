@@ -1,239 +1,174 @@
-//! Snapshot files: a page 0 directory over named byte sections.
-//!
-//! A snapshot is one page file. Page 0 (kind [`PageKind::Meta`]) holds
-//! the directory:
+//! Snapshot files: named byte sections, one checksummed frame each.
 //!
 //! ```text
-//! "USKSNAP1"  version u32
-//! sections:   count u32, then [name, byte_len u64] ...
+//! "USKSNAP1" [u32 LE version]
+//! frame seq 1..=n   payload = name (u32 LE length, UTF-8), then the section's bytes
+//! frame seq n + 1   payload = the empty name, then n as u64 LE (the closing frame)
 //! ```
 //!
-//! Each section is a raw byte stream cut into [`PAYLOAD_SIZE`] pieces on
-//! consecutive [`PageKind::Blob`] pages, sections following one another
-//! in directory order from page 1 (an empty section occupies no page).
-//! Page positions are therefore a function of the lengths alone: the
-//! directory cannot point outside the file, and a file with a page more
-//! or fewer than its directory accounts for does not open.
+//! The frames are [`crate::frame`]'s, the write-ahead log's record format.
+//! The closing frame is what makes a file cut at a frame boundary fail to
+//! open rather than read as a shorter snapshot, and why no section may be
+//! named `""`.
 //!
 //! Crash consistency: the writer builds `<path>.tmp`;
-//! [`SnapshotWriter::commit`] flushes it, re-reads and checksum-verifies
-//! every page with a fresh pager, and only then renames over `path`. A
-//! torn page or failed flush (the two injected fault sites) surfaces as a
-//! typed error and leaves any previous snapshot at `path` untouched.
+//! [`SnapshotWriter::commit`] writes the closing frame, syncs, re-opens
+//! the file as a [`Snapshot`] (every frame checksum-verified), and only
+//! then renames it over `path`. A torn write or failed flush (the two
+//! injected fault sites) surfaces as a typed error and leaves any previous
+//! snapshot at `path` untouched; the next writer truncates the leftover.
 //!
-//! Determinism: every page image is a pure function of its id, kind and
-//! payload, so identical sections in identical order produce
-//! byte-identical files — enforced by the golden page-image test and the
-//! CI storage gate.
+//! Determinism: the file is a pure function of the section names, bytes
+//! and order, so identical sections produce byte-identical files —
+//! enforced by the golden frame table and the CI storage gate.
 
+use std::fs::File;
+use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use faultkit::FaultPlan;
+use faultkit::{FaultPlan, Site};
 
 use crate::codec::{Decoder, Encoder};
-use crate::page::{Page, PageKind, PAYLOAD_SIZE};
-use crate::pager::Pager;
-use crate::StoreError;
+use crate::frame;
+use crate::{io_err, tmp_path, StoreError};
 
-const SNAP_MAGIC: &str = "USKSNAP1";
-const SNAP_VERSION: u32 = 3;
+const SNAP_MAGIC: &[u8; 8] = b"USKSNAP1";
+const SNAP_VERSION: u32 = 4;
+const HEADER_LEN: usize = 8 + 4;
 
-/// Pages a section of `byte_len` bytes occupies.
-fn pages_for(byte_len: usize) -> usize {
-    byte_len.div_ceil(PAYLOAD_SIZE)
+fn invalid(reason: impl Into<String>) -> StoreError {
+    StoreError::InvalidSnapshot(reason.into())
 }
 
 /// Builds a snapshot file section by section.
 pub struct SnapshotWriter {
-    pager: Pager,
+    file: File,
     tmp_path: PathBuf,
-    /// `(name, byte_len)` in the order written.
-    sections: Vec<(String, usize)>,
-    next_page: u32,
+    faults: FaultPlan,
+    /// Section names in the order written.
+    names: Vec<String>,
+    /// What precedes the next frame in the file: the header, until the
+    /// first frame is written.
+    pending: Vec<u8>,
 }
 
 impl SnapshotWriter {
-    /// Starts a snapshot that will commit to `path` (building in
-    /// `<path>.tmp`). Page 0 is reserved for the directory.
+    /// Starts a snapshot that will commit to `path`, building it in
+    /// `<path>.tmp` (truncating any leftover there).
     pub fn create(path: &Path, faults: FaultPlan) -> Result<SnapshotWriter, StoreError> {
-        let tmp_path = tmp_path_for(path);
-        let pager = Pager::create(&tmp_path, faults)?;
-        Ok(SnapshotWriter { pager, tmp_path, sections: Vec::new(), next_page: 1 })
+        let tmp_path = tmp_path(path);
+        let file = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, e))?;
+        let mut pending = SNAP_MAGIC.to_vec();
+        pending.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        Ok(SnapshotWriter { file, tmp_path, faults, names: Vec::new(), pending })
     }
 
-    /// Writes `bytes` as section `name` on the next free pages.
+    /// Writes `bytes` as section `name`, the next frame of the file.
     pub fn add_section(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.sections.iter().any(|(n, _)| n == name) {
-            return Err(StoreError::InvalidSnapshot(format!("duplicate section {name:?}")));
+        if name.is_empty() {
+            return Err(invalid("the empty section name is the closing frame's"));
         }
-        for chunk in bytes.chunks(PAYLOAD_SIZE) {
-            self.write_page(self.next_page, PageKind::Blob, chunk)?;
-            self.next_page = self
-                .next_page
-                .checked_add(1)
-                .ok_or_else(|| StoreError::Io("snapshot exceeds 2^32 pages".to_string()))?;
+        if self.names.iter().any(|n| n == name) {
+            return Err(invalid(format!("duplicate section {name:?}")));
         }
-        self.sections.push((name.to_string(), bytes.len()));
+        self.write_frame(name, bytes)?;
+        self.names.push(name.to_string());
         Ok(())
     }
 
-    fn write_page(&mut self, id: u32, kind: PageKind, payload: &[u8]) -> Result<(), StoreError> {
-        let mut page = Page::new(id, kind);
-        page.set_payload(payload)?;
-        page.seal();
-        self.pager.write_page(&page)
+    /// Writes frame `names.len() + 1`, holding `name` and then `bytes`.
+    ///
+    /// Fault site [`Site::StoreWrite`] (key `section:<name>`, `section:`
+    /// for the closing frame): only the first half of the frame reaches
+    /// the file before the typed error returns — a genuine torn frame that
+    /// the verify step, and any later open, rejects.
+    fn write_frame(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let mut name_field = Encoder::new();
+        name_field.str(name);
+        let mut image = std::mem::take(&mut self.pending);
+        let start = image.len();
+        let seq = self.names.len() as u64 + 1;
+        frame::encode(&mut image, seq, &[&name_field.into_bytes(), bytes])?;
+        let torn = self.faults.check(Site::StoreWrite, &format!("section:{name}")).err();
+        let end = if torn.is_some() { start + (image.len() - start) / 2 } else { image.len() };
+        self.file.write_all(&image[..end]).map_err(|e| io_err("write", &self.tmp_path, e))?;
+        torn.map_or(Ok(()), |fault| Err(StoreError::Fault(fault)))
     }
 
-    /// Writes the directory, flushes, verifies every page on disk, and
-    /// renames the temporary file over `path`. On any error the target is
-    /// untouched.
+    /// Writes the closing frame, syncs, verifies the whole file, and
+    /// renames it over `path`. On any error the target is untouched.
+    ///
+    /// Fault site [`Site::StoreFlush`] (key `file`): returns the typed
+    /// error without syncing, modelling a lost `fsync`.
     pub fn commit(mut self, path: &Path) -> Result<(), StoreError> {
-        let mut meta = Encoder::new();
-        meta.str(SNAP_MAGIC);
-        meta.u32(SNAP_VERSION);
-        meta.u32(self.sections.len() as u32);
-        for (name, byte_len) in &self.sections {
-            meta.str(name);
-            meta.usize(*byte_len);
-        }
-        let meta_bytes = meta.into_bytes();
-        if meta_bytes.len() > PAYLOAD_SIZE {
-            return Err(StoreError::TooLarge {
-                what: "snapshot directory".to_string(),
-                size: meta_bytes.len(),
-                max: PAYLOAD_SIZE,
-            });
-        }
-        self.write_page(0, PageKind::Meta, &meta_bytes)?;
-        self.pager.flush()?;
-        drop(self.pager);
-
-        // Post-flush verification with a fresh pager: every page must
-        // read back with a valid checksum before the snapshot becomes
-        // visible at `path`.
-        let mut pager = Pager::open(&self.tmp_path, FaultPlan::disabled())?;
-        if pager.num_pages() != self.next_page {
-            return Err(StoreError::InvalidSnapshot(format!(
-                "file has {} pages, expected {}",
-                pager.num_pages(),
-                self.next_page
-            )));
-        }
-        for id in 0..self.next_page {
-            pager.read_page(id)?;
-        }
-        drop(pager);
+        let count = self.names.len() as u64;
+        self.write_frame("", &count.to_le_bytes())?;
+        self.faults.check(Site::StoreFlush, "file").map_err(StoreError::Fault)?;
+        self.file.sync_all().map_err(|e| io_err("sync", &self.tmp_path, e))?;
+        drop(self.file);
+        Snapshot::open(&self.tmp_path)?;
         std::fs::rename(&self.tmp_path, path)
             .map_err(|e| StoreError::Io(format!("rename snapshot into place: {e}")))
     }
 }
 
-fn tmp_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-struct SectionEntry {
-    name: String,
-    first_page: u32,
-    byte_len: usize,
-}
-
-/// A read-open snapshot file.
+/// A snapshot file, read whole and verified.
 pub struct Snapshot {
-    pager: Pager,
-    sections: Vec<SectionEntry>,
+    bytes: Vec<u8>,
+    /// `(name, byte range)` of each section, in file order.
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl Snapshot {
-    /// Opens a snapshot file and validates its directory against the
-    /// file's length.
-    pub fn open(path: &Path, faults: FaultPlan) -> Result<Snapshot, StoreError> {
-        let mut pager = Pager::open(path, faults)?;
-        let meta = pager.read_page(0)?;
-        if meta.kind() != PageKind::Meta {
-            return Err(StoreError::InvalidSnapshot(format!(
-                "page 0 is {:?}, not a directory",
-                meta.kind()
-            )));
+    /// Reads the file at `path` and verifies its header, every frame's
+    /// checksum, the frame sequence and the closing frame.
+    pub fn open(path: &Path) -> Result<Snapshot, StoreError> {
+        let bytes = std::fs::read(path).map_err(|e| io_err("read", path, e))?;
+        if !bytes.starts_with(SNAP_MAGIC) {
+            return Err(invalid("bad snapshot magic"));
         }
-        let mut d = Decoder::new(meta.payload()?);
-        if d.str()? != SNAP_MAGIC {
-            return Err(StoreError::InvalidSnapshot("bad snapshot magic".to_string()));
-        }
-        let version = d.u32()?;
+        let version = bytes.get(8..HEADER_LEN).ok_or_else(|| invalid("file ends in its header"))?;
+        let version = u32::from_le_bytes([version[0], version[1], version[2], version[3]]);
         if version != SNAP_VERSION {
-            return Err(StoreError::InvalidSnapshot(format!(
-                "unsupported snapshot version {version}"
-            )));
+            return Err(invalid(format!("unsupported snapshot version {version}")));
         }
-        let n_sections = d.u32()?;
-        let mut sections = Vec::new();
-        let mut next_page = 1u32;
-        for _ in 0..n_sections {
+        let (frames, end) = frame::scan(&bytes, HEADER_LEN);
+        if end != bytes.len() {
+            let n = frames.len() + 1;
+            return Err(StoreError::Corrupt(format!("frame {n} at byte {end} is torn")));
+        }
+        if let Some((frame, seq)) = frames.iter().zip(1u64..).find(|(f, seq)| f.seq != *seq) {
+            return Err(invalid(format!("frame {seq} carries seq {}", frame.seq)));
+        }
+        let mut sections = Vec::with_capacity(frames.len());
+        for frame in &frames {
+            let mut d = Decoder::new(&bytes[frame.payload.clone()]);
             let name = d.str()?;
-            let byte_len = d.usize()?;
-            let end = u32::try_from(pages_for(byte_len))
-                .ok()
-                .and_then(|n| next_page.checked_add(n))
-                .filter(|&end| end <= pager.num_pages())
-                .ok_or_else(|| {
-                    StoreError::InvalidSnapshot(format!(
-                        "section {name:?} ({byte_len} bytes) runs past the end of the file"
-                    ))
-                })?;
-            sections.push(SectionEntry { name, first_page: next_page, byte_len });
-            next_page = end;
+            sections.push((name, frame.payload.end - d.remaining()..frame.payload.end));
         }
-        if !d.is_done() {
-            return Err(StoreError::InvalidSnapshot("trailing bytes in directory".to_string()));
+        let closed = sections.pop().filter(|(name, count)| {
+            name.is_empty() && bytes[count.clone()] == (sections.len() as u64).to_le_bytes()
+        });
+        if closed.is_none() {
+            return Err(invalid(format!("no closing frame after {} sections", sections.len())));
         }
-        if next_page != pager.num_pages() {
-            return Err(StoreError::InvalidSnapshot(format!(
-                "file has {} pages, directory accounts for {next_page}",
-                pager.num_pages()
-            )));
-        }
-        Ok(Snapshot { pager, sections })
+        Ok(Snapshot { bytes, sections })
     }
 
-    /// Reads section `name` back as one byte vector.
-    pub fn section(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
-        let entry = self
-            .sections
+    /// Section `name`'s bytes.
+    pub fn section(&self, name: &str) -> Result<&[u8], StoreError> {
+        self.sections
             .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| StoreError::InvalidSnapshot(format!("no section {name:?}")))?;
-        // `open` checked the length against the file's, so this bounds
-        // the allocation by the file size.
-        let byte_len = entry.byte_len;
-        let mut out = Vec::with_capacity(byte_len);
-        for id in (entry.first_page..).take(pages_for(byte_len)) {
-            let page = self.pager.read_page(id)?;
-            let payload = page.payload()?;
-            let expected = PAYLOAD_SIZE.min(byte_len - out.len());
-            if page.kind() != PageKind::Blob || payload.len() != expected {
-                return Err(StoreError::Corrupt {
-                    page_id: id,
-                    reason: format!(
-                        "section {name:?} expects a blob of {expected} bytes, found {:?} of {}",
-                        page.kind(),
-                        payload.len()
-                    ),
-                });
-            }
-            out.extend_from_slice(payload);
-        }
-        Ok(out)
+            .find(|(n, _)| n == name)
+            .map(|(_, range)| &self.bytes[range.clone()])
+            .ok_or_else(|| invalid(format!("no section {name:?}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
-    use faultkit::Site;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -241,41 +176,38 @@ mod tests {
         p
     }
 
+    fn write(path: &Path, sections: &[(&str, &[u8])]) -> Vec<u8> {
+        let mut w = SnapshotWriter::create(path, FaultPlan::disabled()).unwrap();
+        for (name, bytes) in sections {
+            w.add_section(name, bytes).unwrap();
+        }
+        w.commit(path).unwrap();
+        std::fs::read(path).unwrap()
+    }
+
     #[test]
-    fn unknown_directory_version_is_rejected() {
+    fn unknown_snapshot_version_is_rejected() {
         let path = tmp("verbump");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-        w.add_section("docs", b"payload").unwrap();
-        w.commit(&path).unwrap();
-
-        // Rewrite the directory's format version in place — to the retired
-        // versions 1 and 2 and to a future one: read page 0, patch the u32
-        // after the magic string, re-seal (the checksum must stay valid —
-        // this is another format, not a torn page), write back.
-        for other in [1, 2, SNAP_VERSION + 1] {
-            let mut pager = Pager::open(&path, FaultPlan::disabled()).unwrap();
-            let mut page = pager.read_page(0).unwrap();
-            let payload = page.payload().unwrap().to_vec();
-            let mut d = Decoder::new(&payload);
-            assert_eq!(d.str().unwrap(), SNAP_MAGIC);
-            let version_off = payload.len() - d.remaining();
-            let mut patched = payload;
-            patched[version_off..version_off + 4].copy_from_slice(&other.to_le_bytes());
-            page.set_payload(&patched).unwrap();
-            page.seal();
-            pager.write_page(&page).unwrap();
-            pager.flush().unwrap();
-
-            match Snapshot::open(&path, FaultPlan::disabled()) {
-                Err(StoreError::InvalidSnapshot(reason)) => assert_eq!(
-                    reason,
-                    format!("unsupported snapshot version {other}"),
-                    "reason should name the offending version"
-                ),
+        let clean = write(&path, &[("docs", b"payload")]);
+        // Another format version in a well-formed file: the retired paged
+        // versions 1–3 and a future one.
+        for other in [1, 2, 3, SNAP_VERSION + 1] {
+            let mut patched = clean.clone();
+            patched[8..HEADER_LEN].copy_from_slice(&u32::to_le_bytes(other));
+            std::fs::write(&path, &patched).unwrap();
+            match Snapshot::open(&path) {
+                Err(StoreError::InvalidSnapshot(reason)) => {
+                    assert_eq!(reason, format!("unsupported snapshot version {other}"))
+                }
                 Err(e) => panic!("expected InvalidSnapshot, got {e}"),
                 Ok(_) => panic!("version-{other} snapshot must not open"),
             }
         }
+        // A paged file (version 3 and older) starts with its page magic.
+        let mut paged = b"USK1".to_vec();
+        paged.resize(4096, 0);
+        std::fs::write(&path, &paged).unwrap();
+        assert!(matches!(Snapshot::open(&path), Err(StoreError::InvalidSnapshot(_))));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -288,9 +220,10 @@ mod tests {
         w.add_section("empty", b"").unwrap();
         w.add_section("tail", b"after the empty one").unwrap();
         assert!(matches!(w.add_section("docs", b"again"), Err(StoreError::InvalidSnapshot(_))));
+        assert!(matches!(w.add_section("", b"closing?"), Err(StoreError::InvalidSnapshot(_))));
         w.commit(&path).unwrap();
 
-        let mut s = Snapshot::open(&path, FaultPlan::disabled()).unwrap();
+        let s = Snapshot::open(&path).unwrap();
         // Any order, any number of times.
         assert_eq!(s.section("tail").unwrap(), b"after the empty one");
         assert_eq!(s.section("docs").unwrap(), big);
@@ -304,11 +237,7 @@ mod tests {
     fn same_inputs_produce_byte_identical_files() {
         let build = |name: &str| -> Vec<u8> {
             let path = tmp(name);
-            let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-            w.add_section("a", &vec![3u8; 10_000]).unwrap();
-            w.add_section("b", b"tail").unwrap();
-            w.commit(&path).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
+            let bytes = write(&path, &[("a", &[3u8; 10_000]), ("b", b"tail")]);
             let _ = std::fs::remove_file(&path);
             bytes
         };
@@ -316,50 +245,36 @@ mod tests {
     }
 
     #[test]
-    fn directory_wider_than_a_page_is_too_large() {
-        let path = tmp("wide-directory");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-        for i in 0..PAYLOAD_SIZE / 16 {
-            w.add_section(&format!("section-{i:04}"), b"").unwrap();
-        }
-        match w.commit(&path) {
-            Err(StoreError::TooLarge { what, max, .. }) => {
-                assert_eq!((what.as_str(), max), ("snapshot directory", PAYLOAD_SIZE));
-            }
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-        assert!(!path.exists(), "nothing was renamed into place");
-        let _ = std::fs::remove_file(tmp_path_for(&path));
-    }
-
-    #[test]
-    fn commit_under_torn_page_fails_and_preserves_target() {
+    fn commit_under_torn_write_fails_and_preserves_target() {
         let path = tmp("torn-commit");
         // A previous good snapshot sits at the target.
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-        w.add_section("v", b"version-1").unwrap();
-        w.commit(&path).unwrap();
-        let before = std::fs::read(&path).unwrap();
+        let before = write(&path, &[("v", b"version-1")]);
 
-        // Rebuild with the torn-page site firing on every write.
-        let plan = FaultPlan::single(Site::StorePageWrite).with_seed(7);
+        // Rebuild with the torn-write site firing on every frame.
+        let plan = FaultPlan::single(Site::StoreWrite).with_seed(7);
         let result = SnapshotWriter::create(&path, plan).and_then(|mut w| {
             w.add_section("v", b"version-2")?;
             w.commit(&path)
         });
-        assert!(matches!(result, Err(StoreError::Fault(_))), "{result:?}");
+        match result {
+            Err(StoreError::Fault(f)) => {
+                assert_eq!((f.site, f.key.as_str()), (Site::StoreWrite, "section:v"))
+            }
+            other => panic!("expected a torn write, got {other:?}"),
+        }
         assert_eq!(std::fs::read(&path).unwrap(), before, "target untouched");
+        // The torn frame really is on disk: the header and half a frame.
+        let torn = std::fs::read(tmp_path(&path)).unwrap();
+        assert!(torn.len() > HEADER_LEN && torn.len() < before.len(), "{} bytes", torn.len());
+        assert!(matches!(Snapshot::open(&tmp_path(&path)), Err(StoreError::Corrupt(_))));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(tmp_path_for(&path));
+        let _ = std::fs::remove_file(tmp_path(&path));
     }
 
     #[test]
     fn commit_under_failed_flush_fails_and_preserves_target() {
         let path = tmp("flush-commit");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-        w.add_section("v", b"version-1").unwrap();
-        w.commit(&path).unwrap();
-        let before = std::fs::read(&path).unwrap();
+        let before = write(&path, &[("v", b"version-1")]);
 
         let plan = FaultPlan::single(Site::StoreFlush).with_seed(7);
         let result = SnapshotWriter::create(&path, plan).and_then(|mut w| {
@@ -369,36 +284,26 @@ mod tests {
         assert!(matches!(result, Err(StoreError::Fault(_))), "{result:?}");
         assert_eq!(std::fs::read(&path).unwrap(), before, "target untouched");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(tmp_path_for(&path));
+        let _ = std::fs::remove_file(tmp_path(&path));
     }
 
     #[test]
     fn truncated_file_is_rejected_on_open() {
         let path = tmp("truncated");
-        let mut w = SnapshotWriter::create(&path, FaultPlan::disabled()).unwrap();
-        w.add_section("v", &vec![1u8; 9_000]).unwrap();
-        w.commit(&path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        // Chop mid-page: the pager rejects the ragged length outright.
-        std::fs::write(&path, &full[..full.len() - 100]).unwrap();
-        assert!(matches!(
-            Snapshot::open(&path, FaultPlan::disabled()),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // Chop a whole page: the directory accounts for more than is there.
-        std::fs::write(&path, &full[..full.len() - PAGE_SIZE]).unwrap();
-        assert!(matches!(
-            Snapshot::open(&path, FaultPlan::disabled()),
-            Err(StoreError::InvalidSnapshot(_))
-        ));
-        // So does a page too many.
+        let full = write(&path, &[("v", &[1u8; 9_000])]);
+        let open = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            Snapshot::open(&path).map(|_| ())
+        };
+        // Cut inside a frame: the frame is torn.
+        assert!(matches!(open(&full[..full.len() - 100]), Err(StoreError::Corrupt(_))));
+        // Cut at a frame boundary: the closing frame is missing.
+        let closing = frame::FRAME_HEADER_LEN + 4 + 8;
+        assert!(matches!(open(&full[..full.len() - closing]), Err(StoreError::InvalidSnapshot(_))));
+        // A frame too many: the closing frame is not last.
         let mut longer = full.clone();
-        longer.extend_from_slice(&full[PAGE_SIZE..2 * PAGE_SIZE]);
-        std::fs::write(&path, &longer).unwrap();
-        assert!(matches!(
-            Snapshot::open(&path, FaultPlan::disabled()),
-            Err(StoreError::InvalidSnapshot(_))
-        ));
+        longer.extend_from_slice(&full[full.len() - closing..]);
+        assert!(matches!(open(&longer), Err(StoreError::InvalidSnapshot(_))));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,38 +1,41 @@
 //! Property suite for the snapshot section file (detkit harness, with
 //! shrinking).
 //!
-//! Section sets are arbitrary, with lengths drawn around the page
-//! boundary — where a layout derived from lengths alone goes wrong if it
-//! goes wrong anywhere. Three properties: what is written is what is read
-//! and the same input is the same file; no single flipped byte survives
-//! the page checksums and the directory check; no truncation is read as a
-//! shorter snapshot.
+//! Section sets are arbitrary, with lengths drawn around the frame-header
+//! size — where a reader that confuses framing with payload goes wrong if
+//! it goes wrong anywhere. Three properties: what is written is what is
+//! read and the same input is the same file; no single flipped byte
+//! survives the frame checksums and the header check; no truncation is
+//! read as a shorter snapshot.
 
 use std::path::{Path, PathBuf};
 
 use detkit::prop::{just, one_of, usizes, vec_of, zip, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use faultkit::FaultPlan;
-use storekit::{Snapshot, SnapshotWriter, StoreError, PAGE_SIZE, PAYLOAD_SIZE};
+use storekit::{Snapshot, SnapshotWriter, StoreError, FRAME_HEADER_LEN};
+
+/// Magic "USKSNAP1" and a `u32` version.
+const FILE_HEADER_LEN: usize = 8 + 4;
 
 /// One section per `(length, fill)` pair: named by position, filled with
-/// a byte pattern that differs between sections and between pages.
+/// a byte pattern that differs between sections and along a section.
 fn section_sets() -> Gen<Vec<(String, Vec<u8>)>> {
     let length = one_of(vec![
         just(0),
         just(1),
-        just(PAYLOAD_SIZE - 1),
-        just(PAYLOAD_SIZE),
-        just(PAYLOAD_SIZE + 1),
-        usizes(2, PAYLOAD_SIZE - 2),
-        usizes(2 * PAYLOAD_SIZE - 1, 4 * PAYLOAD_SIZE + 1),
+        just(FRAME_HEADER_LEN - 1),
+        just(FRAME_HEADER_LEN),
+        just(FRAME_HEADER_LEN + 1),
+        usizes(2, 2 * FRAME_HEADER_LEN),
+        usizes(100, 20_000),
     ]);
     vec_of(&zip(&length, &usizes(0, 250)), 0, 6).map(|specs| {
         specs
             .iter()
             .enumerate()
             .map(|(i, &(len, fill))| {
-                let bytes = (0..len).map(|j| ((fill + j + j / PAYLOAD_SIZE) % 251) as u8).collect();
+                let bytes = (0..len).map(|j| ((fill + j + j / 97) % 251) as u8).collect();
                 (format!("section-{i}"), bytes)
             })
             .collect()
@@ -63,10 +66,24 @@ fn write(path: &Path, sections: &[(String, Vec<u8>)]) -> Result<Vec<u8>, String>
     std::fs::read(path).map_err(|e| e.to_string())
 }
 
-/// Opens `path` and reads every section back, in directory order.
+/// Opens `path` and reads every section back, in file order.
 fn read_all(path: &Path, sections: &[(String, Vec<u8>)]) -> Result<Vec<Vec<u8>>, StoreError> {
-    let mut snap = Snapshot::open(path, FaultPlan::disabled())?;
-    sections.iter().map(|(name, _)| snap.section(name)).collect()
+    let snap = Snapshot::open(path)?;
+    sections.iter().map(|(name, _)| snap.section(name).map(<[u8]>::to_vec)).collect()
+}
+
+/// Where each frame ends: one frame per section (payload = `u32` name
+/// length, name, bytes), then the closing frame (empty name, `u64` count).
+fn frame_ends(sections: &[(String, Vec<u8>)]) -> Vec<usize> {
+    let payloads = sections.iter().map(|(name, bytes)| 4 + name.len() + bytes.len());
+    let mut end = FILE_HEADER_LEN;
+    payloads
+        .chain([4 + 8])
+        .map(|len| {
+            end += FRAME_HEADER_LEN + len;
+            end
+        })
+        .collect()
 }
 
 prop_check!(sections_round_trip_and_rewrite_byte_identically, section_sets(), |sections| {
@@ -85,8 +102,8 @@ prop_check!(sections_round_trip_and_rewrite_byte_identically, section_sets(), |s
     let second = std::fs::read(&b).map_err(|e| e.to_string())?;
     prop_assert!(first == second, "two writes of the same sections differ");
 
-    let pages: usize = sections.iter().map(|(_, bytes)| bytes.len().div_ceil(PAYLOAD_SIZE)).sum();
-    prop_assert_eq!(first.len(), (1 + pages) * PAGE_SIZE, "directory page + section pages");
+    let ends = frame_ends(sections);
+    prop_assert_eq!(ends.last(), Some(&first.len()), "header + frames");
     let got = read_all(&a, sections).map_err(|e| e.to_string())?;
     for ((name, want), got) in sections.iter().zip(&got) {
         prop_assert!(want == got, "{name}: wrote {} bytes, read {}", want.len(), got.len());
@@ -106,7 +123,7 @@ prop_check!(any_flipped_byte_is_rejected, zip(&section_sets(), &picks()), |(sect
         std::fs::write(&path, &damaged).map_err(|e| e.to_string())?;
         let result = read_all(&path, sections);
         prop_assert!(
-            matches!(result, Err(StoreError::Corrupt { .. } | StoreError::InvalidSnapshot(_))),
+            matches!(result, Err(StoreError::Corrupt(_) | StoreError::InvalidSnapshot(_))),
             "byte {at} of {} flipped, read gave {:?}",
             clean.len(),
             result.map(|s| s.len())
@@ -119,10 +136,12 @@ prop_check!(any_flipped_byte_is_rejected, zip(&section_sets(), &picks()), |(sect
 prop_check!(any_truncation_is_rejected, zip(&section_sets(), &picks()), |(sections, picks)| {
     let path = tmp("trunc");
     let clean = write(&path, sections)?;
+    let ends = frame_ends(sections);
     for pick in picks {
-        // Mid-page, and on a page boundary (where the file still looks
-        // like a page file).
-        for keep in [pick % clean.len(), pick % (clean.len() / PAGE_SIZE) * PAGE_SIZE] {
+        // Anywhere, and at a frame boundary (where every frame left is
+        // whole). The last boundary is the whole file, so it is skipped.
+        let boundary = if ends.len() > 1 { ends[pick % (ends.len() - 1)] } else { 0 };
+        for keep in [pick % clean.len(), boundary, pick % FILE_HEADER_LEN] {
             std::fs::write(&path, &clean[..keep]).map_err(|e| e.to_string())?;
             let result = read_all(&path, sections);
             prop_assert!(

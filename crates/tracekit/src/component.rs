@@ -31,8 +31,8 @@ pub const RETRIEVAL_EVIDENCE: &str = "retrieval.evidence";
 pub const ENTROPY_SAMPLES: &str = "entropy.samples";
 /// The semantic-entropy confidence gate.
 pub const ENTROPY_CONFIDENCE: &str = "entropy.confidence";
-/// Persistent page write in the storage layer (torn-page fault site).
-pub const STORE_PAGE_WRITE: &str = "store.page_write";
+/// Snapshot frame write in the storage layer (torn-write fault site).
+pub const STORE_WRITE: &str = "store.write";
 /// Durable flush (fsync) in the storage layer (failed-flush fault site).
 pub const STORE_FLUSH: &str = "store.flush";
 /// Write-ahead-log record append (torn-record fault site).
@@ -55,7 +55,7 @@ pub const ALL: [&str; 16] = [
     RETRIEVAL_EVIDENCE,
     ENTROPY_SAMPLES,
     ENTROPY_CONFIDENCE,
-    STORE_PAGE_WRITE,
+    STORE_WRITE,
     STORE_FLUSH,
     WAL_APPEND,
     WAL_FLUSH,

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use detkit::prop::{usizes, vec_of, zip3, Config};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
-use storekit::{StoreError, Wal};
+use storekit::StoreError;
 use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
     Provenance, StatsCatalog, UnifiedEngine,
@@ -136,13 +136,7 @@ fn tmp_wal(tag: &str) -> PathBuf {
 }
 
 fn remove_wal(base: &Path) {
-    for segment in Wal::segment_paths(base) {
-        std::fs::remove_file(segment).ok();
-    }
-}
-
-fn log_bytes(base: &Path) -> Vec<Vec<u8>> {
-    Wal::segment_paths(base).iter().map(|p| std::fs::read(p).expect("read segment")).collect()
+    std::fs::remove_file(base).ok();
 }
 
 /// Everything a failed ingest must leave untouched.
@@ -152,7 +146,7 @@ struct Observed {
     stats: String,
     index_bytes: usize,
     answers: Vec<Answer>,
-    log: Vec<Vec<u8>>,
+    log: Vec<u8>,
 }
 
 fn observe(engine: &UnifiedEngine, wal: &Path) -> Observed {
@@ -161,7 +155,7 @@ fn observe(engine: &UnifiedEngine, wal: &Path) -> Observed {
         stats: engine.stats().render(),
         index_bytes: engine.index_bytes(),
         answers: probes(1).iter().map(|q| engine.answer(q)).collect(),
-        log: log_bytes(wal),
+        log: std::fs::read(wal).expect("read log"),
     }
 }
 
@@ -224,7 +218,7 @@ fn rejected_deltas_change_nothing_alone_or_mid_batch() {
     let after = observe(&engine, &wal);
     assert_ne!(after.stats, before.stats, "the row shows in the catalog");
     assert_ne!(after.answers[0], before.answers[0], "and in the total");
-    assert!(after.log[0].len() > before.log[0].len() && after.log[0].starts_with(&before.log[0]));
+    assert!(after.log.len() > before.log.len() && after.log.starts_with(&before.log));
     drop(engine);
     remove_wal(&wal);
 }
@@ -284,7 +278,7 @@ fn log_faults_change_nothing_alone_or_mid_batch() {
         if torn_after.is_some() {
             // Past the durable records the file now ends in half a frame,
             // which recovery truncates; the records themselves are intact.
-            assert!(after.log[0].starts_with(&before.log[0]), "{tag}: durable records damaged");
+            assert!(after.log.starts_with(&before.log), "{tag}: durable records damaged");
             after.log = before.log.clone();
         }
         assert_eq!(after, before, "{tag}: a failed log write left a mark");

@@ -6,7 +6,7 @@
 //! state that answers every workload query **byte-identically** (text,
 //! routes, confidence, degradations, full explain trace) to an engine
 //! that never crashed, at 1, 2, 4, and 8 threads. Alongside the matrix:
-//! same-seed delta streams must produce byte-identical WAL segment
+//! same-seed delta streams must produce byte-identical WAL
 //! files, and the planner's statistics catalog must reflect post-delta
 //! cardinalities (no stale row counts in explain traces).
 
@@ -88,7 +88,7 @@ fn tiny_engine() -> UnifiedEngine {
 
 /// The incremental workload: one delta per variant, ordered so edge
 /// endpoints exist when the edge arrives. Pure data — same stream every
-/// call, which is what the byte-identical-segments check relies on.
+/// call, which is what the byte-identical-log check relies on.
 fn delta_stream() -> Vec<Delta> {
     vec![
         Delta::DocAdd {
@@ -123,32 +123,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 }
 
 fn remove_wal(base: &Path) {
-    for seg in Wal::segment_paths(base) {
-        std::fs::remove_file(seg).ok();
-    }
-}
-
-/// Freezes the on-disk WAL (all segments) so one crash image can be
-/// recovered repeatedly — recovery truncates torn tails and appends, so
-/// each recovery run needs its own copy.
-fn freeze_wal(base: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    Wal::segment_paths(base)
-        .into_iter()
-        .map(|p| {
-            let bytes = std::fs::read(&p).expect("read segment");
-            (p, bytes)
-        })
-        .collect()
-}
-
-fn thaw_wal(frozen: &[(PathBuf, Vec<u8>)], from_base: &Path, to_base: &Path) {
-    remove_wal(to_base);
-    let from = from_base.to_string_lossy().into_owned();
-    let to = to_base.to_string_lossy().into_owned();
-    for (path, bytes) in frozen {
-        let dest = path.to_string_lossy().replace(&from, &to);
-        std::fs::write(dest, bytes).expect("write segment copy");
-    }
+    std::fs::remove_file(base).ok();
 }
 
 fn answers(engine: &UnifiedEngine) -> Vec<Answer> {
@@ -244,11 +219,12 @@ fn crash_matrix_recovers_byte_identically() {
             }
 
             // Phase 3: recover the crash image at every thread count.
-            let frozen = freeze_wal(&wal);
-            assert!(!frozen.is_empty(), "{tag}: crash image has segments");
+            // Recovery truncates torn tails and appends, so each run of it
+            // gets its own copy of the crash image.
+            let frozen = std::fs::read(&wal).expect("the crash image has a log");
             for &threads in &THREAD_COUNTS {
                 let twal = tmp_path(&format!("{tag}-t{threads}.wal"));
-                thaw_wal(&frozen, &wal, &twal);
+                std::fs::write(&twal, &frozen).expect("copy the crash image");
                 let (mut recovered, _, replayed) = EngineBuilder::open_snapshot_with_wal(
                     &snap,
                     &twal,
@@ -350,7 +326,7 @@ fn checkpoint_crashes_recover_byte_identically() {
             other => panic!("expected fault at checkpoint truncate, got {other:?}"),
         }
         assert!(ckpt.exists(), "the folded snapshot committed before the crash");
-        assert!(!Wal::segment_paths(&wal).is_empty(), "truncate-crash leaves the stale log behind");
+        assert!(Wal::exists(&wal), "truncate-crash leaves the stale log behind");
         drop(engine);
         let (recovered, _, replayed) =
             EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, config(1, FaultPlan::disabled()))
@@ -366,64 +342,68 @@ fn checkpoint_crashes_recover_byte_identically() {
     std::fs::remove_file(&snap).ok();
 }
 
-/// A crash inside the write of a segment header leaves a last segment
-/// shorter than a header (DESIGN.md §13b): after a roll, behind
-/// acknowledged records; after a checkpoint's truncation, as the only
-/// file. Both reopen and answer like the engine that never crashed —
-/// before the fix both were `WalCorrupt: header truncated (0B)`.
+/// A crash inside `Wal::create` leaves half a header at `<wal>.tmp` and
+/// `<wal>` as it was (DESIGN.md §13b): at first enable, no log; at a
+/// checkpoint's re-create, the stale log. Neither the leftover nor the
+/// stale records change what recovery replays, and both reopen to answer
+/// like the engine that never crashed.
 #[test]
-fn torn_segment_header_recovers_byte_identically() {
+fn half_written_wal_create_recovers_byte_identically() {
     let deltas = delta_stream();
-    let snap = tmp_path("tornhdr-base.usk");
+    let snap = tmp_path("torncreate-base.usk");
     tiny_engine().save_snapshot(&snap).expect("save base snapshot");
     let reference = reference_answers(&snap, &deltas, 1);
-    let segment = |base: &Path, index: u32| PathBuf::from(format!("{}.{index:06}", base.display()));
+    let half_header = |wal: &Path| {
+        let tmp = PathBuf::from(format!("{}.tmp", wal.display()));
+        std::fs::write(&tmp, b"USKWAL01\0\0").expect("half a header");
+        tmp
+    };
     let quiet = || config(1, FaultPlan::disabled());
 
-    // An unfinished roll: every delta is durable in segment 0, segment 1
-    // exists and is empty.
+    // First enable: there is no log yet, so a fresh one is created.
     {
-        let wal = tmp_path("tornhdr-roll.wal");
+        let wal = tmp_path("torncreate-first.wal");
         remove_wal(&wal);
-        let (mut engine, _, _) =
-            EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("open");
-        for d in &deltas {
-            engine.ingest_delta(d.clone()).expect("ingest");
-        }
-        drop(engine);
-        std::fs::write(segment(&wal, 1), b"").expect("empty trailing segment");
-        let (recovered, _, replayed) =
+        let tmp = half_header(&wal);
+        assert!(!Wal::exists(&wal), "a torn create is no log");
+        let (mut recovered, _, replayed) =
             EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("recover");
-        assert_eq!(replayed, deltas.len(), "the acknowledged records of segment 0 replay");
-        assert!(!segment(&wal, 1).exists(), "the unfinished segment is dropped");
-        assert_eq!(answers(&recovered), reference, "unfinished-roll recovery diverged");
+        assert_eq!(replayed, 0, "nothing to replay");
+        assert!(!tmp.exists(), "the leftover was overwritten and renamed into place");
+        for d in &deltas {
+            recovered.ingest_delta(d.clone()).expect("ingest after recovery");
+        }
+        assert_eq!(answers(&recovered), reference, "first-enable recovery diverged");
         remove_wal(&wal);
     }
 
-    // An unfinished re-create after a checkpoint: the folded snapshot is
-    // in place, the old segments are gone, segment 0 exists and is empty.
+    // A checkpoint's re-create: the folded snapshot is in place and the
+    // stale log was never replaced.
     {
-        let wal = tmp_path("tornhdr-ckpt.wal");
+        let wal = tmp_path("torncreate-ckpt.wal");
         remove_wal(&wal);
-        let ckpt = tmp_path("tornhdr-ckpt.usk");
+        let ckpt = tmp_path("torncreate-ckpt.usk");
         let (head, last) = deltas.split_at(deltas.len() - 1);
         let (mut engine, _, _) =
             EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("open");
         for d in head {
             engine.ingest_delta(d.clone()).expect("ingest");
         }
+        let stale = std::fs::read(&wal).expect("read log");
         engine.checkpoint(&ckpt).expect("checkpoint");
         drop(engine);
-        remove_wal(&wal);
-        std::fs::write(segment(&wal, 0), b"").expect("empty first segment");
+        std::fs::write(&wal, &stale).expect("the log the crashed re-create left");
+        half_header(&wal);
         let (mut recovered, _, replayed) =
             EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, quiet()).expect("recover");
-        assert_eq!(replayed, 0, "there is no log yet; the snapshot holds every delta");
+        assert_eq!(replayed, 0, "the snapshot holds every delta of the stale log");
         assert_eq!(recovered.applied_seq(), head.len() as u64);
         let seq = recovered.ingest_delta(last[0].clone()).expect("ingest after recovery");
-        assert_eq!(seq, deltas.len() as u64, "the fresh log continues the snapshot's sequence");
-        assert_eq!(answers(&recovered), reference, "unfinished-create recovery diverged");
+        assert_eq!(seq, deltas.len() as u64, "the log continues the snapshot's sequence");
+        assert_eq!(answers(&recovered), reference, "checkpoint recovery diverged");
+        drop(recovered);
         remove_wal(&wal);
+        std::fs::remove_file(PathBuf::from(format!("{}.tmp", wal.display()))).ok();
         std::fs::remove_file(&ckpt).ok();
     }
     std::fs::remove_file(&snap).ok();
@@ -436,8 +416,8 @@ fn same_seed_delta_streams_write_byte_identical_segments() {
     tiny_engine().save_snapshot(&snap).expect("save base snapshot");
 
     // Thread count is the one knob that must never leak into the log
-    // bytes: ingest the same stream at 1 and 4 threads, compare segments.
-    let mut images: Vec<Vec<(String, Vec<u8>)>> = Vec::new();
+    // bytes: ingest the same stream at 1 and 4 threads, compare the logs.
+    let mut images: Vec<Vec<u8>> = Vec::new();
     for threads in [1usize, 4] {
         let wal = tmp_path(&format!("bytes-t{threads}.wal"));
         remove_wal(&wal);
@@ -450,20 +430,10 @@ fn same_seed_delta_streams_write_byte_identical_segments() {
         for d in &deltas {
             engine.ingest_delta(d.clone()).expect("ingest");
         }
-        let base = wal.to_string_lossy().into_owned();
-        images.push(
-            Wal::segment_paths(&wal)
-                .into_iter()
-                .map(|p| {
-                    let rel = p.to_string_lossy().replace(&base, "<wal>");
-                    (rel, std::fs::read(&p).expect("read segment"))
-                })
-                .collect(),
-        );
+        images.push(std::fs::read(&wal).expect("the stream produced a log"));
         remove_wal(&wal);
     }
-    assert!(!images[0].is_empty(), "the stream produced at least one segment");
-    assert_eq!(images[0], images[1], "WAL segment bytes depend on thread count");
+    assert_eq!(images[0], images[1], "WAL bytes depend on thread count");
     std::fs::remove_file(&snap).ok();
 }
 

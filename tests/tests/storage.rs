@@ -9,16 +9,16 @@
 //!    and 8 threads.
 //! 2. **Byte-stable snapshot files**: two engines built from the same
 //!    inputs with the same seed write byte-identical snapshot files,
-//!    regardless of build thread count; the per-page image table is
-//!    pinned by a golden snapshot (`UNISEM_BLESS=1` re-blesses).
-//! 3. **Crash consistency**: across a matrix of injected torn-page and
+//!    regardless of build thread count; the per-frame table is pinned by
+//!    a golden file (`UNISEM_BLESS=1` re-blesses).
+//! 3. **Crash consistency**: across a matrix of injected torn-write and
 //!    failed-flush faults, a failed save returns a typed error, never
 //!    corrupts the previously committed snapshot, and the target stays
-//!    cleanly reopenable.
+//!    cleanly reopenable; the torn `<path>.tmp` it leaves is never read.
 
 use std::path::PathBuf;
 
-use storekit::{Pager, StoreError};
+use storekit::{Encoder, Snapshot, SnapshotWriter, StoreError};
 use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
     UnifiedEngine,
@@ -108,9 +108,9 @@ fn build_with(w: &Workload, config: EngineConfig) -> UnifiedEngine {
     b.build().0
 }
 
-/// A tiny fixed-input engine for the fault matrix and the golden page
+/// A tiny fixed-input engine for the fault matrix and the golden frame
 /// check: three lexicon entries, one table, two documents, one JSON
-/// collection — every modality, minimal pages.
+/// collection — every modality, minimal sections.
 fn tiny_engine(faults: FaultPlan) -> UnifiedEngine {
     let lexicon = Lexicon::new().with_entries([
         ("Aero Widget", EntityKind::Product),
@@ -162,9 +162,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 }
 
 fn remove_wal(base: &std::path::Path) {
-    for segment in storekit::Wal::segment_paths(base) {
-        std::fs::remove_file(segment).ok();
-    }
+    std::fs::remove_file(base).ok();
 }
 
 fn answers(engine: &UnifiedEngine, qa: &[QaItem]) -> Vec<Answer> {
@@ -224,7 +222,7 @@ fn reopened_engine_answers_faulted_traversals_byte_identically() {
     }
 }
 
-/// A 256-product corpus: sections of many pages, posting lists of
+/// A 256-product corpus: sections of hundreds of kilobytes, posting lists of
 /// kilobytes. Snapshot, reopen with a log, ingest, checkpoint — the only
 /// thing that ever truncates the log — and recover from the checkpoint.
 #[test]
@@ -245,7 +243,7 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
     let ckpt = tmp_path("scale-ckpt");
     let wal = tmp_path("scale-wal");
     remove_wal(&wal);
-    engine.save_snapshot(&snap).expect("a 256-product corpus fits its pages");
+    engine.save_snapshot(&snap).expect("a 256-product corpus saves");
 
     let (mut live, _, replayed) =
         EngineBuilder::open_snapshot_with_wal(&snap, &wal, config(1)).expect("reopen");
@@ -385,33 +383,43 @@ fn same_seed_builds_write_byte_identical_files() {
     }
 }
 
-/// Renders the page-image table of a snapshot file: one line per page
-/// with its kind tag and content checksum. Pinning this is pinning the
-/// physical layout — any page-format, allocation-order, or encoding
-/// change shows up as a diff to bless.
-fn page_image_table(path: &std::path::Path) -> String {
-    let mut pager = Pager::open(path, FaultPlan::disabled()).expect("open pager");
+/// Renders the frame table of a snapshot file, parsed straight from its
+/// bytes (DESIGN.md §12d): after the 12-byte header, one line per frame
+/// with its seq, section name, payload length and checksum. Pinning this
+/// is pinning the physical layout — any framing, section-order or
+/// encoding change shows up as a diff to bless.
+fn frame_table(bytes: &[u8]) -> String {
+    assert_eq!(&bytes[..8], b"USKSNAP1");
+    let be = |b: &[u8]| b.iter().fold(0u64, |acc, &x| acc << 8 | u64::from(x));
     let mut out = String::new();
-    for id in 0..pager.num_pages() {
-        let page = pager.read_page(id).expect("page verifies");
+    let mut at = 12;
+    while at < bytes.len() {
+        let (len, seq, checksum) = (
+            be(&bytes[at..at + 4]) as usize,
+            be(&bytes[at + 4..at + 12]),
+            be(&bytes[at + 12..at + 20]),
+        );
+        let payload = &bytes[at + 20..at + 20 + len];
+        let name_len = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
+        let name = std::str::from_utf8(&payload[4..4 + name_len]).expect("utf-8 section name");
         out.push_str(&format!(
-            "page {id}: kind={:?} checksum={:016x}\n",
-            page.kind(),
-            page.checksum()
+            "frame {seq}: section={name:?} len={len} checksum={checksum:016x}\n"
         ));
+        at += 20 + len;
     }
     out
 }
 
 #[test]
-fn snapshot_page_images_match_golden() {
+fn snapshot_section_frames_match_golden() {
     let engine = tiny_engine(FaultPlan::disabled());
     let path = tmp_path("golden");
     engine.save_snapshot(&path).expect("save");
-    let actual = page_image_table(&path);
+    let actual = frame_table(&std::fs::read(&path).expect("read"));
     std::fs::remove_file(&path).ok();
 
-    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/storage_pages.txt");
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/storage_sections.txt");
     if std::env::var_os("UNISEM_BLESS").is_some() {
         std::fs::write(&golden, &actual).expect("bless golden");
         return;
@@ -421,7 +429,7 @@ fn snapshot_page_images_match_golden() {
     });
     assert_eq!(
         actual, expected,
-        "snapshot page images diverged from golden; \
+        "snapshot frames diverged from golden; \
          re-bless with UNISEM_BLESS=1 if the change is intentional"
     );
 }
@@ -437,9 +445,9 @@ fn crash_fault_matrix_preserves_committed_snapshot() {
 
     // The matrix: each store fault site, armed at probability 1 (fires at
     // the first touch of the site) and at ~1/2 under several seeds (fires
-    // at different pages / flushes per seed — distinct fault points).
+    // at different sections / flushes per seed — distinct fault points).
     let mut plans: Vec<(String, FaultPlan)> = Vec::new();
-    for site in [FaultSite::StorePageWrite, FaultSite::StoreFlush] {
+    for site in [FaultSite::StoreWrite, FaultSite::StoreFlush] {
         plans.push((format!("{site:?}-always"), FaultPlan::single(site)));
         for seed in 1u64..=4 {
             plans.push((
@@ -456,13 +464,13 @@ fn crash_fault_matrix_preserves_committed_snapshot() {
             Err(EngineError::Store(StoreError::Fault(f))) => {
                 fired += 1;
                 assert!(
-                    matches!(f.site, FaultSite::StorePageWrite | FaultSite::StoreFlush),
+                    matches!(f.site, FaultSite::StoreWrite | FaultSite::StoreFlush),
                     "{tag}: fault at unexpected site {:?}",
                     f.site
                 );
             }
             Err(other) => panic!("{tag}: expected a typed injected-fault error, got {other}"),
-            // A probabilistic plan may spare every page this run; then the
+            // A probabilistic plan may spare every frame this run; then the
             // save must have committed a byte-identical file.
             Ok(()) => {}
         }
@@ -485,17 +493,17 @@ fn corrupt_snapshot_is_rejected_with_typed_error() {
     let path = tmp_path("corrupt");
     tiny_engine(FaultPlan::disabled()).save_snapshot(&path).expect("save");
     let mut bytes = std::fs::read(&path).expect("read");
-    // Flip one payload byte in the middle of the file: the page checksum
+    // Flip one payload byte in the middle of the file: the frame checksum
     // must catch it at open.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&path, &bytes).expect("write corrupted");
     match EngineBuilder::open_snapshot(&path, config(1)) {
-        Err(EngineError::Store(StoreError::Corrupt { .. })) => {}
+        Err(EngineError::Store(StoreError::Corrupt(_))) => {}
         Err(other) => panic!("expected a corruption error, got {other}"),
         Ok(_) => panic!("corrupted snapshot opened cleanly"),
     }
-    // Truncation is rejected too (file no longer a whole number of pages).
+    // Truncation is rejected too (the last frame is torn).
     let shorter = &bytes[..bytes.len() - 100];
     std::fs::write(&path, shorter).expect("write truncated");
     match EngineBuilder::open_snapshot(&path, config(1)) {
@@ -504,4 +512,97 @@ fn corrupt_snapshot_is_rejected_with_typed_error() {
         Ok(_) => panic!("truncated snapshot opened cleanly"),
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A save torn by a `store.write` fault leaves a torn `<path>.tmp` behind:
+/// opening `path` never reads it, whether a committed snapshot sits there
+/// or nothing does, and the next save truncates it and commits.
+#[test]
+fn torn_snapshot_tmp_neither_blocks_a_save_nor_opens() {
+    let path = tmp_path("torn-tmp");
+    let fresh = tmp_path("torn-tmp-fresh");
+    let tmp_of = |p: &std::path::Path| PathBuf::from(format!("{}.tmp", p.display()));
+    let clean = tiny_engine(FaultPlan::disabled());
+    clean.save_snapshot(&path).expect("initial save");
+    let committed = std::fs::read(&path).expect("read committed");
+    let question = "Who manufactures the Aero Widget?";
+
+    let torn = tiny_engine(FaultPlan::single(FaultSite::StoreWrite));
+    for target in [&path, &fresh] {
+        match torn.save_snapshot(target) {
+            Err(EngineError::Store(StoreError::Fault(f))) => {
+                assert_eq!((f.site, f.key.as_str()), (FaultSite::StoreWrite, "section:config"));
+            }
+            other => panic!("expected a torn write, got {other:?}"),
+        }
+        let leftover = std::fs::read(tmp_of(target)).expect("the torn file is left behind");
+        assert!(leftover.len() < committed.len() / 2, "{} bytes", leftover.len());
+        assert!(matches!(Snapshot::open(&tmp_of(target)), Err(StoreError::Corrupt(_))));
+    }
+    let (reopened, _) = EngineBuilder::open_snapshot(&path, config(1)).expect("committed opens");
+    assert_eq!(reopened.answer(question), clean.answer(question));
+    match EngineBuilder::open_snapshot(&fresh, config(1)) {
+        Err(EngineError::Store(StoreError::Io(_))) => {}
+        Err(other) => panic!("expected no file at the target, got {other}"),
+        Ok(_) => panic!("a torn temp file was opened in place of the snapshot"),
+    }
+
+    for target in [&path, &fresh] {
+        clean.save_snapshot(target).expect("the next save is not blocked");
+        assert!(!tmp_of(target).exists(), "the temp file was committed");
+        assert_eq!(std::fs::read(target).expect("read"), committed);
+        std::fs::remove_file(target).ok();
+    }
+}
+
+/// A checksum-valid snapshot whose counts claim more elements than its
+/// bytes could hold is a typed decode error, not an allocation: a
+/// `docs` section claiming 2^60 documents, and a `tables` section whose
+/// one-column table claims 2^60 rows.
+#[test]
+fn counts_past_the_bytes_left_are_decode_errors() {
+    const SECTIONS: [&str; 11] = [
+        "config",
+        "lexicon",
+        "docs",
+        "bm25meta",
+        "bm25.postings",
+        "tables",
+        "graph",
+        "graph.entities",
+        "stats",
+        "ingest",
+        "walmeta",
+    ];
+    let full = tmp_path("counts-full");
+    let forged = tmp_path("counts-forged");
+    tiny_engine(FaultPlan::disabled()).save_snapshot(&full).expect("save");
+    let snap = Snapshot::open(&full).expect("open");
+
+    let mut huge_docs = Encoder::new();
+    huge_docs.u64(1 << 60);
+    let mut huge_rows = Encoder::new();
+    huge_rows.u64(1);
+    huge_rows.str("t");
+    huge_rows.u64(1);
+    huge_rows.str("c");
+    huge_rows.u8(1);
+    huge_rows.u64(1 << 60);
+    for (replaced, bytes) in [("docs", huge_docs.into_bytes()), ("tables", huge_rows.into_bytes())]
+    {
+        let mut w = SnapshotWriter::create(&forged, FaultPlan::disabled()).expect("create");
+        for name in SECTIONS {
+            let section =
+                if name == replaced { &bytes[..] } else { snap.section(name).expect("section") };
+            w.add_section(name, section).expect("add");
+        }
+        w.commit(&forged).expect("commit");
+        match EngineBuilder::open_snapshot(&forged, config(1)) {
+            Err(EngineError::Store(StoreError::Decode(_))) => {}
+            Err(other) => panic!("{replaced}: expected a decode error, got {other}"),
+            Ok(_) => panic!("{replaced}: a snapshot with an impossible count opened"),
+        }
+    }
+    std::fs::remove_file(&full).ok();
+    std::fs::remove_file(&forged).ok();
 }
