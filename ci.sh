@@ -2,11 +2,12 @@
 # Hermetic CI gate for the unisem workspace.
 #
 # Verifies the zero-dependency policy (DESIGN.md §7): the whole workspace
-# must format-check, build, and test with the network hard-disabled — and
+# must format-check, build, and test with the network hard-disabled (the
+# tier-1 hermetic test rejects any Cargo.lock package with a source) — and
 # the determinism contract must hold statically: udlint (crates/lintkit)
 # lexes every engine source and audits panics, hash-order iteration,
-# wall-clock reads, raw threads, the closed metric namespace, env reads,
-# and path-only manifests. See DESIGN.md §10.
+# wall-clock reads, raw threads, env reads and uncovered storage I/O. See
+# DESIGN.md §10.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -160,15 +161,16 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 bash -n bench-baseline.sh
 
 echo "==> udlint --deny all (static determinism-contract audit)"
-# One linter replaces the former awk gates (closed metric namespace,
-# unwrap audit, path-only manifests) and adds the lints awk could not
-# express. Every lint is a pass over the lexer's token stream: per-line
-# hazards (hash-order iteration, wall-clock reads outside tracekit::wall
-# — not suppressible, raw thread spawns, env reads outside the UNISEM_*
-# surface), the per-function uncovered-io-site rule on storekit, and
-# dead-registry-entry, the one pass that reads every file. `udlint --list`
-# names every lint, `udlint --explain <lint>` documents each one;
-# suppressions need `// udlint: allow(<lint>) -- <reason>`. That the JSON
+# udlint keeps only the rules nothing else enforces: the compiler closes the
+# metric and component namespaces, Cargo.lock records path-only
+# dependencies, and a tier-1 liveness test catches a registry series the
+# engine never records. Every lint is a pass over one file's token stream:
+# the unwrap audit, hash-order iteration, wall-clock reads outside
+# tracekit::wall — not suppressible, raw thread spawns, env reads outside
+# the UNISEM_* surface, and the per-function uncovered-io-site rule on
+# storekit. `udlint --list` names every lint, `udlint --explain <lint>`
+# documents each one; suppressions need
+# `// udlint: allow(<lint>) -- <reason>`. That the JSON
 # report is byte-identical across runs and that the suppression count
 # stays within lint-budget.txt are tier-1 tests
 # (crates/lintkit/tests/selfcheck.rs), not gates here.

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use tracekit::component::Component;
 use tracekit::QueryTrace;
 use unisem_entropy::EntropyReport;
 use unisem_relstore::Table;
@@ -50,25 +51,17 @@ impl Route {
 pub struct Degradation {
     /// The component that failed or was bounded, e.g. `relstore.exec`,
     /// `hetgraph.traverse`, `slm.generate`, `entropy.confidence`.
-    pub component: String,
+    pub component: Component,
     /// What happened, human-readable.
     pub reason: String,
 }
 
 impl Degradation {
-    /// Creates a degradation record. The component must be a label from
-    /// the closed registry in [`tracekit::component`] — one namespace
-    /// shared with fault-site names and metric prefixes — so degradation
-    /// records, fault reports, and metrics always agree on a subsystem's
-    /// name. Ad-hoc labels fail debug builds (the test suite) rather than
-    /// silently forking the namespace.
-    pub fn new(component: impl Into<String>, reason: impl Into<String>) -> Self {
-        let component = component.into();
-        debug_assert!(
-            tracekit::component::is_registered(&component),
-            "unregistered degradation component label: {component:?} \
-             (add it to tracekit::component or use an existing label)"
-        );
+    /// Creates a degradation record. The component is a label from the
+    /// closed registry in [`tracekit::component`] — one namespace shared
+    /// with fault-site names and metric prefixes — so degradation records,
+    /// fault reports, and metrics always agree on a subsystem's name.
+    pub fn new(component: Component, reason: impl Into<String>) -> Self {
         Self { component, reason: reason.into() }
     }
 }
@@ -191,7 +184,7 @@ mod tests {
 
     #[test]
     fn degradation_display_and_flag() {
-        let d = Degradation::new("relstore.exec", "join budget exceeded");
+        let d = Degradation::new(tracekit::component::REL_EXEC, "join budget exceeded");
         assert_eq!(d.to_string(), "relstore.exec: join budget exceeded");
         let a = Answer {
             text: "x".into(),

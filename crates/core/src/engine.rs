@@ -1252,7 +1252,7 @@ mod tests {
         let a = e.answer("Which manufacturer makes the Aero Widget?");
         assert!(a.is_abstention());
         assert!(a.is_degraded());
-        assert_eq!(a.degradations[0].component, "slm.generate");
+        assert_eq!(a.degradations[0].component, tracekit::component::SLM_GENERATE);
     }
 
     #[test]
@@ -1274,7 +1274,7 @@ mod tests {
         assert!(!matches!(a.route, Route::Structured { .. }));
         assert!(a.is_degraded());
         assert!(
-            a.degradations.iter().any(|d| d.component == "relstore.exec"),
+            a.degradations.iter().any(|d| d.component == tracekit::component::REL_EXEC),
             "{:?}",
             a.degradations
         );
@@ -1288,7 +1288,7 @@ mod tests {
         let e = b.build().0;
         let a = e.answer("Which manufacturer makes the Aero Widget?");
         assert!(a.is_abstention());
-        assert_eq!(a.degradations[0].component, "entropy.samples");
+        assert_eq!(a.degradations[0].component, tracekit::component::ENTROPY_SAMPLES);
     }
 
     #[test]

@@ -130,19 +130,21 @@ impl Site {
     /// degradation record, and a metric about the same boundary always
     /// agree on its name.
     pub fn name(self) -> &'static str {
+        use tracekit::component::*;
         match self {
-            Site::SemiParse => tracekit::component::SEMI_PARSE,
-            Site::SemiFlatten => tracekit::component::SEMI_FLATTEN,
-            Site::RelExec => tracekit::component::REL_EXEC,
-            Site::ExtractTablegen => tracekit::component::EXTRACT_TABLEGEN,
-            Site::GraphTraverse => tracekit::component::GRAPH_TRAVERSE,
-            Site::SlmGenerate => tracekit::component::SLM_GENERATE,
-            Site::StoreWrite => tracekit::component::STORE_WRITE,
-            Site::StoreFlush => tracekit::component::STORE_FLUSH,
-            Site::WalAppend => tracekit::component::WAL_APPEND,
-            Site::WalFlush => tracekit::component::WAL_FLUSH,
-            Site::WalCheckpoint => tracekit::component::WAL_CHECKPOINT,
+            Site::SemiParse => SEMI_PARSE,
+            Site::SemiFlatten => SEMI_FLATTEN,
+            Site::RelExec => REL_EXEC,
+            Site::ExtractTablegen => EXTRACT_TABLEGEN,
+            Site::GraphTraverse => GRAPH_TRAVERSE,
+            Site::SlmGenerate => SLM_GENERATE,
+            Site::StoreWrite => STORE_WRITE,
+            Site::StoreFlush => STORE_FLUSH,
+            Site::WalAppend => WAL_APPEND,
+            Site::WalFlush => WAL_FLUSH,
+            Site::WalCheckpoint => WAL_CHECKPOINT,
         }
+        .name()
     }
 
     /// Looks a site up by its dotted name.
@@ -441,10 +443,6 @@ mod tests {
         for (i, s) in Site::ALL.into_iter().enumerate() {
             assert_eq!(s.index(), i);
             assert_eq!(Site::from_name(s.name()), Some(s));
-            assert!(
-                tracekit::component::is_registered(s.name()),
-                "site name must be a registered component label: {s}"
-            );
         }
         assert_eq!(Site::from_name("nope"), None);
         assert_eq!(Site::ALL.len(), NUM_SITES);

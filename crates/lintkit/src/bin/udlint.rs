@@ -1,14 +1,13 @@
 //! `udlint` — the workspace determinism linter.
 //!
 //! ```text
-//! udlint [--root DIR] [--format text|json] [--deny all] [--pedantic]
-//!        [--list] [--explain LINT]
+//! udlint [--root DIR] [--format text|json] [--deny all] [--list]
+//!        [--explain LINT]
 //! ```
 //!
 //! - `--root DIR`        tree to lint (default: current directory)
 //! - `--format json`     machine-readable, byte-stable report
 //! - `--deny all`        exit non-zero if any unsuppressed diagnostic
-//! - `--pedantic`        also run the high-noise slice-index audit
 //! - `--list`            print the closed lint registry and exit
 //! - `--explain LINT`    print the long-form contract documentation for
 //!                       one lint and exit
@@ -20,7 +19,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = String::from("text");
     let mut deny = false;
-    let mut pedantic = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -38,7 +36,6 @@ fn main() -> ExitCode {
                 Some("all") => deny = true,
                 _ => return usage("only `--deny all` is supported"),
             },
-            "--pedantic" => pedantic = true,
             "--list" => {
                 for (name, desc) in lintkit::LINTS {
                     println!("{name}\n    {desc}");
@@ -65,7 +62,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match lintkit::runner::run(&root, pedantic) {
+    let report = match lintkit::runner::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("udlint: cannot walk {}: {e}", root.display());
@@ -90,8 +87,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("udlint: {err}");
     }
     eprintln!(
-        "usage: udlint [--root DIR] [--format text|json] [--deny all] [--pedantic] [--list] \
-         [--explain LINT]"
+        "usage: udlint [--root DIR] [--format text|json] [--deny all] [--list] [--explain LINT]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

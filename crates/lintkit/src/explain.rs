@@ -24,13 +24,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          the invariant is locally provable, suppress with the proof as reason.",
     ),
     (
-        "slice-index",
-        "What: direct `x[i]` indexing in panic-free crates (pedantic only).\n\
-         Why: indexing panics on out-of-bounds — same availability contract as\n\
-         unwrap-in-core, but noisy enough to stay behind --pedantic.\n\
-         Fix: `.get(i)` with typed handling, or iterate instead of indexing.",
-    ),
-    (
         "unordered-iteration",
         "What: iterating a HashMap/HashSet where the order can reach floats,\n\
          traces, or returned collections without an interposed sort.\n\
@@ -60,16 +53,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Fix: express the parallelism as parkit tasks.",
     ),
     (
-        "string-metric-label",
-        "What: a string literal or dynamically built name where the trace/metric\n\
-         API expects a registry constant.\n\
-         Why: the namespace is closed (DESIGN.md §9): every series is a\n\
-         registry_enum! variant, so dashboards and goldens enumerate it\n\
-         statically and typos cannot mint phantom series.\n\
-         Fix: add a variant to the registry in crates/tracekit/src/metrics.rs\n\
-         and record through it.",
-    ),
-    (
         "nondeterministic-env",
         "What: `std::env::var`/`vars` outside the blessed UNISEM_* configuration\n\
          surface.\n\
@@ -77,13 +60,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          launched the process; the deterministic replay contract allows only\n\
          the documented UNISEM_* knobs, read at one choke point.\n\
          Fix: plumb the value through config, or add a documented UNISEM_* knob.",
-    ),
-    (
-        "non-path-dependency",
-        "What: a Cargo.toml dependency that is not path-only/workspace-inherited.\n\
-         Why: the workspace builds offline by policy (DESIGN.md §7); a crates.io\n\
-         dependency would break the hermetic build and widen the trust surface.\n\
-         Fix: vendor the functionality into a workspace crate.",
     ),
     (
         "suppression-syntax",
@@ -113,20 +89,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Fix: put the check beside the I/O (at an existing site, or extend the\n\
          site registry deliberately); suppress only where recovery provably\n\
          handles a crash at that call, naming the test that shows it.",
-    ),
-    (
-        "dead-registry-entry",
-        "What: a `registry_enum!` variant (Metric/Hist/Stage) in\n\
-         crates/tracekit/src/metrics.rs with no `Enum::Variant` reference in\n\
-         non-test engine or bench/detkit code.\n\
-         Why: the closed namespace keeps phantom series out, but it can rot in\n\
-         the other direction — a variant outlives its last recording site and\n\
-         dashboards show a forever-zero series that reads as a broken engine.\n\
-         How: variants are read out of each `registry_enum! { … }` body, found\n\
-         by token with its braces matched; references inside metrics.rs itself\n\
-         do not count, since the generated ALL/name tables mention every\n\
-         variant by construction.\n\
-         Fix: delete the variant, or wire its recording site back up.",
     ),
 ];
 

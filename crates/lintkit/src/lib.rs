@@ -10,9 +10,12 @@
 //! module never hides.
 //!
 //! The registry is *closed*: every lint name lives in [`LINTS`], every
-//! suppression must name one, and `udlint --list` prints them. See
-//! DESIGN.md §10 for the registry, the suppression grammar, and the
-//! recipe for adding a lint.
+//! suppression must name one, and `udlint --list` prints them. It holds
+//! only rules nothing else enforces: the closed metric and component
+//! namespaces are types the compiler checks, path-only dependencies are
+//! what `Cargo.lock` records, and registry liveness is a test that runs
+//! the engine. See DESIGN.md §10 for the registry, the suppression
+//! grammar, and the recipe for adding a lint.
 //!
 //! ```text
 //! $ udlint --deny all
@@ -23,7 +26,6 @@
 pub mod diag;
 pub mod explain;
 pub mod lexer;
-pub mod manifest;
 pub mod passes;
 pub mod runner;
 pub mod source;
@@ -37,11 +39,7 @@ pub const LINTS: &[(&str, &str)] = &[
     (
         "unwrap-in-core",
         "unwrap/expect/panic!/unreachable!/todo!/unimplemented! in non-test engine library code \
-         (panic-free crates: core, relstore, hetgraph, retrieval)",
-    ),
-    (
-        "slice-index",
-        "direct slice/array indexing in panic-free crates (pedantic; enable with --pedantic)",
+         (panic-free crates: core, relstore, hetgraph, retrieval, storekit)",
     ),
     (
         "unordered-iteration",
@@ -57,17 +55,7 @@ pub const LINTS: &[(&str, &str)] = &[
         "raw-thread-spawn",
         "std::thread::spawn/Builder outside parkit's deterministic fork-join pool",
     ),
-    (
-        "string-metric-label",
-        "string literal or dynamically built name where the closed trace/metric namespace \
-         expects a registry constant (DESIGN.md §9)",
-    ),
     ("nondeterministic-env", "environment read outside the blessed UNISEM_* configuration surface"),
-    (
-        "non-path-dependency",
-        "Cargo.toml dependency that is not path-only / workspace-inherited (hermetic build \
-         policy)",
-    ),
     (
         "suppression-syntax",
         "malformed, unknown-lint, or unused `udlint: allow` comment (reason is mandatory)",
@@ -76,11 +64,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "uncovered-io-site",
         "raw storekit I/O (write_all/sync_all/sync_data/set_len) in a function with no faultkit \
          `check(Site::…)` of its own — the crash matrix cannot reach it",
-    ),
-    (
-        "dead-registry-entry",
-        "registry_enum! variant (Metric/Hist/Stage) never recorded outside test code — a \
-         forever-zero series in every dashboard",
     ),
 ];
 

@@ -5,9 +5,7 @@
 //! pattern matchers over tokens — no type information, no item tree — so
 //! each lint documents its heuristic and accepts line-level suppression
 //! for the cases the heuristic cannot see through (reason mandatory,
-//! counted, budgeted by `lint-budget.txt`). One pass is not per file:
-//! [`dead_registry`] sees every file at once, through the runner's one
-//! whole-tree hook.
+//! counted, budgeted by `lint-budget.txt`).
 //!
 //! # Adding a lint (DESIGN.md §10)
 //!
@@ -18,10 +16,8 @@
 //! 4. Add adversarial snippets to `tests/adversarial.rs` proving the
 //!    false-positive cases (strings, comments, test spans) stay silent.
 
-pub mod dead_registry;
 pub mod envread;
 pub mod io_sites;
-pub mod namespace;
 pub mod spawn;
 pub mod unordered;
 pub mod unwrap;
@@ -52,9 +48,6 @@ const TOOLING_CRATES: &[&str] = &["detkit", "bench", "lintkit"];
 /// Crates whose non-test library code must stay panic-free on untrusted
 /// input (the `unwrap-in-core` audit set; DESIGN.md §8).
 const PANIC_FREE_CRATES: &[&str] = &["core", "relstore", "hetgraph", "retrieval", "storekit"];
-
-/// Crates bound by the closed trace/metric namespace rule (DESIGN.md §9).
-const NAMESPACE_CRATES: &[&str] = &["core", "relstore", "hetgraph", "retrieval", "storekit"];
 
 /// Classifies a workspace-relative path (forward slashes).
 pub fn file_scope(rel_path: &str) -> FileScope {
@@ -87,30 +80,21 @@ pub trait Pass {
     fn run(&self, file: &SourceFile, out: &mut Vec<Diagnostic>);
 }
 
-/// The closed pass registry. `pedantic` additionally enables the
-/// slice-index audit (high-noise; run via `udlint --pedantic`).
-pub fn registry(pedantic: bool) -> Vec<Box<dyn Pass>> {
-    let mut passes: Vec<Box<dyn Pass>> = vec![
+/// The closed pass registry: one pass per lint of [`crate::LINTS`] except
+/// `suppression-syntax`, which the runner reports while resolving.
+pub fn registry() -> Vec<Box<dyn Pass>> {
+    vec![
         Box::new(unwrap::UnwrapInCore),
         Box::new(unordered::UnorderedIteration),
         Box::new(wallclock::WallclockInHotPath),
         Box::new(spawn::RawThreadSpawn),
-        Box::new(namespace::StringMetricLabel),
         Box::new(envread::NondeterministicEnv),
         Box::new(io_sites::UncoveredIoSite),
-    ];
-    if pedantic {
-        passes.push(Box::new(unwrap::SliceIndex));
-    }
-    passes
+    ]
 }
 
 pub(crate) fn in_panic_free_set(krate: &str) -> bool {
     PANIC_FREE_CRATES.contains(&krate)
-}
-
-pub(crate) fn in_namespace_set(krate: &str) -> bool {
-    NAMESPACE_CRATES.contains(&krate)
 }
 
 #[cfg(test)]
@@ -137,14 +121,18 @@ mod tests {
 
     #[test]
     fn registry_is_closed_and_named() {
-        for pass in registry(true) {
+        let passes: Vec<&str> = registry().iter().map(|p| p.lint()).collect();
+        for name in &passes {
             assert!(
-                crate::LINTS.iter().any(|(name, _)| *name == pass.lint()),
-                "pass `{}` missing from LINTS registry",
-                pass.lint()
+                crate::LINTS.iter().any(|(l, _)| l == name),
+                "pass `{name}` missing from LINTS registry"
             );
         }
-        assert!(crate::LINTS.iter().any(|(name, _)| *name == dead_registry::LINT));
-        assert_eq!(registry(false).len() + 1, registry(true).len());
+        for (name, _) in crate::LINTS {
+            assert!(
+                passes.contains(name) || *name == "suppression-syntax",
+                "lint `{name}` has no pass"
+            );
+        }
     }
 }

@@ -1,8 +1,7 @@
-//! `unwrap-in-core` — the panic-freedom audit (DESIGN.md §8), plus the
-//! opt-in `slice-index` audit.
+//! `unwrap-in-core` — the panic-freedom audit (DESIGN.md §8).
 //!
-//! Engine-core, relational-executor, graph, and retrieval library code
-//! must stay panic-free on untrusted input. Flags, outside test spans:
+//! Engine-core, relational-executor, graph, retrieval, and storage library
+//! code must stay panic-free on untrusted input. Flags, outside test spans:
 //!
 //! - `.unwrap()` / `.expect(…)` on options/results;
 //! - `panic!`, `unreachable!`, `todo!`, `unimplemented!` invocations.
@@ -10,18 +9,13 @@
 //! `unwrap_or` / `unwrap_or_else` / `unwrap_or_default` / `expect_err`
 //! are distinct identifiers at the token level and are never flagged —
 //! as are `unwrap` inside strings, comments, or `#[cfg(test)]` items.
-//!
-//! The `slice-index` lint (pedantic; `udlint --pedantic`) additionally
-//! reports `expr[index]` positions, which can panic on out-of-bounds
-//! access. It is too noisy for `--deny all` (bounded indexing after a
-//! length check is pervasive and fine) but useful as an audit listing.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::passes::{in_panic_free_set, Pass};
 use crate::source::SourceFile;
 
-/// The default panic audit.
+/// The panic audit.
 pub struct UnwrapInCore;
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -62,75 +56,4 @@ impl Pass for UnwrapInCore {
             }
         }
     }
-}
-
-/// Pedantic indexing audit (`expr[i]` can panic).
-pub struct SliceIndex;
-
-impl Pass for SliceIndex {
-    fn lint(&self) -> &'static str {
-        "slice-index"
-    }
-
-    fn applies(&self, krate: &str, _rel_path: &str) -> bool {
-        in_panic_free_set(krate)
-    }
-
-    fn run(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        for k in 1..file.sig.len() {
-            if file.sig_in_test(k) || file.sig_text(k) != "[" {
-                continue;
-            }
-            // `foo[i]`, `bar()[i]`, `baz[i][j]` — an index expression has
-            // a value-like token right before the bracket. `&[T]` types,
-            // attribute `#[…]`, and array literals `= […]` do not.
-            let prev_is_value = matches!(file.sig_kind(k - 1), Some(TokKind::Ident))
-                && !is_keyword(file.sig_text(k - 1))
-                || file.sig_text(k - 1) == ")"
-                || file.sig_text(k - 1) == "]";
-            // Skip empty index `[]` (slice pattern) and `[..]` full-range
-            // (cannot be out of bounds).
-            if prev_is_value && file.sig_text(k + 1) != "]" {
-                out.push(Diagnostic {
-                    path: file.rel_path.clone(),
-                    line: file.sig_line(k),
-                    lint: self.lint().into(),
-                    message: "indexing can panic out-of-bounds; consider .get()".into(),
-                });
-            }
-        }
-    }
-}
-
-fn is_keyword(t: &str) -> bool {
-    matches!(
-        t,
-        "let"
-            | "mut"
-            | "ref"
-            | "in"
-            | "return"
-            | "match"
-            | "if"
-            | "else"
-            | "fn"
-            | "pub"
-            | "use"
-            | "mod"
-            | "impl"
-            | "for"
-            | "while"
-            | "loop"
-            | "box"
-            | "move"
-            | "static"
-            | "const"
-            | "type"
-            | "struct"
-            | "enum"
-            | "trait"
-            | "where"
-            | "as"
-            | "dyn"
-    )
 }

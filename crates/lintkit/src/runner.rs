@@ -9,9 +9,8 @@ use std::fs;
 use std::path::Path;
 
 use crate::diag::{Diagnostic, Suppressed};
-use crate::manifest::lint_manifest;
-use crate::passes::{dead_registry, file_scope, registry, FileScope};
-use crate::source::{SourceFile, Suppression};
+use crate::passes::{file_scope, registry, FileScope};
+use crate::source::SourceFile;
 
 /// The outcome of linting a tree (or a single source, in tests).
 #[derive(Default)]
@@ -92,124 +91,70 @@ fn unsuppressible(lint: &str) -> bool {
     crate::UNSUPPRESSIBLE.contains(&lint)
 }
 
-/// Applies suppressions to raw findings: matching `(line, lint)` pairs
-/// move to `suppressed`; malformed, unknown-lint, and unused suppressions
-/// become `suppression-syntax` diagnostics (an unused suppression is a
-/// stale reason waiting to mislead someone), and so does one naming a
-/// lint of [`crate::UNSUPPRESSIBLE`], which silences nothing.
-fn resolve(
-    rel_path: &str,
-    raw: Vec<Diagnostic>,
-    suppressions: &[Suppression],
-    bad: &[(u32, String)],
-    line_in_test: impl Fn(u32) -> bool,
-    active: impl Fn(&str) -> bool,
-    report: &mut RunReport,
-) {
-    let mut used = vec![false; suppressions.len()];
+/// Applies `file`'s suppressions to its raw findings: matching
+/// `(line, lint)` pairs move to `suppressed`; malformed, unknown-lint, and
+/// unused suppressions become `suppression-syntax` diagnostics (an unused
+/// suppression is a stale reason waiting to mislead someone), and so does
+/// one naming a lint of [`crate::UNSUPPRESSIBLE`], which silences nothing.
+/// A suppression of a lint that is not `active` on this file, or one in
+/// test code, is never reported as unused.
+fn resolve(file: &SourceFile, raw: Vec<Diagnostic>, active: &[&str], report: &mut RunReport) {
+    let syntax = |line: u32, message: String| Diagnostic {
+        path: file.rel_path.clone(),
+        line,
+        lint: "suppression-syntax".into(),
+        message,
+    };
+    let mut used = vec![false; file.suppressions.len()];
     for d in raw {
-        let hit = suppressions
+        let hit = file
+            .suppressions
             .iter()
             .position(|s| s.target_line == d.line && s.lint == d.lint && !unsuppressible(&s.lint));
         match hit {
             Some(i) => {
                 used[i] = true;
-                report
-                    .suppressed
-                    .push(Suppressed { diag: d, reason: suppressions[i].reason.clone() });
+                let reason = file.suppressions[i].reason.clone();
+                report.suppressed.push(Suppressed { diag: d, reason });
             }
             None => report.diagnostics.push(d),
         }
     }
-    for (line, problem) in bad {
-        report.diagnostics.push(Diagnostic {
-            path: rel_path.to_string(),
-            line: *line,
-            lint: "suppression-syntax".into(),
-            message: problem.clone(),
-        });
+    for b in &file.bad_suppressions {
+        report.diagnostics.push(syntax(b.line, b.problem.clone()));
     }
-    for (i, s) in suppressions.iter().enumerate() {
-        if !known_lint(&s.lint) {
-            report.diagnostics.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: s.comment_line,
-                lint: "suppression-syntax".into(),
-                message: format!("suppression names unknown lint `{}`", s.lint),
-            });
+    let in_test = |line: u32| file.toks.iter().any(|t| t.line == line && t.in_test);
+    for (s, used) in file.suppressions.iter().zip(used) {
+        let problem = if !known_lint(&s.lint) {
+            format!("suppression names unknown lint `{}`", s.lint)
         } else if unsuppressible(&s.lint) {
-            report.diagnostics.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: s.comment_line,
-                lint: "suppression-syntax".into(),
-                message: format!("`{}` cannot be suppressed: fix the finding", s.lint),
-            });
-        } else if !used[i] && active(&s.lint) && !line_in_test(s.comment_line) {
-            report.diagnostics.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: s.comment_line,
-                lint: "suppression-syntax".into(),
-                message: format!(
-                    "unused suppression: no `{}` diagnostic on line {}",
-                    s.lint, s.target_line
-                ),
-            });
-        }
+            format!("`{}` cannot be suppressed: fix the finding", s.lint)
+        } else if !used && active.contains(&s.lint.as_str()) && !in_test(s.comment_line) {
+            format!("unused suppression: no `{}` diagnostic on line {}", s.lint, s.target_line)
+        } else {
+            continue;
+        };
+        report.diagnostics.push(syntax(s.comment_line, problem));
     }
 }
 
-/// Lints one manifest (every `Cargo.toml` is in scope — the hermetic
-/// policy binds tooling crates too).
-pub fn check_manifest_source(rel_path: &str, src: &str, report: &mut RunReport) {
-    let (raw, suppressions) = lint_manifest(rel_path, src);
-    resolve(rel_path, raw, &suppressions, &[], |_| false, |_| true, report);
-}
-
-/// Lints a whole workspace given in memory as `(rel_path, source)`
-/// pairs. Every file is lexed once; the one pass that needs all of them
-/// at once (`dead-registry-entry`) runs first, and its findings join the
-/// per-file passes' under one suppression resolution per file — so a
-/// suppression can silence either kind and an unused one is detected
-/// across both.
-pub fn check_tree(inputs: &[(String, String)], pedantic: bool) -> RunReport {
+/// Lints a workspace given in memory as `(rel_path, source)` pairs: every
+/// engine source is lexed once, run through each pass that applies to its
+/// crate, and its findings resolved against its own suppressions.
+pub fn check_tree(inputs: &[(String, String)]) -> RunReport {
     let mut report = RunReport::default();
-    let mut engine: Vec<(String, SourceFile)> = Vec::new();
-    let mut usage: Vec<SourceFile> = Vec::new();
     for (rel_path, src) in inputs {
-        if !rel_path.ends_with(".rs") {
-            check_manifest_source(rel_path, src, &mut report);
-        } else if let FileScope::Engine { krate } = file_scope(rel_path) {
-            engine.push((krate, SourceFile::parse(rel_path, src)));
-        } else if dead_registry::is_usage_source(rel_path) {
-            usage.push(SourceFile::parse(rel_path, src));
-        }
-    }
-
-    let all: Vec<&SourceFile> = engine.iter().map(|(_, f)| f).chain(&usage).collect();
-    let mut whole_tree = Vec::new();
-    dead_registry::run(&all, &mut whole_tree);
-
-    for (krate, file) in &engine {
-        let mut raw: Vec<Diagnostic> =
-            whole_tree.iter().filter(|d| d.path == file.rel_path).cloned().collect();
-        let mut active_lints = vec![dead_registry::LINT];
-        for pass in registry(pedantic) {
-            if pass.applies(krate, &file.rel_path) {
-                pass.run(file, &mut raw);
-                active_lints.push(pass.lint());
+        let FileScope::Engine { krate } = file_scope(rel_path) else { continue };
+        let file = SourceFile::parse(rel_path, src);
+        let mut raw = Vec::new();
+        let mut active = Vec::new();
+        for pass in registry() {
+            if pass.applies(&krate, rel_path) {
+                pass.run(&file, &mut raw);
+                active.push(pass.lint());
             }
         }
-        let bad: Vec<(u32, String)> =
-            file.bad_suppressions.iter().map(|b| (b.line, b.problem.clone())).collect();
-        resolve(
-            &file.rel_path,
-            raw,
-            &file.suppressions,
-            &bad,
-            |line| file.toks.iter().any(|t| t.line == line && t.in_test),
-            |lint| active_lints.contains(&lint),
-            &mut report,
-        );
+        resolve(&file, raw, &active, &mut report);
     }
     report.finish()
 }
@@ -229,9 +174,9 @@ fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(inputs)
 }
 
-/// Walks `root` and lints every `.rs` and `Cargo.toml` file in scope.
-pub fn run(root: &Path, pedantic: bool) -> std::io::Result<RunReport> {
-    Ok(check_tree(&read_tree(root)?, pedantic))
+/// Walks `root` and lints every `.rs` file in scope.
+pub fn run(root: &Path) -> std::io::Result<RunReport> {
+    Ok(check_tree(&read_tree(root)?))
 }
 
 /// Recursively collects lintable files, skipping `target/` and
@@ -255,7 +200,7 @@ fn collect_files(root: &Path, rel: &Path, out: &mut Vec<String>) -> std::io::Res
         let child = root.join(&child_rel);
         if child.is_dir() {
             collect_files(root, &child_rel, out)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") {
             out.push(child_rel.to_string_lossy().replace('\\', "/"));
         }
     }
@@ -263,8 +208,8 @@ fn collect_files(root: &Path, rel: &Path, out: &mut Vec<String>) -> std::io::Res
 }
 
 /// Convenience for tests: lints a one-file tree.
-pub fn check_source(rel_path: &str, src: &str, pedantic: bool) -> RunReport {
-    check_tree(&[(rel_path.to_string(), src.to_string())], pedantic)
+pub fn check_source(rel_path: &str, src: &str) -> RunReport {
+    check_tree(&[(rel_path.to_string(), src.to_string())])
 }
 
 #[cfg(test)]
@@ -276,7 +221,7 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 {\n\
                    x.unwrap() // udlint: allow(unwrap-in-core) -- checked by caller\n\
                    }\n";
-        let r = check_source("crates/core/src/f.rs", src, false);
+        let r = check_source("crates/core/src/f.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].reason, "checked by caller");
@@ -287,7 +232,7 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 {\n\
                    x.unwrap() // udlint: allow(raw-thread-spawn) -- wrong lint\n\
                    }\n";
-        let r = check_source("crates/core/src/f.rs", src, false);
+        let r = check_source("crates/core/src/f.rs", src);
         // The unwrap stays, and the suppression is flagged as unused.
         assert_eq!(r.diagnostics.len(), 2, "{:?}", r.diagnostics);
         assert!(r.diagnostics.iter().any(|d| d.lint == "unwrap-in-core"));
@@ -297,21 +242,22 @@ mod tests {
     #[test]
     fn unknown_lint_in_suppression_is_flagged() {
         let src = "// udlint: allow(made-up-lint) -- because\nfn f() {}\n";
-        let r = check_source("crates/core/src/f.rs", src, false);
+        let r = check_source("crates/core/src/f.rs", src);
         assert_eq!(r.diagnostics.len(), 1);
         assert!(r.diagnostics[0].message.contains("unknown lint"));
     }
 
     #[test]
-    fn inactive_pedantic_suppression_is_not_unused() {
-        // slice-index only runs under --pedantic; its suppressions must
-        // not be reported as unused in a default run.
-        let src = "fn f(v: &[u32]) -> u32 {\n\
-                   v[0] // udlint: allow(slice-index) -- len checked above\n\
+    fn suppression_of_an_inactive_lint_is_not_unused() {
+        // unwrap-in-core does not run on the text crate, so a suppression
+        // of it there matches nothing and is not reported as unused; the
+        // same line in a panic-free crate silences a real finding.
+        let src = "fn f(x: Option<u32>) -> u32 {\n\
+                   x.unwrap() // udlint: allow(unwrap-in-core) -- checked by caller\n\
                    }\n";
-        let r = check_source("crates/core/src/f.rs", src, false);
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        let r = check_source("crates/core/src/f.rs", src, true);
+        let r = check_source("crates/text/src/f.rs", src);
+        assert!(r.diagnostics.is_empty() && r.suppressed.is_empty(), "{:?}", r.diagnostics);
+        let r = check_source("crates/core/src/f.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.suppressed.len(), 1);
     }
@@ -319,14 +265,14 @@ mod tests {
     #[test]
     fn ignored_scope_produces_nothing() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let r = check_source("crates/detkit/src/f.rs", src, true);
+        let r = check_source("crates/detkit/src/f.rs", src);
         assert!(r.diagnostics.is_empty() && r.suppressed.is_empty());
     }
 
     #[test]
     fn json_report_shape() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let r = check_source("crates/core/src/f.rs", src, false);
+        let r = check_source("crates/core/src/f.rs", src);
         let j = r.render_json();
         assert!(j.contains("\"diagnostics\": ["));
         assert!(j.contains("\"counts\": {\"diagnostics\": 1, \"suppressed\": 0}"));

@@ -9,7 +9,7 @@ const CORE: &str = "crates/core/src/x.rs";
 const STORE: &str = "crates/storekit/src/x.rs";
 
 fn lints(rel_path: &str, src: &str) -> Vec<String> {
-    let r = check_source(rel_path, src, false);
+    let r = check_source(rel_path, src);
     r.diagnostics.iter().map(|d| d.lint.clone()).collect()
 }
 
@@ -17,7 +17,7 @@ fn lints(rel_path: &str, src: &str) -> Vec<String> {
 fn tree(files: &[(&str, &str)]) -> RunReport {
     let inputs: Vec<(String, String)> =
         files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-    check_tree(&inputs, false)
+    check_tree(&inputs)
 }
 
 fn lints_of(r: &RunReport) -> Vec<(&str, &str, u32)> {
@@ -26,7 +26,7 @@ fn lints_of(r: &RunReport) -> Vec<(&str, &str, u32)> {
 
 /// `uncovered-io-site` messages for `src` as a storekit source.
 fn io_findings(src: &str) -> Vec<String> {
-    let r = check_source(STORE, src, false);
+    let r = check_source(STORE, src);
     r.diagnostics
         .iter()
         .filter(|d| d.lint == "uncovered-io-site")
@@ -274,45 +274,6 @@ fn thread_spawn_in_raw_string_is_not_flagged() {
     assert!(lints(CORE, src).is_empty());
 }
 
-// -------------------------------------------------------- closed namespace
-
-#[test]
-fn multiline_degradation_new_with_string_is_flagged() {
-    // The awk gate matched single lines; the token stream does not care
-    // where the newlines fall.
-    let src = "\
-fn f() {
-    let _d = Degradation::new(
-        \"freeform-component\",
-    );
-}
-";
-    assert_eq!(lints(CORE, src), vec!["string-metric-label"]);
-}
-
-#[test]
-fn metric_call_with_string_label_is_flagged_enum_is_not() {
-    let flagged = "fn f(m: &M) { m.incr(\n  \"my_counter\", 1); }\n";
-    assert_eq!(lints(CORE, flagged), vec!["string-metric-label"]);
-    let ok = "fn f(m: &M) { m.incr(Metric::RowsScanned, 1); }\n";
-    assert!(lints(CORE, ok).is_empty());
-}
-
-#[test]
-fn from_name_with_format_is_flagged_constant_is_not() {
-    let flagged = "fn f() { let _ = Metric::from_name(format!(\"q_{}\", 3)); }\n";
-    assert_eq!(lints(CORE, flagged), vec!["string-metric-label"]);
-    let ok = "fn f() { let _ = Metric::from_name(KNOWN_NAME); }\n";
-    assert!(lints(CORE, ok).is_empty());
-}
-
-#[test]
-fn namespace_rule_only_binds_namespace_crates() {
-    let src = "fn f() { let _d = Degradation::new(\"x\"); }\n";
-    assert!(lints("crates/tracekit/src/component.rs", src).is_empty());
-    assert_eq!(lints("crates/relstore/src/y.rs", src), vec!["string-metric-label"]);
-}
-
 // ------------------------------------------------------------- env reads
 
 #[test]
@@ -352,7 +313,7 @@ fn f(x: Option<u32>) -> u32 {
     x.unwrap() // udlint: allow(unwrap-in-core) -- input validated at ingestion
 }
 ";
-    let r = check_source(CORE, src, false);
+    let r = check_source(CORE, src);
     assert!(r.diagnostics.is_empty());
     assert_eq!(r.suppressed.len(), 1);
     assert_eq!(r.suppressed[0].reason, "input validated at ingestion");
@@ -361,7 +322,7 @@ fn f(x: Option<u32>) -> u32 {
 #[test]
 fn suppression_without_reason_is_a_diagnostic() {
     let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() // udlint: allow(unwrap-in-core)\n}\n";
-    let r = check_source(CORE, src, false);
+    let r = check_source(CORE, src);
     assert!(r.diagnostics.iter().any(|d| d.lint == "suppression-syntax"));
     assert!(r.diagnostics.iter().any(|d| d.lint == "unwrap-in-core"), "not silenced");
 }
@@ -374,7 +335,7 @@ fn f(x: Option<u32>) -> u32 {
     x.unwrap()
 }
 ";
-    let r = check_source(CORE, src, false);
+    let r = check_source(CORE, src);
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     assert_eq!(r.suppressed.len(), 1);
 }
@@ -386,7 +347,7 @@ pub fn orphan(f: &std::fs::File) -> std::io::Result<()> {\n\
     // udlint: allow(uncovered-io-site) -- fixture: documented pre-state window\n\
     f.sync_all()\n\
 }\n";
-    let r = check_source(STORE, src, false);
+    let r = check_source(STORE, src);
     assert!(r.diagnostics.is_empty(), "{:?}", lints_of(&r));
     assert_eq!(r.suppressed.len(), 1);
     assert_eq!(r.suppressed[0].diag.lint, "uncovered-io-site");
@@ -396,7 +357,7 @@ pub fn orphan(f: &std::fs::File) -> std::io::Result<()> {\n\
 pub fn nothing() {}\n\
 // udlint: allow(uncovered-io-site) -- fixture: stale reason\n\
 pub fn also_nothing() {}\n";
-    let r = check_source(STORE, clean, false);
+    let r = check_source(STORE, clean);
     assert!(
         r.diagnostics
             .iter()
@@ -434,7 +395,7 @@ impl Store {\n\
         f.sync_data()\n\
     }\n\
 }\n";
-    let r = check_source("crates/storekit/src/newpath.rs", src, false);
+    let r = check_source("crates/storekit/src/newpath.rs", src);
     assert_eq!(
         lints_of(&r),
         vec![
@@ -637,8 +598,8 @@ fn pathological_inputs_never_panic() {
         "fn f() { x.sync_all",
     ];
     for src in cases {
-        let _ = check_source(STORE, src, true);
-        let _ = tree(&[("crates/tracekit/src/metrics.rs", src), (STORE, src)]);
+        let _ = check_source(STORE, src);
+        let _ = check_source(CORE, src);
     }
     // A long alternating stream of delimiters (deterministic, no RNG: the
     // pattern is fixed) — 50 `fn x` heads, none with a readable body.
@@ -646,73 +607,8 @@ fn pathological_inputs_never_panic() {
     for i in 0..500 {
         soup.push_str(["{", "}", "(", ")", "fn ", "x", ";", "#[", "]", "::"][i % 10]);
     }
-    let _ = check_source(STORE, &soup, true);
-    let _ = tree(&[("crates/tracekit/src/metrics.rs", soup.as_str())]);
-}
-
-// -------------------------------------------------------------- registries
-
-const METRICS_FIXTURE: &str = "\
-registry_enum! {\n\
-    pub enum Metric {\n\
-        Used => \"m.used\",\n\
-        Dead => \"m.dead\",\n\
-        TestOnly => \"m.test_only\",\n\
-    }\n\
-}\n";
-
-#[test]
-fn dead_registry_entry_finds_unrecorded_variants() {
-    let r = tree(&[
-        ("crates/tracekit/src/metrics.rs", METRICS_FIXTURE),
-        (
-            "crates/core/src/ingest.rs",
-            "pub fn record(reg: &MetricsRegistry) { reg.add(Metric::Used, 1); }\n\
-             #[cfg(test)]\nmod tests {\n    fn t(reg: &MetricsRegistry) { \
-             reg.add(Metric::TestOnly, 1); }\n}\n",
-        ),
-    ]);
-    let dead: Vec<_> = r.diagnostics.iter().filter(|d| d.lint == "dead-registry-entry").collect();
-    let names: Vec<&str> = dead.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(dead.len(), 2, "{names:?}");
-    assert!(names.iter().any(|m| m.contains("Metric::Dead")), "{names:?}");
-    assert!(
-        names.iter().any(|m| m.contains("Metric::TestOnly")),
-        "test-only recording does not count: {names:?}"
-    );
-    assert!(!names.iter().any(|m| m.contains("Metric::Used")), "{names:?}");
-    assert!(dead.iter().all(|d| d.path == "crates/tracekit/src/metrics.rs"));
-    assert_eq!(dead.iter().map(|d| d.line).collect::<Vec<_>>(), vec![4, 5]);
-}
-
-#[test]
-fn bench_and_detkit_sources_witness_liveness_lintkit_and_tests_do_not() {
-    let recording = "pub fn record(reg: &MetricsRegistry) { reg.add(Metric::Dead, 1); }\n";
-    let dead_in = |path: &str| {
-        let r = tree(&[("crates/tracekit/src/metrics.rs", METRICS_FIXTURE), (path, recording)]);
-        r.diagnostics.iter().filter(|d| d.message.contains("Metric::Dead")).count()
-    };
-    assert_eq!(dead_in("crates/bench/src/bin/experiments.rs"), 0);
-    assert_eq!(dead_in("crates/detkit/src/prop.rs"), 0);
-    assert_eq!(dead_in("crates/lintkit/src/passes/dead_registry.rs"), 1);
-    assert_eq!(dead_in("crates/core/tests/props.rs"), 1);
-    assert_eq!(dead_in("tests/tests/observability.rs"), 1);
-}
-
-#[test]
-fn references_inside_metrics_rs_do_not_count_as_liveness() {
-    // The generated ALL/name tables (and a hand-written kind() match)
-    // mention every variant; only *recording* sites elsewhere count. The
-    // macro's own definition is not an invocation.
-    let with_selfref = format!(
-        "macro_rules! registry_enum {{ ($($t:tt)*) => {{}}; }}\n{METRICS_FIXTURE}\n\
-         impl Metric {{\n    pub fn kind(self) -> u32 {{\n        \
-         match self {{ Metric::Dead => 1, _ => 0 }}\n    }}\n}}\n"
-    );
-    let r = tree(&[("crates/tracekit/src/metrics.rs", with_selfref.as_str())]);
-    let dead: Vec<_> = r.diagnostics.iter().filter(|d| d.lint == "dead-registry-entry").collect();
-    assert_eq!(dead.len(), 3, "{:?}", lints_of(&r));
-    assert!(dead.iter().any(|d| d.message.contains("Metric::Dead")), "{:?}", lints_of(&r));
+    let _ = check_source(STORE, &soup);
+    let _ = check_source(CORE, &soup);
 }
 
 // ------------------------------------------------------------- determinism
@@ -722,14 +618,13 @@ fn check_tree_output_is_independent_of_input_order() {
     let files = [
         ("crates/tracekit/src/util.rs", CLOCK_HELPER),
         ("crates/core/src/hot.rs", CLOCK_CALLER),
-        ("crates/tracekit/src/metrics.rs", METRICS_FIXTURE),
         (
             "crates/storekit/src/newpath.rs",
             "pub fn orphan(f: &std::fs::File) { let _ = f.sync_all(); }\n",
         ),
     ];
     let a = tree(&files);
-    assert_eq!(a.diagnostics.len(), 5, "a clock read, three variants, a sync: {:?}", lints_of(&a));
+    assert_eq!(a.diagnostics.len(), 2, "a clock read and a sync: {:?}", lints_of(&a));
     let mut rev = files;
     rev.reverse();
     assert_eq!(

@@ -15,8 +15,8 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn json_report_is_byte_identical_across_runs() {
     let root = workspace_root();
-    let a = lintkit::runner::run(&root, false).expect("walk").render_json();
-    let b = lintkit::runner::run(&root, false).expect("walk").render_json();
+    let a = lintkit::runner::run(&root).expect("walk").render_json();
+    let b = lintkit::runner::run(&root).expect("walk").render_json();
     assert_eq!(a, b, "two udlint runs over the same tree must render identically");
     assert!(!a.contains(root.to_string_lossy().as_ref()), "no absolute paths in the report");
 }
@@ -24,7 +24,7 @@ fn json_report_is_byte_identical_across_runs() {
 #[test]
 fn diagnostics_are_sorted_by_path_line_lint() {
     let root = workspace_root();
-    let report = lintkit::runner::run(&root, true).expect("walk");
+    let report = lintkit::runner::run(&root).expect("walk");
     let keys: Vec<(String, u32, String)> =
         report.diagnostics.iter().map(|d| (d.path.clone(), d.line, d.lint.clone())).collect();
     let mut sorted = keys.clone();
@@ -43,7 +43,7 @@ fn diagnostics_are_sorted_by_path_line_lint() {
 #[test]
 fn workspace_is_clean_under_default_lints() {
     let root = workspace_root();
-    let report = lintkit::runner::run(&root, false).expect("walk");
+    let report = lintkit::runner::run(&root).expect("walk");
     assert!(
         report.diagnostics.is_empty(),
         "unsuppressed diagnostics in the tree:\n{}",
@@ -58,7 +58,7 @@ fn workspace_is_clean_under_default_lints() {
 #[test]
 fn uncovered_io_suppressions_are_live() {
     let root = workspace_root();
-    let report = lintkit::runner::run(&root, false).expect("walk");
+    let report = lintkit::runner::run(&root).expect("walk");
     let live: Vec<&str> = report
         .suppressed
         .iter()
@@ -88,7 +88,7 @@ fn suppression_count_is_within_committed_budget() {
         .trim()
         .parse()
         .expect("budget is a number");
-    let report = lintkit::runner::run(&root, false).expect("walk");
+    let report = lintkit::runner::run(&root).expect("walk");
     assert!(
         report.suppressed.len() <= budget,
         "suppression count {} exceeds committed budget {budget}; either fix the code or raise \

@@ -19,10 +19,9 @@
 //! 2. **Closed-registry metrics** ([`metrics::MetricsRegistry`]):
 //!    counters, gauges, and histograms addressed only by the
 //!    compile-time [`metrics::Metric`] / [`metrics::Hist`] enums — no
-//!    dynamically-constructed metric names can exist, which is what lets
-//!    ci.sh grep-audit the namespace. Every recorded value is a pure
-//!    function of the data (row counts, frontier sizes, sample counts —
-//!    never durations), so a [`metrics::MetricsReport`] snapshot is
+//!    dynamically-constructed metric name compiles. Every recorded value
+//!    is a pure function of the data (row counts, frontier sizes, sample
+//!    counts — never durations), so a [`metrics::MetricsReport`] snapshot is
 //!    byte-identical at any thread count. Wall-clock stage timings live
 //!    in the separate, deliberately *non*-deterministic
 //!    [`metrics::TimingReport`].
@@ -32,7 +31,8 @@
 //!    `Answer::trace` when `EngineConfig::trace` opts in.
 //!
 //! [`component`] is the closed registry of component labels shared by
-//! degradation records, fault-injection site names, and metric prefixes.
+//! degradation records, fault-injection site names, and metric prefixes;
+//! its [`component::Component`] type cannot be built outside it.
 
 pub mod component;
 pub mod explain;

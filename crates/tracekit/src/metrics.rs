@@ -1,8 +1,8 @@
 //! Closed-registry metrics.
 //!
 //! Metric names are compile-time enum variants — there is no string-keyed
-//! API, so a dynamically-constructed metric name is unrepresentable (ci.sh
-//! additionally lints call sites to keep it that way). The
+//! recording API, so a dynamically-constructed metric name does not
+//! compile, and `from_name` only looks up a variant that exists. The
 //! `registry_enum!` macro generates each enum, its `ALL` table, and the
 //! name mappings from one variant list, so a variant missing from `ALL` or
 //! `from_name` is a build error rather than a test failure. Counters and

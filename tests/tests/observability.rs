@@ -2,12 +2,15 @@
 //! zero-cost when disabled (the ci.sh `UNISEM_TRACE=off` gate lives here),
 //! explain traces are opt-in and deterministic, the memory sink captures
 //! emitted blocks, batch emission is input-ordered and byte-identical to
-//! sequential emission, and the closed metric registry is populated.
+//! sequential emission, and every series of the closed metric registry is
+//! recorded by the engine itself.
 
 use std::sync::Arc;
 
+use tracekit::{Hist, Metric, Stage};
 use unisem_core::{
-    EngineBuilder, EngineConfig, EntityKind, FlameGraph, Lexicon, Route, TraceSink, UnifiedEngine,
+    Delta, EngineBuilder, EngineConfig, EntityKind, FaultPlan, FaultSite, FlameGraph,
+    GovernorConfig, Lexicon, Route, TraceSink, UnifiedEngine,
 };
 use unisem_relstore::{DataType, Schema, Table, Value};
 
@@ -20,6 +23,11 @@ fn lexicon() -> Lexicon {
 }
 
 fn engine_with(config: EngineConfig) -> UnifiedEngine {
+    builder(config).build().0
+}
+
+/// The fixture's sources: one sales table and two documents.
+fn builder(config: EngineConfig) -> EngineBuilder {
     let mut b = EngineBuilder::with_config(lexicon(), config);
     let sales = Table::from_rows(
         Schema::of(&[
@@ -45,7 +53,7 @@ fn engine_with(config: EngineConfig) -> UnifiedEngine {
         "In Q2 2024, Aero Widget sales increased 50% to $150. Customers were pleased.",
         "report",
     );
-    b.build().0
+    b
 }
 
 const QUESTIONS: [&str; 3] = [
@@ -224,4 +232,119 @@ fn flamegraph_folding_is_sorted_and_stable() {
     // Byte-stable across re-answers of the same question.
     let again = FlameGraph::from_trace(&e.answer(QUESTIONS[1]).trace.expect("opted in"));
     assert_eq!(again.to_folded().as_bytes(), folded.as_bytes());
+}
+
+/// Series no engine path can move yet, each with the reason; every one
+/// must still read zero, so the list cannot outlive its reason.
+const STRUCTURALLY_ZERO: &[(&str, &str)] = &[
+    ("relstore.rows_joined", "the operator synthesizer never emits a join"),
+    ("relstore.budget_hits", "only a join can trip the join-row budget"),
+];
+
+/// Registry liveness: every `Metric`, `Hist` and `Stage` the closed
+/// registry declares is recorded by the engine itself in one scripted
+/// session — a build with a quarantined source, every route, a failing
+/// plan, a batch, a governed and a faulted traversal, ingest through a
+/// write-ahead log, recovery of a torn log, and a checkpoint. A variant
+/// whose last recording site is refactored away is a forever-zero series
+/// and fails here.
+#[test]
+fn every_registry_series_is_recorded_by_the_engine() {
+    let dir = std::env::temp_dir().join(format!("unisem-liveness-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (snap, wal) = (dir.join("base.usk"), dir.join("log.wal"));
+    let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
+    let engine = |config: EngineConfig| {
+        let mut b = builder(config);
+        let order = r#"{"product": "Aero Widget", "quarter": "Q1 2024", "units": 10}"#;
+        b.add_json_text("orders", order).expect("valid json");
+        assert!(b.add_json_text("orders", "{ not json").is_err(), "quarantined");
+        // A text amount column: summing it is an execution error.
+        let ledger = Table::from_rows(
+            Schema::of(&[("product", DataType::Str), ("amount", DataType::Str)]),
+            vec![vec![Value::str("Aero Widget"), Value::str("n/a")]],
+        )
+        .expect("typed rows");
+        b.add_table("ledger", ledger).expect("fresh");
+        b.build().0
+    };
+    let mut reports = Vec::new();
+
+    let mut live = engine(config);
+    // The last question names no entity: the traversal has no anchor and
+    // falls back to the lexical scan.
+    let mut questions = QUESTIONS.to_vec();
+    questions.push("What happened to sales in the second quarter?");
+    for q in &questions {
+        live.answer(q);
+    }
+    live.answer_batch(&questions);
+    live.save_snapshot(&snap).expect("save");
+    live.enable_wal(&wal).expect("fresh log");
+    let deltas = [
+        Delta::TableRow {
+            table: "sales".into(),
+            values: vec![Value::str("Nova Speaker"), Value::str("Q2 2024"), Value::Float(120.0)],
+        },
+        Delta::DocAdd {
+            title: "forecast".into(),
+            text: "Acme Corp expects Nova Speaker sales to grow in Q3 2024.".into(),
+            source: "forecast".into(),
+        },
+    ];
+    live.ingest_delta(deltas[0].clone()).expect("logged");
+    live.ingest_deltas(&deltas).expect("logged batch");
+    reports.push((live.metrics_report(), live.timing_report()));
+
+    // A torn append, then recovery: the torn tail is truncated and the
+    // durable records replay.
+    {
+        let torn = EngineConfig { faults: FaultPlan::single(FaultSite::WalAppend), ..config };
+        let (mut crashed, _, _) =
+            EngineBuilder::open_snapshot_with_wal(&snap, &wal, torn).expect("reopen");
+        assert!(crashed.ingest_delta(deltas[0].clone()).is_err(), "torn append");
+    }
+    let (mut recovered, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&snap, &wal, config).expect("recover");
+    assert!(replayed > 0);
+    recovered.checkpoint(&snap).expect("checkpoint");
+    reports.push((recovered.metrics_report(), recovered.timing_report()));
+
+    // A governed and a faulted traversal.
+    let governors = GovernorConfig { max_traversal_frontier: 1, ..GovernorConfig::default() };
+    for config in [
+        EngineConfig { governors, ..config },
+        EngineConfig { faults: FaultPlan::single(FaultSite::GraphTraverse), ..config },
+    ] {
+        let e = engine(config);
+        for q in &questions {
+            e.answer(q);
+        }
+        reports.push((e.metrics_report(), e.timing_report()));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let moved = |name: &str| {
+        reports.iter().any(|(m, t)| {
+            m.get(name).unwrap_or(0) > 0
+                || m.hist_total(name).unwrap_or(0) > 0
+                || t.count(name).unwrap_or(0) > 0
+        })
+    };
+    let names = Metric::ALL
+        .iter()
+        .map(|m| m.name())
+        .chain(Hist::ALL.iter().map(|h| h.name()))
+        .chain(Stage::ALL.iter().map(|s| s.name()));
+    let mut dead = Vec::new();
+    for name in names {
+        let exempt = STRUCTURALLY_ZERO.iter().any(|(n, _)| *n == name);
+        if moved(name) == exempt {
+            dead.push((name, exempt));
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "(series, listed as structurally zero) whose liveness disagrees with the list: {dead:?}"
+    );
 }

@@ -14,7 +14,7 @@
 //!    between 1-thread and 4-thread engines under the same fault seed.
 
 use unisem_core::{
-    Answer, Database, EngineBuilder, EngineConfig, EntityKind, FaultPlan, FaultSite,
+    component, Answer, Database, EngineBuilder, EngineConfig, EntityKind, FaultPlan, FaultSite,
     GovernorConfig, IngestReport, Lexicon, ParallelConfig, Route, UnifiedEngine,
 };
 use unisem_semistore::SemiStore;
@@ -91,7 +91,7 @@ fn check_invariants(a: &Answer, question: &str, ctx: &str) {
     }
     for d in &a.degradations {
         assert!(
-            !d.component.is_empty() && !d.reason.is_empty(),
+            !d.component.name().is_empty() && !d.reason.is_empty(),
             "{ctx}: blank degradation record for: {question}"
         );
     }
@@ -199,7 +199,7 @@ fn run_fault_case(
         // failing site named in the trail.
         if plan.fires(FaultSite::SlmGenerate, &item.question) {
             assert!(a1.is_abstention(), "{label}: slm fault must abstain: {}", item.question);
-            assert_eq!(a1.degradations[0].component, "slm.generate", "{label}");
+            assert_eq!(a1.degradations[0].component, component::SLM_GENERATE, "{label}");
         }
 
         // Byte-identical replay across the thread matrix.
