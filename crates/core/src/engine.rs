@@ -987,17 +987,24 @@ impl UnifiedEngine {
 
     /// Brings the derived structures up to the substrates after ingest
     /// changed them, in O(delta): of the planner's statistics only the
-    /// `touched` tables are re-collected, the text and graph figures being
-    /// totals the substrates maintain (so explain traces never show stale
-    /// row counts, and the catalog equals a from-scratch collect); the gauges
-    /// re-read the same totals; and the topology retriever is pointed at
-    /// the new versions, which drops its PageRank prior until a traversal
-    /// asks for it.
+    /// `touched` tables are refreshed — a new table collected, an appended
+    /// one folding only its new rows into its value sets — the text and
+    /// graph figures being totals the substrates maintain (so explain traces
+    /// never show stale row counts, pruning never misses a new value, and
+    /// the catalog equals a from-scratch collect); the gauges re-read the
+    /// same totals; and the topology retriever is pointed at the new
+    /// versions, which drops its PageRank prior until a traversal asks for
+    /// it.
     fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
         let stats = Arc::make_mut(&mut self.stats);
         for key in touched {
             if let Ok(table) = self.db.table(key) {
-                stats.tables.insert(key.clone(), TableStats::collect(table));
+                match stats.tables.get_mut(key) {
+                    Some(t) => t.refresh(table),
+                    None => {
+                        stats.tables.insert(key.clone(), TableStats::collect(table));
+                    }
+                }
                 self.metrics.incr(Metric::PlannerStatsTableRefreshes);
             }
         }
@@ -1031,7 +1038,7 @@ impl UnifiedEngine {
 mod tests {
     use super::*;
     use crate::answer::Route;
-    use crate::executor::has_signal;
+    use crate::planner::has_signal;
     use unisem_relstore::{DataType, Expr, LogicalPlan, Schema, Value};
     use unisem_slm::EntityKind;
 

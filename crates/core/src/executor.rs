@@ -18,7 +18,7 @@ use crate::answer::{Answer, Degradation, Provenance, Route};
 use crate::engine::UnifiedEngine;
 use crate::evidence::{extract_evidence_grounded, to_supported_answers, EvidenceSentence};
 use crate::planner::physical::{self, ExecActuals};
-use crate::planner::{CandidatePlan, CostModel, LogicalNode};
+use crate::planner::{has_signal, prune_reason, CandidatePlan, CostModel, LogicalNode};
 
 impl UnifiedEngine {
     /// Answers a natural-language question across all ingested modalities.
@@ -273,8 +273,8 @@ impl UnifiedEngine {
     /// `Relational`: one candidate table. An injected fault, a synthesis
     /// error, an execution error or a tripped join-row governor is a
     /// failure recorded for the caller; a result without signal is
-    /// passed over silently. Returns the table and its signal-bearing
-    /// result.
+    /// passed over silently, and so is a pruned candidate, which provably
+    /// has none. Returns the table and its signal-bearing result.
     fn exec_relational<'p>(
         &self,
         node: &'p LogicalNode,
@@ -295,6 +295,10 @@ impl UnifiedEngine {
                 self.metrics.incr(Metric::RelSynthesisErrors);
                 run.candidate_actual(table, || format!("synthesis failed: {e}"));
                 failures.push((table, format!("synthesis: {e}")));
+            }
+            CandidatePlan::Pruned { .. } => {
+                self.metrics.incr(Metric::PlannerCandidatesPruned);
+                run.candidate_actual(table, || "not executed".to_string());
             }
             CandidatePlan::Planned(rel) => {
                 let limits = ExecLimits { max_join_rows: self.config.governors.max_join_rows };
@@ -560,8 +564,11 @@ impl UnifiedEngine {
     /// The relational candidates in plan order (native tables first,
     /// `extracted` last), each synthesized up front — synthesis is pure.
     /// Tables the deterministic fault plan hits are marked
-    /// [`CandidatePlan::Faulted`] without synthesis; the bookkeeping for
-    /// every candidate is deferred to its execution.
+    /// [`CandidatePlan::Faulted`] without synthesis; a synthesized plan the
+    /// statistics catalog proves signal-free is [`CandidatePlan::Pruned`]
+    /// (DESIGN.md §11g). The order is never changed: which table answers
+    /// must not depend on the pruning. The bookkeeping for every candidate
+    /// is deferred to its execution.
     fn plan_candidates(&self, intent: &QueryIntent) -> Vec<LogicalNode> {
         let faults = self.config.faults;
         let mut names: Vec<String> = self.db.table_names().into_iter().map(String::from).collect();
@@ -573,7 +580,10 @@ impl UnifiedEngine {
                     CandidatePlan::Faulted
                 } else {
                     match self.synthesizer.synthesize(intent, &self.db, &table) {
-                        Ok(p) => CandidatePlan::Planned(p),
+                        Ok(plan) => match prune_reason(&plan, &self.stats) {
+                            Some(reason) => CandidatePlan::Pruned { plan, reason },
+                            None => CandidatePlan::Planned(plan),
+                        },
                         Err(e) => CandidatePlan::Unplannable(e.to_string()),
                     }
                 };
@@ -744,16 +754,6 @@ fn entropy_verdict(report: &EntropyReport, confidence: f64, abstained: bool) -> 
         confidence,
         abstained,
     }
-}
-
-/// A result carries signal when it has rows and at least one non-null cell
-/// in its final (aggregate) column.
-pub(crate) fn has_signal(result: &Table) -> bool {
-    if result.is_empty() || result.num_columns() == 0 {
-        return false;
-    }
-    let last = result.num_columns() - 1;
-    (0..result.num_rows()).any(|r| !result.cell(r, last).is_null())
 }
 
 /// Renders a structured result into answer text appropriate for the intent.

@@ -308,8 +308,8 @@ mod tests {
             TableStats {
                 rows,
                 columns: vec![
-                    ColumnStats { name: "k".into(), distinct, nulls: 0 },
-                    ColumnStats { name: "v".into(), distinct: rows.max(1), nulls: 0 },
+                    ColumnStats { name: "k".into(), distinct, nulls: 0, folded: None },
+                    ColumnStats { name: "v".into(), distinct: rows.max(1), nulls: 0, folded: None },
                 ],
             },
         );

@@ -29,6 +29,24 @@ pub enum CandidatePlan {
     /// Synthesis failed; the reason is charged (and counted) only if
     /// execution actually visits this candidate.
     Unplannable(String),
+    /// The statistics catalog proves the synthesized plan yields no signal
+    /// ([`super::prune`]): it is kept for its estimate and never run.
+    Pruned {
+        /// The synthesized plan.
+        plan: RelPlan,
+        /// The filter conjunct no catalog value satisfies.
+        reason: String,
+    },
+}
+
+impl CandidatePlan {
+    /// The synthesized relstore plan, whether it runs or was pruned.
+    pub fn rel(&self) -> Option<&RelPlan> {
+        match self {
+            CandidatePlan::Planned(plan) | CandidatePlan::Pruned { plan, .. } => Some(plan),
+            CandidatePlan::Faulted | CandidatePlan::Unplannable(_) => None,
+        }
+    }
 }
 
 /// One operator of the unified logical algebra.
@@ -129,6 +147,9 @@ impl LogicalNode {
                 CandidatePlan::Unplannable(reason) => {
                     format!("Relational: table '{table}' (unplannable: {reason})")
                 }
+                CandidatePlan::Pruned { reason, .. } => {
+                    format!("Relational: table '{table}' (pruned: {reason})")
+                }
             },
             LogicalNode::GraphTraverse { top_k, max_frontier, .. } => {
                 format!("GraphTraverse: top_k={top_k} max_frontier={max_frontier}")
@@ -187,7 +208,11 @@ impl LogicalNode {
         out.push_str(&indent);
         out.push_str(&self.label());
         out.push('\n');
-        if let LogicalNode::Relational { plan: CandidatePlan::Planned(rel), .. } = self {
+        let rel = match self {
+            LogicalNode::Relational { plan, .. } => plan.rel(),
+            _ => None,
+        };
+        if let Some(rel) = rel {
             for line in rel.explain().lines() {
                 out.push_str(&indent);
                 out.push_str("  ");
@@ -269,5 +294,15 @@ mod tests {
         assert!(n.label().contains("unplannable: no aggregate column"));
         let f = LogicalNode::Relational { table: "t".into(), plan: CandidatePlan::Faulted };
         assert!(f.label().contains("fault injected"));
+        let p = LogicalNode::Relational {
+            table: "t".into(),
+            plan: CandidatePlan::Pruned {
+                plan: RelPlan::scan("t").filter(Expr::col("s").eq(Expr::lit("x"))),
+                reason: "(s = 'x') matches no catalog value".into(),
+            },
+        };
+        let text = p.render();
+        assert!(text.contains("(pruned: (s = 'x') matches no catalog value)"), "{text}");
+        assert!(text.contains("Scan: t"), "a pruned plan still renders: {text}");
     }
 }

@@ -5,7 +5,9 @@
 //! semi-structured, document, graph — with the SLM semantic operators as
 //! first-class nodes; a deterministic, integer-only **cost model**
 //! ([`cost::CostModel`]) fed by build-time per-substrate statistics
-//! ([`stats::StatsCatalog`]); and a **physical** lowering
+//! ([`stats::StatsCatalog`]); catalog **pruning**
+//! ([`prune::prune_reason`]), which passes over a relational candidate the
+//! catalog proves empty; and a **physical** lowering
 //! ([`physical::PhysicalPlan`]) that pairs every operator with estimated
 //! and actual costs for the explain trace.
 //!
@@ -17,9 +19,11 @@
 pub mod cost;
 pub mod logical;
 pub mod physical;
+pub mod prune;
 pub mod stats;
 
 pub use cost::{Cost, CostModel, RelEstimate};
 pub use logical::{CandidatePlan, LogicalNode};
 pub use physical::{ExecActuals, PhysNode, PhysicalPlan};
+pub use prune::{has_signal, prune_reason};
 pub use stats::{ColumnStats, GraphDegreeStats, StatsCatalog, TableStats, TextStats};

@@ -126,24 +126,31 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             estimated.rows = kids.first().map(|k| k.estimated.rows).unwrap_or(0);
             PhysNode { op: node.label(), estimated, actual: None, children: kids }
         }
-        LogicalNode::Relational { table, plan } => match plan {
-            CandidatePlan::Planned(rel) => {
-                let mut root = lower_rel(rel, model);
-                root.actual = actuals.structured.get(table).cloned();
-                PhysNode {
-                    op: node.label(),
-                    estimated: root.estimated,
-                    actual: root.actual.clone(),
-                    children: vec![root],
+        LogicalNode::Relational { table, plan } => {
+            let actual = actuals.structured.get(table).cloned();
+            match plan.rel() {
+                Some(rel) => {
+                    let mut root = lower_rel(rel, model);
+                    // A pruned plan never ran: its operators carry estimates
+                    // only.
+                    if let CandidatePlan::Planned(_) = plan {
+                        root.actual = actual.clone();
+                    }
+                    PhysNode {
+                        op: node.label(),
+                        estimated: root.estimated,
+                        actual,
+                        children: vec![root],
+                    }
                 }
+                None => PhysNode {
+                    op: node.label(),
+                    estimated: Cost::ZERO,
+                    actual,
+                    children: Vec::new(),
+                },
             }
-            CandidatePlan::Faulted | CandidatePlan::Unplannable(_) => PhysNode {
-                op: node.label(),
-                estimated: Cost::ZERO,
-                actual: actuals.structured.get(table).cloned(),
-                children: Vec::new(),
-            },
-        },
+        }
         LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
             let fb = lower_node(fallback, model, actuals);
             let estimated = model.graph_traverse(*top_k, *max_frontier);
@@ -231,7 +238,12 @@ mod tests {
             "sales".into(),
             TableStats {
                 rows: 100,
-                columns: vec![ColumnStats { name: "region".into(), distinct: 5, nulls: 0 }],
+                columns: vec![ColumnStats {
+                    name: "region".into(),
+                    distinct: 5,
+                    nulls: 0,
+                    folded: None,
+                }],
             },
         );
         cat.text.chunks = 40;

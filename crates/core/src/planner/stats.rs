@@ -1,13 +1,13 @@
 //! Build-time statistics catalog (DESIGN.md §11).
 //!
-//! The cost model's only data input. Collected at build time from every
-//! substrate: relational row counts and per-column cardinalities,
-//! inverted-index posting-list lengths, and the graph degree histogram.
-//! Incremental ingest keeps it current piecewise — [`TableStats::collect`]
-//! for the one table a delta touched, [`TextStats::collect`] and
-//! [`GraphDegreeStats::collect`] from totals the substrates maintain as
-//! they append — and the result equals a from-scratch
-//! [`StatsCatalog::collect`].
+//! The cost model's and the pruning rule's only data input. Collected at
+//! build time from every substrate: relational row counts, per-column
+//! cardinalities and the folded values of string columns, inverted-index
+//! posting-list lengths, and the graph degree histogram. Incremental ingest
+//! keeps it current piecewise — [`TableStats::refresh`] for a table a delta
+//! appended to, [`TextStats::collect`] and [`GraphDegreeStats::collect`]
+//! from totals the substrates maintain as they append — and the result
+//! equals a from-scratch [`StatsCatalog::collect`].
 //!
 //! Determinism contract: every number here is a pure function of the
 //! ingested data — never of timing, thread count, or iteration order.
@@ -21,7 +21,8 @@ use std::collections::BTreeMap;
 
 use unisem_docstore::DocStore;
 use unisem_hetgraph::HetGraph;
-use unisem_relstore::{Database, Table};
+use unisem_relstore::schema::same_name;
+use unisem_relstore::{DataType, Database, Table, Value};
 
 /// Cardinality statistics for one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +33,11 @@ pub struct ColumnStats {
     pub distinct: usize,
     /// NULL count.
     pub nulls: usize,
+    /// For a `Str` column, its distinct values folded by `str::to_lowercase`
+    /// — the fold `LIKE` applies to both its sides — sorted, without
+    /// repeats; `None` for a column of any other type. Catalog pruning
+    /// (`planner::prune`) proves string filters empty against it.
+    pub folded: Option<Vec<String>>,
 }
 
 /// Statistics for one relational table.
@@ -44,8 +50,9 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Row count and per-column cardinalities of one table (linear in the
-    /// table, up to the per-column sort).
+    /// Row count, per-column cardinalities and folded string values of one
+    /// table (linear in the table, up to the per-column sort). Each
+    /// distinct value is folded once, not each cell.
     pub fn collect(table: &Table) -> TableStats {
         let columns = table
             .schema()
@@ -53,16 +60,46 @@ impl TableStats {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let (distinct, nulls) = table.column_stats(i);
-                ColumnStats { name: c.name.clone(), distinct, nulls }
+                let (values, nulls) = table.column_stats(i);
+                let folded = (c.dtype == DataType::Str).then(|| {
+                    let mut folded: Vec<String> =
+                        values.iter().filter_map(|v| v.as_str()).map(str::to_lowercase).collect();
+                    folded.sort_unstable();
+                    folded.dedup();
+                    folded
+                });
+                ColumnStats { name: c.name.clone(), distinct: values.len(), nulls, folded }
             })
             .collect();
         TableStats { rows: table.num_rows(), columns }
     }
 
-    /// Statistics for a named column, if present.
+    /// Brings statistics collected over the first `self.rows` rows of
+    /// `table` up to all of them. Tables are append-only, so the folded
+    /// value sets take in only the appended rows; the distinct and NULL
+    /// counts are re-collected (linear in the table, up to the sort).
+    pub fn refresh(&mut self, table: &Table) {
+        for (i, c) in self.columns.iter_mut().enumerate() {
+            let (values, nulls) = table.column_stats(i);
+            (c.distinct, c.nulls) = (values.len(), nulls);
+            if let Some(folded) = &mut c.folded {
+                for v in table.column(i).get(self.rows..).unwrap_or_default() {
+                    if let Value::Str(s) = v {
+                        let f = s.to_lowercase();
+                        if let Err(at) = folded.binary_search(&f) {
+                            folded.insert(at, f);
+                        }
+                    }
+                }
+            }
+        }
+        self.rows = table.num_rows();
+    }
+
+    /// Statistics for a named column, if present. Names match as the
+    /// table's schema matches them: ignoring case.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
-        self.columns.iter().find(|c| c.name == name)
+        self.columns.iter().find(|c| same_name(&c.name, name))
     }
 
     /// Distinct count for a named column; an unknown column estimates as
@@ -249,6 +286,44 @@ mod tests {
         assert!(text.contains("table sales: rows=3"), "{text}");
         assert!(text.contains("column product: distinct=2"), "{text}");
         assert!(text.contains("text: documents=1"), "{text}");
+    }
+
+    #[test]
+    fn columns_are_found_as_the_schema_finds_them() {
+        let t = Table::from_rows(
+            Schema::of(&[("Product", DataType::Str), ("Units", DataType::Int)]),
+            vec![
+                vec![Value::str("Aero"), Value::Int(1)],
+                vec![Value::str("AERO"), Value::Int(2)],
+                vec![Value::str("\u{39f}\u{3a3}"), Value::Null],
+            ],
+        )
+        .expect("typed rows");
+        let stats = TableStats::collect(&t);
+        let product = stats.column("product").expect("found ignoring case");
+        assert_eq!(product.distinct, 3);
+        assert_eq!(stats.distinct("PRODUCT"), 3, "the cost model sees it too");
+        // "ΟΣ" folds to "ος" with a final sigma: `to_lowercase`, not a fold
+        // per char.
+        assert_eq!(product.folded, Some(vec!["aero".into(), "\u{3bf}\u{3c2}".into()]));
+        assert_eq!(stats.column("units").expect("found").folded, None, "not a Str column");
+    }
+
+    #[test]
+    fn refresh_over_appended_rows_equals_a_recollection() {
+        let rows = [("b", 1), ("B", 2), ("a", 3), ("\u{212a}", 4)];
+        let schema = Schema::of(&[("s", DataType::Str), ("n", DataType::Int)]);
+        let mut t = Table::empty(schema);
+        let mut stats = TableStats::collect(&t);
+        for (s, n) in rows {
+            t.push_row(vec![Value::str(s), Value::Int(n)]).expect("typed row");
+            t.push_row(vec![Value::Null, Value::Null]).expect("typed row");
+            stats.refresh(&t);
+            assert_eq!(stats, TableStats::collect(&t), "after {s}");
+        }
+        // The Kelvin sign folds to an ASCII `k`.
+        let folded = ["a", "b", "k"].map(String::from).to_vec();
+        assert_eq!(stats.columns[0].folded, Some(folded));
     }
 
     #[test]

@@ -563,6 +563,16 @@ fn encode_stats(stats: &StatsCatalog) -> Vec<u8> {
             e.str(&c.name);
             e.usize(c.distinct);
             e.usize(c.nulls);
+            match &c.folded {
+                None => e.u8(0),
+                Some(values) => {
+                    e.u8(1);
+                    e.u64(values.len() as u64);
+                    for v in values {
+                        e.str(v);
+                    }
+                }
+            }
         }
     }
     e.usize(stats.text.documents);
@@ -595,7 +605,19 @@ fn decode_stats(bytes: &[u8]) -> Result<StatsCatalog, EngineError> {
             let col_name = d.str().map_err(EngineError::Store)?;
             let distinct = d.usize().map_err(EngineError::Store)?;
             let nulls = d.usize().map_err(EngineError::Store)?;
-            columns.push(ColumnStats { name: col_name, distinct, nulls });
+            let folded = match d.u8().map_err(EngineError::Store)? {
+                0 => None,
+                1 => {
+                    let n = d.count().map_err(EngineError::Store)?;
+                    let mut values = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        values.push(d.str().map_err(EngineError::Store)?);
+                    }
+                    Some(values)
+                }
+                t => return Err(invalid(format!("unknown column value-set tag {t}"))),
+            };
+            columns.push(ColumnStats { name: col_name, distinct, nulls, folded });
         }
         tables.insert(name, TableStats { rows, columns });
     }

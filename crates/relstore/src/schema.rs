@@ -95,8 +95,9 @@ impl Column {
 }
 
 /// True when two column names are equal ignoring case: `to_lowercase`
-/// equality, with a byte-wise fast path when both names are ASCII.
-fn same_name(a: &str, b: &str) -> bool {
+/// equality, with a byte-wise fast path when both names are ASCII. This is
+/// the relation [`Schema::index_of`] resolves names by.
+pub fn same_name(a: &str, b: &str) -> bool {
     if a.is_ascii() && b.is_ascii() {
         a.eq_ignore_ascii_case(b)
     } else {

@@ -137,11 +137,12 @@ impl Table {
         Table { schema: self.schema.clone(), columns, rows: indices.len() }
     }
 
-    /// `(distinct non-NULL values, NULL count)` for one column, by SQL
-    /// comparison semantics ([`Value::sort_cmp`]) — the cardinality input
-    /// of the planner's cost model. Deterministic: a pure function of the
-    /// column contents, independent of row order.
-    pub fn column_stats(&self, idx: usize) -> (usize, usize) {
+    /// `(distinct non-NULL values, NULL count)` for one column, the values
+    /// sorted and told apart by SQL comparison semantics
+    /// ([`Value::sort_cmp`]) — the input of the planner's statistics
+    /// catalog. Deterministic: a pure function of the column contents,
+    /// independent of row order.
+    pub fn column_stats(&self, idx: usize) -> (Vec<&Value>, usize) {
         let mut nulls = 0usize;
         let mut vals: Vec<&Value> = Vec::new();
         for v in self.column(idx) {
@@ -152,12 +153,10 @@ impl Table {
             }
         }
         vals.sort_by(|a, b| a.sort_cmp(b));
-        let mut distinct = 0usize;
-        for i in 0..vals.len() {
-            if i == 0 || vals[i - 1].sort_cmp(vals[i]) != std::cmp::Ordering::Equal {
-                distinct += 1;
-            }
-        }
+        let distinct = (0..vals.len())
+            .filter(|&i| i == 0 || vals[i - 1].sort_cmp(vals[i]) != std::cmp::Ordering::Equal)
+            .map(|i| vals[i])
+            .collect();
         (distinct, nulls)
     }
 

@@ -33,6 +33,7 @@ pub use frame::FRAME_HEADER_LEN;
 pub use snapshot::{Snapshot, SnapshotWriter};
 pub use wal::{Wal, WalRecord, WalRecovery};
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 use faultkit::InjectedFault;
@@ -102,6 +103,17 @@ fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
     PathBuf::from(os)
+}
+
+/// The directory holding `path`, opened for the sync that follows a rename
+/// into it: the rename survives a power loss, not only a process crash,
+/// once the directory entry it rewrote is on disk.
+fn parent_dir(path: &Path) -> Result<File, StoreError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir).map_err(|e| io_err("open directory", dir, e))
 }
 
 #[cfg(test)]

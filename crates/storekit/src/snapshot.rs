@@ -31,10 +31,10 @@ use faultkit::{FaultPlan, Site};
 
 use crate::codec::{Decoder, Encoder};
 use crate::frame;
-use crate::{io_err, tmp_path, StoreError};
+use crate::{io_err, parent_dir, tmp_path, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"USKSNAP1";
-const SNAP_VERSION: u32 = 4;
+const SNAP_VERSION: u32 = 5;
 const HEADER_LEN: usize = 8 + 4;
 
 fn invalid(reason: impl Into<String>) -> StoreError {
@@ -96,8 +96,9 @@ impl SnapshotWriter {
         torn.map_or(Ok(()), |fault| Err(StoreError::Fault(fault)))
     }
 
-    /// Writes the closing frame, syncs, verifies the whole file, and
-    /// renames it over `path`. On any error the target is untouched.
+    /// Writes the closing frame, syncs, verifies the whole file, renames
+    /// it over `path` and syncs the directory the rename changed. On any
+    /// error before the rename the target is untouched.
     ///
     /// Fault site [`Site::StoreFlush`] (key `file`): returns the typed
     /// error without syncing, modelling a lost `fsync`.
@@ -109,7 +110,8 @@ impl SnapshotWriter {
         drop(self.file);
         Snapshot::open(&self.tmp_path)?;
         std::fs::rename(&self.tmp_path, path)
-            .map_err(|e| StoreError::Io(format!("rename snapshot into place: {e}")))
+            .map_err(|e| StoreError::Io(format!("rename snapshot into place: {e}")))?;
+        parent_dir(path)?.sync_all().map_err(|e| io_err("sync the directory of", path, e))
     }
 }
 
@@ -190,8 +192,9 @@ mod tests {
         let path = tmp("verbump");
         let clean = write(&path, &[("docs", b"payload")]);
         // Another format version in a well-formed file: the retired paged
-        // versions 1–3 and a future one.
-        for other in [1, 2, 3, SNAP_VERSION + 1] {
+        // versions 1–3, version 4 (no string value sets in the engine's
+        // statistics) and a future one.
+        for other in [1, 2, 3, 4, SNAP_VERSION + 1] {
             let mut patched = clean.clone();
             patched[8..HEADER_LEN].copy_from_slice(&u32::to_le_bytes(other));
             std::fs::write(&path, &patched).unwrap();

@@ -50,7 +50,7 @@ use faultkit::{FaultPlan, Site};
 use tracekit::{Metric, MetricsRegistry};
 
 use crate::frame::{self, be};
-use crate::{io_err, tmp_path, StoreError};
+use crate::{io_err, parent_dir, tmp_path, StoreError};
 
 const WAL_MAGIC: &[u8; 8] = b"USKWAL01";
 const WAL_VERSION: u32 = 2;
@@ -126,6 +126,9 @@ impl Wal {
         // udlint: allow(uncovered-io-site) -- same window as the header write above: nothing is at <base> until the rename below
         file.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
         std::fs::rename(&tmp, base).map_err(|e| io_err("rename into place", base, e))?;
+        // Without this a power loss after a checkpoint could bring back the
+        // log the rename replaced.
+        parent_dir(base)?.sync_all().map_err(|e| io_err("sync the directory of", base, e))?;
         Ok(Wal {
             base: base.to_path_buf(),
             file,

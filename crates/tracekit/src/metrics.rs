@@ -176,12 +176,15 @@ registry_enum! {
         PlannerStatsPostings => "planner.stats_postings",
         /// Maximum graph node degree recorded in the statistics catalog.
         PlannerStatsMaxDegree => "planner.stats_max_degree",
-        /// Per-table statistics re-collected by incremental ingest (one
-        /// per table-touching delta; the rest of the catalog is maintained,
+        /// Per-table statistics refreshed by incremental ingest (one per
+        /// table-touching delta; the rest of the catalog is maintained,
         /// not re-derived).
         PlannerStatsTableRefreshes => "planner.stats_table_refreshes",
         /// Logical plans assembled and lowered by the cost-based planner.
         PlannerPlansBuilt => "planner.plans_built",
+        /// Relational candidates execution passed over unrun because the
+        /// statistics catalog proved they yield no signal.
+        PlannerCandidatesPruned => "planner.candidates_pruned",
         /// Delta records appended to the write-ahead log.
         WalAppends => "wal.appends",
         /// Payload bytes appended to the write-ahead log.

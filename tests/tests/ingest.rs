@@ -328,8 +328,10 @@ fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
 
 /// Streams `script` into a fresh engine as single durable deltas (a delta
 /// the engine rejects — an edge whose supplier no earlier delta added —
-/// just is not part of the stream), then checks everything ingest
-/// maintained against a recount and against a rebuild + log replay.
+/// just is not part of the stream), then one batch of rows, fragments and a
+/// document, and checks everything ingest maintained — the catalog's string
+/// value sets included — against a recount and against a rebuild + log
+/// replay.
 fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result<(), String> {
     let w = corpus(6);
     let wal = tmp_wal(&format!("equiv-t{threads}"));
@@ -353,9 +355,14 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
             }
         }
     }
+    // Distinct from every scripted delta (n ≤ 30); n = 32 goes to `returns`.
+    let batch = [delta(1, 2, 31), delta(2, 2, 31), delta(2, 3, 32), delta(0, 2, 31)];
+    let seq = live.ingest_deltas(&batch).map_err(|e| e.to_string())?;
+    accepted += batch.len();
+    prop_assert_eq!(seq, accepted as u64);
 
     let recollected = StatsCatalog::collect(live.db(), live.docs(), live.graph());
-    prop_assert_eq!(live.stats().render(), recollected.render(), "maintained catalog drifted");
+    prop_assert_eq!(live.stats(), &recollected, "maintained catalog drifted");
     let report = live.metrics_report();
     for (name, want) in recounted_gauges(&live) {
         prop_assert_eq!(report.get(name), Some(want), "gauge {name}");
@@ -364,7 +371,7 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
     let mut rebuilt = build(&w, config(threads, FaultPlan::disabled()));
     let replayed = rebuilt.enable_wal(&wal).map_err(|e| e.to_string())?;
     prop_assert_eq!(replayed, accepted, "the log holds exactly the accepted deltas");
-    prop_assert_eq!(rebuilt.stats().render(), live.stats().render());
+    prop_assert_eq!(rebuilt.stats(), live.stats());
     prop_assert_eq!(rebuilt.index_bytes(), live.index_bytes());
     for q in probes(0).iter().chain(&probes(3)) {
         prop_assert_eq!(rebuilt.answer(q), live.answer(q), "answer and trace of {q}");

@@ -103,6 +103,10 @@ fn opt_in_trace_records_rungs_route_and_entropy() {
     let t = abstained.trace.as_ref().expect("opted in");
     assert_eq!(t.route, "abstained");
     assert!(t.entropy.as_ref().is_some_and(|v| v.abstained));
+    // No product is named "phantom gizmo": the catalog prunes the candidate.
+    let plan = t.plan.as_deref().unwrap_or("");
+    assert!(plan.contains("(pruned: (product LIKE 'phantom gizmo')"), "{plan}");
+    assert_eq!(e.metrics_report().get("relstore.rows_scanned"), Some(3), "one scan of sales");
 
     // Determinism: the rendered trace replays byte-for-byte.
     for q in QUESTIONS {
@@ -244,7 +248,8 @@ const STRUCTURALLY_ZERO: &[(&str, &str)] = &[
 /// Registry liveness: every `Metric`, `Hist` and `Stage` the closed
 /// registry declares is recorded by the engine itself in one scripted
 /// session — a build with a quarantined source, every route, a failing
-/// plan, a batch, a governed and a faulted traversal, ingest through a
+/// plan, a candidate the catalog prunes (the unanswerable question), a
+/// batch, a governed and a faulted traversal, ingest through a
 /// write-ahead log, recovery of a torn log, and a checkpoint. A variant
 /// whose last recording site is refactored away is a forever-zero series
 /// and fails here.

@@ -26,6 +26,8 @@
 //! Also here: the statistics-collection determinism contract and the
 //! shape of the estimated-vs-actual explain output.
 
+use std::collections::BTreeMap;
+
 use unisem_core::{Answer, EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{
@@ -42,21 +44,28 @@ struct Workload {
 }
 
 fn workloads() -> Vec<Workload> {
-    let e = EcommerceWorkload::generate(EcommerceConfig {
-        products: 6,
-        quarters: 3,
-        reviews_per_product: 2,
-        qa_per_category: 2,
-        seed: 0xD1FF,
-        name_offset: 0,
-    });
-    let h = HealthcareWorkload::generate(HealthcareConfig {
-        drugs: 4,
-        patients: 6,
-        trials_per_drug: 2,
-        qa_per_category: 2,
-        seed: 0x4EA17,
-    });
+    corpora(
+        EcommerceConfig {
+            products: 6,
+            quarters: 3,
+            reviews_per_product: 2,
+            qa_per_category: 2,
+            seed: 0xD1FF,
+            name_offset: 0,
+        },
+        HealthcareConfig {
+            drugs: 4,
+            patients: 6,
+            trials_per_drug: 2,
+            qa_per_category: 2,
+            seed: 0x4EA17,
+        },
+    )
+}
+
+fn corpora(e: EcommerceConfig, h: HealthcareConfig) -> Vec<Workload> {
+    let e = EcommerceWorkload::generate(e);
+    let h = HealthcareWorkload::generate(h);
     vec![
         Workload {
             name: "ecommerce",
@@ -230,6 +239,68 @@ fn explain_plans_match_golden_snapshots() {
             assert!(actual.contains("[est rows~"), "{file}: plans carry estimates");
             check_golden(&file, &actual, bless_requested(), "explain plans");
         }
+    }
+}
+
+/// Work counted, not timed (DESIGN.md §11g): the base-table rows each QA
+/// category's answers scan (`relstore.rows_scanned`, summed over its
+/// questions), on both corpora at eight questions per category. An
+/// unanswerable question scans nothing, because the catalog prunes every
+/// candidate its plan would have run; every other category scans exactly
+/// what it scanned before catalog pruning existed.
+#[test]
+fn rows_scanned_per_category_are_pinned() {
+    let ws = corpora(
+        EcommerceConfig {
+            products: 24,
+            quarters: 4,
+            reviews_per_product: 2,
+            qa_per_category: 8,
+            seed: 0xD1FF,
+            name_offset: 0,
+        },
+        HealthcareConfig {
+            drugs: 8,
+            patients: 12,
+            trials_per_drug: 3,
+            qa_per_category: 8,
+            seed: 0x4EA17,
+        },
+    );
+    // (category, questions, rows scanned)
+    let pinned: [[(&str, u64, u64); 6]; 2] = [
+        [
+            ("aggregate", 8, 768),
+            ("comparative", 8, 768),
+            ("cross_modal", 8, 0),
+            ("lookup", 8, 0),
+            ("multi_entity", 5, 480),
+            ("unanswerable", 8, 0),
+        ],
+        [
+            ("aggregate", 8, 192),
+            ("comparative", 8, 192),
+            ("cross_modal", 8, 0),
+            ("lookup", 8, 0),
+            ("multi_entity", 8, 192),
+            ("unanswerable", 8, 0),
+        ],
+    ];
+    for (w, want) in ws.iter().zip(pinned) {
+        let engine = build(w, config(FaultPlan::disabled()));
+        let scanned = || engine.metrics_report().get("relstore.rows_scanned").expect("registered");
+        let mut got: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for item in &w.qa {
+            let before = scanned();
+            engine.answer(&item.question);
+            let (questions, rows) = got.entry(item.category.label()).or_default();
+            *questions += 1;
+            *rows += scanned() - before;
+        }
+        let want: BTreeMap<&str, (u64, u64)> = want.map(|(c, q, rows)| (c, (q, rows))).into();
+        assert_eq!(got, want, "workload={}", w.name);
+        let pruned = engine.metrics_report().get("planner.candidates_pruned");
+        assert!(pruned > Some(0), "workload={}: nothing was pruned", w.name);
     }
 }
 

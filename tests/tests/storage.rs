@@ -177,6 +177,16 @@ fn snapshot_round_trip_answers_byte_identical() {
         engine.save_snapshot(&path).expect("save");
         let baseline = answers(&engine, &w.qa);
         assert!(!baseline.is_empty(), "{}: workload has queries", w.name);
+        // The traces compared below carry plans with pruned candidates:
+        // the reopened catalog must prune exactly as the saved one did.
+        assert!(
+            baseline
+                .iter()
+                .filter_map(|a| a.trace.as_ref()?.plan.as_deref())
+                .any(|plan| plan.contains("(pruned: ")),
+            "{}: no traced plan prunes a candidate",
+            w.name
+        );
         for threads in [1usize, 2, 4, 8] {
             let (reopened, report) =
                 EngineBuilder::open_snapshot(&path, config(threads)).expect("open");
@@ -187,9 +197,9 @@ fn snapshot_round_trip_answers_byte_identical() {
                 w.name
             );
             assert_eq!(
-                reopened.stats().render(),
-                engine.stats().render(),
-                "{}: statistics catalog survives the round trip",
+                reopened.stats(),
+                engine.stats(),
+                "{}: statistics catalog, value sets included, survives the round trip",
                 w.name
             );
             let got = answers(&reopened, &w.qa);
