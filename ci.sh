@@ -81,6 +81,14 @@ echo "==> offline test suite (UNISEM_THREADS=4)"
 # (merge order, float association, RNG sharing) diverges here and fails.
 CARGO_NET_OFFLINE=true UNISEM_THREADS=4 cargo test -q
 
+echo "==> every example runs"
+# The README calls every example runnable, and several cross-check the
+# engine's own views against each other with assert_eq!: run them all.
+for example in examples/*.rs; do
+    CARGO_NET_OFFLINE=true cargo run -q --release -p unisem-core \
+        --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> integration suites under a pinned ambient fault plan"
 # The robustness and determinism integration suites must hold with
 # deterministic fault injection armed from the environment: faults

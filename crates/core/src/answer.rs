@@ -109,8 +109,8 @@ pub struct Answer {
     /// Ladder downgrades taken while resolving this answer, in order.
     /// Empty when the answer took the best route it attempted.
     pub degradations: Vec<Degradation>,
-    /// Per-query explain trace (ladder rungs attempted, synthesized plan,
-    /// traversal stats, entropy verdict). `None` unless
+    /// Per-query explain trace (the costed physical plan with the actual
+    /// of every operator that ran, and the resource meter). `None` unless
     /// `EngineConfig::trace` opted in; deterministic when present.
     pub trace: Option<QueryTrace>,
 }

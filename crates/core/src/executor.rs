@@ -2,10 +2,7 @@
 //! [`Answer`] out (DESIGN.md §11).
 
 use faultkit::Site;
-use tracekit::{
-    component, EntropyVerdict, Hist, Metric, ResourceMeter, RungOutcome, Stage, TraceScope,
-    TraversalTrace,
-};
+use tracekit::{component, Hist, Metric, QueryTrace, ResourceMeter, Stage};
 use unisem_entropy::EntropyReport;
 use unisem_relstore::plan::AggFunc;
 use unisem_relstore::{Database, ExecLimits, RelError, Table};
@@ -42,20 +39,16 @@ impl UnifiedEngine {
     /// parallel map (cross-query interleaving is unrepresentable).
     ///
     /// Zero-cost-when-disabled contract: with tracing off
-    /// (`config.trace == false` and an off sink) the scope is disabled —
-    /// every recording call is one branch, no allocation — the block is
-    /// `None`, and the sink is never touched.
+    /// (`config.trace == false` and an off sink) no actual is recorded —
+    /// every recording call is one branch, no allocation — no plan is
+    /// rendered, the block is `None`, and the sink is never touched.
     fn answer_traced(&self, question: &str) -> (Answer, Option<String>) {
         let start = tracekit::wall::Stopwatch::start();
         let sinking = !self.sink.is_off();
-        let mut scope = if self.config.trace || sinking {
-            TraceScope::enabled(question)
-        } else {
-            TraceScope::disabled()
-        };
+        let traced = self.config.trace || sinking;
 
         let mut meter = ResourceMeter::default();
-        let mut answer = self.execute_query(question, &mut scope, &mut meter);
+        let (mut answer, plan) = self.execute_query(question, traced, &mut meter);
 
         self.metrics.incr(Metric::QueryAnswered);
         if answer.is_abstention() {
@@ -76,12 +69,13 @@ impl UnifiedEngine {
         self.metrics.observe(Hist::MeterSlmSamples, meter.slm_samples);
         self.metrics.record_stage(Stage::AnswerTotal, start.elapsed_ns());
 
-        scope.set_meter(meter);
-        let trace = scope.finish(answer.route.label());
-        let block = match (&trace, sinking) {
-            (Some(t), true) => Some(tracekit::render_block(t, start.elapsed_ns())),
-            _ => None,
-        };
+        let trace = traced.then(|| QueryTrace {
+            question: question.to_string(),
+            route: answer.route.label().to_string(),
+            plan,
+            meter: Some(meter),
+        });
+        let block = trace.as_ref().filter(|_| sinking).map(QueryTrace::to_jsonl);
         if self.config.trace {
             answer.trace = trace;
         }
@@ -91,20 +85,21 @@ impl UnifiedEngine {
     /// Resolves one question (DESIGN.md §11): admit it, tag it, assemble
     /// its logical plan over every substrate, and run that plan — the
     /// plan's alternatives in plan order, each operator with the
-    /// parameters its node carries. The physical plan, with per-node
-    /// estimated vs actual costs, goes to the explain trace.
+    /// parameters its node carries. When `traced`, it also returns the
+    /// rendered physical plan, with per-node estimated vs actual costs,
+    /// for the explain trace.
     ///
     /// Every downgrade on the way is an [`Answer::degradations`] entry
     /// (the degradation contract, DESIGN.md §8).
     fn execute_query(
         &self,
         question: &str,
-        scope: &mut TraceScope,
+        traced: bool,
         meter: &mut ResourceMeter,
-    ) -> Answer {
+    ) -> (Answer, Option<String>) {
         let mut run = Run {
             question,
-            scope,
+            traced,
             meter,
             degradations: Vec::new(),
             actuals: ExecActuals::default(),
@@ -117,7 +112,7 @@ impl UnifiedEngine {
         let (plan, mut answer) = if self.exec_entropy_gate(&gate, &mut run) {
             let intent = self.exec_sem_tag(&mut run);
             let clock = tracekit::wall::Stopwatch::start();
-            let plan = self.assemble_logical(&intent, run.scope);
+            let plan = self.assemble_logical(&intent);
             self.metrics.incr(Metric::PlannerPlansBuilt);
             let answer = self.exec_alternatives(&plan, &intent, clock, &mut run);
             (plan, answer)
@@ -125,10 +120,11 @@ impl UnifiedEngine {
             (gate, abstained())
         };
         run.actual(|a| a.outcome = Some(answer.route.label().to_string()));
-        let model = CostModel::new(&self.stats);
-        run.scope.set_plan(|| physical::lower(&plan, &model, &run.actuals).render());
+        let rendered = run
+            .traced
+            .then(|| physical::lower(&plan, &CostModel::new(&self.stats), &run.actuals).render());
         answer.degradations = run.degradations;
-        answer
+        (answer, rendered)
     }
 
     /// `EntropyGate`: a generator fault or a sample count below the
@@ -139,10 +135,6 @@ impl UnifiedEngine {
         let LogicalNode::EntropyGate { samples, floor, .. } = gate else { return true };
         if let Err(f) = self.config.faults.check(Site::SlmGenerate, run.question) {
             self.metrics.incr(Metric::FaultsFired);
-            run.scope.event("fault.fired", || f.to_string());
-            run.scope.rung("entropy_gate", RungOutcome::Failed, || {
-                "answer sampling unavailable; abstaining".to_string()
-            });
             run.actual(|a| a.gate = Some(format!("failed: {f}")));
             run.degradations.push(Degradation::new(
                 component::SLM_GENERATE,
@@ -151,9 +143,6 @@ impl UnifiedEngine {
             return false;
         }
         if samples < floor {
-            run.scope.rung("entropy_gate", RungOutcome::Failed, || {
-                format!("{samples} samples below floor {floor}")
-            });
             run.actual(|a| a.gate = Some(format!("failed: {samples} samples below floor {floor}")));
             run.degradations.push(Degradation::new(
                 component::ENTROPY_SAMPLES,
@@ -169,16 +158,14 @@ impl UnifiedEngine {
     fn exec_sem_tag(&self, run: &mut Run) -> QueryIntent {
         let intent = self.parser.analyze(run.question);
         run.meter.slm_calls += 1;
-        let detail = || {
-            format!(
+        run.actual(|a| {
+            a.tag = Some(format!(
                 "entities={} plain_lookup={} comparative={}",
                 intent.entities.len(),
                 intent.is_plain_lookup(),
                 intent.comparative
-            )
-        };
-        run.scope.event("intent.parsed", detail);
-        run.actual(|a| a.tag = Some(detail()));
+            ))
+        });
         intent
     }
 
@@ -232,10 +219,6 @@ impl UnifiedEngine {
                 // Deterministic plan output = maximally grounded evidence.
                 let evidence = [SupportedAnswer::new(text.clone(), STRUCTURED_SUPPORT)];
                 let (report, confidence) = self.exec_sem_entail(samples, &evidence, run);
-                run.scope.rung("structured", RungOutcome::Succeeded, || {
-                    format!("table '{table}' ({} result rows)", result.num_rows())
-                });
-                run.scope.set_entropy(entropy_verdict(&report, confidence, false));
                 return Some(Answer {
                     text,
                     confidence,
@@ -252,20 +235,14 @@ impl UnifiedEngine {
             }
         }
         match failures.last() {
-            Some((table, err)) => {
-                run.scope.rung("structured", RungOutcome::Failed, || {
-                    format!("last failure on '{table}': {err}")
-                });
-                run.degradations.push(Degradation::new(
-                    component::REL_EXEC,
-                    format!("structured route failed on '{table}': {err}"),
-                ));
-            }
-            None => {
-                let none = "no table produced a signal-bearing result";
-                run.scope.rung("structured", RungOutcome::Failed, || none.to_string());
-                run.degradations.push(Degradation::new(component::ENGINE_STRUCTURED, none));
-            }
+            Some((table, err)) => run.degradations.push(Degradation::new(
+                component::REL_EXEC,
+                format!("structured route failed on '{table}': {err}"),
+            )),
+            None => run.degradations.push(Degradation::new(
+                component::ENGINE_STRUCTURED,
+                "no table produced a signal-bearing result",
+            )),
         }
         None
     }
@@ -286,7 +263,6 @@ impl UnifiedEngine {
             CandidatePlan::Faulted => {
                 if let Err(f) = self.config.faults.check(Site::RelExec, table) {
                     self.metrics.incr(Metric::FaultsFired);
-                    run.scope.event("fault.fired", || f.to_string());
                     run.candidate_actual(table, || format!("fault: {f}"));
                     failures.push((table, f.to_string()));
                 }
@@ -370,7 +346,6 @@ impl UnifiedEngine {
             })
             .collect();
         let passed = self.exec_confidence_gate(threshold, evidence.len(), confidence, run);
-        run.scope.set_entropy(entropy_verdict(&report, confidence, !passed));
         let (text, route) = match evidence.first() {
             Some(first) if passed => (
                 report.top_answer.clone().unwrap_or_else(|| first.text.clone()),
@@ -397,7 +372,8 @@ impl UnifiedEngine {
     /// `GraphTraverse`: topology retrieval. An injected traversal fault
     /// runs the `fallback` operator instead of failing the query (the
     /// traversal's actual then names the fault, the fallback's its scan); a
-    /// frontier capped by the governor is a recorded degradation.
+    /// frontier capped by the governor is a recorded degradation, and the
+    /// traversal's actual ends in `frontier_capped`.
     fn exec_graph_traverse(
         &self,
         top_k: usize,
@@ -408,7 +384,6 @@ impl UnifiedEngine {
         if let Err(f) = self.config.faults.check(Site::GraphTraverse, run.question) {
             self.metrics.incr(Metric::FaultsFired);
             self.metrics.incr(Metric::TraverseFaultFallbacks);
-            run.scope.event("fault.fired", || f.to_string());
             run.degradations.push(Degradation::new(
                 component::GRAPH_TRAVERSE,
                 format!("topology traversal unavailable: {f}; using lexical retrieval"),
@@ -431,14 +406,6 @@ impl UnifiedEngine {
         if stats.lexical_fallback {
             self.metrics.incr(Metric::TraverseLexicalFallback);
         }
-        run.scope.set_traversal(TraversalTrace {
-            anchors: stats.anchors,
-            nodes_touched: stats.nodes_touched,
-            nodes_popped: stats.nodes_popped,
-            chunks_scored: stats.chunks_scored,
-            frontier_capped: stats.frontier_capped,
-            lexical_fallback: stats.lexical_fallback,
-        });
         if stats.frontier_capped {
             self.metrics.incr(Metric::TraverseFrontierCapped);
             run.degradations.push(Degradation::new(
@@ -448,11 +415,12 @@ impl UnifiedEngine {
         }
         run.actual(|a| {
             a.traverse = Some(format!(
-                "anchors={} nodes_touched={} chunks_scored={} hits={}",
+                "anchors={} nodes_touched={} chunks_scored={} hits={}{}",
                 stats.anchors,
                 stats.nodes_touched,
                 stats.chunks_scored,
-                hits.len()
+                hits.len(),
+                if stats.frontier_capped { " frontier_capped" } else { "" }
             ))
         });
         hits
@@ -464,8 +432,6 @@ impl UnifiedEngine {
         let LogicalNode::LexicalScan { top_k } = scan else { return Vec::new() };
         let (hits, scanned) = self.lexical_scan(run.question, *top_k);
         run.meter.postings_scanned += scanned as u64;
-        run.scope
-            .set_traversal(TraversalTrace { lexical_fallback: true, ..TraversalTrace::default() });
         run.actual(|a| {
             a.lexical_scan = Some(format!("postings_scanned={scanned} hits={}", hits.len()))
         });
@@ -543,7 +509,6 @@ impl UnifiedEngine {
             } else {
                 (component::RETRIEVAL_EVIDENCE, "no grounded supporting evidence".to_string())
             };
-            run.scope.rung("retrieval", RungOutcome::Failed, || reason.clone());
             run.actual(|a| {
                 a.confidence = Some(if grounded {
                     format!("abstained: confidence {confidence:.2} below threshold {threshold:.2}")
@@ -554,9 +519,6 @@ impl UnifiedEngine {
             run.degradations.push(Degradation::new(component, reason));
             return false;
         }
-        run.scope.rung("retrieval", RungOutcome::Succeeded, || {
-            format!("{evidence} evidence sentences from {evidence} chunks")
-        });
         run.actual(|a| a.confidence = Some(format!("passed: confidence {confidence:.2}")));
         true
     }
@@ -597,9 +559,8 @@ impl UnifiedEngine {
     /// entailment-verified relational candidates, a confidence-gated
     /// retrieval pipeline (topology traversal with a lexical fallback, or
     /// the lexical scan alone), and terminal abstention. This is the only
-    /// place the ablation switches and per-operator parameters are read; a
-    /// structured branch left out of the plan is a `Skipped` rung.
-    fn assemble_logical(&self, intent: &QueryIntent, scope: &mut TraceScope) -> LogicalNode {
+    /// place the ablation switches and per-operator parameters are read.
+    fn assemble_logical(&self, intent: &QueryIntent) -> LogicalNode {
         let samples = self.config.entropy_samples;
         let top_k = self.config.retrieval_top_k;
         let mut branches: Vec<LogicalNode> = Vec::new();
@@ -609,14 +570,6 @@ impl UnifiedEngine {
                 child: Box::new(LogicalNode::Alternatives {
                     children: self.plan_candidates(intent),
                 }),
-            });
-        } else {
-            scope.rung("structured", RungOutcome::Skipped, || {
-                if self.config.enable_synthesis {
-                    "plain lookup intent".to_string()
-                } else {
-                    "operator synthesis disabled".to_string()
-                }
             });
         }
         let scan = LogicalNode::LexicalScan { top_k };
@@ -690,10 +643,11 @@ impl UnifiedEngine {
 /// What one query accumulates while its plan runs.
 struct Run<'a> {
     question: &'a str,
-    scope: &'a mut TraceScope,
+    /// Whether the query records its explain trace.
+    traced: bool,
     meter: &'a mut ResourceMeter,
     degradations: Vec<Degradation>,
-    /// Per-operator outcomes for the explain plan; empty unless tracing.
+    /// Per-operator outcomes for the explain plan; empty unless traced.
     actuals: ExecActuals,
     /// Whether the structured branch ran (hybrid vs unstructured route).
     structured: bool,
@@ -703,7 +657,7 @@ impl Run<'_> {
     /// Records an operator's actual. `record` — and whatever it formats —
     /// runs only when the query is traced.
     fn actual(&mut self, record: impl FnOnce(&mut ExecActuals)) {
-        if self.scope.is_enabled() {
+        if self.traced {
             record(&mut self.actuals);
         }
     }
@@ -742,17 +696,6 @@ fn abstained() -> Answer {
         result_table: None,
         degradations: Vec::new(),
         trace: None,
-    }
-}
-
-/// Packs an entropy report + final confidence into the trace verdict.
-fn entropy_verdict(report: &EntropyReport, confidence: f64, abstained: bool) -> EntropyVerdict {
-    EntropyVerdict {
-        n_samples: report.n_samples,
-        n_clusters: report.n_clusters,
-        discrete_semantic_entropy: report.discrete_semantic_entropy,
-        confidence,
-        abstained,
     }
 }
 
@@ -823,5 +766,34 @@ pub(crate) fn render_structured_public(
         render_structured(intent, db, table, result)
     } else {
         String::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(traced: bool, meter: &mut ResourceMeter) -> Run<'_> {
+        Run {
+            question: "q",
+            traced,
+            meter,
+            degradations: Vec::new(),
+            actuals: ExecActuals::default(),
+            structured: false,
+        }
+    }
+
+    #[test]
+    fn untraced_run_records_nothing_and_skips_closures() {
+        let mut meter = ResourceMeter::default();
+        let mut untraced = run(false, &mut meter);
+        untraced.actual(|_| panic!("an actual must not be formatted untraced"));
+        untraced.candidate_actual("t", || panic!("must not run"));
+        assert_eq!(untraced.actuals, ExecActuals::default());
+
+        let mut traced = run(true, &mut meter);
+        traced.candidate_actual("t", || "rows=1 (signal)".to_string());
+        assert_eq!(traced.actuals.structured.get("t").map(String::as_str), Some("rows=1 (signal)"));
     }
 }

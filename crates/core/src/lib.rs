@@ -22,9 +22,10 @@
 //!    (`unisem-entropy`, §III.D); high-entropy answers abstain.
 //! 5. **Observability** — a deterministic trace/metrics layer (`tracekit`,
 //!    DESIGN.md §9): closed-registry metrics
-//!    ([`UnifiedEngine::metrics_report`]), per-query explain traces
-//!    ([`Answer::trace`] via [`EngineConfig::trace`]), and JSON-lines
-//!    trace emission controlled by `UNISEM_TRACE`.
+//!    ([`UnifiedEngine::metrics_report`]), and per-query explain traces
+//!    ([`Answer::trace`] via [`EngineConfig::trace`]) — the costed
+//!    physical plan with the actual of every operator that ran, plus the
+//!    resource meter — emitted as JSON lines when `UNISEM_TRACE` is set.
 //!
 //! [`baselines`] implements the comparison systems of the evaluation
 //! (naive dense RAG, Text-to-SQL-only, direct SLM) and the ablations.
@@ -51,10 +52,7 @@ pub use planner::{Cost, CostModel, LogicalNode, PhysicalPlan, StatsCatalog};
 // Re-export the pieces examples and benches need most.
 pub use faultkit::{FaultPlan, InjectedFault, Site as FaultSite};
 pub use storekit::StoreError;
-pub use tracekit::{
-    component, EntropyVerdict, FlameGraph, MetricsReport, QueryTrace, ResourceMeter, TimingReport,
-    TraceSink, TraceSpec, TraversalTrace,
-};
+pub use tracekit::{component, MetricsReport, QueryTrace, ResourceMeter, TimingReport, TraceSink};
 pub use unisem_entropy::EntropyReport;
 pub use unisem_relstore::{Database, Table, Value};
 pub use unisem_slm::{EntityKind, Lexicon, ModelClass, Slm, SlmConfig};

@@ -3,7 +3,7 @@
 //!
 //! The engine's behavior must be a pure function of its inputs plus the
 //! documented `UNISEM_*` configuration variables (`UNISEM_THREADS`,
-//! `UNISEM_FAULTS`, `UNISEM_TRACE`, `UNISEM_TRACE_WALL`, …). Any other
+//! `UNISEM_FAULTS`, `UNISEM_TRACE`, …). Any other
 //! ambient read — a non-`UNISEM_` variable, a *dynamically named*
 //! variable, `env::vars()`, `env::args()`, `env::temp_dir()` — is hidden
 //! configuration that makes replay and fault attribution impossible.

@@ -1,21 +1,20 @@
 //! # tracekit
 //!
 //! Deterministic observability for the unisem engine (DESIGN.md §9):
-//! structured traces, a closed-registry metrics layer, and per-query
-//! explain traces. Std-only and dependency-free, matching the
-//! detkit/parkit/faultkit substrate-kit pattern.
+//! per-query explain traces and a closed-registry metrics layer.
+//! Std-only and dependency-free, matching the detkit/parkit/faultkit
+//! substrate-kit pattern.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
-//! 1. **Spans/events with a deterministic logical clock**
-//!    ([`explain::TraceScope`]): every event carries a monotonic
-//!    per-query sequence number instead of a wall-clock timestamp, so a
-//!    trace is byte-identical at any thread count. Wall-clock durations
-//!    are carried *out-of-band* (a separate, redactable JSON line — see
-//!    [`trace::wall_clock_enabled`]) and never enter the deterministic
-//!    payload. Traces are emitted as JSON-lines through a
-//!    [`trace::TraceSink`] resolved from the `UNISEM_TRACE` environment
-//!    spec (`off | stderr | file:<path>`).
+//! 1. **Per-query explain traces** ([`explain::QueryTrace`]): the costed
+//!    physical plan with an actual on every operator that ran, the route,
+//!    and the [`meter::ResourceMeter`] — attached to `Answer::trace` when
+//!    `EngineConfig::trace` opts in, and emitted as one JSON line per
+//!    query through a [`trace::TraceSink`] resolved from the
+//!    `UNISEM_TRACE` environment spec (`off | stderr | file:<path>`).
+//!    No duration enters a trace, so it is byte-identical at any thread
+//!    count.
 //! 2. **Closed-registry metrics** ([`metrics::MetricsRegistry`]):
 //!    counters, gauges, and histograms addressed only by the
 //!    compile-time [`metrics::Metric`] / [`metrics::Hist`] enums — no
@@ -25,10 +24,6 @@
 //!    byte-identical at any thread count. Wall-clock stage timings live
 //!    in the separate, deliberately *non*-deterministic
 //!    [`metrics::TimingReport`].
-//! 3. **Per-query explain traces** ([`explain::QueryTrace`]): the
-//!    degradation-ladder rungs attempted, the synthesized operator plan,
-//!    traversal statistics, and the entropy verdict — attached to
-//!    `Answer::trace` when `EngineConfig::trace` opts in.
 //!
 //! [`component`] is the closed registry of component labels shared by
 //! degradation records, fault-injection site names, and metric prefixes;
@@ -36,21 +31,16 @@
 
 pub mod component;
 pub mod explain;
-pub mod flame;
 pub mod hist;
 pub mod meter;
 pub mod metrics;
 pub mod trace;
 pub mod wall;
 
-pub use explain::{
-    emit, render_block, EntropyVerdict, QueryTrace, RungAttempt, RungOutcome, TraceEvent,
-    TraceScope, TraversalTrace,
-};
-pub use flame::FlameGraph;
+pub use explain::QueryTrace;
 pub use meter::ResourceMeter;
 pub use metrics::{Hist, Metric, MetricsRegistry, MetricsReport, Stage, TimingReport};
-pub use trace::{TraceSink, TraceSpec};
+pub use trace::TraceSink;
 
 /// Escapes a string for embedding in a JSON string literal (shared by the
 /// sink and report renderers; tracekit is dependency-free by policy).

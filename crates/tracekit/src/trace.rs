@@ -11,11 +11,11 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Parsed form of the `UNISEM_TRACE` environment variable.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TraceSpec {
+enum TraceSpec {
     /// No tracing (the default; also the fallback for malformed specs).
     #[default]
     Off,
@@ -29,7 +29,7 @@ impl TraceSpec {
     /// Parses a spec string: `off | stderr | file:<path>`. Unknown or
     /// malformed specs resolve to `Off` — observability must never take
     /// the engine down.
-    pub fn parse(spec: &str) -> TraceSpec {
+    fn parse(spec: &str) -> TraceSpec {
         let spec = spec.trim();
         if spec.eq_ignore_ascii_case("stderr") {
             TraceSpec::Stderr
@@ -45,7 +45,7 @@ impl TraceSpec {
     }
 
     /// Reads and parses `UNISEM_TRACE` (unset → `Off`).
-    pub fn from_env() -> TraceSpec {
+    fn from_env() -> TraceSpec {
         match std::env::var("UNISEM_TRACE") {
             Ok(spec) => TraceSpec::parse(&spec),
             Err(_) => TraceSpec::Off,
@@ -98,7 +98,7 @@ impl TraceSink {
     }
 
     /// Builds the sink a spec describes.
-    pub fn from_spec(spec: &TraceSpec) -> TraceSink {
+    fn from_spec(spec: &TraceSpec) -> TraceSink {
         match spec {
             TraceSpec::Off => TraceSink::off(),
             TraceSpec::Stderr => TraceSink::stderr(),
@@ -155,15 +155,6 @@ impl TraceSink {
             _ => String::new(),
         }
     }
-}
-
-/// True when `UNISEM_TRACE_WALL=1`: wall-clock duration lines may be
-/// appended to emitted trace blocks. Off by default — wall-clock is
-/// nondeterministic, so it is redacted unless explicitly requested, and
-/// it never enters `QueryTrace` itself. Resolved once per process.
-pub fn wall_clock_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| matches!(std::env::var("UNISEM_TRACE_WALL").as_deref(), Ok("1")))
 }
 
 #[cfg(test)]

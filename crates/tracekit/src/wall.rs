@@ -3,9 +3,8 @@
 //!
 //! Wall-clock is inherently nondeterministic, so the determinism contract
 //! (DESIGN.md §6) quarantines it: durations may only ever flow into the
-//! deliberately non-deterministic [`crate::metrics::TimingReport`] or the
-//! redactable wall-clock trace line (see [`crate::trace::wall_clock_enabled`]),
-//! never into answer payloads, metrics, or trace sequence numbers. Keeping
+//! deliberately non-deterministic [`crate::metrics::TimingReport`], never
+//! into answer payloads, metrics, or explain traces. Keeping
 //! every `Instant::now()` behind this module makes that rule *auditable*:
 //! `udlint` flags any other clock read in engine code, so a reviewer only
 //! has to check where `Stopwatch` values end up.

@@ -1,15 +1,14 @@
-//! Observability tour (DESIGN.md §9, §14): per-query explain traces with
-//! resource meters, span flamegraphs, the closed metric registry with its
-//! latency/size histograms, and trace-sink emission.
+//! Observability tour (DESIGN.md §9, §14): per-query explain traces — the
+//! costed plan with its actuals, and the resource meter — the closed
+//! metric registry with its histograms, and trace-sink emission.
 //!
 //! Run with:
 //! ```sh
 //! cargo run -p unisem-core --example observability
-//! # ...or stream every query's trace block as JSON-lines to stderr:
+//! # ...or stream every query's trace as one JSON line to stderr:
 //! UNISEM_TRACE=stderr cargo run -p unisem-core --example observability
 //! ```
 
-use tracekit::FlameGraph;
 use unisem_core::{EngineBuilder, EngineConfig, EntityKind, Lexicon};
 use unisem_relstore::{DataType, Schema, Table, Value};
 
@@ -58,34 +57,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // resource consumption must agree exactly.
     let mut total_nodes_popped = 0u64;
     let mut total_slm_samples = 0u64;
-    let mut flame = FlameGraph::new();
 
     for question in questions {
         let answer = engine.answer(question);
         println!("Q: {question}");
         println!("A: {answer}");
-        // The explain trace: ladder rungs attempted (with outcomes), the
-        // synthesized plan, traversal stats, the entropy verdict, and the
-        // per-query resource meter.
+        // The explain trace: the costed physical plan, with what actually
+        // happened on every operator that ran, and the resource meter.
         let trace = answer.trace.as_ref().expect("EngineConfig::trace attaches one");
         println!("  route taken: {}", trace.route);
-        for rung in &trace.rungs {
-            println!("  rung {:<12} {:<9} {}", rung.rung, rung.outcome.label(), rung.detail);
-        }
-        if let Some(plan) = &trace.plan {
-            println!("  plan: {plan}");
-        }
-        if let Some(t) = &trace.traversal {
-            println!(
-                "  traversal: {} anchors, {} nodes touched, {} chunks scored",
-                t.anchors, t.nodes_touched, t.chunks_scored
-            );
-        }
-        if let Some(e) = &trace.entropy {
-            println!(
-                "  entropy: {} samples -> {} clusters, confidence {:.2}, abstained={}",
-                e.n_samples, e.n_clusters, e.confidence, e.abstained
-            );
+        for line in trace.plan.as_deref().unwrap_or("").lines() {
+            println!("  {line}");
         }
         // The resource meter: work performed, as pure functions of query
         // + corpus (deterministic at every thread count).
@@ -99,16 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  meter: {fields}");
         total_nodes_popped += meter.nodes_popped;
         total_slm_samples += meter.slm_samples;
-        flame.add_trace(trace);
         println!();
-    }
-
-    // The span flamegraph: folded stacks (`parent;child weight`) folded
-    // from the three traces — deterministic, so the same workload always
-    // folds to the same bytes.
-    println!("flamegraph (folded stacks, all queries):");
-    for line in flame.to_folded().lines() {
-        println!("  {line}");
     }
 
     // The closed metric registry: every counter/gauge/histogram has a

@@ -390,13 +390,13 @@ fn planner_trace_shows_estimated_and_actual_costs() {
 /// (DESIGN.md §5b), and the count stays the pure function of query and
 /// corpus the resource meter promises: for every query of both workloads
 /// the traversal reports exactly `Bm25Index::postings_scanned`, and so does
-/// the meter of every answer whose retrieval rung ran — whether the
+/// the meter of every answer the retrieval branch gave — whether the
 /// traversal ran, faulted into its lexical fallback, or is switched off.
 /// There is one BM25 path.
 #[test]
 fn postings_scanned_is_the_index_count_for_every_query() {
     use std::sync::Arc;
-    use unisem_core::FaultSite;
+    use unisem_core::{FaultSite, Route};
     use unisem_retrieval::TopologyRetriever;
 
     let traced = EngineConfig { trace: true, ..config(FaultPlan::disabled()) };
@@ -420,10 +420,11 @@ fn postings_scanned_is_the_index_count_for_every_query() {
                 let expected = e.docs().index().postings_scanned(q);
                 let (_, stats) = retriever.retrieve_with_stats(q, e.config().retrieval_top_k);
                 assert_eq!(stats.postings_scanned, expected, "workload={} {q}", w.name);
-                let trace = e.answer(q).trace.expect("traced");
-                if trace.rungs.iter().any(|r| r.rung == "retrieval") {
+                let answer = e.answer(q);
+                if matches!(answer.route, Route::Unstructured { .. } | Route::Hybrid { .. }) {
                     retrieved += 1;
-                    let metered = trace.meter.expect("metered").postings_scanned;
+                    let metered =
+                        answer.trace.and_then(|t| t.meter).expect("metered").postings_scanned;
                     assert_eq!(metered, expected as u64, "workload={} {label}: {q}", w.name);
                 }
             }
