@@ -81,6 +81,12 @@ echo "==> offline test suite (UNISEM_THREADS=4)"
 # (merge order, float association, RNG sharing) diverges here and fails.
 CARGO_NET_OFFLINE=true UNISEM_THREADS=4 cargo test -q
 
+echo "==> relstore probe == scan, 16x deeper than tier-1"
+# A filter over a base table reads only the rows its value-index probe names
+# (DESIGN.md §11f); the differential property holding it to a full scan —
+# same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
+
 echo "==> every example runs"
 # The README calls every example runnable, and several cross-check the
 # engine's own views against each other with assert_eq!: run them all.

@@ -310,12 +310,11 @@ pub(crate) fn commit(
             None
         }
         Prepared::Row { table, row, in_graph } => {
-            let Ok(t) = db.table_mut(&table) else {
+            let Ok(t) = db.append(&table, row) else {
                 debug_assert!(false, "prepared a row for missing table '{table}'");
                 return None;
             };
-            let from_row = t.num_rows();
-            t.push_checked(row);
+            let from_row = t.num_rows() - 1;
             if in_graph {
                 extend_graph(graph, &|gb| gb.add_table_rows(&table, t, from_row));
             }

@@ -297,7 +297,7 @@ impl EngineBuilder {
         let docs = Arc::new(loaded.docs);
         let graph = Arc::new(loaded.graph);
         let db = loaded.db;
-        let stats = Arc::new(loaded.stats);
+        let stats = Arc::new(StatsCatalog::collect(&db, &docs, &graph));
         let report = loaded.ingest;
 
         let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
@@ -790,7 +790,6 @@ impl UnifiedEngine {
                 docs: &self.docs,
                 db: &self.db,
                 graph: &self.graph,
-                stats: &self.stats,
                 ingest: &self.ingest,
                 applied_seq: self.applied_seq,
             },
@@ -987,24 +986,18 @@ impl UnifiedEngine {
 
     /// Brings the derived structures up to the substrates after ingest
     /// changed them, in O(delta): of the planner's statistics only the
-    /// `touched` tables are refreshed — a new table collected, an appended
-    /// one folding only its new rows into its value sets — the text and
+    /// `touched` tables are re-read — O(columns) each, from the counts
+    /// relstore's value index maintained as the rows went in — the text and
     /// graph figures being totals the substrates maintain (so explain traces
-    /// never show stale row counts, pruning never misses a new value, and
-    /// the catalog equals a from-scratch collect); the gauges re-read the
-    /// same totals; and the topology retriever is pointed at the new
-    /// versions, which drops its PageRank prior until a traversal asks for
-    /// it.
+    /// never show stale row counts, and the catalog equals a from-scratch
+    /// collect); the gauges re-read the same totals; and the topology
+    /// retriever is pointed at the new versions, which drops its PageRank
+    /// prior until a traversal asks for it.
     fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
         let stats = Arc::make_mut(&mut self.stats);
         for key in touched {
-            if let Ok(table) = self.db.table(key) {
-                match stats.tables.get_mut(key) {
-                    Some(t) => t.refresh(table),
-                    None => {
-                        stats.tables.insert(key.clone(), TableStats::collect(table));
-                    }
-                }
+            if let Ok((table, index)) = self.db.indexed(key) {
+                stats.tables.insert(key.clone(), TableStats::collect(table, index));
                 self.metrics.incr(Metric::PlannerStatsTableRefreshes);
             }
         }

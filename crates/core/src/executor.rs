@@ -120,9 +120,9 @@ impl UnifiedEngine {
             (gate, abstained())
         };
         run.actual(|a| a.outcome = Some(answer.route.label().to_string()));
-        let rendered = run
-            .traced
-            .then(|| physical::lower(&plan, &CostModel::new(&self.stats), &run.actuals).render());
+        let rendered = run.traced.then(|| {
+            physical::lower(&plan, &CostModel::new(&self.stats), &self.db, &run.actuals).render()
+        });
         answer.degradations = run.degradations;
         (answer, rendered)
     }
@@ -218,7 +218,8 @@ impl UnifiedEngine {
             if !text.is_empty() {
                 // Deterministic plan output = maximally grounded evidence.
                 let evidence = [SupportedAnswer::new(text.clone(), STRUCTURED_SUPPORT)];
-                let (report, confidence) = self.exec_sem_entail(samples, &evidence, run);
+                let (report, confidence) =
+                    self.exec_sem_entail(samples, &evidence, |a| &mut a.structured_entail, run);
                 return Some(Answer {
                     text,
                     confidence,
@@ -332,8 +333,9 @@ impl UnifiedEngine {
         };
         self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
         let evidence = self.exec_sem_extract(*max_sentences, &hits, intent, run);
+        let evidence_answers = to_supported_answers(&evidence);
         let (report, confidence) =
-            self.exec_sem_entail(*samples, &to_supported_answers(&evidence), run);
+            self.exec_sem_entail(*samples, &evidence_answers, |a| &mut a.retrieval_entail, run);
 
         let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
         let provenance: Vec<Provenance> = evidence
@@ -463,11 +465,13 @@ impl UnifiedEngine {
     }
 
     /// `SemEntail`: semantic entropy over `samples` sampled answers — one
-    /// SLM call — and the confidence it certifies.
+    /// SLM call — and the confidence it certifies, recorded as the `actual`
+    /// of the branch's own `SemEntail` node.
     fn exec_sem_entail(
         &self,
         samples: usize,
         evidence: &[SupportedAnswer],
+        actual: fn(&mut ExecActuals) -> &mut Option<String>,
         run: &mut Run,
     ) -> (EntropyReport, f64) {
         let clock = tracekit::wall::Stopwatch::start();
@@ -482,7 +486,7 @@ impl UnifiedEngine {
         run.meter.slm_samples += report.n_samples as u64;
         let confidence = report.confidence();
         run.actual(|a| {
-            a.entail = Some(format!(
+            *actual(a) = Some(format!(
                 "samples={} clusters={} confidence={confidence:.2}",
                 report.n_samples, report.n_clusters
             ))
@@ -526,8 +530,8 @@ impl UnifiedEngine {
     /// The relational candidates in plan order (native tables first,
     /// `extracted` last), each synthesized up front — synthesis is pure.
     /// Tables the deterministic fault plan hits are marked
-    /// [`CandidatePlan::Faulted`] without synthesis; a synthesized plan the
-    /// statistics catalog proves signal-free is [`CandidatePlan::Pruned`]
+    /// [`CandidatePlan::Faulted`] without synthesis; a synthesized plan its
+    /// table's value index proves signal-free is [`CandidatePlan::Pruned`]
     /// (DESIGN.md §11g). The order is never changed: which table answers
     /// must not depend on the pruning. The bookkeeping for every candidate
     /// is deferred to its execution.
@@ -542,7 +546,7 @@ impl UnifiedEngine {
                     CandidatePlan::Faulted
                 } else {
                     match self.synthesizer.synthesize(intent, &self.db, &table) {
-                        Ok(plan) => match prune_reason(&plan, &self.stats) {
+                        Ok(plan) => match prune_reason(&plan, &self.db) {
                             Some(reason) => CandidatePlan::Pruned { plan, reason },
                             None => CandidatePlan::Planned(plan),
                         },

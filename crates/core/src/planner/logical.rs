@@ -29,7 +29,7 @@ pub enum CandidatePlan {
     /// Synthesis failed; the reason is charged (and counted) only if
     /// execution actually visits this candidate.
     Unplannable(String),
-    /// The statistics catalog proves the synthesized plan yields no signal
+    /// The table's value index proves the synthesized plan yields no signal
     /// ([`super::prune`]): it is kept for its estimate and never run.
     Pruned {
         /// The synthesized plan.

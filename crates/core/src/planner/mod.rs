@@ -6,8 +6,8 @@
 //! first-class nodes; a deterministic, integer-only **cost model**
 //! ([`cost::CostModel`]) fed by build-time per-substrate statistics
 //! ([`stats::StatsCatalog`]); catalog **pruning**
-//! ([`prune::prune_reason`]), which passes over a relational candidate the
-//! catalog proves empty; and a **physical** lowering
+//! ([`prune::prune_reason`]), which passes over a relational candidate its
+//! table's value index proves empty; and a **physical** lowering
 //! ([`physical::PhysicalPlan`]) that pairs every operator with estimated
 //! and actual costs for the explain trace.
 //!

@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use unisem_relstore::plan::LogicalPlan as RelPlan;
+use unisem_relstore::Database;
 
 use super::cost::{Cost, CostModel};
 use super::logical::{CandidatePlan, LogicalNode};
@@ -38,8 +39,10 @@ pub struct ExecActuals {
     pub lexical_scan: Option<String>,
     /// Evidence-extraction outcome.
     pub extract: Option<String>,
-    /// Entailment-verification outcome.
-    pub entail: Option<String>,
+    /// Entailment-verification outcome of the structured branch.
+    pub structured_entail: Option<String>,
+    /// Entailment-verification outcome of the retrieval branch.
+    pub retrieval_entail: Option<String>,
     /// Confidence-gate outcome.
     pub confidence: Option<String>,
     /// Final route label.
@@ -91,16 +94,26 @@ fn render_node(node: &PhysNode, depth: usize, out: &mut String) {
     }
 }
 
-/// Lowers a logical tree into a costed physical plan, attaching the
-/// executor's recorded actuals.
-pub fn lower(logical: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> PhysicalPlan {
-    PhysicalPlan { root: lower_node(logical, model, actuals) }
+/// Lowers a logical tree into a costed physical plan over `db`, attaching
+/// the executor's recorded actuals.
+pub fn lower(
+    logical: &LogicalNode,
+    model: &CostModel,
+    db: &Database,
+    actuals: &ExecActuals,
+) -> PhysicalPlan {
+    PhysicalPlan { root: lower_node(logical, model, db, actuals) }
 }
 
-fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> PhysNode {
+fn lower_node(
+    node: &LogicalNode,
+    model: &CostModel,
+    db: &Database,
+    actuals: &ExecActuals,
+) -> PhysNode {
     match node {
         LogicalNode::EntropyGate { child, .. } => {
-            let c = lower_node(child, model, actuals);
+            let c = lower_node(child, model, db, actuals);
             let estimated =
                 Cost { rows: c.estimated.rows, cpu: 1, io: 0, slm: 0 }.plus(c.estimated);
             PhysNode {
@@ -111,14 +124,14 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             }
         }
         LogicalNode::SemTag { child, .. } => {
-            let c = lower_node(child, model, actuals);
+            let c = lower_node(child, model, db, actuals);
             let estimated =
                 Cost { rows: c.estimated.rows, cpu: 1, io: 0, slm: 1 }.plus(c.estimated);
             PhysNode { op: node.label(), estimated, actual: actuals.tag.clone(), children: vec![c] }
         }
         LogicalNode::Alternatives { children } => {
             let kids: Vec<PhysNode> =
-                children.iter().map(|c| lower_node(c, model, actuals)).collect();
+                children.iter().map(|c| lower_node(c, model, db, actuals)).collect();
             let mut estimated = Cost::ZERO;
             for k in &kids {
                 estimated = estimated.plus(k.estimated);
@@ -130,7 +143,7 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             let actual = actuals.structured.get(table).cloned();
             match plan.rel() {
                 Some(rel) => {
-                    let mut root = lower_rel(rel, model);
+                    let mut root = lower_rel(rel, model, db);
                     // A pruned plan never ran: its operators carry estimates
                     // only.
                     if let CandidatePlan::Planned(_) = plan {
@@ -152,7 +165,7 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             }
         }
         LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
-            let fb = lower_node(fallback, model, actuals);
+            let fb = lower_node(fallback, model, db, actuals);
             let estimated = model.graph_traverse(*top_k, *max_frontier);
             PhysNode {
                 op: node.label(),
@@ -168,7 +181,7 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             children: Vec::new(),
         },
         LogicalNode::SemExtract { max_sentences, child } => {
-            let c = lower_node(child, model, actuals);
+            let c = lower_node(child, model, db, actuals);
             let estimated = model.sem_extract(c.estimated.rows, *max_sentences).plus(c.estimated);
             PhysNode {
                 op: node.label(),
@@ -178,17 +191,18 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
             }
         }
         LogicalNode::SemEntail { samples, child } => {
-            let c = lower_node(child, model, actuals);
+            // The structured branch verifies its candidates' result, the
+            // retrieval branch its extracted evidence: each has its own.
+            let actual = match **child {
+                LogicalNode::Alternatives { .. } => &actuals.structured_entail,
+                _ => &actuals.retrieval_entail,
+            };
+            let c = lower_node(child, model, db, actuals);
             let estimated = model.sem_entail(*samples).plus(c.estimated);
-            PhysNode {
-                op: node.label(),
-                estimated,
-                actual: actuals.entail.clone(),
-                children: vec![c],
-            }
+            PhysNode { op: node.label(), estimated, actual: actual.clone(), children: vec![c] }
         }
         LogicalNode::ConfidenceGate { child, .. } => {
-            let c = lower_node(child, model, actuals);
+            let c = lower_node(child, model, db, actuals);
             let estimated =
                 Cost { rows: c.estimated.rows, cpu: 1, io: 0, slm: 0 }.plus(c.estimated);
             PhysNode {
@@ -207,11 +221,24 @@ fn lower_node(node: &LogicalNode, model: &CostModel, actuals: &ExecActuals) -> P
     }
 }
 
-/// Expands a relstore plan operator-by-operator, costing each subtree.
-fn lower_rel(plan: &RelPlan, model: &CostModel) -> PhysNode {
+/// Expands a relstore plan operator-by-operator, costing each subtree. A
+/// `Scan` under a filter that probes the table's value index names the
+/// probe — found by the function the executor reads the rows through.
+fn lower_rel(plan: &RelPlan, model: &CostModel, db: &Database) -> PhysNode {
     let estimate = model.rel_plan(plan);
     let op = plan.explain().lines().next().unwrap_or("Rel").trim().to_string();
-    let children = rel_children(plan).into_iter().map(|c| lower_rel(c, model)).collect();
+    let mut children: Vec<PhysNode> =
+        rel_children(plan).into_iter().map(|c| lower_rel(c, model, db)).collect();
+    if let RelPlan::Filter { input, predicate } = plan {
+        if let (RelPlan::Scan { table }, [scan]) = (&**input, &mut children[..]) {
+            let probe = db.indexed(table).ok().and_then(|(t, index)| {
+                index.probe(predicate, t.schema()).map(|probe| probe.to_string())
+            });
+            if let Some(probe) = probe {
+                scan.op = format!("{} ({probe})", scan.op);
+            }
+        }
+    }
     PhysNode { op, estimated: estimate.cost, actual: None, children }
 }
 
@@ -238,12 +265,7 @@ mod tests {
             "sales".into(),
             TableStats {
                 rows: 100,
-                columns: vec![ColumnStats {
-                    name: "region".into(),
-                    distinct: 5,
-                    nulls: 0,
-                    folded: None,
-                }],
+                columns: vec![ColumnStats { name: "region".into(), distinct: 5, nulls: 0 }],
             },
         );
         cat.text.chunks = 40;
@@ -263,7 +285,7 @@ mod tests {
         };
         let mut actuals = ExecActuals::default();
         actuals.structured.insert("sales".into(), "rows=20 (signal)".into());
-        let phys = lower(&logical, &model, &actuals);
+        let phys = lower(&logical, &model, &Database::new(), &actuals);
         let text = phys.render();
         assert!(text.contains("Relational: table 'sales'"), "{text}");
         assert!(text.contains("Scan: sales"), "{text}");
@@ -282,7 +304,7 @@ mod tests {
             fallback: Box::new(LogicalNode::LexicalScan { top_k: 4 }),
         };
         let ran = ExecActuals { traverse: Some("hits=4".into()), ..ExecActuals::default() };
-        let phys = lower(&traverse, &model, &ran);
+        let phys = lower(&traverse, &model, &Database::new(), &ran);
         let scan = &phys.root.children[0];
         assert!(scan.estimated.io > 0);
         assert_eq!(scan.estimated, model.lexical_scan(4));
@@ -299,7 +321,7 @@ mod tests {
             lexical_scan: Some("hits=4".into()),
             ..ExecActuals::default()
         };
-        let phys = lower(&traverse, &model, &faulted);
+        let phys = lower(&traverse, &model, &Database::new(), &faulted);
         assert_eq!(phys.root.actual.as_deref(), Some("fault: f"));
         assert_eq!(phys.root.children[0].actual.as_deref(), Some("hits=4"));
     }
@@ -311,8 +333,8 @@ mod tests {
         let node = LogicalNode::Alternatives {
             children: vec![LogicalNode::LexicalScan { top_k: 4 }, LogicalNode::Abstain],
         };
-        let a = lower(&node, &model, &ExecActuals::default()).render();
-        let b = lower(&node, &model, &ExecActuals::default()).render();
+        let a = lower(&node, &model, &Database::new(), &ExecActuals::default()).render();
+        let b = lower(&node, &model, &Database::new(), &ExecActuals::default()).render();
         assert_eq!(a, b);
     }
 }

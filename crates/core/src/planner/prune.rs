@@ -1,17 +1,18 @@
 //! Catalog pruning (DESIGN.md §11g): a relational candidate whose scan
-//! filter the statistics catalog proves empty is passed over, not run.
+//! filter the table's value index proves empty is passed over, not run.
 //!
 //! The proof is narrow on purpose. [`prune_reason`] prunes a plan only when
 //!
-//! - **(a)** some top-level `AND` conjunct of the filter over its scan is
-//!   an `OR` of wildcard-free `col LIKE 'p'` / `col = 'p'` leaves on `Str`
-//!   columns, and no leaf's `p`, folded by `str::to_lowercase` (the fold
-//!   `LIKE` applies to both sides), is among its column's folded values
-//!   ([`ColumnStats::folded`](super::ColumnStats::folded)) — so no row
-//!   passes that conjunct;
-//! - **(b)** every column the filter names exists and every `LIKE` reads a
-//!   `Str` column — so no row could have raised the unknown-column or type
-//!   error that a run records as a failure, and pruning would hide; and
+//! - **(a, b)** the filter over its scan has a probe
+//!   ([`TableIndex::probe`](unisem_relstore::TableIndex::probe)) — it is
+//!   total: every column it names exists and every `LIKE` reads a `Str`
+//!   column, so no row could have raised the unknown-column or type error
+//!   that a run records as a failure, and pruning would hide; and a
+//!   top-level `AND` conjunct is an `OR` of `Str`-column key leaves — and
+//!   that probe's candidate set is empty: no row's fold is a leaf's key or
+//!   starts with a prefix leaf's, so no row passes that conjunct. It is the
+//!   probe the executor would read the filter's rows through, so pruning
+//!   and execution cannot disagree about it; and
 //! - **(c)** the operators above the filter make a result without signal
 //!   of no rows, and raise nothing doing so.
 //!
@@ -19,22 +20,17 @@
 //! the executor passes over silently: answers and degradations are the
 //! same with pruning as without.
 
-use unisem_relstore::expr::BinOp;
 use unisem_relstore::plan::{AggFunc, LogicalPlan as RelPlan};
 use unisem_relstore::schema::same_name;
-use unisem_relstore::{Expr, Table, Value};
+use unisem_relstore::{Database, Expr, Table};
 
-use super::stats::{StatsCatalog, TableStats};
-
-/// Why running `plan` cannot yield a signal-bearing result, when the
-/// catalog proves it; `None` when the plan must run.
-pub fn prune_reason(plan: &RelPlan, stats: &StatsCatalog) -> Option<String> {
+/// Why running `plan` against `db` cannot yield a signal-bearing result,
+/// when the value index proves it; `None` when the plan must run.
+pub fn prune_reason(plan: &RelPlan, db: &Database) -> Option<String> {
     let ((table, predicate), _) = base_filter(plan)?;
-    let t = stats.table(table)?;
-    if !total(predicate, t) {
-        return None;
-    }
-    refuted_conjunct(predicate, t).map(|c| format!("{c} matches no catalog value"))
+    let (table, index) = db.indexed(table).ok()?;
+    let probe = index.probe(predicate, table.schema())?;
+    probe.is_empty().then(|| format!("{} matches no catalog value", probe.conjunct()))
 }
 
 /// A result carries signal when it has rows and at least one non-null cell
@@ -85,71 +81,14 @@ fn base_filter(plan: &RelPlan) -> Option<((&str, &Expr), bool)> {
     }
 }
 
-/// Whether `e` evaluates on every row of the table `t` describes to a
-/// boolean or NULL without error: `AND`/`OR` over comparisons between
-/// `t`'s columns and literals, and over `LIKE`s reading its `Str` columns
-/// (condition (b)).
-fn total(e: &Expr, t: &TableStats) -> bool {
-    let operand = |e: &Expr| match e {
-        Expr::Column(c) => t.column(c).is_some(),
-        Expr::Literal(_) => true,
-        _ => false,
-    };
-    match e {
-        Expr::Binary { op: BinOp::And | BinOp::Or, left, right } => {
-            total(left, t) && total(right, t)
-        }
-        Expr::Binary { left, right, .. } => operand(left) && operand(right),
-        Expr::Like { expr, .. } => folded_values(expr, t).is_some(),
-        Expr::Column(_) | Expr::Literal(_) => false,
-    }
-}
-
-/// The top-level `AND` conjunct of `e` that no row of `t` satisfies, when
-/// the catalog proves one (condition (a)).
-fn refuted_conjunct<'e>(e: &'e Expr, t: &TableStats) -> Option<&'e Expr> {
-    match e {
-        Expr::Binary { op: BinOp::And, left, right } => {
-            refuted_conjunct(left, t).or_else(|| refuted_conjunct(right, t))
-        }
-        _ => refuted(e, t).then_some(e),
-    }
-}
-
-/// Whether `e` is an `OR` of wildcard-free `col LIKE 'p'` / `col = 'p'`
-/// leaves over `Str` columns, none of whose folded values is `p` folded.
-fn refuted(e: &Expr, t: &TableStats) -> bool {
-    let absent = |column: &Expr, p: &str| {
-        let p = p.to_lowercase();
-        folded_values(column, t).is_some_and(|values| values.binary_search(&p).is_err())
-    };
-    match e {
-        Expr::Binary { op: BinOp::Or, left, right } => refuted(left, t) && refuted(right, t),
-        Expr::Binary { op: BinOp::Eq, left, right } => match &**right {
-            Expr::Literal(Value::Str(p)) => absent(left, p),
-            _ => false,
-        },
-        Expr::Like { expr, pattern } => !pattern.contains(['%', '_']) && absent(expr, pattern),
-        _ => false,
-    }
-}
-
-/// The folded values of the `Str` column `e` names, when it names one.
-fn folded_values<'t>(e: &Expr, t: &'t TableStats) -> Option<&'t [String]> {
-    match e {
-        Expr::Column(name) => t.column(name)?.folded.as_deref(),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unisem_relstore::{AggExpr, DataType, Schema};
+    use unisem_relstore::{AggExpr, DataType, Schema, Value};
 
     /// A `sales` table whose subject column is spelt `Product`, while plans
     /// name it `product`, as the synthesizer does.
-    fn catalog() -> StatsCatalog {
+    fn catalog() -> Database {
         let table = Table::from_rows(
             Schema::of(&[
                 ("Product", DataType::Str),
@@ -162,9 +101,9 @@ mod tests {
             ],
         )
         .expect("typed rows");
-        let mut cat = StatsCatalog::default();
-        cat.tables.insert("sales".into(), TableStats::collect(&table));
-        cat
+        let mut db = Database::new();
+        db.create_table("sales", table).expect("fresh");
+        db
     }
 
     fn like(column: &str, pattern: &str) -> Expr {
@@ -191,9 +130,14 @@ mod tests {
         assert!(pruned(conjuncts).is_some(), "one refuted conjunct is enough");
 
         assert_eq!(pruned(like("product", "AERO WIDGET")), None, "LIKE folds case");
-        assert_eq!(pruned(like("product", "Phan%")), None, "a wildcard matches what it likes");
+        assert_eq!(pruned(like("product", "Phan_om")), None, "a wildcard matches what it likes");
         assert_eq!(pruned(like("product", "Phantom").or(like("product", "nova"))), None);
         assert_eq!(pruned(like("quarter", "Q1 2024").or(like("quarter", "Q1 2024 %"))), None);
+        assert_eq!(pruned(like("product", "aero%")), None, "a prefix of a catalog value");
+        let no_prefix = pruned(like("product", "Phan%")).expect("no product starts 'phan'");
+        assert_eq!(no_prefix, "(product LIKE 'Phan%') matches no catalog value");
+        let periods = like("quarter", "Q3 2024").or(like("quarter", "Q3 2024 %"));
+        assert!(pruned(periods).is_some(), "no quarter is Q3 2024, nor starts 'q3 2024 '");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Build-time statistics catalog (DESIGN.md §11).
 //!
-//! The cost model's and the pruning rule's only data input. Collected at
-//! build time from every substrate: relational row counts, per-column
-//! cardinalities and the folded values of string columns, inverted-index
-//! posting-list lengths, and the graph degree histogram. Incremental ingest
-//! keeps it current piecewise — [`TableStats::refresh`] for a table a delta
-//! appended to, [`TextStats::collect`] and [`GraphDegreeStats::collect`]
-//! from totals the substrates maintain as they append — and the result
-//! equals a from-scratch [`StatsCatalog::collect`].
+//! The cost model's only data input: relational row counts and per-column
+//! cardinalities, inverted-index posting-list lengths, and the graph
+//! degree histogram. Every figure is read from a total its substrate
+//! maintains as it grows — a table's distinct and NULL counts from the
+//! value index relstore keeps beside it — so collecting is
+//! O(tables × columns), whether at build time, after a delta (only the
+//! touched tables are re-read) or on snapshot open (the catalog is
+//! derived, not persisted), and a maintained catalog equals a
+//! from-scratch [`StatsCatalog::collect`].
 //!
 //! Determinism contract: every number here is a pure function of the
 //! ingested data — never of timing, thread count, or iteration order.
@@ -22,7 +23,7 @@ use std::collections::BTreeMap;
 use unisem_docstore::DocStore;
 use unisem_hetgraph::HetGraph;
 use unisem_relstore::schema::same_name;
-use unisem_relstore::{DataType, Database, Table, Value};
+use unisem_relstore::{Database, Table, TableIndex};
 
 /// Cardinality statistics for one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +34,6 @@ pub struct ColumnStats {
     pub distinct: usize,
     /// NULL count.
     pub nulls: usize,
-    /// For a `Str` column, its distinct values folded by `str::to_lowercase`
-    /// — the fold `LIKE` applies to both its sides — sorted, without
-    /// repeats; `None` for a column of any other type. Catalog pruning
-    /// (`planner::prune`) proves string filters empty against it.
-    pub folded: Option<Vec<String>>,
 }
 
 /// Statistics for one relational table.
@@ -50,50 +46,21 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Row count, per-column cardinalities and folded string values of one
-    /// table (linear in the table, up to the per-column sort). Each
-    /// distinct value is folded once, not each cell.
-    pub fn collect(table: &Table) -> TableStats {
+    /// Row count and per-column cardinalities of one table, read from the
+    /// counts its value index maintains: O(columns).
+    pub fn collect(table: &Table, index: &TableIndex) -> TableStats {
         let columns = table
             .schema()
             .columns()
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                let (values, nulls) = table.column_stats(i);
-                let folded = (c.dtype == DataType::Str).then(|| {
-                    let mut folded: Vec<String> =
-                        values.iter().filter_map(|v| v.as_str()).map(str::to_lowercase).collect();
-                    folded.sort_unstable();
-                    folded.dedup();
-                    folded
-                });
-                ColumnStats { name: c.name.clone(), distinct: values.len(), nulls, folded }
+            .map(|(i, c)| ColumnStats {
+                name: c.name.clone(),
+                distinct: index.distinct(i),
+                nulls: index.nulls(i),
             })
             .collect();
         TableStats { rows: table.num_rows(), columns }
-    }
-
-    /// Brings statistics collected over the first `self.rows` rows of
-    /// `table` up to all of them. Tables are append-only, so the folded
-    /// value sets take in only the appended rows; the distinct and NULL
-    /// counts are re-collected (linear in the table, up to the sort).
-    pub fn refresh(&mut self, table: &Table) {
-        for (i, c) in self.columns.iter_mut().enumerate() {
-            let (values, nulls) = table.column_stats(i);
-            (c.distinct, c.nulls) = (values.len(), nulls);
-            if let Some(folded) = &mut c.folded {
-                for v in table.column(i).get(self.rows..).unwrap_or_default() {
-                    if let Value::Str(s) = v {
-                        let f = s.to_lowercase();
-                        if let Err(at) = folded.binary_search(&f) {
-                            folded.insert(at, f);
-                        }
-                    }
-                }
-            }
-        }
-        self.rows = table.num_rows();
     }
 
     /// Statistics for a named column, if present. Names match as the
@@ -181,14 +148,15 @@ pub struct StatsCatalog {
 }
 
 impl StatsCatalog {
-    /// Collects statistics from every substrate. Single-threaded by
-    /// design: statistics are part of the build's deterministic output,
-    /// and the collection pass is linear in the relational data.
+    /// Collects statistics from every substrate's maintained totals.
     pub fn collect(db: &Database, docs: &DocStore, graph: &HetGraph) -> StatsCatalog {
         let tables = db
             .table_names()
             .into_iter()
-            .filter_map(|name| Some((name.to_string(), TableStats::collect(db.table(name).ok()?))))
+            .filter_map(|name| {
+                let (table, index) = db.indexed(name).ok()?;
+                Some((name.to_string(), TableStats::collect(table, index)))
+            })
             .collect();
         let text = TextStats::collect(docs);
         let graph = GraphDegreeStats::collect(graph);
@@ -288,6 +256,13 @@ mod tests {
         assert!(text.contains("text: documents=1"), "{text}");
     }
 
+    fn stats_of(table: Table) -> TableStats {
+        let mut db = Database::new();
+        db.create_table("t", table).expect("fresh");
+        let (table, index) = db.indexed("t").expect("registered");
+        TableStats::collect(table, index)
+    }
+
     #[test]
     fn columns_are_found_as_the_schema_finds_them() {
         let t = Table::from_rows(
@@ -299,31 +274,35 @@ mod tests {
             ],
         )
         .expect("typed rows");
-        let stats = TableStats::collect(&t);
+        let stats = stats_of(t);
         let product = stats.column("product").expect("found ignoring case");
-        assert_eq!(product.distinct, 3);
+        assert_eq!(product.distinct, 3, "told apart case-sensitively, as SQL compares");
         assert_eq!(stats.distinct("PRODUCT"), 3, "the cost model sees it too");
-        // "ΟΣ" folds to "ος" with a final sigma: `to_lowercase`, not a fold
-        // per char.
-        assert_eq!(product.folded, Some(vec!["aero".into(), "\u{3bf}\u{3c2}".into()]));
-        assert_eq!(stats.column("units").expect("found").folded, None, "not a Str column");
+        assert_eq!(stats.column("units").expect("found").nulls, 1);
     }
 
     #[test]
     fn refresh_over_appended_rows_equals_a_recollection() {
-        let rows = [("b", 1), ("B", 2), ("a", 3), ("\u{212a}", 4)];
-        let schema = Schema::of(&[("s", DataType::Str), ("n", DataType::Int)]);
-        let mut t = Table::empty(schema);
-        let mut stats = TableStats::collect(&t);
-        for (s, n) in rows {
-            t.push_row(vec![Value::str(s), Value::Int(n)]).expect("typed row");
-            t.push_row(vec![Value::Null, Value::Null]).expect("typed row");
-            stats.refresh(&t);
-            assert_eq!(stats, TableStats::collect(&t), "after {s}");
+        let rows = [("b", 1.0), ("B", 2.0), ("a", -0.0), ("\u{212a}", 0.0)];
+        let schema = Schema::of(&[("s", DataType::Str), ("x", DataType::Float)]);
+        let mut db = Database::new();
+        db.create_table("t", Table::empty(schema.clone())).expect("fresh");
+        let mut all = Vec::new();
+        for (s, x) in rows {
+            for row in [vec![Value::str(s), Value::Float(x)], vec![Value::Null, Value::Null]] {
+                all.push(row.clone());
+                let checked = db.table("t").and_then(|t| t.check_row(row)).expect("typed row");
+                db.append("t", checked).expect("registered");
+            }
+            let (table, index) = db.indexed("t").expect("registered");
+            let maintained = TableStats::collect(table, index);
+            let rebuilt = Table::from_rows(schema.clone(), all.clone()).expect("typed rows");
+            assert_eq!(maintained, stats_of(rebuilt), "after {s}");
         }
-        // The Kelvin sign folds to an ASCII `k`.
-        let folded = ["a", "b", "k"].map(String::from).to_vec();
-        assert_eq!(stats.columns[0].folded, Some(folded));
+        let stats = db.indexed("t").map(|(t, i)| TableStats::collect(t, i)).expect("registered");
+        // Four spellings; -0.0 = 0.0.
+        assert_eq!((stats.distinct("s"), stats.distinct("x")), (4, 3));
+        assert_eq!(stats.column("s").map(|c| c.nulls), Some(4));
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! A snapshot captures everything [`crate::EngineBuilder::build`] derives
 //! from its inputs — documents and chunks, the BM25 inverted index, every
 //! relational table (native, flattened, extracted), the heterogeneous
-//! graph, the planner's statistics catalog, and the ingest report — into
-//! one `storekit` snapshot file. Reopening skips ingestion, flattening,
-//! extraction, and graph construction entirely; only the cheap derived
-//! structures (retriever, parser) are rebuilt, from the same seed and
-//! lexicon the snapshot records.
+//! graph, and the ingest report — into one `storekit` snapshot file.
+//! Reopening skips ingestion, flattening, extraction, and graph
+//! construction entirely; only the cheap derived structures are rebuilt:
+//! the tables' value indexes (as the tables are registered), the planner's
+//! statistics catalog (read from the substrates' maintained totals), the
+//! retriever and the parser, from the same seed and lexicon the snapshot
+//! records.
 //!
 //! Byte-identity contract: two engines built from the same inputs with the
 //! same seed write byte-identical snapshot files, and an engine reopened
 //! from a snapshot answers every query byte-identically to the engine that
 //! saved it (`tests/tests/storage.rs` enforces both).
 //!
-//! Layout: eleven named sections hold the length-prefixed encodings
+//! Layout: ten named sections hold the length-prefixed encodings
 //! below, every one mandatory. The two keyed collections are sorted
 //! `(key, value)` lists: `bm25.postings` (term → postings list) and
 //! `graph.entities` (canonical entity name → node id, which load-time
@@ -34,8 +36,6 @@ use unisem_text::bm25::{Bm25Index, Bm25Params};
 use unisem_text::ChunkConfig;
 
 use crate::ingest::{IngestReport, QuarantineReason, Quarantined};
-use crate::planner::stats::{ColumnStats, GraphDegreeStats, TableStats, TextStats};
-use crate::planner::StatsCatalog;
 use crate::EngineError;
 
 /// Everything the writer serializes, borrowed from the live engine.
@@ -52,8 +52,6 @@ pub(crate) struct SnapshotSource<'a> {
     pub db: &'a Database,
     /// The heterogeneous graph.
     pub graph: &'a HetGraph,
-    /// Build-time planner statistics.
-    pub stats: &'a StatsCatalog,
     /// The build's ingest report.
     pub ingest: &'a IngestReport,
     /// Highest WAL sequence number folded into this snapshot (0 when the
@@ -70,7 +68,6 @@ pub(crate) struct LoadedSnapshot {
     pub docs: DocStore,
     pub db: Database,
     pub graph: HetGraph,
-    pub stats: StatsCatalog,
     pub ingest: IngestReport,
     pub applied_seq: u64,
 }
@@ -94,7 +91,6 @@ pub(crate) fn write_snapshot(
     w.add_section("tables", &encode_tables(src.db)?)?;
     w.add_section("graph", &encode_graph(src.graph))?;
     w.add_section("graph.entities", &encode_entity_index(src.graph))?;
-    w.add_section("stats", &encode_stats(src.stats))?;
     w.add_section("ingest", &encode_ingest(src.ingest))?;
     w.add_section("walmeta", &encode_walmeta(src.applied_seq))?;
     w.commit(path)?;
@@ -111,7 +107,6 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
     let postings = decode_postings(snap.section("bm25.postings")?)?;
     let db = decode_tables(snap.section("tables")?)?;
     let graph = decode_graph(snap.section("graph")?)?;
-    let stats = decode_stats(snap.section("stats")?)?;
     let ingest = decode_ingest(snap.section("ingest")?)?;
     let applied_seq = decode_walmeta(snap.section("walmeta")?)?;
 
@@ -126,7 +121,7 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
     }
     verify_entity_index(snap.section("graph.entities")?, &graph)?;
 
-    Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, stats, ingest, applied_seq })
+    Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, ingest, applied_seq })
 }
 
 fn encode_postings(index: &Bm25Index) -> Vec<u8> {
@@ -552,97 +547,6 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
     HetGraph::from_parts(nodes, edges).map_err(invalid)
 }
 
-fn encode_stats(stats: &StatsCatalog) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(stats.tables.len() as u64);
-    for (name, t) in &stats.tables {
-        e.str(name);
-        e.usize(t.rows);
-        e.u64(t.columns.len() as u64);
-        for c in &t.columns {
-            e.str(&c.name);
-            e.usize(c.distinct);
-            e.usize(c.nulls);
-            match &c.folded {
-                None => e.u8(0),
-                Some(values) => {
-                    e.u8(1);
-                    e.u64(values.len() as u64);
-                    for v in values {
-                        e.str(v);
-                    }
-                }
-            }
-        }
-    }
-    e.usize(stats.text.documents);
-    e.usize(stats.text.chunks);
-    e.usize(stats.text.terms);
-    e.usize(stats.text.postings);
-    e.usize(stats.text.max_posting);
-    e.usize(stats.graph.nodes);
-    e.usize(stats.graph.edges);
-    e.usize(stats.graph.max_degree);
-    e.usize(stats.graph.avg_degree_x1000);
-    e.u64(stats.graph.histogram.len() as u64);
-    for &(bound, count) in &stats.graph.histogram {
-        e.usize(bound);
-        e.usize(count);
-    }
-    e.into_bytes()
-}
-
-fn decode_stats(bytes: &[u8]) -> Result<StatsCatalog, EngineError> {
-    let mut d = Decoder::new(bytes);
-    let ntables = d.count().map_err(EngineError::Store)?;
-    let mut tables = BTreeMap::new();
-    for _ in 0..ntables {
-        let name = d.str().map_err(EngineError::Store)?;
-        let rows = d.usize().map_err(EngineError::Store)?;
-        let ncols = d.count().map_err(EngineError::Store)?;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let col_name = d.str().map_err(EngineError::Store)?;
-            let distinct = d.usize().map_err(EngineError::Store)?;
-            let nulls = d.usize().map_err(EngineError::Store)?;
-            let folded = match d.u8().map_err(EngineError::Store)? {
-                0 => None,
-                1 => {
-                    let n = d.count().map_err(EngineError::Store)?;
-                    let mut values = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        values.push(d.str().map_err(EngineError::Store)?);
-                    }
-                    Some(values)
-                }
-                t => return Err(invalid(format!("unknown column value-set tag {t}"))),
-            };
-            columns.push(ColumnStats { name: col_name, distinct, nulls, folded });
-        }
-        tables.insert(name, TableStats { rows, columns });
-    }
-    let text = TextStats {
-        documents: d.usize().map_err(EngineError::Store)?,
-        chunks: d.usize().map_err(EngineError::Store)?,
-        terms: d.usize().map_err(EngineError::Store)?,
-        postings: d.usize().map_err(EngineError::Store)?,
-        max_posting: d.usize().map_err(EngineError::Store)?,
-    };
-    let nodes = d.usize().map_err(EngineError::Store)?;
-    let edges = d.usize().map_err(EngineError::Store)?;
-    let max_degree = d.usize().map_err(EngineError::Store)?;
-    let avg_degree_x1000 = d.usize().map_err(EngineError::Store)?;
-    let nhist = d.count().map_err(EngineError::Store)?;
-    let mut histogram = Vec::with_capacity(nhist);
-    for _ in 0..nhist {
-        let bound = d.usize().map_err(EngineError::Store)?;
-        let count = d.usize().map_err(EngineError::Store)?;
-        histogram.push((bound, count));
-    }
-    let graph = GraphDegreeStats { nodes, edges, max_degree, avg_degree_x1000, histogram };
-    Ok(StatsCatalog { tables, text, graph })
-}
-
 fn encode_ingest(report: &IngestReport) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u64(report.quarantined.len() as u64);
@@ -697,7 +601,7 @@ mod tests {
     use super::*;
     use crate::{EngineBuilder, EngineConfig};
 
-    const SECTIONS: [&str; 11] = [
+    const SECTIONS: [&str; 10] = [
         "config",
         "lexicon",
         "docs",
@@ -706,7 +610,6 @@ mod tests {
         "tables",
         "graph",
         "graph.entities",
-        "stats",
         "ingest",
         "walmeta",
     ];

@@ -24,12 +24,7 @@ prop_check!(
                 "t".into(),
                 TableStats {
                     rows: n,
-                    columns: vec![ColumnStats {
-                        name: "k".into(),
-                        distinct: *distinct,
-                        nulls: 0,
-                        folded: None,
-                    }],
+                    columns: vec![ColumnStats { name: "k".into(), distinct: *distinct, nulls: 0 }],
                 },
             );
             cat
@@ -206,37 +201,43 @@ fn db_with(table: &Table) -> Database {
     db
 }
 
-/// Checks one case; `Ok(true)` when the catalog pruned it.
+/// Checks one case; `Ok(true)` when the value index pruned it.
 fn check_pruning(case: &Case) -> Result<bool, String> {
     let Case { table, filter, plan, split } = case;
-    let collected = TableStats::collect(table);
+    let db = db_with(table);
     let prefix = Table::from_rows(table.schema().clone(), table.rows().take(*split).collect())
         .expect("typed rows");
-    let mut maintained = TableStats::collect(&prefix);
-    maintained.refresh(table);
-    prop_assert_eq!(maintained, collected, "statistics maintained over appended rows");
+    let mut maintained = db_with(&prefix);
+    for row in table.rows().skip(*split) {
+        let checked = prefix.check_row(row).expect("typed row");
+        maintained.append("t", checked).expect("registered");
+    }
+    prop_assert_eq!(&maintained, &db, "index maintained over appended rows");
+    let (t, index) = db.indexed("t").expect("registered");
+    let (m, maintained_index) = maintained.indexed("t").expect("registered");
+    prop_assert_eq!(TableStats::collect(m, maintained_index), TableStats::collect(t, index));
 
-    let mut cat = StatsCatalog::default();
-    cat.tables.insert("t".into(), collected);
-    let Some(reason) = prune_reason(plan, &cat) else { return Ok(false) };
-    let db = db_with(table);
+    let Some(reason) = prune_reason(plan, &db) else { return Ok(false) };
     let (result, _) = db.run_plan_with_limits_stats(plan, &ExecLimits::default());
     match result {
         Ok(result) => prop_assert!(!has_signal(&result), "pruned ({reason}), yet {result}"),
         Err(e) => return Err(format!("pruned ({reason}), yet the run fails: {e}")),
     }
-    let filtered = db.run_plan(&LogicalPlan::scan("t").filter(filter.clone()));
+    // The plan reads its filter's rows through the same probe pruning asks;
+    // a `LIMIT` between scan and filter makes the filter evaluate every row.
+    let every_row = LogicalPlan::scan("t").limit(usize::MAX).filter(filter.clone());
+    let filtered = db.run_plan(&every_row);
     prop_assert_eq!(filtered.map(|t| t.num_rows()), Ok(0), "pruned ({reason})");
     Ok(true)
 }
 
-// The differential for catalog pruning: a candidate the catalog prunes,
-// run against the table the catalog describes, returns a result without
-// signal and without error, and its scan filter selects no row — so
-// passing over it changes no answer and hides no failure. The catalog it
-// is checked against is also the one ingest maintains: collected over a
-// prefix of the rows and refreshed over the rest, it equals a collection
-// over all of them.
+// The differential for catalog pruning: a candidate the value index
+// prunes, run against its table, returns a result without signal and
+// without error, and its scan filter selects no row — so passing over it
+// changes no answer and hides no failure. The index it is checked against
+// is also the one ingest maintains: built over a prefix of the rows and
+// appended the rest, it equals one built over all of them, and so do the
+// statistics read from it.
 prop_check!(
     pruned_candidates_run_clean_and_find_nothing,
     Config::default().with_cases(512),
@@ -245,7 +246,7 @@ prop_check!(
 );
 
 /// The property above is not vacuous: the generator makes cases the
-/// catalog prunes and cases it lets run, in both large numbers.
+/// index prunes and cases it lets run, in both large numbers.
 #[test]
 fn the_pruning_property_sees_both_outcomes() {
     let gen = cases();

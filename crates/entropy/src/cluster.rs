@@ -171,8 +171,8 @@ impl SemanticCluster {
         self.member_indices.len()
     }
 
-    /// True when the cluster has no members (never produced by
-    /// [`cluster_answers`]).
+    /// True when the cluster has no members (never produced by the
+    /// clustering).
     pub fn is_empty(&self) -> bool {
         self.member_indices.is_empty()
     }
@@ -202,13 +202,9 @@ impl SampleSet {
     }
 }
 
-/// Greedy single-pass clustering: each answer joins the first cluster whose
+/// Greedy single-pass clustering: each sample joins the first cluster whose
 /// representative it is equivalent to, else starts a new cluster. Clusters
 /// are returned largest-first (ties by first-member order).
-pub fn cluster_answers(answers: &[&str], config: &ClusterConfig) -> Vec<SemanticCluster> {
-    cluster_samples(&SampleSet::new(answers.iter().copied()), config)
-}
-
 pub(crate) fn cluster_samples(samples: &SampleSet, config: &ClusterConfig) -> Vec<SemanticCluster> {
     // The greedy pass runs over the distinct texts. Their order is the order
     // clusters are founded in, representatives never change, and a text is
@@ -237,6 +233,10 @@ mod tests {
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::default()
+    }
+
+    fn cluster_answers(answers: &[&str], config: &ClusterConfig) -> Vec<SemanticCluster> {
+        cluster_samples(&SampleSet::new(answers.iter().copied()), config)
     }
 
     #[test]

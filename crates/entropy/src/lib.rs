@@ -21,10 +21,9 @@ pub mod cluster;
 pub mod measure;
 
 pub use calibrate::{auroc, rejection_accuracy_curve};
-pub use cluster::{cluster_answers, ClusterConfig, SemanticCluster};
+pub use cluster::{ClusterConfig, SemanticCluster};
 pub use measure::{
-    discrete_semantic_entropy, lexical_variance, predictive_entropy, semantic_entropy_rao,
-    EntropyReport,
+    discrete_semantic_entropy, predictive_entropy, semantic_entropy_rao, EntropyReport,
 };
 
 use cluster::{cluster_samples, SampleSet};

@@ -96,13 +96,9 @@ pub fn predictive_entropy(log_probs: &[f64]) -> f64 {
     -log_probs.iter().sum::<f64>() / log_probs.len() as f64
 }
 
-/// Lexical-variance baseline: `1 − mean pairwise Jaccard` over answer
-/// token sets. High when answers share few words — even when they mean the
-/// same thing.
-pub fn lexical_variance(answers: &[&str]) -> f64 {
-    lexical_variance_of(&SampleSet::new(answers.iter().copied()))
-}
-
+/// Lexical-variance baseline: `1 − mean pairwise Jaccard` over the
+/// samples' token sets. High when answers share few words — even when they
+/// mean the same thing.
 pub(crate) fn lexical_variance_of(samples: &SampleSet) -> f64 {
     let (ids, words) = (&samples.ids, &samples.words);
     if ids.len() < 2 {
@@ -132,10 +128,14 @@ pub(crate) fn lexical_variance_of(samples: &SampleSet) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{cluster_answers, ClusterConfig};
+    use crate::cluster::{cluster_samples, ClusterConfig};
 
     fn clusters_of(answers: &[&str]) -> Vec<SemanticCluster> {
-        cluster_answers(answers, &ClusterConfig::default())
+        cluster_samples(&SampleSet::new(answers.iter().copied()), &ClusterConfig::default())
+    }
+
+    fn lexical_variance(answers: &[&str]) -> f64 {
+        lexical_variance_of(&SampleSet::new(answers.iter().copied()))
     }
 
     #[test]

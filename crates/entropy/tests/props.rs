@@ -8,8 +8,8 @@ use detkit::prop::{bools, f64s, one_of, usizes, vec_of, words_of, zip, zip3, Gen
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_entropy::cluster::{equivalent, signature, Signature};
 use unisem_entropy::{
-    auroc, cluster_answers, discrete_semantic_entropy, lexical_variance, predictive_entropy,
-    semantic_entropy_rao, ClusterConfig, EntropyEstimator, EntropyReport, SemanticCluster,
+    auroc, discrete_semantic_entropy, predictive_entropy, semantic_entropy_rao, ClusterConfig,
+    EntropyEstimator, EntropyReport, SemanticCluster,
 };
 use unisem_slm::{GenConfig, Generation, Slm, SupportedAnswer};
 use unisem_text::normalize::{is_stopword, stem};
@@ -72,6 +72,45 @@ fn arb_answers() -> Gen<Vec<String>> {
 
 fn refs(answers: &[String]) -> Vec<&str> {
     answers.iter().map(String::as_str).collect()
+}
+
+/// Greedy single-pass clustering over the crate's public `signature` and
+/// `equivalent`, one signature per answer: the clusters the laws below are
+/// stated over. The crate clusters once per distinct text, and only inside
+/// `EntropyEstimator::measure_generations`; `clusters_match_oracle` holds
+/// both to the oracle.
+fn cluster_answers(answers: &[&str], config: &ClusterConfig) -> Vec<SemanticCluster> {
+    let mut clusters: Vec<SemanticCluster> = Vec::new();
+    for (i, answer) in answers.iter().enumerate() {
+        let sig = signature(answer);
+        match clusters.iter_mut().find(|c| equivalent(&c.signature, &sig, config)) {
+            Some(c) => c.member_indices.push(i),
+            None => clusters.push(SemanticCluster { member_indices: vec![i], signature: sig }),
+        }
+    }
+    clusters
+        .sort_by(|a, b| b.len().cmp(&a.len()).then(a.member_indices[0].cmp(&b.member_indices[0])));
+    clusters
+}
+
+/// Generations whose texts are `answers`, each with its own core and
+/// log-probability, so a report over them tells the clusters' members
+/// apart.
+fn generations(answers: &[String]) -> Vec<Generation> {
+    let gens = answers.iter().enumerate().map(|(i, text)| Generation {
+        text: text.clone(),
+        core: format!("core {i}"),
+        log_prob: -0.37 * (i + 1) as f64,
+        source_index: None,
+    });
+    gens.collect()
+}
+
+/// The crate's report over `gens` under `config`.
+fn report(gens: &[Generation], config: &ClusterConfig) -> EntropyReport {
+    let mut estimator = EntropyEstimator::new(Slm::default());
+    estimator.cluster_config = *config;
+    estimator.measure_generations(gens)
 }
 
 // ---------------------------------------------------------------------------
@@ -234,19 +273,28 @@ prop_check!(equivalent_matches_oracle, zip(&arb_answers(), &arb_config()), |t| {
     Ok(())
 });
 
-// Same clusters, same members in the same order, same representatives.
+// Same clusters, same members in the same order, same representatives —
+// from the public pieces, and from the crate's once-per-distinct-text pass
+// as the report shows them: their count, the top cluster's first member
+// and, every sample weighing its own probability, the Rao entropy.
 prop_check!(clusters_match_oracle, zip(&arb_answers(), &arb_config()), |t| {
     let (answers, config) = t;
     let texts = refs(answers);
-    prop_assert_eq!(cluster_answers(&texts, config), cluster_answers_oracle(&texts, config));
+    let oracle = cluster_answers_oracle(&texts, config);
+    prop_assert_eq!(cluster_answers(&texts, config), oracle.clone());
+    let gens = generations(answers);
+    let (got, want) = (report(&gens, config), report_oracle(&gens, config));
+    prop_assert_eq!(got.n_clusters, oracle.len());
+    prop_assert_eq!(got.top_answer, want.top_answer);
+    prop_assert_eq!(got.semantic_entropy.to_bits(), want.semantic_entropy.to_bits());
     Ok(())
 });
 
 // The Jaccard table over distinct texts sums to the same bits as 45 fresh
 // hash-set Jaccards.
 prop_check!(lexical_variance_matches_oracle, arb_answers(), |answers| {
-    let texts = refs(answers);
-    prop_assert_eq!(lexical_variance(&texts).to_bits(), lexical_variance_oracle(&texts).to_bits());
+    let variance = report(&generations(answers), &ClusterConfig::default()).lexical_variance;
+    prop_assert_eq!(variance.to_bits(), lexical_variance_oracle(&refs(answers)).to_bits());
     Ok(())
 });
 
@@ -364,8 +412,7 @@ prop_check!(rao_equals_discrete_under_uniform, arb_answers(), |answers| {
 
 // Lexical variance lies in [0, 1].
 prop_check!(lexical_variance_bounds, arb_answers(), |answers| {
-    let refs: Vec<&str> = answers.iter().map(String::as_str).collect();
-    let v = lexical_variance(&refs);
+    let v = report(&generations(answers), &ClusterConfig::default()).lexical_variance;
     prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v));
     Ok(())
 });

@@ -1,10 +1,9 @@
 //! Topology algorithms over the heterogeneous graph.
 //!
-//! These implement the "graph properties, including centrality and
-//! connectivity" that §III.B uses "to efficiently prioritize nodes and edges
-//! that are most relevant to a given query".
-
-use std::collections::{HashMap, VecDeque};
+//! PageRank and its personalized form are the centrality half of the "graph
+//! properties, including centrality and connectivity" that §III.B uses "to
+//! efficiently prioritize nodes and edges that are most relevant to a given
+//! query"; connectivity is the traversal itself (`unisem-retrieval`).
 
 use parkit::Pool;
 
@@ -15,37 +14,6 @@ use crate::graph::{HetGraph, NodeId};
 /// of floating-point partial sums — are identical at every
 /// `UNISEM_THREADS` setting (parkit determinism contract, DESIGN.md §6).
 const NODE_CHUNK: usize = 256;
-
-/// Unweighted shortest path between two nodes (inclusive of endpoints), or
-/// `None` when disconnected.
-pub fn shortest_path(graph: &HetGraph, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut queue = VecDeque::new();
-    prev.insert(from, from);
-    queue.push_back(from);
-    while let Some(node) = queue.pop_front() {
-        for &(next, _) in graph.neighbors(node) {
-            if !prev.contains_key(&next) {
-                prev.insert(next, node);
-                if next == to {
-                    let mut path = vec![to];
-                    let mut cur = to;
-                    while cur != from {
-                        cur = prev[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    None
-}
 
 /// PageRank with uniform teleport. Returns one score per node, summing
 /// to ~1 over each connected graph.
@@ -133,7 +101,39 @@ pub fn personalized_pagerank_pool(
 mod tests {
     use super::*;
     use crate::graph::EdgeKind;
+    use std::collections::{HashMap, VecDeque};
     use unisem_slm::EntityKind;
+
+    /// Unweighted shortest path between two nodes (inclusive of endpoints), or
+    /// `None` when disconnected.
+    fn shortest_path(graph: &HetGraph, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        if from == to {
+            return Some(vec![from]);
+        }
+        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut queue = VecDeque::new();
+        prev.insert(from, from);
+        queue.push_back(from);
+        while let Some(node) = queue.pop_front() {
+            for &(next, _) in graph.neighbors(node) {
+                if !prev.contains_key(&next) {
+                    prev.insert(next, node);
+                    if next == to {
+                        let mut path = vec![to];
+                        let mut cur = to;
+                        while cur != from {
+                            cur = prev[&cur];
+                            path.push(cur);
+                        }
+                        path.reverse();
+                        return Some(path);
+                    }
+                    queue.push_back(next);
+                }
+            }
+        }
+        None
+    }
 
     /// Path graph: e0 - e1 - e2 - e3, plus isolated e4.
     fn path_graph() -> (HetGraph, Vec<NodeId>) {

@@ -409,7 +409,6 @@ mod tests {
         // A table record and a text chunk naming the same entity end up two
         // hops apart — the cross-modal context §I says traditional systems
         // miss.
-        use crate::algo::shortest_path;
         use unisem_relstore::DataType;
         let mut b = GraphBuilder::new(slm());
         b.add_docstore(&docs());
@@ -422,8 +421,12 @@ mod tests {
         let g = b.graph();
         let record = g.record_node("trials", 0).unwrap();
         let chunk = g.chunk_node(0).unwrap();
-        let path = shortest_path(g, record, chunk).expect("connected across modalities");
-        assert!(path.len() <= 3, "record -> entity -> chunk");
+        let linked = |n: NodeId| g.neighbors(n).iter().map(|&(m, _)| m).collect::<Vec<_>>();
+        let (from_record, from_chunk) = (linked(record), linked(chunk));
+        assert!(
+            from_record.iter().any(|n| from_chunk.contains(n)),
+            "record -> entity -> chunk: {from_record:?} / {from_chunk:?}"
+        );
     }
 
     #[test]

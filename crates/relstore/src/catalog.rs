@@ -1,19 +1,22 @@
-//! The database catalog: named tables plus the plan entry points.
+//! The database catalog: named tables, each with its value index, plus
+//! the plan entry points.
 
 use std::collections::BTreeMap;
 
 use crate::error::{RelError, RelResult};
 use crate::exec::{execute, ExecLimits, ExecStats};
+use crate::index::TableIndex;
 use crate::plan::LogicalPlan;
-use crate::table::Table;
+use crate::table::{CheckedRow, Table};
 
-/// An in-memory database: a catalog of named tables.
+/// An in-memory database: a catalog of named tables, each kept with its
+/// [`TableIndex`].
 ///
 /// Table names are case-insensitive. Iteration order is alphabetical
 /// (BTreeMap), keeping catalog dumps deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, (Table, TableIndex)>,
 }
 
 impl Database {
@@ -22,34 +25,46 @@ impl Database {
         Self::default()
     }
 
-    /// Registers a table; the name must be new.
+    /// Registers a table and indexes it; the name must be new.
     pub fn create_table(&mut self, name: &str, table: Table) -> RelResult<()> {
         let key = name.to_lowercase();
         if self.tables.contains_key(&key) {
             return Err(RelError::Conflict(format!("table already exists: {name}")));
         }
-        self.tables.insert(key, table);
+        self.create_or_replace_table(&key, table);
         Ok(())
     }
 
-    /// Registers or replaces a table.
+    /// Registers or replaces a table, and indexes it.
     pub fn create_or_replace_table(&mut self, name: &str, table: Table) {
-        self.tables.insert(name.to_lowercase(), table);
+        let index = TableIndex::build(&table);
+        self.tables.insert(name.to_lowercase(), (table, index));
     }
 
     /// Looks up a table.
     pub fn table(&self, name: &str) -> RelResult<&Table> {
+        self.indexed(name).map(|(table, _)| table)
+    }
+
+    /// Looks up a table together with its value index.
+    pub fn indexed(&self, name: &str) -> RelResult<(&Table, &TableIndex)> {
         self.tables
             .get(&name.to_lowercase())
+            .map(|(table, index)| (table, index))
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
 
-    /// Looks up a table for in-place mutation (incremental ingest appends
-    /// rows without replacing the table).
-    pub fn table_mut(&mut self, name: &str) -> RelResult<&mut Table> {
-        self.tables
+    /// Appends a row [`Table::check_row`] accepted for table `name` — the
+    /// incremental-ingest path — and takes it into the table's index, in
+    /// O(row). Returns the grown table.
+    pub fn append(&mut self, name: &str, row: CheckedRow) -> RelResult<&Table> {
+        let (table, index) = self
+            .tables
             .get_mut(&name.to_lowercase())
-            .ok_or_else(|| RelError::UnknownTable(name.to_string()))
+            .ok_or_else(|| RelError::UnknownTable(name.to_string()))?;
+        table.push_checked(row);
+        index.insert(table, table.num_rows() - 1);
+        Ok(table)
     }
 
     /// True when `name` is registered.
@@ -72,9 +87,10 @@ impl Database {
         self.tables.is_empty()
     }
 
-    /// Total approximate resident bytes across all tables.
+    /// Total approximate resident bytes across all tables and their
+    /// indexes.
     pub fn approx_bytes(&self) -> usize {
-        self.tables.values().map(Table::approx_bytes).sum()
+        self.tables.values().map(|(table, index)| table.approx_bytes() + index.approx_bytes()).sum()
     }
 
     /// Executes a logical plan as built, with no resource bounds.
@@ -137,6 +153,21 @@ mod tests {
         assert!(matches!(db.create_table("T", nums()), Err(RelError::Conflict(_))));
         db.create_or_replace_table("t", nums());
         assert_eq!(db.len(), 1);
+    }
+
+    #[test]
+    fn appended_rows_are_indexed_as_a_rebuild_indexes_them() {
+        let mut db = Database::new();
+        db.create_table("t", nums()).unwrap();
+        let row = db.table("t").unwrap().check_row(vec![Value::Int(2)]).unwrap();
+        assert_eq!(db.append("T", row).unwrap().num_rows(), 3);
+        let mut rebuilt = Database::new();
+        let all = vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(2)]];
+        rebuilt.create_table("t", Table::from_rows(nums().schema().clone(), all).unwrap()).unwrap();
+        assert_eq!(db, rebuilt);
+        assert_eq!(db.indexed("t").unwrap().1.distinct(0), 2);
+        let row = db.table("t").unwrap().check_row(vec![Value::Int(3)]).unwrap();
+        assert!(matches!(db.append("nope", row), Err(RelError::UnknownTable(_))));
     }
 
     #[test]

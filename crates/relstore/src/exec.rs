@@ -8,6 +8,16 @@
 //! and copies the rows it keeps with [`Table::take`]. Joins are hash joins
 //! on the equi-key; aggregation is hash aggregation; sorting is stable.
 //! Every operator is a plain loop over its input: no fan-out.
+//!
+//! A `Filter` directly over a `Scan` reads only the rows its predicate's
+//! probe names when the table's index has one ([`TableIndex::probe`]): a
+//! superset of the rows the predicate keeps, evaluated in ascending order,
+//! so the result, its order and any error equal the scan's. It reads no
+//! more rows than the scan, so the choice needs no cost: there is a probe
+//! or there is not. [`ExecStats::rows_scanned`] counts the rows read
+//! either way.
+//!
+//! [`TableIndex::probe`]: crate::index::TableIndex::probe
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -48,7 +58,8 @@ impl Default for ExecLimits {
 /// budget-tripped join still reports the scan work that preceded it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Base-table rows read by `Scan` nodes.
+    /// Base-table rows read: a whole table per `Scan`, or, for a `Filter`
+    /// over a `Scan` that probes, the rows its probe names.
     pub rows_scanned: usize,
     /// Output rows materialized by `Join` nodes.
     pub rows_joined: usize,
@@ -87,10 +98,26 @@ fn exec_node<'d>(
             stats.rows_scanned += t.num_rows();
             return Ok(Cow::Borrowed(t));
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let t = exec_node(input, db, limits, stats)?;
-            exec_filter(&t, predicate)?
-        }
+        LogicalPlan::Filter { input, predicate } => match &**input {
+            LogicalPlan::Scan { table } => {
+                let (t, index) = db.indexed(table)?;
+                match index.probe(predicate, t.schema()) {
+                    Some(probe) => {
+                        let rows = index.rows(&probe);
+                        stats.rows_scanned += rows.len();
+                        exec_filter(t, predicate, rows)?
+                    }
+                    None => {
+                        stats.rows_scanned += t.num_rows();
+                        exec_filter(t, predicate, 0..t.num_rows())?
+                    }
+                }
+            }
+            input => {
+                let t = exec_node(input, db, limits, stats)?;
+                exec_filter(&t, predicate, 0..t.num_rows())?
+            }
+        },
         LogicalPlan::Join { left, right, on } => {
             let l = exec_node(left, db, limits, stats)?;
             let r = exec_node(right, db, limits, stats)?;
@@ -120,10 +147,15 @@ fn eval_at<'a>(expr: &'a Bound<'_>, t: &'a Table, row: usize) -> RelResult<Cow<'
     expr.eval(&|col| t.cell(row, col))
 }
 
-fn exec_filter(t: &Table, predicate: &Expr) -> RelResult<Table> {
+/// Keeps the `rows` of `t` (ascending) that `predicate` holds on.
+fn exec_filter(
+    t: &Table,
+    predicate: &Expr,
+    rows: impl IntoIterator<Item = usize>,
+) -> RelResult<Table> {
     let predicate = predicate.bind(t.schema());
     let mut keep = Vec::new();
-    for i in 0..t.num_rows() {
+    for i in rows {
         // SQL WHERE: NULL predicate result drops the row.
         if *eval_at(&predicate, t, i)? == Value::Bool(true) {
             keep.push(i);

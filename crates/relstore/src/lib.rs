@@ -14,8 +14,13 @@
 //!   `AND`/`OR`, `LIKE`), binder (names → column indices, once per
 //!   operator) and evaluator over cells read in place.
 //! - [`plan`]: logical plans (scan/filter/join/aggregate/sort/limit).
-//! - `exec`: the physical executor (hash join, hash aggregate, stable
-//!   sort); borrows base tables and copies only the rows it returns.
+//! - [`index`]: the per-column value index kept beside each base table —
+//!   distinct and NULL counts for the planner, and for string columns the
+//!   case-folded values' row ids, which a filter probes instead of
+//!   scanning.
+//! - `exec`: the physical executor (index probe, hash join, hash
+//!   aggregate, stable sort); borrows base tables and copies only the rows
+//!   it returns.
 //! - [`catalog`]: the [`catalog::Database`] catalog tying it together, with
 //!   `run_plan` and `run_plan_with_limits_stats`.
 //!
@@ -27,6 +32,7 @@ pub mod catalog;
 pub mod error;
 mod exec;
 pub mod expr;
+pub mod index;
 pub mod plan;
 pub mod schema;
 pub mod table;
@@ -36,6 +42,7 @@ pub use catalog::Database;
 pub use error::{RelError, RelResult};
 pub use exec::{ExecLimits, ExecStats};
 pub use expr::Expr;
+pub use index::{Probe, TableIndex};
 pub use plan::{AggExpr, AggFunc, LogicalPlan, SortKey};
 pub use schema::{Column, DataType, Schema};
 pub use table::{CheckedRow, Table};

@@ -137,29 +137,6 @@ impl Table {
         Table { schema: self.schema.clone(), columns, rows: indices.len() }
     }
 
-    /// `(distinct non-NULL values, NULL count)` for one column, the values
-    /// sorted and told apart by SQL comparison semantics
-    /// ([`Value::sort_cmp`]) — the input of the planner's statistics
-    /// catalog. Deterministic: a pure function of the column contents,
-    /// independent of row order.
-    pub fn column_stats(&self, idx: usize) -> (Vec<&Value>, usize) {
-        let mut nulls = 0usize;
-        let mut vals: Vec<&Value> = Vec::new();
-        for v in self.column(idx) {
-            if v.is_null() {
-                nulls += 1;
-            } else {
-                vals.push(v);
-            }
-        }
-        vals.sort_by(|a, b| a.sort_cmp(b));
-        let distinct = (0..vals.len())
-            .filter(|&i| i == 0 || vals[i - 1].sort_cmp(vals[i]) != std::cmp::Ordering::Equal)
-            .map(|i| vals[i])
-            .collect();
-        (distinct, nulls)
-    }
-
     /// Approximate resident bytes (for the E2 storage experiment).
     pub fn approx_bytes(&self) -> usize {
         let cell = |v: &Value| match v {

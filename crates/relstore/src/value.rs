@@ -197,8 +197,10 @@ impl Value {
     }
 }
 
-/// Hashable key for grouping and join probing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Hashable key for grouping and join probing, ordered so that a column's
+/// distinct values can sit in a sorted set (the order itself carries no
+/// meaning).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroupKey {
     /// NULL key (groups with other NULLs, per GROUP BY semantics).
     Null,

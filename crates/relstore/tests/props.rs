@@ -368,6 +368,10 @@ fn ref_exec(
         }
         LogicalPlan::Filter { input, predicate } => {
             let t = child(input)?;
+            // A filter over a scan that probes reads only the probed rows.
+            if let LogicalPlan::Scan { .. } = **input {
+                stats.rows_scanned -= t.num_rows() - ref_rows_read(predicate, &t);
+            }
             let mut kept = Vec::new();
             for row in t.rows() {
                 if ref_eval(predicate, &row, t.schema())? == Value::Bool(true) {
@@ -474,6 +478,97 @@ fn ref_exec(
             let t = child(input)?;
             Table::from_rows(t.schema().clone(), t.rows().take(*n).collect())
         }
+    }
+}
+
+/// A key leaf of the reference probe: (column, fold, is a prefix).
+type RefLeaf = (usize, String, bool);
+
+/// The rows a filter over base table `t` reads, from the probe's
+/// specification, row by row: when the predicate is total (its columns
+/// exist, its `LIKE`s read `Str` columns), each of its top-level conjuncts
+/// that is an `OR` of key leaves — `col LIKE 'p'` without wildcards, with
+/// only a trailing run of `%`, or `col = 'p'`, on a `Str` column — admits
+/// the rows whose lower-cased cell equals a leaf's lower-cased `p` (or
+/// starts with it); of those conjuncts the one whose leaves admit fewest
+/// rows, summed per leaf, is read (the first on a tie). Otherwise every row.
+fn ref_rows_read(predicate: &Expr, t: &Table) -> usize {
+    let schema = t.schema();
+    let str_column = |e: &Expr| match e {
+        Expr::Column(name) => {
+            schema.index_of(name).filter(|&i| schema.column(i).dtype == DataType::Str)
+        }
+        _ => None,
+    };
+    fn total(e: &Expr, schema: &Schema, str_column: &dyn Fn(&Expr) -> Option<usize>) -> bool {
+        let operand = |e: &Expr| match e {
+            Expr::Column(name) => schema.index_of(name).is_some(),
+            Expr::Literal(_) => true,
+            _ => false,
+        };
+        match e {
+            Expr::Binary { op: BinOp::And | BinOp::Or, left, right } => {
+                total(left, schema, str_column) && total(right, schema, str_column)
+            }
+            Expr::Binary { left, right, .. } => operand(left) && operand(right),
+            Expr::Like { expr, .. } => str_column(expr).is_some(),
+            _ => false,
+        }
+    }
+    if !total(predicate, schema, &str_column) {
+        return t.num_rows();
+    }
+    let leaf = |e: &Expr| -> Option<RefLeaf> {
+        match e {
+            Expr::Like { expr, pattern } => {
+                let folded = pattern.to_lowercase();
+                let stem = folded.trim_end_matches('%');
+                if stem.contains(['%', '_']) {
+                    return None;
+                }
+                Some((str_column(expr)?, stem.to_string(), stem != folded))
+            }
+            Expr::Binary { op: BinOp::Eq, left, right } => match &**right {
+                Expr::Literal(Value::Str(p)) => Some((str_column(left)?, p.to_lowercase(), false)),
+                _ => None,
+            },
+            _ => None,
+        }
+    };
+    fn leaves(e: &Expr, leaf: &dyn Fn(&Expr) -> Option<RefLeaf>) -> Option<Vec<RefLeaf>> {
+        match e {
+            Expr::Binary { op: BinOp::Or, left, right } => {
+                Some([leaves(left, leaf)?, leaves(right, leaf)?].concat())
+            }
+            _ => Some(vec![leaf(e)?]),
+        }
+    }
+    fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        match e {
+            Expr::Binary { op: BinOp::And, left, right } => {
+                conjuncts(left, out);
+                conjuncts(right, out);
+            }
+            _ => out.push(e),
+        }
+    }
+    let admits = |row: usize, (c, key, prefix): &RefLeaf| match t.cell(row, *c) {
+        Value::Str(s) if *prefix => s.to_lowercase().starts_with(key.as_str()),
+        Value::Str(s) => s.to_lowercase() == *key,
+        _ => false,
+    };
+    let mut all = Vec::new();
+    conjuncts(predicate, &mut all);
+    let mut best: Option<(usize, Vec<RefLeaf>)> = None;
+    for ls in all.into_iter().filter_map(|c| leaves(c, &leaf)) {
+        let sum = ls.iter().map(|l| (0..t.num_rows()).filter(|&r| admits(r, l)).count()).sum();
+        if best.as_ref().is_none_or(|(b, _)| sum < *b) {
+            best = Some((sum, ls));
+        }
+    }
+    match best {
+        Some((_, ls)) => (0..t.num_rows()).filter(|&r| ls.iter().any(|l| admits(r, l))).count(),
+        None => t.num_rows(),
     }
 }
 
@@ -778,4 +873,134 @@ fn generated_plans_cover_every_variant() {
     ]
     .into();
     assert_eq!(seen, every);
+}
+
+// ---------------------------------------------------------------------------
+// Index probe == scan.
+// ---------------------------------------------------------------------------
+
+/// String cells and the patterns made from them: mixed case, and the folds
+/// where `str::to_lowercase` differs from an ASCII or per-char fold — a
+/// final sigma, `İ` (two chars lower-cased) and the Kelvin sign (an ASCII
+/// `k` lower-cased) — plus period-like values that a `'p %'` prefix reads.
+const WORDS: &[&str] = &[
+    "Aero",
+    "aero",
+    "\u{212a}elvin",
+    "kelvin",
+    "\u{39f}\u{394}\u{39f}\u{3a3}",
+    "\u{3bf}\u{3b4}\u{3bf}\u{3c2}",
+    "\u{130}pek",
+    "i\u{307}pek",
+    "Q2 2023",
+    "q2 2023 rev",
+    "Q2 20234",
+];
+
+/// A pattern or literal made from a word: itself, re-cased, absent, with
+/// a trailing `%` or `' %'`, or with a `_` (which is never probed).
+fn probe_word(rng: &mut Rng) -> String {
+    let w = pick(rng, WORDS);
+    match rng.gen_range(0..8usize) {
+        0 => w.to_uppercase(),
+        1 => w.to_lowercase(),
+        2 => "Phantom".to_string(),
+        3 => format!("{w}%"),
+        4 => format!("{w} %"),
+        5 => w.replacen(|c: char| c.is_alphabetic(), "_", 1),
+        _ => w.to_string(),
+    }
+}
+
+/// A leaf on a string column — mostly one that exists, under another
+/// case, sometimes a float column or none (never probed).
+fn probe_leaf(rng: &mut Rng) -> Expr {
+    let columns = ["product", "product", "Product", "quarter", "quarter", "amount", "nope"];
+    let column = Expr::col(pick(rng, &columns));
+    match rng.gen_range(0..10usize) {
+        0..=6 => Expr::Like { expr: Box::new(column), pattern: probe_word(rng) },
+        7 | 8 => column.eq(Expr::lit(probe_word(rng))),
+        _ => column.gt(Expr::lit(1i64)),
+    }
+}
+
+/// A predicate of one to three conjuncts, each an `OR` of leaves or a
+/// numeric threshold.
+fn probe_predicates() -> Gen<Expr> {
+    Gen::raw(|rng| {
+        let conjunct = |rng: &mut Rng| {
+            if rng.gen_bool(0.25) {
+                Expr::col("amount").gt(Expr::lit(rng.gen_range(0..4i64)))
+            } else {
+                let n = rng.gen_range(1..=3usize);
+                (0..n).map(|_| probe_leaf(rng)).reduce(Expr::or).expect("a leaf")
+            }
+        };
+        let k = rng.gen_range(1..=3usize);
+        (0..k).map(|_| conjunct(rng)).reduce(Expr::and).expect("a conjunct")
+    })
+}
+
+/// `t(Product STR, quarter STR, amount FLOAT)` over the word pool, NULLs
+/// anywhere.
+fn probe_tables() -> Gen<Table> {
+    let words =
+        one_of(vec![just(Value::Null), usizes(0, WORDS.len() - 1).map(|&i| Value::str(WORDS[i]))]);
+    let amounts = one_of(vec![just(Value::Null), i8s(0, 4).map(|&i| Value::Float(f64::from(i)))]);
+    vec_of(&zip3(&words, &words, &amounts), 0, 16).map(|rows| {
+        let schema = Schema::of(&[
+            ("Product", DataType::Str),
+            ("quarter", DataType::Str),
+            ("amount", DataType::Float),
+        ]);
+        let rows = rows.iter().map(|(p, q, a)| vec![p.clone(), q.clone(), a.clone()]).collect();
+        Table::from_rows(schema, rows).expect("typed rows")
+    })
+}
+
+/// Runs `predicate` over `t` probed and scanned; returns whether it was
+/// probed and whether the probe read through a prefix.
+fn check_probe(t: &Table, predicate: &Expr) -> Result<(bool, bool), String> {
+    let db = db_with(t.clone());
+    let limits = ExecLimits::default();
+    let probed =
+        db.run_plan_with_limits_stats(&LogicalPlan::scan("t").filter(predicate.clone()), &limits);
+    // A filter over anything but a scan evaluates every row.
+    let scan = LogicalPlan::scan("t").limit(usize::MAX).filter(predicate.clone());
+    let scanned = db.run_plan_with_limits_stats(&scan, &limits);
+    prop_assert_eq!(&probed.0, &scanned.0, "rows, order and error of {predicate}");
+    let (table, index) = db.indexed("t").expect("registered");
+    let Some(probe) = index.probe(predicate, table.schema()) else {
+        prop_assert_eq!(probed.1.rows_scanned, t.num_rows());
+        return Ok((false, false));
+    };
+    let read = index.rows(&probe);
+    prop_assert_eq!(probed.1.rows_scanned, read.len(), "{probe}");
+    prop_assert!(read.len() <= t.num_rows());
+    prop_assert_eq!(probe.is_empty(), read.is_empty());
+    Ok((true, probe.conjunct().to_string().contains("%')")))
+}
+
+// A filter over a base table returns the same rows, in the same order, or
+// the same error, whether it reads the rows its probe names or scans the
+// table. 64 cases here; `ci.sh` runs 1024.
+prop_check!(probe_equals_scan, zip(&probe_tables(), &probe_predicates()), |case| {
+    check_probe(&case.0, &case.1).map(|_| ())
+});
+
+/// The differential above sees probed and scanned filters, and prefix
+/// probes, in numbers.
+#[test]
+fn probe_cases_cover_probes_prefixes_and_scans() {
+    let gen = zip(&probe_tables(), &probe_predicates());
+    let mut rng = Rng::new(0x1DE);
+    let (mut probed, mut prefixes, mut scanned) = (0, 0, 0);
+    for _ in 0..400 {
+        let (t, p) = gen.generate(&mut rng).value().clone();
+        match check_probe(&t, &p).expect("the property holds") {
+            (true, prefix) => (probed, prefixes) = (probed + 1, prefixes + usize::from(prefix)),
+            (false, _) => scanned += 1,
+        }
+    }
+    assert!(probed >= 80 && prefixes >= 20 && scanned >= 80, "{probed} {prefixes} {scanned}");
 }

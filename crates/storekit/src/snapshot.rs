@@ -34,7 +34,7 @@ use crate::frame;
 use crate::{io_err, parent_dir, tmp_path, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"USKSNAP1";
-const SNAP_VERSION: u32 = 5;
+const SNAP_VERSION: u32 = 6;
 const HEADER_LEN: usize = 8 + 4;
 
 fn invalid(reason: impl Into<String>) -> StoreError {
@@ -193,8 +193,9 @@ mod tests {
         let clean = write(&path, &[("docs", b"payload")]);
         // Another format version in a well-formed file: the retired paged
         // versions 1–3, version 4 (no string value sets in the engine's
-        // statistics) and a future one.
-        for other in [1, 2, 3, 4, SNAP_VERSION + 1] {
+        // statistics), version 5 (a persisted statistics section) and a
+        // future one.
+        for other in [1, 2, 3, 4, 5, SNAP_VERSION + 1] {
             let mut patched = clean.clone();
             patched[8..HEADER_LEN].copy_from_slice(&u32::to_le_bytes(other));
             std::fs::write(&path, &patched).unwrap();

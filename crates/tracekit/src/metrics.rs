@@ -182,8 +182,8 @@ registry_enum! {
         PlannerStatsTableRefreshes => "planner.stats_table_refreshes",
         /// Logical plans assembled and lowered by the cost-based planner.
         PlannerPlansBuilt => "planner.plans_built",
-        /// Relational candidates execution passed over unrun because the
-        /// statistics catalog proved they yield no signal.
+        /// Relational candidates execution passed over unrun because their
+        /// table's value index proved they yield no signal.
         PlannerCandidatesPruned => "planner.candidates_pruned",
         /// Delta records appended to the write-ahead log.
         WalAppends => "wal.appends",

@@ -25,7 +25,7 @@ use unisem_core::{
     Provenance, StatsCatalog, UnifiedEngine,
 };
 use unisem_hetgraph::{EdgeKind, NodeKind};
-use unisem_relstore::Value;
+use unisem_relstore::{Database, Value};
 use unisem_slm::EntityKind;
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{names, EcommerceWorkload, ScaleConfig, ScaleWorkload};
@@ -329,8 +329,8 @@ fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
 /// Streams `script` into a fresh engine as single durable deltas (a delta
 /// the engine rejects — an edge whose supplier no earlier delta added —
 /// just is not part of the stream), then one batch of rows, fragments and a
-/// document, and checks everything ingest maintained — the catalog's string
-/// value sets included — against a recount and against a rebuild + log
+/// document, and checks everything ingest maintained — the tables' value
+/// indexes included — against a recount and against a rebuild + log
 /// replay.
 fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result<(), String> {
     let w = corpus(6);
@@ -363,6 +363,12 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
 
     let recollected = StatsCatalog::collect(live.db(), live.docs(), live.graph());
     prop_assert_eq!(live.stats(), &recollected, "maintained catalog drifted");
+    let mut reindexed = Database::new();
+    for name in live.db().table_names() {
+        let table = live.db().table(name).map_err(|e| e.to_string())?;
+        reindexed.create_table(name, table.clone()).map_err(|e| e.to_string())?;
+    }
+    prop_assert_eq!(&reindexed, live.db(), "maintained value indexes drifted from a rebuild");
     let report = live.metrics_report();
     for (name, want) in recounted_gauges(&live) {
         prop_assert_eq!(report.get(name), Some(want), "gauge {name}");
@@ -372,6 +378,7 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
     let replayed = rebuilt.enable_wal(&wal).map_err(|e| e.to_string())?;
     prop_assert_eq!(replayed, accepted, "the log holds exactly the accepted deltas");
     prop_assert_eq!(rebuilt.stats(), live.stats());
+    prop_assert_eq!(rebuilt.db(), live.db(), "tables and value indexes equal a rebuild + replay");
     prop_assert_eq!(rebuilt.index_bytes(), live.index_bytes());
     for q in probes(0).iter().chain(&probes(3)) {
         prop_assert_eq!(rebuilt.answer(q), live.answer(q), "answer and trace of {q}");

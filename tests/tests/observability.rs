@@ -116,9 +116,12 @@ fn opt_in_trace_records_rungs_route_and_entropy() {
     assert_eq!(t.route, "abstained");
     let plan = plan_of(&abstained);
     assert!(ran(plan, "ConfidenceGate:", "abstained:"), "{plan}");
-    // No product is named "phantom gizmo": the catalog prunes the candidate.
+    // No product is named "phantom gizmo": its probe finds no row, so the
+    // candidate is pruned.
     assert!(plan.contains("(pruned: (product LIKE 'phantom gizmo')"), "{plan}");
-    assert_eq!(e.metrics_report().get("relstore.rows_scanned"), Some(3), "one scan of sales");
+    // The one candidate run reads its two Aero Widget rows through the
+    // index, not the three rows of sales.
+    assert_eq!(e.metrics_report().get("relstore.rows_scanned"), Some(2), "one probe of sales");
 
     // Determinism: the rendered trace replays byte-for-byte.
     for q in QUESTIONS {
@@ -254,7 +257,7 @@ const STRUCTURALLY_ZERO: &[(&str, &str)] = &[
 /// Registry liveness: every `Metric`, `Hist` and `Stage` the closed
 /// registry declares is recorded by the engine itself in one scripted
 /// session — a build with a quarantined source, every route, a failing
-/// plan, a candidate the catalog prunes (the unanswerable question), a
+/// plan, a pruned candidate (the unanswerable question), a
 /// batch, a governed and a faulted traversal, ingest through a
 /// write-ahead log, recovery of a torn log, and a checkpoint. A variant
 /// whose last recording site is refactored away is a forever-zero series

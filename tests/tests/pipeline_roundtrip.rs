@@ -2,7 +2,6 @@
 //! form, and the modalities interconnect through the graph.
 
 use unisem_extract::TableGenerator;
-use unisem_hetgraph::algo::shortest_path;
 use unisem_hetgraph::GraphBuilder;
 use unisem_relstore::{AggExpr, AggFunc, Database, Expr, LogicalPlan, SortKey, Value};
 use unisem_semistore::{parse_json, SemiStore};
@@ -87,8 +86,12 @@ fn graph_connects_modalities() {
 
     let record = graph.record_node("catalog", 0).expect("record node");
     let chunk = graph.chunk_node(0).expect("chunk node");
-    let path = shortest_path(&graph, record, chunk).expect("cross-modal path");
-    assert!(path.len() <= 3, "record → entity → chunk, got {path:?}");
+    let linked = |n| graph.neighbors(n).iter().map(|&(m, _)| m).collect::<Vec<_>>();
+    let (from_record, from_chunk) = (linked(record), linked(chunk));
+    assert!(
+        from_record.iter().any(|n| from_chunk.contains(n)),
+        "record → entity → chunk: {from_record:?} / {from_chunk:?}"
+    );
 }
 
 /// Retrieval → evidence → entropy: weak retrieval produces measurably
