@@ -87,6 +87,15 @@ echo "==> relstore probe == scan, 16x deeper than tier-1"
 # same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
 
+echo "==> borrowed text analysis == the owned forms, 16x deeper than tier-1"
+# Tokens borrow their text, case folding and stemming write into a reused
+# buffer, and the meter counts subword tokens without building them
+# (DESIGN.md §5c). The differential properties holding each to the form it
+# replaced — the owned tokenizer, to_lowercase, the allocating stemmer,
+# BM25 over owned terms, the materialized subword split — run 1024 cases
+# here, 64 in tier-1, with the rest of both crates' suites.
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm
+
 echo "==> every example runs"
 # The README calls every example runnable, and several cross-check the
 # engine's own views against each other with assert_eq!: run them all.

@@ -9,9 +9,9 @@
 use std::collections::{BTreeSet, HashSet};
 
 use unisem_slm::SupportedAnswer;
-use unisem_text::normalize::{is_stopword, normalize_token};
+use unisem_text::normalize::{is_stopword, lower_into, normalize_into};
 use unisem_text::sentence::split_sentences;
-use unisem_text::tokenize::tokenize_words;
+use unisem_text::tokenize::{tokenize, TokenKind};
 
 /// A scored evidence sentence with its chunk of origin.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,13 +24,23 @@ pub struct EvidenceSentence {
     pub support: f64,
 }
 
-/// Normalized content terms of a query.
+/// Normalized content terms of a query: its lower-cased words and numbers,
+/// stopwords and single bytes dropped, each normalized. Folded and stemmed
+/// in two reused buffers; a term is copied only when it is new.
 pub fn query_terms(query: &str) -> BTreeSet<String> {
-    tokenize_words(query)
-        .into_iter()
-        .filter(|w| !is_stopword(w) && w.len() > 1)
-        .map(|w| normalize_token(&w))
-        .collect()
+    let mut terms = BTreeSet::new();
+    let (mut lower, mut term) = (String::new(), String::new());
+    for t in tokenize(query).filter(|t| t.kind != TokenKind::Punct) {
+        lower_into(t.text, &mut lower);
+        if is_stopword(&lower) || lower.len() <= 1 {
+            continue;
+        }
+        normalize_into(&lower, &mut term);
+        if !terms.contains(&term) {
+            terms.insert(term.clone());
+        }
+    }
+    terms
 }
 
 /// Extracts scored evidence sentences from `(chunk_id, chunk_text, chunk_score)`
@@ -80,23 +90,27 @@ pub fn extract_evidence_grounded(
         terms: HashSet<String>,
     }
     let mut cands: Vec<Cand> = Vec::new();
+    let (mut lower, mut term) = (String::new(), String::new());
     for (chunk_id, text, raw_score) in chunks {
         let chunk_score = 0.5 + 0.5 * raw_score / max_score;
         for sentence in split_sentences(text) {
             if !required_entities.is_empty() {
-                let lower = sentence.to_lowercase();
+                lower_into(&sentence, &mut lower);
                 if !required_entities.iter().any(|e| lower.contains(e.as_str())) {
                     continue;
                 }
             }
-            let sent_terms: HashSet<String> =
-                tokenize_words(&sentence).into_iter().map(|w| normalize_token(&w)).collect();
-            cands.push(Cand {
-                text: sentence,
-                chunk_id: *chunk_id,
-                chunk_score,
-                terms: sent_terms,
-            });
+            // Every lower-cased word and number, normalized; a term is
+            // copied only when it is new to the set.
+            let mut terms = HashSet::new();
+            for t in tokenize(&sentence).filter(|t| t.kind != TokenKind::Punct) {
+                lower_into(t.text, &mut lower);
+                normalize_into(&lower, &mut term);
+                if !terms.contains(&term) {
+                    terms.insert(term.clone());
+                }
+            }
+            cands.push(Cand { text: sentence, chunk_id: *chunk_id, chunk_score, terms });
         }
     }
     let n_cands = cands.len().max(1) as f64;

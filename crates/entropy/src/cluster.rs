@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 
 use unisem_text::distinct_ids;
-use unisem_text::normalize::{is_stopword, stem};
+use unisem_text::normalize::{is_stopword, stem_into};
 use unisem_text::tokenize::{tokenize, TokenKind};
 
 /// Words added by answer templates; never semantic content.
@@ -69,35 +69,43 @@ pub fn signature(text: &str) -> Signature {
 /// One pass over the tokens of `text`: its [`Signature`], and its lower-cased
 /// word and number tokens as a sorted, deduplicated set — what the
 /// lexical-variance baseline compares.
+///
+/// Tokens borrow `text` and are folded and stemmed in two reused buffers;
+/// a word or stem is copied only the first time it enters its set.
 fn analyse(text: &str) -> (Signature, Vec<String>) {
     let mut content = Vec::new();
     let mut numbers = Vec::new();
     let mut negated = false;
     let mut words = Vec::new();
+    let (mut lower, mut stemmed) = (String::new(), String::new());
     for t in tokenize(text) {
         match t.kind {
             TokenKind::Number => {
                 numbers.push(t.text.replace(',', ""));
-                words.push(t.lower());
+                t.lower_into(&mut lower);
             }
             TokenKind::Word => {
-                let lower = t.lower();
+                t.lower_into(&mut lower);
                 if NEGATIONS.contains(&lower.as_str()) {
                     negated = true;
                 } else if !is_stopword(&lower) && !TEMPLATE_FILLER.contains(&lower.as_str()) {
-                    content.push(stem(&lower));
+                    stem_into(&lower, &mut stemmed);
+                    insert_sorted(&mut content, &stemmed);
                 }
-                words.push(lower);
             }
-            TokenKind::Punct => {}
+            TokenKind::Punct => continue,
         }
+        insert_sorted(&mut words, &lower);
     }
-    content.sort();
-    content.dedup();
     numbers.sort();
-    words.sort();
-    words.dedup();
     (Signature { content, numbers, negated }, words)
+}
+
+/// Inserts `s` into the sorted, deduplicated `set` unless it is there.
+fn insert_sorted(set: &mut Vec<String>, s: &str) {
+    if let Err(at) = set.binary_search_by(|x| x.as_str().cmp(s)) {
+        set.insert(at, s.to_owned());
+    }
 }
 
 /// How many strings two sorted, deduplicated lists share: one merge.
@@ -230,6 +238,7 @@ pub(crate) fn cluster_samples(samples: &SampleSet, config: &ClusterConfig) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unisem_text::stem;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::default()

@@ -155,7 +155,7 @@ fn signature_oracle(text: &str) -> Signature {
         match t.kind {
             TokenKind::Number => numbers.push(t.text.replace(',', "")),
             TokenKind::Word => {
-                let lower = t.lower();
+                let lower = t.text.to_lowercase();
                 if NEGATIONS.contains(&lower.as_str()) {
                     negated = true;
                     continue;

@@ -93,7 +93,7 @@ impl TableGenerator {
         let verb = tags
             .iter()
             .find(|(t, p)| *p == PosTag::Verb && t.text.len() > 2)
-            .map(|(t, _)| t.lower());
+            .map(|(t, _)| t.text.to_lowercase());
         if let Some(v) = &verb {
             rec.set(Field::Relation, Value::str(stem(v)));
         }

@@ -19,7 +19,7 @@ use unisem_docstore::DocStore;
 use unisem_relstore::{DataType, Table, Value};
 use unisem_slm::pos::{pos_tag, PosTag};
 use unisem_slm::{EntityKind, EntityMention, Slm};
-use unisem_text::normalize::stem;
+use unisem_text::normalize::normalize_token;
 use unisem_text::tokenize::Token;
 
 use crate::graph::{EdgeKind, HetGraph, NodeId};
@@ -123,8 +123,11 @@ impl GraphBuilder {
         let tagged: Vec<Option<(Vec<EntityMention>, Vec<(Token, PosTag)>)>> = if self.index_entities
         {
             let slm = &self.slm;
-            parkit::global()
-                .par_map(chunks, |c| Some((slm.tag_entities(&c.text), pos_tag(&c.text))))
+            // Indexed rather than `par_map`ped: the POS tokens borrow the
+            // chunk texts, which outlive the closure's argument.
+            parkit::global().par_map_range(chunks.len(), |i| {
+                Some((slm.tag_entities(&chunks[i].text), pos_tag(&chunks[i].text)))
+            })
         } else {
             chunks.iter().map(|_| None).collect()
         };
@@ -190,7 +193,7 @@ impl GraphBuilder {
             let verb = tags
                 .iter()
                 .find(|(t, p)| *p == PosTag::Verb && t.start >= a_end && t.end <= b_start)
-                .map(|(t, _)| stem(&t.lower()));
+                .map(|(t, _)| normalize_token(t.text));
             if let Some(verb) = verb {
                 self.graph.add_edge(a_node, b_node, EdgeKind::RelatesTo(verb));
                 self.stats.relation_edges += 1;

@@ -87,12 +87,6 @@ impl Database {
         self.tables.is_empty()
     }
 
-    /// Total approximate resident bytes across all tables and their
-    /// indexes.
-    pub fn approx_bytes(&self) -> usize {
-        self.tables.values().map(|(table, index)| table.approx_bytes() + index.approx_bytes()).sum()
-    }
-
     /// Executes a logical plan as built, with no resource bounds.
     ///
     /// ```

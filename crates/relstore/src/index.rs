@@ -107,25 +107,6 @@ impl TableIndex {
         self.columns[column].nulls
     }
 
-    /// Approximate resident bytes: the distinct-value sets, the folds and
-    /// their row ids.
-    pub fn approx_bytes(&self) -> usize {
-        let key = |k: &GroupKey| match k {
-            GroupKey::Str(s) => std::mem::size_of::<GroupKey>() + s.len(),
-            _ => std::mem::size_of::<GroupKey>(),
-        };
-        let posting = |(k, rows): (&String, &Vec<usize>)| {
-            std::mem::size_of::<(String, Vec<usize>)>() + k.len() + std::mem::size_of_val(&rows[..])
-        };
-        self.columns
-            .iter()
-            .map(|c| {
-                c.distinct.iter().map(key).sum::<usize>()
-                    + c.keys.iter().flatten().map(posting).sum::<usize>()
-            })
-            .sum()
-    }
-
     /// The probe a filter with `predicate` over the table this index
     /// describes (of schema `schema`) reads its rows through, when it has
     /// one.

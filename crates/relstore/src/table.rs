@@ -137,15 +137,6 @@ impl Table {
         Table { schema: self.schema.clone(), columns, rows: indices.len() }
     }
 
-    /// Approximate resident bytes (for the E2 storage experiment).
-    pub fn approx_bytes(&self) -> usize {
-        let cell = |v: &Value| match v {
-            Value::Str(s) => std::mem::size_of::<Value>() + s.len(),
-            _ => std::mem::size_of::<Value>(),
-        };
-        self.columns.iter().flat_map(|c| c.iter()).map(cell).sum()
-    }
-
     /// Renders the table in a fixed-width ASCII grid, capped at `max_rows`.
     pub fn render(&self, max_rows: usize) -> String {
         let headers: Vec<String> = self.schema.columns().iter().map(|c| c.name.clone()).collect();
@@ -213,7 +204,6 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
 
     fn sample() -> Table {
         let schema = Schema::of(&[
@@ -305,20 +295,5 @@ mod tests {
         let t = Table::empty(Schema::of(&[("a", DataType::Int)]));
         assert!(t.is_empty());
         assert_eq!(t.rows().count(), 0);
-    }
-
-    #[test]
-    fn approx_bytes_counts_strings() {
-        let small = Table::from_rows(
-            Schema::new(vec![Column::new("s", DataType::Str)]).unwrap(),
-            vec![vec![Value::str("ab")]],
-        )
-        .unwrap();
-        let big = Table::from_rows(
-            Schema::new(vec![Column::new("s", DataType::Str)]).unwrap(),
-            vec![vec![Value::str("a much longer string value here")]],
-        )
-        .unwrap();
-        assert!(big.approx_bytes() > small.approx_bytes());
     }
 }

@@ -25,9 +25,9 @@ use unisem_hetgraph::algo::pagerank;
 use unisem_hetgraph::{HetGraph, NodeId, NodeKind};
 use unisem_slm::ner::EntityKind;
 use unisem_slm::Slm;
-use unisem_text::normalize::is_stopword;
+use unisem_text::normalize::{is_stopword, lower_into};
 use unisem_text::similarity::jaro_winkler;
-use unisem_text::tokenize::tokenize_words;
+use unisem_text::tokenize::{tokenize, TokenKind};
 
 use crate::{ChunkRetriever, RetrievalResult};
 
@@ -230,10 +230,14 @@ impl TopologyRetriever {
         // Last resort: content-word containment against entity labels, the
         // highest-degree entity per word (the last walked among equals).
         if primary.is_empty() {
-            let words: Vec<String> = tokenize_words(query)
-                .into_iter()
-                .filter(|w| !is_stopword(w) && w.len() > 2)
-                .collect();
+            let mut words: Vec<String> = Vec::new();
+            let mut lower = String::new();
+            for t in tokenize(query).filter(|t| t.kind != TokenKind::Punct) {
+                lower_into(t.text, &mut lower);
+                if !is_stopword(&lower) && lower.len() > 2 {
+                    words.push(lower.clone());
+                }
+            }
             let mut best: Vec<Option<(NodeId, usize)>> = vec![None; words.len()];
             for n in self.graph.entities() {
                 // Only referential entities make useful anchors; matching a

@@ -6,11 +6,13 @@
 //! Entity identification comes from the SLM tagger; the operation mapping is
 //! rule-based over the token stream.
 
+use std::borrow::Cow;
+
 use unisem_relstore::plan::AggFunc;
 use unisem_relstore::Value;
 use unisem_slm::ner::EntityKind;
 use unisem_slm::Slm;
-use unisem_text::normalize::stem;
+use unisem_text::normalize::{is_stopword, lower_into, normalize_token};
 use unisem_text::tokenize::{tokenize, Token, TokenKind};
 
 use crate::intent::{CmpOp, FilterIntent, QueryIntent, SortIntent};
@@ -30,8 +32,8 @@ impl IntentParser {
     /// Analyzes one question.
     pub fn analyze(&self, question: &str) -> QueryIntent {
         let mentions = self.slm.tag_entities(question);
-        let tokens = tokenize(question);
-        let words: Vec<String> = tokens.iter().map(Token::lower).collect();
+        let tokens: Vec<Token> = tokenize(question).collect();
+        let words: Vec<Cow<str>> = tokens.iter().map(|t| lowered(t.text)).collect();
 
         let mut intent = QueryIntent { raw: question.to_string(), ..QueryIntent::default() };
 
@@ -84,7 +86,7 @@ impl IntentParser {
         // ---- aggregates ----
         for (i, w) in words.iter().enumerate() {
             let start = tokens[i].start;
-            let agg = match w.as_str() {
+            let agg = match &**w {
                 "total" | "sum" | "overall" => Some(AggFunc::Sum),
                 "average" | "mean" | "avg" => Some(AggFunc::Avg),
                 "highest" | "maximum" | "max" | "most" | "best" => Some(AggFunc::Max),
@@ -138,9 +140,10 @@ impl IntentParser {
                 // The grouped dimension is the next non-stopword noun.
                 if let Some(next) = tokens[i + 1..]
                     .iter()
-                    .find(|t| t.kind == TokenKind::Word && !unisem_text::is_stopword(&t.lower()))
+                    .zip(&words[i + 1..])
+                    .find(|(t, w)| t.kind == TokenKind::Word && !is_stopword(w))
                 {
-                    intent.group_hint = Some(stem(&next.lower()));
+                    intent.group_hint = Some(normalize_token(next.0.text));
                     break;
                 }
             }
@@ -148,7 +151,7 @@ impl IntentParser {
 
         // ---- comparative framing ----
         if words.iter().any(|w| w == "compare" || w == "versus" || w == "vs")
-            || question.to_lowercase().contains("difference between")
+            || contains_lowered(question, "difference between")
         {
             intent.comparative = true;
             if intent.group_hint.is_none() {
@@ -165,13 +168,13 @@ impl IntentParser {
     fn parse_numeric_filters(
         &self,
         tokens: &[Token],
-        words: &[String],
+        words: &[Cow<str>],
         mentions: &[unisem_slm::EntityMention],
         metric_before: &dyn Fn(usize) -> Option<String>,
         intent: &mut QueryIntent,
     ) {
         for (i, w) in words.iter().enumerate() {
-            let op = match w.as_str() {
+            let op = match &**w {
                 "more" | "greater" | "higher" | "over" | "above" | "exceeding" => Some(CmpOp::Gt),
                 "less" | "fewer" | "lower" | "under" | "below" => Some(CmpOp::Lt),
                 "least" if i > 0 && words[i - 1] == "at" => Some(CmpOp::Ge),
@@ -202,6 +205,28 @@ impl IntentParser {
                 value: Value::float(raw),
             });
         }
+    }
+}
+
+/// `text` lower-cased, borrowed when it already is: most question words
+/// are lower-case ASCII, and only the others are copied.
+fn lowered(text: &str) -> Cow<'_, str> {
+    if text.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        Cow::Borrowed(text)
+    } else {
+        let mut out = String::new();
+        lower_into(text, &mut out);
+        Cow::Owned(out)
+    }
+}
+
+/// Whether `text` lower-cased contains `needle` (lower-case ASCII), without
+/// copying ASCII text.
+fn contains_lowered(text: &str, needle: &str) -> bool {
+    if text.is_ascii() {
+        text.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+    } else {
+        text.to_lowercase().contains(needle)
     }
 }
 

@@ -5,7 +5,7 @@
 //! environment, so this crate provides a deterministic stand-in exposing the
 //! same capability surface the paper requires from its SLM:
 //!
-//! - [`tokenizer`]: subword tokenization with stable token counting (the
+//! - [`tokenizer`]: allocation-free subword token counting (the
 //!   unit of the cost model),
 //! - [`embedding`]: feature-hashed character-n-gram embeddings (the stand-in
 //!   for learned dense vectors),
@@ -35,7 +35,7 @@ pub use embedding::{Embedder, EmbedderConfig};
 pub use generate::{GenConfig, Generation, Generator, SupportedAnswer};
 pub use ner::{EntityKind, EntityMention, Lexicon, NerTagger};
 pub use pos::{pos_tag, PosTag};
-pub use tokenizer::{count_tokens, subword_tokenize};
+pub use tokenizer::{count_tokens, word_pieces};
 
 use std::sync::Arc;
 

@@ -134,7 +134,26 @@ impl EntityMention {
 
 /// Canonicalizes an entity phrase: lowercase, collapse whitespace.
 pub fn canonical_phrase(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ").to_lowercase()
+    let mut out = String::new();
+    canonical_phrase_into(s, &mut out);
+    out
+}
+
+/// [`canonical_phrase`] written into `out`, replacing its contents: the
+/// words joined by single spaces, then lower-cased as one string.
+pub fn canonical_phrase_into(s: &str, out: &mut String) {
+    out.clear();
+    for (i, word) in s.split_whitespace().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    if out.is_ascii() {
+        out.make_ascii_lowercase();
+    } else {
+        *out = out.to_lowercase();
+    }
 }
 
 /// Domain lexicon: phrase → entity kind.
@@ -283,16 +302,25 @@ impl NerTagger {
     ///
     /// Mentions are returned sorted by start offset and never overlap.
     pub fn tag(&self, text: &str) -> Vec<EntityMention> {
-        let tokens = tokenize(text);
+        let tokens: Vec<Token> = tokenize(text).collect();
         let mut candidates: Vec<Candidate> = Vec::new();
-        self.lexicon_matches(text, &tokens, &mut candidates);
-        self.pattern_matches(text, &tokens, &mut candidates);
-        self.capitalization_matches(text, &tokens, &mut candidates);
+        // One scratch buffer for every case fold and phrase below: only a
+        // mention's own text is ever owned.
+        let mut scratch = String::new();
+        self.lexicon_matches(text, &tokens, &mut scratch, &mut candidates);
+        self.pattern_matches(text, &tokens, &mut scratch, &mut candidates);
+        self.capitalization_matches(text, &tokens, &mut scratch, &mut candidates);
         resolve_overlaps(candidates)
     }
 
     /// Longest-match lexicon lookup over token windows.
-    fn lexicon_matches(&self, text: &str, tokens: &[Token], out: &mut Vec<Candidate>) {
+    fn lexicon_matches(
+        &self,
+        text: &str,
+        tokens: &[Token],
+        phrase: &mut String,
+        out: &mut Vec<Candidate>,
+    ) {
         if self.lexicon.is_empty() {
             return;
         }
@@ -310,8 +338,8 @@ impl NerTagger {
                 if span.iter().any(|t| t.kind == TokenKind::Punct) {
                     break;
                 }
-                let phrase = canonical_phrase(&text[span[0].start..span[w - 1].end]);
-                if let Some(kind) = self.lexicon.get(&phrase) {
+                canonical_phrase_into(&text[span[0].start..span[w - 1].end], phrase);
+                if let Some(kind) = self.lexicon.get(phrase) {
                     best = Some((i + w, kind));
                 }
             }
@@ -336,7 +364,13 @@ impl NerTagger {
     }
 
     /// Rule patterns: quarters, percents, money, dates, ids, metrics.
-    fn pattern_matches(&self, text: &str, tokens: &[Token], out: &mut Vec<Candidate>) {
+    fn pattern_matches(
+        &self,
+        text: &str,
+        tokens: &[Token],
+        lower: &mut String,
+        out: &mut Vec<Candidate>,
+    ) {
         let n = tokens.len();
         let mut push = |start: usize, end: usize, kind: EntityKind, conf: f64| {
             out.push(Candidate {
@@ -352,9 +386,9 @@ impl NerTagger {
         };
         for i in 0..n {
             let t = &tokens[i];
-            let lower = t.lower();
             match t.kind {
                 TokenKind::Word => {
+                    t.lower_into(lower);
                     // Quarter: Q1..Q4, optionally followed by a year.
                     if lower.len() == 2
                         && lower.starts_with('q')
@@ -401,8 +435,7 @@ impl NerTagger {
                     // Percent: number followed by '%' or "percent".
                     if i + 1 < n
                         && (tokens[i + 1].text == "%"
-                            || tokens[i + 1].lower() == "percent"
-                            || tokens[i + 1].lower() == "pct")
+                            || lower_is(&tokens[i + 1], &["percent", "pct"], lower))
                     {
                         push(t.start, tokens[i + 1].end, EntityKind::Percent, 0.95);
                         continue;
@@ -412,9 +445,7 @@ impl NerTagger {
                         push(tokens[i - 1].start, t.end, EntityKind::Money, 0.95);
                         continue;
                     }
-                    if i + 1 < n
-                        && matches!(tokens[i + 1].lower().as_str(), "dollars" | "usd" | "eur")
-                    {
+                    if i + 1 < n && lower_is(&tokens[i + 1], &["dollars", "usd", "eur"], lower) {
                         push(t.start, tokens[i + 1].end, EntityKind::Money, 0.9);
                         continue;
                     }
@@ -441,13 +472,19 @@ impl NerTagger {
     }
 
     /// Capitalized-run heuristics with title/suffix cues.
-    fn capitalization_matches(&self, text: &str, tokens: &[Token], out: &mut Vec<Candidate>) {
+    fn capitalization_matches(
+        &self,
+        text: &str,
+        tokens: &[Token],
+        lower: &mut String,
+        out: &mut Vec<Candidate>,
+    ) {
         let n = tokens.len();
         let mut i = 0;
         while i < n {
             let t = &tokens[i];
             let sentence_initial =
-                i == 0 || matches!(tokens[i - 1].text.as_str(), "." | "!" | "?" | ":" | ";");
+                i == 0 || matches!(tokens[i - 1].text, "." | "!" | "?" | ":" | ";");
             if t.kind == TokenKind::Word && t.is_capitalized() && !t.is_acronym() {
                 // Extend over consecutive capitalized words.
                 let mut j = i + 1;
@@ -466,10 +503,9 @@ impl NerTagger {
                 } else {
                     None
                 };
-                let prev_lower = prev_word_idx.map(|p| tokens[p].lower()).unwrap_or_default();
-                let title_cue = PERSON_TITLES.contains(&prev_lower.as_str());
-                let last_lower = tokens[j - 1].lower();
-                let org_cue = ORG_SUFFIXES.contains(&last_lower.as_str());
+                let title_cue =
+                    prev_word_idx.is_some_and(|p| lower_is(&tokens[p], PERSON_TITLES, lower));
+                let org_cue = lower_is(&tokens[j - 1], ORG_SUFFIXES, lower);
                 if run_len >= 2 || title_cue || org_cue || (!sentence_initial && run_len >= 1) {
                     let kind = if title_cue {
                         EntityKind::Person
@@ -497,6 +533,12 @@ impl NerTagger {
             }
         }
     }
+}
+
+/// Whether `t` lower-cased is one of `words`, folded into `scratch`.
+fn lower_is(t: &Token, words: &[&str], scratch: &mut String) -> bool {
+    t.lower_into(scratch);
+    words.contains(&scratch.as_str())
 }
 
 /// A 4-digit number in a plausible year range.

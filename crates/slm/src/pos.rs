@@ -109,24 +109,27 @@ const COMMON_ADVERBS: &[&str] = &[
 ///
 /// Returns the tokens paired with tags; punctuation tokens get
 /// [`PosTag::Punct`].
-pub fn pos_tag(text: &str) -> Vec<(Token, PosTag)> {
-    let tokens = tokenize(text);
-    let n = tokens.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let t = &tokens[i];
+///
+/// The tokens borrow `text`; tagging allocates the token list, the returned
+/// list and one case-folding buffer.
+pub fn pos_tag(text: &str) -> Vec<(Token<'_>, PosTag)> {
+    let tokens: Vec<Token> = tokenize(text).collect();
+    let mut lower = String::new();
+    let mut out = Vec::with_capacity(tokens.len());
+    for (i, t) in tokens.iter().enumerate() {
         let tag = match t.kind {
             TokenKind::Punct => PosTag::Punct,
             TokenKind::Number => PosTag::Number,
-            TokenKind::Word => word_tag(t, i, &tokens),
+            TokenKind::Word => word_tag(t, i, &tokens, &mut lower),
         };
-        out.push((t.clone(), tag));
+        out.push((*t, tag));
     }
     out
 }
 
-fn word_tag(t: &Token, i: usize, tokens: &[Token]) -> PosTag {
-    let lower = t.lower();
+/// The tag of word `t`, the `i`-th of `tokens`; `lower` is scratch.
+fn word_tag(t: &Token, i: usize, tokens: &[Token], lower: &mut String) -> PosTag {
+    t.lower_into(lower);
     let l = lower.as_str();
     if DETERMINERS.contains(&l) {
         return PosTag::Determiner;
@@ -148,7 +151,7 @@ fn word_tag(t: &Token, i: usize, tokens: &[Token]) -> PosTag {
     }
     // Proper noun: capitalized and either not sentence-initial or part of a
     // capitalized run.
-    let sentence_initial = i == 0 || matches!(tokens[i - 1].text.as_str(), "." | "!" | "?");
+    let sentence_initial = i == 0 || matches!(tokens[i - 1].text, "." | "!" | "?");
     if t.is_capitalized() {
         let next_cap =
             tokens.get(i + 1).is_some_and(|n| n.kind == TokenKind::Word && n.is_capitalized());
@@ -162,7 +165,10 @@ fn word_tag(t: &Token, i: usize, tokens: &[Token]) -> PosTag {
     }
     // Gerund acting verbal when preceded by is/are/was/were.
     if l.ends_with("ing") && l.len() > 5 {
-        let prev_verb = i > 0 && COMMON_VERBS.contains(&tokens[i - 1].lower().as_str());
+        let prev_verb = i > 0 && {
+            tokens[i - 1].lower_into(lower);
+            COMMON_VERBS.contains(&lower.as_str())
+        };
         return if prev_verb { PosTag::Verb } else { PosTag::Noun };
     }
     if l.ends_with("ous")
@@ -181,7 +187,7 @@ fn word_tag(t: &Token, i: usize, tokens: &[Token]) -> PosTag {
 mod tests {
     use super::*;
 
-    fn tags(text: &str) -> Vec<(String, PosTag)> {
+    fn tags(text: &str) -> Vec<(&str, PosTag)> {
         pos_tag(text).into_iter().map(|(t, p)| (t.text, p)).collect()
     }
 

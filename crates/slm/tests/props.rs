@@ -1,19 +1,93 @@
 //! Property-based tests: SLM substrate invariants (detkit harness).
 
-use detkit::prop::{f64s, string_of, u64s, usizes, zip, zip3};
+use detkit::prop::{f64s, one_of, string_of, u64s, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
+use unisem_slm::ner::canonical_phrase_into;
+use unisem_slm::tokenizer::{MAX_PIECE_CHARS, SUFFIXES};
 use unisem_slm::{
-    count_tokens, subword_tokenize, EntityKind, GenConfig, Generator, Lexicon, NerTagger,
+    count_tokens, word_pieces, EntityKind, GenConfig, Generator, Lexicon, NerTagger,
     SupportedAnswer,
 };
+use unisem_text::tokenize::{tokenize, TokenKind};
 
 const ALPHA: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// Splits a word into its subword pieces, materialized: the form
+/// `count_tokens` counted before it became arithmetic.
+fn subword_tokenize(word: &str) -> Vec<String> {
+    let chars: Vec<char> = word.chars().collect();
+    if chars.len() <= MAX_PIECE_CHARS {
+        return vec![word.to_string()];
+    }
+    // Peel one known suffix if present and the stem stays non-trivial.
+    for suf in SUFFIXES {
+        if word.len() > suf.len() + 2 {
+            if let Some(stem) = word.strip_suffix(suf) {
+                let mut pieces = subword_tokenize(stem);
+                pieces.push((*suf).to_string());
+                return pieces;
+            }
+        }
+    }
+    // Otherwise split into fixed-width pieces.
+    let mut pieces = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let end = (i + MAX_PIECE_CHARS).min(chars.len());
+        pieces.push(chars[i..end].iter().collect());
+        i = end;
+    }
+    pieces
+}
 
 // Subword pieces concatenate back to the word.
 prop_check!(subword_roundtrip, string_of(ALPHA, 1, 30), |w| {
     prop_assert_eq!(subword_tokenize(w).concat(), *w);
     Ok(())
 });
+
+/// Text whose words end in the peeled suffixes, stacked, among letters that
+/// fold awkwardly (Kelvin sign, `İ`, `ß`, `É`), numbers and punctuation.
+fn suffixed_text() -> Gen<String> {
+    let piece = one_of(vec![
+        string_of("ab\u{212a}\u{130}\u{df}\u{c9}", 1, 9),
+        usizes(0, SUFFIXES.len() - 1).map(|&i| SUFFIXES[i].to_string()),
+        string_of(" -'.,09%", 1, 1),
+    ]);
+    vec_of(&piece, 0, 16).map(|ps| ps.concat())
+}
+
+// The meter's count is the materialized split's length, token by token.
+prop_check!(count_tokens_matches_subword_pieces, suffixed_text(), |text| {
+    let mut want = 0;
+    for t in tokenize(text) {
+        if t.kind == TokenKind::Word {
+            let pieces = subword_tokenize(t.text).len();
+            prop_assert_eq!(word_pieces(t.text), pieces, "{:?}", t.text);
+            want += pieces;
+        } else {
+            want += 1;
+        }
+    }
+    prop_assert_eq!(count_tokens(text), want, "{text:?}");
+    Ok(())
+});
+
+// The tagger's buffered phrase canonicalization equals the owned one it
+// replaced: the words joined, then lower-cased as one string (a final `Σ`
+// folds by its context), over whatever the buffer held.
+prop_check!(
+    canonical_phrase_matches_owned_join,
+    zip(&string_of("aZ\u{212a}\u{130}\u{df}\u{c9}\u{3a3} \t", 0, 24), &string_of("xy", 0, 4)),
+    |p| {
+        let (text, stale) = p;
+        let mut out = stale.clone();
+        canonical_phrase_into(text, &mut out);
+        let want = text.split_whitespace().collect::<Vec<_>>().join(" ").to_lowercase();
+        prop_assert_eq!(&out, &want, "{text:?}");
+        Ok(())
+    }
+);
 
 // Token counting is monotone under concatenation.
 prop_check!(

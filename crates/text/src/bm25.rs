@@ -7,8 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::normalize::normalize_token;
-use crate::tokenize::tokenize_words;
+use crate::normalize::{lower_into, normalize_into};
+use crate::tokenize::{tokenize, TokenKind};
 
 /// BM25 hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +100,9 @@ impl Bm25Index {
     /// truncates the output), so it is a pure function of the query and the
     /// corpus — the resource-meter contract.
     pub fn postings_scanned(&self, query: &str) -> usize {
-        index_terms(query).iter().map(|term| self.postings.get(term).map_or(0, Vec::len)).sum()
+        let mut scanned = 0;
+        for_each_term(query, |term| scanned += self.postings.get(term).map_or(0, Vec::len));
+        scanned
     }
 
     /// Approximate resident size of the index in bytes (for the E2 storage
@@ -136,7 +138,9 @@ impl Bm25Index {
     /// find them, counted in the same pass over the once-normalized query.
     /// Documents with no query term overlap are omitted.
     pub fn search(&self, query: &str, top_k: usize) -> (Vec<(usize, f64)>, usize) {
-        self.search_terms(&index_terms(query), top_k)
+        let mut lists = Vec::new();
+        for_each_term(query, |term| lists.push(self.postings.get(term)));
+        self.score(lists, top_k)
     }
 
     /// The scoring parameters.
@@ -175,16 +179,23 @@ impl Bm25Index {
     /// order; the best `top_k` are selected under the output order and only
     /// those are sorted.
     pub fn search_terms(&self, terms: &[String], top_k: usize) -> (Vec<(usize, f64)>, usize) {
+        self.score(terms.iter().map(|term| self.postings.get(term)), top_k)
+    }
+
+    /// Scores the posting lists of a query's terms, in term order (`None`
+    /// for a term the corpus lacks).
+    fn score<'p>(
+        &self,
+        lists: impl IntoIterator<Item = Option<&'p Vec<(usize, u32)>>>,
+        top_k: usize,
+    ) -> (Vec<(usize, f64)>, usize) {
         let avg = self.avg_doc_len().max(1e-9);
         let Bm25Params { k1, b } = self.params;
         let mut scores = vec![0.0f64; self.doc_len.len()];
         let mut seen = vec![false; self.doc_len.len()];
         let mut touched: Vec<usize> = Vec::new();
         let mut scanned = 0usize;
-        for term in terms {
-            let Some(posts) = self.postings.get(term) else {
-                continue;
-            };
+        for posts in lists.into_iter().flatten() {
             scanned += posts.len();
             let idf = self.idf(posts.len());
             for &(doc, tf) in posts {
@@ -213,9 +224,22 @@ impl Bm25Index {
     }
 }
 
-/// The normalized index terms of a document or query text, in text order.
+/// The normalized index terms of a document text, in text order.
 fn index_terms(text: &str) -> Vec<String> {
-    tokenize_words(text).iter().map(|t| normalize_token(t)).collect()
+    let mut terms = Vec::new();
+    for_each_term(text, |term| terms.push(term.to_owned()));
+    terms
+}
+
+/// Calls `f` with each normalized term of `text` in text order: every word
+/// and number lower-cased, then normalized, in two reused buffers.
+fn for_each_term(text: &str, mut f: impl FnMut(&str)) {
+    let (mut lower, mut term) = (String::new(), String::new());
+    for t in tokenize(text).filter(|t| t.kind != TokenKind::Punct) {
+        lower_into(t.text, &mut lower);
+        normalize_into(&lower, &mut term);
+        f(&term);
+    }
 }
 
 #[cfg(test)]

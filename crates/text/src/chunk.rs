@@ -6,7 +6,7 @@
 //! chunk boundaries are not lost.
 
 use crate::sentence::split_sentences_spans;
-use crate::tokenize::tokenize_words;
+use crate::tokenize::{tokenize, TokenKind};
 
 /// Configuration for [`chunk_sentences`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,10 @@ pub fn chunk_sentences(text: &str, config: ChunkConfig) -> Vec<Chunk> {
     if sentences.is_empty() {
         return Vec::new();
     }
-    let counts: Vec<usize> = sentences.iter().map(|s| tokenize_words(&s.text).len()).collect();
+    let counts: Vec<usize> = sentences
+        .iter()
+        .map(|s| tokenize(&s.text).filter(|t| t.kind != TokenKind::Punct).count())
+        .collect();
 
     let mut chunks = Vec::new();
     let mut i = 0usize;

@@ -1,9 +1,16 @@
-//! Span-preserving tokenization.
+//! Span-preserving tokenization that borrows its source.
 //!
-//! The tokenizer splits raw text into [`Token`]s that remember their byte
-//! offsets in the source string, so downstream consumers (NER tagging, chunk
-//! construction, provenance tracking) can always map results back to the
-//! original document.
+//! [`tokenize`] walks a text once and yields [`Token`]s whose `text` is a
+//! `&str` span of the source, with its byte offsets, so downstream consumers
+//! (NER tagging, chunk construction, provenance tracking) can always map
+//! results back to the original document — and tokenizing allocates
+//! nothing. Case folding writes into a caller's buffer
+//! ([`Token::lower_into`]), so a consumer owns only the terms it keeps
+//! (DESIGN.md §5c).
+
+use std::str::CharIndices;
+
+use crate::normalize::lower_into;
 
 /// The lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,11 +24,11 @@ pub enum TokenKind {
     Punct,
 }
 
-/// A token with its byte span in the source text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// The token text as it appears in the source.
-    pub text: String,
+/// A token: a span of the source text and its lexical class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
+    /// The token text as it appears in the source: `&source[start..end]`.
+    pub text: &'a str,
     /// Lexical class.
     pub kind: TokenKind,
     /// Byte offset of the first byte of the token in the source.
@@ -30,10 +37,10 @@ pub struct Token {
     pub end: usize,
 }
 
-impl Token {
-    /// Returns the token text lower-cased.
-    pub fn lower(&self) -> String {
-        self.text.to_lowercase()
+impl Token<'_> {
+    /// Writes the token text lower-cased into `out`, replacing its contents.
+    pub fn lower_into(&self, out: &mut String) {
+        lower_into(self.text, out);
     }
 
     /// True if the token starts with an uppercase letter.
@@ -60,103 +67,100 @@ impl Token {
 /// - Everything else that is not whitespace becomes a single-character
 ///   [`TokenKind::Punct`] token.
 ///
+/// The tokens borrow `text`; collect them only where a consumer needs
+/// random access.
+///
 /// ```
 /// use unisem_text::tokenize;
-/// let toks = tokenize("Q2 sales rose 20%.");
-/// let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+/// let texts: Vec<&str> = tokenize("Q2 sales rose 20%.").map(|t| t.text).collect();
 /// assert_eq!(texts, vec!["Q2", "sales", "rose", "20", "%", "."]);
 /// ```
-pub fn tokenize(text: &str) -> Vec<Token> {
-    let bytes = text.char_indices().collect::<Vec<_>>();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (off, c) = bytes[i];
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c.is_alphabetic() {
-            // Word: letters plus digits directly attached (Q2, B2B) and
-            // internal apostrophes/hyphens surrounded by alphanumerics.
-            let start = off;
-            let mut j = i + 1;
-            while j < bytes.len() {
-                let (_, cj) = bytes[j];
-                if cj.is_alphanumeric() {
-                    j += 1;
-                } else if (cj == '\'' || cj == '-')
-                    && j + 1 < bytes.len()
-                    && bytes[j + 1].1.is_alphanumeric()
-                {
-                    j += 2;
-                } else {
-                    break;
-                }
+pub fn tokenize(text: &str) -> Tokens<'_> {
+    Tokens { text, chars: text.char_indices(), last_end: None }
+}
+
+/// The iterator [`tokenize`] returns: one pass over `char_indices`, looking
+/// ahead at most past one joiner (`'`, `-`, `.`, `,` or a sign).
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    text: &'a str,
+    chars: CharIndices<'a>,
+    /// End of the last token yielded: a sign directly after it is
+    /// punctuation, not the start of a signed number.
+    last_end: Option<usize>,
+}
+
+impl Tokens<'_> {
+    /// The next character, not consumed.
+    fn peek(&self) -> Option<char> {
+        self.chars.as_str().chars().next()
+    }
+
+    /// The character after the next one, not consumed.
+    fn peek_second(&self) -> Option<char> {
+        self.chars.as_str().chars().nth(1)
+    }
+
+    /// Byte offset of the next character (the text length at the end).
+    fn offset(&self) -> usize {
+        self.text.len() - self.chars.as_str().len()
+    }
+
+    /// Consumes characters while `inner` accepts them, and a `joiner`
+    /// directly followed by one `inner` accepts.
+    fn run(&mut self, inner: fn(char) -> bool, joiner: fn(char) -> bool) {
+        while let Some(c) = self.peek() {
+            if inner(c) {
+                self.chars.next();
+            } else if joiner(c) && self.peek_second().is_some_and(inner) {
+                self.chars.next();
+                self.chars.next();
+            } else {
+                break;
             }
-            let end = if j < bytes.len() { bytes[j].0 } else { text.len() };
-            tokens.push(Token {
-                text: text[start..end].to_string(),
-                kind: TokenKind::Word,
-                start,
-                end,
-            });
-            i = j;
-        } else if c.is_ascii_digit()
-            || ((c == '-' || c == '+')
-                && i + 1 < bytes.len()
-                && bytes[i + 1].1.is_ascii_digit()
-                && prev_is_boundary(&tokens, off))
-        {
-            let start = off;
-            let mut j = if c == '-' || c == '+' { i + 1 } else { i };
-            while j < bytes.len() {
-                let (_, cj) = bytes[j];
-                if cj.is_ascii_digit() {
-                    j += 1;
-                } else if (cj == '.' || cj == ',')
-                    && j + 1 < bytes.len()
-                    && bytes[j + 1].1.is_ascii_digit()
-                {
-                    j += 2;
-                } else {
-                    break;
-                }
-            }
-            let end = if j < bytes.len() { bytes[j].0 } else { text.len() };
-            tokens.push(Token {
-                text: text[start..end].to_string(),
-                kind: TokenKind::Number,
-                start,
-                end,
-            });
-            i = j;
-        } else {
-            let end = off + c.len_utf8();
-            tokens.push(Token {
-                text: text[off..end].to_string(),
-                kind: TokenKind::Punct,
-                start: off,
-                end,
-            });
-            i += 1;
         }
     }
-    tokens
 }
 
-/// True when a leading `-`/`+` at byte `off` should start a signed number:
-/// only when the previous emitted token does not end immediately before it
-/// (i.e. there is whitespace or start-of-text before the sign).
-fn prev_is_boundary(tokens: &[Token], off: usize) -> bool {
-    tokens.last().map_or(true, |t| t.end < off)
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let (start, c) = loop {
+            let (off, c) = self.chars.next()?;
+            if !c.is_whitespace() {
+                break (off, c);
+            }
+        };
+        let kind = if c.is_alphabetic() {
+            // Word: letters plus digits directly attached (Q2, B2B) and
+            // internal apostrophes/hyphens surrounded by alphanumerics.
+            self.run(char::is_alphanumeric, |j| j == '\'' || j == '-');
+            TokenKind::Word
+        } else if c.is_ascii_digit()
+            || ((c == '-' || c == '+')
+                && self.peek().is_some_and(|d| d.is_ascii_digit())
+                && self.last_end.map_or(true, |end| end < start))
+        {
+            // A sign starts a number only after whitespace or at the start.
+            self.run(|d| d.is_ascii_digit(), |j| j == '.' || j == ',');
+            TokenKind::Number
+        } else {
+            TokenKind::Punct
+        };
+        let end = self.offset();
+        self.last_end = Some(end);
+        Some(Token { text: &self.text[start..end], kind, start, end })
+    }
 }
 
-/// Convenience: lowercase word and number tokens only (punctuation dropped).
+/// Convenience: lowercase word and number tokens only (punctuation dropped),
+/// each an owned `String`.
 ///
-/// This is the shape most indexing code wants.
+/// This is the shape the embedder and the test oracles want; the answer
+/// path walks [`tokenize`] with a reused buffer instead.
 pub fn tokenize_words(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().filter(|t| t.kind != TokenKind::Punct).map(|t| t.lower()).collect()
+    tokenize(text).filter(|t| t.kind != TokenKind::Punct).map(|t| t.text.to_lowercase()).collect()
 }
 
 #[cfg(test)]
@@ -165,7 +169,7 @@ mod tests {
 
     #[test]
     fn simple_sentence() {
-        let toks = tokenize("The cat sat.");
+        let toks: Vec<Token> = tokenize("The cat sat.").collect();
         assert_eq!(toks.len(), 4);
         assert_eq!(toks[0].text, "The");
         assert_eq!(toks[0].kind, TokenKind::Word);
@@ -182,34 +186,33 @@ mod tests {
 
     #[test]
     fn numbers_with_separators() {
-        let toks = tokenize("revenue was 1,234.56 dollars");
-        let num = toks.iter().find(|t| t.kind == TokenKind::Number).unwrap();
+        let num =
+            tokenize("revenue was 1,234.56 dollars").find(|t| t.kind == TokenKind::Number).unwrap();
         assert_eq!(num.text, "1,234.56");
     }
 
     #[test]
     fn signed_number_after_space() {
-        let toks = tokenize("change: -15 points");
-        let num = toks.iter().find(|t| t.kind == TokenKind::Number).unwrap();
+        let num = tokenize("change: -15 points").find(|t| t.kind == TokenKind::Number).unwrap();
         assert_eq!(num.text, "-15");
     }
 
     #[test]
     fn hyphen_between_words_kept() {
-        let toks = tokenize("cross-modal context");
+        let toks: Vec<Token> = tokenize("cross-modal context").collect();
         assert_eq!(toks[0].text, "cross-modal");
     }
 
     #[test]
     fn trailing_hyphen_not_kept() {
-        let toks = tokenize("cross- modal");
+        let toks: Vec<Token> = tokenize("cross- modal").collect();
         assert_eq!(toks[0].text, "cross");
         assert_eq!(toks[1].text, "-");
     }
 
     #[test]
     fn alphanumeric_words() {
-        let toks = tokenize("Q2 B2B 4K");
+        let toks: Vec<Token> = tokenize("Q2 B2B 4K").collect();
         assert_eq!(toks[0].text, "Q2");
         assert_eq!(toks[1].text, "B2B");
         // "4K" starts with a digit: number 4, then word K.
@@ -219,7 +222,7 @@ mod tests {
 
     #[test]
     fn percent_is_separate_punct() {
-        let toks = tokenize("20%");
+        let toks: Vec<Token> = tokenize("20%").collect();
         assert_eq!(toks[0].text, "20");
         assert_eq!(toks[1].text, "%");
         assert_eq!(toks[1].kind, TokenKind::Punct);
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn apostrophes() {
-        let toks = tokenize("patient's symptoms don't improve");
+        let toks: Vec<Token> = tokenize("patient's symptoms don't improve").collect();
         assert_eq!(toks[0].text, "patient's");
         assert_eq!(toks[2].text, "don't");
     }
@@ -235,7 +238,7 @@ mod tests {
     #[test]
     fn unicode_text() {
         let text = "naïve café 概念 42";
-        let toks = tokenize(text);
+        let toks: Vec<Token> = tokenize(text).collect();
         for t in &toks {
             assert_eq!(&text[t.start..t.end], t.text);
         }
@@ -244,8 +247,8 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace() {
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("   \t\n ").is_empty());
+        assert_eq!(tokenize("").next(), None);
+        assert_eq!(tokenize("   \t\n ").next(), None);
     }
 
     #[test]
@@ -256,7 +259,7 @@ mod tests {
 
     #[test]
     fn acronym_detection() {
-        let toks = tokenize("the EHR system");
+        let toks: Vec<Token> = tokenize("the EHR system").collect();
         assert!(toks[1].is_acronym());
         assert!(!toks[0].is_acronym());
         assert!(!toks[2].is_acronym());
@@ -264,7 +267,7 @@ mod tests {
 
     #[test]
     fn capitalized_detection() {
-        let toks = tokenize("Alice met bob");
+        let toks: Vec<Token> = tokenize("Alice met bob").collect();
         assert!(toks[0].is_capitalized());
         assert!(!toks[2].is_capitalized());
     }

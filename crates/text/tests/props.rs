@@ -6,7 +6,8 @@ use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_text::bm25::Bm25Params;
 use unisem_text::{
-    chunk_sentences, jaro_winkler, split_sentences, stem, tokenize, Bm25Index, ChunkConfig,
+    chunk_sentences, jaro_winkler, normalize_token, split_sentences, stem, tokenize,
+    tokenize_words, Bm25Index, ChunkConfig, TokenKind,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -28,7 +29,7 @@ fn sentences() -> Gen<String> {
 // Token spans always slice back to the token text.
 prop_check!(token_spans_roundtrip, unicode_strings(0, 200), |s| {
     for t in tokenize(s) {
-        prop_assert_eq!(&s[t.start..t.end], t.text.as_str());
+        prop_assert_eq!(&s[t.start..t.end], t.text);
     }
     Ok(())
 });
@@ -40,6 +41,138 @@ prop_check!(tokens_have_no_whitespace, unicode_strings(0, 200), |s| {
     }
     Ok(())
 });
+
+/// Letters with awkward case mappings (the Kelvin sign folds to ASCII `k`,
+/// `İ` to two code points, `ß` has no single upper case), ASCII letters,
+/// digits, every joiner the tokenizer looks ahead across, and whitespace.
+const AWKWARD: &str = "aeiKk\u{212a}\u{130}\u{df}\u{c9}Zs 9 0-'.,+%\t";
+
+/// A token of the owned tokenizer the borrowed one replaced.
+#[derive(Debug, PartialEq)]
+struct OwnedToken {
+    text: String,
+    kind: TokenKind,
+    start: usize,
+    end: usize,
+}
+
+/// The tokenizer as it was: `char_indices` collected into a `Vec`, then a
+/// `String` per token.
+fn tokenize_owned(text: &str) -> Vec<OwnedToken> {
+    let bytes = text.char_indices().collect::<Vec<_>>();
+    let mut tokens: Vec<OwnedToken> = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let (off, c) = bytes[i];
+        if c.is_whitespace() {
+            i += 1;
+            continue;
+        }
+        if c.is_alphabetic() {
+            let start = off;
+            let mut j = i + 1;
+            while j < bytes.len() {
+                let (_, cj) = bytes[j];
+                if cj.is_alphanumeric() {
+                    j += 1;
+                } else if (cj == '\'' || cj == '-')
+                    && j + 1 < bytes.len()
+                    && bytes[j + 1].1.is_alphanumeric()
+                {
+                    j += 2;
+                } else {
+                    break;
+                }
+            }
+            let end = if j < bytes.len() { bytes[j].0 } else { text.len() };
+            let text = text[start..end].to_string();
+            tokens.push(OwnedToken { text, kind: TokenKind::Word, start, end });
+            i = j;
+        } else if c.is_ascii_digit()
+            || ((c == '-' || c == '+')
+                && i + 1 < bytes.len()
+                && bytes[i + 1].1.is_ascii_digit()
+                && tokens.last().map_or(true, |t| t.end < off))
+        {
+            let start = off;
+            let mut j = if c == '-' || c == '+' { i + 1 } else { i };
+            while j < bytes.len() {
+                let (_, cj) = bytes[j];
+                if cj.is_ascii_digit() {
+                    j += 1;
+                } else if (cj == '.' || cj == ',')
+                    && j + 1 < bytes.len()
+                    && bytes[j + 1].1.is_ascii_digit()
+                {
+                    j += 2;
+                } else {
+                    break;
+                }
+            }
+            let end = if j < bytes.len() { bytes[j].0 } else { text.len() };
+            let text = text[start..end].to_string();
+            tokens.push(OwnedToken { text, kind: TokenKind::Number, start, end });
+            i = j;
+        } else {
+            let end = off + c.len_utf8();
+            let text = text[off..end].to_string();
+            tokens.push(OwnedToken { text, kind: TokenKind::Punct, start: off, end });
+            i += 1;
+        }
+    }
+    tokens
+}
+
+// The borrowed tokenizer yields the owned one's tokens: kind, span, text.
+prop_check!(
+    borrowed_tokens_match_owned_tokenizer,
+    zip(&string_of(AWKWARD, 0, 80), &unicode_strings(0, 40)),
+    |p| {
+        for text in [&p.0, &p.1] {
+            let got: Vec<OwnedToken> = tokenize(text)
+                .map(|t| OwnedToken {
+                    text: t.text.to_string(),
+                    kind: t.kind,
+                    start: t.start,
+                    end: t.end,
+                })
+                .collect();
+            prop_assert_eq!(got, tokenize_owned(text), "{text:?}");
+        }
+        Ok(())
+    }
+);
+
+/// BM25's index terms as they were: owned lower-cased words, each
+/// normalized again.
+fn index_terms_owned(text: &str) -> Vec<String> {
+    tokenize_words(text).iter().map(|w| normalize_token(w)).collect()
+}
+
+// A raw-text search folds its terms in a reused buffer: same hits, same
+// bits, same postings as a search over the owned terms.
+prop_check!(
+    search_matches_owned_query_terms,
+    zip(&vec_of(&string_of(AWKWARD, 0, 24), 0, 12), &string_of(AWKWARD, 0, 24)),
+    |p| {
+        let (docs, query) = p;
+        let mut ix = Bm25Index::default();
+        for d in docs {
+            ix.add_document(d);
+        }
+        let mut owned = Bm25Index::default();
+        for d in docs {
+            owned.add_terms(&index_terms_owned(d));
+        }
+        prop_assert_eq!(ix.postings(), owned.postings());
+        let (got, got_scanned) = ix.search(query, 5);
+        let (want, want_scanned) = ix.search_terms(&index_terms_owned(query), 5);
+        prop_assert_eq!(bits(&got), bits(&want), "{query:?}");
+        prop_assert_eq!(got_scanned, want_scanned);
+        prop_assert_eq!(ix.postings_scanned(query), want_scanned);
+        Ok(())
+    }
+);
 
 // Sentence splitting loses no non-whitespace characters.
 prop_check!(

@@ -1,0 +1,168 @@
+//! Work-count gate for the heap (DESIGN.md §5c): the allocations and bytes
+//! an `answer` requests, pinned exactly per QA category on both workloads,
+//! and a token count that allocates nothing. Counted by a wrapper around
+//! the system allocator, never by a clock.
+//!
+//! The counters are per thread and an `answer` spawns nothing (the spawns
+//! gate), so a count taken around one call is that call's alone. This
+//! binary still holds a single `#[test]`, like the spawns gate: the
+//! process-wide allocator is this file's, and one test keeps what it counts
+//! obvious. An allocation is a call to `alloc`, `alloc_zeroed` or
+//! `realloc`; its bytes are the size requested (the new size for a
+//! `realloc`). Frees are not counted.
+//!
+//! The pinned counts change whenever the answer path allocates differently.
+//! A change that lowers them updates the table; one that raises them says
+//! why in CHANGES.md.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, UnifiedEngine};
+use unisem_workloads::ecommerce::DocSpec;
+use unisem_workloads::{
+    EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
+};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    // `try_with`: an allocation during thread teardown is simply not counted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialized thread-locals, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes)` this thread requests while `f` runs.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0)
+}
+
+fn build(
+    lexicon: &unisem_slm::Lexicon,
+    db: &unisem_relstore::Database,
+    semi: &unisem_semistore::SemiStore,
+    documents: &[DocSpec],
+) -> UnifiedEngine {
+    // Pinned, whatever UNISEM_FAULTS and UNISEM_TRACE say outside.
+    let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
+    let mut b = EngineBuilder::with_config(lexicon.clone(), config);
+    for name in db.table_names() {
+        b.add_table(name, db.table(name).expect("listed").clone()).expect("fresh");
+    }
+    for coll in semi.collections() {
+        for doc in semi.docs(coll) {
+            b.add_json(coll, doc.clone());
+        }
+    }
+    for d in documents {
+        b.add_document(d.title.clone(), d.text.clone(), d.source.clone());
+    }
+    let mut engine = b.build().0;
+    engine.set_trace_sink(Arc::new(tracekit::TraceSink::off()));
+    engine
+}
+
+#[test]
+fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
+    let e = EcommerceWorkload::generate(EcommerceConfig {
+        products: 24,
+        quarters: 4,
+        reviews_per_product: 2,
+        qa_per_category: 8,
+        seed: 0xD1FF,
+        name_offset: 0,
+    });
+    let h = HealthcareWorkload::generate(HealthcareConfig {
+        drugs: 8,
+        patients: 12,
+        trials_per_drug: 3,
+        qa_per_category: 8,
+        seed: 0x4EA17,
+    });
+    // (category, questions, allocations, bytes), summed over the category's
+    // questions on the second pass over the workload.
+    let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
+        [
+            ("aggregate", 8, 3227, 152805),
+            ("comparative", 8, 4547, 217809),
+            ("cross_modal", 8, 4651, 646727),
+            ("lookup", 8, 4140, 541438),
+            ("multi_entity", 5, 2274, 112493),
+            ("unanswerable", 8, 4467, 420799),
+        ],
+        [
+            ("aggregate", 8, 2858, 131779),
+            ("comparative", 8, 3749, 182109),
+            ("cross_modal", 8, 3422, 401480),
+            ("lookup", 8, 3042, 345165),
+            ("multi_entity", 8, 3782, 169485),
+            ("unanswerable", 8, 3800, 327334),
+        ],
+    ];
+    let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [
+        ("ecommerce", &e.lexicon, &e.db, &e.semi, &e.documents, &e.qa),
+        ("healthcare", &h.lexicon, &h.db, &h.semi, &h.documents, &h.qa),
+    ];
+    for ((name, lexicon, db, semi, documents, qa), want) in corpora.into_iter().zip(pinned) {
+        // The meter's token count is computed, never materialized.
+        let questions = qa.iter().map(|q| q.question.as_str());
+        for text in documents.iter().map(|d| d.text.as_str()).chain(questions) {
+            let (_, allocs, _) = counted(|| unisem_slm::count_tokens(text));
+            assert_eq!(allocs, 0, "{name}: count_tokens allocated on {text:?}");
+        }
+
+        let engine = build(lexicon, db, semi, documents);
+        // A first pass settles whatever the engine sets up lazily.
+        for item in qa {
+            engine.answer(&item.question);
+        }
+        let mut got: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+        for item in qa {
+            let (_, allocs, bytes) = counted(|| engine.answer(&item.question));
+            let (questions, a, b) = got.entry(item.category.label()).or_default();
+            *questions += 1;
+            *a += allocs;
+            *b += bytes;
+        }
+        for (category, (questions, allocs, bytes)) in &got {
+            println!("{name} {category}: {questions} answers, {allocs} allocations, {bytes} bytes");
+        }
+        let want: BTreeMap<&str, (u64, u64, u64)> = want.map(|(c, q, a, b)| (c, (q, a, b))).into();
+        assert_eq!(got, want, "{name}: allocations per category moved");
+    }
+}
