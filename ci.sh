@@ -87,14 +87,18 @@ echo "==> relstore probe == scan, 16x deeper than tier-1"
 # same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
 
-echo "==> borrowed text analysis == the owned forms, 16x deeper than tier-1"
+echo "==> borrowed text analysis and bounded anchor linking == the reference forms, 16x deeper than tier-1"
 # Tokens borrow their text, case folding and stemming write into a reused
 # buffer, and the meter counts subword tokens without building them
 # (DESIGN.md §5c). The differential properties holding each to the form it
 # replaced — the owned tokenizer, to_lowercase, the allocating stemmer,
 # BM25 over owned terms, the materialized subword split — run 1024 cases
-# here, 64 in tier-1, with the rest of both crates' suites.
-CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm
+# here, 64 in tier-1, with the rest of the crates' suites. So do the
+# thresholded Jaro-Winkler's soundness properties (a bound may reject only
+# what the full score would) and the retriever's tree-map oracle, which
+# holds bounded fuzzy linking and the split-once containment walk to the
+# per-mention, per-word walks they replaced (DESIGN.md §5b).
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-retrieval
 
 echo "==> every example runs"
 # The README calls every example runnable, and several cross-check the

@@ -5,7 +5,9 @@
 //! 1. **Anchor extraction** — the SLM tags entities in the query; each
 //!    mention is linked to a graph entity node (exact canonical match,
 //!    falling back to fuzzy Jaro-Winkler linking, falling back to token
-//!    containment).
+//!    containment). Both fallbacks walk the entities once: fuzzy linking
+//!    scores only the labels a unit-count bound cannot rule out, and the
+//!    containment walk splits each label once for all query words.
 //! 2. **Bounded traversal** — cost-bounded Dijkstra from the anchors
 //!    limits scoring to a sparse frontier (this is the efficiency claim:
 //!    far-away chunks are *never touched*, unlike a dense scan that must
@@ -26,7 +28,7 @@ use unisem_hetgraph::{HetGraph, NodeId, NodeKind};
 use unisem_slm::ner::EntityKind;
 use unisem_slm::Slm;
 use unisem_text::normalize::{is_stopword, lower_into};
-use unisem_text::similarity::jaro_winkler;
+use unisem_text::similarity::JaroWinklerAtLeast;
 use unisem_text::tokenize::{tokenize, TokenKind};
 
 use crate::{ChunkRetriever, RetrievalResult};
@@ -53,7 +55,10 @@ pub struct TopologyConfig {
     pub alpha: f64,
     /// Weight of the lexical (BM25) score in the fusion.
     pub beta: f64,
-    /// Minimum Jaro-Winkler similarity for fuzzy anchor linking.
+    /// Minimum Jaro-Winkler similarity for fuzzy anchor linking. A label
+    /// whose similarity provably cannot reach it is never scored
+    /// ([`JaroWinklerAtLeast`]), so a high threshold also makes the
+    /// fallback cheaper.
     pub fuzzy_threshold: f64,
     /// Resource governor: maximum distinct nodes a single traversal may
     /// discover. Expansion order is deterministic (cost, then node id), so
@@ -187,7 +192,6 @@ impl TopologyRetriever {
         let mentions = self.slm.tag_entities(query);
         let mut primary: Vec<NodeId> = Vec::new();
         let mut constraints: Vec<NodeId> = Vec::new();
-        let mut unmatched: Vec<String> = Vec::new();
         for m in &mentions {
             // Quantities/percents are filter values; metrics ("sales",
             // "rating") are predicates over whatever entity the query names
@@ -196,36 +200,14 @@ impl TopologyRetriever {
             if matches!(m.kind, EntityKind::Quantity | EntityKind::Percent | EntityKind::Metric) {
                 continue;
             }
-            match self.graph.entity_by_name(&m.canonical()) {
-                Some(id) => {
-                    if m.kind.is_value() {
-                        constraints.push(id);
-                    } else {
-                        primary.push(id);
-                    }
-                }
-                None => {
-                    if !m.kind.is_value() {
-                        unmatched.push(m.canonical());
-                    }
-                }
+            let name = m.canonical();
+            match self.graph.entity_by_name(&name) {
+                Some(id) if m.kind.is_value() => constraints.push(id),
+                Some(id) => primary.push(id),
+                // Fuzzy fallback for an unmatched referential mention.
+                None if !m.kind.is_value() => primary.extend(self.link_fuzzy(&name)),
+                None => {}
             }
-        }
-        // Fuzzy fallback for unmatched referential mentions: one walk over
-        // the entities scores every mention; of equally similar entities the
-        // last one walked wins.
-        if !unmatched.is_empty() {
-            let mut best: Vec<Option<(NodeId, f64)>> = vec![None; unmatched.len()];
-            for n in self.graph.entities() {
-                for (name, best) in unmatched.iter().zip(&mut best) {
-                    let s = jaro_winkler(&n.label, name);
-                    let beaten = best.is_some_and(|(_, top)| top > s);
-                    if s >= self.config.fuzzy_threshold && !beaten {
-                        *best = Some((n.id, s));
-                    }
-                }
-            }
-            primary.extend(best.into_iter().flatten().map(|(id, _)| id));
         }
         // Last resort: content-word containment against entity labels, the
         // highest-degree entity per word (the last walked among equals).
@@ -250,11 +232,15 @@ impl TopologyRetriever {
                 if !referential {
                     continue;
                 }
-                for (w, best) in words.iter().zip(&mut best) {
-                    if n.label.split_whitespace().any(|part| part == w) {
-                        let degree = self.graph.degree(n.id);
-                        if !best.is_some_and(|(_, top)| top > degree) {
-                            *best = Some((n.id, degree));
+                // One split per label; a word its label holds twice is
+                // offered the same entity twice, which changes nothing.
+                for part in n.label.split_whitespace() {
+                    for (w, best) in words.iter().zip(&mut best) {
+                        if part == w {
+                            let degree = self.graph.degree(n.id);
+                            if !best.is_some_and(|(_, top)| top > degree) {
+                                *best = Some((n.id, degree));
+                            }
                         }
                     }
                 }
@@ -266,6 +252,22 @@ impl TopologyRetriever {
         constraints.sort();
         constraints.dedup();
         (primary, constraints)
+    }
+
+    /// The entity most similar to `name` at or above `fuzzy_threshold`, the
+    /// last walked among equals. Only labels whose similarity can reach the
+    /// threshold are scored ([`JaroWinklerAtLeast`]).
+    fn link_fuzzy(&self, name: &str) -> Option<NodeId> {
+        let similar = JaroWinklerAtLeast::new(name, self.config.fuzzy_threshold);
+        let mut best: Option<(NodeId, f64)> = None;
+        for n in self.graph.entities() {
+            if let Some(s) = similar.score(&n.label) {
+                if !best.is_some_and(|(_, top)| top > s) {
+                    best = Some((n.id, s));
+                }
+            }
+        }
+        best.map(|(id, _)| id)
     }
 
     /// Hub-damped Dijkstra over edge traversal costs, cut off at
@@ -546,7 +548,7 @@ mod tests {
     #[test]
     fn anchors_fuzzy_fallback() {
         let r = retriever();
-        // "Drg A" is a typo; fuzzy linking should still find drug a.
+        // "Druga" is a typo; fuzzy linking should still find drug a.
         let a = r.anchors("side effects of Druga");
         assert!(!a.is_empty());
     }

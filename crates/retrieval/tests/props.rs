@@ -14,7 +14,7 @@ use unisem_hetgraph::{GraphBuilder, HetGraph, NodeId, NodeKind};
 use unisem_retrieval::{RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats};
 use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
 use unisem_text::normalize::is_stopword;
-use unisem_text::similarity::jaro_winkler;
+use unisem_text::similarity::{jaro_winkler, JaroWinklerAtLeast};
 use unisem_text::tokenize::tokenize_words;
 
 /// Phrases documents are made of: lexicon entities of referential, value
@@ -361,10 +361,24 @@ prop_check!(containment_fallback_matches_tree_map_reference, cases(&[UNTAGGED_WO
     check_against_reference(case, TopologyConfig::default()).map(|_| ())
 });
 
-// The generator reaches every branch the properties above are about.
+/// The referential mentions of `query` no entity is named exactly: the
+/// ones fuzzy linking scores labels for.
+fn unmatched_mentions(slm: &Slm, graph: &HetGraph, query: &str) -> Vec<String> {
+    slm.tag_entities(query)
+        .iter()
+        .filter(|m| !m.kind.is_value() && m.kind != EntityKind::Metric)
+        .map(|m| m.canonical())
+        .filter(|name| graph.entity_by_name(name).is_none())
+        .collect()
+}
+
+// The generator reaches every branch the properties above are about,
+// including both sides of the fuzzy linker's bound: a mention the bound
+// rules out against every label, and mentions that link at 0.7 and at 0.88.
 #[test]
 fn generated_cases_cover_the_branches() {
     let (mut capped, mut fallback, mut traversed, mut multi_anchor) = (0, 0, 0, 0);
+    let (mut ruled_out, mut linked_loose, mut linked_default) = (0, 0, 0);
     let mut rng = detkit::Rng::new(7);
     for _ in 0..64 {
         let case = mixed_cases().generate(&mut rng).value().clone();
@@ -374,6 +388,20 @@ fn generated_cases_cover_the_branches() {
         fallback += usize::from(stats.lexical_fallback);
         traversed += usize::from(stats.chunks_scored > 0);
         multi_anchor += usize::from(stats.anchors > 1);
+
+        let (slm, graph, _) = substrates(&case.0);
+        for name in unmatched_mentions(&slm, &graph, &case.1) {
+            let loose = JaroWinklerAtLeast::new(&name, 0.7);
+            let default = JaroWinklerAtLeast::new(&name, 0.88);
+            ruled_out += usize::from(graph.entities().all(|n| !loose.may_reach(&n.label)));
+            linked_loose += usize::from(graph.entities().any(|n| loose.score(&n.label).is_some()));
+            linked_default +=
+                usize::from(graph.entities().any(|n| default.score(&n.label).is_some()));
+        }
     }
     assert!(capped > 0 && fallback > 0 && traversed > 0 && multi_anchor > 0);
+    assert!(
+        ruled_out > 0 && linked_loose > 0 && linked_default > 0,
+        "{ruled_out} ruled out, {linked_loose} linked at 0.7, {linked_default} at 0.88"
+    );
 }

@@ -12,7 +12,7 @@ use std::fmt;
 
 use unisem_relstore::plan::{AggExpr, AggFunc, SortKey};
 use unisem_relstore::{Database, Expr, LogicalPlan, RelError, Schema, Value};
-use unisem_text::similarity::jaro_winkler;
+use unisem_text::similarity::JaroWinklerAtLeast;
 
 use crate::intent::{CmpOp, FilterIntent, QueryIntent, SortIntent};
 
@@ -105,13 +105,13 @@ pub fn resolve_metric_column(schema: &Schema, hint: &str) -> Option<String> {
             }
         }
     }
+    let similar = JaroWinklerAtLeast::new(&hint, 0.88);
     schema
         .columns()
         .iter()
-        .map(|c| (c.name.clone(), jaro_winkler(&c.name.to_lowercase(), &hint)))
-        .filter(|(_, s)| *s >= 0.88)
+        .filter_map(|c| Some((c, similar.score(&c.name.to_lowercase())?)))
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(n, _)| n)
+        .map(|(c, _)| c.name.clone())
 }
 
 fn resolve_from(schema: &Schema, candidates: &[&str]) -> Option<String> {

@@ -13,7 +13,8 @@
 //! - [`normalize`]: case folding, a Porter-style stemmer, and a stopword list,
 //!   each with a form that writes into a caller's buffer,
 //! - [`ngram`]: character n-gram extraction,
-//! - [`similarity`]: Jaro-Winkler / cosine measures,
+//! - [`similarity`]: Jaro-Winkler (also thresholded, pruning by a bound) and
+//!   cosine measures,
 //! - [`bm25`]: an Okapi BM25 scorer over tokenized documents.
 //!
 //! Everything here is pure and deterministic: no randomness, no clocks, no
@@ -33,5 +34,5 @@ pub use chunk::{chunk_sentences, Chunk, ChunkConfig};
 pub use distinct::distinct_ids;
 pub use normalize::{is_stopword, lower_into, normalize_into, normalize_token, stem, stem_into};
 pub use sentence::split_sentences;
-pub use similarity::jaro_winkler;
+pub use similarity::{jaro_winkler, JaroWinklerAtLeast};
 pub use tokenize::{tokenize, tokenize_words, Token, TokenKind, Tokens};

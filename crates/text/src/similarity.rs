@@ -67,6 +67,102 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     j + prefix * 0.1 * (1.0 - j)
 }
 
+/// Slack under the threshold before a bound rejects: the bound and the score
+/// are computed with different rounding, each within a few ulps of 1.
+const ROUNDING_SLACK: f64 = 1e-9;
+
+/// [`jaro_winkler`] against one fixed string, reporting only scores at or
+/// above a threshold.
+///
+/// Prepared once (a byte count of the fixed string when it is ASCII), it
+/// rejects a candidate whose similarity provably cannot reach the threshold
+/// before building a match table. Jaro is `(m/|a| + m/|b| + (m − t)/m) / 3`
+/// with `m` matches and `t ≤ m` transpositions, so it is at most
+/// `(m̂/|a| + m̂/|b| + 1) / 3` for any `m̂ ≥ m`: the shorter char length,
+/// then, when both strings are ASCII and the length admits the candidate,
+/// their common-byte multiset count.
+/// The Winkler boost adds `p · 0.1 · (1 − Jaro)` for the shared prefix
+/// `p ≤ 4`, which grows with Jaro, so the bound takes the candidate's own
+/// `p` (or more). Every candidate the bound admits is scored by `jaro_winkler`
+/// itself, so a reported score is its exact bits.
+#[derive(Debug, Clone)]
+pub struct JaroWinklerAtLeast<'b> {
+    b: &'b str,
+    threshold: f64,
+    /// `b`'s length in chars.
+    b_len: usize,
+    /// How often each byte occurs in `b`, when `b` is ASCII and no count
+    /// overflows.
+    bytes: Option<[u16; 128]>,
+}
+
+impl<'b> JaroWinklerAtLeast<'b> {
+    /// Prepares `b`; [`Self::score`] compares candidates against it.
+    pub fn new(b: &'b str, threshold: f64) -> Self {
+        let bytes = (b.is_ascii() && b.len() <= usize::from(u16::MAX)).then(|| {
+            let mut counts = [0u16; 128];
+            for &c in b.as_bytes() {
+                counts[usize::from(c)] += 1;
+            }
+            counts
+        });
+        Self { b, threshold, b_len: b.chars().count(), bytes }
+    }
+
+    /// `Some(jaro_winkler(a, b))` when it is at least the threshold, `None`
+    /// otherwise.
+    pub fn score(&self, a: &str) -> Option<f64> {
+        if !self.may_reach(a) {
+            return None;
+        }
+        let s = jaro_winkler(a, self.b);
+        (s >= self.threshold).then_some(s)
+    }
+
+    /// False when the bound proves `jaro_winkler(a, b)` is below the
+    /// threshold; [`Self::score`] compares only the candidates it admits.
+    pub fn may_reach(&self, a: &str) -> bool {
+        let ascii = a.is_ascii();
+        let a_len = if ascii { a.len() } else { a.chars().count() };
+        if a_len == 0 || self.b_len == 0 {
+            // The bound divides by both lengths; `jaro_winkler` answers at
+            // once (two empty strings score 1.0, one scores 0.0).
+            return true;
+        }
+        // Equal leading bytes, capped at 4, are at least the equal leading
+        // chars that Winkler counts, and cheaper to compare.
+        let prefix = a.bytes().zip(self.b.bytes()).take(4).take_while(|(x, y)| x == y).count();
+        let can_reach = |m: usize| {
+            let m = m as f64;
+            let jaro = (m / a_len as f64 + m / self.b_len as f64 + 1.0) / 3.0;
+            jaro + prefix as f64 * 0.1 * (1.0 - jaro) + ROUNDING_SLACK >= self.threshold
+        };
+        // Matches never outnumber the shorter string's units; when both
+        // are ASCII, nor the bytes the two have in common (a dearer count,
+        // taken only if the cheap one admits `a`).
+        can_reach(a_len.min(self.b_len))
+            && match &self.bytes {
+                Some(counts) if ascii => can_reach(common_bytes(counts, a)),
+                _ => true,
+            }
+    }
+}
+
+/// How many bytes of `a` a string with byte counts `counts` has in common
+/// with it, counted as multisets. `a` is ASCII.
+fn common_bytes(counts: &[u16; 128], a: &str) -> usize {
+    let mut left = *counts;
+    let mut common = 0;
+    for &c in a.as_bytes() {
+        let n = &mut left[usize::from(c)];
+        if *n > 0 {
+            *n -= 1;
+            common += 1;
+        }
+    }
+    common
+}
+
 /// Cosine similarity between two dense vectors of equal length.
 ///
 /// Returns 0.0 when either vector is all-zero. Panics if lengths differ.

@@ -7,7 +7,7 @@ use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_text::bm25::Bm25Params;
 use unisem_text::{
     chunk_sentences, jaro_winkler, normalize_token, split_sentences, stem, tokenize,
-    tokenize_words, Bm25Index, ChunkConfig, TokenKind,
+    tokenize_words, Bm25Index, ChunkConfig, JaroWinklerAtLeast, TokenKind,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -296,6 +296,57 @@ prop_check!(
         Ok(())
     }
 );
+
+/// The thresholded scorer reports `jaro_winkler(a, b)`'s exact bits when it
+/// is at least the threshold and nothing otherwise, for the engine's two
+/// thresholds, thresholds at and one ulp either side of the pair's own
+/// score, and thresholds at or below 0.4 (which no bound may prune on an
+/// empty string: two empties score 1.0).
+fn at_least_is_exact(a: &str, b: &str) -> Result<(), String> {
+    let s = jaro_winkler(a, b);
+    let near = [s, f64::from_bits(s.to_bits() + 1), f64::from_bits(s.to_bits().saturating_sub(1))];
+    for t in [0.0, 0.2, 0.4, 0.7, 0.88, 1.0, s - 0.01, s + 0.01].into_iter().chain(near) {
+        let want = (s >= t).then_some(s.to_bits());
+        let got = JaroWinklerAtLeast::new(b, t).score(a).map(f64::to_bits);
+        prop_assert_eq!(got, want, "{a:?} {b:?} t = {t}");
+    }
+    Ok(())
+}
+
+prop_check!(
+    jaro_winkler_at_least_is_exact_on_ascii,
+    zip(&string_of("abcd ", 0, 24), &string_of("abcd ", 0, 24)),
+    |p| at_least_is_exact(&p.0, &p.1)
+);
+
+prop_check!(
+    jaro_winkler_at_least_is_exact_on_unicode,
+    zip(&unicode_strings(0, 24), &unicode_strings(0, 24)),
+    |p| at_least_is_exact(&p.0, &p.1)
+);
+
+prop_check!(
+    jaro_winkler_at_least_is_exact_on_long_strings,
+    zip(&string_of("abc", 60, 90), &string_of("abc", 60, 90)),
+    |p| at_least_is_exact(&p.0, &p.1)
+);
+
+// Mixed ASCII and non-ASCII sides take the char-length bound.
+prop_check!(
+    jaro_winkler_at_least_is_exact_across_scripts,
+    zip(&string_of("abcd ", 0, 24), &unicode_strings(0, 24)),
+    |p| at_least_is_exact(&p.0, &p.1).and_then(|()| at_least_is_exact(&p.1, &p.0))
+);
+
+#[test]
+fn jaro_winkler_at_least_edge_cases() {
+    assert_eq!(JaroWinklerAtLeast::new("", 0.9).score(""), Some(1.0));
+    assert_eq!(JaroWinklerAtLeast::new("abc", 0.0).score(""), Some(0.0));
+    assert_eq!(JaroWinklerAtLeast::new("", 0.1).score("abc"), None);
+    assert_eq!(JaroWinklerAtLeast::new("xyz", 0.0).score("abc"), Some(0.0));
+    // The Winkler boost carries "abcd"/"abce" (Jaro 0.83) over 0.88.
+    assert!(JaroWinklerAtLeast::new("abce", 0.88).score("abcd").is_some());
+}
 
 /// BM25 scoring as it was: a tree map of scores, every match collected and
 /// fully sorted, then truncated. Returns the hits and the postings scanned.

@@ -118,20 +118,20 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 3227, 152805),
-            ("comparative", 8, 4547, 217809),
+            ("aggregate", 8, 3179, 152445),
+            ("comparative", 8, 4499, 217449),
             ("cross_modal", 8, 4651, 646727),
             ("lookup", 8, 4140, 541438),
-            ("multi_entity", 5, 2274, 112493),
-            ("unanswerable", 8, 4467, 420799),
+            ("multi_entity", 5, 2194, 111938),
+            ("unanswerable", 8, 4387, 419287),
         ],
         [
-            ("aggregate", 8, 2858, 131779),
-            ("comparative", 8, 3749, 182109),
+            ("aggregate", 8, 2754, 131075),
+            ("comparative", 8, 3645, 181405),
             ("cross_modal", 8, 3422, 401480),
             ("lookup", 8, 3042, 345165),
-            ("multi_entity", 8, 3782, 169485),
-            ("unanswerable", 8, 3800, 327334),
+            ("multi_entity", 8, 3574, 168077),
+            ("unanswerable", 8, 3672, 325590),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [
