@@ -4,15 +4,20 @@
 # Verifies the zero-dependency policy (DESIGN.md §7): the whole workspace
 # must format-check, build, and test with the network hard-disabled (the
 # tier-1 hermetic test rejects any Cargo.lock package with a source) — and
-# the determinism contract must hold statically: udlint (crates/lintkit)
-# lexes every engine source and audits panics, hash-order iteration,
-# wall-clock reads, raw threads, env reads and uncovered storage I/O. See
-# DESIGN.md §10.
+# the determinism contract must hold statically: clippy, configured by
+# clippy.toml and the manifests' [lints] tables, rejects panics in the
+# panic-free crates, hash collections, clock reads, raw threads, env reads
+# and storage I/O outside their sanctioned sites. See DESIGN.md §10.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy -D warnings (determinism contract, DESIGN.md §10)"
+# Each sanctioned site carries #[expect(clippy::…, reason = "…")]; an unused
+# one fails here too, and tier-1's hermetic suite pins the set.
+CARGO_NET_OFFLINE=true cargo clippy --workspace --offline -- -D warnings
 
 echo "==> offline release build"
 CARGO_NET_OFFLINE=true cargo build --release
@@ -38,18 +43,6 @@ echo "==> no tree map over dense ids on the retrieval query path"
 for f in crates/text/src/bm25.rs crates/retrieval/src/topology.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'BTreeMap<(usize|NodeId),'; then
         echo "ERROR: $f keys a BTreeMap by a dense id outside #[cfg(test)] (see DESIGN.md §5b: index a Vec by the id instead)"
-        exit 1
-    fi
-done
-
-echo "==> no hash set in the entropy stage"
-# An answer's content words and tokens are sorted, deduplicated slices, set
-# algebra over them is one merge, and each is built once per distinct sample
-# (DESIGN.md §5b); the hash-set forms live on only as oracles in
-# crates/entropy/tests/props.rs.
-for f in crates/entropy/src/*.rs; do
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Hash(Set|Map)'; then
-        echo "ERROR: $f uses a HashSet or HashMap outside #[cfg(test)] (see DESIGN.md §5b, \"Entropy over distinct samples\": merge the sorted slices instead)"
         exit 1
     fi
 done
@@ -99,6 +92,14 @@ echo "==> borrowed text analysis and bounded anchor linking == the reference for
 # holds bounded fuzzy linking and the split-once containment walk to the
 # per-mention, per-word walks they replaced (DESIGN.md §5b).
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-retrieval
+
+echo "==> totality: hostile questions and corrupted snapshots never panic, 16x deeper than tier-1"
+# clippy rules out unwrap and panic! in the panic-free crates; an index, a
+# slice or an overflow it cannot see. Workload questions mutated with the
+# Kelvin sign, İ, combining marks, NUL, % and _ must answer, and snapshots
+# with flipped, zeroed or 0xFF-run section bytes (checksums recomputed) must
+# open to a typed error or to an engine that answers.
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-tests --test totality
 
 echo "==> every example runs"
 # The README calls every example runnable, and several cross-check the
@@ -186,21 +187,5 @@ echo "==> unibench --check (benchmark output checks, BENCHMARK.json)"
 # the committed rows against BENCHMARK.json.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check >/dev/null
 bash -n bench-baseline.sh
-
-echo "==> udlint --deny all (static determinism-contract audit)"
-# udlint keeps only the rules nothing else enforces: the compiler closes the
-# metric and component namespaces, Cargo.lock records path-only
-# dependencies, and a tier-1 liveness test catches a registry series the
-# engine never records. Every lint is a pass over one file's token stream:
-# the unwrap audit, hash-order iteration, wall-clock reads outside
-# tracekit::wall — not suppressible, raw thread spawns, env reads outside
-# the UNISEM_* surface, and the per-function uncovered-io-site rule on
-# storekit. `udlint --list` names every lint, `udlint --explain <lint>`
-# documents each one; suppressions need
-# `// udlint: allow(<lint>) -- <reason>`. That the JSON
-# report is byte-identical across runs and that the suppression count
-# stays within lint-budget.txt are tier-1 tests
-# (crates/lintkit/tests/selfcheck.rs), not gates here.
-CARGO_NET_OFFLINE=true cargo run -q --release -p lintkit --bin udlint -- --deny all
 
 echo "==> OK: workspace is hermetic"

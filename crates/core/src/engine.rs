@@ -108,17 +108,11 @@ impl From<storekit::StoreError> for EngineError {
 /// after an ingest drops it — run on `parkit::global()` — `UNISEM_THREADS`,
 /// else the machine's available parallelism — whatever is set here.
 /// Nothing on the per-query path forks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelConfig {
     /// Worker threads for batch answering. `0` (the default) resolves at
     /// use time to `parkit::global()`.
     pub threads: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self { threads: 0 }
-    }
 }
 
 impl ParallelConfig {

@@ -6,6 +6,7 @@
 //! they cover the query's content terms and entities — a deterministic
 //! stand-in for extractive answer selection.
 
+#[expect(clippy::disallowed_types, reason = "a sentence's term set, below")]
 use std::collections::{BTreeSet, HashSet};
 
 use unisem_slm::SupportedAnswer;
@@ -83,6 +84,7 @@ pub fn extract_evidence_grounded(
     // terms can be IDF-weighted *within the candidate pool*: a term every
     // candidate contains ("sales") cannot discriminate, while a rare one
     // ("q3") pins the right sentence.
+    #[expect(clippy::disallowed_types, reason = "lookup-only: terms are probed, never iterated")]
     struct Cand {
         text: String,
         chunk_id: usize,
@@ -102,6 +104,7 @@ pub fn extract_evidence_grounded(
             }
             // Every lower-cased word and number, normalized; a term is
             // copied only when it is new to the set.
+            #[expect(clippy::disallowed_types, reason = "the Cand::terms set above")]
             let mut terms = HashSet::new();
             for t in tokenize(&sentence).filter(|t| t.kind != TokenKind::Punct) {
                 lower_into(t.text, &mut lower);

@@ -30,6 +30,10 @@
 //! [`baselines`] implements the comparison systems of the evaluation
 //! (naive dense RAG, Text-to-SQL-only, direct SLM) and the ablations.
 
+// Panic-free on untrusted input (DESIGN.md §8, §10).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod answer;
 pub mod baselines;
 pub mod delta;

@@ -104,8 +104,8 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
     let lexicon = decode_lexicon(snap.section("lexicon")?)?;
     let (docs_vec, chunks_vec) = decode_docs(snap.section("docs")?)?;
     let (params, doc_lens) = decode_bm25_meta(snap.section("bm25meta")?)?;
-    let postings = decode_postings(snap.section("bm25.postings")?)?;
-    let db = decode_tables(snap.section("tables")?)?;
+    let postings = decode_postings(snap.section("bm25.postings")?, doc_lens.len())?;
+    let db = decode_tables(snap.section("tables")?, snap.section("graph")?.len())?;
     let graph = decode_graph(snap.section("graph")?)?;
     let ingest = decode_ingest(snap.section("ingest")?)?;
     let applied_seq = decode_walmeta(snap.section("walmeta")?)?;
@@ -138,7 +138,11 @@ fn encode_postings(index: &Bm25Index) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn decode_postings(bytes: &[u8]) -> Result<BTreeMap<String, Vec<(usize, u32)>>, EngineError> {
+/// Posting lists whose doc ids ascend below `n_docs`, as the index wrote them.
+fn decode_postings(
+    bytes: &[u8],
+    n_docs: usize,
+) -> Result<BTreeMap<String, Vec<(usize, u32)>>, EngineError> {
     let mut d = Decoder::new(bytes);
     let nterms = d.count().map_err(EngineError::Store)?;
     let mut postings: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
@@ -152,6 +156,9 @@ fn decode_postings(bytes: &[u8]) -> Result<BTreeMap<String, Vec<(usize, u32)>>, 
         for _ in 0..n {
             let doc = d.usize().map_err(EngineError::Store)?;
             let tf = d.u32().map_err(EngineError::Store)?;
+            if doc >= n_docs || posts.last().is_some_and(|&(prev, _)| prev >= doc) {
+                return Err(invalid(format!("bm25 posting of '{term}' names document {doc}")));
+            }
             posts.push((doc, tf));
         }
         postings.insert(term, posts);
@@ -323,6 +330,10 @@ fn decode_bm25_meta(bytes: &[u8]) -> Result<(Bm25Params, Vec<usize>), EngineErro
     for _ in 0..n {
         doc_lens.push(d.usize().map_err(EngineError::Store)?);
     }
+    // `Bm25Index::from_parts` sums them.
+    if doc_lens.iter().try_fold(0usize, |sum, &len| sum.checked_add(len)).is_none() {
+        return Err(invalid("bm25 document lengths overflow"));
+    }
     Ok((Bm25Params { k1, b }, doc_lens))
 }
 
@@ -418,7 +429,7 @@ fn encode_tables(db: &Database) -> Result<Vec<u8>, EngineError> {
     Ok(e.into_bytes())
 }
 
-fn decode_tables(bytes: &[u8]) -> Result<Database, EngineError> {
+fn decode_tables(bytes: &[u8], graph_bytes: usize) -> Result<Database, EngineError> {
     let mut d = Decoder::new(bytes);
     let ntables = d.count().map_err(EngineError::Store)?;
     let mut db = Database::new();
@@ -434,8 +445,12 @@ fn decode_tables(bytes: &[u8]) -> Result<Database, EngineError> {
         let schema = Schema::new(columns)?;
         // A row takes at least one byte per column, so its count is bounded
         // by the bytes left — except a zero-column table's, whose rows take
-        // none; nothing is allocated by that count.
+        // none: each is a record node of the graph, and a node takes at
+        // least one byte of the graph section.
         let nrows = if ncols == 0 { d.usize() } else { d.count() }.map_err(EngineError::Store)?;
+        if ncols == 0 && nrows > graph_bytes {
+            return Err(invalid(format!("zero-column table {name:?} claims {nrows} rows")));
+        }
         let mut table = Table::empty(schema);
         for _ in 0..nrows {
             let row = (0..ncols).map(|_| decode_value(&mut d)).collect::<Result<_, _>>()?;

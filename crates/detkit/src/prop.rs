@@ -86,8 +86,10 @@ impl<T: 'static> Sample<T> {
 
 /// A reusable generator of shrinkable values.
 pub struct Gen<T> {
-    f: Rc<dyn Fn(&mut Rng) -> Sample<T>>,
+    f: Rc<SampleFn<T>>,
 }
+
+type SampleFn<T> = dyn Fn(&mut Rng) -> Sample<T>;
 
 impl<T> Clone for Gen<T> {
     fn clone(&self) -> Self {

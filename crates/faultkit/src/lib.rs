@@ -398,6 +398,7 @@ impl FaultPlan {
 
     /// The ambient plan from `UNISEM_FAULTS`, if set and well-formed
     /// (malformed specs are ignored rather than crashing the host).
+    #[expect(clippy::disallowed_methods, reason = "UNISEM_FAULTS is documented configuration")]
     pub fn from_env() -> Option<FaultPlan> {
         let spec = std::env::var("UNISEM_FAULTS").ok()?;
         FaultPlan::parse(&spec).ok().filter(|p| !p.is_unset())

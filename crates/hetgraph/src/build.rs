@@ -120,8 +120,7 @@ impl GraphBuilder {
             return;
         }
         let chunks = &all[from_chunk..];
-        let tagged: Vec<Option<(Vec<EntityMention>, Vec<(Token, PosTag)>)>> = if self.index_entities
-        {
+        let tagged: Vec<_> = if self.index_entities {
             let slm = &self.slm;
             // Indexed rather than `par_map`ped: the POS tokens borrow the
             // chunk texts, which outlive the closure's argument.

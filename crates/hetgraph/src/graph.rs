@@ -5,6 +5,7 @@
 //! (the graph is logically undirected — traversal relevance, not causality,
 //! is what retrieval needs).
 
+#[expect(clippy::disallowed_types, reason = "HetGraph's lookup indexes, below")]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -147,6 +148,7 @@ fn degree_bucket(degree: usize) -> usize {
 
 /// The heterogeneous graph.
 #[derive(Debug, Clone, Default)]
+#[expect(clippy::disallowed_types, reason = "lookup-only indexes: probed by key, never iterated")]
 pub struct HetGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,

@@ -19,6 +19,10 @@
 //! [`build`] constructs the graph from the substrate stores using the SLM
 //! for tagging and relation cue inference.
 
+// Panic-free on untrusted input (DESIGN.md §8, §10).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod algo;
 pub mod build;
 pub mod graph;

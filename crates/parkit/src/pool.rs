@@ -38,6 +38,7 @@ pub fn auto_chunk_count(n: usize) -> usize {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "UNISEM_THREADS is documented configuration")]
 fn resolve_default_threads() -> usize {
     std::env::var("UNISEM_THREADS")
         .ok()
@@ -135,6 +136,7 @@ impl Pool {
             parts.push(worker());
         } else {
             FORK_JOINS.fetch_add(1, Ordering::Relaxed);
+            #[expect(clippy::disallowed_methods, reason = "the pool's one fork, merged in order")]
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(worker)).collect();
                 parts.push(worker());

@@ -20,6 +20,7 @@
 //! [`TableIndex::probe`]: crate::index::TableIndex::probe
 
 use std::borrow::Cow;
+#[expect(clippy::disallowed_types, reason = "the join buckets and group positions, below")]
 use std::collections::HashMap;
 
 use crate::catalog::Database;
@@ -212,6 +213,7 @@ fn exec_join(
 
     // Always build on the right, inserting in row order, so each bucket
     // lists its rows in table order.
+    #[expect(clippy::disallowed_types, reason = "lookup-only: join buckets, probed by key")]
     let mut index: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
     for j in 0..r.num_rows() {
         if let Some(key) = key_of(r, &r_keys, j) {
@@ -359,6 +361,7 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
     // Groups in first-seen order (representative group values, agg
     // states), found again through the key → position index.
     let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+    #[expect(clippy::disallowed_types, reason = "lookup-only: key to group position")]
     let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
 
     for i in 0..t.num_rows() {

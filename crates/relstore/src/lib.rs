@@ -28,6 +28,10 @@
 //! contribution is the integration layer above it, and experiments need
 //! determinism more than scale.
 
+// Panic-free on untrusted input (DESIGN.md §8, §10).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod catalog;
 pub mod error;
 mod exec;

@@ -26,15 +26,15 @@ impl DataType {
     /// NULL is admissible everywhere; ints are admissible in float columns
     /// (widening).
     pub fn admits(self, value: &Value) -> bool {
-        match (self, value) {
-            (_, Value::Null) => true,
-            (DataType::Bool, Value::Bool(_)) => true,
-            (DataType::Int, Value::Int(_)) => true,
-            (DataType::Float, Value::Float(_) | Value::Int(_)) => true,
-            (DataType::Str, Value::Str(_)) => true,
-            (DataType::Date, Value::Date(_)) => true,
-            _ => false,
-        }
+        matches!(
+            (self, value),
+            (_, Value::Null)
+                | (DataType::Bool, Value::Bool(_))
+                | (DataType::Int, Value::Int(_))
+                | (DataType::Float, Value::Float(_) | Value::Int(_))
+                | (DataType::Str, Value::Str(_))
+                | (DataType::Date, Value::Date(_))
+        )
     }
 
     /// The most specific type admitting a value (`None` for NULL).
@@ -130,7 +130,7 @@ impl Schema {
     pub fn of(pairs: &[(&str, DataType)]) -> Self {
         match Self::new(pairs.iter().map(|(n, t)| Column::new(*n, *t)).collect()) {
             Ok(s) => s,
-            // udlint: allow(unwrap-in-core) -- documented test/literal convenience; duplicate columns in an embedded literal are a programming bug, and the fallible path is Schema::new
+            #[expect(clippy::panic, reason = "literal convenience; Schema::new is fallible")]
             Err(e) => panic!("Schema::of: {e}"),
         }
     }

@@ -16,6 +16,10 @@
 //! All retrievers implement [`ChunkRetriever`], so experiment harnesses can
 //! sweep them uniformly.
 
+// Panic-free on untrusted input (DESIGN.md §8, §10).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod dense;
 pub mod lexical;
 pub mod topology;

@@ -70,8 +70,7 @@ impl IntentParser {
         let metric_before = |pos: usize| {
             metric_mentions
                 .iter()
-                .filter(|(s, _)| *s < pos)
-                .last()
+                .rfind(|(s, _)| *s < pos)
                 .map(|(_, m)| m.clone())
                 .or_else(|| first_metric.clone())
         };

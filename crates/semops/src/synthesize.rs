@@ -75,8 +75,8 @@ const PERIOD_COLUMNS: &[&str] = &["period", "quarter", "date", "month", "when", 
 pub fn display_period(text: &str) -> String {
     let t = text.trim();
     let lower = t.to_lowercase();
-    if lower.starts_with('q') {
-        let rest: Vec<&str> = lower[1..].split_whitespace().collect();
+    if let Some(rest) = lower.strip_prefix('q') {
+        let rest: Vec<&str> = rest.split_whitespace().collect();
         if let Some(q) = rest.first().and_then(|s| s.parse::<u8>().ok()) {
             if (1..=4).contains(&q) {
                 return match rest.get(1) {

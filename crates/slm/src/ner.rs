@@ -13,6 +13,7 @@
 //!
 //! Overlapping candidates are resolved by source priority, then span length.
 
+#[expect(clippy::disallowed_types, reason = "the lexicon's phrase table, below")]
 use std::collections::{BTreeMap, HashMap};
 
 use unisem_text::tokenize::{tokenize, Token, TokenKind};
@@ -161,6 +162,7 @@ pub fn canonical_phrase_into(s: &str, out: &mut String) {
 /// Models the in-weights world knowledge of a trained SLM. Workload
 /// generators register their entity inventories here.
 #[derive(Debug, Clone, Default)]
+#[expect(clippy::disallowed_types, reason = "lookup-only: probed by key; entries() sorts first")]
 pub struct Lexicon {
     phrases: HashMap<String, EntityKind>,
     max_words: usize,

@@ -23,6 +23,10 @@
 //! [`StoreError`]s, and injected faults propagate as
 //! [`StoreError::Fault`] for the engine's degradation ladder.
 
+// Panic-free on untrusted input (DESIGN.md §8, §10).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod codec;
 pub mod frame;
 pub mod snapshot;

@@ -92,6 +92,7 @@ impl SnapshotWriter {
         frame::encode(&mut image, seq, &[&name_field.into_bytes(), bytes])?;
         let torn = self.faults.check(Site::StoreWrite, &format!("section:{name}")).err();
         let end = if torn.is_some() { start + (image.len() - start) / 2 } else { image.len() };
+        #[expect(clippy::disallowed_methods, reason = "covered by Site::StoreWrite above")]
         self.file.write_all(&image[..end]).map_err(|e| io_err("write", &self.tmp_path, e))?;
         torn.map_or(Ok(()), |fault| Err(StoreError::Fault(fault)))
     }
@@ -106,11 +107,13 @@ impl SnapshotWriter {
         let count = self.names.len() as u64;
         self.write_frame("", &count.to_le_bytes())?;
         self.faults.check(Site::StoreFlush, "file").map_err(StoreError::Fault)?;
+        #[expect(clippy::disallowed_methods, reason = "covered by Site::StoreFlush above")]
         self.file.sync_all().map_err(|e| io_err("sync", &self.tmp_path, e))?;
         drop(self.file);
         Snapshot::open(&self.tmp_path)?;
         std::fs::rename(&self.tmp_path, path)
             .map_err(|e| StoreError::Io(format!("rename snapshot into place: {e}")))?;
+        #[expect(clippy::disallowed_methods, reason = "after the rename: old or new, both whole")]
         parent_dir(path)?.sync_all().map_err(|e| io_err("sync the directory of", path, e))
     }
 }

@@ -121,13 +121,20 @@ impl Wal {
         let mut header = WAL_MAGIC.to_vec();
         header.extend_from_slice(&WAL_VERSION.to_be_bytes());
         header.extend_from_slice(&first_seq.to_be_bytes());
-        // udlint: allow(uncovered-io-site) -- a crash here leaves a torn <base>.tmp that exists() and open() never look at and the next create truncates (wal::tests::torn_create_leaves_no_log; recovery.rs half_written_wal_create_recovers_byte_identically)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a crash here leaves a torn <base>.tmp that exists() and open() never look at and the next create truncates (wal::tests::torn_create_leaves_no_log; recovery.rs half_written_wal_create_recovers_byte_identically)"
+        )]
         file.write_all(&header).map_err(|e| io_err("write", &tmp, e))?;
-        // udlint: allow(uncovered-io-site) -- same window as the header write above: nothing is at <base> until the rename below
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "same window as the header write above: nothing is at <base> until the rename below"
+        )]
         file.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
         std::fs::rename(&tmp, base).map_err(|e| io_err("rename into place", base, e))?;
         // Without this a power loss after a checkpoint could bring back the
         // log the rename replaced.
+        #[expect(clippy::disallowed_methods, reason = "after the rename; old or new log recovers")]
         parent_dir(base)?.sync_all().map_err(|e| io_err("sync the directory of", base, e))?;
         Ok(Wal {
             base: base.to_path_buf(),
@@ -200,9 +207,15 @@ impl Wal {
             // unverifiable frame was never acknowledged.
             recovery.torn_truncations = 1;
             recovery.truncated_bytes = (bytes.len() - end) as u64;
-            // udlint: allow(uncovered-io-site) -- recovery truncation is idempotent: a crash here leaves a torn tail that the next open repairs the same way (covered by the torn-append crash matrix); injecting a fault would only re-run this path
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recovery truncation is idempotent: a crash here leaves a torn tail that the next open repairs the same way (covered by the torn-append crash matrix); injecting a fault would only re-run this path"
+            )]
             file.set_len(end as u64).map_err(|e| io_err("truncate", base, e))?;
-            // udlint: allow(uncovered-io-site) -- same idempotent recovery window as the set_len above; the tail is already truncated, re-syncing on the next open is equivalent
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "same idempotent recovery window as the set_len above; the tail is already truncated, re-syncing on the next open is equivalent"
+            )]
             file.sync_all().map_err(|e| io_err("sync", base, e))?;
         }
         file.seek(SeekFrom::Start(end as u64)).map_err(|e| io_err("seek", base, e))?;
@@ -252,6 +265,7 @@ impl Wal {
         frame::encode(&mut frame, seq, &[payload])?;
         let torn = self.faults.check(Site::WalAppend, &format!("seq:{seq}")).err();
         let image: &[u8] = if torn.is_some() { &frame[..frame.len() / 2] } else { &frame[..] };
+        #[expect(clippy::disallowed_methods, reason = "covered by Site::WalAppend above")]
         self.file.write_all(image).map_err(|e| io_err("append", &self.base, e))?;
         self.len += image.len() as u64;
         if let Some(fault) = torn {
@@ -279,6 +293,7 @@ impl Wal {
             return Err(StoreError::Io("wal poisoned by a torn append".into()));
         }
         if let Err(fault) = self.faults.check(Site::WalFlush, "log") {
+            #[expect(clippy::disallowed_methods, reason = "the Site::WalFlush rollback itself")]
             self.file.set_len(self.synced_len).map_err(|e| io_err("rollback", &self.base, e))?;
             self.file
                 .seek(SeekFrom::Start(self.synced_len))
@@ -287,6 +302,7 @@ impl Wal {
             self.next_seq = self.synced_seq;
             return Err(StoreError::Fault(fault));
         }
+        #[expect(clippy::disallowed_methods, reason = "covered by Site::WalFlush above")]
         self.file.sync_all().map_err(|e| io_err("sync", &self.base, e))?;
         self.synced_len = self.len;
         self.synced_seq = self.next_seq;

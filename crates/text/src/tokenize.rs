@@ -140,7 +140,7 @@ impl<'a> Iterator for Tokens<'a> {
         } else if c.is_ascii_digit()
             || ((c == '-' || c == '+')
                 && self.peek().is_some_and(|d| d.is_ascii_digit())
-                && self.last_end.map_or(true, |end| end < start))
+                && self.last_end.is_none_or(|end| end < start))
         {
             // A sign starts a number only after whitespace or at the start.
             self.run(|d| d.is_ascii_digit(), |j| j == '.' || j == ',');

@@ -407,10 +407,13 @@ impl MetricsRegistry {
 pub struct MetricsReport {
     /// `(name, value)` for every registered counter/gauge, registry order.
     pub metrics: Vec<(&'static str, u64)>,
-    /// `(name, buckets)` for every histogram; each bucket is
-    /// `(upper bound, count)` with `None` as the overflow bucket.
-    pub histograms: Vec<(&'static str, Vec<(Option<u64>, u64)>)>,
+    /// `(name, buckets)` for every histogram.
+    pub histograms: Vec<(&'static str, Buckets)>,
 }
+
+/// A histogram's buckets: `(upper bound, count)`, with `None` as the
+/// overflow bucket.
+pub type Buckets = Vec<(Option<u64>, u64)>;
 
 impl MetricsReport {
     /// Looks a counter/gauge value up by name.

@@ -45,6 +45,7 @@ impl TraceSpec {
     }
 
     /// Reads and parses `UNISEM_TRACE` (unset → `Off`).
+    #[expect(clippy::disallowed_methods, reason = "UNISEM_TRACE is documented configuration")]
     fn from_env() -> TraceSpec {
         match std::env::var("UNISEM_TRACE") {
             Ok(spec) => TraceSpec::parse(&spec),
@@ -124,6 +125,7 @@ impl TraceSink {
 
     /// Writes one query's rendered JSON-lines block atomically, so blocks
     /// from concurrent queries never interleave.
+    #[expect(clippy::disallowed_methods, reason = "trace output: a failed write loses a line")]
     pub fn write_block(&self, block: &str) {
         self.writes.fetch_add(1, Ordering::Relaxed);
         match &self.inner {

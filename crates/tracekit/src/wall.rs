@@ -1,12 +1,13 @@
-//! The one blessed wall-clock read point (the `wallclock-in-hot-path`
-//! lint allows no other).
+//! The one blessed wall-clock read point (clippy's `disallowed_methods`
+//! allows no other; DESIGN.md §10).
 //!
 //! Wall-clock is inherently nondeterministic, so the determinism contract
 //! (DESIGN.md §6) quarantines it: durations may only ever flow into the
 //! deliberately non-deterministic [`crate::metrics::TimingReport`], never
 //! into answer payloads, metrics, or explain traces. Keeping
 //! every `Instant::now()` behind this module makes that rule *auditable*:
-//! `udlint` flags any other clock read in engine code, so a reviewer only
+//! clippy rejects any other clock read in engine code, and tier-1 pins
+//! this file as the only one that expects the lint, so a reviewer only
 //! has to check where `Stopwatch` values end up.
 
 use std::time::Instant;
@@ -25,6 +26,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Reads the process clock and starts timing.
+    #[expect(clippy::disallowed_methods, reason = "the engine's one clock read")]
     pub fn start() -> Stopwatch {
         Stopwatch { start: Instant::now() }
     }

@@ -128,11 +128,11 @@ impl EcommerceWorkload {
             ("category", DataType::Str),
             ("price", DataType::Float),
         ]));
-        for i in 0..p {
+        for (i, maker) in gold_maker.iter().enumerate() {
             products_t
                 .push_row(vec![
                     Value::str(pname(i)),
-                    Value::str(gold_maker[i].clone()),
+                    Value::str(maker.clone()),
                     Value::str(names::category(i + config.name_offset)),
                     Value::float((rng.gen_range(100..5000) as f64) / 10.0),
                 ])
@@ -217,9 +217,8 @@ impl EcommerceWorkload {
         }
         // News docs: doc id = p*q + i.
         let news_doc = |i: usize| p * q + i;
-        for i in 0..p {
+        for (i, maker) in gold_maker.iter().enumerate() {
             let product = pname(i);
-            let maker = &gold_maker[i];
             documents.push(DocSpec {
                 title: format!("{product} launch"),
                 text: format!(
@@ -241,12 +240,12 @@ impl EcommerceWorkload {
             "The build feels cheap and the manual is confusing.",
             "Constant glitches made it unusable, very disappointing.",
         ];
-        for i in 0..p {
+        for (i, gold) in gold_rating.iter().enumerate() {
             let product = pname(i);
             for r in 0..config.reviews_per_product {
                 // Individual ratings centered on the gold average.
                 let jitter = rng.gen_range(-10..=10) as f64 / 10.0;
-                let rating = (gold_rating[i] + jitter).clamp(1.0, 5.0);
+                let rating = (gold + jitter).clamp(1.0, 5.0);
                 let rating = (rating * 2.0).round() / 2.0;
                 let body = if rating >= 3.5 { GOOD[r % GOOD.len()] } else { BAD[r % BAD.len()] };
                 documents.push(DocSpec {

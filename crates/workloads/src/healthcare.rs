@@ -173,9 +173,8 @@ impl HealthcareWorkload {
         }
         // Forum posts: doc id = np + i.
         let forum_doc = |i: usize| np + i;
-        for i in 0..nd {
+        for (i, effect) in gold_side_effect.iter().enumerate() {
             let drug = names::drug(i);
-            let effect = &gold_side_effect[i];
             documents.push(crate::ecommerce::DocSpec {
                 title: format!("forum {drug}"),
                 text: format!(
