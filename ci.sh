@@ -87,11 +87,16 @@ echo "==> borrowed text analysis and bounded anchor linking == the reference for
 # replaced — the owned tokenizer, to_lowercase, the allocating stemmer,
 # BM25 over owned terms, the materialized subword split — run 1024 cases
 # here, 64 in tier-1, with the rest of the crates' suites. So do the
-# thresholded Jaro-Winkler's soundness properties (a bound may reject only
-# what the full score would) and the retriever's tree-map oracle, which
-# holds bounded fuzzy linking and the split-once containment walk to the
-# per-mention, per-word walks they replaced (DESIGN.md §5b).
-CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-retrieval
+# thresholded Jaro-Winkler's soundness properties (a bound, or its
+# per-length test, may reject only what the full score would; the
+# copy-free common-byte count equals the copying one), BM25's cached
+# length norms against the two-division score, the graph's
+# referential-entity table against one rebuilt from its nodes, and the
+# retriever's tree-map oracle, which holds table-driven fuzzy linking and
+# the word-index containment lookup to the per-mention, per-word walks
+# they replaced (DESIGN.md §5b).
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
+    -p unisem-retrieval
 
 echo "==> totality: hostile questions and corrupted snapshots never panic, 16x deeper than tier-1"
 # clippy rules out unwrap and panic! in the panic-free crates; an index, a

@@ -59,10 +59,8 @@ impl TableGenerator {
         let tags = pos_tag(sentence);
 
         // Subject: the first referential (non-value, non-metric) entity.
-        let referential: Vec<&EntityMention> = mentions
-            .iter()
-            .filter(|m| !m.kind.is_value() && m.kind != EntityKind::Metric)
-            .collect();
+        let referential: Vec<&EntityMention> =
+            mentions.iter().filter(|m| m.kind.is_referential()).collect();
         if let Some(subj) = referential.first() {
             rec.set(Field::Subject, Value::str(subj.canonical()));
             rec.set(Field::SubjectKind, Value::str(subj.kind.label()));

@@ -11,6 +11,8 @@ use std::fmt;
 
 use unisem_slm::EntityKind;
 
+use crate::entities::EntityTable;
+
 /// Dense node identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
@@ -173,6 +175,9 @@ pub struct HetGraph {
     /// Dedup: sorted endpoint pair + kind label → edge, preventing parallel
     /// duplicate edges from repeated mentions.
     edge_dedup: HashMap<(NodeId, NodeId, String), EdgeId>,
+    /// The referential entities by label length and label word, for anchor
+    /// linking; derived from the nodes, never persisted.
+    referential: EntityTable,
 }
 
 impl HetGraph {
@@ -300,6 +305,9 @@ impl HetGraph {
         }
         let id = self.push_node(NodeKind::Entity { name: canon.clone(), kind }, canon.clone());
         self.entity_index.insert((canon.clone(), kind), id);
+        if kind.is_referential() {
+            self.referential.insert(id, &canon);
+        }
         // Keep the smallest id for deterministic kind-agnostic lookup.
         self.entity_by_name_index
             .entry(canon)
@@ -353,10 +361,11 @@ impl HetGraph {
 
     /// Reassembles a graph from snapshot parts: nodes and edges in id
     /// order, exactly as [`Self::nodes`] / [`Self::edges`] returned them.
-    /// Adjacency and every lookup index are rebuilt; entity names are
-    /// trusted to be canonical already (they were canonicalized when the
-    /// persisted graph was first built) and are NOT re-canonicalized, so
-    /// the reassembled graph is structurally identical byte for byte.
+    /// Adjacency, every lookup index and the referential-entity table are
+    /// rebuilt; entity names are trusted to be canonical already (they
+    /// were canonicalized when the persisted graph was first built) and
+    /// are NOT re-canonicalized, so the reassembled graph is structurally
+    /// identical byte for byte.
     pub fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Result<Self, String> {
         let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
         g.degree_counts[degree_bucket(0)] = nodes.len();
@@ -371,6 +380,9 @@ impl HetGraph {
                 NodeKind::Entity { name, kind } => {
                     g.entity_index.insert((name.clone(), *kind), node.id);
                     g.entity_by_name_index.entry(name.clone()).or_insert(node.id);
+                    if kind.is_referential() {
+                        g.referential.insert(node.id, &node.label);
+                    }
                 }
                 NodeKind::Record { table, row } => {
                     g.record_index.insert((table.clone(), *row), node.id);
@@ -409,6 +421,13 @@ impl HetGraph {
         self.nodes.iter().filter(|n| n.kind.is_entity())
     }
 
+    /// The referential entities ([`EntityKind::is_referential`]) by label
+    /// length and label word, kept current by [`Self::add_entity`] and
+    /// rebuilt by [`Self::from_parts`].
+    pub fn referential_entities(&self) -> &EntityTable {
+        &self.referential
+    }
+
     /// Looks up a chunk node by docstore chunk id.
     pub fn chunk_node(&self, chunk_id: usize) -> Option<NodeId> {
         self.chunk_index.get(&chunk_id).copied()
@@ -419,7 +438,10 @@ impl HetGraph {
         self.record_index.get(&(table.to_string(), row)).copied()
     }
 
-    /// Approximate resident bytes (nodes + edges + adjacency + indexes).
+    /// Approximate resident bytes: nodes with their labels, edges,
+    /// adjacency, the entity, chunk and record lookup indexes, and the
+    /// referential-entity table. The by-name, table and edge-dedup indexes
+    /// are not counted.
     pub fn approx_bytes(&self) -> usize {
         let node_bytes: usize =
             self.nodes.iter().map(|n| std::mem::size_of::<Node>() + n.label.len()).sum();
@@ -429,7 +451,7 @@ impl HetGraph {
         let index_bytes = self.entity_index.len() * 48
             + self.chunk_index.len() * 24
             + self.record_index.len() * 48;
-        node_bytes + edge_bytes + adj_bytes + index_bytes
+        node_bytes + edge_bytes + adj_bytes + index_bytes + self.referential.approx_bytes()
     }
 }
 

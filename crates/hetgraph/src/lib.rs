@@ -25,7 +25,9 @@
 
 pub mod algo;
 pub mod build;
+pub mod entities;
 pub mod graph;
 
 pub use build::{GraphBuildStats, GraphBuilder};
+pub use entities::EntityTable;
 pub use graph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};

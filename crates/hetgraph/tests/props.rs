@@ -1,10 +1,12 @@
 //! Property-based tests: graph invariants and algorithm laws (detkit
 //! harness).
 
-use detkit::prop::{usizes, vec_of, zip, Gen};
+use std::collections::BTreeMap;
+
+use detkit::prop::{usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_hetgraph::algo::{pagerank, personalized_pagerank};
-use unisem_hetgraph::{EdgeKind, HetGraph, NodeId};
+use unisem_hetgraph::{EdgeKind, EntityTable, HetGraph, NodeId, NodeKind};
 use unisem_slm::EntityKind;
 
 /// Builds a graph from an edge list over `n` entity nodes.
@@ -66,5 +68,110 @@ prop_check!(ppr_confined_to_component, arb_graph(), |g| {
             prop_assert_eq!(mass, 0.0, "node {} outside seed component", i);
         }
     }
+    Ok(())
+});
+
+/// Entity names: non-ASCII ones, one holding a word twice, names sharing
+/// words, and names that canonicalize alike ("Drug  A" is "drug a").
+const NAMES: &[&str] =
+    &["Drug A", "drug  a", "Drug B", "Café Crème", "Bora Bora", "crème", "a", "Q2 2024", "sales"];
+
+/// Every entity kind: referential, value and metric.
+const KINDS: &[EntityKind] = &[
+    EntityKind::Person,
+    EntityKind::Product,
+    EntityKind::Drug,
+    EntityKind::Location,
+    EntityKind::Quarter,
+    EntityKind::Money,
+    EntityKind::Metric,
+    EntityKind::Other,
+];
+
+/// A script of insertions: `(0, name, kind)` adds an entity, `(1, i, _)`
+/// a chunk (so entity ids are not contiguous), `(2, a, b)` an edge between
+/// the `a`-th and `b`-th nodes so far.
+fn scripts() -> Gen<Vec<(usize, usize, usize)>> {
+    vec_of(&zip3(&usizes(0, 2), &usizes(0, NAMES.len() - 1), &usizes(0, KINDS.len() - 1)), 0, 40)
+}
+
+fn run(script: &[(usize, usize, usize)]) -> HetGraph {
+    let mut g = HetGraph::new();
+    for (i, &(op, a, b)) in script.iter().enumerate() {
+        match op {
+            0 => {
+                g.add_entity(NAMES[a], KINDS[b]);
+            }
+            1 => {
+                g.add_chunk(i, 0, "chunk");
+            }
+            _ if g.num_nodes() > 1 => {
+                let (a, b) = (a % g.num_nodes(), b % g.num_nodes());
+                if a != b {
+                    g.add_edge(NodeId(a as u32), NodeId(b as u32), EdgeKind::Mentions);
+                }
+            }
+            _ => {}
+        }
+    }
+    g
+}
+
+/// The referential-entity table as a walk over `entities()` builds it:
+/// `(char length, id, label)` in (length, id) order, and each label word's
+/// ids in ascending order, each once.
+type TableRows = (Vec<(usize, NodeId, String)>, BTreeMap<String, Vec<NodeId>>);
+
+fn rebuilt_from_entities(g: &HetGraph) -> TableRows {
+    let referential: Vec<_> = g
+        .entities()
+        .filter(|n| matches!(&n.kind, NodeKind::Entity { kind, .. } if kind.is_referential()))
+        .collect();
+    let mut labels: Vec<_> =
+        referential.iter().map(|n| (n.label.chars().count(), n.id, n.label.clone())).collect();
+    labels.sort();
+    let mut words: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+    for n in &referential {
+        for word in n.label.split_whitespace() {
+            let ids = words.entry(word.to_string()).or_default();
+            if !ids.contains(&n.id) {
+                ids.push(n.id);
+            }
+        }
+    }
+    (labels, words)
+}
+
+fn table_rows(table: &EntityTable) -> TableRows {
+    let labels = table
+        .lengths()
+        .flat_map(|n| table.labels_of_length(n).map(move |(id, l)| (n, id, l.to_string())))
+        .collect();
+    let words = table.words().map(|(w, ids)| (w.to_string(), ids.to_vec())).collect();
+    (labels, words)
+}
+
+fn check_table(g: &HetGraph) -> Result<(), String> {
+    let table = g.referential_entities();
+    let want = rebuilt_from_entities(g);
+    prop_assert_eq!(table.len(), want.0.len());
+    prop_assert_eq!(table_rows(table), want);
+    for (word, ids) in table.words() {
+        prop_assert_eq!(table.holding(word), ids);
+    }
+    Ok(())
+}
+
+// The table `add_entity` maintains equals one rebuilt from the nodes, after
+// every insertion and after `from_parts` reassembles the graph.
+prop_check!(entity_table_equals_a_rebuild_from_entities, scripts(), |script| {
+    for end in 0..=script.len() {
+        check_table(&run(&script[..end]))?;
+    }
+    let g = run(script);
+    let reopened = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec())?;
+    check_table(&reopened)?;
+    prop_assert_eq!(reopened.referential_entities(), g.referential_entities());
+    prop_assert_eq!(reopened.approx_bytes(), g.approx_bytes());
     Ok(())
 });

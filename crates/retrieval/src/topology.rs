@@ -5,9 +5,11 @@
 //! 1. **Anchor extraction** — the SLM tags entities in the query; each
 //!    mention is linked to a graph entity node (exact canonical match,
 //!    falling back to fuzzy Jaro-Winkler linking, falling back to token
-//!    containment). Both fallbacks walk the entities once: fuzzy linking
-//!    scores only the labels a unit-count bound cannot rule out, and the
-//!    containment walk splits each label once for all query words.
+//!    containment). Both fallbacks read the graph's referential-entity
+//!    table instead of walking the nodes: fuzzy linking skips every label
+//!    length the similarity bound rules out and scores only the labels a
+//!    unit-count bound cannot rule out, and containment looks each query
+//!    word up in the table's word index.
 //! 2. **Bounded traversal** — cost-bounded Dijkstra from the anchors
 //!    limits scoring to a sparse frontier (this is the efficiency claim:
 //!    far-away chunks are *never touched*, unlike a dense scan that must
@@ -104,6 +106,10 @@ pub struct TraversalStats {
     /// and the fusion search hit the same posting lists for a given
     /// query, so this is a pure function of query and corpus).
     pub postings_scanned: usize,
+    /// Entity labels anchor linking read: the fuzzy candidates handed to
+    /// the similarity bound (those in a label length the bound admits),
+    /// plus the entity ids read from the containment word index.
+    pub labels_examined: usize,
 }
 
 /// The topology-enhanced retriever.
@@ -189,6 +195,13 @@ impl TopologyRetriever {
     ///   temporal hub touches every contemporaneous document in the lake
     ///   and would drag the whole corpus into the frontier.
     pub fn anchor_sets(&self, query: &str) -> (Vec<NodeId>, Vec<NodeId>) {
+        let (primary, constraints, _) = self.link(query);
+        (primary, constraints)
+    }
+
+    /// [`Self::anchor_sets`], and the labels linking examined.
+    fn link(&self, query: &str) -> (Vec<NodeId>, Vec<NodeId>, usize) {
+        let mut examined = 0;
         let mentions = self.slm.tag_entities(query);
         let mut primary: Vec<NodeId> = Vec::new();
         let mut constraints: Vec<NodeId> = Vec::new();
@@ -205,65 +218,53 @@ impl TopologyRetriever {
                 Some(id) if m.kind.is_value() => constraints.push(id),
                 Some(id) => primary.push(id),
                 // Fuzzy fallback for an unmatched referential mention.
-                None if !m.kind.is_value() => primary.extend(self.link_fuzzy(&name)),
+                None if !m.kind.is_value() => {
+                    primary.extend(self.link_fuzzy(&name, &mut examined));
+                }
                 None => {}
             }
         }
-        // Last resort: content-word containment against entity labels, the
-        // highest-degree entity per word (the last walked among equals).
+        // Last resort: content-word containment against referential entity
+        // labels (a metric or value hub such as "sales" would pull the
+        // entire corpus into the frontier), the highest-degree entity per
+        // word, then the highest id.
         if primary.is_empty() {
-            let mut words: Vec<String> = Vec::new();
+            let table = self.graph.referential_entities();
             let mut lower = String::new();
             for t in tokenize(query).filter(|t| t.kind != TokenKind::Punct) {
                 lower_into(t.text, &mut lower);
-                if !is_stopword(&lower) && lower.len() > 2 {
-                    words.push(lower.clone());
-                }
-            }
-            let mut best: Vec<Option<(NodeId, usize)>> = vec![None; words.len()];
-            for n in self.graph.entities() {
-                // Only referential entities make useful anchors; matching a
-                // metric/value hub ("sales") would pull the entire corpus
-                // into the frontier.
-                let referential = matches!(
-                    &n.kind,
-                    NodeKind::Entity { kind, .. } if !kind.is_value() && *kind != EntityKind::Metric
-                );
-                if !referential {
+                if is_stopword(&lower) || lower.len() <= 2 {
                     continue;
                 }
-                // One split per label; a word its label holds twice is
-                // offered the same entity twice, which changes nothing.
-                for part in n.label.split_whitespace() {
-                    for (w, best) in words.iter().zip(&mut best) {
-                        if part == w {
-                            let degree = self.graph.degree(n.id);
-                            if !best.is_some_and(|(_, top)| top > degree) {
-                                *best = Some((n.id, degree));
-                            }
-                        }
-                    }
-                }
+                let holding = table.holding(&lower);
+                examined += holding.len();
+                // Ids ascend, so `max_by_key` keeps the last of equals.
+                primary.extend(holding.iter().copied().max_by_key(|&id| self.graph.degree(id)));
             }
-            primary.extend(best.into_iter().flatten().map(|(id, _)| id));
         }
         primary.sort();
         primary.dedup();
         constraints.sort();
         constraints.dedup();
-        (primary, constraints)
+        (primary, constraints, examined)
     }
 
-    /// The entity most similar to `name` at or above `fuzzy_threshold`, the
-    /// last walked among equals. Only labels whose similarity can reach the
-    /// threshold are scored ([`JaroWinklerAtLeast`]).
-    fn link_fuzzy(&self, name: &str) -> Option<NodeId> {
+    /// The referential entity most similar to `name` at or above
+    /// `fuzzy_threshold`, the highest id among equals. A label length the
+    /// bound rules out is skipped whole, and of the rest only labels whose
+    /// similarity can reach the threshold are scored
+    /// ([`JaroWinklerAtLeast`]); `examined` counts the labels handed to it.
+    fn link_fuzzy(&self, name: &str, examined: &mut usize) -> Option<NodeId> {
+        let table = self.graph.referential_entities();
         let similar = JaroWinklerAtLeast::new(name, self.config.fuzzy_threshold);
         let mut best: Option<(NodeId, f64)> = None;
-        for n in self.graph.entities() {
-            if let Some(s) = similar.score(&n.label) {
-                if !best.is_some_and(|(_, top)| top > s) {
-                    best = Some((n.id, s));
+        for chars in table.lengths().filter(|&n| similar.may_reach_length(n)) {
+            for (id, label) in table.labels_of_length(chars) {
+                *examined += 1;
+                if let Some(s) = similar.score(label) {
+                    if best.is_none_or(|(top_id, top)| s > top || (s == top && id > top_id)) {
+                        best = Some((id, s));
+                    }
                 }
             }
         }
@@ -359,7 +360,7 @@ impl TopologyRetriever {
         query: &str,
         k: usize,
     ) -> (Vec<RetrievalResult>, TraversalStats) {
-        let (primary, constraints) = self.anchor_sets(query);
+        let (primary, constraints, labels_examined) = self.link(query);
         // Traverse from referential anchors; fall back to constraint
         // anchors when the query names only values ("what happened in Q3?").
         let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
@@ -373,6 +374,7 @@ impl TopologyRetriever {
             anchors: primary.len() + constraints.len(),
             lexical_fallback,
             postings_scanned,
+            labels_examined,
             ..TraversalStats::default()
         };
         if lexical_fallback {
@@ -551,6 +553,27 @@ mod tests {
         // "Druga" is a typo; fuzzy linking should still find drug a.
         let a = r.anchors("side effects of Druga");
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn fuzzy_linking_never_lands_on_a_value_or_metric() {
+        let mut g = HetGraph::new();
+        let metric = g.add_entity("revenue", EntityKind::Metric);
+        let quarter = g.add_entity("q2 2024", EntityKind::Quarter);
+        let money = g.add_entity("$1200", EntityKind::Money);
+        let product = g.add_entity("widget pro", EntityKind::Product);
+        let chunk = g.add_chunk(0, 0, "revenue");
+        g.add_edge(chunk, metric, unisem_hetgraph::EdgeKind::Mentions);
+        let (slm, _, docs) = setup();
+        let r = TopologyRetriever::new(slm, Arc::new(g), docs, TopologyConfig::default());
+        let mut examined = 0;
+        for (near_miss, of) in [("revenu", metric), ("q2 2025", quarter), ("$12000", money)] {
+            let label = &r.graph.node(of).label;
+            assert!(unisem_text::jaro_winkler(label, near_miss) >= 0.88, "{near_miss} is near");
+            assert_eq!(r.link_fuzzy(near_miss, &mut examined), None, "{near_miss}");
+        }
+        assert_eq!(r.link_fuzzy("widget pr", &mut examined), Some(product));
+        assert_eq!(r.graph.referential_entities().len(), 1, "only the product is a candidate");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use detkit::prop::{usizes, vec_of, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_docstore::DocStore;
 use unisem_hetgraph::algo::pagerank;
-use unisem_hetgraph::{GraphBuilder, HetGraph, NodeId, NodeKind};
+use unisem_hetgraph::{GraphBuilder, HetGraph, Node, NodeId, NodeKind};
 use unisem_retrieval::{RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats};
 use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
 use unisem_text::normalize::is_stopword;
@@ -18,7 +18,8 @@ use unisem_text::similarity::{jaro_winkler, JaroWinklerAtLeast};
 use unisem_text::tokenize::tokenize_words;
 
 /// Phrases documents are made of: lexicon entities of referential, value
-/// and metric kinds, then plain words.
+/// and metric kinds (one label non-ASCII, one holding a word twice), then
+/// plain words.
 const DOC_PHRASES: &[&str] = &[
     "Drug A",
     "Drug B",
@@ -29,6 +30,8 @@ const DOC_PHRASES: &[&str] = &[
     "Patient Y",
     "headache",
     "nausea",
+    "Café Crème",
+    "Bora Bora",
     "Q1 2024",
     "Q2 2024",
     "sales",
@@ -43,13 +46,24 @@ const DOC_PHRASES: &[&str] = &[
 ];
 
 /// What only queries say: near misses for the fuzzy fallback (several
-/// entities are equally close to "Drug X") and unindexed capitalized names.
-const NEAR_MISSES: &[&str] = &["Drug X", "Druga", "Produkt Alpha", "Patient Z", "Product", "Zebra"];
+/// entities are equally close to "Drug X"; "Cafe Creme" is an ASCII miss
+/// of a non-ASCII label) and unindexed capitalized names.
+const NEAR_MISSES: &[&str] = &[
+    "Drug X",
+    "Druga",
+    "Produkt Alpha",
+    "Patient Z",
+    "Product",
+    "Zebra",
+    "Cafe Creme",
+    "Bora Borra",
+];
 
 /// Words no tagger rule fires on: stopwords, and bare label words for the
-/// containment fallback ("patient" is in two labels of often equal degree).
+/// containment fallback ("patient" is in two labels of often equal degree,
+/// "bora" twice in one label).
 const UNTAGGED_WORDS: &[&str] =
-    &["patient", "drug", "product", "alpha", "what happened to", "the", "trial"];
+    &["patient", "drug", "product", "alpha", "what happened to", "the", "trial", "bora", "crème"];
 
 fn lexicon() -> Lexicon {
     Lexicon::new().with_entries([
@@ -62,6 +76,8 @@ fn lexicon() -> Lexicon {
         ("Patient Y", EntityKind::Person),
         ("headache", EntityKind::Condition),
         ("nausea", EntityKind::Condition),
+        ("Café Crème", EntityKind::Product),
+        ("Bora Bora", EntityKind::Location),
         ("sales", EntityKind::Metric),
     ])
 }
@@ -103,8 +119,8 @@ fn substrates(corpus: &[Vec<Vec<usize>>]) -> (Slm, Arc<HetGraph>, Arc<DocStore>)
 }
 
 /// The retriever as it was before the dense-id rewrite: per-mention and
-/// per-word walks over the entities, and a `BTreeMap` for every id-keyed
-/// table.
+/// per-word walks over the referential entities in id order, and a
+/// `BTreeMap` for every id-keyed table.
 struct Reference {
     slm: Slm,
     graph: Arc<HetGraph>,
@@ -112,8 +128,19 @@ struct Reference {
     config: TopologyConfig,
 }
 
+/// The graph's referential entities, in id order.
+fn referential(graph: &HetGraph) -> impl Iterator<Item = &Node> + '_ {
+    graph
+        .entities()
+        .filter(|n| matches!(&n.kind, NodeKind::Entity { kind, .. } if kind.is_referential()))
+}
+
 impl Reference {
-    fn anchor_sets(&self, query: &str) -> (Vec<NodeId>, Vec<NodeId>) {
+    /// The anchor sets, and the labels the linker examines: for fuzzy
+    /// linking, the referential labels in a char length the bound admits;
+    /// for containment, the referential entities holding each word.
+    fn anchor_sets(&self, query: &str) -> (Vec<NodeId>, Vec<NodeId>, usize) {
+        let mut examined = 0;
         let mentions = self.slm.tag_entities(query);
         let mut primary: Vec<NodeId> = Vec::new();
         let mut constraints: Vec<NodeId> = Vec::new();
@@ -130,9 +157,11 @@ impl Reference {
             }
         }
         for name in unmatched {
-            let best = self
-                .graph
-                .entities()
+            let bound = JaroWinklerAtLeast::new(&name, self.config.fuzzy_threshold);
+            examined += referential(&self.graph)
+                .filter(|n| bound.may_reach_length(n.label.chars().count()))
+                .count();
+            let best = referential(&self.graph)
                 .map(|n| (n.id, jaro_winkler(&n.label, &name)))
                 .filter(|(_, s)| *s >= self.config.fuzzy_threshold)
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
@@ -146,18 +175,12 @@ impl Reference {
                 .filter(|w| !is_stopword(w) && w.len() > 2)
                 .collect();
             for w in &words {
-                if let Some(n) = self
-                    .graph
-                    .entities()
-                    .filter(|n| {
-                        matches!(
-                            &n.kind,
-                            NodeKind::Entity { kind, .. }
-                                if !kind.is_value() && *kind != EntityKind::Metric
-                        ) && n.label.split_whitespace().any(|part| part == w)
-                    })
-                    .max_by_key(|n| self.graph.degree(n.id))
-                {
+                let holding = || {
+                    referential(&self.graph)
+                        .filter(|n| n.label.split_whitespace().any(|part| part == w))
+                };
+                examined += holding().count();
+                if let Some(n) = holding().max_by_key(|n| self.graph.degree(n.id)) {
                     primary.push(n.id);
                 }
             }
@@ -166,7 +189,7 @@ impl Reference {
         primary.dedup();
         constraints.sort();
         constraints.dedup();
-        (primary, constraints)
+        (primary, constraints, examined)
     }
 
     fn bounded_traversal(
@@ -225,11 +248,12 @@ impl Reference {
     }
 
     fn retrieve_with_stats(&self, query: &str, k: usize) -> (Vec<RetrievalResult>, TraversalStats) {
-        let (primary, constraints) = self.anchor_sets(query);
+        let (primary, constraints, labels_examined) = self.anchor_sets(query);
         let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
         let mut stats = TraversalStats {
             anchors: primary.len() + constraints.len(),
             postings_scanned: self.docs.index().postings_scanned(query),
+            labels_examined,
             ..TraversalStats::default()
         };
         if anchors.is_empty() {
@@ -321,7 +345,8 @@ fn check_against_reference(case: &Case, config: TopologyConfig) -> Result<Traver
     let reference =
         Reference { slm: slm.clone(), graph: graph.clone(), docs: docs.clone(), config };
     let retriever = TopologyRetriever::new(slm, graph, docs.clone(), config);
-    prop_assert_eq!(retriever.anchor_sets(query), reference.anchor_sets(query), "{query:?}");
+    let (primary, constraints, _) = reference.anchor_sets(query);
+    prop_assert_eq!(retriever.anchor_sets(query), (primary, constraints), "{query:?}");
     let (got, got_stats) = retriever.retrieve_with_stats(query, *k);
     let (want, want_stats) = reference.retrieve_with_stats(query, *k);
     prop_assert_eq!(bits(&got), bits(&want), "{query:?} k = {k}");
@@ -366,19 +391,32 @@ prop_check!(containment_fallback_matches_tree_map_reference, cases(&[UNTAGGED_WO
 fn unmatched_mentions(slm: &Slm, graph: &HetGraph, query: &str) -> Vec<String> {
     slm.tag_entities(query)
         .iter()
-        .filter(|m| !m.kind.is_value() && m.kind != EntityKind::Metric)
+        .filter(|m| m.kind.is_referential())
         .map(|m| m.canonical())
         .filter(|name| graph.entity_by_name(name).is_none())
         .collect()
 }
 
+/// How many entities share the best of `scores`.
+fn ties<T: PartialOrd>(scores: impl Iterator<Item = T>) -> usize {
+    let scores: Vec<T> = scores.collect();
+    let best = scores.iter().fold(None, |top: Option<&T>, s| match top {
+        Some(t) if t >= s => Some(t),
+        _ => Some(s),
+    });
+    best.map_or(0, |best| scores.iter().filter(|&s| s == best).count())
+}
+
 // The generator reaches every branch the properties above are about,
-// including both sides of the fuzzy linker's bound: a mention the bound
-// rules out against every label, and mentions that link at 0.7 and at 0.88.
+// including both sides of the fuzzy linker's bound (a mention the bound
+// rules out against every label, and mentions that link at 0.7 and at
+// 0.88), the ties both fallbacks break by id (equal fuzzy scores, equal
+// degrees), a non-ASCII anchor, and a label holding its word twice.
 #[test]
 fn generated_cases_cover_the_branches() {
     let (mut capped, mut fallback, mut traversed, mut multi_anchor) = (0, 0, 0, 0);
     let (mut ruled_out, mut linked_loose, mut linked_default) = (0, 0, 0);
+    let (mut fuzzy_ties, mut degree_ties, mut non_ascii, mut twice) = (0, 0, 0, 0);
     let mut rng = detkit::Rng::new(7);
     for _ in 0..64 {
         let case = mixed_cases().generate(&mut rng).value().clone();
@@ -389,19 +427,38 @@ fn generated_cases_cover_the_branches() {
         traversed += usize::from(stats.chunks_scored > 0);
         multi_anchor += usize::from(stats.anchors > 1);
 
-        let (slm, graph, _) = substrates(&case.0);
+        let (slm, graph, docs) = substrates(&case.0);
         for name in unmatched_mentions(&slm, &graph, &case.1) {
             let loose = JaroWinklerAtLeast::new(&name, 0.7);
             let default = JaroWinklerAtLeast::new(&name, 0.88);
-            ruled_out += usize::from(graph.entities().all(|n| !loose.may_reach(&n.label)));
-            linked_loose += usize::from(graph.entities().any(|n| loose.score(&n.label).is_some()));
-            linked_default +=
-                usize::from(graph.entities().any(|n| default.score(&n.label).is_some()));
+            let labels = || referential(&graph).map(|n| n.label.as_str());
+            ruled_out += usize::from(labels().all(|l| !loose.may_reach(l)));
+            linked_loose += usize::from(labels().any(|l| loose.score(l).is_some()));
+            linked_default += usize::from(labels().any(|l| default.score(l).is_some()));
+            fuzzy_ties += usize::from(ties(labels().filter_map(|l| loose.score(l))) > 1);
+        }
+        let retriever = TopologyRetriever::new(slm, graph.clone(), docs, config);
+        let (primary, _) = retriever.anchor_sets(&case.1);
+        non_ascii += usize::from(primary.iter().any(|&id| !graph.node(id).label.is_ascii()));
+    }
+    for _ in 0..64 {
+        let (corpus, query, _) = cases(&[UNTAGGED_WORDS]).generate(&mut rng).value().clone();
+        let (_, graph, _) = substrates(&corpus);
+        for word in tokenize_words(&query) {
+            let holding =
+                || referential(&graph).filter(|n| n.label.split_whitespace().any(|p| p == word));
+            degree_ties += usize::from(ties(holding().map(|n| graph.degree(n.id))) > 1);
+            twice += usize::from(holding().any(|n| n.label.matches(word.as_str()).count() > 1));
         }
     }
     assert!(capped > 0 && fallback > 0 && traversed > 0 && multi_anchor > 0);
     assert!(
         ruled_out > 0 && linked_loose > 0 && linked_default > 0,
         "{ruled_out} ruled out, {linked_loose} linked at 0.7, {linked_default} at 0.88"
+    );
+    assert!(
+        fuzzy_ties > 0 && degree_ties > 0 && non_ascii > 0 && twice > 0,
+        "{fuzzy_ties} fuzzy ties, {degree_ties} degree ties, {non_ascii} non-ASCII anchors, \
+         {twice} words held twice"
     );
 }

@@ -109,6 +109,14 @@ impl EntityKind {
                 | EntityKind::Quarter
         )
     }
+
+    /// True for kinds that locate something in the graph: neither a value
+    /// nor a metric ("sales", "rating" — a predicate over whatever entity a
+    /// question names, and the highest-degree hub of all). Only these
+    /// become anchors by linking.
+    pub fn is_referential(self) -> bool {
+        !self.is_value() && self != EntityKind::Metric
+    }
 }
 
 /// A recognized entity mention with its source span.
@@ -714,6 +722,8 @@ mod tests {
         assert!(EntityKind::Percent.is_value());
         assert!(EntityKind::Quarter.is_value());
         assert!(!EntityKind::Drug.is_value());
+        assert!(EntityKind::Drug.is_referential());
+        assert!(!EntityKind::Metric.is_referential() && !EntityKind::Quarter.is_referential());
     }
 
     #[test]

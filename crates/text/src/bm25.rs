@@ -6,6 +6,7 @@
 //! a `Vec` indexed by id rather than in a map.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::normalize::{lower_into, normalize_into};
 use crate::tokenize::{tokenize, TokenKind};
@@ -40,6 +41,10 @@ pub struct Bm25Index {
     /// [`Self::posting_stats`] never walks the table.
     total_postings: usize,
     max_posting: usize,
+    /// Per document, its length norm `k1 · (1 − b + b · len / avg len)`:
+    /// a pure function of the lengths, computed by the first search after
+    /// a document was added, and dropped by the next addition.
+    norms: OnceLock<Vec<f64>>,
 }
 
 impl Default for Bm25Index {
@@ -62,6 +67,7 @@ impl Bm25Index {
     /// Adds a pre-normalized term list as a document, returning its id.
     pub fn add_terms(&mut self, terms: &[String]) -> usize {
         let doc_id = self.doc_len.len();
+        self.norms = OnceLock::new();
         self.doc_len.push(terms.len());
         self.total_tokens += terms.len();
         // BTreeMap: postings lists must grow in a deterministic term order.
@@ -170,7 +176,15 @@ impl Bm25Index {
         let total_tokens = doc_len.iter().sum();
         let total_postings = postings.values().map(Vec::len).sum();
         let max_posting = postings.values().map(Vec::len).max().unwrap_or(0);
-        Self { params, postings, doc_len, total_tokens, total_postings, max_posting }
+        Self {
+            params,
+            postings,
+            doc_len,
+            total_tokens,
+            total_postings,
+            max_posting,
+            norms: OnceLock::new(),
+        }
     }
 
     /// Like [`Self::search`] but with pre-normalized query terms.
@@ -182,6 +196,15 @@ impl Bm25Index {
         self.score(terms.iter().map(|term| self.postings.get(term)), top_k)
     }
 
+    /// Every document's length norm, computed once per index version.
+    fn norms(&self) -> &[f64] {
+        self.norms.get_or_init(|| {
+            let avg = self.avg_doc_len().max(1e-9);
+            let Bm25Params { k1, b } = self.params;
+            self.doc_len.iter().map(|&dl| k1 * (1.0 - b + b * dl as f64 / avg)).collect()
+        })
+    }
+
     /// Scores the posting lists of a query's terms, in term order (`None`
     /// for a term the corpus lacks).
     fn score<'p>(
@@ -189,8 +212,8 @@ impl Bm25Index {
         lists: impl IntoIterator<Item = Option<&'p Vec<(usize, u32)>>>,
         top_k: usize,
     ) -> (Vec<(usize, f64)>, usize) {
-        let avg = self.avg_doc_len().max(1e-9);
-        let Bm25Params { k1, b } = self.params;
+        let norms = self.norms();
+        let k1 = self.params.k1;
         let mut scores = vec![0.0f64; self.doc_len.len()];
         let mut seen = vec![false; self.doc_len.len()];
         let mut touched: Vec<usize> = Vec::new();
@@ -199,9 +222,8 @@ impl Bm25Index {
             scanned += posts.len();
             let idf = self.idf(posts.len());
             for &(doc, tf) in posts {
-                let dl = self.doc_len[doc] as f64;
                 let tf = f64::from(tf);
-                let denom = tf + k1 * (1.0 - b + b * dl / avg);
+                let denom = tf + norms[doc];
                 scores[doc] += idf * tf * (k1 + 1.0) / denom;
                 if !seen[doc] {
                     seen[doc] = true;

@@ -3,6 +3,8 @@
 //! Used for entity linking (matching query mentions to graph entity nodes)
 //! and fuzzy schema alignment.
 
+use std::cell::Cell;
+
 /// Longest input, in comparison units, whose match table fits on the stack.
 const INLINE_UNITS: usize = 64;
 
@@ -67,6 +69,10 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     j + prefix * 0.1 * (1.0 - j)
 }
 
+/// Longest string, in bytes, the common-byte count takes: a count starts at
+/// most this high and goes at most this far below zero.
+const SHORT: usize = i16::MAX as usize;
+
 /// Slack under the threshold before a bound rejects: the bound and the score
 /// are computed with different rounding, each within a few ulps of 1.
 const ROUNDING_SLACK: f64 = 1e-9;
@@ -91,18 +97,21 @@ pub struct JaroWinklerAtLeast<'b> {
     threshold: f64,
     /// `b`'s length in chars.
     b_len: usize,
-    /// How often each byte occurs in `b`, when `b` is ASCII and no count
-    /// overflows.
-    bytes: Option<[u16; 128]>,
+    /// How often each byte occurs in `b`, when `b` is ASCII and at most
+    /// `i16::MAX` bytes long. A common-byte count takes each byte of the
+    /// candidate off its entry and then puts it back, so the table is
+    /// never copied; between counts it holds `b`'s counts.
+    bytes: Option<[Cell<i16>; 128]>,
 }
 
 impl<'b> JaroWinklerAtLeast<'b> {
     /// Prepares `b`; [`Self::score`] compares candidates against it.
     pub fn new(b: &'b str, threshold: f64) -> Self {
-        let bytes = (b.is_ascii() && b.len() <= usize::from(u16::MAX)).then(|| {
-            let mut counts = [0u16; 128];
+        let bytes = (b.is_ascii() && b.len() <= SHORT).then(|| {
+            let counts = [const { Cell::new(0i16) }; 128];
             for &c in b.as_bytes() {
-                counts[usize::from(c)] += 1;
+                let n = &counts[usize::from(c)];
+                n.set(n.get() + 1);
             }
             counts
         });
@@ -124,41 +133,61 @@ impl<'b> JaroWinklerAtLeast<'b> {
     pub fn may_reach(&self, a: &str) -> bool {
         let ascii = a.is_ascii();
         let a_len = if ascii { a.len() } else { a.chars().count() };
+        // Equal leading bytes, capped at 4, are at least the equal leading
+        // chars that Winkler counts, and cheaper to compare.
+        let prefix = a.bytes().zip(self.b.bytes()).take(4).take_while(|(x, y)| x == y).count();
+        // Matches never outnumber the shorter string's units; when both
+        // are ASCII, nor the bytes the two have in common (a dearer count,
+        // taken only if the cheap one admits `a`).
+        self.can_reach(a_len, prefix, a_len.min(self.b_len))
+            && match &self.bytes {
+                Some(counts) if ascii && a.len() <= SHORT => {
+                    self.can_reach(a_len, prefix, common_bytes(counts, a.as_bytes()))
+                }
+                _ => true,
+            }
+    }
+
+    /// False when no string of `chars` chars can reach the threshold: the
+    /// length stage of [`Self::may_reach`] under the largest prefix any
+    /// such string could share with `b`. A caller holding candidates
+    /// grouped by char length skips a whole group with it; every string
+    /// this admits still goes through [`Self::score`].
+    pub fn may_reach_length(&self, chars: usize) -> bool {
+        let prefix = self.b.len().min(4);
+        self.can_reach(chars, prefix, chars.min(self.b_len))
+    }
+
+    /// Whether a candidate of `a_len` chars sharing `prefix` leading bytes
+    /// with `b` and at most `matches` matches could reach the threshold.
+    fn can_reach(&self, a_len: usize, prefix: usize, matches: usize) -> bool {
         if a_len == 0 || self.b_len == 0 {
             // The bound divides by both lengths; `jaro_winkler` answers at
             // once (two empty strings score 1.0, one scores 0.0).
             return true;
         }
-        // Equal leading bytes, capped at 4, are at least the equal leading
-        // chars that Winkler counts, and cheaper to compare.
-        let prefix = a.bytes().zip(self.b.bytes()).take(4).take_while(|(x, y)| x == y).count();
-        let can_reach = |m: usize| {
-            let m = m as f64;
-            let jaro = (m / a_len as f64 + m / self.b_len as f64 + 1.0) / 3.0;
-            jaro + prefix as f64 * 0.1 * (1.0 - jaro) + ROUNDING_SLACK >= self.threshold
-        };
-        // Matches never outnumber the shorter string's units; when both
-        // are ASCII, nor the bytes the two have in common (a dearer count,
-        // taken only if the cheap one admits `a`).
-        can_reach(a_len.min(self.b_len))
-            && match &self.bytes {
-                Some(counts) if ascii => can_reach(common_bytes(counts, a)),
-                _ => true,
-            }
+        let m = matches as f64;
+        let jaro = (m / a_len as f64 + m / self.b_len as f64 + 1.0) / 3.0;
+        jaro + prefix as f64 * 0.1 * (1.0 - jaro) + ROUNDING_SLACK >= self.threshold
     }
 }
 
-/// How many bytes of `a` a string with byte counts `counts` has in common
-/// with it, counted as multisets. `a` is ASCII.
-fn common_bytes(counts: &[u16; 128], a: &str) -> usize {
-    let mut left = *counts;
+/// How many bytes of `a` a string whose byte counts are `counts` has in
+/// common with it, counted as multisets. Both strings are ASCII and at
+/// most [`SHORT`] bytes, so no count leaves `i16`. Each byte of `a` is
+/// taken off its count (which goes negative once the other string has no
+/// more of it) and then put back, leaving `counts` as it was.
+fn common_bytes(counts: &[Cell<i16>; 128], a: &[u8]) -> usize {
     let mut common = 0;
-    for &c in a.as_bytes() {
-        let n = &mut left[usize::from(c)];
-        if *n > 0 {
-            *n -= 1;
-            common += 1;
-        }
+    for &c in a {
+        let n = &counts[usize::from(c)];
+        let left = n.get() - 1;
+        n.set(left);
+        common += usize::from(left >= 0);
+    }
+    for &c in a {
+        let n = &counts[usize::from(c)];
+        n.set(n.get() + 1);
     }
     common
 }

@@ -428,3 +428,126 @@ prop_check!(
         Ok(())
     }
 );
+
+/// BM25 with both divisions per posting, `dl / avg` and the score's: the
+/// form the cached length norms replaced. Returns every hit, best first.
+fn search_two_divisions(ix: &Bm25Index, query: &str) -> Vec<(usize, f64)> {
+    let Bm25Params { k1, b } = ix.params();
+    let n = ix.len() as f64;
+    let avg = if ix.is_empty() { 0.0 } else { ix.doc_lens().iter().sum::<usize>() as f64 / n };
+    let avg = avg.max(1e-9);
+    let mut scores = vec![0.0f64; ix.len()];
+    let mut touched = Vec::new();
+    for term in unisem_text::tokenize_words(query).iter().map(|w| normalize_token(w)) {
+        let Some(posts) = ix.postings().get(&term) else {
+            continue;
+        };
+        let df = posts.len() as f64;
+        let idf = (1.0 + (n - df + 0.5) / (df + 0.5)).ln();
+        for &(doc, tf) in posts {
+            let dl = ix.doc_lens()[doc] as f64;
+            let tf = f64::from(tf);
+            let denom = tf + k1 * (1.0 - b + b * dl / avg);
+            scores[doc] += idf * tf * (k1 + 1.0) / denom;
+            if !touched.contains(&doc) {
+                touched.push(doc);
+            }
+        }
+    }
+    let mut out: Vec<(usize, f64)> = touched.into_iter().map(|d| (d, scores[d])).collect();
+    out.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    });
+    out
+}
+
+// Searches interleaved with additions read norms of the current index
+// version: every search equals the two-division form bit for bit, and so
+// does a search of the same index reassembled from its parts.
+prop_check!(
+    cached_norms_score_like_two_divisions,
+    zip(&vec_of(&zip(&sentences(), &sentences()), 0, 12), &usizes(1, 3)),
+    |p| {
+        let (steps, every) = p;
+        let mut ix = Bm25Index::default();
+        for (i, (doc, query)) in steps.iter().enumerate() {
+            ix.add_document(doc);
+            if i % every == 0 {
+                let (got, _) = ix.search(query, usize::MAX);
+                prop_assert_eq!(bits(&got), bits(&search_two_divisions(&ix, query)), "{query:?}");
+            }
+        }
+        let reopened =
+            Bm25Index::from_parts(ix.params(), ix.postings().clone(), ix.doc_lens().to_vec());
+        for (_, query) in steps {
+            let want = bits(&search_two_divisions(&ix, query));
+            prop_assert_eq!(bits(&reopened.search(query, usize::MAX).0), want.clone());
+            prop_assert_eq!(bits(&ix.search(query, usize::MAX).0), want);
+        }
+        Ok(())
+    }
+);
+
+/// `JaroWinklerAtLeast::may_reach` as it was: the common-byte count copies
+/// the fixed string's 128-entry count table for every candidate.
+fn may_reach_copying(b: &str, threshold: f64, a: &str) -> bool {
+    let (a_len, b_len) = (a.chars().count(), b.chars().count());
+    if a_len == 0 || b_len == 0 {
+        return true;
+    }
+    let prefix = a.bytes().zip(b.bytes()).take(4).take_while(|(x, y)| x == y).count();
+    let can_reach = |m: usize| {
+        let m = m as f64;
+        let jaro = (m / a_len as f64 + m / b_len as f64 + 1.0) / 3.0;
+        jaro + prefix as f64 * 0.1 * (1.0 - jaro) + 1e-9 >= threshold
+    };
+    let common_bytes = |a: &str| {
+        let mut counts = [0u16; 128];
+        for &c in b.as_bytes() {
+            counts[usize::from(c)] += 1;
+        }
+        let mut left = counts;
+        let mut common = 0;
+        for &c in a.as_bytes() {
+            let n = &mut left[usize::from(c)];
+            if *n > 0 {
+                *n -= 1;
+                common += 1;
+            }
+        }
+        common
+    };
+    can_reach(a_len.min(b_len)) && (!(a.is_ascii() && b.is_ascii()) || can_reach(common_bytes(a)))
+}
+
+// One prepared scorer answers a run of candidates exactly as the copying
+// form does each time: counting restores the table it borrows.
+prop_check!(
+    copy_free_bound_equals_the_copying_count,
+    zip3(&string_of("abcd ", 0, 24), &vec_of(&string_of("abcdé ", 0, 24), 0, 12), &usizes(0, 2)),
+    |p| {
+        let (b, candidates, t) = p;
+        let threshold = [0.7, 0.88, 0.95][*t];
+        let scorer = JaroWinklerAtLeast::new(b, threshold);
+        for a in candidates.iter().chain(candidates) {
+            prop_assert_eq!(scorer.may_reach(a), may_reach_copying(b, threshold, a), "{a:?} {b:?}");
+        }
+        Ok(())
+    }
+);
+
+// A length the group test rejects holds no candidate the bound admits.
+prop_check!(
+    length_test_rejects_only_what_the_bound_rejects,
+    zip3(&unicode_strings(0, 24), &vec_of(&string_of("abcdé ", 0, 24), 0, 12), &usizes(0, 2)),
+    |p| {
+        let (b, candidates, t) = p;
+        let scorer = JaroWinklerAtLeast::new(b, [0.7, 0.88, 0.95][*t]);
+        for a in candidates.iter().chain([b]) {
+            if !scorer.may_reach_length(a.chars().count()) {
+                prop_assert!(!scorer.may_reach(a), "{a:?} {b:?}");
+            }
+        }
+        Ok(())
+    }
+);

@@ -123,7 +123,7 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
             ("cross_modal", 8, 4651, 646727),
             ("lookup", 8, 4140, 541438),
             ("multi_entity", 5, 2194, 111938),
-            ("unanswerable", 8, 4387, 419287),
+            ("unanswerable", 8, 4323, 415815),
         ],
         [
             ("aggregate", 8, 2754, 131075),
@@ -131,7 +131,7 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
             ("cross_modal", 8, 3422, 401480),
             ("lookup", 8, 3042, 345165),
             ("multi_entity", 8, 3574, 168077),
-            ("unanswerable", 8, 3672, 325590),
+            ("unanswerable", 8, 3632, 324046),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [

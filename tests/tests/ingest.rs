@@ -24,7 +24,7 @@ use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
     Provenance, StatsCatalog, UnifiedEngine,
 };
-use unisem_hetgraph::{EdgeKind, NodeKind};
+use unisem_hetgraph::{EdgeKind, HetGraph, NodeKind};
 use unisem_relstore::{Database, Value};
 use unisem_slm::EntityKind;
 use unisem_workloads::ecommerce::DocSpec;
@@ -496,4 +496,45 @@ fn faulted_answer_after_doc_delta_equals_a_fresh_build() {
     let mut grown = w.clone();
     grown.documents.push(added);
     assert_eq!(after, build(&grown, faulted).answer(q), "a from-scratch engine answers alike");
+}
+
+/// The derived read-side structures follow ingest: the graph's
+/// referential-entity table equals one `HetGraph::from_parts` rebuilds
+/// after an entity and a document delta and after a snapshot reopen, and
+/// BM25's cached length norms, filled by an answer before a document
+/// delta, are dropped by it: the next answer equals that of an engine that
+/// took the same delta without having searched.
+#[test]
+fn entity_table_and_bm25_norms_follow_deltas_and_reopen() {
+    let table_of_parts = |g: &HetGraph| {
+        let rebuilt = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec()).expect("parts");
+        rebuilt.referential_entities().clone()
+    };
+    let w = corpus(8);
+    let q = &probes(1)[1];
+    let mut live = build(&w, config(1, FaultPlan::disabled()));
+    live.answer(q);
+    let before = live.graph().referential_entities().len();
+
+    live.ingest_delta(delta(3, 1, 0)).expect("good delta");
+    let table = live.graph().referential_entities();
+    assert_eq!(table.len(), before + 1, "an organization is referential");
+    assert!(!table.holding("supplier").is_empty());
+    assert_eq!(table, &table_of_parts(live.graph()));
+
+    let doc = delta(0, 1, 7);
+    live.ingest_delta(doc.clone()).expect("good delta");
+    assert_eq!(live.graph().referential_entities(), &table_of_parts(live.graph()));
+    let mut unsearched = build(&w, config(1, FaultPlan::disabled()));
+    unsearched.ingest_delta(delta(3, 1, 0)).expect("good delta");
+    unsearched.ingest_delta(doc).expect("good delta");
+    assert_eq!(live.answer(q), unsearched.answer(q), "stale norms would score differently");
+
+    let snap = tmp_wal("table-snapshot");
+    live.save_snapshot(&snap).expect("save");
+    let (reopened, _) =
+        EngineBuilder::open_snapshot(&snap, config(1, FaultPlan::disabled())).expect("reopen");
+    assert_eq!(reopened.graph().referential_entities(), live.graph().referential_entities());
+    assert_eq!(reopened.answer(q), live.answer(q));
+    remove_wal(&snap);
 }

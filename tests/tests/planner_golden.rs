@@ -242,19 +242,10 @@ fn explain_plans_match_golden_snapshots() {
     }
 }
 
-/// Work counted, not timed (DESIGN.md §11f, §11g): the base-table rows each
-/// QA category's answers read (`relstore.rows_scanned`, summed over its
-/// questions), on both corpora at eight questions per category. An
-/// unanswerable question reads nothing, because the value index prunes
-/// every candidate its plan would have run; a filter with a key conjunct
-/// reads only the rows its probe names — the subject's rows for an
-/// aggregate or comparative question, the period's for an e-commerce
-/// multi-entity one — and a scan no such filter sits on (healthcare's
-/// multi-entity question groups the whole table, then filters the groups)
-/// reads its whole table.
-#[test]
-fn rows_scanned_per_category_are_pinned() {
-    let ws = corpora(
+/// The two workloads per-category work counts are pinned on: 24 products
+/// and 8 drugs, eight questions per category.
+fn pinned_corpora() -> Vec<Workload> {
+    corpora(
         EcommerceConfig {
             products: 24,
             quarters: 4,
@@ -270,7 +261,22 @@ fn rows_scanned_per_category_are_pinned() {
             qa_per_category: 8,
             seed: 0x4EA17,
         },
-    );
+    )
+}
+
+/// Work counted, not timed (DESIGN.md §11f, §11g): the base-table rows each
+/// QA category's answers read (`relstore.rows_scanned`, summed over its
+/// questions), on both corpora at eight questions per category. An
+/// unanswerable question reads nothing, because the value index prunes
+/// every candidate its plan would have run; a filter with a key conjunct
+/// reads only the rows its probe names — the subject's rows for an
+/// aggregate or comparative question, the period's for an e-commerce
+/// multi-entity one — and a scan no such filter sits on (healthcare's
+/// multi-entity question groups the whole table, then filters the groups)
+/// reads its whole table.
+#[test]
+fn rows_scanned_per_category_are_pinned() {
+    let ws = pinned_corpora();
     // (category, questions, rows scanned)
     let pinned: [[(&str, u64, u64); 6]; 2] = [
         [
@@ -305,6 +311,58 @@ fn rows_scanned_per_category_are_pinned() {
         assert_eq!(got, want, "workload={}", w.name);
         let pruned = engine.metrics_report().get("planner.candidates_pruned");
         assert!(pruned > Some(0), "workload={}: nothing was pruned", w.name);
+    }
+}
+
+/// Anchor linking's exact work, `TraversalStats::labels_examined`, pinned
+/// per QA category (DESIGN.md §5b): the fuzzy candidates in a label length
+/// the similarity bound admits plus the entity ids the containment word
+/// index lists. A question that names a known entity examines none.
+#[test]
+fn labels_examined_per_category_are_pinned() {
+    use std::sync::Arc;
+    use unisem_retrieval::TopologyRetriever;
+
+    // (category, questions, labels examined)
+    let pinned: [[(&str, u64, u64); 6]; 2] = [
+        [
+            ("aggregate", 8, 0),
+            ("comparative", 8, 0),
+            ("cross_modal", 8, 0),
+            ("lookup", 8, 0),
+            ("multi_entity", 5, 0),
+            ("unanswerable", 8, 296),
+        ],
+        [
+            ("aggregate", 8, 0),
+            ("comparative", 8, 0),
+            ("cross_modal", 8, 0),
+            ("lookup", 8, 0),
+            ("multi_entity", 8, 0),
+            ("unanswerable", 8, 352),
+        ],
+    ];
+    for (w, want) in pinned_corpora().iter().zip(pinned) {
+        let e = build(w, config(FaultPlan::disabled()));
+        let retriever = TopologyRetriever::new(
+            e.slm().clone(),
+            Arc::new(e.graph().clone()),
+            Arc::new(e.docs().clone()),
+            e.config().topology,
+        );
+        let mut got: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for item in &w.qa {
+            let (_, stats) =
+                retriever.retrieve_with_stats(&item.question, e.config().retrieval_top_k);
+            let (questions, labels) = got.entry(item.category.label()).or_default();
+            *questions += 1;
+            *labels += stats.labels_examined as u64;
+        }
+        for (category, (questions, labels)) in &got {
+            println!("{} {category}: {questions} questions, {labels} labels", w.name);
+        }
+        let want: BTreeMap<&str, (u64, u64)> = want.map(|(c, q, n)| (c, (q, n))).into();
+        assert_eq!(got, want, "workload={}", w.name);
     }
 }
 
