@@ -80,7 +80,7 @@ echo "==> relstore probe == scan, 16x deeper than tier-1"
 # same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
 
-echo "==> borrowed text analysis and bounded anchor linking == the reference forms, 16x deeper than tier-1"
+echo "==> borrowed text analysis, bounded anchor linking and per-core entropy == the reference forms, 16x deeper than tier-1"
 # Tokens borrow their text, case folding and stemming write into a reused
 # buffer, and the meter counts subword tokens without building them
 # (DESIGN.md §5c). The differential properties holding each to the form it
@@ -94,9 +94,14 @@ echo "==> borrowed text analysis and bounded anchor linking == the reference for
 # referential-entity table against one rebuilt from its nodes, and the
 # retriever's tree-map oracle, which holds table-driven fuzzy linking and
 # the word-index containment lookup to the per-mention, per-word walks
-# they replaced (DESIGN.md §5b).
+# they replaced (DESIGN.md §5b). So do the template boundary (a wrapped
+# text's tokens are its prefix's, its core's and its suffix's, and its
+# token count their sum) and entropy's whole-text oracles, which hold the
+# once-per-distinct-core report to the one from analysing every sampled
+# text, over sampler output and over (core, template) generations,
+# mislabelled ones included (DESIGN.md §5b).
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
-    -p unisem-retrieval
+    -p unisem-retrieval -p unisem-entropy
 
 echo "==> totality: hostile questions and corrupted snapshots never panic, 16x deeper than tier-1"
 # clippy rules out unwrap and panic! in the panic-free crates; an index, a

@@ -475,9 +475,7 @@ impl UnifiedEngine {
         run: &mut Run,
     ) -> (EntropyReport, f64) {
         let clock = tracekit::wall::Stopwatch::start();
-        let mut estimator = self.estimator.clone();
-        estimator.n_samples = samples;
-        let report = estimator.estimate(run.question, evidence);
+        let report = self.estimator.estimate_with_samples(run.question, evidence, samples);
         self.metrics.record_stage(Stage::AnswerEntropy, clock.elapsed_ns());
         self.metrics.incr(Metric::EntropyEstimates);
         self.metrics.add(Metric::EntropySamples, report.n_samples as u64);

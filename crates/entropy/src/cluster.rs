@@ -14,6 +14,7 @@
 
 use std::cmp::Ordering;
 
+use unisem_slm::{template_of, TEMPLATES};
 use unisem_text::distinct_ids;
 use unisem_text::normalize::{is_stopword, stem_into};
 use unisem_text::tokenize::{tokenize, TokenKind};
@@ -63,20 +64,19 @@ pub struct Signature {
 
 /// Extracts the semantic signature of an answer.
 pub fn signature(text: &str) -> Signature {
-    analyse(text).0
+    analyse(text, |_| {})
 }
 
-/// One pass over the tokens of `text`: its [`Signature`], and its lower-cased
-/// word and number tokens as a sorted, deduplicated set — what the
+/// One pass over the tokens of `text`: returns its [`Signature`], and hands
+/// `word` each lower-cased word and number token — what the
 /// lexical-variance baseline compares.
 ///
 /// Tokens borrow `text` and are folded and stemmed in two reused buffers;
-/// a word or stem is copied only the first time it enters its set.
-fn analyse(text: &str) -> (Signature, Vec<String>) {
+/// a stem is copied only the first time it enters the content set.
+fn analyse(text: &str, mut word: impl FnMut(&str)) -> Signature {
     let mut content = Vec::new();
     let mut numbers = Vec::new();
     let mut negated = false;
-    let mut words = Vec::new();
     let (mut lower, mut stemmed) = (String::new(), String::new());
     for t in tokenize(text) {
         match t.kind {
@@ -95,10 +95,10 @@ fn analyse(text: &str) -> (Signature, Vec<String>) {
             }
             TokenKind::Punct => continue,
         }
-        insert_sorted(&mut words, &lower);
+        word(&lower);
     }
     numbers.sort();
-    (Signature { content, numbers, negated }, words)
+    Signature { content, numbers, negated }
 }
 
 /// Inserts `s` into the sorted, deduplicated `set` unless it is there.
@@ -108,8 +108,8 @@ fn insert_sorted(set: &mut Vec<String>, s: &str) {
     }
 }
 
-/// How many strings two sorted, deduplicated lists share: one merge.
-fn overlap(a: &[String], b: &[String]) -> usize {
+/// How many items two sorted, deduplicated lists share: one merge.
+fn overlap<T: Ord>(a: &[T], b: &[T]) -> usize {
     let (mut i, mut j, mut shared) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -127,7 +127,7 @@ fn overlap(a: &[String], b: &[String]) -> usize {
 
 /// Jaccard similarity of two sorted, deduplicated lists; two empty sets are
 /// identical.
-pub(crate) fn jaccard(a: &[String], b: &[String]) -> f64 {
+pub(crate) fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
     jaccard_of(overlap(a, b), a.len(), b.len())
 }
 
@@ -186,27 +186,140 @@ impl SemanticCluster {
     }
 }
 
-/// The sampled answers of one question, analysed once per distinct text.
+/// What a paraphrase template adds to the texts it wraps, computed once per
+/// [`crate::EntropyEstimator`].
 ///
-/// A signature and a token set are functions of the text alone, and at low
-/// entropy the samples repeat verbatim, so both are kept per distinct text
-/// and each sample holds only the id of its text (DESIGN.md §5b).
+/// A template's prefix and suffix tokenize apart from the core they wrap
+/// (`unisem_slm::TEMPLATES`), so a wrapped text's word set is the union of
+/// its core's and the template's. A *neutral* template — no content word,
+/// number or negation — also leaves the signature as the core's
+/// (DESIGN.md §5b).
+#[derive(Debug, Clone)]
+pub(crate) struct TemplateWords {
+    /// Every template word: word `i` has id `i` in each [`SampleSet`].
+    vocab: Vec<String>,
+    /// Per template, the sorted ids of its words, or `None` when the
+    /// template is not neutral and a text it wraps is analysed whole.
+    words: Vec<Option<Vec<u32>>>,
+}
+
+impl TemplateWords {
+    pub(crate) fn new() -> Self {
+        let mut interner = Interner { vocab: &[], seen: Vec::new() };
+        let words = TEMPLATES
+            .iter()
+            .map(|&(prefix, suffix)| {
+                let mut ids = Vec::new();
+                let prefix = analyse(prefix, |w| ids.push(interner.id(w)));
+                let suffix = analyse(suffix, |w| ids.push(interner.id(w)));
+                (is_neutral(&prefix) && is_neutral(&suffix)).then(|| sorted_set(ids))
+            })
+            .collect();
+        Self { vocab: interner.seen, words }
+    }
+
+    /// Whether template `t` leaves a signature as its core's.
+    #[cfg(test)]
+    pub(crate) fn neutral(&self, t: usize) -> bool {
+        self.words[t].is_some()
+    }
+}
+
+/// No content word, number or negation.
+fn is_neutral(sig: &Signature) -> bool {
+    sig.content.is_empty() && sig.numbers.is_empty() && !sig.negated
+}
+
+/// Numbers words as first seen, after the words of `vocab`. (A sample set
+/// holds fewer words than its texts have bytes, so an id fits a `u32`.)
+struct Interner<'t> {
+    vocab: &'t [String],
+    seen: Vec<String>,
+}
+
+impl Interner<'_> {
+    fn id(&mut self, word: &str) -> u32 {
+        let known = self.vocab.iter().chain(&self.seen).position(|w| w == word);
+        let id = known.unwrap_or_else(|| {
+            self.seen.push(word.to_owned());
+            self.vocab.len() + self.seen.len() - 1
+        });
+        id as u32
+    }
+}
+
+/// `ids` sorted and deduplicated.
+fn sorted_set(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// The sampled answers of one question, analysed once per distinct core.
+///
+/// The sampler wraps one core in up to six templates, and at low entropy it
+/// samples the same core again and again. A text that is a neutral template
+/// around its core is analysed as that core — its *unit* — plus the
+/// template's words; any other text is its own unit. Each distinct unit is
+/// tokenized once, and each distinct text keeps the index of its unit's
+/// signature and its own word set (DESIGN.md §5b).
 pub(crate) struct SampleSet {
     /// Per sample, the index of its text among the distinct texts, which
     /// are numbered in first-occurrence order.
     pub(crate) ids: Vec<usize>,
-    /// Per distinct text, its signature.
+    /// Per distinct text, the index of its unit, numbered in
+    /// first-occurrence order over the distinct texts.
+    unit_of: Vec<usize>,
+    /// Per unit, its signature.
     signatures: Vec<Signature>,
-    /// Per distinct text, its lower-cased word and number tokens, sorted
-    /// and deduplicated.
-    pub(crate) words: Vec<Vec<String>>,
+    /// Per distinct text, the ids of its lower-cased word and number
+    /// tokens, sorted and deduplicated.
+    pub(crate) words: Vec<Vec<u32>>,
 }
 
 impl SampleSet {
-    pub(crate) fn new<'a>(texts: impl IntoIterator<Item = &'a str>) -> Self {
-        let (ids, distinct) = distinct_ids(texts);
-        let (signatures, words) = distinct.into_iter().map(analyse).unzip();
-        Self { ids, signatures, words }
+    /// Analyses samples given as `(text, core)` pairs.
+    pub(crate) fn new<'a>(
+        templates: &TemplateWords,
+        samples: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Self {
+        let samples: Vec<(&str, &str)> = samples.into_iter().collect();
+        let (ids, _) = distinct_ids(samples.iter().map(|&(text, _)| text));
+        // Per distinct text, its unit and the ids its template adds, from
+        // the first sample with that text.
+        let mut wrapped: Vec<(&str, &[u32])> = Vec::with_capacity(samples.len());
+        for (&(text, core), &id) in samples.iter().zip(&ids) {
+            if id == wrapped.len() {
+                wrapped.push(
+                    match template_of(text, core).and_then(|t| templates.words[t].as_deref()) {
+                        Some(words) => (core, words),
+                        None => (text, &[]),
+                    },
+                );
+            }
+        }
+        let (unit_of, units) = distinct_ids(wrapped.iter().map(|&(unit, _)| unit));
+        let mut interner = Interner { vocab: &templates.vocab, seen: Vec::new() };
+        let (signatures, unit_words): (Vec<Signature>, Vec<Vec<u32>>) = units
+            .into_iter()
+            .map(|unit| {
+                let mut ids = Vec::new();
+                let sig = analyse(unit, |w| ids.push(interner.id(w)));
+                (sig, sorted_set(ids))
+            })
+            .unzip();
+        let words = unit_of
+            .iter()
+            .zip(&wrapped)
+            .map(|(&u, &(_, template))| sorted_set([&unit_words[u][..], template].concat()))
+            .collect();
+        Self { ids, unit_of, signatures, words }
+    }
+
+    /// How many units were analysed.
+    #[cfg(test)]
+    pub(crate) fn units(&self) -> usize {
+        self.signatures.len()
     }
 }
 
@@ -214,10 +327,11 @@ impl SampleSet {
 /// representative it is equivalent to, else starts a new cluster. Clusters
 /// are returned largest-first (ties by first-member order).
 pub(crate) fn cluster_samples(samples: &SampleSet, config: &ClusterConfig) -> Vec<SemanticCluster> {
-    // The greedy pass runs over the distinct texts. Their order is the order
-    // clusters are founded in, representatives never change, and a text is
-    // equivalent to itself — so a repeated sample lands where its first
-    // occurrence did, without asking again.
+    // The greedy pass runs over the units. Their order is the order clusters
+    // are founded in, representatives never change, and a signature is
+    // equivalent to itself — so every text of a unit, and every repeat of a
+    // text, lands where the unit's first occurrence did, without asking
+    // again.
     let mut clusters: Vec<SemanticCluster> = Vec::new();
     let mut cluster_of = Vec::with_capacity(samples.signatures.len());
     for sig in &samples.signatures {
@@ -228,7 +342,7 @@ pub(crate) fn cluster_samples(samples: &SampleSet, config: &ClusterConfig) -> Ve
         }));
     }
     for (i, &id) in samples.ids.iter().enumerate() {
-        clusters[cluster_of[id]].member_indices.push(i);
+        clusters[cluster_of[samples.unit_of[id]]].member_indices.push(i);
     }
     clusters
         .sort_by(|a, b| b.len().cmp(&a.len()).then(a.member_indices[0].cmp(&b.member_indices[0])));
@@ -245,7 +359,10 @@ mod tests {
     }
 
     fn cluster_answers(answers: &[&str], config: &ClusterConfig) -> Vec<SemanticCluster> {
-        cluster_samples(&SampleSet::new(answers.iter().copied()), config)
+        cluster_samples(
+            &SampleSet::new(&TemplateWords::new(), answers.iter().map(|&a| (a, a))),
+            config,
+        )
     }
 
     #[test]
@@ -341,7 +458,7 @@ mod tests {
         assert_eq!(overlap(&a, &b), 2);
         assert_eq!(jaccard(&a, &b), 0.5);
         assert_eq!(jaccard(&a, &a), 1.0);
-        assert_eq!(jaccard(&[], &[]), 1.0);
+        assert_eq!(jaccard::<u32>(&[], &[]), 1.0);
         assert_eq!(jaccard(&a, &[]), 0.0);
         assert_eq!(jaccard(&set(&["a"]), &set(&["z"])), 0.0);
     }
@@ -364,5 +481,36 @@ mod tests {
         let a = signature("From the available evidence: 42 units.");
         let b = signature("42 units");
         assert!(equivalent(&a, &b, &cfg()));
+    }
+
+    #[test]
+    fn every_template_is_neutral() {
+        let templates = TemplateWords::new();
+        for (t, (prefix, suffix)) in TEMPLATES.iter().enumerate() {
+            assert!(templates.neutral(t), "{prefix:?} … {suffix:?}");
+            assert_eq!(signature(&format!("{prefix}{suffix}")), signature(""));
+        }
+    }
+
+    /// `(text, core)` pairs: `core` under each template in `templates`.
+    fn wrapped<'a>(core: &'a str, templates: &[usize]) -> Vec<(String, &'a str)> {
+        let wrap = |&t: &usize| (format!("{}{core}{}", TEMPLATES[t].0, TEMPLATES[t].1), core);
+        templates.iter().map(wrap).collect()
+    }
+
+    fn units_of(samples: &[(String, &str)]) -> usize {
+        SampleSet::new(&TemplateWords::new(), samples.iter().map(|(t, c)| (t.as_str(), *c))).units()
+    }
+
+    #[test]
+    fn one_unit_per_distinct_core() {
+        let one = wrapped("sales rose 20%", &[0, 1, 2, 3, 4, 5, 1, 1, 3, 0]);
+        assert_eq!(units_of(&one), 1);
+        let mut two = wrapped("sales fell 3%", &[2, 4, 5]);
+        two.extend(one);
+        assert_eq!(units_of(&two), 2);
+        // A text that is no template around its core is its own unit.
+        let mislabelled = [("sales rose 20%.".to_string(), "sales rose 20%")];
+        assert_eq!(units_of(&[two, mislabelled.to_vec()].concat()), 3);
     }
 }

@@ -26,7 +26,7 @@ pub use measure::{
     discrete_semantic_entropy, predictive_entropy, semantic_entropy_rao, EntropyReport,
 };
 
-use cluster::{cluster_samples, SampleSet};
+use cluster::{cluster_samples, SampleSet, TemplateWords};
 use measure::lexical_variance_of;
 use unisem_slm::{GenConfig, Generation, Slm, SupportedAnswer};
 
@@ -41,22 +41,41 @@ pub struct EntropyEstimator {
     pub temperature: f64,
     /// Clustering configuration.
     pub cluster_config: ClusterConfig,
+    /// The paraphrase templates' words, analysed once.
+    templates: TemplateWords,
 }
 
 impl EntropyEstimator {
     /// Creates an estimator with the paper-typical setting (10 samples at
     /// temperature 1.0).
     pub fn new(slm: Slm) -> Self {
-        Self { slm, n_samples: 10, temperature: 1.0, cluster_config: ClusterConfig::default() }
+        Self {
+            slm,
+            n_samples: 10,
+            temperature: 1.0,
+            cluster_config: ClusterConfig::default(),
+            templates: TemplateWords::new(),
+        }
     }
 
-    /// Samples answers for `query` given evidence and measures uncertainty.
+    /// Samples `self.n_samples` answers for `query` given evidence and
+    /// measures uncertainty.
     pub fn estimate(&self, query: &str, evidence: &[SupportedAnswer]) -> EntropyReport {
+        self.estimate_with_samples(query, evidence, self.n_samples)
+    }
+
+    /// [`Self::estimate`] with `n_samples` samples instead of the field's.
+    pub fn estimate_with_samples(
+        &self,
+        query: &str,
+        evidence: &[SupportedAnswer],
+        n_samples: usize,
+    ) -> EntropyReport {
         let gens = self.slm.sample_answers(
             query,
             evidence,
             &GenConfig {
-                n_samples: self.n_samples,
+                n_samples,
                 temperature: self.temperature,
                 paraphrase: true,
                 ..GenConfig::default()
@@ -66,8 +85,15 @@ impl EntropyEstimator {
     }
 
     /// Measures uncertainty over already-sampled generations.
+    ///
+    /// A generation whose text is a paraphrase template around its core is
+    /// analysed as that core; any other is analysed whole. The report is the
+    /// one whole-text analysis would give (DESIGN.md §5b).
     pub fn measure_generations(&self, gens: &[Generation]) -> EntropyReport {
-        let samples = SampleSet::new(gens.iter().map(|g| g.text.as_str()));
+        let samples = SampleSet::new(
+            &self.templates,
+            gens.iter().map(|g| (g.text.as_str(), g.core.as_str())),
+        );
         let clusters = cluster_samples(&samples, &self.cluster_config);
         let log_probs: Vec<f64> = gens.iter().map(|g| g.log_prob).collect();
         EntropyReport {

@@ -128,14 +128,17 @@ pub(crate) fn lexical_variance_of(samples: &SampleSet) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{cluster_samples, ClusterConfig};
+    use crate::cluster::{cluster_samples, ClusterConfig, TemplateWords};
 
     fn clusters_of(answers: &[&str]) -> Vec<SemanticCluster> {
-        cluster_samples(&SampleSet::new(answers.iter().copied()), &ClusterConfig::default())
+        cluster_samples(
+            &SampleSet::new(&TemplateWords::new(), answers.iter().map(|&a| (a, a))),
+            &ClusterConfig::default(),
+        )
     }
 
     fn lexical_variance(answers: &[&str]) -> f64 {
-        lexical_variance_of(&SampleSet::new(answers.iter().copied()))
+        lexical_variance_of(&SampleSet::new(&TemplateWords::new(), answers.iter().map(|&a| (a, a))))
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Property-based tests: entropy bounds and clustering laws, and the
-//! differential properties that hold the sorted-slice, once-per-distinct-text
-//! forms to the `HashSet` forms they replaced (detkit harness).
+//! differential properties that hold the sorted-slice, once-per-distinct-core
+//! forms to the whole-text `HashSet` forms they replaced (detkit harness).
 
 use std::collections::HashSet;
 
-use detkit::prop::{bools, f64s, one_of, usizes, vec_of, words_of, zip, zip3, Gen};
+use detkit::prop::{bools, f64s, just, one_of, usizes, vec_of, words_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_entropy::cluster::{equivalent, signature, Signature};
 use unisem_entropy::{
     auroc, discrete_semantic_entropy, predictive_entropy, semantic_entropy_rao, ClusterConfig,
     EntropyEstimator, EntropyReport, SemanticCluster,
 };
-use unisem_slm::{GenConfig, Generation, Slm, SupportedAnswer};
+use unisem_slm::{GenConfig, Generation, Slm, SupportedAnswer, TEMPLATES};
 use unisem_text::normalize::{is_stopword, stem};
 use unisem_text::tokenize::{tokenize, tokenize_words, TokenKind};
 
@@ -47,7 +47,9 @@ const ANSWERS: &[&str] = &[
     "fever",
 ];
 
-/// Cores the sampler wraps in its own paraphrase templates.
+/// Cores the sampler wraps in its own paraphrase templates, and cores that
+/// probe a template's edges: blank, a leading sign, a number, word or joiner
+/// left open at the end, non-ASCII, and template text itself.
 const CORES: &[&str] = &[
     "sales rose 20%",
     "sales fell 3%",
@@ -56,6 +58,17 @@ const CORES: &[&str] = &[
     "café prices rose",
     "1,234",
     "",
+    " \t",
+    "-15",
+    "+3",
+    "sales rose 42",
+    "3.",
+    "1,",
+    "x-",
+    "it'",
+    "naïve 概念 \u{212a}elvin",
+    "42",
+    "The answer is 42.",
 ];
 
 fn pick(pool: &'static [&'static str]) -> Gen<String> {
@@ -355,6 +368,56 @@ prop_check!(
             estimator.measure_generations(&gens),
             report_oracle(&gens, &estimator.cluster_config)
         );
+        Ok(())
+    }
+);
+
+/// How a generation is built: the core its text wraps, the template, and
+/// the core it is labelled with.
+type Recipe = (usize, usize, usize);
+
+/// Recipes drawn from a pool of at most four, so texts repeat; most are
+/// labelled with their own core, some with another, and two always-eligible
+/// recipes reach `The answer is 42.` from two different (core, template)
+/// pairs.
+fn arb_recipes() -> Gen<Vec<Recipe>> {
+    let core = usizes(0, CORES.len() - 1);
+    let template = usizes(0, TEMPLATES.len() - 1);
+    let own = zip(&core, &template).map(|&(c, t)| (c, t, c));
+    let mislabelled = zip3(&core, &template, &core).map(|&r| r);
+    let core_of = |text| CORES.iter().position(|c| *c == text).unwrap_or(0);
+    let (forty_two, wrapped) = (core_of("42"), core_of("The answer is 42."));
+    let twins = one_of(vec![just((forty_two, 1, forty_two)), just((wrapped, 0, wrapped))]);
+    let recipe = one_of(vec![own.clone(), own, mislabelled, twins]);
+    zip(&vec_of(&recipe, 1, 4), &vec_of(&usizes(0, 3), 1, 11))
+        .map(|(pool, picks)| picks.iter().map(|p| pool[p % pool.len()]).collect())
+}
+
+// The whole report over generations built from (core, template) pairs —
+// correctly labelled, mislabelled, and one text reached from two pairs —
+// equals the report from analysing every text whole.
+prop_check!(
+    composed_report_matches_oracle,
+    zip3(&arb_recipes(), &vec_of(&f64s(-6.0, 0.0), 11, 11), &arb_config()),
+    |t| {
+        let (recipes, log_probs, config) = t;
+        let gens: Vec<Generation> = recipes
+            .iter()
+            .zip(log_probs)
+            .map(|(&(core, template, label), &log_prob)| {
+                let (prefix, suffix) = TEMPLATES[template];
+                Generation {
+                    text: format!("{prefix}{}{suffix}", CORES[core]),
+                    core: CORES[label].to_string(),
+                    log_prob,
+                    source_index: None,
+                }
+            })
+            .collect();
+        let report = report(&gens, config);
+        let oracle = report_oracle(&gens, config);
+        prop_assert_eq!(report.lexical_variance.to_bits(), oracle.lexical_variance.to_bits());
+        prop_assert_eq!(report, oracle);
         Ok(())
     }
 );

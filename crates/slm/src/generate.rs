@@ -24,6 +24,7 @@
 use detkit::Rng;
 
 use crate::embedding::fnv1a;
+use crate::tokenizer::count_tokens;
 
 /// A candidate answer with its evidence support weight.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,15 +83,35 @@ pub struct Generation {
     pub source_index: Option<usize>,
 }
 
-/// Paraphrase templates; `{}` is replaced by the core answer.
-const TEMPLATES: &[&str] = &[
-    "{}",
-    "The answer is {}.",
-    "Based on the data, {}.",
-    "{} according to the records.",
-    "It appears that {}.",
-    "From the available evidence: {}.",
+/// Paraphrase templates, each the text before and the text after the core
+/// answer.
+///
+/// Every prefix is empty or ends in a space, and every suffix is empty or
+/// starts with `.` or a space, so the tokens of a wrapped text are the
+/// prefix's, then the core's, then the suffix's (DESIGN.md §5b).
+pub const TEMPLATES: &[(&str, &str)] = &[
+    ("", ""),
+    ("The answer is ", "."),
+    ("Based on the data, ", "."),
+    ("", " according to the records."),
+    ("It appears that ", "."),
+    ("From the available evidence: ", "."),
 ];
+
+/// The index of the template that wraps `core` into `text`: `Some(t)` only
+/// when `text == prefix + core + suffix` byte for byte.
+///
+/// ```
+/// use unisem_slm::generate::template_of;
+/// assert_eq!(template_of("The answer is 42.", "42"), Some(1));
+/// assert_eq!(template_of("The answer is 42.", "The answer is 42."), Some(0));
+/// assert_eq!(template_of("The answer is 42!", "42"), None);
+/// ```
+pub fn template_of(text: &str, core: &str) -> Option<usize> {
+    TEMPLATES.iter().position(|(prefix, suffix)| {
+        text.strip_prefix(prefix).and_then(|rest| rest.strip_suffix(suffix)) == Some(core)
+    })
+}
 
 /// Hallucination answer fragments, instantiated per query.
 const HALLUCINATION_FORMS: &[&str] = &[
@@ -104,12 +125,22 @@ const HALLUCINATION_FORMS: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct Generator {
     base_seed: u64,
+    /// Per template, the subword tokens its prefix and suffix add.
+    template_tokens: Vec<usize>,
 }
 
 impl Generator {
     /// Creates a generator with a base seed.
     pub fn new(base_seed: u64) -> Self {
-        Self { base_seed }
+        let template_tokens =
+            TEMPLATES.iter().map(|(prefix, suffix)| count_tokens(prefix) + count_tokens(suffix));
+        Self { base_seed, template_tokens: template_tokens.collect() }
+    }
+
+    /// The subword tokens template `t` adds around its core: with the
+    /// core's own count, the count of the whole text.
+    pub fn template_tokens(&self, t: usize) -> usize {
+        self.template_tokens[t]
     }
 
     /// Draws `config.n_samples` answers for `query` from the evidence
@@ -169,7 +200,8 @@ impl Generator {
                 let text = if config.paraphrase {
                     let ti =
                         (seed.rotate_left(s as u32) as usize).wrapping_add(s) % TEMPLATES.len();
-                    apply_template(TEMPLATES[ti], core)
+                    let (prefix, suffix) = TEMPLATES[ti];
+                    [prefix, core, suffix].concat()
                 } else {
                     core.clone()
                 };
@@ -182,10 +214,6 @@ impl Generator {
             })
             .collect()
     }
-}
-
-fn apply_template(template: &str, core: &str) -> String {
-    template.replace("{}", core)
 }
 
 /// Temperature softmax; temperature 0 returns a one-hot argmax distribution.
@@ -364,6 +392,30 @@ mod tests {
         let hot = softmax(&[1.0, 3.0], 5.0);
         let cold = softmax(&[1.0, 3.0], 0.1);
         assert!(hot[0] > cold[0]);
+    }
+
+    #[test]
+    fn template_of_checks_bytes() {
+        for (t, (prefix, suffix)) in TEMPLATES.iter().enumerate() {
+            let text = format!("{prefix}42 units{suffix}");
+            assert_eq!(template_of(&text, "42 units"), Some(t));
+            assert_eq!(template_of(&text, "42 unit"), None);
+            assert_eq!(template_of(&text, &text), Some(0));
+        }
+        assert_eq!(template_of("the answer is 42.", "42"), None);
+        assert_eq!(template_of("The answer is 42", "42"), None);
+        assert_eq!(template_of("", ""), Some(0));
+    }
+
+    #[test]
+    fn template_tokens_complete_the_core_count() {
+        let g = Generator::new(0);
+        for (t, (prefix, suffix)) in TEMPLATES.iter().enumerate() {
+            for core in ["", "42", "sales rose 20%", "-15", "3."] {
+                let text = format!("{prefix}{core}{suffix}");
+                assert_eq!(count_tokens(core) + g.template_tokens(t), count_tokens(&text));
+            }
+        }
     }
 
     #[test]

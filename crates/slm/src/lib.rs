@@ -32,7 +32,7 @@ pub mod tokenizer;
 
 pub use cost::{CostMeter, CostModel, ModelClass, UsageSnapshot};
 pub use embedding::{Embedder, EmbedderConfig};
-pub use generate::{GenConfig, Generation, Generator, SupportedAnswer};
+pub use generate::{template_of, GenConfig, Generation, Generator, SupportedAnswer, TEMPLATES};
 pub use ner::{EntityKind, EntityMention, Lexicon, NerTagger};
 pub use pos::{pos_tag, PosTag};
 pub use tokenizer::{count_tokens, word_pieces};
@@ -153,11 +153,20 @@ impl Slm {
         let prompt_tokens =
             count_tokens(query) + evidence.iter().map(|e| count_tokens(&e.text)).sum::<usize>();
         let gens = self.generator.sample(query, evidence, config);
-        // Every sample is charged, but a text that was sampled twice is
-        // counted once: the count is a function of the text alone.
-        let (ids, distinct) = distinct_ids(gens.iter().map(|g| g.text.as_str()));
-        let counts: Vec<usize> = distinct.iter().map(|text| count_tokens(text)).collect();
-        let decode_tokens: usize = ids.iter().map(|&id| counts[id]).sum();
+        // Every sample is charged its text's tokens, but a core is counted
+        // once however many samples and templates share it: a text that is
+        // a template around its core counts the core's tokens plus the
+        // template's (DESIGN.md §5b). Any other text is counted whole.
+        let (ids, cores) = distinct_ids(gens.iter().map(|g| g.core.as_str()));
+        let counts: Vec<usize> = cores.iter().map(|core| count_tokens(core)).collect();
+        let decode_tokens: usize = gens
+            .iter()
+            .zip(ids)
+            .map(|(g, id)| match template_of(&g.text, &g.core) {
+                Some(t) => counts[id] + self.generator.template_tokens(t),
+                None => count_tokens(&g.text),
+            })
+            .sum();
         self.meter.record_generate(prompt_tokens, decode_tokens);
         gens
     }

@@ -1,12 +1,14 @@
 //! Property-based tests: SLM substrate invariants (detkit harness).
 
-use detkit::prop::{f64s, one_of, string_of, u64s, usizes, vec_of, zip, zip3, Gen};
+use detkit::prop::{
+    f64s, one_of, string_of, u64s, unicode_strings, usizes, vec_of, zip, zip3, Gen,
+};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_slm::ner::canonical_phrase_into;
 use unisem_slm::tokenizer::{MAX_PIECE_CHARS, SUFFIXES};
 use unisem_slm::{
-    count_tokens, word_pieces, EntityKind, GenConfig, Generator, Lexicon, NerTagger,
-    SupportedAnswer,
+    count_tokens, template_of, word_pieces, EntityKind, GenConfig, Generator, Lexicon, NerTagger,
+    SupportedAnswer, TEMPLATES,
 };
 use unisem_text::tokenize::{tokenize, TokenKind};
 
@@ -70,6 +72,63 @@ prop_check!(count_tokens_matches_subword_pieces, suffixed_text(), |text| {
         }
     }
     prop_assert_eq!(count_tokens(text), want, "{text:?}");
+    Ok(())
+});
+
+/// Cores that probe a template's edges: empty and blank, a leading sign, a
+/// number, word or joiner left open at the end, non-ASCII, and cores that
+/// are themselves template text.
+const BOUNDARY_CORES: &[&str] = &[
+    "",
+    " ",
+    " \t\u{a0}",
+    "-15",
+    "+3",
+    "sales rose 42",
+    "3.",
+    "1,",
+    "x-",
+    "it'",
+    "naïve 概念 \u{212a}elvin",
+    "The answer is 42.",
+    "42 according to the records.",
+    "From the available evidence:",
+];
+
+/// Arbitrary Unicode cores, strung together from boundary cores and runs of
+/// joiners, signs, digits and letters.
+fn arb_core() -> Gen<String> {
+    let piece = one_of(vec![
+        usizes(0, BOUNDARY_CORES.len() - 1).map(|&i| BOUNDARY_CORES[i].to_string()),
+        unicode_strings(0, 8),
+        string_of(" -+.,'x9\u{e9}", 1, 4),
+    ]);
+    vec_of(&piece, 0, 3).map(|ps| ps.concat())
+}
+
+/// The tokens of `piece` as (text, kind, start, end), offsets moved by `by`.
+fn tokens_at(piece: &str, by: usize) -> impl Iterator<Item = (&str, TokenKind, usize, usize)> {
+    tokenize(piece).map(move |t| (t.text, t.kind, t.start + by, t.end + by))
+}
+
+// A template's prefix and suffix tokenize apart from any core: the wrapped
+// text's tokens are the prefix's, the core's and the suffix's, offsets
+// shifted; so its token count is theirs summed, the core's plus the
+// template's; and the text is recognised as that template around that core.
+prop_check!(templates_tokenize_apart_from_their_core, arb_core(), |core| {
+    let generator = Generator::new(0);
+    for (t, &(prefix, suffix)) in TEMPLATES.iter().enumerate() {
+        let text = format!("{prefix}{core}{suffix}");
+        let want: Vec<_> = tokens_at(prefix, 0)
+            .chain(tokens_at(core, prefix.len()))
+            .chain(tokens_at(suffix, prefix.len() + core.len()))
+            .collect();
+        prop_assert_eq!(tokens_at(&text, 0).collect::<Vec<_>>(), want, "{text:?}");
+        let count = count_tokens(&text);
+        prop_assert_eq!(count, count_tokens(prefix) + count_tokens(core) + count_tokens(suffix));
+        prop_assert_eq!(count, count_tokens(core) + generator.template_tokens(t), "{text:?}");
+        prop_assert_eq!(template_of(&text, core), Some(t), "{text:?}");
+    }
     Ok(())
 });
 

@@ -118,20 +118,20 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 3179, 152445),
-            ("comparative", 8, 4499, 217449),
-            ("cross_modal", 8, 4651, 646727),
-            ("lookup", 8, 4140, 541438),
-            ("multi_entity", 5, 2194, 111938),
-            ("unanswerable", 8, 4323, 415815),
+            ("aggregate", 8, 2598, 135521),
+            ("comparative", 8, 3632, 179685),
+            ("cross_modal", 8, 3479, 599570),
+            ("lookup", 8, 3049, 498479),
+            ("multi_entity", 5, 1626, 85863),
+            ("unanswerable", 8, 3736, 399859),
         ],
         [
-            ("aggregate", 8, 2754, 131075),
-            ("comparative", 8, 3645, 181405),
-            ("cross_modal", 8, 3422, 401480),
-            ("lookup", 8, 3042, 345165),
-            ("multi_entity", 8, 3574, 168077),
-            ("unanswerable", 8, 3632, 324046),
+            ("aggregate", 8, 2147, 110108),
+            ("comparative", 8, 2936, 152271),
+            ("cross_modal", 8, 2376, 353640),
+            ("lookup", 8, 2062, 303791),
+            ("multi_entity", 8, 2973, 150356),
+            ("unanswerable", 8, 2957, 304022),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [
