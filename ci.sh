@@ -172,12 +172,12 @@ echo "==> recovery gate: WAL crash matrix (DESIGN.md §13)"
 # so the ambient plan proves independence. Covers: torn-append and
 # lost-flush crashes at every WAL record boundary recovering to
 # byte-identical answers at 1/2/4/8 threads, both mid-checkpoint crash
-# windows, byte-identical WAL files across thread counts, and
-# post-delta planner statistics freshness. The ingest suite rides along:
-# rejected deltas and log faults leave no mark, incrementally maintained
-# statistics and gauges equal a recount, and — counted by the closed
-# registry, not a clock — a single delta runs no PageRank, re-collects at
-# most its own table's statistics and copies no substrate. So does the
+# windows, byte-identical WAL files across thread counts, and a
+# post-delta explain plan that estimates the grown table's rows. The
+# ingest suite rides along: rejected deltas and log faults leave no mark,
+# incrementally maintained value indexes and gauges equal a recount and a
+# rebuild + replay, and — counted by the closed registry, not a clock — a
+# single delta runs no PageRank and copies no substrate. So does the
 # spawns suite, the same kind of count for threads: an answer forks nothing,
 # fault-free or with its traversal faulted, and an answer_batch forks once,
 # whatever the ambient plan and UNISEM_THREADS say.

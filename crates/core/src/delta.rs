@@ -286,8 +286,7 @@ pub(crate) fn prepare<'a>(
 
 /// The infallible half: writes `prepared` into the substrates [`prepare`]
 /// checked it against, indexing new chunks and rows into the graph exactly
-/// as a build would. Returns the catalog key of the table it touched, if
-/// any, so the caller re-collects only that table's statistics.
+/// as a build would.
 pub(crate) fn commit(
     prepared: Prepared<'_>,
     docs: &mut DocStore,
@@ -295,7 +294,7 @@ pub(crate) fn commit(
     graph: &mut HetGraph,
     slm: &Slm,
     index_entities: bool,
-) -> Option<String> {
+) {
     let extend_graph = |graph: &mut HetGraph, index: &dyn Fn(&mut GraphBuilder)| {
         let mut gb = GraphBuilder::resume(slm.clone(), std::mem::take(graph));
         gb.set_index_entities(index_entities);
@@ -307,33 +306,28 @@ pub(crate) fn commit(
             let from_chunk = docs.num_chunks();
             docs.add_document(title, text, source);
             extend_graph(graph, &|gb| gb.add_docstore_from(docs, from_chunk));
-            None
         }
         Prepared::Row { table, row, in_graph } => {
             let Ok(t) = db.append(&table, row) else {
                 debug_assert!(false, "prepared a row for missing table '{table}'");
-                return None;
+                return;
             };
             let from_row = t.num_rows() - 1;
             if in_graph {
                 extend_graph(graph, &|gb| gb.add_table_rows(&table, t, from_row));
             }
-            Some(table.to_lowercase())
         }
         Prepared::NewTable { table, rows } => {
             extend_graph(graph, &|gb| gb.add_table_rows(&table, &rows, 0));
             db.create_or_replace_table(&table, rows);
-            Some(table.to_lowercase())
         }
         Prepared::Entity { name, kind } => {
             graph.add_entity(name, kind);
-            None
         }
         Prepared::Edge { a, b, kind } => {
             graph.add_edge(a, b, kind.clone());
-            None
         }
-        Prepared::Nothing => None,
+        Prepared::Nothing => {}
     }
 }
 

@@ -1,6 +1,5 @@
 //! The unified query engine: ingestion, indexing, routing, answering.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -23,7 +22,6 @@ use unisem_text::ChunkConfig;
 
 use crate::delta::{self, Delta};
 use crate::ingest::{IngestReport, QuarantineReason, Quarantined};
-use crate::planner::{GraphDegreeStats, StatsCatalog, TableStats, TextStats};
 
 /// Engine construction / ingestion errors.
 #[derive(Debug)]
@@ -288,43 +286,17 @@ impl EngineBuilder {
             seed: config.seed,
             ..SlmConfig::default()
         });
-        let docs = Arc::new(loaded.docs);
-        let graph = Arc::new(loaded.graph);
-        let db = loaded.db;
-        let stats = Arc::new(StatsCatalog::collect(&db, &docs, &graph));
+        let substrates = Substrates { docs: loaded.docs, db: loaded.db, graph: loaded.graph };
         let report = loaded.ingest;
-
-        let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
-        let estimator = {
-            let mut e = EntropyEstimator::new(slm.clone());
-            e.temperature = config.entropy_temperature;
-            e
-        };
-
-        // The same build gauges `build` sets, read from the loaded
-        // substrates — pure functions of the data, so a snapshot-opened
-        // engine reports the same gauge values as the engine that saved it.
-        record_ingest_report(&metrics, &report);
-        set_substrate_gauges(&metrics, &db, &docs, &graph, &stats);
-        metrics.record_stage(Stage::BuildTotal, build_start.elapsed_ns());
-
-        let engine = UnifiedEngine {
-            parser: IntentParser::new(slm.clone()),
-            synthesizer: OperatorSynthesizer::new(),
-            estimator,
-            slm,
-            docs,
-            graph,
-            db,
-            topo,
+        let engine = UnifiedEngine::assemble(
             config,
-            ingest: Arc::new(report.clone()),
-            stats,
+            slm,
+            substrates,
+            &report,
+            loaded.applied_seq,
             metrics,
-            sink: Arc::new(TraceSink::from_env()),
-            wal: None,
-            applied_seq: loaded.applied_seq,
-        };
+            build_start,
+        );
         Ok((engine, report))
     }
 
@@ -526,49 +498,11 @@ impl EngineBuilder {
         let (graph, _) = gb.finish();
         metrics.record_stage(Stage::BuildGraph, graph_start.elapsed_ns());
 
-        let docs = Arc::new(docs);
-        let graph = Arc::new(graph);
-        let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
-        let estimator = {
-            let mut e = EntropyEstimator::new(slm.clone());
-            e.temperature = config.entropy_temperature;
-            e
-        };
-
-        // Planner statistics (DESIGN.md §11): collected single-threaded
-        // from the final substrates, so the catalog — like every build
-        // gauge — is a pure function of the ingested data.
-        let stats_start = tracekit::wall::Stopwatch::start();
-        let stats = Arc::new(StatsCatalog::collect(&db, &docs, &graph));
-        metrics.record_stage(Stage::BuildStats, stats_start.elapsed_ns());
-
         report.tables = db.len();
         report.quarantined = quarantined;
-
-        // Build gauges: pure functions of the ingested data, never of
-        // timing, so a metrics snapshot stays byte-identical at any thread
-        // count (DESIGN.md §9).
-        record_ingest_report(&metrics, &report);
-        set_substrate_gauges(&metrics, &db, &docs, &graph, &stats);
-        metrics.record_stage(Stage::BuildTotal, build_start.elapsed_ns());
-
-        let engine = UnifiedEngine {
-            parser: IntentParser::new(slm.clone()),
-            synthesizer: OperatorSynthesizer::new(),
-            estimator,
-            slm,
-            docs,
-            graph,
-            db,
-            topo,
-            config,
-            ingest: Arc::new(report.clone()),
-            stats,
-            metrics,
-            sink: Arc::new(TraceSink::from_env()),
-            wal: None,
-            applied_seq: 0,
-        };
+        let substrates = Substrates { docs, db, graph };
+        let engine =
+            UnifiedEngine::assemble(config, slm, substrates, &report, 0, metrics, build_start);
         (engine, report)
     }
 }
@@ -608,15 +542,13 @@ fn record_ingest_report(metrics: &MetricsRegistry, report: &IngestReport) {
     metrics.add(Metric::IngestQuarantined, report.num_quarantined() as u64);
 }
 
-/// Gauges that are pure functions of the live substrates and their
-/// statistics catalog; every one reads a maintained total, so ingest
-/// re-sets them after each delta.
+/// Gauges that are pure functions of the live substrates; every one reads
+/// a maintained total, so ingest re-sets them after each delta.
 fn set_substrate_gauges(
     metrics: &MetricsRegistry,
     db: &Database,
     docs: &DocStore,
     graph: &HetGraph,
-    stats: &StatsCatalog,
 ) {
     metrics.set(Metric::IngestTables, db.len() as u64);
     metrics.set(Metric::IngestDocuments, docs.num_documents() as u64);
@@ -625,19 +557,14 @@ fn set_substrate_gauges(
     metrics.set(Metric::GraphEntities, graph.num_entities() as u64);
     metrics.set(Metric::GraphChunks, graph.num_chunks() as u64);
     metrics.set(Metric::GraphRecords, graph.num_records() as u64);
-    metrics.set(Metric::PlannerStatsTables, stats.tables.len() as u64);
-    metrics.set(Metric::PlannerStatsColumns, stats.num_columns() as u64);
-    metrics.set(Metric::PlannerStatsPostings, stats.text.postings as u64);
-    metrics.set(Metric::PlannerStatsMaxDegree, stats.graph.max_degree as u64);
 }
 
-/// A batch of deltas applied to copies of the substrates, not yet visible.
-struct Staged {
+/// The three substrates an engine answers over: built, loaded from a
+/// snapshot, or a copy a batch of deltas is staged on.
+struct Substrates {
     docs: DocStore,
     db: Database,
     graph: HetGraph,
-    /// Catalog keys of the tables the batch touched.
-    touched: BTreeSet<String>,
 }
 
 /// The unified semantic query engine.
@@ -655,8 +582,6 @@ pub struct UnifiedEngine {
     pub(crate) estimator: EntropyEstimator,
     pub(crate) config: EngineConfig,
     ingest: Arc<IngestReport>,
-    /// Build-time per-substrate statistics catalog (DESIGN.md §11).
-    pub(crate) stats: Arc<StatsCatalog>,
     /// Closed-registry metrics for this engine instance (shared by clones).
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// Trace sink resolved once at build from `UNISEM_TRACE` (like the
@@ -672,6 +597,48 @@ pub struct UnifiedEngine {
 }
 
 impl UnifiedEngine {
+    /// The one constructor of [`EngineBuilder::build`] and
+    /// [`EngineBuilder::open_snapshot`]: wires the retrievers, the parser
+    /// and the estimator over finished substrates and sets the build
+    /// gauges — pure functions of the data, never of timing, so they are
+    /// byte-identical at any thread count (DESIGN.md §9) and a reopened
+    /// engine reports what the engine that saved it reported.
+    fn assemble(
+        config: EngineConfig,
+        slm: Slm,
+        substrates: Substrates,
+        report: &IngestReport,
+        applied_seq: u64,
+        metrics: Arc<MetricsRegistry>,
+        build_start: tracekit::wall::Stopwatch,
+    ) -> UnifiedEngine {
+        let Substrates { docs, db, graph } = substrates;
+        let docs = Arc::new(docs);
+        let graph = Arc::new(graph);
+        let topo = build_topology(&slm, &graph, &docs, &config, &metrics);
+        let mut estimator = EntropyEstimator::new(slm.clone());
+        estimator.temperature = config.entropy_temperature;
+        record_ingest_report(&metrics, report);
+        set_substrate_gauges(&metrics, &db, &docs, &graph);
+        metrics.record_stage(Stage::BuildTotal, build_start.elapsed_ns());
+        UnifiedEngine {
+            parser: IntentParser::new(slm.clone()),
+            synthesizer: OperatorSynthesizer::new(),
+            estimator,
+            slm,
+            docs,
+            graph,
+            db,
+            topo,
+            config,
+            ingest: Arc::new(report.clone()),
+            metrics,
+            sink: Arc::new(TraceSink::from_env()),
+            wal: None,
+            applied_seq,
+        }
+    }
+
     /// The configuration in effect (fault plan already resolved).
     pub fn config(&self) -> EngineConfig {
         self.config
@@ -760,11 +727,6 @@ impl UnifiedEngine {
     /// Parses a question into its intent (exposed for diagnostics).
     pub fn analyze(&self, question: &str) -> QueryIntent {
         self.parser.analyze(question)
-    }
-
-    /// The build-time statistics catalog the cost model reads.
-    pub fn stats(&self) -> &StatsCatalog {
-        &self.stats
     }
 
     /// Persists the built engine to a `storekit` snapshot at `path`
@@ -862,7 +824,7 @@ impl UnifiedEngine {
         // engine; with those released `make_mut` mutates in place. An
         // engine cloned from another copies each substrate here, once.
         self.topo.rebind(Arc::default(), Arc::default());
-        let touched = delta::commit(
+        delta::commit(
             prepared,
             Arc::make_mut(&mut self.docs),
             &mut self.db,
@@ -871,7 +833,7 @@ impl UnifiedEngine {
             index_entities,
         );
         self.applied_seq = seq;
-        self.refresh_derived(&touched);
+        self.refresh_derived();
         self.metrics.record_stage(Stage::IngestApply, prepare_ns + clock.elapsed_ns());
         Ok(seq)
     }
@@ -928,36 +890,35 @@ impl UnifiedEngine {
     /// prepared against the state its predecessors left. On rejection
     /// returns the offending delta's index; the engine is untouched either
     /// way.
-    fn stage(&self, deltas: &[Delta]) -> Result<Staged, (usize, EngineError)> {
+    fn stage(&self, deltas: &[Delta]) -> Result<Substrates, (usize, EngineError)> {
         let index_entities = self.config.enable_entity_nodes;
-        let mut staged = Staged {
+        let mut staged = Substrates {
             docs: (*self.docs).clone(),
             db: self.db.clone(),
             graph: (*self.graph).clone(),
-            touched: BTreeSet::new(),
         };
         for (i, delta) in deltas.iter().enumerate() {
             let prepared = delta::prepare(delta, &staged.db, &staged.graph, index_entities)
                 .map_err(|e| (i, e))?;
-            staged.touched.extend(delta::commit(
+            delta::commit(
                 prepared,
                 &mut staged.docs,
                 &mut staged.db,
                 &mut staged.graph,
                 &self.slm,
                 index_entities,
-            ));
+            );
         }
         Ok(staged)
     }
 
     /// Makes a staged batch the live state, as of sequence number `seq`.
-    fn install(&mut self, staged: Staged, seq: u64) {
+    fn install(&mut self, staged: Substrates, seq: u64) {
         self.applied_seq = seq;
         self.docs = Arc::new(staged.docs);
         self.db = staged.db;
         self.graph = Arc::new(staged.graph);
-        self.refresh_derived(&staged.touched);
+        self.refresh_derived();
     }
 
     /// Checkpoint (DESIGN.md §13): folds the log into a fresh snapshot at
@@ -979,25 +940,12 @@ impl UnifiedEngine {
     }
 
     /// Brings the derived structures up to the substrates after ingest
-    /// changed them, in O(delta): of the planner's statistics only the
-    /// `touched` tables are re-read — O(columns) each, from the counts
-    /// relstore's value index maintained as the rows went in — the text and
-    /// graph figures being totals the substrates maintain (so explain traces
-    /// never show stale row counts, and the catalog equals a from-scratch
-    /// collect); the gauges re-read the same totals; and the topology
-    /// retriever is pointed at the new versions, which drops its PageRank
-    /// prior until a traversal asks for it.
-    fn refresh_derived<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
-        let stats = Arc::make_mut(&mut self.stats);
-        for key in touched {
-            if let Ok((table, index)) = self.db.indexed(key) {
-                stats.tables.insert(key.clone(), TableStats::collect(table, index));
-                self.metrics.incr(Metric::PlannerStatsTableRefreshes);
-            }
-        }
-        stats.text = TextStats::collect(&self.docs);
-        stats.graph = GraphDegreeStats::collect(&self.graph);
-        set_substrate_gauges(&self.metrics, &self.db, &self.docs, &self.graph, &self.stats);
+    /// changed them, in O(1): the gauges re-read the totals the substrates
+    /// maintain, and the topology retriever is pointed at the new
+    /// versions, which drops its PageRank prior until a traversal asks for
+    /// it.
+    fn refresh_derived(&mut self) {
+        set_substrate_gauges(&self.metrics, &self.db, &self.docs, &self.graph);
         self.topo.rebind(self.graph.clone(), self.docs.clone());
     }
 

@@ -121,7 +121,8 @@ impl UnifiedEngine {
         };
         run.actual(|a| a.outcome = Some(answer.route.label().to_string()));
         let rendered = run.traced.then(|| {
-            physical::lower(&plan, &CostModel::new(&self.stats), &self.db, &run.actuals).render()
+            let model = CostModel::new(&self.db, &self.docs, self.graph());
+            physical::lower(&plan, &model, &self.db, &run.actuals).render()
         });
         answer.degradations = run.degradations;
         (answer, rendered)

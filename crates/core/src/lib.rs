@@ -51,7 +51,7 @@ pub use engine::{
     EngineBuilder, EngineConfig, EngineError, GovernorConfig, ParallelConfig, UnifiedEngine,
 };
 pub use ingest::{IngestReport, QuarantineReason, Quarantined};
-pub use planner::{Cost, CostModel, LogicalNode, PhysicalPlan, StatsCatalog};
+pub use planner::{Cost, CostModel, LogicalNode, PhysicalPlan};
 
 // Re-export the pieces examples and benches need most.
 pub use faultkit::{FaultPlan, InjectedFault, Site as FaultSite};

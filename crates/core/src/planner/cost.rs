@@ -16,11 +16,18 @@
 //! operator invocations — weighted heaviest because a model call dominates
 //! any per-row arithmetic (the premise of every SLM-operator paper the
 //! algebra follows).
+//!
+//! Every figure an estimate reads is a total its substrate keeps as it
+//! grows, read in O(1) when the estimate is made: a table's row count and
+//! arity, a column's distinct count from the value index relstore keeps
+//! beside the table, the document store's chunk count and longest posting
+//! list, and the graph's node and edge counts. Read at costing time, an
+//! estimate is never stale after a delta.
 
+use unisem_docstore::DocStore;
+use unisem_hetgraph::HetGraph;
 use unisem_relstore::plan::LogicalPlan;
-use unisem_relstore::Expr;
-
-use super::stats::{StatsCatalog, TableStats};
+use unisem_relstore::{Database, Expr};
 
 /// Fixed-point selectivity denominator.
 pub const SEL_DENOM: u64 = 1000;
@@ -87,38 +94,45 @@ pub struct RelEstimate {
     pub base: Option<String>,
 }
 
-/// The cost model: pure functions of a [`StatsCatalog`].
+/// The cost model: pure functions of the substrates it plans over.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
-    stats: &'a StatsCatalog,
+    db: &'a Database,
+    docs: &'a DocStore,
+    graph: &'a HetGraph,
 }
 
 impl<'a> CostModel<'a> {
-    /// A model over the given catalog.
-    pub fn new(stats: &'a StatsCatalog) -> Self {
-        CostModel { stats }
-    }
-
-    /// The backing catalog.
-    pub fn stats(&self) -> &StatsCatalog {
-        self.stats
+    /// A model over the given substrates.
+    pub fn new(db: &'a Database, docs: &'a DocStore, graph: &'a HetGraph) -> Self {
+        CostModel { db, docs, graph }
     }
 
     /// Row-count estimate for a base table (1 when unknown, so products
     /// never collapse to zero).
     pub fn table_rows(&self, name: &str) -> u64 {
-        self.stats.table(name).map(|t| t.rows as u64).unwrap_or(1)
+        self.db.table(name).map_or(1, |t| t.num_rows() as u64)
     }
 
-    /// Fixed-point selectivity (`x / 1000`) of a predicate against a
-    /// table's column statistics:
+    /// Distinct values of column `column` of table `table`, at least 1, or
+    /// `None` when there is no such table. Columns match as the table's
+    /// schema matches them, ignoring case; an unknown column estimates as
+    /// the full row count (every value unique — the conservative default).
+    fn distinct(&self, table: Option<&str>, column: &str) -> Option<u64> {
+        let (t, index) = self.db.indexed(table?).ok()?;
+        let distinct = t.schema().index_of(column).map_or(t.num_rows(), |i| index.distinct(i));
+        Some(distinct.max(1) as u64)
+    }
+
+    /// Fixed-point selectivity (`x / 1000`) of a predicate against the
+    /// columns of base table `table`:
     ///
     /// - equality on a column: `1000 / distinct(column)`,
     /// - ordering comparison: 1/3,
     /// - `LIKE`: 1/4,
     /// - `AND`: product; `OR`: capped sum,
     /// - a bare column or literal: 1/2.
-    pub fn selectivity_permille(&self, table: Option<&TableStats>, pred: &Expr) -> u64 {
+    pub fn selectivity_permille(&self, table: Option<&str>, pred: &Expr) -> u64 {
         use unisem_relstore::expr::BinOp;
         match pred {
             Expr::Binary { op, left, right } => match op {
@@ -135,9 +149,9 @@ impl<'a> CostModel<'a> {
                 BinOp::Eq => {
                     let distinct = column_of(left)
                         .or_else(|| column_of(right))
-                        .and_then(|c| table.map(|t| t.distinct(c)))
-                        .unwrap_or(2) as u64;
-                    (SEL_DENOM / distinct.max(1)).max(1)
+                        .and_then(|c| self.distinct(table, c))
+                        .unwrap_or(2);
+                    (SEL_DENOM / distinct).max(1)
                 }
                 BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => SEL_DENOM / 3,
             },
@@ -152,7 +166,7 @@ impl<'a> CostModel<'a> {
             LogicalPlan::Scan { table } => {
                 let rows = self.table_rows(table);
                 let arity =
-                    self.stats.table(table).map(|t| t.columns.len() as u64).unwrap_or(1).max(1);
+                    self.db.table(table).map_or(1, |t| t.schema().columns().len() as u64).max(1);
                 RelEstimate {
                     cost: Cost { rows, cpu: rows, io: rows.saturating_mul(arity), slm: 0 },
                     base: Some(table.clone()),
@@ -160,8 +174,7 @@ impl<'a> CostModel<'a> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let inner = self.rel_plan(input);
-                let tstats = inner.base.as_deref().and_then(|b| self.stats.table(b));
-                let sel = self.selectivity_permille(tstats, predicate);
+                let sel = self.selectivity_permille(inner.base.as_deref(), predicate);
                 let rows = (inner.cost.rows.saturating_mul(sel) / SEL_DENOM)
                     .min(inner.cost.rows)
                     .max(u64::from(inner.cost.rows > 0));
@@ -184,16 +197,15 @@ impl<'a> CostModel<'a> {
             }
             LogicalPlan::Aggregate { input, group_by, .. } => {
                 let inner = self.rel_plan(input);
-                let tstats = inner.base.as_deref().and_then(|b| self.stats.table(b));
                 let rows = if group_by.is_empty() {
                     1
                 } else {
                     let mut groups: u64 = 1;
                     for (expr, _) in group_by {
                         let d = column_of(expr)
-                            .and_then(|c| tstats.map(|t| t.distinct(c) as u64))
+                            .and_then(|c| self.distinct(inner.base.as_deref(), c))
                             .unwrap_or(2);
-                        groups = groups.saturating_mul(d.max(1));
+                        groups = groups.saturating_mul(d);
                     }
                     groups.min(inner.cost.rows.max(1))
                 };
@@ -226,19 +238,9 @@ impl<'a> CostModel<'a> {
     pub fn join_rows(&self, l: &RelEstimate, r: &RelEstimate, on: &[(String, String)]) -> u64 {
         let mut rows = l.cost.rows.saturating_mul(r.cost.rows);
         for (lc, rc) in on {
-            let ld = l
-                .base
-                .as_deref()
-                .and_then(|b| self.stats.table(b))
-                .map(|t| t.distinct(lc) as u64)
-                .unwrap_or(2);
-            let rd = r
-                .base
-                .as_deref()
-                .and_then(|b| self.stats.table(b))
-                .map(|t| t.distinct(rc) as u64)
-                .unwrap_or(2);
-            rows /= ld.max(rd).max(1);
+            let ld = self.distinct(l.base.as_deref(), lc).unwrap_or(2);
+            let rd = self.distinct(r.base.as_deref(), rc).unwrap_or(2);
+            rows /= ld.max(rd);
         }
         if l.cost.rows > 0 && r.cost.rows > 0 {
             rows.max(1)
@@ -248,11 +250,14 @@ impl<'a> CostModel<'a> {
     }
 
     /// Topology traversal: anchors expand across the frontier (bounded by
-    /// the governor), then candidate chunks are scored.
+    /// the governor), each node by the mean degree (`edges·2000 / nodes`,
+    /// integer per-mille), then candidate chunks are scored.
     pub fn graph_traverse(&self, top_k: usize, max_frontier: usize) -> Cost {
-        let frontier = (self.stats.graph.nodes as u64).min(max_frontier as u64);
-        let expand = frontier.saturating_mul((self.stats.graph.avg_degree_x1000 as u64) / 1000 + 1);
-        let scored = (self.stats.text.chunks as u64).min(frontier);
+        let nodes = self.graph.num_nodes() as u64;
+        let degree_x1000 = (self.graph.num_edges() as u64 * 2000).checked_div(nodes).unwrap_or(0);
+        let frontier = nodes.min(max_frontier as u64);
+        let expand = frontier.saturating_mul(degree_x1000 / 1000 + 1);
+        let scored = (self.docs.num_chunks() as u64).min(frontier);
         Cost { rows: (top_k as u64).min(scored.max(1)), cpu: expand, io: scored, slm: 1 }
     }
 
@@ -260,10 +265,9 @@ impl<'a> CostModel<'a> {
     /// charged as one walk of the longest posting list (a question's most
     /// frequent term dominates its scan). No model call.
     pub fn lexical_scan(&self, top_k: usize) -> Cost {
-        let text = &self.stats.text;
-        let postings = text.max_posting as u64;
+        let postings = self.docs.max_posting() as u64;
         Cost {
-            rows: (top_k as u64).min(text.chunks.max(1) as u64),
+            rows: (top_k as u64).min(self.docs.num_chunks().max(1) as u64),
             cpu: postings,
             io: postings,
             slm: 0,
@@ -299,21 +303,23 @@ fn column_of(e: &Expr) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::stats::{ColumnStats, TableStats};
+    use unisem_relstore::{DataType, Schema, Table, Value};
 
-    fn catalog(rows: usize, distinct: usize) -> StatsCatalog {
-        let mut cat = StatsCatalog::default();
-        cat.tables.insert(
-            "t".into(),
-            TableStats {
-                rows,
-                columns: vec![
-                    ColumnStats { name: "k".into(), distinct, nulls: 0 },
-                    ColumnStats { name: "v".into(), distinct: rows.max(1), nulls: 0 },
-                ],
-            },
-        );
-        cat
+    /// A database holding table `t`: `rows` rows, column `k` cycling
+    /// through `distinct` values and column `v` unique per row.
+    fn db(rows: usize, distinct: usize) -> Database {
+        let rows = (0..rows)
+            .map(|i| vec![Value::Int((i % distinct) as i64), Value::Int(i as i64)])
+            .collect();
+        let t = Table::from_rows(Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]), rows)
+            .expect("typed rows");
+        let mut db = Database::new();
+        db.create_table("t", t).expect("fresh");
+        db
+    }
+
+    fn estimate<T>(db: &Database, f: impl FnOnce(CostModel<'_>) -> T) -> T {
+        f(CostModel::new(db, &DocStore::default(), &HetGraph::new()))
     }
 
     #[test]
@@ -325,13 +331,12 @@ mod tests {
 
     #[test]
     fn eq_selectivity_uses_distinct_counts() {
-        let cat = catalog(100, 4);
-        let model = CostModel::new(&cat);
-        let t = cat.table("t");
-        let eq = Expr::col("k").eq(Expr::lit(1i64));
-        assert_eq!(model.selectivity_permille(t, &eq), 250);
-        let conj = Expr::col("k").eq(Expr::lit(1i64)).and(Expr::col("v").gt(Expr::lit(0i64)));
-        assert!(model.selectivity_permille(t, &conj) < 250);
+        estimate(&db(100, 4), |model| {
+            let eq = Expr::col("k").eq(Expr::lit(1i64));
+            assert_eq!(model.selectivity_permille(Some("t"), &eq), 250);
+            let conj = Expr::col("k").eq(Expr::lit(1i64)).and(Expr::col("v").gt(Expr::lit(0i64)));
+            assert!(model.selectivity_permille(Some("t"), &conj) < 250);
+        });
     }
 
     #[test]
@@ -339,8 +344,7 @@ mod tests {
         let plan = LogicalPlan::scan("t").filter(Expr::col("k").eq(Expr::lit(1i64)));
         let mut last = 0u64;
         for rows in [0usize, 1, 10, 100, 1000, 10_000] {
-            let cat = catalog(rows, 4);
-            let total = CostModel::new(&cat).rel_plan(&plan).cost.total();
+            let total = estimate(&db(rows, 4), |model| model.rel_plan(&plan).cost.total());
             assert!(total >= last, "rows={rows}: {total} < {last}");
             last = total;
         }
@@ -348,21 +352,59 @@ mod tests {
 
     #[test]
     fn aggregate_groups_bound_by_distinct() {
-        let cat = catalog(100, 4);
-        let model = CostModel::new(&cat);
-        let grouped = LogicalPlan::scan("t").aggregate(vec![(Expr::col("k"), "k".into())], vec![]);
-        assert_eq!(model.rel_plan(&grouped).cost.rows, 4);
-        let global = LogicalPlan::scan("t").aggregate(vec![], vec![]);
-        assert_eq!(model.rel_plan(&global).cost.rows, 1);
+        estimate(&db(100, 4), |model| {
+            let grouped =
+                LogicalPlan::scan("t").aggregate(vec![(Expr::col("k"), "k".into())], vec![]);
+            assert_eq!(model.rel_plan(&grouped).cost.rows, 4);
+            let global = LogicalPlan::scan("t").aggregate(vec![], vec![]);
+            assert_eq!(model.rel_plan(&global).cost.rows, 1);
+        });
     }
 
     #[test]
     fn join_rows_divide_by_key_cardinality() {
-        let cat = catalog(100, 10);
-        let model = CostModel::new(&cat);
-        let l = model.rel_plan(&LogicalPlan::scan("t"));
-        let r = model.rel_plan(&LogicalPlan::scan("t"));
-        let rows = model.join_rows(&l, &r, &[("k".into(), "k".into())]);
-        assert_eq!(rows, 100 * 100 / 10);
+        estimate(&db(100, 10), |model| {
+            let l = model.rel_plan(&LogicalPlan::scan("t"));
+            let r = model.rel_plan(&LogicalPlan::scan("t"));
+            let rows = model.join_rows(&l, &r, &[("k".into(), "k".into())]);
+            assert_eq!(rows, 100 * 100 / 10);
+        });
+    }
+
+    #[test]
+    fn columns_are_found_as_the_schema_finds_them() {
+        let t = Table::from_rows(
+            Schema::of(&[("Product", DataType::Str), ("Units", DataType::Int)]),
+            vec![
+                vec![Value::str("Aero"), Value::Int(1)],
+                vec![Value::str("AERO"), Value::Int(2)],
+                vec![Value::str("\u{39f}\u{3a3}"), Value::Null],
+                vec![Value::str("Aero"), Value::Int(1)],
+            ],
+        )
+        .expect("typed rows");
+        let mut db = Database::new();
+        db.create_table("t", t).expect("fresh");
+        estimate(&db, |model| {
+            let eq =
+                |c: &str| model.selectivity_permille(Some("t"), &Expr::col(c).eq(Expr::lit(1i64)));
+            // Three values told apart case-sensitively, as SQL compares.
+            assert_eq!(eq("product"), 1000 / 3, "found ignoring case");
+            assert_eq!(eq("PRODUCT"), 1000 / 3);
+            assert_eq!(eq("units"), 1000 / 2, "NULL is no value");
+            assert_eq!(eq("missing"), 1000 / 4, "an unknown column is as many as the rows");
+            let grouped =
+                LogicalPlan::scan("t").aggregate(vec![(Expr::col("PRODUCT"), "p".into())], vec![]);
+            assert_eq!(model.rel_plan(&grouped).cost.rows, 3);
+        });
+    }
+
+    #[test]
+    fn empty_substrates_estimate_cleanly() {
+        estimate(&Database::new(), |model| {
+            assert_eq!(model.table_rows("t"), 1, "an unknown table is one row");
+            assert_eq!(model.graph_traverse(5, 64), Cost { rows: 1, cpu: 0, io: 0, slm: 1 });
+            assert_eq!(model.lexical_scan(5), Cost { rows: 1, cpu: 0, io: 0, slm: 0 });
+        });
     }
 }

@@ -256,27 +256,27 @@ fn rel_children(plan: &RelPlan) -> Vec<&RelPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::stats::{ColumnStats, StatsCatalog, TableStats};
-    use unisem_relstore::Expr;
+    use unisem_docstore::DocStore;
+    use unisem_hetgraph::HetGraph;
+    use unisem_relstore::{DataType, Expr, Schema, Table, Value};
 
-    fn catalog() -> StatsCatalog {
-        let mut cat = StatsCatalog::default();
-        cat.tables.insert(
-            "sales".into(),
-            TableStats {
-                rows: 100,
-                columns: vec![ColumnStats { name: "region".into(), distinct: 5, nulls: 0 }],
-            },
-        );
-        cat.text.chunks = 40;
-        cat.text.max_posting = 12;
-        cat
+    /// `sales`: 100 rows over 5 regions; one indexed document.
+    fn substrates() -> (Database, DocStore, HetGraph) {
+        let regions = ["emea", "apac", "amer", "latam", "anz"];
+        let rows = (0..100).map(|i| vec![Value::str(regions[i % 5])]).collect();
+        let sales =
+            Table::from_rows(Schema::of(&[("region", DataType::Str)]), rows).expect("typed rows");
+        let mut db = Database::new();
+        db.create_table("sales", sales).expect("fresh");
+        let mut docs = DocStore::default();
+        docs.add_document("d", "Sales in emea grew. Sales in apac fell.", "src");
+        (db, docs, HetGraph::new())
     }
 
     #[test]
     fn lowering_expands_rel_plans_with_costs() {
-        let cat = catalog();
-        let model = CostModel::new(&cat);
+        let (db, docs, graph) = substrates();
+        let model = CostModel::new(&db, &docs, &graph);
         let logical = LogicalNode::Relational {
             table: "sales".into(),
             plan: CandidatePlan::Planned(
@@ -285,10 +285,10 @@ mod tests {
         };
         let mut actuals = ExecActuals::default();
         actuals.structured.insert("sales".into(), "rows=20 (signal)".into());
-        let phys = lower(&logical, &model, &Database::new(), &actuals);
+        let phys = lower(&logical, &model, &db, &actuals);
         let text = phys.render();
         assert!(text.contains("Relational: table 'sales'"), "{text}");
-        assert!(text.contains("Scan: sales"), "{text}");
+        assert!(text.contains("Scan: sales (probe region: 1 key)"), "{text}");
         assert!(text.contains("Filter:"), "{text}");
         assert!(text.contains("[est rows~20"), "selectivity 1/5 of 100: {text}");
         assert!(text.contains("actual: rows=20 (signal)"), "{text}");
@@ -296,15 +296,15 @@ mod tests {
 
     #[test]
     fn fallback_not_charged_to_traverse() {
-        let cat = catalog();
-        let model = CostModel::new(&cat);
+        let (db, docs, graph) = substrates();
+        let model = CostModel::new(&db, &docs, &graph);
         let traverse = LogicalNode::GraphTraverse {
             top_k: 4,
             max_frontier: 64,
             fallback: Box::new(LogicalNode::LexicalScan { top_k: 4 }),
         };
         let ran = ExecActuals { traverse: Some("hits=4".into()), ..ExecActuals::default() };
-        let phys = lower(&traverse, &model, &Database::new(), &ran);
+        let phys = lower(&traverse, &model, &db, &ran);
         let scan = &phys.root.children[0];
         assert!(scan.estimated.io > 0);
         assert_eq!(scan.estimated, model.lexical_scan(4));
@@ -321,20 +321,20 @@ mod tests {
             lexical_scan: Some("hits=4".into()),
             ..ExecActuals::default()
         };
-        let phys = lower(&traverse, &model, &Database::new(), &faulted);
+        let phys = lower(&traverse, &model, &db, &faulted);
         assert_eq!(phys.root.actual.as_deref(), Some("fault: f"));
         assert_eq!(phys.root.children[0].actual.as_deref(), Some("hits=4"));
     }
 
     #[test]
     fn render_is_deterministic() {
-        let cat = catalog();
-        let model = CostModel::new(&cat);
+        let (db, docs, graph) = substrates();
+        let model = CostModel::new(&db, &docs, &graph);
         let node = LogicalNode::Alternatives {
             children: vec![LogicalNode::LexicalScan { top_k: 4 }, LogicalNode::Abstain],
         };
-        let a = lower(&node, &model, &Database::new(), &ExecActuals::default()).render();
-        let b = lower(&node, &model, &Database::new(), &ExecActuals::default()).render();
+        let a = lower(&node, &model, &db, &ExecActuals::default()).render();
+        let b = lower(&node, &model, &db, &ExecActuals::default()).render();
         assert_eq!(a, b);
     }
 }

@@ -193,11 +193,10 @@ impl DocStore {
         (hits.into_iter().map(|(chunk_id, score)| ChunkHit { chunk_id, score }).collect(), scanned)
     }
 
-    /// Inverted-index statistics `(distinct terms, total postings, longest
-    /// posting list)` — the unstructured substrate's contribution to the
-    /// planner's build-time statistics catalog.
-    pub fn posting_stats(&self) -> (usize, usize, usize) {
-        self.index.posting_stats()
+    /// The longest posting list of the inverted index — what the planner
+    /// charges one lexical scan.
+    pub fn max_posting(&self) -> usize {
+        self.index.max_posting()
     }
 
     /// Approximate resident bytes of the inverted index (for E2).

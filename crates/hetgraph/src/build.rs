@@ -24,9 +24,9 @@ use unisem_text::tokenize::Token;
 
 use crate::graph::{EdgeKind, HetGraph, NodeId};
 
-/// Statistics from a build run (feeds experiment E2).
+/// Counts from a build run (feeds experiment E2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphBuildStats {
+pub struct GraphBuildCounts {
     /// Chunks indexed.
     pub chunks: usize,
     /// Entity mentions observed (not deduplicated).
@@ -50,7 +50,7 @@ pub struct GraphBuildStats {
 pub struct GraphBuilder {
     graph: HetGraph,
     slm: Slm,
-    stats: GraphBuildStats,
+    stats: GraphBuildCounts,
     index_entities: bool,
 }
 
@@ -60,7 +60,7 @@ impl GraphBuilder {
         Self {
             graph: HetGraph::new(),
             slm,
-            stats: GraphBuildStats::default(),
+            stats: GraphBuildCounts::default(),
             index_entities: true,
         }
     }
@@ -70,7 +70,7 @@ impl GraphBuilder {
     /// if they had been part of the original build, because every graph
     /// mutator dedupes on its logical key.
     pub fn resume(slm: Slm, graph: HetGraph) -> Self {
-        Self { graph, slm, stats: GraphBuildStats::default(), index_entities: true }
+        Self { graph, slm, stats: GraphBuildCounts::default(), index_entities: true }
     }
 
     /// Ablation switch (DESIGN.md §5 item 2): when disabled, no entity
@@ -86,13 +86,13 @@ impl GraphBuilder {
     }
 
     /// Build statistics so far.
-    pub fn stats(&self) -> GraphBuildStats {
+    pub fn stats(&self) -> GraphBuildCounts {
         self.stats
     }
 
     /// Finishes, returning the graph and stats (with the final node and
     /// edge totals filled in).
-    pub fn finish(self) -> (HetGraph, GraphBuildStats) {
+    pub fn finish(self) -> (HetGraph, GraphBuildCounts) {
         let mut stats = self.stats;
         stats.nodes = self.graph.num_nodes();
         stats.edges = self.graph.num_edges();

@@ -140,14 +140,6 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
-/// Inclusive upper bounds of the degree-histogram buckets; degrees above
-/// the last bound share one overflow bucket.
-const DEGREE_BOUNDS: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-
-fn degree_bucket(degree: usize) -> usize {
-    DEGREE_BOUNDS.iter().position(|&b| degree <= b).unwrap_or(DEGREE_BOUNDS.len())
-}
-
 /// The heterogeneous graph.
 #[derive(Debug, Clone, Default)]
 #[expect(clippy::disallowed_types, reason = "lookup-only indexes: probed by key, never iterated")]
@@ -156,11 +148,6 @@ pub struct HetGraph {
     edges: Vec<Edge>,
     /// adjacency[node] = (neighbor, edge) pairs.
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Nodes per degree bucket and the largest degree, kept current by
-    /// every node and edge insertion (degrees only grow), so the planner's
-    /// degree statistics cost O(1) after an incremental delta.
-    degree_counts: [usize; DEGREE_BOUNDS.len() + 1],
-    max_degree: usize,
     /// (canonical name, kind) → entity node.
     entity_index: HashMap<(String, EntityKind), NodeId>,
     /// canonical name → smallest entity node id with that name (fast path
@@ -231,11 +218,6 @@ impl HetGraph {
         self.adjacency[id.0 as usize].len()
     }
 
-    /// Maximum node degree (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
     /// Number of entity nodes.
     pub fn num_entities(&self) -> usize {
         self.entity_index.len()
@@ -251,38 +233,17 @@ impl HetGraph {
         self.record_index.len()
     }
 
-    /// Power-of-two degree histogram: `(inclusive upper bound, node count)`
-    /// for bounds 1, 2, 4, …, 1024, plus one overflow bucket reported with
-    /// bound `usize::MAX`. A pure function of the adjacency, so the planner
-    /// statistics built from it are deterministic at any thread count.
-    pub fn degree_histogram(&self) -> Vec<(usize, usize)> {
-        DEGREE_BOUNDS
-            .iter()
-            .copied()
-            .chain(std::iter::once(usize::MAX))
-            .zip(self.degree_counts)
-            .collect()
-    }
-
     fn push_node(&mut self, kind: NodeKind, label: String) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { id, kind, label });
         self.adjacency.push(Vec::new());
-        self.degree_counts[degree_bucket(0)] += 1;
         id
     }
 
-    /// Records `edge` in both endpoints' adjacency lists and moves each
-    /// endpoint to its new degree bucket.
+    /// Records `edge` in both endpoints' adjacency lists.
     fn link(&mut self, a: NodeId, b: NodeId, edge: EdgeId) {
-        for (from, to) in [(a, b), (b, a)] {
-            let adj = &mut self.adjacency[from.0 as usize];
-            adj.push((to, edge));
-            let degree = adj.len();
-            self.degree_counts[degree_bucket(degree - 1)] -= 1;
-            self.degree_counts[degree_bucket(degree)] += 1;
-            self.max_degree = self.max_degree.max(degree);
-        }
+        self.adjacency[a.0 as usize].push((b, edge));
+        self.adjacency[b.0 as usize].push((a, edge));
     }
 
     /// Adds (or returns the existing) chunk node.
@@ -368,7 +329,6 @@ impl HetGraph {
     /// identical byte for byte.
     pub fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Result<Self, String> {
         let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
-        g.degree_counts[degree_bucket(0)] = nodes.len();
         for (i, node) in nodes.iter().enumerate() {
             if node.id.0 as usize != i {
                 return Err(format!("node {} stored at position {i}", node.id.0));
@@ -579,22 +539,22 @@ mod tests {
                 g.add_edge(r, c, EdgeKind::Temporal);
             }
         }
-        g.add_table("isolated");
-        let recount = |g: &HetGraph| {
-            let mut counts = vec![0usize; DEGREE_BOUNDS.len() + 1];
-            for id in 0..g.num_nodes() {
-                counts[degree_bucket(g.degree(NodeId(id as u32)))] += 1;
-            }
-            counts
+        let isolated = g.add_table("isolated");
+        let degrees = |g: &HetGraph| -> Vec<usize> {
+            (0..g.num_nodes()).map(|i| g.degree(NodeId(i as u32))).collect()
         };
-        let maintained: Vec<usize> = g.degree_histogram().iter().map(|&(_, n)| n).collect();
-        assert_eq!(maintained, recount(&g));
-        assert_eq!(g.max_degree(), 40);
+        let maintained = degrees(&g);
+        let recount = g.edges().iter().fold(vec![0; g.num_nodes()], |mut d, e| {
+            d[e.a.0 as usize] += 1;
+            d[e.b.0 as usize] += 1;
+            d
+        });
+        assert_eq!(maintained, recount);
+        assert_eq!((g.degree(hub), g.degree(isolated)), (40, 0));
         assert_eq!((g.num_entities(), g.num_chunks(), g.num_records()), (1, 40, 14));
 
         let rebuilt = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec()).unwrap();
-        assert_eq!(rebuilt.degree_histogram(), g.degree_histogram());
-        assert_eq!(rebuilt.max_degree(), g.max_degree());
+        assert_eq!(degrees(&rebuilt), maintained);
         assert_eq!(rebuilt.num_records(), g.num_records());
     }
 

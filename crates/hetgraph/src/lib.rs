@@ -28,6 +28,6 @@ pub mod build;
 pub mod entities;
 pub mod graph;
 
-pub use build::{GraphBuildStats, GraphBuilder};
+pub use build::{GraphBuildCounts, GraphBuilder};
 pub use entities::EntityTable;
 pub use graph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};

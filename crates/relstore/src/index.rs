@@ -1,4 +1,4 @@
-//! The per-column value index kept beside each base table (DESIGN.md §11b).
+//! The per-column value index kept beside each base table (DESIGN.md §5b).
 //!
 //! [`Database`](crate::Database) keeps one [`TableIndex`] beside every
 //! table it registers — never inside [`Table`], which every operator
@@ -6,8 +6,8 @@
 //! derived state: built from the table, never persisted. For every column
 //! it holds the distinct non-NULL values, keyed by [`Value::group_key`]
 //! (within one column's type, equal keys are exactly
-//! [`Value::sort_cmp`]-equal values), and the NULL count: the planner's
-//! cardinalities. For a `Str` column it also maps each value's
+//! [`Value::sort_cmp`]-equal values): the planner's cardinalities. For a
+//! `Str` column it also maps each value's
 //! `str::to_lowercase` fold — the fold `LIKE` applies to both its sides —
 //! to the ascending ids of the rows holding it.
 //!
@@ -31,8 +31,6 @@ use crate::value::{GroupKey, Value};
 struct ColumnIndex {
     /// Distinct non-NULL values.
     distinct: BTreeSet<GroupKey>,
-    /// NULL count.
-    nulls: usize,
     /// For a `Str` column: each fold → the ascending ids of its rows.
     keys: Option<BTreeMap<String, Vec<usize>>>,
 }
@@ -44,7 +42,6 @@ impl ColumnIndex {
 
     fn insert(&mut self, row: usize, v: &Value) {
         if v.is_null() {
-            self.nulls += 1;
             return;
         }
         if let (Some(keys), Value::Str(s)) = (&mut self.keys, v) {
@@ -67,8 +64,8 @@ impl ColumnIndex {
     }
 }
 
-/// The value index of one table: per column, its distinct and NULL counts
-/// and, for a `Str` column, its folds' row ids.
+/// The value index of one table: per column, its distinct count and, for a
+/// `Str` column, its folds' row ids.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableIndex {
     columns: Vec<ColumnIndex>,
@@ -100,11 +97,6 @@ impl TableIndex {
     /// `0.0` and `-0.0` one.
     pub fn distinct(&self, column: usize) -> usize {
         self.columns[column].distinct.len()
-    }
-
-    /// NULLs in column `column`.
-    pub fn nulls(&self, column: usize) -> usize {
-        self.columns[column].nulls
     }
 
     /// The probe a filter with `predicate` over the table this index
@@ -315,9 +307,9 @@ mod tests {
     fn counts_tell_values_apart_as_sort_cmp_does() {
         let index = TableIndex::build(&table());
         // "Aero", "AERO x", "Kelvin", "aero": case-sensitive.
-        assert_eq!((index.distinct(0), index.nulls(0)), (4, 1));
-        // 1.0 twice (once widened from an int); -0.0 = 0.0.
-        assert_eq!((index.distinct(1), index.nulls(1)), (2, 1));
+        assert_eq!(index.distinct(0), 4);
+        // 1.0 twice (once widened from an int); -0.0 = 0.0; NULL is no value.
+        assert_eq!(index.distinct(1), 2);
     }
 
     #[test]

@@ -36,10 +36,8 @@ pub struct Bm25Index {
     /// Document lengths in tokens.
     doc_len: Vec<usize>,
     total_tokens: usize,
-    /// Posting entries across all terms and the longest posting list,
-    /// kept current as documents are added (lists only grow), so
-    /// [`Self::posting_stats`] never walks the table.
-    total_postings: usize,
+    /// The longest posting list, kept current as documents are added
+    /// (lists only grow), so [`Self::max_posting`] never walks the table.
     max_posting: usize,
     /// Per document, its length norm `k1 · (1 − b + b · len / avg len)`:
     /// a pure function of the lengths, computed by the first search after
@@ -78,7 +76,6 @@ impl Bm25Index {
         for (t, c) in tf {
             let posts = self.postings.entry(t.clone()).or_default();
             posts.push((doc_id, c));
-            self.total_postings += 1;
             self.max_posting = self.max_posting.max(posts.len());
         }
         doc_id
@@ -94,10 +91,10 @@ impl Bm25Index {
         self.doc_len.is_empty()
     }
 
-    /// Inverted-index statistics for the planner's cost model:
-    /// `(distinct terms, total postings, longest posting list)`.
-    pub fn posting_stats(&self) -> (usize, usize, usize) {
-        (self.postings.len(), self.total_postings, self.max_posting)
+    /// The longest posting list: the planner's estimate of what one
+    /// lexical scan walks.
+    pub fn max_posting(&self) -> usize {
+        self.max_posting
     }
 
     /// Posting entries a search for `query` scans: the summed posting-list
@@ -167,24 +164,15 @@ impl Bm25Index {
 
     /// Reassembles an index from snapshot parts. The caller is trusted to
     /// pass parts that came from [`Self::postings`] / [`Self::doc_lens`];
-    /// `total_tokens` and the posting totals are recomputed from them.
+    /// `total_tokens` and the longest posting list are recomputed from them.
     pub fn from_parts(
         params: Bm25Params,
         postings: BTreeMap<String, Vec<(usize, u32)>>,
         doc_len: Vec<usize>,
     ) -> Self {
         let total_tokens = doc_len.iter().sum();
-        let total_postings = postings.values().map(Vec::len).sum();
         let max_posting = postings.values().map(Vec::len).max().unwrap_or(0);
-        Self {
-            params,
-            postings,
-            doc_len,
-            total_tokens,
-            total_postings,
-            max_posting,
-            norms: OnceLock::new(),
-        }
+        Self { params, postings, doc_len, total_tokens, max_posting, norms: OnceLock::new() }
     }
 
     /// Like [`Self::search`] but with pre-normalized query terms.
@@ -357,13 +345,11 @@ mod tests {
     #[test]
     fn posting_stats_maintained_on_add_equal_a_recount() {
         let ix = sample();
-        let (terms, total, max) = ix.posting_stats();
-        assert_eq!(terms, ix.postings().len());
-        assert_eq!(total, ix.postings().values().map(Vec::len).sum::<usize>());
+        let max = ix.max_posting();
         assert_eq!(max, ix.postings().values().map(Vec::len).max().unwrap());
         let rebuilt =
             Bm25Index::from_parts(ix.params(), ix.postings().clone(), ix.doc_lens().to_vec());
-        assert_eq!(rebuilt.posting_stats(), (terms, total, max));
+        assert_eq!(rebuilt.max_posting(), max);
     }
 
     #[test]

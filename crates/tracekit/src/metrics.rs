@@ -167,19 +167,6 @@ registry_enum! {
         BatchItems => "parkit.batch_items",
         /// parkit chunks dispatched for batch answering (width-invariant).
         BatchChunks => "parkit.batch_chunks",
-        /// Tables covered by the planner's build-time statistics catalog.
-        PlannerStatsTables => "planner.stats_tables",
-        /// Column statistics (cardinality + NULL counts) collected at
-        /// build.
-        PlannerStatsColumns => "planner.stats_columns",
-        /// Inverted-index postings counted into the statistics catalog.
-        PlannerStatsPostings => "planner.stats_postings",
-        /// Maximum graph node degree recorded in the statistics catalog.
-        PlannerStatsMaxDegree => "planner.stats_max_degree",
-        /// Per-table statistics refreshed by incremental ingest (one per
-        /// table-touching delta; the rest of the catalog is maintained,
-        /// not re-derived).
-        PlannerStatsTableRefreshes => "planner.stats_table_refreshes",
         /// Logical plans assembled and lowered by the cost-based planner.
         PlannerPlansBuilt => "planner.plans_built",
         /// Relational candidates execution passed over unrun because their
@@ -212,11 +199,7 @@ impl Metric {
             | Metric::GraphEdges
             | Metric::GraphEntities
             | Metric::GraphChunks
-            | Metric::GraphRecords
-            | Metric::PlannerStatsTables
-            | Metric::PlannerStatsColumns
-            | Metric::PlannerStatsPostings
-            | Metric::PlannerStatsMaxDegree => MetricKind::Gauge,
+            | Metric::GraphRecords => MetricKind::Gauge,
             _ => MetricKind::Counter,
         }
     }
@@ -259,8 +242,6 @@ registry_enum! {
         BuildExtract => "build.extract",
         /// Heterogeneous graph construction.
         BuildGraph => "build.graph",
-        /// Planner statistics-catalog collection.
-        BuildStats => "build.stats",
         /// Whole `answer` call.
         AnswerTotal => "answer.total",
         /// Structured route (synthesis + plan execution).

@@ -7,22 +7,23 @@
 //!    the durable log exactly as they were, and the next good delta
 //!    applies.
 //! 2. **Equivalence** — after a random stream of single deltas of all five
-//!    kinds, everything ingest maintains incrementally (statistics
-//!    catalog, gauges) equals a recount, and the engine answers like one
-//!    rebuilt from the inputs plus the log, at 1 and 4 threads.
-//! 3. **Work counts** — a delta runs no PageRank, re-collects at most its
-//!    own table's statistics, copies no substrate and embeds no chunk.
-//!    Counted by the engine's closed registry and its stage counts, never
-//!    by a clock.
+//!    kinds, everything ingest maintains incrementally (value indexes,
+//!    gauges) equals a recount, and the engine answers like one rebuilt
+//!    from the inputs plus the log, at 1 and 4 threads.
+//! 3. **Work counts** — a delta runs no PageRank, copies no substrate and
+//!    embeds no chunk. Counted by the engine's closed registry and its
+//!    stage counts, never by a clock.
 
 use std::path::{Path, PathBuf};
 
 use detkit::prop::{usizes, vec_of, zip3, Config};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use storekit::StoreError;
+use tracekit::metrics::MetricKind;
+use tracekit::Metric;
 use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
-    Provenance, StatsCatalog, UnifiedEngine,
+    Provenance, UnifiedEngine,
 };
 use unisem_hetgraph::{EdgeKind, HetGraph, NodeKind};
 use unisem_relstore::{Database, Value};
@@ -139,11 +140,18 @@ fn remove_wal(base: &Path) {
     std::fs::remove_file(base).ok();
 }
 
+/// The engine's gauges: pure functions of its substrates.
+fn gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
+    let gauges = Metric::ALL.into_iter().filter(|m| m.kind() == MetricKind::Gauge);
+    gauges.map(|m| (m.name(), engine.metrics().get(m))).collect()
+}
+
 /// Everything a failed ingest must leave untouched.
 #[derive(Debug, PartialEq)]
 struct Observed {
     applied_seq: u64,
-    stats: String,
+    db: Database,
+    gauges: Vec<(&'static str, u64)>,
     index_bytes: usize,
     answers: Vec<Answer>,
     log: Vec<u8>,
@@ -152,7 +160,8 @@ struct Observed {
 fn observe(engine: &UnifiedEngine, wal: &Path) -> Observed {
     Observed {
         applied_seq: engine.applied_seq(),
-        stats: engine.stats().render(),
+        db: engine.db().clone(),
+        gauges: gauges(engine),
         index_bytes: engine.index_bytes(),
         answers: probes(1).iter().map(|q| engine.answer(q)).collect(),
         log: std::fs::read(wal).expect("read log"),
@@ -216,7 +225,7 @@ fn rejected_deltas_change_nothing_alone_or_mid_batch() {
     let seq = engine.ingest_delta(delta(1, 1, 50)).expect("the next good delta applies");
     assert_eq!(seq, before.applied_seq + 1);
     let after = observe(&engine, &wal);
-    assert_ne!(after.stats, before.stats, "the row shows in the catalog");
+    assert_ne!(after.db, before.db, "the row shows in the table");
     assert_ne!(after.answers[0], before.answers[0], "and in the total");
     assert!(after.log.len() > before.log.len() && after.log.starts_with(&before.log));
     drop(engine);
@@ -306,9 +315,6 @@ fn log_faults_change_nothing_alone_or_mid_batch() {
 fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
     let graph = engine.graph();
     let kind = |pred: fn(&NodeKind) -> bool| graph.nodes().iter().filter(|n| pred(&n.kind)).count();
-    let stats = StatsCatalog::collect(engine.db(), engine.docs(), graph);
-    let max_degree = graph.nodes().iter().map(|n| graph.degree(n.id)).max().unwrap_or(0);
-    let postings: usize = engine.docs().index().postings().values().map(Vec::len).sum();
     [
         ("ingest.tables", engine.db().len()),
         ("ingest.documents", engine.docs().num_documents()),
@@ -317,10 +323,6 @@ fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
         ("graph.entities", kind(NodeKind::is_entity)),
         ("graph.chunks", kind(NodeKind::is_chunk)),
         ("graph.records", kind(NodeKind::is_record)),
-        ("planner.stats_tables", stats.tables.len()),
-        ("planner.stats_columns", stats.num_columns()),
-        ("planner.stats_postings", postings),
-        ("planner.stats_max_degree", max_degree),
     ]
     .map(|(name, n)| (name, n as u64))
     .to_vec()
@@ -338,8 +340,9 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
     let mut live = build(&w, config(threads, FaultPlan::disabled()));
     live.enable_wal(&wal).map_err(|e| e.to_string())?;
     let mut accepted = 0usize;
+    let state = |e: &UnifiedEngine| (e.db().clone(), gauges(e), e.index_bytes());
     for &(kind, p, n) in script {
-        let before = live.stats().render();
+        let before = state(&live);
         match live.ingest_delta(delta(kind, p, n)) {
             Ok(seq) => {
                 accepted += 1;
@@ -347,11 +350,7 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
             }
             Err(e) => {
                 prop_assert!(matches!(e, EngineError::Delta(_)), "unexpected rejection: {e}");
-                prop_assert_eq!(
-                    live.stats().render(),
-                    before,
-                    "a rejected delta moved the catalog"
-                );
+                prop_assert_eq!(state(&live), before, "a rejected delta moved the substrates");
             }
         }
     }
@@ -361,8 +360,6 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
     accepted += batch.len();
     prop_assert_eq!(seq, accepted as u64);
 
-    let recollected = StatsCatalog::collect(live.db(), live.docs(), live.graph());
-    prop_assert_eq!(live.stats(), &recollected, "maintained catalog drifted");
     let mut reindexed = Database::new();
     for name in live.db().table_names() {
         let table = live.db().table(name).map_err(|e| e.to_string())?;
@@ -377,7 +374,7 @@ fn check_equivalence(script: &[(usize, usize, usize)], threads: usize) -> Result
     let mut rebuilt = build(&w, config(threads, FaultPlan::disabled()));
     let replayed = rebuilt.enable_wal(&wal).map_err(|e| e.to_string())?;
     prop_assert_eq!(replayed, accepted, "the log holds exactly the accepted deltas");
-    prop_assert_eq!(rebuilt.stats(), live.stats());
+    prop_assert_eq!(gauges(&rebuilt), gauges(&live));
     prop_assert_eq!(rebuilt.db(), live.db(), "tables and value indexes equal a rebuild + replay");
     prop_assert_eq!(rebuilt.index_bytes(), live.index_bytes());
     for q in probes(0).iter().chain(&probes(3)) {
@@ -408,17 +405,15 @@ prop_check!(
 );
 
 #[test]
-fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
+fn a_delta_runs_no_pagerank_and_copies_nothing() {
     let w = corpus(24);
     let mut engine = build(&w, config(1, FaultPlan::disabled()));
     let count = |engine: &UnifiedEngine, name: &str| {
         engine.metrics_report().get(name).expect("registered counter")
     };
     assert_eq!(count(&engine, "traverse.prior_computations"), 1, "the build forces the prior");
-    let collections = count(&engine, "planner.stats_table_refreshes");
 
-    // 100 single deltas, 20 of each kind; table_row and semi_fragment
-    // touch a table.
+    // 100 single deltas, 20 of each kind.
     let addr = |engine: &UnifiedEngine| {
         (engine.graph() as *const _ as usize, engine.docs() as *const _ as usize)
     };
@@ -431,7 +426,6 @@ fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
     }
     assert_eq!(engine.applied_seq(), 100);
     assert_eq!(count(&engine, "traverse.prior_computations"), 1, "ingest only invalidates");
-    assert_eq!(count(&engine, "planner.stats_table_refreshes") - collections, 40);
 
     // Structured answers never need the prior; the first traversal
     // computes it for the current graph version, the second finds it.
@@ -446,7 +440,7 @@ fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
     // A clone shares the substrates until its first delta, which copies
     // them once; its second is in place again, and the original never
     // sees either.
-    let stats_before = engine.stats().render();
+    let tables_before = engine.db().clone();
     let mut fork = engine.clone();
     assert_eq!(addr(&fork), home);
     fork.ingest_delta(delta(1, 2, 70)).expect("good delta");
@@ -455,7 +449,7 @@ fn a_delta_runs_no_pagerank_collects_one_table_and_copies_nothing() {
     fork.ingest_delta(delta(0, 2, 71)).expect("good delta");
     assert_eq!(addr(&fork), copied);
     assert_eq!(addr(&engine), home);
-    assert_eq!(engine.stats().render(), stats_before);
+    assert_eq!(engine.db(), &tables_before);
     assert_eq!(engine.applied_seq(), 100);
 }
 

@@ -7,7 +7,7 @@
 //! routes, confidence, degradations, full explain trace) to an engine
 //! that never crashed, at 1, 2, 4, and 8 threads. Alongside the matrix:
 //! same-seed delta streams must produce byte-identical WAL
-//! files, and the planner's statistics catalog must reflect post-delta
+//! files, and the planner's estimates must reflect post-delta
 //! cardinalities (no stale row counts in explain traces).
 
 use std::path::{Path, PathBuf};
@@ -438,12 +438,12 @@ fn same_seed_delta_streams_write_byte_identical_segments() {
 }
 
 #[test]
-fn stats_catalog_tracks_post_delta_cardinalities() {
+fn estimates_track_post_delta_cardinalities() {
     let mut engine = tiny_engine();
     let question = "What was the total sales amount of Aero Widget across all quarters?";
 
-    // The base-table scan's estimate comes straight from the statistics
-    // catalog, so its `rows~` figure is the stale-stats canary.
+    // The base-table scan's estimate is the table's row count, read when
+    // the plan is costed, so its `rows~` figure is the stale-count canary.
     fn scan_line(engine: &UnifiedEngine, question: &str) -> String {
         let plan = engine
             .answer(question)
@@ -457,8 +457,10 @@ fn stats_catalog_tracks_post_delta_cardinalities() {
             .to_string()
     }
 
-    let rows_before = engine.stats().table("sales").expect("sales stats").rows;
-    assert_eq!(rows_before, 3);
+    let rows = |engine: &UnifiedEngine, name: &str| {
+        engine.db().table(name).map(|t| t.num_rows()).expect("registered table")
+    };
+    assert_eq!(rows(&engine, "sales"), 3);
     let before = scan_line(&engine, question);
     assert!(before.contains("rows~3"), "pre-delta scan estimates 3 rows: {before}");
 
@@ -466,10 +468,10 @@ fn stats_catalog_tracks_post_delta_cardinalities() {
         .ingest_deltas(&delta_stream())
         .expect("ingest the full stream (no WAL attached — in-memory path)");
 
-    // The statistics catalog is recollected on ingest, so the planner's
-    // explain trace shows the new cardinality — never a stale count.
-    assert_eq!(engine.stats().table("sales").expect("sales stats").rows, 4);
-    assert_eq!(engine.stats().table("orders").expect("orders stats").rows, 2);
+    // The cost model reads the grown table, so the planner's explain
+    // trace shows the new cardinality — never a stale count.
+    assert_eq!(rows(&engine, "sales"), 4);
+    assert_eq!(rows(&engine, "orders"), 2);
     let after = scan_line(&engine, question);
     assert!(after.contains("rows~4"), "post-delta scan estimates 4 rows: {after}");
     assert!(!after.contains("rows~3"), "stale cardinality leaked into the scan: {after}");

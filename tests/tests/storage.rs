@@ -19,6 +19,8 @@
 use std::path::PathBuf;
 
 use storekit::{Encoder, Snapshot, SnapshotWriter, StoreError};
+use tracekit::metrics::MetricKind;
+use tracekit::Metric;
 use unisem_core::{
     Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
     UnifiedEngine,
@@ -169,6 +171,12 @@ fn answers(engine: &UnifiedEngine, qa: &[QaItem]) -> Vec<Answer> {
     qa.iter().map(|item| engine.answer(&item.question)).collect()
 }
 
+/// The engine's gauges: pure functions of its substrates.
+fn gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
+    let gauges = Metric::ALL.into_iter().filter(|m| m.kind() == MetricKind::Gauge);
+    gauges.map(|m| (m.name(), engine.metrics().get(m))).collect()
+}
+
 #[test]
 fn snapshot_round_trip_answers_byte_identical() {
     for w in workloads() {
@@ -197,11 +205,13 @@ fn snapshot_round_trip_answers_byte_identical() {
                 w.name
             );
             assert_eq!(
-                reopened.stats(),
-                engine.stats(),
-                "{}: the statistics catalog derived on open equals the saved engine's",
+                reopened.db(),
+                engine.db(),
+                "{}: the tables and value indexes rebuilt on open equal the saved engine's",
                 w.name
             );
+            assert_eq!(gauges(&reopened), gauges(&engine), "{}: gauges", w.name);
+            assert_eq!(reopened.index_bytes(), engine.index_bytes(), "{}", w.name);
             let got = answers(&reopened, &w.qa);
             for (a, b) in baseline.iter().zip(&got) {
                 assert_eq!(a, b, "{} at {threads} threads: answer diverged", w.name);
@@ -258,7 +268,8 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
     let (mut live, _, replayed) =
         EngineBuilder::open_snapshot_with_wal(&snap, &wal, config(1)).expect("reopen");
     assert_eq!(replayed, 0);
-    assert_eq!(live.stats().render(), engine.stats().render());
+    assert_eq!(live.db(), engine.db());
+    assert_eq!(gauges(&live), gauges(&engine));
     let product = names::product(3);
     let deltas = [
         Delta::DocAdd {
@@ -292,7 +303,9 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
         EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, config(1)).expect("recover");
     assert_eq!(replayed, 0, "the checkpoint truncated the log");
     assert_eq!(recovered.applied_seq(), deltas.len() as u64);
-    assert_eq!(recovered.stats().render(), live.stats().render());
+    assert_eq!(recovered.db(), live.db());
+    assert_eq!(gauges(&recovered), gauges(&live));
+    assert_eq!(recovered.index_bytes(), live.index_bytes());
     for q in &scale.queries {
         assert_eq!(recovered.answer(q), live.answer(q), "{q}");
     }
