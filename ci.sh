@@ -142,13 +142,14 @@ CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,relstore.exec@64,hetgraph.traver
     cargo test -q -p unisem-tests --test planner_golden
 
 echo "==> observability gates (DESIGN.md §9)"
-# Tracing must be zero-cost when disabled: the observability suite runs
-# with the sink explicitly off and asserts — via the sink's own write
-# counter, which counts every write_block call including no-ops — that the
-# hot path makes zero trace-sink writes. Trace/metrics determinism across
-# thread counts is covered by the determinism suite above.
-CARGO_NET_OFFLINE=true UNISEM_TRACE=off \
-    cargo test -q -p unisem-tests --test observability
+# EngineConfig::trace is the one trace switch: the observability suite
+# checks that answer and answer_batch attach no trace unless it is on, that
+# batch traces come back in input order and render to the same JSON lines
+# as a sequential loop, and that the engine records every series of the
+# closed metric registry. That the disabled path allocates nothing for
+# tracing is pinned by the allocs suite and Run::actual's unit test;
+# trace/metrics determinism across thread counts by the determinism suite.
+CARGO_NET_OFFLINE=true cargo test -q -p unisem-tests --test observability
 
 echo "==> storage gate: snapshot round-trip + golden frame table (DESIGN.md §12)"
 # The persistent-storage suite must hold with an ambient store-site fault

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use faultkit::{FaultPlan, InjectedFault, Site};
 use parkit::Pool;
-use tracekit::{Hist, Metric, MetricsRegistry, MetricsReport, Stage, TimingReport, TraceSink};
+use tracekit::{Hist, Metric, MetricsRegistry, MetricsReport, Stage, TimingReport};
 use unisem_docstore::{DocStore, DocumentId};
 use unisem_entropy::EntropyEstimator;
 use unisem_extract::TableGenerator;
@@ -15,7 +15,7 @@ use unisem_relstore::{Database, RelError, Table};
 use unisem_retrieval::{
     ChunkRetriever, RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats,
 };
-use unisem_semistore::{FlattenError, JsonError, JsonValue, SemiStore, XmlError};
+use unisem_semistore::{FlattenError, JsonError, JsonValue, SemiStore};
 use unisem_semops::{IntentParser, OperatorSynthesizer, QueryIntent};
 use unisem_slm::{CostMeter, Lexicon, Slm, SlmConfig};
 use unisem_text::ChunkConfig;
@@ -30,8 +30,6 @@ pub enum EngineError {
     Rel(RelError),
     /// JSON flattening failure.
     Flatten(FlattenError),
-    /// XML parse failure at ingestion.
-    Xml(XmlError),
     /// JSON parse failure at ingestion.
     Json(JsonError),
     /// A deterministic fault-injection hook fired (see `faultkit`).
@@ -50,7 +48,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Rel(e) => write!(f, "relational error: {e}"),
             EngineError::Flatten(e) => write!(f, "flatten error: {e}"),
-            EngineError::Xml(e) => write!(f, "xml error: {e}"),
             EngineError::Json(e) => write!(f, "json error: {e}"),
             EngineError::Fault(e) => write!(f, "{e}"),
             EngineError::Store(e) => write!(f, "storage error: {e}"),
@@ -70,12 +67,6 @@ impl From<RelError> for EngineError {
 impl From<FlattenError> for EngineError {
     fn from(e: FlattenError) -> Self {
         EngineError::Flatten(e)
-    }
-}
-
-impl From<XmlError> for EngineError {
-    fn from(e: XmlError) -> Self {
-        EngineError::Xml(e)
     }
 }
 
@@ -191,10 +182,9 @@ pub struct EngineConfig {
     pub governors: GovernorConfig,
     /// Attach a deterministic per-query explain trace to every
     /// [`Answer::trace`](crate::Answer::trace) (DESIGN.md §9). Off by
-    /// default: the hot path then performs zero trace allocations.
-    /// Independent of the `UNISEM_TRACE` sink — `trace` controls the
-    /// in-`Answer` copy, the sink controls emitted JSON-lines; either alone
-    /// enables recording.
+    /// default: the hot path then performs zero trace allocations. The one
+    /// trace switch: a caller who wants JSON lines renders the attached
+    /// trace with `QueryTrace::to_jsonl`.
     pub trace: bool,
 }
 
@@ -228,7 +218,7 @@ pub struct EngineBuilder {
     docs: DocStore,
     db: Database,
     semi: SemiStore,
-    /// Sources quarantined during ingestion (bad JSON/XML); joined at
+    /// Sources quarantined during ingestion (bad JSON); joined at
     /// build time by flatten/extraction quarantines.
     quarantined: Vec<Quarantined>,
     /// Monotonic counter over semi-structured ingestion attempts — the
@@ -367,42 +357,6 @@ impl EngineBuilder {
                 Err(EngineError::Json(e))
             }
         }
-    }
-
-    /// Ingests one XML document into a named collection ("XML
-    /// configurations", §I). The root element's *contents* become the
-    /// record (attributes as `@name`, text as `#text`).
-    ///
-    /// Like [`Self::add_json_text`], a malformed document is quarantined
-    /// (the build still succeeds) and the parse error returned.
-    pub fn add_xml(&mut self, collection: &str, xml: &str) -> Result<(), EngineError> {
-        let key = format!("{collection}:{}", self.ingest_attempts);
-        self.ingest_attempts += 1;
-        if let Err(f) = self.config.faults.check(Site::SemiParse, &key) {
-            self.quarantined.push(Quarantined {
-                source: format!("xml document '{key}'"),
-                reason: QuarantineReason::InjectedFault(f.to_string()),
-            });
-            return Err(EngineError::Fault(f));
-        }
-        let parsed = match unisem_semistore::parse_xml(xml) {
-            Ok(p) => p,
-            Err(e) => {
-                self.quarantined.push(Quarantined {
-                    source: format!("xml document '{key}'"),
-                    reason: QuarantineReason::Xml(e.to_string()),
-                });
-                return Err(EngineError::Xml(e));
-            }
-        };
-        // Unwrap the single root-name key so sibling documents with the
-        // same root element flatten into one schema.
-        let doc = match &parsed {
-            JsonValue::Object(fields) if fields.len() == 1 => fields[0].1.clone(),
-            other => other.clone(),
-        };
-        self.semi.insert(collection, doc);
-        Ok(())
     }
 
     /// Builds the engine: flattens JSON, runs extraction, builds the graph,
@@ -584,9 +538,6 @@ pub struct UnifiedEngine {
     ingest: Arc<IngestReport>,
     /// Closed-registry metrics for this engine instance (shared by clones).
     pub(crate) metrics: Arc<MetricsRegistry>,
-    /// Trace sink resolved once at build from `UNISEM_TRACE` (like the
-    /// fault plan), overridable for tests via [`Self::set_trace_sink`].
-    pub(crate) sink: Arc<TraceSink>,
     /// Write-ahead log for incremental ingest (attached by
     /// [`Self::enable_wal`]; clones share the log, so only one clone
     /// should ingest).
@@ -633,7 +584,6 @@ impl UnifiedEngine {
             config,
             ingest: Arc::new(report.clone()),
             metrics,
-            sink: Arc::new(TraceSink::from_env()),
             wal: None,
             applied_seq,
         }
@@ -692,17 +642,6 @@ impl UnifiedEngine {
     /// [`Self::metrics_report`] so determinism checks never see them).
     pub fn timing_report(&self) -> TimingReport {
         self.metrics.timings()
-    }
-
-    /// The trace sink in effect (resolved from `UNISEM_TRACE` at build).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.sink
-    }
-
-    /// Replaces the trace sink — e.g. with [`TraceSink::memory`] so tests
-    /// capture emitted trace blocks without touching the environment.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.sink = sink;
     }
 
     /// Resident index footprint in bytes: the graph and the lexical
@@ -1146,28 +1085,6 @@ mod tests {
         let e = b.build().0;
         assert!(e.db().has_table("orders"));
         assert!(e.db().has_table("json_orders"));
-    }
-
-    #[test]
-    fn xml_ingestion_flattens() {
-        let mut b = EngineBuilder::new(Lexicon::new());
-        b.add_xml("configs", r#"<cfg><host>alpha</host><port>80</port></cfg>"#).unwrap();
-        b.add_xml("configs", r#"<cfg><host>beta</host><port>443</port></cfg>"#).unwrap();
-        // Malformed XML: a first-class typed error AND a quarantine record
-        // — the build still succeeds with the two good documents.
-        let err = b.add_xml("configs", "<broken>").unwrap_err();
-        assert!(matches!(err, EngineError::Xml(_)), "{err}");
-        let (e, report) = b.build();
-        assert_eq!(report.num_quarantined(), 1);
-        assert_eq!(report.quarantined[0].reason.kind(), "xml");
-        assert!(report.quarantined[0].source.contains("configs"));
-        assert_eq!(e.ingest_report(), &report);
-        let t = e.db().table("configs").unwrap();
-        assert_eq!(t.num_rows(), 2);
-        let plan = LogicalPlan::scan("configs").filter(Expr::col("port").eq(Expr::lit(443i64)));
-        let out = e.db().run_plan(&plan).unwrap();
-        let host = out.schema().require("host").unwrap();
-        assert_eq!(out.cell(0, host), &Value::str("beta"));
     }
 
     #[test]

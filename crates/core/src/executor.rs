@@ -25,27 +25,14 @@ impl UnifiedEngine {
     /// a failed component, an injected fault, a tripped resource governor
     /// — is recorded in [`Answer::degradations`], so a degraded answer is
     /// always diagnosable and never silent.
-    pub fn answer(&self, question: &str) -> Answer {
-        let (answer, block) = self.answer_traced(question);
-        if let Some(block) = block {
-            self.sink.write_block(&block);
-        }
-        answer
-    }
-
-    /// [`Self::answer`] split for the batch path: resolves the answer and
-    /// renders — but does not write — the trace-sink block, so
-    /// [`Self::answer_batch`] can merge blocks in input order after its
-    /// parallel map (cross-query interleaving is unrepresentable).
     ///
-    /// Zero-cost-when-disabled contract: with tracing off
-    /// (`config.trace == false` and an off sink) no actual is recorded —
-    /// every recording call is one branch, no allocation — no plan is
-    /// rendered, the block is `None`, and the sink is never touched.
-    fn answer_traced(&self, question: &str) -> (Answer, Option<String>) {
+    /// With `config.trace` on, [`Answer::trace`] carries the query's
+    /// explain trace. Zero-cost-when-disabled contract: with it off no
+    /// actual is recorded — every recording call is one branch, no
+    /// allocation — and no plan is rendered.
+    pub fn answer(&self, question: &str) -> Answer {
         let start = tracekit::wall::Stopwatch::start();
-        let sinking = !self.sink.is_off();
-        let traced = self.config.trace || sinking;
+        let traced = self.config.trace;
 
         let mut meter = ResourceMeter::default();
         let (mut answer, plan) = self.execute_query(question, traced, &mut meter);
@@ -69,17 +56,13 @@ impl UnifiedEngine {
         self.metrics.observe(Hist::MeterSlmSamples, meter.slm_samples);
         self.metrics.record_stage(Stage::AnswerTotal, start.elapsed_ns());
 
-        let trace = traced.then(|| QueryTrace {
+        answer.trace = traced.then(|| QueryTrace {
             question: question.to_string(),
             route: answer.route.label().to_string(),
             plan,
             meter: Some(meter),
         });
-        let block = trace.as_ref().filter(|_| sinking).map(QueryTrace::to_jsonl);
-        if self.config.trace {
-            answer.trace = trace;
-        }
-        (answer, block)
+        answer
     }
 
     /// Resolves one question (DESIGN.md §11): admit it, tag it, assemble
@@ -621,25 +604,13 @@ impl UnifiedEngine {
     /// Each question is answered exactly as [`UnifiedEngine::answer`]
     /// would sequentially — all per-question randomness is derived from
     /// the engine seed and the question itself, never from scheduling — so
-    /// the output is byte-identical for any thread count, including 1.
-    /// When a trace sink is active, each query's block is rendered inside
-    /// the parallel map but written here, sequentially, in input order —
-    /// cross-query interleaving in the sink is unrepresentable.
+    /// the output, traces included, is byte-identical for any thread
+    /// count, including 1.
     pub fn answer_batch<S: AsRef<str> + Sync>(&self, questions: &[S]) -> Vec<Answer> {
         self.metrics.incr(Metric::BatchCalls);
         self.metrics.add(Metric::BatchItems, questions.len() as u64);
         self.metrics.add(Metric::BatchChunks, parkit::auto_chunk_count(questions.len()) as u64);
-        let traced =
-            self.config.parallel.pool().par_map(questions, |q| self.answer_traced(q.as_ref()));
-        traced
-            .into_iter()
-            .map(|(answer, block)| {
-                if let Some(block) = block {
-                    self.sink.write_block(&block);
-                }
-                answer
-            })
-            .collect()
+        self.config.parallel.pool().par_map(questions, |q| self.answer(q.as_ref()))
     }
 }
 

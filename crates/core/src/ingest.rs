@@ -1,7 +1,7 @@
 //! Ingestion quarantine: per-source failure containment (DESIGN.md §8).
 //!
 //! The paper targets messy heterogeneous sources (§I); a data lake with one
-//! malformed XML config must not lose its thousand good documents. Instead
+//! malformed JSON log must not lose its thousand good documents. Instead
 //! of aborting, [`crate::EngineBuilder::build`] quarantines each failing
 //! source with a typed reason and returns an [`IngestReport`] alongside the
 //! engine, so operators can audit exactly what was excluded and why.
@@ -13,8 +13,6 @@ use std::fmt;
 pub enum QuarantineReason {
     /// JSON document failed to parse.
     Json(String),
-    /// XML document failed to parse.
-    Xml(String),
     /// A collection failed to flatten into a relational table.
     Flatten(String),
     /// Relational table generation over the documents failed.
@@ -29,7 +27,6 @@ impl QuarantineReason {
     pub fn kind(&self) -> &'static str {
         match self {
             QuarantineReason::Json(_) => "json",
-            QuarantineReason::Xml(_) => "xml",
             QuarantineReason::Flatten(_) => "flatten",
             QuarantineReason::Extraction(_) => "extraction",
             QuarantineReason::InjectedFault(_) => "injected-fault",
@@ -40,7 +37,6 @@ impl QuarantineReason {
     pub fn message(&self) -> &str {
         match self {
             QuarantineReason::Json(m)
-            | QuarantineReason::Xml(m)
             | QuarantineReason::Flatten(m)
             | QuarantineReason::Extraction(m)
             | QuarantineReason::InjectedFault(m) => m,
@@ -58,7 +54,7 @@ impl fmt::Display for QuarantineReason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantined {
     /// What was excluded, e.g. `collection 'orders'` or
-    /// `xml document 3 of 'configs'`.
+    /// `json document 'configs:3'`.
     pub source: String,
     /// Why it was excluded.
     pub reason: QuarantineReason,
@@ -97,8 +93,8 @@ impl IngestReport {
         self.quarantined.len()
     }
 
-    /// Quarantined entries of a given category (`"json"`, `"xml"`,
-    /// `"flatten"`, `"extraction"`, `"injected-fault"`).
+    /// Quarantined entries of a given category (`"json"`, `"flatten"`,
+    /// `"extraction"`, `"injected-fault"`).
     pub fn quarantined_by_kind(&self, kind: &str) -> Vec<&Quarantined> {
         self.quarantined.iter().filter(|q| q.reason.kind() == kind).collect()
     }
@@ -147,18 +143,18 @@ mod tests {
                     reason: QuarantineReason::Flatten("boom".into()),
                 },
                 Quarantined {
-                    source: "xml document 0 of 'configs'".into(),
-                    reason: QuarantineReason::Xml("mismatched tag".into()),
+                    source: "json document 'configs:0'".into(),
+                    reason: QuarantineReason::Json("unterminated string".into()),
                 },
             ],
             ..IngestReport::default()
         };
         assert!(!r.is_clean());
         assert_eq!(r.num_quarantined(), 2);
-        assert_eq!(r.quarantined_by_kind("xml").len(), 1);
-        assert_eq!(r.quarantined_by_kind("json").len(), 0);
+        assert_eq!(r.quarantined_by_kind("json").len(), 1);
+        assert_eq!(r.quarantined_by_kind("extraction").len(), 0);
         let shown = r.to_string();
-        assert!(shown.contains("orders") && shown.contains("mismatched tag"), "{shown}");
+        assert!(shown.contains("orders") && shown.contains("unterminated string"), "{shown}");
         assert_eq!(r.quarantined[0].reason.kind(), "flatten");
         assert_eq!(r.quarantined[0].reason.message(), "boom");
     }

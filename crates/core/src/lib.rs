@@ -25,7 +25,8 @@
 //!    ([`UnifiedEngine::metrics_report`]), and per-query explain traces
 //!    ([`Answer::trace`] via [`EngineConfig::trace`]) — the costed
 //!    physical plan with the actual of every operator that ran, plus the
-//!    resource meter — emitted as JSON lines when `UNISEM_TRACE` is set.
+//!    resource meter — rendered as one JSON line by
+//!    [`QueryTrace::to_jsonl`].
 //!
 //! [`baselines`] implements the comparison systems of the evaluation
 //! (naive dense RAG, Text-to-SQL-only, direct SLM) and the ablations.
@@ -56,7 +57,7 @@ pub use planner::{Cost, CostModel, LogicalNode, PhysicalPlan};
 // Re-export the pieces examples and benches need most.
 pub use faultkit::{FaultPlan, InjectedFault, Site as FaultSite};
 pub use storekit::StoreError;
-pub use tracekit::{component, MetricsReport, QueryTrace, ResourceMeter, TimingReport, TraceSink};
+pub use tracekit::{component, MetricsReport, QueryTrace, ResourceMeter, TimingReport};
 pub use unisem_entropy::EntropyReport;
 pub use unisem_relstore::{Database, Table, Value};
 pub use unisem_slm::{EntityKind, Lexicon, ModelClass, Slm, SlmConfig};

@@ -567,9 +567,10 @@ fn encode_ingest(report: &IngestReport) -> Vec<u8> {
     e.u64(report.quarantined.len() as u64);
     for q in &report.quarantined {
         e.str(&q.source);
+        // Tag 1 is retired (it named XML documents): never written, and
+        // rejected on read.
         let (tag, msg) = match &q.reason {
             QuarantineReason::Json(m) => (0u8, m),
-            QuarantineReason::Xml(m) => (1, m),
             QuarantineReason::Flatten(m) => (2, m),
             QuarantineReason::Extraction(m) => (3, m),
             QuarantineReason::InjectedFault(m) => (4, m),
@@ -594,7 +595,6 @@ fn decode_ingest(bytes: &[u8]) -> Result<IngestReport, EngineError> {
         let msg = d.str().map_err(EngineError::Store)?;
         let reason = match tag {
             0 => QuarantineReason::Json(msg),
-            1 => QuarantineReason::Xml(msg),
             2 => QuarantineReason::Flatten(msg),
             3 => QuarantineReason::Extraction(msg),
             4 => QuarantineReason::InjectedFault(msg),
@@ -684,5 +684,42 @@ mod tests {
         let table = loaded.db.table("zz").expect("table");
         assert_eq!((table.num_columns(), table.num_rows()), (0, 3));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Every live quarantine tag round-trips, and the retired tag 1 (XML
+    /// documents, no longer ingested) is a typed error, never a reason.
+    #[test]
+    fn ingest_section_rejects_the_retired_quarantine_tag() {
+        let reasons = [
+            QuarantineReason::Json("j".into()),
+            QuarantineReason::Flatten("f".into()),
+            QuarantineReason::Extraction("e".into()),
+            QuarantineReason::InjectedFault("i".into()),
+        ];
+        let report = IngestReport {
+            quarantined: reasons
+                .into_iter()
+                .map(|reason| Quarantined { source: "s".into(), reason })
+                .collect(),
+            tables: 1,
+            ..IngestReport::default()
+        };
+        let decoded = decode_ingest(&encode_ingest(&report)).expect("live tags decode");
+        assert_eq!(decoded, report);
+
+        let mut e = Encoder::new();
+        e.u64(1);
+        e.str("json document 'configs:0'");
+        e.u8(1);
+        e.str("mismatched tag");
+        for _ in 0..4 {
+            e.usize(0);
+        }
+        match decode_ingest(&e.into_bytes()) {
+            Err(EngineError::Store(StoreError::InvalidSnapshot(msg))) => {
+                assert_eq!(msg, "unknown quarantine reason tag 1");
+            }
+            other => panic!("tag 1 decoded to {other:?}"),
+        }
     }
 }

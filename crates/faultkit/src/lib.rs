@@ -18,7 +18,7 @@
 //!
 //! | site                | boundary                                      |
 //! |---------------------|-----------------------------------------------|
-//! | `semistore.parse`   | JSON/XML document parsing at ingestion        |
+//! | `semistore.parse`   | JSON document parsing at ingestion            |
 //! | `semistore.flatten` | collection → relational table flattening      |
 //! | `relstore.exec`     | logical-plan execution (structured route)     |
 //! | `extract.tablegen`  | relational table generation over documents    |
@@ -59,7 +59,7 @@ pub const NUM_SITES: usize = 11;
 /// unified engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Site {
-    /// JSON/XML document parsing at ingestion (`semistore.parse`).
+    /// JSON document parsing at ingestion (`semistore.parse`).
     SemiParse,
     /// Collection flattening into a relational table (`semistore.flatten`).
     SemiFlatten,

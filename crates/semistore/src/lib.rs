@@ -3,12 +3,12 @@
 //! The semi-structured substrate: a self-contained JSON document store.
 //!
 //! The paper's problem statement (§I) spans "semi-structured formats (e.g.,
-//! JSON logs, XML configurations)". This crate provides that modality:
+//! JSON logs, XML configurations)". This crate provides that modality for
+//! JSON, the one semi-structured format the reproduction ingests
+//! (DESIGN.md §2):
 //!
 //! - [`json`]: a JSON value model, parser, and serializer (no external
 //!   dependency — see DESIGN.md §2),
-//! - [`xml`]: a minimal XML parser mapping into the same value model
-//!   ("XML configurations", §I),
 //! - [`flatten`]: schema discovery over document collections and conversion
 //!   to `unisem-relstore` tables (the bridge that lets semi-structured data
 //!   participate in TableQA),
@@ -17,9 +17,7 @@
 pub mod flatten;
 pub mod json;
 pub mod store;
-pub mod xml;
 
 pub use flatten::{discover_schema, flatten_collection, FlattenError};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use store::{DocId, SemiStore};
-pub use xml::{parse_xml, XmlError};

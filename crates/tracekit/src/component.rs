@@ -42,7 +42,7 @@ impl fmt::Debug for Component {
     }
 }
 
-/// JSON/XML document parsing at ingestion.
+/// JSON document parsing at ingestion.
 pub const SEMI_PARSE: Component = Component("semistore.parse");
 /// Collection flattening into a relational table.
 pub const SEMI_FLATTEN: Component = Component("semistore.flatten");

@@ -24,8 +24,8 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Renders the trace as one JSON line: the block a trace sink receives
-    /// per query. Deterministic; no timing enters it.
+    /// Renders the trace as one JSON line. Deterministic; no timing enters
+    /// it.
     pub fn to_jsonl(&self) -> String {
         let mut out = format!(
             "{{\"q\":\"{}\",\"route\":\"{}\"",

@@ -10,11 +10,9 @@
 //! 1. **Per-query explain traces** ([`explain::QueryTrace`]): the costed
 //!    physical plan with an actual on every operator that ran, the route,
 //!    and the [`meter::ResourceMeter`] — attached to `Answer::trace` when
-//!    `EngineConfig::trace` opts in, and emitted as one JSON line per
-//!    query through a [`trace::TraceSink`] resolved from the
-//!    `UNISEM_TRACE` environment spec (`off | stderr | file:<path>`).
-//!    No duration enters a trace, so it is byte-identical at any thread
-//!    count.
+//!    `EngineConfig::trace` opts in, and rendered as one JSON line by
+//!    [`explain::QueryTrace::to_jsonl`]. No duration enters a trace, so it
+//!    is byte-identical at any thread count.
 //! 2. **Closed-registry metrics** ([`metrics::MetricsRegistry`]):
 //!    counters, gauges, and histograms addressed only by the
 //!    compile-time [`metrics::Metric`] / [`metrics::Hist`] enums — no
@@ -34,16 +32,14 @@ pub mod explain;
 pub mod hist;
 pub mod meter;
 pub mod metrics;
-pub mod trace;
 pub mod wall;
 
 pub use explain::QueryTrace;
 pub use meter::ResourceMeter;
 pub use metrics::{Hist, Metric, MetricsRegistry, MetricsReport, Stage, TimingReport};
-pub use trace::TraceSink;
 
 /// Escapes a string for embedding in a JSON string literal (shared by the
-/// sink and report renderers; tracekit is dependency-free by policy).
+/// trace and report renderers; tracekit is dependency-free by policy).
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -1,12 +1,11 @@
 //! Observability tour (DESIGN.md §9, §14): per-query explain traces — the
 //! costed plan with its actuals, and the resource meter — the closed
-//! metric registry with its histograms, and trace-sink emission.
+//! metric registry with its histograms, and a trace rendered as one JSON
+//! line.
 //!
 //! Run with:
 //! ```sh
 //! cargo run -p unisem-core --example observability
-//! # ...or stream every query's trace as one JSON line to stderr:
-//! UNISEM_TRACE=stderr cargo run -p unisem-core --example observability
 //! ```
 
 use unisem_core::{EngineBuilder, EngineConfig, EntityKind, Lexicon};
@@ -81,6 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  meter: {fields}");
         total_nodes_popped += meter.nodes_popped;
         total_slm_samples += meter.slm_samples;
+        // A caller who wants JSON lines renders the trace itself.
+        if question == questions[1] {
+            print!("  as one JSON line: {}", trace.to_jsonl());
+        }
         println!();
     }
 

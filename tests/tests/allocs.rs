@@ -18,7 +18,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, UnifiedEngine};
 use unisem_workloads::ecommerce::DocSpec;
@@ -78,7 +77,7 @@ fn build(
     semi: &unisem_semistore::SemiStore,
     documents: &[DocSpec],
 ) -> UnifiedEngine {
-    // Pinned, whatever UNISEM_FAULTS and UNISEM_TRACE say outside.
+    // Pinned, whatever UNISEM_FAULTS says outside.
     let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
     let mut b = EngineBuilder::with_config(lexicon.clone(), config);
     for name in db.table_names() {
@@ -92,9 +91,7 @@ fn build(
     for d in documents {
         b.add_document(d.title.clone(), d.text.clone(), d.source.clone());
     }
-    let mut engine = b.build().0;
-    engine.set_trace_sink(Arc::new(tracekit::TraceSink::off()));
-    engine
+    b.build().0
 }
 
 #[test]

@@ -77,7 +77,6 @@ const SANCTIONED: &[(&str, &str, usize)] = &[
     ("crates/slm/src/ner.rs", "disallowed_types", 2),
     ("crates/storekit/src/snapshot.rs", "disallowed_methods", 3),
     ("crates/storekit/src/wal.rs", "disallowed_methods", 8),
-    ("crates/tracekit/src/trace.rs", "disallowed_methods", 2),
     ("crates/tracekit/src/wall.rs", "disallowed_methods", 1),
 ];
 

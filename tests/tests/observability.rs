@@ -1,16 +1,13 @@
-//! Observability contract (DESIGN.md §9), checked end to end: tracing is
-//! zero-cost when disabled (the ci.sh `UNISEM_TRACE=off` gate lives here),
-//! explain traces are opt-in and deterministic, the memory sink captures
-//! emitted blocks, batch emission is input-ordered and byte-identical to
-//! sequential emission, and every series of the closed metric registry is
-//! recorded by the engine itself.
-
-use std::sync::Arc;
+//! Observability contract (DESIGN.md §9), checked end to end: explain
+//! traces are opt-in through `EngineConfig::trace` alone, on `answer` and
+//! `answer_batch` alike, and deterministic; batch traces are input-ordered
+//! and render byte-identically to sequential ones; and every series of
+//! the closed metric registry is recorded by the engine itself.
 
 use tracekit::{Hist, Metric, Stage};
 use unisem_core::{
     Delta, EngineBuilder, EngineConfig, EntityKind, FaultPlan, FaultSite, GovernorConfig, Lexicon,
-    Route, TraceSink, UnifiedEngine,
+    Route, UnifiedEngine,
 };
 use unisem_relstore::{DataType, Schema, Table, Value};
 
@@ -62,20 +59,20 @@ const QUESTIONS: [&str; 3] = [
     "What was the total sales of the Phantom Gizmo in Q2 2024?",
 ];
 
-/// The ci.sh zero-cost gate: with `UNISEM_TRACE=off` (an explicitly off
-/// sink) and `trace: false`, the hot path must never touch the sink — the
-/// sink's write counter counts *every* `write_block` call, including no-ops
-/// on an off sink, so even a guarded-away call would be visible here.
+/// `EngineConfig::trace` is the one trace switch: off by default, every
+/// answer — single or batched — carries no trace; on, every one does.
 #[test]
-fn off_sink_sees_zero_writes_and_answers_carry_no_trace() {
-    let mut e = engine_with(EngineConfig::default());
-    e.set_trace_sink(Arc::new(TraceSink::off()));
+fn answers_carry_no_trace_unless_opted_in() {
+    let off = engine_with(EngineConfig::default());
+    let on = engine_with(EngineConfig { trace: true, ..EngineConfig::default() });
     for q in QUESTIONS {
-        assert!(e.answer(q).trace.is_none(), "trace must be opt-in: {q}");
+        assert!(off.answer(q).trace.is_none(), "trace must be opt-in: {q}");
+        assert!(on.answer(q).trace.is_some(), "opted in: {q}");
     }
-    let batch = e.answer_batch(&QUESTIONS);
+    let batch = off.answer_batch(&QUESTIONS);
     assert_eq!(batch.len(), QUESTIONS.len());
-    assert_eq!(e.trace_sink().writes(), 0, "trace-sink write on the disabled hot path");
+    assert!(batch.iter().all(|a| a.trace.is_none()), "batch trace must be opt-in");
+    assert!(on.answer_batch(&QUESTIONS).iter().all(|a| a.trace.is_some()), "batch opted in");
 }
 
 /// The rendered plan of a traced answer.
@@ -131,43 +128,47 @@ fn opt_in_trace_records_rungs_route_and_entropy() {
     }
 }
 
+/// The JSON lines of traced answers, concatenated in answer order.
+fn jsonl(answers: &[unisem_core::Answer]) -> String {
+    answers.iter().map(|a| a.trace.as_ref().expect("opted in").to_jsonl()).collect()
+}
+
+// The next two tests keep the names they had when traces were written to
+// an installed sink; the lines now come from `QueryTrace::to_jsonl`.
+
+/// One traced answer renders as one JSON line that names its question.
 #[test]
 fn memory_sink_captures_one_block_per_query() {
-    let mut e = engine_with(EngineConfig::default());
-    e.set_trace_sink(Arc::new(TraceSink::memory()));
-    e.answer(QUESTIONS[1]);
-    assert_eq!(e.trace_sink().writes(), 1);
-    let emitted = e.trace_sink().drain_memory();
-    assert!(emitted.contains("Which manufacturer makes the Aero Widget?"), "{emitted}");
+    let e = engine_with(EngineConfig { trace: true, ..EngineConfig::default() });
+    let emitted = jsonl(&[e.answer(QUESTIONS[1])]);
+    assert_eq!(emitted.lines().count(), 1, "{emitted}");
+    assert!(emitted.contains(QUESTIONS[1]), "{emitted}");
     for line in emitted.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "JSON-lines framing: {line}");
     }
 }
 
-/// Batch emission renders blocks inside the parallel map but writes them
-/// sequentially in input order, so the sink output is byte-identical to a
-/// sequential `answer` loop — cross-query interleaving is unrepresentable.
+/// The batch path answers inside a parallel map, yet its traces come back
+/// in input order and render to the same JSON lines, byte for byte, as a
+/// sequential `answer` loop: one line per question.
 #[test]
 fn batch_sink_output_is_input_ordered_and_matches_sequential() {
     let config = EngineConfig {
         parallel: unisem_core::ParallelConfig::with_threads(4),
+        trace: true,
         ..EngineConfig::default()
     };
-    let mut sequential = engine_with(config);
-    sequential.set_trace_sink(Arc::new(TraceSink::memory()));
-    for q in QUESTIONS {
-        sequential.answer(q);
-    }
-    let want = sequential.trace_sink().drain_memory();
+    let e = engine_with(config);
+    let want = jsonl(&QUESTIONS.iter().map(|q| e.answer(q)).collect::<Vec<_>>());
+    let got = jsonl(&engine_with(config).answer_batch(&QUESTIONS));
 
-    let mut batched = engine_with(config);
-    batched.set_trace_sink(Arc::new(TraceSink::memory()));
-    batched.answer_batch(&QUESTIONS);
-    let got = batched.trace_sink().drain_memory();
-
-    assert!(!want.is_empty());
     assert_eq!(got.as_bytes(), want.as_bytes());
-    assert_eq!(batched.trace_sink().writes(), QUESTIONS.len() as u64);
+    let lines: Vec<&str> = got.lines().collect();
+    assert_eq!(lines.len(), QUESTIONS.len(), "{got}");
+    for (line, q) in lines.iter().zip(QUESTIONS) {
+        assert!(line.starts_with('{') && line.ends_with('}'), "JSON-lines framing: {line}");
+        assert!(line.contains(q), "input order: {line}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Two contracts from DESIGN.md §8 are checked end to end:
 //!
 //! 1. **Quarantine over abort** — a corpus laced with malformed sources
-//!    (truncated JSON, mismatched XML, schema-conflicting collections,
+//!    (truncated and empty JSON, schema-conflicting collections,
 //!    degenerate documents) must still produce a working engine, with every
 //!    exclusion accounted for in the [`IngestReport`].
 //! 2. **Graceful degradation under injected faults** — for every
@@ -120,10 +120,6 @@ fn adversarial_corpus_quarantines_and_still_answers() {
     assert!(b.add_json_text("catalog", r#"{"product": "broken", "price"#).is_err());
     // Empty JSON document.
     assert!(b.add_json_text("catalog", "").is_err());
-    // Mismatched XML tags.
-    assert!(b.add_xml("configs", "<a><b>oops</a>").is_err());
-    // Unquoted XML attribute.
-    assert!(b.add_xml("configs", "<a k=v/>").is_err());
     // Schema-conflicting collection: an array root cannot flatten into a
     // relational table, so the whole collection is quarantined at build.
     b.add_json_text("telemetry", "[1, 2, 3]").expect("parses as json");
@@ -139,9 +135,8 @@ fn adversarial_corpus_quarantines_and_still_answers() {
 
     assert!(!report.is_clean());
     assert_eq!(report.quarantined_by_kind("json").len(), 2, "{report}");
-    assert_eq!(report.quarantined_by_kind("xml").len(), 2, "{report}");
     assert_eq!(report.quarantined_by_kind("flatten").len(), 1, "{report}");
-    assert_eq!(report.num_quarantined(), 5, "{report}");
+    assert_eq!(report.num_quarantined(), 3, "{report}");
     assert_eq!(engine.ingest_report(), &report);
     // The good collection and the documents made it in.
     assert_eq!(report.documents, 4, "{report}");
