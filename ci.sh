@@ -80,7 +80,7 @@ echo "==> relstore probe == scan, 16x deeper than tier-1"
 # same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
 
-echo "==> borrowed text analysis, bounded anchor linking and per-core entropy == the reference forms, 16x deeper than tier-1"
+echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and stored sentence analysis == the reference forms, 16x deeper than tier-1"
 # Tokens borrow their text, case folding and stemming write into a reused
 # buffer, and the meter counts subword tokens without building them
 # (DESIGN.md §5c). The differential properties holding each to the form it
@@ -99,9 +99,15 @@ echo "==> borrowed text analysis, bounded anchor linking and per-core entropy ==
 # token count their sum) and entropy's whole-text oracles, which hold the
 # once-per-distinct-core report to the one from analysing every sampled
 # text, over sampler output and over (core, template) generations,
-# mislabelled ones included (DESIGN.md §5b).
+# mislabelled ones included (DESIGN.md §5b). So do the ingest-time sentence
+# analysis' properties (DESIGN.md §5c): BM25 fed the analysis' term stream
+# equals BM25 over the chunk text, a store rebuilt from its parts has the
+# analysis it had, and evidence scored from the stored analysis — and by
+# the text wrapper — equals the per-question re-tokenizing oracle, questions
+# with more than 64 content terms included.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
-    -p unisem-retrieval -p unisem-entropy
+    -p unisem-retrieval -p unisem-entropy -p unisem-docstore
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-core --test evidence_props
 
 echo "==> totality: hostile questions and corrupted snapshots never panic, 16x deeper than tier-1"
 # clippy rules out unwrap and panic! in the panic-free crates; an index, a

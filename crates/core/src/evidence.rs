@@ -5,13 +5,19 @@
 //! candidates are sentences from retrieved chunks, weighted by how well
 //! they cover the query's content terms and entities — a deterministic
 //! stand-in for extractive answer selection.
+//!
+//! A sentence's terms never change after ingest, so the engine reads them
+//! from the store's analysis ([`DocStore::sentence_terms`], DESIGN.md §5c):
+//! a question maps its own terms to ids once, and each candidate sentence
+//! is scored from its stored span and sorted term ids, with no chunk text
+//! copied and no sentence re-tokenized. [`extract_evidence`] and
+//! [`extract_evidence_grounded`] score texts they are handed by analysing
+//! them into the same form first, so there is one scoring path.
 
-#[expect(clippy::disallowed_types, reason = "a sentence's term set, below")]
-use std::collections::{BTreeSet, HashSet};
-
+use std::collections::BTreeSet;
+use unisem_docstore::{ChunkId, DocStore, SentenceTerms};
 use unisem_slm::SupportedAnswer;
 use unisem_text::normalize::{is_stopword, lower_into, normalize_into};
-use unisem_text::sentence::split_sentences;
 use unisem_text::tokenize::{tokenize, TokenKind};
 
 /// A scored evidence sentence with its chunk of origin.
@@ -64,9 +70,66 @@ pub fn extract_evidence(
 /// Grounding *before* IDF weighting matters: once off-entity sentences are
 /// gone, terms like a quarter label become rare within the pool and
 /// correctly dominate the ranking.
+///
+/// The texts are analysed here, as a store analyses its chunks at ingest,
+/// and then scored like [`extract_stored_evidence`] scores stored chunks.
 pub fn extract_evidence_grounded(
     query: &str,
     chunks: &[(usize, String, f64)],
+    max_sentences: usize,
+    required_entities: &[String],
+) -> Vec<EvidenceSentence> {
+    let mut analysis = SentenceTerms::default();
+    let mut stream = Vec::new();
+    let mut retrieved = Vec::with_capacity(chunks.len());
+    for (slot, (chunk_id, text, score)) in chunks.iter().enumerate() {
+        analysis.add_chunk(text, &mut stream);
+        retrieved.push(Retrieved { chunk_id: *chunk_id, slot, text, score: *score });
+    }
+    score_sentences(query, &analysis, &retrieved, max_sentences, required_entities)
+}
+
+/// [`extract_evidence_grounded`] over stored chunks: `hits` are
+/// `(chunk_id, retrieval score)` pairs, and each chunk's sentences and
+/// terms are read from `docs`' ingest-time analysis. A hit naming no
+/// stored chunk is skipped.
+pub fn extract_stored_evidence(
+    query: &str,
+    docs: &DocStore,
+    hits: impl IntoIterator<Item = (ChunkId, f64)>,
+    max_sentences: usize,
+    required_entities: &[String],
+) -> Vec<EvidenceSentence> {
+    let hits = hits.into_iter();
+    let mut retrieved = Vec::with_capacity(hits.size_hint().0);
+    for (chunk_id, score) in hits {
+        if let Ok(chunk) = docs.chunk(chunk_id) {
+            retrieved.push(Retrieved { chunk_id, slot: chunk_id, text: &chunk.text, score });
+        }
+    }
+    score_sentences(query, docs.sentence_terms(), &retrieved, max_sentences, required_entities)
+}
+
+/// A retrieved chunk as the scoring core reads it.
+struct Retrieved<'a> {
+    /// The chunk id evidence reports.
+    chunk_id: usize,
+    /// The chunk's position in the analysis.
+    slot: usize,
+    /// The analysed chunk text.
+    text: &'a str,
+    /// Retrieval score.
+    score: f64,
+}
+
+/// The one scoring path: every sentence of every retrieved chunk (those
+/// mentioning a required entity, when any are given) is a candidate, and
+/// a candidate's support is its chunk's rank-normalized score times the
+/// IDF-weighted share of query terms it covers, times a length prior.
+fn score_sentences(
+    query: &str,
+    analysis: &SentenceTerms,
+    chunks: &[Retrieved<'_>],
     max_sentences: usize,
     required_entities: &[String],
 ) -> Vec<EvidenceSentence> {
@@ -78,42 +141,45 @@ pub fn extract_evidence_grounded(
     // candidate pool, but *sentence coverage* decides the winner — raw
     // retriever scores vary by orders of magnitude across retrievers and
     // would otherwise drown the coverage signal.
-    let max_score = chunks.iter().map(|(_, _, s)| *s).fold(0.0f64, f64::max).max(1e-12);
+    let max_score = chunks.iter().map(|c| c.score).fold(0.0f64, f64::max).max(1e-12);
+    // The query's terms in sorted order, as ids: a term no analysed
+    // sentence contains has none.
+    struct QueryTerm {
+        id: Option<u32>,
+        df: usize,
+        idf: f64,
+    }
+    let mut query: Vec<QueryTerm> =
+        terms.iter().map(|t| QueryTerm { id: analysis.term_id(t), df: 0, idf: 0.0 }).collect();
+    let covers = |q: &QueryTerm, ids: &[u32]| q.id.is_some_and(|id| ids.binary_search(&id).is_ok());
 
-    // Materialize candidate sentences with their term sets first, so query
-    // terms can be IDF-weighted *within the candidate pool*: a term every
-    // candidate contains ("sales") cannot discriminate, while a rare one
-    // ("q3") pins the right sentence.
-    #[expect(clippy::disallowed_types, reason = "lookup-only: terms are probed, never iterated")]
-    struct Cand {
-        text: String,
+    // Gather the candidates first, so query terms can be IDF-weighted
+    // *within the candidate pool*: a term every candidate contains
+    // ("sales") cannot discriminate, while a rare one ("q3") pins the
+    // right sentence.
+    struct Cand<'a> {
+        text: &'a str,
         chunk_id: usize,
         chunk_score: f64,
-        terms: HashSet<String>,
+        ids: &'a [u32],
     }
-    let mut cands: Vec<Cand> = Vec::new();
-    let (mut lower, mut term) = (String::new(), String::new());
-    for (chunk_id, text, raw_score) in chunks {
-        let chunk_score = 0.5 + 0.5 * raw_score / max_score;
-        for sentence in split_sentences(text) {
+    let mut cands: Vec<Cand<'_>> =
+        Vec::with_capacity(chunks.iter().map(|c| analysis.sentences(c.slot).len()).sum());
+    let mut lower = String::new();
+    for c in chunks {
+        let chunk_score = 0.5 + 0.5 * c.score / max_score;
+        for (span, ids) in analysis.sentences(c.slot) {
+            let Some(text) = c.text.get(span) else { continue };
             if !required_entities.is_empty() {
-                lower_into(&sentence, &mut lower);
+                lower_into(text, &mut lower);
                 if !required_entities.iter().any(|e| lower.contains(e.as_str())) {
                     continue;
                 }
             }
-            // Every lower-cased word and number, normalized; a term is
-            // copied only when it is new to the set.
-            #[expect(clippy::disallowed_types, reason = "the Cand::terms set above")]
-            let mut terms = HashSet::new();
-            for t in tokenize(&sentence).filter(|t| t.kind != TokenKind::Punct) {
-                lower_into(t.text, &mut lower);
-                normalize_into(&lower, &mut term);
-                if !terms.contains(&term) {
-                    terms.insert(term.clone());
-                }
+            for q in query.iter_mut().filter(|q| covers(q, ids)) {
+                q.df += 1;
             }
-            cands.push(Cand { text: sentence, chunk_id: *chunk_id, chunk_score, terms });
+            cands.push(Cand { text, chunk_id: c.chunk_id, chunk_score, ids });
         }
     }
     let n_cands = cands.len().max(1) as f64;
@@ -121,39 +187,35 @@ pub fn extract_evidence_grounded(
     // keeping them in the denominator would only flatten all coverages
     // (framing words like "according to the report" rarely appear in
     // evidence verbatim).
-    let idf: Vec<(&String, f64)> = terms
-        .iter()
-        .filter_map(|t| {
-            let df = cands.iter().filter(|c| c.terms.contains(t)).count() as f64;
-            (df > 0.0).then(|| (t, (1.0 + n_cands / (1.0 + df)).ln()))
-        })
-        .collect();
-    let idf_total: f64 = idf.iter().map(|(_, w)| w).sum::<f64>().max(1e-12);
+    for q in &mut query {
+        q.idf = (1.0 + n_cands / (1.0 + q.df as f64)).ln();
+    }
+    let idf_total: f64 = query.iter().filter(|q| q.df > 0).map(|q| q.idf).sum::<f64>().max(1e-12);
 
-    let mut out: Vec<EvidenceSentence> = Vec::new();
-    for c in cands {
-        let covered_weight: f64 =
-            idf.iter().filter(|(t, _)| c.terms.contains(t.as_str())).map(|(_, w)| w).sum();
+    let mut out: Vec<(f64, usize, &str)> = Vec::with_capacity(cands.len());
+    for c in &cands {
+        // Summed in the query terms' sorted order; a covered term has a
+        // candidate containing it, so its df is positive.
+        let covered_weight: f64 = query.iter().filter(|q| covers(q, c.ids)).map(|q| q.idf).sum();
         if covered_weight <= 0.0 {
             continue;
         }
         let coverage = covered_weight / idf_total;
-        let length_prior = (c.terms.len().min(30) as f64 / 30.0).max(0.2);
-        out.push(EvidenceSentence {
-            text: c.text,
-            chunk_id: c.chunk_id,
-            support: c.chunk_score * coverage * (0.7 + 0.3 * length_prior),
-        });
+        let length_prior = (c.ids.len().min(30) as f64 / 30.0).max(0.2);
+        out.push((c.chunk_score * coverage * (0.7 + 0.3 * length_prior), c.chunk_id, c.text));
     }
     out.sort_by(|a, b| {
-        b.support
-            .partial_cmp(&a.support)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.chunk_id.cmp(&b.chunk_id))
+        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
     });
-    out.dedup_by(|a, b| a.text == b.text);
+    out.dedup_by(|a, b| a.2 == b.2);
     out.truncate(max_sentences);
-    out
+    out.into_iter()
+        .map(|(support, chunk_id, text)| EvidenceSentence {
+            text: text.to_string(),
+            chunk_id,
+            support,
+        })
+        .collect()
 }
 
 /// Gain applied to evidence supports before sampling.

@@ -13,7 +13,7 @@ use unisem_slm::SupportedAnswer;
 
 use crate::answer::{Answer, Degradation, Provenance, Route};
 use crate::engine::UnifiedEngine;
-use crate::evidence::{extract_evidence_grounded, to_supported_answers, EvidenceSentence};
+use crate::evidence::{extract_stored_evidence, to_supported_answers, EvidenceSentence};
 use crate::planner::physical::{self, ExecActuals};
 use crate::planner::{has_signal, prune_reason, CandidatePlan, CostModel, LogicalNode};
 
@@ -436,14 +436,13 @@ impl UnifiedEngine {
         intent: &QueryIntent,
         run: &mut Run,
     ) -> Vec<EvidenceSentence> {
-        let chunks: Vec<(usize, String, f64)> = hits
-            .iter()
-            .filter_map(|h| {
-                self.docs.chunk(h.chunk_id).ok().map(|c| (c.id, c.text.clone(), h.score))
-            })
-            .collect();
-        let evidence =
-            extract_evidence_grounded(run.question, &chunks, max_sentences, &intent.entities);
+        let evidence = extract_stored_evidence(
+            run.question,
+            &self.docs,
+            hits.iter().map(|h| (h.chunk_id, h.score)),
+            max_sentences,
+            &intent.entities,
+        );
         run.actual(|a| a.extract = Some(format!("evidence={} sentences", evidence.len())));
         evidence
     }

@@ -1,17 +1,23 @@
 //! # unisem-docstore
 //!
-//! The unstructured substrate: a document store with a chunking pipeline and
-//! a BM25-searchable chunk index.
+//! The unstructured substrate: a document store with a chunking pipeline, a
+//! BM25-searchable chunk index, and every chunk's sentences analysed once.
 //!
 //! Documents are the raw inputs of §III.A's graph construction ("text chunks
 //! are the foundational segments derived from raw documents"); this crate
 //! owns the document → chunk decomposition and provides the lexical search
-//! baseline used in the retrieval experiments.
+//! baseline used in the retrieval experiments. Each chunk is tokenized and
+//! stemmed once, when it is added: that one pass feeds BM25 and
+//! [`SentenceTerms`], the per-sentence terms evidence selection reads.
 
 use std::fmt;
 
 use unisem_text::bm25::Bm25Index;
 use unisem_text::chunk::{chunk_sentences, ChunkConfig};
+
+mod sentences;
+
+pub use sentences::SentenceTerms;
 
 /// Identifier of a document (insertion order).
 pub type DocumentId = usize;
@@ -77,12 +83,14 @@ impl std::error::Error for DocError {}
 /// The document store.
 ///
 /// Adding a document immediately chunks it (with the store's
-/// [`ChunkConfig`]) and indexes every chunk for BM25 search.
+/// [`ChunkConfig`]), analyses every chunk's sentences and indexes the
+/// chunk's terms for BM25 search, from one tokenization of the chunk.
 #[derive(Debug, Clone)]
 pub struct DocStore {
     docs: Vec<Document>,
     chunks: Vec<StoredChunk>,
     index: Bm25Index,
+    sentences: SentenceTerms,
     chunk_config: ChunkConfig,
 }
 
@@ -95,20 +103,27 @@ impl Default for DocStore {
 impl DocStore {
     /// Creates an empty store with the given chunking configuration.
     pub fn new(chunk_config: ChunkConfig) -> Self {
-        Self { docs: Vec::new(), chunks: Vec::new(), index: Bm25Index::default(), chunk_config }
+        Self::from_parts(chunk_config, Vec::new(), Vec::new(), Bm25Index::default())
     }
 
     /// Reassembles a store from snapshot parts: documents and chunks in
     /// id order plus the already-built BM25 index over the chunks. The
     /// caller is trusted to pass parts persisted from a store built with
     /// the same `chunk_config` (the snapshot layer round-trips all four).
+    /// The sentence analysis is not persisted: it is recomputed here from
+    /// the chunk texts, in id order, so it equals the one the store had.
     pub fn from_parts(
         chunk_config: ChunkConfig,
         docs: Vec<Document>,
         chunks: Vec<StoredChunk>,
         index: Bm25Index,
     ) -> Self {
-        Self { docs, chunks, index, chunk_config }
+        let mut sentences = SentenceTerms::default();
+        let mut stream = Vec::new();
+        for c in &chunks {
+            sentences.add_chunk(&c.text, &mut stream);
+        }
+        Self { docs, chunks, index, sentences, chunk_config }
     }
 
     /// The chunking configuration documents are ingested with.
@@ -121,6 +136,11 @@ impl DocStore {
         &self.index
     }
 
+    /// Every chunk's analysed sentences, indexed by chunk id.
+    pub fn sentence_terms(&self) -> &SentenceTerms {
+        &self.sentences
+    }
+
     /// Adds a document; returns its id.
     pub fn add_document(
         &mut self,
@@ -130,9 +150,12 @@ impl DocStore {
     ) -> DocumentId {
         let id = self.docs.len();
         let text = text.into();
+        let mut stream = Vec::new();
         for (i, c) in chunk_sentences(&text, self.chunk_config).into_iter().enumerate() {
             let chunk_id = self.chunks.len();
-            let indexed = self.index.add_document(&c.text);
+            self.sentences.add_chunk(&c.text, &mut stream);
+            let terms: Vec<&str> = stream.iter().map(|&id| self.sentences.term(id)).collect();
+            let indexed = self.index.add_terms(&terms);
             debug_assert_eq!(indexed, chunk_id, "chunk ids track BM25 doc ids");
             self.chunks.push(StoredChunk {
                 id: chunk_id,
@@ -199,7 +222,9 @@ impl DocStore {
         self.index.max_posting()
     }
 
-    /// Approximate resident bytes of the inverted index (for E2).
+    /// Approximate resident bytes of the inverted index (for E2): its
+    /// postings and document lengths. Neither the chunk text nor the
+    /// sentence analysis is counted.
     pub fn index_bytes(&self) -> usize {
         self.index.approx_bytes()
     }

@@ -76,6 +76,23 @@ pub(crate) fn scan(bytes: &[u8], start: usize) -> (Vec<Frame>, usize) {
     (frames, end)
 }
 
+/// The first intact frame that starts after offset `after` and whose seq
+/// `wanted` accepts, with its offset. The seq is read before the checksum,
+/// so a filter that rejects almost every seq keeps the search linear.
+pub(crate) fn find_after(
+    bytes: &[u8],
+    after: usize,
+    wanted: impl Fn(u64) -> bool,
+) -> Option<(usize, Frame)> {
+    (after.saturating_add(1)..bytes.len()).find_map(|at| {
+        let head = bytes.get(at..at.checked_add(FRAME_HEADER_LEN)?)?;
+        if !wanted(be(&head[4..12])) {
+            return None;
+        }
+        read_at(bytes, at).map(|frame| (at, frame))
+    })
+}
+
 fn read_at(bytes: &[u8], at: usize) -> Option<Frame> {
     let head = bytes.get(at..at.checked_add(FRAME_HEADER_LEN)?)?;
     let start = at + FRAME_HEADER_LEN;

@@ -7,7 +7,9 @@
 //! then acknowledged and applied in memory. Recovery ([`Wal::open`])
 //! replays every intact record in sequence order and *physically
 //! truncates* a torn tail — the one place where losing data is correct,
-//! because a torn record was never acknowledged.
+//! because a torn record was never acknowledged. A damaged record with an
+//! intact later record after it is not a torn tail: later records were
+//! acknowledged, so recovery refuses the log instead of cutting them off.
 //!
 //! ## File format
 //!
@@ -165,9 +167,10 @@ impl Wal {
 
     /// Opens the log at `base`, replaying every intact record in order and
     /// truncating a torn tail. The returned handle appends after the last
-    /// intact record. A short or malformed header, or a break in the
-    /// sequence, is not a torn tail and surfaces as
-    /// [`StoreError::WalCorrupt`].
+    /// intact record. A short or malformed header, a break in the
+    /// sequence, or a record that does not verify followed by one of a
+    /// later seq that does, is not a torn tail: it surfaces as
+    /// [`StoreError::WalCorrupt`] and the file is left as it was.
     pub fn open(
         base: &Path,
         faults: FaultPlan,
@@ -197,6 +200,21 @@ impl Wal {
             }
             records.push(WalRecord { seq: next_seq, payload: bytes[frame.payload].to_vec() });
             next_seq = next_seq.wrapping_add(1);
+        }
+
+        // Only an append can tear, and only the last one: an intact record
+        // of a later seq past the first bad frame was written, flushed and
+        // acknowledged after it, so the bad frame is damage, not a tear.
+        // Every frame is at least a header long, which bounds the seqs
+        // that could follow.
+        let room = ((bytes.len() - end) / frame::FRAME_HEADER_LEN) as u64;
+        let later = |seq: u64| seq.checked_sub(next_seq).is_some_and(|d| d > 0 && d <= room);
+        if let Some((at, intact)) = frame::find_after(&bytes, end, later) {
+            return Err(wal_corrupt(format!(
+                "record seq {next_seq} at offset {end} does not verify, but record seq {} at \
+                 offset {at} after it does: mid-log damage, not a torn tail",
+                intact.seq
+            )));
         }
 
         let mut file =
@@ -495,21 +513,42 @@ mod tests {
         let base = tmp("midlog");
         cleanup(&base);
         let mut wal = Wal::create(&base, 1, FaultPlan::disabled(), None).unwrap();
-        wal.append(b"first-record-payload").unwrap();
-        wal.append(b"second-record-payload").unwrap();
+        for i in 0..5u8 {
+            wal.append(&[b'a' + i; 64]).unwrap();
+        }
         wal.flush().unwrap();
         drop(wal);
-        // Flip a byte inside the FIRST record's payload: the checksum
-        // fails, everything after is unreadable, and — because the damage
-        // is not at the acknowledged tail — recovery still truncates to
-        // the last verifiable prefix (zero records) rather than erroring:
-        // a torn tail and mid-log rot are indistinguishable to a scanner.
-        let mut bytes = std::fs::read(&base).unwrap();
-        bytes[HEADER_LEN + frame::FRAME_HEADER_LEN + 2] ^= 0xFF;
+        let clean = std::fs::read(&base).unwrap();
+        let frame_len = frame::FRAME_HEADER_LEN + 64;
+        assert_eq!(clean.len(), HEADER_LEN + 5 * frame_len);
+        let second = HEADER_LEN + frame_len;
+        // One flipped byte inside the 2nd record: records 3–5 still verify
+        // and were acknowledged, so recovery must not cut them off.
+        let mut bytes = clean.clone();
+        bytes[second + frame::FRAME_HEADER_LEN + 10] ^= 0x01;
+        std::fs::write(&base, &bytes).unwrap();
+        match Wal::open(&base, FaultPlan::disabled(), None) {
+            Err(StoreError::WalCorrupt(reason)) => {
+                assert!(reason.contains(&format!("record seq 2 at offset {second}")), "{reason}");
+                assert!(reason.contains(&format!("seq 3 at offset {}", second + frame_len)));
+            }
+            other => panic!("expected WalCorrupt, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&base).unwrap(), bytes, "the log is left untouched");
+        // Damage to the 1st record's length field, too.
+        let mut bytes = clean.clone();
+        bytes[HEADER_LEN + 3] ^= 0x40;
+        std::fs::write(&base, &bytes).unwrap();
+        let err = Wal::open(&base, FaultPlan::disabled(), None).unwrap_err();
+        assert!(matches!(err, StoreError::WalCorrupt(_)), "{err}");
+        // The same flip in the final record is a torn tail: cut, not refused.
+        let mut bytes = clean.clone();
+        bytes[HEADER_LEN + 4 * frame_len + frame::FRAME_HEADER_LEN + 10] ^= 0x01;
         std::fs::write(&base, &bytes).unwrap();
         let (_, records, recovery) = Wal::open(&base, FaultPlan::disabled(), None).unwrap();
-        assert_eq!(records.len(), 0);
+        assert_eq!(records.len(), 4);
         assert_eq!(recovery.torn_truncations, 1);
+        assert_eq!(recovery.truncated_bytes, frame_len as u64);
         cleanup(&base);
     }
 

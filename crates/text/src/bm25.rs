@@ -63,20 +63,29 @@ impl Bm25Index {
     }
 
     /// Adds a pre-normalized term list as a document, returning its id.
-    pub fn add_terms(&mut self, terms: &[String]) -> usize {
+    /// A term is copied only when it is new to the index.
+    pub fn add_terms<T: AsRef<str>>(&mut self, terms: &[T]) -> usize {
         let doc_id = self.doc_len.len();
         self.norms = OnceLock::new();
         self.doc_len.push(terms.len());
         self.total_tokens += terms.len();
-        // BTreeMap: postings lists must grow in a deterministic term order.
-        let mut tf: BTreeMap<&String, u32> = BTreeMap::new();
-        for t in terms {
-            *tf.entry(t).or_insert(0) += 1;
-        }
-        for (t, c) in tf {
-            let posts = self.postings.entry(t.clone()).or_default();
-            posts.push((doc_id, c));
-            self.max_posting = self.max_posting.max(posts.len());
+        // Sorted, so equal terms are adjacent and each distinct term is
+        // counted and posted once, in a deterministic order.
+        let mut sorted: Vec<&str> = terms.iter().map(AsRef::as_ref).collect();
+        sorted.sort_unstable();
+        for run in sorted.chunk_by(|a, b| a == b) {
+            let (t, c) = (run[0], run.len() as u32);
+            let len = match self.postings.get_mut(t) {
+                Some(posts) => {
+                    posts.push((doc_id, c));
+                    posts.len()
+                }
+                None => {
+                    self.postings.insert(t.to_owned(), vec![(doc_id, c)]);
+                    1
+                }
+            };
+            self.max_posting = self.max_posting.max(len);
         }
         doc_id
     }

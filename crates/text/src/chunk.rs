@@ -5,7 +5,7 @@
 //! optional sentence overlap between consecutive chunks so entity mentions on
 //! chunk boundaries are not lost.
 
-use crate::sentence::split_sentences_spans;
+use crate::sentence::sentence_spans;
 use crate::tokenize::{tokenize, TokenKind};
 
 /// Configuration for [`chunk_sentences`].
@@ -52,13 +52,13 @@ pub struct Chunk {
 /// assert_eq!(chunks.len(), 2);
 /// ```
 pub fn chunk_sentences(text: &str, config: ChunkConfig) -> Vec<Chunk> {
-    let sentences = split_sentences_spans(text);
+    let sentences = sentence_spans(text);
     if sentences.is_empty() {
         return Vec::new();
     }
     let counts: Vec<usize> = sentences
         .iter()
-        .map(|s| tokenize(&s.text).filter(|t| t.kind != TokenKind::Punct).count())
+        .map(|s| tokenize(&text[s.clone()]).filter(|t| t.kind != TokenKind::Punct).count())
         .collect();
 
     let mut chunks = Vec::new();
@@ -71,7 +71,8 @@ pub fn chunk_sentences(text: &str, config: ChunkConfig) -> Vec<Chunk> {
             j += 1;
         }
         let span = &sentences[i..j];
-        let chunk_text: String = span.iter().map(|s| s.text.as_str()).collect::<Vec<_>>().join(" ");
+        let chunk_text: String =
+            span.iter().map(|s| &text[s.clone()]).collect::<Vec<_>>().join(" ");
         chunks.push(Chunk {
             text: chunk_text,
             index: chunks.len(),

@@ -5,22 +5,13 @@
 //! `U.S.`), decimal numbers, and quoted sentence ends, without pretending to
 //! be a full discourse segmenter.
 
+use std::ops::Range;
+
 /// Abbreviations after which a period does not end a sentence.
 const ABBREVIATIONS: &[&str] = &[
     "dr", "mr", "mrs", "ms", "prof", "sr", "jr", "st", "vs", "etc", "e.g", "i.e", "fig", "no",
     "vol", "inc", "ltd", "co", "corp", "dept", "approx", "est", "al",
 ];
-
-/// A sentence with its byte span in the source text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sentence {
-    /// Sentence text, trimmed of surrounding whitespace.
-    pub text: String,
-    /// Byte offset of the sentence start in the source.
-    pub start: usize,
-    /// Byte offset one past the sentence end.
-    pub end: usize,
-}
 
 /// Splits `text` into sentences.
 ///
@@ -36,11 +27,12 @@ pub struct Sentence {
 /// assert!(s[0].starts_with("Dr. Smith"));
 /// ```
 pub fn split_sentences(text: &str) -> Vec<String> {
-    split_sentences_spans(text).into_iter().map(|s| s.text).collect()
+    sentence_spans(text).into_iter().map(|span| text[span].to_string()).collect()
 }
 
-/// Like [`split_sentences`] but returns byte spans too.
-pub fn split_sentences_spans(text: &str) -> Vec<Sentence> {
+/// The byte spans of [`split_sentences`]' sentences, in order, with no
+/// sentence text copied: `&text[span]` is each trimmed sentence.
+pub fn sentence_spans(text: &str) -> Vec<Range<usize>> {
     let chars: Vec<(usize, char)> = text.char_indices().collect();
     let mut sentences = Vec::new();
     let mut sent_start = 0usize;
@@ -115,18 +107,17 @@ pub fn split_sentences_spans(text: &str) -> Vec<Sentence> {
     sentences
 }
 
-fn push_sentence(text: &str, start: usize, end: usize, out: &mut Vec<Sentence>) {
+fn push_sentence(text: &str, start: usize, end: usize, out: &mut Vec<Range<usize>>) {
     if start >= end {
         return;
     }
     let raw = &text[start..end];
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
+    if raw.trim().is_empty() {
         return;
     }
     let lead = raw.len() - raw.trim_start().len();
     let trail = raw.len() - raw.trim_end().len();
-    out.push(Sentence { text: trimmed.to_string(), start: start + lead, end: end - trail });
+    out.push(start + lead..end - trail);
 }
 
 /// Words that very commonly begin a sentence; used to disambiguate a
@@ -249,9 +240,9 @@ mod tests {
     #[test]
     fn spans_are_valid() {
         let text = "One. Two. Three ends here";
-        for s in split_sentences_spans(text) {
-            assert_eq!(&text[s.start..s.end], s.text);
-        }
+        let spans = sentence_spans(text);
+        let texts: Vec<&str> = spans.into_iter().map(|s| &text[s]).collect();
+        assert_eq!(texts, split_sentences(text));
     }
 
     #[test]

@@ -410,6 +410,42 @@ fn half_written_wal_create_recovers_byte_identically() {
 }
 
 #[test]
+fn mid_log_damage_is_refused_with_the_log_untouched() {
+    let deltas = delta_stream();
+    let snap = tmp_path("midlog-base.usk");
+    let wal = tmp_path("midlog.wal");
+    remove_wal(&wal);
+    tiny_engine().save_snapshot(&snap).expect("save base snapshot");
+    let quiet = || config(1, FaultPlan::disabled());
+    let (mut engine, _, _) =
+        EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()).expect("open");
+    for d in &deltas {
+        engine.ingest_delta(d.clone()).expect("ingest");
+    }
+    drop(engine);
+    // One flipped byte inside the 2nd record's payload: the four after it
+    // were acknowledged, so recovery must refuse the log, not cut them off.
+    let mut bytes = std::fs::read(&wal).expect("read log");
+    let frame_at = |at: usize| {
+        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        at + 20 + len as usize
+    };
+    let second = frame_at(20);
+    bytes[second + 20] ^= 0x01;
+    std::fs::write(&wal, &bytes).expect("damage the log");
+    match EngineBuilder::open_snapshot_with_wal(&snap, &wal, quiet()) {
+        Err(EngineError::Store(StoreError::WalCorrupt(reason))) => {
+            assert!(reason.contains(&format!("record seq 2 at offset {second}")), "{reason}")
+        }
+        Err(other) => panic!("expected a corrupt log, got {other}"),
+        Ok(_) => panic!("a damaged mid-log record was accepted"),
+    }
+    assert_eq!(std::fs::read(&wal).expect("read log"), bytes, "the log is left as it was");
+    remove_wal(&wal);
+    std::fs::remove_file(&snap).ok();
+}
+
+#[test]
 fn same_seed_delta_streams_write_byte_identical_segments() {
     let deltas = delta_stream();
     let snap = tmp_path("bytes-base.usk");
