@@ -132,8 +132,12 @@ echo "==> integration suites under a pinned ambient fault plan"
 # answers replay byte-identically at any thread count. The spec pins the
 # replay seed plus probabilistic faults at the executor and traversal
 # sites, so both the structured and retrieval rungs get exercised.
+# EXPERIMENTS.md's tables pin their own fault plans, so the ambient one
+# must not move a number of them.
 CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,relstore.exec@64,hetgraph.traverse@96" \
     cargo test -q -p unisem-tests --test robustness --test determinism
+CARGO_NET_OFFLINE=true UNISEM_FAULTS="seed:0xC1,relstore.exec@64,hetgraph.traverse@96" \
+    cargo test -q -p unisem-bench --test experiments_golden
 
 echo "==> planner gate: golden answers + golden plans (DESIGN.md §11)"
 # Every workload query's full Answer must match the committed golden

@@ -1,23 +1,18 @@
 //! Experiment runner: `cargo run -p unisem-bench --bin experiments -- <exp>`
-//! where `<exp>` is one of `e1..e8` or `all`.
+//! where `<exp>` is one of `e1..e8` or `all` (the default).
 
-use unisem_bench::experiments;
+use unisem_bench::experiments::EXPERIMENTS;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "the experiment to run is the one argument")]
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match arg.as_str() {
-        "e1" => experiments::e1(),
-        "e2" => experiments::e2(),
-        "e3" => experiments::e3(),
-        "e4" => experiments::e4(),
-        "e5" => experiments::e5(),
-        "e6" => experiments::e6(),
-        "e7" => experiments::e7(),
-        "e8" => experiments::e8(),
-        "all" => experiments::all(),
-        other => {
-            eprintln!("unknown experiment '{other}'; use e1..e8 or all");
-            std::process::exit(2);
-        }
+    let selected: Vec<_> =
+        EXPERIMENTS.iter().filter(|(id, _)| arg == "all" || *id == arg).collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment '{arg}'; use e1..e8 or all");
+        std::process::exit(2);
+    }
+    for (id, run) in selected {
+        println!("== {id} ==\n\n{}", run());
     }
 }

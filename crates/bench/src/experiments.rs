@@ -1,12 +1,13 @@
 //! The eight experiments of EXPERIMENTS.md.
 //!
-//! Each function prints the table/figure series it regenerates. The paper
+//! Each function returns the tables it regenerates, rendered. The paper
 //! (a 4-page vision paper) publishes no quantitative tables; these
 //! experiments substantiate its textual claims — see DESIGN.md §4 for the
-//! claim ↔ experiment mapping.
+//! claim ↔ experiment mapping. Every number is a function of the seeds,
+//! so `tests/experiments_golden.rs` holds each rendering byte-for-byte to
+//! its fenced block in EXPERIMENTS.md.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use unisem_core::{
     DirectSlmPipeline, EngineConfig, FaultPlan, FaultSite, NaiveRagPipeline, TextToSqlPipeline,
@@ -25,9 +26,25 @@ use unisem_workloads::{
 };
 
 use crate::harness::{
-    build_ecommerce_engine, build_healthcare_engine, evaluate_pipeline, f2, f3, kib, EvalResult,
-    QuestionRecord, TextTable,
+    base_config, build_ecommerce_engine, build_healthcare_engine, evaluate_pipeline, f2, f3, kib,
+    EvalResult, QuestionRecord, TextTable,
 };
+
+/// An experiment's id — what the binary takes and EXPERIMENTS.md's fenced
+/// block carries (```` ```text e1 ````) — and the function rendering it.
+pub type Experiment = (&'static str, fn() -> String);
+
+/// Every experiment, in EXPERIMENTS.md's order.
+pub const EXPERIMENTS: [Experiment; 8] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+];
 
 fn default_ecommerce(seed: u64) -> EcommerceWorkload {
     EcommerceWorkload::generate(EcommerceConfig {
@@ -54,19 +71,18 @@ fn default_healthcare(seed: u64) -> HealthcareWorkload {
 ///
 /// Claim (§I gap 2, §III.C): the hybrid SLM pipeline resolves Multi-Entity
 /// QA that Text-to-SQL and naive RAG each miss on their own side.
-pub fn e1() {
-    println!("== E1 (Table 1): QA accuracy by system and category ==\n");
+pub fn e1() -> String {
+    let mut sections = Vec::new();
     for (domain, seed) in [("ecommerce", 101u64), ("healthcare", 202u64)] {
-        println!("--- workload: {domain} ---");
         let (qa, engine, docs, db) = match domain {
             "ecommerce" => {
                 let w = default_ecommerce(seed);
-                let e = build_ecommerce_engine(&w, EngineConfig::default());
+                let e = build_ecommerce_engine(&w, base_config());
                 (w.qa.clone(), e, Arc::new(w.docstore()), w.db.clone())
             }
             _ => {
                 let w = default_healthcare(seed);
-                let e = build_healthcare_engine(&w, EngineConfig::default());
+                let e = build_healthcare_engine(&w, base_config());
                 (w.qa.clone(), e, Arc::new(w.docstore()), w.db.clone())
             }
         };
@@ -104,28 +120,19 @@ pub fn e1() {
                 f2(r.overall()),
             ]);
         }
-        t.print();
+        sections.push(format!("--- workload: {domain} ---\n{}", t.render()));
     }
+    sections.join("\n")
 }
 
-/// E2 / Table 2 — index footprint and build cost vs corpus scale.
+/// E2 / Table 2 — index footprint vs corpus scale.
 ///
 /// Claim (§I gap 1): graph indexing avoids "large-scale vector indexing";
 /// §III.A: the graph "reduces reliance on computationally expensive dense
 /// retrieval".
-pub fn e2() {
-    println!("== E2 (Table 2): index build time and storage vs corpus size ==\n");
-    let mut t = TextTable::new([
-        "docs",
-        "chunks",
-        "graph_ms",
-        "graph_KiB",
-        "nodes",
-        "edges",
-        "dense_ms",
-        "dense_KiB",
-        "bm25_KiB",
-    ]);
+pub fn e2() -> String {
+    let mut t =
+        TextTable::new(["docs", "chunks", "graph_KiB", "nodes", "edges", "dense_KiB", "bm25_KiB"]);
     for products in [8usize, 16, 32, 64] {
         let w = EcommerceWorkload::generate(EcommerceConfig {
             products,
@@ -137,49 +144,44 @@ pub fn e2() {
         });
         let docs = Arc::new(w.docstore());
         let slm = Slm::new(SlmConfig { lexicon: w.lexicon.clone(), ..SlmConfig::default() });
-
-        let start = Instant::now();
         let mut gb = GraphBuilder::new(slm.clone());
         gb.add_docstore(&docs);
         for name in w.db.table_names() {
             gb.add_table(name, w.db.table(name).expect("listed"));
         }
         let (graph, _) = gb.finish();
-        let graph_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
         let dense = DenseRetriever::build(slm, &docs);
-        let dense_ms = start.elapsed().as_secs_f64() * 1e3;
-
         t.row([
             docs.num_documents().to_string(),
             docs.num_chunks().to_string(),
-            f2(graph_ms),
             kib(graph.approx_bytes()),
             graph.num_nodes().to_string(),
             graph.num_edges().to_string(),
-            f2(dense_ms),
             kib(dense.index_bytes()),
             kib(docs.index_bytes()),
         ]);
     }
-    t.print();
+    t.render()
 }
 
-/// E3 / Figure 2 — retrieval latency vs corpus size, per retriever.
+/// E3 / Figure 2 — retrieval work per query vs corpus size, per retriever.
 ///
 /// Claim (§III.B): topology-guided traversal "reduc\[es\] computational
 /// overhead and improv\[es\] response times" by scoring a sparse frontier
-/// instead of every vector.
-pub fn e3() {
-    println!("== E3 (Figure 2): retrieval latency vs corpus size ==\n");
+/// instead of every vector. The columns are exact per-query work counts
+/// (means over the queries): nodes in the frontier and popped off the
+/// traversal's heap, and posting entries scanned by the traversal's
+/// lexical half and by BM25 alone. A dense scan compares the query with
+/// every vector, so its count is the `chunks` column. Latency is
+/// unibench's (`retrieval_qa`).
+pub fn e3() -> String {
     let mut t = TextTable::new([
         "docs",
         "chunks",
-        "topo_us_p50",
-        "dense_us_p50",
-        "bm25_us_p50",
         "frontier_nodes",
+        "nodes_popped",
+        "topo_postings",
+        "bm25_postings",
         "total_nodes",
     ]);
     for products in [8usize, 16, 32, 64] {
@@ -197,58 +199,36 @@ pub fn e3() {
         gb.add_docstore(&docs);
         let (graph, _) = gb.finish();
         let graph = Arc::new(graph);
-        let topo = TopologyRetriever::new(
-            slm.clone(),
-            graph.clone(),
-            docs.clone(),
-            TopologyConfig::default(),
-        );
-        let dense = DenseRetriever::build(slm.clone(), &docs);
-        let bm25 = LexicalRetriever::new(docs.clone());
+        let topo =
+            TopologyRetriever::new(slm, graph.clone(), docs.clone(), TopologyConfig::default());
 
-        let queries: Vec<&str> = w.qa.iter().map(|i| i.question.as_str()).collect();
-        let mut lat_topo = Vec::new();
-        let mut lat_dense = Vec::new();
-        let mut lat_bm25 = Vec::new();
-        let mut frontier = Vec::new();
-        for q in &queries {
-            let s = Instant::now();
-            let (_, stats) = topo.retrieve_with_stats(q, 5);
-            lat_topo.push(s.elapsed().as_secs_f64() * 1e6);
-            frontier.push(stats.nodes_touched as f64);
-
-            let s = Instant::now();
-            dense.retrieve(q, 5);
-            lat_dense.push(s.elapsed().as_secs_f64() * 1e6);
-
-            let s = Instant::now();
-            bm25.retrieve(q, 5);
-            lat_bm25.push(s.elapsed().as_secs_f64() * 1e6);
+        let mut work = TraversalWork::default();
+        let mut bm25_postings = Vec::new();
+        for item in &w.qa {
+            work.record(&topo, &item.question);
+            bm25_postings.push(docs.search_counted(&item.question, 5).1);
         }
         t.row([
             docs.num_documents().to_string(),
             docs.num_chunks().to_string(),
-            f2(median(&mut lat_topo)),
-            f2(median(&mut lat_dense)),
-            f2(median(&mut lat_bm25)),
-            f2(mean(&frontier)),
+            f2(mean(&work.frontier)),
+            f2(mean(&work.popped)),
+            f2(mean(&work.postings)),
+            f2(mean(&bm25_postings)),
             graph.num_nodes().to_string(),
         ]);
     }
-    t.print();
-    println!("(series: one line per retriever, x = docs, y = p50 latency in µs)\n");
+    let single = t.render();
 
     // Multi-domain sweep: a heterogeneous data lake is many weakly-coupled
-    // domains. Queries anchor inside one domain, so the traversal frontier
-    // stays constant while the dense scan grows with the whole lake — the
-    // crossover behind §III.B's efficiency claim.
-    println!("--- multi-domain lake (8 products/domain, queries target domain 0) ---");
+    // domains. Queries anchor inside one domain, so the traversal's frontier
+    // stays bounded while a dense scan compares every vector of the lake.
     let mut t = TextTable::new([
         "domains",
         "chunks",
-        "topo_us_p50",
-        "dense_us_p50",
         "frontier",
+        "nodes_popped",
+        "postings",
         "total_nodes",
     ]);
     for domains in [1usize, 2, 4, 8, 16] {
@@ -289,63 +269,55 @@ pub fn e3() {
         gb.add_docstore(&docs);
         let (graph, _) = gb.finish();
         let graph = Arc::new(graph);
-        let topo = TopologyRetriever::new(
-            slm.clone(),
-            graph.clone(),
-            docs.clone(),
-            TopologyConfig::default(),
-        );
-        let dense = DenseRetriever::build(slm, &docs);
+        let topo =
+            TopologyRetriever::new(slm, graph.clone(), docs.clone(), TopologyConfig::default());
 
-        let mut lat_topo = Vec::new();
-        let mut lat_dense = Vec::new();
-        let mut frontier = Vec::new();
-        // Warm + measure over several passes for stable medians.
-        for _ in 0..3 {
-            for q in &queries {
-                let s = Instant::now();
-                let (_, stats) = topo.retrieve_with_stats(q, 5);
-                lat_topo.push(s.elapsed().as_secs_f64() * 1e6);
-                frontier.push(stats.nodes_touched as f64);
-                let s = Instant::now();
-                dense.retrieve(q, 5);
-                lat_dense.push(s.elapsed().as_secs_f64() * 1e6);
-            }
+        let mut work = TraversalWork::default();
+        for q in &queries {
+            work.record(&topo, q);
         }
         t.row([
             domains.to_string(),
             docs.num_chunks().to_string(),
-            f2(median(&mut lat_topo)),
-            f2(median(&mut lat_dense)),
-            f2(mean(&frontier)),
+            f2(mean(&work.frontier)),
+            f2(mean(&work.popped)),
+            f2(mean(&work.postings)),
             graph.num_nodes().to_string(),
         ]);
     }
-    t.print();
+    format!(
+        "--- single-domain corpus ---\n{single}\n\
+         --- multi-domain lake (8 products/domain, queries target domain 0) ---\n{}",
+        t.render()
+    )
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    xs[xs.len() / 2]
+/// Per-query traversal work, one entry per query.
+#[derive(Default)]
+struct TraversalWork {
+    frontier: Vec<usize>,
+    popped: Vec<usize>,
+    postings: Vec<usize>,
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+impl TraversalWork {
+    fn record(&mut self, topo: &TopologyRetriever, query: &str) {
+        let (_, stats) = topo.retrieve_with_stats(query, 5);
+        self.frontier.push(stats.nodes_touched);
+        self.popped.push(stats.nodes_popped);
+        self.postings.push(stats.postings_scanned);
     }
+}
+
+fn mean(xs: &[usize]) -> f64 {
+    xs.iter().sum::<usize>() as f64 / xs.len().max(1) as f64
 }
 
 /// E4 / Table 3 — Relational Table Generation quality.
 ///
 /// Claim (§III.C task 1): the SLM converts free text into structured
 /// tables with columns like "Quarter" and "Change Percentage".
-pub fn e4() {
-    println!("== E4 (Table 3): extraction quality on the sales-report corpus ==\n");
+pub fn e4() -> String {
     let mut t = TextTable::new([
         "facts",
         "extracted",
@@ -354,7 +326,6 @@ pub fn e4() {
         "row_f1",
         "pct_acc",
         "amount_acc",
-        "docs_per_sec",
     ]);
     for n_facts in [60usize, 200] {
         let corpus = ReportCorpus::generate(n_facts, 500 + n_facts as u64);
@@ -365,11 +336,7 @@ pub fn e4() {
         let slm = Slm::new(SlmConfig { lexicon, ..SlmConfig::default() });
         let gen = TableGenerator::new(slm);
         let texts: Vec<&str> = corpus.texts.iter().map(String::as_str).collect();
-
-        let start = Instant::now();
         let (table, _stats) = gen.generate_table(&texts).expect("extraction");
-        let secs = start.elapsed().as_secs_f64();
-
         let m = score_extraction(&table, &corpus);
         t.row([
             n_facts.to_string(),
@@ -379,10 +346,9 @@ pub fn e4() {
             f2(m.f1),
             f2(m.pct_acc),
             f2(m.amount_acc),
-            f2(corpus.texts.len() as f64 / secs.max(1e-9)),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// Extraction scoring: rows match gold facts on (subject, period).
@@ -473,8 +439,7 @@ pub fn score_extraction(table: &unisem_relstore::Table, corpus: &ReportCorpus) -
 /// Claim (§III.D): semantic entropy is "more predictive of model accuracy
 /// compared to traditional baselines"; high entropy flags outputs for
 /// review.
-pub fn e5() {
-    println!("== E5 (Figure 3): uncertainty calibration (AUROC, error prediction) ==\n");
+pub fn e5() -> String {
     // Calibration is measured on the generation path *without* abstention
     // (the naive RAG pipeline): the unified engine already consumes its own
     // entropy to abstain, which would make the evaluation circular. This
@@ -518,7 +483,7 @@ pub fn e5() {
     for (name, scores) in &measures {
         t.row([(*name).to_string(), f3(auroc(scores, &labels))]);
     }
-    t.print();
+    let aurocs = t.render();
 
     let scores: Vec<f64> = records.iter().map(|r| r.discrete_entropy).collect();
     let correct: Vec<bool> = records.iter().map(|r| r.correct).collect();
@@ -527,17 +492,19 @@ pub fn e5() {
     for (f, acc) in curve {
         t.row([f2(f), f2(acc)]);
     }
-    println!("rejection curve (discrete semantic entropy):");
-    t.print();
-    println!("(n = {} questions across both workloads)\n", records.len());
+    format!(
+        "{aurocs}\nrejection curve (discrete semantic entropy):\n{}\n\
+         (n = {} questions across both workloads)\n",
+        t.render(),
+        records.len()
+    )
 }
 
 /// E6 / Figure 4 — retrieval quality vs traversal depth and k.
 ///
 /// Claim (§III.B): centrality/connectivity prioritization finds the
 /// relevant nodes; deeper traversal trades cost for recall.
-pub fn e6() {
-    println!("== E6 (Figure 4): doc-level recall@k and MRR vs hops and k ==\n");
+pub fn e6() -> String {
     let w = default_ecommerce(700);
     let docs = Arc::new(w.docstore());
     let slm = Slm::new(SlmConfig { lexicon: w.lexicon.clone(), ..SlmConfig::default() });
@@ -581,7 +548,7 @@ pub fn e6() {
     let bm25 = LexicalRetriever::new(docs.clone());
     let (r1, r5, r10, m) = doc_level_metrics(&bm25, &docs, &items);
     t.row(["bm25".to_string(), "-".to_string(), f2(r1), f2(r5), f2(r10), f2(m)]);
-    t.print();
+    t.render()
 }
 
 /// Doc-level recall@k / MRR for one retriever over gold-doc-labeled items.
@@ -626,8 +593,7 @@ fn doc_level_metrics(
 ///
 /// Claim (§III): every component is load-bearing — topology for retrieval,
 /// extraction + operator synthesis for Multi-Entity QA.
-pub fn e7() {
-    println!("== E7 (Table 4): ablations on the e-commerce workload ==\n");
+pub fn e7() -> String {
     let w = default_ecommerce(800);
 
     let row_for = |t: &mut TextTable, name: &str, r: &EvalResult| {
@@ -654,25 +620,15 @@ pub fn e7() {
     ];
 
     // Scenario A: all modalities ingested (native tables present).
-    println!("--- scenario A: all modalities ingested ---");
     let variants: Vec<(&str, EngineConfig)> = vec![
-        ("full", EngineConfig::default()),
-        (
-            "- topology (BM25 only)",
-            EngineConfig { enable_topology: false, ..EngineConfig::default() },
-        ),
+        ("full", base_config()),
+        ("- topology (BM25 only)", EngineConfig { enable_topology: false, ..base_config() }),
         (
             "traversal faulted (lexical fallback)",
-            EngineConfig {
-                faults: FaultPlan::single(FaultSite::GraphTraverse),
-                ..EngineConfig::default()
-            },
+            EngineConfig { faults: FaultPlan::single(FaultSite::GraphTraverse), ..base_config() },
         ),
-        (
-            "- operator synthesis",
-            EngineConfig { enable_synthesis: false, ..EngineConfig::default() },
-        ),
-        ("- entity nodes", EngineConfig { enable_entity_nodes: false, ..EngineConfig::default() }),
+        ("- operator synthesis", EngineConfig { enable_synthesis: false, ..base_config() }),
+        ("- entity nodes", EngineConfig { enable_entity_nodes: false, ..base_config() }),
     ];
     let mut t = TextTable::new(header);
     for (name, config) in variants {
@@ -680,17 +636,16 @@ pub fn e7() {
         let r = evaluate_pipeline(&engine, &w.qa);
         row_for(&mut t, name, &r);
     }
-    t.print();
+    let all_modalities = t.render();
 
     // Scenario B: text-only ingestion — no native tables, so every
     // analytical answer must come from Relational Table Generation. This is
     // the paper's §III.C hybrid pipeline (unstructured → tables → TableQA):
     // removing extraction should collapse the analytical categories.
-    println!("--- scenario B: text-only ingestion (tables must be extracted) ---");
     let mut t = TextTable::new(header);
     for (name, config) in [
-        ("full (extraction on)", EngineConfig::default()),
-        ("- extraction", EngineConfig { enable_extraction: false, ..EngineConfig::default() }),
+        ("full (extraction on)", base_config()),
+        ("- extraction", EngineConfig { enable_extraction: false, ..base_config() }),
     ] {
         let mut b = unisem_core::EngineBuilder::with_config(w.lexicon.clone(), config);
         for d in &w.documents {
@@ -700,7 +655,11 @@ pub fn e7() {
         let r = evaluate_pipeline(&engine, &w.qa);
         row_for(&mut t, name, &r);
     }
-    t.print();
+    format!(
+        "--- scenario A: all modalities ingested ---\n{all_modalities}\n\
+         --- scenario B: text-only ingestion (tables must be extracted) ---\n{}",
+        t.render()
+    )
 }
 
 /// E8 / Figure 5 — efficiency/accuracy frontier: SLM-class vs LLM-class.
@@ -708,8 +667,7 @@ pub fn e7() {
 /// Claim (§I): LLM pipelines are "impractical for applications requiring
 /// low-latency responses or deployment on devices with limited memory";
 /// the SLM system keeps accuracy at a fraction of the cost.
-pub fn e8() {
-    println!("== E8 (Figure 5): accuracy vs simulated inference cost ==\n");
+pub fn e8() -> String {
     let w = default_ecommerce(900);
 
     // Each system gets a fresh SLM so meters are independent.
@@ -727,7 +685,7 @@ pub fn e8() {
 
     // unisem on an SLM (the paper's system).
     {
-        let engine = build_ecommerce_engine(&w, EngineConfig::default());
+        let engine = build_ecommerce_engine(&w, base_config());
         engine.meter().reset();
         let r = evaluate_pipeline(&engine, &w.qa);
         let u = engine.meter().snapshot();
@@ -792,18 +750,8 @@ pub fn e8() {
             f2(p.memory_gb),
         ]);
     }
-    t.print();
-    println!("(frontier: accuracy vs sim_latency; the SLM system should dominate LLM RAG)\n");
-}
-
-/// Runs every experiment in order.
-pub fn all() {
-    e1();
-    e2();
-    e3();
-    e4();
-    e5();
-    e6();
-    e7();
-    e8();
+    format!(
+        "{}\n(frontier: accuracy vs sim_latency; the SLM system should dominate LLM RAG)\n",
+        t.render()
+    )
 }

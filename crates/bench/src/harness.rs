@@ -3,8 +3,15 @@
 
 use std::collections::BTreeMap;
 
-use unisem_core::{EngineBuilder, EngineConfig, QaPipeline, UnifiedEngine};
+use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, QaPipeline, UnifiedEngine};
 use unisem_workloads::{answer_matches, EcommerceWorkload, HealthcareWorkload, QaCategory, QaItem};
+
+/// The configuration every experiment starts from: the defaults with fault
+/// injection pinned off, so an ambient `UNISEM_FAULTS` plan cannot move a
+/// table.
+pub fn base_config() -> EngineConfig {
+    EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() }
+}
 
 /// Builds a [`UnifiedEngine`] over every modality of an e-commerce
 /// workload.
@@ -131,7 +138,7 @@ impl TextTable {
         self
     }
 
-    /// Renders the table.
+    /// Renders the table, with no trailing spaces on any line.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -146,21 +153,20 @@ impl TextTable {
                 .map(|(c, w)| format!("{c:<w$}"))
                 .collect::<Vec<_>>()
                 .join("  ")
+                .trim_end()
+                .to_string()
         };
         let mut out = line(&self.header);
         out.push('\n');
-        out.push_str(&"-".repeat(out.len().saturating_sub(1)));
+        out.push_str(
+            &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)),
+        );
         out.push('\n');
         for row in &self.rows {
             out.push_str(&line(row));
             out.push('\n');
         }
         out
-    }
-
-    /// Prints to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
     }
 }
 
@@ -190,6 +196,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("name"));
         assert!(s.lines().count() >= 4);
+        assert!(s.lines().all(|l| l == l.trim_end()), "no trailing spaces: {s:?}");
     }
 
     #[test]

@@ -167,13 +167,7 @@ impl Delta {
             },
             t => return Err(invalid(format!("unknown delta tag {t}"))),
         };
-        if d.remaining() != 0 {
-            return Err(invalid(format!(
-                "{} bytes of trailing garbage after {} delta",
-                d.remaining(),
-                delta.label()
-            )));
-        }
+        d.finish().map_err(EngineError::Store)?;
         Ok(delta)
     }
 }

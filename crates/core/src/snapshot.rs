@@ -163,6 +163,7 @@ fn decode_postings(
         }
         postings.insert(term, posts);
     }
+    d.finish().map_err(EngineError::Store)?;
     Ok(postings)
 }
 
@@ -203,6 +204,7 @@ fn verify_entity_index(bytes: &[u8], graph: &HetGraph) -> Result<(), EngineError
             )));
         }
     }
+    d.finish().map_err(EngineError::Store)?;
     Ok(())
 }
 
@@ -214,7 +216,9 @@ fn encode_walmeta(applied_seq: u64) -> Vec<u8> {
 
 fn decode_walmeta(bytes: &[u8]) -> Result<u64, EngineError> {
     let mut d = Decoder::new(bytes);
-    d.u64().map_err(EngineError::Store)
+    let applied_seq = d.u64().map_err(EngineError::Store)?;
+    d.finish().map_err(EngineError::Store)?;
+    Ok(applied_seq)
 }
 
 fn encode_config(src: &SnapshotSource<'_>) -> Vec<u8> {
@@ -230,6 +234,7 @@ fn decode_config(bytes: &[u8]) -> Result<(u64, ChunkConfig), EngineError> {
     let seed = d.u64().map_err(EngineError::Store)?;
     let max_tokens = d.usize().map_err(EngineError::Store)?;
     let overlap_sentences = d.usize().map_err(EngineError::Store)?;
+    d.finish().map_err(EngineError::Store)?;
     Ok((seed, ChunkConfig { max_tokens, overlap_sentences }))
 }
 
@@ -255,6 +260,7 @@ fn decode_lexicon(bytes: &[u8]) -> Result<Lexicon, EngineError> {
             .ok_or_else(|| invalid(format!("unknown entity kind label '{label}'")))?;
         lexicon.add(&phrase, kind);
     }
+    d.finish().map_err(EngineError::Store)?;
     Ok(lexicon)
 }
 
@@ -306,6 +312,7 @@ fn decode_docs(bytes: &[u8]) -> Result<(Vec<Document>, Vec<StoredChunk>), Engine
         let text = d.str().map_err(EngineError::Store)?;
         chunks.push(StoredChunk { id, doc_id, index_in_doc, text });
     }
+    d.finish().map_err(EngineError::Store)?;
     Ok((docs, chunks))
 }
 
@@ -330,6 +337,7 @@ fn decode_bm25_meta(bytes: &[u8]) -> Result<(Bm25Params, Vec<usize>), EngineErro
     for _ in 0..n {
         doc_lens.push(d.usize().map_err(EngineError::Store)?);
     }
+    d.finish().map_err(EngineError::Store)?;
     // `Bm25Index::from_parts` sums them.
     if doc_lens.iter().try_fold(0usize, |sum, &len| sum.checked_add(len)).is_none() {
         return Err(invalid("bm25 document lengths overflow"));
@@ -458,6 +466,7 @@ fn decode_tables(bytes: &[u8], graph_bytes: usize) -> Result<Database, EngineErr
         }
         db.create_table(&name, table)?;
     }
+    d.finish().map_err(EngineError::Store)?;
     Ok(db)
 }
 
@@ -559,6 +568,7 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
         };
         edges.push(Edge { id, a, b, kind });
     }
+    d.finish().map_err(EngineError::Store)?;
     HetGraph::from_parts(nodes, edges).map_err(invalid)
 }
 
@@ -602,13 +612,15 @@ fn decode_ingest(bytes: &[u8]) -> Result<IngestReport, EngineError> {
         };
         quarantined.push(Quarantined { source, reason });
     }
-    Ok(IngestReport {
+    let report = IngestReport {
         quarantined,
         tables: d.usize().map_err(EngineError::Store)?,
         collections_flattened: d.usize().map_err(EngineError::Store)?,
         documents: d.usize().map_err(EngineError::Store)?,
         extracted_rows: d.usize().map_err(EngineError::Store)?,
-    })
+    };
+    d.finish().map_err(EngineError::Store)?;
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -269,11 +269,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when this plan can never fire (unset or disabled or all-zero).
-    pub fn is_off(&self) -> bool {
-        self.mode != Mode::Armed || self.prob.iter().all(|&p| p == 0)
-    }
-
     /// True when no plan was configured (ambient activation allowed).
     pub fn is_unset(&self) -> bool {
         self.mode == Mode::Unset
@@ -455,8 +450,6 @@ mod tests {
             assert!(!FaultPlan::unset().fires(s, "k"));
             assert!(!FaultPlan::disabled().fires(s, "k"));
         }
-        assert!(FaultPlan::unset().is_off());
-        assert!(FaultPlan::disabled().is_off());
         assert!(FaultPlan::unset().is_unset());
         assert!(!FaultPlan::disabled().is_unset());
     }

@@ -108,9 +108,14 @@ impl<'a> Decoder<'a> {
         self.buf.len().saturating_sub(self.pos)
     }
 
-    /// True when the cursor has consumed every byte.
-    pub fn is_done(&self) -> bool {
-        self.remaining() == 0
+    /// `Ok` when the cursor has consumed every byte: a decoder calls it
+    /// after its last field, so bytes its encoder never wrote are a typed
+    /// [`StoreError::Decode`], not ignored.
+    pub fn finish(&self) -> Result<(), StoreError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(decode_err(&format!("{n} trailing bytes at {}", self.pos))),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
@@ -226,7 +231,7 @@ mod tests {
         assert!(d.bool().unwrap());
         assert_eq!(d.bytes().unwrap(), b"raw");
         assert_eq!(d.str().unwrap(), "héllo");
-        assert!(d.is_done());
+        d.finish().unwrap();
     }
 
     #[test]
@@ -235,6 +240,7 @@ mod tests {
         e.u32(9);
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
+        assert!(d.finish().is_err(), "four bytes left");
         assert!(d.u64().is_err(), "reading past the end must not panic");
         let mut d2 = Decoder::new(&bytes);
         assert!(d2.bytes().is_err(), "length prefix larger than payload");

@@ -10,9 +10,9 @@
 
 use std::path::{Path, PathBuf};
 
-/// Crates exempt from the determinism contract: bench tooling and the
-/// property-testing kit, which read clocks, threads and the environment.
-const TOOLING_CRATES: &[&str] = &["bench", "detkit"];
+/// Crates exempt from the determinism contract: the property-testing kit,
+/// which reads clocks, threads and the environment.
+const TOOLING_CRATES: &[&str] = &["detkit"];
 
 /// Crates whose non-test code may not unwrap or panic (DESIGN.md §8).
 const PANIC_FREE_CRATES: &[&str] = &["core", "hetgraph", "relstore", "retrieval", "storekit"];

@@ -10,7 +10,8 @@
 //! 2. **Snapshots.** A snapshot whose section payloads were flipped,
 //!    zeroed or overwritten with runs of `0xFF`, each frame's checksum
 //!    recomputed so the section decoders see the damage, opens to a typed
-//!    error or to an engine that answers every workload question.
+//!    error or to an engine that answers every workload question. One
+//!    byte appended to any section is always a typed error.
 //!
 //! A panic inside a property is a falsified case: detkit prints its seed
 //! and a shrunk counterexample. ci.sh runs both at `DETKIT_CASES=1024`.
@@ -19,8 +20,8 @@ use std::cell::Cell;
 use std::path::PathBuf;
 
 use detkit::prop::{check, check_with, one_of, u32s, usizes, vec_of, zip, zip3, Config, Gen};
-use storekit::{Snapshot, SnapshotWriter};
-use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, UnifiedEngine};
+use storekit::{Snapshot, SnapshotWriter, StoreError};
+use unisem_core::{EngineBuilder, EngineConfig, EngineError, FaultPlan, UnifiedEngine};
 use unisem_slm::Lexicon;
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{
@@ -218,4 +219,34 @@ fn corrupted_snapshots_open_to_typed_errors_or_answering_engines() {
     // Both outcomes occur, so neither half of the property is vacuous.
     let (rejected, answered) = (rejected.get(), answered.get());
     assert!(rejected > 0 && answered > 0, "{rejected} rejected, {answered} answered");
+}
+
+/// A section one byte longer than its encoder wrote, checksum recomputed,
+/// is a typed decode error from every section decoder — never an engine
+/// opened from bytes it did not read.
+#[test]
+fn a_section_with_trailing_bytes_is_rejected() {
+    let w = &workloads()[0];
+    let path = tmp_path("trailing-clean");
+    build(w).save_snapshot(&path).expect("save");
+    let clean = Snapshot::open(&path).expect("open");
+    std::fs::remove_file(&path).ok();
+    let forged = tmp_path("trailing");
+    for longer in SECTIONS {
+        let mut writer = SnapshotWriter::create(&forged, FaultPlan::disabled()).expect("create");
+        for name in SECTIONS {
+            let mut bytes = clean.section(name).expect("saved section").to_vec();
+            if name == longer {
+                bytes.push(0);
+            }
+            writer.add_section(name, &bytes).expect("add");
+        }
+        writer.commit(&forged).expect("commit");
+        match EngineBuilder::open_snapshot(&forged, config()) {
+            Err(EngineError::Store(StoreError::Decode(_) | StoreError::InvalidSnapshot(_))) => {}
+            Err(e) => panic!("section {longer:?} with a trailing byte: untyped error {e}"),
+            Ok(_) => panic!("section {longer:?} with a trailing byte opened"),
+        }
+    }
+    std::fs::remove_file(&forged).ok();
 }
