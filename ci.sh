@@ -19,6 +19,18 @@ echo "==> cargo clippy -D warnings (determinism contract, DESIGN.md §10)"
 # one fails here too, and tier-1's hermetic suite pins the set.
 CARGO_NET_OFFLINE=true cargo clippy --workspace --offline -- -D warnings
 
+echo "==> no rustc warning in any target"
+# clippy above lints the libraries and binaries only; a warning in a test
+# module, an integration test or an example would otherwise scroll past in
+# every cargo test run. Cargo replays cached warnings, so a warm build
+# still reports them.
+warnings="$(CARGO_NET_OFFLINE=true cargo check --workspace --all-targets --offline \
+    --message-format=short 2>&1)"
+if grep -E ': warning: |generated [0-9]+ warnings?' <<<"$warnings"; then
+    echo "ERROR: rustc warns above: fix the code rather than allowing the lint"
+    exit 1
+fi
+
 echo "==> offline release build"
 CARGO_NET_OFFLINE=true cargo build --release
 
@@ -102,9 +114,9 @@ echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and s
 # mislabelled ones included (DESIGN.md §5b). So do the ingest-time sentence
 # analysis' properties (DESIGN.md §5c): BM25 fed the analysis' term stream
 # equals BM25 over the chunk text, a store rebuilt from its parts has the
-# analysis it had, and evidence scored from the stored analysis — and by
-# the text wrapper — equals the per-question re-tokenizing oracle, questions
-# with more than 64 content terms included.
+# analysis and the BM25 index it had, and evidence scored from the stored
+# analysis — and by the text wrapper — equals the per-question re-tokenizing
+# oracle, questions with more than 64 content terms included.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
     -p unisem-retrieval -p unisem-entropy -p unisem-docstore
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-core --test evidence_props

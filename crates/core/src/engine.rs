@@ -251,13 +251,12 @@ impl EngineBuilder {
 
     /// Reopens an engine from a snapshot written by
     /// [`UnifiedEngine::save_snapshot`], skipping ingestion, flattening,
-    /// extraction, and graph construction entirely.
+    /// chunking, extraction, and graph construction entirely.
     ///
     /// The snapshot's seed and chunking configuration override the
-    /// corresponding `config` fields:
-    /// the persisted indexes were built with them, and reusing anything
-    /// else would silently desynchronize the reopened engine from its
-    /// data. Everything else in `config` (governors, ablations, fault
+    /// corresponding `config` fields: the persisted chunks and graph were
+    /// built with them, and reusing anything else would silently
+    /// desynchronize the reopened engine from its data. Everything else in `config` (governors, ablations, fault
     /// plan, thread pool, tracing) applies as given. Answers from the
     /// reopened engine are byte-identical to the saving engine's under
     /// the same configuration (`tests/tests/storage.rs`).
@@ -913,7 +912,7 @@ mod tests {
     use super::*;
     use crate::answer::Route;
     use crate::planner::has_signal;
-    use unisem_relstore::{DataType, Expr, LogicalPlan, Schema, Value};
+    use unisem_relstore::{DataType, Schema, Value};
     use unisem_slm::EntityKind;
 
     fn sample_lexicon() -> Lexicon {

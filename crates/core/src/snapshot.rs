@@ -1,29 +1,27 @@
 //! Engine snapshots: byte-stable persistence of a built engine
 //! (DESIGN.md §12).
 //!
-//! A snapshot captures everything [`crate::EngineBuilder::build`] derives
-//! from its inputs — documents and chunks, the BM25 inverted index, every
-//! relational table (native, flattened, extracted), the heterogeneous
-//! graph, and the ingest report — into one `storekit` snapshot file.
-//! Reopening skips ingestion, flattening, extraction, and graph
-//! construction entirely; only the cheap derived structures are rebuilt:
-//! the tables' value indexes (as the tables are registered), the planner's
-//! statistics catalog (read from the substrates' maintained totals), the
-//! retriever and the parser, from the same seed and lexicon the snapshot
-//! records.
+//! A snapshot captures the parts [`crate::EngineBuilder::build`] derives
+//! from its inputs — documents and chunks, every relational table (native,
+//! flattened, extracted), the heterogeneous graph, and the ingest report —
+//! into one `storekit` snapshot file. Reopening skips ingestion,
+//! flattening, chunking, extraction and graph construction entirely. What
+//! is a pure function of those parts is rebuilt, not stored: each chunk's
+//! sentence analysis and BM25 postings (one pass over the chunks, in
+//! [`DocStore::from_parts`]), the tables' value indexes (as the tables are
+//! registered), the retriever and the parser, from the same seed and
+//! lexicon the snapshot records.
 //!
 //! Byte-identity contract: two engines built from the same inputs with the
 //! same seed write byte-identical snapshot files, and an engine reopened
 //! from a snapshot answers every query byte-identically to the engine that
 //! saved it (`tests/tests/storage.rs` enforces both).
 //!
-//! Layout: ten named sections hold the length-prefixed encodings
-//! below, every one mandatory. The two keyed collections are sorted
-//! `(key, value)` lists: `bm25.postings` (term → postings list) and
-//! `graph.entities` (canonical entity name → node id, which load-time
-//! verification checks against the reassembled graph).
+//! Layout: eight named sections hold the length-prefixed encodings
+//! below, every one mandatory. The one keyed collection is
+//! `graph.entities`, a sorted `(canonical entity name, node id)` list that
+//! load-time verification checks against the reassembled graph.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use faultkit::FaultPlan;
@@ -32,7 +30,6 @@ use unisem_docstore::{DocStore, Document, StoredChunk};
 use unisem_hetgraph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};
 use unisem_relstore::{Column, DataType, Database, Date, Schema, Table, Value};
 use unisem_slm::{EntityKind, Lexicon};
-use unisem_text::bm25::{Bm25Index, Bm25Params};
 use unisem_text::ChunkConfig;
 
 use crate::ingest::{IngestReport, QuarantineReason, Quarantined};
@@ -46,7 +43,7 @@ pub(crate) struct SnapshotSource<'a> {
     pub chunk: ChunkConfig,
     /// Domain lexicon (canonical phrase → entity kind).
     pub lexicon: &'a Lexicon,
-    /// Document store (documents, chunks, BM25 index).
+    /// Document store (documents and chunks).
     pub docs: &'a DocStore,
     /// Relational catalog (native + flattened + extracted tables).
     pub db: &'a Database,
@@ -86,8 +83,6 @@ pub(crate) fn write_snapshot(
     w.add_section("config", &encode_config(src))?;
     w.add_section("lexicon", &encode_lexicon(src.lexicon))?;
     w.add_section("docs", &encode_docs(src.docs))?;
-    w.add_section("bm25meta", &encode_bm25_meta(src.docs.index()))?;
-    w.add_section("bm25.postings", &encode_postings(src.docs.index()))?;
     w.add_section("tables", &encode_tables(src.db)?)?;
     w.add_section("graph", &encode_graph(src.graph))?;
     w.add_section("graph.entities", &encode_entity_index(src.graph))?;
@@ -103,68 +98,14 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
     let (seed, chunk) = decode_config(snap.section("config")?)?;
     let lexicon = decode_lexicon(snap.section("lexicon")?)?;
     let (docs_vec, chunks_vec) = decode_docs(snap.section("docs")?)?;
-    let (params, doc_lens) = decode_bm25_meta(snap.section("bm25meta")?)?;
-    let postings = decode_postings(snap.section("bm25.postings")?, doc_lens.len())?;
     let db = decode_tables(snap.section("tables")?, snap.section("graph")?.len())?;
     let graph = decode_graph(snap.section("graph")?)?;
     let ingest = decode_ingest(snap.section("ingest")?)?;
     let applied_seq = decode_walmeta(snap.section("walmeta")?)?;
-
-    let index = Bm25Index::from_parts(params, postings, doc_lens);
-    let docs = DocStore::from_parts(chunk, docs_vec, chunks_vec, index);
-    if docs.num_chunks() != docs.index().len() {
-        return Err(invalid(format!(
-            "snapshot chunk count {} disagrees with BM25 document count {}",
-            docs.num_chunks(),
-            docs.index().len()
-        )));
-    }
     verify_entity_index(snap.section("graph.entities")?, &graph)?;
 
+    let docs = DocStore::from_parts(chunk, docs_vec, chunks_vec);
     Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, ingest, applied_seq })
-}
-
-fn encode_postings(index: &Bm25Index) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(index.postings().len() as u64);
-    for (term, posts) in index.postings() {
-        e.str(term);
-        e.u64(posts.len() as u64);
-        for &(doc, tf) in posts {
-            e.usize(doc);
-            e.u32(tf);
-        }
-    }
-    e.into_bytes()
-}
-
-/// Posting lists whose doc ids ascend below `n_docs`, as the index wrote them.
-fn decode_postings(
-    bytes: &[u8],
-    n_docs: usize,
-) -> Result<BTreeMap<String, Vec<(usize, u32)>>, EngineError> {
-    let mut d = Decoder::new(bytes);
-    let nterms = d.count().map_err(EngineError::Store)?;
-    let mut postings: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
-    for _ in 0..nterms {
-        let term = d.str().map_err(EngineError::Store)?;
-        if postings.last_key_value().is_some_and(|(prev, _)| *prev >= term) {
-            return Err(invalid(format!("bm25 posting term '{term}' is out of order")));
-        }
-        let n = d.count().map_err(EngineError::Store)?;
-        let mut posts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let doc = d.usize().map_err(EngineError::Store)?;
-            let tf = d.u32().map_err(EngineError::Store)?;
-            if doc >= n_docs || posts.last().is_some_and(|&(prev, _)| prev >= doc) {
-                return Err(invalid(format!("bm25 posting of '{term}' names document {doc}")));
-            }
-            posts.push((doc, tf));
-        }
-        postings.insert(term, posts);
-    }
-    d.finish().map_err(EngineError::Store)?;
-    Ok(postings)
 }
 
 /// The secondary entity index: canonical name → node id, sorted by name.
@@ -314,35 +255,6 @@ fn decode_docs(bytes: &[u8]) -> Result<(Vec<Document>, Vec<StoredChunk>), Engine
     }
     d.finish().map_err(EngineError::Store)?;
     Ok((docs, chunks))
-}
-
-fn encode_bm25_meta(index: &Bm25Index) -> Vec<u8> {
-    let params = index.params();
-    let mut e = Encoder::new();
-    e.f64(params.k1);
-    e.f64(params.b);
-    e.u64(index.doc_lens().len() as u64);
-    for &len in index.doc_lens() {
-        e.usize(len);
-    }
-    e.into_bytes()
-}
-
-fn decode_bm25_meta(bytes: &[u8]) -> Result<(Bm25Params, Vec<usize>), EngineError> {
-    let mut d = Decoder::new(bytes);
-    let k1 = d.f64().map_err(EngineError::Store)?;
-    let b = d.f64().map_err(EngineError::Store)?;
-    let n = d.count().map_err(EngineError::Store)?;
-    let mut doc_lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        doc_lens.push(d.usize().map_err(EngineError::Store)?);
-    }
-    d.finish().map_err(EngineError::Store)?;
-    // `Bm25Index::from_parts` sums them.
-    if doc_lens.iter().try_fold(0usize, |sum, &len| sum.checked_add(len)).is_none() {
-        return Err(invalid("bm25 document lengths overflow"));
-    }
-    Ok((Bm25Params { k1, b }, doc_lens))
 }
 
 pub(crate) fn encode_value(e: &mut Encoder, v: &Value) {
@@ -628,18 +540,8 @@ mod tests {
     use super::*;
     use crate::{EngineBuilder, EngineConfig};
 
-    const SECTIONS: [&str; 10] = [
-        "config",
-        "lexicon",
-        "docs",
-        "bm25meta",
-        "bm25.postings",
-        "tables",
-        "graph",
-        "graph.entities",
-        "ingest",
-        "walmeta",
-    ];
+    const SECTIONS: [&str; 8] =
+        ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
 
     /// Copies a real snapshot section by section, leaving one out each
     /// time: the reader names the missing section instead of defaulting it.

@@ -85,7 +85,7 @@ impl std::error::Error for DocError {}
 /// Adding a document immediately chunks it (with the store's
 /// [`ChunkConfig`]), analyses every chunk's sentences and indexes the
 /// chunk's terms for BM25 search, from one tokenization of the chunk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DocStore {
     docs: Vec<Document>,
     chunks: Vec<StoredChunk>,
@@ -94,36 +94,40 @@ pub struct DocStore {
     chunk_config: ChunkConfig,
 }
 
-impl Default for DocStore {
-    fn default() -> Self {
-        Self::new(ChunkConfig::default())
-    }
-}
-
 impl DocStore {
     /// Creates an empty store with the given chunking configuration.
     pub fn new(chunk_config: ChunkConfig) -> Self {
-        Self::from_parts(chunk_config, Vec::new(), Vec::new(), Bm25Index::default())
+        Self { chunk_config, ..Self::default() }
     }
 
-    /// Reassembles a store from snapshot parts: documents and chunks in
-    /// id order plus the already-built BM25 index over the chunks. The
-    /// caller is trusted to pass parts persisted from a store built with
-    /// the same `chunk_config` (the snapshot layer round-trips all four).
-    /// The sentence analysis is not persisted: it is recomputed here from
-    /// the chunk texts, in id order, so it equals the one the store had.
+    /// Reassembles a store from snapshot parts: documents and chunks in id
+    /// order, persisted from a store built with the same `chunk_config`.
+    /// Each chunk takes the step [`Self::add_document`] takes for it, so
+    /// the sentence analysis and the BM25 index, which are not persisted,
+    /// equal the ones the store had.
     pub fn from_parts(
         chunk_config: ChunkConfig,
         docs: Vec<Document>,
         chunks: Vec<StoredChunk>,
-        index: Bm25Index,
     ) -> Self {
-        let mut sentences = SentenceTerms::default();
+        let mut store =
+            Self { docs, chunks: Vec::with_capacity(chunks.len()), ..Self::new(chunk_config) };
         let mut stream = Vec::new();
-        for c in &chunks {
-            sentences.add_chunk(&c.text, &mut stream);
+        for c in chunks {
+            store.index_chunk(&c.text, &mut stream);
+            store.chunks.push(c);
         }
-        Self { docs, chunks, index, sentences, chunk_config }
+        store
+    }
+
+    /// Analyses the sentences of the chunk about to be stored, then
+    /// indexes the same term stream as its BM25 document. `stream` is a
+    /// buffer reused across chunks.
+    fn index_chunk(&mut self, text: &str, stream: &mut Vec<u32>) {
+        self.sentences.add_chunk(text, stream);
+        let terms: Vec<&str> = stream.iter().map(|&id| self.sentences.term(id)).collect();
+        let indexed = self.index.add_terms(&terms);
+        debug_assert_eq!(indexed, self.chunks.len(), "chunk ids track BM25 doc ids");
     }
 
     /// The chunking configuration documents are ingested with.
@@ -131,7 +135,7 @@ impl DocStore {
         self.chunk_config
     }
 
-    /// The BM25 index over chunks (snapshot serialization reads it).
+    /// The BM25 index over chunks, one document per chunk id.
     pub fn index(&self) -> &Bm25Index {
         &self.index
     }
@@ -152,13 +156,9 @@ impl DocStore {
         let text = text.into();
         let mut stream = Vec::new();
         for (i, c) in chunk_sentences(&text, self.chunk_config).into_iter().enumerate() {
-            let chunk_id = self.chunks.len();
-            self.sentences.add_chunk(&c.text, &mut stream);
-            let terms: Vec<&str> = stream.iter().map(|&id| self.sentences.term(id)).collect();
-            let indexed = self.index.add_terms(&terms);
-            debug_assert_eq!(indexed, chunk_id, "chunk ids track BM25 doc ids");
+            self.index_chunk(&c.text, &mut stream);
             self.chunks.push(StoredChunk {
-                id: chunk_id,
+                id: self.chunks.len(),
                 doc_id: id,
                 index_in_doc: i,
                 text: c.text,

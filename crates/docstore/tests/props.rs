@@ -1,6 +1,6 @@
 //! Differential properties of the ingest-time analysis (detkit harness):
 //! BM25 fed the analysis' term stream equals BM25 over the chunk text, and
-//! a store rebuilt from its parts has the analysis it had.
+//! a store rebuilt from its parts has the analysis and the index it had.
 
 use detkit::prop::{one_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert_eq, prop_check};
@@ -98,17 +98,25 @@ prop_check!(analysis_stream_indexes_like_the_text, zip(&stores(), &texts()), |t|
     Ok(())
 });
 
-// A store built one document at a time has the sentence analysis that
-// `from_parts` recomputes from its documents, chunks and index.
-prop_check!(rebuilt_store_has_the_same_analysis, stores(), |t| {
-    let (docs, max_tokens, overlap) = t;
+// A store built one document at a time has the sentence analysis and the
+// BM25 index that `from_parts` rebuilds from its documents and chunks:
+// the same postings and document lengths, and search results (scores bit
+// for bit) equal for any query.
+prop_check!(rebuilt_store_has_the_same_analysis, zip(&stores(), &texts()), |t| {
+    let ((docs, max_tokens, overlap), query) = t;
     let store = build(docs, *max_tokens, *overlap);
     let rebuilt = DocStore::from_parts(
         store.chunk_config(),
         store.documents().to_vec(),
         store.chunks().to_vec(),
-        store.index().clone(),
     );
     prop_assert_eq!(rebuilt.sentence_terms(), store.sentence_terms());
+    prop_assert_eq!(rebuilt.index().postings(), store.index().postings());
+    prop_assert_eq!(rebuilt.index().doc_lens(), store.index().doc_lens());
+    let bits = |s: &DocStore| {
+        let (hits, scanned) = s.search_counted(query, 8);
+        (hits.iter().map(|h| (h.chunk_id, h.score.to_bits())).collect::<Vec<_>>(), scanned)
+    };
+    prop_assert_eq!(bits(&rebuilt), bits(&store));
     Ok(())
 });

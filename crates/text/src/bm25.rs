@@ -11,25 +11,15 @@ use std::sync::OnceLock;
 use crate::normalize::{lower_into, normalize_into};
 use crate::tokenize::{tokenize, TokenKind};
 
-/// BM25 hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (typical 1.2–2.0).
-    pub k1: f64,
-    /// Length normalization strength (0 = none, 1 = full).
-    pub b: f64,
-}
+/// Term-frequency saturation.
+pub const K1: f64 = 1.5;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Self { k1: 1.5, b: 0.75 }
-    }
-}
+/// Length normalization strength (0 = none, 1 = full).
+pub const B: f64 = 0.75;
 
 /// An inverted-index-backed BM25 scorer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Bm25Index {
-    params: Bm25Params,
     /// term -> postings of (doc_id, term_frequency). Ordered so that
     /// iteration (size accounting, debugging) is deterministic.
     postings: BTreeMap<String, Vec<(usize, u32)>>,
@@ -39,24 +29,13 @@ pub struct Bm25Index {
     /// The longest posting list, kept current as documents are added
     /// (lists only grow), so [`Self::max_posting`] never walks the table.
     max_posting: usize,
-    /// Per document, its length norm `k1 · (1 − b + b · len / avg len)`:
+    /// Per document, its length norm `K1 · (1 − B + B · len / avg len)`:
     /// a pure function of the lengths, computed by the first search after
     /// a document was added, and dropped by the next addition.
     norms: OnceLock<Vec<f64>>,
 }
 
-impl Default for Bm25Index {
-    fn default() -> Self {
-        Self::new(Bm25Params::default())
-    }
-}
-
 impl Bm25Index {
-    /// Creates an empty index with the given parameters.
-    pub fn new(params: Bm25Params) -> Self {
-        Self::from_parts(params, BTreeMap::new(), Vec::new())
-    }
-
     /// Adds a document, returning its id (insertion order).
     pub fn add_document(&mut self, text: &str) -> usize {
         self.add_terms(&index_terms(text))
@@ -155,13 +134,8 @@ impl Bm25Index {
         self.score(lists, top_k)
     }
 
-    /// The scoring parameters.
-    pub fn params(&self) -> Bm25Params {
-        self.params
-    }
-
     /// The postings table: term → `(doc_id, term_frequency)` pairs in
-    /// insertion (ascending doc id) order. Used by the snapshot layer.
+    /// insertion (ascending doc id) order.
     pub fn postings(&self) -> &BTreeMap<String, Vec<(usize, u32)>> {
         &self.postings
     }
@@ -169,19 +143,6 @@ impl Bm25Index {
     /// Per-document token counts, indexed by doc id.
     pub fn doc_lens(&self) -> &[usize] {
         &self.doc_len
-    }
-
-    /// Reassembles an index from snapshot parts. The caller is trusted to
-    /// pass parts that came from [`Self::postings`] / [`Self::doc_lens`];
-    /// `total_tokens` and the longest posting list are recomputed from them.
-    pub fn from_parts(
-        params: Bm25Params,
-        postings: BTreeMap<String, Vec<(usize, u32)>>,
-        doc_len: Vec<usize>,
-    ) -> Self {
-        let total_tokens = doc_len.iter().sum();
-        let max_posting = postings.values().map(Vec::len).max().unwrap_or(0);
-        Self { params, postings, doc_len, total_tokens, max_posting, norms: OnceLock::new() }
     }
 
     /// Like [`Self::search`] but with pre-normalized query terms.
@@ -197,8 +158,7 @@ impl Bm25Index {
     fn norms(&self) -> &[f64] {
         self.norms.get_or_init(|| {
             let avg = self.avg_doc_len().max(1e-9);
-            let Bm25Params { k1, b } = self.params;
-            self.doc_len.iter().map(|&dl| k1 * (1.0 - b + b * dl as f64 / avg)).collect()
+            self.doc_len.iter().map(|&dl| K1 * (1.0 - B + B * dl as f64 / avg)).collect()
         })
     }
 
@@ -210,7 +170,6 @@ impl Bm25Index {
         top_k: usize,
     ) -> (Vec<(usize, f64)>, usize) {
         let norms = self.norms();
-        let k1 = self.params.k1;
         let mut scores = vec![0.0f64; self.doc_len.len()];
         let mut seen = vec![false; self.doc_len.len()];
         let mut touched: Vec<usize> = Vec::new();
@@ -221,7 +180,7 @@ impl Bm25Index {
             for &(doc, tf) in posts {
                 let tf = f64::from(tf);
                 let denom = tf + norms[doc];
-                scores[doc] += idf * tf * (k1 + 1.0) / denom;
+                scores[doc] += idf * tf * (K1 + 1.0) / denom;
                 if !seen[doc] {
                     seen[doc] = true;
                     touched.push(doc);
@@ -356,9 +315,6 @@ mod tests {
         let ix = sample();
         let max = ix.max_posting();
         assert_eq!(max, ix.postings().values().map(Vec::len).max().unwrap());
-        let rebuilt =
-            Bm25Index::from_parts(ix.params(), ix.postings().clone(), ix.doc_lens().to_vec());
-        assert_eq!(rebuilt.max_posting(), max);
     }
 
     #[test]

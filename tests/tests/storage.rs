@@ -223,7 +223,7 @@ fn snapshot_round_trip_answers_byte_identical() {
 }
 
 /// Under a certain traversal fault every retrieval is the lexical scan over
-/// the BM25 postings the snapshot stores, and the reopened engine's faulted
+/// the BM25 postings rebuilt on open, and the reopened engine's faulted
 /// answers stay byte-identical to the saving engine's.
 #[test]
 fn reopened_engine_answers_faulted_traversals_byte_identically() {
@@ -315,11 +315,12 @@ fn scale_corpus_snapshots_reopens_and_checkpoints_after_deltas() {
     std::fs::remove_file(&ckpt).ok();
 }
 
-/// Nothing a corpus contains is too wide to persist: a 600-byte token (a
-/// BM25 term), a lexicon entity whose name is longer than 512 bytes (a
-/// graph entity-index key) and a term whose posting list encodes to more
-/// than 1 KiB all save, reopen to byte-identical answers, and checkpoint
-/// after a delta. A format with a key or value width limit fails here.
+/// Nothing a corpus contains is too wide to persist or to rebuild: a
+/// 600-byte token (a BM25 term, stored in its chunk's text), a lexicon
+/// entity whose name is longer than 512 bytes (a graph entity-index key)
+/// and a term in over a hundred chunks (a long posting list, rebuilt on
+/// open) all save, reopen to byte-identical answers, and checkpoint after
+/// a delta. A format with a key or value width limit fails here.
 #[test]
 fn wide_tokens_names_and_posting_lists_snapshot_and_checkpoint() {
     let long_token = "x7".repeat(300);
@@ -382,6 +383,46 @@ fn wide_tokens_names_and_posting_lists_snapshot_and_checkpoint() {
     for q in &questions {
         assert_eq!(recovered.answer(q), live.answer(q), "{q}");
     }
+    drop((live, recovered));
+    remove_wal(&wal);
+    std::fs::remove_file(&snap).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// The BM25 index is rebuilt from the chunk texts on open, never read from
+/// the file: an engine that took `doc_add` deltas, checkpointed and was
+/// reopened from the checkpoint has the live engine's postings, document
+/// lengths and sentence analysis, the deltas' chunks included.
+#[test]
+fn reopened_checkpoint_rebuilds_the_live_bm25_index() {
+    let base = tiny_engine(FaultPlan::disabled());
+    let (snap, ckpt, wal) = (tmp_path("bm25-base"), tmp_path("bm25-ckpt"), tmp_path("bm25-wal"));
+    remove_wal(&wal);
+    base.save_snapshot(&snap).expect("save");
+    let (mut live, _, _) =
+        EngineBuilder::open_snapshot_with_wal(&snap, &wal, config(1)).expect("reopen");
+    let updates = [
+        "Acme Corp recalled the Aero Widget. Sales of the Aero Widget fell 20% in Q3 2024.",
+        "The Nova Speaker sold 90 units. Customers praised the Nova Speaker and the Aero Widget.",
+    ];
+    for (i, text) in updates.into_iter().enumerate() {
+        let delta = Delta::DocAdd {
+            title: format!("update {i}"),
+            text: text.into(),
+            source: "news".into(),
+        };
+        live.ingest_delta(delta).expect("ingest");
+    }
+    live.checkpoint(&ckpt).expect("checkpoint");
+    let (recovered, _, replayed) =
+        EngineBuilder::open_snapshot_with_wal(&ckpt, &wal, config(1)).expect("recover");
+    assert_eq!(replayed, 0, "the checkpoint truncated the log");
+
+    let (want, got) = (live.docs().index(), recovered.docs().index());
+    assert!(want.len() > base.docs().index().len(), "the deltas added chunks");
+    assert_eq!(got.postings(), want.postings());
+    assert_eq!(got.doc_lens(), want.doc_lens());
+    assert_eq!(recovered.docs().sentence_terms(), live.docs().sentence_terms());
     drop((live, recovered));
     remove_wal(&wal);
     std::fs::remove_file(&snap).ok();
@@ -578,28 +619,35 @@ fn torn_snapshot_tmp_neither_blocks_a_save_nor_opens() {
     }
 }
 
+/// Opens a copy of the snapshot at `full` whose `replaced` section holds
+/// `bytes` (its checksum recomputed), written to `forged`.
+fn open_forged(
+    full: &std::path::Path,
+    forged: &std::path::Path,
+    replaced: &str,
+    bytes: &[u8],
+) -> Result<UnifiedEngine, EngineError> {
+    const SECTIONS: [&str; 8] =
+        ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
+    let snap = Snapshot::open(full).expect("open");
+    let mut w = SnapshotWriter::create(forged, FaultPlan::disabled()).expect("create");
+    for name in SECTIONS {
+        let section = if name == replaced { bytes } else { snap.section(name).expect("section") };
+        w.add_section(name, section).expect("add");
+    }
+    w.commit(forged).expect("commit");
+    EngineBuilder::open_snapshot(forged, config(1)).map(|(engine, _)| engine)
+}
+
 /// A checksum-valid snapshot whose counts claim more elements than its
 /// bytes could hold is a typed decode error, not an allocation: a
 /// `docs` section claiming 2^60 documents, and a `tables` section whose
 /// one-column table claims 2^60 rows.
 #[test]
 fn counts_past_the_bytes_left_are_decode_errors() {
-    const SECTIONS: [&str; 10] = [
-        "config",
-        "lexicon",
-        "docs",
-        "bm25meta",
-        "bm25.postings",
-        "tables",
-        "graph",
-        "graph.entities",
-        "ingest",
-        "walmeta",
-    ];
     let full = tmp_path("counts-full");
     let forged = tmp_path("counts-forged");
     tiny_engine(FaultPlan::disabled()).save_snapshot(&full).expect("save");
-    let snap = Snapshot::open(&full).expect("open");
 
     let mut huge_docs = Encoder::new();
     huge_docs.u64(1 << 60);
@@ -612,18 +660,37 @@ fn counts_past_the_bytes_left_are_decode_errors() {
     huge_rows.u64(1 << 60);
     for (replaced, bytes) in [("docs", huge_docs.into_bytes()), ("tables", huge_rows.into_bytes())]
     {
-        let mut w = SnapshotWriter::create(&forged, FaultPlan::disabled()).expect("create");
-        for name in SECTIONS {
-            let section =
-                if name == replaced { &bytes[..] } else { snap.section(name).expect("section") };
-            w.add_section(name, section).expect("add");
-        }
-        w.commit(&forged).expect("commit");
-        match EngineBuilder::open_snapshot(&forged, config(1)) {
+        match open_forged(&full, &forged, replaced, &bytes) {
             Err(EngineError::Store(StoreError::Decode(_))) => {}
             Err(other) => panic!("{replaced}: expected a decode error, got {other}"),
             Ok(_) => panic!("{replaced}: a snapshot with an impossible count opened"),
         }
+    }
+    std::fs::remove_file(&full).ok();
+    std::fs::remove_file(&forged).ok();
+}
+
+/// A zero-column table's rows encode to no bytes, so no byte count bounds
+/// them; each row is a record node of the graph, so the graph section's
+/// length does. A `tables` section whose zero-column table claims 2^60
+/// rows is rejected by that cap, naming the table, instead of looping
+/// over 2^60 empty rows.
+#[test]
+fn a_zero_column_table_claiming_more_rows_than_the_graph_holds_is_rejected() {
+    let full = tmp_path("zero-columns-full");
+    let forged = tmp_path("zero-columns-forged");
+    tiny_engine(FaultPlan::disabled()).save_snapshot(&full).expect("save");
+    let mut tables = Encoder::new();
+    tables.u64(1);
+    tables.str("t");
+    tables.u64(0);
+    tables.u64(1 << 60);
+    match open_forged(&full, &forged, "tables", &tables.into_bytes()) {
+        Err(EngineError::Store(StoreError::InvalidSnapshot(reason))) => {
+            assert_eq!(reason, format!("zero-column table \"t\" claims {} rows", 1u64 << 60));
+        }
+        Err(other) => panic!("expected the zero-column cap, got {other}"),
+        Ok(_) => panic!("a zero-column table of 2^60 rows opened"),
     }
     std::fs::remove_file(&full).ok();
     std::fs::remove_file(&forged).ok();

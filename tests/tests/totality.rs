@@ -29,18 +29,8 @@ use unisem_workloads::{
 };
 
 /// The snapshot's sections, in file order (DESIGN.md §12d).
-const SECTIONS: [&str; 10] = [
-    "config",
-    "lexicon",
-    "docs",
-    "bm25meta",
-    "bm25.postings",
-    "tables",
-    "graph",
-    "graph.entities",
-    "ingest",
-    "walmeta",
-];
+const SECTIONS: [&str; 8] =
+    ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
 
 /// Pieces a question edit writes, besides arbitrary code points: the
 /// Kelvin sign and `İ` (whose lower-case forms change length), combining
