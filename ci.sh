@@ -59,6 +59,20 @@ for f in crates/text/src/bm25.rs crates/retrieval/src/topology.rs; do
     fi
 done
 
+echo "==> one term dictionary per document store"
+# BM25 interns each term once and keeps its posting lists in a Vec indexed
+# by term id; the sentence analysis keeps only spans and runs of those ids
+# (DESIGN.md §5c). A string-keyed postings map, or a map in the analysis,
+# would be a second dictionary for the same terms.
+if sed '/#\[cfg(test)\]/,$d' crates/text/src/bm25.rs | grep -nE 'Map<String\b'; then
+    echo "ERROR: crates/text/src/bm25.rs keys a map by String outside #[cfg(test)] (see DESIGN.md §5c: post by term id)"
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/docstore/src/sentences.rs | grep -nE 'BTreeMap'; then
+    echo "ERROR: crates/docstore/src/sentences.rs declares a BTreeMap outside #[cfg(test)] (see DESIGN.md §5c: intern through the BM25 index)"
+    exit 1
+fi
+
 echo "==> the engine answers without a vector index"
 # A faulted traversal falls back to the BM25 scan the traversal already runs,
 # and topology off is BM25 only (DESIGN.md §13b); dense retrieval lives on in
@@ -97,8 +111,9 @@ echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and s
 # buffer, and the meter counts subword tokens without building them
 # (DESIGN.md §5c). The differential properties holding each to the form it
 # replaced — the owned tokenizer, to_lowercase, the allocating stemmer,
-# BM25 over owned terms, the materialized subword split — run 1024 cases
-# here, 64 in tier-1, with the rest of the crates' suites. So do the
+# BM25's string-keyed tree-map postings over owned terms, the materialized
+# subword split — run 1024 cases here, 64 in tier-1, with the rest of the
+# crates' suites. So do the
 # thresholded Jaro-Winkler's soundness properties (a bound, or its
 # per-length test, may reject only what the full score would; the
 # copy-free common-byte count equals the copying one), BM25's cached
@@ -112,11 +127,13 @@ echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and s
 # once-per-distinct-core report to the one from analysing every sampled
 # text, over sampler output and over (core, template) generations,
 # mislabelled ones included (DESIGN.md §5b). So do the ingest-time sentence
-# analysis' properties (DESIGN.md §5c): BM25 fed the analysis' term stream
+# analysis' properties (DESIGN.md §5c): BM25 fed the analysis' id stream
 # equals BM25 over the chunk text, a store rebuilt from its parts has the
-# analysis and the BM25 index it had, and evidence scored from the stored
-# analysis — and by the text wrapper — equals the per-question re-tokenizing
-# oracle, questions with more than 64 content terms included.
+# analysis and the BM25 index it had, every sentence's term ids resolve in
+# the BM25 index's dictionary and every term there is posted, and evidence
+# scored from the stored analysis — and by the text wrapper — equals the
+# per-question re-tokenizing oracle, questions with more than 64 content
+# terms included.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
     -p unisem-retrieval -p unisem-entropy -p unisem-docstore
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-core --test evidence_props

@@ -710,7 +710,7 @@ pub fn e8() -> String {
         [("naive_rag (SLM)", ModelClass::SlmClass), ("naive_rag (LLM)", ModelClass::LlmClass)]
     {
         let lexicon = w.lexicon.clone();
-        let slm = Slm::new(SlmConfig { lexicon, class, ..SlmConfig::default() });
+        let slm = Slm::new(SlmConfig { lexicon, ..SlmConfig::default() });
         let rag = NaiveRagPipeline::new(slm.clone(), Arc::new(w.docstore()), 5);
         slm.meter().reset();
         let r = evaluate_pipeline(&rag, &w.qa);

@@ -8,7 +8,8 @@
 //!
 //! A sentence's terms never change after ingest, so the engine reads them
 //! from the store's analysis ([`DocStore::sentence_terms`], DESIGN.md §5c):
-//! a question maps its own terms to ids once, and each candidate sentence
+//! a question maps its own terms to ids once, through the store's one term
+//! dictionary (its BM25 index), and each candidate sentence
 //! is scored from its stored span and sorted term ids, with no chunk text
 //! copied and no sentence re-tokenized. [`extract_evidence`] and
 //! [`extract_evidence_grounded`] score texts they are handed by analysing
@@ -17,6 +18,7 @@
 use std::collections::BTreeSet;
 use unisem_docstore::{ChunkId, DocStore, SentenceTerms};
 use unisem_slm::SupportedAnswer;
+use unisem_text::bm25::Bm25Index;
 use unisem_text::normalize::{is_stopword, lower_into, normalize_into};
 use unisem_text::tokenize::{tokenize, TokenKind};
 
@@ -71,22 +73,23 @@ pub fn extract_evidence(
 /// gone, terms like a quarter label become rare within the pool and
 /// correctly dominate the ranking.
 ///
-/// The texts are analysed here, as a store analyses its chunks at ingest,
-/// and then scored like [`extract_stored_evidence`] scores stored chunks.
+/// The texts are analysed here, as a store analyses its chunks at ingest
+/// but into a scratch dictionary, and then scored like
+/// [`extract_stored_evidence`] scores stored chunks.
 pub fn extract_evidence_grounded(
     query: &str,
     chunks: &[(usize, String, f64)],
     max_sentences: usize,
     required_entities: &[String],
 ) -> Vec<EvidenceSentence> {
-    let mut analysis = SentenceTerms::default();
+    let (mut analysis, mut dictionary) = (SentenceTerms::default(), Bm25Index::default());
     let mut stream = Vec::new();
     let mut retrieved = Vec::with_capacity(chunks.len());
     for (slot, (chunk_id, text, score)) in chunks.iter().enumerate() {
-        analysis.add_chunk(text, &mut stream);
+        analysis.add_chunk(text, &mut dictionary, &mut stream);
         retrieved.push(Retrieved { chunk_id: *chunk_id, slot, text, score: *score });
     }
-    score_sentences(query, &analysis, &retrieved, max_sentences, required_entities)
+    score_sentences(query, &analysis, &dictionary, &retrieved, max_sentences, required_entities)
 }
 
 /// [`extract_evidence_grounded`] over stored chunks: `hits` are
@@ -107,7 +110,8 @@ pub fn extract_stored_evidence(
             retrieved.push(Retrieved { chunk_id, slot: chunk_id, text: &chunk.text, score });
         }
     }
-    score_sentences(query, docs.sentence_terms(), &retrieved, max_sentences, required_entities)
+    let analysis = docs.sentence_terms();
+    score_sentences(query, analysis, docs.index(), &retrieved, max_sentences, required_entities)
 }
 
 /// A retrieved chunk as the scoring core reads it.
@@ -126,9 +130,11 @@ struct Retrieved<'a> {
 /// mentioning a required entity, when any are given) is a candidate, and
 /// a candidate's support is its chunk's rank-normalized score times the
 /// IDF-weighted share of query terms it covers, times a length prior.
+/// `dictionary` is the one `analysis` interned its terms in.
 fn score_sentences(
     query: &str,
     analysis: &SentenceTerms,
+    dictionary: &Bm25Index,
     chunks: &[Retrieved<'_>],
     max_sentences: usize,
     required_entities: &[String],
@@ -142,15 +148,15 @@ fn score_sentences(
     // retriever scores vary by orders of magnitude across retrievers and
     // would otherwise drown the coverage signal.
     let max_score = chunks.iter().map(|c| c.score).fold(0.0f64, f64::max).max(1e-12);
-    // The query's terms in sorted order, as ids: a term no analysed
-    // sentence contains has none.
+    // The query's terms in sorted order, as ids: a term the dictionary
+    // lacks has none.
     struct QueryTerm {
         id: Option<u32>,
         df: usize,
         idf: f64,
     }
     let mut query: Vec<QueryTerm> =
-        terms.iter().map(|t| QueryTerm { id: analysis.term_id(t), df: 0, idf: 0.0 }).collect();
+        terms.iter().map(|t| QueryTerm { id: dictionary.term_id(t), df: 0, idf: 0.0 }).collect();
     let covers = |q: &QueryTerm, ids: &[u32]| q.id.is_some_and(|id| ids.binary_search(&id).is_ok());
 
     // Gather the candidates first, so query terms can be IDF-weighted

@@ -8,7 +8,8 @@
 //! owns the document → chunk decomposition and provides the lexical search
 //! baseline used in the retrieval experiments. Each chunk is tokenized and
 //! stemmed once, when it is added: that one pass feeds BM25 and
-//! [`SentenceTerms`], the per-sentence terms evidence selection reads.
+//! [`SentenceTerms`], the per-sentence terms evidence selection reads, and
+//! both name terms by the BM25 index's ids, the store's one dictionary.
 
 use std::fmt;
 
@@ -120,13 +121,12 @@ impl DocStore {
         store
     }
 
-    /// Analyses the sentences of the chunk about to be stored, then
-    /// indexes the same term stream as its BM25 document. `stream` is a
-    /// buffer reused across chunks.
+    /// Analyses the sentences of the chunk about to be stored, interning
+    /// its terms in the BM25 index, then posts the same id stream as its
+    /// BM25 document. `stream` is a buffer reused across chunks.
     fn index_chunk(&mut self, text: &str, stream: &mut Vec<u32>) {
-        self.sentences.add_chunk(text, stream);
-        let terms: Vec<&str> = stream.iter().map(|&id| self.sentences.term(id)).collect();
-        let indexed = self.index.add_terms(&terms);
+        self.sentences.add_chunk(text, &mut self.index, stream);
+        let indexed = self.index.add_ids(stream);
         debug_assert_eq!(indexed, self.chunks.len(), "chunk ids track BM25 doc ids");
     }
 
@@ -135,7 +135,8 @@ impl DocStore {
         self.chunk_config
     }
 
-    /// The BM25 index over chunks, one document per chunk id.
+    /// The BM25 index over chunks, one document per chunk id. Its term
+    /// dictionary is the one [`Self::sentence_terms`]' ids are drawn from.
     pub fn index(&self) -> &Bm25Index {
         &self.index
     }

@@ -4,13 +4,13 @@
 //! normalized terms they contain. Those terms are a pure function of the
 //! chunk text, so [`SentenceTerms`] computes them when a chunk is added:
 //! each sentence's byte span in its chunk and its sorted, distinct term
-//! ids, in flat arrays, with ids drawn from one vocabulary. The same pass
-//! yields the chunk's whole term sequence, which is what BM25 indexes.
+//! ids, in flat arrays. The ids are drawn from the store's BM25 index, its
+//! one term dictionary, and the same pass yields the chunk's whole id
+//! sequence, which is what BM25 posts.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 
+use unisem_text::bm25::Bm25Index;
 use unisem_text::normalize::{lower_into, normalize_into};
 use unisem_text::sentence::sentence_spans;
 use unisem_text::tokenize::{tokenize, TokenKind};
@@ -22,11 +22,6 @@ use unisem_text::tokenize::{tokenize, TokenKind};
 /// normalized, as BM25 and the question analysis normalize them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SentenceTerms {
-    /// Term text by id, in first-seen order.
-    terms: Vec<Arc<str>>,
-    /// Term text to id: the vocabulary's lookup. It shares each term's
-    /// text with `terms`, so cloning the analysis copies no term.
-    by_text: BTreeMap<Arc<str>, u32>,
     /// Per chunk, the index of its first sentence; one past the last
     /// chunk's last sentence at the end.
     chunk_starts: Vec<u32>,
@@ -40,9 +35,10 @@ pub struct SentenceTerms {
 }
 
 impl SentenceTerms {
-    /// Analyses one more chunk. `stream` is overwritten with the chunk's
-    /// term ids in text order, repeats included: the document BM25 indexes.
-    pub fn add_chunk(&mut self, text: &str, stream: &mut Vec<u32>) {
+    /// Analyses one more chunk, interning its terms in `dictionary`.
+    /// `stream` is overwritten with the chunk's term ids in text order,
+    /// repeats included: the document BM25 posts.
+    pub fn add_chunk(&mut self, text: &str, dictionary: &mut Bm25Index, stream: &mut Vec<u32>) {
         if self.chunk_starts.is_empty() {
             self.chunk_starts.push(0);
             self.term_starts.push(0);
@@ -59,7 +55,7 @@ impl SentenceTerms {
         for t in tokenize(text).filter(|t| t.kind != TokenKind::Punct) {
             lower_into(t.text, &mut lower);
             normalize_into(&lower, &mut term);
-            let id = self.intern(&term);
+            let id = dictionary.intern(&term);
             stream.push(id);
             while sentence < spans.len() && spans[sentence].end <= t.start {
                 self.close_sentence(&spans[sentence], open);
@@ -94,31 +90,6 @@ impl SentenceTerms {
         self.term_starts.push(self.term_ids.len() as u32);
     }
 
-    /// The id of `term`, assigned now if it is new.
-    fn intern(&mut self, term: &str) -> u32 {
-        if let Some(&id) = self.by_text.get(term) {
-            return id;
-        }
-        let id = self.terms.len() as u32;
-        let term: Arc<str> = term.into();
-        self.terms.push(term.clone());
-        self.by_text.insert(term, id);
-        id
-    }
-
-    /// The id of a normalized term, if any analysed chunk contains it.
-    pub fn term_id(&self, term: &str) -> Option<u32> {
-        self.by_text.get(term).copied()
-    }
-
-    /// The normalized term an id stands for.
-    ///
-    /// # Panics
-    /// If no analysed chunk produced `id`.
-    pub fn term(&self, id: u32) -> &str {
-        &self.terms[id as usize]
-    }
-
     /// The sentences of the `chunk`-th chunk analysed, in text order: each
     /// one's byte span in the chunk text and its sorted, distinct term ids.
     /// Empty for a chunk never analysed.
@@ -144,18 +115,20 @@ mod tests {
 
     #[test]
     fn sentences_carry_their_distinct_sorted_terms() {
-        let mut a = SentenceTerms::default();
+        let (mut a, mut dict) = (SentenceTerms::default(), Bm25Index::default());
         let mut stream = Vec::new();
         let text = "Sales rose. Sales fell, sales rose again! \"Quoted.\" Done";
-        a.add_chunk(text, &mut stream);
-        let words: Vec<&str> = stream.iter().map(|&id| a.term(id)).collect();
+        a.add_chunk(text, &mut dict, &mut stream);
+        let terms: Vec<&str> = dict.postings().map(|(term, _)| term).collect();
+        let term = |id: u32| terms[id as usize];
+        let words: Vec<&str> = stream.iter().map(|&id| term(id)).collect();
         assert_eq!(
             words,
             ["sale", "rose", "sale", "fell", "sale", "rose", "again", "quot", "done"]
         );
         let got: Vec<(&str, Vec<&str>)> = a
             .sentences(0)
-            .map(|(span, ids)| (&text[span], ids.iter().map(|&id| a.term(id)).collect()))
+            .map(|(span, ids)| (&text[span], ids.iter().map(|&id| term(id)).collect()))
             .collect();
         let texts: Vec<&str> = got.iter().map(|(t, _)| *t).collect();
         assert_eq!(texts, split_sentences(text));
@@ -163,18 +136,18 @@ mod tests {
         for (_, ids) in a.sentences(0) {
             assert!(ids.windows(2).all(|w| w[0] < w[1]));
         }
-        assert_eq!(a.term_id("sale"), Some(stream[0]));
-        assert_eq!(a.term_id("sales"), None);
+        assert_eq!(dict.term_id("sale"), Some(stream[0]));
+        assert_eq!(dict.term_id("sales"), None);
     }
 
     #[test]
     fn chunks_share_one_vocabulary() {
-        let mut a = SentenceTerms::default();
+        let (mut a, mut dict) = (SentenceTerms::default(), Bm25Index::default());
         let (mut first, mut second) = (Vec::new(), Vec::new());
-        a.add_chunk("alpha beta", &mut first);
-        a.add_chunk("", &mut second);
+        a.add_chunk("alpha beta", &mut dict, &mut first);
+        a.add_chunk("", &mut dict, &mut second);
         assert!(second.is_empty());
-        a.add_chunk("beta gamma", &mut second);
+        a.add_chunk("beta gamma", &mut dict, &mut second);
         assert_eq!(first[1], second[0]);
         assert_eq!(a.sentences(1).count(), 0);
         assert_eq!(a.sentences(2).count(), 1);

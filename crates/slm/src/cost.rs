@@ -110,24 +110,14 @@ struct MeterInner {
     usage: UsageSnapshot,
 }
 
-/// Thread-safe usage ledger shared by all components of one pipeline.
-#[derive(Debug, Clone)]
+/// Thread-safe usage ledger shared by all components of one pipeline. It
+/// counts tokens only; a [`CostModel`] prices them.
+#[derive(Debug, Clone, Default)]
 pub struct CostMeter {
     inner: Arc<Mutex<MeterInner>>,
-    model: CostModel,
 }
 
 impl CostMeter {
-    /// Creates a meter charging against `model`.
-    pub fn new(model: CostModel) -> Self {
-        Self { inner: Arc::new(Mutex::new(MeterInner::default())), model }
-    }
-
-    /// The cost model in effect.
-    pub fn model(&self) -> CostModel {
-        self.model
-    }
-
     /// Records an embedding pass over `tokens`.
     pub fn record_embed(&self, tokens: usize) {
         let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -187,7 +177,7 @@ mod tests {
 
     #[test]
     fn meter_accumulates() {
-        let m = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
+        let m = CostMeter::default();
         m.record_embed(10);
         m.record_tag(20);
         m.record_generate(30, 5);
@@ -201,7 +191,7 @@ mod tests {
 
     #[test]
     fn reset_returns_and_clears() {
-        let m = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
+        let m = CostMeter::default();
         m.record_embed(10);
         let s = m.reset();
         assert_eq!(s.embed_tokens, 10);
@@ -210,7 +200,7 @@ mod tests {
 
     #[test]
     fn clones_share_ledger() {
-        let m = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
+        let m = CostMeter::default();
         let c = m.clone();
         c.record_tag(7);
         assert_eq!(m.snapshot().tag_tokens, 7);
@@ -229,7 +219,7 @@ mod tests {
         // Poison the ledger mutex: panic while holding the guard. Every
         // meter entry point recovers via `PoisonError::into_inner`, so a
         // panicking worker thread must not take the meter down with it.
-        let m = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
+        let m = CostMeter::default();
         m.record_embed(5);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = m.inner.lock().unwrap();
@@ -251,7 +241,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording() {
-        let m = CostMeter::new(CostModel::for_class(ModelClass::SlmClass));
+        let m = CostMeter::default();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let m = m.clone();

@@ -46,8 +46,6 @@ use unisem_text::distinct_ids;
 pub struct SlmConfig {
     /// Embedding dimensionality.
     pub embed_dim: usize,
-    /// Model class used for cost accounting.
-    pub class: ModelClass,
     /// Domain lexicon for entity tagging (the SLM's "world knowledge").
     pub lexicon: Lexicon,
     /// Base seed for all stochastic generation paths.
@@ -56,12 +54,7 @@ pub struct SlmConfig {
 
 impl Default for SlmConfig {
     fn default() -> Self {
-        Self {
-            embed_dim: 256,
-            class: ModelClass::SlmClass,
-            lexicon: Lexicon::default(),
-            seed: 0x5eed,
-        }
+        Self { embed_dim: 256, lexicon: Lexicon::default(), seed: 0x5eed }
     }
 }
 
@@ -76,7 +69,6 @@ pub struct Slm {
     ner: Arc<NerTagger>,
     generator: Arc<Generator>,
     meter: CostMeter,
-    class: ModelClass,
     seed: u64,
 }
 
@@ -89,7 +81,6 @@ impl Default for Slm {
 impl Slm {
     /// Builds an SLM from configuration.
     pub fn new(config: SlmConfig) -> Self {
-        let meter = CostMeter::new(CostModel::for_class(config.class));
         Self {
             embedder: Arc::new(Embedder::new(EmbedderConfig {
                 dim: config.embed_dim,
@@ -97,15 +88,9 @@ impl Slm {
             })),
             ner: Arc::new(NerTagger::new(config.lexicon)),
             generator: Arc::new(Generator::new(config.seed)),
-            meter,
-            class: config.class,
+            meter: CostMeter::default(),
             seed: config.seed,
         }
-    }
-
-    /// The model class (SLM vs LLM) this instance simulates.
-    pub fn class(&self) -> ModelClass {
-        self.class
     }
 
     /// Base seed for stochastic paths.
@@ -185,7 +170,6 @@ mod tests {
     #[test]
     fn default_constructs() {
         let slm = Slm::default();
-        assert_eq!(slm.class(), ModelClass::SlmClass);
         assert_eq!(slm.embed_dim(), 256);
     }
 

@@ -3,10 +3,13 @@
 //! This powers the lexical-retrieval baseline and the lexical half of the
 //! topology retriever's score fusion. Documents are identified by dense
 //! `usize` ids assigned at insertion order, so a query accumulates scores in
-//! a `Vec` indexed by id rather than in a map.
+//! a `Vec` indexed by id rather than in a map. Terms are interned to dense
+//! `u32` ids in first-seen order, and posting lists are a `Vec` indexed by
+//! term id: the index is its corpus' one term dictionary, which a document
+//! store's sentence analysis shares (DESIGN.md §5c).
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::normalize::{lower_into, normalize_into};
 use crate::tokenize::{tokenize, TokenKind};
@@ -20,9 +23,14 @@ pub const B: f64 = 0.75;
 /// An inverted-index-backed BM25 scorer.
 #[derive(Debug, Clone, Default)]
 pub struct Bm25Index {
-    /// term -> postings of (doc_id, term_frequency). Ordered so that
-    /// iteration (size accounting, debugging) is deterministic.
-    postings: BTreeMap<String, Vec<(usize, u32)>>,
+    /// Term text by id, in first-seen order.
+    terms: Vec<Arc<str>>,
+    /// Term text to id: the dictionary's lookup. It shares each term's
+    /// text with `terms`, so cloning the index copies no term.
+    by_text: BTreeMap<Arc<str>, u32>,
+    /// Per term id, its postings of (doc_id, term_frequency) in ascending
+    /// doc id order.
+    postings: Vec<Vec<(usize, u32)>>,
     /// Document lengths in tokens.
     doc_len: Vec<usize>,
     total_tokens: usize,
@@ -38,35 +46,50 @@ pub struct Bm25Index {
 impl Bm25Index {
     /// Adds a document, returning its id (insertion order).
     pub fn add_document(&mut self, text: &str) -> usize {
-        self.add_terms(&index_terms(text))
+        let mut ids = Vec::new();
+        for_each_term(text, |term| ids.push(self.intern(term)));
+        self.add_ids(&ids)
     }
 
-    /// Adds a pre-normalized term list as a document, returning its id.
-    /// A term is copied only when it is new to the index.
-    pub fn add_terms<T: AsRef<str>>(&mut self, terms: &[T]) -> usize {
+    /// The id of a normalized term, assigned now if it is new. A new term
+    /// has an empty posting list until a document containing it is added.
+    pub fn intern(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.by_text.get(term) {
+            return id;
+        }
+        let id = self.terms.len() as u32;
+        let term: Arc<str> = term.into();
+        self.terms.push(term.clone());
+        self.by_text.insert(term, id);
+        self.postings.push(Vec::new());
+        id
+    }
+
+    /// Adds a document given as its terms' ids ([`Self::intern`]) in text
+    /// order, repeats included, returning its id.
+    ///
+    /// # Panics
+    /// If an id was never interned.
+    pub fn add_ids(&mut self, ids: &[u32]) -> usize {
         let doc_id = self.doc_len.len();
         self.norms = OnceLock::new();
-        self.doc_len.push(terms.len());
-        self.total_tokens += terms.len();
-        // Sorted, so equal terms are adjacent and each distinct term is
-        // counted and posted once, in a deterministic order.
-        let mut sorted: Vec<&str> = terms.iter().map(AsRef::as_ref).collect();
+        self.doc_len.push(ids.len());
+        self.total_tokens += ids.len();
+        // Sorted, so equal ids are adjacent and each distinct term is
+        // counted and posted once.
+        let mut sorted = ids.to_vec();
         sorted.sort_unstable();
         for run in sorted.chunk_by(|a, b| a == b) {
-            let (t, c) = (run[0], run.len() as u32);
-            let len = match self.postings.get_mut(t) {
-                Some(posts) => {
-                    posts.push((doc_id, c));
-                    posts.len()
-                }
-                None => {
-                    self.postings.insert(t.to_owned(), vec![(doc_id, c)]);
-                    1
-                }
-            };
-            self.max_posting = self.max_posting.max(len);
+            let posts = &mut self.postings[run[0] as usize];
+            posts.push((doc_id, run.len() as u32));
+            self.max_posting = self.max_posting.max(posts.len());
         }
         doc_id
+    }
+
+    /// The id of a normalized term, if the dictionary holds it.
+    pub fn term_id(&self, term: &str) -> Option<u32> {
+        self.by_text.get(term).copied()
     }
 
     /// Number of documents in the index.
@@ -92,19 +115,16 @@ impl Bm25Index {
     /// corpus — the resource-meter contract.
     pub fn postings_scanned(&self, query: &str) -> usize {
         let mut scanned = 0;
-        for_each_term(query, |term| scanned += self.postings.get(term).map_or(0, Vec::len));
+        for_each_term(query, |term| scanned += self.posting(term).map_or(0, Vec::len));
         scanned
     }
 
     /// Approximate resident size of the index in bytes (for the E2 storage
-    /// experiment): postings entries plus term keys plus doc-length array.
+    /// experiment): postings entries plus term texts plus doc-length array.
     pub fn approx_bytes(&self) -> usize {
-        let postings: usize = self
-            .postings
-            .iter()
-            .map(|(k, v)| k.len() + v.len() * std::mem::size_of::<(usize, u32)>())
-            .sum();
-        postings + self.doc_len.len() * std::mem::size_of::<usize>()
+        let postings: usize =
+            self.postings().map(|(t, posts)| t.len() + std::mem::size_of_val(posts)).sum();
+        postings + std::mem::size_of_val(self.doc_lens())
     }
 
     fn avg_doc_len(&self) -> f64 {
@@ -127,17 +147,20 @@ impl Bm25Index {
     /// Returns `(doc_id, score)` pairs sorted by descending score (ties by
     /// ascending id for determinism), and the posting entries scanned to
     /// find them, counted in the same pass over the once-normalized query.
-    /// Documents with no query term overlap are omitted.
+    /// Documents with no query term overlap are omitted. A document's
+    /// score is the sum of its per-term contributions in query term order;
+    /// the best `top_k` are selected under the output order and only those
+    /// are sorted.
     pub fn search(&self, query: &str, top_k: usize) -> (Vec<(usize, f64)>, usize) {
         let mut lists = Vec::new();
-        for_each_term(query, |term| lists.push(self.postings.get(term)));
+        for_each_term(query, |term| lists.push(self.posting(term)));
         self.score(lists, top_k)
     }
 
-    /// The postings table: term → `(doc_id, term_frequency)` pairs in
-    /// insertion (ascending doc id) order.
-    pub fn postings(&self) -> &BTreeMap<String, Vec<(usize, u32)>> {
-        &self.postings
+    /// Every term with its `(doc_id, term_frequency)` pairs in ascending
+    /// doc id order, in term id order.
+    pub fn postings(&self) -> impl ExactSizeIterator<Item = (&str, &[(usize, u32)])> + '_ {
+        self.terms.iter().zip(&self.postings).map(|(t, posts)| (&**t, posts.as_slice()))
     }
 
     /// Per-document token counts, indexed by doc id.
@@ -145,13 +168,9 @@ impl Bm25Index {
         &self.doc_len
     }
 
-    /// Like [`Self::search`] but with pre-normalized query terms.
-    ///
-    /// A document's score is the sum of its per-term contributions in term
-    /// order; the best `top_k` are selected under the output order and only
-    /// those are sorted.
-    pub fn search_terms(&self, terms: &[String], top_k: usize) -> (Vec<(usize, f64)>, usize) {
-        self.score(terms.iter().map(|term| self.postings.get(term)), top_k)
+    /// The posting list of a normalized term the dictionary holds.
+    fn posting(&self, term: &str) -> Option<&Vec<(usize, u32)>> {
+        self.term_id(term).map(|id| &self.postings[id as usize])
     }
 
     /// Every document's length norm, computed once per index version.
@@ -200,13 +219,6 @@ impl Bm25Index {
         out.sort_unstable_by(by_rank);
         (out, scanned)
     }
-}
-
-/// The normalized index terms of a document text, in text order.
-fn index_terms(text: &str) -> Vec<String> {
-    let mut terms = Vec::new();
-    for_each_term(text, |term| terms.push(term.to_owned()));
-    terms
 }
 
 /// Calls `f` with each normalized term of `text` in text order: every word
@@ -305,7 +317,7 @@ mod tests {
         assert_eq!(ix.postings_scanned("zebra"), 0);
         assert_eq!(ix.postings_scanned("fox zebra"), 2);
         // Repeated terms scan their posting list once per occurrence,
-        // mirroring what search_terms actually does.
+        // mirroring what search actually does.
         assert_eq!(ix.postings_scanned("fox fox"), 4);
         assert!(ix.postings_scanned("alpha product sales quarter") > 0);
     }
@@ -314,7 +326,7 @@ mod tests {
     fn posting_stats_maintained_on_add_equal_a_recount() {
         let ix = sample();
         let max = ix.max_posting();
-        assert_eq!(max, ix.postings().values().map(Vec::len).max().unwrap());
+        assert_eq!(max, ix.postings().map(|(_, posts)| posts.len()).max().unwrap());
     }
 
     #[test]

@@ -149,8 +149,9 @@ fn index_terms_owned(text: &str) -> Vec<String> {
     tokenize_words(text).iter().map(|w| normalize_token(w)).collect()
 }
 
-// A raw-text search folds its terms in a reused buffer: same hits, same
-// bits, same postings as a search over the owned terms.
+// A raw-text search folds its terms in a reused buffer: same postings per
+// term, same hits, same bits and same postings scanned as the tree-map
+// reference over the owned terms.
 prop_check!(
     search_matches_owned_query_terms,
     zip(&vec_of(&string_of(AWKWARD, 0, 24), 0, 12), &string_of(AWKWARD, 0, 24)),
@@ -160,13 +161,10 @@ prop_check!(
         for d in docs {
             ix.add_document(d);
         }
-        let mut owned = Bm25Index::default();
-        for d in docs {
-            owned.add_terms(&index_terms_owned(d));
-        }
-        prop_assert_eq!(ix.postings(), owned.postings());
+        let reference = TreeMapIndex::new(docs.iter().map(|d| index_terms_owned(d)));
+        reference.holds_postings_of(&ix)?;
         let (got, got_scanned) = ix.search(query, 5);
-        let (want, want_scanned) = ix.search_terms(&index_terms_owned(query), 5);
+        let (want, want_scanned) = reference.search(&index_terms_owned(query), 5);
         prop_assert_eq!(bits(&got), bits(&want), "{query:?}");
         prop_assert_eq!(got_scanned, want_scanned);
         prop_assert_eq!(ix.postings_scanned(query), want_scanned);
@@ -348,38 +346,72 @@ fn jaro_winkler_at_least_edge_cases() {
     assert!(JaroWinklerAtLeast::new("abce", 0.88).score("abcd").is_some());
 }
 
-/// BM25 scoring as it was: a tree map of scores, every match collected and
-/// fully sorted, then truncated. Returns the hits and the postings scanned.
-fn search_terms_reference(
-    ix: &Bm25Index,
-    terms: &[String],
-    top_k: usize,
-) -> (Vec<(usize, f64)>, usize) {
-    let n = ix.len() as f64;
-    let avg = if ix.is_empty() { 0.0 } else { ix.doc_lens().iter().sum::<usize>() as f64 / n };
-    let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut scanned = 0;
-    for term in terms {
-        let Some(posts) = ix.postings().get(term) else {
-            continue;
-        };
-        scanned += posts.len();
-        let df = posts.len() as f64;
-        let idf = (1.0 + (n - df + 0.5) / (df + 0.5)).ln();
-        for &(doc, tf) in posts {
-            let dl = ix.doc_lens()[doc] as f64;
-            let tf = f64::from(tf);
-            let denom = tf + K1 * (1.0 - B + B * dl / avg.max(1e-9));
-            let s = idf * tf * (K1 + 1.0) / denom;
-            *scores.entry(doc).or_insert(0.0) += s;
+/// BM25 as it was: a tree map from owned term to its `(doc_id,
+/// term_frequency)` list, and scoring into a tree map of scores.
+struct TreeMapIndex {
+    postings: BTreeMap<String, Vec<(usize, u32)>>,
+    doc_lens: Vec<usize>,
+}
+
+impl TreeMapIndex {
+    /// Indexes documents given as their owned terms, in order.
+    fn new(docs: impl IntoIterator<Item = Vec<String>>) -> Self {
+        let mut ix = Self { postings: BTreeMap::new(), doc_lens: Vec::new() };
+        for (doc, terms) in docs.into_iter().enumerate() {
+            let mut counts: BTreeMap<&str, u32> = BTreeMap::new();
+            for t in &terms {
+                *counts.entry(t).or_insert(0) += 1;
+            }
+            for (t, c) in counts {
+                ix.postings.entry(t.to_owned()).or_default().push((doc, c));
+            }
+            ix.doc_lens.push(terms.len());
         }
+        ix
     }
-    let mut out: Vec<(usize, f64)> = scores.into_iter().collect();
-    out.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    out.truncate(top_k);
-    (out, scanned)
+
+    /// Fails unless `ix` has these postings per term and these lengths.
+    fn holds_postings_of(&self, ix: &Bm25Index) -> Result<(), String> {
+        let got: BTreeMap<String, Vec<(usize, u32)>> =
+            ix.postings().map(|(t, posts)| (t.to_owned(), posts.to_vec())).collect();
+        prop_assert_eq!(&got, &self.postings);
+        prop_assert_eq!(ix.doc_lens(), self.doc_lens.as_slice());
+        Ok(())
+    }
+
+    /// Every match collected and fully sorted, then truncated. Returns the
+    /// hits and the postings scanned.
+    fn search(&self, terms: &[String], top_k: usize) -> (Vec<(usize, f64)>, usize) {
+        let n = self.doc_lens.len() as f64;
+        let avg = if self.doc_lens.is_empty() {
+            0.0
+        } else {
+            self.doc_lens.iter().sum::<usize>() as f64 / n
+        };
+        let mut scores: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut scanned = 0;
+        for term in terms {
+            let Some(posts) = self.postings.get(term) else {
+                continue;
+            };
+            scanned += posts.len();
+            let df = posts.len() as f64;
+            let idf = (1.0 + (n - df + 0.5) / (df + 0.5)).ln();
+            for &(doc, tf) in posts {
+                let dl = self.doc_lens[doc] as f64;
+                let tf = f64::from(tf);
+                let denom = tf + K1 * (1.0 - B + B * dl / avg.max(1e-9));
+                let s = idf * tf * (K1 + 1.0) / denom;
+                *scores.entry(doc).or_insert(0.0) += s;
+            }
+        }
+        let mut out: Vec<(usize, f64)> = scores.into_iter().collect();
+        out.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        out.truncate(top_k);
+        (out, scanned)
+    }
 }
 
 fn bits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
@@ -393,18 +425,25 @@ fn corpus_and_query() -> Gen<(Vec<Vec<String>>, Vec<String>)> {
     zip(&vec_of(&vec_of(&word, 0, 6), 0, 40), &vec_of(&string_of("abcdez", 1, 1), 0, 6))
 }
 
+// The raw-text search over documents and a query spelled from those words
+// equals the tree-map reference over their owned terms: postings per term,
+// hits with score bits and postings scanned, at every cut.
 prop_check!(search_terms_matches_tree_map_reference, corpus_and_query(), |p| {
     let (docs, query) = p;
+    let (docs, query) = (docs.iter().map(|d| d.join(" ")).collect::<Vec<_>>(), query.join(" "));
     let mut ix = Bm25Index::default();
-    for d in docs {
-        ix.add_terms(d);
+    for d in &docs {
+        ix.add_document(d);
     }
-    let (all, _) = search_terms_reference(&ix, query, usize::MAX);
+    let reference = TreeMapIndex::new(docs.iter().map(|d| index_terms_owned(d)));
+    reference.holds_postings_of(&ix)?;
+    let terms = index_terms_owned(&query);
+    let (all, _) = reference.search(&terms, usize::MAX);
     // No hits, the best one, a cut inside the matches (through a tie when
     // there is one), exactly all of them, and more than there are.
     for top_k in [0, 1, all.len() / 2, all.len(), all.len() + 3, usize::MAX] {
-        let (got, got_scanned) = ix.search_terms(query, top_k);
-        let (want, want_scanned) = search_terms_reference(&ix, query, top_k);
+        let (got, got_scanned) = ix.search(&query, top_k);
+        let (want, want_scanned) = reference.search(&terms, top_k);
         prop_assert_eq!(bits(&got), bits(&want), "top_k = {top_k}");
         prop_assert_eq!(got_scanned, want_scanned);
     }
@@ -434,10 +473,11 @@ fn search_two_divisions(ix: &Bm25Index, query: &str) -> Vec<(usize, f64)> {
     let n = ix.len() as f64;
     let avg = if ix.is_empty() { 0.0 } else { ix.doc_lens().iter().sum::<usize>() as f64 / n };
     let avg = avg.max(1e-9);
+    let postings: BTreeMap<&str, &[(usize, u32)]> = ix.postings().collect();
     let mut scores = vec![0.0f64; ix.len()];
     let mut touched = Vec::new();
     for term in unisem_text::tokenize_words(query).iter().map(|w| normalize_token(w)) {
-        let Some(posts) = ix.postings().get(&term) else {
+        let Some(&posts) = postings.get(term.as_str()) else {
             continue;
         };
         let df = posts.len() as f64;
