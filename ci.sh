@@ -117,7 +117,9 @@ echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and s
 # thresholded Jaro-Winkler's soundness properties (a bound, or its
 # per-length test, may reject only what the full score would; the
 # copy-free common-byte count equals the copying one), BM25's cached
-# length norms against the two-division score, the graph's
+# length norms against the two-division score, BM25's thresholded top-k
+# pass against the fully sorted tree-map reference at every cut (0, 1, a
+# tie, all, all + 3 and usize::MAX, with debug overflow checks on), the graph's
 # referential-entity table against one rebuilt from its nodes, and the
 # retriever's tree-map oracle, which holds table-driven fuzzy linking and
 # the word-index containment lookup to the per-mention, per-word walks

@@ -352,8 +352,9 @@ impl TopologyRetriever {
     /// Retrieval with traversal statistics.
     ///
     /// Node and chunk ids are dense, so every per-id table here is a `Vec`
-    /// indexed by id beside a list of the ids in use; the lists are walked
-    /// in ascending id order, which is what makes the result a pure
+    /// indexed by id beside a list of the ids in use, except the lexical
+    /// scores, which are looked up in the few BM25 hits; the lists are
+    /// walked in ascending id order, which is what makes the result a pure
     /// function of the inputs (DESIGN.md §5b).
     pub fn retrieve_with_stats(
         &self,
@@ -369,7 +370,7 @@ impl TopologyRetriever {
         // posting lists.
         let lexical_fallback = anchors.is_empty();
         let lex_k = if lexical_fallback { k } else { (k * 4).max(20) };
-        let (lex_hits, postings_scanned) = self.docs.search_counted(query, lex_k);
+        let (mut lex_hits, postings_scanned) = self.docs.search_counted(query, lex_k);
         let mut stats = TraversalStats {
             anchors: primary.len() + constraints.len(),
             lexical_fallback,
@@ -450,10 +451,12 @@ impl TopologyRetriever {
         }
         stats.chunks_scored = candidates.len();
 
-        let mut lex = vec![0.0f64; n_chunks];
-        for h in &lex_hits {
-            lex[h.chunk_id] = h.score;
-        }
+        // The lexical table is the at most `lex_k` hits themselves, by chunk
+        // id: a candidate they miss scores 0 lexically.
+        lex_hits.sort_unstable_by_key(|h| h.chunk_id);
+        let lex = |c: usize| {
+            lex_hits.binary_search_by_key(&c, |h| h.chunk_id).map_or(0.0, |i| lex_hits[i].score)
+        };
         let topo_max = candidates.iter().map(|&c| topo[c]).fold(0.0f64, f64::max).max(1e-12);
         let lex_max = lex_hits.iter().map(|h| h.score).fold(0.0f64, f64::max).max(1e-12);
 
@@ -462,7 +465,7 @@ impl TopologyRetriever {
         let (alpha, beta) = (self.config.alpha, self.config.beta);
         let fused_candidates = candidates.iter().map(|&c| RetrievalResult {
             chunk_id: c,
-            score: alpha * topo[c] / topo_max + beta * lex[c] / lex_max,
+            score: alpha * topo[c] / topo_max + beta * lex(c) / lex_max,
         });
         let lexical_only = lex_hits
             .iter()

@@ -8,7 +8,8 @@
 //! term id: the index is its corpus' one term dictionary, which a document
 //! store's sentence analysis shares (DESIGN.md §5c).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, OnceLock};
 
 use crate::normalize::{lower_into, normalize_into};
@@ -149,8 +150,9 @@ impl Bm25Index {
     /// find them, counted in the same pass over the once-normalized query.
     /// Documents with no query term overlap are omitted. A document's
     /// score is the sum of its per-term contributions in query term order;
-    /// the best `top_k` are selected under the output order and only those
-    /// are sorted.
+    /// the best `top_k` are kept in one thresholded pass over the
+    /// documents in id order, and only those are sorted. Any `top_k` is a
+    /// valid cut: `usize::MAX` returns every match.
     pub fn search(&self, query: &str, top_k: usize) -> (Vec<(usize, f64)>, usize) {
         let mut lists = Vec::new();
         for_each_term(query, |term| lists.push(self.posting(term)));
@@ -182,7 +184,17 @@ impl Bm25Index {
     }
 
     /// Scores the posting lists of a query's terms, in term order (`None`
-    /// for a term the corpus lacks).
+    /// for a term the corpus lacks), and picks the best `top_k`.
+    ///
+    /// Every posting adds into one dense accumulator, with no test of
+    /// whether its document was hit before: each contribution is strictly
+    /// positive (`idf > 0` because `df ≤ n`, `tf ≥ 1`, and the denominator
+    /// is `tf` plus a positive norm), so a score above zero means exactly
+    /// "shares a query term". One pass in ascending id then keeps the best
+    /// `top_k` in a heap whose root is the worst one held; a document
+    /// enters only if it scores above that root. Ids ascend, so a later
+    /// equal score ranks below every one already held and correctly stays
+    /// out.
     fn score<'p>(
         &self,
         lists: impl IntoIterator<Item = Option<&'p Vec<(usize, u32)>>>,
@@ -190,8 +202,6 @@ impl Bm25Index {
     ) -> (Vec<(usize, f64)>, usize) {
         let norms = self.norms();
         let mut scores = vec![0.0f64; self.doc_len.len()];
-        let mut seen = vec![false; self.doc_len.len()];
-        let mut touched: Vec<usize> = Vec::new();
         let mut scanned = 0usize;
         for posts in lists.into_iter().flatten() {
             scanned += posts.len();
@@ -200,24 +210,52 @@ impl Bm25Index {
                 let tf = f64::from(tf);
                 let denom = tf + norms[doc];
                 scores[doc] += idf * tf * (K1 + 1.0) / denom;
-                if !seen[doc] {
-                    seen[doc] = true;
-                    touched.push(doc);
+            }
+        }
+        // No more than one slot per document, so an unbounded cut
+        // allocates what the corpus can fill, not `top_k`.
+        let cap = top_k.min(scores.len());
+        let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(cap);
+        // Zero, the hit test, until the heap is full; then the worst score
+        // it holds (infinite when it holds none).
+        let mut floor = 0.0f64;
+        for (doc, &score) in scores.iter().enumerate() {
+            if score > floor {
+                if best.len() < cap {
+                    best.push(Ranked(doc, score));
+                } else if let Some(mut worst) = best.peek_mut() {
+                    *worst = Ranked(doc, score);
+                }
+                if best.len() == cap {
+                    floor = best.peek().map_or(f64::INFINITY, |worst| worst.1);
                 }
             }
         }
-        let mut out: Vec<(usize, f64)> = touched.into_iter().map(|d| (d, scores[d])).collect();
-        // Ids are distinct, so this is a total order and the unstable
-        // selection and sort below have one possible outcome.
-        let by_rank = |a: &(usize, f64), b: &(usize, f64)| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        };
-        if top_k < out.len() {
-            out.select_nth_unstable_by(top_k, by_rank);
-            out.truncate(top_k);
-        }
-        out.sort_unstable_by(by_rank);
-        (out, scanned)
+        (
+            best.into_sorted_vec().into_iter().map(|Ranked(doc, score)| (doc, score)).collect(),
+            scanned,
+        )
+    }
+}
+
+/// A hit ordered by rank: a greater `Ranked` ranks lower (smaller score,
+/// then larger id), so a max-heap's root is the worst hit it holds and
+/// an ascending sort is best first. Ids are distinct and scores are never
+/// NaN, so this is a total order.
+#[derive(PartialEq)]
+struct Ranked(usize, f64);
+
+impl Eq for Ranked {}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.1.total_cmp(&self.1).then(self.0.cmp(&other.0))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -283,6 +321,26 @@ mod tests {
         let hits = ix.search("same text", 10).0;
         assert_eq!(hits[0].0, 0);
         assert_eq!(hits[1].0, 1);
+    }
+
+    #[test]
+    fn ties_at_the_cut_keep_the_lower_ids() {
+        let mut ix = Bm25Index::default();
+        for _ in 0..3 {
+            ix.add_document("same text here");
+        }
+        let hits = ix.search("same text", 2).0;
+        assert_eq!(hits.iter().map(|&(d, _)| d).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(hits[0].1.to_bits(), hits[1].1.to_bits());
+    }
+
+    #[test]
+    fn unbounded_top_k_returns_every_match() {
+        let ix = sample();
+        let all = ix.search("fox sales", usize::MAX).0;
+        assert_eq!(all.len(), 4);
+        assert_eq!(all, ix.search("fox sales", ix.len()).0);
+        assert!(ix.search("fox sales", 0).0.is_empty());
     }
 
     #[test]

@@ -440,7 +440,8 @@ prop_check!(search_terms_matches_tree_map_reference, corpus_and_query(), |p| {
     let terms = index_terms_owned(&query);
     let (all, _) = reference.search(&terms, usize::MAX);
     // No hits, the best one, a cut inside the matches (through a tie when
-    // there is one), exactly all of them, and more than there are.
+    // there is one), exactly all of them, more than there are, and the
+    // unbounded cut, by which the selection must size nothing.
     for top_k in [0, 1, all.len() / 2, all.len(), all.len() + 3, usize::MAX] {
         let (got, got_scanned) = ix.search(&query, top_k);
         let (want, want_scanned) = reference.search(&terms, top_k);

@@ -117,18 +117,18 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
         [
             ("aggregate", 8, 2598, 135521),
             ("comparative", 8, 3632, 179685),
-            ("cross_modal", 8, 2175, 386014),
-            ("lookup", 8, 1753, 284805),
+            ("cross_modal", 8, 2103, 325790),
+            ("lookup", 8, 1697, 260613),
             ("multi_entity", 5, 1626, 85863),
-            ("unanswerable", 8, 3344, 251375),
+            ("unanswerable", 8, 3280, 196655),
         ],
         [
             ("aggregate", 8, 2147, 110108),
             ("comparative", 8, 2936, 152271),
-            ("cross_modal", 8, 1560, 166050),
-            ("lookup", 8, 1480, 133078),
+            ("cross_modal", 8, 1520, 164162),
+            ("lookup", 8, 1440, 130870),
             ("multi_entity", 8, 2973, 150356),
-            ("unanswerable", 8, 2485, 143014),
+            ("unanswerable", 8, 2445, 137094),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [
