@@ -39,6 +39,20 @@ echo "==> rustdoc builds without warnings"
 # an error: the API docs cannot point at code that is gone.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+echo "==> unsafe only in parkit's pool"
+# The workspace's one unsafe block erases the lifetime of the closure a
+# resident helper runs (DESIGN.md §6); the workspace lints deny unsafe_code
+# in every crate that inherits them, with one #[expect] on that block. detkit,
+# tests/ and the examples do not inherit those lints, so this grep covers
+# them: outside comments, unsafe may appear only in crates/parkit/src/pool.rs
+# and in the counting allocator of tests/tests/allocs.rs.
+if grep -rnw --include='*.rs' unsafe crates tests examples \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+    | grep -vE '^(crates/parkit/src/pool\.rs|tests/tests/allocs\.rs):'; then
+    echo "ERROR: unsafe outside crates/parkit/src/pool.rs and tests/tests/allocs.rs (see DESIGN.md §6)"
+    exit 1
+fi
+
 echo "==> no fork-join below string- or row-sized work"
 # Entropy sampling and the relational sweeps lost their fan-outs to
 # measurement (DESIGN.md §6): the crates whose unit of work is a string or

@@ -21,18 +21,26 @@
 //!    per item *before* dispatch (`detkit::Rng::fork`), so each item's
 //!    stream is a pure function of its index, not of scheduling.
 //!
-//! The pool is *scoped*: every call spawns its workers inside
-//! [`std::thread::scope`] and joins them before returning. There is no
-//! resident worker pool and no global job queue, which makes nested
-//! parallelism (`par_map` inside `par_map`) trivially deadlock-free — inner
-//! calls simply spawn their own scoped workers. The calling thread always
-//! participates as a worker, so a pool of 1 thread never spawns at all and
-//! degenerates to a plain sequential loop.
+//! A call hands its chunks to **resident helper threads**: one process-wide
+//! set, started lazily, grown to the most helpers any one call has asked
+//! for (`min(threads, chunks) - 1`) and never shrunk, that takes tasks from
+//! one queue and blocks while it is empty. The calling thread always
+//! participates as a worker, so a pool of 1 thread never hands anything
+//! over and degenerates to a plain sequential loop. When its own share is
+//! done, the caller settles each task it queued: one no helper has started
+//! is cancelled, one that has started is waited for. A caller never waits
+//! for a task that has not begun, so nested parallelism (`par_map` inside
+//! `par_map`) and concurrent callers cannot deadlock on the helpers: at
+//! worst the caller runs every chunk itself. A helper runs a closure
+//! borrowed from the caller's stack, which takes the workspace's one
+//! `unsafe` block (a lifetime erasure in `pool.rs`); it is sound for the
+//! reason [`std::thread::scope`] is — the call cannot return or unwind
+//! while a helper may still run its closure.
 //!
 //! Worker panics are caught, the remaining chunks are abandoned, and the
-//! first panic payload is re-raised on the caller once every worker has
-//! been joined — a panicking task can never hang the pool, and behaves
-//! exactly as it would in a sequential loop.
+//! first panic payload is re-raised on the caller once every task has been
+//! settled — a panicking task can never hang the pool, behaves exactly as
+//! it would in a sequential loop, and leaves its helper alive.
 //!
 //! ## Which setting governs which site
 //!
@@ -55,4 +63,4 @@
 
 mod pool;
 
-pub use pool::{auto_chunk_count, fork_joins, global, Pool};
+pub use pool::{auto_chunk_count, fork_joins, global, threads_started, Pool};

@@ -1,19 +1,189 @@
-//! The scoped fork-join pool.
+//! The fork-join pool and the resident helper threads it hands chunks to.
 
 use std::any::Any;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Fork-joins that spawned at least one worker, process-wide.
+/// Fork-joins that handed work to at least one helper, process-wide.
 static FORK_JOINS: AtomicU64 = AtomicU64::new(0);
 
-/// How many pool calls in this process have spawned threads so far. A call
+/// How many pool calls in this process have handed work to a helper so far
+/// (whether or not a helper got to it before the caller finished). A call
 /// that fits in one chunk, or runs on a pool of width 1, runs on the caller
 /// and does not count — so a test can assert that a code path never forks.
 pub fn fork_joins() -> u64 {
     FORK_JOINS.load(Ordering::Relaxed)
+}
+
+/// How many resident helper threads this process has started. The helper
+/// set starts empty, grows to the largest `min(threads, chunks) - 1` any one
+/// call has asked for, and never shrinks — so a repeated fork-join starts
+/// no thread after its first, and a test can assert that.
+pub fn threads_started() -> u64 {
+    *lock(&HELPERS) as u64
+}
+
+/// Every lock here guards a value that each update leaves whole (a queue
+/// push or pop, a counter, one state assignment), so a poisoned guard is
+/// still valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A task body as a helper holds it: a caller's closure with its lifetime
+/// erased (see [`Tasks::submit`]).
+type Job = &'static (dyn Fn() + Sync);
+
+/// Where one submitted task stands. A helper moves it from `Pending` to
+/// `Running` and, when the body returns, to `Settled`; the caller moves a
+/// task that is still `Pending` straight to `Settled` (cancelled), after
+/// which no helper runs it.
+enum Slot {
+    Pending(Job),
+    Running,
+    Settled,
+}
+
+struct Task {
+    slot: Mutex<Slot>,
+    settled: Condvar,
+}
+
+impl Task {
+    /// Helper side: takes the body unless the caller cancelled the task.
+    fn start(&self) -> Option<Job> {
+        let mut slot = lock(&self.slot);
+        let Slot::Pending(job) = *slot else { return None };
+        *slot = Slot::Running;
+        Some(job)
+    }
+
+    /// Helper side, once the body has returned or unwound.
+    fn finish(&self) {
+        *lock(&self.slot) = Slot::Settled;
+        self.settled.notify_one();
+    }
+
+    /// Caller side: cancels the task if no helper has started it, else
+    /// waits until its helper finishes it. A caller therefore never waits
+    /// for a task that has not begun, which is why neither a call nested in
+    /// a helper's chunk nor concurrent callers can deadlock on the helpers.
+    fn settle(&self) {
+        let mut slot = lock(&self.slot);
+        if let Slot::Pending(_) = *slot {
+            *slot = Slot::Settled;
+        }
+        while let Slot::Running = *slot {
+            slot = self.settled.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Settles a task when its helper leaves the body, unwinding included.
+struct Finish<'a>(&'a Task);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.finish();
+    }
+}
+
+/// The helpers' one queue, and the signal an idle helper blocks on.
+static QUEUE: Mutex<VecDeque<Arc<Task>>> = Mutex::new(VecDeque::new());
+static QUEUED: Condvar = Condvar::new();
+
+/// Resident helpers started, process-wide (none ever stops).
+static HELPERS: Mutex<usize> = Mutex::new(0);
+
+/// Grows the helper set to at least `n`. A helper that cannot be started is
+/// not an error: its task stays pending and the caller cancels it, having
+/// run every chunk itself.
+fn ensure_helpers(n: usize) {
+    let mut helpers = lock(&HELPERS);
+    while *helpers < n {
+        // Detached on purpose: a helper lives as long as the process.
+        #[expect(clippy::disallowed_methods, reason = "parkit's resident helpers, the one fork")]
+        let started = std::thread::Builder::new().name("parkit".into()).spawn(resident);
+        if started.is_err() {
+            break;
+        }
+        *helpers += 1;
+    }
+}
+
+/// A resident helper's loop: takes tasks off the queue in order and runs
+/// those their callers have not cancelled, blocking (never spinning) while
+/// the queue is empty.
+fn resident() {
+    loop {
+        let task = {
+            let mut queue = lock(&QUEUE);
+            loop {
+                if let Some(task) = queue.pop_front() {
+                    break task;
+                }
+                queue = QUEUED.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        if let Some(job) = task.start() {
+            let _finish = Finish(&task);
+            job();
+        }
+    }
+}
+
+/// The tasks one call handed to the helpers, all running the same body.
+/// Dropping it settles every task — cancelled if still pending, waited for
+/// if started — so the call that borrowed the body for `'a` cannot return or
+/// unwind while a helper may still run it.
+struct Tasks<'a> {
+    tasks: Vec<Arc<Task>>,
+    body: PhantomData<&'a (dyn Fn() + Sync + 'a)>,
+}
+
+impl<'a> Tasks<'a> {
+    /// Queues `n` tasks that each run `body`, starting helpers if fewer than
+    /// `n` exist.
+    fn submit(body: &'a (dyn Fn() + Sync + 'a), n: usize) -> Self {
+        ensure_helpers(n);
+        // SAFETY: a helper calls the erased reference only between
+        // `Task::start` and `Task::finish`, and the only way a `Tasks` ends
+        // is its `Drop`, which returns only after every task it queued is
+        // `Settled`: cancelled before `start` could take the body, or
+        // finished after the body returned (`Finish` runs on unwind too).
+        // The borrow of `body` outlives the returned `Tasks` (`PhantomData`
+        // above), and no code in this module forgets a `Tasks`, so no call
+        // of the erased reference can outlive `'a`. Nor does a settled
+        // task keep it: `start` moves it out of the slot and cancelling
+        // overwrites it.
+        #[expect(
+            unsafe_code,
+            reason = "a resident helper runs a closure borrowed from the caller's stack"
+        )]
+        let job = unsafe { std::mem::transmute::<&'a (dyn Fn() + Sync + 'a), Job>(body) };
+        let tasks: Vec<Arc<Task>> = (0..n)
+            .map(|_| {
+                Arc::new(Task { slot: Mutex::new(Slot::Pending(job)), settled: Condvar::new() })
+            })
+            .collect();
+        lock(&QUEUE).extend(tasks.iter().cloned());
+        for _ in 0..n {
+            QUEUED.notify_one();
+        }
+        Self { tasks, body: PhantomData }
+    }
+}
+
+impl Drop for Tasks<'_> {
+    fn drop(&mut self) {
+        for task in &self.tasks {
+            task.settle();
+        }
+    }
 }
 
 /// Upper bound on the automatic chunk size (items per claimed chunk).
@@ -57,12 +227,13 @@ pub fn global() -> Pool {
     Pool::new(*THREADS.get_or_init(resolve_default_threads))
 }
 
-/// A scoped fork-join pool of a fixed logical width.
+/// A fork-join pool of a fixed logical width.
 ///
-/// The pool is a *policy*, not a set of resident threads: each call spawns
-/// `threads - 1` scoped workers (the caller is the remaining worker) and
-/// joins them before returning. Nested calls therefore cannot deadlock, and
-/// a 1-thread pool never spawns at all.
+/// The pool is a *policy*, not a set of threads: each call hands
+/// `min(threads, chunks) - 1` tasks to the process's resident helpers (the
+/// caller is the remaining worker) and settles every one before returning,
+/// cancelling those no helper has started. Nested calls therefore cannot
+/// deadlock, and a 1-thread pool never hands anything over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -86,8 +257,8 @@ impl Pool {
 
     /// Core executor: runs `job(0..n_chunks)` across the pool, returning
     /// results in chunk-index order. The first panic in `job` stops the
-    /// remaining chunks and is re-raised on the caller once every worker
-    /// has been joined.
+    /// remaining chunks and is re-raised on the caller once every helper
+    /// task has been settled.
     ///
     /// Chunks are claimed dynamically from an atomic cursor, so load
     /// balances across workers; results are merged by index, so the output
@@ -117,8 +288,7 @@ impl Pool {
                 match panic::catch_unwind(AssertUnwindSafe(|| job(i))) {
                     Ok(r) => out.push((i, r)),
                     Err(payload) => {
-                        let mut slot =
-                            first_panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut slot = lock(&first_panic);
                         if slot.is_none() {
                             *slot = Some(payload);
                         }
@@ -130,44 +300,29 @@ impl Pool {
             out
         };
 
-        let spawned = self.threads.min(n_chunks).saturating_sub(1);
-        let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(spawned + 1);
-        if spawned == 0 {
-            parts.push(worker());
+        let helpers = self.threads.min(n_chunks).saturating_sub(1);
+        // One worker's share, run by the caller and by each helper task.
+        let parts: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::with_capacity(helpers + 1));
+        let share = || {
+            let part = worker();
+            lock(&parts).push(part);
+        };
+        if helpers == 0 {
+            share();
         } else {
             FORK_JOINS.fetch_add(1, Ordering::Relaxed);
-            #[expect(clippy::disallowed_methods, reason = "the pool's one fork, merged in order")]
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(worker)).collect();
-                parts.push(worker());
-                for h in handles {
-                    // Workers never unwind (the job is caught inside), so a
-                    // join error can only be an external thread kill; treat
-                    // it like a panic.
-                    match h.join() {
-                        Ok(part) => parts.push(part),
-                        Err(payload) => {
-                            let mut slot = first_panic
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                    }
-                }
-            });
+            let tasks = Tasks::submit(&share, helpers);
+            share();
+            drop(tasks);
         }
 
-        if let Some(payload) =
-            first_panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
-        {
+        if let Some(payload) = lock(&first_panic).take() {
             panic::resume_unwind(payload);
         }
 
         // Index-ordered merge: output position = chunk index.
         let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
-        for part in parts {
+        for part in parts.into_inner().unwrap_or_else(PoisonError::into_inner) {
             for (i, r) in part {
                 debug_assert!(slots[i].is_none(), "chunk {i} claimed twice");
                 slots[i] = Some(r);

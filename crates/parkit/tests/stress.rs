@@ -6,7 +6,7 @@
 //! deadlocked pool fails the test instead of hanging the suite.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use parkit::Pool;
@@ -46,8 +46,10 @@ fn oversubscription_many_more_tasks_than_threads() {
 
 #[test]
 fn nested_par_map_inside_par_map_no_deadlock() {
-    // Scoped pools have no shared worker queue, so an inner par_map on the
-    // same width cannot starve: total live threads grow, nothing blocks.
+    // Inner maps queue their tasks behind the outer map's on the helpers'
+    // one shared queue. They cannot starve: a caller runs its own chunks and
+    // cancels every task no helper has started, so nothing waits on a task
+    // that is still queued.
     let out = with_watchdog(60, || {
         let pool = Pool::new(4);
         let outer: Vec<usize> = (0..64).collect();
@@ -110,7 +112,7 @@ fn panic_under_oversubscription_still_returns() {
 
 #[test]
 fn repeated_pool_churn() {
-    // Scope-per-call means pools are cheap and stateless; hammering many
+    // A pool is only a width and the helpers stay resident; hammering many
     // short calls must neither leak nor wedge.
     let total = with_watchdog(60, || {
         let pool = Pool::new(4);
@@ -125,4 +127,59 @@ fn repeated_pool_churn() {
     });
     let expected: u64 = (0..500u64).map(|round| (0..64u64).map(|i| i + round).sum::<u64>()).sum();
     assert_eq!(total, expected);
+}
+
+#[test]
+fn helper_panic_is_reraised_and_the_helper_survives() {
+    with_watchdog(60, || {
+        // The widest pool any test in this binary uses: once it has run, no
+        // call here asks for a helper that does not exist yet.
+        let wide: Vec<u64> = (0..64).collect();
+        Pool::new(8).par_map(&wide, |x| x + 1);
+
+        // Two items that each wait for the other: the caller holds one, so a
+        // helper must have claimed the other, and that one panics.
+        let pool = Pool::new(2);
+        let caller = std::thread::current().id();
+        let both = Barrier::new(2);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_map_range(2, |i| {
+                both.wait();
+                assert!(std::thread::current().id() == caller, "helper boom");
+                i
+            })
+        }))
+        .expect_err("the helper's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper boom"));
+
+        // The same rendezvous again completes only if a helper is alive to
+        // meet the caller, and the set did not have to grow for it.
+        let started = parkit::threads_started();
+        let both = Barrier::new(2);
+        let out = pool.par_map_range(2, |i| {
+            both.wait();
+            i * 10
+        });
+        assert_eq!(out, vec![0, 10]);
+        let items: Vec<u64> = (0..100).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        assert_eq!(pool.par_map(&items, |x| x * 3), expected);
+        assert_eq!(parkit::threads_started(), started, "a helper was started again");
+    });
+}
+
+#[test]
+fn nested_maps_while_every_helper_is_busy() {
+    // Each outer item waits for the other, so both outer chunks hold their
+    // threads while their inner maps queue tasks. Where no other helper is
+    // idle, those tasks are never started and the inner callers cancel them.
+    let out = with_watchdog(60, || {
+        let both = Barrier::new(2);
+        Pool::new(2).par_map_range(2, |i| {
+            both.wait();
+            Pool::new(2).par_map_range(16, |j| (i * 16 + j) as u64).iter().sum::<u64>()
+        })
+    });
+    let expected: Vec<u64> = (0..2u64).map(|i| (0..16).map(|j| i * 16 + j).sum()).collect();
+    assert_eq!(out, expected);
 }

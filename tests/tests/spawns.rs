@@ -1,9 +1,11 @@
 //! Work-count gate for threads (DESIGN.md §6): a build forks nothing on the
 //! engine's own pool, an `answer` spawns nothing — fault-free or with its
 //! traversal faulted — and an `answer_batch` forks exactly once — its own
-//! outer map. Counted by `parkit::fork_joins()`, never by a clock.
+//! outer map — on helper threads that stay resident, so a second batch
+//! starts none. Counted by `parkit::fork_joins()` and
+//! `parkit::threads_started()`, never by a clock.
 //!
-//! The counter is process-wide, so this binary holds a single `#[test]`:
+//! The counters are process-wide, so this binary holds a single `#[test]`:
 //! nothing else may fork while it counts. The e-commerce tables are sized
 //! past 512 rows, the chunk above which the relational sweeps used to fork.
 
@@ -83,6 +85,7 @@ fn answer_spawns_nothing_and_a_batch_forks_once() {
         engine.answer(&qa[0].question);
 
         let before = parkit::fork_joins();
+        let started = parkit::threads_started();
         for item in qa {
             engine.answer(&item.question);
             assert_eq!(
@@ -92,10 +95,18 @@ fn answer_spawns_nothing_and_a_batch_forks_once() {
                 item.question
             );
         }
+        assert_eq!(parkit::threads_started(), started, "{name}: an answer started a thread");
 
         let batch: Vec<&str> = qa[..8].iter().map(|item| item.question.as_str()).collect();
         engine.answer_batch(&batch);
         assert_eq!(parkit::fork_joins(), before + 1, "{name}: one fork-join per answer_batch");
+
+        // The helpers stay resident: a second batch forks once more and
+        // starts no thread.
+        let started = parkit::threads_started();
+        engine.answer_batch(&batch);
+        assert_eq!(parkit::fork_joins(), before + 2, "{name}: one fork-join per answer_batch");
+        assert_eq!(parkit::threads_started(), started, "{name}: a second batch started a thread");
 
         // A faulted traversal falls back to the lexical scan, which forks
         // nothing either, from the engine's first answer on.
