@@ -96,6 +96,28 @@ if grep -rn --exclude=baselines.rs DenseRetriever crates/core/src; then
     exit 1
 fi
 
+echo "==> one description of the plan's shape"
+# The logical plan tree is the one description of a query's shape
+# (DESIGN.md §11e): the executor records each operator's actual against
+# its node's pre-order position, and explain walks the same tree. A struct
+# of per-operator slots, a second tree built to render, or an executor step
+# that takes a whole node only to unpack one variant would each restate it.
+shape=0
+for f in $(find crates/core/src -name '*.rs' | sort); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'ExecActuals|PhysNode'; then
+        echo "ERROR: $f names ExecActuals or PhysNode outside #[cfg(test)]"
+        shape=1
+    fi
+done
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor.rs | grep -nE '^[[:space:]]*let LogicalNode::'; then
+    echo "ERROR: crates/core/src/executor.rs unpacks a node with let-else; take the variant's fields instead"
+    shape=1
+fi
+if [ "$shape" -ne 0 ]; then
+    echo "(see DESIGN.md §11e: actuals are keyed by pre-order position, explain is one walk)"
+    exit 1
+fi
+
 echo "==> one checksum and one frame format in storekit"
 # A snapshot and the write-ahead log are each one file of the same frames
 # (DESIGN.md §12d, §13a): one frame writer, one scanner, one FNV-1a. A second

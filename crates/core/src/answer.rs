@@ -109,7 +109,7 @@ pub struct Answer {
     /// Ladder downgrades taken while resolving this answer, in order.
     /// Empty when the answer took the best route it attempted.
     pub degradations: Vec<Degradation>,
-    /// Per-query explain trace (the costed physical plan with the actual
+    /// Per-query explain trace (the costed plan tree with the actual
     /// of every operator that ran, and the resource meter). `None` unless
     /// `EngineConfig::trace` opted in; deterministic when present.
     pub trace: Option<QueryTrace>,
@@ -119,11 +119,6 @@ impl Answer {
     /// True when the engine abstained.
     pub fn is_abstention(&self) -> bool {
         matches!(self.route, Route::Abstained)
-    }
-
-    /// True when any ladder downgrade occurred.
-    pub fn is_degraded(&self) -> bool {
-        !self.degradations.is_empty()
     }
 }
 
@@ -175,7 +170,6 @@ mod tests {
             trace: None,
         };
         assert!(!a.is_abstention());
-        assert!(!a.is_degraded());
         assert!(a.to_string().contains("42"));
         let abst = Answer { text: String::new(), route: Route::Abstained, ..a };
         assert!(abst.is_abstention());
@@ -186,16 +180,5 @@ mod tests {
     fn degradation_display_and_flag() {
         let d = Degradation::new(tracekit::component::REL_EXEC, "join budget exceeded");
         assert_eq!(d.to_string(), "relstore.exec: join budget exceeded");
-        let a = Answer {
-            text: "x".into(),
-            confidence: 0.5,
-            entropy: report(),
-            route: Route::Hybrid { table: None, chunks: vec![] },
-            provenance: vec![],
-            result_table: None,
-            degradations: vec![d],
-            trace: None,
-        };
-        assert!(a.is_degraded());
     }
 }

@@ -30,7 +30,10 @@ use unisem_hetgraph::{EdgeKind, GraphBuilder, HetGraph, NodeId};
 use unisem_relstore::{CheckedRow, DataType, Database, Table, Value};
 use unisem_slm::{EntityKind, Slm};
 
-use crate::snapshot::{decode_value, encode_value, invalid};
+use crate::snapshot::{
+    decode_edge_kind, decode_entity_kind, decode_value, encode_edge_kind, encode_entity_kind,
+    encode_value, invalid,
+};
 use crate::EngineError;
 
 /// One logical mutation of the engine's substrates, as carried by a WAL
@@ -119,7 +122,7 @@ impl Delta {
             Delta::GraphEntity { name, kind } => {
                 e.u8(3);
                 e.str(name);
-                e.str(kind.label());
+                encode_entity_kind(&mut e, *kind);
             }
             Delta::GraphEdge { a, b, kind } => {
                 e.u8(4);
@@ -155,10 +158,7 @@ impl Delta {
             },
             3 => {
                 let name = d.str().map_err(EngineError::Store)?;
-                let label = d.str().map_err(EngineError::Store)?;
-                let kind = EntityKind::from_label(&label)
-                    .ok_or_else(|| invalid(format!("unknown entity kind label '{label}'")))?;
-                Delta::GraphEntity { name, kind }
+                Delta::GraphEntity { name, kind: decode_entity_kind(&mut d)? }
             }
             4 => Delta::GraphEdge {
                 a: d.str().map_err(EngineError::Store)?,
@@ -323,37 +323,6 @@ pub(crate) fn commit(
         }
         Prepared::Nothing => {}
     }
-}
-
-// Same tag scheme as the snapshot layer's graph section, so the two
-// on-disk formats never disagree about an edge kind.
-fn encode_edge_kind(e: &mut Encoder, kind: &EdgeKind) {
-    match kind {
-        EdgeKind::Mentions => e.u8(0),
-        EdgeKind::RelatesTo(v) => {
-            e.u8(1);
-            e.str(v);
-        }
-        EdgeKind::Temporal => e.u8(2),
-        EdgeKind::BelongsTo => e.u8(3),
-        EdgeKind::HasAttribute(a) => {
-            e.u8(4);
-            e.str(a);
-        }
-        EdgeKind::NextChunk => e.u8(5),
-    }
-}
-
-fn decode_edge_kind(d: &mut Decoder<'_>) -> Result<EdgeKind, EngineError> {
-    Ok(match d.u8().map_err(EngineError::Store)? {
-        0 => EdgeKind::Mentions,
-        1 => EdgeKind::RelatesTo(d.str().map_err(EngineError::Store)?),
-        2 => EdgeKind::Temporal,
-        3 => EdgeKind::BelongsTo,
-        4 => EdgeKind::HasAttribute(d.str().map_err(EngineError::Store)?),
-        5 => EdgeKind::NextChunk,
-        t => return Err(invalid(format!("unknown edge kind tag {t}"))),
-    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use unisem_slm::SupportedAnswer;
 use crate::answer::{Answer, Degradation, Provenance, Route};
 use crate::engine::UnifiedEngine;
 use crate::evidence::{extract_stored_evidence, to_supported_answers, EvidenceSentence};
-use crate::planner::physical::{self, ExecActuals};
+use crate::planner::physical::explain;
 use crate::planner::{has_signal, prune_reason, CandidatePlan, CostModel, LogicalNode};
 
 impl UnifiedEngine {
@@ -69,7 +69,7 @@ impl UnifiedEngine {
     /// its logical plan over every substrate, and run that plan — the
     /// plan's alternatives in plan order, each operator with the
     /// parameters its node carries. When `traced`, it also returns the
-    /// rendered physical plan, with per-node estimated vs actual costs,
+    /// plan it ran, rendered with per-node estimated vs actual costs,
     /// for the explain trace.
     ///
     /// Every downgrade on the way is an [`Answer::degradations`] entry
@@ -85,41 +85,47 @@ impl UnifiedEngine {
             traced,
             meter,
             degradations: Vec::new(),
-            actuals: ExecActuals::default(),
+            actuals: Vec::new(),
             structured: false,
         };
         // The admission gate runs before any plan is built: without a
         // working generator or enough entropy samples nothing downstream
-        // can be certified, so the only plan is the gate itself.
+        // can be certified, so the only plan is the gate itself. Either
+        // way the gate is the plan's root (pre-order position 0).
         let gate = self.entropy_gate(LogicalNode::Abstain);
-        let (plan, mut answer) = if self.exec_entropy_gate(&gate, &mut run) {
+        let (plan, mut answer) = if self.exec_entropy_gate(&mut run) {
             let intent = self.exec_sem_tag(&mut run);
             let clock = tracekit::wall::Stopwatch::start();
             let plan = self.assemble_logical(&intent);
             self.metrics.incr(Metric::PlannerPlansBuilt);
-            let answer = self.exec_alternatives(&plan, &intent, clock, &mut run);
+            let (first, branches) = plan.alternatives();
+            let answer = self.exec_alternatives(first, branches, &intent, clock, &mut run);
             (plan, answer)
         } else {
             (gate, abstained())
         };
-        run.actual(|a| a.outcome = Some(answer.route.label().to_string()));
+        // `Abstain` closes every plan: the root's last branch, or the
+        // degenerate gate's only child. It shows the route taken.
+        run.actual(plan.size() - 1, || answer.route.label().to_string());
         let rendered = run.traced.then(|| {
             let model = CostModel::new(&self.db, &self.docs, self.graph());
-            physical::lower(&plan, &model, &self.db, &run.actuals).render()
+            explain(&plan, &model, &self.db, &run.actuals)
         });
         answer.degradations = run.degradations;
         (answer, rendered)
     }
 
-    /// `EntropyGate`: a generator fault or a sample count below the
-    /// governor floor means no confidence can be certified — and an
-    /// uncertifiable answer is worse than an abstention (§III.D). Returns
-    /// whether the query is admitted.
-    fn exec_entropy_gate(&self, gate: &LogicalNode, run: &mut Run) -> bool {
-        let LogicalNode::EntropyGate { samples, floor, .. } = gate else { return true };
+    /// `EntropyGate`, the plan's root, with the samples and floor
+    /// [`Self::entropy_gate`] gives it: a generator fault or a sample count
+    /// below the governor floor means no confidence can be certified — and
+    /// an uncertifiable answer is worse than an abstention (§III.D).
+    /// Returns whether the query is admitted.
+    fn exec_entropy_gate(&self, run: &mut Run) -> bool {
+        let samples = self.config.entropy_samples;
+        let floor = self.config.governors.entropy_sample_floor;
         if let Err(f) = self.config.faults.check(Site::SlmGenerate, run.question) {
             self.metrics.incr(Metric::FaultsFired);
-            run.actual(|a| a.gate = Some(format!("failed: {f}")));
+            run.actual(0, || format!("failed: {f}"));
             run.degradations.push(Degradation::new(
                 component::SLM_GENERATE,
                 format!("answer sampling unavailable: {f}"),
@@ -127,50 +133,59 @@ impl UnifiedEngine {
             return false;
         }
         if samples < floor {
-            run.actual(|a| a.gate = Some(format!("failed: {samples} samples below floor {floor}")));
+            run.actual(0, || format!("failed: {samples} samples below floor {floor}"));
             run.degradations.push(Degradation::new(
                 component::ENTROPY_SAMPLES,
                 format!("{samples} entropy samples below floor {floor}; confidence uncertifiable"),
             ));
             return false;
         }
-        run.actual(|a| a.gate = Some("passed".to_string()));
+        run.actual(0, || "passed".to_string());
         true
     }
 
-    /// `SemTag`: intent analysis, one SLM call.
+    /// `SemTag`, the gate's child: intent analysis, one SLM call.
     fn exec_sem_tag(&self, run: &mut Run) -> QueryIntent {
         let intent = self.parser.analyze(run.question);
         run.meter.slm_calls += 1;
-        run.actual(|a| {
-            a.tag = Some(format!(
+        run.actual(1, || {
+            format!(
                 "entities={} plain_lookup={} comparative={}",
                 intent.entities.len(),
                 intent.is_plain_lookup(),
                 intent.comparative
-            ))
+            )
         });
         intent
     }
 
-    /// `Alternatives`: the plan's branches in plan order; the first to
-    /// produce an answer wins, and falling off the end — `Abstain` — is
-    /// an abstention.
+    /// `Alternatives`: the plan's branches in plan order, the first at
+    /// pre-order position `first`; the first to produce an answer wins,
+    /// and falling off the end — `Abstain` — is an abstention.
     fn exec_alternatives(
         &self,
-        plan: &LogicalNode,
+        first: usize,
+        branches: &[LogicalNode],
         intent: &QueryIntent,
         clock: tracekit::wall::Stopwatch,
         run: &mut Run,
     ) -> Answer {
-        for branch in plan.alternatives() {
+        for (at, branch) in LogicalNode::positioned(branches, first) {
             let answer = match branch {
                 LogicalNode::SemEntail { samples, child } => {
-                    self.exec_structured(child.alternatives(), *samples, intent, clock, run)
+                    self.exec_structured(at, child, *samples, intent, clock, run)
                 }
-                LogicalNode::ConfidenceGate { threshold, child } => {
-                    self.exec_retrieval(*threshold, child, intent, run)
-                }
+                LogicalNode::ConfidenceGate { threshold, child } => match &**child {
+                    LogicalNode::SemEntail { samples, child } => match &**child {
+                        LogicalNode::SemExtract { max_sentences, child } => {
+                            let evidence =
+                                self.exec_sem_extract(at + 2, *max_sentences, child, intent, run);
+                            Some(self.exec_retrieval(at, *threshold, *samples, evidence, run))
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                },
                 _ => None,
             };
             if let Some(answer) = answer {
@@ -180,14 +195,16 @@ impl UnifiedEngine {
         abstained()
     }
 
-    /// The structured branch (§III.C task 2): `SemEntail` over the
-    /// `Alternatives` of relational candidates. The first signal-bearing
-    /// candidate is rendered and its stability confirmed by entropy
-    /// sampling; otherwise the last failure on the way is the reason the
-    /// branch steps down. `clock` has been running since plan synthesis.
+    /// The structured branch (§III.C task 2): `SemEntail`, at `at`, over
+    /// `child`, the `Alternatives` of relational candidates. The first
+    /// signal-bearing candidate is rendered and its stability confirmed by
+    /// entropy sampling; otherwise the last failure on the way is the
+    /// reason the branch steps down. `clock` has been running since plan
+    /// synthesis.
     fn exec_structured(
         &self,
-        candidates: &[LogicalNode],
+        at: usize,
+        child: &LogicalNode,
         samples: usize,
         intent: &QueryIntent,
         clock: tracekit::wall::Stopwatch,
@@ -195,15 +212,20 @@ impl UnifiedEngine {
     ) -> Option<Answer> {
         run.structured = true;
         let mut failures: Vec<(&str, String)> = Vec::new();
-        let hit = candidates.iter().find_map(|c| self.exec_relational(c, &mut failures, run));
+        let (first, candidates) = child.alternatives();
+        let hit = LogicalNode::positioned(candidates, at + 1 + first).find_map(|(at, c)| match c {
+            LogicalNode::Relational { table, plan } => {
+                self.exec_relational(at, table, plan, &mut failures, run)
+            }
+            _ => None,
+        });
         self.metrics.record_stage(Stage::AnswerStructured, clock.elapsed_ns());
         if let Some((table, result)) = hit {
             let text = render_structured(intent, &self.db, table, &result);
             if !text.is_empty() {
                 // Deterministic plan output = maximally grounded evidence.
                 let evidence = [SupportedAnswer::new(text.clone(), STRUCTURED_SUPPORT)];
-                let (report, confidence) =
-                    self.exec_sem_entail(samples, &evidence, |a| &mut a.structured_entail, run);
+                let (report, confidence) = self.exec_sem_entail(at, samples, &evidence, run);
                 return Some(Answer {
                     text,
                     confidence,
@@ -232,34 +254,35 @@ impl UnifiedEngine {
         None
     }
 
-    /// `Relational`: one candidate table. An injected fault, a synthesis
-    /// error, an execution error or a tripped join-row governor is a
-    /// failure recorded for the caller; a result without signal is
+    /// `Relational`, at `at`: one candidate table. An injected fault, a
+    /// synthesis error, an execution error or a tripped join-row governor
+    /// is a failure recorded for the caller; a result without signal is
     /// passed over silently, and so is a pruned candidate, which provably
     /// has none. Returns the table and its signal-bearing result.
     fn exec_relational<'p>(
         &self,
-        node: &'p LogicalNode,
+        at: usize,
+        table: &'p str,
+        plan: &CandidatePlan,
         failures: &mut Vec<(&'p str, String)>,
         run: &mut Run,
     ) -> Option<(&'p str, Table)> {
-        let LogicalNode::Relational { table, plan } = node else { return None };
         match plan {
             CandidatePlan::Faulted => {
                 if let Err(f) = self.config.faults.check(Site::RelExec, table) {
                     self.metrics.incr(Metric::FaultsFired);
-                    run.candidate_actual(table, || format!("fault: {f}"));
+                    run.actual(at, || format!("fault: {f}"));
                     failures.push((table, f.to_string()));
                 }
             }
             CandidatePlan::Unplannable(e) => {
                 self.metrics.incr(Metric::RelSynthesisErrors);
-                run.candidate_actual(table, || format!("synthesis failed: {e}"));
+                run.actual(at, || format!("synthesis failed: {e}"));
                 failures.push((table, format!("synthesis: {e}")));
             }
             CandidatePlan::Pruned { .. } => {
                 self.metrics.incr(Metric::PlannerCandidatesPruned);
-                run.candidate_actual(table, || "not executed".to_string());
+                run.actual(at, || "not executed".to_string());
             }
             CandidatePlan::Planned(rel) => {
                 let limits = ExecLimits { max_join_rows: self.config.governors.max_join_rows };
@@ -270,7 +293,7 @@ impl UnifiedEngine {
                 match outcome {
                     Ok(result) => {
                         let signal = has_signal(&result);
-                        run.candidate_actual(table, || {
+                        run.actual(at, || {
                             let verdict = if signal { "signal" } else { "no signal" };
                             format!("rows={} ({verdict})", result.num_rows())
                         });
@@ -285,7 +308,7 @@ impl UnifiedEngine {
                         } else {
                             Metric::RelExecErrors
                         });
-                        run.candidate_actual(table, || format!("execution error: {e}"));
+                        run.actual(at, || format!("execution error: {e}"));
                         failures.push((table, format!("execution: {e}")));
                     }
                 }
@@ -294,32 +317,19 @@ impl UnifiedEngine {
         None
     }
 
-    /// The retrieval branch (§III.B): `ConfidenceGate` over `SemEntail`
-    /// over `SemExtract` over a retrieval operator. Always answers — the
-    /// gate turns weak evidence into an abstention.
+    /// The retrieval branch (§III.B): `ConfidenceGate`, at `at`, over
+    /// `SemEntail` over the `SemExtract` that found `evidence`. Always
+    /// answers — the gate turns weak evidence into an abstention.
     fn exec_retrieval(
         &self,
+        at: usize,
         threshold: f64,
-        entail: &LogicalNode,
-        intent: &QueryIntent,
+        samples: usize,
+        evidence: Vec<EvidenceSentence>,
         run: &mut Run,
-    ) -> Option<Answer> {
-        let LogicalNode::SemEntail { samples, child } = entail else { return None };
-        let LogicalNode::SemExtract { max_sentences, child: retrieval } = &**child else {
-            return None;
-        };
-        let clock = tracekit::wall::Stopwatch::start();
-        let hits = match &**retrieval {
-            LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
-                self.exec_graph_traverse(*top_k, *max_frontier, fallback, run)
-            }
-            scan => self.exec_lexical_scan(scan, run),
-        };
-        self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
-        let evidence = self.exec_sem_extract(*max_sentences, &hits, intent, run);
+    ) -> Answer {
         let evidence_answers = to_supported_answers(&evidence);
-        let (report, confidence) =
-            self.exec_sem_entail(*samples, &evidence_answers, |a| &mut a.retrieval_entail, run);
+        let (report, confidence) = self.exec_sem_entail(at + 1, samples, &evidence_answers, run);
 
         let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
         let provenance: Vec<Provenance> = evidence
@@ -331,7 +341,7 @@ impl UnifiedEngine {
                     .map(|c| Provenance::Chunk { chunk_id: c.id, doc_id: c.doc_id })
             })
             .collect();
-        let passed = self.exec_confidence_gate(threshold, evidence.len(), confidence, run);
+        let passed = self.exec_confidence_gate(at, threshold, evidence.len(), confidence, run);
         let (text, route) = match evidence.first() {
             Some(first) if passed => (
                 report.top_answer.clone().unwrap_or_else(|| first.text.clone()),
@@ -343,7 +353,7 @@ impl UnifiedEngine {
             ),
             _ => (ABSTENTION.to_string(), Route::Abstained),
         };
-        Some(Answer {
+        Answer {
             text,
             confidence,
             entropy: report,
@@ -352,16 +362,30 @@ impl UnifiedEngine {
             result_table: None,
             degradations: Vec::new(),
             trace: None,
-        })
+        }
     }
 
-    /// `GraphTraverse`: topology retrieval. An injected traversal fault
-    /// runs the `fallback` operator instead of failing the query (the
-    /// traversal's actual then names the fault, the fallback's its scan); a
-    /// frontier capped by the governor is a recorded degradation, and the
-    /// traversal's actual ends in `frontier_capped`.
+    /// The retrieval operator at `at`: a traversal, or the lexical scan
+    /// alone.
+    fn exec_retrieve(&self, at: usize, node: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
+        match node {
+            LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
+                self.exec_graph_traverse(at, *top_k, *max_frontier, fallback, run)
+            }
+            LogicalNode::LexicalScan { top_k } => self.exec_lexical_scan(at, *top_k, run),
+            _ => Vec::new(),
+        }
+    }
+
+    /// `GraphTraverse`, at `at`: topology retrieval. An injected traversal
+    /// fault runs the `fallback` operator, its child, instead of failing
+    /// the query (the traversal's actual then names the fault, the
+    /// fallback's its scan); a frontier capped by the governor is a
+    /// recorded degradation, and the traversal's actual ends in
+    /// `frontier_capped`.
     fn exec_graph_traverse(
         &self,
+        at: usize,
         top_k: usize,
         max_frontier: usize,
         fallback: &LogicalNode,
@@ -374,8 +398,8 @@ impl UnifiedEngine {
                 component::GRAPH_TRAVERSE,
                 format!("topology traversal unavailable: {f}; using lexical retrieval"),
             ));
-            run.actual(|a| a.traverse = Some(format!("fault: {f}")));
-            return self.exec_lexical_scan(fallback, run);
+            run.actual(at, || format!("fault: {f}"));
+            return self.exec_retrieve(at + 1, fallback, run);
         }
         let (hits, stats) = self.traverse(run.question, top_k);
         // One SLM call for anchor entity tagging; traversal work and
@@ -399,43 +423,44 @@ impl UnifiedEngine {
                 format!("traversal frontier capped at {max_frontier} nodes; candidates truncated"),
             ));
         }
-        run.actual(|a| {
-            a.traverse = Some(format!(
+        run.actual(at, || {
+            format!(
                 "anchors={} nodes_touched={} chunks_scored={} hits={}{}",
                 stats.anchors,
                 stats.nodes_touched,
                 stats.chunks_scored,
                 hits.len(),
                 if stats.frontier_capped { " frontier_capped" } else { "" }
-            ))
+            )
         });
         hits
     }
 
-    /// `LexicalScan`: BM25 alone — what a traversal without anchors
-    /// returns — metered by the postings it walks; no SLM call.
-    fn exec_lexical_scan(&self, scan: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
-        let LogicalNode::LexicalScan { top_k } = scan else { return Vec::new() };
-        let (hits, scanned) = self.lexical_scan(run.question, *top_k);
+    /// `LexicalScan`, at `at`: BM25 alone — what a traversal without
+    /// anchors returns — metered by the postings it walks; no SLM call.
+    fn exec_lexical_scan(&self, at: usize, top_k: usize, run: &mut Run) -> Vec<RetrievalResult> {
+        let (hits, scanned) = self.lexical_scan(run.question, top_k);
         run.meter.postings_scanned += scanned as u64;
-        run.actual(|a| {
-            a.lexical_scan = Some(format!("postings_scanned={scanned} hits={}", hits.len()))
-        });
+        run.actual(at, || format!("postings_scanned={scanned} hits={}", hits.len()));
         hits
     }
 
-    /// `SemExtract`: grounded evidence sentences from the retrieved
-    /// chunks. When the question names entities, only sentences
+    /// `SemExtract`, at `at`: grounded evidence sentences from the chunks
+    /// its child, the `retrieval` operator, returns. When the question names entities, only sentences
     /// mentioning them are admissible — ungrounded context is exactly the
     /// hallucination source §I warns about, and filtering before IDF
     /// weighting also sharpens discriminative terms.
     fn exec_sem_extract(
         &self,
+        at: usize,
         max_sentences: usize,
-        hits: &[RetrievalResult],
+        retrieval: &LogicalNode,
         intent: &QueryIntent,
         run: &mut Run,
     ) -> Vec<EvidenceSentence> {
+        let clock = tracekit::wall::Stopwatch::start();
+        let hits = self.exec_retrieve(at + 1, retrieval, run);
+        self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
         let evidence = extract_stored_evidence(
             run.question,
             &self.docs,
@@ -443,18 +468,17 @@ impl UnifiedEngine {
             max_sentences,
             &intent.entities,
         );
-        run.actual(|a| a.extract = Some(format!("evidence={} sentences", evidence.len())));
+        run.actual(at, || format!("evidence={} sentences", evidence.len()));
         evidence
     }
 
-    /// `SemEntail`: semantic entropy over `samples` sampled answers — one
-    /// SLM call — and the confidence it certifies, recorded as the `actual`
-    /// of the branch's own `SemEntail` node.
+    /// `SemEntail`, at `at`: semantic entropy over `samples` sampled
+    /// answers — one SLM call — and the confidence it certifies.
     fn exec_sem_entail(
         &self,
+        at: usize,
         samples: usize,
         evidence: &[SupportedAnswer],
-        actual: fn(&mut ExecActuals) -> &mut Option<String>,
         run: &mut Run,
     ) -> (EntropyReport, f64) {
         let clock = tracekit::wall::Stopwatch::start();
@@ -466,19 +490,21 @@ impl UnifiedEngine {
         run.meter.slm_calls += 1;
         run.meter.slm_samples += report.n_samples as u64;
         let confidence = report.confidence();
-        run.actual(|a| {
-            *actual(a) = Some(format!(
+        run.actual(at, || {
+            format!(
                 "samples={} clusters={} confidence={confidence:.2}",
                 report.n_samples, report.n_clusters
-            ))
+            )
         });
         (report, confidence)
     }
 
-    /// `ConfidenceGate`: the last rung. `evidence` grounded sentences at
-    /// `confidence` pass, or the gate declines to answer and says why.
+    /// `ConfidenceGate`, at `at`: the last rung. `evidence` grounded
+    /// sentences at `confidence` pass, or the gate declines to answer and
+    /// says why.
     fn exec_confidence_gate(
         &self,
+        at: usize,
         threshold: f64,
         evidence: usize,
         confidence: f64,
@@ -494,17 +520,17 @@ impl UnifiedEngine {
             } else {
                 (component::RETRIEVAL_EVIDENCE, "no grounded supporting evidence".to_string())
             };
-            run.actual(|a| {
-                a.confidence = Some(if grounded {
+            run.actual(at, || {
+                if grounded {
                     format!("abstained: confidence {confidence:.2} below threshold {threshold:.2}")
                 } else {
                     format!("abstained: {reason}")
-                })
+                }
             });
             run.degradations.push(Degradation::new(component, reason));
             return false;
         }
-        run.actual(|a| a.confidence = Some(format!("passed: confidence {confidence:.2}")));
+        run.actual(at, || format!("passed: confidence {confidence:.2}"));
         true
     }
 
@@ -620,26 +646,21 @@ struct Run<'a> {
     traced: bool,
     meter: &'a mut ResourceMeter,
     degradations: Vec<Degradation>,
-    /// Per-operator outcomes for the explain plan; empty unless traced.
-    actuals: ExecActuals,
+    /// Each operator's outcome for the explain trace, keyed by its node's
+    /// pre-order position in the plan; empty unless traced.
+    actuals: Vec<(usize, String)>,
     /// Whether the structured branch ran (hybrid vs unstructured route).
     structured: bool,
 }
 
 impl Run<'_> {
-    /// Records an operator's actual. `record` — and whatever it formats —
-    /// runs only when the query is traced.
-    fn actual(&mut self, record: impl FnOnce(&mut ExecActuals)) {
+    /// Records the actual of the operator at pre-order position `at`.
+    /// `text` — and whatever it formats — runs only when the query is
+    /// traced.
+    fn actual(&mut self, at: usize, text: impl FnOnce() -> String) {
         if self.traced {
-            record(&mut self.actuals);
+            self.actuals.push((at, text()));
         }
-    }
-
-    /// [`Self::actual`] for the relational candidate over `table`.
-    fn candidate_actual(&mut self, table: &str, text: impl FnOnce() -> String) {
-        self.actual(|a| {
-            a.structured.insert(table.to_string(), text());
-        });
     }
 }
 
@@ -752,7 +773,7 @@ mod tests {
             traced,
             meter,
             degradations: Vec::new(),
-            actuals: ExecActuals::default(),
+            actuals: Vec::new(),
             structured: false,
         }
     }
@@ -761,12 +782,12 @@ mod tests {
     fn untraced_run_records_nothing_and_skips_closures() {
         let mut meter = ResourceMeter::default();
         let mut untraced = run(false, &mut meter);
-        untraced.actual(|_| panic!("an actual must not be formatted untraced"));
-        untraced.candidate_actual("t", || panic!("must not run"));
-        assert_eq!(untraced.actuals, ExecActuals::default());
+        untraced.actual(4, || panic!("an actual must not be formatted untraced"));
+        assert!(untraced.actuals.is_empty());
+        assert_eq!(untraced.actuals.capacity(), 0, "nothing allocated untraced");
 
         let mut traced = run(true, &mut meter);
-        traced.candidate_actual("t", || "rows=1 (signal)".to_string());
-        assert_eq!(traced.actuals.structured.get("t").map(String::as_str), Some("rows=1 (signal)"));
+        traced.actual(4, || "rows=1 (signal)".to_string());
+        assert_eq!(traced.actuals, [(4, "rows=1 (signal)".to_string())]);
     }
 }

@@ -83,20 +83,9 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// True when nothing was quarantined.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
     /// Number of quarantined sources.
     pub fn num_quarantined(&self) -> usize {
         self.quarantined.len()
-    }
-
-    /// Quarantined entries of a given category (`"json"`, `"flatten"`,
-    /// `"extraction"`, `"injected-fault"`).
-    pub fn quarantined_by_kind(&self, kind: &str) -> Vec<&Quarantined> {
-        self.quarantined.iter().filter(|q| q.reason.kind() == kind).collect()
     }
 
     /// One-line operator summary.
@@ -129,7 +118,6 @@ mod tests {
     #[test]
     fn clean_report() {
         let r = IngestReport { tables: 2, documents: 3, ..IngestReport::default() };
-        assert!(r.is_clean());
         assert_eq!(r.num_quarantined(), 0);
         assert!(r.summary().contains("0 quarantined"));
     }
@@ -149,13 +137,11 @@ mod tests {
             ],
             ..IngestReport::default()
         };
-        assert!(!r.is_clean());
         assert_eq!(r.num_quarantined(), 2);
-        assert_eq!(r.quarantined_by_kind("json").len(), 1);
-        assert_eq!(r.quarantined_by_kind("extraction").len(), 0);
         let shown = r.to_string();
         assert!(shown.contains("orders") && shown.contains("unterminated string"), "{shown}");
         assert_eq!(r.quarantined[0].reason.kind(), "flatten");
         assert_eq!(r.quarantined[0].reason.message(), "boom");
+        assert_eq!(r.quarantined[1].reason.kind(), "json");
     }
 }

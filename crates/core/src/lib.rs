@@ -24,7 +24,7 @@
 //!    DESIGN.md §9): closed-registry metrics
 //!    ([`UnifiedEngine::metrics_report`]), and per-query explain traces
 //!    ([`Answer::trace`] via [`EngineConfig::trace`]) — the costed
-//!    physical plan with the actual of every operator that ran, plus the
+//!    plan tree with the actual of every operator that ran, plus the
 //!    resource meter — rendered as one JSON line by
 //!    [`QueryTrace::to_jsonl`].
 //!
@@ -52,7 +52,7 @@ pub use engine::{
     EngineBuilder, EngineConfig, EngineError, GovernorConfig, ParallelConfig, UnifiedEngine,
 };
 pub use ingest::{IngestReport, QuarantineReason, Quarantined};
-pub use planner::{Cost, CostModel, LogicalNode, PhysicalPlan};
+pub use planner::{Cost, CostModel, LogicalNode};
 
 // Re-export the pieces examples and benches need most.
 pub use faultkit::{FaultPlan, InjectedFault, Site as FaultSite};

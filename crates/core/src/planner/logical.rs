@@ -10,11 +10,13 @@
 //! not pre/post-processing steps.
 //!
 //! The tree is synthesized by `UnifiedEngine` (which owns the substrate
-//! handles), costed by [`super::cost::CostModel`], and lowered to a
-//! [`super::physical::PhysicalPlan`] for execution bookkeeping and
-//! explain rendering. Ordered [`LogicalNode::Alternatives`] encode the
-//! engine's degradation ladder: the first branch to produce a signal
-//! wins, later branches are fallbacks.
+//! handles) and run by its executor, which records each operator's actual
+//! outcome against the node's pre-order position ([`LogicalNode::size`],
+//! [`LogicalNode::positioned`]); [`super::physical::explain`] walks the
+//! same tree in the same order, costing each node with
+//! [`super::cost::CostModel`]. Ordered [`LogicalNode::Alternatives`]
+//! encode the engine's degradation ladder: the first branch to produce a
+//! signal wins, later branches are fallbacks.
 
 use unisem_relstore::plan::LogicalPlan as RelPlan;
 
@@ -167,69 +169,69 @@ impl LogicalNode {
     }
 
     /// Child nodes in plan order.
-    pub fn children(&self) -> Vec<&LogicalNode> {
+    pub fn children(&self) -> &[LogicalNode] {
         match self {
             LogicalNode::EntropyGate { child, .. }
             | LogicalNode::SemTag { child, .. }
             | LogicalNode::SemExtract { child, .. }
             | LogicalNode::SemEntail { child, .. }
-            | LogicalNode::ConfidenceGate { child, .. } => vec![child],
-            LogicalNode::Alternatives { children } => children.iter().collect(),
-            LogicalNode::GraphTraverse { fallback, .. } => vec![fallback],
+            | LogicalNode::ConfidenceGate { child, .. }
+            | LogicalNode::GraphTraverse { fallback: child, .. } => std::slice::from_ref(&**child),
+            LogicalNode::Alternatives { children } => children,
             LogicalNode::Relational { .. }
             | LogicalNode::LexicalScan { .. }
-            | LogicalNode::Abstain => Vec::new(),
+            | LogicalNode::Abstain => &[],
         }
+    }
+
+    /// Nodes in this subtree, itself included: the pre-order positions it
+    /// spans.
+    pub fn size(&self) -> usize {
+        1 + self.children().iter().map(LogicalNode::size).sum::<usize>()
     }
 
     /// The ordered branches of the first [`LogicalNode::Alternatives`] at
     /// or below this node, looking through the admission gate and the
-    /// tagging node; empty for any other operator.
-    pub fn alternatives(&self) -> &[LogicalNode] {
+    /// tagging node, with the first branch's pre-order position counted
+    /// from this node; no branches for any other operator.
+    pub fn alternatives(&self) -> (usize, &[LogicalNode]) {
         match self {
-            LogicalNode::Alternatives { children } => children,
+            LogicalNode::Alternatives { children } => (1, children),
             LogicalNode::EntropyGate { child, .. } | LogicalNode::SemTag { child, .. } => {
-                child.alternatives()
+                let (first, branches) = child.alternatives();
+                (first + 1, branches)
             }
-            _ => &[],
+            _ => (0, &[]),
         }
     }
 
-    /// Indented tree rendering (two spaces per depth); embedded relstore
-    /// plans render through their own `explain`, re-indented in place.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        let indent = "  ".repeat(depth);
-        out.push_str(&indent);
-        out.push_str(&self.label());
-        out.push('\n');
-        let rel = match self {
-            LogicalNode::Relational { plan, .. } => plan.rel(),
-            _ => None,
-        };
-        if let Some(rel) = rel {
-            for line in rel.explain().lines() {
-                out.push_str(&indent);
-                out.push_str("  ");
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        for c in self.children() {
-            c.render_into(out, depth + 1);
-        }
+    /// `siblings` paired with their pre-order positions, the first at
+    /// `first`.
+    pub fn positioned(
+        siblings: &[LogicalNode],
+        first: usize,
+    ) -> impl Iterator<Item = (usize, &LogicalNode)> {
+        siblings.iter().scan(first, |at, node| {
+            let position = *at;
+            *at += node.size();
+            Some((position, node))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unisem_relstore::Expr;
+    use crate::planner::{physical::explain, CostModel};
+    use unisem_docstore::DocStore;
+    use unisem_hetgraph::HetGraph;
+    use unisem_relstore::{Database, Expr};
+
+    /// `node` explained over empty substrates, with no actuals.
+    fn render(node: &LogicalNode) -> String {
+        let (db, docs, graph) = (Database::new(), DocStore::default(), HetGraph::new());
+        explain(node, &CostModel::new(&db, &docs, &graph), &db, &[])
+    }
 
     fn sample() -> LogicalNode {
         LogicalNode::EntropyGate {
@@ -274,7 +276,8 @@ mod tests {
 
     #[test]
     fn render_spans_every_substrate() {
-        let text = sample().render();
+        let plan = sample();
+        let text = render(&plan);
         assert!(text.contains("EntropyGate: samples=8 floor=4"), "{text}");
         assert!(text.contains("Relational: table 'sales'"), "{text}");
         assert!(text.contains("Scan: sales"), "embedded relstore plan: {text}");
@@ -283,6 +286,15 @@ mod tests {
         assert!(text.contains("SemExtract"), "{text}");
         assert!(text.contains("SemEntail"), "{text}");
         assert!(text.contains("Abstain"), "{text}");
+        assert_eq!(
+            text.lines().count(),
+            plan.size() + 2,
+            "a line per node, the Filter and its Scan"
+        );
+        let (first, branches) = plan.alternatives();
+        let positions: Vec<usize> =
+            LogicalNode::positioned(branches, first).map(|(p, _)| p).collect();
+        assert_eq!(positions, [3, 5, 10], "gate, tag and alternatives come first");
     }
 
     #[test]
@@ -301,7 +313,7 @@ mod tests {
                 reason: "(s = 'x') matches no catalog value".into(),
             },
         };
-        let text = p.render();
+        let text = render(&p);
         assert!(text.contains("(pruned: (s = 'x') matches no catalog value)"), "{text}");
         assert!(text.contains("Scan: t"), "a pruned plan still renders: {text}");
     }

@@ -7,9 +7,9 @@
 //! ([`cost::CostModel`]) that reads the totals each substrate maintains;
 //! catalog **pruning**
 //! ([`prune::prune_reason`]), which passes over a relational candidate its
-//! table's value index proves empty; and a **physical** lowering
-//! ([`physical::PhysicalPlan`]) that pairs every operator with estimated
-//! and actual costs for the explain trace.
+//! table's value index proves empty; and the **explain** walk
+//! ([`physical::explain`]) that renders the tree the executor ran, each
+//! operator with its estimated cost and the actual outcome recorded on it.
 //!
 //! `UnifiedEngine::answer` synthesizes and executes these plans: it is
 //! the only answer path. The answers of the degradation ladder it
@@ -23,5 +23,4 @@ pub mod prune;
 
 pub use cost::{Cost, CostModel, RelEstimate};
 pub use logical::{CandidatePlan, LogicalNode};
-pub use physical::{ExecActuals, PhysNode, PhysicalPlan};
 pub use prune::{has_signal, prune_reason};

@@ -185,7 +185,7 @@ fn encode_lexicon(lexicon: &Lexicon) -> Vec<u8> {
     e.u64(entries.len() as u64);
     for (phrase, kind) in &entries {
         e.str(phrase);
-        e.str(kind.label());
+        encode_entity_kind(&mut e, *kind);
     }
     e.into_bytes()
 }
@@ -196,10 +196,7 @@ fn decode_lexicon(bytes: &[u8]) -> Result<Lexicon, EngineError> {
     let mut lexicon = Lexicon::new();
     for _ in 0..n {
         let phrase = d.str().map_err(EngineError::Store)?;
-        let label = d.str().map_err(EngineError::Store)?;
-        let kind = EntityKind::from_label(&label)
-            .ok_or_else(|| invalid(format!("unknown entity kind label '{label}'")))?;
-        lexicon.add(&phrase, kind);
+        lexicon.add(&phrase, decode_entity_kind(&mut d)?);
     }
     d.finish().map_err(EngineError::Store)?;
     Ok(lexicon)
@@ -305,6 +302,49 @@ pub(crate) fn decode_value(d: &mut Decoder<'_>) -> Result<Value, EngineError> {
     })
 }
 
+/// An entity kind, as its label: the lexicon and graph sections and the
+/// WAL's entity deltas all write it so.
+pub(crate) fn encode_entity_kind(e: &mut Encoder, kind: EntityKind) {
+    e.str(kind.label());
+}
+
+pub(crate) fn decode_entity_kind(d: &mut Decoder<'_>) -> Result<EntityKind, EngineError> {
+    let label = d.str().map_err(EngineError::Store)?;
+    EntityKind::from_label(&label)
+        .ok_or_else(|| invalid(format!("unknown entity kind label '{label}'")))
+}
+
+/// An edge kind: a tag byte, then the kind's string, if it has one. The
+/// graph section and the WAL's edge deltas both write it so.
+pub(crate) fn encode_edge_kind(e: &mut Encoder, kind: &EdgeKind) {
+    match kind {
+        EdgeKind::Mentions => e.u8(0),
+        EdgeKind::RelatesTo(v) => {
+            e.u8(1);
+            e.str(v);
+        }
+        EdgeKind::Temporal => e.u8(2),
+        EdgeKind::BelongsTo => e.u8(3),
+        EdgeKind::HasAttribute(a) => {
+            e.u8(4);
+            e.str(a);
+        }
+        EdgeKind::NextChunk => e.u8(5),
+    }
+}
+
+pub(crate) fn decode_edge_kind(d: &mut Decoder<'_>) -> Result<EdgeKind, EngineError> {
+    Ok(match d.u8().map_err(EngineError::Store)? {
+        0 => EdgeKind::Mentions,
+        1 => EdgeKind::RelatesTo(d.str().map_err(EngineError::Store)?),
+        2 => EdgeKind::Temporal,
+        3 => EdgeKind::BelongsTo,
+        4 => EdgeKind::HasAttribute(d.str().map_err(EngineError::Store)?),
+        5 => EdgeKind::NextChunk,
+        t => return Err(invalid(format!("unknown edge kind tag {t}"))),
+    })
+}
+
 fn dtype_tag(t: DataType) -> u8 {
     match t {
         DataType::Bool => 0,
@@ -396,7 +436,7 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
             NodeKind::Entity { name, kind } => {
                 e.u8(1);
                 e.str(name);
-                e.str(kind.label());
+                encode_entity_kind(&mut e, *kind);
             }
             NodeKind::Record { table, row } => {
                 e.u8(2);
@@ -415,20 +455,7 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
         e.u32(edge.id.0);
         e.u32(edge.a.0);
         e.u32(edge.b.0);
-        match &edge.kind {
-            EdgeKind::Mentions => e.u8(0),
-            EdgeKind::RelatesTo(v) => {
-                e.u8(1);
-                e.str(v);
-            }
-            EdgeKind::Temporal => e.u8(2),
-            EdgeKind::BelongsTo => e.u8(3),
-            EdgeKind::HasAttribute(a) => {
-                e.u8(4);
-                e.str(a);
-            }
-            EdgeKind::NextChunk => e.u8(5),
-        }
+        encode_edge_kind(&mut e, &edge.kind);
     }
     e.into_bytes()
 }
@@ -447,10 +474,7 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
             }
             1 => {
                 let name = d.str().map_err(EngineError::Store)?;
-                let label = d.str().map_err(EngineError::Store)?;
-                let kind = EntityKind::from_label(&label)
-                    .ok_or_else(|| invalid(format!("unknown entity kind label '{label}'")))?;
-                NodeKind::Entity { name, kind }
+                NodeKind::Entity { name, kind: decode_entity_kind(&mut d)? }
             }
             2 => {
                 let table = d.str().map_err(EngineError::Store)?;
@@ -469,16 +493,7 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
         let id = EdgeId(d.u32().map_err(EngineError::Store)?);
         let a = NodeId(d.u32().map_err(EngineError::Store)?);
         let b = NodeId(d.u32().map_err(EngineError::Store)?);
-        let kind = match d.u8().map_err(EngineError::Store)? {
-            0 => EdgeKind::Mentions,
-            1 => EdgeKind::RelatesTo(d.str().map_err(EngineError::Store)?),
-            2 => EdgeKind::Temporal,
-            3 => EdgeKind::BelongsTo,
-            4 => EdgeKind::HasAttribute(d.str().map_err(EngineError::Store)?),
-            5 => EdgeKind::NextChunk,
-            t => return Err(invalid(format!("unknown edge kind tag {t}"))),
-        };
-        edges.push(Edge { id, a, b, kind });
+        edges.push(Edge { id, a, b, kind: decode_edge_kind(&mut d)? });
     }
     d.finish().map_err(EngineError::Store)?;
     HetGraph::from_parts(nodes, edges).map_err(invalid)

@@ -276,8 +276,15 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeKind;
     use unisem_relstore::{Schema, Table};
     use unisem_slm::{Lexicon, SlmConfig};
+
+    /// The node of row `row` of `table`, found in the graph's node list.
+    fn record(g: &HetGraph, table: &str, row: usize) -> Option<NodeId> {
+        let is_it = |kind: &NodeKind| matches!(kind, NodeKind::Record { table: t, row: r } if t == table && *r == row);
+        g.nodes().iter().find(|n| is_it(&n.kind)).map(|n| n.id)
+    }
 
     fn slm() -> Slm {
         let lexicon = Lexicon::new().with_entries([
@@ -319,10 +326,9 @@ mod tests {
         b.add_docstore(&docs());
         let g = b.graph();
         let drug = g.entity_by_name("drug a").unwrap();
-        let has_chunk_neighbor = g
-            .neighbors(drug)
-            .iter()
-            .any(|&(n, e)| g.node(n).kind.is_chunk() && g.edge(e).kind == EdgeKind::Mentions);
+        let has_chunk_neighbor = g.neighbors(drug).iter().any(|&(n, e)| {
+            matches!(g.node(n).kind, NodeKind::Chunk { .. }) && g.edge(e).kind == EdgeKind::Mentions
+        });
         assert!(has_chunk_neighbor);
     }
 
@@ -377,7 +383,7 @@ mod tests {
         b.add_table("sales", &t);
         let (g, stats) = b.finish();
         assert_eq!(stats.records, 2);
-        let r0 = g.record_node("sales", 0).unwrap();
+        let r0 = record(&g, "sales", 0).unwrap();
         let alpha = g.entity_by_name("product alpha").unwrap();
         let linked = g.neighbors(r0).iter().any(|&(n, e)| {
             n == alpha && matches!(&g.edge(e).kind, EdgeKind::HasAttribute(c) if c == "product")
@@ -402,7 +408,7 @@ mod tests {
         b.add_table("events", &t);
         let g = b.graph();
         let d = g.entity_by_name("2024-03-05").unwrap();
-        let r = g.record_node("events", 0).unwrap();
+        let r = record(&g, "events", 0).unwrap();
         assert!(g.neighbors(r).iter().any(|&(n, _)| n == d));
     }
 
@@ -421,7 +427,7 @@ mod tests {
         .unwrap();
         b.add_table("trials", &t);
         let g = b.graph();
-        let record = g.record_node("trials", 0).unwrap();
+        let record = record(g, "trials", 0).unwrap();
         let chunk = g.chunk_node(0).unwrap();
         let linked = |n: NodeId| g.neighbors(n).iter().map(|&(m, _)| m).collect::<Vec<_>>();
         let (from_record, from_chunk) = (linked(record), linked(chunk));
@@ -448,7 +454,7 @@ mod tests {
         assert!(g.entities().count() == 0);
         // Chunks and records still exist (with structural edges only).
         assert!(stats.chunks > 0);
-        assert!(g.record_node("trials", 0).is_some());
+        assert!(record(&g, "trials", 0).is_some());
     }
 
     #[test]

@@ -53,19 +53,9 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// True for chunk nodes.
-    pub fn is_chunk(&self) -> bool {
-        matches!(self, NodeKind::Chunk { .. })
-    }
-
     /// True for entity nodes.
     pub fn is_entity(&self) -> bool {
         matches!(self, NodeKind::Entity { .. })
-    }
-
-    /// True for record nodes.
-    pub fn is_record(&self) -> bool {
-        matches!(self, NodeKind::Record { .. })
     }
 }
 
@@ -393,11 +383,6 @@ impl HetGraph {
         self.chunk_index.get(&chunk_id).copied()
     }
 
-    /// Looks up a record node.
-    pub fn record_node(&self, table: &str, row: usize) -> Option<NodeId> {
-        self.record_index.get(&(table.to_string(), row)).copied()
-    }
-
     /// Approximate resident bytes: nodes with their labels, edges,
     /// adjacency, the entity, chunk and record lookup indexes, and the
     /// referential-entity table. The by-name, table and edge-dedup indexes
@@ -488,8 +473,8 @@ mod tests {
         let c = g.add_chunk(0, 0, "text");
         assert_eq!(g.chunk_node(0), Some(c));
         let r = g.add_record("t", 1);
-        assert_eq!(g.record_node("t", 1), Some(r));
-        assert_eq!(g.record_node("t", 2), None);
+        assert_eq!(g.add_record("t", 1), r, "one node per record");
+        assert_ne!(g.add_record("t", 2), r);
     }
 
     #[test]

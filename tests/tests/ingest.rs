@@ -315,14 +315,16 @@ fn log_faults_change_nothing_alone_or_mid_batch() {
 fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
     let graph = engine.graph();
     let kind = |pred: fn(&NodeKind) -> bool| graph.nodes().iter().filter(|n| pred(&n.kind)).count();
+    let chunk = |k: &NodeKind| matches!(k, NodeKind::Chunk { .. });
+    let record = |k: &NodeKind| matches!(k, NodeKind::Record { .. });
     [
         ("ingest.tables", engine.db().len()),
         ("ingest.documents", engine.docs().num_documents()),
         ("graph.nodes", graph.nodes().len()),
         ("graph.edges", graph.edges().len()),
         ("graph.entities", kind(NodeKind::is_entity)),
-        ("graph.chunks", kind(NodeKind::is_chunk)),
-        ("graph.records", kind(NodeKind::is_record)),
+        ("graph.chunks", kind(chunk)),
+        ("graph.records", kind(record)),
     ]
     .map(|(name, n)| (name, n as u64))
     .to_vec()

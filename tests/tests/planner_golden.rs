@@ -242,6 +242,52 @@ fn explain_plans_match_golden_snapshots() {
     }
 }
 
+/// Tracing records and renders; it never changes what is answered. For
+/// every question of both workloads, fault-free and under the pinned fault
+/// plan, a traced engine's `Answer`, trace stripped, is byte-identical to
+/// an untraced engine's, and only the traced one carries a trace.
+#[test]
+fn tracing_does_not_change_answers() {
+    for w in workloads() {
+        for (suffix, faults) in fault_plans() {
+            let plain = build(&w, config(faults));
+            let traced = build(&w, EngineConfig { trace: true, ..config(faults) });
+            for item in &w.qa {
+                let (a, t) = (plain.answer(&item.question), traced.answer(&item.question));
+                let ctx = format!("{}{suffix}: {}", w.name, item.question);
+                assert!(a.trace.is_none() && t.trace.is_some(), "{ctx}");
+                assert_eq!(render_answer(&a), render_answer(&t), "{ctx}");
+            }
+        }
+    }
+}
+
+/// When the admission gate abstains, the plan is the gate over `Abstain`
+/// alone: the gate names why, and `Abstain` the route.
+#[test]
+fn a_gate_abstention_plans_the_gate_alone() {
+    use unisem_core::FaultSite;
+    let w = &workloads()[0];
+    let engine =
+        build(w, EngineConfig { trace: true, ..config(FaultPlan::single(FaultSite::SlmGenerate)) });
+    for item in &w.qa {
+        let q = &item.question;
+        let answer = engine.answer(q);
+        let plan = answer.trace.as_ref().and_then(|t| t.plan.as_deref());
+        assert_eq!(
+            plan,
+            Some(
+                format!(
+                    "EntropyGate: samples=10 floor=2 [est rows~0 cpu=1 io=0 slm=0 total=1] \
+                     | actual: failed: injected fault at slm.generate (key: {q})\n  \
+                     Abstain [est rows~0 cpu=0 io=0 slm=0 total=0] | actual: abstained\n"
+                )
+                .as_str()
+            ),
+        );
+    }
+}
+
 /// The two workloads per-category work counts are pinned on: 24 products
 /// and 8 drugs, eight questions per category.
 fn pinned_corpora() -> Vec<Workload> {

@@ -70,6 +70,11 @@ fn build_from_parts(
     b.build()
 }
 
+/// How many of `report`'s quarantined sources fall under `kind`.
+fn quarantined(report: &IngestReport, kind: &str) -> usize {
+    report.quarantined.iter().filter(|q| q.reason.kind() == kind).count()
+}
+
 /// The ladder invariants every answer must satisfy, faults or not:
 /// well-formed confidence, and a non-empty degradation trail on any
 /// answer that did not take the best route it attempted.
@@ -82,7 +87,7 @@ fn check_invariants(a: &Answer, question: &str, ctx: &str) {
     match &a.route {
         Route::Hybrid { .. } | Route::Abstained => {
             assert!(
-                a.is_degraded(),
+                !a.degradations.is_empty(),
                 "{ctx}: downgraded answer ({}) with empty degradations for: {question}",
                 a.route.label()
             );
@@ -133,11 +138,9 @@ fn adversarial_corpus_quarantines_and_still_answers() {
 
     let (engine, report) = b.build();
 
-    assert!(!report.is_clean());
-    assert_eq!(report.quarantined_by_kind("json").len(), 2, "{report}");
-    assert_eq!(report.quarantined_by_kind("flatten").len(), 1, "{report}");
+    assert_eq!(quarantined(&report, "json"), 2, "{report}");
+    assert_eq!(quarantined(&report, "flatten"), 1, "{report}");
     assert_eq!(report.num_quarantined(), 3, "{report}");
-    assert_eq!(engine.ingest_report(), &report);
     // The good collection and the documents made it in.
     assert_eq!(report.documents, 4, "{report}");
     assert!(report.tables >= 1, "{report}");
@@ -154,12 +157,12 @@ fn adversarial_corpus_quarantines_and_still_answers() {
 fn empty_engine_abstains_gracefully() {
     let (engine, report) =
         EngineBuilder::with_config(Lexicon::new(), EngineConfig::default()).build();
-    assert!(report.is_clean());
+    assert_eq!(report.num_quarantined(), 0, "{report}");
     for q in ["What is the average price?", "widget", ""] {
         let a = engine.answer(q);
         check_invariants(&a, q, "empty engine");
         assert!(a.is_abstention(), "empty engine must abstain on: {q}");
-        assert!(a.is_degraded(), "empty-engine abstention must carry a reason");
+        assert!(!a.degradations.is_empty(), "empty-engine abstention must carry a reason");
     }
 }
 
@@ -251,8 +254,7 @@ fn flatten_fault_quarantines_collections_only() {
     };
     let (engine, report) =
         build_from_parts(ew.lexicon.clone(), &ew.db, &ew.semi, &ew.documents, config);
-    let injected = report.quarantined_by_kind("injected-fault");
-    assert_eq!(injected.len(), ew.semi.collections().len(), "{report}");
+    assert_eq!(quarantined(&report, "injected-fault"), ew.semi.collections().len(), "{report}");
     assert_eq!(report.collections_flattened, 0, "{report}");
     assert_eq!(report.documents, ew.documents.len(), "{report}");
     for item in &ew.qa {

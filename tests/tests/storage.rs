@@ -22,8 +22,8 @@ use storekit::{Encoder, Snapshot, SnapshotWriter, StoreError};
 use tracekit::metrics::MetricKind;
 use tracekit::Metric;
 use unisem_core::{
-    Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, ParallelConfig,
-    UnifiedEngine,
+    Answer, Delta, EngineBuilder, EngineConfig, EngineError, FaultPlan, FaultSite, IngestReport,
+    ParallelConfig, UnifiedEngine,
 };
 use unisem_relstore::{DataType, Schema, Table, Value};
 use unisem_slm::{EntityKind, Lexicon};
@@ -95,6 +95,11 @@ fn build(w: &Workload, threads: usize) -> UnifiedEngine {
 }
 
 fn build_with(w: &Workload, config: EngineConfig) -> UnifiedEngine {
+    build_reported(w, config).0
+}
+
+/// [`build_with`], with the build's ingest report.
+fn build_reported(w: &Workload, config: EngineConfig) -> (UnifiedEngine, IngestReport) {
     let mut b = EngineBuilder::with_config(w.lexicon.clone(), config);
     for name in w.db.table_names() {
         b.add_table(name, w.db.table(name).expect("listed").clone()).expect("fresh");
@@ -107,7 +112,7 @@ fn build_with(w: &Workload, config: EngineConfig) -> UnifiedEngine {
     for d in &w.documents {
         b.add_document(d.title.clone(), d.text.clone(), d.source.clone());
     }
-    b.build().0
+    b.build()
 }
 
 /// A tiny fixed-input engine for the fault matrix and the golden frame
@@ -180,7 +185,7 @@ fn gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
 #[test]
 fn snapshot_round_trip_answers_byte_identical() {
     for w in workloads() {
-        let engine = build(&w, 1);
+        let (engine, built) = build_reported(&w, config(1));
         let path = tmp_path(&format!("roundtrip-{}", w.name));
         engine.save_snapshot(&path).expect("save");
         let baseline = answers(&engine, &w.qa);
@@ -198,12 +203,7 @@ fn snapshot_round_trip_answers_byte_identical() {
         for threads in [1usize, 2, 4, 8] {
             let (reopened, report) =
                 EngineBuilder::open_snapshot(&path, config(threads)).expect("open");
-            assert_eq!(
-                report,
-                *engine.ingest_report(),
-                "{}: ingest report survives the round trip",
-                w.name
-            );
+            assert_eq!(report, built, "{}: ingest report survives the round trip", w.name);
             assert_eq!(
                 reopened.db(),
                 engine.db(),
