@@ -73,6 +73,17 @@ for f in crates/text/src/bm25.rs crates/retrieval/src/topology.rs; do
     fi
 done
 
+echo "==> no per-question table sized by the graph or the chunk store"
+# A traversal borrows its per-node tables from the retriever's scratch pool
+# and cleans them by walking its frontier; its candidate chunks are one list
+# as long as the frontier (DESIGN.md §5b). A vec![…; n] sized by the graph or
+# the store would bring an O(corpus) fill back onto every question.
+if sed '/#\[cfg(test)\]/,$d' crates/retrieval/src/topology.rs |
+    grep -nE 'vec!\[[^]]*;[^]]*(num_nodes\(\)|num_chunks\(\)|n_nodes|n_chunks)'; then
+    echo "ERROR: crates/retrieval/src/topology.rs sizes a vec! by the graph or the chunk store outside #[cfg(test)] (see DESIGN.md §5b: lend the tables from the scratch pool)"
+    exit 1
+fi
+
 echo "==> one term dictionary per document store"
 # BM25 interns each term once and keeps its posting lists in a Vec indexed
 # by term id; the sentence analysis keeps only spans and runs of those ids

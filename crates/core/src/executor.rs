@@ -92,7 +92,6 @@ impl UnifiedEngine {
         // working generator or enough entropy samples nothing downstream
         // can be certified, so the only plan is the gate itself. Either
         // way the gate is the plan's root (pre-order position 0).
-        let gate = self.entropy_gate(LogicalNode::Abstain);
         let (plan, mut answer) = if self.exec_entropy_gate(&mut run) {
             let intent = self.exec_sem_tag(&mut run);
             let clock = tracekit::wall::Stopwatch::start();
@@ -102,7 +101,7 @@ impl UnifiedEngine {
             let answer = self.exec_alternatives(first, branches, &intent, clock, &mut run);
             (plan, answer)
         } else {
-            (gate, abstained())
+            (self.entropy_gate(LogicalNode::Abstain), abstained())
         };
         // `Abstain` closes every plan: the root's last branch, or the
         // degenerate gate's only child. It shows the route taken.

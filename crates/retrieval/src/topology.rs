@@ -19,10 +19,17 @@
 //!    identify influential nodes") computed once per graph version, on the
 //!    first traversal that needs it; every other traversal's work stays
 //!    proportional to the frontier.
-//! 4. **Hybrid scoring** — the topological score fuses with a BM25 lexical
-//!    score so purely-verbal queries still work.
+//! 4. **Hybrid scoring** — each candidate chunk's topological score fuses
+//!    with its BM25 score, computed for the candidates alone
+//!    ([`unisem_text::Bm25Index::score_docs`]), so the lexical half also
+//!    reads only what the frontier names. A query with no anchor is a
+//!    plain BM25 search.
+//!
+//! The per-node tables a traversal fills are lent from a pool on the
+//! retriever and cleaned by walking the frontier before they go back, so
+//! no per-query work is sized by the graph or the chunk store.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use unisem_docstore::DocStore;
 use unisem_hetgraph::algo::pagerank;
@@ -102,9 +109,10 @@ pub struct TraversalStats {
     /// Whether any anchor's traversal hit [`TopologyConfig::max_frontier`]
     /// and was truncated (a degradation signal for the engine).
     pub frontier_capped: bool,
-    /// Posting entries the lexical component scanned (both the fallback
-    /// and the fusion search hit the same posting lists for a given
-    /// query, so this is a pure function of query and corpus).
+    /// Posting entries the lexical component read: the whole posting
+    /// list of every query term for the lexical fallback, and for a
+    /// traversal the entries scoring its candidate chunks read, which is
+    /// never more. Either way a pure function of query and corpus.
     pub postings_scanned: usize,
     /// Entity labels anchor linking read: the fuzzy candidates handed to
     /// the similarity bound (those in a label length the bound admits),
@@ -112,8 +120,36 @@ pub struct TraversalStats {
     pub labels_examined: usize,
 }
 
+/// One traversal's per-node tables, indexed by node id: all clean (`dist`
+/// infinite, `proximity` 0, `in_frontier` false) whenever no traversal
+/// holds them.
+#[derive(Debug, Default)]
+struct Scratch {
+    dist: Vec<f64>,
+    proximity: Vec<f64>,
+    in_frontier: Vec<bool>,
+}
+
+impl Scratch {
+    /// Grows the tables, clean, to `n_nodes` slots.
+    fn fit(&mut self, n_nodes: usize) {
+        self.dist.resize(n_nodes.max(self.dist.len()), f64::INFINITY);
+        self.proximity.resize(n_nodes.max(self.proximity.len()), 0.0);
+        self.in_frontier.resize(n_nodes.max(self.in_frontier.len()), false);
+    }
+
+    /// Cleans what a traversal over `frontier` set: the traversal resets
+    /// `dist` itself, node by node.
+    fn clear(&mut self, frontier: &[NodeId]) {
+        for node in frontier {
+            self.proximity[node.0 as usize] = 0.0;
+            self.in_frontier[node.0 as usize] = false;
+        }
+    }
+}
+
 /// The topology-enhanced retriever.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TopologyRetriever {
     slm: Slm,
     graph: Arc<HetGraph>,
@@ -123,6 +159,26 @@ pub struct TopologyRetriever {
     /// `graph`, filled by [`Self::ensure_prior`] and emptied whenever
     /// [`Self::rebind`] changes the graph.
     static_prior: OnceLock<Vec<f64>>,
+    /// Clean per-node tables, one lent to each traversal in flight (so at
+    /// most one per concurrent traversal), locked only to pop or push. A
+    /// traversal that unwinds never returns its tables, so every one here
+    /// is clean. [`Self::rebind`] drops them.
+    scratch: Mutex<Vec<Scratch>>,
+}
+
+impl Clone for TopologyRetriever {
+    /// A clone shares the substrates and the prior, and starts its own
+    /// scratch pool.
+    fn clone(&self) -> Self {
+        Self {
+            slm: self.slm.clone(),
+            graph: self.graph.clone(),
+            docs: self.docs.clone(),
+            config: self.config,
+            static_prior: self.static_prior.clone(),
+            scratch: Mutex::default(),
+        }
+    }
 }
 
 impl TopologyRetriever {
@@ -137,17 +193,19 @@ impl TopologyRetriever {
         docs: Arc<DocStore>,
         config: TopologyConfig,
     ) -> Self {
-        Self { slm, graph, docs, config, static_prior: OnceLock::new() }
+        Self { slm, graph, docs, config, static_prior: OnceLock::new(), scratch: Mutex::default() }
     }
 
     /// Points the retriever at new versions of its substrates and drops
-    /// the static prior, which the next traversal recomputes. Rebinding to
-    /// empty substrates releases the retriever's handles, so the owner of
-    /// the only other handle can mutate in place (`Arc::make_mut`).
+    /// the static prior, which the next traversal recomputes, and the
+    /// scratch tables sized by the old graph. Rebinding to empty
+    /// substrates releases the retriever's handles, so the owner of the
+    /// only other handle can mutate in place (`Arc::make_mut`).
     pub fn rebind(&mut self, graph: Arc<HetGraph>, docs: Arc<DocStore>) {
         self.graph = graph;
         self.docs = docs;
         self.static_prior = OnceLock::new();
+        self.scratch = Mutex::default();
     }
 
     /// Computes the static prior for the current graph version unless it
@@ -351,11 +409,11 @@ impl TopologyRetriever {
 
     /// Retrieval with traversal statistics.
     ///
-    /// Node and chunk ids are dense, so every per-id table here is a `Vec`
-    /// indexed by id beside a list of the ids in use, except the lexical
-    /// scores, which are looked up in the few BM25 hits; the lists are
-    /// walked in ascending id order, which is what makes the result a pure
-    /// function of the inputs (DESIGN.md §5b).
+    /// Node and chunk ids are dense, so the traversal's per-node tables
+    /// are `Vec`s indexed by id (lent from the scratch pool) beside a list
+    /// of the ids in use, and the candidate chunks are one list sorted by
+    /// chunk id; both lists are walked in ascending id order, which is what
+    /// makes the result a pure function of the inputs (DESIGN.md §5b).
     pub fn retrieve_with_stats(
         &self,
         query: &str,
@@ -365,21 +423,17 @@ impl TopologyRetriever {
         // Traverse from referential anchors; fall back to constraint
         // anchors when the query names only values ("what happened in Q3?").
         let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
-        // Lexical scores over the same corpus (normalized below); without
-        // anchors they are the whole answer. Either search scans the same
-        // posting lists.
-        let lexical_fallback = anchors.is_empty();
-        let lex_k = if lexical_fallback { k } else { (k * 4).max(20) };
-        let (mut lex_hits, postings_scanned) = self.docs.search_counted(query, lex_k);
         let mut stats = TraversalStats {
             anchors: primary.len() + constraints.len(),
-            lexical_fallback,
-            postings_scanned,
+            lexical_fallback: anchors.is_empty(),
             labels_examined,
             ..TraversalStats::default()
         };
-        if lexical_fallback {
-            let hits = lex_hits
+        // Without anchors the lexical search is the whole answer.
+        if stats.lexical_fallback {
+            let (hits, scanned) = self.docs.search_counted(query, k);
+            stats.postings_scanned = scanned;
+            let hits = hits
                 .into_iter()
                 .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: h.score })
                 .collect();
@@ -395,13 +449,13 @@ impl TopologyRetriever {
         // temporal anchor's multi-hop neighborhood is the entire
         // contemporaneous corpus.
         let max_cost = if primary.is_empty() { 1.0 } else { self.config.max_hops as f64 * 2.0 };
-        let n_nodes = self.graph.num_nodes();
-        let mut dist = vec![f64::INFINITY; n_nodes];
-        let mut proximity = vec![0.0f64; n_nodes];
-        let mut in_frontier = vec![false; n_nodes];
+        let mut scratch =
+            self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
+        scratch.fit(self.graph.num_nodes());
+        let Scratch { dist, proximity, in_frontier } = &mut scratch;
         let mut frontier: Vec<NodeId> = Vec::new();
         for &a in anchors {
-            let (reached, capped, popped) = self.bounded_traversal(a, max_cost, &mut dist);
+            let (reached, capped, popped) = self.bounded_traversal(a, max_cost, dist);
             stats.frontier_capped |= capped;
             stats.nodes_popped += popped;
             for node in reached {
@@ -430,48 +484,45 @@ impl TopologyRetriever {
         stats.nodes_touched = frontier.len();
         frontier.sort_unstable();
 
-        // Candidate chunks: traversal proximity × static centrality prior.
-        // A chunk node naming no chunk of the store cannot be a hit.
+        // Candidate chunks: traversal proximity × static centrality prior,
+        // by chunk id; of two nodes naming one chunk the one walked last
+        // keeps its score. A chunk node naming no chunk of the store cannot
+        // be a hit.
         let (static_prior, _) = self.prior();
         let n_chunks = self.docs.num_chunks();
-        let mut topo = vec![0.0f64; n_chunks];
-        let mut is_candidate = vec![false; n_chunks];
-        let mut candidates: Vec<usize> = Vec::new();
-        for &node in &frontier {
+        let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(frontier.len());
+        for &node in frontier.iter().rev() {
             if let NodeKind::Chunk { chunk_id, .. } = self.graph.node(node).kind {
                 if chunk_id < n_chunks {
                     let i = node.0 as usize;
-                    topo[chunk_id] = proximity[i] * (0.5 + 0.5 * static_prior[i]);
-                    if !is_candidate[chunk_id] {
-                        is_candidate[chunk_id] = true;
-                        candidates.push(chunk_id);
-                    }
+                    candidates.push((chunk_id, proximity[i] * (0.5 + 0.5 * static_prior[i])));
                 }
             }
         }
+        scratch.clear(&frontier);
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
+        // Pushed in reverse walk order and sorted stably, so the first of a
+        // chunk's entries, the one kept, is the one walked last.
+        candidates.sort_by_key(|&(chunk_id, _)| chunk_id);
+        candidates.dedup_by_key(|&mut (chunk_id, _)| chunk_id);
         stats.chunks_scored = candidates.len();
 
-        // The lexical table is the at most `lex_k` hits themselves, by chunk
-        // id: a candidate they miss scores 0 lexically.
-        lex_hits.sort_unstable_by_key(|h| h.chunk_id);
-        let lex = |c: usize| {
-            lex_hits.binary_search_by_key(&c, |h| h.chunk_id).map_or(0.0, |i| lex_hits[i].score)
-        };
-        let topo_max = candidates.iter().map(|&c| topo[c]).fold(0.0f64, f64::max).max(1e-12);
-        let lex_max = lex_hits.iter().map(|h| h.score).fold(0.0f64, f64::max).max(1e-12);
+        // The lexical half, for the candidates alone.
+        let ids: Vec<usize> = candidates.iter().map(|&(chunk_id, _)| chunk_id).collect();
+        let (lex, read) = self.docs.index().score_docs(query, &ids);
+        stats.postings_scanned = read;
+        let topo_max = candidates.iter().map(|&(_, t)| t).fold(0.0f64, f64::max).max(1e-12);
+        let lex_max = lex.iter().copied().fold(0.0f64, f64::max).max(1e-12);
 
-        // Fuse: candidates get both components; lexical-only hits keep the
-        // beta component so verbal queries aren't starved.
         let (alpha, beta) = (self.config.alpha, self.config.beta);
-        let fused_candidates = candidates.iter().map(|&c| RetrievalResult {
-            chunk_id: c,
-            score: alpha * topo[c] / topo_max + beta * lex(c) / lex_max,
-        });
-        let lexical_only = lex_hits
+        let mut results: Vec<RetrievalResult> = candidates
             .iter()
-            .filter(|h| !is_candidate[h.chunk_id])
-            .map(|h| RetrievalResult { chunk_id: h.chunk_id, score: beta * h.score / lex_max });
-        let mut results: Vec<RetrievalResult> = fused_candidates.chain(lexical_only).collect();
+            .zip(&lex)
+            .map(|(&(chunk_id, topo), &lex)| RetrievalResult {
+                chunk_id,
+                score: alpha * topo / topo_max + beta * lex / lex_max,
+            })
+            .collect();
         // Chunk ids are distinct, so this is a total order.
         results.sort_unstable_by(|a, b| {
             b.score

@@ -86,14 +86,22 @@ fn lexicon() -> Lexicon {
 /// and `k`.
 type Case = (Vec<Vec<Vec<usize>>>, String, usize);
 
+/// Corpora of one to `max_docs` documents.
+fn corpora(max_docs: usize) -> Gen<Vec<Vec<Vec<usize>>>> {
+    let sentence = vec_of(&usizes(0, DOC_PHRASES.len() - 1), 2, 6);
+    vec_of(&vec_of(&sentence, 1, 4), 1, max_docs)
+}
+
+/// Queries of one to five phrases from `pools`.
+fn queries(pools: &'static [&'static [&'static str]]) -> Gen<String> {
+    let pool = pools.concat();
+    vec_of(&usizes(0, pool.len() - 1), 1, 5)
+        .map(move |ix| ix.iter().map(|&i| pool[i]).collect::<Vec<_>>().join(" "))
+}
+
 /// Cases whose queries are one to five phrases from `pools`.
 fn cases(pools: &'static [&'static [&'static str]]) -> Gen<Case> {
-    let sentence = vec_of(&usizes(0, DOC_PHRASES.len() - 1), 2, 6);
-    let document = vec_of(&sentence, 1, 4);
-    let pool = pools.concat();
-    let query = vec_of(&usizes(0, pool.len() - 1), 1, 5)
-        .map(move |ix| ix.iter().map(|&i| pool[i]).collect::<Vec<_>>().join(" "));
-    zip3(&vec_of(&document, 1, 10), &query, &usizes(0, 4))
+    zip3(&corpora(10), &queries(pools), &usizes(0, 4))
 }
 
 /// Queries that name entities, miss them narrowly, or name none.
@@ -120,7 +128,8 @@ fn substrates(corpus: &[Vec<Vec<usize>>]) -> (Slm, Arc<HetGraph>, Arc<DocStore>)
 
 /// The retriever as it was before the dense-id rewrite: per-mention and
 /// per-word walks over the referential entities in id order, and a
-/// `BTreeMap` for every id-keyed table.
+/// `BTreeMap` for every id-keyed table. Its lexical half is an unbounded
+/// BM25 search looked up per candidate chunk.
 struct Reference {
     slm: Slm,
     graph: Arc<HetGraph>,
@@ -252,12 +261,12 @@ impl Reference {
         let anchors: &[NodeId] = if primary.is_empty() { &constraints } else { &primary };
         let mut stats = TraversalStats {
             anchors: primary.len() + constraints.len(),
-            postings_scanned: self.docs.index().postings_scanned(query),
             labels_examined,
             ..TraversalStats::default()
         };
         if anchors.is_empty() {
             stats.lexical_fallback = true;
+            stats.postings_scanned = self.docs.index().postings_scanned(query);
             let hits = self
                 .docs
                 .search(query, k)
@@ -301,22 +310,24 @@ impl Reference {
         }
         stats.chunks_scored = topo.len();
 
-        let lex: BTreeMap<usize, f64> = self
+        // What the candidate scorer reads is its own count; the text props
+        // bound it by the index count.
+        let ids: Vec<usize> = topo.keys().copied().collect();
+        stats.postings_scanned = self.docs.index().score_docs(query, &ids).1;
+        let all: BTreeMap<usize, f64> = self
             .docs
-            .search(query, (k * 4).max(20))
+            .search(query, usize::MAX)
             .into_iter()
             .map(|h| (h.chunk_id, h.score))
             .collect();
+        let lex = |c: &usize| all.get(c).copied().unwrap_or(0.0);
         let topo_max = topo.values().cloned().fold(0.0f64, f64::max).max(1e-12);
-        let lex_max = lex.values().cloned().fold(0.0f64, f64::max).max(1e-12);
+        let lex_max = topo.keys().map(lex).fold(0.0f64, f64::max).max(1e-12);
 
         let mut fused: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&c, &t) in &topo {
-            let l = lex.get(&c).copied().unwrap_or(0.0);
-            fused.insert(c, self.config.alpha * t / topo_max + self.config.beta * l / lex_max);
-        }
-        for (&c, &l) in &lex {
-            fused.entry(c).or_insert(self.config.beta * l / lex_max);
+        for (c, &t) in &topo {
+            let l = lex(c);
+            fused.insert(*c, self.config.alpha * t / topo_max + self.config.beta * l / lex_max);
         }
         let mut results: Vec<RetrievalResult> = fused
             .into_iter()
@@ -351,7 +362,13 @@ fn check_against_reference(case: &Case, config: TopologyConfig) -> Result<Traver
     let (want, want_stats) = reference.retrieve_with_stats(query, *k);
     prop_assert_eq!(bits(&got), bits(&want), "{query:?} k = {k}");
     prop_assert_eq!(got_stats, want_stats, "{query:?} k = {k}");
-    prop_assert_eq!(got_stats.postings_scanned, docs.index().postings_scanned(query));
+    let scanned = docs.index().postings_scanned(query);
+    if got_stats.lexical_fallback {
+        prop_assert_eq!(got_stats.postings_scanned, scanned);
+    } else {
+        prop_assert!(got_stats.postings_scanned <= scanned, "{query:?}");
+        prop_assert!(got.len() <= got_stats.chunks_scored, "only candidates are hits");
+    }
     Ok(got_stats)
 }
 
@@ -461,4 +478,97 @@ fn generated_cases_cover_the_branches() {
         "{fuzzy_ties} fuzzy ties, {degree_ties} degree ties, {non_ascii} non-ASCII anchors, \
          {twice} words held twice"
     );
+}
+
+/// A corpus, the documents its next version adds, and a run of queries,
+/// each with the retriever that answers it (see
+/// `reused_scratch_answers_like_a_fresh_retriever`) and its `k`.
+type ReuseCase = (Vec<Vec<Vec<usize>>>, Vec<Vec<Vec<usize>>>, Vec<(String, usize, usize)>);
+
+fn reuse_cases() -> Gen<ReuseCase> {
+    let question =
+        zip3(&queries(&[DOC_PHRASES, NEAR_MISSES, UNTAGGED_WORDS]), &usizes(0, 2), &usizes(0, 4));
+    zip3(&corpora(6), &corpora(6), &vec_of(&question, 1, 10))
+}
+
+/// A retriever over `substrates` that has answered nothing.
+fn fresh(
+    substrates: &(Slm, Arc<HetGraph>, Arc<DocStore>),
+    config: TopologyConfig,
+) -> TopologyRetriever {
+    let (slm, graph, docs) = substrates;
+    TopologyRetriever::new(slm.clone(), graph.clone(), docs.clone(), config)
+}
+
+// The scratch tables a traversal borrows are clean when it returns them:
+// any interleaving of questions on one retriever, on its clones, and on
+// it after a rebind to a grown graph (while a clone taken before still
+// reads the old one) answers bit for bit what a retriever that has
+// answered nothing does. Every question is asked under the frontier cap
+// too, which truncates mid-expansion.
+prop_check!(reused_scratch_answers_like_a_fresh_retriever, reuse_cases(), |case| {
+    let (corpus, added, questions) = case;
+    let grown: Vec<_> = corpus.iter().chain(added).cloned().collect();
+    let (old, new) = (substrates(corpus), substrates(&grown));
+    prop_assert!(new.1.num_nodes() > old.1.num_nodes(), "the graph grew");
+    for config in
+        [TopologyConfig::default(), TopologyConfig { max_frontier: 3, ..TopologyConfig::default() }]
+    {
+        let mut reused = fresh(&old, config);
+        let first = reused.clone();
+        let mut before_rebind = None;
+        for (i, (query, who, k)) in questions.iter().enumerate() {
+            if i == questions.len() / 2 {
+                before_rebind = Some(reused.clone());
+                reused.rebind(new.1.clone(), new.2.clone());
+            }
+            // The retriever itself, the clone taken before anything was
+            // asked, or the clone taken just before the rebind.
+            let (answering, substrate) = match (who, &before_rebind) {
+                (0, None) => (&reused, &old),
+                (0, Some(_)) => (&reused, &new),
+                (1, _) | (_, None) => (&first, &old),
+                (_, Some(before)) => (before, &old),
+            };
+            let (got, got_stats) = answering.retrieve_with_stats(query, *k);
+            let (want, want_stats) = fresh(substrate, config).retrieve_with_stats(query, *k);
+            prop_assert_eq!(bits(&got), bits(&want), "{query:?} k = {k}, question {i}");
+            prop_assert_eq!(got_stats, want_stats, "{query:?} k = {k}, question {i}");
+        }
+    }
+    Ok(())
+});
+
+// Traversals in flight at once each hold their own tables: two threads
+// sharing one retriever answer what a fresh retriever does.
+#[test]
+fn concurrent_traversals_answer_like_a_fresh_retriever() {
+    let mut rng = detkit::Rng::new(11);
+    for _ in 0..16 {
+        let (corpus, _, questions) = reuse_cases().generate(&mut rng).value().clone();
+        let subs = substrates(&corpus);
+        let config = TopologyConfig::default();
+        let shared = fresh(&subs, config);
+        let want: Vec<_> = questions
+            .iter()
+            .map(|(q, _, k)| fresh(&subs, config).retrieve_with_stats(q, *k))
+            .map(|(hits, stats)| (bits(&hits), stats))
+            .collect();
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        questions
+                            .iter()
+                            .map(|(q, _, k)| shared.retrieve_with_stats(q, *k))
+                            .map(|(hits, stats)| (bits(&hits), stats))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().expect("no panic"), want);
+            }
+        });
+    }
 }

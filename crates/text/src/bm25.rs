@@ -159,6 +159,71 @@ impl Bm25Index {
         self.score(lists, top_k)
     }
 
+    /// Scores only the documents `ids` (ascending, distinct) for a
+    /// raw-text query: per id, the score [`Self::search`] gives that
+    /// document with an unbounded cut (0 for one sharing no query term),
+    /// and the posting entries read to find them.
+    ///
+    /// Each query term's posting list, in query term order and repeats
+    /// included, is walked against the ids: a linear merge when the list is
+    /// short for this many ids, a gallop (exponential search, then
+    /// bisection) from the last match when it is long. Either way a list
+    /// costs no more reads than its length, so the count is at most
+    /// [`Self::postings_scanned`]. A score adds the same per-term
+    /// contributions in the same order as a search, so it has the same
+    /// bits.
+    pub fn score_docs(&self, query: &str, ids: &[usize]) -> (Vec<f64>, usize) {
+        let mut scores = vec![0.0f64; ids.len()];
+        let mut read = 0usize;
+        if ids.is_empty() {
+            return (scores, read);
+        }
+        let norms = self.norms();
+        for_each_term(query, |term| {
+            let Some(posts) = self.posting(term).filter(|posts| !posts.is_empty()) else {
+                return;
+            };
+            let idf = self.idf(posts.len());
+            let mut add = |slot: usize, (doc, tf): (usize, u32)| {
+                let tf = f64::from(tf);
+                let denom = tf + norms[doc];
+                scores[slot] += idf * tf * (K1 + 1.0) / denom;
+            };
+            // Galloping `d` postings past the last match reads at most
+            // `2 · log2(d + 1) + 3`; the steps sum to at most the list's
+            // length, so by concavity the ids read at most this, evenly
+            // spread.
+            let per_id = 2 * (posts.len() / ids.len() + 1).ilog2() as usize + 5;
+            if ids.len().saturating_mul(per_id) < posts.len() {
+                let mut from = 0;
+                for (slot, &id) in ids.iter().enumerate() {
+                    from = gallop(posts, from, id, &mut read);
+                    // The gallop has read this posting.
+                    let Some(&post) = posts.get(from) else { break };
+                    if post.0 == id {
+                        add(slot, post);
+                        from += 1;
+                    }
+                }
+            } else {
+                let mut slot = 0;
+                for &post in posts {
+                    read += 1;
+                    while ids[slot] < post.0 {
+                        slot += 1;
+                        if slot == ids.len() {
+                            return;
+                        }
+                    }
+                    if ids[slot] == post.0 {
+                        add(slot, post);
+                    }
+                }
+            }
+        });
+        (scores, read)
+    }
+
     /// Every term with its `(doc_id, term_frequency)` pairs in ascending
     /// doc id order, in term id order.
     pub fn postings(&self) -> impl ExactSizeIterator<Item = (&str, &[(usize, u32)])> + '_ {
@@ -236,6 +301,35 @@ impl Bm25Index {
             scanned,
         )
     }
+}
+
+/// The first position at or after `from` whose document is at least `id`
+/// (`posts.len()` when there is none), found by doubling steps from `from`
+/// and then bisecting the last step; `read` counts the postings probed,
+/// which include the one at the returned position.
+fn gallop(posts: &[(usize, u32)], mut from: usize, id: usize, read: &mut usize) -> usize {
+    let mut step = 1;
+    let mut to = from;
+    while to < posts.len() {
+        *read += 1;
+        if posts[to].0 >= id {
+            break;
+        }
+        from = to + 1;
+        to = from + step;
+        step *= 2;
+    }
+    let mut to = to.min(posts.len());
+    while from < to {
+        let mid = from + (to - from) / 2;
+        *read += 1;
+        if posts[mid].0 < id {
+            from = mid + 1;
+        } else {
+            to = mid;
+        }
+    }
+    from
 }
 
 /// A hit ordered by rank: a greater `Ranked` ranks lower (smaller score,
@@ -378,6 +472,32 @@ mod tests {
         // mirroring what search actually does.
         assert_eq!(ix.postings_scanned("fox fox"), 4);
         assert!(ix.postings_scanned("alpha product sales quarter") > 0);
+    }
+
+    #[test]
+    fn score_docs_gallops_a_long_list_and_merges_a_short_one() {
+        let mut ix = Bm25Index::default();
+        for i in 0..1000 {
+            ix.add_document(if i % 7 == 0 { "fox fox dog" } else { "fox" });
+        }
+        let all: Vec<f64> = {
+            let mut by_id = vec![0.0; ix.len()];
+            for (doc, score) in ix.search("fox dog", usize::MAX).0 {
+                by_id[doc] = score;
+            }
+            by_id
+        };
+        // Two ids against 1,000 and 143 postings: each list is galloped,
+        // in at most 2 · (2 · ⌊log2(n / 2 + 1)⌋ + 5) reads.
+        let (scores, read) = ix.score_docs("fox dog", &[500, 700]);
+        assert_eq!(scores, [all[500], all[700]]);
+        assert!(read <= 2 * 21 + 2 * 17, "{read}");
+        // Every id: both lists are merged, each read once.
+        let ids: Vec<usize> = (0..ix.len()).collect();
+        let (scores, read) = ix.score_docs("fox dog", &ids);
+        assert_eq!(scores, all);
+        assert_eq!(read, ix.postings_scanned("fox dog"));
+        assert_eq!(ix.score_docs("fox dog", &[]), (vec![], 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use detkit::prop::{string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
+use detkit::prop::{bools, string_of, unicode_strings, usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_text::bm25::{B, K1};
 use unisem_text::{
@@ -450,6 +450,42 @@ prop_check!(search_terms_matches_tree_map_reference, corpus_and_query(), |p| {
     }
     Ok(())
 });
+
+// Scoring only some documents gives each of them the bits an unbounded
+// search gives it (0 for one sharing no query term), over empty, full,
+// sparse, masked and tied id sets, and reads no more postings than the
+// search scans. Queries repeat terms; a long list against a sparse id set
+// is galloped, the rest merged.
+prop_check!(
+    score_docs_gives_every_id_the_search_bits,
+    zip3(&corpus_and_query(), &vec_of(&usizes(0, 39), 0, 3), &vec_of(&bools(), 0, 40)),
+    |p| {
+        let ((docs, query), sparse, mask) = p;
+        let (docs, query) = (docs.iter().map(|d| d.join(" ")).collect::<Vec<_>>(), query.join(" "));
+        let mut ix = Bm25Index::default();
+        for d in &docs {
+            ix.add_document(d);
+        }
+        let all: BTreeMap<usize, f64> = ix.search(&query, usize::MAX).0.into_iter().collect();
+        let mut sparse: Vec<usize> = sparse.iter().copied().filter(|&d| d < docs.len()).collect();
+        sparse.sort_unstable();
+        sparse.dedup();
+        let masked: Vec<usize> = (0..docs.len()).filter(|&d| mask.get(d) == Some(&true)).collect();
+        let tied: Vec<usize> = (0..docs.len())
+            .filter(|&d| sparse.first().is_some_and(|&s| docs[d] == docs[s]))
+            .collect();
+        for ids in [vec![], (0..docs.len()).collect(), sparse.clone(), masked, tied] {
+            let (got, read) = ix.score_docs(&query, &ids);
+            prop_assert_eq!(got.len(), ids.len());
+            for (&id, score) in ids.iter().zip(&got) {
+                let want = all.get(&id).copied().unwrap_or(0.0);
+                prop_assert_eq!(score.to_bits(), want.to_bits(), "{query:?} doc {id} of {ids:?}");
+            }
+            prop_assert!(read <= ix.postings_scanned(&query), "{read} read for {ids:?}");
+        }
+        Ok(())
+    }
+);
 
 // The raw-text entry point normalizes once and counts in the same pass.
 prop_check!(

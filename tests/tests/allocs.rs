@@ -115,20 +115,20 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 2598, 135521),
-            ("comparative", 8, 3632, 179685),
-            ("cross_modal", 8, 2103, 325790),
-            ("lookup", 8, 1697, 260613),
-            ("multi_entity", 5, 1626, 85863),
-            ("unanswerable", 8, 3280, 196655),
+            ("aggregate", 8, 2590, 134689),
+            ("comparative", 8, 3624, 178853),
+            ("cross_modal", 8, 2004, 212982),
+            ("lookup", 8, 1609, 151133),
+            ("multi_entity", 5, 1621, 85343),
+            ("unanswerable", 8, 3272, 195823),
         ],
         [
-            ("aggregate", 8, 2147, 110108),
-            ("comparative", 8, 2936, 152271),
-            ("cross_modal", 8, 1520, 164162),
-            ("lookup", 8, 1440, 130870),
-            ("multi_entity", 8, 2973, 150356),
-            ("unanswerable", 8, 2445, 137094),
+            ("aggregate", 8, 2139, 109276),
+            ("comparative", 8, 2928, 151439),
+            ("cross_modal", 8, 1426, 134962),
+            ("lookup", 8, 1360, 101926),
+            ("multi_entity", 8, 2965, 149524),
+            ("unanswerable", 8, 2437, 136262),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [
