@@ -129,6 +129,45 @@ if [ "$shape" -ne 0 ]; then
     exit 1
 fi
 
+echo "==> one expression evaluator in relstore"
+# A bound expression is one tree, expr.rs' Bound (DESIGN.md §5b): a filter
+# asks it for a row's three-valued truth, aggregates and sorts for a row's
+# value. A second tree type beside it would be a second evaluator to keep
+# in step with SQL's three-valued logic and its error order, and a filter
+# that compares a computed Value against true is back to building a Value
+# per node per row. Tests are skipped; Expr and LogicalPlan are the AST.
+evaluators=0
+for f in crates/relstore/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+        /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?(enum|struct)[[:space:]]+[A-Za-z_]+/ {
+            match($0, /(enum|struct)[[:space:]]+[A-Za-z_]+/)
+            name = substr($0, RSTART, RLENGTH)
+            sub(/^(enum|struct)[[:space:]]+/, "", name)
+            inside = 1; depth = 0
+        }
+        inside && name !~ /^(Expr|LogicalPlan|Bound)$/ && $0 ~ ("Box<(" name "|Self)[<>]") {
+            print f ": " name " is a second expression tree: " $0; found = 1
+        }
+        inside && name != "Bound" && name ~ /Bound|Compiled|Prepared|Program/ {
+            print f ": " name " is a second bound expression: " $0; found = 1; inside = 0
+        }
+        inside {
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth <= 0 && $0 ~ /[};]/) inside = 0
+        }
+        END { exit !found }'; then
+        evaluators=1
+    fi
+done
+if sed '/#\[cfg(test)\]/,$d' crates/relstore/src/exec.rs | grep -n 'Value::Bool(true)'; then
+    echo "crates/relstore/src/exec.rs compares a value against Value::Bool(true) outside #[cfg(test)]"
+    evaluators=1
+fi
+if [ "$evaluators" -ne 0 ]; then
+    echo "ERROR: relstore evaluates expressions only through expr.rs' Bound; a filter asks it for a Truth (see DESIGN.md §5b)"
+    exit 1
+fi
+
 echo "==> one checksum and one frame format in storekit"
 # A snapshot and the write-ahead log are each one file of the same frames
 # (DESIGN.md §12d, §13a): one frame writer, one scanner, one FNV-1a. A second
@@ -149,8 +188,11 @@ CARGO_NET_OFFLINE=true UNISEM_THREADS=4 cargo test -q
 
 echo "==> relstore probe == scan, 16x deeper than tier-1"
 # A filter over a base table reads only the rows its value-index probe names
-# (DESIGN.md §11f); the differential property holding it to a full scan —
-# same rows, same order, same error — runs 1024 cases here, 64 in tier-1.
+# and re-tests only the conjuncts the probe did not prove (DESIGN.md §5b,
+# §11f); the differential property holding it to a full scan — same rows,
+# same order, same error, and a left-out LIKE key true on every row read —
+# runs 1024 cases here, 64 in tier-1. Both sides run the one evaluator, the
+# Bound tree that the "one expression evaluator in relstore" step guards.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-relstore --test props
 
 echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and stored sentence analysis == the reference forms, 16x deeper than tier-1"

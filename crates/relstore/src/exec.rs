@@ -3,21 +3,24 @@
 //! Row-at-a-time and materializing, but it copies only what it returns:
 //! borrow → bind → evaluate in place. A `Scan` lends the catalog's table
 //! (cloned only when it is the plan root, as the result); each operator
-//! binds its expressions to its input's schema once ([`Expr::bind`]),
-//! evaluates them against `(table, row index)` without building the row,
-//! and copies the rows it keeps with [`Table::take`]. Joins are hash joins
-//! on the equi-key; aggregation is hash aggregation; sorting is stable.
-//! Every operator is a plain loop over its input: no fan-out.
+//! binds its expressions to its input's columns once ([`Expr::bind`]),
+//! evaluates them by row index without building the row — a filter asks
+//! for a truth, the other operators for values — and copies the rows it
+//! keeps with [`Table::take`]. Joins are hash joins on the equi-key;
+//! aggregation is hash aggregation; sorting is stable. Every operator is a
+//! plain loop over its input: no fan-out.
 //!
 //! A `Filter` directly over a `Scan` reads only the rows its predicate's
 //! probe names when the table's index has one ([`TableIndex::probe`]): a
-//! superset of the rows the predicate keeps, evaluated in ascending order,
-//! so the result, its order and any error equal the scan's. It reads no
-//! more rows than the scan, so the choice needs no cost: there is a probe
-//! or there is not. [`ExecStats::rows_scanned`] counts the rows read
-//! either way.
+//! superset of the rows the predicate keeps, on which it evaluates, in
+//! ascending order, only the conjuncts the probe did not prove
+//! ([`Probe::residual`]), so the result, its order and (no) error equal
+//! the scan's. It reads no more rows than the scan, so the choice needs no
+//! cost: there is a probe or there is not. [`ExecStats::rows_scanned`]
+//! counts the rows read either way.
 //!
 //! [`TableIndex::probe`]: crate::index::TableIndex::probe
+//! [`Probe::residual`]: crate::index::Probe::residual
 
 use std::borrow::Cow;
 #[expect(clippy::disallowed_types, reason = "the join buckets and group positions, below")]
@@ -25,7 +28,7 @@ use std::collections::HashMap;
 
 use crate::catalog::Database;
 use crate::error::{RelError, RelResult};
-use crate::expr::{Bound, Expr};
+use crate::expr::{Bound, Expr, Truth};
 use crate::plan::{AggExpr, AggFunc, LogicalPlan, SortKey};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
@@ -106,17 +109,17 @@ fn exec_node<'d>(
                     Some(probe) => {
                         let rows = index.rows(&probe);
                         stats.rows_scanned += rows.len();
-                        exec_filter(t, predicate, rows)?
+                        exec_filter(t, probe.residual(), rows)?
                     }
                     None => {
                         stats.rows_scanned += t.num_rows();
-                        exec_filter(t, predicate, 0..t.num_rows())?
+                        exec_filter(t, [predicate], 0..t.num_rows())?
                     }
                 }
             }
             input => {
                 let t = exec_node(input, db, limits, stats)?;
-                exec_filter(&t, predicate, 0..t.num_rows())?
+                exec_filter(&t, [predicate], 0..t.num_rows())?
             }
         },
         LogicalPlan::Join { left, right, on } => {
@@ -143,24 +146,30 @@ fn exec_node<'d>(
     Ok(Cow::Owned(produced))
 }
 
-/// Evaluates `expr` against row `row` of `t`, reading the cells in place.
-fn eval_at<'a>(expr: &'a Bound<'_>, t: &'a Table, row: usize) -> RelResult<Cow<'a, Value>> {
-    expr.eval(&|col| t.cell(row, col))
+/// Binds `expr` to the columns of `t`.
+fn bind<'a>(expr: &'a Expr, t: &'a Table) -> Bound<'a> {
+    expr.bind(t.schema(), &|col| t.column(col))
 }
 
-/// Keeps the `rows` of `t` (ascending) that `predicate` holds on.
-fn exec_filter(
+/// Keeps the `rows` of `t` (ascending) on which every one of `conjuncts`
+/// is true, evaluated left to right up to the first that is not. More than
+/// one conjunct comes only from a probe's residual, of a total predicate:
+/// no conjunct can raise an error, so stopping early hides none.
+fn exec_filter<'e>(
     t: &Table,
-    predicate: &Expr,
+    conjuncts: impl IntoIterator<Item = &'e Expr>,
     rows: impl IntoIterator<Item = usize>,
 ) -> RelResult<Table> {
-    let predicate = predicate.bind(t.schema());
+    let conjuncts: Vec<Bound> = conjuncts.into_iter().map(|c| bind(c, t)).collect();
     let mut keep = Vec::new();
-    for i in rows {
-        // SQL WHERE: NULL predicate result drops the row.
-        if *eval_at(&predicate, t, i)? == Value::Bool(true) {
-            keep.push(i);
+    'rows: for i in rows {
+        for conjunct in &conjuncts {
+            // SQL WHERE: an unknown (or non-boolean) predicate drops the row.
+            if conjunct.truth(i)? != Truth::True {
+                continue 'rows;
+            }
         }
+        keep.push(i);
     }
     Ok(t.take(&keep))
 }
@@ -354,9 +363,8 @@ impl AggState {
 }
 
 fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> RelResult<Table> {
-    let in_schema = t.schema();
-    let group_exprs: Vec<Bound> = group_by.iter().map(|(e, _)| e.bind(in_schema)).collect();
-    let agg_inputs: Vec<Bound> = aggs.iter().map(|a| a.input.bind(in_schema)).collect();
+    let group_exprs: Vec<Bound> = group_by.iter().map(|(e, _)| bind(e, t)).collect();
+    let agg_inputs: Vec<Bound> = aggs.iter().map(|a| bind(&a.input, t)).collect();
     let new_states = || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.func)).collect() };
     // Groups in first-seen order (representative group values, agg
     // states), found again through the key → position index.
@@ -366,7 +374,7 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
 
     for i in 0..t.num_rows() {
         let group_vals: RelResult<Vec<Cow<Value>>> =
-            group_exprs.iter().map(|e| eval_at(e, t, i)).collect();
+            group_exprs.iter().map(|e| e.value(i)).collect();
         let group_vals = group_vals?;
         let key: Vec<GroupKey> = group_vals.iter().map(|v| v.group_key()).collect();
         let at = *index.entry(key).or_insert_with(|| {
@@ -374,7 +382,7 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
             groups.len() - 1
         });
         for (input, st) in agg_inputs.iter().zip(groups[at].1.iter_mut()) {
-            st.update(&*eval_at(input, t, i)?)?;
+            st.update(&*input.value(i)?)?;
         }
     }
 
@@ -400,12 +408,12 @@ fn exec_aggregate(t: &Table, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> R
 }
 
 fn exec_sort(t: &Table, keys: &[SortKey]) -> RelResult<Table> {
-    let bound: Vec<Bound> = keys.iter().map(|k| k.expr.bind(t.schema())).collect();
+    let bound: Vec<Bound> = keys.iter().map(|k| bind(&k.expr, t)).collect();
     // Precompute key values per row (decorate-sort-undecorate); a key that
     // is a plain column stays a borrow of the cell.
     let mut decorated: Vec<(Vec<Cow<Value>>, usize)> = Vec::with_capacity(t.num_rows());
     for i in 0..t.num_rows() {
-        let kv: RelResult<Vec<Cow<Value>>> = bound.iter().map(|e| eval_at(e, t, i)).collect();
+        let kv: RelResult<Vec<Cow<Value>>> = bound.iter().map(|e| e.value(i)).collect();
         decorated.push((kv?, i));
     }
     decorated.sort_by(|(ka, ia), (kb, ib)| {
@@ -720,6 +728,51 @@ mod tests {
                 assert_eq!(d.run_plan(&plan), Err(expected.clone()), "{plan:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_filter_keeps_only_true_rows() {
+        let d = db();
+        let rows =
+            |p: Expr| d.run_plan(&LogicalPlan::scan("sales").filter(p)).map(|t| t.num_rows());
+        let units = |op: fn(Expr, Expr) -> Expr, n: i64| op(Expr::col("units"), Expr::lit(n));
+        let amount = |op: fn(Expr, Expr) -> Expr, x: f64| op(Expr::col("amount"), Expr::lit(x));
+        // gamma's NULL amount: NULL OR false and NULL AND true drop it, NULL
+        // OR true keeps it.
+        assert_eq!(rows(amount(Expr::gt, 90.0).or(units(Expr::gt, 4))), Ok(4));
+        assert_eq!(rows(amount(Expr::lt, 1e3).and(units(Expr::lt, 4))), Ok(0));
+        assert_eq!(rows(amount(Expr::lt, 1e3).or(units(Expr::lt, 4))), Ok(5));
+        // A literal on the left, and a column against a column.
+        assert_eq!(rows(Expr::lit(8i64).lt(Expr::col("units"))), Ok(2));
+        assert_eq!(rows(Expr::col("amount").gt(Expr::col("units"))), Ok(4));
+        // A value that is not a boolean is not true: no row, no error; as
+        // an AND operand it is a type mismatch.
+        assert_eq!(rows(Expr::col("units")), Ok(0));
+        assert_eq!(rows(Expr::lit(Value::Null)), Ok(0));
+        assert_eq!(
+            rows(Expr::col("units").and(Expr::lit(true))),
+            Err(RelError::TypeMismatch { expected: "bool", found: "int".into() })
+        );
+    }
+
+    #[test]
+    fn a_probed_filter_evaluates_its_residual_on_the_rows_it_reads() {
+        let d = db();
+        let q2 = || Expr::Like { expr: Box::new(Expr::col("quarter")), pattern: "q2".into() };
+        let run = |p: Expr| {
+            let (t, stats) = d.run_plan_with_limits_stats(
+                &LogicalPlan::scan("sales").filter(p),
+                &ExecLimits::default(),
+            );
+            (t.map(|t| t.num_rows()), stats.rows_scanned)
+        };
+        // The three Q2 rows are read; the LIKE is proven, `units > 5` drops
+        // gamma's.
+        assert_eq!(run(q2()), (Ok(3), 3));
+        assert_eq!(run(q2().and(Expr::col("units").gt(Expr::lit(5i64)))), (Ok(2), 3));
+        // `=` is case-sensitive: its fold reads the Q2 rows, and re-tests them.
+        let eq = Expr::col("quarter").eq(Expr::lit("q2"));
+        assert_eq!(run(eq), (Ok(0), 3));
     }
 
     #[test]

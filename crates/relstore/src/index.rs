@@ -13,9 +13,14 @@
 //!
 //! A filter over a base table reads its candidate rows through that map
 //! instead of scanning when its predicate has a key conjunct ([`Probe`]):
-//! the rows it reads are a superset of the rows the predicate keeps, so
-//! evaluating the whole predicate on them, in ascending order, returns
-//! what the scan returns.
+//! the rows it reads are a superset of the rows the predicate keeps, and it
+//! evaluates on them, in ascending order, only the conjuncts the probe did
+//! not prove ([`Probe::residual`]), so it returns what the scan returns.
+//! A `LIKE` key proves its leaf: `LIKE` folds both its sides with
+//! `str::to_lowercase`, the fold the map is keyed by, so every row under a
+//! wildcard-free pattern's fold, or in a `'p%'` prefix's range, satisfies
+//! that leaf. An `=` key does not: `=` is case-sensitive, so the rows
+//! under its fold are only a superset of the rows it keeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -55,7 +60,7 @@ impl ColumnIndex {
     fn postings(&self, key: &Key, mut f: impl FnMut(&[usize])) {
         let Some(keys) = &self.keys else { return };
         match key {
-            Key::Exact(k) => keys.get(k.as_str()).into_iter().for_each(|rows| f(rows)),
+            Key::Like(k) | Key::Eq(k) => keys.get(k.as_str()).into_iter().for_each(|rows| f(rows)),
             Key::Prefix(p) => keys
                 .range::<str, _>((Bound::Included(p.as_str()), Bound::Unbounded))
                 .take_while(|(k, _)| k.starts_with(p.as_str()))
@@ -120,8 +125,9 @@ impl TableIndex {
         }
         let mut conjuncts = Vec::new();
         top_level_conjuncts(predicate, &mut conjuncts);
-        let mut best: Option<Probe<'e>> = None;
-        for conjunct in conjuncts {
+        // (position of the key conjunct, its leaves, rows under their folds)
+        let mut best: Option<(usize, Vec<Leaf<'e>>, usize)> = None;
+        for (at, conjunct) in conjuncts.iter().enumerate() {
             let mut leaves = Vec::new();
             if !key_leaves(conjunct, schema, &mut leaves) {
                 continue;
@@ -130,11 +136,11 @@ impl TableIndex {
             for l in &leaves {
                 self.columns[l.column].postings(&l.key, |rows| reads += rows.len());
             }
-            if best.as_ref().is_none_or(|b| reads < b.reads) {
-                best = Some(Probe { conjunct, leaves, reads });
+            if best.as_ref().is_none_or(|(_, _, fewest)| reads < *fewest) {
+                best = Some((at, leaves, reads));
             }
         }
-        best
+        best.map(|(key, leaves, reads)| Probe { conjuncts, key, leaves, reads })
     }
 
     /// The rows `probe` reads, ascending and without repeats.
@@ -154,17 +160,36 @@ impl TableIndex {
 /// as the explain plan shows it, e.g. `probe product: 2 keys`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Probe<'e> {
-    conjunct: &'e Expr,
+    /// The predicate's top-level `AND` conjuncts, left to right.
+    conjuncts: Vec<&'e Expr>,
+    /// The position of the key conjunct in `conjuncts`.
+    key: usize,
     leaves: Vec<Leaf<'e>>,
     /// Rows under the leaves' folds, a row under two of them counted
     /// twice: at least the rows read, and 0 exactly when none is.
     reads: usize,
 }
 
-impl Probe<'_> {
+impl<'e> Probe<'e> {
     /// The conjunct the probe reads through.
-    pub fn conjunct(&self) -> &Expr {
-        self.conjunct
+    pub fn conjunct(&self) -> &'e Expr {
+        self.conjuncts[self.key]
+    }
+
+    /// The conjuncts a filter still evaluates on the rows the probe reads,
+    /// left to right: every top-level conjunct but the key conjunct when
+    /// each of its leaves is a `LIKE`, which every row read satisfies (so
+    /// the conjunct is true there, and `true AND x` is `x`); every
+    /// conjunct when a leaf is an `=`, whose rows are a superset of the
+    /// rows it keeps. A probed predicate is total, so no conjunct left
+    /// out could have raised an error.
+    pub fn residual(&self) -> impl Iterator<Item = &'e Expr> + '_ {
+        let proven = self.leaves.iter().all(|l| l.key.proves()).then_some(self.key);
+        self.conjuncts
+            .iter()
+            .enumerate()
+            .filter(move |&(at, _)| Some(at) != proven)
+            .map(|(_, c)| *c)
     }
 
     /// True when no row has any of the conjunct's folds: then no row
@@ -196,11 +221,23 @@ struct Leaf<'e> {
     key: Key,
 }
 
-/// A fold, or a prefix of folds.
+/// A fold, or a prefix of folds, and the kind of leaf that asks for it.
 #[derive(Debug, Clone, PartialEq)]
 enum Key {
-    Exact(String),
+    /// The fold of a wildcard-free `LIKE` pattern.
+    Like(String),
+    /// The folds starting with the stem of a `LIKE 'p%'` pattern.
     Prefix(String),
+    /// The fold of an `=` literal.
+    Eq(String),
+}
+
+impl Key {
+    /// Whether every row under the key satisfies its leaf: true for a
+    /// `LIKE` key, false for an `=` one (see the module docs).
+    fn proves(&self) -> bool {
+        !matches!(self, Key::Eq(_))
+    }
 }
 
 /// Whether `e` evaluates on every row of a table of `schema` to a boolean
@@ -246,7 +283,7 @@ fn key_leaves<'e>(e: &'e Expr, schema: &Schema, out: &mut Vec<Leaf<'e>>) -> bool
             return key_leaves(left, schema, out) && key_leaves(right, schema, out);
         }
         Expr::Binary { op: BinOp::Eq, left, right } => match &**right {
-            Expr::Literal(Value::Str(p)) => leaf(left, Some(Key::Exact(p.to_lowercase()))),
+            Expr::Literal(Value::Str(p)) => leaf(left, Some(Key::Eq(p.to_lowercase()))),
             _ => None,
         },
         Expr::Like { expr, pattern } => leaf(expr, like_key(pattern)),
@@ -266,7 +303,7 @@ fn like_key(pattern: &str) -> Option<Key> {
     } else if stem.len() < folded.len() {
         Some(Key::Prefix(stem.to_string()))
     } else {
-        Some(Key::Exact(folded))
+        Some(Key::Like(folded))
     }
 }
 
@@ -369,5 +406,58 @@ mod tests {
         assert!(!probed(key().and(Expr::lit(true))), "a bare literal");
         assert!(!probed(Expr::col("amount").eq(Expr::lit("aero"))), "not a Str column");
         assert!(probed(key().and(Expr::col("amount").gt(Expr::lit(0i64)))));
+    }
+
+    fn residual(index: &TableIndex, t: &Table, p: &Expr) -> Vec<Expr> {
+        index.probe(p, t.schema()).expect("a key conjunct").residual().cloned().collect()
+    }
+
+    #[test]
+    fn a_like_key_conjunct_is_left_out_of_the_residual() {
+        let t = table();
+        let index = TableIndex::build(&t);
+        let positive = Expr::col("amount").gt(Expr::lit(0i64));
+        let small = Expr::col("amount").lt(Expr::lit(5i64));
+        // Exact, prefix and an OR of both: each is proven on every row read.
+        for key in [
+            like("product", "AERO"),
+            like("product", "aero%"),
+            like("product", "kel%").or(like("product", "aero x")),
+        ] {
+            assert_eq!(residual(&index, &t, &key), Vec::<Expr>::new(), "{key}");
+            let p = positive.clone().and(key.clone()).and(small.clone());
+            assert_eq!(residual(&index, &t, &p), vec![positive.clone(), small.clone()], "{key}");
+        }
+    }
+
+    #[test]
+    fn a_key_conjunct_with_an_eq_leaf_stays_in_the_residual() {
+        let t = table();
+        let index = TableIndex::build(&t);
+        let positive = Expr::col("amount").gt(Expr::lit(0i64));
+        let eq = Expr::col("product").eq(Expr::lit("aero"));
+        let mixed = like("product", "aero x").or(eq.clone());
+        for key in [eq, mixed] {
+            let p = key.clone().and(positive.clone());
+            assert_eq!(residual(&index, &t, &p), vec![key.clone(), positive.clone()], "{key}");
+        }
+    }
+
+    #[test]
+    fn only_the_probed_copy_of_a_repeated_conjunct_is_left_out() {
+        let mut db = crate::Database::new();
+        db.create_table("t", table()).expect("fresh");
+        let (t, index) = db.indexed("t").expect("registered");
+        let key = like("product", "aero");
+        let twice = key.clone().and(key.clone());
+        assert_eq!(residual(index, t, &twice), vec![key.clone()]);
+        // Probed, the repeat still filters as a scan does: rows 0 and 4.
+        let scan = |p: &Expr| crate::LogicalPlan::scan("t").limit(usize::MAX).filter(p.clone());
+        let between = key.clone().and(Expr::col("amount").gt(Expr::lit(0i64))).and(key);
+        for p in [twice, between] {
+            let probed = db.run_plan(&crate::LogicalPlan::scan("t").filter(p.clone()));
+            assert_eq!(probed, db.run_plan(&scan(&p)), "{p}");
+            assert_eq!(probed.expect("total").num_rows(), 2, "{p}");
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! - [`value`] / [`schema`] / [`table`]: the storage model — typed values,
 //!   named columns, columnar tables.
 //! - [`expr`]: scalar expression AST (columns, literals, comparisons,
-//!   `AND`/`OR`, `LIKE`), binder (names → column indices, once per
-//!   operator) and evaluator over cells read in place.
+//!   `AND`/`OR`, `LIKE`), binder (names → the columns' cells, once
+//!   per operator) and the one evaluator, which gives a filter a row's
+//!   three-valued truth and other operators a row's value.
 //! - [`plan`]: logical plans (scan/filter/join/aggregate/sort/limit).
 //! - [`index`]: the per-column value index kept beside each base table —
 //!   distinct and NULL counts for the planner, and for string columns the

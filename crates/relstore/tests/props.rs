@@ -958,9 +958,24 @@ fn probe_tables() -> Gen<Table> {
     })
 }
 
-/// Runs `predicate` over `t` probed and scanned; returns whether it was
-/// probed and whether the probe read through a prefix.
-fn check_probe(t: &Table, predicate: &Expr) -> Result<(bool, bool), String> {
+/// What [`check_probe`] saw of one case.
+#[derive(Default)]
+struct ProbeCase {
+    probed: bool,
+    /// The probe read through a prefix.
+    prefix: bool,
+    /// The key conjunct was all `LIKE`s and left out of the residual, and
+    /// at least one other conjunct was evaluated.
+    proven_with_residual: bool,
+    /// The key conjunct held an `=` leaf and the probe read a row it
+    /// rejects: a cell whose fold matches the literal's but whose case
+    /// does not.
+    eq_read_a_rejected_row: bool,
+}
+
+/// Runs `predicate` over `t` probed and scanned, and checks that a key
+/// conjunct left out of the residual holds on every row the probe reads.
+fn check_probe(t: &Table, predicate: &Expr) -> Result<ProbeCase, String> {
     let db = db_with(t.clone());
     let limits = ExecLimits::default();
     let probed =
@@ -972,35 +987,55 @@ fn check_probe(t: &Table, predicate: &Expr) -> Result<(bool, bool), String> {
     let (table, index) = db.indexed("t").expect("registered");
     let Some(probe) = index.probe(predicate, table.schema()) else {
         prop_assert_eq!(probed.1.rows_scanned, t.num_rows());
-        return Ok((false, false));
+        return Ok(ProbeCase::default());
     };
     let read = index.rows(&probe);
     prop_assert_eq!(probed.1.rows_scanned, read.len(), "{probe}");
     prop_assert!(read.len() <= t.num_rows());
     prop_assert_eq!(probe.is_empty(), read.is_empty());
-    Ok((true, probe.conjunct().to_string().contains("%')")))
+    let key = probe.conjunct();
+    let left_out = probe.residual().all(|c| !std::ptr::eq(c, key));
+    let holds = |&row: &usize| key.eval(&table.row(row), table.schema()) == Ok(Value::Bool(true));
+    let rejected = read.iter().any(|row| !holds(row));
+    prop_assert!(!(left_out && rejected), "{key} left out but rejects a row it read");
+    Ok(ProbeCase {
+        probed: true,
+        prefix: key.to_string().contains("%')"),
+        proven_with_residual: left_out && probe.residual().next().is_some(),
+        eq_read_a_rejected_row: rejected,
+    })
 }
 
 // A filter over a base table returns the same rows, in the same order, or
 // the same error, whether it reads the rows its probe names or scans the
-// table. 64 cases here; `ci.sh` runs 1024.
+// table; a key conjunct the probe proves and leaves out holds on every row
+// it reads. 64 cases here; `ci.sh` runs 1024.
 prop_check!(probe_equals_scan, zip(&probe_tables(), &probe_predicates()), |case| {
     check_probe(&case.0, &case.1).map(|_| ())
 });
 
-/// The differential above sees probed and scanned filters, and prefix
-/// probes, in numbers.
+/// The differential above sees probed and scanned filters, prefix probes,
+/// and both sides of the residual rule, in numbers: `LIKE` key conjuncts
+/// left out beside another conjunct, and `=` keys that read rows the `=`
+/// rejects.
 #[test]
 fn probe_cases_cover_probes_prefixes_and_scans() {
     let gen = zip(&probe_tables(), &probe_predicates());
     let mut rng = Rng::new(0x1DE);
-    let (mut probed, mut prefixes, mut scanned) = (0, 0, 0);
+    let (mut probed, mut prefixes, mut scanned, mut proven, mut eq_rejects) = (0, 0, 0, 0, 0);
     for _ in 0..400 {
         let (t, p) = gen.generate(&mut rng).value().clone();
-        match check_probe(&t, &p).expect("the property holds") {
-            (true, prefix) => (probed, prefixes) = (probed + 1, prefixes + usize::from(prefix)),
-            (false, _) => scanned += 1,
+        let case = check_probe(&t, &p).expect("the property holds");
+        if case.probed {
+            probed += 1;
+        } else {
+            scanned += 1;
         }
+        prefixes += usize::from(case.prefix);
+        proven += usize::from(case.proven_with_residual);
+        eq_rejects += usize::from(case.eq_read_a_rejected_row);
     }
-    assert!(probed >= 80 && prefixes >= 20 && scanned >= 80, "{probed} {prefixes} {scanned}");
+    let counts = format!("{probed} {prefixes} {scanned} {proven} {eq_rejects}");
+    assert!(probed >= 80 && prefixes >= 20 && scanned >= 80, "{counts}");
+    assert!(proven > 0 && eq_rejects > 0, "{counts}");
 }

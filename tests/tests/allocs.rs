@@ -115,19 +115,19 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 2590, 134689),
-            ("comparative", 8, 3624, 178853),
+            ("aggregate", 8, 2550, 133320),
+            ("comparative", 8, 3528, 175538),
             ("cross_modal", 8, 2004, 212982),
             ("lookup", 8, 1609, 151133),
-            ("multi_entity", 5, 1621, 85343),
+            ("multi_entity", 5, 1551, 83663),
             ("unanswerable", 8, 3272, 195823),
         ],
         [
-            ("aggregate", 8, 2139, 109276),
-            ("comparative", 8, 2928, 151439),
+            ("aggregate", 8, 2105, 108383),
+            ("comparative", 8, 2844, 149013),
             ("cross_modal", 8, 1426, 134962),
             ("lookup", 8, 1360, 101926),
-            ("multi_entity", 8, 2965, 149524),
+            ("multi_entity", 8, 2957, 149204),
             ("unanswerable", 8, 2437, 136262),
         ],
     ];
