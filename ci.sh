@@ -109,14 +109,21 @@ fi
 
 echo "==> one description of the plan's shape"
 # The logical plan tree is the one description of a query's shape
-# (DESIGN.md §11e): the executor records each operator's actual against
-# its node's pre-order position, and explain walks the same tree. A struct
-# of per-operator slots, a second tree built to render, or an executor step
-# that takes a whole node only to unpack one variant would each restate it.
+# (DESIGN.md §11e): the executor's one recursive eval numbers the nodes it
+# runs in pre-order and records each operator's actual against that
+# position, and explain walks the same tree. A struct of per-operator
+# slots, a second tree built to render, an executor step that takes a whole
+# node only to unpack one variant, or a position computed from a parent's
+# (`at + 2`, a helper that digs out one shape's branches) would each
+# restate it.
 shape=0
 for f in $(find crates/core/src -name '*.rs' | sort); do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'ExecActuals|PhysNode'; then
         echo "ERROR: $f names ExecActuals or PhysNode outside #[cfg(test)]"
+        shape=1
+    fi
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '(alternatives|positioned)\('; then
+        echo "ERROR: $f defines or calls alternatives( or positioned( outside #[cfg(test)]"
         shape=1
     fi
 done
@@ -124,8 +131,12 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor.rs | grep -nE '^[[:space:]
     echo "ERROR: crates/core/src/executor.rs unpacks a node with let-else; take the variant's fields instead"
     shape=1
 fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/executor.rs | grep -nE '\bat \+ [0-9]'; then
+    echo "ERROR: crates/core/src/executor.rs computes a node's position from its parent's; eval numbers the nodes it runs"
+    shape=1
+fi
 if [ "$shape" -ne 0 ]; then
-    echo "(see DESIGN.md §11e: actuals are keyed by pre-order position, explain is one walk)"
+    echo "(see DESIGN.md §11e/§11f: actuals are keyed by pre-order position, eval and explain are one walk each)"
     exit 1
 fi
 

@@ -26,6 +26,8 @@ use unisem_slm::Slm;
 use crate::answer::{Answer, Provenance, Route};
 use crate::engine::UnifiedEngine;
 use crate::evidence::{extract_evidence, to_supported_answers};
+use crate::executor::render_structured;
+use crate::planner::has_signal;
 
 /// Uniform pipeline interface for the evaluation harness.
 pub trait QaPipeline {
@@ -161,8 +163,10 @@ impl QaPipeline for TextToSqlPipeline {
                 let Ok(result) = self.db.run_plan(&plan) else {
                     continue;
                 };
-                let text =
-                    crate::executor::render_structured_public(&intent, &self.db, &name, &result);
+                if !has_signal(&result) {
+                    continue;
+                }
+                let text = render_structured(&intent, &self.db, &name, &result);
                 if !text.is_empty() {
                     let evidence = vec![unisem_slm::SupportedAnswer::new(text.clone(), 6.0)];
                     let report = self.estimator.estimate(question, &evidence);

@@ -1,7 +1,10 @@
 //! The answer path: one question in, one plan built and run, one
 //! [`Answer`] out (DESIGN.md §11).
 
-use faultkit::Site;
+use std::fmt;
+
+use faultkit::{InjectedFault, Site};
+use tracekit::wall::Stopwatch;
 use tracekit::{component, Hist, Metric, QueryTrace, ResourceMeter, Stage};
 use unisem_entropy::EntropyReport;
 use unisem_relstore::plan::AggFunc;
@@ -31,7 +34,7 @@ impl UnifiedEngine {
     /// actual is recorded — every recording call is one branch, no
     /// allocation — and no plan is rendered.
     pub fn answer(&self, question: &str) -> Answer {
-        let start = tracekit::wall::Stopwatch::start();
+        let start = Stopwatch::start();
         let traced = self.config.trace;
 
         let mut meter = ResourceMeter::default();
@@ -66,11 +69,10 @@ impl UnifiedEngine {
     }
 
     /// Resolves one question (DESIGN.md §11): admit it, tag it, assemble
-    /// its logical plan over every substrate, and run that plan — the
-    /// plan's alternatives in plan order, each operator with the
-    /// parameters its node carries. When `traced`, it also returns the
-    /// plan it ran, rendered with per-node estimated vs actual costs,
-    /// for the explain trace.
+    /// its logical plan over every substrate, and evaluate that plan with
+    /// [`Self::eval`] — each operator with the parameters its node carries.
+    /// When `traced`, it also returns the plan it ran, rendered with
+    /// per-node estimated vs actual costs, for the explain trace.
     ///
     /// Every downgrade on the way is an [`Answer::degradations`] entry
     /// (the degradation contract, DESIGN.md §8).
@@ -86,22 +88,28 @@ impl UnifiedEngine {
             meter,
             degradations: Vec::new(),
             actuals: Vec::new(),
+            next: 0,
+            failure: None,
             structured: false,
+            planned: Stopwatch::start(),
         };
-        // The admission gate runs before any plan is built: without a
-        // working generator or enough entropy samples nothing downstream
-        // can be certified, so the only plan is the gate itself. Either
-        // way the gate is the plan's root (pre-order position 0).
-        let (plan, mut answer) = if self.exec_entropy_gate(&mut run) {
+        // The admission gate and the tagging node run before any plan is
+        // built, at positions 0 and 1: the plan is built from the intent.
+        // Without a working generator or enough entropy samples nothing
+        // downstream can be certified, so the only plan is the gate itself.
+        let plan;
+        let mut answer = if self.exec_entropy_gate(&mut run) {
             let intent = self.exec_sem_tag(&mut run);
-            let clock = tracekit::wall::Stopwatch::start();
-            let plan = self.assemble_logical(&intent);
+            run.planned = Stopwatch::start();
+            plan = self.assemble_logical(&intent);
             self.metrics.incr(Metric::PlannerPlansBuilt);
-            let (first, branches) = plan.alternatives();
-            let answer = self.exec_alternatives(first, branches, &intent, clock, &mut run);
-            (plan, answer)
+            match self.eval(&plan, &intent, &mut run) {
+                Some(Value::Answer(answer)) => answer,
+                _ => abstained(),
+            }
         } else {
-            (self.entropy_gate(LogicalNode::Abstain), abstained())
+            plan = self.entropy_gate(LogicalNode::Abstain);
+            abstained()
         };
         // `Abstain` closes every plan: the root's last branch, or the
         // degenerate gate's only child. It shows the route taken.
@@ -112,6 +120,67 @@ impl UnifiedEngine {
         });
         answer.degradations = run.degradations;
         (answer, rendered)
+    }
+
+    /// Evaluates `node`'s subtree, numbering the nodes it visits in
+    /// pre-order from `run.next`; a subtree that does not run keeps its
+    /// positions. Returns what the operator hands its parent, or `None`
+    /// when it has nothing to hand up (a candidate without signal, a
+    /// branch that steps down).
+    fn eval<'p>(
+        &self,
+        node: &'p LogicalNode,
+        intent: &QueryIntent,
+        run: &mut Run<'p>,
+    ) -> Option<Value<'p>> {
+        let at = run.next;
+        run.next += 1;
+        let value = match node {
+            // Both ran before the plan existed (`execute_query`).
+            LogicalNode::EntropyGate { child, .. } | LogicalNode::SemTag { child, .. } => {
+                self.eval(child, intent, run)
+            }
+            LogicalNode::Alternatives { children } => {
+                children.iter().find_map(|child| self.eval(child, intent, run))
+            }
+            LogicalNode::Relational { table, plan } => {
+                self.exec_relational(at, table, plan, run).map(|rows| Value::Rows(table, rows))
+            }
+            LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => self
+                .exec_graph_traverse(at, *top_k, *max_frontier, run)
+                .map(Value::Hits)
+                .or_else(|| self.eval(fallback, intent, run)),
+            LogicalNode::LexicalScan { top_k } => {
+                Some(Value::Hits(self.exec_lexical_scan(at, *top_k, run)))
+            }
+            LogicalNode::SemExtract { max_sentences, child } => {
+                let clock = Stopwatch::start();
+                let hits = match self.eval(child, intent, run) {
+                    Some(Value::Hits(hits)) => hits,
+                    _ => Vec::new(),
+                };
+                self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
+                Some(Value::Evidence(self.exec_sem_extract(at, *max_sentences, &hits, intent, run)))
+            }
+            LogicalNode::SemEntail { samples, child } => match self.eval(child, intent, run) {
+                Some(Value::Evidence(evidence)) => {
+                    let answers = to_supported_answers(&evidence);
+                    let (report, confidence) = self.exec_sem_entail(at, *samples, &answers, run);
+                    Some(Value::Entailed { evidence, report, confidence })
+                }
+                rows => self.structured_answer(at, *samples, rows, intent, run).map(Value::Answer),
+            },
+            LogicalNode::ConfidenceGate { threshold, child } => match self.eval(child, intent, run)
+            {
+                Some(Value::Entailed { evidence, report, confidence }) => Some(Value::Answer(
+                    self.exec_confidence_gate(at, *threshold, evidence, report, confidence, run),
+                )),
+                _ => None,
+            },
+            LogicalNode::Abstain => Some(Value::Answer(abstained())),
+        };
+        run.next = at + node.size();
+        value
     }
 
     /// `EntropyGate`, the plan's root, with the samples and floor
@@ -158,68 +227,21 @@ impl UnifiedEngine {
         intent
     }
 
-    /// `Alternatives`: the plan's branches in plan order, the first at
-    /// pre-order position `first`; the first to produce an answer wins,
-    /// and falling off the end — `Abstain` — is an abstention.
-    fn exec_alternatives(
-        &self,
-        first: usize,
-        branches: &[LogicalNode],
-        intent: &QueryIntent,
-        clock: tracekit::wall::Stopwatch,
-        run: &mut Run,
-    ) -> Answer {
-        for (at, branch) in LogicalNode::positioned(branches, first) {
-            let answer = match branch {
-                LogicalNode::SemEntail { samples, child } => {
-                    self.exec_structured(at, child, *samples, intent, clock, run)
-                }
-                LogicalNode::ConfidenceGate { threshold, child } => match &**child {
-                    LogicalNode::SemEntail { samples, child } => match &**child {
-                        LogicalNode::SemExtract { max_sentences, child } => {
-                            let evidence =
-                                self.exec_sem_extract(at + 2, *max_sentences, child, intent, run);
-                            Some(self.exec_retrieval(at, *threshold, *samples, evidence, run))
-                        }
-                        _ => None,
-                    },
-                    _ => None,
-                },
-                _ => None,
-            };
-            if let Some(answer) = answer {
-                return answer;
-            }
-        }
-        abstained()
-    }
-
-    /// The structured branch (§III.C task 2): `SemEntail`, at `at`, over
-    /// `child`, the `Alternatives` of relational candidates. The first
-    /// signal-bearing candidate is rendered and its stability confirmed by
-    /// entropy sampling; otherwise the last failure on the way is the
-    /// reason the branch steps down. `clock` has been running since plan
-    /// synthesis.
-    fn exec_structured(
+    /// `SemEntail`, at `at`, over the structured branch's candidates
+    /// (§III.C task 2), which have run: the first signal-bearing result,
+    /// `rows`, is rendered and its stability confirmed by entropy sampling.
+    /// Without one that renders, the branch steps down, and the last
+    /// candidate failure, formatted only now, is the reason.
+    fn structured_answer(
         &self,
         at: usize,
-        child: &LogicalNode,
         samples: usize,
+        rows: Option<Value>,
         intent: &QueryIntent,
-        clock: tracekit::wall::Stopwatch,
         run: &mut Run,
     ) -> Option<Answer> {
-        run.structured = true;
-        let mut failures: Vec<(&str, String)> = Vec::new();
-        let (first, candidates) = child.alternatives();
-        let hit = LogicalNode::positioned(candidates, at + 1 + first).find_map(|(at, c)| match c {
-            LogicalNode::Relational { table, plan } => {
-                self.exec_relational(at, table, plan, &mut failures, run)
-            }
-            _ => None,
-        });
-        self.metrics.record_stage(Stage::AnswerStructured, clock.elapsed_ns());
-        if let Some((table, result)) = hit {
+        self.metrics.record_stage(Stage::AnswerStructured, run.planned.elapsed_ns());
+        if let Some(Value::Rows(table, result)) = rows {
             let text = render_structured(intent, &self.db, table, &result);
             if !text.is_empty() {
                 // Deterministic plan output = maximally grounded evidence.
@@ -240,44 +262,44 @@ impl UnifiedEngine {
                 });
             }
         }
-        match failures.last() {
-            Some((table, err)) => run.degradations.push(Degradation::new(
+        run.structured = true;
+        run.degradations.push(match run.failure.take() {
+            Some((table, failure)) => Degradation::new(
                 component::REL_EXEC,
-                format!("structured route failed on '{table}': {err}"),
-            )),
-            None => run.degradations.push(Degradation::new(
+                format!("structured route failed on '{table}': {failure}"),
+            ),
+            None => Degradation::new(
                 component::ENGINE_STRUCTURED,
                 "no table produced a signal-bearing result",
-            )),
-        }
+            ),
+        });
         None
     }
 
     /// `Relational`, at `at`: one candidate table. An injected fault, a
     /// synthesis error, an execution error or a tripped join-row governor
-    /// is a failure recorded for the caller; a result without signal is
+    /// is the run's latest candidate failure; a result without signal is
     /// passed over silently, and so is a pruned candidate, which provably
-    /// has none. Returns the table and its signal-bearing result.
+    /// has none. Returns the signal-bearing result.
     fn exec_relational<'p>(
         &self,
         at: usize,
         table: &'p str,
-        plan: &CandidatePlan,
-        failures: &mut Vec<(&'p str, String)>,
-        run: &mut Run,
-    ) -> Option<(&'p str, Table)> {
+        plan: &'p CandidatePlan,
+        run: &mut Run<'p>,
+    ) -> Option<Table> {
         match plan {
             CandidatePlan::Faulted => {
                 if let Err(f) = self.config.faults.check(Site::RelExec, table) {
                     self.metrics.incr(Metric::FaultsFired);
                     run.actual(at, || format!("fault: {f}"));
-                    failures.push((table, f.to_string()));
+                    run.failure = Some((table, Failure::Fault(f)));
                 }
             }
             CandidatePlan::Unplannable(e) => {
                 self.metrics.incr(Metric::RelSynthesisErrors);
                 run.actual(at, || format!("synthesis failed: {e}"));
-                failures.push((table, format!("synthesis: {e}")));
+                run.failure = Some((table, Failure::Synthesis(e)));
             }
             CandidatePlan::Pruned { .. } => {
                 self.metrics.incr(Metric::PlannerCandidatesPruned);
@@ -298,7 +320,7 @@ impl UnifiedEngine {
                         });
                         if signal {
                             self.metrics.observe(Hist::RelResultRows, result.num_rows() as u64);
-                            return Some((table, result));
+                            return Some(result);
                         }
                     }
                     Err(e) => {
@@ -308,7 +330,7 @@ impl UnifiedEngine {
                             Metric::RelExecErrors
                         });
                         run.actual(at, || format!("execution error: {e}"));
-                        failures.push((table, format!("execution: {e}")));
+                        run.failure = Some((table, Failure::Execution(e)));
                     }
                 }
             }
@@ -316,80 +338,19 @@ impl UnifiedEngine {
         None
     }
 
-    /// The retrieval branch (§III.B): `ConfidenceGate`, at `at`, over
-    /// `SemEntail` over the `SemExtract` that found `evidence`. Always
-    /// answers — the gate turns weak evidence into an abstention.
-    fn exec_retrieval(
-        &self,
-        at: usize,
-        threshold: f64,
-        samples: usize,
-        evidence: Vec<EvidenceSentence>,
-        run: &mut Run,
-    ) -> Answer {
-        let evidence_answers = to_supported_answers(&evidence);
-        let (report, confidence) = self.exec_sem_entail(at + 1, samples, &evidence_answers, run);
-
-        let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
-        let provenance: Vec<Provenance> = evidence
-            .iter()
-            .filter_map(|e| {
-                self.docs
-                    .chunk(e.chunk_id)
-                    .ok()
-                    .map(|c| Provenance::Chunk { chunk_id: c.id, doc_id: c.doc_id })
-            })
-            .collect();
-        let passed = self.exec_confidence_gate(at, threshold, evidence.len(), confidence, run);
-        let (text, route) = match evidence.first() {
-            Some(first) if passed => (
-                report.top_answer.clone().unwrap_or_else(|| first.text.clone()),
-                if run.structured {
-                    Route::Hybrid { table: None, chunks }
-                } else {
-                    Route::Unstructured { chunks }
-                },
-            ),
-            _ => (ABSTENTION.to_string(), Route::Abstained),
-        };
-        Answer {
-            text,
-            confidence,
-            entropy: report,
-            route,
-            provenance,
-            result_table: None,
-            degradations: Vec::new(),
-            trace: None,
-        }
-    }
-
-    /// The retrieval operator at `at`: a traversal, or the lexical scan
-    /// alone.
-    fn exec_retrieve(&self, at: usize, node: &LogicalNode, run: &mut Run) -> Vec<RetrievalResult> {
-        match node {
-            LogicalNode::GraphTraverse { top_k, max_frontier, fallback } => {
-                self.exec_graph_traverse(at, *top_k, *max_frontier, fallback, run)
-            }
-            LogicalNode::LexicalScan { top_k } => self.exec_lexical_scan(at, *top_k, run),
-            _ => Vec::new(),
-        }
-    }
-
     /// `GraphTraverse`, at `at`: topology retrieval. An injected traversal
-    /// fault runs the `fallback` operator, its child, instead of failing
-    /// the query (the traversal's actual then names the fault, the
-    /// fallback's its scan); a frontier capped by the governor is a
-    /// recorded degradation, and the traversal's actual ends in
+    /// fault is a recorded degradation and returns no hits, so the node's
+    /// fallback runs in its place (the traversal's actual then names the
+    /// fault, the fallback's its scan); a frontier capped by the governor
+    /// is a recorded degradation, and the traversal's actual ends in
     /// `frontier_capped`.
     fn exec_graph_traverse(
         &self,
         at: usize,
         top_k: usize,
         max_frontier: usize,
-        fallback: &LogicalNode,
         run: &mut Run,
-    ) -> Vec<RetrievalResult> {
+    ) -> Option<Vec<RetrievalResult>> {
         if let Err(f) = self.config.faults.check(Site::GraphTraverse, run.question) {
             self.metrics.incr(Metric::FaultsFired);
             self.metrics.incr(Metric::TraverseFaultFallbacks);
@@ -398,7 +359,7 @@ impl UnifiedEngine {
                 format!("topology traversal unavailable: {f}; using lexical retrieval"),
             ));
             run.actual(at, || format!("fault: {f}"));
-            return self.exec_retrieve(at + 1, fallback, run);
+            return None;
         }
         let (hits, stats) = self.traverse(run.question, top_k);
         // One SLM call for anchor entity tagging; traversal work and
@@ -432,7 +393,7 @@ impl UnifiedEngine {
                 if stats.frontier_capped { " frontier_capped" } else { "" }
             )
         });
-        hits
+        Some(hits)
     }
 
     /// `LexicalScan`, at `at`: BM25 alone — what a traversal without
@@ -445,21 +406,18 @@ impl UnifiedEngine {
     }
 
     /// `SemExtract`, at `at`: grounded evidence sentences from the chunks
-    /// its child, the `retrieval` operator, returns. When the question names entities, only sentences
-    /// mentioning them are admissible — ungrounded context is exactly the
-    /// hallucination source §I warns about, and filtering before IDF
-    /// weighting also sharpens discriminative terms.
+    /// its child retrieved, `hits`. When the question names entities, only
+    /// sentences mentioning them are admissible — ungrounded context is
+    /// exactly the hallucination source §I warns about, and filtering
+    /// before IDF weighting also sharpens discriminative terms.
     fn exec_sem_extract(
         &self,
         at: usize,
         max_sentences: usize,
-        retrieval: &LogicalNode,
+        hits: &[RetrievalResult],
         intent: &QueryIntent,
         run: &mut Run,
     ) -> Vec<EvidenceSentence> {
-        let clock = tracekit::wall::Stopwatch::start();
-        let hits = self.exec_retrieve(at + 1, retrieval, run);
-        self.metrics.record_stage(Stage::AnswerRetrieval, clock.elapsed_ns());
         let evidence = extract_stored_evidence(
             run.question,
             &self.docs,
@@ -480,7 +438,7 @@ impl UnifiedEngine {
         evidence: &[SupportedAnswer],
         run: &mut Run,
     ) -> (EntropyReport, f64) {
-        let clock = tracekit::wall::Stopwatch::start();
+        let clock = Stopwatch::start();
         let report = self.estimator.estimate_with_samples(run.question, evidence, samples);
         self.metrics.record_stage(Stage::AnswerEntropy, clock.elapsed_ns());
         self.metrics.incr(Metric::EntropyEstimates);
@@ -498,19 +456,24 @@ impl UnifiedEngine {
         (report, confidence)
     }
 
-    /// `ConfidenceGate`, at `at`: the last rung. `evidence` grounded
-    /// sentences at `confidence` pass, or the gate declines to answer and
-    /// says why.
+    /// `ConfidenceGate`, at `at`, over the retrieval branch's entailed
+    /// `evidence` (§III.B): the last rung, which always answers. Grounded
+    /// evidence at `confidence` passes; otherwise the gate declines to
+    /// answer and says why.
     fn exec_confidence_gate(
         &self,
         at: usize,
         threshold: f64,
-        evidence: usize,
+        evidence: Vec<EvidenceSentence>,
+        report: EntropyReport,
         confidence: f64,
         run: &mut Run,
-    ) -> bool {
-        let grounded = evidence > 0;
-        if !grounded || confidence < threshold {
+    ) -> Answer {
+        let grounded = !evidence.is_empty();
+        let passed = grounded && confidence >= threshold;
+        if passed {
+            run.actual(at, || format!("passed: confidence {confidence:.2}"));
+        } else {
             let (component, reason) = if grounded {
                 (
                     component::ENTROPY_CONFIDENCE,
@@ -527,10 +490,38 @@ impl UnifiedEngine {
                 }
             });
             run.degradations.push(Degradation::new(component, reason));
-            return false;
         }
-        run.actual(at, || format!("passed: confidence {confidence:.2}"));
-        true
+        let chunks: Vec<usize> = evidence.iter().map(|e| e.chunk_id).collect();
+        let provenance: Vec<Provenance> = evidence
+            .iter()
+            .filter_map(|e| {
+                self.docs
+                    .chunk(e.chunk_id)
+                    .ok()
+                    .map(|c| Provenance::Chunk { chunk_id: c.id, doc_id: c.doc_id })
+            })
+            .collect();
+        let (text, route) = match evidence.first() {
+            Some(first) if passed => (
+                report.top_answer.clone().unwrap_or_else(|| first.text.clone()),
+                if run.structured {
+                    Route::Hybrid { table: None, chunks }
+                } else {
+                    Route::Unstructured { chunks }
+                },
+            ),
+            _ => (ABSTENTION.to_string(), Route::Abstained),
+        };
+        Answer {
+            text,
+            confidence,
+            entropy: report,
+            route,
+            provenance,
+            result_table: None,
+            degradations: Vec::new(),
+            trace: None,
+        }
     }
 
     /// The relational candidates in plan order (native tables first,
@@ -543,15 +534,17 @@ impl UnifiedEngine {
     /// is deferred to its execution.
     fn plan_candidates(&self, intent: &QueryIntent) -> Vec<LogicalNode> {
         let faults = self.config.faults;
-        let mut names: Vec<String> = self.db.table_names().into_iter().map(String::from).collect();
-        names.sort_by_key(|n| (n == "extracted", n.clone()));
+        // `table_names` is in name order; the stable sort keeps it, moving
+        // `extracted` last.
+        let mut names = self.db.table_names();
+        names.sort_by_key(|&n| n == "extracted");
         names
             .into_iter()
             .map(|table| {
-                let plan = if faults.check(Site::RelExec, &table).is_err() {
+                let plan = if faults.check(Site::RelExec, table).is_err() {
                     CandidatePlan::Faulted
                 } else {
-                    match self.synthesizer.synthesize(intent, &self.db, &table) {
+                    match self.synthesizer.synthesize(intent, &self.db, table) {
                         Ok(plan) => match prune_reason(&plan, &self.db) {
                             Some(reason) => CandidatePlan::Pruned { plan, reason },
                             None => CandidatePlan::Planned(plan),
@@ -559,7 +552,7 @@ impl UnifiedEngine {
                         Err(e) => CandidatePlan::Unplannable(e.to_string()),
                     }
                 };
-                LogicalNode::Relational { table, plan }
+                LogicalNode::Relational { table: table.to_string(), plan }
             })
             .collect()
     }
@@ -648,8 +641,16 @@ struct Run<'a> {
     /// Each operator's outcome for the explain trace, keyed by its node's
     /// pre-order position in the plan; empty unless traced.
     actuals: Vec<(usize, String)>,
-    /// Whether the structured branch ran (hybrid vs unstructured route).
+    /// Pre-order position of the next node [`UnifiedEngine::eval`] visits.
+    next: usize,
+    /// The latest relational candidate failure and its table: the reason
+    /// the structured branch steps down, if it does.
+    failure: Option<(&'a str, Failure<'a>)>,
+    /// Whether the structured branch stepped down (hybrid vs unstructured
+    /// route).
     structured: bool,
+    /// Started when the plan was assembled: the structured stage's clock.
+    planned: Stopwatch,
 }
 
 impl Run<'_> {
@@ -659,6 +660,40 @@ impl Run<'_> {
     fn actual(&mut self, at: usize, text: impl FnOnce() -> String) {
         if self.traced {
             self.actuals.push((at, text()));
+        }
+    }
+}
+
+/// What an operator hands its parent.
+#[expect(clippy::large_enum_variant, reason = "boxing the answer would allocate per query")]
+enum Value<'p> {
+    /// A relational candidate's signal-bearing result, with its table.
+    Rows(&'p str, Table),
+    /// Retrieved chunks.
+    Hits(Vec<RetrievalResult>),
+    /// Grounded evidence sentences.
+    Evidence(Vec<EvidenceSentence>),
+    /// Evidence verified by semantic entropy, with the confidence it
+    /// certifies.
+    Entailed { evidence: Vec<EvidenceSentence>, report: EntropyReport, confidence: f64 },
+    /// A finished answer.
+    Answer(Answer),
+}
+
+/// Why a relational candidate failed; formatted only when the structured
+/// branch steps down on it.
+enum Failure<'p> {
+    Fault(InjectedFault),
+    Synthesis(&'p str),
+    Execution(RelError),
+}
+
+impl fmt::Display for Failure<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Fault(fault) => write!(f, "{fault}"),
+            Failure::Synthesis(e) => write!(f, "synthesis: {e}"),
+            Failure::Execution(e) => write!(f, "execution: {e}"),
         }
     }
 }
@@ -693,7 +728,12 @@ fn abstained() -> Answer {
 }
 
 /// Renders a structured result into answer text appropriate for the intent.
-fn render_structured(intent: &QueryIntent, db: &Database, table: &str, result: &Table) -> String {
+pub(crate) fn render_structured(
+    intent: &QueryIntent,
+    db: &Database,
+    table: &str,
+    result: &Table,
+) -> String {
     if result.is_empty() {
         return String::new();
     }
@@ -748,20 +788,6 @@ fn render_structured(intent: &QueryIntent, db: &Database, table: &str, result: &
     format!("Qualifying: {}.", seen.into_iter().collect::<Vec<_>>().join(", "))
 }
 
-/// Public wrapper over [`render_structured`] for the baseline pipelines.
-pub(crate) fn render_structured_public(
-    intent: &QueryIntent,
-    db: &Database,
-    table: &str,
-    result: &Table,
-) -> String {
-    if has_signal(result) {
-        render_structured(intent, db, table, result)
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,7 +799,10 @@ mod tests {
             meter,
             degradations: Vec::new(),
             actuals: Vec::new(),
+            next: 0,
+            failure: None,
             structured: false,
+            planned: Stopwatch::start(),
         }
     }
 

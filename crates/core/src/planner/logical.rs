@@ -10,9 +10,9 @@
 //! not pre/post-processing steps.
 //!
 //! The tree is synthesized by `UnifiedEngine` (which owns the substrate
-//! handles) and run by its executor, which records each operator's actual
-//! outcome against the node's pre-order position ([`LogicalNode::size`],
-//! [`LogicalNode::positioned`]); [`super::physical::explain`] walks the
+//! handles) and evaluated by its executor, one recursive walk that records
+//! each operator's actual outcome against the node's pre-order position
+//! ([`LogicalNode::size`]); [`super::physical::explain`] walks the
 //! same tree in the same order, costing each node with
 //! [`super::cost::CostModel`]. Ordered [`LogicalNode::Alternatives`]
 //! encode the engine's degradation ladder: the first branch to produce a
@@ -189,34 +189,6 @@ impl LogicalNode {
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(LogicalNode::size).sum::<usize>()
     }
-
-    /// The ordered branches of the first [`LogicalNode::Alternatives`] at
-    /// or below this node, looking through the admission gate and the
-    /// tagging node, with the first branch's pre-order position counted
-    /// from this node; no branches for any other operator.
-    pub fn alternatives(&self) -> (usize, &[LogicalNode]) {
-        match self {
-            LogicalNode::Alternatives { children } => (1, children),
-            LogicalNode::EntropyGate { child, .. } | LogicalNode::SemTag { child, .. } => {
-                let (first, branches) = child.alternatives();
-                (first + 1, branches)
-            }
-            _ => (0, &[]),
-        }
-    }
-
-    /// `siblings` paired with their pre-order positions, the first at
-    /// `first`.
-    pub fn positioned(
-        siblings: &[LogicalNode],
-        first: usize,
-    ) -> impl Iterator<Item = (usize, &LogicalNode)> {
-        siblings.iter().scan(first, |at, node| {
-            let position = *at;
-            *at += node.size();
-            Some((position, node))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -291,9 +263,17 @@ mod tests {
             plan.size() + 2,
             "a line per node, the Filter and its Scan"
         );
-        let (first, branches) = plan.alternatives();
-        let positions: Vec<usize> =
-            LogicalNode::positioned(branches, first).map(|(p, _)| p).collect();
+        // Gate, tag and alternatives take positions 0 to 2; each branch
+        // follows the whole subtree of the one before it.
+        let branches = plan.children()[0].children()[0].children();
+        let positions: Vec<usize> = branches
+            .iter()
+            .scan(3, |at, branch| {
+                let position = *at;
+                *at += branch.size();
+                Some(position)
+            })
+            .collect();
         assert_eq!(positions, [3, 5, 10], "gate, tag and alternatives come first");
     }
 

@@ -115,20 +115,20 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 2550, 133320),
-            ("comparative", 8, 3528, 175538),
+            ("aggregate", 8, 2430, 131536),
+            ("comparative", 8, 3408, 173754),
             ("cross_modal", 8, 2004, 212982),
             ("lookup", 8, 1609, 151133),
-            ("multi_entity", 5, 1551, 83663),
-            ("unanswerable", 8, 3272, 195823),
+            ("multi_entity", 5, 1441, 80733),
+            ("unanswerable", 8, 3112, 191703),
         ],
         [
-            ("aggregate", 8, 2105, 108383),
-            ("comparative", 8, 2844, 149013),
+            ("aggregate", 8, 1977, 104663),
+            ("comparative", 8, 2716, 145293),
             ("cross_modal", 8, 1426, 134962),
             ("lookup", 8, 1360, 101926),
-            ("multi_entity", 8, 2957, 149204),
-            ("unanswerable", 8, 2437, 136262),
+            ("multi_entity", 8, 2829, 145484),
+            ("unanswerable", 8, 2293, 131990),
         ],
     ];
     let corpora: [(&str, &unisem_slm::Lexicon, _, _, &[DocSpec], &[QaItem]); 2] = [

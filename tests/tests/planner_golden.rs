@@ -13,6 +13,9 @@
 //!   re-blessed for an intended change to what the engine answers.
 //! - `<workload>_plans[_faulted].txt` — the physical plan rendered into
 //!   `Answer::trace`, estimates and actuals included.
+//! - `ecommerce_plans_ablations.txt` — the e-commerce plans under the four
+//!   configurations that change a plan's shape or actuals (topology off,
+//!   synthesis off, a capped traversal frontier, samples under the floor).
 //!
 //! To bless new snapshots after an intentional change:
 //!
@@ -240,6 +243,44 @@ fn explain_plans_match_golden_snapshots() {
             check_golden(&file, &actual, bless_requested(), "explain plans");
         }
     }
+}
+
+/// The e-commerce explain plans under the four configurations that change
+/// the plan's shape or its actuals, fault-free: topology off (the lexical
+/// scan directly under `SemExtract`), synthesis off (no structured
+/// branch), a traversal frontier of 2 (`frontier_capped` actuals), and one
+/// entropy sample under the floor of 2 (the degenerate gate plan). One
+/// file, one `### <configuration>` section each.
+#[test]
+fn ablation_plans_match_golden_snapshot() {
+    let w = &workloads()[0];
+    let base = EngineConfig { trace: true, ..config(FaultPlan::disabled()) };
+    let ablations = [
+        ("enable_topology: false", EngineConfig { enable_topology: false, ..base }),
+        ("enable_synthesis: false", EngineConfig { enable_synthesis: false, ..base }),
+        (
+            "governors.max_traversal_frontier: 2",
+            EngineConfig {
+                governors: unisem_core::GovernorConfig {
+                    max_traversal_frontier: 2,
+                    ..base.governors
+                },
+                ..base
+            },
+        ),
+        ("entropy_samples: 1", EngineConfig { entropy_samples: 1, ..base }),
+    ];
+    let mut actual = String::new();
+    for (name, config) in ablations {
+        let engine = build(w, config);
+        actual.push_str(&format!("### {name}\n\n"));
+        actual.push_str(&snapshot(w, |_, item| {
+            let answer = engine.answer(&item.question);
+            let trace = answer.trace.as_ref().expect("trace opted in");
+            trace.plan.clone().unwrap_or_else(|| "(no plan recorded)".to_string())
+        }));
+    }
+    check_golden("ecommerce_plans_ablations.txt", &actual, bless_requested(), "ablation plans");
 }
 
 /// Tracing records and renders; it never changes what is answered. For
