@@ -45,11 +45,11 @@ echo "==> unsafe only in parkit's pool"
 # in every crate that inherits them, with one #[expect] on that block. detkit,
 # tests/ and the examples do not inherit those lints, so this grep covers
 # them: outside comments, unsafe may appear only in crates/parkit/src/pool.rs
-# and in the counting allocator of tests/tests/allocs.rs.
+# and in the counting allocator the heap gates share, tests/tests/counting/mod.rs.
 if grep -rnw --include='*.rs' unsafe crates tests examples \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
-    | grep -vE '^(crates/parkit/src/pool\.rs|tests/tests/allocs\.rs):'; then
-    echo "ERROR: unsafe outside crates/parkit/src/pool.rs and tests/tests/allocs.rs (see DESIGN.md §6)"
+    | grep -vE '^(crates/parkit/src/pool\.rs|tests/tests/counting/mod\.rs):'; then
+    echo "ERROR: unsafe outside crates/parkit/src/pool.rs and tests/tests/counting/mod.rs (see DESIGN.md §6)"
     exit 1
 fi
 
@@ -95,6 +95,17 @@ if sed '/#\[cfg(test)\]/,$d' crates/text/src/bm25.rs | grep -nE 'Map<String\b'; 
 fi
 if sed '/#\[cfg(test)\]/,$d' crates/docstore/src/sentences.rs | grep -nE 'BTreeMap'; then
     echo "ERROR: crates/docstore/src/sentences.rs declares a BTreeMap outside #[cfg(test)] (see DESIGN.md §5c: intern through the BM25 index)"
+    exit 1
+fi
+
+echo "==> one edge index in hetgraph"
+# add_edge dedups against the adjacency lists, scanning the lower-degree
+# endpoint's, and a record is keyed by its table's node (DESIGN.md §5b). A
+# map keyed by an endpoint pair would index every edge a second time, and
+# one keyed by (String, usize) would copy a table name into every record key.
+if sed '/#\[cfg(test)\]/,$d' crates/hetgraph/src/graph.rs |
+    grep -nE 'Map<\((NodeId|u32), *(NodeId|u32)\b|Map<\(String, *usize\)'; then
+    echo "ERROR: crates/hetgraph/src/graph.rs keys a map by an endpoint pair or by (String, usize) outside #[cfg(test)] (see DESIGN.md §5b: dedup edges through the adjacency lists, key records by table node)"
     exit 1
 fi
 

@@ -136,7 +136,7 @@ pub struct Edge {
 pub struct HetGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    /// adjacency[node] = (neighbor, edge) pairs.
+    /// adjacency[node] = (neighbor, edge) pairs: the one edge index.
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
     /// (canonical name, kind) → entity node.
     entity_index: HashMap<(String, EntityKind), NodeId>,
@@ -145,13 +145,10 @@ pub struct HetGraph {
     entity_by_name_index: HashMap<String, NodeId>,
     /// chunk_id → node.
     chunk_index: HashMap<usize, NodeId>,
-    /// (table, row) → node.
-    record_index: HashMap<(String, usize), NodeId>,
+    /// (table node, row) → record node.
+    record_index: HashMap<(NodeId, usize), NodeId>,
     /// table name → node.
     table_index: HashMap<String, NodeId>,
-    /// Dedup: sorted endpoint pair + kind label → edge, preventing parallel
-    /// duplicate edges from repeated mentions.
-    edge_dedup: HashMap<(NodeId, NodeId, String), EdgeId>,
     /// The referential entities by label length and label word, for anchor
     /// linking; derived from the nodes, never persisted.
     referential: EntityTable,
@@ -271,9 +268,9 @@ impl HetGraph {
         id
     }
 
-    /// Adds (or returns the existing) record node.
+    /// Adds (or returns the existing) record node, after its table's node.
     pub fn add_record(&mut self, table: &str, row: usize) -> NodeId {
-        let key = (table.to_string(), row);
+        let key = (self.add_table(table), row);
         if let Some(&id) = self.record_index.get(&key) {
             return id;
         }
@@ -295,18 +292,20 @@ impl HetGraph {
         id
     }
 
-    /// Adds an undirected edge (idempotent per endpoint-pair + kind).
+    /// Adds an undirected edge, or returns the one of the same kind between
+    /// the same endpoints: found in the lower-degree endpoint's adjacency.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, kind: EdgeKind) -> EdgeId {
         assert!(a != b, "self-loops are not allowed");
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let dedup_key = (lo, hi, kind.label());
-        if let Some(&e) = self.edge_dedup.get(&dedup_key) {
+        let (near, far) = if self.degree(a) <= self.degree(b) { (a, b) } else { (b, a) };
+        let existing = self.adjacency[near.0 as usize]
+            .iter()
+            .find(|&&(n, e)| n == far && self.edges[e.0 as usize].kind == kind);
+        if let Some(&(_, e)) = existing {
             return e;
         }
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { id, a, b, kind });
         self.link(a, b, id);
-        self.edge_dedup.insert(dedup_key, id);
         id
     }
 
@@ -316,7 +315,7 @@ impl HetGraph {
     /// rebuilt; entity names are trusted to be canonical already (they
     /// were canonicalized when the persisted graph was first built) and
     /// are NOT re-canonicalized, so the reassembled graph is structurally
-    /// identical byte for byte.
+    /// identical byte for byte. A record before its table node is an `Err`.
     pub fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Result<Self, String> {
         let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
         for (i, node) in nodes.iter().enumerate() {
@@ -335,7 +334,10 @@ impl HetGraph {
                     }
                 }
                 NodeKind::Record { table, row } => {
-                    g.record_index.insert((table.clone(), *row), node.id);
+                    let Some(&table_node) = g.table_index.get(table) else {
+                        return Err(format!("record {} has no earlier table {table:?}", node.id.0));
+                    };
+                    g.record_index.insert((table_node, *row), node.id);
                 }
                 NodeKind::Table { name } => {
                     g.table_index.insert(name.clone(), node.id);
@@ -352,8 +354,6 @@ impl HetGraph {
                 return Err(format!("edge {i} references missing node"));
             }
             g.link(edge.a, edge.b, edge.id);
-            let (lo, hi) = if edge.a <= edge.b { (edge.a, edge.b) } else { (edge.b, edge.a) };
-            g.edge_dedup.insert((lo, hi, edge.kind.label()), edge.id);
         }
         g.edges = edges;
         Ok(g)
@@ -385,8 +385,8 @@ impl HetGraph {
 
     /// Approximate resident bytes: nodes with their labels, edges,
     /// adjacency, the entity, chunk and record lookup indexes, and the
-    /// referential-entity table. The by-name, table and edge-dedup indexes
-    /// are not counted.
+    /// referential-entity table. The by-name and table indexes are not
+    /// counted.
     pub fn approx_bytes(&self) -> usize {
         let node_bytes: usize =
             self.nodes.iter().map(|n| std::mem::size_of::<Node>() + n.label.len()).sum();
@@ -541,6 +541,24 @@ mod tests {
         let rebuilt = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec()).unwrap();
         assert_eq!(degrees(&rebuilt), maintained);
         assert_eq!(rebuilt.num_records(), g.num_records());
+    }
+
+    #[test]
+    fn a_record_reopens_only_after_its_table_node() {
+        let mut g = HetGraph::new();
+        let record = g.add_record("sales", 3);
+        let table = g.add_table("sales");
+        assert!(table < record, "add_record adds the table node first");
+        let [t, r] = [table, record].map(|id| g.node(id).clone());
+        assert!(HetGraph::from_parts(vec![t.clone(), r.clone()], Vec::new()).is_ok());
+
+        let renumbered = |n: &Node, id: u32| Node { id: NodeId(id), ..n.clone() };
+        let absent = vec![renumbered(&r, 0)];
+        let after = vec![renumbered(&r, 0), renumbered(&t, 1)];
+        for nodes in [absent, after] {
+            let err = HetGraph::from_parts(nodes, Vec::new()).unwrap_err();
+            assert_eq!(err, r#"record 0 has no earlier table "sales""#);
+        }
     }
 
     #[test]

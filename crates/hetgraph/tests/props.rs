@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use detkit::prop::{usizes, vec_of, zip, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_hetgraph::algo::{pagerank, personalized_pagerank};
-use unisem_hetgraph::{EdgeKind, EntityTable, HetGraph, NodeId, NodeKind};
+use unisem_hetgraph::{Edge, EdgeId, EdgeKind, EntityTable, HetGraph, NodeId, NodeKind};
 use unisem_slm::EntityKind;
 
 /// Builds a graph from an edge list over `n` entity nodes.
@@ -173,5 +173,91 @@ prop_check!(entity_table_equals_a_rebuild_from_entities, scripts(), |script| {
     check_table(&reopened)?;
     prop_assert_eq!(reopened.referential_entities(), g.referential_entities());
     prop_assert_eq!(reopened.approx_bytes(), g.approx_bytes());
+    Ok(())
+});
+
+/// Edge kinds for the dedup property: every payload-free kind, and the two
+/// payload kinds sharing payloads with each other ("purchased" is both a
+/// cue verb and an attribute name), so only the kind tells them apart.
+fn edge_kinds() -> [EdgeKind; 8] {
+    [
+        EdgeKind::Mentions,
+        EdgeKind::Temporal,
+        EdgeKind::BelongsTo,
+        EdgeKind::NextChunk,
+        EdgeKind::RelatesTo("purchased".into()),
+        EdgeKind::RelatesTo("prescribed".into()),
+        EdgeKind::HasAttribute("purchased".into()),
+        EdgeKind::HasAttribute("price".into()),
+    ]
+}
+
+/// A script of calls: `(0..4, name, kind)` adds an entity, `(4..8, _, _)` a
+/// chunk, and `(op >= 8, x, k)` an edge of the `k`-th kind. The edge's
+/// endpoints come from `op` and `x`: even values pick one of the first two
+/// nodes, so those two grow into hubs, and odd values any node, so pairs
+/// repeat.
+fn dedup_scripts() -> Gen<Vec<(usize, usize, usize)>> {
+    vec_of(&zip3(&usizes(0, 63), &usizes(0, 63), &usizes(0, 63)), 0, 160)
+}
+
+fn endpoint(pick: usize, nodes: usize) -> NodeId {
+    let i = if pick % 2 == 0 { pick / 2 % nodes.min(2) } else { pick / 2 % nodes };
+    NodeId(i as u32)
+}
+
+// `add_edge`'s scan of the lower-degree endpoint's adjacency returns every
+// id, and leaves every edge and every adjacency list, exactly as the
+// string-keyed dedup map it replaced: `(lo, hi, kind.label())` → edge.
+// A graph reassembled by `from_parts` dedups the same script's edges to the
+// same ids.
+prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
+    let kinds = edge_kinds();
+    let mut g = HetGraph::new();
+    let mut oracle: BTreeMap<(NodeId, NodeId, String), EdgeId> = BTreeMap::new();
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut calls = Vec::new();
+    for (i, &(op, x, k)) in script.iter().enumerate() {
+        match op {
+            0..4 => {
+                g.add_entity(NAMES[x % NAMES.len()], KINDS[k % KINDS.len()]);
+            }
+            4..8 => {
+                g.add_chunk(i, 0, "chunk");
+            }
+            _ if g.num_nodes() > 1 => {
+                let (a, b) = (endpoint(op, g.num_nodes()), endpoint(x, g.num_nodes()));
+                if a == b {
+                    continue;
+                }
+                let kind = kinds[k % kinds.len()].clone();
+                let key = (a.min(b), a.max(b), kind.label());
+                let want = *oracle.entry(key).or_insert_with(|| {
+                    let id = EdgeId(edges.len() as u32);
+                    edges.push(Edge { id, a, b, kind: kind.clone() });
+                    id
+                });
+                prop_assert_eq!(g.add_edge(a, b, kind.clone()), want, "call {}", i);
+                calls.push((a, b, kind, want));
+            }
+            _ => {}
+        }
+    }
+    // Each edge joins both endpoints' lists as it is added, so in id order.
+    let mut adjacency = vec![Vec::new(); g.num_nodes()];
+    for e in &edges {
+        adjacency[e.a.0 as usize].push((e.b, e.id));
+        adjacency[e.b.0 as usize].push((e.a, e.id));
+    }
+    prop_assert_eq!(g.edges(), &edges[..]);
+    for (i, want) in adjacency.iter().enumerate() {
+        prop_assert_eq!(g.neighbors(NodeId(i as u32)), &want[..], "node {}", i);
+    }
+
+    let mut reopened = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec())?;
+    for (a, b, kind, want) in calls {
+        prop_assert_eq!(reopened.add_edge(b, a, kind), want);
+    }
+    prop_assert_eq!(reopened.edges(), g.edges());
     Ok(())
 });

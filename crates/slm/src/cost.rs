@@ -14,9 +14,8 @@
 //! matter less than the ~20–40× throughput gap, which is what the
 //! efficiency experiments exercise.
 
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-
-use std::sync::Mutex;
 
 /// Which model scale a cost model describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,50 +104,58 @@ impl UsageSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct MeterInner {
-    usage: UsageSnapshot,
-}
-
-/// Thread-safe usage ledger shared by all components of one pipeline. It
-/// counts tokens only; a [`CostModel`] prices them.
+/// Usage ledger shared by all components of one pipeline: tokens and calls,
+/// which a [`CostModel`] prices. One atomic per [`UsageSnapshot`] count, in
+/// field order, relaxed since it guards no other data: no lock, but a snapshot
+/// taken while calls are in flight may split one call's token and call counts.
 #[derive(Debug, Clone, Default)]
 pub struct CostMeter {
-    inner: Arc<Mutex<MeterInner>>,
+    counts: Arc<[AtomicUsize; 7]>,
 }
 
 impl CostMeter {
     /// Records an embedding pass over `tokens`.
     pub fn record_embed(&self, tokens: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.usage.embed_tokens += tokens;
-        g.usage.embed_calls += 1;
+        self.add([tokens, 0, 0, 0, 1, 0, 0]);
     }
 
     /// Records a tagging pass over `tokens`.
     pub fn record_tag(&self, tokens: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.usage.tag_tokens += tokens;
-        g.usage.tag_calls += 1;
+        self.add([0, tokens, 0, 0, 0, 1, 0]);
     }
 
     /// Records a generation call.
     pub fn record_generate(&self, prompt_tokens: usize, decode_tokens: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.usage.prompt_tokens += prompt_tokens;
-        g.usage.decode_tokens += decode_tokens;
-        g.usage.generate_calls += 1;
+        self.add([0, 0, prompt_tokens, decode_tokens, 0, 0, 1]);
+    }
+
+    fn add(&self, usage: [usize; 7]) {
+        for (count, n) in self.counts.iter().zip(usage).filter(|&(_, n)| n > 0) {
+            count.fetch_add(n, Relaxed);
+        }
     }
 
     /// Current accumulated usage.
     pub fn snapshot(&self) -> UsageSnapshot {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).usage
+        self.read(|count| count.load(Relaxed))
     }
 
     /// Resets the ledger to zero and returns the final snapshot.
     pub fn reset(&self) -> UsageSnapshot {
-        let mut g = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::mem::take(&mut g.usage)
+        self.read(|count| count.swap(0, Relaxed))
+    }
+
+    fn read(&self, f: impl Fn(&AtomicUsize) -> usize) -> UsageSnapshot {
+        let c = self.counts.each_ref().map(f);
+        UsageSnapshot {
+            embed_tokens: c[0],
+            tag_tokens: c[1],
+            prompt_tokens: c[2],
+            decode_tokens: c[3],
+            embed_calls: c[4],
+            tag_calls: c[5],
+            generate_calls: c[6],
+        }
     }
 }
 
@@ -212,31 +219,6 @@ mod tests {
         let llm = CostModel::for_class(ModelClass::LlmClass);
         assert!(slm.latency_secs(400, 80) < llm.latency_secs(400, 80));
         assert!(slm.energy_joules(480) < llm.energy_joules(480));
-    }
-
-    #[test]
-    fn poisoned_lock_recovers() {
-        // Poison the ledger mutex: panic while holding the guard. Every
-        // meter entry point recovers via `PoisonError::into_inner`, so a
-        // panicking worker thread must not take the meter down with it.
-        let m = CostMeter::default();
-        m.record_embed(5);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = m.inner.lock().unwrap();
-            panic!("poison the meter");
-        }));
-        assert!(m.inner.is_poisoned(), "mutex must be poisoned for this test to mean anything");
-        // Recording, snapshotting, and resetting all still work, and the
-        // pre-poison state survives (the guard holder never mutated).
-        m.record_tag(7);
-        let s = m.snapshot();
-        assert_eq!(s.embed_tokens, 5);
-        assert_eq!(s.tag_tokens, 7);
-        let final_s = m.reset();
-        assert_eq!(final_s.tag_tokens, 7);
-        assert_eq!(m.snapshot(), UsageSnapshot::default());
-        m.record_generate(3, 1);
-        assert_eq!(m.snapshot().generate_calls, 1);
     }
 
     #[test]

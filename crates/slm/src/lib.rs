@@ -69,7 +69,6 @@ pub struct Slm {
     ner: Arc<NerTagger>,
     generator: Arc<Generator>,
     meter: CostMeter,
-    seed: u64,
 }
 
 impl Default for Slm {
@@ -89,13 +88,7 @@ impl Slm {
             ner: Arc::new(NerTagger::new(config.lexicon)),
             generator: Arc::new(Generator::new(config.seed)),
             meter: CostMeter::default(),
-            seed: config.seed,
         }
-    }
-
-    /// Base seed for stochastic paths.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Embeds text into a dense vector, charging the cost meter one

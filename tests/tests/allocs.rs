@@ -6,17 +6,14 @@
 //! The counters are per thread and an `answer` spawns nothing (the spawns
 //! gate), so a count taken around one call is that call's alone. This
 //! binary still holds a single `#[test]`, like the spawns gate: the
-//! process-wide allocator is this file's, and one test keeps what it counts
-//! obvious. An allocation is a call to `alloc`, `alloc_zeroed` or
-//! `realloc`; its bytes are the size requested (the new size for a
-//! `realloc`). Frees are not counted.
+//! process-wide allocator is this binary's (`counting/mod.rs`, which also
+//! says what an allocation and its bytes are), and one test keeps what it
+//! counts obvious.
 //!
 //! The pinned counts change whenever the answer path allocates differently.
 //! A change that lowers them updates the table; one that raises them says
 //! why in CHANGES.md.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, UnifiedEngine};
@@ -25,51 +22,8 @@ use unisem_workloads::{
     EcommerceConfig, EcommerceWorkload, HealthcareConfig, HealthcareWorkload, QaItem,
 };
 
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn record(bytes: usize) {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters are
-// const-initialized thread-locals, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations, bytes)` this thread requests while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0)
-}
+mod counting;
+use counting::counted;
 
 fn build(
     lexicon: &unisem_slm::Lexicon,
