@@ -108,6 +108,19 @@ if sed '/#\[cfg(test)\]/,$d' crates/hetgraph/src/graph.rs |
     echo "ERROR: crates/hetgraph/src/graph.rs keys a map by an endpoint pair or by (String, usize) outside #[cfg(test)] (see DESIGN.md §5b: dedup edges through the adjacency lists, key records by table node)"
     exit 1
 fi
+# A node's id is its position in the node list and an edge's in the edge
+# list, an entity or table node's name is its label, and a record names its
+# table by node (DESIGN.md §5b): a stored id, a label field or a table name
+# in every record would each hold again what the graph already has.
+graph_src=$(sed '/#\[cfg(test)\]/,$d' crates/hetgraph/src/graph.rs)
+if grep -nE '^\s*(pub(\([a-z]+\))? )?(id|label): ' <<<"$graph_src"; then
+    echo "ERROR: crates/hetgraph/src/graph.rs gives a type an id: or label: field outside #[cfg(test)] (see DESIGN.md §5b: ids are positions, names are labels)"
+    exit 1
+fi
+if sed -n '/^\s*Record {/,/}/p' <<<"$graph_src" | grep -n 'String'; then
+    echo "ERROR: crates/hetgraph/src/graph.rs gives NodeKind::Record a String (see DESIGN.md §5b: a record names its table node)"
+    exit 1
+fi
 
 echo "==> the engine answers without a vector index"
 # A faulted traversal falls back to the BM25 scan the traversal already runs,

@@ -437,14 +437,13 @@ impl EngineBuilder {
         let mut gb = GraphBuilder::new(slm.clone());
         gb.set_index_entities(config.enable_entity_nodes);
         gb.add_docstore(&docs);
-        for name in db.table_names().into_iter().map(String::from).collect::<Vec<_>>() {
+        for name in db.table_names() {
             // Extracted-table records duplicate chunk facts; indexing them
             // is still useful (they join text to values) but keep the
             // "extracted" table out to avoid double-counting mentions.
             if name != "extracted" {
-                if let Ok(table) = db.table(&name) {
-                    let table = table.clone();
-                    gb.add_table(&name, &table);
+                if let Ok(table) = db.table(name) {
+                    gb.add_table(name, table);
                 }
             }
         }

@@ -27,7 +27,7 @@ use std::path::Path;
 use faultkit::FaultPlan;
 use storekit::{Decoder, Encoder, Snapshot, SnapshotWriter, StoreError};
 use unisem_docstore::{DocStore, Document, StoredChunk};
-use unisem_hetgraph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};
+use unisem_hetgraph::{Edge, EdgeKind, HetGraph, NodeId, NodeKind};
 use unisem_relstore::{Column, DataType, Database, Date, Schema, Table, Value};
 use unisem_slm::{EntityKind, Lexicon};
 use unisem_text::ChunkConfig;
@@ -111,12 +111,13 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
 /// The secondary entity index: canonical name → node id, sorted by name.
 fn encode_entity_index(graph: &HetGraph) -> Vec<u8> {
     let mut entries: Vec<(&str, NodeId)> = Vec::new();
-    for node in graph.nodes() {
-        if let NodeKind::Entity { name, .. } = &node.kind {
+    for (i, node) in graph.nodes().iter().enumerate() {
+        if let NodeKind::Entity { name, .. } = node {
             // First node wins, matching `HetGraph::entity_by_name` (which
             // resolves by smallest node id for duplicate surface names).
-            if graph.entity_by_name(name) == Some(node.id) {
-                entries.push((name, node.id));
+            let id = NodeId(i as u32);
+            if graph.entity_by_name(name) == Some(id) {
+                entries.push((name, id));
             }
         }
     }
@@ -426,12 +427,10 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u64(graph.num_nodes() as u64);
     for node in graph.nodes() {
-        e.u32(node.id.0);
-        match &node.kind {
-            NodeKind::Chunk { chunk_id, doc_id } => {
+        match node {
+            NodeKind::Chunk { chunk_id } => {
                 e.u8(0);
                 e.usize(*chunk_id);
-                e.usize(*doc_id);
             }
             NodeKind::Entity { name, kind } => {
                 e.u8(1);
@@ -440,7 +439,7 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
             }
             NodeKind::Record { table, row } => {
                 e.u8(2);
-                e.str(table);
+                e.u32(table.0);
                 e.usize(*row);
             }
             NodeKind::Table { name } => {
@@ -448,11 +447,9 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
                 e.str(name);
             }
         }
-        e.str(&node.label);
     }
     e.u64(graph.num_edges() as u64);
     for edge in graph.edges() {
-        e.u32(edge.id.0);
         e.u32(edge.a.0);
         e.u32(edge.b.0);
         encode_edge_kind(&mut e, &edge.kind);
@@ -465,35 +462,28 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
     let nnodes = d.count().map_err(EngineError::Store)?;
     let mut nodes = Vec::with_capacity(nnodes);
     for _ in 0..nnodes {
-        let id = NodeId(d.u32().map_err(EngineError::Store)?);
-        let kind = match d.u8().map_err(EngineError::Store)? {
-            0 => {
-                let chunk_id = d.usize().map_err(EngineError::Store)?;
-                let doc_id = d.usize().map_err(EngineError::Store)?;
-                NodeKind::Chunk { chunk_id, doc_id }
-            }
+        let node = match d.u8().map_err(EngineError::Store)? {
+            0 => NodeKind::Chunk { chunk_id: d.usize().map_err(EngineError::Store)? },
             1 => {
                 let name = d.str().map_err(EngineError::Store)?;
                 NodeKind::Entity { name, kind: decode_entity_kind(&mut d)? }
             }
             2 => {
-                let table = d.str().map_err(EngineError::Store)?;
+                let table = NodeId(d.u32().map_err(EngineError::Store)?);
                 let row = d.usize().map_err(EngineError::Store)?;
                 NodeKind::Record { table, row }
             }
             3 => NodeKind::Table { name: d.str().map_err(EngineError::Store)? },
             t => return Err(invalid(format!("unknown node kind tag {t}"))),
         };
-        let label = d.str().map_err(EngineError::Store)?;
-        nodes.push(Node { id, kind, label });
+        nodes.push(node);
     }
     let nedges = d.count().map_err(EngineError::Store)?;
     let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
-        let id = EdgeId(d.u32().map_err(EngineError::Store)?);
         let a = NodeId(d.u32().map_err(EngineError::Store)?);
         let b = NodeId(d.u32().map_err(EngineError::Store)?);
-        edges.push(Edge { id, a, b, kind: decode_edge_kind(&mut d)? });
+        edges.push(Edge { a, b, kind: decode_edge_kind(&mut d)? });
     }
     d.finish().map_err(EngineError::Store)?;
     HetGraph::from_parts(nodes, edges).map_err(invalid)

@@ -21,15 +21,14 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub u32);
 
-/// What a node represents.
+/// What a node represents. A node's id is its position in the graph's
+/// node list; it stores nothing another structure already holds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
-    /// A text chunk from the document store.
+    /// A text chunk from the document store (which holds its document id).
     Chunk {
         /// Chunk id in the docstore.
         chunk_id: usize,
-        /// Owning document id.
-        doc_id: usize,
     },
     /// A named entity (deduplicated by canonical name + kind).
     Entity {
@@ -40,8 +39,8 @@ pub enum NodeKind {
     },
     /// A row of a relational table or flattened JSON collection.
     Record {
-        /// Source table/collection name.
-        table: String,
+        /// The node of the row's table, which holds its name.
+        table: NodeId,
         /// Row index within the table.
         row: usize,
     },
@@ -57,17 +56,6 @@ impl NodeKind {
     pub fn is_entity(&self) -> bool {
         matches!(self, NodeKind::Entity { .. })
     }
-}
-
-/// A node with its payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Node {
-    /// The node id.
-    pub id: NodeId,
-    /// What the node represents.
-    pub kind: NodeKind,
-    /// Display label (chunk preview, entity surface form, `table[row]`).
-    pub label: String,
 }
 
 /// Edge semantics.
@@ -117,11 +105,9 @@ impl EdgeKind {
     }
 }
 
-/// An edge between two nodes.
+/// An edge between two nodes; its id is its position in the edge list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
-    /// Edge id.
-    pub id: EdgeId,
     /// One endpoint.
     pub a: NodeId,
     /// Other endpoint.
@@ -134,7 +120,9 @@ pub struct Edge {
 #[derive(Debug, Clone, Default)]
 #[expect(clippy::disallowed_types, reason = "lookup-only indexes: probed by key, never iterated")]
 pub struct HetGraph {
-    nodes: Vec<Node>,
+    /// nodes[id] = what node `id` represents.
+    nodes: Vec<NodeKind>,
+    /// edges[id] = edge `id`'s endpoints and kind.
     edges: Vec<Edge>,
     /// adjacency[node] = (neighbor, edge) pairs: the one edge index.
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
@@ -175,18 +163,18 @@ impl HetGraph {
         self.nodes.is_empty()
     }
 
-    /// All nodes in id order.
-    pub fn nodes(&self) -> &[Node] {
+    /// All nodes in id order: node `i` is `nodes()[i]`.
+    pub fn nodes(&self) -> &[NodeKind] {
         &self.nodes
     }
 
-    /// All edges in id order.
+    /// All edges in id order: edge `i` is `edges()[i]`.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
     /// Node accessor.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &NodeKind {
         &self.nodes[id.0 as usize]
     }
 
@@ -220,9 +208,9 @@ impl HetGraph {
         self.record_index.len()
     }
 
-    fn push_node(&mut self, kind: NodeKind, label: String) -> NodeId {
+    fn push_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { id, kind, label });
+        self.nodes.push(kind);
         self.adjacency.push(Vec::new());
         id
     }
@@ -234,12 +222,11 @@ impl HetGraph {
     }
 
     /// Adds (or returns the existing) chunk node.
-    pub fn add_chunk(&mut self, chunk_id: usize, doc_id: usize, preview: &str) -> NodeId {
+    pub fn add_chunk(&mut self, chunk_id: usize) -> NodeId {
         if let Some(&id) = self.chunk_index.get(&chunk_id) {
             return id;
         }
-        let label: String = preview.chars().take(60).collect();
-        let id = self.push_node(NodeKind::Chunk { chunk_id, doc_id }, label);
+        let id = self.push_node(NodeKind::Chunk { chunk_id });
         self.chunk_index.insert(chunk_id, id);
         id
     }
@@ -251,7 +238,7 @@ impl HetGraph {
         if let Some(&id) = self.entity_index.get(&(canon.clone(), kind)) {
             return id;
         }
-        let id = self.push_node(NodeKind::Entity { name: canon.clone(), kind }, canon.clone());
+        let id = self.push_node(NodeKind::Entity { name: canon.clone(), kind });
         self.entity_index.insert((canon.clone(), kind), id);
         if kind.is_referential() {
             self.referential.insert(id, &canon);
@@ -270,15 +257,12 @@ impl HetGraph {
 
     /// Adds (or returns the existing) record node, after its table's node.
     pub fn add_record(&mut self, table: &str, row: usize) -> NodeId {
-        let key = (self.add_table(table), row);
-        if let Some(&id) = self.record_index.get(&key) {
+        let table = self.add_table(table);
+        if let Some(&id) = self.record_index.get(&(table, row)) {
             return id;
         }
-        let id = self.push_node(
-            NodeKind::Record { table: table.to_string(), row },
-            format!("{table}[{row}]"),
-        );
-        self.record_index.insert(key, id);
+        let id = self.push_node(NodeKind::Record { table, row });
+        self.record_index.insert((table, row), id);
         id
     }
 
@@ -287,24 +271,30 @@ impl HetGraph {
         if let Some(&id) = self.table_index.get(name) {
             return id;
         }
-        let id = self.push_node(NodeKind::Table { name: name.to_string() }, name.to_string());
+        let id = self.push_node(NodeKind::Table { name: name.to_string() });
         self.table_index.insert(name.to_string(), id);
         id
     }
 
+    /// The edge of `kind` between `a` and `b`, found in the lower-degree
+    /// endpoint's adjacency.
+    fn find_edge(&self, a: NodeId, b: NodeId, kind: &EdgeKind) -> Option<EdgeId> {
+        let (near, far) = if self.degree(a) <= self.degree(b) { (a, b) } else { (b, a) };
+        self.adjacency[near.0 as usize]
+            .iter()
+            .find(|&&(n, e)| n == far && self.edges[e.0 as usize].kind == *kind)
+            .map(|&(_, e)| e)
+    }
+
     /// Adds an undirected edge, or returns the one of the same kind between
-    /// the same endpoints: found in the lower-degree endpoint's adjacency.
+    /// the same endpoints.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, kind: EdgeKind) -> EdgeId {
         assert!(a != b, "self-loops are not allowed");
-        let (near, far) = if self.degree(a) <= self.degree(b) { (a, b) } else { (b, a) };
-        let existing = self.adjacency[near.0 as usize]
-            .iter()
-            .find(|&&(n, e)| n == far && self.edges[e.0 as usize].kind == kind);
-        if let Some(&(_, e)) = existing {
+        if let Some(e) = self.find_edge(a, b, &kind) {
             return e;
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { id, a, b, kind });
+        self.edges.push(Edge { a, b, kind });
         self.link(a, b, id);
         id
     }
@@ -315,47 +305,51 @@ impl HetGraph {
     /// rebuilt; entity names are trusted to be canonical already (they
     /// were canonicalized when the persisted graph was first built) and
     /// are NOT re-canonicalized, so the reassembled graph is structurally
-    /// identical byte for byte. A record before its table node is an `Err`.
-    pub fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Result<Self, String> {
+    /// identical byte for byte. Parts no sequence of `add_*` calls makes
+    /// are an `Err`: a node whose chunk id, (name, kind), table name or
+    /// (table, row) an earlier node has, a record whose table is not an
+    /// earlier table node, and an edge that is a self-loop, names a
+    /// missing node or repeats an earlier edge's endpoints and kind.
+    pub fn from_parts(nodes: Vec<NodeKind>, edges: Vec<Edge>) -> Result<Self, String> {
         let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
         for (i, node) in nodes.iter().enumerate() {
-            if node.id.0 as usize != i {
-                return Err(format!("node {} stored at position {i}", node.id.0));
-            }
-            match &node.kind {
-                NodeKind::Chunk { chunk_id, .. } => {
-                    g.chunk_index.insert(*chunk_id, node.id);
-                }
+            let id = NodeId(i as u32);
+            let repeated = match node {
+                NodeKind::Chunk { chunk_id } => g.chunk_index.insert(*chunk_id, id).is_some(),
                 NodeKind::Entity { name, kind } => {
-                    g.entity_index.insert((name.clone(), *kind), node.id);
-                    g.entity_by_name_index.entry(name.clone()).or_insert(node.id);
+                    g.entity_by_name_index.entry(name.clone()).or_insert(id);
                     if kind.is_referential() {
-                        g.referential.insert(node.id, &node.label);
+                        g.referential.insert(id, name);
                     }
+                    g.entity_index.insert((name.clone(), *kind), id).is_some()
                 }
                 NodeKind::Record { table, row } => {
-                    let Some(&table_node) = g.table_index.get(table) else {
-                        return Err(format!("record {} has no earlier table {table:?}", node.id.0));
-                    };
-                    g.record_index.insert((table_node, *row), node.id);
+                    if !matches!(nodes[..i].get(table.0 as usize), Some(NodeKind::Table { .. })) {
+                        return Err(format!("record {i} names node {}, no earlier table", table.0));
+                    }
+                    g.record_index.insert((*table, *row), id).is_some()
                 }
-                NodeKind::Table { name } => {
-                    g.table_index.insert(name.clone(), node.id);
-                }
+                NodeKind::Table { name } => g.table_index.insert(name.clone(), id).is_some(),
+            };
+            if repeated {
+                return Err(format!("node {i} repeats an earlier node's key: {node:?}"));
             }
         }
         g.nodes = nodes;
-        for (i, edge) in edges.iter().enumerate() {
-            if edge.id.0 as usize != i {
-                return Err(format!("edge {} stored at position {i}", edge.id.0));
-            }
-            let (a, b) = (edge.a.0 as usize, edge.b.0 as usize);
-            if a >= g.nodes.len() || b >= g.nodes.len() {
+        g.edges = edges;
+        for i in 0..g.edges.len() {
+            let Edge { a, b, ref kind } = g.edges[i];
+            if a.0 as usize >= g.nodes.len() || b.0 as usize >= g.nodes.len() {
                 return Err(format!("edge {i} references missing node"));
             }
-            g.link(edge.a, edge.b, edge.id);
+            if a == b {
+                return Err(format!("edge {i} is a self-loop"));
+            }
+            if g.find_edge(a, b, kind).is_some() {
+                return Err(format!("edge {i} repeats an earlier edge"));
+            }
+            g.link(a, b, EdgeId(i as u32));
         }
-        g.edges = edges;
         Ok(g)
     }
 
@@ -364,11 +358,6 @@ impl HetGraph {
     pub fn entity_by_name(&self, name: &str) -> Option<NodeId> {
         let canon = unisem_slm::ner::canonical_phrase(name);
         self.entity_by_name_index.get(&canon).copied()
-    }
-
-    /// All entity nodes.
-    pub fn entities(&self) -> impl Iterator<Item = &Node> + '_ {
-        self.nodes.iter().filter(|n| n.kind.is_entity())
     }
 
     /// The referential entities ([`EntityKind::is_referential`]) by label
@@ -383,13 +372,20 @@ impl HetGraph {
         self.chunk_index.get(&chunk_id).copied()
     }
 
-    /// Approximate resident bytes: nodes with their labels, edges,
-    /// adjacency, the entity, chunk and record lookup indexes, and the
-    /// referential-entity table. The by-name and table indexes are not
-    /// counted.
+    /// Approximate resident bytes: nodes with the names entity and table
+    /// nodes own, edges, adjacency, the entity, chunk and record lookup
+    /// indexes, and the referential-entity table. The by-name and table
+    /// indexes are not counted.
     pub fn approx_bytes(&self) -> usize {
-        let node_bytes: usize =
-            self.nodes.iter().map(|n| std::mem::size_of::<Node>() + n.label.len()).sum();
+        let node_bytes: usize = self
+            .nodes
+            .iter()
+            .map(|n| match n {
+                NodeKind::Entity { name, .. } | NodeKind::Table { name } => name.len(),
+                NodeKind::Chunk { .. } | NodeKind::Record { .. } => 0,
+            })
+            .sum::<usize>()
+            + self.nodes.len() * std::mem::size_of::<NodeKind>();
         let edge_bytes = self.edges.len() * std::mem::size_of::<Edge>();
         let adj_bytes: usize =
             self.adjacency.iter().map(|a| a.len() * std::mem::size_of::<(NodeId, EdgeId)>()).sum();
@@ -430,8 +426,8 @@ mod tests {
     #[test]
     fn chunk_and_record_dedup() {
         let mut g = HetGraph::new();
-        let c1 = g.add_chunk(7, 0, "preview text");
-        let c2 = g.add_chunk(7, 0, "different preview");
+        let c1 = g.add_chunk(7);
+        let c2 = g.add_chunk(7);
         assert_eq!(c1, c2);
         let r1 = g.add_record("sales", 3);
         let r2 = g.add_record("sales", 3);
@@ -470,7 +466,7 @@ mod tests {
         let a = g.add_entity("Product Alpha", EntityKind::Product);
         assert_eq!(g.entity_by_name("product alpha"), Some(a));
         assert_eq!(g.entity_by_name("missing"), None);
-        let c = g.add_chunk(0, 0, "text");
+        let c = g.add_chunk(0);
         assert_eq!(g.chunk_node(0), Some(c));
         let r = g.add_record("t", 1);
         assert_eq!(g.add_record("t", 1), r, "one node per record");
@@ -480,7 +476,7 @@ mod tests {
     #[test]
     fn neighbors_list_both_sides() {
         let mut g = HetGraph::new();
-        let c = g.add_chunk(0, 0, "chunk");
+        let c = g.add_chunk(0);
         let e = g.add_entity("x", EntityKind::Product);
         g.add_edge(c, e, EdgeKind::Mentions);
         assert_eq!(g.neighbors(c)[0].0, e);
@@ -504,11 +500,11 @@ mod tests {
     }
 
     #[test]
-    fn entities_iterator_and_display() {
+    fn node_kinds_and_display() {
         let mut g = HetGraph::new();
         g.add_entity("a", EntityKind::Product);
-        g.add_chunk(0, 0, "x");
-        assert_eq!(g.entities().count(), 1);
+        g.add_chunk(0);
+        assert_eq!(g.nodes().iter().filter(|n| n.is_entity()).count(), 1);
         assert!(g.to_string().contains("2 nodes"));
     }
 
@@ -517,7 +513,7 @@ mod tests {
         let mut g = HetGraph::new();
         let hub = g.add_entity("hub", EntityKind::Product);
         for i in 0..40 {
-            let c = g.add_chunk(i, 0, "chunk");
+            let c = g.add_chunk(i);
             g.add_edge(c, hub, EdgeKind::Mentions);
             if i % 3 == 0 {
                 let r = g.add_record("t", i);
@@ -549,16 +545,70 @@ mod tests {
         let record = g.add_record("sales", 3);
         let table = g.add_table("sales");
         assert!(table < record, "add_record adds the table node first");
+        assert_eq!(g.node(record), &NodeKind::Record { table, row: 3 });
         let [t, r] = [table, record].map(|id| g.node(id).clone());
         assert!(HetGraph::from_parts(vec![t.clone(), r.clone()], Vec::new()).is_ok());
 
-        let renumbered = |n: &Node, id: u32| Node { id: NodeId(id), ..n.clone() };
-        let absent = vec![renumbered(&r, 0)];
-        let after = vec![renumbered(&r, 0), renumbered(&t, 1)];
-        for nodes in [absent, after] {
+        let entity = NodeKind::Entity { name: "sales".into(), kind: EntityKind::Other };
+        // Absent, after the record, and an entity where the table was.
+        for (nodes, at) in [(vec![r.clone()], 0), (vec![r.clone(), t], 0), (vec![entity, r], 1)] {
             let err = HetGraph::from_parts(nodes, Vec::new()).unwrap_err();
-            assert_eq!(err, r#"record 0 has no earlier table "sales""#);
+            assert_eq!(err, format!("record {at} names node 0, no earlier table"));
         }
+    }
+
+    /// The error `from_parts` returns for `nodes` without edges.
+    fn reopen_err(nodes: Vec<NodeKind>) -> String {
+        HetGraph::from_parts(nodes, Vec::new()).unwrap_err()
+    }
+
+    #[test]
+    fn two_chunk_nodes_with_one_chunk_id_do_not_reopen() {
+        let chunk = NodeKind::Chunk { chunk_id: 4 };
+        let err = reopen_err(vec![chunk.clone(), NodeKind::Chunk { chunk_id: 5 }, chunk]);
+        assert_eq!(err, "node 2 repeats an earlier node's key: Chunk { chunk_id: 4 }");
+    }
+
+    #[test]
+    fn two_entity_nodes_with_one_name_and_kind_do_not_reopen() {
+        let entity = |kind| NodeKind::Entity { name: "drug a".into(), kind };
+        let (drug, product) = (entity(EntityKind::Drug), entity(EntityKind::Product));
+        assert!(HetGraph::from_parts(vec![drug.clone(), product], Vec::new()).is_ok());
+        let err = reopen_err(vec![drug.clone(), drug]);
+        assert!(err.starts_with("node 1 repeats an earlier node's key: Entity"), "{err}");
+    }
+
+    #[test]
+    fn two_table_nodes_with_one_name_do_not_reopen() {
+        let table = NodeKind::Table { name: "sales".into() };
+        let err = reopen_err(vec![table.clone(), table]);
+        assert_eq!(err, r#"node 1 repeats an earlier node's key: Table { name: "sales" }"#);
+    }
+
+    #[test]
+    fn two_records_with_one_table_and_row_do_not_reopen() {
+        let table = NodeKind::Table { name: "sales".into() };
+        let row = |row| NodeKind::Record { table: NodeId(0), row };
+        assert!(HetGraph::from_parts(vec![table.clone(), row(1), row(2)], Vec::new()).is_ok());
+        let err = reopen_err(vec![table, row(1), row(1)]);
+        assert_eq!(
+            err,
+            "node 2 repeats an earlier node's key: Record { table: NodeId(0), row: 1 }"
+        );
+    }
+
+    #[test]
+    fn a_self_loop_or_a_repeated_edge_does_not_reopen() {
+        let nodes = vec![NodeKind::Chunk { chunk_id: 0 }, NodeKind::Chunk { chunk_id: 1 }];
+        let edge = |a, b, kind| Edge { a: NodeId(a), b: NodeId(b), kind };
+        let (next, temporal) = (EdgeKind::NextChunk, EdgeKind::Temporal);
+        let two_kinds = vec![edge(0, 1, next.clone()), edge(1, 0, temporal)];
+        assert!(HetGraph::from_parts(nodes.clone(), two_kinds).is_ok());
+        let reopen = |edges| HetGraph::from_parts(nodes.clone(), edges).unwrap_err();
+        let self_loop = reopen(vec![edge(0, 1, next.clone()), edge(1, 1, next.clone())]);
+        assert_eq!(self_loop, "edge 1 is a self-loop");
+        let repeated = reopen(vec![edge(0, 1, next.clone()), edge(1, 0, next)]);
+        assert_eq!(repeated, "edge 1 repeats an earlier edge");
     }
 
     #[test]

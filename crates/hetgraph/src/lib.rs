@@ -30,4 +30,4 @@ pub mod graph;
 
 pub use build::{GraphBuildCounts, GraphBuilder};
 pub use entities::EntityTable;
-pub use graph::{Edge, EdgeId, EdgeKind, HetGraph, Node, NodeId, NodeKind};
+pub use graph::{Edge, EdgeId, EdgeKind, HetGraph, NodeId, NodeKind};

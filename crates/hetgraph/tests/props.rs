@@ -103,7 +103,7 @@ fn run(script: &[(usize, usize, usize)]) -> HetGraph {
                 g.add_entity(NAMES[a], KINDS[b]);
             }
             1 => {
-                g.add_chunk(i, 0, "chunk");
+                g.add_chunk(i);
             }
             _ if g.num_nodes() > 1 => {
                 let (a, b) = (a % g.num_nodes(), b % g.num_nodes());
@@ -117,25 +117,34 @@ fn run(script: &[(usize, usize, usize)]) -> HetGraph {
     g
 }
 
-/// The referential-entity table as a walk over `entities()` builds it:
-/// `(char length, id, label)` in (length, id) order, and each label word's
+/// The referential-entity table as a walk over `nodes()` builds it:
+/// `(char length, id, name)` in (length, id) order, and each name word's
 /// ids in ascending order, each once.
 type TableRows = (Vec<(usize, NodeId, String)>, BTreeMap<String, Vec<NodeId>>);
 
 fn rebuilt_from_entities(g: &HetGraph) -> TableRows {
-    let referential: Vec<_> = g
-        .entities()
-        .filter(|n| matches!(&n.kind, NodeKind::Entity { kind, .. } if kind.is_referential()))
+    let referential: Vec<(NodeId, &str)> = g
+        .nodes()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, n)| match n {
+            NodeKind::Entity { name, kind } if kind.is_referential() => {
+                Some((NodeId(i as u32), name.as_str()))
+            }
+            _ => None,
+        })
         .collect();
-    let mut labels: Vec<_> =
-        referential.iter().map(|n| (n.label.chars().count(), n.id, n.label.clone())).collect();
+    let mut labels: Vec<_> = referential
+        .iter()
+        .map(|&(id, name)| (name.chars().count(), id, name.to_string()))
+        .collect();
     labels.sort();
     let mut words: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
-    for n in &referential {
-        for word in n.label.split_whitespace() {
+    for &(id, name) in &referential {
+        for word in name.split_whitespace() {
             let ids = words.entry(word.to_string()).or_default();
-            if !ids.contains(&n.id) {
-                ids.push(n.id);
+            if !ids.contains(&id) {
+                ids.push(id);
             }
         }
     }
@@ -192,11 +201,15 @@ fn edge_kinds() -> [EdgeKind; 8] {
     ]
 }
 
+/// Table names for the dedup property; "sales" is an entity name too.
+const TABLES: &[&str] = &["sales", "orders", "trials"];
+
 /// A script of calls: `(0..4, name, kind)` adds an entity, `(4..8, _, _)` a
-/// chunk, and `(op >= 8, x, k)` an edge of the `k`-th kind. The edge's
-/// endpoints come from `op` and `x`: even values pick one of the first two
-/// nodes, so those two grow into hubs, and odd values any node, so pairs
-/// repeat.
+/// chunk, `(8..10, t, _)` a table, `(10..14, t, r)` a record of one of four
+/// rows (so (table, row) pairs repeat), and `(op >= 14, x, k)` an edge of
+/// the `k`-th kind. The edge's endpoints come from `op` and `x`: even
+/// values pick one of the first two nodes, so those two grow into hubs,
+/// and odd values any node, so pairs repeat.
 fn dedup_scripts() -> Gen<Vec<(usize, usize, usize)>> {
     vec_of(&zip3(&usizes(0, 63), &usizes(0, 63), &usizes(0, 63)), 0, 160)
 }
@@ -209,21 +222,40 @@ fn endpoint(pick: usize, nodes: usize) -> NodeId {
 // `add_edge`'s scan of the lower-degree endpoint's adjacency returns every
 // id, and leaves every edge and every adjacency list, exactly as the
 // string-keyed dedup map it replaced: `(lo, hi, kind.label())` → edge.
-// A graph reassembled by `from_parts` dedups the same script's edges to the
-// same ids.
+// Tables and records dedup as name-keyed maps would, and a record names
+// its table's node. A graph reassembled by `from_parts` has the same
+// adjacency, resolves every lookup to the same id, and dedups every
+// re-added table, record and edge to the id it had.
 prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     let kinds = edge_kinds();
     let mut g = HetGraph::new();
     let mut oracle: BTreeMap<(NodeId, NodeId, String), EdgeId> = BTreeMap::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut calls = Vec::new();
+    let mut tables: BTreeMap<&str, NodeId> = BTreeMap::new();
+    let mut records: BTreeMap<(&str, usize), NodeId> = BTreeMap::new();
+    let mut chunks = Vec::new();
     for (i, &(op, x, k)) in script.iter().enumerate() {
         match op {
             0..4 => {
                 g.add_entity(NAMES[x % NAMES.len()], KINDS[k % KINDS.len()]);
             }
             4..8 => {
-                g.add_chunk(i, 0, "chunk");
+                chunks.push((i, g.add_chunk(i)));
+            }
+            8..10 => {
+                let name = TABLES[x % TABLES.len()];
+                let id = g.add_table(name);
+                prop_assert_eq!(*tables.entry(name).or_insert(id), id, "call {}", i);
+            }
+            10..14 => {
+                let (name, row) = (TABLES[x % TABLES.len()], k % 4);
+                let id = g.add_record(name, row);
+                // A new table's node is added just before its first record.
+                let table = *tables.entry(name).or_insert(NodeId(id.0.wrapping_sub(1)));
+                prop_assert_eq!(*records.entry((name, row)).or_insert(id), id, "call {}", i);
+                prop_assert_eq!(g.node(id), &NodeKind::Record { table, row });
+                prop_assert_eq!(g.node(table), &NodeKind::Table { name: name.to_string() });
             }
             _ if g.num_nodes() > 1 => {
                 let (a, b) = (endpoint(op, g.num_nodes()), endpoint(x, g.num_nodes()));
@@ -233,9 +265,8 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
                 let kind = kinds[k % kinds.len()].clone();
                 let key = (a.min(b), a.max(b), kind.label());
                 let want = *oracle.entry(key).or_insert_with(|| {
-                    let id = EdgeId(edges.len() as u32);
-                    edges.push(Edge { id, a, b, kind: kind.clone() });
-                    id
+                    edges.push(Edge { a, b, kind: kind.clone() });
+                    EdgeId(edges.len() as u32 - 1)
                 });
                 prop_assert_eq!(g.add_edge(a, b, kind.clone()), want, "call {}", i);
                 calls.push((a, b, kind, want));
@@ -245,9 +276,9 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     }
     // Each edge joins both endpoints' lists as it is added, so in id order.
     let mut adjacency = vec![Vec::new(); g.num_nodes()];
-    for e in &edges {
-        adjacency[e.a.0 as usize].push((e.b, e.id));
-        adjacency[e.b.0 as usize].push((e.a, e.id));
+    for (i, e) in edges.iter().enumerate() {
+        adjacency[e.a.0 as usize].push((e.b, EdgeId(i as u32)));
+        adjacency[e.b.0 as usize].push((e.a, EdgeId(i as u32)));
     }
     prop_assert_eq!(g.edges(), &edges[..]);
     for (i, want) in adjacency.iter().enumerate() {
@@ -255,9 +286,27 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     }
 
     let mut reopened = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec())?;
+    prop_assert_eq!(reopened.num_records(), records.len());
+    for i in 0..g.num_nodes() {
+        let id = NodeId(i as u32);
+        prop_assert_eq!(reopened.neighbors(id), g.neighbors(id), "node {}", i);
+    }
+    for (chunk, id) in chunks {
+        prop_assert_eq!(reopened.chunk_node(chunk), Some(id));
+    }
+    for name in NAMES.iter().chain(TABLES) {
+        prop_assert_eq!(reopened.entity_by_name(name), g.entity_by_name(name), "{}", name);
+    }
+    for (name, id) in tables {
+        prop_assert_eq!(reopened.add_table(name), id);
+    }
+    for ((name, row), id) in records {
+        prop_assert_eq!(reopened.add_record(name, row), id);
+    }
     for (a, b, kind, want) in calls {
         prop_assert_eq!(reopened.add_edge(b, a, kind), want);
     }
+    prop_assert_eq!(reopened.nodes(), g.nodes());
     prop_assert_eq!(reopened.edges(), g.edges());
     Ok(())
 });

@@ -234,16 +234,6 @@ impl TopologyRetriever {
         self.config
     }
 
-    /// Links query entity mentions to graph anchor nodes (primary ∪
-    /// constraint — see [`Self::anchor_sets`]).
-    pub fn anchors(&self, query: &str) -> Vec<NodeId> {
-        let (mut primary, constraints) = self.anchor_sets(query);
-        primary.extend(constraints);
-        primary.sort();
-        primary.dedup();
-        primary
-    }
-
     /// Links query mentions to graph nodes, split by role:
     ///
     /// - **primary** anchors are referential entities (products, drugs,
@@ -492,7 +482,7 @@ impl TopologyRetriever {
         let n_chunks = self.docs.num_chunks();
         let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(frontier.len());
         for &node in frontier.iter().rev() {
-            if let NodeKind::Chunk { chunk_id, .. } = self.graph.node(node).kind {
+            if let NodeKind::Chunk { chunk_id } = *self.graph.node(node) {
                 if chunk_id < n_chunks {
                     let i = node.0 as usize;
                     candidates.push((chunk_id, proximity[i] * (0.5 + 0.5 * static_prior[i])));
@@ -597,16 +587,16 @@ mod tests {
     #[test]
     fn anchors_link_exact() {
         let r = retriever();
-        let a = r.anchors("What happened to Patient X after Drug A?");
-        assert!(a.len() >= 2);
+        let (primary, _) = r.anchor_sets("What happened to Patient X after Drug A?");
+        assert!(primary.len() >= 2);
     }
 
     #[test]
     fn anchors_fuzzy_fallback() {
         let r = retriever();
         // "Druga" is a typo; fuzzy linking should still find drug a.
-        let a = r.anchors("side effects of Druga");
-        assert!(!a.is_empty());
+        let (primary, _) = r.anchor_sets("side effects of Druga");
+        assert!(!primary.is_empty());
     }
 
     #[test]
@@ -616,14 +606,14 @@ mod tests {
         let quarter = g.add_entity("q2 2024", EntityKind::Quarter);
         let money = g.add_entity("$1200", EntityKind::Money);
         let product = g.add_entity("widget pro", EntityKind::Product);
-        let chunk = g.add_chunk(0, 0, "revenue");
+        let chunk = g.add_chunk(0);
         g.add_edge(chunk, metric, unisem_hetgraph::EdgeKind::Mentions);
         let (slm, _, docs) = setup();
         let r = TopologyRetriever::new(slm, Arc::new(g), docs, TopologyConfig::default());
         let mut examined = 0;
         for (near_miss, of) in [("revenu", metric), ("q2 2025", quarter), ("$12000", money)] {
-            let label = &r.graph.node(of).label;
-            assert!(unisem_text::jaro_winkler(label, near_miss) >= 0.88, "{near_miss} is near");
+            let NodeKind::Entity { name, .. } = r.graph.node(of) else { panic!("{of:?}") };
+            assert!(unisem_text::jaro_winkler(name, near_miss) >= 0.88, "{near_miss} is near");
             assert_eq!(r.link_fuzzy(near_miss, &mut examined), None, "{near_miss}");
         }
         assert_eq!(r.link_fuzzy("widget pr", &mut examined), Some(product));
@@ -633,8 +623,8 @@ mod tests {
     #[test]
     fn anchors_token_containment_fallback() {
         let r = retriever();
-        let a = r.anchors("tell me about the headache cases");
-        assert!(!a.is_empty());
+        let (primary, _) = r.anchor_sets("tell me about the headache cases");
+        assert!(!primary.is_empty());
     }
 
     #[test]

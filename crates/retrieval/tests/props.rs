@@ -10,7 +10,7 @@ use detkit::prop::{usizes, vec_of, zip3, Gen};
 use detkit::{prop_assert, prop_assert_eq, prop_check};
 use unisem_docstore::DocStore;
 use unisem_hetgraph::algo::pagerank;
-use unisem_hetgraph::{GraphBuilder, HetGraph, Node, NodeId, NodeKind};
+use unisem_hetgraph::{GraphBuilder, HetGraph, NodeId, NodeKind};
 use unisem_retrieval::{RetrievalResult, TopologyConfig, TopologyRetriever, TraversalStats};
 use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
 use unisem_text::normalize::is_stopword;
@@ -137,11 +137,14 @@ struct Reference {
     config: TopologyConfig,
 }
 
-/// The graph's referential entities, in id order.
-fn referential(graph: &HetGraph) -> impl Iterator<Item = &Node> + '_ {
-    graph
-        .entities()
-        .filter(|n| matches!(&n.kind, NodeKind::Entity { kind, .. } if kind.is_referential()))
+/// The graph's referential entities with their names, in id order.
+fn referential(graph: &HetGraph) -> impl Iterator<Item = (NodeId, &str)> + '_ {
+    graph.nodes().iter().enumerate().filter_map(|(i, n)| match n {
+        NodeKind::Entity { name, kind } if kind.is_referential() => {
+            Some((NodeId(i as u32), name.as_str()))
+        }
+        _ => None,
+    })
 }
 
 impl Reference {
@@ -168,10 +171,10 @@ impl Reference {
         for name in unmatched {
             let bound = JaroWinklerAtLeast::new(&name, self.config.fuzzy_threshold);
             examined += referential(&self.graph)
-                .filter(|n| bound.may_reach_length(n.label.chars().count()))
+                .filter(|(_, label)| bound.may_reach_length(label.chars().count()))
                 .count();
             let best = referential(&self.graph)
-                .map(|n| (n.id, jaro_winkler(&n.label, &name)))
+                .map(|(id, label)| (id, jaro_winkler(label, &name)))
                 .filter(|(_, s)| *s >= self.config.fuzzy_threshold)
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
             if let Some((id, _)) = best {
@@ -186,11 +189,11 @@ impl Reference {
             for w in &words {
                 let holding = || {
                     referential(&self.graph)
-                        .filter(|n| n.label.split_whitespace().any(|part| part == w))
+                        .filter(|(_, label)| label.split_whitespace().any(|part| part == w))
                 };
                 examined += holding().count();
-                if let Some(n) = holding().max_by_key(|n| self.graph.degree(n.id)) {
-                    primary.push(n.id);
+                if let Some((id, _)) = holding().max_by_key(|&(id, _)| self.graph.degree(id)) {
+                    primary.push(id);
                 }
             }
         }
@@ -304,8 +307,8 @@ impl Reference {
         }
         let mut topo: BTreeMap<usize, f64> = BTreeMap::new();
         for (&node, &prox) in &proximity {
-            if let NodeKind::Chunk { chunk_id, .. } = &self.graph.node(node).kind {
-                topo.insert(*chunk_id, prox * (0.5 + 0.5 * prior[node.0 as usize]));
+            if let NodeKind::Chunk { chunk_id } = *self.graph.node(node) {
+                topo.insert(chunk_id, prox * (0.5 + 0.5 * prior[node.0 as usize]));
             }
         }
         stats.chunks_scored = topo.len();
@@ -448,7 +451,7 @@ fn generated_cases_cover_the_branches() {
         for name in unmatched_mentions(&slm, &graph, &case.1) {
             let loose = JaroWinklerAtLeast::new(&name, 0.7);
             let default = JaroWinklerAtLeast::new(&name, 0.88);
-            let labels = || referential(&graph).map(|n| n.label.as_str());
+            let labels = || referential(&graph).map(|(_, label)| label);
             ruled_out += usize::from(labels().all(|l| !loose.may_reach(l)));
             linked_loose += usize::from(labels().any(|l| loose.score(l).is_some()));
             linked_default += usize::from(labels().any(|l| default.score(l).is_some()));
@@ -456,16 +459,20 @@ fn generated_cases_cover_the_branches() {
         }
         let retriever = TopologyRetriever::new(slm, graph.clone(), docs, config);
         let (primary, _) = retriever.anchor_sets(&case.1);
-        non_ascii += usize::from(primary.iter().any(|&id| !graph.node(id).label.is_ascii()));
+        let name_of = |id| match graph.node(id) {
+            NodeKind::Entity { name, .. } => name.as_str(),
+            _ => "",
+        };
+        non_ascii += usize::from(primary.iter().any(|&id| !name_of(id).is_ascii()));
     }
     for _ in 0..64 {
         let (corpus, query, _) = cases(&[UNTAGGED_WORDS]).generate(&mut rng).value().clone();
         let (_, graph, _) = substrates(&corpus);
         for word in tokenize_words(&query) {
             let holding =
-                || referential(&graph).filter(|n| n.label.split_whitespace().any(|p| p == word));
-            degree_ties += usize::from(ties(holding().map(|n| graph.degree(n.id))) > 1);
-            twice += usize::from(holding().any(|n| n.label.matches(word.as_str()).count() > 1));
+                || referential(&graph).filter(|(_, l)| l.split_whitespace().any(|p| p == word));
+            degree_ties += usize::from(ties(holding().map(|(id, _)| graph.degree(id))) > 1);
+            twice += usize::from(holding().any(|(_, l)| l.matches(word.as_str()).count() > 1));
         }
     }
     assert!(capped > 0 && fallback > 0 && traversed > 0 && multi_anchor > 0);

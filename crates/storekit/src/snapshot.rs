@@ -34,7 +34,7 @@ use crate::frame;
 use crate::{io_err, parent_dir, tmp_path, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"USKSNAP1";
-const SNAP_VERSION: u32 = 7;
+const SNAP_VERSION: u32 = 8;
 const HEADER_LEN: usize = 8 + 4;
 
 fn invalid(reason: impl Into<String>) -> StoreError {
@@ -197,8 +197,9 @@ mod tests {
         // Another format version in a well-formed file: the retired paged
         // versions 1–3, version 4 (no string value sets in the engine's
         // statistics), version 5 (a persisted statistics section), version 6
-        // (a persisted BM25 index) and a future one.
-        for other in [1, 2, 3, 4, 5, 6, SNAP_VERSION + 1] {
+        // (a persisted BM25 index), version 7 (graph nodes with ids, labels,
+        // chunk document ids and record table names) and a future one.
+        for other in [1, 2, 3, 4, 5, 6, 7, SNAP_VERSION + 1] {
             let mut patched = clean.clone();
             patched[8..HEADER_LEN].copy_from_slice(&u32::to_le_bytes(other));
             std::fs::write(&path, &patched).unwrap();

@@ -18,7 +18,7 @@
 //! CHANGES.md; one that raises them says why.
 
 use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
-use unisem_hetgraph::EdgeKind;
+use unisem_hetgraph::{EdgeId, EdgeKind};
 use unisem_workloads::{EcommerceWorkload, ScaleConfig, ScaleWorkload};
 
 mod counting;
@@ -57,7 +57,7 @@ fn substrate_clones_allocate_as_pinned_and_edge_re_adds_allocate_nothing() {
     .data;
     // (substrate, allocations, bytes) one clone requests.
     let pinned: [(&str, u64, u64); 3] =
-        [("graph", 7066, 619091), ("docs", 2607, 369619), ("db", 5937, 421661)];
+        [("graph", 4745, 477485), ("docs", 2607, 369619), ("db", 5937, 421661)];
     for threads in [1, 4] {
         let engine = build(&w, threads);
         assert_eq!(engine.docs().num_chunks(), 448, "the pinned corpus moved");
@@ -72,16 +72,16 @@ fn substrate_clones_allocate_as_pinned_and_edge_re_adds_allocate_nothing() {
 
         // Re-adding an existing edge, from either end, finds it without
         // building a key.
-        let edge = graph
+        let at = graph
             .edges()
             .iter()
-            .find(|e| e.kind == EdgeKind::Mentions)
-            .expect("the corpus has a mention")
-            .clone();
+            .position(|e| e.kind == EdgeKind::Mentions)
+            .expect("the corpus has a mention");
+        let (edge, id) = (graph.edges()[at].clone(), EdgeId(at as u32));
         let edges = graph.num_edges();
         for (a, b) in [(edge.a, edge.b), (edge.b, edge.a)] {
-            let (id, allocs, _) = counted(|| graph.add_edge(a, b, EdgeKind::Mentions));
-            assert_eq!(id, edge.id, "a re-add returns the existing edge");
+            let (got, allocs, _) = counted(|| graph.add_edge(a, b, EdgeKind::Mentions));
+            assert_eq!(got, id, "a re-add returns the existing edge");
             assert_eq!(allocs, 0, "{threads} threads: re-adding an existing edge allocated");
         }
         assert_eq!(graph.num_edges(), edges);

@@ -314,7 +314,7 @@ fn log_faults_change_nothing_alone_or_mid_batch() {
 /// Every gauge ingest re-sets, recounted from the substrates the slow way.
 fn recounted_gauges(engine: &UnifiedEngine) -> Vec<(&'static str, u64)> {
     let graph = engine.graph();
-    let kind = |pred: fn(&NodeKind) -> bool| graph.nodes().iter().filter(|n| pred(&n.kind)).count();
+    let kind = |pred: fn(&NodeKind) -> bool| graph.nodes().iter().filter(|n| pred(n)).count();
     let chunk = |k: &NodeKind| matches!(k, NodeKind::Chunk { .. });
     let record = |k: &NodeKind| matches!(k, NodeKind::Record { .. });
     [

@@ -2,7 +2,7 @@
 //! form, and the modalities interconnect through the graph.
 
 use unisem_extract::TableGenerator;
-use unisem_hetgraph::{GraphBuilder, NodeKind};
+use unisem_hetgraph::{GraphBuilder, NodeId, NodeKind};
 use unisem_relstore::{AggExpr, AggFunc, Database, Expr, LogicalPlan, SortKey, Value};
 use unisem_semistore::{parse_json, SemiStore};
 use unisem_slm::{EntityKind, Lexicon, Slm, SlmConfig};
@@ -84,9 +84,11 @@ fn graph_connects_modalities() {
     gb.add_table("catalog", &table);
     let (graph, _) = gb.finish();
 
+    let catalog =
+        |t: NodeId| matches!(graph.node(t), NodeKind::Table { name } if name == "catalog");
     let is_record =
-        |k: &NodeKind| matches!(k, NodeKind::Record { table, row: 0 } if table == "catalog");
-    let record = graph.nodes().iter().find(|n| is_record(&n.kind)).expect("record node").id;
+        |k: &NodeKind| matches!(*k, NodeKind::Record { table, row: 0 } if catalog(table));
+    let record = NodeId(graph.nodes().iter().position(is_record).expect("record node") as u32);
     let chunk = graph.chunk_node(0).expect("chunk node");
     let linked = |n| graph.neighbors(n).iter().map(|&(m, _)| m).collect::<Vec<_>>();
     let (from_record, from_chunk) = (linked(record), linked(chunk));
