@@ -100,12 +100,12 @@ fi
 
 echo "==> one edge index in hetgraph"
 # add_edge dedups against the adjacency lists, scanning the lower-degree
-# endpoint's, and a record is keyed by its table's node (DESIGN.md §5b). A
+# endpoint's, and a record is found by row in its table's list (DESIGN.md §5b). A
 # map keyed by an endpoint pair would index every edge a second time, and
 # one keyed by (String, usize) would copy a table name into every record key.
 if sed '/#\[cfg(test)\]/,$d' crates/hetgraph/src/graph.rs |
     grep -nE 'Map<\((NodeId|u32), *(NodeId|u32)\b|Map<\(String, *usize\)'; then
-    echo "ERROR: crates/hetgraph/src/graph.rs keys a map by an endpoint pair or by (String, usize) outside #[cfg(test)] (see DESIGN.md §5b: dedup edges through the adjacency lists, key records by table node)"
+    echo "ERROR: crates/hetgraph/src/graph.rs keys a map by an endpoint pair or by (String, usize) outside #[cfg(test)] (see DESIGN.md §5b: dedup edges through the adjacency lists, find records by row)"
     exit 1
 fi
 # A node's id is its position in the node list and an edge's in the edge
@@ -119,6 +119,13 @@ if grep -nE '^\s*(pub(\([a-z]+\))? )?(id|label): ' <<<"$graph_src"; then
 fi
 if sed -n '/^\s*Record {/,/}/p' <<<"$graph_src" | grep -n 'String'; then
     echo "ERROR: crates/hetgraph/src/graph.rs gives NodeKind::Record a String (see DESIGN.md §5b: a record names its table node)"
+    exit 1
+fi
+# Chunk ids and rows are positions: chunks and each table's records are
+# found in a Vec indexed by them, and an entity name is one map's key; the
+# other kinds of a name are keyed by its first node (DESIGN.md §5b).
+if grep -nE 'Map<usize,|Map<\(NodeId, *usize\)|Map<\(String, *EntityKind\)' <<<"$graph_src"; then
+    echo "ERROR: crates/hetgraph/src/graph.rs keys a map by a chunk id, a (table node, row) pair or a (String, EntityKind) pair outside #[cfg(test)] (see DESIGN.md §5b: dense ids index a Vec, an entity name keys one map)"
     exit 1
 fi
 

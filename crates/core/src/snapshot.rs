@@ -17,10 +17,12 @@
 //! from a snapshot answers every query byte-identically to the engine that
 //! saved it (`tests/tests/storage.rs` enforces both).
 //!
-//! Layout: eight named sections hold the length-prefixed encodings
-//! below, every one mandatory. The one keyed collection is
-//! `graph.entities`, a sorted `(canonical entity name, node id)` list that
-//! load-time verification checks against the reassembled graph.
+//! Layout: seven named sections hold the length-prefixed encodings
+//! below, every one mandatory; none holds anything another derives. The
+//! graph is checked against the documents and tables decoded before it:
+//! every chunk node names a stored chunk and every record a row of a
+//! stored table, so no index the graph rebuilds is sized by an id the
+//! other sections do not vouch for.
 
 use std::path::Path;
 
@@ -84,8 +86,7 @@ pub(crate) fn write_snapshot(
     w.add_section("lexicon", &encode_lexicon(src.lexicon))?;
     w.add_section("docs", &encode_docs(src.docs))?;
     w.add_section("tables", &encode_tables(src.db)?)?;
-    w.add_section("graph", &encode_graph(src.graph))?;
-    w.add_section("graph.entities", &encode_entity_index(src.graph))?;
+    w.add_section("graph", &encode_graph(src.graph.nodes(), src.graph.edges()))?;
     w.add_section("ingest", &encode_ingest(src.ingest))?;
     w.add_section("walmeta", &encode_walmeta(src.applied_seq))?;
     w.commit(path)?;
@@ -99,55 +100,12 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, EngineError> 
     let lexicon = decode_lexicon(snap.section("lexicon")?)?;
     let (docs_vec, chunks_vec) = decode_docs(snap.section("docs")?)?;
     let db = decode_tables(snap.section("tables")?, snap.section("graph")?.len())?;
-    let graph = decode_graph(snap.section("graph")?)?;
+    let graph = decode_graph(snap.section("graph")?, chunks_vec.len(), &db)?;
     let ingest = decode_ingest(snap.section("ingest")?)?;
     let applied_seq = decode_walmeta(snap.section("walmeta")?)?;
-    verify_entity_index(snap.section("graph.entities")?, &graph)?;
 
     let docs = DocStore::from_parts(chunk, docs_vec, chunks_vec);
     Ok(LoadedSnapshot { seed, chunk, lexicon, docs, db, graph, ingest, applied_seq })
-}
-
-/// The secondary entity index: canonical name → node id, sorted by name.
-fn encode_entity_index(graph: &HetGraph) -> Vec<u8> {
-    let mut entries: Vec<(&str, NodeId)> = Vec::new();
-    for (i, node) in graph.nodes().iter().enumerate() {
-        if let NodeKind::Entity { name, .. } = node {
-            // First node wins, matching `HetGraph::entity_by_name` (which
-            // resolves by smallest node id for duplicate surface names).
-            let id = NodeId(i as u32);
-            if graph.entity_by_name(name) == Some(id) {
-                entries.push((name, id));
-            }
-        }
-    }
-    entries.sort_unstable();
-    let mut e = Encoder::new();
-    e.u64(entries.len() as u64);
-    for (name, id) in entries {
-        e.str(name);
-        e.u32(id.0);
-    }
-    e.into_bytes()
-}
-
-/// Every persisted (name → node) entry must resolve identically through
-/// the reassembled graph.
-fn verify_entity_index(bytes: &[u8], graph: &HetGraph) -> Result<(), EngineError> {
-    let mut d = Decoder::new(bytes);
-    let n = d.count().map_err(EngineError::Store)?;
-    for _ in 0..n {
-        let name = d.str().map_err(EngineError::Store)?;
-        let id = d.u32().map_err(EngineError::Store)?;
-        if graph.entity_by_name(&name) != Some(NodeId(id)) {
-            return Err(invalid(format!(
-                "entity index entry '{name}' -> node {id} does not resolve in the \
-                 reassembled graph"
-            )));
-        }
-    }
-    d.finish().map_err(EngineError::Store)?;
-    Ok(())
 }
 
 fn encode_walmeta(applied_seq: u64) -> Vec<u8> {
@@ -423,10 +381,10 @@ fn decode_tables(bytes: &[u8], graph_bytes: usize) -> Result<Database, EngineErr
     Ok(db)
 }
 
-fn encode_graph(graph: &HetGraph) -> Vec<u8> {
+fn encode_graph(nodes: &[NodeKind], edges: &[Edge]) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.u64(graph.num_nodes() as u64);
-    for node in graph.nodes() {
+    e.u64(nodes.len() as u64);
+    for node in nodes {
         match node {
             NodeKind::Chunk { chunk_id } => {
                 e.u8(0);
@@ -448,8 +406,8 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
             }
         }
     }
-    e.u64(graph.num_edges() as u64);
-    for edge in graph.edges() {
+    e.u64(edges.len() as u64);
+    for edge in edges {
         e.u32(edge.a.0);
         e.u32(edge.b.0);
         encode_edge_kind(&mut e, &edge.kind);
@@ -457,13 +415,23 @@ fn encode_graph(graph: &HetGraph) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
+/// Decodes the graph section of a snapshot whose `docs` section holds
+/// `nchunks` chunks and whose `tables` section is `db`. A chunk id past
+/// `nchunks`, or a record whose table is not in `db` or whose row is past
+/// its table's rows, is rejected before the graph sizes an index by it.
+fn decode_graph(bytes: &[u8], nchunks: usize, db: &Database) -> Result<HetGraph, EngineError> {
     let mut d = Decoder::new(bytes);
     let nnodes = d.count().map_err(EngineError::Store)?;
     let mut nodes = Vec::with_capacity(nnodes);
-    for _ in 0..nnodes {
+    for i in 0..nnodes {
         let node = match d.u8().map_err(EngineError::Store)? {
-            0 => NodeKind::Chunk { chunk_id: d.usize().map_err(EngineError::Store)? },
+            0 => {
+                let chunk_id = d.usize().map_err(EngineError::Store)?;
+                if chunk_id >= nchunks {
+                    return Err(invalid(format!("node {i} names chunk {chunk_id} of {nchunks}")));
+                }
+                NodeKind::Chunk { chunk_id }
+            }
             1 => {
                 let name = d.str().map_err(EngineError::Store)?;
                 NodeKind::Entity { name, kind: decode_entity_kind(&mut d)? }
@@ -471,6 +439,19 @@ fn decode_graph(bytes: &[u8]) -> Result<HetGraph, EngineError> {
             2 => {
                 let table = NodeId(d.u32().map_err(EngineError::Store)?);
                 let row = d.usize().map_err(EngineError::Store)?;
+                // A record naming no earlier table node is `from_parts`'s
+                // to reject.
+                if let Some(NodeKind::Table { name }) = nodes.get(table.0 as usize) {
+                    let rows = db.table(name).map_err(|_| {
+                        invalid(format!("record {i} names table {name:?}, which is not stored"))
+                    })?;
+                    if row >= rows.num_rows() {
+                        return Err(invalid(format!(
+                            "record {i} names row {row} of table {name:?}'s {}",
+                            rows.num_rows()
+                        )));
+                    }
+                }
                 NodeKind::Record { table, row }
             }
             3 => NodeKind::Table { name: d.str().map_err(EngineError::Store)? },
@@ -545,8 +526,8 @@ mod tests {
     use super::*;
     use crate::{EngineBuilder, EngineConfig};
 
-    const SECTIONS: [&str; 8] =
-        ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
+    const SECTIONS: [&str; 7] =
+        ["config", "lexicon", "docs", "tables", "graph", "ingest", "walmeta"];
 
     /// Copies a real snapshot section by section, leaving one out each
     /// time: the reader names the missing section instead of defaulting it.
@@ -581,6 +562,73 @@ mod tests {
         }
         std::fs::remove_file(&full).ok();
         std::fs::remove_file(&partial).ok();
+    }
+
+    /// A graph section whose ids the `docs` and `tables` sections do not
+    /// vouch for is `InvalidSnapshot` before the graph sizes an index by
+    /// one: a chunk id `usize::MAX` would otherwise ask for a chunk index
+    /// of that many slots, and a row `usize::MAX` for as many record slots.
+    #[test]
+    fn a_graph_naming_ids_the_other_sections_lack_is_rejected() {
+        let tmp = |tag: &str| {
+            let name = format!("unisem-core-snapshot-{}-{tag}.usk", std::process::id());
+            std::env::temp_dir().join(name)
+        };
+        let (full, forged) = (tmp("ids-full"), tmp("ids-forged"));
+        let config = EngineConfig { faults: FaultPlan::disabled(), ..EngineConfig::default() };
+        let mut b = EngineBuilder::with_config(Lexicon::new(), config);
+        let sales = Table::from_rows(
+            Schema::of(&[("amount", DataType::Int)]),
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+        )
+        .expect("table");
+        b.add_table("sales", sales).expect("fresh");
+        b.add_document("news", "Acme Corp launched the Aero Widget.", "news");
+        b.build().0.save_snapshot(&full).expect("save");
+        let snap = Snapshot::open(&full).expect("open");
+        assert_eq!(read_snapshot(&full).expect("clean opens").docs.num_chunks(), 1);
+
+        let table = |name: &str| NodeKind::Table { name: name.into() };
+        let record = |row| NodeKind::Record { table: NodeId(0), row };
+        let cases = [
+            (vec![NodeKind::Chunk { chunk_id: 1 }], "node 0 names chunk 1 of 1".into()),
+            (
+                vec![NodeKind::Chunk { chunk_id: usize::MAX }],
+                format!("node 0 names chunk {} of 1", usize::MAX),
+            ),
+            (
+                vec![table("sales"), record(2)],
+                r#"record 1 names row 2 of table "sales"'s 2"#.into(),
+            ),
+            (
+                vec![table("sales"), record(usize::MAX)],
+                format!(r#"record 1 names row {} of table "sales"'s 2"#, usize::MAX),
+            ),
+            (
+                vec![table("refunds"), record(0)],
+                r#"record 1 names table "refunds", which is not stored"#.into(),
+            ),
+        ];
+        for (nodes, want) in cases {
+            let mut w = SnapshotWriter::create(&forged, FaultPlan::disabled()).expect("create");
+            for name in SECTIONS {
+                match name {
+                    "graph" => w.add_section(name, &encode_graph(&nodes, &[])),
+                    _ => w.add_section(name, snap.section(name).expect("section")),
+                }
+                .expect("add");
+            }
+            w.commit(&forged).expect("commit");
+            match read_snapshot(&forged) {
+                Err(EngineError::Store(StoreError::InvalidSnapshot(reason))) => {
+                    assert_eq!(reason, want)
+                }
+                Err(other) => panic!("{nodes:?}: expected InvalidSnapshot, got {other}"),
+                Ok(_) => panic!("a graph of {nodes:?} opened"),
+            }
+        }
+        std::fs::remove_file(&full).ok();
+        std::fs::remove_file(&forged).ok();
     }
 
     /// A collection of `{}` documents flattens to a zero-column table that

@@ -116,6 +116,13 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
+/// A table's node and its record nodes, by row.
+#[derive(Debug, Clone)]
+struct TableNodes {
+    node: NodeId,
+    records: Vec<Option<NodeId>>,
+}
+
 /// The heterogeneous graph.
 #[derive(Debug, Clone, Default)]
 #[expect(clippy::disallowed_types, reason = "lookup-only indexes: probed by key, never iterated")]
@@ -126,20 +133,28 @@ pub struct HetGraph {
     edges: Vec<Edge>,
     /// adjacency[node] = (neighbor, edge) pairs: the one edge index.
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
-    /// (canonical name, kind) → entity node.
-    entity_index: HashMap<(String, EntityKind), NodeId>,
-    /// canonical name → smallest entity node id with that name (fast path
-    /// for kind-agnostic lookup, which retrieval does per query mention).
-    entity_by_name_index: HashMap<String, NodeId>,
-    /// chunk_id → node.
-    chunk_index: HashMap<usize, NodeId>,
-    /// (table node, row) → record node.
-    record_index: HashMap<(NodeId, usize), NodeId>,
-    /// table name → node.
-    table_index: HashMap<String, NodeId>,
+    /// chunks[chunk id] = the chunk's node.
+    chunks: Vec<Option<NodeId>>,
+    /// canonical name → the first (smallest) entity node with that name.
+    entities: HashMap<String, NodeId>,
+    /// (first entity node of a name, kind) → the node of that name and a
+    /// kind other than the first node's.
+    entity_kinds: HashMap<(NodeId, EntityKind), NodeId>,
+    /// table name → the table's node and its record nodes.
+    tables: HashMap<String, TableNodes>,
+    /// Chunk nodes, counted as they are added.
+    num_chunks: usize,
     /// The referential entities by label length and label word, for anchor
     /// linking; derived from the nodes, never persisted.
     referential: EntityTable,
+}
+
+/// The slot of `i` in `slots`, which grows to hold it.
+fn slot(slots: &mut Vec<Option<NodeId>>, i: usize) -> &mut Option<NodeId> {
+    if slots.len() <= i {
+        slots.resize(i + 1, None);
+    }
+    &mut slots[i]
 }
 
 impl HetGraph {
@@ -195,22 +210,58 @@ impl HetGraph {
 
     /// Number of entity nodes.
     pub fn num_entities(&self) -> usize {
-        self.entity_index.len()
+        self.entities.len() + self.entity_kinds.len()
     }
 
     /// Number of chunk nodes.
     pub fn num_chunks(&self) -> usize {
-        self.chunk_index.len()
+        self.num_chunks
     }
 
     /// Number of record nodes.
     pub fn num_records(&self) -> usize {
-        self.record_index.len()
+        // Every other node is a chunk, an entity or a table.
+        self.nodes.len() - self.num_chunks - self.num_entities() - self.tables.len()
     }
 
-    fn push_node(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(kind);
+    /// Returns the node `node` dedups to, or adds it and enters it in the
+    /// index of its kind. A record's table node must already be in the
+    /// graph.
+    fn add(&mut self, node: NodeKind) -> NodeId {
+        let next = NodeId(self.nodes.len() as u32);
+        let HetGraph { nodes, chunks, entities, entity_kinds, tables, .. } = self;
+        let id = match &node {
+            NodeKind::Chunk { chunk_id } => *slot(chunks, *chunk_id).get_or_insert(next),
+            NodeKind::Entity { name, kind } => match entities.get(name.as_str()) {
+                Some(&first) if nodes[first.0 as usize] == node => first,
+                Some(&first) => *entity_kinds.entry((first, *kind)).or_insert(next),
+                None => *entities.entry(name.clone()).or_insert(next),
+            },
+            NodeKind::Record { table, row } => {
+                let records = match nodes.get(table.0 as usize) {
+                    Some(NodeKind::Table { name }) => tables.get_mut(name.as_str()),
+                    _ => None,
+                };
+                records.map_or(next, |t| *slot(&mut t.records, *row).get_or_insert(next))
+            }
+            NodeKind::Table { name } => {
+                tables
+                    .entry(name.clone())
+                    .or_insert(TableNodes { node: next, records: Vec::new() })
+                    .node
+            }
+        };
+        if id != next {
+            return id;
+        }
+        match &node {
+            NodeKind::Chunk { .. } => self.num_chunks += 1,
+            NodeKind::Entity { name, kind } if kind.is_referential() => {
+                self.referential.insert(id, name)
+            }
+            _ => {}
+        }
+        self.nodes.push(node);
         self.adjacency.push(Vec::new());
         id
     }
@@ -223,57 +274,30 @@ impl HetGraph {
 
     /// Adds (or returns the existing) chunk node.
     pub fn add_chunk(&mut self, chunk_id: usize) -> NodeId {
-        if let Some(&id) = self.chunk_index.get(&chunk_id) {
-            return id;
-        }
-        let id = self.push_node(NodeKind::Chunk { chunk_id });
-        self.chunk_index.insert(chunk_id, id);
-        id
+        self.add(NodeKind::Chunk { chunk_id })
     }
 
     /// Adds (or returns the existing) entity node; names are canonicalized
     /// to lowercase, whitespace-collapsed form.
     pub fn add_entity(&mut self, name: &str, kind: EntityKind) -> NodeId {
-        let canon = unisem_slm::ner::canonical_phrase(name);
-        if let Some(&id) = self.entity_index.get(&(canon.clone(), kind)) {
-            return id;
-        }
-        let id = self.push_node(NodeKind::Entity { name: canon.clone(), kind });
-        self.entity_index.insert((canon.clone(), kind), id);
-        if kind.is_referential() {
-            self.referential.insert(id, &canon);
-        }
-        // Keep the smallest id for deterministic kind-agnostic lookup.
-        self.entity_by_name_index
-            .entry(canon)
-            .and_modify(|existing| {
-                if id < *existing {
-                    *existing = id;
-                }
-            })
-            .or_insert(id);
-        id
+        // Sized for `name`, so an ASCII name canonicalizes in one allocation.
+        let mut canon = String::with_capacity(name.len());
+        unisem_slm::ner::canonical_phrase_into(name, &mut canon);
+        self.add(NodeKind::Entity { name: canon, kind })
     }
 
     /// Adds (or returns the existing) record node, after its table's node.
     pub fn add_record(&mut self, table: &str, row: usize) -> NodeId {
         let table = self.add_table(table);
-        if let Some(&id) = self.record_index.get(&(table, row)) {
-            return id;
-        }
-        let id = self.push_node(NodeKind::Record { table, row });
-        self.record_index.insert((table, row), id);
-        id
+        self.add(NodeKind::Record { table, row })
     }
 
     /// Adds (or returns the existing) table node.
     pub fn add_table(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.table_index.get(name) {
-            return id;
+        match self.tables.get(name) {
+            Some(t) => t.node,
+            None => self.add(NodeKind::Table { name: name.to_string() }),
         }
-        let id = self.push_node(NodeKind::Table { name: name.to_string() });
-        self.table_index.insert(name.to_string(), id);
-        id
     }
 
     /// The edge of `kind` between `a` and `b`, found in the lower-degree
@@ -310,32 +334,27 @@ impl HetGraph {
     /// (table, row) an earlier node has, a record whose table is not an
     /// earlier table node, and an edge that is a self-loop, names a
     /// missing node or repeats an earlier edge's endpoints and kind.
+    ///
+    /// A chunk id sizes the chunk index and a row its table's record
+    /// index, so the caller bounds them: the snapshot reader checks each
+    /// against the chunks and rows it decoded before it calls this.
     pub fn from_parts(nodes: Vec<NodeKind>, edges: Vec<Edge>) -> Result<Self, String> {
-        let mut g = HetGraph { adjacency: vec![Vec::new(); nodes.len()], ..HetGraph::default() };
-        for (i, node) in nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            let repeated = match node {
-                NodeKind::Chunk { chunk_id } => g.chunk_index.insert(*chunk_id, id).is_some(),
-                NodeKind::Entity { name, kind } => {
-                    g.entity_by_name_index.entry(name.clone()).or_insert(id);
-                    if kind.is_referential() {
-                        g.referential.insert(id, name);
-                    }
-                    g.entity_index.insert((name.clone(), *kind), id).is_some()
+        let mut g = HetGraph {
+            nodes: Vec::with_capacity(nodes.len()),
+            adjacency: Vec::with_capacity(nodes.len()),
+            ..HetGraph::default()
+        };
+        for (i, node) in nodes.into_iter().enumerate() {
+            if let NodeKind::Record { table, .. } = node {
+                if !matches!(g.nodes.get(table.0 as usize), Some(NodeKind::Table { .. })) {
+                    return Err(format!("record {i} names node {}, no earlier table", table.0));
                 }
-                NodeKind::Record { table, row } => {
-                    if !matches!(nodes[..i].get(table.0 as usize), Some(NodeKind::Table { .. })) {
-                        return Err(format!("record {i} names node {}, no earlier table", table.0));
-                    }
-                    g.record_index.insert((*table, *row), id).is_some()
-                }
-                NodeKind::Table { name } => g.table_index.insert(name.clone(), id).is_some(),
-            };
-            if repeated {
-                return Err(format!("node {i} repeats an earlier node's key: {node:?}"));
+            }
+            let id = g.add(node);
+            if id.0 as usize != i {
+                return Err(format!("node {i} repeats an earlier node's key: {:?}", g.node(id)));
             }
         }
-        g.nodes = nodes;
         g.edges = edges;
         for i in 0..g.edges.len() {
             let Edge { a, b, ref kind } = g.edges[i];
@@ -356,8 +375,7 @@ impl HetGraph {
     /// Looks up an entity node by canonical name (any kind); when several
     /// kinds share the name, the smallest node id wins (deterministic).
     pub fn entity_by_name(&self, name: &str) -> Option<NodeId> {
-        let canon = unisem_slm::ner::canonical_phrase(name);
-        self.entity_by_name_index.get(&canon).copied()
+        self.entities.get(unisem_slm::ner::canonical_phrase(name).as_str()).copied()
     }
 
     /// The referential entities ([`EntityKind::is_referential`]) by label
@@ -369,13 +387,14 @@ impl HetGraph {
 
     /// Looks up a chunk node by docstore chunk id.
     pub fn chunk_node(&self, chunk_id: usize) -> Option<NodeId> {
-        self.chunk_index.get(&chunk_id).copied()
+        self.chunks.get(chunk_id).copied().flatten()
     }
 
     /// Approximate resident bytes: nodes with the names entity and table
-    /// nodes own, edges, adjacency, the entity, chunk and record lookup
-    /// indexes, and the referential-entity table. The by-name and table
-    /// indexes are not counted.
+    /// nodes own, edges, adjacency, the lookup indexes (48 B per name-keyed
+    /// entry, 16 B per (node, kind) entry, one `Option<NodeId>` per chunk
+    /// slot and per record, whose rows every build numbers densely) and the
+    /// referential-entity table.
     pub fn approx_bytes(&self) -> usize {
         let node_bytes: usize = self
             .nodes
@@ -389,9 +408,9 @@ impl HetGraph {
         let edge_bytes = self.edges.len() * std::mem::size_of::<Edge>();
         let adj_bytes: usize =
             self.adjacency.iter().map(|a| a.len() * std::mem::size_of::<(NodeId, EdgeId)>()).sum();
-        let index_bytes = self.entity_index.len() * 48
-            + self.chunk_index.len() * 24
-            + self.record_index.len() * 48;
+        let index_bytes = (self.entities.len() + self.tables.len()) * 48
+            + self.entity_kinds.len() * 16
+            + (self.chunks.len() + self.num_records()) * std::mem::size_of::<Option<NodeId>>();
         node_bytes + edge_bytes + adj_bytes + index_bytes + self.referential.approx_bytes()
     }
 }
@@ -403,7 +422,7 @@ impl fmt::Display for HetGraph {
             "HetGraph({} nodes, {} edges, {} entities)",
             self.num_nodes(),
             self.num_edges(),
-            self.entity_index.len()
+            self.num_entities()
         )
     }
 }

@@ -222,10 +222,12 @@ fn endpoint(pick: usize, nodes: usize) -> NodeId {
 // `add_edge`'s scan of the lower-degree endpoint's adjacency returns every
 // id, and leaves every edge and every adjacency list, exactly as the
 // string-keyed dedup map it replaced: `(lo, hi, kind.label())` → edge.
-// Tables and records dedup as name-keyed maps would, and a record names
-// its table's node. A graph reassembled by `from_parts` has the same
-// adjacency, resolves every lookup to the same id, and dedups every
-// re-added table, record and edge to the id it had.
+// Entities dedup as a (canonical name, kind)-keyed map would and resolve by
+// name to the first of that name; tables and records dedup as name-keyed
+// maps would, and a record names its table's node. A graph reassembled by
+// `from_parts` has the same adjacency, resolves every lookup to the same
+// id, and dedups every re-added entity, table, record and edge to the id
+// it had.
 prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     let kinds = edge_kinds();
     let mut g = HetGraph::new();
@@ -235,10 +237,18 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     let mut tables: BTreeMap<&str, NodeId> = BTreeMap::new();
     let mut records: BTreeMap<(&str, usize), NodeId> = BTreeMap::new();
     let mut chunks = Vec::new();
+    let mut entities: BTreeMap<(String, &str), (&str, EntityKind, NodeId)> = BTreeMap::new();
+    let mut by_name: BTreeMap<String, NodeId> = BTreeMap::new();
     for (i, &(op, x, k)) in script.iter().enumerate() {
         match op {
             0..4 => {
-                g.add_entity(NAMES[x % NAMES.len()], KINDS[k % KINDS.len()]);
+                let (name, kind) = (NAMES[x % NAMES.len()], KINDS[k % KINDS.len()]);
+                let id = g.add_entity(name, kind);
+                let canon = unisem_slm::ner::canonical_phrase(name);
+                let first = *by_name.entry(canon.clone()).or_insert(id);
+                let want = *entities.entry((canon, kind.label())).or_insert((name, kind, id));
+                prop_assert_eq!(id, want.2, "call {}", i);
+                prop_assert_eq!(g.entity_by_name(name), Some(first), "call {}", i);
             }
             4..8 => {
                 chunks.push((i, g.add_chunk(i)));
@@ -285,8 +295,13 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
         prop_assert_eq!(g.neighbors(NodeId(i as u32)), &want[..], "node {}", i);
     }
 
+    let counts = (g.num_chunks(), g.num_entities(), g.num_records());
+    prop_assert_eq!(counts, (chunks.len(), entities.len(), records.len()));
     let mut reopened = HetGraph::from_parts(g.nodes().to_vec(), g.edges().to_vec())?;
-    prop_assert_eq!(reopened.num_records(), records.len());
+    prop_assert_eq!(
+        (reopened.num_chunks(), reopened.num_entities(), reopened.num_records()),
+        counts
+    );
     for i in 0..g.num_nodes() {
         let id = NodeId(i as u32);
         prop_assert_eq!(reopened.neighbors(id), g.neighbors(id), "node {}", i);
@@ -296,6 +311,9 @@ prop_check!(edge_dedup_equals_a_label_keyed_map, dedup_scripts(), |script| {
     }
     for name in NAMES.iter().chain(TABLES) {
         prop_assert_eq!(reopened.entity_by_name(name), g.entity_by_name(name), "{}", name);
+    }
+    for (name, kind, id) in entities.into_values() {
+        prop_assert_eq!(reopened.add_entity(name, kind), id, "{}", name);
     }
     for (name, id) in tables {
         prop_assert_eq!(reopened.add_table(name), id);

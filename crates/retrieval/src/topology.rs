@@ -475,13 +475,12 @@ impl TopologyRetriever {
         frontier.sort_unstable();
 
         // Candidate chunks: traversal proximity × static centrality prior,
-        // by chunk id; of two nodes naming one chunk the one walked last
-        // keeps its score. A chunk node naming no chunk of the store cannot
-        // be a hit.
+        // by chunk id (a graph has one node per chunk id). A chunk node
+        // naming no chunk of the store cannot be a hit.
         let (static_prior, _) = self.prior();
         let n_chunks = self.docs.num_chunks();
         let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(frontier.len());
-        for &node in frontier.iter().rev() {
+        for &node in &frontier {
             if let NodeKind::Chunk { chunk_id } = *self.graph.node(node) {
                 if chunk_id < n_chunks {
                     let i = node.0 as usize;
@@ -491,10 +490,7 @@ impl TopologyRetriever {
         }
         scratch.clear(&frontier);
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
-        // Pushed in reverse walk order and sorted stably, so the first of a
-        // chunk's entries, the one kept, is the one walked last.
-        candidates.sort_by_key(|&(chunk_id, _)| chunk_id);
-        candidates.dedup_by_key(|&mut (chunk_id, _)| chunk_id);
+        candidates.sort_unstable_by_key(|&(chunk_id, _)| chunk_id);
         stats.chunks_scored = candidates.len();
 
         // The lexical half, for the candidates alone.

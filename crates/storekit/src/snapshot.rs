@@ -34,7 +34,7 @@ use crate::frame;
 use crate::{io_err, parent_dir, tmp_path, StoreError};
 
 const SNAP_MAGIC: &[u8; 8] = b"USKSNAP1";
-const SNAP_VERSION: u32 = 8;
+const SNAP_VERSION: u32 = 9;
 const HEADER_LEN: usize = 8 + 4;
 
 fn invalid(reason: impl Into<String>) -> StoreError {
@@ -198,8 +198,9 @@ mod tests {
         // versions 1–3, version 4 (no string value sets in the engine's
         // statistics), version 5 (a persisted statistics section), version 6
         // (a persisted BM25 index), version 7 (graph nodes with ids, labels,
-        // chunk document ids and record table names) and a future one.
-        for other in [1, 2, 3, 4, 5, 6, 7, SNAP_VERSION + 1] {
+        // chunk document ids and record table names), version 8 (a stored
+        // entity-name index, `graph.entities`) and a future one.
+        for other in [1, 2, 3, 4, 5, 6, 7, 8, SNAP_VERSION + 1] {
             let mut patched = clean.clone();
             patched[8..HEADER_LEN].copy_from_slice(&u32::to_le_bytes(other));
             std::fs::write(&path, &patched).unwrap();

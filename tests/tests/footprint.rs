@@ -1,8 +1,9 @@
 //! Footprint gate for the substrates (ROADMAP item 27): the bytes and
 //! allocations a deep `clone()` of the graph, the document store and the
-//! tables requests, pinned exactly at a fixed corpus, and an edge re-add
-//! that allocates nothing. Counted by the allocator (`counting/mod.rs`),
-//! never by an estimator such as `approx_bytes`.
+//! tables requests, pinned exactly at a fixed corpus, an edge re-add that
+//! allocates nothing and an entity re-add that allocates once. Counted by
+//! the allocator (`counting/mod.rs`), never by an estimator such as
+//! `approx_bytes`.
 //!
 //! A clone counts what the structure owns, not everything it holds:
 //! - capacity slack is not counted: a cloned `Vec` or `String` requests its
@@ -18,7 +19,7 @@
 //! CHANGES.md; one that raises them says why.
 
 use unisem_core::{EngineBuilder, EngineConfig, FaultPlan, ParallelConfig, UnifiedEngine};
-use unisem_hetgraph::{EdgeId, EdgeKind};
+use unisem_hetgraph::{EdgeId, EdgeKind, NodeId, NodeKind};
 use unisem_workloads::{EcommerceWorkload, ScaleConfig, ScaleWorkload};
 
 mod counting;
@@ -57,7 +58,7 @@ fn substrate_clones_allocate_as_pinned_and_edge_re_adds_allocate_nothing() {
     .data;
     // (substrate, allocations, bytes) one clone requests.
     let pinned: [(&str, u64, u64); 3] =
-        [("graph", 4745, 477485), ("docs", 2607, 369619), ("db", 5937, 421661)];
+        [("graph", 4286, 407797), ("docs", 2607, 369619), ("db", 5937, 421661)];
     for threads in [1, 4] {
         let engine = build(&w, threads);
         assert_eq!(engine.docs().num_chunks(), 448, "the pinned corpus moved");
@@ -85,5 +86,24 @@ fn substrate_clones_allocate_as_pinned_and_edge_re_adds_allocate_nothing() {
             assert_eq!(allocs, 0, "{threads} threads: re-adding an existing edge allocated");
         }
         assert_eq!(graph.num_edges(), edges);
+
+        // Re-adding an existing entity allocates its canonical name alone,
+        // once even for a name of several words: the lookup borrows it.
+        let (at, name, kind) = graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .find_map(|(i, n)| match n {
+                NodeKind::Entity { name, kind } if name.len() > 8 && name.contains(' ') => {
+                    Some((i, name.to_uppercase(), *kind))
+                }
+                _ => None,
+            })
+            .expect("the corpus has an entity of several words");
+        let nodes = graph.num_nodes();
+        let (got, allocs, _) = counted(|| graph.add_entity(&name, kind));
+        assert_eq!(got, NodeId(at as u32), "a re-add returns the existing entity");
+        assert_eq!(allocs, 1, "{threads} threads: re-adding an existing entity");
+        assert_eq!(graph.num_nodes(), nodes);
     }
 }

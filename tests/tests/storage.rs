@@ -627,8 +627,8 @@ fn open_forged(
     replaced: &str,
     bytes: &[u8],
 ) -> Result<UnifiedEngine, EngineError> {
-    const SECTIONS: [&str; 8] =
-        ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
+    const SECTIONS: [&str; 7] =
+        ["config", "lexicon", "docs", "tables", "graph", "ingest", "walmeta"];
     let snap = Snapshot::open(full).expect("open");
     let mut w = SnapshotWriter::create(forged, FaultPlan::disabled()).expect("create");
     for name in SECTIONS {

@@ -29,8 +29,7 @@ use unisem_workloads::{
 };
 
 /// The snapshot's sections, in file order (DESIGN.md §12d).
-const SECTIONS: [&str; 8] =
-    ["config", "lexicon", "docs", "tables", "graph", "graph.entities", "ingest", "walmeta"];
+const SECTIONS: [&str; 7] = ["config", "lexicon", "docs", "tables", "graph", "ingest", "walmeta"];
 
 /// Pieces a question edit writes, besides arbitrary code points: the
 /// Kelvin sign and `İ` (whose lower-case forms change length), combining
