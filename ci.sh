@@ -129,6 +129,24 @@ if grep -nE 'Map<usize,|Map<\(NodeId, *usize\)|Map<\(String, *EntityKind\)' <<<"
     exit 1
 fi
 
+echo "==> the SLM tags sentences, in one place"
+# Tagging is one function, Slm::tag_sentence, which reads NER and POS off
+# one tokenization of one sentence; a build tags each distinct sentence once
+# and the graph builder and the table generator read that one table
+# (DESIGN.md §5c). A POS pass anywhere else would tag a text a second time,
+# or a whole chunk, whose rules then read across sentence ends.
+tagging=0
+for f in $(find crates/*/src examples -name '*.rs' -not -path 'crates/slm/src/*' | sort); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'pos_tag('; then
+        echo "ERROR: $f calls pos_tag( outside #[cfg(test)]"
+        tagging=1
+    fi
+done
+if [ "$tagging" -ne 0 ]; then
+    echo "(see DESIGN.md §5c: tag through Slm::tag_sentence or the build's TagTable)"
+    exit 1
+fi
+
 echo "==> the engine answers without a vector index"
 # A faulted traversal falls back to the BM25 scan the traversal already runs,
 # and topology off is BM25 only (DESIGN.md §13b); dense retrieval lives on in
@@ -266,10 +284,13 @@ echo "==> borrowed text analysis, bounded anchor linking, per-core entropy and s
 # the BM25 index's dictionary and every term there is posted, and evidence
 # scored from the stored analysis — and by the text wrapper — equals the
 # per-question re-tokenizing oracle, questions with more than 64 content
-# terms included.
+# terms included. So does the build's one tagging pass (DESIGN.md §5c): an
+# engine's extracted table and graph equal the ones the table generator and
+# the graph builder make tagging every sentence themselves.
 CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-text -p unisem-slm -p unisem-hetgraph \
     -p unisem-retrieval -p unisem-entropy -p unisem-docstore
-CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-core --test evidence_props
+CARGO_NET_OFFLINE=true DETKIT_CASES=1024 cargo test -q -p unisem-core --test evidence_props \
+    --test tagging_props
 
 echo "==> totality: hostile questions and corrupted snapshots never panic, 16x deeper than tier-1"
 # clippy rules out unwrap and panic! in the panic-free crates; an index, a

@@ -28,7 +28,7 @@ use storekit::{Decoder, Encoder};
 use unisem_docstore::DocStore;
 use unisem_hetgraph::{EdgeKind, GraphBuilder, HetGraph, NodeId};
 use unisem_relstore::{CheckedRow, DataType, Database, Table, Value};
-use unisem_slm::{EntityKind, Slm};
+use unisem_slm::{EntityKind, Slm, TagTable};
 
 use crate::snapshot::{
     decode_edge_kind, decode_entity_kind, decode_value, encode_edge_kind, encode_entity_kind,
@@ -299,7 +299,7 @@ pub(crate) fn commit(
         Prepared::Doc { title, text, source } => {
             let from_chunk = docs.num_chunks();
             docs.add_document(title, text, source);
-            extend_graph(graph, &|gb| gb.add_docstore_from(docs, from_chunk));
+            extend_graph(graph, &|gb| gb.add_docstore_from(docs, from_chunk, &TagTable::default()));
         }
         Prepared::Row { table, row, in_graph } => {
             let Ok(t) = db.append(&table, row) else {

@@ -17,7 +17,8 @@ use unisem_retrieval::{
 };
 use unisem_semistore::{FlattenError, JsonError, JsonValue, SemiStore};
 use unisem_semops::{IntentParser, OperatorSynthesizer, QueryIntent};
-use unisem_slm::{CostMeter, Lexicon, Slm, SlmConfig};
+use unisem_slm::{CostMeter, Lexicon, Slm, SlmConfig, TagTable};
+use unisem_text::sentence::sentence_spans;
 use unisem_text::ChunkConfig;
 
 use crate::delta::{self, Delta};
@@ -403,30 +404,35 @@ impl EngineBuilder {
         metrics.record_stage(Stage::BuildFlatten, flatten_start.elapsed_ns());
 
         // Unstructured → extracted table (§III.C task 1); failures cost the
-        // extracted table, not the build.
+        // extracted table, not the build. The one tagging pass, which the
+        // table generator and the graph builder share, is timed with it.
         let extract_start = tracekit::wall::Stopwatch::start();
-        if config.enable_extraction && !docs.is_empty() {
-            match faults.check(Site::ExtractTablegen, "extracted") {
-                Err(f) => quarantined.push(Quarantined {
-                    source: "document extraction".into(),
-                    reason: QuarantineReason::InjectedFault(f.to_string()),
-                }),
-                Ok(()) => {
-                    let texts: Vec<&str> =
-                        docs.documents().iter().map(|d| d.text.as_str()).collect();
-                    match TableGenerator::new(slm.clone()).generate_table(&texts) {
-                        Ok((extracted, _)) => {
-                            if !extracted.is_empty() {
-                                report.extracted_rows = extracted.num_rows();
-                                db.create_or_replace_table("extracted", extracted);
-                            }
-                        }
-                        Err(e) => quarantined.push(Quarantined {
-                            source: "document extraction".into(),
-                            reason: QuarantineReason::Extraction(e.to_string()),
-                        }),
+        let extract = config.enable_extraction
+            && !docs.is_empty()
+            && match faults.check(Site::ExtractTablegen, "extracted") {
+                Err(f) => {
+                    quarantined.push(Quarantined {
+                        source: "document extraction".into(),
+                        reason: QuarantineReason::InjectedFault(f.to_string()),
+                    });
+                    false
+                }
+                Ok(()) => true,
+            };
+        let tags = tag_sentences(&slm, &docs, extract, config.enable_entity_nodes);
+        if extract {
+            let texts: Vec<&str> = docs.documents().iter().map(|d| d.text.as_str()).collect();
+            match TableGenerator::new(slm.clone()).generate_table_tagged(&texts, &tags) {
+                Ok((extracted, _)) => {
+                    if !extracted.is_empty() {
+                        report.extracted_rows = extracted.num_rows();
+                        db.create_or_replace_table("extracted", extracted);
                     }
                 }
+                Err(e) => quarantined.push(Quarantined {
+                    source: "document extraction".into(),
+                    reason: QuarantineReason::Extraction(e.to_string()),
+                }),
             }
         }
 
@@ -436,7 +442,7 @@ impl EngineBuilder {
         let graph_start = tracekit::wall::Stopwatch::start();
         let mut gb = GraphBuilder::new(slm.clone());
         gb.set_index_entities(config.enable_entity_nodes);
-        gb.add_docstore(&docs);
+        gb.add_docstore_from(&docs, 0, &tags);
         for name in db.table_names() {
             // Extracted-table records duplicate chunk facts; indexing them
             // is still useful (they join text to values) but keep the
@@ -457,6 +463,27 @@ impl EngineBuilder {
             UnifiedEngine::assemble(config, slm, substrates, &report, 0, metrics, build_start);
         (engine, report)
     }
+}
+
+/// A build's one tagging pass (DESIGN.md §5c): each distinct sentence the
+/// table generator reads (the documents', when `documents`) or the graph
+/// builder reads (the chunks', when `chunks`), tagged once on the global
+/// pool.
+fn tag_sentences<'a>(slm: &Slm, docs: &'a DocStore, documents: bool, chunks: bool) -> TagTable<'a> {
+    let mut sentences = Vec::new();
+    if documents {
+        for d in docs.documents() {
+            sentences.extend(sentence_spans(&d.text).into_iter().map(|s| &d.text[s]));
+        }
+    }
+    if chunks {
+        for (i, c) in docs.chunks().iter().enumerate() {
+            sentences.extend(docs.sentence_terms().sentences(i).map(|(s, _)| &c.text[s]));
+        }
+    }
+    TagTable::new(sentences, |distinct| {
+        parkit::global().par_map(distinct, |&s| slm.tag_sentence(s))
+    })
 }
 
 /// The topology retriever over freshly built or loaded substrates, with

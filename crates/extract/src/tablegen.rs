@@ -2,10 +2,9 @@
 
 use unisem_relstore::{RelResult, Table, Value};
 use unisem_slm::ner::{EntityKind, EntityMention};
-use unisem_slm::pos::{pos_tag, PosTag};
-use unisem_slm::Slm;
+use unisem_slm::{PosTag, SentenceTags, Slm, TagTable};
 use unisem_text::normalize::stem;
-use unisem_text::sentence::split_sentences;
+use unisem_text::sentence::sentence_spans;
 
 use crate::normalize::{
     direction_from_verb, normalize_period, parse_money, parse_number, parse_percent,
@@ -35,13 +34,19 @@ impl TableGenerator {
         Self { slm }
     }
 
-    /// Extracts records from one document.
-    pub fn extract_records(&self, text: &str) -> (Vec<ExtractedRecord>, ExtractionStats) {
+    /// Extracts records from one document, reading each sentence's tags
+    /// from `tags` or, for a sentence it lacks, tagging it here.
+    pub fn extract_records(
+        &self,
+        text: &str,
+        tags: &TagTable,
+    ) -> (Vec<ExtractedRecord>, ExtractionStats) {
         let mut stats = ExtractionStats::default();
         let mut records = Vec::new();
-        for sentence in split_sentences(text) {
+        for span in sentence_spans(text) {
             stats.sentences += 1;
-            let rec = self.extract_sentence(&sentence);
+            let sentence = &text[span];
+            let rec = Self::record(sentence, &tags.tags(&self.slm, sentence));
             if rec.is_informative() {
                 stats.records += 1;
                 records.push(rec);
@@ -54,9 +59,13 @@ impl TableGenerator {
 
     /// Extracts a single sentence into a (possibly uninformative) record.
     pub fn extract_sentence(&self, sentence: &str) -> ExtractedRecord {
+        Self::record(sentence, &self.slm.tag_sentence(sentence))
+    }
+
+    /// The record of `sentence`, read off its tags.
+    fn record(sentence: &str, tags: &SentenceTags) -> ExtractedRecord {
+        let SentenceTags { mentions, pos } = tags;
         let mut rec = ExtractedRecord::new(sentence);
-        let mentions = self.slm.tag_entities(sentence);
-        let tags = pos_tag(sentence);
 
         // Subject: the first referential (non-value, non-metric) entity.
         let referential: Vec<&EntityMention> =
@@ -88,7 +97,7 @@ impl TableGenerator {
 
         // Governing verb: the first verb token; its polarity signs the
         // percent change.
-        let verb = tags
+        let verb = pos
             .iter()
             .find(|(t, p)| *p == PosTag::Verb && t.text.len() > 2)
             .map(|(t, _)| t.text.to_lowercase());
@@ -136,12 +145,23 @@ impl TableGenerator {
     }
 
     /// Generates one table covering all `texts` (union schema, canonical
-    /// column order), together with run statistics.
+    /// column order), together with run statistics; every sentence is
+    /// tagged here.
     pub fn generate_table(&self, texts: &[&str]) -> RelResult<(Table, ExtractionStats)> {
+        self.generate_table_tagged(texts, &TagTable::default())
+    }
+
+    /// [`Self::generate_table`] reading each sentence's tags from `tags`
+    /// (DESIGN.md §5c); a sentence it lacks is tagged here.
+    pub fn generate_table_tagged(
+        &self,
+        texts: &[&str],
+        tags: &TagTable,
+    ) -> RelResult<(Table, ExtractionStats)> {
         let mut all = Vec::new();
         let mut stats = ExtractionStats::default();
         for t in texts {
-            let (recs, s) = self.extract_records(t);
+            let (recs, s) = self.extract_records(t, tags);
             stats.sentences += s.sentences;
             stats.records += s.records;
             stats.skipped += s.skipped;
@@ -225,7 +245,8 @@ mod tests {
     #[test]
     fn uninformative_sentence_skipped() {
         let g = gen();
-        let (recs, stats) = g.extract_records("The weather was pleasant. Nothing happened.");
+        let (recs, stats) =
+            g.extract_records("The weather was pleasant. Nothing happened.", &TagTable::default());
         assert!(recs.is_empty());
         assert_eq!(stats.sentences, 2);
         assert_eq!(stats.skipped, 2);
@@ -293,6 +314,7 @@ mod tests {
         let (_, stats) = g.extract_records(
             "Product Alpha sales rose 5%. Irrelevant filler sentence. \
              Product Beta sales fell 3%.",
+            &TagTable::default(),
         );
         assert_eq!(stats.sentences, 3);
         assert_eq!(stats.records + stats.skipped, 3);

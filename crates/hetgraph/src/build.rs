@@ -7,20 +7,21 @@
 //!
 //! Sources:
 //! - **Documents** (via [`unisem_docstore::DocStore`]): every chunk becomes
-//!   a node; SLM tagging adds entity nodes + `Mentions` edges; verb cues
-//!   between co-mentioned entities add `RelatesTo(verb)` edges; date/quarter
-//!   mentions add `Temporal` edges; consecutive chunks link by `NextChunk`.
+//!   a node; SLM tagging of its sentences adds entity nodes + `Mentions`
+//!   edges; verb cues between co-mentioned entities add `RelatesTo(verb)`
+//!   edges; date/quarter mentions add `Temporal` edges; consecutive chunks
+//!   link by `NextChunk`.
 //! - **Relational tables**: a table node, one record node per row with
 //!   `BelongsTo`, and `HasAttribute(column)` edges from records to entity
 //!   nodes recognized in string cells (plus `Temporal` edges for date
 //!   cells).
 
+use std::borrow::Cow;
+
 use unisem_docstore::DocStore;
 use unisem_relstore::{DataType, Table, Value};
-use unisem_slm::pos::{pos_tag, PosTag};
-use unisem_slm::{EntityKind, EntityMention, Slm};
+use unisem_slm::{EntityKind, PosTag, SentenceTags, Slm, TagTable};
 use unisem_text::normalize::normalize_token;
-use unisem_text::tokenize::Token;
 
 use crate::graph::{EdgeKind, HetGraph, NodeId};
 
@@ -89,44 +90,29 @@ impl GraphBuilder {
         (self.graph, stats)
     }
 
-    /// Indexes every chunk of a document store.
-    ///
-    /// The per-chunk SLM passes (entity tagging + POS tagging) dominate
-    /// build cost and are independent, so they fan out across the global
-    /// parkit pool; graph mutation then replays sequentially in chunk
-    /// order, so node/edge ids are identical to a single-threaded build.
+    /// Indexes every chunk of a document store, tagging each chunk's
+    /// sentences here.
     pub fn add_docstore(&mut self, docs: &DocStore) {
-        self.add_docstore_from(docs, 0);
+        self.add_docstore_from(docs, 0, &TagTable::default());
     }
 
-    /// Indexes the chunks of `docs` starting at chunk index `from_chunk` —
-    /// the incremental form used by delta ingest and WAL replay. The
-    /// `NextChunk` chain continues from the chunk just before the window
-    /// when it belongs to the same document, so an incremental extension
-    /// produces the same edges as a from-scratch build of the final store.
-    pub fn add_docstore_from(&mut self, docs: &DocStore, from_chunk: usize) {
+    /// Indexes the chunks of `docs` starting at chunk index `from_chunk`;
+    /// 0 is a whole build, a later index the incremental form used by
+    /// delta ingest and WAL replay. A chunk's tags are its sentences' tags
+    /// (DESIGN.md §5c), read from `tags` or, for a sentence it lacks,
+    /// tagged here. The `NextChunk` chain continues from the chunk just
+    /// before the window when it belongs to the same document, so an
+    /// incremental extension produces the same edges as a from-scratch
+    /// build of the final store.
+    pub fn add_docstore_from(&mut self, docs: &DocStore, from_chunk: usize, tags: &TagTable) {
         let all = docs.chunks();
-        if from_chunk >= all.len() {
-            return;
-        }
-        let chunks = &all[from_chunk..];
-        let tagged: Vec<_> = if self.index_entities {
-            let slm = &self.slm;
-            // Indexed rather than `par_map`ped: the POS tokens borrow the
-            // chunk texts, which outlive the closure's argument.
-            parkit::global().par_map_range(chunks.len(), |i| {
-                Some((slm.tag_entities(&chunks[i].text), pos_tag(&chunks[i].text)))
-            })
-        } else {
-            chunks.iter().map(|_| None).collect()
-        };
         // (doc_id, chunk node) — seeded from the chunk preceding the
         // window so a resumed build continues the document's chain.
         let mut prev: Option<(usize, NodeId)> = from_chunk
             .checked_sub(1)
             .and_then(|i| all.get(i))
             .and_then(|c| self.graph.chunk_node(c.id).map(|n| (c.doc_id, n)));
-        for (chunk, tags) in chunks.iter().zip(tagged) {
+        for (i, chunk) in all.iter().enumerate().skip(from_chunk) {
             let cnode = self.graph.add_chunk(chunk.id);
             self.stats.chunks += 1;
             // Chain consecutive chunks of the same document.
@@ -136,37 +122,41 @@ impl GraphBuilder {
                 }
             }
             prev = Some((chunk.doc_id, cnode));
-            if let Some((mentions, pos)) = tags {
-                self.add_chunk_entities(cnode, mentions, pos);
+            if self.index_entities {
+                let sentences: Vec<_> = docs
+                    .sentence_terms()
+                    .sentences(i)
+                    .map(|(span, _)| (span.start, tags.tags(&self.slm, &chunk.text[span])))
+                    .collect();
+                self.add_chunk_entities(cnode, &sentences);
             }
         }
     }
 
     /// Wires entity/mention/relation/temporal edges from a chunk's
-    /// precomputed tagging.
-    fn add_chunk_entities(
-        &mut self,
-        cnode: NodeId,
-        mentions: Vec<EntityMention>,
-        tags: Vec<(Token, PosTag)>,
-    ) {
-        self.stats.mentions += mentions.len();
-
+    /// sentences' tags, each with the sentence's offset in the chunk.
+    fn add_chunk_entities(&mut self, cnode: NodeId, sentences: &[(usize, Cow<SentenceTags>)]) {
         // Entity nodes + mention edges. Value-kind entities (dates,
         // quarters, percents) become nodes too — they are the temporal/
         // measurement anchors — but bare quantities are too noisy to index.
         let mut placed: Vec<(NodeId, usize, usize, EntityKind)> = Vec::new();
-        for m in &mentions {
-            if m.kind == EntityKind::Quantity {
-                continue;
+        let mut verbs: Vec<(usize, usize, &str)> = Vec::new();
+        for (at, tags) in sentences {
+            self.stats.mentions += tags.mentions.len();
+            for m in &tags.mentions {
+                if m.kind == EntityKind::Quantity {
+                    continue;
+                }
+                let before = self.graph.num_nodes();
+                let enode = self.graph.add_entity(&m.text, m.kind);
+                if self.graph.num_nodes() > before {
+                    self.stats.entities += 1;
+                }
+                self.graph.add_edge(cnode, enode, EdgeKind::Mentions);
+                placed.push((enode, at + m.start, at + m.end, m.kind));
             }
-            let before = self.graph.num_nodes();
-            let enode = self.graph.add_entity(&m.canonical(), m.kind);
-            if self.graph.num_nodes() > before {
-                self.stats.entities += 1;
-            }
-            self.graph.add_edge(cnode, enode, EdgeKind::Mentions);
-            placed.push((enode, m.start, m.end, m.kind));
+            let verb_tokens = tags.pos.iter().filter(|(_, p)| *p == PosTag::Verb);
+            verbs.extend(verb_tokens.map(|(t, _)| (at + t.start, at + t.end, t.text)));
         }
 
         // Relational cues: for consecutive non-value entity pairs, use the
@@ -179,10 +169,10 @@ impl GraphBuilder {
             if a_node == b_node {
                 continue;
             }
-            let verb = tags
+            let verb = verbs
                 .iter()
-                .find(|(t, p)| *p == PosTag::Verb && t.start >= a_end && t.end <= b_start)
-                .map(|(t, _)| normalize_token(t.text));
+                .find(|&&(start, end, _)| start >= a_end && end <= b_start)
+                .map(|(_, _, text)| normalize_token(text));
             if let Some(verb) = verb {
                 self.graph.add_edge(a_node, b_node, EdgeKind::RelatesTo(verb));
                 self.stats.relation_edges += 1;
@@ -237,7 +227,7 @@ impl GraphBuilder {
                                 continue;
                             }
                             let before = self.graph.num_nodes();
-                            let enode = self.graph.add_entity(&m.canonical(), m.kind);
+                            let enode = self.graph.add_entity(&m.text, m.kind);
                             if self.graph.num_nodes() > before {
                                 self.stats.entities += 1;
                             }
@@ -344,6 +334,24 @@ mod tests {
         let has_temporal =
             g.neighbors(q).iter().any(|&(_, e)| g.edge(e).kind == EdgeKind::Temporal);
         assert!(has_temporal);
+    }
+
+    #[test]
+    fn no_tag_reads_across_a_sentence_end() {
+        let lexicon = Lexicon::new().with_entries([("Nova Lamp", EntityKind::Product)]);
+        let slm = Slm::new(SlmConfig { lexicon, ..SlmConfig::default() });
+        let text = "Blue prescribed sales Patient. In nova lamp and ember purifier";
+        // Tagged whole, the title cue "Patient" reaches across the period.
+        let whole = slm.ner().tag(text);
+        assert!(whole.iter().any(|m| m.text == "In" && m.kind == EntityKind::Person));
+        let mut d = DocStore::default();
+        d.add_document("junk", text, "junk");
+        let mut b = GraphBuilder::new(slm);
+        b.add_docstore(&d);
+        let (g, _) = b.finish();
+        assert_eq!(g.num_chunks(), 1);
+        assert!(g.entity_by_name("in").is_none(), "tagged by sentence, In starts one");
+        assert!(g.entity_by_name("nova lamp").is_some());
     }
 
     #[test]
@@ -476,7 +484,7 @@ mod tests {
         let mut cont = GraphBuilder::new(slm());
         cont.add_docstore(&store);
         cont.add_table("sales", &table_v1);
-        cont.add_docstore_from(&extended, indexed_chunks);
+        cont.add_docstore_from(&extended, indexed_chunks, &TagTable::default());
         cont.add_table_rows("sales", &table_v2, 1);
         let (gi, _) = cont.finish();
 
@@ -488,7 +496,7 @@ mod tests {
         base.add_table("sales", &table_v1);
         let (gbase, _) = base.finish();
         let mut resumed = GraphBuilder::resume(slm(), gbase);
-        resumed.add_docstore_from(&extended, indexed_chunks);
+        resumed.add_docstore_from(&extended, indexed_chunks, &TagTable::default());
         resumed.add_table_rows("sales", &table_v2, 1);
         let (gf, _) = resumed.finish();
 

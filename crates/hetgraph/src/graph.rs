@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use unisem_slm::ner::canonical_phrase;
 use unisem_slm::EntityKind;
 
 use crate::entities::EntityTable;
@@ -280,10 +281,7 @@ impl HetGraph {
     /// Adds (or returns the existing) entity node; names are canonicalized
     /// to lowercase, whitespace-collapsed form.
     pub fn add_entity(&mut self, name: &str, kind: EntityKind) -> NodeId {
-        // Sized for `name`, so an ASCII name canonicalizes in one allocation.
-        let mut canon = String::with_capacity(name.len());
-        unisem_slm::ner::canonical_phrase_into(name, &mut canon);
-        self.add(NodeKind::Entity { name: canon, kind })
+        self.add(NodeKind::Entity { name: canonical_phrase(name), kind })
     }
 
     /// Adds (or returns the existing) record node, after its table's node.
@@ -375,7 +373,7 @@ impl HetGraph {
     /// Looks up an entity node by canonical name (any kind); when several
     /// kinds share the name, the smallest node id wins (deterministic).
     pub fn entity_by_name(&self, name: &str) -> Option<NodeId> {
-        self.entities.get(unisem_slm::ner::canonical_phrase(name).as_str()).copied()
+        self.entities.get(canonical_phrase(name).as_str()).copied()
     }
 
     /// The referential entities ([`EntityKind::is_referential`]) by label

@@ -13,6 +13,8 @@
 //!   "lightweight SLM-based tagging"),
 //! - [`pos`]: part-of-speech-lite tagging used by relational table
 //!   generation (§III.C),
+//! - [`tags`]: the unit both are run on, one sentence, and a table of
+//!   sentences each tagged once,
 //! - [`generate`]: evidence-constrained answer generation with
 //!   temperature-controlled sampling — the code path semantic entropy
 //!   (§III.D) measures,
@@ -28,6 +30,7 @@ pub mod embedding;
 pub mod generate;
 pub mod ner;
 pub mod pos;
+pub mod tags;
 pub mod tokenizer;
 
 pub use cost::{CostMeter, CostModel, ModelClass, UsageSnapshot};
@@ -35,11 +38,13 @@ pub use embedding::{Embedder, EmbedderConfig};
 pub use generate::{template_of, GenConfig, Generation, Generator, SupportedAnswer, TEMPLATES};
 pub use ner::{EntityKind, EntityMention, Lexicon, NerTagger};
 pub use pos::{pos_tag, PosTag};
+pub use tags::{SentenceTags, TagTable};
 pub use tokenizer::{count_tokens, word_pieces};
 
 use std::sync::Arc;
 
 use unisem_text::distinct_ids;
+use unisem_text::tokenize::{tokenize, Token};
 
 /// Configuration for constructing an [`Slm`].
 #[derive(Debug, Clone)]
@@ -113,6 +118,15 @@ impl Slm {
     pub fn tag_entities(&self, text: &str) -> Vec<EntityMention> {
         self.meter.record_tag(count_tokens(text));
         self.ner.tag(text)
+    }
+
+    /// Tags one sentence: its entity mentions and its tokens' parts of
+    /// speech, read off one tokenization and charged as one tagging pass,
+    /// as [`Self::tag_entities`] is.
+    pub fn tag_sentence<'a>(&self, sentence: &'a str) -> SentenceTags<'a> {
+        self.meter.record_tag(count_tokens(sentence));
+        let tokens: Vec<Token> = tokenize(sentence).collect();
+        SentenceTags { mentions: self.ner.tag_tokens(sentence, &tokens), pos: pos_tag(&tokens) }
     }
 
     /// Access to the NER tagger (no cost accounting).

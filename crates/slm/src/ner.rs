@@ -143,7 +143,8 @@ impl EntityMention {
 
 /// Canonicalizes an entity phrase: lowercase, collapse whitespace.
 pub fn canonical_phrase(s: &str) -> String {
-    let mut out = String::new();
+    // Sized for `s`, so an ASCII phrase canonicalizes in one allocation.
+    let mut out = String::with_capacity(s.len());
     canonical_phrase_into(s, &mut out);
     out
 }
@@ -313,13 +314,18 @@ impl NerTagger {
     /// Mentions are returned sorted by start offset and never overlap.
     pub fn tag(&self, text: &str) -> Vec<EntityMention> {
         let tokens: Vec<Token> = tokenize(text).collect();
+        self.tag_tokens(text, &tokens)
+    }
+
+    /// [`Self::tag`] over `tokens`, which are `text`'s.
+    pub fn tag_tokens(&self, text: &str, tokens: &[Token]) -> Vec<EntityMention> {
         let mut candidates: Vec<Candidate> = Vec::new();
         // One scratch buffer for every case fold and phrase below: only a
         // mention's own text is ever owned.
         let mut scratch = String::new();
-        self.lexicon_matches(text, &tokens, &mut scratch, &mut candidates);
-        self.pattern_matches(text, &tokens, &mut scratch, &mut candidates);
-        self.capitalization_matches(text, &tokens, &mut scratch, &mut candidates);
+        self.lexicon_matches(text, tokens, &mut scratch, &mut candidates);
+        self.pattern_matches(text, tokens, &mut scratch, &mut candidates);
+        self.capitalization_matches(text, tokens, &mut scratch, &mut candidates);
         resolve_overlaps(candidates)
     }
 

@@ -5,7 +5,7 @@
 //! position tagger: crude by NLP standards, but sufficient to distinguish
 //! the verb/noun/number/modifier structure the extraction rules consume.
 
-use unisem_text::tokenize::{tokenize, Token, TokenKind};
+use unisem_text::tokenize::{Token, TokenKind};
 
 /// Coarse part-of-speech tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,22 +105,21 @@ const COMMON_ADVERBS: &[&str] = &[
     "moreover",
 ];
 
-/// Tags each token of `text` with a coarse part of speech.
+/// Tags each of a text's `tokens` with a coarse part of speech.
 ///
 /// Returns the tokens paired with tags; punctuation tokens get
-/// [`PosTag::Punct`].
-///
-/// The tokens borrow `text`; tagging allocates the token list, the returned
-/// list and one case-folding buffer.
-pub fn pos_tag(text: &str) -> Vec<(Token<'_>, PosTag)> {
-    let tokens: Vec<Token> = tokenize(text).collect();
+/// [`PosTag::Punct`]. The SLM tags one sentence at a time
+/// ([`crate::Slm::tag_sentence`]), reading NER and POS off one
+/// tokenization; tagging allocates the returned list and one case-folding
+/// buffer.
+pub fn pos_tag<'a>(tokens: &[Token<'a>]) -> Vec<(Token<'a>, PosTag)> {
     let mut lower = String::new();
     let mut out = Vec::with_capacity(tokens.len());
     for (i, t) in tokens.iter().enumerate() {
         let tag = match t.kind {
             TokenKind::Punct => PosTag::Punct,
             TokenKind::Number => PosTag::Number,
-            TokenKind::Word => word_tag(t, i, &tokens, &mut lower),
+            TokenKind::Word => word_tag(t, i, tokens, &mut lower),
         };
         out.push((*t, tag));
     }
@@ -186,9 +185,11 @@ fn word_tag(t: &Token, i: usize, tokens: &[Token], lower: &mut String) -> PosTag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unisem_text::tokenize::tokenize;
 
     fn tags(text: &str) -> Vec<(&str, PosTag)> {
-        pos_tag(text).into_iter().map(|(t, p)| (t.text, p)).collect()
+        let tokens: Vec<Token> = tokenize(text).collect();
+        pos_tag(&tokens).into_iter().map(|(t, p)| (t.text, p)).collect()
     }
 
     #[test]
@@ -256,6 +257,6 @@ mod tests {
 
     #[test]
     fn empty() {
-        assert!(pos_tag("").is_empty());
+        assert!(tags("").is_empty());
     }
 }

@@ -69,18 +69,18 @@ fn answers_allocate_as_pinned_and_token_counts_allocate_nothing() {
     // questions on the second pass over the workload.
     let pinned: [[(&str, u64, u64, u64); 6]; 2] = [
         [
-            ("aggregate", 8, 2430, 131536),
-            ("comparative", 8, 3408, 173754),
-            ("cross_modal", 8, 2004, 212982),
-            ("lookup", 8, 1609, 151133),
-            ("multi_entity", 5, 1441, 80733),
-            ("unanswerable", 8, 3112, 191703),
+            ("aggregate", 8, 2414, 131306),
+            ("comparative", 8, 3376, 173336),
+            ("cross_modal", 8, 1972, 212562),
+            ("lookup", 8, 1577, 150753),
+            ("multi_entity", 5, 1441, 80718),
+            ("unanswerable", 8, 3080, 191311),
         ],
         [
-            ("aggregate", 8, 1977, 104663),
-            ("comparative", 8, 2716, 145293),
-            ("cross_modal", 8, 1426, 134962),
-            ("lookup", 8, 1360, 101926),
+            ("aggregate", 8, 1977, 104653),
+            ("comparative", 8, 2716, 145273),
+            ("cross_modal", 8, 1426, 134938),
+            ("lookup", 8, 1328, 101574),
             ("multi_entity", 8, 2829, 145484),
             ("unanswerable", 8, 2293, 131990),
         ],

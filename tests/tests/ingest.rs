@@ -11,8 +11,9 @@
 //!    gauges) equals a recount, and the engine answers like one rebuilt
 //!    from the inputs plus the log, at 1 and 4 threads.
 //! 3. **Work counts** — a delta runs no PageRank, copies no substrate and
-//!    embeds no chunk. Counted by the engine's closed registry and its
-//!    stage counts, never by a clock.
+//!    embeds no chunk, and a build tags each distinct sentence once.
+//!    Counted by the engine's closed registry, its stage counts and the
+//!    SLM's cost meter, never by a clock.
 
 use std::path::{Path, PathBuf};
 
@@ -26,8 +27,9 @@ use unisem_core::{
     Provenance, UnifiedEngine,
 };
 use unisem_hetgraph::{EdgeKind, HetGraph, NodeKind};
-use unisem_relstore::{Database, Value};
+use unisem_relstore::{DataType, Database, Value};
 use unisem_slm::EntityKind;
+use unisem_text::sentence::sentence_spans;
 use unisem_workloads::ecommerce::DocSpec;
 use unisem_workloads::{names, EcommerceWorkload, ScaleConfig, ScaleWorkload};
 
@@ -453,6 +455,50 @@ fn a_delta_runs_no_pagerank_and_copies_nothing() {
     assert_eq!(addr(&engine), home);
     assert_eq!(engine.db(), &tables_before);
     assert_eq!(engine.applied_seq(), 100);
+}
+
+/// A build tags each distinct sentence once — the documents' for the
+/// extracted table and the chunks' for the graph — plus each string cell
+/// the graph indexes, and a document delta tags the sentences of its
+/// chunks (DESIGN.md §5c). Counted by the SLM's cost meter.
+#[test]
+fn a_build_tags_each_distinct_sentence_once() {
+    let w = corpus(24);
+    let mut engine = build(&w, config(1, FaultPlan::disabled()));
+    let tag_calls = |engine: &UnifiedEngine| engine.meter().snapshot().tag_calls;
+    let docs = engine.docs();
+    let mut sentences: Vec<&str> = Vec::new();
+    for d in docs.documents() {
+        sentences.extend(sentence_spans(&d.text).into_iter().map(|s| &d.text[s]));
+    }
+    for (i, c) in docs.chunks().iter().enumerate() {
+        sentences.extend(docs.sentence_terms().sentences(i).map(|(s, _)| &c.text[s]));
+    }
+    sentences.sort_unstable();
+    sentences.dedup();
+    let db = engine.db();
+    let cells: usize = db
+        .table_names()
+        .into_iter()
+        .filter(|name| *name != "extracted")
+        .map(|name| {
+            let t = db.table(name).expect("listed");
+            let strings =
+                |c| (0..t.num_rows()).filter(move |&r| matches!(t.cell(r, c), Value::Str(_)));
+            let columns = t.schema().columns().iter().enumerate();
+            columns
+                .filter(|(_, col)| col.dtype == DataType::Str)
+                .map(|(c, _)| strings(c).count())
+                .sum::<usize>()
+        })
+        .sum();
+    assert_eq!(tag_calls(&engine), sentences.len() + cells);
+    assert_eq!((sentences.len(), cells), (297, 504));
+    assert_eq!(tag_calls(&engine), 801);
+
+    let before = tag_calls(&engine);
+    engine.ingest_delta(delta(0, 3, 3)).expect("good delta");
+    assert_eq!(tag_calls(&engine) - before, 2, "the new document's two sentences");
 }
 
 /// Under a certain traversal fault every retrieval is the lexical scan over
